@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
+.PHONY: build test test-short race vet fmt-check benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -27,9 +27,17 @@ race:
 vet:
 	$(GO) vet ./...
 
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
+# benchmark/ is its own module, so build, vet and test above never compile
+# it; this catches a signature change here that breaks the yardstick.
+benchmark-selftest:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # bench prints the tracked suite without recording it.
 bench:
-	$(GO) test -bench 'OfferPdFTSP|CalibrateDuals|TraceGenerate' -benchmem -run '^$$' .
+	$(GO) test -bench 'OfferPdFTSP|CalibrateDuals|TraceGenerate|VendorQuotes' -benchmem -run '^$$' .
 
 # bench-snapshot records BENCH_$(LABEL).json for cross-commit comparison:
 #   make bench-snapshot LABEL=pr2
@@ -46,18 +54,24 @@ bench-snapshot:
 # I/O (checkpoints to a temp dir) and allocate per admitted plan, both
 # of which swing run-to-run on identical code; the wide band still
 # catches order-of-magnitude breakage, and allocs/op stays tight.
-BASELINE ?= BENCH_pr4.json
+# The json-full row writes everything decided so far at every slot, so
+# its B/op and allocs/op grow with the iteration count; it runs at the
+# baseline's 100 iterations rather than whatever count a 1s budget picks
+# (160 once PR 13 made the probing iterations faster: +57% allocs/op on
+# identical checkpoint code, -0.3% at 100x).
+BASELINE ?= BENCH_pr13.json
 SERVING_BASELINE ?= BENCH_serving_pr6.json
 SHARD_BASELINE ?= BENCH_shard_pr7.json
 SPOT_BASELINE ?= BENCH_spot_pr8.json
 SLOTCLOSE_BASELINE ?= BENCH_slotclose_pr9.json
 WAL_BASELINE ?= BENCH_wal_pr10.json
 bench-check:
-	$(GO) run ./cmd/bench -compare $(BASELINE) -run OfferPdFTSP,CalibrateDuals,TraceGenerate
+	$(GO) run ./cmd/bench -compare $(BASELINE) -run OfferPdFTSP,CalibrateDuals,TraceGenerate,VendorQuotes
 	$(GO) run ./cmd/bench -compare $(SERVING_BASELINE) -run HTTPDecodeBid,DecisionEncode,DecisionLog
 	$(GO) run ./cmd/bench -compare $(SHARD_BASELINE) -run ShardRoute
 	$(GO) run ./cmd/bench -compare $(SPOT_BASELINE) -run SpotAdvance,SpotTraceGen
-	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run ServeBid,SlotClose,CheckpointPerSlot -ns-tol 0.5 -bytes-tol 0.3
+	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run ServeBid,SlotClose,CheckpointPerSlot/none,CheckpointPerSlot/binary-delta -ns-tol 0.5 -bytes-tol 0.3
+	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run CheckpointPerSlot/json-full -benchtime 100x -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) run ./cmd/bench -compare $(WAL_BASELINE) -run WALAppend -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) test -run 'AllocBudget|SteadyStateAllocs' -count=1 . ./internal/sim/
 
@@ -130,4 +144,4 @@ wal-smoke:
 	$(GO) run ./cmd/pdftspd -wal-chaos 1
 	$(GO) run ./cmd/pdftspd -wal-chaos 7 -shards 2
 
-check: build vet test race serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
+check: build vet fmt-check test benchmark-selftest race serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke

@@ -21,7 +21,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/lp"
 	"github.com/pdftsp/pdftsp/internal/milp"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // benchProfile is sized so a full figure regenerates in roughly a second.
@@ -188,15 +187,9 @@ func BenchmarkMILPKnapsack(b *testing.B) {
 	}
 }
 
-// BenchmarkVendorQuotes measures marketplace quote generation.
+// BenchmarkVendorQuotes measures marketplace quote generation, through
+// the allocating QuotesFor and into a caller-owned buffer.
 func BenchmarkVendorQuotes(b *testing.B) {
-	mkt, err := vendor.Standard(10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mkt.QuotesFor(i)
-	}
+	b.Run("alloc", benchsuite.VendorQuotes)
+	b.Run("append", benchsuite.VendorQuotesAppend)
 }

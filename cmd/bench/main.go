@@ -5,7 +5,7 @@
 //	go run ./cmd/bench -label seed          # writes BENCH_seed.json
 //	go run ./cmd/bench -label pr1 -benchtime 2s
 //	go run ./cmd/bench -run Offer           # only matching benchmarks
-//	go run ./cmd/bench -compare BENCH_pr4.json -run Offer,Calibrate
+//	go run ./cmd/bench -compare BENCH_pr13.json -run Offer,Calibrate
 //
 // The snapshot captures ns/op, B/op and allocs/op for every benchmark
 // plus the host shape (CPU count, GOMAXPROCS) needed to interpret the
@@ -37,11 +37,11 @@ import (
 
 // Result is one benchmark's measurement in the snapshot.
 type Result struct {
-	Name       string  `json:"name"`
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	BytesPerOp int64   `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
 	// GOMAXPROCS records the worker ceiling this benchmark ran with;
 	// multi-core rows appear once per core count.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
@@ -52,14 +52,14 @@ type Result struct {
 
 // Snapshot is the BENCH_<label>.json schema.
 type Snapshot struct {
-	Label      string   `json:"label"`
-	Created    string   `json:"created"`
-	GoVersion  string   `json:"go_version"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	Benchtime  string   `json:"benchtime"`
+	Label      string `json:"label"`
+	Created    string `json:"created"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	Benchtime  string `json:"benchtime"`
 	// CPUList records the GOMAXPROCS values benchmarks ran with (base,
 	// then the -cpu value applied to `/parallel` variants).
 	CPUList    []int    `json:"cpu_list,omitempty"`

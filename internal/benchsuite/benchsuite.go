@@ -38,6 +38,8 @@ func Suite() []Bench {
 		{Name: "OfferPdFTSP", Func: OfferPdFTSP},
 		{Name: "CalibrateDuals", Func: CalibrateDuals},
 		{Name: "TraceGenerate", Func: TraceGenerate},
+		{Name: "VendorQuotes", Func: VendorQuotes},
+		{Name: "VendorQuotes/append", Func: VendorQuotesAppend},
 		{Name: "FigWorkload/sequential", Func: FigWorkloadSequential},
 		{Name: "FigWorkload/parallel", Func: FigWorkloadParallel},
 		{Name: "FigTruthfulness/sequential", Func: FigTruthfulnessSequential},
@@ -124,7 +126,9 @@ func OfferPdFTSP(b *testing.B) {
 	}
 }
 
-// CalibrateDuals measures the Lemma-2 coefficient derivation.
+// CalibrateDuals measures the Lemma-2 coefficient derivation, quote
+// derivation for every f_i = 1 task included: what a caller pays once per
+// start.
 func CalibrateDuals(b *testing.B) {
 	model := lora.GPT2Small()
 	h := timeslot.Day()
@@ -161,6 +165,35 @@ func TraceGenerate(b *testing.B) {
 		if _, err := trace.Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// VendorQuotes measures deriving one task's quotes from a ten-vendor
+// marketplace through the allocating QuotesFor.
+func VendorQuotes(b *testing.B) {
+	mkt, err := vendor.Standard(10, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mkt.QuotesFor(i)
+	}
+}
+
+// VendorQuotesAppend is VendorQuotes into a caller-owned buffer, the form
+// TaskEnv.Refill and CalibrateDuals use.
+func VendorQuotesAppend(b *testing.B) {
+	mkt, err := vendor.Standard(10, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]vendor.Quote, 0, mkt.NumVendors())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = mkt.AppendQuotes(buf[:0], i)
 	}
 }
 

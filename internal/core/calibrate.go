@@ -74,12 +74,13 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 	}
 
 	alpha, beta := floor, floor
+	var quoteBuf [16]vendor.Quote // spills to the heap only past 16 vendors
 	for i := range tasks {
 		t := &tasks[i]
 		net := t.Bid - meanUnit*float64(t.Work)
 		if t.NeedsPrep && mkt != nil {
 			cheapest := -1.0
-			for _, q := range mkt.QuotesFor(t.ID) {
+			for _, q := range mkt.AppendQuotes(quoteBuf[:0], t.ID) {
 				if cheapest < 0 || q.Price < cheapest {
 					cheapest = q.Price
 				}

@@ -84,9 +84,9 @@ type specResult struct {
 	plan  []schedule.Placement
 	// Payment (14) terms recorded at speculation time; valid on a clean
 	// footprint because they are maxima of λ/φ over plan cells.
-	maxLam, maxPhi   float64
-	payment, energy  float64
-	computeT, memT   float64
+	maxLam, maxPhi  float64
+	payment, energy float64
+	computeT, memT  float64
 	// vendorEvents is the per-quote Algorithm-2 event sequence, recorded
 	// instead of emitted so the observer only ever runs on the commit
 	// goroutine, in commit order.

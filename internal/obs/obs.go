@@ -126,19 +126,19 @@ type PaymentEvent struct {
 // ledger); sinks must not serialize them — the flat fields mirror
 // everything a trace needs.
 type OutcomeEvent struct {
-	Run          string      `json:"run"`
-	Sched        string      `json:"sched"`
-	TaskID       int         `json:"task"`
-	Slot         int         `json:"slot"`
-	Bid          float64     `json:"bid"`
+	Run          string                `json:"run"`
+	Sched        string                `json:"sched"`
+	TaskID       int                   `json:"task"`
+	Slot         int                   `json:"slot"`
+	Bid          float64               `json:"bid"`
 	Admitted     bool                  `json:"admitted"`
 	Reason       schedule.RejectReason `json:"reason,omitempty"`
-	Surplus      float64     `json:"surplus"`
-	Payment      float64     `json:"payment"`
-	VendorCost   float64     `json:"vendor_cost"`
-	EnergyCost   float64     `json:"energy_cost"`
-	DualsUpdated bool        `json:"duals_updated,omitempty"`
-	Placements   []Placement `json:"placements,omitempty"`
+	Surplus      float64               `json:"surplus"`
+	Payment      float64               `json:"payment"`
+	VendorCost   float64               `json:"vendor_cost"`
+	EnergyCost   float64               `json:"energy_cost"`
+	DualsUpdated bool                  `json:"duals_updated,omitempty"`
+	Placements   []Placement           `json:"placements,omitempty"`
 
 	Env      *schedule.TaskEnv  `json:"-"`
 	Decision *schedule.Decision `json:"-"`

@@ -14,7 +14,7 @@ type recorder struct {
 	lastBid  BidEvent
 }
 
-func (r *recorder) OnBid(e *BidEvent)    { r.bids++; r.lastBid = *e }
+func (r *recorder) OnBid(e *BidEvent)       { r.bids++; r.lastBid = *e }
 func (r *recorder) OnOutcome(*OutcomeEvent) { r.outcomes++ }
 
 func TestMultiDropsNilsAndUnwraps(t *testing.T) {

@@ -3,6 +3,7 @@ package offline
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
@@ -196,5 +197,37 @@ func TestOfflineBoundDominatesOnline(t *testing.T) {
 	}
 	if res.Welfare < 0 {
 		t.Fatalf("offline incumbent welfare negative: %v", res.Welfare)
+	}
+}
+
+// TestBuildOwnsItsQuotes checks the model keeps its own copy of every
+// task's quotes: they outlive the build, so no two tasks may share a
+// buffer that a later derivation overwrote.
+func TestBuildOwnsItsQuotes(t *testing.T) {
+	cl := smallCluster(t, 2, 12)
+	mkt, err := vendor.Standard(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := make([]task.Task, 3)
+	for i := range tasks {
+		tasks[i] = task.Task{
+			ID: i, Arrival: 1, Deadline: 10, DatasetSamples: 9000, Epochs: 3,
+			Work: 10, MemGB: 10, Rank: 8, Batch: 16, NeedsPrep: true, Bid: 100, TrueValue: 100,
+		}
+	}
+	m, err := Build(Instance{Cluster: cl, Tasks: tasks, Model: lora.GPT2Small(), Market: mkt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tasks {
+		if want := mkt.QuotesFor(i); !reflect.DeepEqual(m.Quotes[i], want) {
+			t.Fatalf("task %d: model quotes %+v, want %+v", i, m.Quotes[i], want)
+		}
+		for j := 0; j < i; j++ {
+			if &m.Quotes[i][0] == &m.Quotes[j][0] {
+				t.Fatalf("tasks %d and %d share one quote buffer", j, i)
+			}
+		}
 	}
 }

@@ -57,8 +57,12 @@ type TaskEnv struct {
 	// (0 means the task cannot run there).
 	Speed []int
 	// Quotes holds each labor vendor's {q_in, h_in} for this task; it is
-	// empty when the task needs no pre-processing.
+	// empty when the task needs no pre-processing. Refill derives them
+	// into a buffer the env owns, so they are valid until the next Refill;
+	// whoever keeps quotes longer copies them.
 	Quotes []vendor.Quote
+
+	quoteBuf []vendor.Quote
 }
 
 // NewTaskEnv derives the environment for a task: per-node throughputs from
@@ -70,10 +74,10 @@ func NewTaskEnv(t *task.Task, cl *cluster.Cluster, model lora.ModelConfig, mkt *
 	return env
 }
 
-// Refill re-derives the environment in place, reusing the Speed slice when
-// its capacity allows. It lets hot loops drive many bids through one env
-// allocation; schedulers only read the env during Offer, so refilling
-// between offers is safe.
+// Refill re-derives the environment in place, reusing the Speed slice and
+// the quote buffer when their capacity allows. It lets hot loops drive
+// many bids through one env allocation; schedulers only read the env
+// during Offer, so refilling between offers is safe.
 func (env *TaskEnv) Refill(t *task.Task, cl *cluster.Cluster, model lora.ModelConfig, mkt *vendor.Marketplace) {
 	env.Task = t
 	env.Cluster = cl
@@ -94,7 +98,8 @@ func (env *TaskEnv) Refill(t *task.Task, cl *cluster.Cluster, model lora.ModelCo
 	}
 	env.Quotes = nil
 	if t.NeedsPrep && mkt != nil {
-		env.Quotes = mkt.QuotesFor(t.ID)
+		env.quoteBuf = mkt.AppendQuotes(env.quoteBuf[:0], t.ID)
+		env.Quotes = env.quoteBuf
 	}
 }
 

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -211,5 +212,39 @@ func TestDecisionWelfare(t *testing.T) {
 	d.Admitted = false
 	if got := d.Welfare(70); got != 0 {
 		t.Fatalf("rejected Welfare = %v, want 0", got)
+	}
+}
+
+// TestRefillOwnsQuoteBuffer pins the ownership rule: env.Quotes is valid
+// until the next Refill on that env. Refilling for a second task reuses
+// the buffer (so whoever keeps the first task's quotes must have copied
+// them), and a no-prep task after a prep task sees no quotes at all.
+func TestRefillOwnsQuoteBuffer(t *testing.T) {
+	env := testEnv(t, true)
+	mkt, err := vendor.Standard(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := env.Quotes
+	kept := append([]vendor.Quote(nil), first...)
+
+	second := *env.Task
+	second.ID = 1
+	env.Refill(&second, env.Cluster, lora.GPT2Small(), mkt)
+	if want := mkt.QuotesFor(1); !reflect.DeepEqual(env.Quotes, want) {
+		t.Fatalf("second task's quotes %+v, want %+v", env.Quotes, want)
+	}
+	if &env.Quotes[0] != &first[0] {
+		t.Fatal("Refill allocated a new quote buffer instead of reusing the env's")
+	}
+	if want := mkt.QuotesFor(0); !reflect.DeepEqual(kept, want) {
+		t.Fatalf("copied quotes of the first task changed: %+v, want %+v", kept, want)
+	}
+
+	noPrep := second
+	noPrep.ID, noPrep.NeedsPrep = 2, false
+	env.Refill(&noPrep, env.Cluster, lora.GPT2Small(), mkt)
+	if env.Quotes != nil {
+		t.Fatalf("no-prep task after a prep task kept quotes: %+v", env.Quotes)
 	}
 }

@@ -264,9 +264,9 @@ func TestSupersededAsyncCheckpointDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("async checkpoint write never started")
 	}
-	b.Supersede()  // the watchdog swapped in a successor while the write stalled
-	close(gate)    // the stall clears: the zombie's write must be dropped
-	b.Kill()       // teardown drains the async pipeline
+	b.Supersede() // the watchdog swapped in a successor while the write stalled
+	close(gate)   // the stall clears: the zombie's write must be dropped
+	b.Kill()      // teardown drains the async pipeline
 
 	if _, err := os.Stat(opts.CheckpointPath); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("superseded broker published its stalled checkpoint (stat: %v)", err)

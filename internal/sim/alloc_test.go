@@ -13,10 +13,10 @@ import (
 )
 
 // TestRunSteadyStateAllocs proves the per-bid steady state of Run is
-// allocation-free with a nil observer: after a warm-up replay, a run over
-// the full workload costs exactly as many allocations as a run over its
-// first half — every allocation is run-scoped (result, env pool, latency
-// buffer), none is per-bid.
+// allocation-free with a nil observer: a run over the full workload costs
+// exactly as many allocations as a run over its first half — every
+// allocation is run-scoped (result, env pool, latency buffer), none is
+// per-bid.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	model := lora.GPT2Small()
 	cfg := trace.DefaultConfig()
@@ -52,10 +52,6 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm every cross-run cache: vendor quotes, and scheduler DP scratch
-	// grown to the workload's maximum window × work size.
-	replay(tasks)
-
 	allocsHalf := testing.AllocsPerRun(5, func() { replay(half) })
 	allocsFull := testing.AllocsPerRun(5, func() { replay(tasks) })
 	// Each replay builds a fresh scheduler, and the full workload's larger

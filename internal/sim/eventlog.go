@@ -12,15 +12,15 @@ import (
 // Event is one auction outcome in the run's event log: everything an
 // operator needs to audit a decision after the fact.
 type Event struct {
-	Slot     int     `json:"slot"`
-	TaskID   int     `json:"task_id"`
-	Bid      float64 `json:"bid"`
-	Admitted bool    `json:"admitted"`
+	Slot     int                   `json:"slot"`
+	TaskID   int                   `json:"task_id"`
+	Bid      float64               `json:"bid"`
+	Admitted bool                  `json:"admitted"`
 	Reason   schedule.RejectReason `json:"reason,omitempty"`
-	Payment  float64 `json:"payment,omitempty"`
-	Vendor   int     `json:"vendor,omitempty"`
-	Energy   float64 `json:"energy,omitempty"`
-	Surplus  float64 `json:"surplus"`
+	Payment  float64               `json:"payment,omitempty"`
+	Vendor   int                   `json:"vendor,omitempty"`
+	Energy   float64               `json:"energy,omitempty"`
+	Surplus  float64               `json:"surplus"`
 	// Placements encodes the plan as "node:slot" pairs.
 	Placements []string `json:"placements,omitempty"`
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/baseline"
 	"github.com/pdftsp/pdftsp/internal/core"
+	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
 	"github.com/pdftsp/pdftsp/internal/vendor"
@@ -199,6 +201,70 @@ func TestFailureWithGreedyScheduler(t *testing.T) {
 	for tt := 6; tt <= 20; tt++ {
 		if cl.UsedWork(1, tt) != 0 {
 			t.Fatalf("work still committed on downed node at slot %d", tt)
+		}
+	}
+}
+
+// envRecorder wraps a scheduler and remembers every env it was offered
+// together with a copy of that env's quotes at offer time.
+type envRecorder struct {
+	Scheduler
+	envs   []*schedule.TaskEnv
+	quotes [][]vendor.Quote
+}
+
+func (r *envRecorder) Offer(env *schedule.TaskEnv) schedule.Decision {
+	r.envs = append(r.envs, env)
+	r.quotes = append(r.quotes, append([]vendor.Quote(nil), env.Quotes...))
+	return r.Scheduler.Offer(env)
+}
+
+// TestFailureTrackerEnvsKeepTheirQuotes checks the ownership rule on the
+// failure path: the tracker retains each admitted bid's env for re-plan
+// time, and an env's quotes live only until its next Refill, so with
+// failures configured every bid must get an env of its own — at the end
+// of the run each one still holds the quotes it was offered with.
+func TestFailureTrackerEnvsKeepTheirQuotes(t *testing.T) {
+	tc := trace.DefaultConfig()
+	tc.Horizon = timeslot.NewHorizon(36)
+	tc.RatePerSlot = 3
+	tc.Seed = 8
+	tc.PrepProb = 1
+	tasks, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkt, err := vendor.Standard(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := simCluster(t, 2, tc.Horizon)
+	opts := core.CalibrateDuals(tasks, tc.Model, cl, mkt)
+	opts.MaskFullCells = true
+	sched, err := core.New(cl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &envRecorder{Scheduler: sched}
+	res, err := Run(cl, rec, tasks, Config{
+		Model: tc.Model, Market: mkt, Failures: []Failure{{Node: 0, From: 10, To: 25}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted == 0 || res.RecoveredTasks+res.FailedTasks == 0 {
+		t.Fatalf("vacuous run: %d admitted, %d recovered, %d failed", res.Admitted, res.RecoveredTasks, res.FailedTasks)
+	}
+	for i, env := range rec.envs {
+		if len(rec.quotes[i]) == 0 {
+			continue // a recovery re-plan: no vendor is bought twice
+		}
+		if !reflect.DeepEqual(env.Quotes, rec.quotes[i]) {
+			t.Fatalf("offer %d (task %d): retained env's quotes changed after its offer:\n got %+v\nwant %+v",
+				i, env.Task.ID, env.Quotes, rec.quotes[i])
+		}
+		if want := mkt.QuotesFor(env.Task.ID); !reflect.DeepEqual(rec.quotes[i], want) {
+			t.Fatalf("offer %d (task %d): offered quotes %+v, want %+v", i, env.Task.ID, rec.quotes[i], want)
 		}
 	}
 }
