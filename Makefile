@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
+.PHONY: build test test-short race vet fmt-check round-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,16 @@ vet:
 
 fmt-check:
 	test -z "$$(gofmt -l .)"
+
+# round-guard is the mechanical form of "there is one round engine":
+# internal/service may drive Algorithm 1's per-bid round only through
+# sim.Engine (Start/Round/Finish), so no non-test file there may offer a
+# bid, account or track a decision, surface capacity changes, or emit the
+# engine's observer events itself.
+round-guard:
+	@if grep -nE '\.(Offer|BatchOffer|Account|Track|ApplyUpTo|AdvanceTo|OnBid|OnOutcome|OnRunStart|OnRunEnd)\(' \
+		$$(ls internal/service/*.go | grep -v _test); then \
+		echo "round-guard: internal/service must go through sim.Engine for the calls above"; exit 1; fi
 
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
@@ -144,4 +154,4 @@ wal-smoke:
 	$(GO) run ./cmd/pdftspd -wal-chaos 1
 	$(GO) run ./cmd/pdftspd -wal-chaos 7 -shards 2
 
-check: build vet fmt-check test benchmark-selftest race serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
+check: build vet fmt-check round-guard test benchmark-selftest race serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke

@@ -956,19 +956,8 @@ func verifyFleet(f flags, h timeslot.Horizon, tasks []task.Task, a service.Aucti
 		if err != nil {
 			return false, fmt.Sprintf("broker %d replay: %v", si, err)
 		}
-		got := brokers[si].Result()
-		if msg := sim.DiffResults(got, res); msg != "" {
-			return false, fmt.Sprintf("broker %d accounting mismatch: %s", si, msg)
-		}
-		for j := range subs[si] {
-			want := res.Decisions[j]
-			d, ok, err := brokers[si].DecisionFor(subs[si][j].ID)
-			if err != nil || !ok {
-				return false, fmt.Sprintf("task %d: lost from broker %d after drain", subs[si][j].ID, si)
-			}
-			if msg := sim.DiffDecisions(&d, &want, false); msg != "" {
-				return false, fmt.Sprintf("broker %d vs replay: %s", si, msg)
-			}
+		if msg := brokers[si].DiffTwin(subs[si], res); msg != "" {
+			return false, fmt.Sprintf("broker %d vs replay: %s", si, msg)
 		}
 	}
 	return true, ""

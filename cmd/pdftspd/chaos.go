@@ -455,20 +455,10 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig, pc perfConfig) 
 		if err != nil {
 			return sum, fmt.Errorf("broker %d replay: %w", si, err)
 		}
-		for i, tk := range sub {
-			got, ok, err := brokers[si].DecisionFor(tk.ID)
-			if err != nil || !ok {
-				return sum, fmt.Errorf("%w: no final decision for task %d on broker %d (ok=%v err=%v)", errChaos, tk.ID, si, ok, err)
-			}
-			w := want.Decisions[i]
-			if msg := sim.DiffDecisions(&got, &w, false); msg != "" {
-				return sum, fmt.Errorf("%w: broker %d vs sim: %s", errChaos, si, msg)
-			}
+		if msg := brokers[si].DiffTwin(sub, want); msg != "" {
+			return sum, fmt.Errorf("%w: broker %d vs sim: %s", errChaos, si, msg)
 		}
 		res := brokers[si].Result()
-		if msg := sim.DiffResults(res, want); msg != "" {
-			return sum, fmt.Errorf("%w: broker %d accounting diverged (%s)\nbroker %+v\nsim    %+v", errChaos, si, msg, res, want)
-		}
 		if !stacks[si].sched.SnapshotDuals().Equal(tw.sched.SnapshotDuals()) {
 			return sum, fmt.Errorf("%w: broker %d final dual prices diverge from sim.Run", errChaos, si)
 		}

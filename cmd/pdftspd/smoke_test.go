@@ -1,0 +1,53 @@
+package main
+
+import (
+	"testing"
+
+	"github.com/pdftsp/pdftsp/internal/timeslot"
+)
+
+// TestSmokeMatrix runs the self-test harnesses behind -smoke, -chaos,
+// -spot-smoke and -wal-chaos with exactly the matrix `make check` runs
+// via `go run`, so tier-1 (`go test ./...`) drives sequential,
+// speculative, faulted, spot and restored rounds against their sim.Run
+// twins. The Makefile targets stay: they are how a failing seed is
+// replayed by hand.
+func TestSmokeMatrix(t *testing.T) {
+	// The flag defaults of main(); every harness shrinks them the same way
+	// it does for the command line.
+	cfg := stackConfig{
+		nodes: 8, mix: "hybrid", slots: timeslot.DefaultHorizonSlots, rate: 5,
+		arrivals: "poisson", deadlines: "medium", vendors: 5, seed: 1,
+	}
+	sc := spotConfig{seed: 11}
+	var seq perfConfig
+
+	chaos := func(seed int64, shards int, pc perfConfig) func() error {
+		return func() error { _, err := runChaos(cfg, seed, shards, sc, pc); return err }
+	}
+	walChaos := func(seed int64, shards int) func() error {
+		return func() error { _, err := runWALChaos(cfg, seed, shards, seq); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"serve-smoke", func() error { return runSmoke(cfg, seq) }},
+		{"chaos-1", chaos(1, 1, seq)},
+		{"chaos-7", chaos(7, 1, seq)},
+		{"chaos-42", chaos(42, 1, seq)},
+		{"chaos-1-shards-2", chaos(1, 2, seq)},
+		{"chaos-7-shards-4", chaos(7, 4, seq)},
+		// Not in the Makefile: the same faults through the speculative round.
+		{"chaos-7-spec-4", chaos(7, 1, perfConfig{specWorkers: 4})},
+		{"spot-smoke", func() error { return runSpotSmoke(cfg, sc.seed, sc, seq) }},
+		{"wal-chaos-1", walChaos(1, 1)},
+		{"wal-chaos-7-shards-2", walChaos(7, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -389,20 +389,10 @@ func runWALChaos(cfg stackConfig, seed int64, n int, pc perfConfig) (walChaosSum
 		if err != nil {
 			return sum, fmt.Errorf("broker %d replay: %w", si, err)
 		}
-		for i, tk := range sub {
-			got, ok, err := brokers[si].DecisionFor(tk.ID)
-			if err != nil || !ok {
-				return sum, fmt.Errorf("%w: no final decision for task %d on broker %d (ok=%v err=%v)", errWALChaos, tk.ID, si, ok, err)
-			}
-			w := want.Decisions[i]
-			if msg := sim.DiffDecisions(&got, &w, false); msg != "" {
-				return sum, fmt.Errorf("%w: broker %d vs sim: %s", errWALChaos, si, msg)
-			}
+		if msg := brokers[si].DiffTwin(sub, want); msg != "" {
+			return sum, fmt.Errorf("%w: broker %d vs sim: %s", errWALChaos, si, msg)
 		}
 		res := brokers[si].Result()
-		if msg := sim.DiffResults(res, want); msg != "" {
-			return sum, fmt.Errorf("%w: broker %d accounting diverged (%s)\nbroker %+v\nsim    %+v", errWALChaos, si, msg, res, want)
-		}
 		if !stacks[si].sched.SnapshotDuals().Equal(tw.sched.SnapshotDuals()) {
 			return sum, fmt.Errorf("%w: broker %d final dual prices diverge from sim.Run", errWALChaos, si)
 		}

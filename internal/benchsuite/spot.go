@@ -9,7 +9,7 @@ import (
 )
 
 // The spot benchmarks track the elastic-capacity tier added for the
-// spot market: SpotAdvance is the per-slot market step the engines run
+// spot market: SpotAdvance is the per-slot market step sim.Engine runs
 // at every slot close (quote the market, reclaim, release, rent,
 // charge), and SpotTraceGen is the seeded price-walk generation a
 // provider boots from.

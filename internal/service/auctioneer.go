@@ -2,9 +2,11 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 
 	"github.com/pdftsp/pdftsp/internal/schedule"
+	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
@@ -74,3 +76,26 @@ var (
 
 // statusPayload serves the monolithic broker's Status on /v1/status.
 func (b *Broker) statusPayload() (any, error) { return b.Status() }
+
+// DiffTwin compares a stopped broker with the sequential sim.Run twin of
+// the bids it decided: sub is that subsequence in offer order, want the
+// twin's result (run with CollectDecisions). It returns "" when every
+// decision and the whole accounting are bit-identical, else the first
+// divergence. Plans are not compared (see sim.DiffDecisions), so it holds
+// under DropLosingPlans; duals and ledgers stay with the caller, who owns
+// the two stacks.
+func (b *Broker) DiffTwin(sub []task.Task, want *sim.Result) string {
+	for i := range sub {
+		got, ok, err := b.DecisionFor(sub[i].ID)
+		if err != nil || !ok {
+			return fmt.Sprintf("task %d: no decision (ok=%v err=%v)", sub[i].ID, ok, err)
+		}
+		if msg := sim.DiffDecisions(&got, &want.Decisions[i], false); msg != "" {
+			return msg
+		}
+	}
+	if msg := sim.DiffResults(b.Result(), want); msg != "" {
+		return fmt.Sprintf("accounting: %s\nbroker %+v\nsim    %+v", msg, b.Result(), want)
+	}
+	return ""
+}

@@ -114,22 +114,16 @@ func (b *Broker) snapshot() *Checkpoint {
 		Nodes:     b.cl.NumNodes(),
 		Slots:     b.horizon.T,
 		Ledger:    b.cl.Snapshot(),
-		Result:    b.res,
+		Result:    b.eng.Result(),
 		Decisions: wireDecisions(b.decisions),
 		Canceled:  b.canceled,
-		ProcIdx:   b.procIdx,
+		ProcIdx:   b.eng.Offered(),
+		Failures:  b.eng.FaultState(),
+		Spot:      b.eng.SpotState(),
 	}
 	if dc, ok := b.sched.(DualCheckpointer); ok {
 		ds := dc.SnapshotDuals()
 		ck.Duals = &ds
-	}
-	if b.faults != nil {
-		st := b.faults.State()
-		ck.Failures = &st
-	}
-	if b.spot != nil {
-		st := b.spot.State()
-		ck.Spot = &st
 	}
 	return ck
 }
@@ -302,26 +296,8 @@ func (b *Broker) Restore(ck *Checkpoint) error {
 	b.nextID = ck.NextID
 	b.canceled = ck.Canceled
 	b.decisions = unwireDecisions(ck.Decisions)
-	if ck.Result != nil {
-		b.res = ck.Result
-		if b.res.RejectReasons == nil {
-			b.res.RejectReasons = map[schedule.RejectReason]int{}
-		}
-	}
-	b.procIdx = ck.ProcIdx
-	if b.faults != nil {
-		if err := b.faults.RestoreState(ck.Failures, b.opts.Model); err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-	} else if ck.Failures != nil && (ck.Failures.Next > 0 || len(ck.Failures.Records) > 0) {
-		return fmt.Errorf("service: checkpoint carries failure state but broker has no fault plan")
-	}
-	if b.spot != nil {
-		if err := b.spot.RestoreState(ck.Spot); err != nil {
-			return fmt.Errorf("service: %w", err)
-		}
-	} else if ck.Spot != nil && (ck.Spot.Next > 0 || len(ck.Spot.Leases) > 0) {
-		return fmt.Errorf("service: checkpoint carries spot state but broker has no spot provider")
+	if err := b.eng.Restore(ck.Result, ck.ProcIdx, ck.Failures, ck.Spot); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	b.ckptSlot = ck.Slot
 	return nil

@@ -124,17 +124,20 @@ func (w *deltaWriter) captureShadows(b *Broker) {
 		w.duals = &ds
 	}
 	w.ledger = b.cl.Snapshot()
-	w.latLen = len(b.res.OfferLatency)
-	w.failJSON = nil
-	if b.faults != nil {
-		st := b.faults.State()
-		w.failJSON, _ = json.Marshal(&st)
+	w.latLen = len(b.eng.Result().OfferLatency)
+	w.failJSON, w.spotJSON = engineStateJSON(b.eng)
+}
+
+// engineStateJSON serializes the engine's tracker and spot-provider state
+// the way the sidecar carries them; nil for a part the run does not have.
+func engineStateJSON(e *sim.Engine) (fail, spot []byte) {
+	if st := e.FaultState(); st != nil {
+		fail, _ = json.Marshal(st)
 	}
-	w.spotJSON = nil
-	if b.spot != nil {
-		st := b.spot.State()
-		w.spotJSON, _ = json.Marshal(&st)
+	if st := e.SpotState(); st != nil {
+		spot, _ = json.Marshal(st)
 	}
+	return fail, spot
 }
 
 // deltaStage carries the shadow state a staged delta record diffed up
@@ -186,36 +189,37 @@ func (b *Broker) appendDelta() error {
 // advance when they land. Core-goroutine only; b.deltas must be open.
 func (b *Broker) buildDelta() (h, p []byte, st deltaStage) {
 	w := b.deltas
+	res := b.eng.Result()
 	p = w.buf[:0]
 	p = appendInt(p, b.slot)
 	p = appendInt(p, b.nextID)
 	p = appendInt(p, b.canceled)
-	p = appendInt(p, b.procIdx)
-	p = appendF64(p, b.res.Welfare)
-	p = appendF64(p, b.res.Revenue)
-	p = appendF64(p, b.res.VendorSpend)
-	p = appendF64(p, b.res.EnergySpend)
-	p = appendF64(p, b.res.Utilization)
-	p = appendInt(p, b.res.Admitted)
-	p = appendInt(p, b.res.Rejected)
-	p = appendInt(p, b.res.FailuresInjected)
-	p = appendInt(p, b.res.RecoveredTasks)
-	p = appendInt(p, b.res.FailedTasks)
-	p = appendF64(p, b.res.RefundedValue)
-	p = appendF64(p, b.res.TrainLossEarly)
-	p = appendF64(p, b.res.TrainLossLate)
-	p = appendF64(p, b.res.SpotSpend)
-	p = appendInt(p, b.res.SpotLeases)
-	p = appendInt(p, b.res.SpotLeasedSlots)
-	p = appendInt(p, b.res.SpotRevocations)
+	p = appendInt(p, b.eng.Offered())
+	p = appendF64(p, res.Welfare)
+	p = appendF64(p, res.Revenue)
+	p = appendF64(p, res.VendorSpend)
+	p = appendF64(p, res.EnergySpend)
+	p = appendF64(p, res.Utilization)
+	p = appendInt(p, res.Admitted)
+	p = appendInt(p, res.Rejected)
+	p = appendInt(p, res.FailuresInjected)
+	p = appendInt(p, res.RecoveredTasks)
+	p = appendInt(p, res.FailedTasks)
+	p = appendF64(p, res.RefundedValue)
+	p = appendF64(p, res.TrainLossEarly)
+	p = appendF64(p, res.TrainLossLate)
+	p = appendF64(p, res.SpotSpend)
+	p = appendInt(p, res.SpotLeases)
+	p = appendInt(p, res.SpotLeasedSlots)
+	p = appendInt(p, res.SpotRevocations)
 
-	p = appendU64(p, uint64(len(b.res.RejectReasons)))
-	for reason, n := range b.res.RejectReasons {
+	p = appendU64(p, uint64(len(res.RejectReasons)))
+	for reason, n := range res.RejectReasons {
 		p = appendStr(p, string(reason))
 		p = appendInt(p, n)
 	}
 
-	lat := b.res.OfferLatency[w.latLen:]
+	lat := res.OfferLatency[w.latLen:]
 	p = appendU64(p, uint64(len(lat)))
 	for _, d := range lat {
 		p = appendI64(p, int64(d))
@@ -254,11 +258,7 @@ func (b *Broker) buildDelta() (h, p []byte, st deltaStage) {
 	// Fault-tracker state, only when it changed (it is small but
 	// re-serializing it every slot would dominate fault-free runs pay
 	// nothing here).
-	var curFail []byte
-	if b.faults != nil {
-		st := b.faults.State()
-		curFail, _ = json.Marshal(&st)
-	}
+	curFail, curSpot := engineStateJSON(b.eng)
 	if string(curFail) != string(w.failJSON) {
 		p = append(p, 1)
 		p = appendU64(p, uint64(len(curFail)))
@@ -269,11 +269,6 @@ func (b *Broker) buildDelta() (h, p []byte, st deltaStage) {
 
 	// Spot provider state (trace cursor, budget spent, live leases), only
 	// when it moved.
-	var curSpot []byte
-	if b.spot != nil {
-		st := b.spot.State()
-		curSpot, _ = json.Marshal(&st)
-	}
 	if string(curSpot) != string(w.spotJSON) {
 		p = append(p, 1)
 		p = appendU64(p, uint64(len(curSpot)))
@@ -289,7 +284,7 @@ func (b *Broker) buildDelta() (h, p []byte, st deltaStage) {
 	st = deltaStage{
 		duals:    curDuals,
 		ledger:   curLedger,
-		latLen:   len(b.res.OfferLatency),
+		latLen:   len(res.OfferLatency),
 		failJSON: curFail,
 		spotJSON: curSpot,
 	}

@@ -10,11 +10,13 @@
 // until its arrival slot closes, then runs the slot's auction round in
 // (arrival, ID) order; a real-clock broker closes a slot every
 // Options.SlotDuration, a virtual-clock broker whenever Step is called
-// (tests and the smoke harness drive it deterministically). Because the
-// round order is deterministic, N clients submitting concurrently reach
-// exactly the same admissions, payments, and final duals as the same
-// bids replayed sequentially through sim.Run — the service-level
-// equivalence the tests pin down.
+// (tests and the smoke harness drive it deterministically). The round
+// itself is sim.Engine — the same code sim.Run drives — and its order is
+// deterministic, so N clients submitting concurrently reach exactly the
+// same admissions, payments, and final duals as the same bids replayed
+// sequentially through sim.Run; the twins in the tests check the
+// transport around the round (ordering, restore, replay), not a second
+// implementation of it.
 //
 // The broker is operable: the intake queue is bounded (ErrQueueFull maps
 // to HTTP 429), every bid honors its caller's context, SIGTERM drains
@@ -166,8 +168,9 @@ type Options struct {
 	// decisions whose read footprint no earlier bid wrote, re-running the
 	// rest through the normal Offer path. The decisions, duals, ledger,
 	// and event stream are bit-identical to the sequential round by
-	// construction. Requires Scheduler to be *core.Scheduler; 0 or 1
-	// keeps the plain sequential round (the default).
+	// construction (TestEventStreamThreeWay holds the stream to it).
+	// Requires Scheduler to be *core.Scheduler; 0 or 1 keeps the plain
+	// sequential round (the default).
 	SpecWorkers int
 	// AsyncCheckpoint moves checkpoint file I/O (full JSON snapshots and
 	// binary delta appends) off the core goroutine onto a dedicated
@@ -198,10 +201,10 @@ type Options struct {
 	// (internal/spot.Provider): the provider's nodes become unavailable
 	// until leased, leases are rented and released against the published
 	// duals, and market reclaims revoke capacity with the failure
-	// tracker's re-plan/refund semantics. The broker drives the provider
-	// at exactly the simulator's trigger points, so a spot-enabled broker
-	// stays bit-identical to sim.Run with Config.Spot. The provider must
-	// be dedicated to this broker (its state binds to the cluster).
+	// tracker's re-plan/refund semantics. The broker's sim.Engine drives
+	// the provider, so a spot-enabled broker stays bit-identical to sim.Run
+	// with Config.Spot. The provider must be dedicated to this broker (its
+	// state binds to the cluster).
 	Spot sim.SpotProvider
 }
 
@@ -307,7 +310,10 @@ type Broker struct {
 	cl      *cluster.Cluster
 	sched   sim.Scheduler
 	horizon timeslot.Horizon
-	o       obs.Observer
+	// eng is the round engine (sim.Engine): it owns the run accounting,
+	// the fault tracker, the spot provider and the observer stream, and is
+	// the only code that offers a bid to the scheduler.
+	eng *sim.Engine
 
 	intake chan intakeMsg
 	ctl    chan func()
@@ -338,7 +344,6 @@ type Broker struct {
 	// steady-state intake stops allocating as batches churn.
 	heldFree  [][]heldBid
 	decisions map[int]schedule.Decision
-	res       *sim.Result
 	canceled  int
 	ckptSlot  int // slot recorded by the last checkpoint write, -1 if none
 	draining  bool
@@ -358,36 +363,19 @@ type Broker struct {
 	sinceFull int
 	wroteFull bool
 	dirty     []int
-	// Reusable per-bid scratch for the observer path and — only when no
-	// fault plan is configured (the tracker retains env pointers) — the
-	// task environment.
-	envScratch schedule.TaskEnv
-	bidEv      obs.BidEvent
-	outEv      obs.OutcomeEvent
-	placBuf    []obs.Placement
+	// live is the round in flight — the slot's uncanceled bids in offer
+	// order — and liveBase the engine's offer index of live[0], so the
+	// engine's sink can find the submitter to answer; bids is the same
+	// round as the engine takes it.
+	live     []heldBid
+	liveBase int
+	bids     []*task.Task
 	// ckptFails counts consecutive checkpoint-write failures; reaching
 	// Options.DegradeAfter flips /healthz to degraded.
 	ckptFails int
-	// faults replays Options.Failures with the simulator's semantics;
-	// nil when no failures are configured (the steady state pays only
-	// nil checks). A spot provider forces a (possibly empty) tracker:
-	// revocations break plans through it.
-	faults *sim.FailureTracker
-	// spot is Options.Spot, bound to this broker's cluster and tracker.
-	spot sim.SpotProvider
-	// procIdx numbers processed bids in offer order — the tracker index
-	// stream that makes recovery re-planning deterministic.
-	procIdx int
-	// spec runs the speculative parallel slot-close round when
-	// Options.SpecWorkers > 1; nil keeps the sequential round. The env
-	// pool and the per-bid quote-error scratch below exist only for that
-	// path (the pool is safe precisely when no fault tracker retains env
-	// pointers; with faults configured each bid gets a fresh env, as in
-	// the sequential path).
-	spec        *core.Speculator
-	specEnvs    []schedule.TaskEnv
-	specEnvPtrs []*schedule.TaskEnv
-	specQErrs   []error
+	// spec is the speculative parallel round the engine drives when
+	// Options.SpecWorkers > 1; the broker keeps it for Status only.
+	spec *core.Speculator
 	// ckptW is the async checkpoint writer (Options.AsyncCheckpoint);
 	// ckptStall, when set before Start, delays each write inside the
 	// writer goroutine — the backpressure tests' stall hook.
@@ -423,45 +411,27 @@ func New(opts Options) (*Broker, error) {
 		held:      map[int][]heldBid{},
 		heldIDs:   map[int]struct{}{},
 		decisions: map[int]schedule.Decision{},
-		res:       sim.NewResult(opts.Scheduler.Name()),
 		ckptSlot:  -1,
 	}
-	ft, err := sim.NewFailureTracker(opts.Failures, opts.Cluster)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	if opts.Spot != nil && ft == nil {
-		// Spot revocations flow through the tracker's plan-breaking
-		// machinery even when no static outages are configured.
-		ft = sim.NewEmptyFailureTracker(opts.Cluster)
-	}
-	if ft != nil {
-		// A refunded task's decided outcome flips exactly as sim.Run
-		// flips Result.Decisions: the admission is reversed, the payment
-		// record stands (it was charged and refunded).
-		ft.OnRefund = func(origID int) {
-			if d, ok := b.decisions[origID]; ok {
-				d.Admitted = false
-				d.Reason = schedule.ReasonFailedNode
-				b.decisions[origID] = d
-				b.dirty = append(b.dirty, origID)
-			}
-		}
-		b.faults = ft
-	}
-	if opts.Spot != nil {
-		if err := opts.Spot.Bind(opts.Cluster, b.faults); err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		b.spot = opts.Spot
-	}
+	var spec sim.Speculator // stays a nil interface without SpecWorkers
 	if opts.SpecWorkers > 1 {
 		cs, ok := opts.Scheduler.(*core.Scheduler)
 		if !ok {
 			return nil, fmt.Errorf("service: SpecWorkers requires the core auction scheduler, got %q", opts.Scheduler.Name())
 		}
 		b.spec = core.NewSpeculator(cs, opts.SpecWorkers)
+		spec = b.spec
 	}
+	eng, err := sim.NewEngine(opts.Cluster, opts.Scheduler, spec, sim.EngineConfig{
+		Model: opts.Model, Market: opts.Market, Quotes: opts.Quotes,
+		Failures: opts.Failures, Spot: opts.Spot,
+		Observer: opts.Observer, RunLabel: opts.RunLabel,
+	}, b.decided)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	eng.OnRefund(b.refunded)
+	b.eng = eng
 	return b, nil
 }
 
@@ -479,20 +449,7 @@ func (b *Broker) Start() error {
 		}
 	}
 	b.started = true
-	b.o = obs.Stamp(b.opts.Observer, b.opts.RunLabel, b.sched.Name())
-	if ob, ok := b.sched.(obs.Observable); ok && b.o != nil {
-		ob.SetObserver(b.o)
-	}
-	if b.faults != nil {
-		b.faults.Obs = b.o
-	}
-	if b.o != nil {
-		capWork := make([]int, b.cl.NumNodes())
-		for k := range capWork {
-			capWork[k] = b.cl.Node(k).CapWork
-		}
-		b.o.OnRunStart(&obs.RunStartEvent{Nodes: b.cl.NumNodes(), Slots: b.horizon.T, CapWork: capWork})
-	}
+	b.eng.Start()
 	if b.opts.AsyncCheckpoint && b.opts.CheckpointPath != "" {
 		b.ckptW = newCkptWriter(b.ckptStall, &b.superseded)
 		go b.ckptW.run()
@@ -911,6 +868,7 @@ func (b *Broker) ExposeExpvar(name string) {
 
 // status builds the summary; core-goroutine (or post-Done) only.
 func (b *Broker) status() Status {
+	res := b.eng.Result()
 	st := Status{
 		Run:             b.opts.RunLabel,
 		Scheduler:       b.sched.Name(),
@@ -927,11 +885,11 @@ func (b *Broker) status() Status {
 		ShedChannelFull: b.chanFull429.Load(),
 		ShedHeldFull:    b.heldFull429,
 		Decided:         len(b.decisions),
-		Admitted:        b.res.Admitted,
-		Rejected:        b.res.Rejected,
+		Admitted:        res.Admitted,
+		Rejected:        res.Rejected,
 		Canceled:        b.canceled,
-		Welfare:         b.res.Welfare,
-		Revenue:         b.res.Revenue,
+		Welfare:         res.Welfare,
+		Revenue:         res.Revenue,
 		Utilization:     b.cl.Utilization(),
 		CheckpointSlot:  b.ckptSlot,
 	}
@@ -954,14 +912,14 @@ func (b *Broker) status() Status {
 		st.SpecWorkers = b.spec.Workers()
 		st.SpecHits, st.SpecMisses = b.spec.Stats()
 	}
-	st.FailuresInjected = b.res.FailuresInjected
-	st.RecoveredTasks = b.res.RecoveredTasks
-	st.FailedTasks = b.res.FailedTasks
-	st.RefundedValue = b.res.RefundedValue
-	st.SpotSpend = b.res.SpotSpend
-	st.SpotLeases = b.res.SpotLeases
-	st.SpotLeasedSlots = b.res.SpotLeasedSlots
-	st.SpotRevocations = b.res.SpotRevocations
+	st.FailuresInjected = res.FailuresInjected
+	st.RecoveredTasks = res.RecoveredTasks
+	st.FailedTasks = res.FailedTasks
+	st.RefundedValue = res.RefundedValue
+	st.SpotSpend = res.SpotSpend
+	st.SpotLeases = res.SpotLeases
+	st.SpotLeasedSlots = res.SpotLeasedSlots
+	st.SpotRevocations = res.SpotRevocations
 	if b.wal != nil {
 		st.WALRecords = b.wal.records
 		st.WALDepth = b.wal.depth
@@ -1072,11 +1030,7 @@ func (b *Broker) persistGuard() error {
 // loop is the core goroutine: the only owner of the auction state.
 func (b *Broker) loop() {
 	defer close(b.done)
-	defer func() {
-		if ob, ok := b.sched.(obs.Observable); ok && b.o != nil {
-			ob.SetObserver(nil)
-		}
-	}()
+	defer b.eng.Detach() // a kill never reaches Finish
 	var tick <-chan time.Time
 	if !b.opts.VirtualClock {
 		ticker := time.NewTicker(b.opts.SlotDuration)
@@ -1111,7 +1065,7 @@ func (b *Broker) loop() {
 			b.closeCkptWriter()
 			b.closeDeltas()
 			b.closeWAL()
-			b.emitRunEnd()
+			b.eng.Finish(false)
 			return
 		}
 	}
@@ -1299,182 +1253,52 @@ func (b *Broker) closeSlot() {
 		}
 		live = append(live, hb)
 	}
-	// Outages surface lazily, before a round that offers any bids —
-	// mirroring sim.Run, which applies failures only when an arrival
-	// forces the clock forward. An empty (or fully canceled) round leaves
-	// them pending, so the replan-time ledger matches a sequential replay
-	// of the same bids exactly. Spot-market events run first at the same
-	// trigger points — reclaims of a slot surface before its static
-	// outages in both engines.
-	if len(live) > 0 {
-		if b.spot != nil {
-			b.spot.AdvanceTo(b.slot, b.sched, b.res)
-		}
-		b.faults.ApplyUpTo(b.slot, b.sched, b.res)
+	// The engine runs the round: capacity changes first (only when there is
+	// a bid to offer, so an empty or fully canceled slot leaves them
+	// pending, as a sequential replay of the same bids would), then every
+	// live bid through Algorithm 1, each handed back to b.decided. The
+	// broker's own context never cancels a round.
+	b.live, b.liveBase = live, b.eng.Offered()
+	b.bids = b.bids[:0]
+	for i := range live {
+		b.bids = append(b.bids, &live[i].task)
 	}
-	if b.spec != nil && len(live) > 1 {
-		b.processSpeculative(live)
-	} else {
-		for i := range live {
-			b.process(&live[i])
-		}
-	}
+	_ = b.eng.Round(context.Background(), b.slot, b.bids)
 	if batch != nil {
 		// The slot's backing array is dead; recycle it for a future slot.
 		b.heldFree = append(b.heldFree, batch[:0])
 	}
 	b.slot++
 	if b.slot >= b.horizon.T {
-		// Outages after the last round still break committed plans,
-		// exactly as sim.Run applies them after its last arrival.
-		if b.spot != nil {
-			b.spot.AdvanceTo(b.horizon.T-1, b.sched, b.res)
-		}
-		b.faults.ApplyUpTo(b.horizon.T-1, b.sched, b.res)
-		b.emitRunEnd()
+		b.eng.Finish(true)
 	}
 	if b.slot%b.opts.CheckpointEvery == 0 || b.slot >= b.horizon.T {
 		b.writeCheckpoint()
 	}
 }
 
-// process runs Algorithm 1 for one live bid and answers its submitter.
-// The steady state reuses one TaskEnv and the observer event buffers
-// across bids; only a configured fault plan forces per-bid envs (the
-// tracker retains each admitted bid's env for replan time).
-func (b *Broker) process(hb *heldBid) {
-	mkt := b.opts.Market
-	if b.opts.Quotes != nil {
-		mkt = nil // quotes come from the fallible client below
+// decided is the engine's sink: it stores the irrevocable decision, marks
+// it for the next checkpoint delta, and answers the submitter.
+func (b *Broker) decided(idx int, _ *schedule.TaskEnv, d *schedule.Decision, _ time.Duration) {
+	hb := &b.live[idx-b.liveBase]
+	dec := *d
+	if b.opts.DropLosingPlans && !dec.Admitted {
+		dec.Schedule = nil
 	}
-	var env *schedule.TaskEnv
-	if b.faults != nil {
-		env = schedule.NewTaskEnv(&hb.task, b.cl, b.opts.Model, mkt)
-	} else {
-		env = &b.envScratch
-		env.Refill(&hb.task, b.cl, b.opts.Model, mkt)
-	}
-	var qErr error
-	if b.opts.Quotes != nil && hb.task.NeedsPrep {
-		var q []vendor.Quote
-		if q, qErr = b.opts.Quotes.Call(hb.task.ID, b.slot); qErr == nil {
-			env.Quotes = q
-		}
-	}
-	if b.o != nil {
-		sim.FillBidEvent(&b.bidEv, env)
-		b.o.OnBid(&b.bidEv)
-	}
-	start := time.Now()
-	d := b.sched.Offer(env)
-	b.res.OfferLatency = append(b.res.OfferLatency, time.Since(start))
-	sim.TagVendorDown(&d, qErr)
-	if b.o != nil {
-		b.placBuf = sim.FillOutcomeEvent(&b.outEv, env, &d, b.placBuf[:0])
-		b.o.OnOutcome(&b.outEv)
-	}
-	b.res.Account(env, &d)
-	b.faults.Track(b.procIdx, env, &d)
-	b.procIdx++
-	if b.opts.DropLosingPlans && !d.Admitted {
-		d.Schedule = nil
-	}
-	b.decisions[hb.task.ID] = d
+	b.decisions[hb.task.ID] = dec
 	b.dirty = append(b.dirty, hb.task.ID)
-	b.answer(hb, Outcome{Decision: d})
+	b.answer(hb, Outcome{Decision: dec})
 }
 
-// processSpeculative runs one slot's round through the speculative
-// parallel path: envs and vendor quotes are prepared sequentially in ID
-// order (so the fallible quote client sees exactly the sequential call
-// sequence), the batch fans across the Speculator's worker pool, and the
-// commit loop then replays the sequential round's per-bid side effects —
-// observer events, latency samples, accounting, fault tracking, the
-// submitter's answer — in the same order the plain loop produces them.
-func (b *Broker) processSpeculative(live []heldBid) {
-	n := len(live)
-	mkt := b.opts.Market
-	if b.opts.Quotes != nil {
-		mkt = nil // quotes come from the fallible client below
-	}
-	if b.faults == nil && len(b.specEnvs) < n {
-		b.specEnvs = make([]schedule.TaskEnv, n)
-	}
-	envs := b.specEnvPtrs[:0]
-	qErrs := b.specQErrs[:0]
-	for i := range live {
-		var env *schedule.TaskEnv
-		if b.faults != nil {
-			// The tracker retains each admitted bid's env for replan time,
-			// exactly like the sequential path.
-			env = schedule.NewTaskEnv(&live[i].task, b.cl, b.opts.Model, mkt)
-		} else {
-			env = &b.specEnvs[i]
-			env.Refill(&live[i].task, b.cl, b.opts.Model, mkt)
-		}
-		var qErr error
-		if b.opts.Quotes != nil && live[i].task.NeedsPrep {
-			var q []vendor.Quote
-			if q, qErr = b.opts.Quotes.Call(live[i].task.ID, b.slot); qErr == nil {
-				env.Quotes = q
-			}
-		}
-		envs = append(envs, env)
-		qErrs = append(qErrs, qErr)
-	}
-	b.specEnvPtrs, b.specQErrs = envs, qErrs
-	b.spec.Plan(envs)
-	for i := range live {
-		hb := &live[i]
-		env := envs[i]
-		if b.o != nil {
-			sim.FillBidEvent(&b.bidEv, env)
-			b.o.OnBid(&b.bidEv)
-		}
-		start := time.Now()
-		d, _ := b.spec.Commit(i)
-		b.res.OfferLatency = append(b.res.OfferLatency, time.Since(start))
-		sim.TagVendorDown(&d, qErrs[i])
-		if b.o != nil {
-			b.placBuf = sim.FillOutcomeEvent(&b.outEv, env, &d, b.placBuf[:0])
-			b.o.OnOutcome(&b.outEv)
-		}
-		b.res.Account(env, &d)
-		b.faults.Track(b.procIdx, env, &d)
-		b.procIdx++
-		if b.opts.DropLosingPlans && !d.Admitted {
-			d.Schedule = nil
-		}
-		b.decisions[hb.task.ID] = d
-		b.dirty = append(b.dirty, hb.task.ID)
-		b.answer(hb, Outcome{Decision: d})
-	}
-}
-
-// emitRunEnd closes the observer stream with the final accounting; it
-// fires once (horizon end or drain, whichever comes first).
-func (b *Broker) emitRunEnd() {
-	// The final utilization belongs to the run accounting whether or not
-	// anyone is observing — sim.Run always records it.
-	b.res.Utilization = b.cl.Utilization()
-	if b.o == nil {
-		return
-	}
-	o := b.o
-	b.o = nil
-	o.OnRunEnd(&obs.RunEndEvent{
-		Welfare:     b.res.Welfare,
-		Revenue:     b.res.Revenue,
-		VendorSpend: b.res.VendorSpend,
-		EnergySpend: b.res.EnergySpend,
-		Admitted:    b.res.Admitted,
-		Rejected:    b.res.Rejected,
-		Utilization: b.res.Utilization,
-		Failures:    b.res.FailuresInjected,
-		Cluster:     b.cl,
-	})
-	if ob, ok := b.sched.(obs.Observable); ok {
-		ob.SetObserver(nil)
+// refunded flips a refunded task's decided outcome as a batch replay
+// flips Result.Decisions: the admission is reversed, the payment record
+// stands (it was charged and refunded).
+func (b *Broker) refunded(origID int) {
+	if d, ok := b.decisions[origID]; ok {
+		d.Admitted = false
+		d.Reason = schedule.ReasonFailedNode
+		b.decisions[origID] = d
+		b.dirty = append(b.dirty, origID)
 	}
 }
 
@@ -1494,5 +1318,5 @@ func (b *Broker) Result() *sim.Result {
 			panic("service: Result on a running broker (use Status)")
 		}
 	}
-	return b.res
+	return b.eng.Result()
 }

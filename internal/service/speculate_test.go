@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/faults"
+	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/sim"
+	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // specCompare diffs a finished speculative broker against its sequential
@@ -18,18 +21,8 @@ import (
 // dual prices, and the cluster ledger must be bit-identical.
 func specCompare(t *testing.T, b *Broker, serve, twin *testStack, want *sim.Result) {
 	t.Helper()
-	for i, tk := range serve.tasks {
-		got, ok, err := b.DecisionFor(tk.ID)
-		if err != nil || !ok {
-			t.Fatalf("task %d: no decision (ok=%v err=%v)", tk.ID, ok, err)
-		}
-		w := want.Decisions[i]
-		if msg := sim.DiffDecisions(&got, &w, false); msg != "" {
-			t.Fatalf("task %d: speculative broker vs sequential sim: %s", tk.ID, msg)
-		}
-	}
-	if msg := sim.DiffResults(b.Result(), want); msg != "" {
-		t.Fatalf("accounting diverged (%s)\nbroker %+v\nsim    %+v", msg, b.Result(), want)
+	if msg := b.DiffTwin(serve.tasks, want); msg != "" {
+		t.Fatalf("speculative broker vs sequential sim: %s", msg)
 	}
 	if !serve.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
 		t.Fatal("final dual prices diverge from the sequential replay")
@@ -348,4 +341,91 @@ func TestAsyncCheckpointBackpressure(t *testing.T) {
 			t.Fatalf("final checkpoint at slot %d, stale vs slot %d at drain", ck.Slot, atSlot)
 		}
 	})
+}
+
+// TestEventStreamThreeWay checks what Options.SpecWorkers promises and the
+// benchmark's span builder depends on: the complete observer stream — not
+// only decisions and accounting — is byte-identical between sim.Run, a
+// sequential broker and a speculative broker. Both workloads are the ones
+// internal/sim's TestEventStreamGolden pins against the pre-engine code.
+func TestEventStreamThreeWay(t *testing.T) {
+	for _, w := range []struct {
+		name         string
+		slots, nodes int
+		rate         float64
+		seed         int64
+		faulted      bool
+	}{
+		{name: "adversarial-contention", slots: 16, nodes: 2, rate: 30, seed: 5},
+		{name: "chaos-seed-7", slots: 24, nodes: 3, rate: 8, seed: 7, faulted: true},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			var failures []sim.Failure
+			var plan faults.Plan
+			if w.faulted {
+				plan = faults.Generate(w.seed, w.nodes, w.slots, 4)
+				for _, o := range plan.Outages {
+					failures = append(failures, sim.Failure{Node: o.Node, From: o.From, To: o.To})
+				}
+			}
+			// record runs one engine over a fresh stack and returns its stream.
+			record := func(drive func(st *testStack, quotes vendor.Caller, o obs.Observer)) []byte {
+				st := newStack(t, w.slots, w.nodes, w.rate, w.seed)
+				var quotes vendor.Caller
+				if w.faulted {
+					st = newFaultStack(t, w.slots, w.nodes, w.rate, w.seed)
+					quotes = faultQuotes(st, plan.Vendor)
+				}
+				var buf bytes.Buffer
+				jsonl := obs.NewJSONL(&buf)
+				drive(st, quotes, jsonl)
+				if err := jsonl.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			broker := func(specWorkers int) []byte {
+				return record(func(st *testStack, quotes vendor.Caller, o obs.Observer) {
+					opts := st.brokerOptions()
+					opts.SpecWorkers, opts.Failures, opts.Quotes = specWorkers, failures, quotes
+					opts.Observer, opts.RunLabel = o, "stream"
+					b := startBroker(t, opts)
+					chans := submitAll(t, b, st.tasks, 6)
+					if _, err := b.Step(w.slots); err != nil {
+						t.Fatal(err)
+					}
+					for i := range st.tasks {
+						if out := <-chans[i]; out.Err != nil {
+							t.Fatalf("task %d: %v", st.tasks[i].ID, out.Err)
+						}
+					}
+					if err := b.Drain(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			want := record(func(st *testStack, quotes vendor.Caller, o obs.Observer) {
+				if _, err := sim.Run(st.cl, st.sched, st.tasks, sim.Config{
+					Model: st.model, Market: st.mkt, Failures: failures, Quotes: quotes,
+					Observer: o, RunLabel: "stream",
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if bytes.Count(want, []byte("\n")) < 1000 {
+				t.Fatalf("sim.Run stream has only %d events; the comparison is vacuous", bytes.Count(want, []byte("\n")))
+			}
+			for name, got := range map[string][]byte{"sequential": broker(0), "speculative": broker(4)} {
+				if !bytes.Equal(got, want) {
+					gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+					for i := 0; i < len(gl) && i < len(wl); i++ {
+						if !bytes.Equal(gl[i], wl[i]) {
+							t.Fatalf("%s broker stream diverges from sim.Run at line %d:\n got  %s\n want %s", name, i+1, gl[i], wl[i])
+						}
+					}
+					t.Fatalf("%s broker stream has %d lines, sim.Run %d", name, len(gl), len(wl))
+				}
+			}
+		})
+	}
 }

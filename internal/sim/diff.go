@@ -10,9 +10,10 @@ import (
 // money flows, admission counts, utilization, failure recovery, and spot
 // activity — and returns "" when they are bit-identical, or a one-line
 // description of the first divergence. It is the shared equivalence
-// check behind every broker ≡ sim.Run twin assertion: the load
-// generator's -verify, the chaos harness, and the speculative slot-close
-// tests all call it so "bit-identical" means the same thing everywhere.
+// check behind every broker ≡ sim.Run twin assertion — service's
+// Broker.DiffTwin, which the load generator's -verify, the chaos
+// harnesses and the speculative slot-close tests call — so
+// "bit-identical" means the same thing everywhere.
 func DiffResults(got, want *Result) string {
 	type field struct {
 		name      string

@@ -2,22 +2,12 @@ package sim
 
 import "github.com/pdftsp/pdftsp/internal/cluster"
 
-// SpotProvider is the elastic-capacity hook both engines drive: an
+// SpotProvider is the elastic-capacity hook the round engine drives: an
 // implementation (internal/spot.Provider) rents and releases revocable
 // spot nodes against the run's published dual prices. sim defines only
 // the contract so the dependency points outward — spot imports sim, the
-// engines hold the interface.
-//
-// Call discipline, shared verbatim by sim.Run and the service broker so
-// the two stay bit-identical:
-//
-//   - Bind runs once, before the first bid, attaching the provider to
-//     the run's cluster and failure tracker (revocations reuse the
-//     tracker's plan-breaking machinery).
-//   - AdvanceTo(now) runs at EXACTLY the points FailureTracker.ApplyUpTo
-//     does — immediately before it, at every bid-bearing slot and once
-//     at the horizon's last slot — so spot reclaims surface before
-//     static outages of the same slot in both engines.
+// Engine holds the interface, and the Engine doc comment states when Bind
+// and AdvanceTo run.
 type SpotProvider interface {
 	Bind(cl *cluster.Cluster, faults *FailureTracker) error
 	AdvanceTo(now int, sched Scheduler, res *Result)

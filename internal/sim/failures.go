@@ -25,14 +25,13 @@ type Failure struct {
 	From, To int
 }
 
-// FailureTracker is the online node-outage state machine shared by the
-// batch simulator (Run) and the serving broker (internal/service):
+// FailureTracker is the round engine's online node-outage state machine:
 // admitted plans are tracked, outages surface lazily at the beginning of
 // their From slot, broken plans release their future placements and are
 // re-planned through the same Algorithm-2 scheduler, and unrecoverable
-// tasks are refunded. Both engines drive the same tracker, which is why
-// a broker given a fault plan stays bit-identical to sim.Run with the
-// same Config.Failures.
+// tasks are refunded. The Engine owns the run's tracker, so a broker
+// given a fault plan and sim.Run with the same Config.Failures run the
+// same code.
 //
 // A nil *FailureTracker is valid and inert: every method is a no-op, so
 // the failure-free hot path pays only a nil check.
@@ -48,8 +47,8 @@ type FailureTracker struct {
 
 	// OnRefund, when set, is called with the ORIGINAL task ID of every
 	// refunded task (a recovered task's continuation keeps its original
-	// identity here). The broker uses it to flip its decided-outcome map
-	// exactly as Run flips Result.Decisions.
+	// identity here). The broker uses it (Engine.OnRefund) to flip its
+	// decided-outcome map as apply flips Result.Decisions.
 	OnRefund func(origID int)
 	// Obs, when non-nil, receives one FailureEvent per applied outage.
 	Obs obs.Observer
@@ -99,7 +98,7 @@ func NewFailureTracker(fs []Failure, cl *cluster.Cluster) (*FailureTracker, erro
 // NewEmptyFailureTracker returns a live tracker with no scheduled
 // outages. Spot-market runs need one even when Config.Failures is empty:
 // revocations reuse the tracker's plan-breaking machinery (Revoke), so
-// the engine must track admitted plans from the first bid on.
+// the Engine must track admitted plans from the first bid on.
 func NewEmptyFailureTracker(cl *cluster.Cluster) *FailureTracker {
 	return &FailureTracker{
 		cl:      cl,
@@ -167,8 +166,8 @@ func (fs *FailureTracker) breakPlans(f Failure, sched Scheduler, res *Result) {
 	// Recovery re-offers move duals and commit ledger cells, so when one
 	// outage breaks several plans the processing order is part of the
 	// auction outcome. Hit records are ordered by their position in the
-	// offer stream — the order both Run and the broker admitted them —
-	// never by map iteration order.
+	// offer stream — the Engine's offer index — never by map iteration
+	// order.
 	var hits []*commitRecord
 	for _, rec := range fs.records {
 		if fs.hit(rec, f) {

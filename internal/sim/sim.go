@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"time"
 
@@ -141,76 +140,37 @@ func (r *Result) AcceptanceRate() float64 {
 	return float64(r.Admitted) / float64(total)
 }
 
-// Run replays tasks (already sorted by arrival) through the scheduler.
-// The cluster's ledger must be fresh; Run commits into it via the
-// scheduler.
+// Run replays tasks (already sorted by arrival) through the scheduler:
+// it validates the workload, hands each arrival slot's bids to the round
+// engine (see Engine for the per-bid discipline), and keeps what a batch
+// replay wants from each decision — the event-log line and, with
+// CollectDecisions, the decision itself. The cluster's ledger must be
+// fresh; Run commits into it via the scheduler.
 func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*Result, error) {
 	if cl == nil || sched == nil {
 		return nil, fmt.Errorf("sim: nil cluster or scheduler")
 	}
 	h := cl.Horizon()
-	res := NewResult(sched.Name())
-	res.OfferLatency = make([]time.Duration, 0, len(tasks))
-	if cfg.CollectDecisions {
-		res.Decisions = make([]schedule.Decision, len(tasks))
-	}
-	failures, err := NewFailureTracker(cfg.Failures, cl)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Spot != nil {
-		// Revocations flow through the shared plan-breaking machinery, so
-		// a spot run always carries a live (possibly outage-free) tracker.
-		if failures == nil {
-			failures = NewEmptyFailureTracker(cl)
+	for i := range tasks {
+		if i > 0 && tasks[i].Arrival < tasks[i-1].Arrival {
+			return nil, fmt.Errorf("sim: tasks not sorted by arrival (task %d)", tasks[i].ID)
 		}
-		if err := cfg.Spot.Bind(cl, failures); err != nil {
-			return nil, err
+		if err := tasks[i].Validate(h); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
+
 	events := newEventLogger(cfg.EventLog)
-	batcher, isBatch := sched.(BatchScheduler)
-
-	// The stamped observer labels every event with this run and
-	// scheduler; observable schedulers additionally emit their internal
-	// events (DP outcomes, dual moves, payments) through it. Recovery
-	// re-offers after failures bypass Bid/Outcome — the run's RunEnd
-	// carries the failure count so trace analyzers know the per-decision
-	// stream is not the whole story there.
-	o := obs.Stamp(cfg.Observer, cfg.RunLabel, sched.Name())
-	if ob, ok := sched.(obs.Observable); ok && o != nil {
-		ob.SetObserver(o)
-		defer ob.SetObserver(nil)
-	}
-	if failures != nil {
-		failures.Obs = o
-	}
-	if o != nil {
-		capWork := make([]int, cl.NumNodes())
-		for k := range capWork {
-			capWork[k] = cl.Node(k).CapWork
-		}
-		o.OnRunStart(&obs.RunStartEvent{Nodes: cl.NumNodes(), Slots: h.T, CapWork: capWork})
-	}
-
-	// Run-scoped scratch: observer events (and, below, task envs) are
-	// refilled per bid instead of reallocated. Observers must not retain
-	// event pointers past the callback, so reuse cannot leak state.
-	var (
-		bidEv   obs.BidEvent
-		outEv   obs.OutcomeEvent
-		placBuf []obs.Placement
-	)
 	var logErr error
-	record := func(idx int, env *schedule.TaskEnv, d *schedule.Decision, lat time.Duration) {
+	var res *Result
+	eng, err := NewEngine(cl, sched, nil, EngineConfig{
+		Model: cfg.Model, Market: cfg.Market, Quotes: cfg.Quotes,
+		Failures: cfg.Failures, Spot: cfg.Spot,
+		Observer: cfg.Observer, RunLabel: cfg.RunLabel,
+	}, func(idx int, env *schedule.TaskEnv, d *schedule.Decision, _ time.Duration) {
 		if err := events.log(env.Task, d); err != nil && logErr == nil {
 			logErr = err
 		}
-		if o != nil {
-			placBuf = fillOutcomeEvent(&outEv, env, d, placBuf[:0])
-			o.OnOutcome(&outEv)
-		}
-		res.OfferLatency = append(res.OfferLatency, lat)
 		if cfg.CollectDecisions {
 			// Decisions outlive the offer loop, so the plan is deep-copied:
 			// schedulers running with reused plan buffers (core
@@ -223,136 +183,36 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 			}
 			res.Decisions[idx] = dc
 		}
-		res.Account(env, d)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Envs are reused across bids: schedulers only read an env during
-	// Offer. Failure injection retains admitted envs in its recovery
-	// records, so it keeps the allocate-per-bid path.
-	reuseEnvs := failures == nil
-	// With a fallible vendor client configured, quotes come from it (not
-	// the marketplace directly) so faults and retries apply.
-	envMarket := cfg.Market
-	if cfg.Quotes != nil {
-		envMarket = nil
+	res = eng.Result()
+	res.OfferLatency = make([]time.Duration, 0, len(tasks))
+	if cfg.CollectDecisions {
+		res.Decisions = make([]schedule.Decision, len(tasks))
 	}
-	var envPool []*schedule.TaskEnv
-	takeEnv := func(pos int, tk *task.Task) *schedule.TaskEnv {
-		if !reuseEnvs {
-			return schedule.NewTaskEnv(tk, cl, cfg.Model, envMarket)
-		}
-		for pos >= len(envPool) {
-			envPool = append(envPool, new(schedule.TaskEnv))
-		}
-		env := envPool[pos]
-		env.Refill(tk, cl, cfg.Model, envMarket)
-		return env
-	}
-	fetchQuotes := func(env *schedule.TaskEnv) error {
-		if cfg.Quotes == nil || !env.Task.NeedsPrep {
-			return nil
-		}
-		q, err := cfg.Quotes.Call(env.Task.ID, env.Task.Arrival)
-		if err != nil {
-			env.Quotes = nil
-			return err
-		}
-		env.Quotes = q
-		return nil
-	}
-	var envsBuf []*schedule.TaskEnv
-	var qErrsBuf []error
+	eng.Start()
+	defer eng.Detach()
 
 	ctx := cfg.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	prevArrival := -1
-	// Hoisted out of the loop so taking its address inside record/track
-	// does not force a fresh heap allocation per bid.
-	var d schedule.Decision
+	var round []*task.Task
 	for i := 0; i < len(tasks); {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sim: canceled after %d of %d bids: %w", i, len(tasks), err)
+		slot := tasks[i].Arrival
+		round = round[:0]
+		for ; i < len(tasks) && tasks[i].Arrival == slot; i++ {
+			round = append(round, &tasks[i])
 		}
-		tk := &tasks[i]
-		if tk.Arrival < prevArrival {
-			return nil, fmt.Errorf("sim: tasks not sorted by arrival (task %d)", tk.ID)
+		if err := eng.Round(ctx, slot, round); err != nil {
+			return nil, fmt.Errorf("sim: canceled after %d of %d bids: %w", eng.Offered(), len(tasks), err)
 		}
-		prevArrival = tk.Arrival
-		if err := tk.Validate(h); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		// Spot-market events, then outages, that begin at or before this
-		// slot surface now, before the slot's bids are considered.
-		if cfg.Spot != nil {
-			cfg.Spot.AdvanceTo(tk.Arrival, sched, res)
-		}
-		failures.ApplyUpTo(tk.Arrival, sched, res)
-		// Group the whole slot for batch schedulers.
-		j := i + 1
-		for isBatch && j < len(tasks) && tasks[j].Arrival == tk.Arrival {
-			j++
-		}
-		if isBatch {
-			envs := envsBuf[:0]
-			qErrs := qErrsBuf[:0]
-			for m := i; m < j; m++ {
-				env := takeEnv(m-i, &tasks[m])
-				qErrs = append(qErrs, fetchQuotes(env))
-				if o != nil {
-					fillBidEvent(&bidEv, env)
-					o.OnBid(&bidEv)
-				}
-				envs = append(envs, env)
-			}
-			envsBuf, qErrsBuf = envs, qErrs
-			start := time.Now()
-			ds := batcher.BatchOffer(envs)
-			per := time.Since(start) / time.Duration(len(envs))
-			for m := range ds {
-				TagVendorDown(&ds[m], qErrs[m])
-				record(i+m, envs[m], &ds[m], per)
-				failures.Track(i+m, envs[m], &ds[m])
-			}
-			i = j
-			continue
-		}
-		env := takeEnv(0, tk)
-		qErr := fetchQuotes(env)
-		if o != nil {
-			fillBidEvent(&bidEv, env)
-			o.OnBid(&bidEv)
-		}
-		start := time.Now()
-		d = sched.Offer(env)
-		TagVendorDown(&d, qErr)
-		record(i, env, &d, time.Since(start))
-		failures.Track(i, env, &d)
-		i++
 	}
-	// Spot events and outages after the last arrival still break
-	// committed plans.
-	if cfg.Spot != nil {
-		cfg.Spot.AdvanceTo(h.T-1, sched, res)
-	}
-	failures.ApplyUpTo(h.T-1, sched, res)
+	eng.Finish(true)
 	if logErr != nil {
 		return nil, fmt.Errorf("sim: event log: %w", logErr)
-	}
-	res.Utilization = cl.Utilization()
-	if o != nil {
-		o.OnRunEnd(&obs.RunEndEvent{
-			Welfare:     res.Welfare,
-			Revenue:     res.Revenue,
-			VendorSpend: res.VendorSpend,
-			EnergySpend: res.EnergySpend,
-			Admitted:    res.Admitted,
-			Rejected:    res.Rejected,
-			Utilization: res.Utilization,
-			Failures:    res.FailuresInjected,
-			Cluster:     cl,
-		})
 	}
 
 	if cfg.Execute && res.Admitted > 0 {
@@ -366,9 +226,7 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 }
 
 // NewResult returns an empty accounting for one run of the named
-// scheduler, ready for Account calls. The simulation engine and the
-// service broker share it so a replayed workload and a live bid stream
-// tally identically.
+// scheduler, ready for Account calls.
 func NewResult(scheduler string) *Result {
 	return &Result{
 		Scheduler:     scheduler,
@@ -377,8 +235,8 @@ func NewResult(scheduler string) *Result {
 }
 
 // Account applies one auction decision to the run accounting: the
-// welfare/revenue/spend sums and the admit/reject counters. It is the
-// single shared tally used by Run and by the service broker.
+// welfare/revenue/spend sums and the admit/reject counters. The round
+// engine is its only caller.
 func (r *Result) Account(env *schedule.TaskEnv, d *schedule.Decision) {
 	if d.Admitted {
 		r.Admitted++
@@ -394,91 +252,6 @@ func (r *Result) Account(env *schedule.TaskEnv, d *schedule.Decision) {
 		reason = "unspecified"
 	}
 	r.RejectReasons[reason]++
-}
-
-// TagVendorDown rewrites the generic no-schedule rejection of a bid
-// whose vendor purchase failed (vendorErr non-nil) so operators can tell
-// a marketplace outage from a genuinely unschedulable task. Admissions
-// and other rejection reasons are never rewritten. Run and the service
-// broker share it so the differential tests see identical reasons.
-func TagVendorDown(d *schedule.Decision, vendorErr error) {
-	if vendorErr != nil && !d.Admitted && d.Reason == schedule.ReasonNoSchedule {
-		d.Reason = schedule.ReasonVendorDown
-	}
-}
-
-// NewOutcomeEvent builds the observer outcome event for one decision,
-// including the committed placements for admitted plans.
-func NewOutcomeEvent(env *schedule.TaskEnv, d *schedule.Decision) *obs.OutcomeEvent {
-	ev := &obs.OutcomeEvent{}
-	fillOutcomeEvent(ev, env, d, nil)
-	return ev
-}
-
-// fillOutcomeEvent populates ev in place, appending admitted placements to
-// buf (ev.Placements aliases it). It returns buf so hot loops can retain
-// its capacity across bids; observers must not hold the event or its
-// placements past the callback.
-func fillOutcomeEvent(ev *obs.OutcomeEvent, env *schedule.TaskEnv, d *schedule.Decision, buf []obs.Placement) []obs.Placement {
-	*ev = obs.OutcomeEvent{
-		TaskID:       env.Task.ID,
-		Slot:         env.Task.Arrival,
-		Bid:          env.Task.Bid,
-		Admitted:     d.Admitted,
-		Reason:       d.Reason,
-		Payment:      d.Payment,
-		VendorCost:   d.VendorCost,
-		EnergyCost:   d.EnergyCost,
-		DualsUpdated: d.DualsUpdated,
-		Env:          env,
-		Decision:     d,
-	}
-	// F is -Inf when no plan exists; keep the trace JSON-encodable.
-	if !math.IsInf(d.F, 0) {
-		ev.Surplus = d.F
-	}
-	if d.Admitted && d.Schedule != nil {
-		for _, p := range d.Schedule.Placements {
-			buf = append(buf, obs.Placement{Node: p.Node, Slot: p.Slot, Work: env.Speed[p.Node]})
-		}
-		ev.Placements = buf
-	}
-	return buf
-}
-
-// FillOutcomeEvent is the allocation-free form of NewOutcomeEvent: it
-// populates ev in place and appends admitted placements to buf
-// (ev.Placements aliases it), returning buf so hot loops — sim.Run and
-// the service broker — can retain its capacity across bids. Observers
-// must not hold the event or its placements past the callback.
-func FillOutcomeEvent(ev *obs.OutcomeEvent, env *schedule.TaskEnv, d *schedule.Decision, buf []obs.Placement) []obs.Placement {
-	return fillOutcomeEvent(ev, env, d, buf)
-}
-
-// NewBidEvent builds the arrival event for one offered task.
-func NewBidEvent(env *schedule.TaskEnv) *obs.BidEvent {
-	ev := &obs.BidEvent{}
-	fillBidEvent(ev, env)
-	return ev
-}
-
-// FillBidEvent is the allocation-free form of NewBidEvent: it populates
-// ev in place. Observers must not hold the event past the callback.
-func FillBidEvent(ev *obs.BidEvent, env *schedule.TaskEnv) {
-	fillBidEvent(ev, env)
-}
-
-// fillBidEvent populates ev in place for env's arrival.
-func fillBidEvent(ev *obs.BidEvent, env *schedule.TaskEnv) {
-	*ev = obs.BidEvent{
-		TaskID:    env.Task.ID,
-		Slot:      env.Task.Arrival,
-		Bid:       env.Task.Bid,
-		Work:      env.Task.Work,
-		MemGB:     env.Task.MemGB,
-		NeedsPrep: env.Task.NeedsPrep,
-		Quotes:    len(env.Quotes),
-	}
 }
 
 // executeSample runs a scaled-down multi-LoRA training batch standing in

@@ -119,8 +119,8 @@ type dualReader interface {
 }
 
 // AdvanceTo processes every unprocessed trace slot ≤ now, in order.
-// Idempotent per slot; both engines call it at exactly the failure
-// trigger points (see sim.SpotProvider).
+// Idempotent per slot; sim.Engine calls it at exactly the failure
+// trigger points (see sim.Engine).
 func (p *Provider) AdvanceTo(now int, sched sim.Scheduler, res *sim.Result) {
 	if p.cl == nil {
 		return

@@ -15,6 +15,7 @@
 package zones
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
@@ -189,9 +190,9 @@ type Result struct {
 	TotalWelfare float64
 }
 
-// ZoneStats is one zone's accounting, taken verbatim from the zone's
-// sim.Result tally — the same Account path sim.Run and service.Broker
-// use — so a zones replay never drifts from the per-zone ground truth.
+// ZoneStats is one zone's accounting, taken verbatim from the Result of
+// the zone's sim.Engine — the round sim.Run and service.Broker run — so a
+// zones replay never drifts from the per-zone ground truth.
 type ZoneStats struct {
 	Admitted, Rejected int
 	Welfare            float64
@@ -204,21 +205,29 @@ type ZoneStats struct {
 
 // Run replays a mixed-model workload (sorted by arrival) through the
 // router, refreshing each zone's published quote at every slot boundary.
-// Per-zone accounting flows through sim.Result.Account — the decision's
-// own accounting — not a local recomputation.
+// Each zone decides its bids through its own sim.Engine, one single-bid
+// round per routed bid (routing is per bid, so a slot's arrivals cannot
+// be handed over whole); with no observer, fault plan or spot tier those
+// rounds are the whole run, so Start and Finish have nothing to do.
 func Run(r *Router, tasks []task.Task) (*Result, error) {
 	if r == nil {
 		return nil, fmt.Errorf("zones: nil router")
 	}
-	perZone := make([]*sim.Result, len(r.zones))
+	engines := make([]*sim.Engine, len(r.zones))
 	for i, z := range r.zones {
-		perZone[i] = sim.NewResult(z.Scheduler.Name())
+		eng, err := sim.NewEngine(z.Cluster, z.Scheduler, nil, sim.EngineConfig{Model: z.Model, Market: z.Market}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("zones: %w", err)
+		}
+		engines[i] = eng
 	}
 	res := &Result{
 		PerZone:     make(map[string]*ZoneStats, len(r.zones)),
 		Assignments: make([]string, len(tasks)),
 	}
 	prev := -1
+	ctx := context.Background() // a replay has no caller to give up on it
+	bid := make([]*task.Task, 1)
 	for i := range tasks {
 		t := &tasks[i]
 		if t.Arrival < prev {
@@ -233,13 +242,14 @@ func Run(r *Router, tasks []task.Task) (*Result, error) {
 			res.Unroutable++
 			continue
 		}
-		z := r.zones[zi]
-		env := schedule.NewTaskEnv(t, z.Cluster, z.Model, z.Market)
-		d := z.Scheduler.Offer(env)
-		perZone[zi].Account(env, &d)
+		bid[0] = t
+		if err := engines[zi].Round(ctx, t.Arrival, bid); err != nil {
+			return nil, fmt.Errorf("zones: %w", err)
+		}
 		res.Assignments[i] = r.keys[zi]
 	}
-	for i, pr := range perZone {
+	for i, eng := range engines {
+		pr := eng.Result()
 		res.PerZone[r.keys[i]] = &ZoneStats{
 			Admitted:      pr.Admitted,
 			Rejected:      pr.Rejected,
