@@ -315,16 +315,22 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig, pc perfConfig) 
 				if err != nil {
 					return sum, fmt.Errorf("%w: broker %d checkpoint unreadable after kill at slot %d: %v", errChaos, i, s, err)
 				}
-				for id, want := range ck.Decisions {
-					got, si, ok, err := locateDecision(na, id)
-					if err != nil || !ok {
-						return sum, fmt.Errorf("%w: decision %d lost across restore (ok=%v err=%v)", errChaos, id, ok, err)
+				var lost error
+				ck.Decisions.Each(func(id int, d schedule.Decision) {
+					if lost != nil {
+						return
 					}
-					d := want.Decision
-					if si != i || got.Admitted != d.Admitted || got.Payment != d.Payment || got.Reason != d.Reason {
-						return sum, fmt.Errorf("%w: decision %d mutated across restore: broker %d→%d, got %+v, want %+v",
+					got, si, ok, err := locateDecision(na, id)
+					switch {
+					case err != nil || !ok:
+						lost = fmt.Errorf("%w: decision %d lost across restore (ok=%v err=%v)", errChaos, id, ok, err)
+					case si != i || got.Admitted != d.Admitted || got.Payment != d.Payment || got.Reason != d.Reason:
+						lost = fmt.Errorf("%w: decision %d mutated across restore: broker %d→%d, got %+v, want %+v",
 							errChaos, id, i, si, got, d)
 					}
+				})
+				if lost != nil {
+					return sum, lost
 				}
 			}
 			stacks = freshStacks

@@ -137,7 +137,7 @@ func buildAuctioneer(cfg stackConfig, n int, sc spotConfig, o serveOpts) (servic
 				if err := broker.Restore(ck); err != nil {
 					return nil, 0, err
 				}
-				fmt.Fprintf(os.Stderr, "restored checkpoint: slot %d, %d decided bids\n", ck.Slot, len(ck.Decisions))
+				fmt.Fprintf(os.Stderr, "restored checkpoint: slot %d, %d decided bids\n", ck.Slot, ck.Decisions.Len())
 			case o.wal && errors.Is(err, fs.ErrNotExist):
 				// A crash before the first checkpoint persist leaves only the
 				// journal; replaying onto a fresh broker (slot 0, empty

@@ -229,7 +229,7 @@ func TestBatchIntakeVerdicts(t *testing.T) {
 // deltaStack drives a broker checkpointing with CheckpointFullEvery=4
 // up to killAt, kills it, and returns the stack for state comparison.
 // Tasks arriving at or after killAt are not submitted.
-func deltaStack(t *testing.T, path string, fullEvery, slots, killAt int, seed int64) *testStack {
+func deltaStack(t testing.TB, path string, fullEvery, slots, killAt int, seed int64) *testStack {
 	t.Helper()
 	s := newStack(t, slots, 4, 6.0, seed)
 	opts := s.brokerOptions()
@@ -256,15 +256,6 @@ func deltaStack(t *testing.T, path string, fullEvery, slots, killAt int, seed in
 	}
 	b.Kill()
 	return s
-}
-
-// normalizeCheckpoint strips the wall-clock offer latencies (they differ
-// between otherwise identical runs) so checkpoints compare by auction
-// state alone.
-func normalizeCheckpoint(ck *Checkpoint) {
-	if ck.Result != nil {
-		ck.Result.OfferLatency = nil
-	}
 }
 
 // TestLoadCheckpointDeltaEquivalence runs the same workload through a
@@ -294,11 +285,6 @@ func TestLoadCheckpointDeltaEquivalence(t *testing.T) {
 	if got.Slot != killAt || want.Slot != killAt {
 		t.Fatalf("checkpoint slots %d/%d, want %d", got.Slot, want.Slot, killAt)
 	}
-	if len(got.Result.OfferLatency) != len(want.Result.OfferLatency) {
-		t.Fatalf("offer latency count %d vs %d", len(got.Result.OfferLatency), len(want.Result.OfferLatency))
-	}
-	normalizeCheckpoint(got)
-	normalizeCheckpoint(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("delta-reconstructed checkpoint diverges from the full snapshot\ngot  %+v\nwant %+v", got, want)
 	}
@@ -391,11 +377,6 @@ func TestLoadCheckpointCorruptTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ck.Result.OfferLatency) != len(want.Result.OfferLatency) {
-		t.Fatalf("offer latency count %d vs %d", len(ck.Result.OfferLatency), len(want.Result.OfferLatency))
-	}
-	normalizeCheckpoint(ck)
-	normalizeCheckpoint(want)
 	if !reflect.DeepEqual(ck, want) {
 		t.Fatal("sidecar-less LoadCheckpoint differs from ReadCheckpoint")
 	}

@@ -14,7 +14,6 @@ import (
 // one allocation across writes.
 
 func appendU64(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func appendI64(b []byte, v int64) []byte  { return binary.AppendVarint(b, v) }
 func appendInt(b []byte, v int) []byte    { return binary.AppendVarint(b, int64(v)) }
 
 func appendF64(b []byte, v float64) []byte {
@@ -60,7 +59,7 @@ func (r *binReader) u64() uint64 {
 	return v
 }
 
-func (r *binReader) i64() int64 {
+func (r *binReader) int() int {
 	if r.err != nil {
 		return 0
 	}
@@ -70,10 +69,8 @@ func (r *binReader) i64() int64 {
 		return 0
 	}
 	r.b = r.b[n:]
-	return v
+	return int(v)
 }
-
-func (r *binReader) int() int { return int(r.i64()) }
 
 func (r *binReader) f64() float64 {
 	if r.err != nil {
@@ -88,18 +85,20 @@ func (r *binReader) f64() float64 {
 	return v
 }
 
-func (r *binReader) bool() bool {
+func (r *binReader) byte() byte {
 	if r.err != nil {
-		return false
+		return 0
 	}
 	if len(r.b) < 1 {
-		r.fail("bool")
-		return false
+		r.fail("byte")
+		return 0
 	}
-	v := r.b[0] != 0
+	v := r.b[0]
 	r.b = r.b[1:]
 	return v
 }
+
+func (r *binReader) bool() bool { return r.byte() != 0 }
 
 func (r *binReader) str() string {
 	n := r.u64()

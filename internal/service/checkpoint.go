@@ -3,20 +3,18 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/sim"
 )
 
 // checkpointVersion guards against restoring a snapshot written by an
-// incompatible broker.
-const checkpointVersion = 1
+// incompatible broker. v2 made the decision section an ordered list
+// (decisions.go) and stopped carrying per-bid offer latencies.
+const checkpointVersion = 2
 
 // Checkpoint is the broker's full persisted auction state. Every number
 // in it round-trips bit-exactly through encoding/json (Go prints the
@@ -49,12 +47,11 @@ type Checkpoint struct {
 	Ledger cluster.Snapshot `json:"ledger"`
 	// Result is the run accounting so far.
 	Result *sim.Result `json:"result"`
-	// Decisions maps task ID → its irrevocable outcome.
-	Decisions map[int]CheckpointDecision `json:"decisions"`
-	Canceled  int                        `json:"canceled"`
+	// Decisions is every irrevocable outcome, in decision order.
+	Decisions *decisionStore `json:"decisions"`
+	Canceled  int            `json:"canceled"`
 	// ProcIdx is the number of bids offered so far — the fault tracker's
-	// offer-order index stream. Zero in pre-fault-layer checkpoints,
-	// which is only read when Failures is also absent.
+	// offer-order index stream.
 	ProcIdx int `json:"proc_idx,omitempty"`
 	// Failures is the fault tracker's progress (applied outages, live
 	// committed plans); nil when the broker has no fault plan.
@@ -63,44 +60,6 @@ type Checkpoint struct {
 	// live leases); nil when no spot tier is attached. The cluster's
 	// lease map itself rides in Ledger.
 	Spot *sim.SpotState `json:"spot,omitempty"`
-}
-
-// CheckpointDecision is a Decision on the checkpoint wire. JSON cannot
-// encode infinities, and F is exactly -Inf for a bid rejected with no
-// feasible plan, so that one value rides as a flag and Restore
-// reinstates it.
-type CheckpointDecision struct {
-	schedule.Decision
-	FNegInf bool `json:"f_neg_inf,omitempty"`
-}
-
-func wireDecision(d schedule.Decision) CheckpointDecision {
-	w := CheckpointDecision{Decision: d}
-	if math.IsInf(d.F, -1) {
-		w.F = 0
-		w.FNegInf = true
-	}
-	return w
-}
-
-func wireDecisions(decisions map[int]schedule.Decision) map[int]CheckpointDecision {
-	out := make(map[int]CheckpointDecision, len(decisions))
-	for id, d := range decisions {
-		out[id] = wireDecision(d)
-	}
-	return out
-}
-
-func unwireDecisions(wire map[int]CheckpointDecision) map[int]schedule.Decision {
-	out := make(map[int]schedule.Decision, len(wire))
-	for id, w := range wire {
-		d := w.Decision
-		if w.FNegInf {
-			d.F = math.Inf(-1)
-		}
-		out[id] = d
-	}
-	return out
 }
 
 // snapshot captures the broker's state; core-goroutine only.
@@ -115,7 +74,7 @@ func (b *Broker) snapshot() *Checkpoint {
 		Slots:     b.horizon.T,
 		Ledger:    b.cl.Snapshot(),
 		Result:    b.eng.Result(),
-		Decisions: wireDecisions(b.decisions),
+		Decisions: b.decisions,
 		Canceled:  b.canceled,
 		ProcIdx:   b.eng.Offered(),
 		Failures:  b.eng.FaultState(),
@@ -128,99 +87,20 @@ func (b *Broker) snapshot() *Checkpoint {
 	return ck
 }
 
-// writeCheckpoint persists the broker state: the full JSON snapshot
-// (atomically, tmp + rename, so a crash mid-write leaves the previous
-// one intact), or — between full-snapshot boundaries when
-// CheckpointFullEvery > 1 — one appended binary delta (delta.go).
-// Drain and horizon end always force a full snapshot, so the plain
-// checkpoint file is final-state-complete whenever the broker stops
-// cleanly. Failures are recorded in Status rather than stopping the
-// auction; core-goroutine only.
-func (b *Broker) writeCheckpoint() {
-	if b.opts.CheckpointPath == "" {
-		return
-	}
-	if b.superseded.Load() {
-		// A newer generation owns the checkpoint chain; a zombie must not
-		// rename its stale snapshot over the successor's progress.
-		return
-	}
-	if b.ckptW != nil {
-		b.writeCheckpointAsync()
-		return
-	}
-	if f := b.opts.CheckpointFault; f != nil {
-		if err := f(b.slot); err != nil {
-			b.ckptErr = err
-			b.ckptFails++
-			return
-		}
-	}
-	full := b.opts.CheckpointFullEvery <= 1 || !b.wroteFull ||
-		b.sinceFull >= b.opts.CheckpointFullEvery-1 ||
-		b.draining || b.slot >= b.horizon.T
-	var err error
-	if full {
-		err = b.writeFullCheckpoint()
-	} else {
-		err = b.appendDelta()
-	}
-	if err != nil {
-		b.ckptErr = err
-		b.ckptFails++
-		return
-	}
-	if full {
-		b.wroteFull = true
-		b.sinceFull = 0
-		b.dirty = b.dirty[:0]
-	} else {
-		b.sinceFull++
-	}
-	b.ckptErr = nil
-	b.ckptFails = 0
-	b.ckptSlot = b.slot
-	// The persisted chain now covers every decision before this slot;
-	// shrink the journal to what it does not cover.
-	b.rotateWAL(b.slot)
-}
-
-// writeFullCheckpoint writes the JSON snapshot and re-keys (or, at the
-// default full-every-write cadence, removes) the delta sidecar.
-func (b *Broker) writeFullCheckpoint() error {
-	data, err := json.Marshal(b.snapshot())
-	if err != nil {
-		return fmt.Errorf("service: marshal checkpoint: %w", err)
-	}
-	if err := writeCheckpointBytesGuarded(b.opts.CheckpointPath, data, b.persistGuard); err != nil {
-		return err
-	}
-	if b.opts.CheckpointFullEvery > 1 {
-		return b.resetDeltas(crc32.ChecksumIEEE(data))
-	}
-	b.closeDeltas()
-	os.Remove(DeltaPath(b.opts.CheckpointPath))
-	return nil
-}
-
 // WriteCheckpoint marshals ck and renames it into place.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
 	data, err := json.Marshal(ck)
 	if err != nil {
 		return fmt.Errorf("service: marshal checkpoint: %w", err)
 	}
-	return writeCheckpointBytes(path, data)
+	return writeCheckpointBytes(path, data, nil)
 }
 
-func writeCheckpointBytes(path string, data []byte) error {
-	return writeCheckpointBytesGuarded(path, data, nil)
-}
-
-// writeCheckpointBytesGuarded writes the snapshot tmp + rename; a
-// non-nil guard runs at the last gate before the rename, so a broker
-// superseded while this write was stalled refuses to publish its stale
-// snapshot over the successor's.
-func writeCheckpointBytesGuarded(path string, data []byte, guard func() error) error {
+// writeCheckpointBytes writes the snapshot tmp + rename; a non-nil guard
+// runs at the last gate before the rename, so a broker superseded while
+// this write was stalled refuses to publish its stale snapshot over the
+// successor's.
+func writeCheckpointBytes(path string, data []byte, guard func() error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
@@ -247,21 +127,31 @@ func writeCheckpointBytesGuarded(path string, data []byte, guard func() error) e
 
 // ReadCheckpoint loads a checkpoint file.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
+	ck, _, err := readCheckpoint(path)
+	return ck, err
+}
+
+// readCheckpoint also returns the file's bytes, which a delta sidecar is
+// keyed to.
+func readCheckpoint(path string) (*Checkpoint, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("service: read checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("service: read checkpoint: %w", err)
 	}
 	var ck Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("service: parse checkpoint %s: %w", path, err)
+		return nil, nil, fmt.Errorf("service: parse checkpoint %s: %w", path, err)
 	}
-	return &ck, nil
+	if ck.Decisions == nil {
+		ck.Decisions = newDecisionStore()
+	}
+	return &ck, data, nil
 }
 
 // Restore loads ck into the broker — duals into the scheduler, ledger
-// into the cluster, accounting and decided bids into the broker — and
-// positions the clock at ck.Slot. It must run before Start, on a broker
-// whose cluster and scheduler were built fresh with the same
+// into the cluster, accounting and decided bids (copied) into the broker
+// — and positions the clock at ck.Slot. It must run before Start, on a
+// broker whose cluster and scheduler were built fresh with the same
 // configuration as the run being resumed.
 func (b *Broker) Restore(ck *Checkpoint) error {
 	if b.started {
@@ -295,7 +185,11 @@ func (b *Broker) Restore(ck *Checkpoint) error {
 	b.slot = ck.Slot
 	b.nextID = ck.NextID
 	b.canceled = ck.Canceled
-	b.decisions = unwireDecisions(ck.Decisions)
+	// A copy: ck stays whole for its caller to write again.
+	b.decisions = newDecisionStore()
+	if ck.Decisions != nil {
+		b.decisions = ck.Decisions.clone()
+	}
 	if err := b.eng.Restore(ck.Result, ck.ProcIdx, ck.Failures, ck.Spot); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}

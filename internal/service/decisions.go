@@ -1,0 +1,287 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"strconv"
+
+	"github.com/pdftsp/pdftsp/internal/schedule"
+)
+
+// decisionStore is the broker's decided set. Algorithm 1 decides each bid
+// once, on arrival, and never revisits it, so the set is an append-only
+// log: 24-byte records in decision order, a side slice for the few
+// decisions that carry more than an outcome, and the ID → position index
+// that duplicate-ID refusal and DecisionFor need. The one mutation is a
+// refund, which flips a record where it stands.
+//
+// Because the log is ordered, "what the last persisted checkpoint lacks"
+// is the suffix past a mark plus the (rare) flips below it. A broker that
+// never persists never moves the mark, so it tracks nothing.
+type decisionStore struct {
+	recs   []decisionRec
+	extras []decisionExtra
+	index  map[int]int32
+	// reasons interns RejectReason strings; a record holds the position.
+	// Seeded with the schedule.Reason* constants, so stores of the same
+	// decisions are identical however they were built; a scheduler's own
+	// reasons follow in order of first appearance.
+	reasons []schedule.RejectReason
+
+	saved int     // recs[:saved] are in the on-disk chain
+	flips []int32 // positions below saved that a refund flipped since
+}
+
+type decisionRec struct {
+	id     int
+	f      uint64 // Float64bits of Decision.F, so −Inf needs no flag
+	extra  int32  // 1 + position in extras; 0 when every extra field is zero
+	reason uint8  // position in reasons
+	flags  uint8
+}
+
+const (
+	flagAdmitted = 1 << iota
+	flagDualsUpdated
+)
+
+// decisionExtra is what a rejected bid's decision has zero by
+// construction: it exists for admitted bids, refunded bids, losing plans
+// kept because DropLosingPlans is off, and a TaskID other than the ID
+// the decision is filed under.
+type decisionExtra struct {
+	taskID                          int
+	schedule                        *schedule.Schedule
+	payment, vendorCost, energyCost float64
+}
+
+func newDecisionStore() *decisionStore {
+	return &decisionStore{index: map[int]int32{}, reasons: []schedule.RejectReason{
+		"", schedule.ReasonNoSchedule, schedule.ReasonSurplus, schedule.ReasonCapacity,
+		schedule.ReasonFailedNode, schedule.ReasonVendorDown,
+	}}
+}
+
+// Len is the number of decided bids.
+func (s *decisionStore) Len() int { return len(s.recs) }
+
+// Each visits every decision in the order the bids were decided.
+func (s *decisionStore) Each(fn func(id int, d schedule.Decision)) {
+	for i := range s.recs {
+		fn(s.recs[i].id, s.at(i))
+	}
+}
+
+func (s *decisionStore) has(id int) bool {
+	_, ok := s.index[id]
+	return ok
+}
+
+func (s *decisionStore) get(id int) (schedule.Decision, bool) {
+	i, ok := s.index[id]
+	if !ok {
+		return schedule.Decision{}, false
+	}
+	return s.at(int(i)), true
+}
+
+func (s *decisionStore) at(i int) schedule.Decision {
+	r := &s.recs[i]
+	d := schedule.Decision{
+		TaskID:       r.id,
+		Admitted:     r.flags&flagAdmitted != 0,
+		F:            math.Float64frombits(r.f),
+		Reason:       s.reasons[r.reason],
+		DualsUpdated: r.flags&flagDualsUpdated != 0,
+	}
+	if r.extra != 0 {
+		x := &s.extras[r.extra-1]
+		d.TaskID, d.Schedule = x.taskID, x.schedule
+		d.Payment, d.VendorCost, d.EnergyCost = x.payment, x.vendorCost, x.energyCost
+	}
+	return d
+}
+
+// intern returns reason's code. A record has one byte for it, so the
+// 256th distinct reason is refused.
+func (s *decisionStore) intern(reason schedule.RejectReason) (uint8, error) {
+	for i, r := range s.reasons {
+		if r == reason {
+			return uint8(i), nil
+		}
+	}
+	if len(s.reasons) > math.MaxUint8 {
+		return 0, fmt.Errorf("service: more than %d distinct reject reasons (%q)", math.MaxUint8, reason)
+	}
+	s.reasons = append(s.reasons, reason)
+	return uint8(len(s.reasons) - 1), nil
+}
+
+// put files d under id: appended when id is new, replaced where it stands
+// — its place in the decision order kept — when a checkpoint delta
+// restates a decision a refund flipped.
+func (s *decisionStore) put(id int, d *schedule.Decision) error {
+	code, err := s.intern(d.Reason)
+	if err != nil {
+		return err
+	}
+	r := decisionRec{id: id, f: math.Float64bits(d.F), reason: code}
+	if d.Admitted {
+		r.flags |= flagAdmitted
+	}
+	if d.DualsUpdated {
+		r.flags |= flagDualsUpdated
+	}
+	i, seen := s.index[id]
+	if seen {
+		r.extra = s.recs[i].extra
+	}
+	x := decisionExtra{d.TaskID, d.Schedule, d.Payment, d.VendorCost, d.EnergyCost}
+	switch {
+	case r.extra != 0:
+		s.extras[r.extra-1] = x
+	case x != decisionExtra{taskID: id}:
+		s.extras = append(s.extras, x)
+		r.extra = int32(len(s.extras))
+	}
+	if seen {
+		s.recs[i] = r
+		return nil
+	}
+	s.index[id] = int32(len(s.recs))
+	s.recs = append(s.recs, r)
+	return nil
+}
+
+// refund flips a decided bid as a batch replay flips Result.Decisions: the
+// admission is reversed, the payment record stands (it was charged and
+// refunded).
+func (s *decisionStore) refund(id int) {
+	i, ok := s.index[id]
+	if !ok {
+		return
+	}
+	s.recs[i].flags &^= flagAdmitted
+	s.recs[i].reason, _ = s.intern(schedule.ReasonFailedNode) // seeded, cannot fail
+	if int(i) < s.saved {
+		s.flips = append(s.flips, i)
+	}
+}
+
+// unsaved visits the decisions the on-disk chain does not have yet — the
+// flipped ones it holds stale, then the ones decided since, in order;
+// markSaved records that a write carried them.
+func (s *decisionStore) unsaved(fn func(id int, d schedule.Decision)) {
+	for _, i := range s.flips {
+		fn(s.recs[i].id, s.at(int(i)))
+	}
+	for i := s.saved; i < len(s.recs); i++ {
+		fn(s.recs[i].id, s.at(i))
+	}
+}
+
+func (s *decisionStore) markSaved() { s.saved, s.flips = len(s.recs), s.flips[:0] }
+
+// clone copies the store with nothing marked saved; plans are shared
+// (nothing mutates a Schedule once decided).
+func (s *decisionStore) clone() *decisionStore {
+	return &decisionStore{
+		recs:    slices.Clone(s.recs),
+		extras:  slices.Clone(s.extras),
+		index:   maps.Clone(s.index),
+		reasons: slices.Clone(s.reasons),
+	}
+}
+
+// decisionWire is one element of the checkpoint's decision section. JSON
+// has no infinities and F is exactly −Inf for a bid with no feasible plan,
+// so that one value rides as f_neg_inf; id is present only when it is
+// not TaskID.
+type decisionWire struct {
+	schedule.Decision
+	ID      *int `json:"id,omitempty"`
+	FNegInf bool `json:"f_neg_inf,omitempty"`
+}
+
+// MarshalJSON writes the decision section: an array in decision order. A
+// record with no side entry — nearly all of them — is appended by hand
+// with only its non-zero fields.
+func (s *decisionStore) MarshalJSON() ([]byte, error) {
+	reasons := make([][]byte, len(s.reasons))
+	for i, r := range s.reasons {
+		reasons[i], _ = json.Marshal(string(r)) // a string always encodes
+	}
+	out := make([]byte, 0, 64*len(s.recs)+2)
+	out = append(out, '[')
+	for i := range s.recs {
+		r := &s.recs[i]
+		if i > 0 {
+			out = append(out, ',')
+		}
+		f := math.Float64frombits(r.f) // NaN or +Inf fails encoding/json's check of what this returns
+		if r.extra != 0 {
+			w := decisionWire{Decision: s.at(i), FNegInf: math.IsInf(f, -1)}
+			if w.FNegInf {
+				w.F = 0
+			}
+			if w.TaskID != r.id {
+				w.ID = &r.id
+			}
+			elem, err := json.Marshal(&w)
+			if err != nil {
+				return nil, fmt.Errorf("service: decision %d: %w", r.id, err)
+			}
+			out = append(out, elem...)
+			continue
+		}
+		out = strconv.AppendInt(append(out, `{"TaskID":`...), int64(r.id), 10)
+		if r.flags&flagAdmitted != 0 {
+			out = append(out, `,"Admitted":true`...)
+		}
+		if math.IsInf(f, -1) {
+			out = append(out, `,"f_neg_inf":true`...)
+		} else if r.f != 0 {
+			out = appendJSONFloat(append(out, `,"F":`...), f)
+		}
+		if r.reason != 0 {
+			out = append(append(out, `,"Reason":`...), reasons[r.reason]...)
+		}
+		if r.flags&flagDualsUpdated != 0 {
+			out = append(out, `,"DualsUpdated":true`...)
+		}
+		out = append(out, '}')
+	}
+	return append(out, ']'), nil
+}
+
+// UnmarshalJSON streams the decision section into the store one element
+// at a time; no other collection of the section ever exists.
+func (s *decisionStore) UnmarshalJSON(data []byte) error {
+	*s = *newDecisionStore()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+		return fmt.Errorf("service: checkpoint decisions are not a list (written by an older broker?)")
+	}
+	for dec.More() {
+		var w decisionWire
+		if err := dec.Decode(&w); err != nil {
+			return fmt.Errorf("service: checkpoint decision %d: %w", len(s.recs), err)
+		}
+		if w.FNegInf {
+			w.F = math.Inf(-1)
+		}
+		id := w.TaskID
+		if w.ID != nil {
+			id = *w.ID
+		}
+		if err := s.put(id, &w.Decision); err != nil {
+			return err
+		}
+	}
+	_, err := dec.Token() // the closing bracket
+	return err
+}

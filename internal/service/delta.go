@@ -8,8 +8,6 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
-	"sort"
-	"time"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
@@ -22,9 +20,9 @@ import (
 // appends one binary delta per checkpointed slot in between, to a
 // ".delta" sidecar next to the checkpoint file. A delta carries only
 // what changed since the previous successful persist: new or flipped
-// decisions, touched dual and ledger cells, the accounting scalars, and
-// the latency tail — a few hundred bytes against the megabytes a full
-// snapshot of a long horizon re-serializes every slot.
+// decisions, touched dual and ledger cells and the accounting scalars —
+// a few hundred bytes against the megabytes a full snapshot of a long
+// horizon re-serializes every slot.
 //
 // Crash safety is structural rather than atomic: the sidecar is
 // append-only, every record is CRC-framed, and LoadCheckpoint replays
@@ -36,16 +34,18 @@ import (
 // sidecar left behind by an older run can never be applied to a newer
 // snapshot.
 //
-// The broker diffs against in-memory shadow copies that advance only on
-// successful writes, so a failed write (disk fault, chaos injection)
-// leaves its changes pending and the next successful delta carries
-// them — the same "no slot left behind" guarantee the full-snapshot
-// path gets from rewriting everything.
+// The broker diffs against in-memory shadow copies that advance as records
+// are staged. An injected fault (Options.CheckpointFault) stages nothing,
+// so the next delta carries that slot's changes too; a write that fails
+// after staging breaks the chain and the next checkpoint restates
+// everything as a full snapshot (ckptwriter.go).
 
 // deltaVersion guards the sidecar record layout. v2 added the spot-tier
 // accounting scalars, the lease plane of ledger cells, and the spot
-// provider state block.
-const deltaVersion = 2
+// provider state block; v3 packed the decision records behind a flags
+// byte, dropped the per-bid offer latencies, and closes its decision and
+// cell lists with an end marker instead of counting them first.
+const deltaVersion = 3
 
 // deltaMagic opens every sidecar file.
 var deltaMagic = []byte("PDFTSPD\x01")
@@ -53,36 +53,20 @@ var deltaMagic = []byte("PDFTSPD\x01")
 // DeltaPath returns the delta-sidecar path for a checkpoint path.
 func DeltaPath(path string) string { return path + ".delta" }
 
-// deltaWriter owns the open sidecar and the shadow state the next delta
-// is diffed against.
-type deltaWriter struct {
-	path string
-	f    *os.File
-	buf  []byte // payload scratch, reused across slots
-	head []byte // frame-header scratch
-
-	// Shadows of the persisted state (advanced only on successful
-	// writes).
+// deltaShadows is the persisted state the next delta is diffed against.
+type deltaShadows struct {
 	duals    *core.DualState
 	ledger   cluster.Snapshot
-	latLen   int
 	failJSON []byte
 	spotJSON []byte
 }
 
-func (w *deltaWriter) close() {
-	if w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-}
-
-// closeDeltas shuts the sidecar file handle; loop teardown calls it.
-func (b *Broker) closeDeltas() {
-	if b.deltas != nil {
-		b.deltas.close()
-		b.deltas = nil
-	}
+// deltaWriter holds the shadows, advanced as records are staged (see
+// ckptwriter.go), and the scratch a record is built in.
+type deltaWriter struct {
+	deltaShadows
+	buf  []byte // payload scratch, reused across slots
+	head []byte // frame-header scratch
 }
 
 // sidecarHeader builds the delta-sidecar header pinning the chain to
@@ -96,122 +80,42 @@ func sidecarHeader(b *Broker, baseCRC uint32) []byte {
 	return hdr
 }
 
-// resetDeltas starts a fresh delta chain extending the full snapshot
-// whose serialized bytes hash to baseCRC, capturing the shadow state
-// the first delta will diff against. Core-goroutine only.
-func (b *Broker) resetDeltas(baseCRC uint32) error {
-	b.closeDeltas()
-	w := &deltaWriter{path: DeltaPath(b.opts.CheckpointPath)}
-	f, err := os.Create(w.path)
-	if err != nil {
-		return fmt.Errorf("service: delta sidecar: %w", err)
-	}
-	if _, err := f.Write(sidecarHeader(b, baseCRC)); err != nil {
-		f.Close()
-		return fmt.Errorf("service: delta header: %w", err)
-	}
-	w.f = f
-	w.captureShadows(b)
-	b.deltas = w
-	return nil
-}
-
-// captureShadows records the current state as the diff base.
-func (w *deltaWriter) captureShadows(b *Broker) {
-	w.duals = nil
+// shadows captures the state a delta diffs: duals (nil for a scheduler
+// without any), ledger, and the engine's tracker and spot-provider state
+// as the sidecar carries them (nil for a part the run does not have).
+func (b *Broker) shadows() deltaShadows {
+	st := deltaShadows{ledger: b.cl.Snapshot()}
 	if dc, ok := b.sched.(DualCheckpointer); ok {
 		ds := dc.SnapshotDuals()
-		w.duals = &ds
+		st.duals = &ds
 	}
-	w.ledger = b.cl.Snapshot()
-	w.latLen = len(b.eng.Result().OfferLatency)
-	w.failJSON, w.spotJSON = engineStateJSON(b.eng)
-}
-
-// engineStateJSON serializes the engine's tracker and spot-provider state
-// the way the sidecar carries them; nil for a part the run does not have.
-func engineStateJSON(e *sim.Engine) (fail, spot []byte) {
-	if st := e.FaultState(); st != nil {
-		fail, _ = json.Marshal(st)
+	if fs := b.eng.FaultState(); fs != nil {
+		st.failJSON, _ = json.Marshal(fs)
 	}
-	if st := e.SpotState(); st != nil {
-		spot, _ = json.Marshal(st)
+	if ss := b.eng.SpotState(); ss != nil {
+		st.spotJSON, _ = json.Marshal(ss)
 	}
-	return fail, spot
-}
-
-// deltaStage carries the shadow state a staged delta record diffed up
-// to; deltaWriter.advance folds it in once the record's bytes are
-// safely written (sync path) or handed to the writer goroutine (async
-// path, which stages optimistically and forces a full snapshot if the
-// write later fails).
-type deltaStage struct {
-	duals    *core.DualState
-	ledger   cluster.Snapshot
-	latLen   int
-	failJSON []byte
-	spotJSON []byte
-}
-
-// advance re-bases the diff shadows on st and clears the dirty-decision
-// list the staged record carried.
-func (w *deltaWriter) advance(b *Broker, st deltaStage) {
-	w.duals = st.duals
-	w.ledger = st.ledger
-	w.latLen = st.latLen
-	w.failJSON = st.failJSON
-	w.spotJSON = st.spotJSON
-	b.dirty = b.dirty[:0]
-}
-
-// appendDelta writes one CRC-framed delta record for the current broker
-// state. Shadows and the dirty-decision list advance only when the
-// write succeeds. Core-goroutine only.
-func (b *Broker) appendDelta() error {
-	w := b.deltas
-	if w == nil {
-		return fmt.Errorf("service: no delta chain open")
-	}
-	h, p, st := b.buildDelta()
-	if _, err := w.f.Write(h); err != nil {
-		return fmt.Errorf("service: delta write: %w", err)
-	}
-	if _, err := w.f.Write(p); err != nil {
-		return fmt.Errorf("service: delta write: %w", err)
-	}
-	w.advance(b, st)
-	return nil
+	return st
 }
 
 // buildDelta serializes one CRC-framed delta record (frame header and
-// payload, both in the deltaWriter's reusable scratch) and returns the
-// post-record shadow state; the caller writes the bytes and calls
-// advance when they land. Core-goroutine only; b.deltas must be open.
-func (b *Broker) buildDelta() (h, p []byte, st deltaStage) {
-	w := b.deltas
+// payload, both in the deltaWriter's reusable scratch) and re-bases the
+// shadows on the state it carried. Core-goroutine only.
+func (b *Broker) buildDelta() (h, p []byte) {
+	w := &b.deltas
 	res := b.eng.Result()
 	p = w.buf[:0]
 	p = appendInt(p, b.slot)
 	p = appendInt(p, b.nextID)
 	p = appendInt(p, b.canceled)
 	p = appendInt(p, b.eng.Offered())
-	p = appendF64(p, res.Welfare)
-	p = appendF64(p, res.Revenue)
-	p = appendF64(p, res.VendorSpend)
-	p = appendF64(p, res.EnergySpend)
-	p = appendF64(p, res.Utilization)
-	p = appendInt(p, res.Admitted)
-	p = appendInt(p, res.Rejected)
-	p = appendInt(p, res.FailuresInjected)
-	p = appendInt(p, res.RecoveredTasks)
-	p = appendInt(p, res.FailedTasks)
-	p = appendF64(p, res.RefundedValue)
-	p = appendF64(p, res.TrainLossEarly)
-	p = appendF64(p, res.TrainLossLate)
-	p = appendF64(p, res.SpotSpend)
-	p = appendInt(p, res.SpotLeases)
-	p = appendInt(p, res.SpotLeasedSlots)
-	p = appendInt(p, res.SpotRevocations)
+	ints, floats := resultScalars(res)
+	for _, v := range ints {
+		p = appendInt(p, *v)
+	}
+	for _, v := range floats {
+		p = appendF64(p, *v)
+	}
 
 	p = appendU64(p, uint64(len(res.RejectReasons)))
 	for reason, n := range res.RejectReasons {
@@ -219,91 +123,76 @@ func (b *Broker) buildDelta() (h, p []byte, st deltaStage) {
 		p = appendInt(p, n)
 	}
 
-	lat := res.OfferLatency[w.latLen:]
-	p = appendU64(p, uint64(len(lat)))
-	for _, d := range lat {
-		p = appendI64(p, int64(d))
-	}
+	// Decisions the chain lacks; replay appends the new ones in this
+	// order and rewrites a flipped one where it stands.
+	b.decisions.unsaved(func(id int, d schedule.Decision) {
+		p = appendDecision(p, id, &d)
+	})
+	p = append(p, decEnd)
 
-	// Changed decisions, deduplicated (a refund may flip an ID that the
-	// same interval also decided).
-	sort.Ints(b.dirty)
-	uniq := b.dirty[:0]
-	for i, id := range b.dirty {
-		if i == 0 || id != b.dirty[i-1] {
-			uniq = append(uniq, id)
-		}
+	// Dual and ledger cells that moved since the last persist, then the
+	// tracker and spot-provider state (applied outages and live plans;
+	// trace cursor, budget spent, live leases), each only when it moved:
+	// small, but fault-free runs should pay nothing for them.
+	cur := b.shadows()
+	p = appendBool(p, cur.duals != nil)
+	if cur.duals != nil {
+		p = appendDualDiff(p, w.duals, cur.duals)
 	}
-	b.dirty = uniq
-	p = appendU64(p, uint64(len(uniq)))
-	for _, id := range uniq {
-		p = appendDecision(p, id, b.decisions[id])
-	}
-
-	// Dual cells that moved since the last persist.
-	var curDuals *core.DualState
-	if dc, ok := b.sched.(DualCheckpointer); ok {
-		ds := dc.SnapshotDuals()
-		curDuals = &ds
-	}
-	p = appendBool(p, curDuals != nil)
-	if curDuals != nil {
-		p = appendDualDiff(p, w.duals, curDuals)
-	}
-
-	// Ledger cells that moved.
-	curLedger := b.cl.Snapshot()
-	p = appendLedgerDiff(p, &w.ledger, &curLedger)
-
-	// Fault-tracker state, only when it changed (it is small but
-	// re-serializing it every slot would dominate fault-free runs pay
-	// nothing here).
-	curFail, curSpot := engineStateJSON(b.eng)
-	if string(curFail) != string(w.failJSON) {
-		p = append(p, 1)
-		p = appendU64(p, uint64(len(curFail)))
-		p = append(p, curFail...)
-	} else {
-		p = append(p, 0)
-	}
-
-	// Spot provider state (trace cursor, budget spent, live leases), only
-	// when it moved.
-	if string(curSpot) != string(w.spotJSON) {
-		p = append(p, 1)
-		p = appendU64(p, uint64(len(curSpot)))
-		p = append(p, curSpot...)
-	} else {
-		p = append(p, 0)
-	}
+	p = appendLedgerDiff(p, &w.ledger, &cur.ledger)
+	p = appendIfChanged(p, w.failJSON, cur.failJSON)
+	p = appendIfChanged(p, w.spotJSON, cur.spotJSON)
 
 	h = w.head[:0]
 	h = appendU64(h, uint64(len(p)))
 	h = binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(p))
-	w.head, w.buf = h, p
-	st = deltaStage{
-		duals:    curDuals,
-		ledger:   curLedger,
-		latLen:   len(res.OfferLatency),
-		failJSON: curFail,
-		spotJSON: curSpot,
-	}
-	return h, p, st
+	w.head, w.buf, w.deltaShadows = h, p, cur
+	return h, p
 }
+
+// Flag bits of an encoded decision; the fields a flag guards are zero
+// (nil, or TaskID == id) when it is clear. decEnd in a flags byte's place
+// closes the list.
+const (
+	decAdmitted = 1 << iota
+	decDualsUpdated
+	decTaskID
+	decMoney
+	decSchedule
+	decEnd = 0xff
+)
 
 // appendDecision encodes one decided bid. F rides as raw float bits, so
 // the -Inf no-feasible-plan marker needs no side flag here.
-func appendDecision(p []byte, id int, d schedule.Decision) []byte {
+func appendDecision(p []byte, id int, d *schedule.Decision) []byte {
+	var flags byte
+	if d.Admitted {
+		flags |= decAdmitted
+	}
+	if d.DualsUpdated {
+		flags |= decDualsUpdated
+	}
+	if d.TaskID != id {
+		flags |= decTaskID
+	}
+	if d.Payment != 0 || d.VendorCost != 0 || d.EnergyCost != 0 {
+		flags |= decMoney
+	}
+	if d.Schedule != nil {
+		flags |= decSchedule
+	}
+	p = append(p, flags)
 	p = appendInt(p, id)
-	p = appendInt(p, d.TaskID)
-	p = appendBool(p, d.Admitted)
-	p = appendF64(p, d.Payment)
-	p = appendF64(p, d.VendorCost)
-	p = appendF64(p, d.EnergyCost)
 	p = appendF64(p, d.F)
 	p = appendStr(p, string(d.Reason))
-	p = appendBool(p, d.DualsUpdated)
-	p = appendBool(p, d.Schedule != nil)
+	if flags&decTaskID != 0 {
+		p = appendInt(p, d.TaskID)
+	}
+	if flags&decMoney != 0 {
+		p = appendF64(p, d.Payment)
+		p = appendF64(p, d.VendorCost)
+		p = appendF64(p, d.EnergyCost)
+	}
 	if s := d.Schedule; s != nil {
 		p = appendInt(p, s.TaskID)
 		p = appendInt(p, s.Vendor)
@@ -318,24 +207,35 @@ func appendDecision(p []byte, id int, d schedule.Decision) []byte {
 	return p
 }
 
-func readDecision(r *binReader) (int, schedule.Decision) {
+func readDecision(r *binReader, flags byte) (int, schedule.Decision) {
 	id := r.int()
-	var d schedule.Decision
-	d.TaskID = r.int()
-	d.Admitted = r.bool()
-	d.Payment = r.f64()
-	d.VendorCost = r.f64()
-	d.EnergyCost = r.f64()
-	d.F = r.f64()
-	d.Reason = schedule.RejectReason(r.str())
-	d.DualsUpdated = r.bool()
-	if r.bool() {
+	d := schedule.Decision{
+		TaskID:       id,
+		Admitted:     flags&decAdmitted != 0,
+		DualsUpdated: flags&decDualsUpdated != 0,
+		F:            r.f64(),
+		Reason:       schedule.RejectReason(r.str()),
+	}
+	if flags&decTaskID != 0 {
+		d.TaskID = r.int()
+	}
+	if flags&decMoney != 0 {
+		d.Payment = r.f64()
+		d.VendorCost = r.f64()
+		d.EnergyCost = r.f64()
+	}
+	if flags&decSchedule != 0 {
 		s := &schedule.Schedule{}
 		s.TaskID = r.int()
 		s.Vendor = r.int()
 		s.VendorPrice = r.f64()
 		s.VendorDelay = r.int()
-		n := int(r.u64())
+		// A placement is at least two bytes, so a count the rest of the
+		// record cannot hold is a lie; refuse it before allocating.
+		n := r.u64()
+		if n > uint64(len(r.b))/2 {
+			r.fail("placements")
+		}
 		if r.err == nil && n > 0 {
 			s.Placements = make([]schedule.Placement, n)
 			for i := range s.Placements {
@@ -347,103 +247,79 @@ func readDecision(r *binReader) (int, schedule.Decision) {
 	return id, d
 }
 
-// appendDualDiff emits (cell, value) pairs for every λ/φ entry that
-// differs between prev and cur. Cells key as (k*T+t)*2 + which, which 0
-// for λ and 1 for φ.
+// resultScalars lists the accounting fields a delta restates, in wire
+// order.
+func resultScalars(r *sim.Result) ([]*int, []*float64) {
+	return []*int{
+			&r.Admitted, &r.Rejected, &r.FailuresInjected, &r.RecoveredTasks, &r.FailedTasks,
+			&r.SpotLeases, &r.SpotLeasedSlots, &r.SpotRevocations,
+		}, []*float64{
+			&r.Welfare, &r.Revenue, &r.VendorSpend, &r.EnergySpend, &r.Utilization,
+			&r.RefundedValue, &r.TrainLossEarly, &r.TrainLossLate, &r.SpotSpend,
+		}
+}
+
+// appendIfChanged emits cur behind a presence byte when it differs from
+// prev.
+func appendIfChanged(p, prev, cur []byte) []byte {
+	if string(cur) == string(prev) {
+		return append(p, 0)
+	}
+	p = appendU64(append(p, 1), uint64(len(cur)))
+	return append(p, cur...)
+}
+
+// appendDualDiff emits (1+cell, value) pairs for every λ/φ entry that
+// differs between prev and cur, closed by a zero. Cells key as
+// (k*T+t)*2 + which, which 0 for λ and 1 for φ.
 func appendDualDiff(p []byte, prev, cur *core.DualState) []byte {
-	count := 0
 	for k := range cur.Lambda {
 		T := len(cur.Lambda[k])
 		for t := 0; t < T; t++ {
 			if prev == nil || prev.Lambda[k][t] != cur.Lambda[k][t] {
-				count++
+				p = appendF64(appendU64(p, uint64(k*T+t)*2+1), cur.Lambda[k][t])
 			}
 			if prev == nil || prev.Phi[k][t] != cur.Phi[k][t] {
-				count++
+				p = appendF64(appendU64(p, uint64(k*T+t)*2+2), cur.Phi[k][t])
 			}
 		}
 	}
-	p = appendU64(p, uint64(count))
-	for k := range cur.Lambda {
-		T := len(cur.Lambda[k])
-		for t := 0; t < T; t++ {
-			if prev == nil || prev.Lambda[k][t] != cur.Lambda[k][t] {
-				p = appendU64(p, uint64(k*T+t)*2)
-				p = appendF64(p, cur.Lambda[k][t])
-			}
-			if prev == nil || prev.Phi[k][t] != cur.Phi[k][t] {
-				p = appendU64(p, uint64(k*T+t)*2+1)
-				p = appendF64(p, cur.Phi[k][t])
-			}
-		}
+	return append(p, 0)
+}
+
+// marked reads an optional plane of the ledger (Down, Leased): 0 when
+// the run has none, else 1 (clear) / 2 (set), so replay knows whether to
+// materialize the plane.
+func marked(plane [][]bool, k, t int) byte {
+	switch {
+	case plane == nil:
+		return 0
+	case plane[k][t]:
+		return 2
 	}
-	return p
+	return 1
 }
 
-// ledgerCellChanged reports whether any committed quantity of cell
-// (k,t) differs between the two snapshots.
-func ledgerCellChanged(prev, cur *cluster.Snapshot, k, t int) bool {
-	if prev.UsedWork[k][t] != cur.UsedWork[k][t] ||
-		prev.UsedMem[k][t] != cur.UsedMem[k][t] ||
-		prev.TasksOn[k][t] != cur.TasksOn[k][t] {
-		return true
-	}
-	return downAt(prev, k, t) != downAt(cur, k, t) ||
-		leasedAt(prev, k, t) != leasedAt(cur, k, t)
-}
-
-func downAt(s *cluster.Snapshot, k, t int) bool {
-	return s.Down != nil && s.Down[k][t]
-}
-
-func leasedAt(s *cluster.Snapshot, k, t int) bool {
-	return s.Leased != nil && s.Leased[k][t]
-}
-
-// appendLedgerDiff emits full cell records for every ledger cell that
-// changed. The down byte is 0 when the run has no outage info, else
-// 1 (up) / 2 (down), so replay knows whether to materialize the Down
-// plane.
+// appendLedgerDiff emits a full cell record, keyed 1+cell, for every
+// ledger cell with a committed quantity that changed, closed by a zero.
 func appendLedgerDiff(p []byte, prev, cur *cluster.Snapshot) []byte {
-	count := 0
 	for k := range cur.UsedWork {
 		T := len(cur.UsedWork[k])
 		for t := 0; t < T; t++ {
-			if ledgerCellChanged(prev, cur, k, t) {
-				count++
-			}
-		}
-	}
-	p = appendU64(p, uint64(count))
-	for k := range cur.UsedWork {
-		T := len(cur.UsedWork[k])
-		for t := 0; t < T; t++ {
-			if !ledgerCellChanged(prev, cur, k, t) {
+			down, leased := marked(cur.Down, k, t), marked(cur.Leased, k, t)
+			if prev.UsedWork[k][t] == cur.UsedWork[k][t] && prev.UsedMem[k][t] == cur.UsedMem[k][t] &&
+				prev.TasksOn[k][t] == cur.TasksOn[k][t] &&
+				(marked(prev.Down, k, t) == 2) == (down == 2) && (marked(prev.Leased, k, t) == 2) == (leased == 2) {
 				continue
 			}
-			p = appendU64(p, uint64(k*T+t))
+			p = appendU64(p, uint64(k*T+t)+1)
 			p = appendInt(p, cur.UsedWork[k][t])
 			p = appendF64(p, cur.UsedMem[k][t])
 			p = appendInt(p, cur.TasksOn[k][t])
-			switch {
-			case cur.Down == nil:
-				p = append(p, 0)
-			case cur.Down[k][t]:
-				p = append(p, 2)
-			default:
-				p = append(p, 1)
-			}
-			switch {
-			case cur.Leased == nil:
-				p = append(p, 0)
-			case cur.Leased[k][t]:
-				p = append(p, 2)
-			default:
-				p = append(p, 1)
-			}
+			p = append(p, down, leased)
 		}
 	}
-	return p
+	return append(p, 0)
 }
 
 // LoadCheckpoint reads the checkpoint at path and, when a delta sidecar
@@ -455,18 +331,14 @@ func appendLedgerDiff(p []byte, prev, cur *cluster.Snapshot) []byte {
 // running the default CheckpointFullEvery=1 never write deltas, so for
 // them this is ReadCheckpoint with one extra stat.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+	ck, data, err := readCheckpoint(path)
 	if err != nil {
-		return nil, fmt.Errorf("service: read checkpoint: %w", err)
-	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("service: parse checkpoint %s: %w", path, err)
-	}
-	if err := applyDeltas(&ck, DeltaPath(path), crc32.ChecksumIEEE(data)); err != nil {
 		return nil, err
 	}
-	return &ck, nil
+	if err := applyDeltas(ck, DeltaPath(path), crc32.ChecksumIEEE(data)); err != nil {
+		return nil, err
+	}
+	return ck, nil
 }
 
 // applyDeltas replays the sidecar's valid prefix onto ck in place.
@@ -478,19 +350,17 @@ func applyDeltas(ck *Checkpoint, dpath string, baseCRC uint32) error {
 	if err != nil {
 		return fmt.Errorf("service: read delta sidecar: %w", err)
 	}
+	return replayDeltas(ck, data, baseCRC)
+}
+
+// replayDeltas is applyDeltas on the sidecar's bytes.
+func replayDeltas(ck *Checkpoint, data []byte, baseCRC uint32) error {
 	if len(data) < len(deltaMagic) || string(data[:len(deltaMagic)]) != string(deltaMagic) {
 		return nil // foreign or corrupt header: full snapshot stands alone
 	}
 	r := &binReader{b: data[len(deltaMagic):]}
 	version := r.u64()
-	if len(r.b) < 4 {
-		r.fail("base crc")
-	}
-	var crc uint32
-	if r.err == nil {
-		crc = binary.LittleEndian.Uint32(r.b)
-		r.b = r.b[4:]
-	}
+	crc := uint32(r.byte()) | uint32(r.byte())<<8 | uint32(r.byte())<<16 | uint32(r.byte())<<24
 	baseSlot := r.int()
 	label := r.str()
 	if r.err != nil || version != deltaVersion || crc != baseCRC ||
@@ -521,7 +391,7 @@ func frameNext(r *binReader) []byte {
 		return nil
 	}
 	rest := r.b[w:]
-	if uint64(len(rest)) < n+4 {
+	if len(rest) < 4 || n > uint64(len(rest)-4) { // not n+4: a hostile n wraps
 		return nil
 	}
 	crc := binary.LittleEndian.Uint32(rest)
@@ -531,6 +401,15 @@ func frameNext(r *binReader) []byte {
 	}
 	r.b = rest[4+n:]
 	return payload
+}
+
+// splitCell resolves a wire cell index k*T+t against a plane of rows × T
+// cells; the index is outside input, so it is range-checked unsigned.
+func splitCell(idx uint64, T, rows int) (k, t int, ok bool) {
+	if T <= 0 || idx/uint64(T) >= uint64(rows) {
+		return 0, 0, false
+	}
+	return int(idx / uint64(T)), int(idx % uint64(T)), true
 }
 
 // applyDeltaRecord folds one decoded delta into ck.
@@ -544,139 +423,96 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 		ck.Result = sim.NewResult(ck.Scheduler)
 	}
 	res := ck.Result
-	res.Welfare = r.f64()
-	res.Revenue = r.f64()
-	res.VendorSpend = r.f64()
-	res.EnergySpend = r.f64()
-	res.Utilization = r.f64()
-	res.Admitted = r.int()
-	res.Rejected = r.int()
-	res.FailuresInjected = r.int()
-	res.RecoveredTasks = r.int()
-	res.FailedTasks = r.int()
-	res.RefundedValue = r.f64()
-	res.TrainLossEarly = r.f64()
-	res.TrainLossLate = r.f64()
-	res.SpotSpend = r.f64()
-	res.SpotLeases = r.int()
-	res.SpotLeasedSlots = r.int()
-	res.SpotRevocations = r.int()
+	ints, floats := resultScalars(res)
+	for _, v := range ints {
+		*v = r.int()
+	}
+	for _, v := range floats {
+		*v = r.f64()
+	}
 
-	nReasons := int(r.u64())
+	// Counts are claims until the bytes behind them decode: nothing below
+	// sizes an allocation by one.
+	nReasons := r.u64()
 	if r.err == nil {
-		reasons := make(map[schedule.RejectReason]int, nReasons)
-		for i := 0; i < nReasons && r.err == nil; i++ {
+		res.RejectReasons = map[schedule.RejectReason]int{}
+		for i := uint64(0); i < nReasons && r.err == nil; i++ {
 			reason := schedule.RejectReason(r.str())
-			reasons[reason] = r.int()
+			res.RejectReasons[reason] = r.int()
 		}
-		res.RejectReasons = reasons
 	}
 
-	nLat := int(r.u64())
-	for i := 0; i < nLat && r.err == nil; i++ {
-		res.OfferLatency = append(res.OfferLatency, time.Duration(r.i64()))
-	}
-
-	nDec := int(r.u64())
-	if r.err == nil && ck.Decisions == nil {
-		ck.Decisions = make(map[int]CheckpointDecision, nDec)
-	}
-	for i := 0; i < nDec && r.err == nil; i++ {
-		id, d := readDecision(r)
-		if r.err == nil {
-			ck.Decisions[id] = wireDecision(d)
+	for flags := r.byte(); flags != decEnd && r.err == nil; flags = r.byte() {
+		id, d := readDecision(r, flags)
+		if r.err != nil {
+			break
+		}
+		if err := ck.Decisions.put(id, &d); err != nil {
+			return err
 		}
 	}
 
 	if r.bool() { // dual diff present
-		n := int(r.u64())
-		if r.err == nil && ck.Duals == nil {
+		if ck.Duals == nil {
 			return fmt.Errorf("service: delta carries duals but snapshot has none")
 		}
-		T := ck.Slots
-		for i := 0; i < n && r.err == nil; i++ {
-			key := r.u64()
+		for key := r.u64(); key != 0 && r.err == nil; key = r.u64() {
 			v := r.f64()
-			if r.err != nil {
-				break
-			}
-			cell := int(key / 2)
-			k, t := cell/T, cell%T
-			if k >= len(ck.Duals.Lambda) || t >= len(ck.Duals.Lambda[k]) {
-				return fmt.Errorf("service: delta dual cell (%d,%d) outside snapshot shape", k, t)
-			}
-			if key%2 == 0 {
+			k, t, ok := splitCell((key-1)/2, ck.Slots, len(ck.Duals.Lambda))
+			switch {
+			case r.err != nil:
+			case !ok:
+				return fmt.Errorf("service: delta dual cell %d outside snapshot shape", (key-1)/2)
+			case key%2 == 1:
 				ck.Duals.Lambda[k][t] = v
-			} else {
+			default:
 				ck.Duals.Phi[k][t] = v
 			}
 		}
 	}
 
-	nCells := int(r.u64())
-	T := ck.Slots
-	for i := 0; i < nCells && r.err == nil; i++ {
-		idx := int(r.u64())
-		work := r.int()
-		mem := r.f64()
-		on := r.int()
-		var down, leased byte
-		if r.err == nil {
-			if len(r.b) < 2 {
-				r.fail("down/leased bytes")
-			} else {
-				down, leased = r.b[0], r.b[1]
-				r.b = r.b[2:]
-			}
-		}
+	led := &ck.Ledger
+	for key := r.u64(); key != 0 && r.err == nil; key = r.u64() {
+		work, mem, on := r.int(), r.f64(), r.int()
+		down, leased := r.byte(), r.byte()
 		if r.err != nil {
 			break
 		}
-		k, t := idx/T, idx%T
-		if k >= len(ck.Ledger.UsedWork) || t >= len(ck.Ledger.UsedWork[k]) {
-			return fmt.Errorf("service: delta ledger cell (%d,%d) outside snapshot shape", k, t)
+		k, t, ok := splitCell(key-1, ck.Slots, len(led.UsedWork))
+		if !ok {
+			return fmt.Errorf("service: delta ledger cell %d outside snapshot shape", key-1)
 		}
-		ck.Ledger.UsedWork[k][t] = work
-		ck.Ledger.UsedMem[k][t] = mem
-		ck.Ledger.TasksOn[k][t] = on
+		led.UsedWork[k][t], led.UsedMem[k][t], led.TasksOn[k][t] = work, mem, on
 		if down != 0 {
-			if ck.Ledger.Down == nil {
-				ck.Ledger.Down = make([][]bool, len(ck.Ledger.UsedWork))
-				for kk := range ck.Ledger.Down {
-					ck.Ledger.Down[kk] = make([]bool, len(ck.Ledger.UsedWork[kk]))
+			if led.Down == nil {
+				led.Down = make([][]bool, len(led.UsedWork))
+				for kk := range led.Down {
+					led.Down[kk] = make([]bool, len(led.UsedWork[kk]))
 				}
 			}
-			ck.Ledger.Down[k][t] = down == 2
+			led.Down[k][t] = down == 2
 		}
 		if leased != 0 {
-			if ck.Ledger.Leased == nil {
+			if led.Leased == nil {
 				// The lease plane only exists alongside elastic marks, and
 				// those are static from construction: a full snapshot missing
 				// them cannot be extended by a lease-bearing delta.
 				return fmt.Errorf("service: delta carries lease state but snapshot has none")
 			}
-			ck.Ledger.Leased[k][t] = leased == 2
+			led.Leased[k][t] = leased == 2
 		}
 	}
 
 	if r.bool() { // failure state replaced
-		blob := r.bytes()
-		if r.err == nil {
-			var st sim.FailureTrackerState
-			if err := json.Unmarshal(blob, &st); err != nil {
-				return fmt.Errorf("service: delta failure state: %w", err)
-			}
-			ck.Failures = &st
+		ck.Failures = new(sim.FailureTrackerState)
+		if err := json.Unmarshal(r.bytes(), ck.Failures); r.err == nil && err != nil {
+			return fmt.Errorf("service: delta failure state: %w", err)
 		}
 	}
 	if r.bool() { // spot provider state replaced
-		blob := r.bytes()
-		if r.err == nil {
-			var st sim.SpotState
-			if err := json.Unmarshal(blob, &st); err != nil {
-				return fmt.Errorf("service: delta spot state: %w", err)
-			}
-			ck.Spot = &st
+		ck.Spot = new(sim.SpotState)
+		if err := json.Unmarshal(r.bytes(), ck.Spot); r.err == nil && err != nil {
+			return fmt.Errorf("service: delta spot state: %w", err)
 		}
 	}
 	if r.err != nil {

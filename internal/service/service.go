@@ -125,9 +125,11 @@ type Options struct {
 	CheckpointFullEvery int
 	// DropLosingPlans, when set, discards the (never again consulted)
 	// candidate Schedule attached to rejected decisions instead of
-	// retaining it in the decisions map — a large memory saving on
-	// million-bid horizons. Admitted plans are always retained (failure
-	// recovery re-plans from them). Checkpoints written with this set
+	// retaining it in the decision store: a rejected bid then costs its
+	// 24-byte record plus its index entry (53 B) rather than that plus
+	// a plan (a 40 B side entry, a 64 B Schedule and its placements).
+	// Admitted plans are always retained (failure recovery re-plans
+	// from them). Checkpoints written with this set
 	// restore with the same accounting, duals, and ledger; only the
 	// rejected bids' hypothetical plans are absent.
 	DropLosingPlans bool
@@ -343,7 +345,7 @@ type Broker struct {
 	// heldFree recycles per-slot held batches (their backing arrays) so
 	// steady-state intake stops allocating as batches churn.
 	heldFree  [][]heldBid
-	decisions map[int]schedule.Decision
+	decisions *decisionStore
 	canceled  int
 	ckptSlot  int // slot recorded by the last checkpoint write, -1 if none
 	draining  bool
@@ -353,16 +355,14 @@ type Broker struct {
 	intakeHW    int   // deepest intake-channel backlog observed
 	heldHW      int   // most bids ever held at once
 	heldFull429 int64 // submissions refused because held bids hit QueueSize
-	// Checkpoint delta machinery: deltas is the open sidecar writer (nil
-	// until the first full snapshot under CheckpointFullEvery > 1),
-	// sinceFull counts delta writes since that snapshot, wroteFull
-	// records that this process has a full snapshot on disk, and dirty
-	// lists task IDs whose decisions changed since the last successful
-	// persist.
-	deltas    *deltaWriter
+	// Checkpoint delta machinery: deltas holds what the next delta diffs
+	// against, sinceFull counts delta writes since the last full
+	// snapshot, and wroteFull records that this process has one on disk
+	// with an unbroken chain. Which decisions the chain still lacks is
+	// the store's own mark.
+	deltas    deltaWriter
 	sinceFull int
 	wroteFull bool
-	dirty     []int
 	// live is the round in flight — the slot's uncanceled bids in offer
 	// order — and liveBase the engine's offer index of live[0], so the
 	// engine's sink can find the submitter to answer; bids is the same
@@ -376,9 +376,9 @@ type Broker struct {
 	// spec is the speculative parallel round the engine drives when
 	// Options.SpecWorkers > 1; the broker keeps it for Status only.
 	spec *core.Speculator
-	// ckptW is the async checkpoint writer (Options.AsyncCheckpoint);
-	// ckptStall, when set before Start, delays each write inside the
-	// writer goroutine — the backpressure tests' stall hook.
+	// ckptW performs the checkpoint writes (on its own goroutine with
+	// Options.AsyncCheckpoint); ckptStall, when set before Start, delays
+	// each write — the backpressure tests' stall hook.
 	ckptW     *ckptWriter
 	ckptStall func(slot int, full bool)
 	// wal is the open bid journal (Options.WALPath); the replay counters
@@ -410,7 +410,7 @@ func New(opts Options) (*Broker, error) {
 		done:      make(chan struct{}),
 		held:      map[int][]heldBid{},
 		heldIDs:   map[int]struct{}{},
-		decisions: map[int]schedule.Decision{},
+		decisions: newDecisionStore(),
 		ckptSlot:  -1,
 	}
 	var spec sim.Speculator // stays a nil interface without SpecWorkers
@@ -430,7 +430,7 @@ func New(opts Options) (*Broker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	eng.OnRefund(b.refunded)
+	eng.OnRefund(func(id int) { b.decisions.refund(id) }) // Restore swaps the store
 	b.eng = eng
 	return b, nil
 }
@@ -450,9 +450,8 @@ func (b *Broker) Start() error {
 	}
 	b.started = true
 	b.eng.Start()
-	if b.opts.AsyncCheckpoint && b.opts.CheckpointPath != "" {
-		b.ckptW = newCkptWriter(b.ckptStall, &b.superseded)
-		go b.ckptW.run()
+	if b.opts.CheckpointPath != "" {
+		b.ckptW = newCkptWriter(b.opts.CheckpointPath, b.opts.AsyncCheckpoint, b.ckptStall, &b.superseded)
 	}
 	go b.loop()
 	return nil
@@ -714,8 +713,8 @@ func (b *Broker) DecisionFor(id int) (schedule.Decision, bool, error) {
 		d  schedule.Decision
 		ok bool
 	)
-	if err := b.do(func() { d, ok = b.decisions[id] }); err != nil {
-		d, ok = b.decisions[id]
+	if err := b.do(func() { d, ok = b.decisions.get(id) }); err != nil {
+		d, ok = b.decisions.get(id)
 	}
 	return d, ok, nil
 }
@@ -884,7 +883,7 @@ func (b *Broker) status() Status {
 		HeldHighWater:   b.heldHW,
 		ShedChannelFull: b.chanFull429.Load(),
 		ShedHeldFull:    b.heldFull429,
-		Decided:         len(b.decisions),
+		Decided:         b.decisions.Len(),
 		Admitted:        res.Admitted,
 		Rejected:        res.Rejected,
 		Canceled:        b.canceled,
@@ -1017,16 +1016,6 @@ func (b *Broker) Kill() {
 // before rebuilding; it is irreversible and safe from any goroutine.
 func (b *Broker) Supersede() { b.superseded.Store(true) }
 
-// persistGuard is the last-gate check persistent writes run before
-// publishing (renaming) a file: a superseded broker's write — possibly
-// stalled since before the swap — must not land.
-func (b *Broker) persistGuard() error {
-	if b.superseded.Load() {
-		return errSuperseded
-	}
-	return nil
-}
-
 // loop is the core goroutine: the only owner of the auction state.
 func (b *Broker) loop() {
 	defer close(b.done)
@@ -1051,7 +1040,6 @@ func (b *Broker) loop() {
 		if b.killed {
 			b.refuseHeld(ErrClosed)
 			b.closeCkptWriter()
-			b.closeDeltas()
 			b.closeWAL()
 			return
 		}
@@ -1063,7 +1051,6 @@ func (b *Broker) loop() {
 			b.refuseHeld(ErrDraining)
 			b.writeCheckpoint()
 			b.closeCkptWriter()
-			b.closeDeltas()
 			b.closeWAL()
 			b.eng.Finish(false)
 			return
@@ -1198,7 +1185,7 @@ func (b *Broker) hold(t *task.Task, ctx context.Context, p *pending, bs *batchSu
 	if err := t.Validate(b.horizon); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	if _, dup := b.decisions[t.ID]; dup {
+	if b.decisions.has(t.ID) {
 		return fmt.Errorf("%w: %d already decided", ErrDuplicateID, t.ID)
 	}
 	if _, dup := b.heldIDs[t.ID]; dup {
@@ -1277,29 +1264,19 @@ func (b *Broker) closeSlot() {
 	}
 }
 
-// decided is the engine's sink: it stores the irrevocable decision, marks
-// it for the next checkpoint delta, and answers the submitter.
+// decided is the engine's sink: it stores the irrevocable decision and
+// answers the submitter.
 func (b *Broker) decided(idx int, _ *schedule.TaskEnv, d *schedule.Decision, _ time.Duration) {
 	hb := &b.live[idx-b.liveBase]
 	dec := *d
 	if b.opts.DropLosingPlans && !dec.Admitted {
 		dec.Schedule = nil
 	}
-	b.decisions[hb.task.ID] = dec
-	b.dirty = append(b.dirty, hb.task.ID)
-	b.answer(hb, Outcome{Decision: dec})
-}
-
-// refunded flips a refunded task's decided outcome as a batch replay
-// flips Result.Decisions: the admission is reversed, the payment record
-// stands (it was charged and refunded).
-func (b *Broker) refunded(origID int) {
-	if d, ok := b.decisions[origID]; ok {
-		d.Admitted = false
-		d.Reason = schedule.ReasonFailedNode
-		b.decisions[origID] = d
-		b.dirty = append(b.dirty, origID)
+	if err := b.decisions.put(hb.task.ID, &dec); err != nil {
+		// Only a scheduler minting reject reasons without bound gets here.
+		panic(err)
 	}
+	b.answer(hb, Outcome{Decision: dec})
 }
 
 // Brokers returns the fleet members behind this Auctioneer — for a

@@ -13,6 +13,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
+	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
@@ -31,7 +32,7 @@ type testStack struct {
 	tasks []task.Task
 }
 
-func newStack(t *testing.T, slots, nodes int, rate float64, seed int64) *testStack {
+func newStack(t testing.TB, slots, nodes int, rate float64, seed int64) *testStack {
 	t.Helper()
 	h := timeslot.NewHorizon(slots)
 	model := lora.GPT2Small()
@@ -70,7 +71,7 @@ func (s *testStack) brokerOptions() Options {
 	}
 }
 
-func startBroker(t *testing.T, opts Options) *Broker {
+func startBroker(t testing.TB, opts Options) *Broker {
 	t.Helper()
 	b, err := New(opts)
 	if err != nil {
@@ -270,7 +271,10 @@ func TestCheckpointKillRestore(t *testing.T) {
 	if !reflect.DeepEqual(restored.cl.Snapshot(), twin.cl.Snapshot()) {
 		t.Fatal("final ledger after restore diverges from the uninterrupted replay")
 	}
-	for id, want := range ck.Decisions {
+	if ck.Decisions.Len() == 0 {
+		t.Fatal("checkpoint carries no decisions")
+	}
+	ck.Decisions.Each(func(id int, want schedule.Decision) {
 		got, ok, err := b.DecisionFor(id)
 		if err != nil || !ok {
 			t.Fatalf("decision %d lost across restore (ok=%v err=%v)", id, ok, err)
@@ -278,7 +282,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 		if got.Admitted != want.Admitted || got.Payment != want.Payment {
 			t.Fatalf("decision %d mutated across restore", id)
 		}
-	}
+	})
 }
 
 // TestIntakeVerdicts covers the synchronous refusals of SubmitAsync.

@@ -636,7 +636,7 @@ func WriteShardManifest(path string, m ShardManifest) error {
 	if err != nil {
 		return fmt.Errorf("service: marshal shard manifest: %w", err)
 	}
-	return writeCheckpointBytes(path, data)
+	return writeCheckpointBytes(path, data, nil)
 }
 
 // ReadShardManifest loads a manifest file.

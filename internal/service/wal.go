@@ -565,10 +565,6 @@ func (b *Broker) RecoverWAL() (int, error) {
 			b.walStale++
 			continue
 		}
-		if _, dup := b.decisions[t.ID]; dup {
-			b.walDeduped++
-			continue
-		}
 		if err := b.hold(&t, context.Background(), nil, nil, 0); err != nil {
 			if errors.Is(err, ErrDuplicateID) {
 				b.walDeduped++

@@ -341,7 +341,6 @@ func (e *Engine) settle(env *schedule.TaskEnv, d *schedule.Decision, vendorErr e
 		e.fillOutcome(env, d)
 		e.o.OnOutcome(&e.outEv)
 	}
-	e.res.OfferLatency = append(e.res.OfferLatency, lat)
 	e.res.Account(env, d)
 	e.faults.Track(e.next, env, d)
 	if e.sink != nil {

@@ -197,8 +197,10 @@ func TestEngineCallDiscipline(t *testing.T) {
 				Model: lora.GPT2Small(), Quotes: failingQuotes{&log}, Failures: failures,
 				Spot: spot, Observer: recordingObserver{log: &log},
 			}
+			sunk := 0 // the engine hands latencies over; it keeps none
 			sink := func(idx int, env *schedule.TaskEnv, _ *schedule.Decision, _ time.Duration) {
 				log.add("sink %d=%d", idx, env.Task.ID)
+				sunk++
 			}
 			eng, err := NewEngine(cl, sched, spec, cfg, sink)
 			if err != nil {
@@ -228,7 +230,7 @@ func TestEngineCallDiscipline(t *testing.T) {
 			if res.RejectReasons[schedule.ReasonVendorDown] != 1 || res.RejectReasons[schedule.ReasonSurplus] != 2 {
 				t.Fatalf("only a no-schedule rejection may be re-tagged vendor-down: %v", res.RejectReasons)
 			}
-			if res.FailuresInjected != 2 || res.FailedTasks != 1 || eng.Offered() != 4 || len(res.OfferLatency) != 4 {
+			if res.FailuresInjected != 2 || res.FailedTasks != 1 || eng.Offered() != 4 || sunk != 4 || len(res.OfferLatency) != 0 {
 				t.Fatalf("accounting: %+v, offered %d", res, eng.Offered())
 			}
 

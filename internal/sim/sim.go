@@ -109,7 +109,9 @@ type Result struct {
 	// RejectReasons tallies rejections by Decision.Reason.
 	RejectReasons map[schedule.RejectReason]int
 	// OfferLatency holds the per-task scheduling latency (batch latency
-	// is divided evenly across the batch).
+	// is divided evenly across the batch). Run collects it; the engine
+	// hands each sample to its sink and keeps none, so a serving
+	// broker's Result has none.
 	OfferLatency []time.Duration
 	// Utilization is the final fraction of cluster compute committed.
 	Utilization float64
@@ -167,7 +169,8 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		Model: cfg.Model, Market: cfg.Market, Quotes: cfg.Quotes,
 		Failures: cfg.Failures, Spot: cfg.Spot,
 		Observer: cfg.Observer, RunLabel: cfg.RunLabel,
-	}, func(idx int, env *schedule.TaskEnv, d *schedule.Decision, _ time.Duration) {
+	}, func(idx int, env *schedule.TaskEnv, d *schedule.Decision, lat time.Duration) {
+		res.OfferLatency = append(res.OfferLatency, lat)
 		if err := events.log(env.Task, d); err != nil && logErr == nil {
 			logErr = err
 		}
