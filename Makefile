@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
+.PHONY: build test test-short race vet fmt-check round-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -35,13 +35,22 @@ fmt-check:
 # sim.Engine (Start/Round/Finish), so no non-test file there may offer a
 # bid, account or track a decision, surface capacity changes, or emit the
 # engine's observer events itself. Its sibling keeps the decided set one
-# packed store: the 174 B/bid map of Decisions must not come back.
+# packed store: the 174 B/bid map of Decisions must not come back. The
+# last clause keeps "decide" one thing: Algorithm 1's write tail (lines
+# 7-9: dual update, ledger commit) exists once in internal/core, in
+# Offer, and neither sim nor service grows a second decide-mode back.
 round-guard:
 	@if grep -nE '\.(Offer|BatchOffer|Account|Track|ApplyUpTo|AdvanceTo|OnBid|OnOutcome|OnRunStart|OnRunEnd)\(' \
 		$$(ls internal/service/*.go | grep -v _test); then \
 		echo "round-guard: internal/service must go through sim.Engine for the calls above"; exit 1; fi
 	@if grep -n 'map\[int\]schedule\.Decision' $$(ls internal/service/*.go | grep -v _test); then \
 		echo "round-guard: decided bids live in the decisionStore (decisions.go), not in a map of Decisions"; exit 1; fi
+	@for call in 'updateDuals(' '.cl.Commit('; do \
+		n=$$(cat $$(ls internal/core/*.go | grep -v _test) | grep -v '^func ' | grep -cF "$$call"); \
+		if [ "$$n" != 1 ]; then \
+			echo "round-guard: internal/core has $$n call sites of $$call, want 1 (Algorithm 1's write tail lives in Offer)"; exit 1; fi; done
+	@if grep -nE 'Spec(ulator|Workers)' $$(ls internal/sim/*.go internal/service/*.go | grep -v _test); then \
+		echo "round-guard: the engine decides by Offer or BatchOffer, chosen by scheduler type"; exit 1; fi
 
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
@@ -115,11 +124,12 @@ chaos-smoke:
 
 # load-smoke replays a short fixed-seed workload through the trace-driven
 # load generator over loopback HTTP — batched intake, binary incremental
-# checkpoints, streamed binary decision log — and verifies the broker's
-# decisions and accounting are bit-identical to a sequential sim.Run of
-# the same workload.
+# checkpoints and a streamed binary decision log, both through their
+# async writers — and verifies the broker's decisions and accounting are
+# bit-identical to a sequential sim.Run of the same workload.
 load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -verify \
+		-async-checkpoint -async-log \
 		-checkpoint /tmp/pdftsp-load.ckpt -full-every 4 -decision-log /tmp/pdftsp-load.declog
 
 # shard-smoke exercises the multi-broker scale-out path: a two-shard
@@ -140,15 +150,6 @@ shard-smoke:
 spot-smoke:
 	$(GO) run ./cmd/pdftspd -spot-smoke
 
-# spec-smoke replays the load-smoke workload through the speculative
-# parallel slot-close with the async checkpoint and decision-log writers
-# on, at GOMAXPROCS=4, and verifies the run stays bit-identical to the
-# sequential sim.Run twin — the end-to-end gate on the parallel round.
-spec-smoke:
-	GOMAXPROCS=4 $(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 \
-		-spec-workers 4 -async-checkpoint -async-log -verify \
-		-checkpoint /tmp/pdftsp-spec.ckpt -full-every 4 -decision-log /tmp/pdftsp-spec.declog
-
 # wal-smoke is the durable-intake gate: a supervised run under the
 # wal-chaos schedule — ack-boundary kills (including a double kill at
 # one slot and a torn-tail corruption before one recovery) — where every
@@ -159,4 +160,4 @@ wal-smoke:
 	$(GO) run ./cmd/pdftspd -wal-chaos 1
 	$(GO) run ./cmd/pdftspd -wal-chaos 7 -shards 2
 
-check: build vet fmt-check round-guard test benchmark-selftest race serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke spec-smoke wal-smoke
+check: build vet fmt-check round-guard test benchmark-selftest race serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke wal-smoke

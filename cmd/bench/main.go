@@ -45,8 +45,8 @@ type Result struct {
 	// GOMAXPROCS records the worker ceiling this benchmark ran with;
 	// multi-core rows appear once per core count.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
-	// Metrics carries custom b.ReportMetric values (e.g. the SlotClose
-	// speculation hit-rate).
+	// Metrics carries custom b.ReportMetric values (e.g. the WALAppend
+	// rows' fsync-ns).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -120,10 +120,7 @@ func main() {
 	}
 
 	// Multi-core serving rows run once per GOMAXPROCS so the snapshot
-	// records the scaling curve. GOMAXPROCS is set above NumCPU on small
-	// hosts on purpose: the workers then time-share one core, which still
-	// exercises the concurrent machinery and records an honest (flat)
-	// curve — the snapshot's num_cpu says how to read it.
+	// records the scaling curve; its num_cpu says how to read it.
 	multiProcs := []int{1, 4}
 
 	fmt.Printf("%-38s %12s %14s %12s %12s %6s\n", "benchmark", "iterations", "ns/op", "B/op", "allocs/op", "procs")

@@ -91,9 +91,8 @@ type flags struct {
 	decLog       string
 	keepPlans    bool
 
-	specWorkers int
-	asyncCkpt   bool
-	asyncLog    bool
+	asyncCkpt bool
+	asyncLog  bool
 
 	cpuProfile string
 	memProfile string
@@ -130,7 +129,6 @@ func main() {
 	flag.IntVar(&f.walSyncEvery, "wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch)")
 	flag.StringVar(&f.decLog, "decision-log", "", "stream the binary decision log to this path")
 	flag.BoolVar(&f.keepPlans, "keep-losing-plans", false, "retain rejected bids' candidate plans (more memory)")
-	flag.IntVar(&f.specWorkers, "spec-workers", 0, "close slots through the speculative parallel round with this many workers (0/1 = sequential)")
 	flag.BoolVar(&f.asyncCkpt, "async-checkpoint", false, "move checkpoint file writes off the core goroutine (double-buffered, backpressured)")
 	flag.BoolVar(&f.asyncLog, "async-log", false, "move decision-log writes onto a background writer (double-buffered, backpressured)")
 	flag.StringVar(&f.cpuProfile, "profile", "", "write a CPU profile of the whole run to this path")
@@ -446,11 +444,10 @@ func (l *latObserver) OnOutcome(e *obs.OutcomeEvent) {
 // aggStatus is the slice of broker status the report needs, aggregated
 // across shards when -shards > 1.
 type aggStatus struct {
-	intakeHW, heldHW     int
-	shedChan, shedHeld   int64
-	welfare, revenue     float64
-	admitted, rejected   int
-	specHits, specMisses uint64
+	intakeHW, heldHW   int
+	shedChan, shedHeld int64
+	welfare, revenue   float64
+	admitted, rejected int
 
 	walRecords, walBytes  int64
 	walFsyncs, walFsyncNS int64
@@ -495,9 +492,6 @@ type report struct {
 	WALFsyncMaxMs   float64 `json:"wal_fsync_max_ms,omitempty"`
 	WALReplayed     int     `json:"wal_replayed,omitempty"`
 	WALFailures     int     `json:"wal_failures,omitempty"`
-	SpecHits        uint64  `json:"spec_hits,omitempty"`
-	SpecMisses      uint64  `json:"spec_misses,omitempty"`
-	SpecHitRate     float64 `json:"spec_hit_rate,omitempty"`
 	Welfare         float64 `json:"welfare"`
 	Revenue         float64 `json:"revenue"`
 	Admitted        int     `json:"admitted"`
@@ -531,10 +525,6 @@ func (r *report) print(w io.Writer, asJSON bool) {
 	if r.WALRecords > 0 || r.WALFsyncs > 0 {
 		fmt.Fprintf(w, "  journal  records %d  bytes %d  fsyncs %d  avg %.3fms  max %.3fms  replayed %d  failures %d\n",
 			r.WALRecords, r.WALBytes, r.WALFsyncs, r.WALFsyncAvgMs, r.WALFsyncMaxMs, r.WALReplayed, r.WALFailures)
-	}
-	if r.SpecHits+r.SpecMisses > 0 {
-		fmt.Fprintf(w, "  speculation  hits %d  misses %d  hit-rate %.1f%%\n",
-			r.SpecHits, r.SpecMisses, r.SpecHitRate*100)
 	}
 	fmt.Fprintf(w, "  welfare %.2f  revenue %.2f  admitted %d  rejected %d\n",
 		r.Welfare, r.Revenue, r.Admitted, r.Rejected)
@@ -611,7 +601,6 @@ func run(f flags) (*report, error) {
 			Observer:            obs.Multi(observers...),
 			RunLabel:            "pdftspd-load",
 			DropLosingPlans:     !f.keepPlans,
-			SpecWorkers:         f.specWorkers,
 			AsyncCheckpoint:     f.asyncCkpt,
 		}
 		if f.shards > 1 {
@@ -656,7 +645,6 @@ func run(f flags) (*report, error) {
 			shedChan: st.ShedChannelFull, shedHeld: st.ShedHeldFull,
 			welfare: st.Welfare, revenue: st.Revenue,
 			admitted: st.Admitted, rejected: st.Rejected,
-			specHits: st.SpecHits, specMisses: st.SpecMisses,
 			walRecords: st.WALRecords, walBytes: st.WALBytes,
 			walFsyncs: st.WALFsyncs, walFsyncNS: st.WALFsyncNanos,
 			walFsyncMaxNS: st.WALFsyncMaxNS,
@@ -794,10 +782,6 @@ func run(f flags) (*report, error) {
 	}
 	if decided > 0 {
 		rep.AllocsPerBid = float64(m1.Mallocs-m0.Mallocs) / float64(decided)
-	}
-	rep.SpecHits, rep.SpecMisses = st.specHits, st.specMisses
-	if n := st.specHits + st.specMisses; n > 0 {
-		rep.SpecHitRate = float64(st.specHits) / float64(n)
 	}
 	rep.WALRecords, rep.WALBytes, rep.WALFsyncs = st.walRecords, st.walBytes, st.walFsyncs
 	rep.WALReplayed, rep.WALFailures = st.walReplayed, st.walFails

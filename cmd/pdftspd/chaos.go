@@ -180,7 +180,6 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig, pc perfConfig) 
 			CheckpointFault:     ckptFault,
 			Observer:            auditor,
 			RunLabel:            fmt.Sprintf("chaos/%d", i),
-			SpecWorkers:         pc.specWorkers,
 			AsyncCheckpoint:     pc.asyncCkpt,
 		}
 		prov, err := sc.provider(st.cl, cfg.slots, i)

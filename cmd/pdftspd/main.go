@@ -91,7 +91,6 @@ func main() {
 	spotLease := flag.Int("spot-lease", 0, "spot lease length in slots (0 = provider default)")
 	spotPredictive := flag.Bool("spot-predictive", false, "admission uses the trace's future quotes and known reclaims instead of the current quote")
 	spotSmoke := flag.Bool("spot-smoke", false, "run the spot-tier self-test (chaos harness + lease/revocation activity, monolithic and 2-shard) and exit")
-	specWorkers := flag.Int("spec-workers", 0, "close slots through the speculative parallel round with this many workers (0/1 = sequential; output is bit-identical either way)")
 	asyncCkpt := flag.Bool("async-checkpoint", false, "write checkpoints on a dedicated goroutine (serialized synchronously; at most 2 writes in flight)")
 	flag.Parse()
 	if *shards < 1 {
@@ -101,7 +100,7 @@ func main() {
 		nodes: *spotNodes, budget: *spotBudget, seed: *spotSeed,
 		discount: *spotDiscount, leaseLen: *spotLease, predictive: *spotPredictive,
 	}
-	pc := perfConfig{specWorkers: *specWorkers, asyncCkpt: *asyncCkpt}
+	pc := perfConfig{asyncCkpt: *asyncCkpt}
 
 	var observers []obs.Observer
 	var jsonlSink *obs.JSONL
@@ -145,7 +144,7 @@ func main() {
 	}
 
 	if *smoke {
-		if err := runSmoke(cfg, pc); err != nil {
+		if err := runSmoke(cfg); err != nil {
 			fail("smoke: %v", err)
 		}
 		fmt.Println("serve-smoke: concurrent HTTP fan-in matches sequential sim.Run (welfare, payments, duals)")
@@ -217,14 +216,12 @@ func finishObs(j *obs.JSONL, a *obs.Audit, d *obs.DecisionLog) {
 	}
 }
 
-// perfConfig carries the serving-performance knobs (ISSUE 9) into every
-// harness. Both default off; neither changes auction output — the
-// speculative round commits bid-by-bid against validated state and the
+// perfConfig carries the serving-performance knob (ISSUE 9) into every
+// harness. It defaults off and does not change auction output — the
 // async checkpoint serializes synchronously — so every self-test may run
-// with them on and still diff bit-identical against sequential sim.Run.
+// with it on and still diff bit-identical against sim.Run.
 type perfConfig struct {
-	specWorkers int
-	asyncCkpt   bool
+	asyncCkpt bool
 }
 
 // stackConfig captures the flags an auction stack is built from; the
@@ -386,7 +383,7 @@ var errSmoke = errors.New("mismatch")
 // concurrent clients, steps the clock over the horizon via the HTTP
 // endpoint, and diffs every decision — and the final duals — against a
 // sequential sim.Run replay of the same workload on a twin stack.
-func runSmoke(cfg stackConfig, pc perfConfig) error {
+func runSmoke(cfg stackConfig) error {
 	// Smoke wants a quick horizon; shrink unless the user overrode.
 	if cfg.slots == timeslot.DefaultHorizonSlots {
 		cfg.slots = 24
@@ -415,7 +412,6 @@ func runSmoke(cfg stackConfig, pc perfConfig) error {
 		Market:       serveStack.mkt,
 		QueueSize:    len(tasks) + 8,
 		VirtualClock: true,
-		SpecWorkers:  pc.specWorkers,
 	})
 	if err != nil {
 		return err

@@ -56,7 +56,6 @@ func shardSpecs(stacks []*stack, sc spotConfig, o serveOpts) ([]service.ShardSpe
 			CheckpointFullEvery: o.fullEvery,
 			Observer:            o.observer,
 			RunLabel:            fmt.Sprintf("pdftspd/%d", i),
-			SpecWorkers:         o.perf.specWorkers,
 			AsyncCheckpoint:     o.perf.asyncCkpt,
 		}
 		if o.ckpt != "" {
@@ -110,7 +109,6 @@ func buildAuctioneer(cfg stackConfig, n int, sc spotConfig, o serveOpts) (servic
 			CheckpointEvery:     o.ckptEvery,
 			CheckpointFullEvery: o.fullEvery,
 			Observer:            o.observer,
-			SpecWorkers:         o.perf.specWorkers,
 			AsyncCheckpoint:     o.perf.asyncCkpt,
 		}
 		if o.wal {

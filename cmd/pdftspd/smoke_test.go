@@ -8,10 +8,9 @@ import (
 
 // TestSmokeMatrix runs the self-test harnesses behind -smoke, -chaos,
 // -spot-smoke and -wal-chaos with exactly the matrix `make check` runs
-// via `go run`, so tier-1 (`go test ./...`) drives sequential,
-// speculative, faulted, spot and restored rounds against their sim.Run
-// twins. The Makefile targets stay: they are how a failing seed is
-// replayed by hand.
+// via `go run`, so tier-1 (`go test ./...`) drives plain, faulted, spot
+// and restored rounds against their sim.Run twins. The Makefile targets
+// stay: they are how a failing seed is replayed by hand.
 func TestSmokeMatrix(t *testing.T) {
 	// The flag defaults of main(); every harness shrinks them the same way
 	// it does for the command line.
@@ -32,14 +31,15 @@ func TestSmokeMatrix(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"serve-smoke", func() error { return runSmoke(cfg, seq) }},
+		{"serve-smoke", func() error { return runSmoke(cfg) }},
 		{"chaos-1", chaos(1, 1, seq)},
 		{"chaos-7", chaos(7, 1, seq)},
 		{"chaos-42", chaos(42, 1, seq)},
 		{"chaos-1-shards-2", chaos(1, 2, seq)},
 		{"chaos-7-shards-4", chaos(7, 4, seq)},
-		// Not in the Makefile: the same faults through the speculative round.
-		{"chaos-7-spec-4", chaos(7, 1, perfConfig{specWorkers: 4})},
+		// Not in the Makefile: the same kills and restores with checkpoints
+		// written by the async writer.
+		{"chaos-7-async-ckpt", chaos(7, 1, perfConfig{asyncCkpt: true})},
 		{"spot-smoke", func() error { return runSpotSmoke(cfg, sc.seed, sc, seq) }},
 		{"wal-chaos-1", walChaos(1, 1)},
 		{"wal-chaos-7-shards-2", walChaos(7, 2)},

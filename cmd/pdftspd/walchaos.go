@@ -146,7 +146,6 @@ func runWALChaos(cfg stackConfig, seed int64, n int, pc perfConfig) (walChaosSum
 				CheckpointFullEvery: 4,
 				WALPath:             service.WALPath(ckptPaths[i]),
 				RunLabel:            fmt.Sprintf("wal-chaos/%d", i),
-				SpecWorkers:         pc.specWorkers,
 				AsyncCheckpoint:     pc.asyncCkpt,
 			}
 		}

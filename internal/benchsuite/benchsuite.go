@@ -50,7 +50,6 @@ func Suite() []Bench {
 		{Name: "ServeBid/batched-256", Func: ServeBidBatched256, MultiCore: true},
 		{Name: "ServeBid/sharded", Func: ServeBidSharded, MultiCore: true},
 		{Name: "SlotClose/seq", Func: SlotCloseSequential, MultiCore: true},
-		{Name: "SlotClose/spec", Func: SlotCloseSpeculative, MultiCore: true},
 		{Name: "ShardRoute", Func: ShardRoute},
 		{Name: "HTTPDecodeBid/stdjson", Func: HTTPDecodeBidStdJSON},
 		{Name: "HTTPDecodeBid/pooled", Func: HTTPDecodeBidPooled},

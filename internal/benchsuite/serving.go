@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"runtime"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
@@ -86,11 +85,10 @@ func retimeTask(t task.Task, id, slot int) task.Task {
 }
 
 // servingBroker builds a virtual-clock broker on the bench cluster;
-// specWorkers > 1 closes slots through the speculative parallel round,
 // asyncCkpt moves checkpoint file I/O off the core goroutine. Trailing
 // mutators adjust the options for variants (the WAL rows) without
 // widening every call site.
-func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.Observer, specWorkers int, asyncCkpt bool, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
+func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.Observer, asyncCkpt bool, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
 	b.Helper()
 	model, h := benchServingModel()
 	cl := benchServingCluster(b, h, model)
@@ -111,7 +109,6 @@ func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.
 		Observer:            observer,
 		RunLabel:            "bench",
 		DropLosingPlans:     true,
-		SpecWorkers:         specWorkers,
 		AsyncCheckpoint:     asyncCkpt,
 	}
 	for _, m := range mut {
@@ -134,7 +131,7 @@ func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.
 // channel each), and its decision written through a fresh json.Encoder
 // (the old writeJSON).
 func ServeBidUnbatched(b *testing.B) {
-	broker, tasks := servingBroker(b, "", 0, nil, 0, false)
+	broker, tasks := servingBroker(b, "", 0, nil, false)
 	defer broker.Kill()
 	payloads := bidPayloads(b, tasks, 1, false)
 	var (
@@ -159,7 +156,7 @@ func ServeBidUnbatched(b *testing.B) {
 		}
 		chans = append(chans, ch)
 		if len(chans) == servingBidsPerSlot || i == b.N-1 {
-			slot = stepServing(b, broker, slot, func() { broker, tasks = rebuildServing(b, broker, "", 0, nil, 0, false) })
+			slot = stepServing(b, broker, slot, func() { broker, tasks = rebuildServing(b, broker, "", 0, nil, false) })
 			for _, ch := range chans {
 				out := <-ch
 				if out.Err != nil {
@@ -189,7 +186,7 @@ func ServeBidUnbatched(b *testing.B) {
 // where coalescing stops paying.
 func serveBidBatched(b *testing.B, size int) {
 	enc := &encodingObserver{}
-	broker, tasks := servingBroker(b, "", 0, enc, 0, false)
+	broker, tasks := servingBroker(b, "", 0, enc, false)
 	defer broker.Kill()
 	payloads := bidPayloads(b, tasks, size, true)
 	var (
@@ -226,7 +223,7 @@ func serveBidBatched(b *testing.B, size int) {
 		}
 		n += k
 		slot = stepServing(b, broker, slot, func() {
-			broker, tasks = rebuildServing(b, broker, "", 0, enc, 0, false)
+			broker, tasks = rebuildServing(b, broker, "", 0, enc, false)
 		})
 	}
 }
@@ -272,10 +269,10 @@ func stepServing(b *testing.B, broker *service.Broker, slot int, rebuild func())
 	return slot
 }
 
-func rebuildServing(b *testing.B, old *service.Broker, checkpoint string, fullEvery int, observer obs.Observer, specWorkers int, asyncCkpt bool, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
+func rebuildServing(b *testing.B, old *service.Broker, checkpoint string, fullEvery int, observer obs.Observer, asyncCkpt bool, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
 	b.Helper()
 	old.Kill()
-	return servingBroker(b, checkpoint, fullEvery, observer, specWorkers, asyncCkpt, mut...)
+	return servingBroker(b, checkpoint, fullEvery, observer, asyncCkpt, mut...)
 }
 
 // bidPayloads renders wire JSON for batches of size k from the bench
@@ -445,7 +442,7 @@ func checkpointPerSlot(b *testing.B, mode string) {
 		fullEvery = 1 << 30
 		async = true
 	}
-	broker, tasks := servingBroker(b, path, fullEvery, nil, 0, async)
+	broker, tasks := servingBroker(b, path, fullEvery, nil, async)
 	defer broker.Kill()
 	batch := make([]task.Task, servingBidsPerSlot)
 	verdicts := make([]error, servingBidsPerSlot)
@@ -462,7 +459,7 @@ func checkpointPerSlot(b *testing.B, mode string) {
 			b.Fatal(err)
 		}
 		slot = stepServing(b, broker, slot, func() {
-			broker, tasks = rebuildServing(b, broker, path, fullEvery, nil, 0, async)
+			broker, tasks = rebuildServing(b, broker, path, fullEvery, nil, async)
 		})
 	}
 }
@@ -482,30 +479,20 @@ func CheckpointPerSlotBinaryDelta(b *testing.B) { checkpointPerSlot(b, "binary-d
 // and fsync-adjacent file work overlap with the next auction round.
 func CheckpointPerSlotBinaryDeltaAsync(b *testing.B) { checkpointPerSlot(b, "binary-delta-async") }
 
-// slotClose measures one full slot close — 64 bids submitted, the slot
-// stepped, every decision priced — sequentially (spec == 0) or through
-// the speculative parallel round with spec workers. One op is one
-// closed slot. The speculative variant reports its hit rate: the
-// fraction of offers that committed from the parallel phase without a
-// sequential re-execution.
-func slotClose(b *testing.B, spec int) {
-	broker, tasks := servingBroker(b, "", 0, nil, spec, false)
+// SlotCloseSequential measures one full slot close — 64 bids submitted,
+// the slot stepped, every decision priced on the core goroutine. One op
+// is one closed slot.
+func SlotCloseSequential(b *testing.B) {
+	broker, tasks := servingBroker(b, "", 0, nil, false)
 	defer broker.Kill()
 	batch := make([]task.Task, servingBidsPerSlot)
 	verdicts := make([]error, servingBidsPerSlot)
 	slot := 0
 	id := 1 << 20
-	var hits, misses uint64
-	harvest := func(br *service.Broker) {
-		if st, err := br.Status(); err == nil {
-			hits += st.SpecHits
-			misses += st.SpecMisses
-		}
-	}
 	// Warm the cluster to steady state before the timer: early slots have
-	// spare capacity everywhere, so admissions (and speculation misses)
-	// are phase-dependent until the frontier fills. Without this the
-	// measured window — and the hit rate — would depend on b.N.
+	// spare capacity everywhere, so admissions are phase-dependent until
+	// the frontier fills. Without this the measured window would depend
+	// on b.N.
 	const warmSlots = 128
 	for i := 0; i < warmSlots; i++ {
 		for j := range batch {
@@ -516,12 +503,6 @@ func slotClose(b *testing.B, spec int) {
 			b.Fatal(err)
 		}
 		slot = stepServing(b, broker, slot, func() { b.Fatal("warmup exceeded horizon") })
-	}
-	// The broker's counters are cumulative and the warmup ran on this
-	// broker, so remember the warmup's share and deduct it at the end.
-	var warmHits, warmMisses uint64
-	if st, err := broker.Status(); err == nil {
-		warmHits, warmMisses = st.SpecHits, st.SpecMisses
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -534,23 +515,7 @@ func slotClose(b *testing.B, spec int) {
 			b.Fatal(err)
 		}
 		slot = stepServing(b, broker, slot, func() {
-			harvest(broker)
-			broker, tasks = rebuildServing(b, broker, "", 0, nil, spec, false)
+			broker, tasks = rebuildServing(b, broker, "", 0, nil, false)
 		})
 	}
-	b.StopTimer()
-	harvest(broker)
-	hits -= warmHits
-	misses -= warmMisses
-	if n := hits + misses; n > 0 {
-		b.ReportMetric(float64(hits)/float64(n), "hit-rate")
-	}
 }
-
-// SlotCloseSequential closes slots on the core goroutine alone — the
-// baseline the speculative round is measured against.
-func SlotCloseSequential(b *testing.B) { slotClose(b, 0) }
-
-// SlotCloseSpeculative closes slots through the speculative parallel
-// round with one worker per available core.
-func SlotCloseSpeculative(b *testing.B) { slotClose(b, runtime.GOMAXPROCS(0)) }

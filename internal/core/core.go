@@ -112,9 +112,8 @@ type Scheduler struct {
 	// lambda[k][t] is λ_kt, the compute shadow price; phi[k][t] is φ_kt,
 	// the memory shadow price.
 	lambda, phi [][]float64
-	// scratch backs the sequential Offer path (the scheduler is
-	// single-threaded by the online model, so reuse is safe). Speculative
-	// workers bring their own offerScratch instead (see speculate.go).
+	// scratch backs Offer (the scheduler is single-threaded by the online
+	// model, so reuse is safe).
 	scratch offerScratch
 	// decSched/decPlan back the Decision returned under Options.ReusePlans:
 	// one schedule struct and placement buffer, overwritten per offer.
@@ -126,10 +125,7 @@ type Scheduler struct {
 }
 
 // offerScratch is the per-offer scratch state of one DP execution: every
-// buffer Offer reuses across bids. The sequential path owns one embedded
-// in the Scheduler; the speculative slot-close pool owns one per worker,
-// so tentative offers share the read-only dual/ledger state but never a
-// buffer.
+// buffer Offer reuses across bids.
 type offerScratch struct {
 	// DP scratch buffers, reused across offers.
 	dpBuf      []float64
@@ -158,16 +154,10 @@ type offerScratch struct {
 	// MaskFullCells DP skips it without consulting the ledger. Commit and
 	// SetDown only shrink availability, keeping the prefix conservative;
 	// genSeen tracks cluster.Generation so Release/Reset/Restore clear it.
-	// The prefix is an exact cache (it only records provably-saturated
-	// cells), so per-worker copies cannot change any DP result.
+	// The prefix is an exact cache: it only records provably-saturated
+	// cells.
 	fullPrefix []int32
 	genSeen    uint64
-}
-
-// init sizes the scratch for a K-node cluster at ledger generation gen.
-func (sc *offerScratch) init(K int, gen uint64) {
-	sc.fullPrefix = make([]int32, K)
-	sc.genSeen = gen
 }
 
 // float64Rows groups one DP row triple so a single scratch slice carries
@@ -194,7 +184,8 @@ func New(cl *cluster.Cluster, opts Options) (*Scheduler, error) {
 		s.lambda[k], lamBack = lamBack[:T:T], lamBack[T:]
 		s.phi[k], phiBack = phiBack[:T:T], phiBack[T:]
 	}
-	s.scratch.init(K, cl.Generation())
+	s.scratch.fullPrefix = make([]int32, K)
+	s.scratch.genSeen = cl.Generation()
 	return s, nil
 }
 
@@ -240,8 +231,8 @@ func (s *Scheduler) Offer(env *schedule.TaskEnv) schedule.Decision {
 
 	// Algorithm 2: per vendor, find the cost-minimizing plan, then pick
 	// the vendor maximizing F(il_n).
-	candidates := s.candidateNodes(env, &s.scratch)
-	best, bestF, found := s.bestSchedule(env, quotes, candidates, &s.scratch, nil)
+	candidates := s.candidateNodes(env)
+	best, bestF, found := s.bestSchedule(env, quotes, candidates)
 	if !found {
 		d.Reason = schedule.ReasonNoSchedule
 		return d
@@ -425,8 +416,9 @@ func (c byTypeLoad) Less(i, j int) bool {
 // candidateNodes returns the node set the DP scans: all nodes, or the
 // MaxCandidateNodes least-loaded per GPU type within the task's loosest
 // execution window. The returned slice is scratch-owned, valid until the
-// next call with the same scratch.
-func (s *Scheduler) candidateNodes(env *schedule.TaskEnv, sc *offerScratch) []int {
+// next call.
+func (s *Scheduler) candidateNodes(env *schedule.TaskEnv) []int {
+	sc := &s.scratch
 	K := s.cl.NumNodes()
 	limit := s.opts.MaxCandidateNodes
 	if limit <= 0 || K <= limit {
@@ -473,21 +465,18 @@ func (s *Scheduler) candidateNodes(env *schedule.TaskEnv, sc *offerScratch) []in
 
 // bestSchedule implements Algorithm 2: for each vendor quote, run the
 // findSchedule DP, evaluate F(il_n), and return the plan maximizing it.
-// The winner's Placements alias scratch buffers; callers keep them only
-// through finishPlan (sequential path) or a copy (speculative path).
-// When rec is non-nil the per-quote vendor events are appended to *rec
-// instead of being emitted, so speculative workers never touch the
-// (single-threaded) observer; the commit pass replays them in order.
-func (s *Scheduler) bestSchedule(env *schedule.TaskEnv, quotes []vendor.Quote, candidates []int, sc *offerScratch, rec *[]obs.VendorEvent) (schedule.Schedule, float64, bool) {
+// The winner's Placements alias scratch buffers; Offer keeps them only
+// through finishPlan.
+func (s *Scheduler) bestSchedule(env *schedule.TaskEnv, quotes []vendor.Quote, candidates []int) (schedule.Schedule, float64, bool) {
 	var best schedule.Schedule
 	found := false
 	bestF := math.Inf(-1)
 	for _, q := range quotes {
-		plan, ok := s.findSchedule(env, q, candidates, sc)
+		plan, ok := s.findSchedule(env, q, candidates)
 		if !ok {
-			if s.obs != nil || rec != nil {
+			if s.obs != nil {
 				window := env.Task.ExecWindow(s.cl.Horizon(), q.DelaySlots)
-				ev := obs.VendorEvent{
+				s.obs.OnVendor(&obs.VendorEvent{
 					TaskID:      env.Task.ID,
 					Vendor:      q.Vendor,
 					Price:       q.Price,
@@ -495,20 +484,15 @@ func (s *Scheduler) bestSchedule(env *schedule.TaskEnv, quotes []vendor.Quote, c
 					WindowStart: window.Start,
 					WindowEnd:   window.End,
 					Candidates:  len(candidates),
-				}
-				if rec != nil {
-					*rec = append(*rec, ev)
-				} else {
-					s.obs.OnVendor(&ev)
-				}
+				})
 			}
 			continue
 		}
 		f := s.surplus(env, &plan)
 		isBest := f > bestF
-		if s.obs != nil || rec != nil {
+		if s.obs != nil {
 			window := env.Task.ExecWindow(s.cl.Horizon(), q.DelaySlots)
-			ev := obs.VendorEvent{
+			s.obs.OnVendor(&obs.VendorEvent{
 				TaskID:      env.Task.ID,
 				Vendor:      q.Vendor,
 				Price:       q.Price,
@@ -520,17 +504,12 @@ func (s *Scheduler) bestSchedule(env *schedule.TaskEnv, quotes []vendor.Quote, c
 				Cost:        s.planCost(env, &plan),
 				Surplus:     f,
 				Best:        isBest,
-			}
-			if rec != nil {
-				*rec = append(*rec, ev)
-			} else {
-				s.obs.OnVendor(&ev)
-			}
+			})
 		}
 		if isBest {
 			best, bestF, found = plan, f, true
 			// Protect the incumbent's scratch buffer from the next DP.
-			sc.planCur ^= 1
+			s.scratch.planCur ^= 1
 		}
 	}
 	if !found {
@@ -565,7 +544,8 @@ var dpInf = math.Inf(1)
 // Placements alias the scratch (planBuf[planCur]); callers that keep the
 // plan past the next findSchedule call must flip planCur or clone the
 // slice (see bestSchedule).
-func (s *Scheduler) findSchedule(env *schedule.TaskEnv, q vendor.Quote, candidates []int, sc *offerScratch) (schedule.Schedule, bool) {
+func (s *Scheduler) findSchedule(env *schedule.TaskEnv, q vendor.Quote, candidates []int) (schedule.Schedule, bool) {
+	sc := &s.scratch
 	t := env.Task
 	h := s.cl.Horizon()
 	window := t.ExecWindow(h, q.DelaySlots)

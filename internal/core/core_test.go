@@ -448,7 +448,7 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 		}
 		tk.Work = 20 + rng.Intn(60)
 		env := envFor(t, tk, cl, nil)
-		plan, ok := s.findSchedule(env, vendor.Quote{Vendor: schedule.NoVendor}, s.candidateNodes(env, &s.scratch), &s.scratch)
+		plan, ok := s.findSchedule(env, vendor.Quote{Vendor: schedule.NoVendor}, s.candidateNodes(env))
 		window := tk.ExecWindow(cl.Horizon(), 0)
 		bfCost, bfFound := bruteForceBest(env, s, window)
 		if !ok {
@@ -544,7 +544,7 @@ func TestCandidateNodePruning(t *testing.T) {
 	env := envFor(t, testTask(0), cl, nil)
 	// candidateNodes returns scheduler-owned scratch; clone before the
 	// Offer below reuses it.
-	cands := append([]int(nil), s.candidateNodes(env, &s.scratch)...)
+	cands := append([]int(nil), s.candidateNodes(env)...)
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %v, want 2 least-loaded nodes", cands)
 	}
@@ -573,7 +573,7 @@ func TestCandidatePruningDisabledScansAll(t *testing.T) {
 	cl := testCluster(t, 4)
 	s := newScheduler(t, cl, testOptions())
 	env := envFor(t, testTask(0), cl, nil)
-	if got := len(s.candidateNodes(env, &s.scratch)); got != 4 {
+	if got := len(s.candidateNodes(env)); got != 4 {
 		t.Fatalf("unpruned candidates = %d, want 4", got)
 	}
 }

@@ -95,7 +95,7 @@ func TestFindScheduleMatchesBruteForce(t *testing.T) {
 		// Delays up to winLen+1 cover shrunken and empty windows.
 		q := vendor.Quote{Vendor: 0, Price: 1, DelaySlots: rng.Intn(winLen + 2)}
 
-		plan, ok := s.findSchedule(env, q, candidates, &s.scratch)
+		plan, ok := s.findSchedule(env, q, candidates)
 		want, wantOK := bruteForceCost(s, env, q)
 		if ok != wantOK {
 			t.Fatalf("trial %d: DP feasible=%v, brute force=%v (W=%d speeds=%v win=%v delay=%d)",

@@ -30,45 +30,6 @@ func Parallelism(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEachWorker runs fn(w, 0), …, fn(w, n-1) across at most workers
-// concurrent goroutines, where w is the stable index of the worker
-// executing the job. It exists for pooled-scratch fan-outs: a caller with
-// one scratch buffer per worker passes w through to pick the buffer,
-// while jobs are still work-stolen in index order. Results must be
-// written by job index into caller-owned storage, keeping the runner's
-// determinism contract. A workers value below 2 (or n of 1) degenerates
-// to a sequential loop on the calling goroutine with w fixed at 0.
-func ForEachWorker(workers, n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // Map runs fn(0), fn(1), …, fn(n-1) on at most workers concurrent
 // goroutines and returns the results in index order. A workers value
 // below 2 (after Parallelism resolution the caller usually applies)

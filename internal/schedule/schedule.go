@@ -265,8 +265,7 @@ type Decision struct {
 
 // Equal reports whether two schedules are bit-identical: same task,
 // vendor terms, and placement sequence. Used by the equivalence checks
-// that pin the speculative slot-close (and the broker at large) to the
-// sequential auction.
+// that pin the broker to the sequential auction.
 func (s *Schedule) Equal(other *Schedule) bool {
 	if s == nil || other == nil {
 		return s == other

@@ -163,17 +163,6 @@ type Options struct {
 	// after which /healthz reports degraded (bids keep flowing either
 	// way). Default 3.
 	DegradeAfter int
-	// SpecWorkers > 1 closes each slot through the speculative parallel
-	// round (core.Speculator): the held batch fans across that many
-	// workers, each computing a tentative decision against the frozen
-	// duals/ledger, and a sequential validation pass commits tentative
-	// decisions whose read footprint no earlier bid wrote, re-running the
-	// rest through the normal Offer path. The decisions, duals, ledger,
-	// and event stream are bit-identical to the sequential round by
-	// construction (TestEventStreamThreeWay holds the stream to it).
-	// Requires Scheduler to be *core.Scheduler; 0 or 1 keeps the plain
-	// sequential round (the default).
-	SpecWorkers int
 	// AsyncCheckpoint moves checkpoint file I/O (full JSON snapshots and
 	// binary delta appends) off the core goroutine onto a dedicated
 	// writer: the bytes are still serialized synchronously at slot close
@@ -373,9 +362,6 @@ type Broker struct {
 	// ckptFails counts consecutive checkpoint-write failures; reaching
 	// Options.DegradeAfter flips /healthz to degraded.
 	ckptFails int
-	// spec is the speculative parallel round the engine drives when
-	// Options.SpecWorkers > 1; the broker keeps it for Status only.
-	spec *core.Speculator
 	// ckptW performs the checkpoint writes (on its own goroutine with
 	// Options.AsyncCheckpoint); ckptStall, when set before Start, delays
 	// each write — the backpressure tests' stall hook.
@@ -413,16 +399,7 @@ func New(opts Options) (*Broker, error) {
 		decisions: newDecisionStore(),
 		ckptSlot:  -1,
 	}
-	var spec sim.Speculator // stays a nil interface without SpecWorkers
-	if opts.SpecWorkers > 1 {
-		cs, ok := opts.Scheduler.(*core.Scheduler)
-		if !ok {
-			return nil, fmt.Errorf("service: SpecWorkers requires the core auction scheduler, got %q", opts.Scheduler.Name())
-		}
-		b.spec = core.NewSpeculator(cs, opts.SpecWorkers)
-		spec = b.spec
-	}
-	eng, err := sim.NewEngine(opts.Cluster, opts.Scheduler, spec, sim.EngineConfig{
+	eng, err := sim.NewEngine(opts.Cluster, opts.Scheduler, sim.EngineConfig{
 		Model: opts.Model, Market: opts.Market, Quotes: opts.Quotes,
 		Failures: opts.Failures, Spot: opts.Spot,
 		Observer: opts.Observer, RunLabel: opts.RunLabel,
@@ -799,12 +776,6 @@ type Status struct {
 	// durability guarantee is broken (checkpoint writes keep failing).
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	// Speculative slot-close counters (zero unless Options.SpecWorkers
-	// > 1): workers in the pool, and how many bids committed their
-	// tentative decision (hits) vs. re-ran sequentially (misses).
-	SpecWorkers int    `json:"spec_workers,omitempty"`
-	SpecHits    uint64 `json:"spec_hits,omitempty"`
-	SpecMisses  uint64 `json:"spec_misses,omitempty"`
 	// Failure-injection accounting (zero unless Options.Failures is set).
 	FailuresInjected int     `json:"failures_injected,omitempty"`
 	RecoveredTasks   int     `json:"recovered_tasks,omitempty"`
@@ -906,10 +877,6 @@ func (b *Broker) status() Status {
 	if h := b.health(); h.Status != "ok" {
 		st.Degraded = true
 		st.DegradedReason = h.Reason
-	}
-	if b.spec != nil {
-		st.SpecWorkers = b.spec.Workers()
-		st.SpecHits, st.SpecMisses = b.spec.Stats()
 	}
 	st.FailuresInjected = res.FailuresInjected
 	st.RecoveredTasks = res.RecoveredTasks
@@ -1251,8 +1218,13 @@ func (b *Broker) closeSlot() {
 		b.bids = append(b.bids, &live[i].task)
 	}
 	_ = b.eng.Round(context.Background(), b.slot, b.bids)
+	// The round is over; nothing may keep its bids reachable.
+	b.live = nil
+	clear(b.bids)
 	if batch != nil {
-		// The slot's backing array is dead; recycle it for a future slot.
+		// The slot's backing array is dead; recycle it for a future slot,
+		// zeroed so it does not pin the bids' contexts and submissions.
+		clear(batch)
 		b.heldFree = append(b.heldFree, batch[:0])
 	}
 	b.slot++

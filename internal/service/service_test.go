@@ -471,3 +471,84 @@ func TestRealClockStepRefused(t *testing.T) {
 		t.Fatalf("got %v, want ErrRealClock", err)
 	}
 }
+
+// TestClosedSlotReleasesHeldBids: once a slot has closed and its outcomes
+// are read, the broker must not keep the slot's bids reachable — each
+// heldBid carries the request context, the pending and the batch
+// submission with the submitter's whole task and outcome slices. The
+// recycled backing arrays in heldFree (and the round's live/bids views
+// into them) must hold nothing but zero values.
+func TestClosedSlotReleasesHeldBids(t *testing.T) {
+	const slots, nodes, n = 8, 2, 500
+	st := newStack(t, slots, nodes, 100, 3)
+	if len(st.tasks) < n {
+		t.Fatalf("workload has %d bids, need %d", len(st.tasks), n)
+	}
+	flood := append([]task.Task(nil), st.tasks[:n]...)
+	for i := range flood {
+		flood[i].Arrival = 0
+		if flood[i].Deadline < 1 {
+			flood[i].Deadline = 1
+		}
+	}
+	opts := st.brokerOptions()
+	opts.QueueSize = n + 8
+	b := startBroker(t, opts)
+	// Half through a batch (heldBid.bs), half as single bids (heldBid.p).
+	batchDone := make(chan error, 1)
+	go func() {
+		_, err := b.SubmitBatch(context.Background(), flood[:n/2])
+		batchDone <- err
+	}()
+	chans := submitAll(t, b, flood[n/2:], 4)
+	for {
+		s, err := b.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Held == n {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := b.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-batchDone; err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range chans {
+		if out := <-ch; out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	arrays := 0
+	if err := b.do(func() {
+		for _, free := range b.heldFree {
+			arrays++
+			for i, hb := range free[:cap(free)] {
+				if !reflect.DeepEqual(hb, heldBid{}) {
+					t.Errorf("heldFree array keeps bid %d (task %d) of the closed slot reachable", i, hb.task.ID)
+					return
+				}
+			}
+		}
+		if b.live != nil {
+			t.Errorf("b.live still views the closed round (%d bids)", len(b.live))
+		}
+		for _, p := range b.bids[:cap(b.bids)] {
+			if p != nil {
+				t.Error("b.bids still points into the closed round")
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if arrays == 0 {
+		t.Fatal("no recycled array to inspect; the test is vacuous")
+	}
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

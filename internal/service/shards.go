@@ -491,8 +491,6 @@ func (s *Shards) Status() (Status, error) {
 		agg.Canceled += bs.Canceled
 		agg.Welfare += bs.Welfare
 		agg.Revenue += bs.Revenue
-		agg.SpecHits += bs.SpecHits
-		agg.SpecMisses += bs.SpecMisses
 		agg.FailuresInjected += bs.FailuresInjected
 		agg.RecoveredTasks += bs.RecoveredTasks
 		agg.FailedTasks += bs.FailedTasks

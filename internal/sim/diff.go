@@ -12,8 +12,8 @@ import (
 // description of the first divergence. It is the shared equivalence
 // check behind every broker ≡ sim.Run twin assertion — service's
 // Broker.DiffTwin, which the load generator's -verify, the chaos
-// harnesses and the speculative slot-close tests call — so
-// "bit-identical" means the same thing everywhere.
+// harnesses and the broker stream test call — so "bit-identical" means
+// the same thing everywhere.
 func DiffResults(got, want *Result) string {
 	type field struct {
 		name      string

@@ -40,13 +40,11 @@ import (
 //     purchase (when Quotes is set; a failed purchase leaves env.Quotes nil
 //     and the resulting no-schedule rejection is re-tagged vendor-down) →
 //     OnBid → decide → OnOutcome → Account → Track → sink.
-//   - "decide" varies only on what the engine can observe. A
-//     BatchScheduler gets the whole slot in one BatchOffer (every OnBid
-//     before it, every OnOutcome after, latency amortised over the batch —
-//     the paper's Figure 13 methodology). A Speculator, on a round of more
-//     than one bid, gets Plan once over all envs (quotes already purchased
-//     in bid order) and then Commit(i) per bid, interleaved with the
-//     events exactly as Offer would be. Otherwise Offer.
+//   - "decide" has two forms, chosen by the scheduler's type and nothing
+//     else. A BatchScheduler gets the whole slot in one BatchOffer (every
+//     env and quote prepared first, every OnBid before it, every OnOutcome
+//     after, latency amortised over the batch — the paper's Figure 13
+//     methodology). Any other scheduler gets one Offer per bid.
 //   - Finish(true) applies AdvanceTo/ApplyUpTo once more at the horizon's
 //     last slot — events after the last arrival still break committed
 //     plans — then records utilization and emits RunEnd. Finish(false)
@@ -63,7 +61,6 @@ type Engine struct {
 	cl    *cluster.Cluster
 	sched Scheduler
 	batch BatchScheduler // non-nil when sched plans whole slots
-	spec  Speculator     // nil keeps multi-bid rounds sequential
 	cfg   EngineConfig
 	sink  Sink
 
@@ -103,16 +100,6 @@ type EngineConfig struct {
 	RunLabel string
 }
 
-// Speculator is the speculative parallel round the engine can drive in
-// place of per-bid Offers; core.Speculator implements it. Plan computes a
-// tentative decision per env against frozen state, Commit(i) finalizes
-// them in order (re-running a bid whose reads went stale), and the result
-// is bit-identical to sequential Offers.
-type Speculator interface {
-	Plan(envs []*schedule.TaskEnv)
-	Commit(i int) (d schedule.Decision, hit bool)
-}
-
 // Sink receives every decided bid, after the engine has accounted and
 // tracked it: idx is the bid's position in the run's offer stream, lat
 // its scheduling latency. env and d are engine scratch — copy what must
@@ -123,7 +110,7 @@ type Sink func(idx int, env *schedule.TaskEnv, d *schedule.Decision, lat time.Du
 
 // NewEngine validates the fault plan, binds the spot provider, and
 // returns an engine ready for Restore (optional) and Start.
-func NewEngine(cl *cluster.Cluster, sched Scheduler, spec Speculator, cfg EngineConfig, sink Sink) (*Engine, error) {
+func NewEngine(cl *cluster.Cluster, sched Scheduler, cfg EngineConfig, sink Sink) (*Engine, error) {
 	faults, err := NewFailureTracker(cfg.Failures, cl)
 	if err != nil {
 		return nil, err
@@ -142,7 +129,7 @@ func NewEngine(cl *cluster.Cluster, sched Scheduler, spec Speculator, cfg Engine
 		cfg.Market = nil
 	}
 	e := &Engine{
-		cl: cl, sched: sched, spec: spec, cfg: cfg, sink: sink,
+		cl: cl, sched: sched, cfg: cfg, sink: sink,
 		res:    NewResult(sched.Name()),
 		faults: faults,
 	}
@@ -238,16 +225,13 @@ func (e *Engine) Round(ctx context.Context, slot int, bids []*task.Task) error {
 	}
 	e.faults.ApplyUpTo(slot, e.sched, e.res)
 
-	speculate := e.spec != nil && len(bids) > 1
-	if e.batch != nil || speculate {
-		// Both plan over the whole round: every env and quote up front.
+	if e.batch != nil {
+		// The batch plans over the whole round: every env and quote up front.
 		e.envs, e.qErrs = e.envs[:0], e.qErrs[:0]
 		for i, tk := range bids {
 			env, qErr := e.prepare(i, slot, tk)
 			e.envs, e.qErrs = append(e.envs, env), append(e.qErrs, qErr)
 		}
-	}
-	if e.batch != nil {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -262,27 +246,14 @@ func (e *Engine) Round(ctx context.Context, slot int, bids []*task.Task) error {
 		}
 		return nil
 	}
-	if speculate {
-		e.spec.Plan(e.envs)
-	}
-	for i, tk := range bids {
+	for _, tk := range bids {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var env *schedule.TaskEnv
-		var qErr error
-		if speculate {
-			env, qErr = e.envs[i], e.qErrs[i]
-		} else {
-			env, qErr = e.prepare(0, slot, tk)
-		}
+		env, qErr := e.prepare(0, slot, tk)
 		e.onBid(env)
 		start := time.Now()
-		if speculate {
-			e.d, _ = e.spec.Commit(i)
-		} else {
-			e.d = e.sched.Offer(env)
-		}
+		e.d = e.sched.Offer(env)
 		e.settle(env, &e.d, qErr, time.Since(start))
 	}
 	return nil

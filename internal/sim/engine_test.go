@@ -79,21 +79,6 @@ func (s scriptBatcher) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision 
 	return ds
 }
 
-type scriptSpeculator struct {
-	*scriptScheduler
-	envs []*schedule.TaskEnv
-}
-
-func (s *scriptSpeculator) Plan(envs []*schedule.TaskEnv) {
-	s.log.add("plan %d", len(envs))
-	s.envs = envs
-}
-
-func (s *scriptSpeculator) Commit(i int) (schedule.Decision, bool) {
-	s.log.add("commit %d", i)
-	return s.decide(s.envs[i]), true
-}
-
 // recordingSpot logs AdvanceTo; its state is the last slot it advanced to.
 type recordingSpot struct {
 	log  *callLog
@@ -137,9 +122,9 @@ func (r recordingObserver) OnOutcome(e *obs.OutcomeEvent) {
 func (r recordingObserver) OnFailure(e *obs.FailureEvent) { r.log.add("apply node%d", e.Node) }
 func (r recordingObserver) OnRunEnd(*obs.RunEndEvent)     { r.log.add("run_end") }
 
-// TestEngineCallDiscipline scripts one run three ways — per-bid Offer, a
-// BatchScheduler, a Speculator — and asserts the exact call sequence the
-// Engine doc comment promises.
+// TestEngineCallDiscipline scripts one run both ways — per-bid Offer and
+// a BatchScheduler — and asserts the exact call sequence the Engine doc
+// comment promises.
 func TestEngineCallDiscipline(t *testing.T) {
 	const T = 8
 	// Slot 2 carries three bids (0 and 1 need pre-processing; 1's purchase
@@ -173,24 +158,14 @@ func TestEngineCallDiscipline(t *testing.T) {
 			"outcome 0 surplus", "sink 0=0", "outcome 1 vendor-down", "sink 1=1", "outcome 2 ", "sink 2=2",
 			"advance 5", "quote 3@5", "bid 3", "batch 1", "outcome 3 surplus", "sink 3=3",
 		}, tail)},
-		{"speculate", slices.Concat(head, []string{
-			"quote 0@2", "quote 1@2", "plan 3",
-			"bid 0", "commit 0", "outcome 0 surplus", "sink 0=0",
-			"bid 1", "commit 1", "outcome 1 vendor-down", "sink 1=1",
-			"bid 2", "commit 2", "outcome 2 ", "sink 2=2",
-		}, slot5, tail)}, // a round of one bid is not worth a Plan
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
 			var log callLog
 			cl := simCluster(t, 2, timeslot.NewHorizon(T))
 			script := &scriptScheduler{log: &log, cl: cl, quotes: map[int]int{}}
 			var sched Scheduler = script
-			var spec Speculator
-			switch tc.mode {
-			case "batch":
+			if tc.mode == "batch" {
 				sched = scriptBatcher{script}
-			case "speculate":
-				spec = &scriptSpeculator{scriptScheduler: script}
 			}
 			spot := &recordingSpot{log: &log}
 			cfg := EngineConfig{
@@ -202,7 +177,7 @@ func TestEngineCallDiscipline(t *testing.T) {
 				log.add("sink %d=%d", idx, env.Task.ID)
 				sunk++
 			}
-			eng, err := NewEngine(cl, sched, spec, cfg, sink)
+			eng, err := NewEngine(cl, sched, cfg, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +214,7 @@ func TestEngineCallDiscipline(t *testing.T) {
 			cl2 := simCluster(t, 2, timeslot.NewHorizon(T))
 			script.cl = cl2
 			cfg.Spot = &recordingSpot{log: &log}
-			eng2, err := NewEngine(cl2, sched, spec, cfg, sink)
+			eng2, err := NewEngine(cl2, sched, cfg, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +240,7 @@ func TestEngineRoundObservesCancellation(t *testing.T) {
 	var log callLog
 	cl := simCluster(t, 2, timeslot.NewHorizon(8))
 	ctx, cancel := context.WithCancel(context.Background())
-	eng, err := NewEngine(cl, &scriptScheduler{log: &log, cl: cl, quotes: map[int]int{}}, nil,
+	eng, err := NewEngine(cl, &scriptScheduler{log: &log, cl: cl, quotes: map[int]int{}},
 		EngineConfig{Model: lora.GPT2Small()},
 		func(int, *schedule.TaskEnv, *schedule.Decision, time.Duration) { cancel() })
 	if err != nil {

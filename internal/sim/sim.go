@@ -165,7 +165,7 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 	events := newEventLogger(cfg.EventLog)
 	var logErr error
 	var res *Result
-	eng, err := NewEngine(cl, sched, nil, EngineConfig{
+	eng, err := NewEngine(cl, sched, EngineConfig{
 		Model: cfg.Model, Market: cfg.Market, Quotes: cfg.Quotes,
 		Failures: cfg.Failures, Spot: cfg.Spot,
 		Observer: cfg.Observer, RunLabel: cfg.RunLabel,

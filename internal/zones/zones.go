@@ -215,7 +215,7 @@ func Run(r *Router, tasks []task.Task) (*Result, error) {
 	}
 	engines := make([]*sim.Engine, len(r.zones))
 	for i, z := range r.zones {
-		eng, err := sim.NewEngine(z.Cluster, z.Scheduler, nil, sim.EngineConfig{Model: z.Model, Market: z.Market}, nil)
+		eng, err := sim.NewEngine(z.Cluster, z.Scheduler, sim.EngineConfig{Model: z.Model, Market: z.Market}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("zones: %w", err)
 		}
