@@ -83,7 +83,7 @@ bench-snapshot:
 # at 200x; 9,996 at 100x before): rejected bids' records are appended by
 # hand, but each admitted bid's plan goes through encoding/json once per
 # snapshot. Hence still two lines.
-BASELINE ?= BENCH_pr13.json
+BASELINE ?= BENCH_pr18.json
 SERVING_BASELINE ?= BENCH_serving_pr6.json
 SHARD_BASELINE ?= BENCH_shard_pr7.json
 SPOT_BASELINE ?= BENCH_spot_pr8.json

@@ -5,7 +5,9 @@ package pdftsp
 // the figure-scale wins are gated separately by `make bench-check`.
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
@@ -95,5 +97,46 @@ func TestCalibrateDualsAllocBudget(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("CalibrateDuals averaged %.1f allocs, budget is 0", allocs)
+	}
+}
+
+// TestTraceGenerateAllocBudget asserts workload generation allocates what
+// it returns and little else: at the reject-flood rate (625/slot, ~76k
+// tasks) at most 6 allocations — arrival counts, two seeded streams, the
+// tasks — within 2% of the returned slice's own bytes, which is sized
+// exactly. Grouping it by slot afterwards is one more allocation, not a
+// second copy of the workload.
+func TestTraceGenerateAllocBudget(t *testing.T) {
+	cfg := trace.DefaultConfig()
+	cfg.RatePerSlot = 625
+	var tasks []task.Task
+	generate := func() {
+		var err error
+		if tasks, err = trace.Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, generate); allocs > 6 {
+		t.Fatalf("Generate averaged %.1f allocs, budget is 6", allocs)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	generate()
+	runtime.ReadMemStats(&m1)
+	payload := uint64(len(tasks)) * uint64(unsafe.Sizeof(task.Task{}))
+	if got := m1.TotalAlloc - m0.TotalAlloc; float64(got) > 1.02*float64(payload) {
+		t.Fatalf("Generate allocated %d B to return %d B of tasks, budget is 1.02x", got, payload)
+	}
+	if cap(tasks) != len(tasks) {
+		t.Fatalf("Generate returned cap %d for %d tasks", cap(tasks), len(tasks))
+	}
+
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := trace.BySlot(tasks, cfg.Horizon.T); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("BySlot averaged %.1f allocs, budget is 1", allocs)
 	}
 }

@@ -401,17 +401,23 @@ func loadTasks(f flags, h timeslot.Horizon) ([]task.Task, error) {
 		return nil, err
 	}
 	if f.repeat > 1 {
+		// Copy r re-IDs the workload by +r·n, so emitting the copies slot
+		// by slot yields (arrival, ID) order with no sort.
+		perSlot, err := trace.BySlot(tasks, h.T)
+		if err != nil {
+			return nil, err
+		}
 		n := len(tasks)
 		out := make([]task.Task, 0, n*f.repeat)
-		out = append(out, tasks...)
-		for r := 1; r < f.repeat; r++ {
-			for i := range tasks {
-				t := tasks[i]
-				t.ID += r * n
-				out = append(out, t)
+		for _, chunk := range perSlot {
+			for r := 0; r < f.repeat; r++ {
+				for i := range chunk {
+					t := chunk[i]
+					t.ID += r * n
+					out = append(out, t)
+				}
 			}
 		}
-		sortTasks(out)
 		tasks = out
 	}
 	return tasks, nil
@@ -547,13 +553,14 @@ func run(f flags) (*report, error) {
 
 	// Group per arrival slot; the submit loop feeds slot s's bids while
 	// the broker clock sits at s, then steps.
+	perSlot, err := trace.BySlot(tasks, f.slots)
+	if err != nil {
+		return nil, err
+	}
 	maxID := 0
-	perSlot := make([][]task.Task, f.slots)
 	for i := range tasks {
-		t := tasks[i]
-		perSlot[t.Arrival] = append(perSlot[t.Arrival], t)
-		if t.ID > maxID {
-			maxID = t.ID
+		if tasks[i].ID > maxID {
+			maxID = tasks[i].ID
 		}
 	}
 	maxSlot := 0

@@ -3,6 +3,8 @@ package main
 import (
 	"testing"
 	"time"
+
+	"github.com/pdftsp/pdftsp/internal/timeslot"
 )
 
 // TestPercentilesNearestRank pins the nearest-rank definition: p-q is
@@ -73,5 +75,38 @@ func TestRetryDelay(t *testing.T) {
 		if d := retryDelay("soon", 2, false); d < 8*time.Millisecond || d >= 24*time.Millisecond {
 			t.Fatalf("real-clock fallback delay %v outside [8ms, 24ms)", d)
 		}
+	}
+}
+
+// TestRepeatKeepsArrivalIDOrder pins what -repeat emits: every copy of
+// the workload, re-IDed densely, in the (arrival, ID) order the submit
+// loop and the sim.Run twin both rely on.
+func TestRepeatKeepsArrivalIDOrder(t *testing.T) {
+	f := flags{slots: 12, rate: 5, seed: 3, arrivals: "poisson", deadlines: "medium", repeat: 1}
+	h := timeslot.NewHorizon(f.slots)
+	base, err := loadTasks(f, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.repeat = 3
+	got, err := loadTasks(f, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3*len(base) {
+		t.Fatalf("%d tasks, want %d", len(got), 3*len(base))
+	}
+	seen := make([]bool, len(got))
+	for i := range got {
+		if i > 0 && (got[i].Arrival < got[i-1].Arrival ||
+			got[i].Arrival == got[i-1].Arrival && got[i].ID <= got[i-1].ID) {
+			t.Fatalf("task %d (slot %d) follows task %d (slot %d)", got[i].ID, got[i].Arrival, got[i-1].ID, got[i-1].Arrival)
+		}
+		want := base[got[i].ID%len(base)]
+		want.ID = got[i].ID
+		if got[i] != want || seen[got[i].ID] {
+			t.Fatalf("task %d is not a fresh copy of base task %d", got[i].ID, got[i].ID%len(base))
+		}
+		seen[got[i].ID] = true
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
+	"github.com/pdftsp/pdftsp/internal/trace"
 	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
@@ -154,9 +155,9 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig, pc perfConfig) 
 		return sum, err
 	}
 	tasks := stacks[0].tasks
-	perSlot := make([][]task.Task, cfg.slots)
-	for _, tk := range tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
+	perSlot, err := trace.BySlot(tasks, cfg.slots)
+	if err != nil {
+		return sum, err
 	}
 
 	// One auditor spans every generation: its checks are per-event, so a

@@ -16,6 +16,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
+	"github.com/pdftsp/pdftsp/internal/trace"
 )
 
 // errWALChaos tags durable-intake assertion failures.
@@ -112,9 +113,9 @@ func runWALChaos(cfg stackConfig, seed int64, n int, pc perfConfig) (walChaosSum
 		return sum, err
 	}
 	tasks := firstStacks[0].tasks
-	perSlot := make([][]task.Task, cfg.slots)
-	for _, tk := range tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
+	perSlot, err := trace.BySlot(tasks, cfg.slots)
+	if err != nil {
+		return sum, err
 	}
 
 	// Build constructs one generation: fresh stacks, journaled brokers,

@@ -73,11 +73,29 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 		return best
 	}
 
+	// A vendor quote only lowers a task's net value, and both maxima move
+	// on strict >, so a task whose quote-free net value already fails to
+	// raise either one cannot matter: it is skipped before its quotes are
+	// derived. Only the few tasks that set a new running maximum pay for
+	// quotes. Tasks that Task.Validate would refuse (no work, no memory)
+	// have no density to price and are skipped rather than divided by.
 	alpha, beta := floor, floor
 	var quoteBuf [16]vendor.Quote // spills to the heap only past 16 vendors
 	for i := range tasks {
 		t := &tasks[i]
+		if t.Work <= 0 || t.MemGB <= 0 {
+			continue
+		}
 		net := t.Bid - meanUnit*float64(t.Work)
+		if net <= 0 {
+			continue
+		}
+		speed := fastest(t.Batch)
+		minSlots := (t.Work + speed - 1) / speed // ≥ 1: Work ≥ 1
+		footprint := t.MemGB * float64(minSlots)
+		if net/float64(t.Work) <= alpha && net/footprint <= beta {
+			continue
+		}
 		if t.NeedsPrep && mkt != nil {
 			cheapest := -1.0
 			for _, q := range mkt.AppendQuotes(quoteBuf[:0], t.ID) {
@@ -88,18 +106,14 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 			if cheapest > 0 {
 				net -= cheapest
 			}
-		}
-		if net <= 0 {
-			continue
+			if net <= 0 {
+				continue
+			}
 		}
 		if a := net / float64(t.Work); a > alpha {
 			alpha = a
 		}
-		minSlots := (t.Work + fastest(t.Batch) - 1) / fastest(t.Batch)
-		if minSlots < 1 {
-			minSlots = 1
-		}
-		if b := net / (t.MemGB * float64(minSlots)); b > beta {
+		if b := net / footprint; b > beta {
 			beta = b
 		}
 	}

@@ -93,8 +93,10 @@ type Options struct {
 
 // Validate reports option errors.
 func (o Options) Validate() error {
-	if o.Alpha <= 0 || o.Beta <= 0 {
-		return fmt.Errorf("core: alpha and beta must be positive, got %v/%v (Lemma 2)", o.Alpha, o.Beta)
+	// Written so that NaN fails too: an infinite or NaN coefficient would
+	// price every cell a plan touches at Inf/NaN from the first admission.
+	if !(o.Alpha > 0 && o.Beta > 0) || math.IsInf(o.Alpha, 1) || math.IsInf(o.Beta, 1) {
+		return fmt.Errorf("core: alpha and beta must be positive and finite, got %v/%v (Lemma 2)", o.Alpha, o.Beta)
 	}
 	if o.DualRule < PaperRule || o.DualRule > MultiplicativeOnly {
 		return fmt.Errorf("core: unknown dual rule %d", o.DualRule)

@@ -176,28 +176,6 @@ type ModelShare struct {
 	Weight float64
 }
 
-// pickModel selects the task's model: the single configured model, or a
-// weighted draw from Models. The returned name is empty in single-model
-// mode (the paper's setting).
-func (c Config) pickModel(rng *rand.Rand) (lora.ModelConfig, string) {
-	if len(c.Models) == 0 {
-		return c.Model, ""
-	}
-	total := 0.0
-	for _, ms := range c.Models {
-		total += ms.Weight
-	}
-	r := rng.Float64() * total
-	for _, ms := range c.Models {
-		if r < ms.Weight {
-			return ms.Model, ms.Model.Name
-		}
-		r -= ms.Weight
-	}
-	last := c.Models[len(c.Models)-1]
-	return last.Model, last.Model.Name
-}
-
 // cutoff returns the effective last arrival slot.
 func (c Config) cutoff() int {
 	if c.ArrivalCutoff > 0 {
@@ -289,80 +267,197 @@ func ArrivalCounts(cfg Config) ([]int, error) {
 // Batch and rank menus (Section 5.1 records throughput "under different
 // batch size values").
 var (
-	batchMenu = []int{4, 8, 16, 32}
-	rankMenu  = []int{4, 8, 16, 32, 64}
+	batchMenu = [4]int{4, 8, 16, 32}
+	rankMenu  = [5]int{4, 8, 16, 32, 64}
 )
 
 // Generate produces the full workload: tasks sorted by arrival slot with
-// dense IDs. The same config always generates the same workload.
+// dense IDs, in a slice of exactly that length and capacity. The same
+// config always generates the same workload — byte for byte, which
+// TestGenerateOutputPinned holds every change of this file to.
 func Generate(cfg Config) ([]task.Task, error) {
 	counts, err := ArrivalCounts(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// A second, independent stream samples task bodies so that changing
-	// the arrival process does not reshuffle task parameters.
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
-	var tasks []task.Task
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if total == 0 {
+		return nil, nil // SaveTasks writes an empty workload as null
+	}
+	g := newGenerator(&cfg)
+	tasks := make([]task.Task, total)
 	id := 0
 	for t, n := range counts {
-		for j := 0; j < n; j++ {
-			tasks = append(tasks, sampleTask(cfg, rng, id, t))
+		for ; n > 0; n-- {
+			g.sample(&tasks[id], id, t)
 			id++
 		}
 	}
 	return tasks, nil
 }
 
-// sampleTask draws one task arriving at slot t.
-func sampleTask(cfg Config, rng *rand.Rand, id, t int) task.Task {
-	model, modelName := cfg.pickModel(rng)
+// modelTable is what a task draws from once its model is picked: a task's
+// memory and reference speed depend only on (model, rank, batch), and the
+// menus hold five ranks and four batches.
+type modelTable struct {
+	name   string  // Task.ModelName; empty in single-model mode
+	weight float64 // ModelShare.Weight
+	// memGB is r_i by rank and batch menu index.
+	memGB [len(rankMenu)][len(batchMenu)]float64
+	// refSpeed is the A100's units per slot at each menu batch, at least 1.
+	refSpeed [len(batchMenu)]int
+}
+
+// generator samples task bodies for one Generate call. It holds the body
+// stream and every quantity that is constant per config, so that sampling
+// a task is seven or eight draws, two table reads and no lora arithmetic.
+//
+// The body stream is independent of the arrival stream (ArrivalCounts), so
+// changing the arrival process does not reshuffle task parameters. Per
+// task it is drawn in a fixed order — model (multi-model only), dataset
+// size, epochs, batch, rank, pre-processing, deadline slack, value — and
+// that order is the workload format: adding, dropping or reordering a
+// draw changes every later task of every seed.
+type generator struct {
+	rng *rand.Rand
+	// single is the one model of the paper's setting; multi, when
+	// non-empty, replaces it with a weighted menu (Config.Models).
+	single      modelTable
+	multi       []modelTable
+	weightTotal float64
+	// The slack factor is slackLo + U·slackSpan, the per-unit value
+	// valueLo + U·valueSpan.
+	slackLo, slackSpan float64
+	valueLo, valueSpan float64
+	prepProb           float64
+	horizon            int
+}
+
+func newGenerator(cfg *Config) generator {
+	lo, hi := cfg.Deadlines.slackRange()
+	g := generator{
+		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d)),
+		slackLo: lo, slackSpan: hi - lo,
+		valueLo: cfg.ValuePerUnitMin, valueSpan: cfg.ValuePerUnitMax - cfg.ValuePerUnitMin,
+		prepProb: cfg.PrepProb,
+		horizon:  cfg.Horizon.T,
+	}
+	if len(cfg.Models) == 0 {
+		g.single.fill(cfg.Model, cfg.Horizon)
+		return g
+	}
+	g.multi = make([]modelTable, len(cfg.Models))
+	for i, ms := range cfg.Models {
+		m := &g.multi[i]
+		m.fill(ms.Model, cfg.Horizon)
+		m.name, m.weight = ms.Model.Name, ms.Weight
+		g.weightTotal += ms.Weight
+	}
+	return g
+}
+
+func (m *modelTable) fill(model lora.ModelConfig, h timeslot.Horizon) {
+	for b, batch := range batchMenu {
+		for r, rank := range rankMenu {
+			m.memGB[r][b] = lora.TaskMemoryGB(model, rank, batch)
+		}
+		m.refSpeed[b] = lora.TaskUnitsPerSlot(model, gpu.A100, batch, h)
+		if m.refSpeed[b] < 1 {
+			m.refSpeed[b] = 1
+		}
+	}
+}
+
+// pickModel selects the task's model: the single configured model (no
+// draw), or a weighted draw from Models.
+func (g *generator) pickModel() *modelTable {
+	if len(g.multi) == 0 {
+		return &g.single
+	}
+	r := g.rng.Float64() * g.weightTotal
+	for i := range g.multi {
+		if r < g.multi[i].weight {
+			return &g.multi[i]
+		}
+		r -= g.multi[i].weight
+	}
+	return &g.multi[len(g.multi)-1]
+}
+
+// sample draws one task arriving at slot t into tk.
+func (g *generator) sample(tk *task.Task, id, t int) {
+	rng := g.rng
+	model := g.pickModel()
 	samples := 5000 + rng.Intn(15001) // U[5k, 20k] (Section 5.1)
 	epochs := 1 + rng.Intn(5)         // U{1..5}   (Section 5.1)
 	work := (samples*epochs + lora.SamplesPerUnit - 1) / lora.SamplesPerUnit
-	batch := batchMenu[rng.Intn(len(batchMenu))]
-	rank := rankMenu[rng.Intn(len(rankMenu))]
-	mem := lora.TaskMemoryGB(model, rank, batch)
-	needsPrep := rng.Float64() < cfg.PrepProb
+	b := rng.Intn(len(batchMenu))
+	r := rng.Intn(len(rankMenu))
+	needsPrep := rng.Float64() < g.prepProb
 
 	// Deadline: minimum completion slots on the fastest GPU at the
 	// task's own batch size, stretched by the policy's slack factor,
 	// plus room for pre-processing when required.
-	refSpeed := lora.TaskUnitsPerSlot(model, gpu.A100, batch, cfg.Horizon)
-	if refSpeed < 1 {
-		refSpeed = 1
-	}
-	minSlots := (work + refSpeed - 1) / refSpeed
-	lo, hi := cfg.Deadlines.slackRange()
-	factor := lo + rng.Float64()*(hi-lo)
+	minSlots := (work + model.refSpeed[b] - 1) / model.refSpeed[b]
+	factor := g.slackLo + rng.Float64()*g.slackSpan
 	deadline := t + int(math.Ceil(float64(minSlots)*factor))
 	if needsPrep {
 		deadline += 3
 	}
-	if deadline >= cfg.Horizon.T {
-		deadline = cfg.Horizon.T - 1
+	if deadline >= g.horizon {
+		deadline = g.horizon - 1
 	}
 
-	value := cfg.ValuePerUnitMin + rng.Float64()*(cfg.ValuePerUnitMax-cfg.ValuePerUnitMin)
+	value := g.valueLo + rng.Float64()*g.valueSpan
 	bid := value * float64(work)
 	if needsPrep {
 		bid += 8 // expected pre-processing reimbursement
 	}
-	return task.Task{
+	*tk = task.Task{
 		ID:             id,
 		Arrival:        t,
 		Deadline:       deadline,
 		DatasetSamples: samples,
 		Epochs:         epochs,
 		Work:           work,
-		MemGB:          mem,
-		Rank:           rank,
-		Batch:          batch,
+		MemGB:          model.memGB[r][b],
+		Rank:           rankMenu[r],
+		Batch:          batchMenu[b],
 		NeedsPrep:      needsPrep,
 		Bid:            bid,
 		TrueValue:      bid,
-		ModelName:      modelName,
+		ModelName:      model.name,
 	}
+}
+
+// BySlot groups an arrival-sorted workload by arrival slot without copying
+// it: element t is the sub-slice of tasks arriving at slot t (nil for a
+// slot with none), capped at its own length so an append cannot reach the
+// next slot's tasks. The sub-slices alias tasks; whoever needs to edit a
+// slot's tasks copies that slot. It is an error for tasks to be out of
+// arrival order or to arrive outside [0, T).
+func BySlot(tasks []task.Task, T int) ([][]task.Task, error) {
+	perSlot := make([][]task.Task, T)
+	for start := 0; start < len(tasks); {
+		a := tasks[start].Arrival
+		if a < 0 || a >= T {
+			return nil, fmt.Errorf("trace: task %d arrives at slot %d, outside [0,%d)", tasks[start].ID, a, T)
+		}
+		end := start + 1
+		for end < len(tasks) && tasks[end].Arrival == a {
+			end++
+		}
+		if end < len(tasks) && tasks[end].Arrival < a {
+			return nil, fmt.Errorf("trace: task %d (slot %d) follows slot %d: workload not sorted by arrival",
+				tasks[end].ID, tasks[end].Arrival, a)
+		}
+		perSlot[a] = tasks[start:end:end]
+		start = end
+	}
+	return perSlot, nil
 }
 
 // AlphaBeta computes the paper-literal Lemma-2 coefficients from a

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/lora"
+	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 )
 
@@ -265,5 +268,189 @@ func TestKindAndPolicyStrings(t *testing.T) {
 	}
 	if ArrivalKind(99).String() == "" || DeadlinePolicy(99).String() == "" {
 		t.Fatal("unknown enum should still stringify")
+	}
+}
+
+// digestCase is one row of the pinned-output table.
+type digestCase struct {
+	name string
+	cfg  Config
+}
+
+// digestCases spans every branch of the generator whose draws shape the
+// output: the four arrival processes × three deadline policies, single-
+// and multi-model, the PrepProb extremes, rates above poisson's 512
+// chunk (so the chunked draw order is pinned too), an explicit arrival
+// cutoff, a horizon short enough to clamp deadlines, and seeds 1/7/42.
+func digestCases() []digestCase {
+	seeds := []int64{1, 7, 42}
+	var cases []digestCase
+	i := 0
+	for _, kind := range []ArrivalKind{Poisson, MLaaSLike, PhillyLike, HeliosLike} {
+		for _, pol := range []DeadlinePolicy{TightDeadlines, MediumDeadlines, SlackDeadlines} {
+			cfg := DefaultConfig()
+			cfg.Arrivals, cfg.Deadlines = kind, pol
+			cfg.Seed = seeds[i%len(seeds)]
+			cfg.RatePerSlot = 6
+			cases = append(cases, digestCase{kind.String() + "/" + pol.String(), cfg})
+			i++
+		}
+	}
+	with := func(name string, mut func(*Config)) {
+		cfg := DefaultConfig()
+		cfg.RatePerSlot = 6
+		mut(&cfg)
+		cases = append(cases, digestCase{name, cfg})
+	}
+	models := []ModelShare{{Model: lora.GPT2Small(), Weight: 3}, {Model: lora.GPT2Medium(), Weight: 1}}
+	with("multi-model/prep0/seed1", func(c *Config) { c.Models, c.PrepProb, c.Seed = models, 0, 1 })
+	with("multi-model/prep0.5/seed7", func(c *Config) { c.Models, c.PrepProb, c.Seed = models, 0.5, 7 })
+	with("multi-model/prep1/seed42", func(c *Config) { c.Models, c.PrepProb, c.Seed = models, 1, 42 })
+	with("prep0", func(c *Config) { c.PrepProb = 0 })
+	with("prep1", func(c *Config) { c.PrepProb, c.Seed = 1, 7 })
+	with("rate625", func(c *Config) { c.RatePerSlot = 625 })
+	with("rate700/philly", func(c *Config) { c.RatePerSlot, c.Arrivals, c.Seed = 700, PhillyLike, 7 })
+	with("rate1300/mlaas", func(c *Config) { c.RatePerSlot, c.Arrivals, c.Seed = 1300, MLaaSLike, 42 })
+	with("cutoff50", func(c *Config) { c.ArrivalCutoff, c.Seed = 50, 42 })
+	with("horizon24/slack", func(c *Config) {
+		c.Horizon, c.Deadlines, c.Seed = timeslot.NewHorizon(24), SlackDeadlines, 7
+	})
+	with("values", func(c *Config) { c.ValuePerUnitMin, c.ValuePerUnitMax, c.Seed = 0.2, 3, 42 })
+	return cases
+}
+
+// digest hashes every field of every task, in order.
+func digest(tasks []task.Task) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for i := range tasks {
+		t := &tasks[i]
+		for _, v := range []int{t.ID, t.Arrival, t.Deadline, t.DatasetSamples, t.Epochs, t.Work, t.Rank, t.Batch} {
+			u64(uint64(v))
+		}
+		for _, v := range []float64{t.MemGB, t.Bid, t.TrueValue} {
+			u64(math.Float64bits(v))
+		}
+		if t.NeedsPrep {
+			u64(1)
+		} else {
+			u64(0)
+		}
+		u64(uint64(len(t.ModelName)))
+		h.Write([]byte(t.ModelName))
+	}
+	return h.Sum64()
+}
+
+// generateDigests were recorded from the commit before Generate became
+// exact-size and table-driven (PR 18). They are the workload format:
+// every figure, smoke twin and benchmark welfare in the repo is a
+// function of these bytes, so a change here is a change of experiment,
+// not of implementation.
+var generateDigests = map[string]struct {
+	n   int
+	sum uint64
+}{
+	"poisson/tight":             {694, 0xb5b9bdbfeb400816},
+	"poisson/medium":            {739, 0xf294f48a9e19cf4e},
+	"poisson/slack":             {739, 0xc640b98554cccfc3},
+	"mlaas/tight":               {763, 0x5a25a4b81a838f83},
+	"mlaas/medium":              {793, 0xce1220854484adcf},
+	"mlaas/slack":               {802, 0xd2b4494de579b843},
+	"philly/tight":              {1051, 0x18990213fc84708d},
+	"philly/medium":             {749, 0x5c87114dfd09c10a},
+	"philly/slack":              {893, 0xdeb353a6a111e93f},
+	"helios/tight":              {670, 0x52976dec3ef19e51},
+	"helios/medium":             {719, 0x24d9fbed243c0f27},
+	"helios/slack":              {716, 0x39c653e10aa0e957},
+	"multi-model/prep0/seed1":   {694, 0xba6ee71f9e1a74ac},
+	"multi-model/prep0.5/seed7": {739, 0x3b8a051062bd9cfa},
+	"multi-model/prep1/seed42":  {739, 0x521733b10146f267},
+	"prep0":                     {694, 0xc6b669f9840363a7},
+	"prep1":                     {739, 0xa762e745d0efc38e},
+	"rate625":                   {76226, 0x64752f53dc26bc14},
+	"rate700/philly":            {94389, 0xee744b238ed30979},
+	"rate1300/mlaas":            {170703, 0xd9aa92f97be621e3},
+	"cutoff50":                  {312, 0x55f25b1ba5d5166d},
+	"horizon24/slack":           {130, 0x67998381218ca84b},
+	"values":                    {739, 0x8357e9fd6e821356},
+}
+
+func TestGenerateOutputPinned(t *testing.T) {
+	cases := digestCases()
+	if len(cases) != len(generateDigests) {
+		t.Errorf("%d cases, %d recorded digests", len(cases), len(generateDigests))
+	}
+	for _, c := range cases {
+		tasks, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := generateDigests[c.name]
+		if got := digest(tasks); len(tasks) != want.n || got != want.sum {
+			t.Errorf("%q: {%d, %#016x}, recorded {%d, %#016x}", c.name, len(tasks), got, want.n, want.sum)
+		}
+	}
+}
+
+func TestBySlot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RatePerSlot = 4
+	tasks, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSlot, err := BySlot(tasks, cfg.Horizon.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(perSlot) != cfg.Horizon.T {
+		t.Fatalf("%d slots, want %d", len(perSlot), cfg.Horizon.T)
+	}
+	next := 0
+	for s, chunk := range perSlot {
+		if len(chunk) == 0 {
+			continue
+		}
+		// Zero-copy and in order: each chunk starts where the last ended,
+		// in the caller's own backing array, and cannot be appended past.
+		if &chunk[0] != &tasks[next] || cap(chunk) != len(chunk) {
+			t.Fatalf("slot %d: chunk does not alias tasks[%d:%d] exactly", s, next, next+len(chunk))
+		}
+		for i := range chunk {
+			if chunk[i].Arrival != s {
+				t.Fatalf("slot %d holds task %d arriving at %d", s, chunk[i].ID, chunk[i].Arrival)
+			}
+		}
+		next += len(chunk)
+	}
+	if next != len(tasks) {
+		t.Fatalf("slots cover %d of %d tasks", next, len(tasks))
+	}
+
+	if got, err := BySlot(nil, 3); err != nil || len(got) != 3 {
+		t.Fatalf("empty workload: %v, %v", got, err)
+	}
+	at := func(arrivals ...int) []task.Task {
+		out := make([]task.Task, len(arrivals))
+		for i, a := range arrivals {
+			out[i] = task.Task{ID: i, Arrival: a}
+		}
+		return out
+	}
+	for name, bad := range map[string][]task.Task{
+		"unsorted":          at(0, 2, 1),
+		"unsorted last":     at(1, 1, 0),
+		"negative arrival":  at(-1, 0),
+		"arrival at T":      at(0, 3),
+		"only task outside": at(7),
+	} {
+		if _, err := BySlot(bad, 3); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
