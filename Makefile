@@ -36,9 +36,12 @@ fmt-check:
 # bid, account or track a decision, surface capacity changes, or emit the
 # engine's observer events itself. Its sibling keeps the decided set one
 # packed store: the 174 B/bid map of Decisions must not come back. The
-# last clause keeps "decide" one thing: Algorithm 1's write tail (lines
+# third keeps "decide" one thing: Algorithm 1's write tail (lines
 # 7-9: dual update, ledger commit) exists once in internal/core, in
 # Offer, and neither sim nor service grows a second decide-mode back.
+# The last keeps the stages either side of the round one thing too: one
+# intake message type (submission) and one inline checkpoint and
+# decision-log writer, no user-selected background one.
 round-guard:
 	@if grep -nE '\.(Offer|BatchOffer|Account|Track|ApplyUpTo|AdvanceTo|OnBid|OnOutcome|OnRunStart|OnRunEnd)\(' \
 		$$(ls internal/service/*.go | grep -v _test); then \
@@ -51,6 +54,9 @@ round-guard:
 			echo "round-guard: internal/core has $$n call sites of $$call, want 1 (Algorithm 1's write tail lives in Offer)"; exit 1; fi; done
 	@if grep -nE 'Spec(ulator|Workers)' $$(ls internal/sim/*.go internal/service/*.go | grep -v _test); then \
 		echo "round-guard: the engine decides by Offer or BatchOffer, chosen by scheduler type"; exit 1; fi
+	@if grep -nE 'AsyncCheckpoint|pendingPool|intakeMsg' $$(ls internal/service/*.go | grep -v _test) || \
+		grep -n 'func (l \*DecisionLog) Async' internal/obs/*.go; then \
+		echo "round-guard: a bid enters as one submission and persists through one inline writer"; exit 1; fi
 
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
@@ -124,12 +130,11 @@ chaos-smoke:
 
 # load-smoke replays a short fixed-seed workload through the trace-driven
 # load generator over loopback HTTP — batched intake, binary incremental
-# checkpoints and a streamed binary decision log, both through their
-# async writers — and verifies the broker's decisions and accounting are
-# bit-identical to a sequential sim.Run of the same workload.
+# checkpoints and a streamed binary decision log — and verifies the
+# broker's decisions and accounting are bit-identical to a sequential
+# sim.Run of the same workload.
 load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -verify \
-		-async-checkpoint -async-log \
 		-checkpoint /tmp/pdftsp-load.ckpt -full-every 4 -decision-log /tmp/pdftsp-load.declog
 
 # shard-smoke exercises the multi-broker scale-out path: a two-shard

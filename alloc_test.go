@@ -5,6 +5,7 @@ package pdftsp
 // the figure-scale wins are gated separately by `make bench-check`.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -14,6 +15,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/schedule"
+	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
@@ -138,5 +140,84 @@ func TestTraceGenerateAllocBudget(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("BySlot averaged %.1f allocs, budget is 1", allocs)
+	}
+}
+
+// TestSubmitAllocBudget pins what one in-process Broker.Submit costs in
+// steady state, slot close included: the submission comes from a pool
+// with its one-bid arrays embedded, so the whole round trip — enqueue,
+// intake checks, hold, Step, a rejected offer, the answer — stays at the
+// 7 allocations measured before the single-bid path became a batch of
+// one (all of them Step's control message and the slot close; a fresh
+// submission with its two channels would make it 10). The bid is priced
+// to lose, so no plan is retained and the count does not drift as the
+// cluster fills.
+func TestSubmitAllocBudget(t *testing.T) {
+	const runs = 200
+	model := lora.GPT2Small()
+	h := timeslot.NewHorizon(runs + 16)
+	cl := benchClusterForTest(t, h, model)
+	mkt, err := vendor.Standard(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.DefaultConfig()
+	cfg.RatePerSlot = 3
+	tasks, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := core.New(cl, core.CalibrateDuals(tasks, model, cl, mkt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := service.New(service.Options{
+		Cluster: cl, Scheduler: sch, Model: model, Market: mkt,
+		VirtualClock: true, DropLosingPlans: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Kill()
+
+	bid := task.Task{ID: -1, Arrival: -1, Deadline: h.T - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 1e-9}
+	work := make(chan struct{})
+	results := make(chan error)
+	go func() {
+		for range work {
+			d, err := b.Submit(context.Background(), bid)
+			if err == nil && d.Admitted {
+				t.Error("the losing bid was admitted; the budget assumes a rejection")
+			}
+			results <- err
+		}
+	}()
+	defer close(work)
+	// Submit blocks until its slot closes, so the submitter is a second
+	// goroutine; stepping until its result is in keeps the loop correct
+	// however the two interleave (AllocsPerRun pins GOMAXPROCS to 1, where
+	// it is one Step per bid).
+	allocs := testing.AllocsPerRun(runs, func() {
+		work <- struct{}{}
+		for {
+			runtime.Gosched()
+			select {
+			case err := <-results:
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			default:
+			}
+			if _, err := b.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 7 {
+		t.Fatalf("Submit round trip averaged %.0f allocs, budget is 7", allocs)
 	}
 }

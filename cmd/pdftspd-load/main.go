@@ -91,9 +91,6 @@ type flags struct {
 	decLog       string
 	keepPlans    bool
 
-	asyncCkpt bool
-	asyncLog  bool
-
 	cpuProfile string
 	memProfile string
 
@@ -129,8 +126,6 @@ func main() {
 	flag.IntVar(&f.walSyncEvery, "wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch)")
 	flag.StringVar(&f.decLog, "decision-log", "", "stream the binary decision log to this path")
 	flag.BoolVar(&f.keepPlans, "keep-losing-plans", false, "retain rejected bids' candidate plans (more memory)")
-	flag.BoolVar(&f.asyncCkpt, "async-checkpoint", false, "move checkpoint file writes off the core goroutine (double-buffered, backpressured)")
-	flag.BoolVar(&f.asyncLog, "async-log", false, "move decision-log writes onto a background writer (double-buffered, backpressured)")
 	flag.StringVar(&f.cpuProfile, "profile", "", "write a CPU profile of the whole run to this path")
 	flag.StringVar(&f.memProfile, "memprofile", "", "write a heap profile at the end of the run to this path")
 	flag.IntVar(&f.shards, "shards", 1, "partition the cluster into this many shard brokers behind the dual-price router")
@@ -581,9 +576,6 @@ func run(f flags) (*report, error) {
 		if decLog, err = obs.NewDecisionLogFile(f.decLog); err != nil {
 			return nil, err
 		}
-		if f.asyncLog {
-			decLog.Async()
-		}
 		observers = append(observers, decLog)
 	}
 
@@ -608,7 +600,6 @@ func run(f flags) (*report, error) {
 			Observer:            obs.Multi(observers...),
 			RunLabel:            "pdftspd-load",
 			DropLosingPlans:     !f.keepPlans,
-			AsyncCheckpoint:     f.asyncCkpt,
 		}
 		if f.shards > 1 {
 			opts.RunLabel = fmt.Sprintf("pdftspd-load/%d", i)

@@ -78,7 +78,7 @@ func locateDecision(a service.Auctioneer, id int) (schedule.Decision, int, bool,
 //
 // The same seed always yields the same schedule and the same final
 // state, so a chaos failure is replayable with the flags that produced it.
-func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig, pc perfConfig) (chaosSummary, error) {
+func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, error) {
 	var sum chaosSummary
 	// A quick horizon unless the user overrode the defaults.
 	if cfg.slots == timeslot.DefaultHorizonSlots {
@@ -181,7 +181,6 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig, pc perfConfig) 
 			CheckpointFault:     ckptFault,
 			Observer:            auditor,
 			RunLabel:            fmt.Sprintf("chaos/%d", i),
-			AsyncCheckpoint:     pc.asyncCkpt,
 		}
 		prov, err := sc.provider(st.cl, cfg.slots, i)
 		if err != nil {

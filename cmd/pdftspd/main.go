@@ -91,7 +91,6 @@ func main() {
 	spotLease := flag.Int("spot-lease", 0, "spot lease length in slots (0 = provider default)")
 	spotPredictive := flag.Bool("spot-predictive", false, "admission uses the trace's future quotes and known reclaims instead of the current quote")
 	spotSmoke := flag.Bool("spot-smoke", false, "run the spot-tier self-test (chaos harness + lease/revocation activity, monolithic and 2-shard) and exit")
-	asyncCkpt := flag.Bool("async-checkpoint", false, "write checkpoints on a dedicated goroutine (serialized synchronously; at most 2 writes in flight)")
 	flag.Parse()
 	if *shards < 1 {
 		fail("-shards must be >= 1")
@@ -100,7 +99,6 @@ func main() {
 		nodes: *spotNodes, budget: *spotBudget, seed: *spotSeed,
 		discount: *spotDiscount, leaseLen: *spotLease, predictive: *spotPredictive,
 	}
-	pc := perfConfig{asyncCkpt: *asyncCkpt}
 
 	var observers []obs.Observer
 	var jsonlSink *obs.JSONL
@@ -152,7 +150,7 @@ func main() {
 		return
 	}
 	if *spotSmoke {
-		if err := runSpotSmoke(cfg, *spotSeed, sc, pc); err != nil {
+		if err := runSpotSmoke(cfg, *spotSeed, sc); err != nil {
 			fail("spot-smoke: %v", err)
 		}
 		fmt.Println("spot-smoke: elastic spot tier rented, was revoked, and survived chaos bit-identical to sim.Run (monolithic and 2-shard)")
@@ -160,7 +158,7 @@ func main() {
 		return
 	}
 	if *chaos >= 0 {
-		if _, err := runChaos(cfg, *chaos, *shards, sc, pc); err != nil {
+		if _, err := runChaos(cfg, *chaos, *shards, sc); err != nil {
 			fail("chaos: %v", err)
 		}
 		if *shards > 1 {
@@ -172,7 +170,7 @@ func main() {
 		return
 	}
 	if *walChaos >= 0 {
-		if _, err := runWALChaos(cfg, *walChaos, *shards, pc); err != nil {
+		if _, err := runWALChaos(cfg, *walChaos, *shards); err != nil {
 			fail("wal-chaos: %v", err)
 		}
 		fmt.Printf("wal-smoke(seed %d, %d shard(s)): every acked bid survived ack-boundary kills, torn journals, and supervised recovery, bit-identical to sim.Run\n", *walChaos, *shards)
@@ -184,7 +182,7 @@ func main() {
 		addr: *addr, virtual: *virtual, slotDur: *slotDur, queue: *queue,
 		ckpt: *ckpt, ckptEvery: *ckptEvery, fullEvery: *fullEvery,
 		restore: *restore, serveDebug: *serveDebug, observer: observer,
-		perf: pc, wal: *wal, walSyncEvery: *walSyncEvery, supervise: *supervise,
+		wal: *wal, walSyncEvery: *walSyncEvery, supervise: *supervise,
 	}
 	a, totalNodes, err := buildAuctioneer(cfg, *shards, sc, so)
 	if err != nil {
@@ -214,14 +212,6 @@ func finishObs(j *obs.JSONL, a *obs.Audit, d *obs.DecisionLog) {
 		}
 		fmt.Fprintln(os.Stderr, "audit: zero invariant violations")
 	}
-}
-
-// perfConfig carries the serving-performance knob (ISSUE 9) into every
-// harness. It defaults off and does not change auction output — the
-// async checkpoint serializes synchronously — so every self-test may run
-// with it on and still diff bit-identical against sim.Run.
-type perfConfig struct {
-	asyncCkpt bool
 }
 
 // stackConfig captures the flags an auction stack is built from; the

@@ -28,7 +28,6 @@ type serveOpts struct {
 	restore      bool
 	serveDebug   string
 	observer     obs.Observer
-	perf         perfConfig
 	wal          bool
 	walSyncEvery int
 	supervise    bool
@@ -56,7 +55,6 @@ func shardSpecs(stacks []*stack, sc spotConfig, o serveOpts) ([]service.ShardSpe
 			CheckpointFullEvery: o.fullEvery,
 			Observer:            o.observer,
 			RunLabel:            fmt.Sprintf("pdftspd/%d", i),
-			AsyncCheckpoint:     o.perf.asyncCkpt,
 		}
 		if o.ckpt != "" {
 			opts.CheckpointPath = fmt.Sprintf("%s.shard%d", o.ckpt, i)
@@ -109,7 +107,6 @@ func buildAuctioneer(cfg stackConfig, n int, sc spotConfig, o serveOpts) (servic
 			CheckpointEvery:     o.ckptEvery,
 			CheckpointFullEvery: o.fullEvery,
 			Observer:            o.observer,
-			AsyncCheckpoint:     o.perf.asyncCkpt,
 		}
 		if o.wal {
 			opts.WALPath = service.WALPath(o.ckpt)

@@ -19,28 +19,23 @@ func TestSmokeMatrix(t *testing.T) {
 		arrivals: "poisson", deadlines: "medium", vendors: 5, seed: 1,
 	}
 	sc := spotConfig{seed: 11}
-	var seq perfConfig
-
-	chaos := func(seed int64, shards int, pc perfConfig) func() error {
-		return func() error { _, err := runChaos(cfg, seed, shards, sc, pc); return err }
+	chaos := func(seed int64, shards int) func() error {
+		return func() error { _, err := runChaos(cfg, seed, shards, sc); return err }
 	}
 	walChaos := func(seed int64, shards int) func() error {
-		return func() error { _, err := runWALChaos(cfg, seed, shards, seq); return err }
+		return func() error { _, err := runWALChaos(cfg, seed, shards); return err }
 	}
 	for _, tc := range []struct {
 		name string
 		run  func() error
 	}{
 		{"serve-smoke", func() error { return runSmoke(cfg) }},
-		{"chaos-1", chaos(1, 1, seq)},
-		{"chaos-7", chaos(7, 1, seq)},
-		{"chaos-42", chaos(42, 1, seq)},
-		{"chaos-1-shards-2", chaos(1, 2, seq)},
-		{"chaos-7-shards-4", chaos(7, 4, seq)},
-		// Not in the Makefile: the same kills and restores with checkpoints
-		// written by the async writer.
-		{"chaos-7-async-ckpt", chaos(7, 1, perfConfig{asyncCkpt: true})},
-		{"spot-smoke", func() error { return runSpotSmoke(cfg, sc.seed, sc, seq) }},
+		{"chaos-1", chaos(1, 1)},
+		{"chaos-7", chaos(7, 1)},
+		{"chaos-42", chaos(42, 1)},
+		{"chaos-1-shards-2", chaos(1, 2)},
+		{"chaos-7-shards-4", chaos(7, 4)},
+		{"spot-smoke", func() error { return runSpotSmoke(cfg, sc.seed, sc) }},
 		{"wal-chaos-1", walChaos(1, 1)},
 		{"wal-chaos-7-shards-2", walChaos(7, 2)},
 	} {

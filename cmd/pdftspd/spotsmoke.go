@@ -15,7 +15,7 @@ import (
 // have rented node-slots and the market must have reclaimed at least
 // one live lease, so the revocation → outage → refund/re-plan path is
 // exercised end to end, not just compiled.
-func runSpotSmoke(cfg stackConfig, seed int64, sc spotConfig, pc perfConfig) error {
+func runSpotSmoke(cfg stackConfig, seed int64, sc spotConfig) error {
 	if !sc.enabled() {
 		sc.nodes = 1
 	}
@@ -31,7 +31,7 @@ func runSpotSmoke(cfg stackConfig, seed int64, sc spotConfig, pc perfConfig) err
 	sc.seed = seed
 
 	for _, n := range []int{1, 2} {
-		sum, err := runChaos(cfg, seed, n, sc, pc)
+		sum, err := runChaos(cfg, seed, n, sc)
 		if err != nil {
 			return fmt.Errorf("%d shard(s): %w", n, err)
 		}

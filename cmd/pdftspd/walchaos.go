@@ -62,7 +62,7 @@ type walChaosSummary struct {
 // The final state must be bit-identical — decisions, welfare, revenue,
 // duals, ledgers — to a sequential sim.Run of the acked stream on twin
 // stacks, broker by broker: durability may cost latency, never outcome.
-func runWALChaos(cfg stackConfig, seed int64, n int, pc perfConfig) (walChaosSummary, error) {
+func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 	var sum walChaosSummary
 	if cfg.slots == timeslot.DefaultHorizonSlots {
 		cfg.slots = 24
@@ -147,7 +147,6 @@ func runWALChaos(cfg stackConfig, seed int64, n int, pc perfConfig) (walChaosSum
 				CheckpointFullEvery: 4,
 				WALPath:             service.WALPath(ckptPaths[i]),
 				RunLabel:            fmt.Sprintf("wal-chaos/%d", i),
-				AsyncCheckpoint:     pc.asyncCkpt,
 			}
 		}
 		var a service.Auctioneer

@@ -44,7 +44,6 @@ func Suite() []Bench {
 		{Name: "FigWorkload/parallel", Func: FigWorkloadParallel},
 		{Name: "FigTruthfulness/sequential", Func: FigTruthfulnessSequential},
 		{Name: "FigTruthfulness/parallel", Func: FigTruthfulnessParallel},
-		{Name: "ServeBid/unbatched", Func: ServeBidUnbatched, MultiCore: true},
 		{Name: "ServeBid/batched-1", Func: ServeBidBatched1, MultiCore: true},
 		{Name: "ServeBid/batched-16", Func: ServeBidBatched16, MultiCore: true},
 		{Name: "ServeBid/batched-256", Func: ServeBidBatched256, MultiCore: true},
@@ -60,7 +59,6 @@ func Suite() []Bench {
 		{Name: "CheckpointPerSlot/none", Func: CheckpointPerSlotNone, MultiCore: true},
 		{Name: "CheckpointPerSlot/json-full", Func: CheckpointPerSlotJSONFull, MultiCore: true},
 		{Name: "CheckpointPerSlot/binary-delta", Func: CheckpointPerSlotBinaryDelta, MultiCore: true},
-		{Name: "CheckpointPerSlot/binary-delta-async", Func: CheckpointPerSlotBinaryDeltaAsync, MultiCore: true},
 		{Name: "WALAppend/sync-1", Func: WALAppendSync1, MultiCore: true},
 		{Name: "WALAppend/sync-64", Func: WALAppendSync64, MultiCore: true},
 		{Name: "SpotAdvance", Func: SpotAdvance},

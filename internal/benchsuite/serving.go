@@ -1,7 +1,6 @@
 package benchsuite
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"testing"
@@ -20,10 +19,10 @@ import (
 )
 
 // The serving benchmarks measure the broker's wire path — the
-// intake→decision loop pdftspd-load drives at scale — at its two
-// granularities: one bid per submission (the original JSON/unbatched
-// path) versus slot-coalesced batches with pooled codecs and binary
-// sinks. One op is one served bid for the ServeBid pair, one codec call
+// intake→decision loop pdftspd-load drives at scale — across batch
+// sizes: one bid per submission (batched-1, which is the single-bid
+// path) up to slot-coalesced batches, with pooled codecs and binary
+// sinks. One op is one served bid for the ServeBid rows, one codec call
 // for the codec pairs, and one closed slot for the checkpoint trio.
 
 // servingSlots bounds a serving broker's horizon; a benchmark that
@@ -84,11 +83,10 @@ func retimeTask(t task.Task, id, slot int) task.Task {
 	return t
 }
 
-// servingBroker builds a virtual-clock broker on the bench cluster;
-// asyncCkpt moves checkpoint file I/O off the core goroutine. Trailing
-// mutators adjust the options for variants (the WAL rows) without
-// widening every call site.
-func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.Observer, asyncCkpt bool, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
+// servingBroker builds a virtual-clock broker on the bench cluster.
+// Trailing mutators adjust the options for variants (the WAL rows)
+// without widening every call site.
+func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.Observer, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
 	b.Helper()
 	model, h := benchServingModel()
 	cl := benchServingCluster(b, h, model)
@@ -109,7 +107,6 @@ func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.
 		Observer:            observer,
 		RunLabel:            "bench",
 		DropLosingPlans:     true,
-		AsyncCheckpoint:     asyncCkpt,
 	}
 	for _, m := range mut {
 		m(&bo)
@@ -124,59 +121,6 @@ func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.
 	return broker, tasks
 }
 
-// ServeBidUnbatched is the baseline serving path — the wire loop the
-// batch fast path replaced: every bid decoded from its own JSON request
-// through a fresh json.Decoder (how the handler read request bodies),
-// submitted on its own (SubmitAsync, one pending and one response
-// channel each), and its decision written through a fresh json.Encoder
-// (the old writeJSON).
-func ServeBidUnbatched(b *testing.B) {
-	broker, tasks := servingBroker(b, "", 0, nil, false)
-	defer broker.Kill()
-	payloads := bidPayloads(b, tasks, 1, false)
-	var (
-		chans = make([]<-chan service.Outcome, 0, servingBidsPerSlot)
-		slot  int
-		id    = 1 << 20
-	)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var req service.BidRequest
-		dec := json.NewDecoder(bytes.NewReader(payloads[i%len(payloads)]))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			b.Fatal(err)
-		}
-		t := retimeTask(req.Task(), id, slot)
-		id++
-		ch, err := broker.SubmitAsync(nil, t)
-		if err != nil {
-			b.Fatal(err)
-		}
-		chans = append(chans, ch)
-		if len(chans) == servingBidsPerSlot || i == b.N-1 {
-			slot = stepServing(b, broker, slot, func() { broker, tasks = rebuildServing(b, broker, "", 0, nil, false) })
-			for _, ch := range chans {
-				out := <-ch
-				if out.Err != nil {
-					b.Fatal(out.Err)
-				}
-				resp := service.DecisionResponse{
-					TaskID:   out.Decision.TaskID,
-					Admitted: out.Decision.Admitted,
-					Payment:  out.Decision.Payment,
-					Reason:   out.Decision.Reason,
-				}
-				if err := json.NewEncoder(io.Discard).Encode(&resp); err != nil {
-					b.Fatal(err)
-				}
-			}
-			chans = chans[:0]
-		}
-	}
-}
-
 // serveBidBatched is the fast path at a fixed batch size: one pooled
 // decode per batch, one SubmitBatchAck per batch, one slot close per
 // batch, decisions streamed through the reflection-free encoder by an
@@ -186,9 +130,9 @@ func ServeBidUnbatched(b *testing.B) {
 // where coalescing stops paying.
 func serveBidBatched(b *testing.B, size int) {
 	enc := &encodingObserver{}
-	broker, tasks := servingBroker(b, "", 0, enc, false)
+	broker, tasks := servingBroker(b, "", 0, enc)
 	defer broker.Kill()
-	payloads := bidPayloads(b, tasks, size, true)
+	payloads := bidPayloads(b, tasks, size)
 	var (
 		reqs     []service.BidRequest
 		batch    = make([]task.Task, 0, size)
@@ -223,7 +167,7 @@ func serveBidBatched(b *testing.B, size int) {
 		}
 		n += k
 		slot = stepServing(b, broker, slot, func() {
-			broker, tasks = rebuildServing(b, broker, "", 0, enc, false)
+			broker, tasks = rebuildServing(b, broker, "", 0, enc)
 		})
 	}
 }
@@ -269,17 +213,16 @@ func stepServing(b *testing.B, broker *service.Broker, slot int, rebuild func())
 	return slot
 }
 
-func rebuildServing(b *testing.B, old *service.Broker, checkpoint string, fullEvery int, observer obs.Observer, asyncCkpt bool, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
+func rebuildServing(b *testing.B, old *service.Broker, checkpoint string, fullEvery int, observer obs.Observer, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
 	b.Helper()
 	old.Kill()
-	return servingBroker(b, checkpoint, fullEvery, observer, asyncCkpt, mut...)
+	return servingBroker(b, checkpoint, fullEvery, observer, mut...)
 }
 
 // bidPayloads renders wire JSON for batches of size k from the bench
-// workload — the request bodies the decode benchmarks replay. asArray
-// forces the batch-endpoint shape even at k == 1; without it a k of 1
-// renders the single-object body the unbatched endpoint reads.
-func bidPayloads(b *testing.B, tasks []task.Task, k int, asArray bool) [][]byte {
+// workload — the batch-endpoint request bodies the serving and decode
+// benchmarks replay.
+func bidPayloads(b *testing.B, tasks []task.Task, k int) [][]byte {
 	b.Helper()
 	if len(tasks) < k {
 		b.Fatalf("bench workload too small: %d tasks, need %d", len(tasks), k)
@@ -295,13 +238,7 @@ func bidPayloads(b *testing.B, tasks []task.Task, k int, asArray bool) [][]byte 
 				DatasetSamples: t.DatasetSamples, Epochs: t.Epochs, ModelName: t.ModelName,
 			}
 		}
-		var data []byte
-		var err error
-		if k == 1 && !asArray {
-			data, err = json.Marshal(&reqs[0])
-		} else {
-			data, err = json.Marshal(reqs)
-		}
+		data, err := json.Marshal(reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,7 +281,7 @@ func servingPayloads(b *testing.B) [][]byte {
 	model, h := benchServingModel()
 	cl := benchServingCluster(b, h, model)
 	_, tasks, _ := benchServingStack(b, model, cl)
-	return bidPayloads(b, tasks, servingBidsPerSlot, true)
+	return bidPayloads(b, tasks, servingBidsPerSlot)
 }
 
 // DecisionEncodeStdJSON marshals one decision response via
@@ -422,13 +359,11 @@ func DecisionLogBinary(b *testing.B) {
 }
 
 // checkpointPerSlot measures one slot-close round (64 bids) under a
-// checkpoint cadence: none, a full JSON snapshot every slot, binary
-// per-slot deltas under a distant full boundary, or the same deltas
-// with the file I/O handed to the async writer goroutine.
+// checkpoint cadence: none, a full JSON snapshot every slot, or binary
+// per-slot deltas under a distant full boundary.
 func checkpointPerSlot(b *testing.B, mode string) {
 	path := ""
 	fullEvery := 0
-	async := false
 	switch mode {
 	case "none":
 	case "json-full":
@@ -437,12 +372,8 @@ func checkpointPerSlot(b *testing.B, mode string) {
 	case "binary-delta":
 		path = b.TempDir() + "/bench.ckpt"
 		fullEvery = 1 << 30
-	case "binary-delta-async":
-		path = b.TempDir() + "/bench.ckpt"
-		fullEvery = 1 << 30
-		async = true
 	}
-	broker, tasks := servingBroker(b, path, fullEvery, nil, async)
+	broker, tasks := servingBroker(b, path, fullEvery, nil)
 	defer broker.Kill()
 	batch := make([]task.Task, servingBidsPerSlot)
 	verdicts := make([]error, servingBidsPerSlot)
@@ -459,7 +390,7 @@ func checkpointPerSlot(b *testing.B, mode string) {
 			b.Fatal(err)
 		}
 		slot = stepServing(b, broker, slot, func() {
-			broker, tasks = rebuildServing(b, broker, path, fullEvery, nil, async)
+			broker, tasks = rebuildServing(b, broker, path, fullEvery, nil)
 		})
 	}
 }
@@ -474,16 +405,11 @@ func CheckpointPerSlotJSONFull(b *testing.B) { checkpointPerSlot(b, "json-full")
 // CheckpointPerSlotBinaryDelta appends one binary delta per slot close.
 func CheckpointPerSlotBinaryDelta(b *testing.B) { checkpointPerSlot(b, "binary-delta") }
 
-// CheckpointPerSlotBinaryDeltaAsync appends the same deltas through the
-// async writer: serialization stays on the core goroutine, the write
-// and fsync-adjacent file work overlap with the next auction round.
-func CheckpointPerSlotBinaryDeltaAsync(b *testing.B) { checkpointPerSlot(b, "binary-delta-async") }
-
 // SlotCloseSequential measures one full slot close — 64 bids submitted,
 // the slot stepped, every decision priced on the core goroutine. One op
 // is one closed slot.
 func SlotCloseSequential(b *testing.B) {
-	broker, tasks := servingBroker(b, "", 0, nil, false)
+	broker, tasks := servingBroker(b, "", 0, nil)
 	defer broker.Kill()
 	batch := make([]task.Task, servingBidsPerSlot)
 	verdicts := make([]error, servingBidsPerSlot)
@@ -515,7 +441,7 @@ func SlotCloseSequential(b *testing.B) {
 			b.Fatal(err)
 		}
 		slot = stepServing(b, broker, slot, func() {
-			broker, tasks = rebuildServing(b, broker, "", 0, nil, false)
+			broker, tasks = rebuildServing(b, broker, "", 0, nil)
 		})
 	}
 }

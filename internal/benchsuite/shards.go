@@ -122,7 +122,7 @@ func servingFleet(b *testing.B) (*service.Shards, []task.Task) {
 func ServeBidSharded(b *testing.B) {
 	fleet, tasks := servingFleet(b)
 	defer fleet.Kill()
-	payloads := bidPayloads(b, tasks, servingBidsPerSlot, true)
+	payloads := bidPayloads(b, tasks, servingBidsPerSlot)
 	var (
 		reqs     []service.BidRequest
 		batch    = make([]task.Task, 0, servingBidsPerSlot)

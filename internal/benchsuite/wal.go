@@ -24,7 +24,7 @@ func walPerSlot(b *testing.B, syncEvery int) {
 		o.WALSyncEvery = syncEvery
 	}
 	const fullEvery = 1 << 30 // deltas only, as in the binary-delta control
-	broker, tasks := servingBroker(b, path, fullEvery, nil, false, withWAL)
+	broker, tasks := servingBroker(b, path, fullEvery, nil, withWAL)
 	defer broker.Kill()
 	batch := make([]task.Task, servingBidsPerSlot)
 	verdicts := make([]error, servingBidsPerSlot)
@@ -46,7 +46,7 @@ func walPerSlot(b *testing.B, syncEvery int) {
 			}
 		}
 		slot = stepServing(b, broker, slot, func() {
-			broker, tasks = rebuildServing(b, broker, path, fullEvery, nil, false, withWAL)
+			broker, tasks = rebuildServing(b, broker, path, fullEvery, nil, withWAL)
 		})
 	}
 	b.StopTimer()

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // DecisionLog is a streamed binary sink for the outcome stream — the
@@ -32,24 +31,8 @@ type DecisionLog struct {
 	count int64
 	err   error
 
-	// Async pipeline (see Async): encoded records accumulate in pending;
-	// a filled buffer hands off to the writer goroutine while the freed
-	// one refills — double buffering with blocking handoff as the
-	// backpressure. werr carries the writer's first error (it cannot
-	// touch err: the producer may hold mu while blocked on the handoff).
-	pending []byte
-	handoff chan []byte
-	free    chan []byte
-	wg      sync.WaitGroup
-	werr    atomic.Value
-
 	Base
 }
-
-// declogChunk is the async mode's handoff threshold: records accumulate
-// until the staging buffer holds this many bytes, then the buffer swaps
-// to the writer goroutine in one Write.
-const declogChunk = 1 << 15
 
 // declogMagic opens every decision log.
 var declogMagic = []byte("PDFTSPL\x01")
@@ -79,64 +62,6 @@ func NewDecisionLogFile(path string) (*DecisionLog, error) {
 	return l, nil
 }
 
-// Async moves the log's file writes onto a background goroutine:
-// OnOutcome appends its encoded record to an in-memory staging buffer,
-// and a filled buffer swaps to the writer while the freed one refills.
-// The hot path stops paying for bufio flushes entirely; when the disk
-// falls behind, the swap blocks — bounded memory, with backpressure
-// landing on the emitting goroutine exactly like a slow synchronous
-// write would. OnRunEnd and Close drain the pipeline before flushing,
-// so a completed log's bytes are identical to the synchronous mode's.
-// Call it once, before the first event; it returns l for chaining.
-func (l *DecisionLog) Async() *DecisionLog {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.handoff != nil {
-		return l
-	}
-	l.handoff = make(chan []byte)
-	// Capacity 2: both buffers can be on the writer's side at drain time
-	// (one handed off, one already freed), and its deposit must not block.
-	l.free = make(chan []byte, 2)
-	l.free <- make([]byte, 0, declogChunk+1024)
-	l.pending = make([]byte, 0, declogChunk+1024)
-	l.wg.Add(1)
-	go l.writerLoop()
-	return l
-}
-
-// writerLoop drains handed-off buffers into the underlying writer.
-func (l *DecisionLog) writerLoop() {
-	defer l.wg.Done()
-	var first error
-	for buf := range l.handoff {
-		if _, err := l.w.Write(buf); err != nil && first == nil {
-			first = err
-			l.werr.Store(err)
-		}
-		l.free <- buf[:0]
-	}
-}
-
-// stopAsync drains the pipeline and retires the writer goroutine; the
-// caller holds mu. Subsequent writes fall back to the synchronous path.
-func (l *DecisionLog) stopAsync() {
-	if l.handoff == nil {
-		return
-	}
-	if len(l.pending) > 0 {
-		l.handoff <- l.pending
-	}
-	close(l.handoff)
-	l.wg.Wait()
-	l.handoff = nil
-	l.free = nil
-	l.pending = nil
-	if e, ok := l.werr.Load().(error); ok && l.err == nil {
-		l.err = e
-	}
-}
-
 // Count returns the number of outcome records written so far.
 func (l *DecisionLog) Count() int64 {
 	l.mu.Lock()
@@ -148,20 +73,13 @@ func (l *DecisionLog) Count() int64 {
 func (l *DecisionLog) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if e, ok := l.werr.Load().(error); ok {
-		return e
-	}
-	return nil
+	return l.err
 }
 
 // Close flushes and closes the underlying file (if the log owns one).
 func (l *DecisionLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.stopAsync()
 	ferr := l.w.Flush()
 	if l.err == nil {
 		l.err = ferr
@@ -177,14 +95,6 @@ func (l *DecisionLog) Close() error {
 }
 
 func (l *DecisionLog) write(p []byte) {
-	if l.handoff != nil {
-		l.pending = append(l.pending, p...)
-		if len(l.pending) >= declogChunk {
-			l.handoff <- l.pending
-			l.pending = <-l.free
-		}
-		return
-	}
 	if _, err := l.w.Write(p); err != nil && l.err == nil {
 		l.err = err
 	}
@@ -237,7 +147,6 @@ func (l *DecisionLog) OnOutcome(e *OutcomeEvent) {
 func (l *DecisionLog) OnRunEnd(e *RunEndEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.stopAsync() // run over: drain the pipeline, then append directly
 	b := append(l.buf[:0], declogRunEnd)
 	b = dlF64(b, e.Welfare)
 	b = dlF64(b, e.Revenue)

@@ -74,6 +74,17 @@ var (
 	_ Auctioneer = (*Supervisor)(nil)
 )
 
+// submitOne is Submit for the Auctioneers that route or retry: the one bid
+// goes through SubmitBatch, which already carries their routing refusals
+// and replay resolution.
+func submitOne(ctx context.Context, a Auctioneer, t task.Task) (schedule.Decision, error) {
+	outs, err := a.SubmitBatch(ctx, []task.Task{t})
+	if err != nil {
+		return schedule.Decision{}, err
+	}
+	return outs[0].Decision, outs[0].Err
+}
+
 // statusPayload serves the monolithic broker's Status on /v1/status.
 func (b *Broker) statusPayload() (any, error) { return b.Status() }
 

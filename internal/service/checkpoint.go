@@ -96,10 +96,11 @@ func WriteCheckpoint(path string, ck *Checkpoint) error {
 	return writeCheckpointBytes(path, data, nil)
 }
 
-// writeCheckpointBytes writes the snapshot tmp + rename; a non-nil guard
-// runs at the last gate before the rename, so a broker superseded while
-// this write was stalled refuses to publish its stale snapshot over the
-// successor's.
+// writeCheckpointBytes writes the snapshot tmp + fsync + rename + directory
+// fsync, so that when it returns nil the snapshot survives power loss — the
+// caller rotates the journal on that promise. A non-nil guard runs at the
+// last gate before the rename, so a broker superseded while this write was
+// stalled refuses to publish its stale snapshot over the successor's.
 func writeCheckpointBytes(path string, data []byte, guard func() error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
@@ -107,7 +108,11 @@ func writeCheckpointBytes(path string, data []byte, guard func() error) error {
 		return fmt.Errorf("service: checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("service: checkpoint write: %w", err)
 	}
@@ -121,6 +126,19 @@ func writeCheckpointBytes(path string, data []byte, guard func() error) error {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("service: checkpoint rename: %w", err)
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making a rename or create inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("service: checkpoint dir: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("service: checkpoint dir sync: %w", err)
 	}
 	return nil
 }

@@ -5,30 +5,26 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 )
 
 // Checkpoint writing. The core goroutine serializes every checkpoint at
 // slot close — the bytes capture exactly that slot's state — and hands
-// them to the one ckptWriter as a job: the tmp+rename of a full snapshot
-// (which also re-keys or removes the delta sidecar) or one appended delta
-// record. Without Options.AsyncCheckpoint the job runs then and there;
-// with it, a dedicated goroutine runs the jobs in staging order and the
-// file I/O overlaps the next auction round.
+// them to the one ckptWriter as a job, which runs then and there: the
+// tmp+rename of a full snapshot (which also re-keys or removes the delta
+// sidecar) or one appended delta record. There is no second, background
+// writer: measured against this one it won 21 of 44 interleaved pairs
+// (EXPERIMENTS.md, "Why there is one writer").
 //
-// The async pipeline is bounded at two in-flight writes: before staging a
-// new checkpoint the broker harvests completions until at most one write
-// remains outstanding, so a slot cannot close until the write staged two
-// checkpoints ago has landed. Two staging buffers rotate under that
-// bound — the buffer being refilled always belongs to a completed write.
-//
-// Delta shadows and the decision store's saved mark advance at stage
-// time. If the write fails, what was staged against them never made it
-// into a consistent chain, so folding the failure marks the chain broken
-// (wroteFull = false): the next checkpoint is forced full and restates
-// everything the lost records carried. After a failed append the record
-// may be half on disk, so the writer stops extending the chain and fails
-// subsequent delta jobs fast until a full snapshot re-keys it.
+// Delta shadows and the decision store's saved mark advance when the job
+// is staged, immediately before it runs. If the write fails, what was
+// staged against them never made it into a consistent chain, so the
+// failure marks the chain broken (wroteFull = false): the next
+// checkpoint is forced full and restates everything the lost records
+// carried. After a failed append the record may be half on disk, so the
+// writer stops extending the chain and fails subsequent delta jobs fast
+// until a full snapshot re-keys it.
 
 // ckptJob is one staged checkpoint write.
 type ckptJob struct {
@@ -42,54 +38,18 @@ type ckptJob struct {
 	sidecarHdr []byte
 }
 
-// ckptDone reports one completed write back to the core goroutine.
-type ckptDone struct {
-	slot int
-	err  error
-}
-
 // ckptWriter performs the writes and owns the sidecar file handle for the
-// broker's lifetime. In async mode jobs flow to its goroutine and
-// completions flow back, the core goroutine tracking how many are in
-// flight; both channels hold the full pipeline bound, so neither side
-// ever blocks except at the intended backpressure points.
+// broker's lifetime.
 type ckptWriter struct {
-	path     string // the checkpoint file; the sidecar is DeltaPath(path)
-	async    bool
-	jobs     chan ckptJob
-	done     chan ckptDone
-	inflight int
-	sidecar  *os.File
-	// bufs are the rotating delta staging buffers; full snapshots use
-	// json.Marshal's fresh allocation instead.
-	bufs [2][]byte
-	cur  int
-	// stall, when set, delays each write — the backpressure tests' hook.
+	path    string // the checkpoint file; the sidecar is DeltaPath(path)
+	sidecar *os.File
+	// stall, when set, delays each write — the supersession test's hook.
 	stall func(slot int, full bool)
 	// superseded is the owning broker's supersession flag: a job whose
 	// write stalled across a supervisor swap (the wedge scenario) must
 	// fail instead of renaming a stale snapshot over the successor's
 	// checkpoint or scribbling on its sidecar.
 	superseded *atomic.Bool
-}
-
-func newCkptWriter(path string, async bool, stall func(slot int, full bool), superseded *atomic.Bool) *ckptWriter {
-	w := &ckptWriter{path: path, async: async, stall: stall, superseded: superseded}
-	if async {
-		w.jobs = make(chan ckptJob, 2)
-		w.done = make(chan ckptDone, 2)
-		go w.run()
-	}
-	return w
-}
-
-// run is the writer goroutine; it exits (closing done) when the jobs
-// channel closes.
-func (w *ckptWriter) run() {
-	for j := range w.jobs {
-		w.done <- ckptDone{slot: j.slot, err: w.exec(j)}
-	}
-	close(w.done)
 }
 
 func (w *ckptWriter) closeSidecar() {
@@ -106,7 +66,8 @@ func (w *ckptWriter) guard() error {
 	return nil
 }
 
-// exec performs one write.
+// exec performs one write and makes it durable: the caller lets the
+// journal forget what the checkpoint covers as soon as this returns nil.
 func (w *ckptWriter) exec(j ckptJob) error {
 	if w.stall != nil {
 		w.stall(j.slot, j.full)
@@ -122,7 +83,11 @@ func (w *ckptWriter) exec(j ckptJob) error {
 		if w.sidecar == nil {
 			return fmt.Errorf("service: delta chain broken by an earlier write failure")
 		}
-		if _, err := w.sidecar.Write(j.data); err != nil {
+		_, err := w.sidecar.Write(j.data)
+		if err == nil {
+			err = w.sidecar.Sync()
+		}
+		if err != nil {
 			// The record may be half on disk; nothing appended after it
 			// would replay, so stop extending the chain.
 			w.closeSidecar()
@@ -145,7 +110,13 @@ func (w *ckptWriter) exec(j ckptJob) error {
 	if err != nil {
 		return fmt.Errorf("service: delta sidecar: %w", err)
 	}
-	if _, err := f.Write(j.sidecarHdr); err != nil {
+	_, err = f.Write(j.sidecarHdr)
+	if err == nil {
+		// The file's bytes are fsynced with each delta record; its
+		// directory entry must be durable before the first of them is.
+		err = syncDir(filepath.Dir(w.path))
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("service: delta header: %w", err)
 	}
@@ -166,11 +137,6 @@ func (b *Broker) writeCheckpoint() {
 	// zombie must not rename its stale snapshot over that one's progress.
 	if b.opts.CheckpointPath == "" || b.superseded.Load() {
 		return
-	}
-	w := b.ckptW
-	b.reapCkpt(false)
-	for w.inflight > 1 {
-		b.reapCkpt(true)
 	}
 	if f := b.opts.CheckpointFault; f != nil {
 		if err := f(b.slot); err != nil {
@@ -198,50 +164,12 @@ func (b *Broker) writeCheckpoint() {
 		b.wroteFull = true
 		b.sinceFull = 0
 	} else {
-		h, p := b.buildDelta()
-		buf := append(w.bufs[w.cur][:0], h...)
-		buf = append(buf, p...)
-		w.bufs[w.cur] = buf
-		w.cur ^= 1
-		job.data = buf
+		job.data = b.buildDelta()
 		b.sinceFull++
 	}
 	b.decisions.markSaved()
-	if !w.async {
-		b.foldCkptDone(ckptDone{slot: job.slot, err: w.exec(job)})
-		return
-	}
-	w.jobs <- job
-	w.inflight++
-}
-
-// reapCkpt folds completed async writes into the broker's durability
-// state, one pipeline stage after they were staged. With block set it
-// waits for at least one completion (the backpressure point); it then
-// drains whatever else already finished.
-func (b *Broker) reapCkpt(block bool) {
-	w := b.ckptW
-	for w.inflight > 0 {
-		var d ckptDone
-		if block {
-			d = <-w.done
-			block = false
-		} else {
-			select {
-			case d = <-w.done:
-			default:
-				return
-			}
-		}
-		w.inflight--
-		b.foldCkptDone(d)
-	}
-}
-
-// foldCkptDone applies one completion's verdict.
-func (b *Broker) foldCkptDone(d ckptDone) {
-	if d.err != nil {
-		b.ckptErr = d.err
+	if err := b.ckptW.exec(job); err != nil {
+		b.ckptErr = err
 		b.ckptFails++
 		// The on-disk chain no longer extends cleanly; force the next
 		// checkpoint to restate everything as a full snapshot.
@@ -250,28 +178,11 @@ func (b *Broker) foldCkptDone(d ckptDone) {
 	}
 	b.ckptErr = nil
 	b.ckptFails = 0
-	b.ckptSlot = d.slot
-	// The persisted chain covers decisions before d.slot (which may trail
-	// b.slot by the pipeline depth); rotation keeps every journal chunk
-	// with an arrival at or past it — held bids and bids decided since.
-	b.rotateWAL(d.slot)
-}
-
-// closeCkptWriter flushes the pipeline and stops the writer; loop
-// teardown calls it so every staged write lands (or surfaces its
-// failure) before the broker reports done.
-func (b *Broker) closeCkptWriter() {
-	w := b.ckptW
-	if w == nil {
-		return
-	}
-	if w.async {
-		close(w.jobs)
-		for d := range w.done {
-			w.inflight--
-			b.foldCkptDone(d)
-		}
-	}
-	w.closeSidecar() // the writer goroutine, if any, has exited
-	b.ckptW = nil
+	b.ckptSlot = job.slot
+	// exec returned with the snapshot (and its directory entry) or the
+	// delta record fsynced, so the journal may now forget every arrival
+	// the chain covers. That order — checkpoint durable, then journal
+	// rewritten — holds by reading exec: no unit test can observe an fsync
+	// until the persistence layer has a filesystem seam (ROADMAP item 2).
+	b.rotateWAL(job.slot)
 }

@@ -65,8 +65,8 @@ type deltaShadows struct {
 // ckptwriter.go), and the scratch a record is built in.
 type deltaWriter struct {
 	deltaShadows
-	buf  []byte // payload scratch, reused across slots
-	head []byte // frame-header scratch
+	buf   []byte // payload scratch, reused across slots
+	frame []byte // the framed record: header, then the payload again
 }
 
 // sidecarHeader builds the delta-sidecar header pinning the chain to
@@ -98,13 +98,13 @@ func (b *Broker) shadows() deltaShadows {
 	return st
 }
 
-// buildDelta serializes one CRC-framed delta record (frame header and
-// payload, both in the deltaWriter's reusable scratch) and re-bases the
+// buildDelta serializes one CRC-framed delta record (frame header plus
+// payload, in the deltaWriter's reusable scratch) and re-bases the
 // shadows on the state it carried. Core-goroutine only.
-func (b *Broker) buildDelta() (h, p []byte) {
+func (b *Broker) buildDelta() []byte {
 	w := &b.deltas
 	res := b.eng.Result()
-	p = w.buf[:0]
+	p := w.buf[:0]
 	p = appendInt(p, b.slot)
 	p = appendInt(p, b.nextID)
 	p = appendInt(p, b.canceled)
@@ -143,11 +143,10 @@ func (b *Broker) buildDelta() (h, p []byte) {
 	p = appendIfChanged(p, w.failJSON, cur.failJSON)
 	p = appendIfChanged(p, w.spotJSON, cur.spotJSON)
 
-	h = w.head[:0]
-	h = appendU64(h, uint64(len(p)))
+	h := appendU64(w.frame[:0], uint64(len(p)))
 	h = binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(p))
-	w.head, w.buf, w.deltaShadows = h, p, cur
-	return h, p
+	w.frame, w.buf, w.deltaShadows = append(h, p...), p, cur
+	return w.frame
 }
 
 // Flag bits of an encoded decision; the fields a flag guards are zero

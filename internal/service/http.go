@@ -158,7 +158,6 @@ var errBadRequest = errors.New("service: bad request")
 // steady-state decode/encode path stop allocating per request.
 type httpScratch struct {
 	body     []byte
-	req      BidRequest
 	reqs     []BidRequest
 	tasks    []task.Task
 	verdicts []error
@@ -185,7 +184,7 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// decodeBid strictly decodes one wire bid into req, reusing it.
+// decodeBid strictly decodes one wire bid into req, overwriting it.
 func decodeBid(data []byte, req *BidRequest) error {
 	*req = BidRequest{}
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -291,8 +290,8 @@ func (s *Shards) Handler() http.Handler { return apiHandler(s) }
 
 // apiHandler is the one HTTP facade, generic over the Auctioneer:
 //
-//	POST /v1/bids            submit a bid; blocks until its slot closes,
-//	                         responds with the irrevocable decision
+//	POST /v1/bids            submit a bid (a batch of one); blocks until its
+//	                         slot closes, responds with the irrevocable decision
 //	POST /v1/bids/batch      submit a JSON array of bids as one intake
 //	                         message; ?ack=1 returns after intake instead
 //	                         of waiting for the decisions
@@ -315,8 +314,8 @@ func (s *Shards) Handler() http.Handler { return apiHandler(s) }
 // {"error": ...} shape.
 func apiHandler(a Auctioneer) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/bids", func(w http.ResponseWriter, r *http.Request) { handleBid(a, w, r) })
-	mux.HandleFunc("POST /v1/bids/batch", func(w http.ResponseWriter, r *http.Request) { handleBidBatch(a, w, r) })
+	mux.HandleFunc("POST /v1/bids", func(w http.ResponseWriter, r *http.Request) { handleBids(a, w, r, true) })
+	mux.HandleFunc("POST /v1/bids/batch", func(w http.ResponseWriter, r *http.Request) { handleBids(a, w, r, false) })
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) { handleStatus(a, w, r) })
 	mux.HandleFunc("GET /v1/decisions/{id}", func(w http.ResponseWriter, r *http.Request) { handleDecision(a, w, r) })
 	mux.HandleFunc("POST /v1/clock/step", func(w http.ResponseWriter, r *http.Request) { handleStep(a, w, r) })
@@ -397,21 +396,63 @@ func (b *Broker) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-func handleBid(a Auctioneer, w http.ResponseWriter, r *http.Request) {
+// handleBids serves both bid endpoints; the bids go to the fleet as one
+// coalesced intake message (a sharded fleet partitions it by the
+// dual-price placement rule and fans the slices out concurrently).
+//
+// POST /v1/bids/batch takes a JSON array of the /v1/bids wire shape. By
+// default it blocks until every held bid's slot has closed and responds
+// with one decision (or per-bid error) object per input, positionally.
+// With ?ack=1 it returns as soon as the intake verdicts are known —
+// {"task_id": n} per held bid (IDs the broker assigned included), plus an
+// "error" field for refusals — and the decisions are later readable from
+// /v1/decisions or an observer sink. Per-bid failures ride inside a 200;
+// whole-batch failures (malformed JSON, a full intake channel, a stopping
+// broker) use the same status codes as /v1/bids.
+//
+// POST /v1/bids (single) is the batch of one: its object is decoded
+// strictly, and the answer is the decision object itself or the bid's
+// refusal as the response status.
+func handleBids(a Auctioneer, w http.ResponseWriter, r *http.Request, single bool) {
 	sc := scratchPool.Get().(*httpScratch)
-	defer scratchPool.Put(sc)
 	var err error
-	if sc.body, err = readBody(r.Body, sc.body[:0]); err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
-		return
+	if sc.body, err = readBody(r.Body, sc.body[:0]); err == nil {
+		if single {
+			sc.reqs = append(sc.reqs[:0], BidRequest{})
+			err = decodeBid(sc.body, &sc.reqs[0])
+		} else {
+			err = decodeBids(sc.body, &sc.reqs)
+		}
 	}
-	if err := decodeBid(sc.body, &sc.req); err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
-		return
-	}
-	t := sc.req.task()
-	d, err := a.Submit(r.Context(), t)
 	if err != nil {
+		scratchPool.Put(sc)
+		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
+		return
+	}
+	sc.tasks = sc.tasks[:0]
+	for i := range sc.reqs {
+		sc.tasks = append(sc.tasks, sc.reqs[i].task())
+	}
+	var outs []Outcome
+	ack := !single && r.URL.Query().Get("ack") != ""
+	if ack {
+		sc.verdicts = sc.verdicts[:0]
+		for range sc.tasks {
+			sc.verdicts = append(sc.verdicts, nil)
+		}
+		_, err = a.SubmitBatchAck(r.Context(), sc.tasks, sc.verdicts)
+	} else {
+		outs, err = a.SubmitBatch(r.Context(), sc.tasks)
+		if err == nil && single {
+			err = outs[0].Err
+		}
+	}
+	if err != nil {
+		// On a context error the core goroutine may still own the
+		// task/verdict slices; retire this scratch instead of pooling.
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			scratchPool.Put(sc)
+		}
 		if errors.Is(err, ErrQueueFull) {
 			// Overload sheds rather than queues unboundedly; tell the
 			// client when capacity plausibly returns (next slot close).
@@ -420,106 +461,39 @@ func handleBid(a Auctioneer, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	sc.out = appendDecisionJSON(sc.out[:0], d.TaskID, &d)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.out)
-}
-
-// handleBidBatch is POST /v1/bids/batch: a JSON array of the /v1/bids
-// wire shape, submitted to the fleet as one coalesced intake message
-// (a sharded fleet partitions it by the dual-price placement rule and
-// fans the slices out concurrently). By default it blocks like /v1/bids
-// and responds with one decision (or per-bid error) object per input,
-// positionally. With ?ack=1 it returns as soon as the intake verdicts
-// are known — {"task_id": n} per held bid (IDs the broker assigned
-// included), plus an "error" field for refusals — and the decisions are
-// later readable from /v1/decisions or an observer sink. Per-bid
-// failures ride inside a 200; whole-batch failures (malformed JSON, a
-// full intake channel, a stopping broker) use the same status codes as
-// /v1/bids.
-func handleBidBatch(a Auctioneer, w http.ResponseWriter, r *http.Request) {
-	sc := scratchPool.Get().(*httpScratch)
-	reuse := true
-	defer func() {
-		if reuse {
-			scratchPool.Put(sc)
-		}
-	}()
-	var err error
-	if sc.body, err = readBody(r.Body, sc.body[:0]); err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
-		return
-	}
-	if err := decodeBids(sc.body, &sc.reqs); err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
-		return
-	}
-	sc.tasks = sc.tasks[:0]
-	for i := range sc.reqs {
-		sc.tasks = append(sc.tasks, sc.reqs[i].task())
-	}
-	ctx := r.Context()
-	if r.URL.Query().Get("ack") != "" {
-		sc.verdicts = sc.verdicts[:0]
-		for range sc.tasks {
-			sc.verdicts = append(sc.verdicts, nil)
-		}
-		if _, err := a.SubmitBatchAck(ctx, sc.tasks, sc.verdicts); err != nil {
-			// On a context error the core goroutine may still own the
-			// task/verdict slices; retire this scratch instead of pooling.
-			reuse = !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-			if errors.Is(err, ErrQueueFull) {
-				w.Header().Set("Retry-After", a.retryAfter())
-			}
-			writeErr(w, err)
-			return
-		}
-		out := append(sc.out[:0], '[')
+	out := sc.out[:0]
+	if single {
+		out = appendDecisionJSON(out, outs[0].Decision.TaskID, &outs[0].Decision)
+	} else {
+		out = append(out, '[')
 		for i := range sc.tasks {
 			if i > 0 {
 				out = append(out, ',')
 			}
+			var refusal error
+			if ack {
+				refusal = sc.verdicts[i]
+			} else if refusal = outs[i].Err; refusal == nil {
+				out = appendDecisionJSON(out, outs[i].Decision.TaskID, &outs[i].Decision)
+				continue
+			}
+			// A held ack-only bid or a refusal: the (possibly assigned) ID,
+			// plus the reason when there is one.
 			out = append(out, `{"task_id":`...)
 			out = strconv.AppendInt(out, int64(sc.tasks[i].ID), 10)
-			if v := sc.verdicts[i]; v != nil {
+			if refusal != nil {
 				out = append(out, `,"error":`...)
-				out = strconv.AppendQuote(out, v.Error())
+				out = strconv.AppendQuote(out, refusal.Error())
 			}
 			out = append(out, '}')
 		}
-		sc.out = append(out, ']')
-	} else {
-		outs, err := a.SubmitBatch(ctx, sc.tasks)
-		if err != nil {
-			reuse = !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-			if errors.Is(err, ErrQueueFull) {
-				w.Header().Set("Retry-After", a.retryAfter())
-			}
-			writeErr(w, err)
-			return
-		}
-		out := append(sc.out[:0], '[')
-		for i := range outs {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			if outs[i].Err != nil {
-				out = append(out, `{"task_id":`...)
-				out = strconv.AppendInt(out, int64(sc.tasks[i].ID), 10)
-				out = append(out, `,"error":`...)
-				out = strconv.AppendQuote(out, outs[i].Err.Error())
-				out = append(out, '}')
-				continue
-			}
-			d := outs[i].Decision
-			out = appendDecisionJSON(out, d.TaskID, &d)
-		}
-		sc.out = append(out, ']')
+		out = append(out, ']')
 	}
+	sc.out = out
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(sc.out)
+	w.Write(out)
+	scratchPool.Put(sc)
 }
 
 func handleStatus(a Auctioneer, w http.ResponseWriter, r *http.Request) {
@@ -560,7 +534,8 @@ func handleStep(a Auctioneer, w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Slots int `json:"slots"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// An empty body is {}: omitted slots means one.
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
 	}

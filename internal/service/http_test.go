@@ -92,6 +92,11 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if step["slot"] != 1 {
 		t.Fatalf("step: %v", step)
 	}
+	// An empty body means one slot, like an omitted "slots".
+	httpJSON(t, srv, "POST", "/v1/clock/step", nil, http.StatusOK, &step)
+	if step["slot"] != 2 {
+		t.Fatalf("empty-body step: %v", step)
+	}
 	var dec DecisionResponse
 	select {
 	case dec = <-decCh:

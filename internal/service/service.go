@@ -30,6 +30,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -163,18 +164,6 @@ type Options struct {
 	// after which /healthz reports degraded (bids keep flowing either
 	// way). Default 3.
 	DegradeAfter int
-	// AsyncCheckpoint moves checkpoint file I/O (full JSON snapshots and
-	// binary delta appends) off the core goroutine onto a dedicated
-	// writer: the bytes are still serialized synchronously at slot close
-	// (so they capture exactly that slot's state), but the disk write
-	// overlaps the next round. Backpressure bounds the pipeline at two
-	// in-flight writes — a slot cannot close until the write staged two
-	// checkpoints ago has landed. Write failures surface through the same
-	// Status/ckpt-failure counters and degraded-mode rules as the
-	// synchronous path, one harvest later; any failure forces the next
-	// checkpoint to be a full snapshot so the on-disk chain restates
-	// everything a lost delta carried.
-	AsyncCheckpoint bool
 	// WALPath, when non-empty, journals every held bid to a CRC-framed
 	// write-ahead log before its intake ack releases, closing the
 	// ack-to-slot-close durability gap: an acked bid survives a crash and
@@ -229,67 +218,85 @@ type Outcome struct {
 	Err      error
 }
 
-// pending is one accepted bid awaiting its slot's auction round.
-type pending struct {
-	task task.Task
-	ctx  context.Context
-	// ack reports the intake verdict (held, or why not); buffered so the
-	// core loop never blocks on a departed submitter.
-	ack chan error
-	// resp delivers the outcome; buffered for the same reason.
-	resp chan Outcome
-}
-
-// pendingPool recycles Submit's pending objects (channels included):
-// the synchronous path fully consumes both channels before returning,
-// so a recycled pending is always empty. SubmitAsync hands resp to the
-// caller and therefore always allocates fresh.
-var pendingPool = sync.Pool{New: func() any {
-	return &pending{ack: make(chan error, 1), resp: make(chan Outcome, 1)}
-}}
-
-func putPending(p *pending) {
-	p.task = task.Task{}
-	p.ctx = nil
-	pendingPool.Put(p)
-}
-
-// batchSub is one SubmitBatch/SubmitBatchAck call: many bids, one
+// submission is one intake message: the bids of one Submit, SubmitAsync,
+// SubmitBatch or SubmitBatchAck call, handed to the core goroutine in one
 // channel send. The core goroutine writes intake verdicts (and, for the
-// collecting form, decisions) into caller-provided slices; the ack/done
-// channels provide the happens-before edges that make those writes
-// visible without locks.
-type batchSub struct {
+// collecting forms, decisions) into the submission's slices; the ack and
+// completion channels provide the happens-before edges that make those
+// writes visible without locks.
+type submission struct {
 	tasks []task.Task
 	ctx   context.Context
-	// outcomes collects per-bid results for SubmitBatch; nil in ack-only
-	// mode, where verdicts receives the intake verdicts instead.
+	// outcomes collects per-bid results for the collecting forms; nil in
+	// ack-only mode, where verdicts receives the intake verdicts instead.
 	outcomes []Outcome
 	verdicts []error
 	// ack fires once intake verdicts are recorded (a non-nil value is a
-	// whole-batch refusal: drain/kill caught the batch in the channel).
+	// whole-submission refusal: drain/kill caught it in the channel);
+	// buffered so the core loop never blocks on a departed submitter.
 	ack chan error
-	// done fires once every held bid of a collecting batch has its
-	// outcome; remaining counts down on the core goroutine.
-	done      chan struct{}
+	// held is how many bids intake held, fixed before the ack; remaining
+	// counts a collecting submission's unanswered bids down on the core
+	// goroutine, and the last answer signals done (always nil) — or, for
+	// SubmitAsync, delivers the one outcome on resp. Both are buffered
+	// for the same reason ack is.
+	held      int
 	remaining int
+	done      chan error
+	resp      chan Outcome
+	// The one-bid forms point tasks/outcomes at these, so a single bid
+	// costs no slice allocations.
+	task1 [1]task.Task
+	out1  [1]Outcome
 }
 
-// heldBid is one bid awaiting its arrival slot's auction round. Exactly
-// one of p / bs is set (or neither, for bids adopted from a batch whose
-// submitter only wanted acks).
+// one returns sub as a collecting submission of the single bid t.
+func (sub *submission) one(t task.Task) *submission {
+	sub.task1[0], sub.out1[0] = t, Outcome{}
+	sub.tasks, sub.outcomes = sub.task1[:], sub.out1[:]
+	return sub
+}
+
+// verdict is where bid i's intake verdict is reported.
+func (sub *submission) verdict(i int) *error {
+	if sub.outcomes != nil {
+		return &sub.outcomes[i].Err
+	}
+	return &sub.verdicts[i]
+}
+
+// complete signals that every bid of a collecting submission is answered.
+func (sub *submission) complete() {
+	if sub.resp != nil {
+		sub.resp <- sub.outcomes[0]
+		return
+	}
+	sub.done <- nil
+}
+
+// submissionPool recycles Submit's submissions (channels included): a
+// completed synchronous call has consumed the ack and the completion, so
+// a recycled submission is always empty. The other forms hand slices or a
+// channel to their caller and allocate fresh.
+var submissionPool = sync.Pool{New: func() any {
+	return &submission{ack: make(chan error, 1), done: make(chan error, 1)}
+}}
+
+// maxBidID bounds the IDs a submitter may choose (2^53-1 on 64-bit
+// platforms, every integer a JSON client's float64 holds exactly). The
+// broker assigns omitted IDs upward from the largest ID seen, so whatever
+// a submitter picks, the range above the bound is left to assign from: no
+// chosen ID can exhaust it or wrap nextID.
+const maxBidID = math.MaxInt >> 10
+
+// heldBid is one bid awaiting its arrival slot's auction round. sub is the
+// collecting submission waiting for its outcome at outcomes[idx]; nil when
+// nobody is (an ack-only submission, a bid replayed from the journal).
 type heldBid struct {
 	task task.Task
 	ctx  context.Context
-	p    *pending
-	bs   *batchSub
-	idx  int // index into bs.outcomes/bs.verdicts
-}
-
-// intakeMsg is one intake-channel message: a single bid or a batch.
-type intakeMsg struct {
-	p  *pending
-	bs *batchSub
+	sub  *submission
+	idx  int
 }
 
 // Broker is the long-lived auction service. All auction state — duals,
@@ -306,7 +313,7 @@ type Broker struct {
 	// the only code that offers a bid to the scheduler.
 	eng *sim.Engine
 
-	intake chan intakeMsg
+	intake chan *submission
 	ctl    chan func()
 	done   chan struct{}
 
@@ -362,9 +369,8 @@ type Broker struct {
 	// ckptFails counts consecutive checkpoint-write failures; reaching
 	// Options.DegradeAfter flips /healthz to degraded.
 	ckptFails int
-	// ckptW performs the checkpoint writes (on its own goroutine with
-	// Options.AsyncCheckpoint); ckptStall, when set before Start, delays
-	// each write — the backpressure tests' stall hook.
+	// ckptW performs the checkpoint writes; ckptStall, when set before
+	// Start, delays each write — the supersession test's stall hook.
 	ckptW     *ckptWriter
 	ckptStall func(slot int, full bool)
 	// wal is the open bid journal (Options.WALPath); the replay counters
@@ -391,7 +397,7 @@ func New(opts Options) (*Broker, error) {
 		cl:        opts.Cluster,
 		sched:     opts.Scheduler,
 		horizon:   opts.Cluster.Horizon(),
-		intake:    make(chan intakeMsg, opts.QueueSize),
+		intake:    make(chan *submission, opts.QueueSize),
 		ctl:       make(chan func()),
 		done:      make(chan struct{}),
 		held:      map[int][]heldBid{},
@@ -427,9 +433,7 @@ func (b *Broker) Start() error {
 	}
 	b.started = true
 	b.eng.Start()
-	if b.opts.CheckpointPath != "" {
-		b.ckptW = newCkptWriter(b.opts.CheckpointPath, b.opts.AsyncCheckpoint, b.ckptStall, &b.superseded)
-	}
+	b.ckptW = &ckptWriter{path: b.opts.CheckpointPath, stall: b.ckptStall, superseded: &b.superseded}
 	go b.loop()
 	return nil
 }
@@ -446,89 +450,39 @@ func (b *Broker) Done() <-chan struct{} { return b.done }
 // Arrival is stamped with the current slot ("bid now"); a negative ID is
 // assigned the next free one (readable from the returned outcome).
 func (b *Broker) SubmitAsync(ctx context.Context, t task.Task) (<-chan Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	sub := (&submission{ack: make(chan error, 1), resp: make(chan Outcome, 1)}).one(t)
+	if err := b.submit(ctx, sub); err != nil {
+		return nil, err
 	}
-	p := &pending{task: t, ctx: ctx, ack: make(chan error, 1), resp: make(chan Outcome, 1)}
-	select {
-	case b.intake <- intakeMsg{p: p}:
-	case <-b.done:
-		return nil, b.closeErr()
-	default:
-		b.chanFull429.Add(1)
-		return nil, ErrChannelFull
+	if sub.held == 0 {
+		// Refused at intake: the verdict is final, nothing will answer it.
+		return nil, sub.out1[0].Err
 	}
-	select {
-	case err := <-p.ack:
-		if err != nil {
-			return nil, err
-		}
-		return p.resp, nil
-	case <-ctx.Done():
-		// The core loop may still hold the bid; its context check at
-		// round time skips it.
-		return nil, ctx.Err()
-	case <-b.done:
-		return nil, b.closeErr()
-	}
+	return sub.resp, nil
 }
 
-// Submit is SubmitAsync plus the wait: it blocks until the bid's slot
-// closes and returns the irrevocable decision. ctx bounds the whole
-// round trip — a canceled bid is skipped if its round has not run yet
-// (decisions already made are irrevocable and remain queryable via
-// DecisionFor). Unlike SubmitAsync, the synchronous form recycles its
-// intake object through a pool: both channels are fully consumed before
-// returning, so steady-state Submit traffic allocates nothing on the
-// intake path.
+// Submit is the one-bid submission plus the wait: it blocks until the
+// bid's slot closes and returns the irrevocable decision. ctx bounds the
+// whole round trip — a canceled bid is skipped if its round has not run
+// yet (decisions already made are irrevocable and remain queryable via
+// DecisionFor). Its submission comes from a pool with the one-element
+// task and outcome arrays embedded, so steady-state Submit traffic
+// allocates nothing on the intake path.
 func (b *Broker) Submit(ctx context.Context, t task.Task) (schedule.Decision, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	sub := submissionPool.Get().(*submission).one(t)
+	err := b.submit(ctx, sub)
+	if err == nil {
+		err = b.wait(sub, sub.done)
 	}
-	p := pendingPool.Get().(*pending)
-	p.task, p.ctx = t, ctx
-	select {
-	case b.intake <- intakeMsg{p: p}:
-	case <-b.done:
-		putPending(p)
-		return schedule.Decision{}, b.closeErr()
-	default:
-		putPending(p)
-		b.chanFull429.Add(1)
-		return schedule.Decision{}, ErrChannelFull
-	}
-	select {
-	case err := <-p.ack:
-		if err != nil {
-			// Refused at intake: no outcome will follow, both channels are
-			// empty again.
-			putPending(p)
-			return schedule.Decision{}, err
-		}
-	case <-ctx.Done():
-		// The core loop still owns p (it answers resp at round time or
+	if err != nil {
+		// The core loop may still own sub (it answers at round time or
 		// shutdown); the object retires instead of recycling.
-		return schedule.Decision{}, ctx.Err()
-	case <-b.done:
-		return schedule.Decision{}, b.closeErr()
+		return schedule.Decision{}, err
 	}
-	select {
-	case out := <-p.resp:
-		putPending(p)
-		return out.Decision, out.Err
-	case <-ctx.Done():
-		return schedule.Decision{}, ctx.Err()
-	case <-b.done:
-		// Shutdown answers every held bid before closing done, so the
-		// refusal outcome is already buffered; drain it and recycle.
-		select {
-		case out := <-p.resp:
-			putPending(p)
-			return out.Decision, out.Err
-		default:
-			return schedule.Decision{}, b.closeErr()
-		}
-	}
+	out := sub.out1[0]
+	sub.one(task.Task{}).ctx = nil // a pooled submission pins nothing
+	submissionPool.Put(sub)
+	return out.Decision, out.Err
 }
 
 // SubmitBatch hands a whole slice of bids to the broker in one intake
@@ -542,39 +496,25 @@ func (b *Broker) Submit(ctx context.Context, t task.Task) (schedule.Decision, er
 // slice is invalid in that case.
 //
 // Compared with n Submit calls, a batch costs one channel send and one
-// ack wait regardless of n, and the per-bid bookkeeping lives in two
-// caller-visible slices instead of n heap-allocated pendings.
+// ack wait regardless of n.
 func (b *Broker) SubmitBatch(ctx context.Context, tasks []task.Task) ([]Outcome, error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	bs := &batchSub{
+	sub := &submission{
 		tasks:    tasks,
-		ctx:      ctx,
 		outcomes: make([]Outcome, len(tasks)),
 		ack:      make(chan error, 1),
-		done:     make(chan struct{}),
+		done:     make(chan error, 1),
 	}
-	if err := b.sendBatch(ctx, bs); err != nil {
+	err := b.submit(ctx, sub)
+	if err == nil {
+		err = b.wait(sub, sub.done)
+	}
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-bs.done:
-		return bs.outcomes, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-b.done:
-		// Shutdown answered every held bid before closing done.
-		select {
-		case <-bs.done:
-			return bs.outcomes, nil
-		default:
-			return nil, b.closeErr()
-		}
-	}
+	return sub.outcomes, nil
 }
 
 // SubmitBatchAck is the fire-and-forget half of SubmitBatch: it returns
@@ -591,37 +531,47 @@ func (b *Broker) SubmitBatchAck(ctx context.Context, tasks []task.Task, verdicts
 	if len(verdicts) != len(tasks) {
 		return 0, fmt.Errorf("service: verdicts len %d, want %d", len(verdicts), len(tasks))
 	}
+	sub := &submission{tasks: tasks, verdicts: verdicts, ack: make(chan error, 1)}
+	if err := b.submit(ctx, sub); err != nil {
+		return 0, err
+	}
+	return sub.held, nil
+}
+
+// submit hands sub to the core goroutine under ctx and waits for its
+// intake ack.
+func (b *Broker) submit(ctx context.Context, sub *submission) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	bs := &batchSub{tasks: tasks, ctx: ctx, verdicts: verdicts, ack: make(chan error, 1)}
-	if err := b.sendBatch(ctx, bs); err != nil {
-		return 0, err
-	}
-	return bs.remaining, nil
-}
-
-// sendBatch performs the channel send and the ack wait shared by both
-// batch forms.
-func (b *Broker) sendBatch(ctx context.Context, bs *batchSub) error {
+	sub.ctx = ctx
 	select {
-	case b.intake <- intakeMsg{bs: bs}:
+	case b.intake <- sub:
 	case <-b.done:
 		return b.closeErr()
 	default:
 		b.chanFull429.Add(1)
 		return ErrChannelFull
 	}
+	return b.wait(sub, sub.ack)
+}
+
+// wait receives a sent submission's ack or completion from ch, unless its
+// ctx ends or the broker stops first.
+func (b *Broker) wait(sub *submission, ch <-chan error) error {
 	select {
-	case err := <-bs.ack:
+	case err := <-ch:
 		return err
-	case <-ctx.Done():
-		return ctx.Err()
+	case <-sub.ctx.Done():
+		// The core loop may still hold the bids; its context check at
+		// round time skips them.
+		return sub.ctx.Err()
 	case <-b.done:
-		// The loop acks every message it dequeues while stopping; the
-		// message was sent, so the ack is in flight or buffered.
+		// While stopping, the loop acks every message it dequeues and
+		// answers every held bid before closing done: the value is
+		// buffered by now, or was never coming.
 		select {
-		case err := <-bs.ack:
+		case err := <-ch:
 			return err
 		default:
 			return b.closeErr()
@@ -995,8 +945,8 @@ func (b *Broker) loop() {
 	}
 	for {
 		select {
-		case m := <-b.intake:
-			b.intakeRecv(m)
+		case sub := <-b.intake:
+			b.intakeRecv(sub)
 		case f := <-b.ctl:
 			f()
 		case <-tick:
@@ -1006,7 +956,7 @@ func (b *Broker) loop() {
 		}
 		if b.killed {
 			b.refuseHeld(ErrClosed)
-			b.closeCkptWriter()
+			b.ckptW.closeSidecar()
 			b.closeWAL()
 			return
 		}
@@ -1017,7 +967,7 @@ func (b *Broker) loop() {
 			// submitters never see the ErrDraining answer).
 			b.refuseHeld(ErrDraining)
 			b.writeCheckpoint()
-			b.closeCkptWriter()
+			b.ckptW.closeSidecar()
 			b.closeWAL()
 			b.eng.Finish(false)
 			return
@@ -1025,19 +975,16 @@ func (b *Broker) loop() {
 	}
 }
 
-// answer delivers hb's outcome to whoever is waiting on it (if anyone).
+// answer delivers hb's outcome to the submission collecting it, if any.
 func (b *Broker) answer(hb *heldBid, out Outcome) {
-	switch {
-	case hb.p != nil:
-		hb.p.resp <- out
-	case hb.bs != nil:
-		if hb.bs.outcomes != nil {
-			hb.bs.outcomes[hb.idx] = out
-			hb.bs.remaining--
-			if hb.bs.remaining == 0 {
-				close(hb.bs.done)
-			}
-		}
+	sub := hb.sub
+	if sub == nil {
+		return
+	}
+	sub.outcomes[hb.idx] = out
+	sub.remaining--
+	if sub.remaining == 0 {
+		sub.complete()
 	}
 }
 
@@ -1054,89 +1001,69 @@ func (b *Broker) refuseHeld(err error) {
 	// Messages still in the intake channel never got an ack; answer it.
 	for {
 		select {
-		case m := <-b.intake:
-			if m.p != nil {
-				m.p.ack <- err
-			} else {
-				m.bs.ack <- err
-			}
+		case sub := <-b.intake:
+			sub.ack <- err
 		default:
 			return
 		}
 	}
 }
 
-// intakeRecv dispatches one intake message: a single bid is checked and
-// held, a batch runs the same checks bid by bid, recording per-bid
-// verdicts. Either way, exactly one ack answers the submitter — and
-// with a journal configured, only after the message's held bids are on
-// disk (walCommit): the ack is the durability promise.
-func (b *Broker) intakeRecv(m intakeMsg) {
+// intakeRecv runs the intake checks over one submission bid by bid,
+// recording per-bid verdicts. Exactly one ack answers the submitter —
+// and with a journal configured, only after the held bids are on disk
+// (walCommit): the ack is the durability promise.
+func (b *Broker) intakeRecv(sub *submission) {
 	if d := len(b.intake) + 1; d > b.intakeHW {
 		b.intakeHW = d
 	}
-	if m.p != nil {
-		err := b.hold(&m.p.task, m.p.ctx, m.p, nil, 0)
-		if err == nil {
-			err = b.walCommit()
-		}
-		m.p.ack <- err
-		return
-	}
-	bs := m.bs
-	// The fire-and-forget form commits its bids at the ack: the submitter
-	// stops listening the moment SubmitBatchAck returns (an HTTP handler's
+	// The ack-only form commits its bids at the ack: the submitter stops
+	// listening the moment SubmitBatchAck returns (an HTTP handler's
 	// request context dies with the response), so a held bid must not
-	// carry a ctx that cancels it before its slot closes.
-	hctx := bs.ctx
-	if bs.verdicts != nil {
-		hctx = context.Background()
+	// carry a ctx that cancels it before its slot closes — and nothing
+	// collects its outcome.
+	hctx, collector := sub.ctx, sub
+	if sub.outcomes == nil {
+		hctx, collector = context.Background(), nil
 	}
 	held := 0
-	for i := range bs.tasks {
-		err := b.hold(&bs.tasks[i], hctx, nil, bs, i)
-		if err == nil {
+	for i := range sub.tasks {
+		t := &sub.tasks[i]
+		var err error
+		if t.ID > maxBidID && t.ID >= b.nextID {
+			// Above the bound and not one the broker assigned (a supervised
+			// retry presents those again). Checked here rather than in hold,
+			// because a journal replay re-holds assigned IDs too.
+			err = fmt.Errorf("service: task %d: ID too large", t.ID)
+		} else if err = b.hold(t, hctx, collector, i); err == nil {
 			held++
 		}
-		switch {
-		case bs.outcomes != nil:
-			bs.outcomes[i] = Outcome{Err: err}
-		case bs.verdicts != nil:
-			bs.verdicts[i] = err
-		}
+		*sub.verdict(i) = err
 	}
-	// One journal write and fsync covers the whole batch; on failure the
-	// just-held bids were un-held, so their verdicts flip to the journal
-	// error before the ack releases.
+	// One journal write and fsync covers the whole submission; on failure
+	// the just-held bids were un-held, so their verdicts flip to the
+	// journal error before the ack releases.
 	if werr := b.walCommit(); werr != nil {
-		for i := range bs.tasks {
-			switch {
-			case bs.outcomes != nil:
-				if bs.outcomes[i].Err == nil {
-					bs.outcomes[i] = Outcome{Err: werr}
-				}
-			case bs.verdicts != nil:
-				if bs.verdicts[i] == nil {
-					bs.verdicts[i] = werr
-				}
+		for i := range sub.tasks {
+			if v := sub.verdict(i); *v == nil {
+				*v = werr
 			}
 		}
 		held = 0
 	}
-	// remaining is read by SubmitBatchAck after the ack (held count) and
-	// counted down by answer for the collecting form; both orderings run
-	// through the ack's happens-before edge.
-	bs.remaining = held
-	if bs.outcomes != nil && held == 0 {
-		close(bs.done)
+	// Both counts reach the submitter through the ack's happens-before
+	// edge; after it only answer touches remaining.
+	sub.held, sub.remaining = held, held
+	if collector != nil && held == 0 {
+		sub.complete()
 	}
-	bs.ack <- nil
+	sub.ack <- nil
 }
 
 // hold performs the intake checks and holds the bid for its round. The
 // task is stamped in place (assigned ID / current-slot arrival), so
 // batch submitters can read the assignments back out of their slice.
-func (b *Broker) hold(t *task.Task, ctx context.Context, p *pending, bs *batchSub, idx int) error {
+func (b *Broker) hold(t *task.Task, ctx context.Context, sub *submission, idx int) error {
 	if b.slot >= b.horizon.T {
 		return ErrHorizonOver
 	}
@@ -1175,7 +1102,7 @@ func (b *Broker) hold(t *task.Task, ctx context.Context, p *pending, bs *batchSu
 		slot = b.heldFree[len(b.heldFree)-1]
 		b.heldFree = b.heldFree[:len(b.heldFree)-1]
 	}
-	b.held[t.Arrival] = append(slot, heldBid{task: *t, ctx: ctx, p: p, bs: bs, idx: idx})
+	b.held[t.Arrival] = append(slot, heldBid{task: *t, ctx: ctx, sub: sub, idx: idx})
 	b.heldIDs[t.ID] = struct{}{}
 	b.heldCount++
 	if b.heldCount > b.heldHW {

@@ -474,8 +474,8 @@ func TestRealClockStepRefused(t *testing.T) {
 
 // TestClosedSlotReleasesHeldBids: once a slot has closed and its outcomes
 // are read, the broker must not keep the slot's bids reachable — each
-// heldBid carries the request context, the pending and the batch
-// submission with the submitter's whole task and outcome slices. The
+// heldBid carries the request context and the submission with the
+// submitter's whole task and outcome slices. The
 // recycled backing arrays in heldFree (and the round's live/bids views
 // into them) must hold nothing but zero values.
 func TestClosedSlotReleasesHeldBids(t *testing.T) {
@@ -494,7 +494,7 @@ func TestClosedSlotReleasesHeldBids(t *testing.T) {
 	opts := st.brokerOptions()
 	opts.QueueSize = n + 8
 	b := startBroker(t, opts)
-	// Half through a batch (heldBid.bs), half as single bids (heldBid.p).
+	// Half through one batch submission, half as one-bid submissions.
 	batchDone := make(chan error, 1)
 	go func() {
 		_, err := b.SubmitBatch(context.Background(), flood[:n/2])

@@ -182,12 +182,6 @@ func (s *Shards) place(t *task.Task, quotes []*zones.Quote) int {
 	return zones.Place(t, quotes, s.byModel[model])
 }
 
-// Place routes one task under the current quotes (exported for tests and
-// tooling that needs to predict the routing).
-func (s *Shards) Place(t *task.Task) int {
-	return s.place(t, s.loadQuotes(make([]*zones.Quote, 0, len(s.brokers))))
-}
-
 // refreshQuotes republishes every shard's quote from its current duals;
 // called after slot closes (Step) — the only time duals move.
 func (s *Shards) refreshQuotes() {
@@ -319,18 +313,9 @@ func (s *Shards) SubmitBatchAck(ctx context.Context, tasks []task.Task, verdicts
 	return total, nil
 }
 
-// Submit routes one bid and blocks for its decision.
+// Submit routes one bid and blocks for its decision: a SubmitBatch of one.
 func (s *Shards) Submit(ctx context.Context, t task.Task) (schedule.Decision, error) {
-	if t.ID < 0 {
-		return schedule.Decision{}, ErrShardNeedsID
-	}
-	si := s.Place(&t)
-	if si < 0 {
-		s.unroutable.Add(1)
-		return schedule.Decision{}, ErrUnroutable
-	}
-	s.placed[si].Add(1)
-	return s.brokers[si].Submit(ctx, t)
+	return submitOne(ctx, s, t)
 }
 
 // Step closes n slots on every shard (concurrently — each shard's round

@@ -344,136 +344,148 @@ func (s *Supervisor) withGen(f func(a Auctioneer) error) error {
 			return err
 		}
 		err = f(a)
-		retryable := errors.Is(err, ErrClosed) || errors.Is(err, ErrDraining)
-		if err == nil || !retryable || tries >= supervisorRetries {
+		if !diedUnder(err) || tries >= supervisorRetries {
 			return err
 		}
 		s.awaitSwap(gen)
 	}
 }
 
-// Submit serves one bid through the current generation, retrying across
-// a restart; the journal makes the retry idempotent on the broker side.
-// A retry refused with ErrDuplicateID for a bid the new generation
-// replayed from the journal (re-held, or already decided before the
-// crash) is not a conflict — the original submission succeeded — so it
-// maps to the bid's real outcome instead of surfacing a 409.
-func (s *Supervisor) Submit(ctx context.Context, t task.Task) (schedule.Decision, error) {
-	var d schedule.Decision
-	attempts := 0
-	err := s.withGen(func(a Auctioneer) error {
-		attempts++
-		var err error
-		d, err = a.Submit(ctx, t)
+// inGen is withGen for the calls that return one value beside the error.
+func inGen[T any](s *Supervisor, f func(a Auctioneer) (T, error)) (v T, err error) {
+	err = s.withGen(func(a Auctioneer) error {
+		v, err = f(a)
 		return err
 	})
-	if attempts > 1 && errors.Is(err, ErrDuplicateID) && t.ID >= 0 {
-		if dd, ok, derr := s.DecisionFor(t.ID); derr == nil && ok {
-			return dd, nil
-		}
-		if pending, perr := s.PendingFor(t.ID); perr == nil && pending {
-			return s.awaitDecision(ctx, t.ID)
-		}
-	}
-	return d, err
+	return v, err
 }
 
-// SubmitBatch mirrors Broker.SubmitBatch across restarts. Per-bid
-// duplicate-ID refusals on a retried batch are resolved against the
-// replayed state like Submit's.
+// diedUnder reports whether err says the generation was killed, drained or
+// superseded under the call that got it, so the successor should be asked.
+func diedUnder(err error) bool {
+	return errors.Is(err, ErrClosed) || errors.Is(err, ErrDraining)
+}
+
+// Submit serves one bid through the current generation: a SubmitBatch of
+// one, so a restart under it is retried and resolved the same way.
+func (s *Supervisor) Submit(ctx context.Context, t task.Task) (schedule.Decision, error) {
+	return submitOne(ctx, s, t)
+}
+
+// SubmitBatch mirrors Broker.SubmitBatch across restarts: the batch is
+// re-submitted when the call fails with the generation's death, and also
+// when the call returns but a held bid was answered with it (Kill and
+// Drain refuse held bids one by one). The journal makes the retry
+// idempotent on the broker side. A retry refused with ErrDuplicateID for a
+// bid the new generation replayed from the journal (re-held, or already
+// decided before the crash) is not a conflict — the original submission
+// succeeded — so it maps to the bid's real outcome instead of surfacing a
+// 409. The last attempt's word stands: its outcomes — a held bid's
+// ErrDraining when the supervisor itself is draining — or its failure.
 func (s *Supervisor) SubmitBatch(ctx context.Context, tasks []task.Task) ([]Outcome, error) {
 	var outs []Outcome
 	attempts := 0
 	err := s.withGen(func(a Auctioneer) error {
 		attempts++
 		var err error
-		outs, err = a.SubmitBatch(ctx, tasks)
-		return err
-	})
-	if err == nil && attempts > 1 {
+		if outs, err = a.SubmitBatch(ctx, tasks); err != nil {
+			outs = nil
+			return err
+		}
 		for i := range outs {
-			if outs[i].Err == nil || !errors.Is(outs[i].Err, ErrDuplicateID) || tasks[i].ID < 0 {
-				continue
+			if diedUnder(outs[i].Err) {
+				return outs[i].Err
 			}
-			outs[i] = s.resolveReplayed(ctx, tasks[i].ID, outs[i])
+		}
+		return nil
+	})
+	if outs == nil {
+		return nil, err
+	}
+	if attempts > 1 {
+		// ErrPastSlot too: a bid of the batch decided before its sibling's
+		// generation died is behind the successor's clock.
+		for i := range outs {
+			if e := outs[i].Err; tasks[i].ID >= 0 && (errors.Is(e, ErrDuplicateID) || errors.Is(e, ErrPastSlot)) {
+				outs[i] = s.resolveReplayed(ctx, tasks[i].ID, outs[i])
+			}
 		}
 	}
-	return outs, err
+	return outs, nil
 }
 
-// SubmitBatchAck mirrors Broker.SubmitBatchAck across restarts. On a
-// retried batch, a duplicate-ID verdict for a bid the journal replayed
-// flips to accepted — the bid is safe (held or decided), exactly what
-// the ack promises.
+// SubmitBatchAck mirrors Broker.SubmitBatchAck across restarts, retrying
+// like SubmitBatch (a verdict carries the generation's death when it is
+// superseded between holding a bid and journaling it). On a retried batch,
+// a duplicate-ID verdict for a bid the journal replayed flips to accepted
+// — the bid is safe (held or decided), exactly what the ack promises.
 func (s *Supervisor) SubmitBatchAck(ctx context.Context, tasks []task.Task, verdicts []error) (int, error) {
-	var held int
+	held, acked := 0, false
 	attempts := 0
 	err := s.withGen(func(a Auctioneer) error {
 		attempts++
 		var err error
 		held, err = a.SubmitBatchAck(ctx, tasks, verdicts)
-		return err
+		if acked = err == nil; !acked {
+			return err
+		}
+		for _, v := range verdicts {
+			if diedUnder(v) {
+				return v
+			}
+		}
+		return nil
 	})
-	if err == nil && attempts > 1 {
+	if !acked {
+		return 0, err
+	}
+	if attempts > 1 {
 		for i, v := range verdicts {
 			if v == nil || !errors.Is(v, ErrDuplicateID) || tasks[i].ID < 0 {
 				continue
 			}
+			// Held first, decided second: a bid only moves that way, so one
+			// whose round runs between the two queries is not missed.
 			id := tasks[i].ID
-			if _, ok, derr := s.DecisionFor(id); derr == nil && ok {
+			if pending, perr := s.PendingFor(id); perr == nil && pending {
 				verdicts[i] = nil
 				held++
 				continue
 			}
-			if pending, perr := s.PendingFor(id); perr == nil && pending {
+			if _, ok, derr := s.DecisionFor(id); derr == nil && ok {
 				verdicts[i] = nil
 				held++
 			}
 		}
 	}
-	return held, err
+	return held, nil
 }
 
-// resolveReplayed maps one retried bid's duplicate-ID refusal onto its
-// real outcome when the journal replayed it (decided, or held awaiting
-// its round); a genuine duplicate keeps the original conflict.
+// resolveReplayed maps one retried bid's refusal onto its real outcome
+// when the journal replayed it: a held bid's round is waited out (in
+// whichever generation serves by then — the queries go through the
+// supervisor, so further restarts are chased), honoring ctx. A bid only
+// moves from held to decided, hence the query order; one that is neither
+// is a genuine duplicate and keeps the original refusal.
 func (s *Supervisor) resolveReplayed(ctx context.Context, id int, orig Outcome) Outcome {
-	if d, ok, err := s.DecisionFor(id); err == nil && ok {
-		return Outcome{Decision: d}
-	}
-	if pending, err := s.PendingFor(id); err == nil && pending {
-		d, derr := s.awaitDecision(ctx, id)
-		return Outcome{Decision: d, Err: derr}
-	}
-	return orig
-}
-
-// awaitDecision blocks until a replayed bid's decision lands (its slot
-// closing in whichever generation is serving by then), honoring ctx.
-// Queries go through the supervisor, so further restarts mid-wait are
-// chased transparently.
-func (s *Supervisor) awaitDecision(ctx context.Context, id int) (schedule.Decision, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for {
-		d, ok, err := s.DecisionFor(id)
-		if err != nil || ok {
-			return d, err
+		pending, err := s.PendingFor(id)
+		if err != nil {
+			return Outcome{Err: err}
 		}
-		if pending, err := s.PendingFor(id); err != nil {
-			return schedule.Decision{}, err
-		} else if !pending {
-			// Decided between the two queries, or genuinely gone (a journal
-			// loss the chaos harness would flag); one more look decides which.
-			if d, ok, err := s.DecisionFor(id); err != nil || ok {
-				return d, err
+		if !pending {
+			d, ok, err := s.DecisionFor(id)
+			if err == nil && !ok {
+				return orig
 			}
-			return schedule.Decision{}, fmt.Errorf("%w: bid %d neither held nor decided after replay", ErrClosed, id)
+			return Outcome{Decision: d, Err: err}
 		}
 		select {
 		case <-ctx.Done():
-			return schedule.Decision{}, ctx.Err()
+			return Outcome{Err: ctx.Err()}
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -481,25 +493,11 @@ func (s *Supervisor) awaitDecision(ctx context.Context, id int) (schedule.Decisi
 
 // Step closes n slots on the current generation.
 func (s *Supervisor) Step(n int) (int, error) {
-	var slot int
-	err := s.withGen(func(a Auctioneer) error {
-		var err error
-		slot, err = a.Step(n)
-		return err
-	})
-	return slot, err
+	return inGen(s, func(a Auctioneer) (int, error) { return a.Step(n) })
 }
 
 // Slot reports the current (bid-accepting) slot.
-func (s *Supervisor) Slot() (int, error) {
-	var slot int
-	err := s.withGen(func(a Auctioneer) error {
-		var err error
-		slot, err = a.Slot()
-		return err
-	})
-	return slot, err
-}
+func (s *Supervisor) Slot() (int, error) { return inGen(s, Auctioneer.Slot) }
 
 // DecisionFor finds a decided bid in the current generation (restored
 // decisions included — the checkpoint chain carries them across
@@ -519,25 +517,11 @@ func (s *Supervisor) DecisionFor(id int) (schedule.Decision, bool, error) {
 
 // PendingFor reports a bid held in the current generation.
 func (s *Supervisor) PendingFor(id int) (bool, error) {
-	var ok bool
-	err := s.withGen(func(a Auctioneer) error {
-		var err error
-		ok, err = a.PendingFor(id)
-		return err
-	})
-	return ok, err
+	return inGen(s, func(a Auctioneer) (bool, error) { return a.PendingFor(id) })
 }
 
 // Status reports the current generation's status.
-func (s *Supervisor) Status() (Status, error) {
-	var st Status
-	err := s.withGen(func(a Auctioneer) error {
-		var err error
-		st, err = a.Status()
-		return err
-	})
-	return st, err
-}
+func (s *Supervisor) Status() (Status, error) { return inGen(s, Auctioneer.Status) }
 
 // Health reports the current generation's health; a supervisor that has
 // given up (Build failure, restart budget) reports degraded with the
@@ -624,12 +608,4 @@ func (s *Supervisor) retryAfter() string {
 
 // statusPayload serves the generation's own payload (a fleet's
 // ShardsStatus, a broker's Status) on /v1/status.
-func (s *Supervisor) statusPayload() (any, error) {
-	var payload any
-	err := s.withGen(func(a Auctioneer) error {
-		var err error
-		payload, err = a.statusPayload()
-		return err
-	})
-	return payload, err
-}
+func (s *Supervisor) statusPayload() (any, error) { return inGen(s, Auctioneer.statusPayload) }

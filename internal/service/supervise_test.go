@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -224,19 +225,18 @@ func TestSupersededBrokerRefusesPersist(t *testing.T) {
 	}
 }
 
-// TestSupersededAsyncCheckpointDropped: an async checkpoint write that
-// stalls across a supervisor swap (the wedge scenario) must not rename
-// its stale snapshot over the successor's checkpoint once the stall
-// clears — and without a persisted checkpoint, the journal keeps every
-// acked bid for recovery.
+// TestSupersededAsyncCheckpointDropped (the test floor pins the name; no
+// writer is asynchronous): a checkpoint write that stalls across a
+// supervisor swap (the wedge scenario) must not rename its stale snapshot
+// over the successor's checkpoint once the stall clears — and without a
+// persisted checkpoint, the journal keeps every acked bid for recovery.
 func TestSupersededAsyncCheckpointDropped(t *testing.T) {
 	s := newStack(t, 8, 2, 3, 5)
 	opts := s.brokerOptions()
-	opts.CheckpointPath = filepath.Join(t.TempDir(), "async-zombie.ckpt")
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "zombie.ckpt")
 	opts.CheckpointEvery = 1
-	opts.AsyncCheckpoint = true
 	opts.WALPath = WALPath(opts.CheckpointPath)
-	opts.RunLabel = "async-zombie-test"
+	opts.RunLabel = "zombie-test"
 	b, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -256,17 +256,31 @@ func TestSupersededAsyncCheckpointDropped(t *testing.T) {
 	if _, err := b.SubmitBatchAck(context.Background(), perSlot[0], verdicts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Step(1); err != nil { // stages the first checkpoint; its write stalls
-		t.Fatal(err)
-	}
+	// The close writes the first checkpoint; the write stalls inside exec,
+	// wedging the core goroutine with it.
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := b.Step(1)
+		stepped <- err
+	}()
 	select {
 	case <-stalled:
 	case <-time.After(5 * time.Second):
-		t.Fatal("async checkpoint write never started")
+		t.Fatal("checkpoint write never started")
 	}
 	b.Supersede() // the watchdog swapped in a successor while the write stalled
 	close(gate)   // the stall clears: the zombie's write must be dropped
-	b.Kill()      // teardown drains the async pipeline
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CheckpointSlot != -1 || st.CheckpointFailures != 1 {
+		t.Fatalf("dropped write recorded as slot %d, %d failures; want -1, 1", st.CheckpointSlot, st.CheckpointFailures)
+	}
+	b.Kill()
 
 	if _, err := os.Stat(opts.CheckpointPath); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("superseded broker published its stalled checkpoint (stat: %v)", err)
@@ -330,6 +344,97 @@ func TestSupervisorResolvesReplayedDuplicate(t *testing.T) {
 	unknown := sup.resolveReplayed(context.Background(), 987654, Outcome{Err: ErrDuplicateID})
 	if !errors.Is(unknown.Err, ErrDuplicateID) {
 		t.Fatalf("unknown duplicate resolved to %v, want the original ErrDuplicateID", unknown.Err)
+	}
+}
+
+// TestSupervisorRetriesHeldBidAcrossKill: a generation crash-stopped while
+// it holds a blocking submission's bid answers that bid ErrClosed — inside
+// the outcome, not as the call's error. The supervisor re-submits to the
+// successor, whose journal replay already holds the bid, and the caller
+// gets the real decision (HTTP 200), never a 503 for a bid that was
+// journaled and will be decided. The last form is a batch whose first bid
+// is decided before the kill: it is behind the successor's clock on the
+// retry and keeps its decision too.
+func TestSupervisorRetriesHeldBidAcrossKill(t *testing.T) {
+	ref := newStack(t, 8, 2, 3, 5)
+	var bid0 task.Task
+	for _, tk := range ref.tasks {
+		if tk.Arrival == 0 {
+			bid0 = tk
+			break
+		}
+	}
+	later := bid0
+	later.ID, later.Arrival = bid0.ID+1000, 2
+	forms := intakeForms[:0:0]
+	for _, f := range intakeForms {
+		if !f.brokerOnly && !f.ackOnly {
+			forms = append(forms, f)
+		}
+	}
+	forms = append(forms, intakeForm{name: "SubmitBatch, one bid decided before the kill"})
+	for _, f := range forms {
+		t.Run(f.name, func(t *testing.T) {
+			sup, restarted, _ := walSupervisor(t, 8, 5)
+			srv := httptest.NewServer(sup.Handler())
+			defer srv.Close()
+			if err := sup.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer sup.Kill()
+
+			bids := []task.Task{bid0}
+			replies := make(chan []formReply, 1)
+			if f.send != nil {
+				go func() { replies <- []formReply{f.send(sup, srv, bid0)} }()
+			} else {
+				bids = append(bids, later)
+				go func() {
+					outs, err := sup.SubmitBatch(context.Background(), []task.Task{bid0, later})
+					if err != nil {
+						outs = []Outcome{{Err: err}, {Err: err}}
+					}
+					replies <- []formReply{inProcessReply(bid0.ID, &outs[0]), inProcessReply(later.ID, &outs[1])}
+				}()
+			}
+			for {
+				st, err := sup.Status()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Held == len(bids) {
+					break
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if len(bids) > 1 {
+				if _, err := sup.Step(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, b := range sup.Brokers() {
+				b.Kill()
+			}
+			awaitRestart(t, restarted)
+			if _, err := sup.Step(3); err != nil {
+				t.Fatal(err)
+			}
+			var got []formReply
+			select {
+			case got = <-replies:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the blocked submission never returned")
+			}
+			for i, r := range got {
+				d, ok, err := sup.DecisionFor(bids[i].ID)
+				if err != nil || !ok {
+					t.Fatalf("bid %d: no decision after the restart (ok=%v err=%v)", bids[i].ID, ok, err)
+				}
+				if want := string(AppendDecision(nil, bids[i].ID, &d)); r.decision != want {
+					t.Errorf("bid %d answered %q (HTTP %d, err %v), want its decision %s", bids[i].ID, r.refusal, r.status, r.err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -40,9 +40,8 @@ import (
 //
 // The journal stays O(one checkpoint interval): every successful
 // checkpoint persist covering slot s rewrites it (tmp + fsync + rename)
-// to just the records whose arrivals s does not cover — currently-held
-// bids plus, under the async checkpoint pipeline, bids decided after the
-// persisted slot. Replay (RecoverWAL) reads the valid prefix — torn or
+// to just the records whose arrivals s does not cover — the currently-held
+// bids. Replay (RecoverWAL) reads the valid prefix — torn or
 // corrupt tails degrade to the last intact record, never error, matching
 // LoadCheckpoint — and re-holds each surviving bid idempotently: IDs
 // already in the restored decision map (the bid decided before death)
@@ -565,7 +564,7 @@ func (b *Broker) RecoverWAL() (int, error) {
 			b.walStale++
 			continue
 		}
-		if err := b.hold(&t, context.Background(), nil, nil, 0); err != nil {
+		if err := b.hold(&t, context.Background(), nil, 0); err != nil {
 			if errors.Is(err, ErrDuplicateID) {
 				b.walDeduped++
 			} else {

@@ -458,6 +458,51 @@ func TestWALDrainRetainsHeld(t *testing.T) {
 	}
 }
 
+// TestWALReplaysAssignedIDAboveBound: a submitter may choose an ID up to
+// maxBidID, after which the broker assigns IDs above it. Those are as
+// durable as any: replay re-holds them, and presenting one again (what a
+// supervised retry does) is a duplicate, not an oversized ID — while a
+// chosen ID above the bound stays refused.
+func TestWALReplaysAssignedIDAboveBound(t *testing.T) {
+	s := newStack(t, 8, 2, 3, 5)
+	opts := walOptions(t, s)
+	b := startBroker(t, opts)
+	batch := []task.Task{s.tasks[0], s.tasks[1]}
+	batch[0].ID, batch[1].ID = maxBidID, -1
+	ackBatch(t, b, batch)
+	if batch[1].ID != maxBidID+1 {
+		t.Fatalf("omitted ID assigned %d, want %d", batch[1].ID, maxBidID+1)
+	}
+	b.Kill()
+
+	s2 := newStack(t, 8, 2, 3, 5)
+	opts2 := walOptions(t, s2)
+	opts2.CheckpointPath, opts2.WALPath = opts.CheckpointPath, opts.WALPath
+	b2, err := New(opts2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed, err := b2.RecoverWAL(); err != nil || replayed != 2 {
+		t.Fatalf("RecoverWAL = %d, %v; want both bids re-held", replayed, err)
+	}
+	if err := b2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Kill()
+	again := []task.Task{batch[1], batch[1]}
+	again[1].ID = maxBidID + 7
+	verdicts := make([]error, 2)
+	if _, err := b2.SubmitBatchAck(context.Background(), again, verdicts); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(verdicts[0], ErrDuplicateID) {
+		t.Fatalf("assigned ID presented again: %v, want ErrDuplicateID", verdicts[0])
+	}
+	if verdicts[1] == nil || errors.Is(verdicts[1], ErrDuplicateID) {
+		t.Fatalf("chosen ID above the bound: %v, want it refused as too large", verdicts[1])
+	}
+}
+
 // TestPendingFor: an acked, undecided bid answers pending (202 over
 // HTTP), flips to decided once its slot closes, and an unknown ID stays
 // a plain 404.
