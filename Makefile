@@ -35,10 +35,12 @@ fmt-check:
 # sim.Engine (Start/Round/Finish), so no non-test file there may offer a
 # bid, account or track a decision, surface capacity changes, or emit the
 # engine's observer events itself. Its sibling keeps the decided set one
-# packed store: the 174 B/bid map of Decisions must not come back. The
-# third keeps "decide" one thing: Algorithm 1's write tail (lines
-# 7-9: dual update, ledger commit) exists once in internal/core, in
-# Offer, and neither sim nor service grows a second decide-mode back.
+# packed store: the 174 B/bid map of Decisions must not come back, and
+# neither may a map beside it as its index (29 B a bid where the position
+# table in decisions.go takes 5 to 11). The third keeps "decide" one
+# thing: Algorithm 1's write tail (lines 7-9: dual update, ledger commit)
+# exists once in internal/core, in Offer, and neither sim nor service
+# grows a second decide-mode back.
 # The last keeps the stages either side of the round one thing too: one
 # intake message type (submission) and one inline checkpoint and
 # decision-log writer, no user-selected background one.
@@ -48,6 +50,8 @@ round-guard:
 		echo "round-guard: internal/service must go through sim.Engine for the calls above"; exit 1; fi
 	@if grep -n 'map\[int\]schedule\.Decision' $$(ls internal/service/*.go | grep -v _test); then \
 		echo "round-guard: decided bids live in the decisionStore (decisions.go), not in a map of Decisions"; exit 1; fi
+	@if grep -n 'map\[int\]int32' $$(ls internal/service/*.go | grep -v _test); then \
+		echo "round-guard: the decisionStore finds a bid through its position table, not through a map"; exit 1; fi
 	@for call in 'updateDuals(' '.cl.Commit('; do \
 		n=$$(cat $$(ls internal/core/*.go | grep -v _test) | grep -v '^func ' | grep -cF "$$call"); \
 		if [ "$$n" != 1 ]; then \
@@ -89,7 +93,7 @@ bench-snapshot:
 # at 200x; 9,996 at 100x before): rejected bids' records are appended by
 # hand, but each admitted bid's plan goes through encoding/json once per
 # snapshot. Hence still two lines.
-BASELINE ?= BENCH_pr18.json
+BASELINE ?= BENCH_pr20.json
 SERVING_BASELINE ?= BENCH_serving_pr6.json
 SHARD_BASELINE ?= BENCH_shard_pr7.json
 SPOT_BASELINE ?= BENCH_spot_pr8.json

@@ -183,7 +183,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 	}
 	defer b.Kill()
 
-	bid := task.Task{ID: -1, Arrival: -1, Deadline: h.T - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 1e-9}
+	bid := task.Task{ID: -1, Arrival: -1, Deadline: int32(h.T - 1), Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 1e-9}
 	work := make(chan struct{})
 	results := make(chan error)
 	go func() {

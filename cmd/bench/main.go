@@ -5,7 +5,7 @@
 //	go run ./cmd/bench -label seed          # writes BENCH_seed.json
 //	go run ./cmd/bench -label pr1 -benchtime 2s
 //	go run ./cmd/bench -run Offer           # only matching benchmarks
-//	go run ./cmd/bench -compare BENCH_pr18.json -run Offer,Calibrate
+//	go run ./cmd/bench -compare BENCH_pr20.json -run Offer,Calibrate
 //
 // The snapshot captures ns/op, B/op and allocs/op for every benchmark
 // plus the host shape (CPU count, GOMAXPROCS) needed to interpret the

@@ -802,13 +802,7 @@ func run(f flags) (*report, error) {
 func postBatch(client *http.Client, base string, chunk []task.Task, f flags, body *bytes.Buffer, epoch time.Time, submitNs []int64) (rtt time.Duration, retries, shed int, err error) {
 	reqs := make([]service.BidRequest, len(chunk))
 	for i := range chunk {
-		t := &chunk[i]
-		reqs[i] = service.BidRequest{
-			ID: &t.ID, Arrival: &t.Arrival, Deadline: t.Deadline,
-			Work: t.Work, MemGB: t.MemGB, Bid: t.Bid, NeedsPrep: t.NeedsPrep,
-			Rank: t.Rank, Batch: t.Batch,
-			DatasetSamples: t.DatasetSamples, Epochs: t.Epochs, ModelName: t.ModelName,
-		}
+		reqs[i] = service.BidRequestFor(chunk[i])
 	}
 	body.Reset()
 	if err := json.NewEncoder(body).Encode(reqs); err != nil {

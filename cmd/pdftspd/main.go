@@ -437,15 +437,7 @@ func runSmoke(cfg stackConfig) error {
 	replies := make(chan reply, len(tasks))
 	for i := range tasks {
 		go func(i int) {
-			t := tasks[i]
-			req := service.BidRequest{
-				ID: &t.ID, Arrival: &t.Arrival, Deadline: t.Deadline,
-				Work: t.Work, MemGB: t.MemGB, Bid: t.Bid, NeedsPrep: t.NeedsPrep,
-				Rank: t.Rank, Batch: t.Batch,
-				DatasetSamples: t.DatasetSamples, Epochs: t.Epochs,
-			}
-			var resp service.DecisionResponse
-			err := client.check("POST", "/v1/bids", req, &resp)
+			resp, err := client.postBid(tasks[i])
 			replies <- reply{idx: i, resp: resp, err: err}
 		}(i)
 	}
@@ -562,4 +554,12 @@ func (c smokeClient) check(method, path string, body, out any) error {
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 	return nil
+}
+
+// postBid submits one task as POST /v1/bids, in the wire form a dumped
+// workload replays with, and blocks until its slot closes.
+func (c smokeClient) postBid(t task.Task) (service.DecisionResponse, error) {
+	var resp service.DecisionResponse
+	err := c.check("POST", "/v1/bids", service.BidRequestFor(t), &resp)
+	return resp, err
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"net/http/httptest"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 )
 
@@ -44,5 +48,64 @@ func TestSmokeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestPostBidCarriesModelName: the smoke client posts a task in full. It
+// used to build the wire bid field by field and left ModelName out, so
+// every -smoke bid was a bid for the default model; the journal holds the
+// held bid as the broker stamped it.
+func TestPostBidCarriesModelName(t *testing.T) {
+	st, err := stackConfig{
+		nodes: 2, mix: "hybrid", slots: 8, rate: 1,
+		arrivals: "poisson", deadlines: "medium", vendors: 5, seed: 1,
+	}.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(t.TempDir(), "bids.wal")
+	broker, err := service.New(service.Options{
+		Cluster: st.cl, Scheduler: st.sched, Model: st.model, Market: st.mkt,
+		VirtualClock: true, WALPath: wal, RunLabel: "model-name",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Kill()
+	srv := httptest.NewServer(broker.Handler())
+	defer srv.Close()
+
+	bid := st.tasks[0]
+	bid.ModelName = "llama-7b"
+	done := make(chan error, 1)
+	go func() {
+		_, err := smokeClient{base: srv.URL}.postBid(bid)
+		done <- err
+	}()
+	for {
+		s, err := broker.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Held == 1 {
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("bid answered before it was held: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if held := service.ReadWAL(wal, "model-name"); len(held) != 1 || held[0] != bid {
+		t.Fatalf("held bid %+v, want %+v", held, bid)
+	}
+	if _, err := broker.Step(8); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

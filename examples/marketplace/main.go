@@ -54,7 +54,7 @@ func main() {
 		vendorSpend[d.Schedule.Vendor] += d.VendorCost
 		// Execution must start only after the vendor's delay.
 		start := d.Schedule.Placements[0].Slot
-		if start < tasks[i].Arrival+d.Schedule.VendorDelay {
+		if start < int(tasks[i].Arrival)+d.Schedule.VendorDelay {
 			log.Fatalf("task %d started during pre-processing", tasks[i].ID)
 		}
 	}

@@ -51,8 +51,8 @@ func TestEFTAdmitsAndFinishesEarliest(t *testing.T) {
 	// Finish-ASAP: the first placement must be at the arrival slot and
 	// placements must be consecutive from there.
 	for i, p := range d.Schedule.Placements {
-		if p.Slot != env.Task.Arrival+i {
-			t.Fatalf("EFT placement %d at slot %d, want %d", i, p.Slot, env.Task.Arrival+i)
+		if p.Slot != int(env.Task.Arrival)+i {
+			t.Fatalf("EFT placement %d at slot %d, want %d", i, p.Slot, int(env.Task.Arrival)+i)
 		}
 	}
 }

@@ -186,7 +186,7 @@ func (g *Greedy) plan(env *schedule.TaskEnv, q vendor.Quote) *schedule.Schedule 
 	sort.Slice(order, func(a, b int) bool { return env.Speed[order[a]] > env.Speed[order[b]] })
 
 	var placements []schedule.Placement
-	remaining := t.Work
+	remaining := int(t.Work)
 	for tt := window.Start; tt <= window.End && remaining > 0; tt++ {
 		for _, k := range order {
 			sk := env.Speed[k]

@@ -113,7 +113,7 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 	}
 	cl := envs[0].Cluster
 	h := cl.Horizon()
-	now := envs[0].Task.Arrival
+	now := int(envs[0].Task.Arrival)
 	horizonEnd := now + t.opts.Lookahead
 	if horizonEnd > h.T-1 {
 		horizonEnd = h.T - 1
@@ -167,8 +167,8 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 		}
 		tk := env.Task
 		uIdx[i] = newVar(tk.Bid - quotes[i].Price)
-		start := tk.Arrival + quotes[i].DelaySlots
-		end := tk.Deadline
+		start := int(tk.Arrival) + quotes[i].DelaySlots
+		end := int(tk.Deadline)
 		if end > horizonEnd {
 			end = horizonEnd
 		}
@@ -263,8 +263,8 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 			tk := envs[i].Task
 			var picks []xkey
 			work := 0
-			start := tk.Arrival + quotes[i].DelaySlots
-			for tt := start; tt <= horizonEnd && tt <= tk.Deadline && work < tk.Work; tt++ {
+			start := int(tk.Arrival) + quotes[i].DelaySlots
+			for tt := start; tt <= horizonEnd && tt <= int(tk.Deadline) && work < int(tk.Work); tt++ {
 				bestG, bestS := -1, 0
 				for g := range groups {
 					s := envs[i].Speed[groups[g].nodes[0]]
@@ -284,7 +284,7 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 					work += bestS
 				}
 			}
-			if work < tk.Work {
+			if work < int(tk.Work) {
 				continue
 			}
 			warm[uIdx[i]] = 1
@@ -343,11 +343,11 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 					break
 				}
 			}
-			if work >= env.Task.Work {
+			if work >= int(env.Task.Work) {
 				break
 			}
 		}
-		if work < env.Task.Work {
+		if work < int(env.Task.Work) {
 			// Mapping failed: roll back and reject.
 			for _, p := range placements {
 				cl.Release(p.Node, p.Slot, env.Speed[p.Node], env.Task.MemGB)

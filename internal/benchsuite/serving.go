@@ -73,13 +73,13 @@ func benchServingStack(b *testing.B, model lora.ModelConfig, cl *cluster.Cluster
 // retimeTask gives a template task a fresh identity "bidding now",
 // preserving its deadline slack relative to the broker's current slot.
 func retimeTask(t task.Task, id, slot int) task.Task {
-	span := t.Deadline - t.Arrival
+	deadline := slot + int(t.Deadline) - int(t.Arrival)
+	if deadline >= servingSlots {
+		deadline = servingSlots - 1
+	}
 	t.ID = id
 	t.Arrival = -1
-	t.Deadline = slot + span
-	if t.Deadline >= servingSlots {
-		t.Deadline = servingSlots - 1
-	}
+	t.Deadline = int32(deadline)
 	return t
 }
 
@@ -231,12 +231,9 @@ func bidPayloads(b *testing.B, tasks []task.Task, k int) [][]byte {
 	for at := 0; at+k <= len(tasks) && len(payloads) < 16; at += k {
 		reqs := make([]service.BidRequest, k)
 		for i := 0; i < k; i++ {
-			t := tasks[at+i]
-			reqs[i] = service.BidRequest{
-				Deadline: t.Deadline, Work: t.Work, MemGB: t.MemGB, Bid: t.Bid,
-				NeedsPrep: t.NeedsPrep, Rank: t.Rank, Batch: t.Batch,
-				DatasetSamples: t.DatasetSamples, Epochs: t.Epochs, ModelName: t.ModelName,
-			}
+			// No id, no arrival: the broker assigns both.
+			reqs[i] = service.BidRequestFor(tasks[at+i])
+			reqs[i].ID, reqs[i].Arrival = nil, nil
 		}
 		data, err := json.Marshal(reqs)
 		if err != nil {

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
@@ -81,6 +82,11 @@ type Config struct {
 func New(cfg Config, nodes []Node) (*Cluster, error) {
 	if cfg.Horizon.T <= 0 {
 		return nil, fmt.Errorf("cluster: horizon must have positive T, got %d", cfg.Horizon.T)
+	}
+	if cfg.Horizon.T > math.MaxInt32 {
+		// task.Task keeps its slots as int32; every slot a scheduler or
+		// broker stamps into one comes from this horizon.
+		return nil, fmt.Errorf("cluster: horizon %d exceeds %d slots", cfg.Horizon.T, math.MaxInt32)
 	}
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")

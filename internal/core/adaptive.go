@@ -118,7 +118,7 @@ func (a *Adaptive) observe(env *schedule.TaskEnv) {
 			best = s
 		}
 	}
-	minSlots := (t.Work + best - 1) / best
+	minSlots := (int(t.Work) + best - 1) / best
 	if minSlots < 1 {
 		minSlots = 1
 	}

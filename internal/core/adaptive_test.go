@@ -43,7 +43,7 @@ func TestAdaptiveEstimatesTrackOracle(t *testing.T) {
 	oracleAlpha := 0.0
 	for i := 0; i < 50; i++ {
 		tk := testTask(i)
-		tk.Work = 10 + rng.Intn(60)
+		tk.Work = int32(10 + rng.Intn(60))
 		tk.Bid = 30 + rng.Float64()*80
 		tk.TrueValue = tk.Bid
 		env := envFor(t, tk, cl, nil)
@@ -100,8 +100,8 @@ func TestAdaptiveStillIndividuallyRational(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 60; i++ {
 		tk := testTask(i)
-		tk.Arrival = rng.Intn(12)
-		tk.Deadline = tk.Arrival + 3 + rng.Intn(8)
+		tk.Arrival = int32(rng.Intn(12))
+		tk.Deadline = tk.Arrival + int32(3+rng.Intn(8))
 		tk.Bid = 10 + rng.Float64()*150
 		tk.TrueValue = tk.Bid
 		tk.NeedsPrep = rng.Intn(2) == 0

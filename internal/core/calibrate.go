@@ -90,8 +90,8 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 		if net <= 0 {
 			continue
 		}
-		speed := fastest(t.Batch)
-		minSlots := (t.Work + speed - 1) / speed // ≥ 1: Work ≥ 1
+		speed := fastest(int(t.Batch))
+		minSlots := (int(t.Work) + speed - 1) / speed // ≥ 1: Work ≥ 1
 		footprint := t.MemGB * float64(minSlots)
 		if net/float64(t.Work) <= alpha && net/footprint <= beta {
 			continue

@@ -116,7 +116,7 @@ func referenceCalibrate(tasks []task.Task, model lora.ModelConfig, cl *cluster.C
 		if a := net / float64(t.Work); a > alpha {
 			alpha = a
 		}
-		minSlots := (t.Work + fastest(t.Batch) - 1) / fastest(t.Batch)
+		minSlots := (int(t.Work) + fastest(int(t.Batch)) - 1) / fastest(int(t.Batch))
 		if minSlots < 1 {
 			minSlots = 1
 		}

@@ -555,7 +555,7 @@ func (s *Scheduler) findSchedule(env *schedule.TaskEnv, q vendor.Quote, candidat
 	if L == 0 {
 		return schedule.Schedule{}, false
 	}
-	W := t.Work
+	W := int(t.Work)
 
 	// dp, parentK, and parentW are (L+1)×(W+1); row τ covers slots
 	// window.Start .. window.Start+τ-1. Work accumulations beyond W

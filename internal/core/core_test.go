@@ -159,7 +159,7 @@ func TestOfferSelectsVendorAndDelaysExecution(t *testing.T) {
 	}
 	q := env.Quotes[d.Schedule.Vendor]
 	for _, p := range d.Schedule.Placements {
-		if p.Slot < tk.Arrival+q.DelaySlots {
+		if p.Slot < int(tk.Arrival)+q.DelaySlots {
 			t.Fatal("execution started before pre-processing finished")
 		}
 	}
@@ -177,9 +177,9 @@ func TestDualsMonotoneNonDecreasing(t *testing.T) {
 	prevP := make([]float64, cl.NumNodes()*cl.Horizon().T)
 	for i := 0; i < 30; i++ {
 		tk := testTask(i)
-		tk.Arrival = rng.Intn(10)
-		tk.Deadline = tk.Arrival + 4 + rng.Intn(8)
-		tk.Work = 10 + rng.Intn(60)
+		tk.Arrival = int32(rng.Intn(10))
+		tk.Deadline = tk.Arrival + int32(4+rng.Intn(8))
+		tk.Work = int32(10 + rng.Intn(60))
 		tk.Bid = 20 + rng.Float64()*120
 		s.Offer(envFor(t, tk, cl, nil))
 		idx := 0
@@ -373,9 +373,9 @@ func TestIndividualRationalityOnRandomWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
 		tk := testTask(i)
-		tk.Arrival = rng.Intn(16)
-		tk.Deadline = tk.Arrival + 2 + rng.Intn(8)
-		tk.Work = 5 + rng.Intn(80)
+		tk.Arrival = int32(rng.Intn(16))
+		tk.Deadline = tk.Arrival + int32(2+rng.Intn(8))
+		tk.Work = int32(5 + rng.Intn(80))
 		tk.Bid = 5 + rng.Float64()*200
 		tk.TrueValue = tk.Bid
 		d := s.Offer(envFor(t, tk, cl, nil))
@@ -413,7 +413,7 @@ func bruteForceBest(env *schedule.TaskEnv, s *Scheduler, window timeslot.Window)
 				env.Cluster.EnergyCost(choice, slot, sk)
 			work += sk
 		}
-		if work >= env.Task.Work && cost < best {
+		if work >= int(env.Task.Work) && cost < best {
 			best = cost
 			found = true
 		}
@@ -441,12 +441,12 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 			}
 		}
 		tk := testTask(trial)
-		tk.Arrival = rng.Intn(3)
-		tk.Deadline = tk.Arrival + 3 + rng.Intn(4)
+		tk.Arrival = int32(rng.Intn(3))
+		tk.Deadline = tk.Arrival + int32(3+rng.Intn(4))
 		if tk.Deadline > 7 {
 			tk.Deadline = 7
 		}
-		tk.Work = 20 + rng.Intn(60)
+		tk.Work = int32(20 + rng.Intn(60))
 		env := envFor(t, tk, cl, nil)
 		plan, ok := s.findSchedule(env, vendor.Quote{Vendor: schedule.NoVendor}, s.candidateNodes(env))
 		window := tk.ExecWindow(cl.Horizon(), 0)
@@ -588,9 +588,9 @@ func TestCandidatePruningWelfareClose(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
 		for i := 0; i < 40; i++ {
 			tk := testTask(i)
-			tk.Arrival = rng.Intn(12)
-			tk.Deadline = tk.Arrival + 3 + rng.Intn(8)
-			tk.Work = 10 + rng.Intn(70)
+			tk.Arrival = int32(rng.Intn(12))
+			tk.Deadline = tk.Arrival + int32(3+rng.Intn(8))
+			tk.Work = int32(10 + rng.Intn(70))
 			tk.Bid = 20 + rng.Float64()*80
 			tk.TrueValue = tk.Bid
 			d := s.Offer(envFor(t, tk, cl, nil))

@@ -43,7 +43,7 @@ func bruteForceCost(s *Scheduler, env *schedule.TaskEnv, q vendor.Quote) (float6
 				s.cl.EnergyCost(k, slot, sk)
 			work += sk
 		}
-		if valid && work >= W && cost < best {
+		if valid && work >= int(W) && cost < best {
 			best, found = cost, true
 		}
 		// Advance the mixed-radix counter.
@@ -84,8 +84,8 @@ func TestFindScheduleMatchesBruteForce(t *testing.T) {
 		arrival := rng.Intn(4)
 		winLen := rng.Intn(6) + 1
 		tk := &task.Task{
-			ID: trial, Arrival: arrival, Deadline: arrival + winLen - 1,
-			Work: rng.Intn(10) + 1, MemGB: 5, Batch: 16, Bid: 50,
+			ID: trial, Arrival: int32(arrival), Deadline: int32(arrival + winLen - 1),
+			Work: int32(rng.Intn(10) + 1), MemGB: 5, Batch: 16, Bid: 50,
 		}
 		speeds := make([]int, 3)
 		for k := range speeds {
@@ -122,7 +122,7 @@ func TestFindScheduleMatchesBruteForce(t *testing.T) {
 			}
 			work += speeds[p.Node]
 		}
-		if work < tk.Work {
+		if work < int(tk.Work) {
 			t.Fatalf("trial %d: plan accumulates %d of %d work units", trial, work, tk.Work)
 		}
 	}

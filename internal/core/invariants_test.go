@@ -25,14 +25,14 @@ func TestLedgerNeverExceedsCapacityProperty(t *testing.T) {
 		}
 		for i := 0; i < 40; i++ {
 			tk := testTask(i)
-			tk.Arrival = rng.Intn(20)
-			tk.Deadline = tk.Arrival + rng.Intn(12)
-			tk.Work = 1 + rng.Intn(120)
+			tk.Arrival = int32(rng.Intn(20))
+			tk.Deadline = tk.Arrival + int32(rng.Intn(12))
+			tk.Work = int32(1 + rng.Intn(120))
 			tk.MemGB = 1 + rng.Float64()*30
 			tk.Bid = rng.Float64() * 250
 			tk.TrueValue = tk.Bid
 			tk.NeedsPrep = rng.Intn(3) == 0
-			tk.Batch = []int{4, 8, 16, 32}[rng.Intn(4)]
+			tk.Batch = []int16{4, 8, 16, 32}[rng.Intn(4)]
 			s.Offer(envFor(t, tk, cl, mkt))
 		}
 		for k := 0; k < cl.NumNodes(); k++ {
@@ -68,9 +68,9 @@ func TestAdmittedPlansAlwaysValidProperty(t *testing.T) {
 		}
 		for i := 0; i < 25; i++ {
 			tk := testTask(i)
-			tk.Arrival = rng.Intn(16)
-			tk.Deadline = tk.Arrival + 1 + rng.Intn(8)
-			tk.Work = 5 + rng.Intn(80)
+			tk.Arrival = int32(rng.Intn(16))
+			tk.Deadline = tk.Arrival + int32(1+rng.Intn(8))
+			tk.Work = int32(5 + rng.Intn(80))
 			tk.NeedsPrep = rng.Intn(2) == 0
 			env := envFor(t, tk, cl, mkt)
 			d := s.Offer(env)
@@ -100,8 +100,8 @@ func TestPaymentNonNegativeAndBoundedProperty(t *testing.T) {
 		}
 		for i := 0; i < 30; i++ {
 			tk := testTask(i)
-			tk.Arrival = rng.Intn(16)
-			tk.Deadline = tk.Arrival + 2 + rng.Intn(6)
+			tk.Arrival = int32(rng.Intn(16))
+			tk.Deadline = tk.Arrival + int32(2+rng.Intn(6))
 			tk.Bid = rng.Float64() * 200
 			tk.TrueValue = tk.Bid
 			d := s.Offer(envFor(t, tk, cl, nil))

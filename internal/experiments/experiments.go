@@ -366,10 +366,11 @@ func (p Profile) baseTrace() trace.Config {
 	return tc
 }
 
-// mkTask is a tiny helper used by the economic figures.
+// mkTask is a tiny helper used by the economic figures; its slots lie
+// inside the profile's horizon and its work is a small constant.
 func mkTask(id, arrival, deadline, work int, mem, bid float64) task.Task {
 	return task.Task{
-		ID: id, Arrival: arrival, Deadline: deadline, DatasetSamples: work * lora.SamplesPerUnit,
-		Epochs: 1, Work: work, MemGB: mem, Rank: 8, Batch: 16, Bid: bid, TrueValue: bid,
+		ID: id, Arrival: int32(arrival), Deadline: int32(deadline), DatasetSamples: int32(work * lora.SamplesPerUnit),
+		Epochs: 1, Work: int32(work), MemGB: mem, Rank: 8, Batch: 16, Bid: bid, TrueValue: bid,
 	}
 }

@@ -119,7 +119,7 @@ func Build(inst Instance) (*Model, error) {
 		m.XIdx[i] = make(map[[2]int]int)
 		window := t.ExecWindow(h, minDelay)
 		for k := 0; k < K; k++ {
-			s := lora.TaskUnitsPerSlot(inst.Model, cl.Node(k).Spec, t.Batch, h)
+			s := lora.TaskUnitsPerSlot(inst.Model, cl.Node(k).Spec, int(t.Batch), h)
 			if t.MemGB > cl.TaskMemCap(k) {
 				s = 0
 			}
@@ -175,7 +175,7 @@ func Build(inst Instance) (*Model, error) {
 			terms := slotTerms[tt]
 			if t.NeedsPrep {
 				for _, q := range m.Quotes[i] {
-					if t.Arrival+q.DelaySlots > tt {
+					if int(t.Arrival)+q.DelaySlots > tt {
 						terms = append(terms, lp.Term{Var: m.ZIdx[i][q.Vendor], Coef: 1})
 					}
 				}
@@ -278,7 +278,7 @@ func greedyWarmStart(inst Instance, m *Model) []float64 {
 			var picks [][2]int
 			work := 0
 			energy := 0.0
-			for tt := window.Start; tt <= window.End && work < t.Work && window.Len() > 0; tt++ {
+			for tt := window.Start; tt <= window.End && work < int(t.Work) && window.Len() > 0; tt++ {
 				bestK, bestS := -1, 0
 				for k := 0; k < K; k++ {
 					s := m.Speeds[i][k]
@@ -296,7 +296,7 @@ func greedyWarmStart(inst Instance, m *Model) []float64 {
 					energy += cl.EnergyCost(bestK, tt, bestS)
 				}
 			}
-			if work < t.Work {
+			if work < int(t.Work) {
 				continue
 			}
 			if t.Bid-opt.price-energy <= 0 {

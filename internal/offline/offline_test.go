@@ -33,7 +33,7 @@ func smallCluster(t *testing.T, nodes, slots int) *cluster.Cluster {
 // oneSlotTask occupies exactly one A100 slot at batch 16 (speed 10).
 func oneSlotTask(id, slot int, mem, bid float64) task.Task {
 	return task.Task{
-		ID: id, Arrival: slot, Deadline: slot, DatasetSamples: 9000, Epochs: 3,
+		ID: id, Arrival: int32(slot), Deadline: int32(slot), DatasetSamples: 9000, Epochs: 3,
 		Work: 10, MemGB: mem, Rank: 8, Batch: 16, Bid: bid, TrueValue: bid,
 	}
 }
@@ -167,8 +167,8 @@ func TestOfflineBoundDominatesOnline(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		a := rng.Intn(10)
 		tasks = append(tasks, task.Task{
-			ID: i, Arrival: a, Deadline: a + 2 + rng.Intn(5),
-			DatasetSamples: 8000, Epochs: 2, Work: 15 + rng.Intn(50),
+			ID: i, Arrival: int32(a), Deadline: int32(a + 2 + rng.Intn(5)),
+			DatasetSamples: 8000, Epochs: 2, Work: int32(15 + rng.Intn(50)),
 			MemGB: 5 + 10*rng.Float64(), Rank: 8, Batch: 16,
 			Bid: 30 + rng.Float64()*120,
 		})

@@ -53,12 +53,12 @@ func FuzzValidate(f *testing.F) {
 				t.Fatalf("accepted duplicate slot %d", p.Slot)
 			}
 			seen[p.Slot] = true
-			if p.Slot < tk.Arrival || p.Slot > tk.Deadline {
+			if p.Slot < int(tk.Arrival) || p.Slot > int(tk.Deadline) {
 				t.Fatalf("accepted slot %d outside [%d,%d]", p.Slot, tk.Arrival, tk.Deadline)
 			}
 			work += env.Speed[p.Node]
 		}
-		if work < tk.Work {
+		if work < int(tk.Work) {
 			t.Fatalf("accepted plan with %d < %d work", work, tk.Work)
 		}
 	})

@@ -88,7 +88,7 @@ func (env *TaskEnv) Refill(t *task.Task, cl *cluster.Cluster, model lora.ModelCo
 	env.Speed = env.Speed[:n]
 	h := cl.Horizon()
 	for k := 0; k < n; k++ {
-		s := lora.TaskUnitsPerSlot(model, cl.Node(k).Spec, t.Batch, h)
+		s := lora.TaskUnitsPerSlot(model, cl.Node(k).Spec, int(t.Batch), h)
 		// A task whose memory footprint cannot fit next to the base
 		// model can never run on this node.
 		if t.MemGB > cl.TaskMemCap(k) {
@@ -225,7 +225,7 @@ func (s *Schedule) Validate(env *TaskEnv) error {
 		work += env.Speed[p.Node]
 	}
 	// (4e): cumulative computation completes the task.
-	if work < t.Work {
+	if work < int(t.Work) {
 		return fmt.Errorf("schedule: task %d plan does %d units, needs %d", t.ID, work, t.Work)
 	}
 	return nil
@@ -236,8 +236,6 @@ func (s *Schedule) Validate(env *TaskEnv) error {
 type Decision struct {
 	// TaskID identifies the bid.
 	TaskID int
-	// Admitted is u_i.
-	Admitted bool
 	// Schedule is the selected plan; nil when no feasible plan exists.
 	// A rejected bid can still carry its best (losing) plan.
 	Schedule *Schedule
@@ -254,6 +252,9 @@ type Decision struct {
 	F float64
 	// Reason documents why a bid lost; empty for winners.
 	Reason RejectReason
+	// Admitted is u_i. The two flags sit together so that they share one
+	// word: 72 bytes a decision, not 80.
+	Admitted bool
 	// DualsUpdated records that the scheduler moved the dual prices for
 	// this bid (F(il) > 0 reached the update step of Algorithm 1). It is
 	// true for every admitted bid, and — the Lemma-1 "almost-feasible"

@@ -181,15 +181,15 @@ func TestValidatePrepDelayShiftsWindow(t *testing.T) {
 	s := &Schedule{
 		TaskID: 0, Vendor: 0, VendorPrice: q.Price, VendorDelay: q.DelaySlots,
 		Placements: []Placement{
-			{Node: 0, Slot: env.Task.Arrival + q.DelaySlots},
-			{Node: 0, Slot: env.Task.Arrival + q.DelaySlots + 1},
+			{Node: 0, Slot: int(env.Task.Arrival) + q.DelaySlots},
+			{Node: 0, Slot: int(env.Task.Arrival) + q.DelaySlots + 1},
 		},
 	}
 	if err := s.Validate(env); err != nil {
 		t.Fatalf("prep plan rejected: %v", err)
 	}
 	// Starting during pre-processing violates (4c).
-	s.Placements[0].Slot = env.Task.Arrival
+	s.Placements[0].Slot = int(env.Task.Arrival)
 	if err := s.Validate(env); err == nil {
 		t.Fatal("plan starting during pre-processing accepted")
 	}

@@ -12,8 +12,8 @@ func prepPlan(env *TaskEnv) *Schedule {
 		TaskID: env.Task.ID, Vendor: q.Vendor,
 		VendorPrice: q.Price, VendorDelay: q.DelaySlots,
 		Placements: []Placement{
-			{Node: 0, Slot: env.Task.Arrival + q.DelaySlots},
-			{Node: 0, Slot: env.Task.Arrival + q.DelaySlots + 1},
+			{Node: 0, Slot: int(env.Task.Arrival) + q.DelaySlots},
+			{Node: 0, Slot: int(env.Task.Arrival) + q.DelaySlots + 1},
 		},
 	}
 }

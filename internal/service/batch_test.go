@@ -238,7 +238,7 @@ func deltaStack(t testing.TB, path string, fullEvery, slots, killAt int, seed in
 	b := startBroker(t, opts)
 	var early []task.Task
 	for _, tk := range s.tasks {
-		if tk.Arrival < killAt {
+		if int(tk.Arrival) < killAt {
 			early = append(early, tk)
 		}
 	}

@@ -72,6 +72,21 @@ func (r *binReader) int() int {
 	return int(v)
 }
 
+// readNarrow reads a varint into one of task.Task's narrow fields. A value
+// the field cannot hold is corruption the CRC did not catch, or a record
+// from a build with wider fields: it fails the record like a truncated
+// one, rather than wrapping into a different bid.
+func readNarrow[T int16 | int32](r *binReader) T {
+	v := r.int()
+	if int(T(v)) != v && r.err == nil {
+		r.err = fmt.Errorf("service: decode: %d overflows %T", v, T(0))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return T(v)
+}
+
 func (r *binReader) f64() float64 {
 	if r.err != nil {
 		return 0

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -19,13 +19,19 @@ import (
 // that duplicate-ID refusal and DecisionFor need. The one mutation is a
 // refund, which flips a record where it stands.
 //
+// The index holds no IDs of its own: it is an open-addressing table of
+// 1+position (0 is an empty slot) whose probe compares recs[p].id. Nothing
+// is ever deleted, so there are no tombstones, growing it is a rebuild from
+// recs, and copying it is one slices.Clone.
+//
 // Because the log is ordered, "what the last persisted checkpoint lacks"
 // is the suffix past a mark plus the (rare) flips below it. A broker that
 // never persists never moves the mark, so it tracks nothing.
 type decisionStore struct {
 	recs   []decisionRec
 	extras []decisionExtra
-	index  map[int]int32
+	index  []int32 // len is zero or a power of two, at most 3/4 full
+	shift  uint8   // 64 − log2(len(index)): a hash's top bits are its slot
 	// reasons interns RejectReason strings; a record holds the position.
 	// Seeded with the schedule.Reason* constants, so stores of the same
 	// decisions are identical however they were built; a scheduler's own
@@ -60,7 +66,7 @@ type decisionExtra struct {
 }
 
 func newDecisionStore() *decisionStore {
-	return &decisionStore{index: map[int]int32{}, reasons: []schedule.RejectReason{
+	return &decisionStore{reasons: []schedule.RejectReason{
 		"", schedule.ReasonNoSchedule, schedule.ReasonSurplus, schedule.ReasonCapacity,
 		schedule.ReasonFailedNode, schedule.ReasonVendorDown,
 	}}
@@ -76,17 +82,46 @@ func (s *decisionStore) Each(fn func(id int, d schedule.Decision)) {
 	}
 }
 
+// find probes for id. It returns id's position in recs, or −1 and the
+// empty slot the probe ended on — where id goes if it is appended next.
+// The hash is multiplicative (Fibonacci): the top bits of id·φ⁻¹·2⁶⁴
+// spread consecutive IDs, strided IDs and IDs that differ only in their
+// high bits alike.
+func (s *decisionStore) find(id int) (pos, slot int) {
+	if len(s.index) == 0 {
+		return -1, -1
+	}
+	mask := len(s.index) - 1
+	for slot = int(uint64(id) * 0x9E3779B97F4A7C15 >> s.shift); ; slot = (slot + 1) & mask {
+		p := int(s.index[slot]) - 1
+		if p < 0 || s.recs[p].id == id {
+			return p, slot
+		}
+	}
+}
+
+// grow doubles the table and refills it from recs.
+func (s *decisionStore) grow() {
+	n := max(8, 2*len(s.index))
+	s.index = make([]int32, n)
+	s.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for p := range s.recs {
+		_, slot := s.find(s.recs[p].id)
+		s.index[slot] = int32(p) + 1
+	}
+}
+
 func (s *decisionStore) has(id int) bool {
-	_, ok := s.index[id]
-	return ok
+	p, _ := s.find(id)
+	return p >= 0
 }
 
 func (s *decisionStore) get(id int) (schedule.Decision, bool) {
-	i, ok := s.index[id]
-	if !ok {
+	p, _ := s.find(id)
+	if p < 0 {
 		return schedule.Decision{}, false
 	}
-	return s.at(int(i)), true
+	return s.at(p), true
 }
 
 func (s *decisionStore) at(i int) schedule.Decision {
@@ -136,7 +171,8 @@ func (s *decisionStore) put(id int, d *schedule.Decision) error {
 	if d.DualsUpdated {
 		r.flags |= flagDualsUpdated
 	}
-	i, seen := s.index[id]
+	i, slot := s.find(id)
+	seen := i >= 0
 	if seen {
 		r.extra = s.recs[i].extra
 	}
@@ -152,8 +188,12 @@ func (s *decisionStore) put(id int, d *schedule.Decision) error {
 		s.recs[i] = r
 		return nil
 	}
-	s.index[id] = int32(len(s.recs))
+	if 4*(len(s.recs)+1) > 3*len(s.index) {
+		s.grow()
+		_, slot = s.find(id)
+	}
 	s.recs = append(s.recs, r)
+	s.index[slot] = int32(len(s.recs))
 	return nil
 }
 
@@ -161,14 +201,14 @@ func (s *decisionStore) put(id int, d *schedule.Decision) error {
 // admission is reversed, the payment record stands (it was charged and
 // refunded).
 func (s *decisionStore) refund(id int) {
-	i, ok := s.index[id]
-	if !ok {
+	i, _ := s.find(id)
+	if i < 0 {
 		return
 	}
 	s.recs[i].flags &^= flagAdmitted
 	s.recs[i].reason, _ = s.intern(schedule.ReasonFailedNode) // seeded, cannot fail
-	if int(i) < s.saved {
-		s.flips = append(s.flips, i)
+	if i < s.saved {
+		s.flips = append(s.flips, int32(i))
 	}
 }
 
@@ -192,7 +232,8 @@ func (s *decisionStore) clone() *decisionStore {
 	return &decisionStore{
 		recs:    slices.Clone(s.recs),
 		extras:  slices.Clone(s.extras),
-		index:   maps.Clone(s.index),
+		index:   slices.Clone(s.index),
+		shift:   s.shift,
 		reasons: slices.Clone(s.reasons),
 	}
 }
@@ -200,11 +241,21 @@ func (s *decisionStore) clone() *decisionStore {
 // decisionWire is one element of the checkpoint's decision section. JSON
 // has no infinities and F is exactly −Inf for a bid with no feasible plan,
 // so that one value rides as f_neg_inf; id is present only when it is
-// not TaskID.
+// not TaskID. The leading fields are schedule.Decision's by name, in the
+// key order the format has always had — written out here so that the
+// order belongs to the format and not to Decision's memory layout.
 type decisionWire struct {
-	schedule.Decision
-	ID      *int `json:"id,omitempty"`
-	FNegInf bool `json:"f_neg_inf,omitempty"`
+	TaskID       int
+	Admitted     bool
+	Schedule     *schedule.Schedule
+	Payment      float64
+	VendorCost   float64
+	EnergyCost   float64
+	F            float64
+	Reason       schedule.RejectReason
+	DualsUpdated bool
+	ID           *int `json:"id,omitempty"`
+	FNegInf      bool `json:"f_neg_inf,omitempty"`
 }
 
 // MarshalJSON writes the decision section: an array in decision order. A
@@ -224,7 +275,13 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 		}
 		f := math.Float64frombits(r.f) // NaN or +Inf fails encoding/json's check of what this returns
 		if r.extra != 0 {
-			w := decisionWire{Decision: s.at(i), FNegInf: math.IsInf(f, -1)}
+			d := s.at(i)
+			w := decisionWire{
+				TaskID: d.TaskID, Admitted: d.Admitted, Schedule: d.Schedule,
+				Payment: d.Payment, VendorCost: d.VendorCost, EnergyCost: d.EnergyCost,
+				F: d.F, Reason: d.Reason, DualsUpdated: d.DualsUpdated,
+				FNegInf: math.IsInf(f, -1),
+			}
 			if w.FNegInf {
 				w.F = 0
 			}
@@ -271,14 +328,19 @@ func (s *decisionStore) UnmarshalJSON(data []byte) error {
 		if err := dec.Decode(&w); err != nil {
 			return fmt.Errorf("service: checkpoint decision %d: %w", len(s.recs), err)
 		}
+		d := schedule.Decision{
+			TaskID: w.TaskID, Admitted: w.Admitted, Schedule: w.Schedule,
+			Payment: w.Payment, VendorCost: w.VendorCost, EnergyCost: w.EnergyCost,
+			F: w.F, Reason: w.Reason, DualsUpdated: w.DualsUpdated,
+		}
 		if w.FNegInf {
-			w.F = math.Inf(-1)
+			d.F = math.Inf(-1)
 		}
 		id := w.TaskID
 		if w.ID != nil {
 			id = *w.ID
 		}
-		if err := s.put(id, &w.Decision); err != nil {
+		if err := s.put(id, &d); err != nil {
 			return err
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -19,9 +21,24 @@ import (
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
-func TestDecisionRecordIs24Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(decisionRec{}); got != 24 {
-		t.Fatalf("decisionRec is %d bytes, want 24", got)
+// TestRecordSizes pins what one bid costs at rest: the task a workload and
+// a held bid carry, the decision a collecting run keeps, and the record the
+// broker files it as. A field added or widened without thought shows here
+// before it shows as megabytes in the benchmark's live_heap_mb.
+func TestRecordSizes(t *testing.T) {
+	for _, r := range []struct {
+		name      string
+		got, want uintptr
+		exact     bool
+	}{
+		{"task.Task", unsafe.Sizeof(task.Task{}), 72, false},
+		{"schedule.Decision", unsafe.Sizeof(schedule.Decision{}), 72, false},
+		{"heldBid", unsafe.Sizeof(heldBid{}), 104, false},
+		{"decisionRec", unsafe.Sizeof(decisionRec{}), 24, true},
+	} {
+		if r.got > r.want || r.exact && r.got != r.want {
+			t.Errorf("%s is %d bytes, want %d", r.name, r.got, r.want)
+		}
 	}
 }
 
@@ -90,13 +107,17 @@ func requireStoreEquals(t *testing.T, label string, s *decisionStore, ref map[in
 // decision encoding applied to a replica), and requires the replica built
 // from full + N deltas to equal the reference, in decision order.
 func TestDecisionStoreMatchesMap(t *testing.T) {
-	for _, ids := range []string{"sequential", "sparse", "assigned"} {
+	// The last three are what a multiplicative hash could take badly:
+	// IDs that differ only above bit 20, runs of consecutive IDs at
+	// scattered bases, and IDs counting down from the largest allowed.
+	for _, ids := range []string{"sequential", "sparse", "assigned", "strided", "runs", "top"} {
 		t.Run(ids, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(ids))))
 			s, replica := newDecisionStore(), newDecisionStore()
 			ref := map[int]schedule.Decision{}
 			var order []int
 			nextID := 0 // the broker's assignment: one past the largest seen
+			runLeft, runAt := 0, 0
 			newID := func() int {
 				id := nextID
 				switch {
@@ -104,6 +125,16 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 					for id = int(rng.Int63()) - rng.Intn(2)*math.MaxInt32; ref[id].TaskID != 0 || s.has(id); {
 						id++
 					}
+				case ids == "strided":
+					id = len(order) << 20
+				case ids == "runs":
+					if runLeft == 0 {
+						runLeft, runAt = 1+rng.Intn(64), rng.Intn(1<<40)<<10
+					}
+					runLeft--
+					id, runAt = runAt, runAt+1
+				case ids == "top":
+					id = maxBidID - len(order)
 				}
 				if id >= nextID && id < math.MaxInt64 {
 					nextID = id + 1
@@ -162,7 +193,11 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 			}
 
 			persist(true) // an empty store round-trips too
+			growths, table := 0, 0
 			for step := 0; step < 4000; step++ {
+				if len(s.index) != table {
+					growths, table = growths+1, len(s.index)
+				}
 				switch op := rng.Intn(20); {
 				case op < 12 || len(order) == 0:
 					put()
@@ -185,8 +220,38 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 				}
 			}
 			persist(false)
+			if growths < 3 {
+				t.Fatalf("the index grew %d times; the script is meant to cross at least three rebuilds", growths)
+			}
 			requireStoreEquals(t, "live store", s, ref, order)
-			requireStoreEquals(t, "clone", s.clone(), ref, order)
+
+			// A clone and its original share nothing but the plans: the
+			// original doubles (its index is rebuilt at least once) and
+			// flips its oldest decision, then the clone does the same
+			// with other bids, and each still answers for its own.
+			c := s.clone()
+			requireStoreEquals(t, "clone", c, ref, order)
+			cloneRef, cloneOrder := maps.Clone(ref), slices.Clone(order)
+			for n := len(order); n > 0; n-- {
+				put()
+			}
+			refund(order[0])
+			requireStoreEquals(t, "clone, after its original moved on", c, cloneRef, cloneOrder)
+			for n := len(cloneOrder); n > 0; n-- {
+				id := -1 - n // no kind draws a negative ID
+				d := randomDecision(rng, id)
+				if err := c.put(id, &d); err != nil {
+					t.Fatal(err)
+				}
+				cloneRef[id], cloneOrder = d, append(cloneOrder, id)
+			}
+			c.refund(cloneOrder[1])
+			d := cloneRef[cloneOrder[1]]
+			d.Admitted, d.Reason = false, schedule.ReasonFailedNode
+			cloneRef[cloneOrder[1]] = d
+			requireStoreEquals(t, "clone, after moving on itself", c, cloneRef, cloneOrder)
+			persist(false)
+			requireStoreEquals(t, "live store, after its clone moved on", s, ref, order)
 
 			// The same through the real file pair.
 			path := filepath.Join(t.TempDir(), "ck.json")
@@ -227,13 +292,16 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// TestDecisionStoreMemoryBudget holds the store to 64 B per rejected bid —
+// TestDecisionStoreMemoryBudget holds the store to 44 B per rejected bid —
 // record plus index, whatever the IDs look like — and an admitted bid to
 // the same plus its plan: the side entry the store keeps for it, with the
-// Schedule itself allocated before the baseline is read. The map of
-// schedule.Decision this replaced cost 174 B per rejected bid.
+// Schedule itself allocated before the baseline is read. At 100,000 bids
+// the index has just doubled, which is its worst case: 24 B of record,
+// about a fifth of that again in append slack, and 10.5 B of table. The
+// map of schedule.Decision this replaced cost 174 B per rejected bid, the
+// map[int]int32 index beside the records 53.
 func TestDecisionStoreMemoryBudget(t *testing.T) {
-	const budget = 64
+	const budget = 44
 	perBid := func(n int, id func(i int) int, decision func(i, id int) schedule.Decision) float64 {
 		before := liveHeap()
 		s := newDecisionStore()
@@ -300,7 +368,7 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 	verdicts := make([]error, perSlot)
 	for slot := 0; slot < slots; slot++ {
 		for i := range batch {
-			batch[i] = task.Task{ID: -1, Arrival: -1, Deadline: min(slot+3, slots-1), Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+			batch[i] = task.Task{ID: -1, Arrival: -1, Deadline: int32(min(slot+3, slots-1)), Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
 		}
 		if held, err := b.SubmitBatchAck(context.Background(), batch, verdicts); err != nil || held != perSlot {
 			t.Fatalf("slot %d: held %d of %d, err %v", slot, held, perSlot, err)

@@ -69,21 +69,23 @@ func postBids(srv *httptest.Server, path string, body any, array bool) formReply
 	return r
 }
 
-// intakeForm is one way a bid reaches hold.
+// intakeForm is one way a bid reaches hold: an in-process call (send) or
+// an HTTP endpoint (path).
 type intakeForm struct {
 	name       string
-	brokerOnly bool // SubmitAsync is not on the Auctioneer surface
-	http       bool
-	ackOnly    bool // returns at the ack; the decision is looked up later
-	send       func(a Auctioneer, srv *httptest.Server, t task.Task) formReply
+	brokerOnly bool   // SubmitAsync is not on the Auctioneer surface
+	path       string // HTTP forms: the endpoint
+	array      bool   // HTTP forms: body and reply are one-element arrays
+	ackOnly    bool   // returns at the ack; the decision is looked up later
+	send       func(a Auctioneer, t task.Task) formReply
 }
 
 var intakeForms = []intakeForm{
-	{name: "Submit", send: func(a Auctioneer, _ *httptest.Server, t task.Task) formReply {
+	{name: "Submit", send: func(a Auctioneer, t task.Task) formReply {
 		d, err := a.Submit(context.Background(), t)
 		return inProcessReply(d.TaskID, &Outcome{Decision: d, Err: err})
 	}},
-	{name: "SubmitAsync", brokerOnly: true, send: func(a Auctioneer, _ *httptest.Server, t task.Task) formReply {
+	{name: "SubmitAsync", brokerOnly: true, send: func(a Auctioneer, t task.Task) formReply {
 		ch, err := a.(*Broker).SubmitAsync(context.Background(), t)
 		if err != nil {
 			return formReply{err: err, refusal: err.Error()}
@@ -91,14 +93,14 @@ var intakeForms = []intakeForm{
 		out := <-ch
 		return inProcessReply(out.Decision.TaskID, &out)
 	}},
-	{name: "SubmitBatch", send: func(a Auctioneer, _ *httptest.Server, t task.Task) formReply {
+	{name: "SubmitBatch", send: func(a Auctioneer, t task.Task) formReply {
 		outs, err := a.SubmitBatch(context.Background(), []task.Task{t})
 		if err != nil {
 			return formReply{err: err, refusal: err.Error()}
 		}
 		return inProcessReply(outs[0].Decision.TaskID, &outs[0])
 	}},
-	{name: "SubmitBatchAck", ackOnly: true, send: func(a Auctioneer, _ *httptest.Server, t task.Task) formReply {
+	{name: "SubmitBatchAck", ackOnly: true, send: func(a Auctioneer, t task.Task) formReply {
 		tasks, verdicts := []task.Task{t}, make([]error, 1)
 		if _, err := a.SubmitBatchAck(context.Background(), tasks, verdicts); err != nil {
 			return formReply{err: err, refusal: err.Error()}
@@ -108,15 +110,24 @@ var intakeForms = []intakeForm{
 		}
 		return formReply{id: tasks[0].ID}
 	}},
-	{name: "POST /v1/bids", http: true, send: func(_ Auctioneer, srv *httptest.Server, t task.Task) formReply {
-		return postBids(srv, "/v1/bids", BidRequestFor(t), false)
-	}},
-	{name: "POST /v1/bids/batch", http: true, send: func(_ Auctioneer, srv *httptest.Server, t task.Task) formReply {
-		return postBids(srv, "/v1/bids/batch", []BidRequest{BidRequestFor(t)}, true)
-	}},
-	{name: "POST /v1/bids/batch?ack=1", http: true, ackOnly: true, send: func(_ Auctioneer, srv *httptest.Server, t task.Task) formReply {
-		return postBids(srv, "/v1/bids/batch?ack=1", []BidRequest{BidRequestFor(t)}, true)
-	}},
+	{name: "POST /v1/bids", path: "/v1/bids"},
+	{name: "POST /v1/bids/batch", path: "/v1/bids/batch", array: true},
+	{name: "POST /v1/bids/batch?ack=1", path: "/v1/bids/batch?ack=1", array: true, ackOnly: true},
+}
+
+// post sends one wire bid — anything that marshals to one — to an HTTP form.
+func (f intakeForm) post(srv *httptest.Server, bid any) formReply {
+	if f.array {
+		bid = []any{bid}
+	}
+	return postBids(srv, f.path, bid, f.array)
+}
+
+func (f intakeForm) offer(a Auctioneer, srv *httptest.Server, t task.Task) formReply {
+	if f.path == "" {
+		return f.send(a, t)
+	}
+	return f.post(srv, BidRequestFor(t))
 }
 
 // TestIntakeFormsAgree drives one script of bids — every intake refusal
@@ -204,7 +215,7 @@ func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 		before := held()
 		done := make(chan formReply, 1)
 		inflight = append(inflight, done)
-		go func() { done <- f.send(a, srv, bid) }()
+		go func() { done <- f.offer(a, srv, bid) }()
 		for {
 			select {
 			case r := <-done:
@@ -213,9 +224,9 @@ func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 				case wantHeld != (r.refusal == ""):
 					t.Fatalf("%s via %s: want held=%v, got %q", step, f.name, wantHeld, r.refusal)
 				case wantHeld:
-				case !f.http && want != nil && !errors.Is(r.err, want):
+				case f.path == "" && want != nil && !errors.Is(r.err, want):
 					t.Fatalf("%s via %s: got %v, want %v", step, f.name, r.err, want)
-				case f.http && r.status != http.StatusOK && r.status != httpStatus(want):
+				case f.path != "" && r.status != http.StatusOK && r.status != httpStatus(want):
 					t.Fatalf("%s via %s: HTTP %d, want %d", step, f.name, r.status, httpStatus(want))
 				}
 				return
@@ -233,7 +244,7 @@ func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 		}
 	}
 	bid := func(id, arrival int) task.Task {
-		return task.Task{ID: id, Arrival: arrival, Deadline: slots - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5, TrueValue: 5}
+		return task.Task{ID: id, Arrival: int32(arrival), Deadline: slots - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5, TrueValue: 5}
 	}
 	breakJournal := func(broken bool) {
 		for _, br := range a.Brokers() {
@@ -262,6 +273,34 @@ func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 	offer("id-overflow-1", bid(math.MaxInt-1, 4), false, nil)
 	offer("id-above-bound", bid(maxBidID+1, 4), false, nil)
 	offer("id-at-bound", bid(maxBidID, 4), true, nil)
+	if f.path != "" {
+		// A number task.Task cannot hold is refused by the decoder, before
+		// anything reaches the broker; the auto-ID bid below is still held.
+		for _, o := range []struct {
+			field string
+			value int64
+		}{{"deadline", math.MaxInt32 + 1}, {"work", math.MaxInt32 + 1}, {"batch", math.MaxInt16 + 1}} {
+			wire, _ := json.Marshal(BidRequestFor(bid(9, 4)))
+			var fields map[string]any
+			if err := json.Unmarshal(wire, &fields); err != nil {
+				t.Fatal(err)
+			}
+			fields[o.field] = o.value
+			before, err := a.Status()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := f.post(srv, fields)
+			after, err := a.Status()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.status != http.StatusBadRequest || after.Held != before.Held || after.WALRecords != before.WALRecords {
+				t.Fatalf("%s-overflow via %s: HTTP %d (%s), held %d → %d, journaled %d → %d; want 400 and nothing kept",
+					o.field, f.name, r.status, r.refusal, before.Held, after.Held, before.WALRecords, after.WALRecords)
+			}
+		}
+	}
 	if kind == "shards-1" {
 		offer("auto-id", bid(-1, 4), false, ErrShardNeedsID)
 	} else {

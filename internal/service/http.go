@@ -18,19 +18,22 @@ import (
 
 // BidRequest is the JSON body of POST /v1/bids — the wire form of one
 // fine-tuning bid. Omitted id/arrival default to "assign the next ID" /
-// "the current slot".
+// "the current slot". The numeric fields have task.Task's widths, so
+// encoding/json itself refuses a number the task could not hold (a 400)
+// and the conversion below never narrows. The field order is the wire's
+// key order and stays as it is.
 type BidRequest struct {
 	ID             *int    `json:"id,omitempty"`
-	Arrival        *int    `json:"arrival,omitempty"`
-	Deadline       int     `json:"deadline"`
-	Work           int     `json:"work"`
+	Arrival        *int32  `json:"arrival,omitempty"`
+	Deadline       int32   `json:"deadline"`
+	Work           int32   `json:"work"`
 	MemGB          float64 `json:"mem_gb"`
 	Bid            float64 `json:"bid"`
 	NeedsPrep      bool    `json:"needs_prep,omitempty"`
-	Rank           int     `json:"rank,omitempty"`
-	Batch          int     `json:"batch,omitempty"`
-	DatasetSamples int     `json:"dataset_samples,omitempty"`
-	Epochs         int     `json:"epochs,omitempty"`
+	Rank           int16   `json:"rank,omitempty"`
+	Batch          int16   `json:"batch,omitempty"`
+	DatasetSamples int32   `json:"dataset_samples,omitempty"`
+	Epochs         int16   `json:"epochs,omitempty"`
 	ModelName      string  `json:"model,omitempty"`
 }
 

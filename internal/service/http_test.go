@@ -115,7 +115,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	httpJSON(t, srv, "POST", "/v1/bids", map[string]any{"unknown_field": 1}, http.StatusBadRequest, nil)
 
 	// Past-slot and horizon-over refusals map to 409/410.
-	past := 0
+	past := int32(0)
 	httpJSON(t, srv, "POST", "/v1/bids",
 		BidRequest{Arrival: &past, Deadline: 10, Work: 5, MemGB: 2, Bid: 8},
 		http.StatusConflict, nil)
@@ -192,4 +192,78 @@ func TestHTTPRealClockStep(t *testing.T) {
 	srv := httptest.NewServer(b.Handler())
 	defer srv.Close()
 	httpJSON(t, srv, "POST", "/v1/clock/step", map[string]int{"slots": 1}, http.StatusConflict, nil)
+}
+
+// wideBid is BidRequest with every integer as wide as JSON allows: the
+// same keys through the same decoder, so whatever encoding/json does with
+// case, duplicates and nulls it does to both.
+type wideBid struct {
+	ID             *int64  `json:"id"`
+	Arrival        *int64  `json:"arrival"`
+	Deadline       int64   `json:"deadline"`
+	Work           int64   `json:"work"`
+	MemGB          float64 `json:"mem_gb"`
+	Bid            float64 `json:"bid"`
+	NeedsPrep      bool    `json:"needs_prep"`
+	Rank           int64   `json:"rank"`
+	Batch          int64   `json:"batch"`
+	DatasetSamples int64   `json:"dataset_samples"`
+	Epochs         int64   `json:"epochs"`
+	ModelName      string  `json:"model"`
+}
+
+// FuzzDecodeBids: a batch body either fails to decode or becomes tasks
+// whose every field is the number on the wire — never one that wrapped on
+// its way into a narrower field — and a task survives the trip back out
+// through BidRequestFor and in again unchanged.
+func FuzzDecodeBids(f *testing.F) {
+	f.Add([]byte(`[{"id":7,"arrival":3,"deadline":9,"work":24,"mem_gb":4.5,"bid":50,"needs_prep":true,"rank":16,"batch":32,"dataset_samples":8000,"epochs":3,"model":"gpt2"}]`))
+	f.Add([]byte(`[{"deadline":9,"work":5,"mem_gb":2,"bid":8},{"Deadline":1,"deadline":2,"work":null}]`))
+	f.Add([]byte(`[{"deadline":2147483648,"work":5,"mem_gb":2,"bid":8}]`))
+	f.Add([]byte(`[{"deadline":9,"work":-2147483649,"mem_gb":2,"bid":8}]`))
+	f.Add([]byte(`[{"deadline":9,"work":5,"batch":32768,"epochs":-32769,"rank":65536}]`))
+	f.Add([]byte(`[{"id":9007199254740993,"arrival":4294967296,"dataset_samples":4294967297}]`))
+	f.Add([]byte(`[{"deadline":1e3,"work":5.0,"bid":1e999}]`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var reqs []BidRequest
+		if err := decodeBids(data, &reqs); err != nil {
+			return
+		}
+		var wide []wideBid
+		if err := json.Unmarshal(data, &wide); err != nil || len(wide) != len(reqs) {
+			t.Fatalf("%d bids decoded, but the wide reading has %d (err %v)", len(reqs), len(wide), err)
+		}
+		orDefault := func(p *int64, v int64) int64 {
+			if p != nil {
+				return *p
+			}
+			return v
+		}
+		for i := range reqs {
+			tk, w := reqs[i].Task(), &wide[i]
+			if w.Batch == 0 {
+				w.Batch = 8
+			}
+			if w.Rank == 0 {
+				w.Rank = 8
+			}
+			if int64(tk.ID) != orDefault(w.ID, -1) || int64(tk.Arrival) != orDefault(w.Arrival, -1) ||
+				int64(tk.Deadline) != w.Deadline || int64(tk.Work) != w.Work ||
+				int64(tk.Rank) != w.Rank || int64(tk.Batch) != w.Batch ||
+				int64(tk.DatasetSamples) != w.DatasetSamples || int64(tk.Epochs) != w.Epochs ||
+				tk.MemGB != w.MemGB || tk.Bid != w.Bid || tk.TrueValue != w.Bid ||
+				tk.NeedsPrep != w.NeedsPrep || tk.ModelName != w.ModelName {
+				t.Fatalf("bid %d became %+v, the wire says %+v", i, tk, *w)
+			}
+			again, err := json.Marshal([]BidRequest{BidRequestFor(tk)})
+			if err != nil {
+				t.Fatalf("bid %d: %+v does not encode: %v", i, tk, err)
+			}
+			var back []BidRequest
+			if err := decodeBids(again, &back); err != nil || len(back) != 1 || back[0].Task() != tk {
+				t.Fatalf("bid %d: %+v came back from %s as %+v (err %v)", i, tk, again, back, err)
+			}
+		}
+	})
 }

@@ -127,8 +127,9 @@ type Options struct {
 	// DropLosingPlans, when set, discards the (never again consulted)
 	// candidate Schedule attached to rejected decisions instead of
 	// retaining it in the decision store: a rejected bid then costs its
-	// 24-byte record plus its index entry (53 B) rather than that plus
-	// a plan (a 40 B side entry, a 64 B Schedule and its placements).
+	// 24-byte record plus its slot in the position table (40 B at most,
+	// append slack included) rather than that plus a plan (a 40 B side
+	// entry, a 64 B Schedule and its placements).
 	// Admitted plans are always retained (failure recovery re-plans
 	// from them). Checkpoints written with this set
 	// restore with the same accounting, duals, and ledger; only the
@@ -1068,12 +1069,12 @@ func (b *Broker) hold(t *task.Task, ctx context.Context, sub *submission, idx in
 		return ErrHorizonOver
 	}
 	if t.Arrival < 0 {
-		t.Arrival = b.slot
+		t.Arrival = int32(b.slot) // inside the horizon, which cluster.New holds to int32
 	}
 	if t.ID < 0 {
 		t.ID = b.nextID
 	}
-	if t.Arrival < b.slot {
+	if int(t.Arrival) < b.slot {
 		return fmt.Errorf("%w: arrival %d, current slot %d", ErrPastSlot, t.Arrival, b.slot)
 	}
 	if err := t.Validate(b.horizon); err != nil {
@@ -1097,12 +1098,13 @@ func (b *Broker) hold(t *task.Task, ctx context.Context, sub *submission, idx in
 	if t.ID >= b.nextID {
 		b.nextID = t.ID + 1
 	}
-	slot := b.held[t.Arrival]
+	arrival := int(t.Arrival)
+	slot := b.held[arrival]
 	if slot == nil && len(b.heldFree) > 0 {
 		slot = b.heldFree[len(b.heldFree)-1]
 		b.heldFree = b.heldFree[:len(b.heldFree)-1]
 	}
-	b.held[t.Arrival] = append(slot, heldBid{task: *t, ctx: ctx, sub: sub, idx: idx})
+	b.held[arrival] = append(slot, heldBid{task: *t, ctx: ctx, sub: sub, idx: idx})
 	b.heldIDs[t.ID] = struct{}{}
 	b.heldCount++
 	if b.heldCount > b.heldHW {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -295,7 +296,7 @@ func TestIntakeVerdicts(t *testing.T) {
 	ctx := context.Background()
 
 	bid := func(id, arrival int) task.Task {
-		return task.Task{ID: id, Arrival: arrival, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+		return task.Task{ID: id, Arrival: int32(arrival), Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
 	}
 
 	if _, err := b.SubmitAsync(ctx, bid(0, 3)); err != nil {
@@ -320,6 +321,22 @@ func TestIntakeVerdicts(t *testing.T) {
 	invalid.Work = -1
 	if _, err := b.SubmitAsync(ctx, invalid); err == nil {
 		t.Fatal("invalid task accepted")
+	}
+	// JSON cannot carry a non-finite bid, but Submit can. Admitted, it
+	// would win at surplus +Inf and leave λ = +Inf on its plan's cells.
+	before, _ := b.Duals()
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		nonFinite := bid(4, 6)
+		nonFinite.Bid = v
+		if _, err := b.Submit(ctx, nonFinite); err == nil {
+			t.Fatalf("bid %v accepted", v)
+		}
+	}
+	if _, err := b.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := b.Duals(); !after.Equal(before) {
+		t.Fatal("a refused non-finite bid moved the duals")
 	}
 	if _, err := b.Step(12); err != nil {
 		t.Fatal(err)

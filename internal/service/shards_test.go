@@ -80,7 +80,7 @@ func driveShards(t *testing.T, s *Shards, slots int, tasks []task.Task) {
 	t.Helper()
 	perSlot := make(map[int][]task.Task)
 	for _, tk := range tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
+		perSlot[int(tk.Arrival)] = append(perSlot[int(tk.Arrival)], tk)
 	}
 	for slot := 0; slot < slots; slot++ {
 		batch := perSlot[slot]
@@ -113,7 +113,7 @@ func TestShardCountInvariance(t *testing.T) {
 	b := startBroker(t, mono.brokerOptions())
 	perSlot := make(map[int][]task.Task)
 	for _, tk := range tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
+		perSlot[int(tk.Arrival)] = append(perSlot[int(tk.Arrival)], tk)
 	}
 	for slot := 0; slot < slots; slot++ {
 		if batch := perSlot[slot]; len(batch) > 0 {
@@ -295,7 +295,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 
 	perSlot := make(map[int][]task.Task)
 	for _, tk := range tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
+		perSlot[int(tk.Arrival)] = append(perSlot[int(tk.Arrival)], tk)
 	}
 	drive := func(s *Shards, from, to int) {
 		for slot := from; slot < to; slot++ {

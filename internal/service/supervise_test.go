@@ -372,7 +372,8 @@ func TestSupervisorRetriesHeldBidAcrossKill(t *testing.T) {
 			forms = append(forms, f)
 		}
 	}
-	forms = append(forms, intakeForm{name: "SubmitBatch, one bid decided before the kill"})
+	const twoBids = "SubmitBatch, one bid decided before the kill"
+	forms = append(forms, intakeForm{name: twoBids})
 	for _, f := range forms {
 		t.Run(f.name, func(t *testing.T) {
 			sup, restarted, _ := walSupervisor(t, 8, 5)
@@ -385,8 +386,8 @@ func TestSupervisorRetriesHeldBidAcrossKill(t *testing.T) {
 
 			bids := []task.Task{bid0}
 			replies := make(chan []formReply, 1)
-			if f.send != nil {
-				go func() { replies <- []formReply{f.send(sup, srv, bid0)} }()
+			if f.name != twoBids {
+				go func() { replies <- []formReply{f.offer(sup, srv, bid0)} }()
 			} else {
 				bids = append(bids, later)
 				go func() {

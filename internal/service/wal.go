@@ -154,14 +154,14 @@ func walHeader(label string, slot int) []byte {
 // appendWALTask encodes one held bid's full stamped task.
 func appendWALTask(p []byte, t *task.Task) []byte {
 	p = appendInt(p, t.ID)
-	p = appendInt(p, t.Arrival)
-	p = appendInt(p, t.Deadline)
-	p = appendInt(p, t.DatasetSamples)
-	p = appendInt(p, t.Epochs)
-	p = appendInt(p, t.Work)
+	p = appendInt(p, int(t.Arrival))
+	p = appendInt(p, int(t.Deadline))
+	p = appendInt(p, int(t.DatasetSamples))
+	p = appendInt(p, int(t.Epochs))
+	p = appendInt(p, int(t.Work))
 	p = appendF64(p, t.MemGB)
-	p = appendInt(p, t.Rank)
-	p = appendInt(p, t.Batch)
+	p = appendInt(p, int(t.Rank))
+	p = appendInt(p, int(t.Batch))
 	p = appendBool(p, t.NeedsPrep)
 	p = appendF64(p, t.Bid)
 	p = appendF64(p, t.TrueValue)
@@ -172,14 +172,14 @@ func appendWALTask(p []byte, t *task.Task) []byte {
 func readWALTask(r *binReader) task.Task {
 	var t task.Task
 	t.ID = r.int()
-	t.Arrival = r.int()
-	t.Deadline = r.int()
-	t.DatasetSamples = r.int()
-	t.Epochs = r.int()
-	t.Work = r.int()
+	t.Arrival = readNarrow[int32](r)
+	t.Deadline = readNarrow[int32](r)
+	t.DatasetSamples = readNarrow[int32](r)
+	t.Epochs = readNarrow[int16](r)
+	t.Work = readNarrow[int32](r)
 	t.MemGB = r.f64()
-	t.Rank = r.int()
-	t.Batch = r.int()
+	t.Rank = readNarrow[int16](r)
+	t.Batch = readNarrow[int16](r)
 	t.NeedsPrep = r.bool()
 	t.Bid = r.f64()
 	t.TrueValue = r.f64()
@@ -194,9 +194,10 @@ func (w *walWriter) stage(t *task.Task) {
 	w.msg = appendU64(w.msg, uint64(len(w.buf)))
 	w.msg = binary.LittleEndian.AppendUint32(w.msg, crc32.ChecksumIEEE(w.buf))
 	w.msg = append(w.msg, w.buf...)
-	w.refs = append(w.refs, walRef{arrival: t.Arrival, id: t.ID})
-	if t.Arrival > w.maxArrival {
-		w.maxArrival = t.Arrival
+	arrival := int(t.Arrival)
+	w.refs = append(w.refs, walRef{arrival: arrival, id: t.ID})
+	if arrival > w.maxArrival {
+		w.maxArrival = arrival
 	}
 }
 
@@ -560,7 +561,7 @@ func (b *Broker) RecoverWAL() (int, error) {
 	replayed := 0
 	for i := range tasks {
 		t := tasks[i]
-		if t.Arrival < b.slot {
+		if int(t.Arrival) < b.slot {
 			b.walStale++
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -115,6 +116,41 @@ func TestWALValidPrefixProperty(t *testing.T) {
 		flipped := append([]byte(nil), data...)
 		flipped[i] ^= 0xFF
 		check("corruption", i, flipped)
+	}
+
+	// A record whose frame and checksum are sound but whose deadline no
+	// int32 holds — what a build with wider fields could have journaled —
+	// ends the prefix where it stands: neither it (wrapped into some other
+	// bid) nor anything behind it is replayed.
+	frame := func(payload []byte) []byte {
+		f := appendU64(nil, uint64(len(payload)))
+		f = binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(payload))
+		return append(f, payload...)
+	}
+	var frames [][]byte
+	size := 0
+	for i := range want {
+		frames = append(frames, frame(appendWALTask(nil, &want[i])))
+		size += len(frames[i])
+	}
+	hdr := len(data) - size
+	if hdr <= 0 || !bytes.Equal(data[hdr:], bytes.Join(frames, nil)) {
+		t.Fatalf("journal is not a header and %d re-encodable frames", len(want))
+	}
+	k := len(want) / 2
+	wide := appendInt(nil, want[k].ID)
+	wide = appendInt(wide, int(want[k].Arrival))
+	wide = appendInt(wide, math.MaxInt32+1)                      // the deadline
+	wide = append(wide, appendWALTask(nil, &task.Task{})[3:]...) // the other fields, all zero
+	mutated := append([]byte(nil), data[:hdr]...)
+	mutated = append(mutated, bytes.Join(frames[:k], nil)...)
+	mutated = append(mutated, frame(wide)...)
+	mutated = append(mutated, bytes.Join(frames[k:], nil)...)
+	if err := os.WriteFile(mut, mutated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := ReadWAL(mut, opts.RunLabel); len(got) != k || !isPrefix(got) {
+		t.Fatalf("overflowing record at position %d: replay returned %d records, want exactly the %d before it", k, len(got), k)
 	}
 }
 

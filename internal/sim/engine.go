@@ -291,9 +291,9 @@ func (e *Engine) onBid(env *schedule.TaskEnv) {
 	}
 	e.bidEv = obs.BidEvent{
 		TaskID:    env.Task.ID,
-		Slot:      env.Task.Arrival,
+		Slot:      int(env.Task.Arrival),
 		Bid:       env.Task.Bid,
-		Work:      env.Task.Work,
+		Work:      int(env.Task.Work),
 		MemGB:     env.Task.MemGB,
 		NeedsPrep: env.Task.NeedsPrep,
 		Quotes:    len(env.Quotes),
@@ -325,7 +325,7 @@ func (e *Engine) settle(env *schedule.TaskEnv, d *schedule.Decision, vendorErr e
 func (e *Engine) fillOutcome(env *schedule.TaskEnv, d *schedule.Decision) {
 	e.outEv = obs.OutcomeEvent{
 		TaskID:       env.Task.ID,
-		Slot:         env.Task.Arrival,
+		Slot:         int(env.Task.Arrival),
 		Bid:          env.Task.Bid,
 		Admitted:     d.Admitted,
 		Reason:       d.Reason,

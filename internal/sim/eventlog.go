@@ -45,7 +45,7 @@ func (l *eventLogger) log(t *task.Task, d *schedule.Decision) error {
 		return nil
 	}
 	ev := Event{
-		Slot:     t.Arrival,
+		Slot:     int(t.Arrival),
 		TaskID:   t.ID,
 		Bid:      t.Bid,
 		Admitted: d.Admitted,

@@ -199,7 +199,7 @@ func (fs *FailureTracker) breakPlans(f Failure, sched Scheduler, res *Result) {
 		res.Welfare += releasedEnergy
 		res.EnergySpend -= releasedEnergy
 
-		remaining := rec.task.Work - executed
+		remaining := int(rec.task.Work) - executed
 		if remaining <= 0 {
 			// Already sufficiently fine-tuned; nothing to recover.
 			rec.plan = kept
@@ -210,8 +210,8 @@ func (fs *FailureTracker) breakPlans(f Failure, sched Scheduler, res *Result) {
 		cont := rec.task
 		cont.ID = fs.contID
 		fs.contID++
-		cont.Arrival = f.From
-		cont.Work = remaining
+		cont.Arrival = int32(f.From)
+		cont.Work = int32(remaining)
 		cont.NeedsPrep = false
 		env := &schedule.TaskEnv{
 			Task:    &cont,
@@ -225,7 +225,6 @@ func (fs *FailureTracker) breakPlans(f Failure, sched Scheduler, res *Result) {
 			res.Welfare -= d.EnergyCost
 			res.EnergySpend += d.EnergyCost
 			rec.task = cont
-			rec.task.Work = remaining
 			rec.env = env
 			rec.plan = append(kept, d.Schedule.Placements...)
 			continue

@@ -209,7 +209,7 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		for ; i < len(tasks) && tasks[i].Arrival == slot; i++ {
 			round = append(round, &tasks[i])
 		}
-		if err := eng.Round(ctx, slot, round); err != nil {
+		if err := eng.Round(ctx, int(slot), round); err != nil {
 			return nil, fmt.Errorf("sim: canceled after %d of %d bids: %w", eng.Offered(), len(tasks), err)
 		}
 	}

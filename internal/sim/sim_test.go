@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
+	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
@@ -60,6 +62,28 @@ func TestRunValidatesInputs(t *testing.T) {
 	if _, err := Run(cl, baseline.NewEFT(), tasks, Config{Model: lora.GPT2Small()}); err == nil {
 		t.Fatal("unsorted tasks accepted")
 	}
+	// A non-finite bid is refused up front, before any task is offered: an
+	// admitted +Inf bid would price every cell of its plan at λ = +Inf.
+	tasks = []task.Task{
+		{ID: 0, Arrival: 2, Deadline: 6, Work: 1, MemGB: 1, Batch: 8, Bid: 1},
+		{ID: 1, Arrival: 5, Deadline: 6, Work: 1, MemGB: 1, Batch: 8, Bid: math.Inf(1)},
+	}
+	offered := 0
+	sched := countingScheduler{baseline.NewEFT(), &offered}
+	if _, err := Run(cl, sched, tasks, Config{Model: lora.GPT2Small()}); err == nil || offered != 0 {
+		t.Fatalf("infinite bid: err %v after %d offers, want a refusal before the first", err, offered)
+	}
+}
+
+// countingScheduler counts the bids that reach the scheduler.
+type countingScheduler struct {
+	Scheduler
+	offered *int
+}
+
+func (c countingScheduler) Offer(env *schedule.TaskEnv) schedule.Decision {
+	*c.offered++
+	return c.Scheduler.Offer(env)
 }
 
 func TestRunAccountingConsistency(t *testing.T) {

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -37,6 +38,14 @@ func TestValidateRejects(t *testing.T) {
 		{"negative bid", func(t *Task) { t.Bid = -1 }},
 		{"negative dataset", func(t *Task) { t.DatasetSamples = -1 }},
 		{"negative epochs", func(t *Task) { t.Epochs = -1 }},
+		// None of these is < 0 or <= 0, which is all Validate used to ask.
+		{"NaN bid", func(t *Task) { t.Bid = math.NaN() }},
+		{"infinite bid", func(t *Task) { t.Bid = math.Inf(1) }},
+		{"NaN memory", func(t *Task) { t.MemGB = math.NaN() }},
+		{"infinite memory", func(t *Task) { t.MemGB = math.Inf(1) }},
+		{"NaN true value", func(t *Task) { t.TrueValue = math.NaN() }},
+		{"infinite true value", func(t *Task) { t.TrueValue = math.Inf(1) }},
+		{"negative infinite true value", func(t *Task) { t.TrueValue = math.Inf(-1) }},
 	}
 	for _, m := range mutations {
 		tk := validTask()

@@ -148,6 +148,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Horizon.T <= 0:
 		return fmt.Errorf("trace: non-positive horizon %d", c.Horizon.T)
+	case c.Horizon.T > math.MaxInt32:
+		return fmt.Errorf("trace: horizon %d does not fit a task's int32 slots", c.Horizon.T)
 	case c.RatePerSlot < 0:
 		return fmt.Errorf("trace: negative arrival rate %v", c.RatePerSlot)
 	case c.PrepProb < 0 || c.PrepProb > 1:
@@ -267,8 +269,8 @@ func ArrivalCounts(cfg Config) ([]int, error) {
 // Batch and rank menus (Section 5.1 records throughput "under different
 // batch size values").
 var (
-	batchMenu = [4]int{4, 8, 16, 32}
-	rankMenu  = [5]int{4, 8, 16, 32, 64}
+	batchMenu = [4]int16{4, 8, 16, 32}
+	rankMenu  = [5]int16{4, 8, 16, 32, 64}
 )
 
 // Generate produces the full workload: tasks sorted by arrival slot with
@@ -362,9 +364,9 @@ func newGenerator(cfg *Config) generator {
 func (m *modelTable) fill(model lora.ModelConfig, h timeslot.Horizon) {
 	for b, batch := range batchMenu {
 		for r, rank := range rankMenu {
-			m.memGB[r][b] = lora.TaskMemoryGB(model, rank, batch)
+			m.memGB[r][b] = lora.TaskMemoryGB(model, int(rank), int(batch))
 		}
-		m.refSpeed[b] = lora.TaskUnitsPerSlot(model, gpu.A100, batch, h)
+		m.refSpeed[b] = lora.TaskUnitsPerSlot(model, gpu.A100, int(batch), h)
 		if m.refSpeed[b] < 1 {
 			m.refSpeed[b] = 1
 		}
@@ -416,13 +418,15 @@ func (g *generator) sample(tk *task.Task, id, t int) {
 	if needsPrep {
 		bid += 8 // expected pre-processing reimbursement
 	}
+	// Every narrowed value is bounded: slots by the horizon (Validate
+	// holds it to int32), samples by 20k, epochs by 5, work by 100.
 	*tk = task.Task{
 		ID:             id,
-		Arrival:        t,
-		Deadline:       deadline,
-		DatasetSamples: samples,
-		Epochs:         epochs,
-		Work:           work,
+		Arrival:        int32(t),
+		Deadline:       int32(deadline),
+		DatasetSamples: int32(samples),
+		Epochs:         int16(epochs),
+		Work:           int32(work),
 		MemGB:          model.memGB[r][b],
 		Rank:           rankMenu[r],
 		Batch:          batchMenu[b],
@@ -442,15 +446,15 @@ func (g *generator) sample(tk *task.Task, id, t int) {
 func BySlot(tasks []task.Task, T int) ([][]task.Task, error) {
 	perSlot := make([][]task.Task, T)
 	for start := 0; start < len(tasks); {
-		a := tasks[start].Arrival
+		a := int(tasks[start].Arrival)
 		if a < 0 || a >= T {
 			return nil, fmt.Errorf("trace: task %d arrives at slot %d, outside [0,%d)", tasks[start].ID, a, T)
 		}
 		end := start + 1
-		for end < len(tasks) && tasks[end].Arrival == a {
+		for end < len(tasks) && int(tasks[end].Arrival) == a {
 			end++
 		}
-		if end < len(tasks) && tasks[end].Arrival < a {
+		if end < len(tasks) && int(tasks[end].Arrival) < a {
 			return nil, fmt.Errorf("trace: task %d (slot %d) follows slot %d: workload not sorted by arrival",
 				tasks[end].ID, tasks[end].Arrival, a)
 		}

@@ -79,10 +79,10 @@ func TestGenerateTasksValidAndSorted(t *testing.T) {
 		if tk.ID != i {
 			t.Fatalf("IDs not dense: task %d has ID %d", i, tk.ID)
 		}
-		if tk.Arrival < prevArrival {
+		if int(tk.Arrival) < prevArrival {
 			t.Fatal("tasks not sorted by arrival")
 		}
-		prevArrival = tk.Arrival
+		prevArrival = int(tk.Arrival)
 		if tk.Work < 5 || tk.Work > 100 {
 			t.Fatalf("work %d outside [5,100] units", tk.Work)
 		}
@@ -95,7 +95,7 @@ func TestGenerateTasksValidAndSorted(t *testing.T) {
 		if tk.Bid <= 0 || tk.TrueValue != tk.Bid {
 			t.Fatalf("bad bid/value: %v/%v", tk.Bid, tk.TrueValue)
 		}
-		if tk.Deadline >= cfg.Horizon.T {
+		if int(tk.Deadline) >= cfg.Horizon.T {
 			t.Fatalf("deadline %d beyond horizon", tk.Deadline)
 		}
 	}
@@ -329,7 +329,7 @@ func digest(tasks []task.Task) uint64 {
 	}
 	for i := range tasks {
 		t := &tasks[i]
-		for _, v := range []int{t.ID, t.Arrival, t.Deadline, t.DatasetSamples, t.Epochs, t.Work, t.Rank, t.Batch} {
+		for _, v := range []int{t.ID, int(t.Arrival), int(t.Deadline), int(t.DatasetSamples), int(t.Epochs), int(t.Work), int(t.Rank), int(t.Batch)} {
 			u64(uint64(v))
 		}
 		for _, v := range []float64{t.MemGB, t.Bid, t.TrueValue} {
@@ -422,7 +422,7 @@ func TestBySlot(t *testing.T) {
 			t.Fatalf("slot %d: chunk does not alias tasks[%d:%d] exactly", s, next, next+len(chunk))
 		}
 		for i := range chunk {
-			if chunk[i].Arrival != s {
+			if int(chunk[i].Arrival) != s {
 				t.Fatalf("slot %d holds task %d arriving at %d", s, chunk[i].ID, chunk[i].Arrival)
 			}
 		}
@@ -438,7 +438,7 @@ func TestBySlot(t *testing.T) {
 	at := func(arrivals ...int) []task.Task {
 		out := make([]task.Task, len(arrivals))
 		for i, a := range arrivals {
-			out[i] = task.Task{ID: i, Arrival: a}
+			out[i] = task.Task{ID: i, Arrival: int32(a)}
 		}
 		return out
 	}

@@ -113,11 +113,11 @@ func mean(prefix []float64, s, e int) float64 {
 // (memory cap, zero throughput, or too few slots before the deadline) —
 // the router's signal to look elsewhere.
 func (q *Quote) Surplus(t *task.Task) float64 {
-	start := t.Arrival
+	start := int(t.Arrival)
 	if start < 0 {
 		start = 0
 	}
-	win := timeslot.Window{Start: start, End: t.Deadline}.ClipTo(q.h)
+	win := timeslot.Window{Start: start, End: int(t.Deadline)}.ClipTo(q.h)
 	if win.Len() == 0 {
 		return math.Inf(-1)
 	}
@@ -126,11 +126,11 @@ func (q *Quote) Surplus(t *task.Task) float64 {
 		if t.MemGB > q.memCap[k] {
 			continue
 		}
-		s := lora.TaskUnitsPerSlot(q.model, q.specs[k], t.Batch, q.h)
+		s := lora.TaskUnitsPerSlot(q.model, q.specs[k], int(t.Batch), q.h)
 		if s <= 0 {
 			continue
 		}
-		need := (t.Work + s - 1) / s
+		need := (int(t.Work) + s - 1) / s
 		if need > win.Len() {
 			continue
 		}

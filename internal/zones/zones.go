@@ -230,20 +230,21 @@ func Run(r *Router, tasks []task.Task) (*Result, error) {
 	bid := make([]*task.Task, 1)
 	for i := range tasks {
 		t := &tasks[i]
-		if t.Arrival < prev {
+		slot := int(t.Arrival)
+		if slot < prev {
 			return nil, fmt.Errorf("zones: tasks not sorted by arrival (task %d)", t.ID)
 		}
-		if t.Arrival != prev {
+		if slot != prev {
 			r.RefreshQuotes()
 		}
-		prev = t.Arrival
+		prev = slot
 		zi := r.Place(t)
 		if zi < 0 {
 			res.Unroutable++
 			continue
 		}
 		bid[0] = t
-		if err := engines[zi].Round(ctx, t.Arrival, bid); err != nil {
+		if err := engines[zi].Round(ctx, slot, bid); err != nil {
 			return nil, fmt.Errorf("zones: %w", err)
 		}
 		res.Assignments[i] = r.keys[zi]
