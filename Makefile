@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke wal-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-load-smoke shard-smoke spot-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,19 @@ round-guard:
 		grep -n 'func (l \*DecisionLog) Async' internal/obs/*.go; then \
 		echo "round-guard: a bid enters as one submission and persists through one inline writer"; exit 1; fi
 
+# recipe-guard is the mechanical form of "there is one §5.1": an auction
+# stack — node groups → cluster, the marketplace that goes with a seed,
+# arrival/deadline names → trace kinds, calibration, scheduler — is wired
+# in internal/config and nowhere else. So outside it (and outside the
+# public facade pdftsp.go, the examples, and benchmark/, whose copy waits
+# for its own PR) no non-test file may lay nodes out with cluster.Uniform,
+# add the marketplace's +7 to a seed, or switch on an arrival-process name.
+recipe-guard:
+	@if grep -nE 'cluster\.Uniform\(|vendor\.Standard\(.*\+ ?7|case "philly"' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/config/*' ! -path './pdftsp.go' \
+			! -path './examples/*' ! -path './benchmark/*'); then \
+		echo "recipe-guard: build the stack through internal/config (Mix/NewCluster, Market, Generate/Wire, trace.ParseArrivalKind)"; exit 1; fi
+
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
 benchmark-selftest:
@@ -115,6 +128,12 @@ trace-smoke:
 	$(GO) run ./cmd/experiments -fig 8 -trace /tmp/pdftsp-smoke.jsonl -audit
 	$(GO) run ./cmd/trace -check -quiet /tmp/pdftsp-smoke.jsonl
 
+# The serve/chaos/spot/wal smokes below are TestSmokeMatrix's nine rows —
+# same matrix, same code — so `make test` already runs them and `check`
+# does not run them again; the targets stay as the way to replay one
+# failing seed by hand. load-smoke and shard-load-smoke drive
+# cmd/pdftspd-load, which no test covers, and are gated.
+#
 # serve-smoke boots the auction daemon on a loopback listener, fans a
 # calibration workload at it over concurrent HTTP POSTs, and verifies
 # the decisions, accounting, and final duals match a sequential replay.
@@ -143,10 +162,13 @@ load-smoke:
 
 # shard-smoke exercises the multi-broker scale-out path: a two-shard
 # load run where every shard must be bit-identical to its own
-# sequential sim.Run twin, then a sharded chaos schedule with per-shard
-# outages and a kill/restore of the whole checkpoint manifest.
-shard-smoke:
+# sequential sim.Run twin (shard-load-smoke, the gated half), then a
+# sharded chaos schedule with per-shard outages and a kill/restore of the
+# whole checkpoint manifest.
+shard-load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -shards 2 -verify
+
+shard-smoke: shard-load-smoke
 	$(GO) run ./cmd/pdftspd -chaos 1 -shards 2
 	$(GO) run ./cmd/pdftspd -chaos 7 -shards 4
 
@@ -169,4 +191,4 @@ wal-smoke:
 	$(GO) run ./cmd/pdftspd -wal-chaos 1
 	$(GO) run ./cmd/pdftspd -wal-chaos 7 -shards 2
 
-check: build vet fmt-check round-guard test benchmark-selftest race serve-smoke chaos-smoke load-smoke shard-smoke spot-smoke wal-smoke
+check: build vet fmt-check round-guard recipe-guard test benchmark-selftest race load-smoke shard-load-smoke

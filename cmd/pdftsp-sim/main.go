@@ -12,63 +12,61 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"github.com/pdftsp/pdftsp/internal/baseline"
-	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/config"
-	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/report"
 	"github.com/pdftsp/pdftsp/internal/sim"
-	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 }
 
-func main() {
-	nodes := flag.Int("nodes", 8, "number of compute nodes")
-	mix := flag.String("mix", "hybrid", "cluster mix: a100, a40, hybrid")
-	slots := flag.Int("slots", timeslot.DefaultHorizonSlots, "horizon length in 10-minute slots")
-	rate := flag.Float64("rate", 5, "mean task arrivals per slot")
-	arrivals := flag.String("arrivals", "poisson", "arrival process: poisson, mlaas, philly, helios")
-	deadlines := flag.String("deadlines", "medium", "deadline policy: tight, medium, slack")
-	algo := flag.String("algo", "pdftsp", "scheduler: pdftsp, titan, eft, ntm")
-	vendors := flag.Int("vendors", 5, "number of labor vendors")
-	seed := flag.Int64("seed", 1, "workload seed")
-	execute := flag.Bool("execute", false, "run a scaled-down multi-LoRA training batch for admitted tasks")
-	cfgPath := flag.String("config", "", "JSON config file (overrides all other flags)")
-	writeCfg := flag.Bool("writeconfig", false, "print the default JSON config and exit")
-	workloadPath := flag.String("workload", "", "replay a JSON workload from cmd/tracegen instead of generating one")
-	eventPath := flag.String("events", "", "write a JSON-lines audit log of every decision to this file")
-	obsTrace := flag.String("trace", "", "write a JSONL event trace of the run to this file (analyze with cmd/trace)")
-	audit := flag.Bool("audit", false, "validate auction invariants online; non-zero exit on any violation")
-	serve := flag.String("serve", "", "serve live expvar metrics and pprof on this address (e.g. localhost:6060)")
-	loraProfile := flag.Bool("loraprofile", false, "print the LoRA throughput/memory calibration table and exit")
-	flag.Parse()
+// run is the whole command: args in, report on stdout.
+func run(args []string, stdout io.Writer) error {
+	// The flags edit one config.Config; -config replaces it with a file's.
+	// Either way the run below is built from that one value.
+	fs := flag.NewFlagSet("pdftsp-sim", flag.ExitOnError)
+	c := config.Default()
+	c.StackFlags(fs, 8, "hybrid")
+	fs.StringVar(&c.Algorithm.Name, "algo", c.Algorithm.Name, "scheduler: pdftsp, pdftsp-adaptive, titan, eft, ntm")
+	fs.BoolVar(&c.Execute, "execute", false, "run a scaled-down multi-LoRA training batch for admitted tasks")
+	cfgPath := fs.String("config", "", "JSON config file (replaces the stack flags above)")
+	writeCfg := fs.Bool("writeconfig", false, "print the JSON config the flags describe and exit")
+	workloadPath := fs.String("workload", "", "replay a JSON workload from cmd/tracegen instead of generating one")
+	obsTrace := fs.String("trace", "", "write a JSONL event trace of the run, every decision included, to this file (analyze with cmd/trace)")
+	audit := fs.Bool("audit", false, "validate auction invariants online; non-zero exit on any violation")
+	serve := fs.String("serve", "", "serve live expvar metrics and pprof on this address (e.g. localhost:6060)")
+	loraProfile := fs.Bool("loraprofile", false, "print the LoRA throughput/memory calibration table and exit")
+	fs.Parse(args)
 
-	if *writeCfg {
-		if err := config.Default().Save(os.Stdout); err != nil {
-			fail("writeconfig: %v", err)
+	if *cfgPath != "" {
+		var err error
+		if c, err = config.LoadFile(*cfgPath); err != nil {
+			return err
 		}
-		return
+	}
+	if *writeCfg {
+		return c.Save(stdout)
 	}
 	if *loraProfile {
 		m := lora.GPT2Small()
-		hh := timeslot.NewHorizon(*slots)
+		hh := timeslot.NewHorizon(c.Slots)
 		rows := lora.Profile(m, []gpu.Spec{gpu.A100, gpu.A40, gpu.V100}, []int{4, 8, 16, 32}, hh)
-		fmt.Print(lora.FormatProfile(m, rows))
-		return
+		fmt.Fprint(stdout, lora.FormatProfile(m, rows))
+		return nil
 	}
 	var observers []obs.Observer
 	var jsonlSink *obs.JSONL
@@ -76,7 +74,7 @@ func main() {
 		var err error
 		jsonlSink, err = obs.NewJSONLFile(*obsTrace)
 		if err != nil {
-			fail("trace: %v", err)
+			return fmt.Errorf("trace: %w", err)
 		}
 		observers = append(observers, jsonlSink)
 	}
@@ -91,151 +89,65 @@ func main() {
 		observers = append(observers, m)
 		addr, err := obs.Serve(*serve)
 		if err != nil {
-			fail("serve: %v", err)
+			return fmt.Errorf("serve: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/debug/vars (pprof under /debug/pprof/)\n", addr)
 	}
 	observer := obs.Multi(observers...)
 
-	if *cfgPath != "" {
-		c, err := config.LoadFile(*cfgPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		b, err := c.Build()
-		if err != nil {
-			fail("%v", err)
-		}
-		b.SimConfig.Observer = observer
-		runAndReport(b.Cluster, b.Scheduler, b.Tasks, b.SimConfig)
-		finishObs(jsonlSink, auditor)
-		return
-	}
-
-	h := timeslot.NewHorizon(*slots)
-	model := lora.GPT2Small()
-	tc := trace.DefaultConfig()
-	tc.Seed = *seed
-	tc.Horizon = h
-	tc.RatePerSlot = *rate
-	switch *arrivals {
-	case "poisson":
-		tc.Arrivals = trace.Poisson
-	case "mlaas":
-		tc.Arrivals = trace.MLaaSLike
-	case "philly":
-		tc.Arrivals = trace.PhillyLike
-	case "helios":
-		tc.Arrivals = trace.HeliosLike
-	default:
-		fail("unknown arrival process %q", *arrivals)
-	}
-	switch *deadlines {
-	case "tight":
-		tc.Deadlines = trace.TightDeadlines
-	case "medium":
-		tc.Deadlines = trace.MediumDeadlines
-	case "slack":
-		tc.Deadlines = trace.SlackDeadlines
-	default:
-		fail("unknown deadline policy %q", *deadlines)
-	}
-	var tasks []task.Task
+	var b *config.Built
 	var err error
 	if *workloadPath != "" {
-		f, ferr := os.Open(*workloadPath)
-		if ferr != nil {
-			fail("workload: %v", ferr)
-		}
-		tasks, err = trace.LoadTasks(f, h)
-		f.Close()
+		b, err = wireReplay(c, *workloadPath)
 	} else {
-		tasks, err = trace.Generate(tc)
+		b, err = c.Build()
 	}
 	if err != nil {
-		fail("workload: %v", err)
+		return err
 	}
-
-	var events *os.File
-	if *eventPath != "" {
-		events, err = os.Create(*eventPath)
-		if err != nil {
-			fail("events: %v", err)
-		}
-		defer events.Close()
+	b.SimConfig.Observer = observer
+	if err := runAndReport(b, stdout); err != nil {
+		return err
 	}
-
-	var specs []cluster.Node
-	add := func(n int, spec gpu.Spec) {
-		specs = append(specs, cluster.Uniform(n, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
-	}
-	switch *mix {
-	case "a100":
-		add(*nodes, gpu.A100)
-	case "a40":
-		add(*nodes, gpu.A40)
-	case "hybrid":
-		add(*nodes/2+*nodes%2, gpu.A100)
-		add(*nodes/2, gpu.A40)
-	default:
-		fail("unknown mix %q", *mix)
-	}
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, specs)
-	if err != nil {
-		fail("cluster: %v", err)
-	}
-	mkt, err := vendor.Standard(*vendors, *seed+7)
-	if err != nil {
-		fail("marketplace: %v", err)
-	}
-
-	var sched sim.Scheduler
-	switch *algo {
-	case "pdftsp":
-		sched, err = core.New(cl, core.CalibrateDuals(tasks, model, cl, mkt))
-		if err != nil {
-			fail("pdftsp: %v", err)
-		}
-	case "titan":
-		sched = baseline.NewTitan(baseline.TitanOptions{Seed: *seed})
-	case "eft":
-		sched = baseline.NewEFT()
-	case "ntm":
-		sched = baseline.NewNTM(*seed)
-	default:
-		fail("unknown algorithm %q", *algo)
-	}
-
-	simCfg := sim.Config{Model: model, Market: mkt, Execute: *execute, Observer: observer}
-	if events != nil {
-		simCfg.EventLog = events
-	}
-	runAndReport(cl, sched, tasks, simCfg)
-	finishObs(jsonlSink, auditor)
-}
-
-// finishObs flushes the JSONL trace and reports the audit verdict.
-func finishObs(j *obs.JSONL, a *obs.Audit) {
-	if j != nil {
-		if err := j.Close(); err != nil {
-			fail("trace: %v", err)
+	// Flush the trace, then the audit verdict.
+	if jsonlSink != nil {
+		if err := jsonlSink.Close(); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
 	}
-	if a != nil {
-		if err := a.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
+	if auditor != nil {
+		if err := auditor.Err(); err != nil {
+			return err
 		}
 		fmt.Fprintln(os.Stderr, "audit: zero invariant violations")
 	}
+	return nil
+}
+
+// wireReplay wires the configured stack against a saved workload.
+func wireReplay(c config.Config, path string) (*config.Built, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	defer f.Close()
+	tasks, err := trace.LoadTasks(f, timeslot.NewHorizon(c.Slots))
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	stacks, err := c.Wire(tasks, 1)
+	if err != nil {
+		return nil, err
+	}
+	return stacks[0], nil
 }
 
 // runAndReport executes the simulation and prints the accounting.
-func runAndReport(cl *cluster.Cluster, sched sim.Scheduler, tasks []task.Task, simCfg sim.Config) {
+func runAndReport(b *config.Built, stdout io.Writer) error {
 	start := time.Now()
-	res, err := sim.Run(cl, sched, tasks, simCfg)
+	res, err := sim.Run(b.Cluster, b.Scheduler, b.Tasks, b.SimConfig)
 	if err != nil {
-		fail("sim: %v", err)
+		return err
 	}
 	elapsed := time.Since(start)
 
@@ -262,12 +174,13 @@ func runAndReport(cl *cluster.Cluster, sched sim.Scheduler, tasks []task.Task, s
 		fmt.Sprintf("%.6fs", metrics.Percentile(lat, 99)),
 		elapsed.String(),
 	}
-	fmt.Print(report.KV("pdftsp-sim result", keys, vals))
+	fmt.Fprint(stdout, report.KV("pdftsp-sim result", keys, vals))
 	if len(res.RejectReasons) > 0 {
-		fmt.Printf("  rejections: %v\n", res.RejectReasons)
+		fmt.Fprintf(stdout, "  rejections: %v\n", res.RejectReasons)
 	}
-	if simCfg.Execute {
-		fmt.Printf("  micro-training loss: %.4f -> %.4f (multi-LoRA shared base verified)\n",
+	if b.SimConfig.Execute {
+		fmt.Fprintf(stdout, "  micro-training loss: %.4f -> %.4f (multi-LoRA shared base verified)\n",
 			res.TrainLossEarly, res.TrainLossLate)
 	}
+	return nil
 }

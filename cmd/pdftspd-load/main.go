@@ -50,17 +50,13 @@ import (
 	"sync"
 	"time"
 
-	"github.com/pdftsp/pdftsp/internal/cluster"
-	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/gpu"
-	"github.com/pdftsp/pdftsp/internal/lora"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 func fail(format string, args ...any) {
@@ -69,13 +65,10 @@ func fail(format string, args ...any) {
 }
 
 type flags struct {
-	nodes, slots, vendors int
-	mix                   string
-	rate                  float64
-	arrivals, deadlines   string
-	seed                  int64
-	repeat                int
-	bidsFile              string
+	// stack is the cluster, marketplace and workload under load.
+	stack    config.Config
+	repeat   int
+	bidsFile string
 
 	mode    string
 	target  float64
@@ -103,15 +96,10 @@ type flags struct {
 }
 
 func main() {
-	var f flags
-	flag.IntVar(&f.nodes, "nodes", 4, "number of compute nodes")
-	flag.StringVar(&f.mix, "mix", "hybrid", "cluster mix: a100, a40, hybrid")
-	flag.IntVar(&f.slots, "slots", 24, "horizon length in slots")
-	flag.Float64Var(&f.rate, "rate", 40, "mean arrivals per slot")
-	flag.StringVar(&f.arrivals, "arrivals", "poisson", "arrival process: poisson, mlaas, philly, helios")
-	flag.StringVar(&f.deadlines, "deadlines", "medium", "deadline policy: tight, medium, slack")
-	flag.IntVar(&f.vendors, "vendors", 5, "number of labor vendors")
-	flag.Int64Var(&f.seed, "seed", 1, "workload seed")
+	f := flags{stack: config.Default()}
+	f.stack.Slots = 24
+	f.stack.Workload.RatePerSlot = 40
+	f.stack.StackFlags(flag.CommandLine, 4, "hybrid")
 	flag.IntVar(&f.repeat, "repeat", 1, "replicate the generated workload n× with fresh IDs")
 	flag.StringVar(&f.bidsFile, "bids", "", "replay broker-ready bid JSON (tracegen -bids) instead of generating")
 	flag.StringVar(&f.mode, "mode", "closed", "load mode: closed (retry on 429) or open (shed on 429)")
@@ -264,84 +252,10 @@ func runScale(f flags) error {
 	return nil
 }
 
-// nodeSpecs lays out the full cluster's node list for the flag set.
-func nodeSpecs(f flags, model lora.ModelConfig, h timeslot.Horizon) ([]cluster.Node, error) {
-	var specs []cluster.Node
-	add := func(n int, spec gpu.Spec) {
-		specs = append(specs, cluster.Uniform(n, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
-	}
-	switch f.mix {
-	case "a100":
-		add(f.nodes, gpu.A100)
-	case "a40":
-		add(f.nodes, gpu.A40)
-	case "hybrid":
-		add(f.nodes/2+f.nodes%2, gpu.A100)
-		add(f.nodes/2, gpu.A40)
-	default:
-		return nil, fmt.Errorf("unknown mix %q", f.mix)
-	}
-	return specs, nil
-}
-
-// wireStack turns a node list into a calibrated auction stack.
-func wireStack(f flags, model lora.ModelConfig, h timeslot.Horizon, specs []cluster.Node, tasks []task.Task) (*cluster.Cluster, *core.Scheduler, *vendor.Marketplace, error) {
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, specs)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cluster: %w", err)
-	}
-	mkt, err := vendor.Standard(f.vendors, f.seed+7)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("marketplace: %w", err)
-	}
-	sched, err := core.New(cl, core.CalibrateDuals(tasks, model, cl, mkt))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("scheduler: %w", err)
-	}
-	return cl, sched, mkt, nil
-}
-
-// shardStack is one shard's wired slice of the cluster; with one shard
-// it is the whole cluster, the same recipe as cmd/pdftspd.
-type shardStack struct {
-	cl    *cluster.Cluster
-	sched *core.Scheduler
-	mkt   *vendor.Marketplace
-	model lora.ModelConfig
-}
-
-// buildShardStacks partitions the cluster round-robin (shard i owns
-// global nodes i, i+n, i+2n, … — a balanced slice of a heterogeneous
-// mix) and wires each shard its own marketplace and scheduler calibrated
-// against the full workload on the shard's own nodes, exactly as
-// cmd/pdftspd -shards does.
-func buildShardStacks(f flags, h timeslot.Horizon, tasks []task.Task, n int) ([]*shardStack, error) {
-	model := lora.GPT2Small()
-	if f.nodes < n {
-		return nil, fmt.Errorf("%d shards need at least %d nodes, have %d", n, n, f.nodes)
-	}
-	specs, err := nodeSpecs(f, model, h)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*shardStack, n)
-	for i := 0; i < n; i++ {
-		var part []cluster.Node
-		for g := i; g < len(specs); g += n {
-			part = append(part, specs[g])
-		}
-		cl, sched, mkt, err := wireStack(f, model, h, part, tasks)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		out[i] = &shardStack{cl: cl, sched: sched, mkt: mkt, model: model}
-	}
-	return out, nil
-}
-
 // loadTasks produces the replayable workload: generated from the trace
 // flags (optionally replicated) or loaded from a tracegen -bids file.
-func loadTasks(f flags, h timeslot.Horizon) ([]task.Task, error) {
+func loadTasks(f flags) ([]task.Task, error) {
+	h := timeslot.NewHorizon(f.stack.Slots)
 	if f.bidsFile != "" {
 		data, err := os.ReadFile(f.bidsFile)
 		if err != nil {
@@ -365,33 +279,7 @@ func loadTasks(f flags, h timeslot.Horizon) ([]task.Task, error) {
 		sortTasks(tasks)
 		return tasks, nil
 	}
-	tc := trace.DefaultConfig()
-	tc.Seed = f.seed
-	tc.Horizon = h
-	tc.RatePerSlot = f.rate
-	switch f.arrivals {
-	case "poisson":
-		tc.Arrivals = trace.Poisson
-	case "mlaas":
-		tc.Arrivals = trace.MLaaSLike
-	case "philly":
-		tc.Arrivals = trace.PhillyLike
-	case "helios":
-		tc.Arrivals = trace.HeliosLike
-	default:
-		return nil, fmt.Errorf("unknown arrival process %q", f.arrivals)
-	}
-	switch f.deadlines {
-	case "tight":
-		tc.Deadlines = trace.TightDeadlines
-	case "medium":
-		tc.Deadlines = trace.MediumDeadlines
-	case "slack":
-		tc.Deadlines = trace.SlackDeadlines
-	default:
-		return nil, fmt.Errorf("unknown deadline policy %q", f.deadlines)
-	}
-	tasks, err := trace.Generate(tc)
+	tasks, err := f.stack.Generate()
 	if err != nil {
 		return nil, err
 	}
@@ -537,8 +425,8 @@ func (r *report) print(w io.Writer, asJSON bool) {
 }
 
 func run(f flags) (*report, error) {
-	h := timeslot.NewHorizon(f.slots)
-	tasks, err := loadTasks(f, h)
+	slots := f.stack.Slots
+	tasks, err := loadTasks(f)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +436,7 @@ func run(f flags) (*report, error) {
 
 	// Group per arrival slot; the submit loop feeds slot s's bids while
 	// the broker clock sits at s, then steps.
-	perSlot, err := trace.BySlot(tasks, f.slots)
+	perSlot, err := trace.BySlot(tasks, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -581,18 +469,18 @@ func run(f flags) (*report, error) {
 
 	// One construction fork — everything downstream drives the
 	// service.Auctioneer interface, identical for a fleet of one and a
-	// fleet of many. buildShardStacks(…, 1) wires the exact stack the old
-	// monolithic path built.
-	stacks, err := buildShardStacks(f, h, tasks, f.shards)
+	// fleet of many: one shard is the whole cluster, the same recipe
+	// cmd/pdftspd serves.
+	stacks, err := f.stack.Wire(tasks, f.shards)
 	if err != nil {
 		return nil, err
 	}
-	mkOpts := func(i int, st *shardStack) service.Options {
+	mkOpts := func(i int, st *config.Built) service.Options {
 		opts := service.Options{
-			Cluster:             st.cl,
-			Scheduler:           st.sched,
-			Model:               st.model,
-			Market:              st.mkt,
+			Cluster:             st.Cluster,
+			Scheduler:           st.Scheduler,
+			Model:               st.Model,
+			Market:              st.Market,
 			QueueSize:           queue,
 			VirtualClock:        true,
 			CheckpointPath:      f.ckpt,
@@ -619,7 +507,7 @@ func run(f flags) (*report, error) {
 	} else {
 		specs := make([]service.ShardSpec, f.shards)
 		for i, st := range stacks {
-			specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.model.Name, i), Options: mkOpts(i, st)}
+			specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.Model.Name, i), Options: mkOpts(i, st)}
 		}
 		a, err = service.NewShards(service.ShardsOptions{ManifestPath: f.ckpt}, specs...)
 	}
@@ -649,7 +537,7 @@ func run(f flags) (*report, error) {
 			walReplayed:   st.WALReplayed, walFails: st.WALFailures,
 		}, nil
 	}
-	verifyFn := func(shed int) (bool, string) { return verifyFleet(f, h, tasks, a, shed) }
+	verifyFn := func(shed int) (bool, string) { return verifyFleet(f.stack, tasks, a, shed) }
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -707,7 +595,7 @@ func run(f flags) (*report, error) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	for s := 0; s < f.slots; s++ {
+	for s := 0; s < slots; s++ {
 		chunk := perSlot[s]
 		for len(chunk) > 0 {
 			n := f.batch
@@ -764,7 +652,7 @@ func run(f flags) (*report, error) {
 	}
 
 	rep := &report{
-		Bids: len(tasks), Slots: f.slots, Nodes: f.nodes, Shards: f.shards, Mode: f.mode,
+		Bids: len(tasks), Slots: slots, Nodes: f.stack.NumNodes(), Shards: f.shards, Mode: f.mode,
 		Batch: f.batch, Conns: f.conns,
 		Submitted: submitted, Decided: decided, Shed: shed, Retries: retried,
 		WallSeconds:         wall.Seconds(),
@@ -900,12 +788,12 @@ func step(client *http.Client, base string) error {
 // (in input order) replays on a freshly wired twin of that broker's
 // cluster slice. Decisions and per-broker accounting must match bit for
 // bit.
-func verifyFleet(f flags, h timeslot.Horizon, tasks []task.Task, a service.Auctioneer, shed int) (bool, string) {
+func verifyFleet(stack config.Config, tasks []task.Task, a service.Auctioneer, shed int) (bool, string) {
 	if shed > 0 {
 		return false, fmt.Sprintf("skipped: %d bids were shed, replay would diverge", shed)
 	}
 	brokers := a.Brokers()
-	twins, err := buildShardStacks(f, h, tasks, len(brokers))
+	twins, err := stack.Wire(tasks, len(brokers))
 	if err != nil {
 		return false, err.Error()
 	}
@@ -926,9 +814,9 @@ func verifyFleet(f flags, h timeslot.Horizon, tasks []task.Task, a service.Aucti
 		subs[si] = append(subs[si], tasks[i])
 	}
 	for si, tw := range twins {
-		res, err := sim.Run(tw.cl, tw.sched, subs[si], sim.Config{
-			Model: tw.model, Market: tw.mkt, CollectDecisions: true,
-		})
+		simCfg := tw.SimConfig
+		simCfg.CollectDecisions = true
+		res, err := sim.Run(tw.Cluster, tw.Scheduler, subs[si], simCfg)
 		if err != nil {
 			return false, fmt.Sprintf("broker %d replay: %v", si, err)
 		}

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pdftsp/pdftsp/internal/timeslot"
+	"github.com/pdftsp/pdftsp/internal/config"
 )
 
 // TestPercentilesNearestRank pins the nearest-rank definition: p-q is
@@ -82,14 +82,14 @@ func TestRetryDelay(t *testing.T) {
 // the workload, re-IDed densely, in the (arrival, ID) order the submit
 // loop and the sim.Run twin both rely on.
 func TestRepeatKeepsArrivalIDOrder(t *testing.T) {
-	f := flags{slots: 12, rate: 5, seed: 3, arrivals: "poisson", deadlines: "medium", repeat: 1}
-	h := timeslot.NewHorizon(f.slots)
-	base, err := loadTasks(f, h)
+	f := flags{stack: config.Default(), repeat: 1}
+	f.stack.Slots, f.stack.Seed = 12, 3
+	base, err := loadTasks(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.repeat = 3
-	got, err := loadTasks(f, h)
+	got, err := loadTasks(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,13 @@ import (
 	"reflect"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/faults"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
 	"github.com/pdftsp/pdftsp/internal/vendor"
 )
@@ -78,27 +78,14 @@ func locateDecision(a service.Auctioneer, id int) (schedule.Decision, int, bool,
 //
 // The same seed always yields the same schedule and the same final
 // state, so a chaos failure is replayable with the flags that produced it.
-func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, error) {
+func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary, error) {
 	var sum chaosSummary
-	// A quick horizon unless the user overrode the defaults.
-	if cfg.slots == timeslot.DefaultHorizonSlots {
-		cfg.slots = 24
-	}
-	if cfg.nodes == 8 {
-		if n > 1 {
-			cfg.nodes = 2 * n
-		} else {
-			cfg.nodes = 4
-		}
-	}
-	if cfg.rate == 5 {
-		cfg.rate = 3
-	}
-	cfg.seed = seed
-	cfg.mask = true // recovery planning must route around downed nodes
+	cfg = quick(cfg, n)
+	cfg.Seed = seed
+	cfg.Algorithm.MaskFullCells = true // recovery planning must route around downed nodes
 
-	plan := faults.Generate(seed, cfg.nodes, cfg.slots, cfg.vendors)
-	if err := plan.Validate(cfg.nodes, cfg.slots, cfg.vendors); err != nil {
+	plan := faults.Generate(seed, cfg.NumNodes(), cfg.Slots, cfg.Vendors)
+	if err := plan.Validate(cfg.NumNodes(), cfg.Slots, cfg.Vendors); err != nil {
 		return sum, fmt.Errorf("generated plan invalid: %w", err)
 	}
 	// Outages land on the broker owning the failed node: global node g
@@ -148,14 +135,13 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 	}
 	manifest := filepath.Join(dir, "fleet.manifest") // unused for n == 1
 
-	// buildShards(1) wires the identical stack build() would — one
-	// partition holding every node — so one code path covers both shapes.
-	stacks, err := cfg.buildShards(n)
+	// One shard is the whole cluster, so one code path covers both shapes.
+	stacks, err := cfg.BuildShards(n)
 	if err != nil {
 		return sum, err
 	}
-	tasks := stacks[0].tasks
-	perSlot, err := trace.BySlot(tasks, cfg.slots)
+	tasks := stacks[0].Tasks
+	perSlot, err := trace.BySlot(tasks, cfg.Slots)
 	if err != nil {
 		return sum, err
 	}
@@ -163,26 +149,21 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 	// One auditor spans every generation: its checks are per-event, so a
 	// mid-run restore does not confuse it.
 	auditor := obs.NewAudit()
-	mkOpts := func(i int, st *stack) (service.Options, error) {
-		opts := service.Options{
-			Cluster:      st.cl,
-			Scheduler:    st.sched,
-			Model:        st.model,
-			Market:       st.mkt,
-			QueueSize:    len(tasks) + 16,
-			VirtualClock: true,
-			// Full JSON snapshot every 4th slot, binary deltas between:
-			// every kill/restore below exercises the incremental chain.
-			CheckpointPath:      ckptPaths[i],
-			CheckpointEvery:     1,
-			CheckpointFullEvery: 4,
-			Failures:            shardFailures[i],
-			Quotes:              chain(st.mkt),
-			CheckpointFault:     ckptFault,
-			Observer:            auditor,
-			RunLabel:            fmt.Sprintf("chaos/%d", i),
-		}
-		prov, err := sc.provider(st.cl, cfg.slots, i)
+	mkOpts := func(i int, st *config.Built) (service.Options, error) {
+		opts := stackOptions(st)
+		opts.QueueSize = len(tasks) + 16
+		opts.VirtualClock = true
+		// Full JSON snapshot every 4th slot, binary deltas between:
+		// every kill/restore below exercises the incremental chain.
+		opts.CheckpointPath = ckptPaths[i]
+		opts.CheckpointEvery = 1
+		opts.CheckpointFullEvery = 4
+		opts.Failures = shardFailures[i]
+		opts.Quotes = chain(st.Market)
+		opts.CheckpointFault = ckptFault
+		opts.Observer = auditor
+		opts.RunLabel = fmt.Sprintf("chaos/%d", i)
+		prov, err := sc.provider(st.Cluster, cfg.Slots, i)
 		if err != nil {
 			return opts, err
 		}
@@ -191,7 +172,7 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 		}
 		return opts, nil
 	}
-	mk := func(stacks []*stack) (service.Auctioneer, error) {
+	mk := func(stacks []*config.Built) (service.Auctioneer, error) {
 		if n == 1 {
 			opts, err := mkOpts(0, stacks[0])
 			if err != nil {
@@ -205,7 +186,7 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 			if err != nil {
 				return nil, err
 			}
-			specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.model.Name, i), Options: opts}
+			specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.Model.Name, i), Options: opts}
 		}
 		return service.NewShards(service.ShardsOptions{ManifestPath: manifest}, specs...)
 	}
@@ -286,14 +267,14 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 	// final vs sim.
 	assigned := map[int]int{}
 
-	for s := 0; s < cfg.slots; s++ {
+	for s := 0; s < cfg.Slots; s++ {
 		if kills[s] {
 			// Crash-stop the whole fleet mid-run (possibly mid-outage,
 			// possibly mid-lease) and restore a new generation on fresh
 			// stacks.
 			a.Kill()
 			gen.srv.Close()
-			freshStacks, err := cfg.buildShards(n)
+			freshStacks, err := cfg.Wire(tasks, n)
 			if err != nil {
 				return sum, err
 			}
@@ -424,7 +405,7 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 	// Ground truth, broker by broker: a fresh twin of each broker's stack
 	// replays the subsequence the router fed it (everything, for a
 	// monolith) under the same outages, vendor plan, and spot trace.
-	twins, err := cfg.buildShards(n)
+	twins, err := cfg.Wire(tasks, n)
 	if err != nil {
 		return sum, err
 	}
@@ -442,21 +423,17 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 			spread++
 		}
 		tw := twins[si]
-		simCfg := sim.Config{
-			Model:            tw.model,
-			Market:           tw.mkt,
-			Failures:         shardFailures[si],
-			Quotes:           chain(tw.mkt),
-			CollectDecisions: true,
-		}
-		prov, err := sc.provider(tw.cl, cfg.slots, si)
+		simCfg := twinConfig(tw)
+		simCfg.Failures = shardFailures[si]
+		simCfg.Quotes = chain(tw.Market)
+		prov, err := sc.provider(tw.Cluster, cfg.Slots, si)
 		if err != nil {
 			return sum, err
 		}
 		if prov != nil {
 			simCfg.Spot = prov
 		}
-		want, err := sim.Run(tw.cl, tw.sched, sub, simCfg)
+		want, err := sim.Run(tw.Cluster, tw.Scheduler, sub, simCfg)
 		if err != nil {
 			return sum, fmt.Errorf("broker %d replay: %w", si, err)
 		}
@@ -464,10 +441,10 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 			return sum, fmt.Errorf("%w: broker %d vs sim: %s", errChaos, si, msg)
 		}
 		res := brokers[si].Result()
-		if !stacks[si].sched.SnapshotDuals().Equal(tw.sched.SnapshotDuals()) {
+		if !duals(stacks[si]).Equal(duals(tw)) {
 			return sum, fmt.Errorf("%w: broker %d final dual prices diverge from sim.Run", errChaos, si)
 		}
-		if !reflect.DeepEqual(stacks[si].cl.Snapshot(), tw.cl.Snapshot()) {
+		if !reflect.DeepEqual(stacks[si].Cluster.Snapshot(), tw.Cluster.Snapshot()) {
 			return sum, fmt.Errorf("%w: broker %d final cluster ledgers diverge from sim.Run", errChaos, si)
 		}
 		liveW += res.Welfare
@@ -493,6 +470,6 @@ func runChaos(cfg stackConfig, seed int64, n int, sc spotConfig) (chaosSummary, 
 	sum.welfare = liveW
 	fmt.Fprintf(os.Stderr,
 		"chaos(seed %d): %d bids over %d slots across %d broker(s), %d generations, %d recovered, %d refunded (%.2f returned), degraded %d slot(s), welfare %.2f\n",
-		seed, sum.bids, cfg.slots, n, generations, sum.recovered, sum.refunded, sum.refundedValue, degradedSeen, liveW)
+		seed, sum.bids, cfg.Slots, n, generations, sum.recovered, sum.refunded, sum.refundedValue, degradedSeen, liveW)
 	return sum, nil
 }

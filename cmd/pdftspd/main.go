@@ -36,19 +36,15 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"time"
 
-	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/gpu"
-	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
-	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 func fail(format string, args ...interface{}) {
@@ -57,15 +53,11 @@ func fail(format string, args ...interface{}) {
 }
 
 func main() {
+	// The stack flags describe the cluster, the marketplace and the
+	// workload the dual prices are calibrated against.
+	cfg := config.Default()
+	cfg.StackFlags(flag.CommandLine, 8, "hybrid")
 	addr := flag.String("addr", "localhost:8080", "HTTP listen address")
-	nodes := flag.Int("nodes", 8, "number of compute nodes")
-	mix := flag.String("mix", "hybrid", "cluster mix: a100, a40, hybrid")
-	slots := flag.Int("slots", timeslot.DefaultHorizonSlots, "horizon length in slots")
-	rate := flag.Float64("rate", 5, "expected arrivals per slot (dual calibration)")
-	arrivals := flag.String("arrivals", "poisson", "calibration arrival process: poisson, mlaas, philly, helios")
-	deadlines := flag.String("deadlines", "medium", "calibration deadline policy: tight, medium, slack")
-	vendors := flag.Int("vendors", 5, "number of labor vendors")
-	seed := flag.Int64("seed", 1, "calibration workload seed")
 	virtual := flag.Bool("virtual-clock", false, "advance slots only via POST /v1/clock/step")
 	slotDur := flag.Duration("slot", 10*time.Second, "real-clock slot duration")
 	queue := flag.Int("queue", 1024, "bounded intake queue size (429 when full)")
@@ -136,11 +128,6 @@ func main() {
 	}
 	observer := obs.Multi(observers...)
 
-	cfg := stackConfig{
-		nodes: *nodes, mix: *mix, slots: *slots, rate: *rate,
-		arrivals: *arrivals, deadlines: *deadlines, vendors: *vendors, seed: *seed,
-	}
-
 	if *smoke {
 		if err := runSmoke(cfg); err != nil {
 			fail("smoke: %v", err)
@@ -184,11 +171,11 @@ func main() {
 		restore: *restore, serveDebug: *serveDebug, observer: observer,
 		wal: *wal, walSyncEvery: *walSyncEvery, supervise: *supervise,
 	}
-	a, totalNodes, err := buildAuctioneer(cfg, *shards, sc, so)
+	a, err := buildAuctioneer(cfg, *shards, sc, so)
 	if err != nil {
 		fail("%v", err)
 	}
-	serveAuctioneer(a, cfg, *shards, sc, so, totalNodes)
+	serveAuctioneer(a, cfg, *shards, sc, so)
 	finishObs(jsonlSink, auditor, decSink)
 }
 
@@ -214,155 +201,42 @@ func finishObs(j *obs.JSONL, a *obs.Audit, d *obs.DecisionLog) {
 	}
 }
 
-// stackConfig captures the flags an auction stack is built from; the
-// smoke harness builds two identical stacks from one config.
-type stackConfig struct {
-	nodes, slots, vendors int
-	mix                   string
-	rate                  float64
-	arrivals, deadlines   string
-	seed                  int64
-	// mask makes the Algorithm-2 DP skip full/downed cells; the chaos
-	// harness sets it so outage recovery routes around dead nodes.
-	mask bool
-}
-
-// stack is one fully wired auction: cluster, marketplace, calibrated
-// scheduler, and the calibration workload.
-type stack struct {
-	cl    *cluster.Cluster
-	sched *core.Scheduler
-	model lora.ModelConfig
-	mkt   *vendor.Marketplace
-	tasks []task.Task
-}
-
-// workload generates the calibration (and smoke/chaos driving) bid
-// stream for this config.
-func (c stackConfig) workload(h timeslot.Horizon) ([]task.Task, error) {
-	tc := trace.DefaultConfig()
-	tc.Seed = c.seed
-	tc.Horizon = h
-	tc.RatePerSlot = c.rate
-	switch c.arrivals {
-	case "poisson":
-		tc.Arrivals = trace.Poisson
-	case "mlaas":
-		tc.Arrivals = trace.MLaaSLike
-	case "philly":
-		tc.Arrivals = trace.PhillyLike
-	case "helios":
-		tc.Arrivals = trace.HeliosLike
-	default:
-		return nil, fmt.Errorf("unknown arrival process %q", c.arrivals)
+// quick shrinks the flag defaults to the seconds-long stack the
+// self-tests run on — a fleet of n gets two nodes a shard — and leaves
+// alone whatever the user overrode.
+func quick(cfg config.Config, n int) config.Config {
+	d := config.Default()
+	if cfg.Slots == d.Slots {
+		cfg.Slots = 24
 	}
-	switch c.deadlines {
-	case "tight":
-		tc.Deadlines = trace.TightDeadlines
-	case "medium":
-		tc.Deadlines = trace.MediumDeadlines
-	case "slack":
-		tc.Deadlines = trace.SlackDeadlines
-	default:
-		return nil, fmt.Errorf("unknown deadline policy %q", c.deadlines)
-	}
-	tasks, err := trace.Generate(tc)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	return tasks, nil
-}
-
-// nodeSpecs lays out the full cluster's node list for this config.
-func (c stackConfig) nodeSpecs(model lora.ModelConfig, h timeslot.Horizon) ([]cluster.Node, error) {
-	var specs []cluster.Node
-	add := func(n int, spec gpu.Spec) {
-		specs = append(specs, cluster.Uniform(n, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
-	}
-	switch c.mix {
-	case "a100":
-		add(c.nodes, gpu.A100)
-	case "a40":
-		add(c.nodes, gpu.A40)
-	case "hybrid":
-		add(c.nodes/2+c.nodes%2, gpu.A100)
-		add(c.nodes/2, gpu.A40)
-	default:
-		return nil, fmt.Errorf("unknown mix %q", c.mix)
-	}
-	return specs, nil
-}
-
-// wire turns a node list into a calibrated stack.
-func (c stackConfig) wire(model lora.ModelConfig, h timeslot.Horizon, specs []cluster.Node, tasks []task.Task) (*stack, error) {
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, specs)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	mkt, err := vendor.Standard(c.vendors, c.seed+7)
-	if err != nil {
-		return nil, fmt.Errorf("marketplace: %w", err)
-	}
-	copts := core.CalibrateDuals(tasks, model, cl, mkt)
-	copts.MaskFullCells = c.mask
-	sched, err := core.New(cl, copts)
-	if err != nil {
-		return nil, fmt.Errorf("scheduler: %w", err)
-	}
-	return &stack{cl: cl, sched: sched, model: model, mkt: mkt, tasks: tasks}, nil
-}
-
-// build wires a fresh stack; calling it twice with the same config yields
-// byte-identical twins (all generation is seed-deterministic).
-func (c stackConfig) build() (*stack, error) {
-	h := timeslot.NewHorizon(c.slots)
-	model := lora.GPT2Small()
-	tasks, err := c.workload(h)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := c.nodeSpecs(model, h)
-	if err != nil {
-		return nil, err
-	}
-	return c.wire(model, h, specs, tasks)
-}
-
-// buildShards wires n shard stacks over a round-robin partition of the
-// cluster: shard i owns global nodes i, i+n, i+2n, … so every shard gets
-// a balanced slice of a heterogeneous mix. Each shard carries its own
-// marketplace and scheduler, calibrated against the full workload on the
-// shard's own nodes — exactly how a twin shard is rebuilt for replay.
-func (c stackConfig) buildShards(n int) ([]*stack, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shards must be >= 1, got %d", n)
-	}
-	if c.nodes < n {
-		return nil, fmt.Errorf("%d shards need at least %d nodes, have %d", n, n, c.nodes)
-	}
-	h := timeslot.NewHorizon(c.slots)
-	model := lora.GPT2Small()
-	tasks, err := c.workload(h)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := c.nodeSpecs(model, h)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*stack, n)
-	for i := 0; i < n; i++ {
-		var part []cluster.Node
-		for g := i; g < len(specs); g += n {
-			part = append(part, specs[g])
+	if reflect.DeepEqual(cfg.Nodes, d.Nodes) {
+		nodes := 4
+		if n > 1 {
+			nodes = 2 * n
 		}
-		st, err := c.wire(model, h, part, tasks)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		out[i] = st
+		cfg.Nodes, _ = config.Mix("hybrid", nodes)
 	}
-	return out, nil
+	if cfg.Workload.RatePerSlot == d.Workload.RatePerSlot {
+		cfg.Workload.RatePerSlot = 3
+	}
+	return cfg
+}
+
+// stackOptions starts a broker's options from its wired stack.
+func stackOptions(st *config.Built) service.Options {
+	return service.Options{Cluster: st.Cluster, Scheduler: st.Scheduler, Model: st.Model, Market: st.Market}
+}
+
+// twinConfig is the sim.Run configuration a stack's replay twin runs under.
+func twinConfig(st *config.Built) sim.Config {
+	c := st.SimConfig
+	c.CollectDecisions = true
+	return c
+}
+
+// duals reads a pdFTSP stack's current prices.
+func duals(st *config.Built) core.DualState {
+	return st.Scheduler.(*core.Scheduler).SnapshotDuals()
 }
 
 // errSmoke tags self-test mismatches.
@@ -373,36 +247,23 @@ var errSmoke = errors.New("mismatch")
 // concurrent clients, steps the clock over the horizon via the HTTP
 // endpoint, and diffs every decision — and the final duals — against a
 // sequential sim.Run replay of the same workload on a twin stack.
-func runSmoke(cfg stackConfig) error {
-	// Smoke wants a quick horizon; shrink unless the user overrode.
-	if cfg.slots == timeslot.DefaultHorizonSlots {
-		cfg.slots = 24
-	}
-	if cfg.nodes == 8 {
-		cfg.nodes = 4
-	}
-	if cfg.rate == 5 {
-		cfg.rate = 3
-	}
-
-	serveStack, err := cfg.build()
+func runSmoke(cfg config.Config) error {
+	cfg = quick(cfg, 1)
+	// Building twice yields bit-identical twins: one serves, one replays.
+	serveStack, err := cfg.Build()
 	if err != nil {
 		return err
 	}
-	replayStack, err := cfg.build()
+	replayStack, err := cfg.Build()
 	if err != nil {
 		return err
 	}
-	tasks := serveStack.tasks
+	tasks := serveStack.Tasks
 
-	broker, err := service.New(service.Options{
-		Cluster:      serveStack.cl,
-		Scheduler:    serveStack.sched,
-		Model:        serveStack.model,
-		Market:       serveStack.mkt,
-		QueueSize:    len(tasks) + 8,
-		VirtualClock: true,
-	})
+	opts := stackOptions(serveStack)
+	opts.QueueSize = len(tasks) + 8
+	opts.VirtualClock = true
+	broker, err := service.New(opts)
 	if err != nil {
 		return err
 	}
@@ -467,7 +328,7 @@ func runSmoke(cfg stackConfig) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	var stepResp map[string]int
-	if err := client.check("POST", "/v1/clock/step", map[string]int{"slots": cfg.slots}, &stepResp); err != nil {
+	if err := client.check("POST", "/v1/clock/step", map[string]int{"slots": cfg.Slots}, &stepResp); err != nil {
 		return err
 	}
 
@@ -481,11 +342,7 @@ func runSmoke(cfg stackConfig) error {
 	}
 
 	// Sequential ground truth on the twin stack.
-	res, err := sim.Run(replayStack.cl, replayStack.sched, tasks, sim.Config{
-		Model:            replayStack.model,
-		Market:           replayStack.mkt,
-		CollectDecisions: true,
-	})
+	res, err := sim.Run(replayStack.Cluster, replayStack.Scheduler, tasks, twinConfig(replayStack))
 	if err != nil {
 		return err
 	}
@@ -518,7 +375,7 @@ func runSmoke(cfg stackConfig) error {
 	if err := broker.Drain(drainCtx); err != nil {
 		return err
 	}
-	if !serveStack.sched.SnapshotDuals().Equal(replayStack.sched.SnapshotDuals()) {
+	if !duals(serveStack).Equal(duals(replayStack)) {
 		return fmt.Errorf("%w: final dual prices differ between service and replay", errSmoke)
 	}
 	fmt.Fprintf(os.Stderr, "smoke: %d concurrent bids, %d admitted, welfare %.2f\n",

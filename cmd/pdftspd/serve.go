@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/service"
 )
@@ -33,104 +34,75 @@ type serveOpts struct {
 	supervise    bool
 }
 
-// shardSpecs wires the per-shard broker options from the common serving
-// flags: checkpoint paths get a ".shard<i>" suffix (the manifest at the
-// base path ties them together), run labels a "/<i>" suffix, and the
-// intake queue is split evenly so the fleet's total admission capacity
-// matches the monolithic broker's. Each shard also gets its own spot
-// provider over its own cluster's elastic tail when the tier is on.
-func shardSpecs(stacks []*stack, sc spotConfig, o serveOpts) ([]service.ShardSpec, error) {
-	specs := make([]service.ShardSpec, len(stacks))
-	queue := o.queue/len(stacks) + 1
-	for i, st := range stacks {
-		opts := service.Options{
-			Cluster:             st.cl,
-			Scheduler:           st.sched,
-			Model:               st.model,
-			Market:              st.mkt,
-			QueueSize:           queue,
-			VirtualClock:        o.virtual,
-			SlotDuration:        o.slotDur,
-			CheckpointEvery:     o.ckptEvery,
-			CheckpointFullEvery: o.fullEvery,
-			Observer:            o.observer,
-			RunLabel:            fmt.Sprintf("pdftspd/%d", i),
-		}
+// brokerOptions wires broker i of n's options from the common serving
+// flags. In a fleet, checkpoint paths get a ".shard<i>" suffix (the
+// manifest at the base path ties them together), run labels a "/<i>"
+// suffix, and the intake queue is split evenly so the fleet's total
+// admission capacity matches the monolithic broker's; a fleet of one
+// keeps the flags as given. Each broker gets its own spot provider over
+// its own cluster's elastic tail when the tier is on.
+func brokerOptions(st *config.Built, i, n int, sc spotConfig, o serveOpts) (service.Options, error) {
+	opts := stackOptions(st)
+	opts.QueueSize = o.queue
+	opts.VirtualClock = o.virtual
+	opts.SlotDuration = o.slotDur
+	opts.CheckpointPath = o.ckpt
+	opts.CheckpointEvery = o.ckptEvery
+	opts.CheckpointFullEvery = o.fullEvery
+	opts.Observer = o.observer
+	if n > 1 {
+		opts.QueueSize = o.queue/n + 1
+		opts.RunLabel = fmt.Sprintf("pdftspd/%d", i)
 		if o.ckpt != "" {
 			opts.CheckpointPath = fmt.Sprintf("%s.shard%d", o.ckpt, i)
-			if o.wal {
-				opts.WALPath = service.WALPath(opts.CheckpointPath)
-				opts.WALSyncEvery = o.walSyncEvery
-			}
-		}
-		prov, err := sc.provider(st.cl, st.cl.Horizon().T, i)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if prov != nil {
-			opts.Spot = prov
-		}
-		specs[i] = service.ShardSpec{
-			Key:     fmt.Sprintf("%s/%d", st.model.Name, i),
-			Options: opts,
 		}
 	}
-	return specs, nil
+	if o.wal {
+		opts.WALPath = service.WALPath(opts.CheckpointPath)
+		opts.WALSyncEvery = o.walSyncEvery
+	}
+	prov, err := sc.provider(st.Cluster, st.Cluster.Horizon().T, i)
+	if err != nil {
+		return opts, err
+	}
+	if prov != nil {
+		opts.Spot = prov
+	}
+	return opts, nil
 }
 
 // buildAuctioneer wires the serving fleet for the flag set — a
 // monolithic Broker for -shards 1, a Shards fleet otherwise — restored
 // from its checkpoint (or manifest) when asked, and returns it behind
-// the one service.Auctioneer surface the serve loop drives. The second
-// return is the total node count, for the banner.
-func buildAuctioneer(cfg stackConfig, n int, sc spotConfig, o serveOpts) (service.Auctioneer, int, error) {
+// the one service.Auctioneer surface the serve loop drives.
+func buildAuctioneer(cfg config.Config, n int, sc spotConfig, o serveOpts) (service.Auctioneer, error) {
 	if o.wal && o.ckpt == "" {
-		return nil, 0, fmt.Errorf("-wal requires -checkpoint (the journal lives next to the checkpoint chain)")
+		return nil, fmt.Errorf("-wal requires -checkpoint (the journal lives next to the checkpoint chain)")
 	}
 	if o.supervise {
 		return buildSupervised(cfg, n, sc, o)
 	}
+	stacks, err := cfg.BuildShards(n)
+	if err != nil {
+		return nil, err
+	}
 	if n == 1 {
-		st, err := cfg.build()
+		opts, err := brokerOptions(stacks[0], 0, 1, sc, o)
 		if err != nil {
-			return nil, 0, err
-		}
-		opts := service.Options{
-			Cluster:             st.cl,
-			Scheduler:           st.sched,
-			Model:               st.model,
-			Market:              st.mkt,
-			QueueSize:           o.queue,
-			VirtualClock:        o.virtual,
-			SlotDuration:        o.slotDur,
-			CheckpointPath:      o.ckpt,
-			CheckpointEvery:     o.ckptEvery,
-			CheckpointFullEvery: o.fullEvery,
-			Observer:            o.observer,
-		}
-		if o.wal {
-			opts.WALPath = service.WALPath(o.ckpt)
-			opts.WALSyncEvery = o.walSyncEvery
-		}
-		prov, err := sc.provider(st.cl, cfg.slots, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		if prov != nil {
-			opts.Spot = prov
+			return nil, err
 		}
 		broker, err := service.New(opts)
 		if err != nil {
-			return nil, 0, fmt.Errorf("broker: %w", err)
+			return nil, fmt.Errorf("broker: %w", err)
 		}
 		if o.restore {
 			if o.ckpt == "" {
-				return nil, 0, fmt.Errorf("-restore requires -checkpoint")
+				return nil, fmt.Errorf("-restore requires -checkpoint")
 			}
 			switch ck, err := service.LoadCheckpoint(o.ckpt); {
 			case err == nil:
 				if err := broker.Restore(ck); err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 				fmt.Fprintf(os.Stderr, "restored checkpoint: slot %d, %d decided bids\n", ck.Slot, ck.Decisions.Len())
 			case o.wal && errors.Is(err, fs.ErrNotExist):
@@ -139,34 +111,34 @@ func buildAuctioneer(cfg stackConfig, n int, sc spotConfig, o serveOpts) (servic
 				// decision map) re-offers every acked bid.
 				fmt.Fprintln(os.Stderr, "no checkpoint on disk; recovering from journal alone")
 			default:
-				return nil, 0, err
+				return nil, err
 			}
 			if o.wal {
 				replayed, err := recoverJournals(broker)
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 				fmt.Fprintf(os.Stderr, "replayed journal: %d acked bid(s) re-offered\n", replayed)
 			}
 		}
-		return broker, st.cl.NumNodes(), nil
+		return broker, nil
 	}
 
-	stacks, err := cfg.buildShards(n)
-	if err != nil {
-		return nil, 0, err
-	}
-	specs, err := shardSpecs(stacks, sc, o)
-	if err != nil {
-		return nil, 0, err
+	specs := make([]service.ShardSpec, n)
+	for i, st := range stacks {
+		opts, err := brokerOptions(st, i, n, sc, o)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.Model.Name, i), Options: opts}
 	}
 	fleet, err := service.NewShards(service.ShardsOptions{ManifestPath: o.ckpt}, specs...)
 	if err != nil {
-		return nil, 0, fmt.Errorf("shards: %w", err)
+		return nil, fmt.Errorf("shards: %w", err)
 	}
 	if o.restore {
 		if o.ckpt == "" {
-			return nil, 0, fmt.Errorf("-restore requires -checkpoint")
+			return nil, fmt.Errorf("-restore requires -checkpoint")
 		}
 		switch m, err := service.ReadShardManifest(o.ckpt); {
 		case err == nil:
@@ -183,26 +155,22 @@ func buildAuctioneer(cfg stackConfig, n int, sc spotConfig, o serveOpts) (servic
 				// checkpoints — the journals carry every acked bid.
 				fmt.Fprintln(os.Stderr, "manifest on disk but no shard checkpoints; recovering from journals alone")
 			default:
-				return nil, 0, rerr
+				return nil, rerr
 			}
 		case o.wal && errors.Is(err, fs.ErrNotExist):
 			fmt.Fprintln(os.Stderr, "no shard manifest on disk; recovering from journals alone")
 		default:
-			return nil, 0, err
+			return nil, err
 		}
 		if o.wal {
 			replayed, err := recoverJournals(fleet)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			fmt.Fprintf(os.Stderr, "replayed journals: %d acked bid(s) re-offered across %d shard(s)\n", replayed, n)
 		}
 	}
-	nodes := 0
-	for _, st := range stacks {
-		nodes += st.cl.NumNodes()
-	}
-	return fleet, nodes, nil
+	return fleet, nil
 }
 
 // recoverJournals replays every broker's write-ahead journal after its
@@ -244,7 +212,7 @@ func walOnDisk(ckpt string, n int) bool {
 // every later one resumes the crashed run — replays the journals, and
 // starts it. The watchdog then turns any in-process crash or wedge
 // into a bounded restart instead of an outage.
-func buildSupervised(cfg stackConfig, n int, sc spotConfig, o serveOpts) (service.Auctioneer, int, error) {
+func buildSupervised(cfg config.Config, n int, sc spotConfig, o serveOpts) (service.Auctioneer, error) {
 	inner := o
 	inner.supervise = false
 	build := func() (service.Auctioneer, error) {
@@ -256,7 +224,7 @@ func buildSupervised(cfg stackConfig, n int, sc spotConfig, o serveOpts) (servic
 				ro.restore = true
 			}
 		}
-		a, _, err := buildAuctioneer(cfg, n, sc, ro)
+		a, err := buildAuctioneer(cfg, n, sc, ro)
 		if err != nil {
 			return nil, err
 		}
@@ -272,15 +240,15 @@ func buildSupervised(cfg stackConfig, n int, sc spotConfig, o serveOpts) (servic
 		},
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return sup, cfg.nodes, nil
+	return sup, nil
 }
 
 // serveAuctioneer is the one serve loop: Start, expvar exposure, the
 // HTTP listener, and the signal-driven graceful drain — identical for a
 // fleet of one and a fleet of many (supervised or not).
-func serveAuctioneer(a service.Auctioneer, cfg stackConfig, n int, sc spotConfig, o serveOpts, nodes int) {
+func serveAuctioneer(a service.Auctioneer, cfg config.Config, n int, sc spotConfig, o serveOpts) {
 	if err := a.Start(); err != nil {
 		fail("start: %v", err)
 	}
@@ -307,6 +275,7 @@ func serveAuctioneer(a service.Auctioneer, cfg stackConfig, n int, sc spotConfig
 	if o.virtual {
 		clock = "virtual clock"
 	}
+	nodes := cfg.NumNodes()
 	shape := fmt.Sprintf("%d nodes", nodes)
 	if n > 1 {
 		shape = fmt.Sprintf("%d shards × ~%d nodes = %d", n, nodes/n, nodes)
@@ -322,7 +291,7 @@ func serveAuctioneer(a service.Auctioneer, cfg stackConfig, n int, sc spotConfig
 		tier += ", supervised"
 	}
 	fmt.Fprintf(os.Stderr, "pdftspd serving on http://%s (%s, %s, %d slots%s)\n",
-		ln.Addr(), clock, shape, cfg.slots, tier)
+		ln.Addr(), clock, shape, cfg.Slots, tier)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

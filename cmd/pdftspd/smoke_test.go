@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/service"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
 )
 
 // TestSmokeMatrix runs the self-test harnesses behind -smoke, -chaos,
@@ -18,10 +18,7 @@ import (
 func TestSmokeMatrix(t *testing.T) {
 	// The flag defaults of main(); every harness shrinks them the same way
 	// it does for the command line.
-	cfg := stackConfig{
-		nodes: 8, mix: "hybrid", slots: timeslot.DefaultHorizonSlots, rate: 5,
-		arrivals: "poisson", deadlines: "medium", vendors: 5, seed: 1,
-	}
+	cfg := config.Default()
 	sc := spotConfig{seed: 11}
 	chaos := func(seed int64, shards int) func() error {
 		return func() error { _, err := runChaos(cfg, seed, shards, sc); return err }
@@ -56,18 +53,21 @@ func TestSmokeMatrix(t *testing.T) {
 // every -smoke bid was a bid for the default model; the journal holds the
 // held bid as the broker stamped it.
 func TestPostBidCarriesModelName(t *testing.T) {
-	st, err := stackConfig{
-		nodes: 2, mix: "hybrid", slots: 8, rate: 1,
-		arrivals: "poisson", deadlines: "medium", vendors: 5, seed: 1,
-	}.build()
+	cfg := config.Default()
+	cfg.Slots = 8
+	cfg.Workload.RatePerSlot = 1
+	var err error
+	if cfg.Nodes, err = config.Mix("hybrid", 2); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	wal := filepath.Join(t.TempDir(), "bids.wal")
-	broker, err := service.New(service.Options{
-		Cluster: st.cl, Scheduler: st.sched, Model: st.model, Market: st.mkt,
-		VirtualClock: true, WALPath: wal, RunLabel: "model-name",
-	})
+	opts := stackOptions(st)
+	opts.VirtualClock, opts.WALPath, opts.RunLabel = true, wal, "model-name"
+	broker, err := service.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPostBidCarriesModelName(t *testing.T) {
 	srv := httptest.NewServer(broker.Handler())
 	defer srv.Close()
 
-	bid := st.tasks[0]
+	bid := st.Tasks[0]
 	bid.ModelName = "llama-7b"
 	done := make(chan error, 1)
 	go func() {

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"os"
+
+	"github.com/pdftsp/pdftsp/internal/config"
 )
 
 // runSpotSmoke is the `pdftspd -spot-smoke` self-test: the full chaos
@@ -15,7 +17,7 @@ import (
 // have rented node-slots and the market must have reclaimed at least
 // one live lease, so the revocation → outage → refund/re-plan path is
 // exercised end to end, not just compiled.
-func runSpotSmoke(cfg stackConfig, seed int64, sc spotConfig) error {
+func runSpotSmoke(cfg config.Config, seed int64, sc spotConfig) error {
 	if !sc.enabled() {
 		sc.nodes = 1
 	}

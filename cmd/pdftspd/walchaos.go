@@ -12,10 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
 )
 
@@ -62,22 +62,10 @@ type walChaosSummary struct {
 // The final state must be bit-identical — decisions, welfare, revenue,
 // duals, ledgers — to a sequential sim.Run of the acked stream on twin
 // stacks, broker by broker: durability may cost latency, never outcome.
-func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
+func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) {
 	var sum walChaosSummary
-	if cfg.slots == timeslot.DefaultHorizonSlots {
-		cfg.slots = 24
-	}
-	if cfg.nodes == 8 {
-		if n > 1 {
-			cfg.nodes = 2 * n
-		} else {
-			cfg.nodes = 4
-		}
-	}
-	if cfg.rate == 5 {
-		cfg.rate = 3
-	}
-	cfg.seed = seed
+	cfg = quick(cfg, n)
+	cfg.Seed = seed
 
 	// Ack-boundary kill schedule: fixed slots (the seed varies the
 	// workload around them), each with its flavor of crash.
@@ -108,12 +96,11 @@ func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 
 	// The workload is generated once; every generation's stacks are
 	// rebuilt fresh (seed-deterministic, so they are twins).
-	firstStacks, err := cfg.buildShards(n)
+	tasks, err := cfg.Generate()
 	if err != nil {
 		return sum, err
 	}
-	tasks := firstStacks[0].tasks
-	perSlot, err := trace.BySlot(tasks, cfg.slots)
+	perSlot, err := trace.BySlot(tasks, cfg.Slots)
 	if err != nil {
 		return sum, err
 	}
@@ -122,32 +109,28 @@ func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 	// restore-if-persisted, replay, start. The supervisor calls it once
 	// up front and once per crash.
 	var (
-		curStacks     atomic.Pointer[[]*stack]
+		curStacks     atomic.Pointer[[]*config.Built]
 		replayedTotal atomic.Int64
 		corruptNext   atomic.Bool
 		restarted     = make(chan int, 16)
 	)
 	build := func() (service.Auctioneer, error) {
-		stacks, err := cfg.buildShards(n)
+		stacks, err := cfg.Wire(tasks, n)
 		if err != nil {
 			return nil, err
 		}
-		mkOpts := func(i int, st *stack) service.Options {
-			return service.Options{
-				Cluster:      st.cl,
-				Scheduler:    st.sched,
-				Model:        st.model,
-				Market:       st.mkt,
-				QueueSize:    len(tasks) + 16,
-				VirtualClock: true,
-				// Full snapshot every 4th slot, deltas between, journal
-				// alongside: every restore exercises the chain + replay.
-				CheckpointPath:      ckptPaths[i],
-				CheckpointEvery:     1,
-				CheckpointFullEvery: 4,
-				WALPath:             service.WALPath(ckptPaths[i]),
-				RunLabel:            fmt.Sprintf("wal-chaos/%d", i),
-			}
+		mkOpts := func(i int, st *config.Built) service.Options {
+			opts := stackOptions(st)
+			opts.QueueSize = len(tasks) + 16
+			opts.VirtualClock = true
+			// Full snapshot every 4th slot, deltas between, journal
+			// alongside: every restore exercises the chain + replay.
+			opts.CheckpointPath = ckptPaths[i]
+			opts.CheckpointEvery = 1
+			opts.CheckpointFullEvery = 4
+			opts.WALPath = service.WALPath(ckptPaths[i])
+			opts.RunLabel = fmt.Sprintf("wal-chaos/%d", i)
+			return opts
 		}
 		var a service.Auctioneer
 		if n == 1 {
@@ -155,7 +138,7 @@ func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 		} else {
 			specs := make([]service.ShardSpec, n)
 			for i, st := range stacks {
-				specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.model.Name, i), Options: mkOpts(i, st)}
+				specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.Model.Name, i), Options: mkOpts(i, st)}
 			}
 			a, err = service.NewShards(service.ShardsOptions{ManifestPath: manifest}, specs...)
 		}
@@ -265,7 +248,7 @@ func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 	acked := map[int]bool{}
 	assigned := map[int]int{}
 	checkedPending := false
-	for s := 0; s < cfg.slots; s++ {
+	for s := 0; s < cfg.Slots; s++ {
 		arriving := perSlot[s]
 		if len(arriving) > 0 {
 			batch := append([]task.Task(nil), arriving...)
@@ -367,7 +350,7 @@ func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 
 	// Ground truth, broker by broker: a twin of each broker's stack
 	// replays the acked subsequence it ended up owning.
-	twins, err := cfg.buildShards(n)
+	twins, err := cfg.Wire(tasks, n)
 	if err != nil {
 		return sum, err
 	}
@@ -380,11 +363,7 @@ func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 			}
 		}
 		tw := twins[si]
-		want, err := sim.Run(tw.cl, tw.sched, sub, sim.Config{
-			Model:            tw.model,
-			Market:           tw.mkt,
-			CollectDecisions: true,
-		})
+		want, err := sim.Run(tw.Cluster, tw.Scheduler, sub, twinConfig(tw))
 		if err != nil {
 			return sum, fmt.Errorf("broker %d replay: %w", si, err)
 		}
@@ -392,7 +371,7 @@ func runWALChaos(cfg stackConfig, seed int64, n int) (walChaosSummary, error) {
 			return sum, fmt.Errorf("%w: broker %d vs sim: %s", errWALChaos, si, msg)
 		}
 		res := brokers[si].Result()
-		if !stacks[si].sched.SnapshotDuals().Equal(tw.sched.SnapshotDuals()) {
+		if !duals(stacks[si]).Equal(duals(tw)) {
 			return sum, fmt.Errorf("%w: broker %d final dual prices diverge from sim.Run", errWALChaos, si)
 		}
 		liveW += res.Welfare

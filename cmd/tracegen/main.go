@@ -18,47 +18,21 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/service"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
 )
 
 func main() {
-	rate := flag.Float64("rate", 5, "mean task arrivals per slot")
-	arrivals := flag.String("arrivals", "poisson", "arrival process: poisson, mlaas, philly, helios")
-	deadlines := flag.String("deadlines", "medium", "deadline policy: tight, medium, slack")
-	slots := flag.Int("slots", timeslot.DefaultHorizonSlots, "horizon length in slots")
-	seed := flag.Int64("seed", 1, "generator seed")
+	c := config.Default()
+	c.WorkloadFlags(flag.CommandLine)
 	countsOnly := flag.Bool("counts", false, "emit per-slot arrival counts instead of full tasks")
 	bids := flag.Bool("bids", false, "emit broker wire-form bid requests (for pdftspd-load -bids)")
 	flag.Parse()
 
-	cfg := trace.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Horizon = timeslot.NewHorizon(*slots)
-	cfg.RatePerSlot = *rate
-	switch *arrivals {
-	case "poisson":
-		cfg.Arrivals = trace.Poisson
-	case "mlaas":
-		cfg.Arrivals = trace.MLaaSLike
-	case "philly":
-		cfg.Arrivals = trace.PhillyLike
-	case "helios":
-		cfg.Arrivals = trace.HeliosLike
-	default:
-		fmt.Fprintf(os.Stderr, "unknown arrival process %q\n", *arrivals)
-		os.Exit(2)
-	}
-	switch *deadlines {
-	case "tight":
-		cfg.Deadlines = trace.TightDeadlines
-	case "medium":
-		cfg.Deadlines = trace.MediumDeadlines
-	case "slack":
-		cfg.Deadlines = trace.SlackDeadlines
-	default:
-		fmt.Fprintf(os.Stderr, "unknown deadline policy %q\n", *deadlines)
+	cfg, err := c.TraceConfig()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		os.Exit(2)
 	}
 

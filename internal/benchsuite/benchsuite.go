@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/experiments"
-	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/task"
@@ -66,15 +66,15 @@ func Suite() []Bench {
 	}
 }
 
-// benchCluster builds the ten-node hybrid cluster the micro-benchmarks
-// run on, with capacities calibrated by the LoRA throughput model.
-func benchCluster(b *testing.B, h timeslot.Horizon, model lora.ModelConfig) *cluster.Cluster {
+// tenNodes builds the ten-node one-day cluster the micro-benchmarks run
+// on.
+func tenNodes(b *testing.B, mix string, model lora.ModelConfig) *cluster.Cluster {
 	b.Helper()
-	var nodes []cluster.Node
-	for _, spec := range []gpu.Spec{gpu.A100, gpu.A40} {
-		nodes = append(nodes, cluster.Uniform(5, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
+	groups, err := config.Mix(mix, 10)
+	if err != nil {
+		b.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, nodes)
+	cl, err := config.NewCluster(timeslot.Day(), model, groups)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,12 +82,11 @@ func benchCluster(b *testing.B, h timeslot.Horizon, model lora.ModelConfig) *clu
 }
 
 // OfferPdFTSP measures one Algorithm-1 iteration (DP + duals + pricing)
-// on a warm ten-node cluster — the per-task latency of Figure 13's fast
-// curve and the repository's primary hot-path benchmark.
+// on a warm ten-node hybrid cluster — the per-task latency of Figure
+// 13's fast curve and the repository's primary hot-path benchmark.
 func OfferPdFTSP(b *testing.B) {
 	model := lora.GPT2Small()
-	h := timeslot.Day()
-	cl := benchCluster(b, h, model)
+	cl := tenNodes(b, "hybrid", model)
 	mkt, err := vendor.Standard(5, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -128,12 +127,7 @@ func OfferPdFTSP(b *testing.B) {
 // start.
 func CalibrateDuals(b *testing.B) {
 	model := lora.GPT2Small()
-	h := timeslot.Day()
-	nodes := cluster.Uniform(10, gpu.A100, lora.NodeCapUnits(model, gpu.A100, h), gpu.A100.MemGB)
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, nodes)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cl := tenNodes(b, "a100", model)
 	cfg := trace.DefaultConfig()
 	cfg.RatePerSlot = 10
 	tasks, err := trace.Generate(cfg)

@@ -5,17 +5,12 @@ import (
 	"io"
 	"testing"
 
-	"github.com/pdftsp/pdftsp/internal/cluster"
-	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/gpu"
-	"github.com/pdftsp/pdftsp/internal/lora"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // The serving benchmarks measure the broker's wire path — the
@@ -33,41 +28,45 @@ const servingSlots = 4096
 // checkpoint benchmarks use.
 const servingBidsPerSlot = 64
 
-// benchServingModel pins the model and long bench horizon.
-func benchServingModel() (lora.ModelConfig, timeslot.Horizon) {
-	return lora.GPT2Small(), timeslot.NewHorizon(servingSlots)
+// servingStacks wires the serving benchmarks' stack as n shards: four
+// hybrid nodes — small enough that a long -benchtime over thousands of
+// slots stays in memory — under the template workload (a paper-scale day
+// at rate 10, cycled with fresh identities by the benchmarks). Seed -6
+// is the marketplace's: config.Market offsets it to vendor.Standard(5, 1),
+// which every committed BENCH_*.json row was recorded against.
+func servingStacks(b *testing.B, n int) []*config.Built {
+	b.Helper()
+	tc := trace.DefaultConfig()
+	tc.RatePerSlot = 10
+	tasks, err := trace.Generate(tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := config.Default()
+	c.Slots, c.Seed = servingSlots, -6
+	if c.Nodes, err = config.Mix("hybrid", 4); err != nil {
+		b.Fatal(err)
+	}
+	stacks, err := c.Wire(tasks, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stacks
 }
 
-// benchServingCluster is a four-node hybrid cluster — small enough that
-// a long -benchtime over thousands of slots stays in memory.
-func benchServingCluster(b *testing.B, h timeslot.Horizon, model lora.ModelConfig) *cluster.Cluster {
-	b.Helper()
-	var nodes []cluster.Node
-	for _, spec := range []gpu.Spec{gpu.A100, gpu.A40} {
-		nodes = append(nodes, cluster.Uniform(2, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
+// brokerOptions is the virtual-clock broker every serving row runs on
+// one wired stack.
+func brokerOptions(st *config.Built) service.Options {
+	return service.Options{
+		Cluster:         st.Cluster,
+		Scheduler:       st.Scheduler,
+		Model:           st.Model,
+		Market:          st.Market,
+		QueueSize:       4 * servingBidsPerSlot,
+		VirtualClock:    true,
+		RunLabel:        "bench",
+		DropLosingPlans: true,
 	}
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, nodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cl
-}
-
-// benchServingStack generates the template workload (a paper-scale day,
-// cycled with fresh identities by the benchmarks) and calibrates duals.
-func benchServingStack(b *testing.B, model lora.ModelConfig, cl *cluster.Cluster) (*vendor.Marketplace, []task.Task, core.Options) {
-	b.Helper()
-	mkt, err := vendor.Standard(5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := trace.DefaultConfig()
-	cfg.RatePerSlot = 10
-	tasks, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return mkt, tasks, core.CalibrateDuals(tasks, model, cl, mkt)
 }
 
 // retimeTask gives a template task a fresh identity "bidding now",
@@ -88,26 +87,11 @@ func retimeTask(t task.Task, id, slot int) task.Task {
 // without widening every call site.
 func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.Observer, mut ...func(*service.Options)) (*service.Broker, []task.Task) {
 	b.Helper()
-	model, h := benchServingModel()
-	cl := benchServingCluster(b, h, model)
-	mkt, tasks, opts := benchServingStack(b, model, cl)
-	sched, err := core.New(cl, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bo := service.Options{
-		Cluster:             cl,
-		Scheduler:           sched,
-		Model:               model,
-		Market:              mkt,
-		QueueSize:           4 * servingBidsPerSlot,
-		VirtualClock:        true,
-		CheckpointPath:      checkpoint,
-		CheckpointFullEvery: fullEvery,
-		Observer:            observer,
-		RunLabel:            "bench",
-		DropLosingPlans:     true,
-	}
+	st := servingStacks(b, 1)[0]
+	bo := brokerOptions(st)
+	bo.CheckpointPath = checkpoint
+	bo.CheckpointFullEvery = fullEvery
+	bo.Observer = observer
 	for _, m := range mut {
 		m(&bo)
 	}
@@ -118,7 +102,7 @@ func servingBroker(b *testing.B, checkpoint string, fullEvery int, observer obs.
 	if err := broker.Start(); err != nil {
 		b.Fatal(err)
 	}
-	return broker, tasks
+	return broker, st.Tasks
 }
 
 // serveBidBatched is the fast path at a fixed batch size: one pooled
@@ -275,10 +259,7 @@ func HTTPDecodeBidPooled(b *testing.B) {
 
 func servingPayloads(b *testing.B) [][]byte {
 	b.Helper()
-	model, h := benchServingModel()
-	cl := benchServingCluster(b, h, model)
-	_, tasks, _ := benchServingStack(b, model, cl)
-	return bidPayloads(b, tasks, servingBidsPerSlot)
+	return bidPayloads(b, servingStacks(b, 1)[0].Tasks, servingBidsPerSlot)
 }
 
 // DecisionEncodeStdJSON marshals one decision response via

@@ -3,14 +3,9 @@ package benchsuite
 import (
 	"testing"
 
-	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/gpu"
-	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 	"github.com/pdftsp/pdftsp/internal/zones"
 )
 
@@ -20,59 +15,21 @@ import (
 // is the full wire loop of ServeBid/batched with a four-shard fleet
 // behind the router instead of one broker.
 
-const benchShards = 4
-
-// shardStacks partitions the serving cluster's node layout round-robin
-// into benchShards single-node shards, each wired with its own
+// benchShards single-node shards of the serving stack, each with its own
 // marketplace and calibrated scheduler — the same recipe as
 // cmd/pdftspd -shards.
-type benchShardStack struct {
-	cl    *cluster.Cluster
-	sched *core.Scheduler
-	mkt   *vendor.Marketplace
-}
-
-func shardStacks(b *testing.B) ([]benchShardStack, lora.ModelConfig, timeslot.Horizon, []task.Task) {
-	b.Helper()
-	model, h := benchServingModel()
-	var specs []cluster.Node
-	for _, spec := range []gpu.Spec{gpu.A100, gpu.A40} {
-		specs = append(specs, cluster.Uniform(2, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
-	}
-	full := benchServingCluster(b, h, model)
-	_, tasks, _ := benchServingStack(b, model, full)
-	stacks := make([]benchShardStack, benchShards)
-	for i := 0; i < benchShards; i++ {
-		var part []cluster.Node
-		for g := i; g < len(specs); g += benchShards {
-			part = append(part, specs[g])
-		}
-		cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, part)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mkt, err := vendor.Standard(5, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sched, err := core.New(cl, core.CalibrateDuals(tasks, model, cl, mkt))
-		if err != nil {
-			b.Fatal(err)
-		}
-		stacks[i] = benchShardStack{cl: cl, sched: sched, mkt: mkt}
-	}
-	return stacks, model, h, tasks
-}
+const benchShards = 4
 
 // ShardRoute measures one routing decision: price a bid against every
 // shard's published dual-price quote and pick the placement — the
 // front-end work the router adds per bid before any broker sees it.
 func ShardRoute(b *testing.B) {
-	stacks, model, _, tasks := shardStacks(b)
+	stacks := servingStacks(b, benchShards)
+	tasks := stacks[0].Tasks
 	quotes := make([]*zones.Quote, benchShards)
 	cand := make([]int, benchShards)
 	for i, st := range stacks {
-		quotes[i] = zones.NewQuote("bench", model, st.cl).WithDuals(st.sched.SnapshotDuals())
+		quotes[i] = zones.NewQuote("bench", st.Model, st.Cluster).WithDuals(st.Scheduler.(*core.Scheduler).SnapshotDuals())
 		cand[i] = i
 	}
 	b.ReportAllocs()
@@ -89,21 +46,10 @@ func ShardRoute(b *testing.B) {
 // cluster layout.
 func servingFleet(b *testing.B) (*service.Shards, []task.Task) {
 	b.Helper()
-	stacks, model, _, tasks := shardStacks(b)
+	stacks := servingStacks(b, benchShards)
 	specs := make([]service.ShardSpec, benchShards)
 	for i, st := range stacks {
-		specs[i] = service.ShardSpec{
-			Options: service.Options{
-				Cluster:         st.cl,
-				Scheduler:       st.sched,
-				Model:           model,
-				Market:          st.mkt,
-				QueueSize:       4 * servingBidsPerSlot,
-				VirtualClock:    true,
-				RunLabel:        "bench",
-				DropLosingPlans: true,
-			},
-		}
+		specs[i] = service.ShardSpec{Options: brokerOptions(st)}
 	}
 	fleet, err := service.NewShards(service.ShardsOptions{}, specs...)
 	if err != nil {
@@ -112,7 +58,7 @@ func servingFleet(b *testing.B) (*service.Shards, []task.Task) {
 	if err := fleet.Start(); err != nil {
 		b.Fatal(err)
 	}
-	return fleet, tasks
+	return fleet, stacks[0].Tasks
 }
 
 // ServeBidSharded is ServeBid/batched through the four-shard fleet:

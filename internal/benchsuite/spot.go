@@ -28,12 +28,11 @@ func (spotDuals) Lambda(k, t int) float64                       { return 5 }
 // generous budget so the rent path — not budget exhaustion — dominates.
 func spotProvider(b *testing.B, reclaimProb float64) (*spot.Provider, sim.Scheduler, *sim.FailureTracker) {
 	b.Helper()
-	model, h := benchServingModel()
-	cl := benchServingCluster(b, h, model)
+	cl := servingStacks(b, 1)[0].Cluster
 	elastic := cl.NumNodes() - 1
 	tr, err := spot.GenerateTrace(spot.TraceConfig{
 		Seed:        7,
-		Slots:       h.T,
+		Slots:       servingSlots,
 		Nodes:       []int{elastic},
 		BasePrice:   spot.ReferencePrice(cl) * 0.4,
 		ReclaimProb: reclaimProb,
@@ -58,11 +57,10 @@ func spotProvider(b *testing.B, reclaimProb float64) (*spot.Provider, sim.Schedu
 func SpotAdvance(b *testing.B) {
 	p, sched, _ := spotProvider(b, 0.05)
 	res := sim.NewResult("bench")
-	_, h := benchServingModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := i % h.T
+		s := i % servingSlots
 		if s == 0 && i > 0 {
 			b.StopTimer()
 			if err := p.RestoreState(nil); err != nil {
@@ -79,11 +77,10 @@ func SpotAdvance(b *testing.B) {
 
 // SpotTraceGen measures seeded market generation for a full horizon.
 func SpotTraceGen(b *testing.B) {
-	model, h := benchServingModel()
-	cl := benchServingCluster(b, h, model)
+	cl := servingStacks(b, 1)[0].Cluster
 	cfg := spot.TraceConfig{
 		Seed:        7,
-		Slots:       h.T,
+		Slots:       servingSlots,
 		Nodes:       []int{cl.NumNodes() - 1},
 		BasePrice:   spot.ReferencePrice(cl) * 0.4,
 		ReclaimProb: 0.05,

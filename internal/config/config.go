@@ -1,14 +1,21 @@
-// Package config defines the JSON configuration format for simulation
-// runs — the declarative surface of cmd/pdftsp-sim. A config file pins
-// down the cluster composition, the workload, the marketplace, and the
-// scheduling algorithm, and Build turns it into ready-to-run objects.
+// Package config is the one stack recipe — what the paper's §5.1 is in
+// code. A Config pins down the cluster composition, the workload, the
+// marketplace and the scheduling algorithm; Generate draws the bid
+// stream and Wire turns a Config plus a bid stream into ready-to-run
+// objects (cluster, marketplace, calibrated α/β, scheduler), whole or
+// partitioned into shards. Every binary, figure and benchmark that needs
+// an auction stack gets it here: the JSON form is cmd/pdftsp-sim's
+// -config, the flag form (StackFlags) is what pdftsp-sim, pdftspd,
+// pdftspd-load and tracegen share.
 package config
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/baseline"
@@ -33,11 +40,11 @@ type NodeGroup struct {
 
 // Workload configures trace generation.
 type Workload struct {
-	// Arrivals is "poisson", "mlaas", "philly", or "helios".
+	// Arrivals names a trace.ArrivalKind: poisson, mlaas, philly or helios.
 	Arrivals string `json:"arrivals"`
 	// RatePerSlot is the mean arrivals per slot.
 	RatePerSlot float64 `json:"rate_per_slot"`
-	// Deadlines is "tight", "medium", or "slack".
+	// Deadlines names a trace.DeadlinePolicy: tight, medium or slack.
 	Deadlines string `json:"deadlines"`
 	// PrepProb is the probability a task needs pre-processing.
 	PrepProb *float64 `json:"prep_prob,omitempty"`
@@ -152,10 +159,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: negative vendor count %d", c.Vendors)
 	}
 	if _, err := arrivalKind(c.Workload.Arrivals); err != nil {
-		return err
+		return fmt.Errorf("config: %w", err)
 	}
 	if _, err := deadlinePolicy(c.Workload.Deadlines); err != nil {
-		return err
+		return fmt.Errorf("config: %w", err)
 	}
 	if c.Workload.RatePerSlot < 0 {
 		return fmt.Errorf("config: negative arrival rate %v", c.Workload.RatePerSlot)
@@ -182,32 +189,20 @@ func (c Config) model() (lora.ModelConfig, error) {
 	}
 }
 
+// arrivalKind and deadlinePolicy add the file format's defaults (an
+// omitted field) to the trace package's name parsers.
 func arrivalKind(s string) (trace.ArrivalKind, error) {
-	switch s {
-	case "", "poisson":
+	if s == "" {
 		return trace.Poisson, nil
-	case "mlaas":
-		return trace.MLaaSLike, nil
-	case "philly":
-		return trace.PhillyLike, nil
-	case "helios":
-		return trace.HeliosLike, nil
-	default:
-		return 0, fmt.Errorf("config: unknown arrival process %q", s)
 	}
+	return trace.ParseArrivalKind(s)
 }
 
 func deadlinePolicy(s string) (trace.DeadlinePolicy, error) {
-	switch s {
-	case "tight":
-		return trace.TightDeadlines, nil
-	case "", "medium":
+	if s == "" {
 		return trace.MediumDeadlines, nil
-	case "slack":
-		return trace.SlackDeadlines, nil
-	default:
-		return 0, fmt.Errorf("config: unknown deadline policy %q", s)
 	}
+	return trace.ParseDeadlinePolicy(s)
 }
 
 func dualRule(s string) (core.DualRule, error) {
@@ -223,7 +218,139 @@ func dualRule(s string) (core.DualRule, error) {
 	}
 }
 
-// Built is the runnable realization of a Config.
+// Mix lays n nodes out as one of the paper's three compositions
+// (Figure 6): "a100", "a40", or "hybrid" — A100s first, the odd node an
+// A100.
+func Mix(name string, n int) ([]NodeGroup, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("config: need at least one node, got %d", n)
+	}
+	switch name {
+	case "a100":
+		return []NodeGroup{{GPU: gpu.A100.Name, Count: n}}, nil
+	case "a40":
+		return []NodeGroup{{GPU: gpu.A40.Name, Count: n}}, nil
+	case "hybrid":
+		groups := []NodeGroup{{GPU: gpu.A100.Name, Count: n/2 + n%2}}
+		if n > 1 {
+			groups = append(groups, NodeGroup{GPU: gpu.A40.Name, Count: n / 2})
+		}
+		return groups, nil
+	default:
+		return nil, fmt.Errorf("config: unknown mix %q", name)
+	}
+}
+
+// NumNodes is K, the node count across all groups.
+func (c Config) NumNodes() int {
+	n := 0
+	for _, g := range c.Nodes {
+		n += g.Count
+	}
+	return n
+}
+
+// WorkloadFlags registers the flags that shape the generated workload
+// (-slots -rate -arrivals -deadlines -seed) onto fs; c's current values
+// are the defaults, and parsed values land in c.
+func (c *Config) WorkloadFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Slots, "slots", c.Slots, "horizon length in slots")
+	fs.Float64Var(&c.Workload.RatePerSlot, "rate", c.Workload.RatePerSlot, "mean task arrivals per slot (also what the dual prices are calibrated for)")
+	fs.StringVar(&c.Workload.Arrivals, "arrivals", c.Workload.Arrivals, "arrival process: poisson, mlaas, philly, helios")
+	fs.StringVar(&c.Workload.Deadlines, "deadlines", c.Workload.Deadlines, "deadline policy: tight, medium, slack")
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "workload and marketplace seed")
+}
+
+// StackFlags registers WorkloadFlags plus the cluster and marketplace
+// flags (-nodes -mix -vendors). A Config holds node groups, not a count
+// and a mix name, so the binary states those two defaults here and each
+// of the two flags re-derives c.Nodes as it is parsed.
+func (c *Config) StackFlags(fs *flag.FlagSet, nodes int, mix string) {
+	c.WorkloadFlags(fs)
+	layout := func() (err error) {
+		c.Nodes, err = Mix(mix, nodes)
+		return err
+	}
+	if err := layout(); err != nil {
+		panic(err) // the binary's own defaults
+	}
+	fs.Func("nodes", fmt.Sprintf("number of compute nodes (default %d)", nodes), func(s string) (err error) {
+		if nodes, err = strconv.Atoi(s); err != nil {
+			return err
+		}
+		return layout()
+	})
+	fs.Func("mix", fmt.Sprintf("cluster mix: a100, a40, hybrid (default %q)", mix), func(s string) error {
+		mix = s
+		return layout()
+	})
+	fs.IntVar(&c.Vendors, "vendors", c.Vendors, "number of labor vendors")
+}
+
+// NewCluster builds the empty cluster the node groups describe, each
+// node's capacities calibrated by the LoRA throughput model.
+func NewCluster(h timeslot.Horizon, model lora.ModelConfig, groups []NodeGroup) (*cluster.Cluster, error) {
+	nodes, err := nodeList(h, model, groups)
+	if err != nil {
+		return nil, err
+	}
+	return newCluster(h, model, nodes)
+}
+
+func nodeList(h timeslot.Horizon, model lora.ModelConfig, groups []NodeGroup) ([]cluster.Node, error) {
+	var nodes []cluster.Node
+	for i, g := range groups {
+		spec, ok := gpu.ByName(g.GPU)
+		if !ok {
+			return nil, fmt.Errorf("config: node group %d: unknown GPU %q", i, g.GPU)
+		}
+		nodes = append(nodes, cluster.Uniform(g.Count, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
+	}
+	return nodes, nil
+}
+
+func newCluster(h timeslot.Horizon, model lora.ModelConfig, nodes []cluster.Node) (*cluster.Cluster, error) {
+	return cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, nodes)
+}
+
+// Market is the labor-vendor marketplace that goes with a workload seed.
+func Market(vendors int, seed int64) (*vendor.Marketplace, error) {
+	return vendor.Standard(vendors, seed+7)
+}
+
+// TraceConfig is the workload half of the recipe as the generator takes it.
+func (c Config) TraceConfig() (trace.Config, error) {
+	if err := c.Validate(); err != nil {
+		return trace.Config{}, err
+	}
+	tc := trace.DefaultConfig()
+	tc.Seed = c.Seed
+	tc.Horizon = timeslot.NewHorizon(c.Slots)
+	tc.RatePerSlot = c.Workload.RatePerSlot
+	tc.Model, _ = c.model()
+	tc.Arrivals, _ = arrivalKind(c.Workload.Arrivals)
+	tc.Deadlines, _ = deadlinePolicy(c.Workload.Deadlines)
+	if c.Workload.PrepProb != nil {
+		tc.PrepProb = *c.Workload.PrepProb
+	}
+	if c.Workload.ValuePerUnit != nil {
+		tc.ValuePerUnitMin = c.Workload.ValuePerUnit[0]
+		tc.ValuePerUnitMax = c.Workload.ValuePerUnit[1]
+	}
+	return tc, nil
+}
+
+// Generate draws the configured bid stream.
+func (c Config) Generate() ([]task.Task, error) {
+	tc, err := c.TraceConfig()
+	if err != nil {
+		return nil, err
+	}
+	return trace.Generate(tc)
+}
+
+// Built is one wired auction stack: the runnable realization of a Config
+// — or of one shard of it — against a bid stream.
 type Built struct {
 	Horizon   timeslot.Horizon
 	Model     lora.ModelConfig
@@ -234,49 +361,71 @@ type Built struct {
 	SimConfig sim.Config
 }
 
-// Build realizes the configuration.
+// Build generates the workload and wires the whole cluster against it.
 func (c Config) Build() (*Built, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	h := timeslot.NewHorizon(c.Slots)
-	model, _ := c.model()
-
-	var nodes []cluster.Node
-	for _, g := range c.Nodes {
-		spec, _ := gpu.ByName(g.GPU)
-		nodes = append(nodes, cluster.Uniform(g.Count, spec,
-			lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
-	}
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, nodes)
+	stacks, err := c.BuildShards(1)
 	if err != nil {
 		return nil, err
 	}
+	return stacks[0], nil
+}
 
+// BuildShards is Build for a fleet of n: see Wire.
+func (c Config) BuildShards(n int) ([]*Built, error) {
+	tasks, err := c.Generate()
+	if err != nil {
+		return nil, err
+	}
+	return c.Wire(tasks, n)
+}
+
+// Wire partitions the cluster round-robin into n shards — shard i owns
+// nodes i, i+n, i+2n, …, so every shard gets a balanced slice of a
+// heterogeneous mix — and wires each one its own cluster, marketplace
+// and scheduler, the pdFTSP duals calibrated against the full bid stream
+// on the shard's own nodes. One shard is the whole cluster. Everything is
+// seed-determined, so wiring the same Config and tasks twice yields
+// bit-identical twins: that is how a replay twin of a broker is built.
+func (c Config) Wire(tasks []task.Task, n int) ([]*Built, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("config: shards must be >= 1, got %d", n)
+	}
+	if k := c.NumNodes(); k < n {
+		return nil, fmt.Errorf("config: %d shards need at least %d nodes, have %d", n, n, k)
+	}
+	h := timeslot.NewHorizon(c.Slots)
+	model, _ := c.model()
+	nodes, err := nodeList(h, model, c.Nodes)
+	if err != nil {
+		return nil, err
+	}
+	stacks := make([]*Built, n)
+	for i := range stacks {
+		var part []cluster.Node
+		for g := i; g < len(nodes); g += n {
+			part = append(part, nodes[g])
+		}
+		if stacks[i], err = c.wire(h, model, part, tasks); err != nil {
+			return nil, fmt.Errorf("config: shard %d: %w", i, err)
+		}
+	}
+	return stacks, nil
+}
+
+// wire is the recipe proper, for one node list.
+func (c Config) wire(h timeslot.Horizon, model lora.ModelConfig, nodes []cluster.Node, tasks []task.Task) (*Built, error) {
+	cl, err := newCluster(h, model, nodes)
+	if err != nil {
+		return nil, err
+	}
 	nVendors := c.Vendors
 	if nVendors == 0 {
 		nVendors = 5
 	}
-	mkt, err := vendor.Standard(nVendors, c.Seed+7)
-	if err != nil {
-		return nil, err
-	}
-
-	tc := trace.DefaultConfig()
-	tc.Seed = c.Seed
-	tc.Horizon = h
-	tc.RatePerSlot = c.Workload.RatePerSlot
-	tc.Model = model
-	tc.Arrivals, _ = arrivalKind(c.Workload.Arrivals)
-	tc.Deadlines, _ = deadlinePolicy(c.Workload.Deadlines)
-	if c.Workload.PrepProb != nil {
-		tc.PrepProb = *c.Workload.PrepProb
-	}
-	if c.Workload.ValuePerUnit != nil {
-		tc.ValuePerUnitMin = c.Workload.ValuePerUnit[0]
-		tc.ValuePerUnitMax = c.Workload.ValuePerUnit[1]
-	}
-	tasks, err := trace.Generate(tc)
+	mkt, err := Market(nVendors, c.Seed)
 	if err != nil {
 		return nil, err
 	}

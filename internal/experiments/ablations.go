@@ -5,6 +5,7 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/baseline"
 	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/report"
@@ -44,7 +45,7 @@ func (p Profile) runVariants(id, title string, names []string,
 	if err != nil {
 		return nil, err
 	}
-	mkt, err := vendor.Standard(5, p.Seed+7)
+	mkt, err := config.Market(5, p.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,11 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/auction"
 	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/report"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // TruthfulnessResult is Figure 10: a focal bid's utility as a function of
@@ -40,7 +40,7 @@ func (p Profile) auctionScenario() (*auction.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkt, err := vendor.Standard(5, p.Seed+7)
+	mkt, err := config.Market(5, p.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func (p Profile) FigRationality() (*RationalityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkt, err := vendor.Standard(5, p.Seed+7)
+	mkt, err := config.Market(5, p.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/baseline"
 	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/obs"
@@ -30,7 +31,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // Profile scales the paper's experiment sizes.
@@ -142,23 +142,11 @@ func (m Mix) String() string {
 // buildCluster assembles k nodes of the requested mix, with capacities
 // calibrated by the LoRA throughput model.
 func buildCluster(h timeslot.Horizon, k int, mix Mix, model lora.ModelConfig) (*cluster.Cluster, error) {
-	var nodes []cluster.Node
-	add := func(n int, spec gpu.Spec) {
-		nodes = append(nodes, cluster.Uniform(n, spec, lora.NodeCapUnits(model, spec, h), spec.MemGB)...)
+	groups, err := config.Mix(strings.ToLower(mix.String()), k)
+	if err != nil {
+		return nil, err
 	}
-	switch mix {
-	case AllA100:
-		add(k, gpu.A100)
-	case AllA40:
-		add(k, gpu.A40)
-	default:
-		add(k/2+k%2, gpu.A100)
-		add(k/2, gpu.A40)
-	}
-	return cluster.New(cluster.Config{
-		Horizon:     h,
-		BaseModelGB: lora.BaseMemoryGB(model),
-	}, nodes)
+	return config.NewCluster(h, model, groups)
 }
 
 // Algos is the figure-standard algorithm order.
@@ -189,7 +177,7 @@ func (p Profile) runSetting(s setting) (map[string]*sim.Result, error) {
 	if nVendors <= 0 {
 		nVendors = 5
 	}
-	mkt, err := vendor.Standard(nVendors, p.Seed+7)
+	mkt, err := config.Market(nVendors, p.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/milp"
@@ -13,7 +14,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // RatioResult is Figure 12: empirical competitive ratios across horizon
@@ -103,7 +103,7 @@ func (p Profile) FigRatio(opts RatioOptions) (*RatioResult, error) {
 		if err != nil {
 			return ratioCell{}, err
 		}
-		mkt, err := vendor.Standard(3, p.Seed+7)
+		mkt, err := config.Market(3, p.Seed)
 		if err != nil {
 			return ratioCell{}, err
 		}

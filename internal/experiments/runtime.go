@@ -6,13 +6,13 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/baseline"
 	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/report"
 	"github.com/pdftsp/pdftsp/internal/runner"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // RuntimeResult is Figure 13: per-task scheduling latency CDFs of pdFTSP
@@ -69,7 +69,7 @@ func (p Profile) FigRuntime() (*RuntimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkt, err := vendor.Standard(5, p.Seed+7)
+	mkt, err := config.Market(5, p.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/report"
 	"github.com/pdftsp/pdftsp/internal/runner"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/spot"
 	"github.com/pdftsp/pdftsp/internal/trace"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // SpotResult is the spot-tier cost frontier: one row per fleet shape /
@@ -62,7 +62,7 @@ func (p Profile) FigSpot() (*SpotResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		mkt, err := vendor.Standard(5, p.Seed+7)
+		mkt, err := config.Market(5, p.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"slices"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
@@ -117,10 +118,19 @@ func (b *Broker) buildDelta() []byte {
 		p = appendF64(p, *v)
 	}
 
-	p = appendU64(p, uint64(len(res.RejectReasons)))
-	for reason, n := range res.RejectReasons {
+	// In sorted order, so one state is one byte string (a map ranges in a
+	// different order each time). The array keeps the handful of reasons
+	// on the stack.
+	var reasonBuf [8]schedule.RejectReason
+	reasons := reasonBuf[:0]
+	for reason := range res.RejectReasons {
+		reasons = append(reasons, reason)
+	}
+	slices.Sort(reasons)
+	p = appendU64(p, uint64(len(reasons)))
+	for _, reason := range reasons {
 		p = appendStr(p, string(reason))
-		p = appendInt(p, n)
+		p = appendInt(p, res.RejectReasons[reason])
 	}
 
 	// Decisions the chain lacks; replay appends the new ones in this

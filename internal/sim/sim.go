@@ -8,7 +8,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -77,9 +76,6 @@ type Config struct {
 	// stayed down. The service broker accepts the same Caller, so a
 	// broker-versus-sim differential sees identical vendor behavior.
 	Quotes vendor.Caller
-	// EventLog, when non-nil, receives one JSON line per auction
-	// decision — the run's audit trail.
-	EventLog io.Writer
 	// Observer, when non-nil, receives the run's full decision-path
 	// event stream: RunStart/Bid/Outcome/RunEnd from the engine plus
 	// Vendor/Dual/Payment from schedulers implementing obs.Observable.
@@ -162,8 +158,6 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		}
 	}
 
-	events := newEventLogger(cfg.EventLog)
-	var logErr error
 	var res *Result
 	eng, err := NewEngine(cl, sched, EngineConfig{
 		Model: cfg.Model, Market: cfg.Market, Quotes: cfg.Quotes,
@@ -171,9 +165,6 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		Observer: cfg.Observer, RunLabel: cfg.RunLabel,
 	}, func(idx int, env *schedule.TaskEnv, d *schedule.Decision, lat time.Duration) {
 		res.OfferLatency = append(res.OfferLatency, lat)
-		if err := events.log(env.Task, d); err != nil && logErr == nil {
-			logErr = err
-		}
 		if cfg.CollectDecisions {
 			// Decisions outlive the offer loop, so the plan is deep-copied:
 			// schedulers running with reused plan buffers (core
@@ -214,9 +205,6 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		}
 	}
 	eng.Finish(true)
-	if logErr != nil {
-		return nil, fmt.Errorf("sim: event log: %w", logErr)
-	}
 
 	if cfg.Execute && res.Admitted > 0 {
 		early, late, err := executeSample(res.Admitted)

@@ -51,6 +51,17 @@ func (k ArrivalKind) String() string {
 	}
 }
 
+// ParseArrivalKind is String's inverse: the one place a flag or config
+// value becomes an arrival process.
+func ParseArrivalKind(s string) (ArrivalKind, error) {
+	for k := Poisson; k <= HeliosLike; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("trace: unknown arrival process %q", s)
+}
+
 // DeadlinePolicy selects how much slack deadlines leave beyond the minimum
 // completion time (Figure 9: tight / medium / slack).
 type DeadlinePolicy int
@@ -74,6 +85,16 @@ func (p DeadlinePolicy) String() string {
 	default:
 		return fmt.Sprintf("DeadlinePolicy(%d)", int(p))
 	}
+}
+
+// ParseDeadlinePolicy is String's inverse.
+func ParseDeadlinePolicy(s string) (DeadlinePolicy, error) {
+	for p := TightDeadlines; p <= SlackDeadlines; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("trace: unknown deadline policy %q", s)
 }
 
 // slackRange returns the [lo, hi) multiplier on the minimum completion

@@ -269,6 +269,22 @@ func TestKindAndPolicyStrings(t *testing.T) {
 	if ArrivalKind(99).String() == "" || DeadlinePolicy(99).String() == "" {
 		t.Fatal("unknown enum should still stringify")
 	}
+	for k := Poisson; k <= HeliosLike; k++ {
+		if got, err := ParseArrivalKind(k.String()); err != nil || got != k {
+			t.Fatalf("ParseArrivalKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	for p := TightDeadlines; p <= SlackDeadlines; p++ {
+		if got, err := ParseDeadlinePolicy(p.String()); err != nil || got != p {
+			t.Fatalf("ParseDeadlinePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ParseArrivalKind("ArrivalKind(99)"); err == nil {
+		t.Fatal("out-of-range arrival kind parsed")
+	}
+	if _, err := ParseDeadlinePolicy(""); err == nil {
+		t.Fatal("empty deadline policy parsed")
+	}
 }
 
 // digestCase is one row of the pinned-output table.

@@ -92,8 +92,6 @@ type (
 	TitanOptions = baseline.TitanOptions
 	// Failure is a node outage injected into a simulation run.
 	Failure = sim.Failure
-	// Event is one line of the run's JSON audit log.
-	Event = sim.Event
 	// RejectReason is the typed explanation on a rejecting Decision.
 	RejectReason = schedule.RejectReason
 	// Observer receives a run's decision-path event stream; set it on
