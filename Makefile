@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-load-smoke shard-smoke spot-smoke wal-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-load-smoke shard-smoke spot-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,18 @@ recipe-guard:
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/config/*' ! -path './pdftsp.go' \
 			! -path './examples/*' ! -path './benchmark/*'); then \
 		echo "recipe-guard: build the stack through internal/config (Mix/NewCluster, Market, Generate/Wire, trace.ParseArrivalKind)"; exit 1; fi
+
+# fleet-guard is the mechanical form of "there is one way to open, resume
+# and check a fleet": service.Open decides the shape, Resume sequences the
+# checkpoint chains, the manifest and the journals, DiffTwins finds each
+# bid's broker. So outside internal/service (and benchmark/, which drives
+# one *Broker through the primitives) no non-test file may build a Shards
+# fleet itself, read or restore a manifest, replay a journal, or assert
+# its Auctioneer back to a *service.Shards.
+fleet-guard:
+	@if grep -nE 'service\.NewShards\(|ReadShardManifest\(|\.RestoreFromManifest\(|\.RecoverWAL\(|\.\(\*service\.Shards\)' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/service/*' ! -path './benchmark/*'); then \
+		echo "fleet-guard: open a fleet with service.Open and resume it with Resume, whatever its shape"; exit 1; fi
 
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
@@ -191,4 +203,4 @@ wal-smoke:
 	$(GO) run ./cmd/pdftspd -wal-chaos 1
 	$(GO) run ./cmd/pdftspd -wal-chaos 7 -shards 2
 
-check: build vet fmt-check round-guard recipe-guard test benchmark-selftest race load-smoke shard-load-smoke
+check: build vet fmt-check round-guard recipe-guard fleet-guard test benchmark-selftest race load-smoke shard-load-smoke

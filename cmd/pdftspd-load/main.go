@@ -330,20 +330,6 @@ func (l *latObserver) OnOutcome(e *obs.OutcomeEvent) {
 	}
 }
 
-// aggStatus is the slice of broker status the report needs, aggregated
-// across shards when -shards > 1.
-type aggStatus struct {
-	intakeHW, heldHW   int
-	shedChan, shedHeld int64
-	welfare, revenue   float64
-	admitted, rejected int
-
-	walRecords, walBytes  int64
-	walFsyncs, walFsyncNS int64
-	walFsyncMaxNS         int64
-	walReplayed, walFails int
-}
-
 // report is the run's measured outcome.
 type report struct {
 	Bids      int    `json:"bids"`
@@ -467,16 +453,16 @@ func run(f flags) (*report, error) {
 		observers = append(observers, decLog)
 	}
 
-	// One construction fork — everything downstream drives the
-	// service.Auctioneer interface, identical for a fleet of one and a
-	// fleet of many: one shard is the whole cluster, the same recipe
-	// cmd/pdftspd serves.
+	// One shard is the whole cluster: the same recipe cmd/pdftspd serves,
+	// opened the same way, and everything downstream drives the
+	// service.Auctioneer interface.
 	stacks, err := f.stack.Wire(tasks, f.shards)
 	if err != nil {
 		return nil, err
 	}
-	mkOpts := func(i int, st *config.Built) service.Options {
-		opts := service.Options{
+	opts := make([]service.Options, len(stacks))
+	for i, st := range stacks {
+		opts[i] = service.Options{
 			Cluster:             st.Cluster,
 			Scheduler:           st.Scheduler,
 			Model:               st.Model,
@@ -489,61 +475,24 @@ func run(f flags) (*report, error) {
 			RunLabel:            "pdftspd-load",
 			DropLosingPlans:     !f.keepPlans,
 		}
-		if f.shards > 1 {
-			opts.RunLabel = fmt.Sprintf("pdftspd-load/%d", i)
-			if f.ckpt != "" {
-				opts.CheckpointPath = fmt.Sprintf("%s.shard%d", f.ckpt, i)
-			}
-		}
 		if f.wal {
-			opts.WALPath = service.WALPath(opts.CheckpointPath)
-			opts.WALSyncEvery = f.walSyncEvery
+			opts[i].WALPath = service.WALPath(f.ckpt)
+			opts[i].WALSyncEvery = f.walSyncEvery
 		}
-		return opts
 	}
-	var a service.Auctioneer
-	if f.shards <= 1 {
-		a, err = service.New(mkOpts(0, stacks[0]))
-	} else {
-		specs := make([]service.ShardSpec, f.shards)
-		for i, st := range stacks {
-			specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.Model.Name, i), Options: mkOpts(i, st)}
-		}
-		a, err = service.NewShards(service.ShardsOptions{ManifestPath: f.ckpt}, specs...)
-	}
+	a, err := service.Open(opts...)
 	if err != nil {
 		return nil, err
 	}
 	if err := a.Start(); err != nil {
 		return nil, err
 	}
-	handler := a.Handler()
-	drainFn := a.Drain
-	// The aggregate Status already reports worst-shard high-waters and
-	// fleet-summed sheds, so one mapping serves both shapes.
-	statusFn := func() (aggStatus, error) {
-		st, err := a.Status()
-		if err != nil {
-			return aggStatus{}, err
-		}
-		return aggStatus{
-			intakeHW: st.IntakeHighWater, heldHW: st.HeldHighWater,
-			shedChan: st.ShedChannelFull, shedHeld: st.ShedHeldFull,
-			welfare: st.Welfare, revenue: st.Revenue,
-			admitted: st.Admitted, rejected: st.Rejected,
-			walRecords: st.WALRecords, walBytes: st.WALBytes,
-			walFsyncs: st.WALFsyncs, walFsyncNS: st.WALFsyncNanos,
-			walFsyncMaxNS: st.WALFsyncMaxNS,
-			walReplayed:   st.WALReplayed, walFails: st.WALFailures,
-		}, nil
-	}
-	verifyFn := func(shed int) (bool, string) { return verifyFleet(f.stack, tasks, a, shed) }
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: a.Handler()}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
@@ -626,7 +575,7 @@ func run(f flags) (*report, error) {
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := drainFn(drainCtx); err != nil {
+	if err := a.Drain(drainCtx); err != nil {
 		return nil, err
 	}
 	if decLog != nil {
@@ -634,7 +583,9 @@ func run(f flags) (*report, error) {
 			return nil, fmt.Errorf("decision log: %w", err)
 		}
 	}
-	st, err := statusFn()
+	// The aggregate Status reports worst-shard high-waters and fleet-summed
+	// sheds and journal counters, so one reading serves both shapes.
+	st, err := a.Status()
 	if err != nil {
 		return nil, err
 	}
@@ -657,29 +608,29 @@ func run(f flags) (*report, error) {
 		Submitted: submitted, Decided: decided, Shed: shed, Retries: retried,
 		WallSeconds:         wall.Seconds(),
 		SustainedBidsPerSec: float64(decided) / wall.Seconds(),
-		IntakeHighWater:     st.intakeHW,
-		HeldHighWater:       st.heldHW,
-		ShedChannelFull:     st.shedChan,
-		ShedHeldFull:        st.shedHeld,
-		Welfare:             st.welfare,
-		Revenue:             st.revenue,
-		Admitted:            st.admitted,
-		Rejected:            st.rejected,
+		IntakeHighWater:     st.IntakeHighWater,
+		HeldHighWater:       st.HeldHighWater,
+		ShedChannelFull:     st.ShedChannelFull,
+		ShedHeldFull:        st.ShedHeldFull,
+		Welfare:             st.Welfare,
+		Revenue:             st.Revenue,
+		Admitted:            st.Admitted,
+		Rejected:            st.Rejected,
 	}
 	if decided > 0 {
 		rep.AllocsPerBid = float64(m1.Mallocs-m0.Mallocs) / float64(decided)
 	}
-	rep.WALRecords, rep.WALBytes, rep.WALFsyncs = st.walRecords, st.walBytes, st.walFsyncs
-	rep.WALReplayed, rep.WALFailures = st.walReplayed, st.walFails
-	if st.walFsyncs > 0 {
-		rep.WALFsyncAvgMs = float64(st.walFsyncNS) / float64(st.walFsyncs) / 1e6
+	rep.WALRecords, rep.WALBytes, rep.WALFsyncs = st.WALRecords, st.WALBytes, st.WALFsyncs
+	rep.WALReplayed, rep.WALFailures = st.WALReplayed, st.WALFailures
+	if st.WALFsyncs > 0 {
+		rep.WALFsyncAvgMs = float64(st.WALFsyncNanos) / float64(st.WALFsyncs) / 1e6
 	}
-	rep.WALFsyncMaxMs = float64(st.walFsyncMaxNS) / 1e6
+	rep.WALFsyncMaxMs = float64(st.WALFsyncMaxNS) / 1e6
 	rep.IntakeP50Ms, rep.IntakeP90Ms, rep.IntakeP99Ms, rep.IntakeMaxMs = percentilesMs(intakeRTT)
 	rep.DecisionP50Ms, rep.DecisionP90Ms, rep.DecisionP99Ms, rep.DecisionMaxMs = percentilesMs(decLat)
 
 	if f.verify {
-		rep.Verified, rep.VerifyNote = verifyFn(shed)
+		rep.Verified, rep.VerifyNote = verifyFleet(f.stack, tasks, a, shed)
 	}
 	return rep, nil
 }
@@ -783,46 +734,23 @@ func step(client *http.Client, base string) error {
 }
 
 // verifyFleet checks every broker behind the Auctioneer against its own
-// sequential sim.Run twin: the fleet's routing decides which broker owns
-// each task (a monolith owns them all), then each broker's subsequence
-// (in input order) replays on a freshly wired twin of that broker's
-// cluster slice. Decisions and per-broker accounting must match bit for
-// bit.
+// sequential sim.Run twin (service.DiffTwins): each broker's subsequence
+// replays on a freshly wired twin of that broker's cluster slice, and
+// decisions and per-broker accounting must match bit for bit.
 func verifyFleet(stack config.Config, tasks []task.Task, a service.Auctioneer, shed int) (bool, string) {
 	if shed > 0 {
 		return false, fmt.Sprintf("skipped: %d bids were shed, replay would diverge", shed)
 	}
-	brokers := a.Brokers()
-	twins, err := stack.Wire(tasks, len(brokers))
+	twins, err := stack.Wire(tasks, len(a.Brokers()))
+	if err == nil {
+		err = service.DiffTwins(a, tasks, func(i int, sub []task.Task) (*sim.Result, error) {
+			simCfg := twins[i].SimConfig
+			simCfg.CollectDecisions = true
+			return sim.Run(twins[i].Cluster, twins[i].Scheduler, sub, simCfg)
+		})
+	}
 	if err != nil {
 		return false, err.Error()
-	}
-	subs := make([][]task.Task, len(brokers))
-	for i := range tasks {
-		si := -1
-		for bi, b := range brokers {
-			if _, ok, err := b.DecisionFor(tasks[i].ID); err != nil {
-				return false, err.Error()
-			} else if ok {
-				si = bi
-				break
-			}
-		}
-		if si < 0 {
-			return false, fmt.Sprintf("task %d: no fleet decision", tasks[i].ID)
-		}
-		subs[si] = append(subs[si], tasks[i])
-	}
-	for si, tw := range twins {
-		simCfg := tw.SimConfig
-		simCfg.CollectDecisions = true
-		res, err := sim.Run(tw.Cluster, tw.Scheduler, subs[si], simCfg)
-		if err != nil {
-			return false, fmt.Sprintf("broker %d replay: %v", si, err)
-		}
-		if msg := brokers[si].DiffTwin(subs[si], res); msg != "" {
-			return false, fmt.Sprintf("broker %d vs replay: %s", si, msg)
-		}
 	}
 	return true, ""
 }

@@ -14,7 +14,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/faults"
 	"github.com/pdftsp/pdftsp/internal/obs"
-	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/service"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
@@ -37,22 +36,6 @@ type chaosSummary struct {
 	spotRevocations             int
 }
 
-// locateDecision finds a decided bid across the fleet and reports which
-// broker owns it — the shape-blind replacement for the old per-shard
-// DecisionFor plumbing. A monolithic broker is a fleet of one.
-func locateDecision(a service.Auctioneer, id int) (schedule.Decision, int, bool, error) {
-	for i, b := range a.Brokers() {
-		d, ok, err := b.DecisionFor(id)
-		if err != nil {
-			return schedule.Decision{}, i, false, err
-		}
-		if ok {
-			return d, i, true, nil
-		}
-	}
-	return schedule.Decision{}, -1, false, nil
-}
-
 // runChaos is the seeded chaos self-test behind `pdftspd -chaos <seed>`
 // (add -shards <n> for a fleet, -spot-nodes for the elastic tier). It
 // derives a deterministic fault schedule from the seed — node outages,
@@ -60,13 +43,13 @@ func locateDecision(a service.Auctioneer, id int) (schedule.Decision, int, bool,
 // kill/restore cycles, and clock stalls — and drives one
 // service.Auctioneer through it slot by slot over loopback HTTP. The
 // same loop serves a monolithic broker and a sharded fleet; nothing
-// below branches on the shape except construction and restore, which is
-// the point of the interface. Asserted along the way:
+// below branches on the shape, construction and restore included
+// (service.Open, Resume), which is the point of the interface. Asserted
+// along the way:
 //
-//   - every kill is survivable: the next generation restores from the
-//     checkpoint (or shard manifest) and resumes mid-outage without
-//     losing a decision, each decision still on the broker that
-//     persisted it;
+//   - every kill is survivable: the next generation resumes from the
+//     checkpoint chain mid-outage without losing a decision, each
+//     decision still on the broker that made it;
 //   - sustained checkpoint-write failures flip /healthz to 503 with a
 //     reason while bids keep being decided (degraded ≠ down), and the
 //     aggregate Status agrees;
@@ -129,12 +112,6 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 		return sum, err
 	}
 	defer os.RemoveAll(dir)
-	ckptPaths := make([]string, n)
-	for i := range ckptPaths {
-		ckptPaths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.ckpt", i))
-	}
-	manifest := filepath.Join(dir, "fleet.manifest") // unused for n == 1
-
 	// One shard is the whole cluster, so one code path covers both shapes.
 	stacks, err := cfg.BuildShards(n)
 	if err != nil {
@@ -149,72 +126,32 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 	// One auditor spans every generation: its checks are per-event, so a
 	// mid-run restore does not confuse it.
 	auditor := obs.NewAudit()
-	mkOpts := func(i int, st *config.Built) (service.Options, error) {
-		opts := stackOptions(st)
-		opts.QueueSize = len(tasks) + 16
-		opts.VirtualClock = true
-		// Full JSON snapshot every 4th slot, binary deltas between:
-		// every kill/restore below exercises the incremental chain.
-		opts.CheckpointPath = ckptPaths[i]
-		opts.CheckpointEvery = 1
-		opts.CheckpointFullEvery = 4
-		opts.Failures = shardFailures[i]
-		opts.Quotes = chain(st.Market)
-		opts.CheckpointFault = ckptFault
-		opts.Observer = auditor
-		opts.RunLabel = fmt.Sprintf("chaos/%d", i)
-		prov, err := sc.provider(st.Cluster, cfg.Slots, i)
-		if err != nil {
-			return opts, err
-		}
-		if prov != nil {
-			opts.Spot = prov
-		}
-		return opts, nil
-	}
 	mk := func(stacks []*config.Built) (service.Auctioneer, error) {
-		if n == 1 {
-			opts, err := mkOpts(0, stacks[0])
-			if err != nil {
-				return nil, err
-			}
-			return service.New(opts)
-		}
-		specs := make([]service.ShardSpec, n)
+		opts := make([]service.Options, n)
 		for i, st := range stacks {
-			opts, err := mkOpts(i, st)
+			o := stackOptions(st)
+			o.QueueSize = len(tasks) + 16
+			o.VirtualClock = true
+			// Full JSON snapshot every 4th slot, binary deltas between:
+			// every kill/restore below exercises the incremental chain.
+			o.CheckpointPath = filepath.Join(dir, "chaos.ckpt")
+			o.CheckpointEvery = 1
+			o.CheckpointFullEvery = 4
+			o.Failures = shardFailures[i]
+			o.Quotes = chain(st.Market)
+			o.CheckpointFault = ckptFault
+			o.Observer = auditor
+			o.RunLabel = "chaos"
+			prov, err := sc.provider(st.Cluster, cfg.Slots, i)
 			if err != nil {
 				return nil, err
 			}
-			specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.Model.Name, i), Options: opts}
-		}
-		return service.NewShards(service.ShardsOptions{ManifestPath: manifest}, specs...)
-	}
-	// restoreGen loads the persisted state into a freshly built
-	// generation after a kill at slot s: the single checkpoint for a
-	// monolithic broker, the manifest (torn-fleet-checked) for a fleet.
-	restoreGen := func(a service.Auctioneer, s int) error {
-		ck, err := service.LoadCheckpoint(ckptPaths[0])
-		if err != nil {
-			return fmt.Errorf("%w: no checkpoint to restore after kill at slot %d: %v", errChaos, s, err)
-		}
-		if ck.Slot != s {
-			return fmt.Errorf("%w: checkpoint at slot %d after kill at slot %d (stale write)", errChaos, ck.Slot, s)
-		}
-		if n == 1 {
-			if err := a.Brokers()[0].Restore(ck); err != nil {
-				return fmt.Errorf("%w: restore after kill at slot %d: %v", errChaos, s, err)
+			if prov != nil {
+				o.Spot = prov
 			}
-			return nil
+			opts[i] = o
 		}
-		m, err := service.ReadShardManifest(manifest)
-		if err != nil {
-			return fmt.Errorf("%w: no manifest to restore after fleet kill at slot %d: %v", errChaos, s, err)
-		}
-		if err := a.(*service.Shards).RestoreFromManifest(m); err != nil {
-			return fmt.Errorf("%w: restore after fleet kill at slot %d: %v", errChaos, s, err)
-		}
-		return nil
+		return service.Open(opts...)
 	}
 
 	// Each generation serves real HTTP on loopback so the harness
@@ -259,13 +196,7 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 	}
 	generations := 1
 	degradedSeen := 0
-
-	// assigned records each bid's broker as slots close. The broker never
-	// changes, but the decision itself may (a later outage or spot
-	// revocation can flip an admission to failed-node), so decisions are
-	// only compared at like-for-like instants: checkpoint vs restore, and
-	// final vs sim.
-	assigned := map[int]int{}
+	decidedBids := 0 // tasks[:decidedBids] arrived in closed slots
 
 	for s := 0; s < cfg.Slots; s++ {
 		if kills[s] {
@@ -282,35 +213,38 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 			if err != nil {
 				return sum, err
 			}
-			if err := restoreGen(na, s); err != nil {
-				return sum, err
+			switch rep, err := na.Resume(); {
+			case err != nil:
+				return sum, fmt.Errorf("%w: restore after kill at slot %d: %v", errChaos, s, err)
+			case !rep.FromCheckpoint:
+				return sum, fmt.Errorf("%w: no checkpoint to restore after kill at slot %d", errChaos, s)
+			case rep.Slot != s || rep.Decided != decidedBids:
+				return sum, fmt.Errorf("%w: restored slot %d with %d decisions after kill at slot %d with %d (stale write)",
+					errChaos, rep.Slot, rep.Decided, s, decidedBids)
 			}
 			if err := na.Start(); err != nil {
 				return sum, err
 			}
-			// Every persisted decision survived the restore, on the broker
-			// that checkpointed it, bit-identical.
-			for i := range ckptPaths {
-				ck, err := service.LoadCheckpoint(ckptPaths[i])
-				if err != nil {
-					return sum, fmt.Errorf("%w: broker %d checkpoint unreadable after kill at slot %d: %v", errChaos, i, s, err)
-				}
-				var lost error
-				ck.Decisions.Each(func(id int, d schedule.Decision) {
-					if lost != nil {
-						return
+			// Every decision the killed generation had made survived the
+			// restore, on the broker that made it. (A decision may still
+			// change later — an outage or spot revocation can flip an
+			// admission to failed-node — so decisions are only compared at
+			// like-for-like instants: kill vs restore, and final vs sim.)
+			restored := na.Brokers()
+			for i, ob := range a.Brokers() {
+				for _, tk := range tasks[:decidedBids] {
+					want, ok, _ := ob.DecisionFor(tk.ID)
+					if !ok {
+						continue
 					}
-					got, si, ok, err := locateDecision(na, id)
+					got, ok, err := restored[i].DecisionFor(tk.ID)
 					switch {
 					case err != nil || !ok:
-						lost = fmt.Errorf("%w: decision %d lost across restore (ok=%v err=%v)", errChaos, id, ok, err)
-					case si != i || got.Admitted != d.Admitted || got.Payment != d.Payment || got.Reason != d.Reason:
-						lost = fmt.Errorf("%w: decision %d mutated across restore: broker %d→%d, got %+v, want %+v",
-							errChaos, id, i, si, got, d)
+						return sum, fmt.Errorf("%w: decision %d lost across restore (ok=%v err=%v)", errChaos, tk.ID, ok, err)
+					case got.Admitted != want.Admitted || got.Payment != want.Payment || got.Reason != want.Reason:
+						return sum, fmt.Errorf("%w: decision %d mutated across restore on broker %d: got %+v, want %+v",
+							errChaos, tk.ID, i, got, want)
 					}
-				})
-				if lost != nil {
-					return sum, lost
 				}
 			}
 			stacks = freshStacks
@@ -355,12 +289,11 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 			return sum, fmt.Errorf("step at slot %d: %w", s, err)
 		}
 		for _, tk := range arriving {
-			_, si, ok, err := locateDecision(a, tk.ID)
-			if err != nil || !ok {
+			if _, ok, err := a.DecisionFor(tk.ID); err != nil || !ok {
 				return sum, fmt.Errorf("%w: task %d undecided after slot %d closed (ok=%v err=%v)", errChaos, tk.ID, s, ok, err)
 			}
-			assigned[tk.ID] = si
 		}
+		decidedBids += len(arriving)
 
 		var h service.Health
 		code, err := get(gen, "/healthz", &h)
@@ -409,16 +342,9 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 	if err != nil {
 		return sum, err
 	}
-	brokers := a.Brokers()
 	spread := 0
 	var liveW, twinW float64
-	for si := 0; si < n; si++ {
-		var sub []task.Task
-		for _, tk := range tasks {
-			if assigned[tk.ID] == si {
-				sub = append(sub, tk)
-			}
-		}
+	err = service.DiffTwins(a, tasks, func(si int, sub []task.Task) (*sim.Result, error) {
 		if len(sub) > 0 {
 			spread++
 		}
@@ -428,19 +354,22 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 		simCfg.Quotes = chain(tw.Market)
 		prov, err := sc.provider(tw.Cluster, cfg.Slots, si)
 		if err != nil {
-			return sum, err
+			return nil, err
 		}
 		if prov != nil {
 			simCfg.Spot = prov
 		}
 		want, err := sim.Run(tw.Cluster, tw.Scheduler, sub, simCfg)
-		if err != nil {
-			return sum, fmt.Errorf("broker %d replay: %w", si, err)
+		if err == nil {
+			twinW += want.Welfare
 		}
-		if msg := brokers[si].DiffTwin(sub, want); msg != "" {
-			return sum, fmt.Errorf("%w: broker %d vs sim: %s", errChaos, si, msg)
-		}
-		res := brokers[si].Result()
+		return want, err
+	})
+	if err != nil {
+		return sum, fmt.Errorf("%w: %v", errChaos, err)
+	}
+	for si, b := range a.Brokers() {
+		tw, res := twins[si], b.Result()
 		if !duals(stacks[si]).Equal(duals(tw)) {
 			return sum, fmt.Errorf("%w: broker %d final dual prices diverge from sim.Run", errChaos, si)
 		}
@@ -448,7 +377,6 @@ func runChaos(cfg config.Config, seed int64, n int, sc spotConfig) (chaosSummary
 			return sum, fmt.Errorf("%w: broker %d final cluster ledgers diverge from sim.Run", errChaos, si)
 		}
 		liveW += res.Welfare
-		twinW += want.Welfare
 		sum.recovered += res.RecoveredTasks
 		sum.refunded += res.FailedTasks
 		sum.refundedValue += res.RefundedValue

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -53,11 +52,12 @@ type walChaosSummary struct {
 //     valid prefix and carry on, never error.
 //
 // Every kill is absorbed by the in-process Supervisor: the watchdog
-// notices the dead generation, restores the checkpoint (or manifest),
-// replays each shard's journal, and API calls in flight retry against
-// the next generation. Along the way the HTTP contract is checked too:
-// an acked, undecided bid answers 202 "pending" on /v1/decisions/{id}
-// and flips to 200 once its slot closes.
+// notices the dead generation, opens and resumes the next one exactly as
+// the serve path does (service.Open, Resume: checkpoint chain, then each
+// broker's journal), and API calls in flight retry against it. Along the
+// way the HTTP contract is checked too: an acked, undecided bid answers
+// 202 "pending" on /v1/decisions/{id} and flips to 200 once its slot
+// closes.
 //
 // The final state must be bit-identical — decisions, welfare, revenue,
 // duals, ledgers — to a sequential sim.Run of the acked stream on twin
@@ -84,15 +84,7 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 		return sum, err
 	}
 	defer os.RemoveAll(dir)
-	ckptPaths := make([]string, n)
-	for i := range ckptPaths {
-		ckptPaths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.ckpt", i))
-	}
-	manifest := filepath.Join(dir, "fleet.manifest")
-	statePath := ckptPaths[0]
-	if n > 1 {
-		statePath = manifest
-	}
+	ckpt := filepath.Join(dir, "wal-chaos.ckpt")
 
 	// The workload is generated once; every generation's stacks are
 	// rebuilt fresh (seed-deterministic, so they are twins).
@@ -106,10 +98,14 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 	}
 
 	// Build constructs one generation: fresh stacks, journaled brokers,
-	// restore-if-persisted, replay, start. The supervisor calls it once
-	// up front and once per crash.
+	// resume (checkpoint chain if persisted, then journal replay), start.
+	// The supervisor calls it once up front and once per crash.
+	type generation struct {
+		a      service.Auctioneer
+		stacks []*config.Built
+	}
 	var (
-		curStacks     atomic.Pointer[[]*config.Built]
+		cur           atomic.Pointer[generation]
 		replayedTotal atomic.Int64
 		corruptNext   atomic.Bool
 		restarted     = make(chan int, 16)
@@ -119,66 +115,32 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 		if err != nil {
 			return nil, err
 		}
-		mkOpts := func(i int, st *config.Built) service.Options {
-			opts := stackOptions(st)
-			opts.QueueSize = len(tasks) + 16
-			opts.VirtualClock = true
+		opts := make([]service.Options, n)
+		for i, st := range stacks {
+			opts[i] = stackOptions(st)
+			opts[i].QueueSize = len(tasks) + 16
+			opts[i].VirtualClock = true
 			// Full snapshot every 4th slot, deltas between, journal
 			// alongside: every restore exercises the chain + replay.
-			opts.CheckpointPath = ckptPaths[i]
-			opts.CheckpointEvery = 1
-			opts.CheckpointFullEvery = 4
-			opts.WALPath = service.WALPath(ckptPaths[i])
-			opts.RunLabel = fmt.Sprintf("wal-chaos/%d", i)
-			return opts
+			opts[i].CheckpointPath = ckpt
+			opts[i].CheckpointEvery = 1
+			opts[i].CheckpointFullEvery = 4
+			opts[i].WALPath = service.WALPath(ckpt)
+			opts[i].RunLabel = "wal-chaos"
 		}
-		var a service.Auctioneer
-		if n == 1 {
-			a, err = service.New(mkOpts(0, stacks[0]))
-		} else {
-			specs := make([]service.ShardSpec, n)
-			for i, st := range stacks {
-				specs[i] = service.ShardSpec{Key: fmt.Sprintf("%s/%d", st.Model.Name, i), Options: mkOpts(i, st)}
-			}
-			a, err = service.NewShards(service.ShardsOptions{ManifestPath: manifest}, specs...)
-		}
+		a, err := service.Open(opts...)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := os.Stat(statePath); err == nil {
-			if n == 1 {
-				ck, err := service.LoadCheckpoint(ckptPaths[0])
-				if err != nil {
-					return nil, fmt.Errorf("restore: %w", err)
-				}
-				if err := a.Brokers()[0].Restore(ck); err != nil {
-					return nil, fmt.Errorf("restore: %w", err)
-				}
-			} else {
-				m, err := service.ReadShardManifest(manifest)
-				if err != nil {
-					return nil, fmt.Errorf("restore: %w", err)
-				}
-				if err := a.(*service.Shards).RestoreFromManifest(m); err != nil &&
-					!errors.Is(err, service.ErrNoCheckpoints) {
-					// ErrNoCheckpoints: the fleet died before its first
-					// checkpoint wave (Start writes the manifest up front);
-					// the journal replay below re-offers every acked bid.
-					return nil, fmt.Errorf("restore: %w", err)
-				}
-			}
+		rep, err := a.Resume()
+		if err != nil {
+			return nil, err
 		}
-		for _, b := range a.Brokers() {
-			replayed, err := b.RecoverWAL()
-			if err != nil {
-				return nil, fmt.Errorf("journal replay: %w", err)
-			}
-			replayedTotal.Add(int64(replayed))
-		}
+		replayedTotal.Add(int64(rep.Replayed))
 		if err := a.Start(); err != nil {
 			return nil, err
 		}
-		curStacks.Store(&stacks)
+		cur.Store(&generation{a, stacks})
 		return a, nil
 	}
 	sup, err := service.NewSupervisor(service.SupervisorOptions{
@@ -187,10 +149,12 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 			if !corruptNext.CompareAndSwap(true, false) {
 				return
 			}
-			// A torn final write: garbage after the committed frames.
-			// Replay must keep the valid prefix and ignore the tail.
-			for _, p := range ckptPaths {
-				f, err := os.OpenFile(service.WALPath(p), os.O_WRONLY|os.O_APPEND, 0o644)
+			// A torn final write: garbage after the committed frames of
+			// every journal. Replay must keep the valid prefix and ignore
+			// the tail.
+			journals, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+			for _, p := range journals {
+				f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
 				if err != nil {
 					continue
 				}
@@ -245,8 +209,7 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 		return nil
 	}
 
-	acked := map[int]bool{}
-	assigned := map[int]int{}
+	acked := 0
 	checkedPending := false
 	for s := 0; s < cfg.Slots; s++ {
 		arriving := perSlot[s]
@@ -262,7 +225,7 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 				}
 				// The ack has been released; from here on this bid must
 				// never be lost, whatever crashes.
-				acked[batch[i].ID] = true
+				acked++
 			}
 		}
 		if !checkedPending && len(arriving) > 0 {
@@ -296,12 +259,11 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 		if _, err := sup.Step(1); err != nil {
 			return sum, fmt.Errorf("step at slot %d: %w", s, err)
 		}
+		// The headline guarantee: every acked bid has a decision.
 		for _, tk := range arriving {
-			_, si, ok, err := locateDecision(sup, tk.ID)
-			if err != nil || !ok {
+			if _, ok, err := sup.DecisionFor(tk.ID); err != nil || !ok {
 				return sum, fmt.Errorf("%w: acked bid %d undecided after slot %d closed (ok=%v err=%v)", errWALChaos, tk.ID, s, ok, err)
 			}
-			assigned[tk.ID] = si
 		}
 		if checkedPending && s == 0 && len(arriving) > 0 {
 			id := arriving[0].ID
@@ -315,10 +277,9 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 		}
 	}
 
-	// Grab the final generation's fleet before Drain stops the
-	// supervisor (a drained broker's state reads race-free).
-	brokers := sup.Brokers()
-	stacks := *curStacks.Load()
+	// The final generation's fleet outlives the supervisor's Drain (a
+	// drained broker's state reads race-free).
+	last := cur.Load()
 	restarts := sup.Restarts()
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -327,12 +288,6 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 	}
 	srv.Close()
 
-	// The headline guarantee: every acked bid has a decision.
-	for id := range acked {
-		if _, ok := assigned[id]; !ok {
-			return sum, fmt.Errorf("%w: acked bid %d has no final decision", errWALChaos, id)
-		}
-	}
 	wantRestarts := 0
 	for _, k := range kills {
 		wantRestarts += k
@@ -349,40 +304,36 @@ func runWALChaos(cfg config.Config, seed int64, n int) (walChaosSummary, error) 
 	}
 
 	// Ground truth, broker by broker: a twin of each broker's stack
-	// replays the acked subsequence it ended up owning.
+	// replays the acked subsequence it ended up owning (every bid was
+	// acked: a refused one fails the run above).
 	twins, err := cfg.Wire(tasks, n)
 	if err != nil {
 		return sum, err
 	}
 	var liveW, twinW float64
-	for si := 0; si < n; si++ {
-		var sub []task.Task
-		for _, tk := range tasks {
-			if owner, ok := assigned[tk.ID]; ok && owner == si {
-				sub = append(sub, tk)
-			}
-		}
+	err = service.DiffTwins(last.a, tasks, func(si int, sub []task.Task) (*sim.Result, error) {
 		tw := twins[si]
 		want, err := sim.Run(tw.Cluster, tw.Scheduler, sub, twinConfig(tw))
-		if err != nil {
-			return sum, fmt.Errorf("broker %d replay: %w", si, err)
+		if err == nil {
+			twinW += want.Welfare
 		}
-		if msg := brokers[si].DiffTwin(sub, want); msg != "" {
-			return sum, fmt.Errorf("%w: broker %d vs sim: %s", errWALChaos, si, msg)
-		}
-		res := brokers[si].Result()
-		if !duals(stacks[si]).Equal(duals(tw)) {
+		return want, err
+	})
+	if err != nil {
+		return sum, fmt.Errorf("%w: %v", errWALChaos, err)
+	}
+	for si, b := range last.a.Brokers() {
+		if !duals(last.stacks[si]).Equal(duals(twins[si])) {
 			return sum, fmt.Errorf("%w: broker %d final dual prices diverge from sim.Run", errWALChaos, si)
 		}
-		liveW += res.Welfare
-		twinW += want.Welfare
+		liveW += b.Result().Welfare
 	}
 	if liveW != twinW {
 		return sum, fmt.Errorf("%w: fleet welfare %v, per-broker sim.Run sum %v", errWALChaos, liveW, twinW)
 	}
 
 	sum.bids = len(tasks)
-	sum.acked = len(acked)
+	sum.acked = acked
 	sum.replayed = int(replayedTotal.Load())
 	sum.restarts = restarts
 	sum.welfare = liveW

@@ -44,14 +44,14 @@ func ShardRoute(b *testing.B) {
 
 // servingFleet builds a virtual-clock four-shard fleet on the bench
 // cluster layout.
-func servingFleet(b *testing.B) (*service.Shards, []task.Task) {
+func servingFleet(b *testing.B) (service.Auctioneer, []task.Task) {
 	b.Helper()
 	stacks := servingStacks(b, benchShards)
-	specs := make([]service.ShardSpec, benchShards)
+	opts := make([]service.Options, benchShards)
 	for i, st := range stacks {
-		specs[i] = service.ShardSpec{Options: brokerOptions(st)}
+		opts[i] = brokerOptions(st)
 	}
-	fleet, err := service.NewShards(service.ShardsOptions{}, specs...)
+	fleet, err := service.Open(opts...)
 	if err != nil {
 		b.Fatal(err)
 	}

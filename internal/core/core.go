@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/obs"
@@ -68,14 +67,6 @@ type Options struct {
 	// that cannot host the task under the current ledger, instead of
 	// relying solely on Lemma-2 price saturation. Extension ablation.
 	MaskFullCells bool
-	// MaxCandidateNodes, when positive, restricts each offer's DP to the
-	// N least-loaded nodes of every GPU type (measured over the task's
-	// execution window). Zero scans all nodes — the paper's exact
-	// Algorithm 2. The restriction makes per-offer cost independent of
-	// cluster size, which the 200-node full-scale profile needs; nodes
-	// of one type are symmetric in capacity, so the least-loaded ones
-	// are where the exact DP would place work anyway.
-	MaxCandidateNodes int
 	// ChargeEnergy, when set, adds the plan's operational cost to the
 	// payment so that F(il) = b_i − p_i holds exactly (the paper's
 	// payment (14) omits the energy term). Extension ablation.
@@ -141,10 +132,8 @@ type offerScratch struct {
 	candID    []int32
 	candSpeed []int32
 	candDelta []float64
-	// candidateNodes scratch.
+	// candidateNodes' list, built once.
 	allNodes []int
-	candLoad []candLoad
-	candOut  []int
 	// Placement double-buffer: findSchedule writes the current quote's
 	// plan into planBuf[planCur]; bestSchedule flips planCur when it
 	// adopts a plan as the incumbent best so the next quote's DP cannot
@@ -233,7 +222,7 @@ func (s *Scheduler) Offer(env *schedule.TaskEnv) schedule.Decision {
 
 	// Algorithm 2: per vendor, find the cost-minimizing plan, then pick
 	// the vendor maximizing F(il_n).
-	candidates := s.candidateNodes(env)
+	candidates := s.candidateNodes()
 	best, bestF, found := s.bestSchedule(env, quotes, candidates)
 	if !found {
 		d.Reason = schedule.ReasonNoSchedule
@@ -389,80 +378,17 @@ func (s *Scheduler) updateDuals(env *schedule.TaskEnv, plan *schedule.Schedule) 
 	}
 }
 
-// candLoad is one candidateNodes entry: a node, its GPU type, and its
-// committed load over the task's execution window.
-type candLoad struct {
-	name string
-	load int
-	k    int
-}
-
-// byTypeLoad sorts candidates by (GPU type, load, node id) so that a
-// single pass can take the first MaxCandidateNodes of every type — the
-// same selection the previous per-type bucketing produced, without the
-// per-offer map and bucket slices.
-type byTypeLoad []candLoad
-
-func (c byTypeLoad) Len() int      { return len(c) }
-func (c byTypeLoad) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c byTypeLoad) Less(i, j int) bool {
-	if c[i].name != c[j].name {
-		return c[i].name < c[j].name
-	}
-	if c[i].load != c[j].load {
-		return c[i].load < c[j].load
-	}
-	return c[i].k < c[j].k
-}
-
-// candidateNodes returns the node set the DP scans: all nodes, or the
-// MaxCandidateNodes least-loaded per GPU type within the task's loosest
-// execution window. The returned slice is scratch-owned, valid until the
-// next call.
-func (s *Scheduler) candidateNodes(env *schedule.TaskEnv) []int {
+// candidateNodes returns the node set the DP scans: every node, the
+// paper's exact Algorithm 2.
+func (s *Scheduler) candidateNodes() []int {
 	sc := &s.scratch
-	K := s.cl.NumNodes()
-	limit := s.opts.MaxCandidateNodes
-	if limit <= 0 || K <= limit {
-		if sc.allNodes == nil {
-			sc.allNodes = make([]int, K)
-			for k := range sc.allNodes {
-				sc.allNodes[k] = k
-			}
-		}
-		return sc.allNodes
-	}
-	window := env.Task.ExecWindow(s.cl.Horizon(), 0)
-	hasWindow := window.Len() > 0
-	cands := sc.candLoad[:0]
-	for k := 0; k < K; k++ {
-		if env.Speed[k] <= 0 {
-			continue
-		}
-		load := 0
-		if hasWindow {
-			for t := window.Start; t <= window.End; t++ {
-				load += s.cl.UsedWork(k, t)
-			}
-		}
-		cands = append(cands, candLoad{name: s.cl.Node(k).Spec.Name, load: load, k: k})
-	}
-	sc.candLoad = cands
-	sort.Sort(byTypeLoad(cands))
-	out := sc.candOut[:0]
-	taken, prev := 0, ""
-	for i := range cands {
-		if cands[i].name != prev {
-			prev, taken = cands[i].name, 0
-		}
-		if taken < limit {
-			out = append(out, cands[i].k)
-			taken++
+	if sc.allNodes == nil {
+		sc.allNodes = make([]int, s.cl.NumNodes())
+		for k := range sc.allNodes {
+			sc.allNodes[k] = k
 		}
 	}
-	sc.candOut = out
-	sort.Ints(out)
-	return out
+	return sc.allNodes
 }
 
 // bestSchedule implements Algorithm 2: for each vendor quote, run the

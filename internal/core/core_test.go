@@ -448,7 +448,7 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 		}
 		tk.Work = int32(20 + rng.Intn(60))
 		env := envFor(t, tk, cl, nil)
-		plan, ok := s.findSchedule(env, vendor.Quote{Vendor: schedule.NoVendor}, s.candidateNodes(env))
+		plan, ok := s.findSchedule(env, vendor.Quote{Vendor: schedule.NoVendor}, s.candidateNodes())
 		window := tk.ExecWindow(cl.Horizon(), 0)
 		bfCost, bfFound := bruteForceBest(env, s, window)
 		if !ok {
@@ -533,73 +533,10 @@ func TestSchedulerPrefersCheapSlots(t *testing.T) {
 	}
 }
 
-func TestCandidateNodePruning(t *testing.T) {
-	cl := testCluster(t, 6)
-	s := newScheduler(t, cl, Options{Alpha: 3.5, Beta: 60, MaxCandidateNodes: 2})
-	// Load nodes 0 and 1 heavily inside the task window.
-	for tt := 1; tt <= 12; tt++ {
-		cl.Commit(0, tt, 60, 10)
-		cl.Commit(1, tt, 50, 10)
-	}
-	env := envFor(t, testTask(0), cl, nil)
-	// candidateNodes returns scheduler-owned scratch; clone before the
-	// Offer below reuses it.
-	cands := append([]int(nil), s.candidateNodes(env)...)
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %v, want 2 least-loaded nodes", cands)
-	}
-	for _, k := range cands {
-		if k == 0 || k == 1 {
-			t.Fatalf("loaded node %d selected as candidate", k)
-		}
-	}
-	// Offers still work, and never land on non-candidate nodes.
-	d := s.Offer(env)
-	if !d.Admitted {
-		t.Fatalf("pruned scheduler rejected: %s", d.Reason)
-	}
-	allowed := map[int]bool{}
-	for _, k := range cands {
-		allowed[k] = true
-	}
-	for _, p := range d.Schedule.Placements {
-		if !allowed[p.Node] {
-			t.Fatalf("placement on non-candidate node %d", p.Node)
-		}
-	}
-}
-
 func TestCandidatePruningDisabledScansAll(t *testing.T) {
 	cl := testCluster(t, 4)
 	s := newScheduler(t, cl, testOptions())
-	env := envFor(t, testTask(0), cl, nil)
-	if got := len(s.candidateNodes(env)); got != 4 {
-		t.Fatalf("unpruned candidates = %d, want 4", got)
-	}
-}
-
-func TestCandidatePruningWelfareClose(t *testing.T) {
-	// Pruning is an approximation; on a uniform cluster its welfare
-	// should stay within a few percent of the exact DP.
-	run := func(limit int) float64 {
-		cl := testCluster(t, 6)
-		s := newScheduler(t, cl, Options{Alpha: 3.5, Beta: 60, MaxCandidateNodes: limit})
-		total := 0.0
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 40; i++ {
-			tk := testTask(i)
-			tk.Arrival = int32(rng.Intn(12))
-			tk.Deadline = tk.Arrival + int32(3+rng.Intn(8))
-			tk.Work = int32(10 + rng.Intn(70))
-			tk.Bid = 20 + rng.Float64()*80
-			tk.TrueValue = tk.Bid
-			d := s.Offer(envFor(t, tk, cl, nil))
-			total += d.Welfare(tk.Bid)
-		}
-		return total
-	}
-	exact, pruned := run(0), run(2)
-	if pruned < 0.9*exact {
-		t.Fatalf("pruned welfare %v below 90%% of exact %v", pruned, exact)
+	if got := len(s.candidateNodes()); got != 4 {
+		t.Fatalf("candidates = %d, want all 4 nodes", got)
 	}
 }

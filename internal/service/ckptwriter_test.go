@@ -27,7 +27,7 @@ func TestAsyncCheckpointBackpressure(t *testing.T) {
 		opts.CheckpointFullEvery = 4
 
 		b := startBroker(t, opts)
-		// Each close attempts a write that fails; well past DegradeAfter (3)
+		// Each close attempts a write that fails; well past degradeAfter (3)
 		// consecutive failures the broker must report degraded — while
 		// still closing slots.
 		if _, err := b.Step(8); err != nil {
@@ -54,7 +54,7 @@ func TestAsyncCheckpointBackpressure(t *testing.T) {
 			}
 		}
 		st := waitStatus(func(st Status) bool { return st.Degraded }, "degraded")
-		if st.CheckpointFailures < 3 { // DegradeAfter's default
+		if st.CheckpointFailures < degradeAfter {
 			t.Fatalf("degraded with only %d recorded failures", st.CheckpointFailures)
 		}
 		if st.CheckpointError == "" {

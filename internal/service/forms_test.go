@@ -173,7 +173,7 @@ func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 		opts.QueueSize = 3
 		opts.WALPath = filepath.Join(t.TempDir(), "forms.wal")
 		if kind == "shards-1" {
-			return NewShards(ShardsOptions{}, ShardSpec{Options: opts})
+			return newShards("", []Options{opts})
 		}
 		return New(opts)
 	}

@@ -161,10 +161,6 @@ type Options struct {
 	// write with the slot being persisted; a non-nil return fails the
 	// write (fault injection for the degraded-mode path).
 	CheckpointFault func(slot int) error
-	// DegradeAfter is the number of consecutive checkpoint-write failures
-	// after which /healthz reports degraded (bids keep flowing either
-	// way). Default 3.
-	DegradeAfter int
 	// WALPath, when non-empty, journals every held bid to a CRC-framed
 	// write-ahead log before its intake ack releases, closing the
 	// ack-to-slot-close durability gap: an acked bid survives a crash and
@@ -189,6 +185,10 @@ type Options struct {
 	Spot sim.SpotProvider
 }
 
+// degradeAfter is the number of consecutive checkpoint-write failures
+// after which /healthz reports degraded (bids keep flowing either way).
+const degradeAfter = 3
+
 // withDefaults fills unset knobs.
 func (o Options) withDefaults() Options {
 	if o.QueueSize <= 0 {
@@ -205,9 +205,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RunLabel == "" {
 		o.RunLabel = "pdftspd"
-	}
-	if o.DegradeAfter <= 0 {
-		o.DegradeAfter = 3
 	}
 	return o
 }
@@ -368,7 +365,7 @@ type Broker struct {
 	liveBase int
 	bids     []*task.Task
 	// ckptFails counts consecutive checkpoint-write failures; reaching
-	// Options.DegradeAfter flips /healthz to degraded.
+	// degradeAfter flips /healthz to degraded.
 	ckptFails int
 	// ckptW performs the checkpoint writes; ckptStall, when set before
 	// Start, delays each write — the supersession test's stall hook.
@@ -890,7 +887,7 @@ func (b *Broker) Health() Health {
 
 // health builds the verdict; core-goroutine only.
 func (b *Broker) health() Health {
-	if b.opts.CheckpointPath != "" && b.ckptFails >= b.opts.DegradeAfter {
+	if b.opts.CheckpointPath != "" && b.ckptFails >= degradeAfter {
 		return Health{
 			Status: "degraded",
 			Reason: fmt.Sprintf("checkpoint writes failing for %d consecutive slots (last: %v)", b.ckptFails, b.ckptErr),

@@ -12,7 +12,6 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/schedule"
-	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/zones"
 )
@@ -27,23 +26,6 @@ var (
 	ErrUnroutable = errors.New("service: no shard serves this model")
 )
 
-// ShardSpec is one shard of a sharded broker: a key (default
-// "<model>/<index>") and the full per-shard broker Options. Each shard
-// owns a disjoint slice of the cluster and its own scheduler, ledger,
-// and checkpoint path.
-type ShardSpec struct {
-	Key     string
-	Options Options
-}
-
-// ShardsOptions configures the front-end router.
-type ShardsOptions struct {
-	// ManifestPath, when non-empty, writes a ShardManifest tying the
-	// per-shard checkpoints together at Start. Restore a killed fleet
-	// with ReadShardManifest + RestoreFromManifest.
-	ManifestPath string
-}
-
 // Shards runs one Broker per cluster shard behind a dual-price router:
 // each incoming bid is placed on the shard offering the best
 // price-adjusted surplus, computed from the shards' published dual
@@ -56,10 +38,12 @@ type ShardsOptions struct {
 // subsequence routed to it: within a shard, bids still close in
 // (arrival, ID) order through the shard's single core goroutine.
 type Shards struct {
-	opts    ShardsOptions
-	brokers []*Broker
-	keys    []string
-	byModel map[string][]int
+	// manifestPath, when non-empty, is where Start writes the manifest
+	// tying the per-shard checkpoints together (Resume checks it).
+	manifestPath string
+	brokers      []*Broker
+	keys         []string
+	byModel      map[string][]int
 
 	defaultModel string
 	virtual      bool
@@ -73,64 +57,49 @@ type Shards struct {
 	started    bool
 }
 
-// NewShards builds the sharded broker. All shards must share the same
-// horizon length and clock mode; models may differ per shard (a zone per
-// model) or repeat (replica shards of one model).
-func NewShards(opts ShardsOptions, specs ...ShardSpec) (*Shards, error) {
-	if len(specs) == 0 {
+// newShards builds the router over one broker per Options, as given (Open
+// derives the per-shard paths and labels); shard i's key is
+// "<model>/<i>". All shards must share the same horizon length and clock
+// mode; models may differ per shard (a zone per model) or repeat (replica
+// shards of one model).
+func newShards(manifestPath string, opts []Options) (*Shards, error) {
+	if len(opts) == 0 {
 		return nil, fmt.Errorf("service: no shards")
 	}
 	s := &Shards{
-		opts:    opts,
-		brokers: make([]*Broker, 0, len(specs)),
-		keys:    make([]string, 0, len(specs)),
-		byModel: make(map[string][]int, len(specs)),
-		base:    make([]*zones.Quote, 0, len(specs)),
-		quotes:  make([]atomic.Pointer[zones.Quote], len(specs)),
-		placed:  make([]atomic.Int64, len(specs)),
+		manifestPath: manifestPath,
+		brokers:      make([]*Broker, 0, len(opts)),
+		keys:         make([]string, 0, len(opts)),
+		byModel:      make(map[string][]int, len(opts)),
+		base:         make([]*zones.Quote, 0, len(opts)),
+		quotes:       make([]atomic.Pointer[zones.Quote], len(opts)),
+		placed:       make([]atomic.Int64, len(opts)),
 	}
-	seen := map[string]bool{}
-	for i, spec := range specs {
-		b, err := New(spec.Options)
+	for i, o := range opts {
+		b, err := New(o)
 		if err != nil {
 			return nil, fmt.Errorf("service: shard %d: %w", i, err)
 		}
 		if i == 0 {
-			s.virtual = spec.Options.VirtualClock
+			s.virtual = o.VirtualClock
 			s.slots = b.horizon.T
-			s.defaultModel = spec.Options.Model.Name
+			s.defaultModel = o.Model.Name
 		} else {
-			if spec.Options.VirtualClock != s.virtual {
+			if o.VirtualClock != s.virtual {
 				return nil, fmt.Errorf("service: shard %d clock mode differs from shard 0", i)
 			}
 			if b.horizon.T != s.slots {
 				return nil, fmt.Errorf("service: shard %d horizon %d, shard 0 has %d", i, b.horizon.T, s.slots)
 			}
 		}
-		key := spec.Key
-		if key == "" {
-			key = fmt.Sprintf("%s/%d", spec.Options.Model.Name, i)
-		}
-		if seen[key] {
-			return nil, fmt.Errorf("service: duplicate shard key %q", key)
-		}
-		seen[key] = true
+		key := fmt.Sprintf("%s/%d", o.Model.Name, i)
 		s.brokers = append(s.brokers, b)
 		s.keys = append(s.keys, key)
-		s.byModel[spec.Options.Model.Name] = append(s.byModel[spec.Options.Model.Name], i)
-		s.base = append(s.base, zones.NewQuote(key, spec.Options.Model, spec.Options.Cluster))
+		s.byModel[o.Model.Name] = append(s.byModel[o.Model.Name], i)
+		s.base = append(s.base, zones.NewQuote(key, o.Model, o.Cluster))
 	}
 	return s, nil
 }
-
-// NumShards returns the shard count.
-func (s *Shards) NumShards() int { return len(s.brokers) }
-
-// Keys returns the shard keys in order.
-func (s *Shards) Keys() []string { return append([]string(nil), s.keys...) }
-
-// Broker returns shard i's broker (tests and post-drain inspection).
-func (s *Shards) Broker(i int) *Broker { return s.brokers[i] }
 
 // Start starts every shard and publishes the initial quotes (from the
 // schedulers' pre-start dual state — calibrated or checkpoint-restored),
@@ -155,10 +124,8 @@ func (s *Shards) Start() error {
 		s.quotes[i].Store(s.base[i].WithDuals(initial[i]))
 	}
 	s.started = true
-	if s.opts.ManifestPath != "" {
-		if err := WriteShardManifest(s.opts.ManifestPath, s.Manifest()); err != nil {
-			return err
-		}
+	if s.manifestPath != "" {
+		return s.writeManifest()
 	}
 	return nil
 }
@@ -573,23 +540,13 @@ func (s *Shards) Kill() {
 	wg.Wait()
 }
 
-// Results returns every shard's run accounting; safe only after the
-// fleet has stopped (same contract as Broker.Result).
-func (s *Shards) Results() []*sim.Result {
-	out := make([]*sim.Result, len(s.brokers))
-	for i, b := range s.brokers {
-		out[i] = b.Result()
-	}
-	return out
-}
-
 // shardManifestVersion guards manifest compatibility.
 const shardManifestVersion = 1
 
-// ShardManifest ties a fleet's per-shard checkpoints together: restoring
-// any shard alone would silently fork the fleet, so restore validates
-// the set as a unit (same keys, same slot everywhere).
-type ShardManifest struct {
+// shardManifest records the shape of the fleet that owns a set of
+// per-shard checkpoints: restoring them into a different fleet would
+// silently fork it, so Resume refuses a manifest that disagrees.
+type shardManifest struct {
 	Version int      `json:"version"`
 	Shards  int      `json:"shards"`
 	Slots   int      `json:"horizon_slots"`
@@ -598,68 +555,44 @@ type ShardManifest struct {
 	Paths []string `json:"paths"`
 }
 
-// Manifest describes this fleet's checkpoint set.
-func (s *Shards) Manifest() ShardManifest {
-	m := ShardManifest{
+// writeManifest atomically writes this fleet's manifest.
+func (s *Shards) writeManifest() error {
+	m := shardManifest{
 		Version: shardManifestVersion,
 		Shards:  len(s.brokers),
 		Slots:   s.slots,
-		Keys:    append([]string(nil), s.keys...),
+		Keys:    s.keys,
 		Paths:   make([]string, len(s.brokers)),
 	}
 	for i, b := range s.brokers {
 		m.Paths[i] = b.opts.CheckpointPath
 	}
-	return m
-}
-
-// WriteShardManifest atomically writes the manifest JSON.
-func WriteShardManifest(path string, m ShardManifest) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("service: marshal shard manifest: %w", err)
 	}
-	return writeCheckpointBytes(path, data, nil)
+	return writeCheckpointBytes(s.manifestPath, data, nil)
 }
 
-// ReadShardManifest loads a manifest file.
-func ReadShardManifest(path string) (*ShardManifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("service: read shard manifest: %w", err)
+// checkManifest refuses a manifest on disk whose shape diverges from this
+// fleet. No manifest is no objection: Start writes it before the first
+// checkpoint wave, so its presence says nothing about what else exists.
+func (s *Shards) checkManifest() error {
+	data, err := os.ReadFile(s.manifestPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	var m ShardManifest
+	if err != nil {
+		return fmt.Errorf("service: read shard manifest: %w", err)
+	}
+	var m shardManifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("service: parse shard manifest %s: %w", path, err)
+		return fmt.Errorf("service: parse shard manifest %s: %w", s.manifestPath, err)
 	}
 	if m.Version != shardManifestVersion {
-		return nil, fmt.Errorf("service: shard manifest version %d, want %d", m.Version, shardManifestVersion)
+		return fmt.Errorf("service: shard manifest version %d, want %d", m.Version, shardManifestVersion)
 	}
-	return &m, nil
-}
-
-// ErrNoCheckpoints: the manifest is on disk (Start writes it up front)
-// but no shard has persisted a checkpoint yet — the fleet died before
-// its first checkpoint wave. Callers running with a write-ahead journal
-// treat this as "recover from the journals alone" (the fresh brokers
-// replay every acked bid); without a journal it is a real restore
-// failure.
-var ErrNoCheckpoints = errors.New("service: manifest present but no shard checkpoint exists yet")
-
-// RestoreFromManifest restores every shard from its checkpoint (full
-// snapshot + delta sidecar) before Start. It refuses a manifest whose
-// shape diverges from this fleet or whose shards checkpointed at
-// different slots — a torn fleet must not resume. A fleet with no
-// checkpoint files at all (dead before the first persist) reports
-// ErrNoCheckpoints so journaled callers can fall back to WAL replay;
-// only some checkpoints missing is a torn fleet, refused like a slot
-// mismatch — silently restoring the survivors would re-offer journal
-// records their checkpoints already rotated away.
-func (s *Shards) RestoreFromManifest(m *ShardManifest) error {
-	if s.started {
-		return ErrStarted
-	}
-	if m.Shards != len(s.brokers) || m.Slots != s.slots {
+	if m.Shards != len(s.brokers) || m.Slots != s.slots || len(m.Keys) != len(s.keys) {
 		return fmt.Errorf("service: manifest has %d shards × %d slots, fleet is %d × %d",
 			m.Shards, m.Slots, len(s.brokers), s.slots)
 	}
@@ -668,35 +601,16 @@ func (s *Shards) RestoreFromManifest(m *ShardManifest) error {
 			return fmt.Errorf("service: manifest shard %d is %q, fleet has %q", i, m.Keys[i], key)
 		}
 	}
-	cks := make([]*Checkpoint, len(s.brokers))
-	missing := 0
-	for i := range s.brokers {
-		ck, err := LoadCheckpoint(m.Paths[i])
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				missing++
-				continue
-			}
-			return fmt.Errorf("service: shard %s: %w", s.keys[i], err)
-		}
-		cks[i] = ck
-	}
-	if missing == len(s.brokers) {
-		return ErrNoCheckpoints
-	}
-	if missing > 0 {
-		return fmt.Errorf("service: torn fleet: %d of %d shard checkpoints missing", missing, len(s.brokers))
-	}
-	for i, ck := range cks {
-		if ck.Slot != cks[0].Slot {
-			return fmt.Errorf("service: torn fleet: shard %s checkpointed at slot %d, shard %s at %d",
-				s.keys[i], ck.Slot, s.keys[0], cks[0].Slot)
-		}
-	}
-	for i, b := range s.brokers {
-		if err := b.Restore(cks[i]); err != nil {
-			return fmt.Errorf("service: shard %s: %w", s.keys[i], err)
-		}
-	}
 	return nil
+}
+
+// Resume loads the fleet's checkpoint chains and journals (see resume)
+// after checking the manifest, if one is on disk.
+func (s *Shards) Resume() (Resumed, error) {
+	if s.manifestPath != "" {
+		if err := s.checkManifest(); err != nil {
+			return Resumed{}, err
+		}
+	}
+	return resume(s.brokers)
 }

@@ -59,7 +59,7 @@ func newShardStack(t *testing.T, slots, nodes int, seed int64, tasks []task.Task
 // shardDecision locates a decided bid and the shard that decided it by
 // iterating the Auctioneer's Brokers surface — what callers that need
 // per-shard attribution do now that DecisionFor is shape-blind.
-func shardDecision(t *testing.T, s *Shards, id int) (schedule.Decision, int, bool) {
+func shardDecision(t *testing.T, s Auctioneer, id int) (schedule.Decision, int, bool) {
 	t.Helper()
 	for i, b := range s.Brokers() {
 		d, ok, err := b.DecisionFor(id)
@@ -76,7 +76,7 @@ func shardDecision(t *testing.T, s *Shards, id int) (schedule.Decision, int, boo
 // driveShards routes the whole workload through the fleet slot by slot
 // (SubmitBatchAck at each arrival slot, then Step), insisting every
 // intake verdict is clean.
-func driveShards(t *testing.T, s *Shards, slots int, tasks []task.Task) {
+func driveShards(t *testing.T, s Auctioneer, slots int, tasks []task.Task) {
 	t.Helper()
 	perSlot := make(map[int][]task.Task)
 	for _, tk := range tasks {
@@ -136,9 +136,9 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 
 	routed := newShardStack(t, slots, nodes, 11, tasks)
-	s, err := NewShards(ShardsOptions{}, ShardSpec{Key: "solo", Options: routed.brokerOptions()})
+	s, err := newShards("", []Options{routed.brokerOptions()})
 	if err != nil {
-		t.Fatalf("NewShards: %v", err)
+		t.Fatalf("newShards: %v", err)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -170,7 +170,7 @@ func TestShardCountInvariance(t *testing.T) {
 	if !reflect.DeepEqual(mono.cl.Snapshot(), routed.cl.Snapshot()) {
 		t.Fatal("ledgers diverged between monolithic and 1-shard routed runs")
 	}
-	wantRes, gotRes := b.Result(), s.Results()[0]
+	wantRes, gotRes := b.Result(), s.brokers[0].Result()
 	if wantRes.Welfare != gotRes.Welfare || wantRes.Revenue != gotRes.Revenue ||
 		wantRes.Admitted != gotRes.Admitted || wantRes.Rejected != gotRes.Rejected {
 		t.Fatalf("accounting diverged: routed %+v, monolithic %+v", gotRes, wantRes)
@@ -192,13 +192,13 @@ func TestShardsMatchSimRunTwins(t *testing.T) {
 		return out
 	}
 	live := mk()
-	specs := make([]ShardSpec, shards)
+	opts := make([]Options, shards)
 	for i, st := range live {
-		specs[i] = ShardSpec{Key: filepath.Join("gpt2-small", string(rune('0'+i))), Options: st.brokerOptions()}
+		opts[i] = st.brokerOptions()
 	}
-	s, err := NewShards(ShardsOptions{}, specs...)
+	s, err := Open(opts...)
 	if err != nil {
-		t.Fatalf("NewShards: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -239,7 +239,7 @@ func TestShardsMatchSimRunTwins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("twin %d: %v", si, err)
 		}
-		got := s.Results()[si]
+		got := s.Brokers()[si].Result()
 		if got.Welfare != want.Welfare || got.Revenue != want.Revenue ||
 			got.Admitted != want.Admitted || got.Rejected != want.Rejected ||
 			got.VendorSpend != want.VendorSpend || got.EnergySpend != want.EnergySpend {
@@ -267,28 +267,21 @@ func TestShardsMatchSimRunTwins(t *testing.T) {
 func TestShardManifestKillRestore(t *testing.T) {
 	const slots, shards, killAt = 24, 2, 12
 	tasks := shardWorkload(t, slots, 3, 23)
-	dir := t.TempDir()
-	manifest := filepath.Join(dir, "fleet.manifest")
+	base := filepath.Join(t.TempDir(), "fleet.ckpt")
 
-	mkFleet := func(ckpt bool) *Shards {
-		specs := make([]ShardSpec, shards)
-		for i := 0; i < shards; i++ {
-			st := newShardStack(t, slots, 2, 23+int64(i), tasks)
-			opts := st.brokerOptions()
+	mkFleet := func(ckpt bool) Auctioneer {
+		opts := make([]Options, shards)
+		for i := range opts {
+			opts[i] = newShardStack(t, slots, 2, 23+int64(i), tasks).brokerOptions()
 			if ckpt {
-				opts.CheckpointPath = filepath.Join(dir, "shard"+string(rune('0'+i))+".ckpt")
-				opts.CheckpointEvery = 1
-				opts.CheckpointFullEvery = 4
+				opts[i].CheckpointPath = base
+				opts[i].CheckpointEvery = 1
+				opts[i].CheckpointFullEvery = 4
 			}
-			specs[i] = ShardSpec{Key: "gpt2-small/" + string(rune('0'+i)), Options: opts}
 		}
-		mopts := ShardsOptions{}
-		if ckpt {
-			mopts.ManifestPath = manifest
-		}
-		s, err := NewShards(mopts, specs...)
+		s, err := Open(opts...)
 		if err != nil {
-			t.Fatalf("NewShards: %v", err)
+			t.Fatalf("Open: %v", err)
 		}
 		return s
 	}
@@ -297,7 +290,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 	for _, tk := range tasks {
 		perSlot[int(tk.Arrival)] = append(perSlot[int(tk.Arrival)], tk)
 	}
-	drive := func(s *Shards, from, to int) {
+	drive := func(s Auctioneer, from, to int) {
 		for slot := from; slot < to; slot++ {
 			if batch := perSlot[slot]; len(batch) > 0 {
 				verdicts := make([]error, len(batch))
@@ -340,14 +333,10 @@ func TestShardManifestKillRestore(t *testing.T) {
 	}
 	s.Kill()
 
-	// Fresh stacks, restored as one unit from the manifest.
-	m, err := ReadShardManifest(manifest)
-	if err != nil {
-		t.Fatalf("ReadShardManifest: %v", err)
-	}
+	// Fresh stacks, resumed as one unit.
 	s2 := mkFleet(true)
-	if err := s2.RestoreFromManifest(m); err != nil {
-		t.Fatalf("RestoreFromManifest: %v", err)
+	if rep, err := s2.Resume(); err != nil || !rep.FromCheckpoint || rep.Slot != killAt || rep.Decided != len(decided) {
+		t.Fatalf("Resume: %+v, %v; want slot %d with %d decided", rep, err, killAt, len(decided))
 	}
 	if err := s2.Start(); err != nil {
 		t.Fatalf("restored Start: %v", err)
@@ -382,8 +371,8 @@ func TestShardManifestKillRestore(t *testing.T) {
 	}
 	refW, gotW := 0.0, 0.0
 	for i := 0; i < shards; i++ {
-		refW += ref.Results()[i].Welfare
-		gotW += s2.Results()[i].Welfare
+		refW += ref.Brokers()[i].Result().Welfare
+		gotW += s2.Brokers()[i].Result().Welfare
 	}
 	if refW != gotW {
 		t.Fatalf("welfare diverged across kill/restore: %v vs %v", gotW, refW)
@@ -397,9 +386,9 @@ func TestShardRoutingRefusals(t *testing.T) {
 	const slots = 8
 	tasks := shardWorkload(t, slots, 2, 31)
 	st := newShardStack(t, slots, 2, 31, tasks)
-	s, err := NewShards(ShardsOptions{}, ShardSpec{Options: st.brokerOptions()})
+	s, err := newShards("", []Options{st.brokerOptions()})
 	if err != nil {
-		t.Fatalf("NewShards: %v", err)
+		t.Fatalf("newShards: %v", err)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatalf("Start: %v", err)

@@ -14,6 +14,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/faults"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/sim"
+	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
@@ -25,7 +26,7 @@ import (
 // adversarial one packs ~30 bids per slot onto 2 nodes, so nearly every
 // bid prices against duals the previous one just moved; the chaos one
 // routes outages, vendor fault windows and refunds through the round.
-// Each pair is also held to DiffTwin, final duals and final ledger.
+// Each pair is also held to DiffTwins, final duals and final ledger.
 func TestEventStreamThreeWay(t *testing.T) {
 	for _, w := range []struct {
 		name         string
@@ -103,8 +104,8 @@ func TestEventStreamThreeWay(t *testing.T) {
 			if msg := firstLineDiff(got, want); msg != "" {
 				t.Fatalf("broker stream diverges from sim.Run at %s", msg)
 			}
-			if msg := b.DiffTwin(serve.tasks, res); msg != "" {
-				t.Fatalf("broker vs sim.Run: %s", msg)
+			if err := DiffTwins(b, serve.tasks, func(int, []task.Task) (*sim.Result, error) { return res, nil }); err != nil {
+				t.Fatalf("broker vs sim.Run: %v", err)
 			}
 			if !serve.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
 				t.Fatal("final dual prices diverge from the sequential replay")

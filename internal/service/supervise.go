@@ -29,9 +29,9 @@ import (
 // each generation's journal is created on a fresh inode via tmp +
 // rename, even an in-flight write from the zombie lands on its own
 // orphaned file, never on the successor's), and Build constructs the
-// next one — restoring the checkpoint
-// manifest and replaying each shard's write-ahead journal, which is
-// what turns "restart" into "no acked bid is lost".
+// next one — resuming it from the checkpoint chain and each broker's
+// write-ahead journal, which is what turns "restart" into "no acked bid
+// is lost".
 //
 // API calls that land during the swap wait for the next generation
 // (bounded by RestartWait) and retry on ErrClosed, so a submitter
@@ -41,8 +41,8 @@ import (
 // restarting on entry — but it turns every recoverable in-process
 // death into a bounded blip.
 type SupervisorOptions struct {
-	// Build constructs, restores (checkpoint/manifest + per-shard
-	// RecoverWAL), and starts a fresh generation. It runs once at Start
+	// Build constructs (Open), resumes (Resume: checkpoint chains, then
+	// journals), and starts a fresh generation. It runs once at Start
 	// and once per restart. Required. A Build failure stops the
 	// supervisor (its error surfaces on every subsequent call): the
 	// state on disk needs an operator, not a retry loop.
@@ -490,6 +490,10 @@ func (s *Supervisor) resolveReplayed(ctx context.Context, id int, orig Outcome) 
 		}
 	}
 }
+
+// Resume is not the supervisor's to do: Build resumes each generation
+// before starting it, and the serving one answers ErrStarted.
+func (s *Supervisor) Resume() (Resumed, error) { return inGen(s, Auctioneer.Resume) }
 
 // Step closes n slots on the current generation.
 func (s *Supervisor) Step(n int) (int, error) {

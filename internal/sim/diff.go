@@ -10,8 +10,8 @@ import (
 // money flows, admission counts, utilization, failure recovery, and spot
 // activity — and returns "" when they are bit-identical, or a one-line
 // description of the first divergence. It is the shared equivalence
-// check behind every broker ≡ sim.Run twin assertion — service's
-// Broker.DiffTwin, which the load generator's -verify, the chaos
+// check behind every broker ≡ sim.Run twin assertion —
+// service.DiffTwins, which the load generator's -verify, the chaos
 // harnesses and the broker stream test call — so "bit-identical" means
 // the same thing everywhere.
 func DiffResults(got, want *Result) string {
