@@ -41,9 +41,11 @@ fmt-check:
 # thing: Algorithm 1's write tail (lines 7-9: dual update, ledger commit)
 # exists once in internal/core, in Offer, and neither sim nor service
 # grows a second decide-mode back.
-# The last keeps the stages either side of the round one thing too: one
+# The next keeps the stages either side of the round one thing too: one
 # intake message type (submission) and one inline checkpoint and
-# decision-log writer, no user-selected background one.
+# decision-log writer, no user-selected background one. The last keeps
+# one way to make a file durable: outside durable.go, no non-test file
+# in internal/service creates, renames or removes a file itself.
 round-guard:
 	@if grep -nE '\.(Offer|BatchOffer|Account|Track|ApplyUpTo|AdvanceTo|OnBid|OnOutcome|OnRunStart|OnRunEnd)\(' \
 		$$(ls internal/service/*.go | grep -v _test); then \
@@ -61,6 +63,9 @@ round-guard:
 	@if grep -nE 'AsyncCheckpoint|pendingPool|intakeMsg' $$(ls internal/service/*.go | grep -v _test) || \
 		grep -n 'func (l \*DecisionLog) Async' internal/obs/*.go; then \
 		echo "round-guard: a bid enters as one submission and persists through one inline writer"; exit 1; fi
+	@if grep -nE 'os\.(Rename|CreateTemp|Create|Remove|OpenFile)\(' \
+		$$(ls internal/service/*.go | grep -v _test | grep -v '/durable\.go$$'); then \
+		echo "round-guard: internal/service makes a file durable only through replaceFile (durable.go)"; exit 1; fi
 
 # recipe-guard is the mechanical form of "there is one §5.1": an auction
 # stack — node groups → cluster, the marketplace that goes with a seed,

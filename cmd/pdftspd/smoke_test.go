@@ -66,9 +66,10 @@ func TestPostBidCarriesModelName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal := filepath.Join(t.TempDir(), "bids.wal")
+	ckpt := filepath.Join(t.TempDir(), "bids.ckpt")
+	wal := service.WALPath(ckpt)
 	opts := stackOptions(st)
-	opts.VirtualClock, opts.WALPath, opts.RunLabel = true, wal, "model-name"
+	opts.VirtualClock, opts.CheckpointPath, opts.WALPath, opts.RunLabel = true, ckpt, wal, "model-name"
 	broker, err := service.New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -107,8 +107,7 @@ func Open(brokers ...Options) (Auctioneer, error) {
 	manifest := ""
 	for i, o := range brokers {
 		o.RunLabel = fmt.Sprintf("%s/%d", o.withDefaults().RunLabel, i)
-		switch {
-		case o.CheckpointPath != "":
+		if o.CheckpointPath != "" {
 			if i == 0 {
 				manifest = o.CheckpointPath
 			}
@@ -116,8 +115,6 @@ func Open(brokers ...Options) (Auctioneer, error) {
 			if o.WALPath != "" {
 				o.WALPath = WALPath(o.CheckpointPath)
 			}
-		case o.WALPath != "":
-			return nil, fmt.Errorf("service: shard %d journals without a CheckpointPath to keep the journal beside", i)
 		}
 		opts[i] = o
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
@@ -87,60 +86,13 @@ func (b *Broker) snapshot() *Checkpoint {
 	return ck
 }
 
-// WriteCheckpoint marshals ck and renames it into place.
+// WriteCheckpoint marshals ck and durably replaces path with it.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
 	data, err := json.Marshal(ck)
 	if err != nil {
 		return fmt.Errorf("service: marshal checkpoint: %w", err)
 	}
-	return writeCheckpointBytes(path, data, nil)
-}
-
-// writeCheckpointBytes writes the snapshot tmp + fsync + rename + directory
-// fsync, so that when it returns nil the snapshot survives power loss — the
-// caller rotates the journal on that promise. A non-nil guard runs at the
-// last gate before the rename, so a broker superseded while this write was
-// stalled refuses to publish its stale snapshot over the successor's.
-func writeCheckpointBytes(path string, data []byte, guard func() error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("service: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("service: checkpoint write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("service: checkpoint close: %w", err)
-	}
-	if guard != nil {
-		if err := guard(); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("service: checkpoint rename: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory, making a rename or create inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("service: checkpoint dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("service: checkpoint dir sync: %w", err)
-	}
-	return nil
+	return writeFile(osFS{}, path, nil, data)
 }
 
 // ReadCheckpoint loads a checkpoint file.

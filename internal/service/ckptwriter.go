@@ -4,18 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sync/atomic"
 )
 
 // Checkpoint writing. The core goroutine serializes every checkpoint at
 // slot close — the bytes capture exactly that slot's state — and hands
-// them to the one ckptWriter as a job, which runs then and there: the
-// tmp+rename of a full snapshot (which also re-keys or removes the delta
-// sidecar) or one appended delta record. There is no second, background
-// writer: measured against this one it won 21 of 44 interleaved pairs
-// (EXPERIMENTS.md, "Why there is one writer").
+// them to the one ckptWriter as a job, which runs then and there: a full
+// snapshot through replaceFile (durable.go), which also replaces or
+// removes the delta sidecar, or one appended delta record. There is no
+// second, background writer: measured against this one it won 21 of 44
+// interleaved pairs (EXPERIMENTS.md, "Why there is one writer").
 //
 // Delta shadows and the decision store's saved mark advance when the job
 // is staged, immediately before it runs. If the write fails, what was
@@ -28,7 +25,6 @@ import (
 
 // ckptJob is one staged checkpoint write.
 type ckptJob struct {
-	slot int
 	full bool
 	// data is the full JSON snapshot, or the framed delta record
 	// (header + payload).
@@ -41,15 +37,13 @@ type ckptJob struct {
 // ckptWriter performs the writes and owns the sidecar file handle for the
 // broker's lifetime.
 type ckptWriter struct {
+	fsys    fileSys
 	path    string // the checkpoint file; the sidecar is DeltaPath(path)
-	sidecar *os.File
-	// stall, when set, delays each write — the supersession test's hook.
-	stall func(slot int, full bool)
-	// superseded is the owning broker's supersession flag: a job whose
-	// write stalled across a supervisor swap (the wedge scenario) must
-	// fail instead of renaming a stale snapshot over the successor's
-	// checkpoint or scribbling on its sidecar.
-	superseded *atomic.Bool
+	sidecar durableFile
+	// guard is the owning broker's supersession fence: a write that
+	// stalled across a supervisor swap (the wedge scenario) must fail
+	// instead of renaming a stale snapshot or sidecar over the successor's.
+	guard func() error
 }
 
 func (w *ckptWriter) closeSidecar() {
@@ -59,26 +53,9 @@ func (w *ckptWriter) closeSidecar() {
 	}
 }
 
-func (w *ckptWriter) guard() error {
-	if w.superseded.Load() {
-		return errSuperseded
-	}
-	return nil
-}
-
 // exec performs one write and makes it durable: the caller lets the
 // journal forget what the checkpoint covers as soon as this returns nil.
 func (w *ckptWriter) exec(j ckptJob) error {
-	if w.stall != nil {
-		w.stall(j.slot, j.full)
-	}
-	if err := w.guard(); err != nil {
-		// Superseded mid-flight: drop the write (and the sidecar — this
-		// generation will never extend the chain again) without touching
-		// the successor's files.
-		w.closeSidecar()
-		return err
-	}
 	if !j.full {
 		if w.sidecar == nil {
 			return fmt.Errorf("service: delta chain broken by an earlier write failure")
@@ -95,38 +72,29 @@ func (w *ckptWriter) exec(j ckptJob) error {
 		}
 		return nil
 	}
-	err := writeCheckpointBytes(w.path, j.data, w.guard)
 	// Whatever happens, the old chain ends here: it extends the previous
 	// snapshot, not this one.
 	w.closeSidecar()
-	if err != nil {
+	if err := writeFile(w.fsys, w.path, w.guard, j.data); err != nil {
 		return err
 	}
 	if j.sidecarHdr == nil {
-		os.Remove(DeltaPath(w.path))
+		_ = w.fsys.Remove(DeltaPath(w.path)) // usually absent; a stale one is keyed to another snapshot
 		return nil
 	}
-	f, err := os.Create(DeltaPath(w.path))
+	// A fresh sidecar holding only the header; each delta record is
+	// appended to the handle and fsynced.
+	var err error
+	w.sidecar, err = replaceFile(w.fsys, DeltaPath(w.path), w.guard, j.sidecarHdr)
 	if err != nil {
-		return fmt.Errorf("service: delta sidecar: %w", err)
+		w.closeSidecar()
 	}
-	_, err = f.Write(j.sidecarHdr)
-	if err == nil {
-		// The file's bytes are fsynced with each delta record; its
-		// directory entry must be durable before the first of them is.
-		err = syncDir(filepath.Dir(w.path))
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("service: delta header: %w", err)
-	}
-	w.sidecar = f
-	return nil
+	return err
 }
 
 // writeCheckpoint persists the broker state: the full JSON snapshot
-// (atomically, tmp + rename, so a crash mid-write leaves the previous
-// one intact), or — between full-snapshot boundaries when
+// (through replaceFile, so a crash mid-write leaves the previous one
+// intact), or — between full-snapshot boundaries when
 // CheckpointFullEvery > 1 — one appended binary delta (delta.go).
 // Drain and horizon end always force a full snapshot, so the plain
 // checkpoint file is final-state-complete whenever the broker stops
@@ -148,7 +116,7 @@ func (b *Broker) writeCheckpoint() {
 	full := b.opts.CheckpointFullEvery <= 1 || !b.wroteFull ||
 		b.sinceFull >= b.opts.CheckpointFullEvery-1 ||
 		b.draining || b.slot >= b.horizon.T
-	job := ckptJob{slot: b.slot, full: full}
+	job := ckptJob{full: full}
 	if full {
 		data, err := json.Marshal(b.snapshot())
 		if err != nil {
@@ -178,11 +146,10 @@ func (b *Broker) writeCheckpoint() {
 	}
 	b.ckptErr = nil
 	b.ckptFails = 0
-	b.ckptSlot = job.slot
+	b.ckptSlot = b.slot
 	// exec returned with the snapshot (and its directory entry) or the
 	// delta record fsynced, so the journal may now forget every arrival
-	// the chain covers. That order — checkpoint durable, then journal
-	// rewritten — holds by reading exec: no unit test can observe an fsync
-	// until the persistence layer has a filesystem seam (ROADMAP item 2).
-	b.rotateWAL(job.slot)
+	// the chain covers. TestPersistCrashPoints holds that order at every
+	// operation of the protocol.
+	b.rotateWAL(b.slot)
 }

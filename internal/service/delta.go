@@ -27,7 +27,8 @@ import (
 //
 // Crash safety is structural rather than atomic: the sidecar is
 // append-only, every record is CRC-framed, and LoadCheckpoint replays
-// only the valid prefix — a record half-written at crash time (or a
+// only the valid prefix (the framing and the reader are the journal's
+// too; both use durable.go) — a record half-written at crash time (or a
 // corrupted tail) is detected by its length/CRC and everything after it
 // is discarded, falling back to the state as of the last intact record
 // (or the full snapshot alone if none survive). The header pins the
@@ -153,9 +154,7 @@ func (b *Broker) buildDelta() []byte {
 	p = appendIfChanged(p, w.failJSON, cur.failJSON)
 	p = appendIfChanged(p, w.spotJSON, cur.spotJSON)
 
-	h := appendU64(w.frame[:0], uint64(len(p)))
-	h = binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(p))
-	w.frame, w.buf, w.deltaShadows = append(h, p...), p, cur
+	w.frame, w.buf, w.deltaShadows = appendFrame(w.frame[:0], p), p, cur
 	return w.frame
 }
 
@@ -362,54 +361,22 @@ func applyDeltas(ck *Checkpoint, dpath string, baseCRC uint32) error {
 	return replayDeltas(ck, data, baseCRC)
 }
 
-// replayDeltas is applyDeltas on the sidecar's bytes.
+// replayDeltas is applyDeltas on the sidecar's bytes. A record whose CRC
+// passed but whose payload does not decode is format drift, not bitrot,
+// and is surfaced.
 func replayDeltas(ck *Checkpoint, data []byte, baseCRC uint32) error {
-	if len(data) < len(deltaMagic) || string(data[:len(deltaMagic)]) != string(deltaMagic) {
-		return nil // foreign or corrupt header: full snapshot stands alone
-	}
-	r := &binReader{b: data[len(deltaMagic):]}
-	version := r.u64()
-	crc := uint32(r.byte()) | uint32(r.byte())<<8 | uint32(r.byte())<<16 | uint32(r.byte())<<24
-	baseSlot := r.int()
-	label := r.str()
-	if r.err != nil || version != deltaVersion || crc != baseCRC ||
-		baseSlot != ck.Slot || label != ck.RunLabel {
-		// Stale chain (it extends some other snapshot) or unreadable
-		// header: the full snapshot is the most recent consistent state.
-		return nil
-	}
-	for len(r.b) > 0 && r.err == nil {
-		payload := frameNext(r)
-		if payload == nil {
-			return nil // truncated/corrupt tail: keep the prefix
-		}
-		if err := applyDeltaRecord(ck, payload); err != nil {
-			// The CRC passed but the payload does not decode: that is
-			// format drift, not bitrot — surface it.
-			return err
-		}
-	}
-	return nil
+	return framedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC),
+		func(payload []byte) error { return applyDeltaRecord(ck, payload) })
 }
 
-// frameNext extracts the next CRC-framed payload, or nil when the tail
-// is truncated or fails its checksum.
-func frameNext(r *binReader) []byte {
-	n, w := binary.Uvarint(r.b)
-	if w <= 0 {
-		return nil
+// keyedTo accepts a sidecar header that extends exactly ck, whose
+// snapshot bytes hash to baseCRC — not a stale chain left behind by
+// another snapshot.
+func keyedTo(ck *Checkpoint, baseCRC uint32) func(*binReader) bool {
+	return func(r *binReader) bool {
+		crc := uint32(r.byte()) | uint32(r.byte())<<8 | uint32(r.byte())<<16 | uint32(r.byte())<<24
+		return crc == baseCRC && r.int() == ck.Slot && r.str() == ck.RunLabel
 	}
-	rest := r.b[w:]
-	if len(rest) < 4 || n > uint64(len(rest)-4) { // not n+4: a hostile n wraps
-		return nil
-	}
-	crc := binary.LittleEndian.Uint32(rest)
-	payload := rest[4 : 4+n]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil
-	}
-	r.b = rest[4+n:]
-	return payload
 }
 
 // splitCell resolves a wire cell index k*T+t against a plane of rows × T

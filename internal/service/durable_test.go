@@ -1,0 +1,462 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"maps"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"syscall"
+	"testing"
+
+	"github.com/pdftsp/pdftsp/internal/task"
+)
+
+// powerFS is a fileSys over one real directory that numbers every
+// operation passing through the seam and faults the one numbered at:
+// "fail" returns EIO without running it, "short" lands half a write's
+// bytes and returns ENOSPC, and "cut" loses power — that operation and
+// every later one fail without touching the disk, and image is the
+// directory as a strict POSIX reading of power loss leaves it: each file
+// at its last-fsynced contents, the directory at its entries as of its
+// last fsync. The model is the durability, so Sync and SyncDir never
+// reach the disk.
+type powerFS struct {
+	mu    sync.Mutex
+	at    int    // the operation to fault; -1 for none
+	mode  string // "fail", "short" or "cut"
+	ops   []string
+	cut   bool
+	image map[string][]byte
+	// names are the directory's entries now, synced as of its last fsync.
+	names, synced map[string]*inode
+	// crossed lists what a superseded broker attempted past the fence.
+	crossed []string
+}
+
+// inode is one file's contents now and as of its last fsync.
+type inode struct{ data, synced []byte }
+
+var errPowerCut = errors.New("power cut")
+
+func newPowerFS(at int, mode string) *powerFS {
+	return &powerFS{at: at, mode: mode, names: map[string]*inode{}, synced: map[string]*inode{}}
+}
+
+func (p *powerFS) isCut() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cut
+}
+
+// brokerFS is one broker's view of a powerFS: it knows whose operations
+// it carries, so one from a superseded generation is caught.
+type brokerFS struct {
+	p     *powerFS
+	owner *Broker
+}
+
+// do numbers one operation and runs fn (short: land half a write) unless
+// the operation is faulted or the power is out.
+func (fs brokerFS) do(kind string, fn func(short bool) error) error {
+	p := fs.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if kind != "close" && fs.owner.superseded.Load() {
+		p.crossed = append(p.crossed, kind)
+	}
+	if p.cut {
+		return errPowerCut
+	}
+	p.ops = append(p.ops, kind)
+	if len(p.ops)-1 != p.at {
+		return fn(false)
+	}
+	switch p.mode {
+	case "cut":
+		p.cut = true
+		p.image = map[string][]byte{}
+		for name, ino := range p.synced {
+			p.image[name] = ino.synced
+		}
+		return errPowerCut
+	case "short":
+		fn(true)
+		return syscall.ENOSPC
+	}
+	return syscall.EIO
+}
+
+func (fs brokerFS) CreateTemp(dir, pattern string) (durableFile, error) {
+	var pf *powerFile
+	err := fs.do("create", func(bool) error {
+		f, err := os.CreateTemp(dir, pattern)
+		if err == nil {
+			pf = &powerFile{fs: fs, f: f, ino: &inode{}}
+			fs.p.names[filepath.Base(f.Name())] = pf.ino
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pf, nil
+}
+
+func (fs brokerFS) Rename(oldpath, newpath string) error {
+	return fs.do("rename", func(bool) error {
+		if err := os.Rename(oldpath, newpath); err != nil {
+			return err
+		}
+		fs.p.names[filepath.Base(newpath)] = fs.p.names[filepath.Base(oldpath)]
+		delete(fs.p.names, filepath.Base(oldpath))
+		return nil
+	})
+}
+
+func (fs brokerFS) Remove(name string) error {
+	return fs.do("remove", func(bool) error {
+		delete(fs.p.names, filepath.Base(name))
+		return os.Remove(name)
+	})
+}
+
+func (fs brokerFS) SyncDir(string) error {
+	return fs.do("syncdir", func(bool) error {
+		fs.p.synced = maps.Clone(fs.p.names)
+		return nil
+	})
+}
+
+// powerFile is a real file whose contents the powerFS mirrors.
+type powerFile struct {
+	fs  brokerFS
+	f   *os.File
+	ino *inode
+	off int64
+}
+
+func (f *powerFile) Name() string { return f.f.Name() }
+
+func (f *powerFile) Write(b []byte) (int, error) {
+	n, err := f.WriteAt(b, f.off)
+	f.off += int64(n)
+	return n, err
+}
+
+func (f *powerFile) WriteAt(b []byte, off int64) (int, error) {
+	n := 0
+	err := f.fs.do("write", func(short bool) error {
+		if short {
+			b = b[:len(b)/2]
+		}
+		var err error
+		n, err = f.f.WriteAt(b, off)
+		if end := int(off) + n; end > len(f.ino.data) {
+			f.ino.data = append(f.ino.data, make([]byte, end-len(f.ino.data))...)
+		}
+		copy(f.ino.data[off:], b[:n])
+		return err
+	})
+	return n, err
+}
+
+func (f *powerFile) Sync() error {
+	return f.fs.do("sync", func(bool) error {
+		f.ino.synced = bytes.Clone(f.ino.data)
+		return nil
+	})
+}
+
+func (f *powerFile) Truncate(size int64) error {
+	return f.fs.do("truncate", func(bool) error {
+		if err := f.f.Truncate(size); err != nil {
+			return err
+		}
+		if int(size) <= len(f.ino.data) {
+			f.ino.data = f.ino.data[:size]
+		} else {
+			f.ino.data = append(f.ino.data, make([]byte, int(size)-len(f.ino.data))...)
+		}
+		return nil
+	})
+}
+
+func (f *powerFile) Close() error {
+	err := f.fs.do("close", func(bool) error { return nil })
+	f.f.Close() // whatever the fault, the descriptor goes
+	return err
+}
+
+// crashOutcome is what one run of the crash scenario left behind.
+type crashOutcome struct {
+	fs              *powerFS
+	acked, refused  []int // bids acked before the fault / refused with ErrWAL
+	dir, ckpt, wal  string
+	label           string
+	resumeErr       error
+	lost, resurrect []int
+}
+
+// TestPersistCrashPoints enumerates every filesystem operation of the
+// persistence protocol — journal open, commits and their fsyncs, full
+// snapshots, sidecar replacements and delta appends, rotations, a
+// superseded generation's refused writes, a kill and a Resume that
+// reseeds the journal — and at each operation N runs the scenario three
+// ways: N fails (EIO), N is a write that lands short (ENOSPC after half
+// its bytes, the truncate succeeding), and the power is cut at N. After
+// each, a fresh broker must Resume on what survived, every bid whose ack
+// was released before N must be decided in the chain or replayed from the
+// journal, no bid refused with ErrWAL may come back, and no superseded
+// generation may write past its fence. It generalizes
+// TestWALValidPrefixProperty from every byte of one file to every
+// operation of the protocol.
+func TestPersistCrashPoints(t *testing.T) {
+	const slots, killAt, seed = 8, 3, 8
+	perSlot := make([][]task.Task, slots)
+	last := 0 // the last slot with bids
+	for _, tk := range newStack(t, slots, 2, 3, seed).tasks {
+		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
+		last = max(last, int(tk.Arrival))
+	}
+	if len(perSlot[killAt]) < 2 || len(perSlot[last]) < 2 || last <= killAt {
+		t.Fatal("workload too thin: the kill slot and the last slot need two intake messages each")
+	}
+	ctx := context.Background()
+
+	// run drives one journaled broker (deltas between full snapshots every
+	// fourth write) slot by slot, each slot's bids in two intake messages;
+	// at killAt it is superseded, tries to write, is killed and a successor
+	// resumes. The last slot's bids stay acked and undecided.
+	run := func(t *testing.T, at int, mode string) *crashOutcome {
+		o := &crashOutcome{fs: newPowerFS(at, mode), dir: t.TempDir(), label: "crash"}
+		o.ckpt = filepath.Join(o.dir, "crash.ckpt")
+		o.wal = WALPath(o.ckpt)
+		newBroker := func() *Broker {
+			opts := newStack(t, slots, 2, 3, seed).brokerOptions()
+			opts.CheckpointPath, opts.WALPath, opts.RunLabel = o.ckpt, o.wal, o.label
+			opts.CheckpointFullEvery = 4
+			b, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		open := func() (*Broker, error) {
+			b := newBroker()
+			b.fsys = brokerFS{o.fs, b}
+			if _, err := b.Resume(); err != nil {
+				b.wal.close()
+				return nil, err
+			}
+			return b, b.Start()
+		}
+		submit := func(b *Broker, batch []task.Task) []error {
+			batch = append([]task.Task(nil), batch...)
+			verdicts := make([]error, len(batch))
+			if _, err := b.SubmitBatchAck(ctx, batch, verdicts); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range verdicts {
+				switch {
+				case v == nil && !o.fs.isCut():
+					o.acked = append(o.acked, batch[i].ID)
+				case errors.Is(v, ErrWAL):
+					o.refused = append(o.refused, batch[i].ID)
+				}
+			}
+			return verdicts
+		}
+
+		b, err := open()
+		for s := 0; err == nil && s <= last && !o.fs.isCut(); s++ {
+			half := len(perSlot[s]) / 2
+			submit(b, perSlot[s][:half])
+			submit(b, perSlot[s][half:])
+			if s == killAt {
+				b.Supersede()
+				late := task.Task{ID: 1 << 40, Arrival: int32(s), Deadline: slots - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5, TrueValue: 5}
+				if v := submit(b, []task.Task{late}); v[0] == nil {
+					t.Fatal("a superseded broker acked a bid")
+				}
+				if _, err := b.Step(1); err != nil { // would persist a checkpoint and rotate
+					t.Fatal(err)
+				}
+				b.Kill()
+				if b, err = open(); err != nil {
+					break
+				}
+			}
+			if s < last {
+				if _, err := b.Step(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if b != nil {
+			if b.started {
+				b.Kill()
+			} else {
+				b.wal.close()
+			}
+		}
+
+		if o.fs.isCut() {
+			entries, _ := os.ReadDir(o.dir)
+			for _, e := range entries {
+				os.Remove(filepath.Join(o.dir, e.Name()))
+			}
+			for name, data := range o.fs.image {
+				if err := os.WriteFile(filepath.Join(o.dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fresh := newBroker()
+		_, o.resumeErr = fresh.Resume()
+		defer fresh.wal.close()
+		known := func(id int) bool {
+			_, held := fresh.heldIDs[id]
+			return held || fresh.decisions.has(id)
+		}
+		for _, id := range o.acked {
+			if !known(id) {
+				o.lost = append(o.lost, id)
+			}
+		}
+		for _, id := range o.refused {
+			if known(id) {
+				o.resurrect = append(o.resurrect, id)
+			}
+		}
+		return o
+	}
+	check := func(t *testing.T, o *crashOutcome) {
+		t.Helper()
+		if o.resumeErr != nil {
+			t.Errorf("Resume on the surviving files: %v", o.resumeErr)
+		}
+		if len(o.lost) > 0 {
+			t.Errorf("%d of %d acked bids neither decided nor journaled: %v", len(o.lost), len(o.acked), o.lost)
+		}
+		if len(o.resurrect) > 0 {
+			t.Errorf("bids refused with ErrWAL came back: %v", o.resurrect)
+		}
+		if len(o.fs.crossed) > 0 {
+			t.Errorf("a superseded broker wrote past its fence: %v", o.fs.crossed)
+		}
+	}
+
+	clean := run(t, -1, "")
+	check(t, clean)
+	total := 0
+	for _, batch := range perSlot {
+		total += len(batch)
+	}
+	if len(clean.acked) != total || len(clean.refused) != 0 {
+		t.Fatalf("fault-free run acked %d of %d bids, refused %d", len(clean.acked), total, len(clean.refused))
+	}
+	ops := clean.fs.ops
+	cases := 0
+	for n, kind := range ops {
+		for _, mode := range []string{"fail", "short", "cut"} {
+			if mode == "short" && kind != "write" {
+				continue
+			}
+			cases++
+			t.Run(fmt.Sprintf("%s@%d-%s", mode, n, kind), func(t *testing.T) { check(t, run(t, n, mode)) })
+		}
+	}
+	t.Logf("%d operation points covered (%d cases: every operation failed and power-cut, every write also short)", len(ops), cases)
+}
+
+// FuzzFramedPrefix feeds arbitrary bytes to both framed decoders — the
+// journal's (walRecords) and the delta sidecar's (framedPrefix keyed to a
+// real snapshot, applying each record) — seeded with a real journal and a
+// real sidecar. Neither may panic or allocate by a claimed count, and
+// decoding data[:k] must yield a prefix of what decoding data yields.
+func FuzzFramedPrefix(f *testing.F) {
+	s := newStack(f, 8, 2, 3, 5)
+	opts := walOptions(f, s)
+	b := startBroker(f, opts)
+	ackBatch(f, b, s.tasks)
+	b.Kill()
+	journal, err := os.ReadFile(opts.WALPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A small snapshot (8 slots × 4 nodes) and the two deltas its sidecar
+	// carries: every exec decodes a fresh copy of the snapshot twice.
+	path := filepath.Join(f.TempDir(), "ck.json")
+	deltaStack(f, path, 4, 8, 3, 23)
+	base, snapshot, err := readCheckpoint(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	baseCRC := crc32.ChecksumIEEE(snapshot)
+	sidecar, err := os.ReadFile(DeltaPath(path))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(journal, uint16(len(journal)/2))
+	f.Add(sidecar, uint16(len(sidecar)-5))
+	baseJSON, err := json.Marshal(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	type decoded struct {
+		tasks   []task.Task
+		records []string
+	}
+	decode := func(data []byte, ck *Checkpoint) decoded {
+		d := decoded{tasks: walRecords(data, opts.RunLabel)}
+		_ = framedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC), func(p []byte) error {
+			if err := applyDeltaRecord(ck, p); err != nil {
+				return err
+			}
+			d.records = append(d.records, string(p))
+			return nil
+		})
+		return d
+	}
+	fresh := func(t *testing.T) *Checkpoint {
+		ck := new(Checkpoint)
+		if err := json.Unmarshal(baseJSON, ck); err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		ck := fresh(t)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		all := decode(data, ck)
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		k := int(cut) % (len(data) + 1)
+		part := decode(data[:k], fresh(t))
+		if len(part.tasks) > len(all.tasks) || len(part.records) > len(all.records) {
+			t.Fatalf("data[:%d] decodes to %d bids and %d deltas, data to only %d and %d",
+				k, len(part.tasks), len(part.records), len(all.tasks), len(all.records))
+		}
+		for i := range part.tasks {
+			if part.tasks[i] != all.tasks[i] {
+				t.Fatalf("data[:%d]'s bid %d differs from data's", k, i)
+			}
+		}
+		for i := range part.records {
+			if part.records[i] != all.records[i] {
+				t.Fatalf("data[:%d]'s delta %d differs from data's", k, i)
+			}
+		}
+	})
+}

@@ -69,8 +69,21 @@ func TestOpenDerivedNames(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Open(Options{WALPath: "x.wal"}, Options{WALPath: "x.wal"}); err == nil {
-		t.Error("a journaled fleet without a CheckpointPath opened")
+	// A journal only ever forgets a bid behind a persisted checkpoint, so
+	// one without a CheckpointPath is refused, whatever the shape.
+	alone := func() Options {
+		o := newStack(t, 4, 2, 1, 3).brokerOptions()
+		o.WALPath = "x.wal"
+		return o
+	}
+	for name, open := range map[string]func() error{
+		"two brokers": func() error { _, err := Open(alone(), alone()); return err },
+		"one broker":  func() error { _, err := Open(alone()); return err },
+		"New":         func() error { _, err := New(alone()); return err },
+	} {
+		if err := open(); err == nil || !strings.Contains(err.Error(), "CheckpointPath") {
+			t.Errorf("%s: a journal without a CheckpointPath opened (err %v)", name, err)
+		}
 	}
 }
 

@@ -171,7 +171,8 @@ func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 	build := func() (Auctioneer, error) {
 		opts := newStack(t, slots, 2, 2, 5).brokerOptions()
 		opts.QueueSize = 3
-		opts.WALPath = filepath.Join(t.TempDir(), "forms.wal")
+		opts.CheckpointPath = filepath.Join(t.TempDir(), "forms.ckpt")
+		opts.WALPath = WALPath(opts.CheckpointPath)
 		if kind == "shards-1" {
 			return newShards("", []Options{opts})
 		}

@@ -166,8 +166,8 @@ type Options struct {
 	// ack-to-slot-close durability gap: an acked bid survives a crash and
 	// replays idempotently through RecoverWAL (wal.go). The journal
 	// rotates on every successful checkpoint persist, so it stays one
-	// checkpoint interval deep; without a checkpoint path it only appends
-	// and the full acked history replays on restore.
+	// checkpoint interval deep; it requires CheckpointPath (New refuses a
+	// journal alone).
 	WALPath string
 	// WALSyncEvery batches journal fsyncs: the default 1 fsyncs before
 	// every ack (an acked bid survives machine power loss); n > 1 fsyncs
@@ -367,10 +367,11 @@ type Broker struct {
 	// ckptFails counts consecutive checkpoint-write failures; reaching
 	// degradeAfter flips /healthz to degraded.
 	ckptFails int
-	// ckptW performs the checkpoint writes; ckptStall, when set before
-	// Start, delays each write — the supersession test's stall hook.
-	ckptW     *ckptWriter
-	ckptStall func(slot int, full bool)
+	// ckptW performs the checkpoint writes.
+	ckptW *ckptWriter
+	// fsys carries every checkpoint and journal write (durable.go): the
+	// os, unless an in-package test swaps it before Resume or Start.
+	fsys fileSys
 	// wal is the open bid journal (Options.WALPath); the replay counters
 	// record what RecoverWAL did (bids re-held / skipped as already
 	// decided / dropped as stale), walFails counts append and rotation
@@ -389,6 +390,9 @@ func New(opts Options) (*Broker, error) {
 	if opts.Cluster == nil || opts.Scheduler == nil {
 		return nil, fmt.Errorf("service: nil cluster or scheduler")
 	}
+	if opts.WALPath != "" && opts.CheckpointPath == "" {
+		return nil, fmt.Errorf("service: a journal (WALPath) needs a CheckpointPath: only a persisted checkpoint lets it forget a bid")
+	}
 	opts = opts.withDefaults()
 	b := &Broker{
 		opts:      opts,
@@ -402,6 +406,7 @@ func New(opts Options) (*Broker, error) {
 		heldIDs:   map[int]struct{}{},
 		decisions: newDecisionStore(),
 		ckptSlot:  -1,
+		fsys:      osFS{},
 	}
 	eng, err := sim.NewEngine(opts.Cluster, opts.Scheduler, sim.EngineConfig{
 		Model: opts.Model, Market: opts.Market, Quotes: opts.Quotes,
@@ -423,15 +428,15 @@ func (b *Broker) Start() error {
 		return ErrStarted
 	}
 	if b.opts.WALPath != "" && b.wal == nil {
-		// RecoverWAL already opened (and seeded) the journal on a
-		// restored broker; a fresh run starts one here.
-		if err := b.openWAL(b.slot); err != nil {
+		// RecoverWAL already opened (and seeded) the journal on a restored
+		// broker; a fresh run opens an empty one over any stale journal.
+		if err := b.openJournal(); err != nil {
 			return err
 		}
 	}
 	b.started = true
 	b.eng.Start()
-	b.ckptW = &ckptWriter{path: b.opts.CheckpointPath, stall: b.ckptStall, superseded: &b.superseded}
+	b.ckptW = &ckptWriter{fsys: b.fsys, path: b.opts.CheckpointPath, guard: b.fence}
 	go b.loop()
 	return nil
 }
@@ -931,6 +936,14 @@ func (b *Broker) Kill() {
 // before rebuilding; it is irreversible and safe from any goroutine.
 func (b *Broker) Supersede() { b.superseded.Store(true) }
 
+// fence is the supersession gate every persistent write passes last.
+func (b *Broker) fence() error {
+	if b.superseded.Load() {
+		return errSuperseded
+	}
+	return nil
+}
+
 // loop is the core goroutine: the only owner of the auction state.
 func (b *Broker) loop() {
 	defer close(b.done)
@@ -955,7 +968,7 @@ func (b *Broker) loop() {
 		if b.killed {
 			b.refuseHeld(ErrClosed)
 			b.ckptW.closeSidecar()
-			b.closeWAL()
+			b.wal.close()
 			return
 		}
 		if b.draining {
@@ -966,7 +979,7 @@ func (b *Broker) loop() {
 			b.refuseHeld(ErrDraining)
 			b.writeCheckpoint()
 			b.ckptW.closeSidecar()
-			b.closeWAL()
+			b.wal.close()
 			b.eng.Finish(false)
 			return
 		}

@@ -555,7 +555,7 @@ type shardManifest struct {
 	Paths []string `json:"paths"`
 }
 
-// writeManifest atomically writes this fleet's manifest.
+// writeManifest durably replaces this fleet's manifest.
 func (s *Shards) writeManifest() error {
 	m := shardManifest{
 		Version: shardManifestVersion,
@@ -571,7 +571,7 @@ func (s *Shards) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("service: marshal shard manifest: %w", err)
 	}
-	return writeCheckpointBytes(s.manifestPath, data, nil)
+	return writeFile(osFS{}, s.manifestPath, nil, data)
 }
 
 // checkManifest refuses a manifest on disk whose shape diverges from this

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,6 +226,21 @@ func TestSupersededBrokerRefusesPersist(t *testing.T) {
 	}
 }
 
+// stallFS is the os filesystem, except that creating a temp file whose
+// pattern starts with prefix first calls stall.
+type stallFS struct {
+	osFS
+	prefix string
+	stall  func(pattern string)
+}
+
+func (s stallFS) CreateTemp(dir, pattern string) (durableFile, error) {
+	if strings.HasPrefix(pattern, s.prefix) {
+		s.stall(pattern)
+	}
+	return s.osFS.CreateTemp(dir, pattern)
+}
+
 // TestSupersededAsyncCheckpointDropped (the test floor pins the name; no
 // writer is asynchronous): a checkpoint write that stalls across a
 // supervisor swap (the wedge scenario) must not rename its stale snapshot
@@ -242,8 +258,8 @@ func TestSupersededAsyncCheckpointDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	stalled := make(chan int, 8)
-	b.ckptStall = func(slot int, full bool) { stalled <- slot; <-gate }
+	stalled := make(chan string, 8)
+	b.fsys = stallFS{osFS{}, "." + filepath.Base(opts.CheckpointPath) + "-", func(pattern string) { stalled <- pattern; <-gate }}
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +272,8 @@ func TestSupersededAsyncCheckpointDropped(t *testing.T) {
 	if _, err := b.SubmitBatchAck(context.Background(), perSlot[0], verdicts); err != nil {
 		t.Fatal(err)
 	}
-	// The close writes the first checkpoint; the write stalls inside exec,
-	// wedging the core goroutine with it.
+	// The close writes the first checkpoint; the write stalls creating its
+	// temp file, wedging the core goroutine with it.
 	stepped := make(chan error, 1)
 	go func() {
 		_, err := b.Step(1)

@@ -21,7 +21,7 @@ import (
 )
 
 // walOptions wires a journaled, checkpointed broker for these tests.
-func walOptions(t *testing.T, s *testStack) Options {
+func walOptions(t testing.TB, s *testStack) Options {
 	t.Helper()
 	opts := s.brokerOptions()
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "wal-test.ckpt")
@@ -33,7 +33,7 @@ func walOptions(t *testing.T, s *testStack) Options {
 
 // ackBatch fire-and-forget submits the batch and fails the test on any
 // refused verdict.
-func ackBatch(t *testing.T, b *Broker, batch []task.Task) {
+func ackBatch(t testing.TB, b *Broker, batch []task.Task) {
 	t.Helper()
 	verdicts := make([]error, len(batch))
 	if _, err := b.SubmitBatchAck(context.Background(), batch, verdicts); err != nil {
@@ -348,7 +348,7 @@ func TestWALAppendFailureRefusesUnjournaled(t *testing.T) {
 // TestWALRecoverReseedFailureKeepsJournal: recovery stages its reseeded
 // journal as a temp file and renames it into place only once the
 // survivors are durable — so a recovery attempt whose reseed fails
-// (here: the broker superseded at the reseed's commit gate) leaves the
+// (here: the broker superseded at the reseed's fence) leaves the
 // old journal byte-identical on disk, and the next attempt still
 // replays every acked bid. A truncate-in-place reseed would destroy
 // them all at the first failed attempt.
