@@ -37,7 +37,9 @@ fmt-check:
 # engine's observer events itself. Its sibling keeps the decided set one
 # packed store: the 174 B/bid map of Decisions must not come back, and
 # neither may a map beside it as its index (29 B a bid where the position
-# table in decisions.go takes 5 to 11). The third keeps "decide" one
+# table in decisions.go takes 5 to 11), nor an unexported *Schedule field
+# (an admitted bid costs ~125 B with its plan as bytes, ~300 with the
+# plan kept as a pointer). The third keeps "decide" one
 # thing: Algorithm 1's write tail (lines 7-9: dual update, ledger commit)
 # exists once in internal/core, in Offer, and neither sim nor service
 # grows a second decide-mode back.
@@ -54,6 +56,8 @@ round-guard:
 		echo "round-guard: decided bids live in the decisionStore (decisions.go), not in a map of Decisions"; exit 1; fi
 	@if grep -n 'map\[int\]int32' $$(ls internal/service/*.go | grep -v _test); then \
 		echo "round-guard: the decisionStore finds a bid through its position table, not through a map"; exit 1; fi
+	@if grep -nE '^\s+[a-z][A-Za-z0-9]*\s+\*schedule\.Schedule' $$(ls internal/service/*.go | grep -v _test); then \
+		echo "round-guard: the decisionStore keeps a plan as its encoded bytes (appendSchedule), not as a *Schedule"; exit 1; fi
 	@for call in 'updateDuals(' '.cl.Commit('; do \
 		n=$$(cat $$(ls internal/core/*.go | grep -v _test) | grep -v '^func ' | grep -cF "$$call"); \
 		if [ "$$n" != 1 ]; then \
@@ -111,7 +115,8 @@ bench-snapshot:
 # Figure-scale benchmarks are excluded — their wall-clock depends on the
 # host — so the gate stays meaningful on shared CI runners. The alloc
 # budget tests guard the other axis: the failure-free hot path must stay
-# allocation-free with the fault layer compiled in but disabled.
+# allocation-free with the fault layer compiled in but disabled; the
+# memory budget tests beside them report what a decided bid retains.
 # The slot-close line carries wider tolerances: those rows do real file
 # I/O (checkpoints to a temp dir) and allocate per admitted plan, both
 # of which swing run-to-run on identical code; the wide band still
@@ -138,6 +143,7 @@ bench-check:
 	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run CheckpointPerSlot/json-full -benchtime 100x -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) run ./cmd/bench -compare $(WAL_BASELINE) -run WALAppend -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) test -run 'AllocBudget|SteadyStateAllocs' -count=1 . ./internal/sim/
+	$(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/service/
 
 # trace-smoke runs one audited, traced figure end to end and verifies the
 # trace reproduces the reported accounting.

@@ -48,9 +48,9 @@ type Auctioneer interface {
 	Step(n int) (int, error)
 	Slot() (int, error)
 
-	// DecisionFor returns a decided bid's irrevocable outcome;
-	// PendingFor reports a bid that is acked but awaiting its slot's
-	// round — the API's "pending, not lost" answer.
+	// DecisionFor returns a decided bid's irrevocable outcome, its plan a
+	// fresh copy the caller owns (compare with Equal, not ==); PendingFor
+	// reports a bid acked but awaiting its slot's round — "pending, not lost".
 	DecisionFor(id int) (schedule.Decision, bool, error)
 	PendingFor(id int) (bool, error)
 

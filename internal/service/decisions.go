@@ -15,9 +15,9 @@ import (
 // decisionStore is the broker's decided set. Algorithm 1 decides each bid
 // once, on arrival, and never revisits it, so the set is an append-only
 // log: 24-byte records in decision order, a side slice for the few
-// decisions that carry more than an outcome, and the ID → position index
-// that duplicate-ID refusal and DecisionFor need. The one mutation is a
-// refund, which flips a record where it stands.
+// decisions that carry more than an outcome, their plans' bytes in one
+// arena, and the ID → position index that duplicate-ID refusal and
+// DecisionFor need. A refund, the one mutation, flips a record in place.
 //
 // The index holds no IDs of its own: it is an open-addressing table of
 // 1+position (0 is an empty slot) whose probe compares recs[p].id. Nothing
@@ -30,6 +30,7 @@ import (
 type decisionStore struct {
 	recs   []decisionRec
 	extras []decisionExtra
+	plans  []byte  // appendSchedule's; a restated plan's old bytes stay, unreferenced
 	index  []int32 // len is zero or a power of two, at most 3/4 full
 	shift  uint8   // 64 − log2(len(index)): a hash's top bits are its slot
 	// reasons interns RejectReason strings; a record holds the position.
@@ -61,8 +62,8 @@ const (
 // the decision is filed under.
 type decisionExtra struct {
 	taskID                          int
-	schedule                        *schedule.Schedule
 	payment, vendorCost, energyCost float64
+	plan, planLen                   int32 // plans[plan:][:planLen]; no pointer for the GC to scan
 }
 
 func newDecisionStore() *decisionStore {
@@ -74,6 +75,11 @@ func newDecisionStore() *decisionStore {
 
 // Len is the number of decided bids.
 func (s *decisionStore) Len() int { return len(s.recs) }
+
+// size is the bytes the store's slices retain, at the sizes TestRecordSizes pins.
+func (s *decisionStore) size() int {
+	return 24*cap(s.recs) + 40*cap(s.extras) + cap(s.plans) + 4*cap(s.index)
+}
 
 // Each visits every decision in the order the bids were decided.
 func (s *decisionStore) Each(fn func(id int, d schedule.Decision)) {
@@ -124,9 +130,18 @@ func (s *decisionStore) get(id int) (schedule.Decision, bool) {
 	return s.at(p), true
 }
 
+// at is decision i, its plan decoded afresh; head returns the plan's bytes.
 func (s *decisionStore) at(i int) schedule.Decision {
+	d, plan := s.head(i)
+	if len(plan) > 0 {
+		d.Schedule = readSchedule(&binReader{b: plan}, new(schedule.Schedule))
+	}
+	return d
+}
+
+func (s *decisionStore) head(i int) (d schedule.Decision, plan []byte) {
 	r := &s.recs[i]
-	d := schedule.Decision{
+	d = schedule.Decision{
 		TaskID:       r.id,
 		Admitted:     r.flags&flagAdmitted != 0,
 		F:            math.Float64frombits(r.f),
@@ -135,10 +150,10 @@ func (s *decisionStore) at(i int) schedule.Decision {
 	}
 	if r.extra != 0 {
 		x := &s.extras[r.extra-1]
-		d.TaskID, d.Schedule = x.taskID, x.schedule
+		d.TaskID, plan = x.taskID, s.plans[x.plan:][:x.planLen]
 		d.Payment, d.VendorCost, d.EnergyCost = x.payment, x.vendorCost, x.energyCost
 	}
-	return d
+	return d, plan
 }
 
 // intern returns reason's code. A record has one byte for it, so the
@@ -158,11 +173,18 @@ func (s *decisionStore) intern(reason schedule.RejectReason) (uint8, error) {
 
 // put files d under id: appended when id is new, replaced where it stands
 // — its place in the decision order kept — when a checkpoint delta
-// restates a decision a refund flipped.
+// restates a decision a refund flipped. d.Schedule is copied, not kept.
 func (s *decisionStore) put(id int, d *schedule.Decision) error {
 	code, err := s.intern(d.Reason)
 	if err != nil {
 		return err
+	}
+	x := decisionExtra{taskID: d.TaskID, payment: d.Payment, vendorCost: d.VendorCost, energyCost: d.EnergyCost}
+	if start := len(s.plans); d.Schedule != nil {
+		if s.plans = appendSchedule(s.plans, d.Schedule); len(s.plans) > math.MaxInt32 {
+			return fmt.Errorf("service: decided plans outgrow %d bytes", math.MaxInt32)
+		}
+		x.plan, x.planLen = int32(start), int32(len(s.plans)-start)
 	}
 	r := decisionRec{id: id, f: math.Float64bits(d.F), reason: code}
 	if d.Admitted {
@@ -176,7 +198,6 @@ func (s *decisionStore) put(id int, d *schedule.Decision) error {
 	if seen {
 		r.extra = s.recs[i].extra
 	}
-	x := decisionExtra{d.TaskID, d.Schedule, d.Payment, d.VendorCost, d.EnergyCost}
 	switch {
 	case r.extra != 0:
 		s.extras[r.extra-1] = x
@@ -212,26 +233,35 @@ func (s *decisionStore) refund(id int) {
 	}
 }
 
-// unsaved visits the decisions the on-disk chain does not have yet — the
-// flipped ones it holds stale, then the ones decided since, in order;
-// markSaved records that a write carried them.
-func (s *decisionStore) unsaved(fn func(id int, d schedule.Decision)) {
+// appendUnsaved encodes as appendDecision does, a stored plan copied, the
+// decisions the on-disk chain lacks: the flipped ones it holds stale, then
+// the ones decided since, in order. markSaved records that a write did.
+func (s *decisionStore) appendUnsaved(p []byte) []byte {
+	record := func(i int) {
+		d, plan := s.head(i)
+		at := len(p)
+		if p = appendDecision(p, s.recs[i].id, &d); len(plan) > 0 {
+			p[at] |= decSchedule
+		}
+		p = append(p, plan...)
+	}
 	for _, i := range s.flips {
-		fn(s.recs[i].id, s.at(int(i)))
+		record(int(i))
 	}
 	for i := s.saved; i < len(s.recs); i++ {
-		fn(s.recs[i].id, s.at(i))
+		record(i)
 	}
+	return p
 }
 
 func (s *decisionStore) markSaved() { s.saved, s.flips = len(s.recs), s.flips[:0] }
 
-// clone copies the store with nothing marked saved; plans are shared
-// (nothing mutates a Schedule once decided).
+// clone copies the store with nothing marked saved.
 func (s *decisionStore) clone() *decisionStore {
 	return &decisionStore{
 		recs:    slices.Clone(s.recs),
 		extras:  slices.Clone(s.extras),
+		plans:   slices.Clone(s.plans),
 		index:   slices.Clone(s.index),
 		shift:   s.shift,
 		reasons: slices.Clone(s.reasons),
@@ -266,6 +296,8 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 	for i, r := range s.reasons {
 		reasons[i], _ = json.Marshal(string(r)) // a string always encodes
 	}
+	var w decisionWire         // json.Marshal moves it to the heap: one serves every record
+	var plan schedule.Schedule // and w.Schedule points at it
 	out := make([]byte, 0, 64*len(s.recs)+2)
 	out = append(out, '[')
 	for i := range s.recs {
@@ -275,12 +307,15 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 		}
 		f := math.Float64frombits(r.f) // NaN or +Inf fails encoding/json's check of what this returns
 		if r.extra != 0 {
-			d := s.at(i)
-			w := decisionWire{
-				TaskID: d.TaskID, Admitted: d.Admitted, Schedule: d.Schedule,
+			d, enc := s.head(i)
+			w = decisionWire{
+				TaskID: d.TaskID, Admitted: d.Admitted,
 				Payment: d.Payment, VendorCost: d.VendorCost, EnergyCost: d.EnergyCost,
 				F: d.F, Reason: d.Reason, DualsUpdated: d.DualsUpdated,
 				FNegInf: math.IsInf(f, -1),
+			}
+			if len(enc) > 0 {
+				w.Schedule = readSchedule(&binReader{b: enc}, &plan)
 			}
 			if w.FNegInf {
 				w.F = 0

@@ -136,10 +136,7 @@ func (b *Broker) buildDelta() []byte {
 
 	// Decisions the chain lacks; replay appends the new ones in this
 	// order and rewrites a flipped one where it stands.
-	b.decisions.unsaved(func(id int, d schedule.Decision) {
-		p = appendDecision(p, id, &d)
-	})
-	p = append(p, decEnd)
+	p = append(b.decisions.appendUnsaved(p), decEnd)
 
 	// Dual and ledger cells that moved since the last persist, then the
 	// tracker and spot-provider state (applied outages and live plans;
@@ -201,21 +198,24 @@ func appendDecision(p []byte, id int, d *schedule.Decision) []byte {
 		p = appendF64(p, d.VendorCost)
 		p = appendF64(p, d.EnergyCost)
 	}
-	if s := d.Schedule; s != nil {
-		p = appendInt(p, s.TaskID)
-		p = appendInt(p, s.Vendor)
-		p = appendF64(p, s.VendorPrice)
-		p = appendInt(p, s.VendorDelay)
-		p = appendU64(p, uint64(len(s.Placements)))
-		for _, pl := range s.Placements {
-			p = appendInt(p, pl.Node)
-			p = appendInt(p, pl.Slot)
-		}
+	if d.Schedule != nil {
+		p = appendSchedule(p, d.Schedule)
 	}
 	return p
 }
 
-func readDecision(r *binReader, flags byte) (int, schedule.Decision) {
+// appendSchedule encodes a plan: a decision record's tail, and its form in the store.
+func appendSchedule(p []byte, s *schedule.Schedule) []byte {
+	p = appendInt(appendInt(p, s.TaskID), s.Vendor)
+	p = appendInt(appendF64(p, s.VendorPrice), s.VendorDelay)
+	p = appendU64(p, uint64(len(s.Placements)))
+	for _, pl := range s.Placements {
+		p = appendInt(appendInt(p, pl.Node), pl.Slot)
+	}
+	return p
+}
+
+func readDecision(r *binReader, flags byte, plan *schedule.Schedule) (int, schedule.Decision) {
 	id := r.int()
 	d := schedule.Decision{
 		TaskID:       id,
@@ -233,26 +233,27 @@ func readDecision(r *binReader, flags byte) (int, schedule.Decision) {
 		d.EnergyCost = r.f64()
 	}
 	if flags&decSchedule != 0 {
-		s := &schedule.Schedule{}
-		s.TaskID = r.int()
-		s.Vendor = r.int()
-		s.VendorPrice = r.f64()
-		s.VendorDelay = r.int()
-		// A placement is at least two bytes, so a count the rest of the
-		// record cannot hold is a lie; refuse it before allocating.
-		n := r.u64()
-		if n > uint64(len(r.b))/2 {
-			r.fail("placements")
-		}
-		if r.err == nil && n > 0 {
-			s.Placements = make([]schedule.Placement, n)
-			for i := range s.Placements {
-				s.Placements[i] = schedule.Placement{Node: r.int(), Slot: r.int()}
-			}
-		}
-		d.Schedule = s
+		d.Schedule = readSchedule(r, plan)
 	}
 	return id, d
+}
+
+// readSchedule decodes appendSchedule's bytes into s, reusing its placement
+// array, and returns s; no placements decode as nil, as finishPlan has them.
+func readSchedule(r *binReader, s *schedule.Schedule) *schedule.Schedule {
+	buf := s.Placements
+	*s = schedule.Schedule{TaskID: r.int(), Vendor: r.int(), VendorPrice: r.f64(), VendorDelay: r.int()}
+	// A placement is at least two bytes, so a count the rest of the
+	// record cannot hold is a lie; refuse it before allocating.
+	if n := r.u64(); n > uint64(len(r.b))/2 {
+		r.fail("placements")
+	} else if r.err == nil && n > 0 {
+		s.Placements = slices.Grow(buf[:0], int(n))[:n]
+		for i := range s.Placements {
+			s.Placements[i] = schedule.Placement{Node: r.int(), Slot: r.int()}
+		}
+	}
+	return s
 }
 
 // resultScalars lists the accounting fields a delta restates, in wire
@@ -418,8 +419,9 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 		}
 	}
 
+	var plan schedule.Schedule // put copies each plan, so one decodes them all
 	for flags := r.byte(); flags != decEnd && r.err == nil; flags = r.byte() {
-		id, d := readDecision(r, flags)
+		id, d := readDecision(r, flags, &plan)
 		if r.err != nil {
 			break
 		}

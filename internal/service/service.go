@@ -129,7 +129,7 @@ type Options struct {
 	// retaining it in the decision store: a rejected bid then costs its
 	// 24-byte record plus its slot in the position table (40 B at most,
 	// append slack included) rather than that plus a plan (a 40 B side
-	// entry, a 64 B Schedule and its placements).
+	// entry and the plan's encoding, ~14 B + ~3.5 B a placement).
 	// Admitted plans are always retained (failure recovery re-plans
 	// from them). Checkpoints written with this set
 	// restore with the same accounting, duals, and ledger; only the
@@ -635,9 +635,9 @@ func (b *Broker) Slot() (int, error) {
 	return s, err
 }
 
-// DecisionFor returns the decided outcome for a task ID. Decisions are
-// irrevocable, so they remain queryable after the broker stops (the core
-// goroutine is gone by then; direct reads are race-free).
+// DecisionFor returns the decided outcome for a task ID, its Schedule a
+// fresh copy the caller owns. Decided bids stay queryable after the broker
+// stops: its core goroutine is gone, so direct reads are race-free.
 func (b *Broker) DecisionFor(id int) (schedule.Decision, bool, error) {
 	var (
 		d  schedule.Decision
@@ -704,6 +704,7 @@ type Status struct {
 	ShedChannelFull int64   `json:"shed_channel_full"`
 	ShedHeldFull    int64   `json:"shed_held_full"`
 	Decided         int     `json:"decided"`
+	DecisionBytes   int     `json:"decision_bytes"` // what the decided set retains
 	Admitted        int     `json:"admitted"`
 	Rejected        int     `json:"rejected"`
 	Canceled        int     `json:"canceled"`
@@ -808,6 +809,7 @@ func (b *Broker) status() Status {
 		ShedChannelFull: b.chanFull429.Load(),
 		ShedHeldFull:    b.heldFull429,
 		Decided:         b.decisions.Len(),
+		DecisionBytes:   b.decisions.size(),
 		Admitted:        res.Admitted,
 		Rejected:        res.Rejected,
 		Canceled:        b.canceled,
@@ -1184,7 +1186,7 @@ func (b *Broker) decided(idx int, _ *schedule.TaskEnv, d *schedule.Decision, _ t
 		dec.Schedule = nil
 	}
 	if err := b.decisions.put(hb.task.ID, &dec); err != nil {
-		// Only a scheduler minting reject reasons without bound gets here.
+		// Only unbounded reject reasons or 2 GiB of plans get here.
 		panic(err)
 	}
 	b.answer(hb, Outcome{Decision: dec})

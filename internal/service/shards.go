@@ -438,6 +438,7 @@ func (s *Shards) Status() (Status, error) {
 		agg.ShedChannelFull += bs.ShedChannelFull
 		agg.ShedHeldFull += bs.ShedHeldFull
 		agg.Decided += bs.Decided
+		agg.DecisionBytes += bs.DecisionBytes
 		agg.Admitted += bs.Admitted
 		agg.Rejected += bs.Rejected
 		agg.Canceled += bs.Canceled

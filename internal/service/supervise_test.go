@@ -354,7 +354,7 @@ func TestSupervisorResolvesReplayedDuplicate(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("DecisionFor(%d) = %v, %v; want decided", id, ok, err)
 	}
-	if out.Decision != d {
+	if !out.Decision.Equal(&d) {
 		t.Fatalf("resolved decision %+v != recorded decision %+v", out.Decision, d)
 	}
 	unknown := sup.resolveReplayed(context.Background(), 987654, Outcome{Err: ErrDuplicateID})
