@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard benchmark-selftest bench bench-snapshot bench-check check trace-smoke serve-smoke chaos-smoke load-smoke shard-load-smoke shard-smoke spot-smoke wal-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -90,11 +90,16 @@ recipe-guard:
 # bid's broker. So outside internal/service (and benchmark/, which drives
 # one *Broker through the primitives) no non-test file may build a Shards
 # fleet itself, read or restore a manifest, replay a journal, or assert
-# its Auctioneer back to a *service.Shards.
+# its Auctioneer back to a *service.Shards. And the daemon carries no
+# harness: the fleet's self-tests are FuzzFleet's corpus in
+# internal/service, so no non-test file in cmd/pdftspd imports the
+# simulator, the fault plans or the workload generator.
 fleet-guard:
 	@if grep -nE 'service\.NewShards\(|ReadShardManifest\(|\.RestoreFromManifest\(|\.RecoverWAL\(|\.\(\*service\.Shards\)' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/service/*' ! -path './benchmark/*'); then \
 		echo "fleet-guard: open a fleet with service.Open and resume it with Resume, whatever its shape"; exit 1; fi
+	@if grep -nE '"github.com/pdftsp/pdftsp/internal/(sim|faults|trace)"' $$(ls cmd/pdftspd/*.go | grep -v _test); then \
+		echo "fleet-guard: cmd/pdftspd serves; its self-tests are FuzzFleet in internal/service"; exit 1; fi
 
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
@@ -151,29 +156,19 @@ trace-smoke:
 	$(GO) run ./cmd/experiments -fig 8 -trace /tmp/pdftsp-smoke.jsonl -audit
 	$(GO) run ./cmd/trace -check -quiet /tmp/pdftsp-smoke.jsonl
 
-# The serve/chaos/spot/wal smokes below are TestSmokeMatrix's nine rows —
-# same matrix, same code — so `make test` already runs them and `check`
-# does not run them again; the targets stay as the way to replay one
-# failing seed by hand. load-smoke and shard-load-smoke drive
-# cmd/pdftspd-load, which no test covers, and are gated.
+# fuzz-fleet explores fleets beyond FuzzFleet's seed corpus (which
+# `make test` runs): seeded scripts of intake, steps, kills, supervised
+# crashes, torn journals, seam faults, zombie writes, fault plans and spot
+# reclaims, each diffed against sim.Run twins. A failing input is saved
+# under internal/service/testdata/fuzz/FuzzFleet and replays with
+# `go test -run 'FuzzFleet/<name>' ./internal/service/`.
+FUZZTIME ?= 60s
+fuzz-fleet:
+	$(GO) test -run '^$$' -fuzz FuzzFleet -fuzztime $(FUZZTIME) ./internal/service/
+
+# load-smoke and shard-load-smoke drive cmd/pdftspd-load, which no test
+# covers, and are gated.
 #
-# serve-smoke boots the auction daemon on a loopback listener, fans a
-# calibration workload at it over concurrent HTTP POSTs, and verifies
-# the decisions, accounting, and final duals match a sequential replay.
-serve-smoke:
-	$(GO) run ./cmd/pdftspd -smoke
-
-# chaos-smoke drives the broker through seeded fault schedules — node
-# outages, vendor quote failures, checkpoint I/O errors, kill/restore
-# cycles, clock stalls — and asserts the invariant audit stays clean and
-# the final state is bit-identical to sim.Run under the same faults.
-# Each seed is fully deterministic, so a failure replays with
-# `go run ./cmd/pdftspd -chaos <seed>`.
-chaos-smoke:
-	$(GO) run ./cmd/pdftspd -chaos 1
-	$(GO) run ./cmd/pdftspd -chaos 7
-	$(GO) run ./cmd/pdftspd -chaos 42
-
 # load-smoke replays a short fixed-seed workload through the trace-driven
 # load generator over loopback HTTP — batched intake, binary incremental
 # checkpoints and a streamed binary decision log — and verifies the
@@ -183,35 +178,9 @@ load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -verify \
 		-checkpoint /tmp/pdftsp-load.ckpt -full-every 4 -decision-log /tmp/pdftsp-load.declog
 
-# shard-smoke exercises the multi-broker scale-out path: a two-shard
-# load run where every shard must be bit-identical to its own
-# sequential sim.Run twin (shard-load-smoke, the gated half), then a
-# sharded chaos schedule with per-shard outages and a kill/restore of the
-# whole checkpoint manifest.
+# shard-load-smoke is the two-shard load run: every shard must be
+# bit-identical to its own sequential sim.Run twin.
 shard-load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -shards 2 -verify
-
-shard-smoke: shard-load-smoke
-	$(GO) run ./cmd/pdftspd -chaos 1 -shards 2
-	$(GO) run ./cmd/pdftspd -chaos 7 -shards 4
-
-# spot-smoke runs the chaos harness with an elastic spot tier attached:
-# a seeded price walk, budgeted renting against the published duals, and
-# market reclaims that revoke leases mid-plan. Both the monolithic and
-# the two-shard fleet must end bit-identical to their sim.Run twins, and
-# the run fails if the market never engaged (no leases or no reclaims —
-# a vacuous pass). Replays with `go run ./cmd/pdftspd -spot-smoke`.
-spot-smoke:
-	$(GO) run ./cmd/pdftspd -spot-smoke
-
-# wal-smoke is the durable-intake gate: a supervised run under the
-# wal-chaos schedule — ack-boundary kills (including a double kill at
-# one slot and a torn-tail corruption before one recovery) — where every
-# acked bid must appear in the final decision map and the run must stay
-# bit-identical to its sequential sim.Run twin, monolithic and sharded.
-# Replays with `go run ./cmd/pdftspd -wal-chaos <seed>`.
-wal-smoke:
-	$(GO) run ./cmd/pdftspd -wal-chaos 1
-	$(GO) run ./cmd/pdftspd -wal-chaos 7 -shards 2
 
 check: build vet fmt-check round-guard recipe-guard fleet-guard test benchmark-selftest race load-smoke shard-load-smoke

@@ -27,10 +27,6 @@ type spotConfig struct {
 	discount   float64
 	leaseLen   int
 	predictive bool
-	// reclaimProb overrides the trace's per-node per-slot reclaim
-	// probability; 0 keeps the trace default. The spot smoke raises it
-	// so revocations reliably fire on a short horizon.
-	reclaimProb float64
 }
 
 // enabled reports whether the flags ask for a spot tier at all.
@@ -58,11 +54,10 @@ func (sc spotConfig) provider(cl *cluster.Cluster, slots, shard int) (*spot.Prov
 	}
 	base := spot.ReferencePrice(cl) * discount
 	tr, err := spot.GenerateTrace(spot.TraceConfig{
-		Seed:        sc.seed + int64(shard)*7919,
-		Slots:       slots,
-		Nodes:       elastic,
-		BasePrice:   base,
-		ReclaimProb: sc.reclaimProb,
+		Seed:      sc.seed + int64(shard)*7919,
+		Slots:     slots,
+		Nodes:     elastic,
+		BasePrice: base,
 	})
 	if err != nil {
 		return nil, err

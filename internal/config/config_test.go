@@ -227,7 +227,7 @@ func TestRecipeDigests(t *testing.T) {
 		{"pdftspd-load (make load-smoke)", flagConfig(t, loadDefaults, 4, "-slots", "24", "-rate", "40", "-nodes", "4", "-seed", "1"), 1, 761, 0xade80af0db540ec, []shard{
 			{0x3ffd73a7177feed8, 0x400de9ec0c0f8199, strings.Join([]string{a100, a100, a40, a40}, " ")},
 		}},
-		{"pdftspd-load -shards 2 (make shard-smoke)", flagConfig(t, loadDefaults, 4, "-slots", "24", "-rate", "40", "-nodes", "4", "-seed", "1"), 2, 761, 0xade80af0db540ec, []shard{
+		{"pdftspd-load -shards 2 (make shard-load-smoke)", flagConfig(t, loadDefaults, 4, "-slots", "24", "-rate", "40", "-nodes", "4", "-seed", "1"), 2, 761, 0xade80af0db540ec, []shard{
 			{0x3ffd73a7177feed8, 0x400de9ec0c0f8199, a100 + " " + a40},
 			{0x3ffd73a7177feed8, 0x400de9ec0c0f8199, a100 + " " + a40},
 		}},

@@ -1,13 +1,14 @@
 // Package faults defines deterministic, seedable fault plans for the
 // serving stack: node outages over slot ranges, vendor-marketplace
 // faults (transient quote failures and latency spikes, hard per-vendor
-// outages), checkpoint-write I/O errors, and the kill/restore and
-// clock-stall schedule the chaos harness drives.
+// outages), checkpoint-write I/O errors, and a kill/restore and
+// clock-stall schedule.
 //
 // A Plan is pure data — the package has no dependencies on the auction
 // layers — so every consumer (internal/vendor wraps the marketplace,
-// internal/sim and internal/service replay outages, cmd/pdftspd runs the
-// chaos harness) interprets the same schedule without import cycles, and
+// internal/sim and internal/service replay outages, internal/service's
+// FuzzFleet explores fleets under it) interprets the same schedule without
+// import cycles, and
 // the same seed reproduces the same faults on both sides of a
 // broker-versus-simulator differential.
 package faults

@@ -3,14 +3,19 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
@@ -410,6 +415,84 @@ func TestLoadCheckpointStaleSidecar(t *testing.T) {
 	}
 	if ck.Slot != base.Slot {
 		t.Fatalf("stale sidecar applied: slot %d, base %d", ck.Slot, base.Slot)
+	}
+}
+
+// TestLoadCheckpointMisshapenPlane: a snapshot whose plane is not Nodes ×
+// Slots is refused with an error before any delta replays, even with a
+// valid delta behind it that writes the missing cells (the replay used to
+// index them and panic). The run puts outages and a lease on the last
+// node inside the delta window, so every plane the records touch exists.
+func TestLoadCheckpointMisshapenPlane(t *testing.T) {
+	const slots, killAt = 24, 12 // full snapshot at 9, deltas at 10..12
+	path := filepath.Join(t.TempDir(), "shape.ckpt")
+	s := newFaultStack(t, slots, 3, 6, 37)
+	opts := s.brokerOptions()
+	opts.CheckpointPath, opts.CheckpointFullEvery = path, 4
+	opts.Failures = []sim.Failure{{Node: 2, From: 4, To: 6}, {Node: 2, From: 10, To: 14}}
+	opts.Spot = spotProviderFor(t, s, 5, 0.25)
+	b := startBroker(t, opts)
+	var early []task.Task
+	for _, tk := range s.tasks {
+		if int(tk.Arrival) < killAt {
+			early = append(early, tk)
+		}
+	}
+	if _, err := b.SubmitBatchAck(context.Background(), early, make([]error, len(early))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Step(killAt); err != nil {
+		t.Fatal(err)
+	}
+	b.Kill()
+	if _, err := LoadCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidecar, err := os.ReadFile(DeltaPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crcAt := len(deltaMagic) + len(appendU64(nil, deltaVersion))
+
+	for _, tc := range []struct {
+		plane string
+		cut   func(ck *Checkpoint)
+	}{
+		{"lambda", func(ck *Checkpoint) { ck.Duals.Lambda[0] = ck.Duals.Lambda[0][:killAt] }},
+		{"phi", func(ck *Checkpoint) { ck.Duals.Phi = ck.Duals.Phi[:1] }},
+		{"used_mem", func(ck *Checkpoint) { ck.Ledger.UsedMem = ck.Ledger.UsedMem[:2] }},
+		{"tasks_on", func(ck *Checkpoint) { ck.Ledger.TasksOn = ck.Ledger.TasksOn[:2] }},
+		{"down", func(ck *Checkpoint) { ck.Ledger.Down = ck.Ledger.Down[:2] }},
+		{"leased", func(ck *Checkpoint) { ck.Ledger.Leased = ck.Ledger.Leased[:2] }},
+	} {
+		t.Run(tc.plane, func(t *testing.T) {
+			var ck Checkpoint
+			if err := json.Unmarshal(snapshot, &ck); err != nil {
+				t.Fatal(err)
+			}
+			tc.cut(&ck)
+			data, err := json.Marshal(&ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Re-key the valid sidecar to the misshapen snapshot's bytes.
+			side := bytes.Clone(sidecar)
+			binary.LittleEndian.PutUint32(side[crcAt:], crc32.ChecksumIEEE(data))
+			cut := filepath.Join(t.TempDir(), "shape.ckpt")
+			if err := os.WriteFile(cut, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(DeltaPath(cut), side, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCheckpoint(cut); err == nil || !strings.Contains(err.Error(), tc.plane) {
+				t.Fatalf("a snapshot with a cut %s plane loaded (err %v)", tc.plane, err)
+			}
+		})
 	}
 }
 

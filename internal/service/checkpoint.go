@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -115,7 +116,47 @@ func readCheckpoint(path string) (*Checkpoint, []byte, error) {
 	if ck.Decisions == nil {
 		ck.Decisions = newDecisionStore()
 	}
+	if err := ck.checkShape(); err != nil {
+		return nil, nil, fmt.Errorf("service: checkpoint %s: %w", path, err)
+	}
 	return &ck, data, nil
+}
+
+// checkShape refuses a snapshot with a plane that is not Nodes × Slots.
+// A delta record indexes its cells against Slots, so one short row would
+// panic the replay; Down, Leased and the duals may be absent, not misshapen.
+func (ck *Checkpoint) checkShape() error {
+	K, T := ck.Nodes, ck.Slots
+	led := &ck.Ledger
+	err := errors.Join(
+		checkPlane("used_work", led.UsedWork, K, T, false),
+		checkPlane("used_mem", led.UsedMem, K, T, false),
+		checkPlane("tasks_on", led.TasksOn, K, T, false),
+		checkPlane("down", led.Down, K, T, true),
+		checkPlane("leased", led.Leased, K, T, true),
+	)
+	if ck.Duals != nil {
+		err = errors.Join(err,
+			checkPlane("lambda", ck.Duals.Lambda, K, T, false),
+			checkPlane("phi", ck.Duals.Phi, K, T, false))
+	}
+	return err
+}
+
+// checkPlane checks one [k][t] plane against a K × T shape.
+func checkPlane[E any](name string, p [][]E, K, T int, optional bool) error {
+	if optional && p == nil {
+		return nil
+	}
+	if len(p) != K {
+		return fmt.Errorf("%s has %d rows, want %d", name, len(p), K)
+	}
+	for k, row := range p {
+		if len(row) != T {
+			return fmt.Errorf("%s row %d has %d slots, want %d", name, k, len(row), T)
+		}
+	}
+	return nil
 }
 
 // Restore loads ck into the broker — duals into the scheduler, ledger

@@ -546,7 +546,7 @@ func checkpointSeeds(t testing.TB) (ck *Checkpoint, baseCRC uint32, section, hea
 // decisions from outside the process: the full snapshot's decision
 // section, one delta record, and a sidecar whose valid records are
 // followed by the bytes. None may panic, and the valid prefix must still
-// restore. The seed corpus under testdata/ was cut from a TestSmokeMatrix
+// restore. The seed corpus under testdata/ was cut from a chaos-harness
 // run's checkpoint files; the seeds added here track the current format.
 func FuzzCheckpointDecisions(f *testing.F) {
 	base, baseCRC, section, header, frames := checkpointSeeds(f)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -20,20 +21,24 @@ import (
 
 // powerFS is a fileSys over one real directory that numbers every
 // operation passing through the seam and faults the one numbered at:
-// "fail" returns EIO without running it, "short" lands half a write's
-// bytes and returns ENOSPC, and "cut" loses power — that operation and
-// every later one fail without touching the disk, and image is the
-// directory as a strict POSIX reading of power loss leaves it: each file
-// at its last-fsynced contents, the directory at its entries as of its
-// last fsync. The model is the durability, so Sync and SyncDir never
-// reach the disk.
+// "fail" returns EIO without running it, "short" lands half the bytes of
+// the first write from there and returns ENOSPC, and "cut" loses power —
+// that operation and every later one fail without touching the disk, and
+// image is the directory as a strict POSIX reading of power loss leaves
+// it: each file at its last-fsynced contents, the directory at its
+// entries as of its last fsync. "zombie" supersedes gen, the generation
+// writing, at the first temp-file create from there, as a supervisor
+// swap mid-write does. The model is the durability, so Sync and SyncDir
+// never reach the disk.
 type powerFS struct {
 	mu    sync.Mutex
 	at    int    // the operation to fault; -1 for none
-	mode  string // "fail", "short" or "cut"
+	mode  string // "fail", "short", "cut" or "zombie"
 	ops   []string
+	fired []string // the modes of the faults that went off
 	cut   bool
 	image map[string][]byte
+	gen   []*Broker
 	// names are the directory's entries now, synced as of its last fsync.
 	names, synced map[string]*inode
 	// crossed lists what a superseded broker attempted past the fence.
@@ -55,6 +60,38 @@ func (p *powerFS) isCut() bool {
 	return p.cut
 }
 
+// arm faults the operation after operations from now in the given mode;
+// after < 0 disarms.
+func (p *powerFS) arm(after int, mode string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.at, p.mode = -1, mode
+	if after >= 0 {
+		p.at = len(p.ops) + after
+	}
+}
+
+// restore lays the directory out as the power cut left it and turns the
+// power back on, each surviving file its own inode.
+func (p *powerFS) restore(dir string) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		os.Remove(filepath.Join(dir, e.Name()))
+	}
+	p.names, p.synced = map[string]*inode{}, map[string]*inode{}
+	for name, data := range p.image {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			return err
+		}
+		p.names[name] = &inode{data: bytes.Clone(data), synced: data}
+		p.synced[name] = p.names[name]
+	}
+	p.cut, p.image, p.at = false, nil, -1
+	return nil
+}
+
 // brokerFS is one broker's view of a powerFS: it knows whose operations
 // it carries, so one from a superseded generation is caught.
 type brokerFS struct {
@@ -63,22 +100,31 @@ type brokerFS struct {
 }
 
 // do numbers one operation and runs fn (short: land half a write) unless
-// the operation is faulted or the power is out.
-func (fs brokerFS) do(kind string, fn func(short bool) error) error {
+// the operation is faulted or the power is out. private, when non-nil,
+// reports an operation on a temp file no other name reaches yet: a
+// superseded broker may finish or discard one, never publish it.
+func (fs brokerFS) do(kind string, private func() bool, fn func(short bool) error) error {
 	p := fs.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if kind != "close" && fs.owner.superseded.Load() {
+	if kind != "close" && fs.owner.superseded.Load() && (private == nil || !private()) {
 		p.crossed = append(p.crossed, kind)
 	}
 	if p.cut {
 		return errPowerCut
 	}
 	p.ops = append(p.ops, kind)
-	if len(p.ops)-1 != p.at {
+	if n := len(p.ops) - 1; p.at < 0 || n < p.at ||
+		p.mode == "short" && kind != "write" || p.mode == "zombie" && kind != "create" {
 		return fn(false)
 	}
+	p.at, p.fired = -1, append(p.fired, p.mode)
 	switch p.mode {
+	case "zombie":
+		for _, b := range p.gen {
+			b.Supersede()
+		}
+		return fn(false)
 	case "cut":
 		p.cut = true
 		p.image = map[string][]byte{}
@@ -93,9 +139,11 @@ func (fs brokerFS) do(kind string, fn func(short bool) error) error {
 	return syscall.EIO
 }
 
+func isTemp(name string) bool { return strings.HasPrefix(filepath.Base(name), ".") }
+
 func (fs brokerFS) CreateTemp(dir, pattern string) (durableFile, error) {
 	var pf *powerFile
-	err := fs.do("create", func(bool) error {
+	err := fs.do("create", func() bool { return true }, func(bool) error {
 		f, err := os.CreateTemp(dir, pattern)
 		if err == nil {
 			pf = &powerFile{fs: fs, f: f, ino: &inode{}}
@@ -110,7 +158,7 @@ func (fs brokerFS) CreateTemp(dir, pattern string) (durableFile, error) {
 }
 
 func (fs brokerFS) Rename(oldpath, newpath string) error {
-	return fs.do("rename", func(bool) error {
+	return fs.do("rename", nil, func(bool) error {
 		if err := os.Rename(oldpath, newpath); err != nil {
 			return err
 		}
@@ -121,14 +169,14 @@ func (fs brokerFS) Rename(oldpath, newpath string) error {
 }
 
 func (fs brokerFS) Remove(name string) error {
-	return fs.do("remove", func(bool) error {
+	return fs.do("remove", func() bool { return isTemp(name) }, func(bool) error {
 		delete(fs.p.names, filepath.Base(name))
 		return os.Remove(name)
 	})
 }
 
 func (fs brokerFS) SyncDir(string) error {
-	return fs.do("syncdir", func(bool) error {
+	return fs.do("syncdir", nil, func(bool) error {
 		fs.p.synced = maps.Clone(fs.p.names)
 		return nil
 	})
@@ -144,6 +192,9 @@ type powerFile struct {
 
 func (f *powerFile) Name() string { return f.f.Name() }
 
+// private reports whether the file is still reachable only by its temp name.
+func (f *powerFile) private() bool { return f.fs.p.names[filepath.Base(f.f.Name())] == f.ino }
+
 func (f *powerFile) Write(b []byte) (int, error) {
 	n, err := f.WriteAt(b, f.off)
 	f.off += int64(n)
@@ -152,7 +203,7 @@ func (f *powerFile) Write(b []byte) (int, error) {
 
 func (f *powerFile) WriteAt(b []byte, off int64) (int, error) {
 	n := 0
-	err := f.fs.do("write", func(short bool) error {
+	err := f.fs.do("write", f.private, func(short bool) error {
 		if short {
 			b = b[:len(b)/2]
 		}
@@ -168,14 +219,14 @@ func (f *powerFile) WriteAt(b []byte, off int64) (int, error) {
 }
 
 func (f *powerFile) Sync() error {
-	return f.fs.do("sync", func(bool) error {
+	return f.fs.do("sync", f.private, func(bool) error {
 		f.ino.synced = bytes.Clone(f.ino.data)
 		return nil
 	})
 }
 
 func (f *powerFile) Truncate(size int64) error {
-	return f.fs.do("truncate", func(bool) error {
+	return f.fs.do("truncate", f.private, func(bool) error {
 		if err := f.f.Truncate(size); err != nil {
 			return err
 		}
@@ -189,7 +240,7 @@ func (f *powerFile) Truncate(size int64) error {
 }
 
 func (f *powerFile) Close() error {
-	err := f.fs.do("close", func(bool) error { return nil })
+	err := f.fs.do("close", nil, func(bool) error { return nil })
 	f.f.Close() // whatever the fault, the descriptor goes
 	return err
 }
@@ -219,12 +270,8 @@ type crashOutcome struct {
 // operation of the protocol.
 func TestPersistCrashPoints(t *testing.T) {
 	const slots, killAt, seed = 8, 3, 8
-	perSlot := make([][]task.Task, slots)
-	last := 0 // the last slot with bids
-	for _, tk := range newStack(t, slots, 2, 3, seed).tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
-		last = max(last, int(tk.Arrival))
-	}
+	tasks := newStack(t, slots, 2, 3, seed).tasks
+	perSlot, last := bySlot(t, tasks, slots), int(tasks[len(tasks)-1].Arrival) // last: the last slot with bids
 	if len(perSlot[killAt]) < 2 || len(perSlot[last]) < 2 || last <= killAt {
 		t.Fatal("workload too thin: the kill slot and the last slot need two intake messages each")
 	}
@@ -308,14 +355,8 @@ func TestPersistCrashPoints(t *testing.T) {
 		}
 
 		if o.fs.isCut() {
-			entries, _ := os.ReadDir(o.dir)
-			for _, e := range entries {
-				os.Remove(filepath.Join(o.dir, e.Name()))
-			}
-			for name, data := range o.fs.image {
-				if err := os.WriteFile(filepath.Join(o.dir, name), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if err := o.fs.restore(o.dir); err != nil {
+				t.Fatal(err)
 			}
 		}
 		fresh := newBroker()

@@ -12,50 +12,19 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pdftsp/pdftsp/internal/cluster"
-	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/faults"
-	"github.com/pdftsp/pdftsp/internal/gpu"
-	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/timeslot"
-	"github.com/pdftsp/pdftsp/internal/trace"
 	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // newFaultStack builds a stack whose scheduler masks downed/full cells —
 // outage recovery re-plans through the DP, so it must route around the
 // downed node — with a workload that exercises the vendor path.
-func newFaultStack(t *testing.T, slots, nodes int, rate float64, seed int64) *testStack {
+func newFaultStack(t testing.TB, slots, nodes int, rate float64, seed int64) *testStack {
 	t.Helper()
-	h := timeslot.NewHorizon(slots)
-	model := lora.GPT2Small()
-	tc := trace.DefaultConfig()
-	tc.Seed = seed
-	tc.Horizon = h
-	tc.RatePerSlot = rate
-	tasks, err := trace.Generate(tc)
-	if err != nil {
-		t.Fatalf("workload: %v", err)
-	}
-	specs := cluster.Uniform(nodes, gpu.A100, lora.NodeCapUnits(model, gpu.A100, h), gpu.A100.MemGB)
-	cl, err := cluster.New(cluster.Config{Horizon: h, BaseModelGB: lora.BaseMemoryGB(model)}, specs)
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	mkt, err := vendor.Standard(4, seed+7)
-	if err != nil {
-		t.Fatalf("marketplace: %v", err)
-	}
-	opts := core.CalibrateDuals(tasks, model, cl, mkt)
-	opts.MaskFullCells = true
-	sched, err := core.New(cl, opts)
-	if err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
-	return &testStack{cl: cl, sched: sched, model: model, mkt: mkt, tasks: tasks}
+	return newShardStack(t, slots, nodes, seed, shardWorkload(t, slots, rate, seed), true)
 }
 
 // faultQuotes wraps a stack's marketplace in the chaos vendor chain:

@@ -14,12 +14,12 @@ import (
 // TestOpenDerivedNames holds Open's per-broker checkpoint path, journal
 // path, run label, shard key and manifest location to the strings
 // cmd/pdftspd's serve path, cmd/pdftspd-load and the -chaos/-wal-chaos
-// harnesses each spelled out by hand at the parent commit (be61a4d),
-// recorded there: an existing -checkpoint directory must still restore.
-// Two harness strings did move and are not in the table, neither of which
-// outlives the process that wrote it: their temp-dir file names
-// (shard<i>.ckpt, fleet.manifest) and the label of a harness fleet of one
-// ("chaos/0", now "chaos").
+// harnesses (since folded into FuzzFleet) each spelled out by hand at the
+// parent commit (be61a4d), recorded there: an existing -checkpoint
+// directory must still restore. Two harness strings did move and are not
+// in the table, neither of which outlives the process that wrote it:
+// their temp-dir file names (shard<i>.ckpt, fleet.manifest) and the label
+// of a harness fleet of one ("chaos/0", now "chaos").
 func TestOpenDerivedNames(t *testing.T) {
 	type names struct{ ckpt, wal, label, key string }
 	for _, tc := range []struct {
@@ -95,10 +95,7 @@ func TestOpenDerivedNames(t *testing.T) {
 func TestResumeTable(t *testing.T) {
 	const slots, killAt = 8, 3
 	tasks := shardWorkload(t, slots, 4, 29)
-	perSlot := make([][]task.Task, slots)
-	for _, tk := range tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
-	}
+	perSlot := bySlot(t, tasks, slots)
 	decided := len(perSlot[0]) + len(perSlot[1]) + len(perSlot[2])
 	acked := len(perSlot[killAt])
 	if decided == 0 || acked == 0 {
@@ -109,7 +106,7 @@ func TestResumeTable(t *testing.T) {
 		t.Helper()
 		opts := make([]Options, n)
 		for i := range opts {
-			opts[i] = newShardStack(t, slots, 2, 29+int64(i), tasks).brokerOptions()
+			opts[i] = newShardStack(t, slots, 2, 29+int64(i), tasks, false).brokerOptions()
 			opts[i].CheckpointPath, opts[i].CheckpointFullEvery = base, fullEvery
 			if journal {
 				opts[i].WALPath = WALPath(base)

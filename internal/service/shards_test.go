@@ -20,7 +20,7 @@ import (
 )
 
 // shardWorkload generates the shared bid stream the sharded tests route.
-func shardWorkload(t *testing.T, slots int, rate float64, seed int64) []task.Task {
+func shardWorkload(t testing.TB, slots int, rate float64, seed int64) []task.Task {
 	t.Helper()
 	tc := trace.DefaultConfig()
 	tc.Seed = seed
@@ -33,10 +33,22 @@ func shardWorkload(t *testing.T, slots int, rate float64, seed int64) []task.Tas
 	return tasks
 }
 
+// bySlot splits a generated workload by arrival slot.
+func bySlot(t testing.TB, tasks []task.Task, slots int) [][]task.Task {
+	t.Helper()
+	perSlot, err := trace.BySlot(tasks, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perSlot
+}
+
 // newShardStack wires one shard: its own cluster slice, marketplace, and
-// scheduler calibrated against the full workload. Building it twice with
-// the same arguments yields a deterministic twin.
-func newShardStack(t *testing.T, slots, nodes int, seed int64, tasks []task.Task) *testStack {
+// scheduler calibrated against the full workload; mask sets the
+// scheduler's MaskFullCells, which outage recovery needs to plan around a
+// downed node. Building it twice with the same arguments yields a
+// deterministic twin.
+func newShardStack(t testing.TB, slots, nodes int, seed int64, tasks []task.Task, mask bool) *testStack {
 	t.Helper()
 	h := timeslot.NewHorizon(slots)
 	model := lora.GPT2Small()
@@ -49,7 +61,9 @@ func newShardStack(t *testing.T, slots, nodes int, seed int64, tasks []task.Task
 	if err != nil {
 		t.Fatalf("marketplace: %v", err)
 	}
-	sched, err := core.New(cl, core.CalibrateDuals(tasks, model, cl, mkt))
+	opts := core.CalibrateDuals(tasks, model, cl, mkt)
+	opts.MaskFullCells = mask
+	sched, err := core.New(cl, opts)
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
@@ -78,10 +92,7 @@ func shardDecision(t *testing.T, s Auctioneer, id int) (schedule.Decision, int, 
 // intake verdict is clean.
 func driveShards(t *testing.T, s Auctioneer, slots int, tasks []task.Task) {
 	t.Helper()
-	perSlot := make(map[int][]task.Task)
-	for _, tk := range tasks {
-		perSlot[int(tk.Arrival)] = append(perSlot[int(tk.Arrival)], tk)
-	}
+	perSlot := bySlot(t, tasks, slots)
 	for slot := 0; slot < slots; slot++ {
 		batch := perSlot[slot]
 		if len(batch) > 0 {
@@ -109,12 +120,9 @@ func TestShardCountInvariance(t *testing.T) {
 	const slots, nodes = 24, 4
 	tasks := shardWorkload(t, slots, 3, 11)
 
-	mono := newShardStack(t, slots, nodes, 11, tasks)
+	mono := newShardStack(t, slots, nodes, 11, tasks, false)
 	b := startBroker(t, mono.brokerOptions())
-	perSlot := make(map[int][]task.Task)
-	for _, tk := range tasks {
-		perSlot[int(tk.Arrival)] = append(perSlot[int(tk.Arrival)], tk)
-	}
+	perSlot := bySlot(t, tasks, slots)
 	for slot := 0; slot < slots; slot++ {
 		if batch := perSlot[slot]; len(batch) > 0 {
 			verdicts := make([]error, len(batch))
@@ -135,7 +143,7 @@ func TestShardCountInvariance(t *testing.T) {
 		t.Fatalf("mono Drain: %v", err)
 	}
 
-	routed := newShardStack(t, slots, nodes, 11, tasks)
+	routed := newShardStack(t, slots, nodes, 11, tasks, false)
 	s, err := newShards("", []Options{routed.brokerOptions()})
 	if err != nil {
 		t.Fatalf("newShards: %v", err)
@@ -187,7 +195,7 @@ func TestShardsMatchSimRunTwins(t *testing.T) {
 	mk := func() []*testStack {
 		out := make([]*testStack, shards)
 		for i := range out {
-			out[i] = newShardStack(t, slots, nodesPerShard, 17+int64(i), tasks)
+			out[i] = newShardStack(t, slots, nodesPerShard, 17+int64(i), tasks, false)
 		}
 		return out
 	}
@@ -272,7 +280,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 	mkFleet := func(ckpt bool) Auctioneer {
 		opts := make([]Options, shards)
 		for i := range opts {
-			opts[i] = newShardStack(t, slots, 2, 23+int64(i), tasks).brokerOptions()
+			opts[i] = newShardStack(t, slots, 2, 23+int64(i), tasks, false).brokerOptions()
 			if ckpt {
 				opts[i].CheckpointPath = base
 				opts[i].CheckpointEvery = 1
@@ -286,10 +294,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 		return s
 	}
 
-	perSlot := make(map[int][]task.Task)
-	for _, tk := range tasks {
-		perSlot[int(tk.Arrival)] = append(perSlot[int(tk.Arrival)], tk)
-	}
+	perSlot := bySlot(t, tasks, slots)
 	drive := func(s Auctioneer, from, to int) {
 		for slot := from; slot < to; slot++ {
 			if batch := perSlot[slot]; len(batch) > 0 {
@@ -385,7 +390,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 func TestShardRoutingRefusals(t *testing.T) {
 	const slots = 8
 	tasks := shardWorkload(t, slots, 2, 31)
-	st := newShardStack(t, slots, 2, 31, tasks)
+	st := newShardStack(t, slots, 2, 31, tasks, false)
 	s, err := newShards("", []Options{st.brokerOptions()})
 	if err != nil {
 		t.Fatalf("newShards: %v", err)

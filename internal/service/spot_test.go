@@ -14,7 +14,8 @@ import (
 // spotProviderFor builds a fresh provider over the stack's last node —
 // broker and sim twin each need their own (a provider binds to exactly
 // one cluster), built from the same seeded trace so the market is shared.
-func spotProviderFor(t *testing.T, s *testStack, seed int64, reclaimProb float64) *spot.Provider {
+// The market also reclaims the node at the start of every slot in reclaims.
+func spotProviderFor(t testing.TB, s *testStack, seed int64, reclaimProb float64, reclaims ...int) *spot.Provider {
 	t.Helper()
 	elastic := s.cl.NumNodes() - 1
 	tr, err := spot.GenerateTrace(spot.TraceConfig{
@@ -26,6 +27,9 @@ func spotProviderFor(t *testing.T, s *testStack, seed int64, reclaimProb float64
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, slot := range reclaims {
+		tr.Reclaims[slot] = []int{elastic}
 	}
 	p, err := spot.New(spot.Options{Trace: tr, Nodes: []int{elastic}, Budget: 1e6, LeaseLen: 6})
 	if err != nil {

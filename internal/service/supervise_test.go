@@ -29,26 +29,15 @@ func walSupervisor(t *testing.T, slots int, seed int64) (*Supervisor, chan int, 
 	build := func() (Auctioneer, error) {
 		s := newStack(t, slots, 2, 3, seed)
 		opts := s.brokerOptions()
-		opts.CheckpointPath = ckpt
-		opts.CheckpointEvery = 1
-		opts.WALPath = WALPath(ckpt)
+		opts.CheckpointPath, opts.CheckpointEvery, opts.WALPath = ckpt, 1, WALPath(ckpt)
 		b, err := New(opts)
+		if err == nil {
+			_, err = b.Resume()
+		}
+		if err == nil {
+			err = b.Start()
+		}
 		if err != nil {
-			return nil, err
-		}
-		if _, err := os.Stat(ckpt); err == nil {
-			ck, err := LoadCheckpoint(ckpt)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.Restore(ck); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := b.RecoverWAL(); err != nil {
-			return nil, err
-		}
-		if err := b.Start(); err != nil {
 			return nil, err
 		}
 		*stacks = append(*stacks, s)
@@ -77,8 +66,8 @@ func awaitRestart(t *testing.T, restarted chan int) {
 	}
 }
 
-// TestSupervisorAckBoundaryKill is the in-package half of the wal-chaos
-// harness: a generation is crash-stopped after acking a batch but before
+// TestSupervisorAckBoundaryKill is one fixed case of FuzzFleet's wal-chaos
+// rows: a generation is crash-stopped after acking a batch but before
 // its slot closes — twice at one slot, so the second recovery re-replays
 // an already-replayed journal — and the supervised run must finish with
 // every acked bid decided, bit-identical to a sequential sim.Run.
@@ -92,10 +81,7 @@ func TestSupervisorAckBoundaryKill(t *testing.T) {
 	defer sup.Kill()
 
 	ref := newStack(t, slots, 2, 3, seed)
-	perSlot := make([][]task.Task, slots)
-	for _, tk := range ref.tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
-	}
+	perSlot := bySlot(t, ref.tasks, slots)
 	acked := map[int]bool{}
 	for slot := 0; slot < slots; slot++ {
 		batch := perSlot[slot]
@@ -168,10 +154,7 @@ func TestSupersededBrokerRefusesPersist(t *testing.T) {
 	opts.RunLabel = "zombie-test"
 	b := startBroker(t, opts)
 
-	perSlot := make([][]task.Task, 8)
-	for _, tk := range s.tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
-	}
+	perSlot := bySlot(t, s.tasks, 8)
 	verdicts := make([]error, len(perSlot[0]))
 	if _, err := b.SubmitBatchAck(context.Background(), perSlot[0], verdicts); err != nil {
 		t.Fatal(err)
@@ -264,10 +247,7 @@ func TestSupersededAsyncCheckpointDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	perSlot := make([][]task.Task, 8)
-	for _, tk := range s.tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
-	}
+	perSlot := bySlot(t, s.tasks, 8)
 	verdicts := make([]error, len(perSlot[0]))
 	if _, err := b.SubmitBatchAck(context.Background(), perSlot[0], verdicts); err != nil {
 		t.Fatal(err)

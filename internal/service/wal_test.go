@@ -163,10 +163,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 	opts := walOptions(t, s)
 	b := startBroker(t, opts)
 
-	perSlot := make([][]task.Task, slots)
-	for _, tk := range s.tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
-	}
+	perSlot := bySlot(t, s.tasks, slots)
 	for slot := 0; slot < killAt; slot++ {
 		ackBatch(t, b, perSlot[slot])
 		if _, err := b.Step(1); err != nil {
@@ -282,10 +279,7 @@ func TestWALAppendFailureRefusesUnjournaled(t *testing.T) {
 	opts := walOptions(t, s)
 	b := startBroker(t, opts)
 
-	perSlot := make([][]task.Task, 8)
-	for _, tk := range s.tasks {
-		perSlot[tk.Arrival] = append(perSlot[tk.Arrival], tk)
-	}
+	perSlot := bySlot(t, s.tasks, 8)
 	ackBatch(t, b, perSlot[0])
 	heldBefore := len(perSlot[0])
 
