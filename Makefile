@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet trace-smoke load-smoke shard-load-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -47,7 +47,10 @@ fmt-check:
 # intake message type (submission) and one inline checkpoint and
 # decision-log writer, no user-selected background one. The last keeps
 # one way to make a file durable: outside durable.go, no non-test file
-# in internal/service creates, renames or removes a file itself.
+# in internal/service creates, renames or removes a file itself. The
+# Algorithm-2 DP keeps its speed-group form: internal/core has no per-node
+# inner loop or 16-byte cells (parentWBuf, float64Rows, candDelta), and
+# internal/cluster keeps one unit-cost row per node class, not a K×T plane.
 round-guard:
 	@if grep -nE '\.(Offer|BatchOffer|Account|Track|ApplyUpTo|AdvanceTo|OnBid|OnOutcome|OnRunStart|OnRunEnd)\(' \
 		$$(ls internal/service/*.go | grep -v _test); then \
@@ -70,6 +73,9 @@ round-guard:
 	@if grep -nE 'os\.(Rename|CreateTemp|Create|Remove|OpenFile)\(' \
 		$$(ls internal/service/*.go | grep -v _test | grep -v '/durable\.go$$'); then \
 		echo "round-guard: internal/service makes a file durable only through replaceFile (durable.go)"; exit 1; fi
+	@if grep -nE 'parentWBuf|float64Rows|candDelta' $$(ls internal/core/*.go | grep -v _test) || \
+		grep -nE 'unitCost|costBack' $$(ls internal/cluster/*.go | grep -v _test); then \
+		echo "round-guard: the DP visits one node per speed group, and unit costs are one row per node class"; exit 1; fi
 
 # recipe-guard is the mechanical form of "there is one §5.1": an auction
 # stack — node groups → cluster, the marketplace that goes with a seed,
@@ -156,15 +162,24 @@ trace-smoke:
 	$(GO) run ./cmd/experiments -fig 8 -trace /tmp/pdftsp-smoke.jsonl -audit
 	$(GO) run ./cmd/trace -check -quiet /tmp/pdftsp-smoke.jsonl
 
-# fuzz-fleet explores fleets beyond FuzzFleet's seed corpus (which
-# `make test` runs): seeded scripts of intake, steps, kills, supervised
-# crashes, torn journals, seam faults, zombie writes, fault plans and spot
-# reclaims, each diffed against sim.Run twins. A failing input is saved
-# under internal/service/testdata/fuzz/FuzzFleet and replays with
-# `go test -run 'FuzzFleet/<name>' ./internal/service/`.
+# The fuzz targets explore past their seed corpora (which `make test`
+# runs), each for FUZZTIME. A failing input is saved under the package's
+# testdata/fuzz/<target> and replays with
+# `go test -run '<target>/<name>' ./<package>/`.
+#
+# fuzz-fleet: seeded scripts of intake, steps, kills, supervised crashes,
+# torn journals, seam faults, zombie writes, fault plans and spot reclaims,
+# each diffed against sim.Run twins.
+#
+# fuzz-dp: random DP instances (seed, tie-forcing mode bits, dual bytes),
+# each plan held to the per-node reference DP: same placements, vendor
+# and surplus bits.
 FUZZTIME ?= 60s
 fuzz-fleet:
 	$(GO) test -run '^$$' -fuzz FuzzFleet -fuzztime $(FUZZTIME) ./internal/service/
+
+fuzz-dp:
+	$(GO) test -run '^$$' -fuzz FuzzFindSchedule -fuzztime $(FUZZTIME) ./internal/core/
 
 # load-smoke and shard-load-smoke drive cmd/pdftspd-load, which no test
 # covers, and are gated.

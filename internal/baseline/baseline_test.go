@@ -244,6 +244,40 @@ func TestTitanPrepTaskDelaysExecution(t *testing.T) {
 	}
 }
 
+// TestTitanGroupsByNodeClass runs Titan on two A100 nodes that differ
+// only in memory. Node 0 cannot hold the task next to the base model and
+// node 1 can, so they are two classes. Grouped by GPU name instead, both
+// nodes form one pool priced by node 0's zero speed, and the task is
+// refused.
+func TestTitanGroupsByNodeClass(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Horizon: timeslot.NewHorizon(24), BaseModelGB: 2, Price: gpu.FlatPrice(1)},
+		[]cluster.Node{{Spec: gpu.A100, CapWork: 86, CapMemGB: 24}, {Spec: gpu.A100, CapWork: 86, CapMemGB: 80}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.NumClasses() != 2 {
+		t.Fatalf("%d node classes, want 2", cl.NumClasses())
+	}
+	tk := testTask(0)
+	tk.MemGB = 30
+	env := envFor(t, tk, cl, nil)
+	if env.Speed[0] != 0 || env.Speed[1] <= 0 {
+		t.Fatalf("speeds %v, want 0 on the small node only", env.Speed)
+	}
+	d := NewTitan(TitanOptions{Seed: 1, GroupByType: true}).Offer(env)
+	if !d.Admitted {
+		t.Fatalf("Titan refused a task the large node can run: %s", d.Reason)
+	}
+	if err := d.Schedule.Validate(env); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range d.Schedule.Placements {
+		if p.Node != 1 {
+			t.Fatalf("placement %+v on the node that cannot hold the task", p)
+		}
+	}
+}
+
 func TestTitanEmptyBatch(t *testing.T) {
 	titan := NewTitan(TitanOptions{})
 	if ds := titan.BatchOffer(nil); len(ds) != 0 {

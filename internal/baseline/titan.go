@@ -3,9 +3,9 @@ package baseline
 import (
 	"math/rand"
 	"sort"
-	"strconv"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/lp"
 	"github.com/pdftsp/pdftsp/internal/milp"
 	"github.com/pdftsp/pdftsp/internal/obs"
@@ -28,10 +28,11 @@ type TitanOptions struct {
 	SolveBudget time.Duration
 	// MaxNodes caps branch-and-bound nodes per slot; 0 means 2000.
 	MaxNodes int
-	// GroupByType aggregates identical GPU nodes into one capacity pool
-	// per spec type inside the MILP, then maps placements back to
-	// concrete nodes first-fit. Keeps the MILP size independent of the
-	// cluster size. Default true.
+	// GroupByType aggregates identical nodes into one capacity pool per
+	// node class (cluster.Class: same GPU spec and capacities, hence the
+	// same speed and unit energy cost) inside the MILP, then maps
+	// placements back to concrete nodes first-fit. Keeps the MILP size
+	// independent of the cluster size. Default true.
 	GroupByType bool
 	// MaxBatch splits oversized arrival bursts into sequential MILPs of
 	// at most this many tasks (each chunk sees the previous chunks'
@@ -84,12 +85,13 @@ func (t *Titan) Offer(env *schedule.TaskEnv) schedule.Decision {
 	return t.BatchOffer([]*schedule.TaskEnv{env})[0]
 }
 
-// groupKey buckets nodes: by GPU type when aggregating, else by node ID.
-func (t *Titan) groupKey(env *schedule.TaskEnv, k int) string {
+// groupKey buckets nodes: by node class when aggregating, else by node
+// ID.
+func (t *Titan) groupKey(cl *cluster.Cluster, k int) int {
 	if t.opts.GroupByType {
-		return env.Cluster.Node(k).Spec.Name
+		return cl.Class(k)
 	}
-	return strconv.Itoa(k)
+	return k
 }
 
 // BatchOffer plans all the slot's arrivals with one MILP and commits the
@@ -135,18 +137,17 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 
 	// Node groups with per-slot remaining capacity.
 	type group struct {
-		name  string
 		nodes []int
 	}
-	groupIdx := map[string]int{}
+	groupIdx := map[int]int{}
 	var groups []group
 	for k := 0; k < cl.NumNodes(); k++ {
-		key := t.groupKey(envs[0], k)
+		key := t.groupKey(cl, k)
 		gi, ok := groupIdx[key]
 		if !ok {
 			gi = len(groups)
 			groupIdx[key] = gi
-			groups = append(groups, group{name: key})
+			groups = append(groups, group{})
 		}
 		groups[gi].nodes = append(groups[gi].nodes, k)
 	}

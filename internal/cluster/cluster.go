@@ -39,7 +39,9 @@ type Cluster struct {
 	usedWork [][]int
 	usedMem  [][]float64
 	tasksOn  [][]int // number of distinct task-slots committed (for NTM and reporting)
-	unitCost [][]float64
+	// classes holds the node classes and their unit energy costs. It is
+	// immutable after New, so clones share it.
+	classes *classTable
 	// workBack/memBack/cntBack are the flat K×T backing arrays behind the
 	// ledger rows; Reset clears them in three calls instead of a per-cell
 	// loop so pooled clusters are cheap to recycle.
@@ -62,6 +64,18 @@ type Cluster struct {
 	// Commit, SetDown, and EndLease only shrink availability, so caches
 	// that skip known-full cells stay conservative across them.
 	gen uint64
+}
+
+// classTable groups nodes into classes: nodes with equal (Spec, CapWork,
+// CapMemGB) have equal throughputs s_ik for every task and equal unit
+// energy costs, so one row per class replaces one row per node.
+type classTable struct {
+	// of[k] is node k's class; classes are numbered in order of first
+	// appearance, so node 0 is in class 0.
+	of []uint16
+	// cost[c][t] is the cost per work unit on any node of class c at
+	// slot t.
+	cost [][]float64
 }
 
 // Config configures a new cluster.
@@ -90,6 +104,11 @@ func New(cfg Config, nodes []Node) (*Cluster, error) {
 	}
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
+	}
+	if len(nodes) > math.MaxUint16 {
+		// Node classes and the scheduler's DP parents index nodes as
+		// uint16.
+		return nil, fmt.Errorf("cluster: %d nodes exceed %d", len(nodes), math.MaxUint16)
 	}
 	if cfg.BaseModelGB < 0 {
 		return nil, fmt.Errorf("cluster: negative base model size %v", cfg.BaseModelGB)
@@ -122,25 +141,48 @@ func New(cfg Config, nodes []Node) (*Cluster, error) {
 	c.usedWork = make([][]int, K)
 	c.usedMem = make([][]float64, K)
 	c.tasksOn = make([][]int, K)
-	c.unitCost = make([][]float64, K)
 	c.workBack = make([]int, K*T)
 	c.memBack = make([]float64, K*T)
 	c.cntBack = make([]int, K*T)
 	workBack, memBack, cntBack := c.workBack, c.memBack, c.cntBack
-	costBack := make([]float64, K*T)
 	for k := 0; k < K; k++ {
 		c.usedWork[k], workBack = workBack[:T:T], workBack[T:]
 		c.usedMem[k], memBack = memBack[:T:T], memBack[T:]
 		c.tasksOn[k], cntBack = cntBack[:T:T], cntBack[T:]
-		c.unitCost[k], costBack = costBack[:T:T], costBack[T:]
-		for t := 0; t < T; t++ {
-			// e_ikt = (s_ik / C_kp) * hourlyRate * mult(t) * slot hours
-			//       = s_ik * unitCost[k][t].
-			c.unitCost[k][t] = gpu.OpCostPerSlot(c.nodes[k].Spec, price, cfg.Horizon, t) /
-				float64(c.nodes[k].CapWork)
-		}
 	}
+	c.classes = newClassTable(c.nodes, price, cfg.Horizon)
 	return c, nil
+}
+
+// newClassTable assigns every node its class and prices one unit-cost
+// row per class.
+func newClassTable(nodes []Node, price gpu.PriceCurve, h timeslot.Horizon) *classTable {
+	// classKey is what a class shares; a NaN field never compares equal,
+	// so such a node is a class of its own.
+	type classKey struct {
+		spec    gpu.Spec
+		capWork int
+		capMem  float64
+	}
+	ct := &classTable{of: make([]uint16, len(nodes))}
+	index := make(map[classKey]uint16)
+	for k, n := range nodes {
+		key := classKey{n.Spec, n.CapWork, n.CapMemGB}
+		c, ok := index[key]
+		if !ok {
+			c = uint16(len(ct.cost))
+			index[key] = c
+			row := make([]float64, h.T)
+			for t := range row {
+				// e_ikt = (s_ik / C_kp) * hourlyRate * mult(t) * slot hours
+				//       = s_ik * cost[class(k)][t].
+				row[t] = gpu.OpCostPerSlot(n.Spec, price, h, t) / float64(n.CapWork)
+			}
+			ct.cost = append(ct.cost, row)
+		}
+		ct.of[k] = c
+	}
+	return ct
 }
 
 // Uniform builds n identical nodes with the given spec and capacities.
@@ -175,14 +217,28 @@ func (c *Cluster) BaseModelGB() float64 { return c.baseGB }
 // C_km − r_b per constraint (4g).
 func (c *Cluster) TaskMemCap(k int) float64 { return c.nodes[k].CapMemGB - c.baseGB }
 
+// Class returns node k's class. Nodes of one class have the same GPU spec
+// and capacities, hence the same throughput s_ik for every task and the
+// same unit energy costs. Classes are numbered 0..NumClasses()-1 in order
+// of their first node.
+func (c *Cluster) Class(k int) int { return int(c.classes.of[k]) }
+
+// NumClasses returns the number of distinct node classes.
+func (c *Cluster) NumClasses() int { return len(c.classes.cost) }
+
 // UnitEnergyCost returns the dollar cost per work unit on node k at slot t.
 // Executing s_ik units costs s_ik times this value, the paper's e_ikt.
-func (c *Cluster) UnitEnergyCost(k, t int) float64 { return c.unitCost[k][t] }
+func (c *Cluster) UnitEnergyCost(k, t int) float64 { return c.UnitCosts(k)[t] }
+
+// UnitCosts returns node k's unit energy costs over the horizon: index t
+// holds UnitEnergyCost(k, t). The row is shared by every node of k's
+// class and by every clone, so callers read it and never write it.
+func (c *Cluster) UnitCosts(k int) []float64 { return c.classes.cost[c.classes.of[k]] }
 
 // EnergyCost returns e_ikt for a task running at work units per slot on
 // node k at slot t.
 func (c *Cluster) EnergyCost(k, t, workUnits int) float64 {
-	return float64(workUnits) * c.unitCost[k][t]
+	return float64(workUnits) * c.UnitCosts(k)[t]
 }
 
 // UsedWork returns the committed work units on node k at slot t.
@@ -372,12 +428,12 @@ func (c *Cluster) Clone() *Cluster {
 		nodes:   make([]Node, K),
 		horizon: c.horizon,
 		baseGB:  c.baseGB,
+		classes: c.classes,
 	}
 	copy(out.nodes, c.nodes)
 	out.usedWork = make([][]int, K)
 	out.usedMem = make([][]float64, K)
 	out.tasksOn = make([][]int, K)
-	out.unitCost = make([][]float64, K)
 	out.workBack = make([]int, K*T)
 	out.memBack = make([]float64, K*T)
 	out.cntBack = make([]int, K*T)
@@ -389,7 +445,6 @@ func (c *Cluster) Clone() *Cluster {
 		copy(out.usedWork[k], c.usedWork[k])
 		copy(out.usedMem[k], c.usedMem[k])
 		copy(out.tasksOn[k], c.tasksOn[k])
-		out.unitCost[k] = append(make([]float64, 0, T), c.unitCost[k]...)
 	}
 	if c.down != nil {
 		out.down = make([][]bool, K)

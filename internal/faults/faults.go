@@ -66,12 +66,16 @@ type Plan struct {
 	Outages    []Outage          `json:"outages,omitempty"`
 	Vendor     []VendorFault     `json:"vendor,omitempty"`
 	Checkpoint []CheckpointFault `json:"checkpoint,omitempty"`
-	// Kills lists slots after whose close the chaos harness crash-stops
-	// the broker (no final checkpoint, no RunEnd) and restores a fresh
-	// one from the last persisted checkpoint.
+	// Kills lists slots after whose close a runner may crash-stop the
+	// broker (no final checkpoint, no RunEnd) and restore a fresh one
+	// from the last persisted checkpoint.
 	Kills []int `json:"kills,omitempty"`
-	// Stalls lists slots before whose close the harness freezes the
+	// Stalls lists slots before whose close a runner may freeze the
 	// clock while traffic and health probes keep arriving.
+	//
+	// No runner in this repository reads Kills or Stalls: FuzzFleet's
+	// script places its own kills and stalls. They stay in the plan so
+	// that a seed keeps drawing the same outages and windows.
 	Stalls []int `json:"stalls,omitempty"`
 }
 
@@ -136,8 +140,8 @@ func (p *Plan) CheckpointFaultAt(t int) bool {
 }
 
 // Generate draws a randomized-but-seeded fault plan for a deployment
-// shape. The same (seed, shape) always yields the same plan, so a chaos
-// run is reproducible end to end. The drawn schedule always contains at
+// shape. The same (seed, shape) always yields the same plan, so a
+// faulted run is reproducible end to end. The drawn schedule always contains at
 // least one node outage with a kill inside its window (the
 // kill-mid-outage resume case), one transient and one hard marketplace
 // window, one per-vendor drop when the marketplace has more than one

@@ -62,7 +62,8 @@ type TaskEnv struct {
 	// whoever keeps quotes longer copies them.
 	Quotes []vendor.Quote
 
-	quoteBuf []vendor.Quote
+	quoteBuf   []vendor.Quote
+	classSpeed []int // Refill's per-class s_ik scratch
 }
 
 // NewTaskEnv derives the environment for a task: per-node throughputs from
@@ -86,13 +87,28 @@ func (env *TaskEnv) Refill(t *task.Task, cl *cluster.Cluster, model lora.ModelCo
 		env.Speed = make([]int, n)
 	}
 	env.Speed = env.Speed[:n]
+	// s_ik is a function of node k's class: derive it once per class and
+	// fan it out. classSpeed[c] is -1 until class c's first node is seen.
+	nc := cl.NumClasses()
+	if cap(env.classSpeed) < nc {
+		env.classSpeed = make([]int, nc)
+	}
+	classSpeed := env.classSpeed[:nc]
+	for c := range classSpeed {
+		classSpeed[c] = -1
+	}
 	h := cl.Horizon()
 	for k := 0; k < n; k++ {
-		s := lora.TaskUnitsPerSlot(model, cl.Node(k).Spec, int(t.Batch), h)
-		// A task whose memory footprint cannot fit next to the base
-		// model can never run on this node.
-		if t.MemGB > cl.TaskMemCap(k) {
-			s = 0
+		c := cl.Class(k)
+		s := classSpeed[c]
+		if s < 0 {
+			s = lora.TaskUnitsPerSlot(model, cl.Node(k).Spec, int(t.Batch), h)
+			// A task whose memory footprint cannot fit next to the base
+			// model can never run on this node.
+			if t.MemGB > cl.TaskMemCap(k) {
+				s = 0
+			}
+			classSpeed[c] = s
 		}
 		env.Speed[k] = s
 	}

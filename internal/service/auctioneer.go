@@ -14,12 +14,12 @@ import (
 
 // Auctioneer is the serving API — the one surface a monolithic Broker
 // and a sharded fleet (Shards) both implement. Everything above the
-// service layer (cmd/pdftspd's serve/chaos/verify loops, the load
-// generator, the spot tier's operators) programs against this interface
-// and never branches on the fleet shape: a fleet of one and a fleet of
-// many are opened (Open), resumed (Resume), checked against their twins
-// (DiffTwins), and submit, step, drain, checkpoint, and report
-// identically.
+// service layer (cmd/pdftspd, the load generator and its verify twins,
+// the spot tier's operators, the FuzzFleet explorer) programs against
+// this interface and never branches on the fleet shape: a fleet of one
+// and a fleet of many are opened (Open), resumed (Resume), checked
+// against their twins (DiffTwins), and submit, step, drain, checkpoint,
+// and report identically.
 //
 // The contract follows Broker's semantics exactly; Shards adds routing
 // (a bid lands on the shard with the best dual-price surplus) but keeps
@@ -60,8 +60,9 @@ type Auctioneer interface {
 	Health() Health
 
 	// Brokers exposes the fleet members — length 1 for a monolithic
-	// broker — for callers that need per-shard state (chaos harnesses,
-	// per-shard sim.Run verify twins, post-drain Result inspection).
+	// broker — for callers that need per-shard state (the fleet
+	// explorer's kills, per-shard sim.Run verify twins, post-drain
+	// Result inspection).
 	Brokers() []*Broker
 
 	// Handler serves the /v1 HTTP API (http.go); both implementations

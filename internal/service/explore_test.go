@@ -71,7 +71,8 @@ var fleetSeamModes = map[byte]string{'F': "fail", 'W': "short", 'P': "cut", 'Z':
 
 // fleetCorpus is FuzzFleet's seed corpus, seed#0 onward in this order:
 // the nine rows of the retired pdftspd self-tests, then one input aimed at
-// each journal and checkpoint fix that has a seam-level form.
+// each journal and checkpoint fix that has a seam-level form, then inputs
+// the fuzzer found.
 var fleetCorpus = []struct {
 	name   string
 	seed   int64
@@ -88,6 +89,10 @@ var fleetCorpus = []struct {
 	{"wal-chaos-1", 1, fleetJournal | fleetSupervised | fleetDeltas, "dxsssssaxssssssexxssssssgtxs"},
 	{"wal-chaos-7-shards-2", 7, 1 | fleetJournal | fleetSupervised | fleetDeltas, "dxsssssaxssssssfxxssssssdtxs"},
 	{"seam-1", 1, fleetJournal | fleetDeltas, "sssW\x00dkssdP\x00ssdF\x00sksdZ\x00ssstkss"},
+	// A supervised sharded fleet whose checkpoint writes failed resumes
+	// behind its clock, and the supervisor retries a blocking bid that a
+	// shard's journal already replayed: it must go back to that shard.
+	{"retry-owner-shard", 7, 207, "dWsssssaxssssssfLxsssssssd\x92(s"},
 }
 
 const (

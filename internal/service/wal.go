@@ -15,7 +15,7 @@ import (
 // intake ack, so an acked bid survives a process death between ack and
 // slot close — the gap the checkpoint chain deliberately leaves open
 // (decisions persist at slot close; held bids used to die with the
-// process). The contract the supervisor and the chaos harness verify:
+// process). The contract the supervisor keeps and FuzzFleet checks:
 // every acked bid is either decided in the persisted checkpoint chain or
 // replayable from the journal's valid prefix.
 //
@@ -415,7 +415,7 @@ func walRecords(data []byte, label string) []task.Task {
 // ReadWAL reads the valid prefix of the journal at path for the given
 // run label — the bids acked but not covered by any persisted
 // checkpoint. A missing file holds none. Exported for tooling and the
-// chaos harness's acked-bid audits; brokers recover through RecoverWAL.
+// fleet explorer's acked-bid audits; brokers recover through RecoverWAL.
 func ReadWAL(path, label string) []task.Task {
 	data, _ := os.ReadFile(path)
 	return walRecords(data, label)
