@@ -496,6 +496,84 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 	}
 }
 
+// TestOtherVersionRefused bumps the version byte of a run's own delta
+// sidecar, then of its journal, and wants ErrFormatVersion from every
+// reader that restores through them. Read as absent, the sidecar restored
+// slot 9 with 71 decisions and no error where the intact chain holds slot
+// 12 with 86, and the journal, rotated at each persist, could not give
+// the 15 bids decided in between back; a journal read as absent loses
+// every bid acked since the last persist.
+func TestOtherVersionRefused(t *testing.T) {
+	const slots, killAt = 24, 12 // full snapshot at 9, deltas at 10..12
+	path := filepath.Join(t.TempDir(), "version.ckpt")
+	options := func() Options {
+		s := newFaultStack(t, slots, 3, 6, 37)
+		opts := s.brokerOptions()
+		opts.CheckpointPath, opts.CheckpointFullEvery, opts.WALPath = path, 4, WALPath(path)
+		opts.RunLabel = "version"
+		opts.Failures = []sim.Failure{{Node: 2, From: 4, To: 6}, {Node: 2, From: 10, To: 14}}
+		opts.Spot = spotProviderFor(t, s, 5, 0.25)
+		return opts
+	}
+	opts := options()
+	b := startBroker(t, opts)
+	perSlot := bySlot(t, newFaultStack(t, slots, 3, 6, 37).tasks, slots)
+	for s := 0; s <= killAt; s++ {
+		if _, err := b.SubmitBatchAck(context.Background(), perSlot[s], make([]error, len(perSlot[s]))); err != nil {
+			t.Fatal(err)
+		}
+		if s < killAt {
+			if _, err := b.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	b.Kill()
+	ck, err := LoadCheckpoint(path)
+	if err != nil || ck.Slot != killAt || ck.Decisions.Len() != 86 {
+		t.Fatalf("intact chain: %v", err)
+	}
+	if acked := len(ReadWAL(opts.WALPath, opts.RunLabel)); acked != len(perSlot[killAt]) || acked == 0 {
+		t.Fatalf("journal holds %d bids, want slot %d's %d", acked, killAt, len(perSlot[killAt]))
+	}
+
+	for _, file := range []struct {
+		name, path string
+		version    int // offset of the version byte
+	}{
+		{"sidecar", DeltaPath(path), len(deltaMagic)},
+		{"journal", opts.WALPath, len(walMagic)},
+	} {
+		t.Run(file.name, func(t *testing.T) {
+			intact, err := os.ReadFile(file.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer os.WriteFile(file.path, intact, 0o644)
+			bumped := bytes.Clone(intact)
+			bumped[file.version]++
+			if err := os.WriteFile(file.path, bumped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if file.name == "sidecar" {
+				if ck, err := LoadCheckpoint(path); !errors.Is(err, ErrFormatVersion) {
+					t.Errorf("LoadCheckpoint of a bumped sidecar: %v", err)
+					if err == nil {
+						t.Errorf("restored slot %d with %d decisions", ck.Slot, ck.Decisions.Len())
+					}
+				}
+			}
+			nb, err := New(options())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := nb.Resume(); !errors.Is(err, ErrFormatVersion) {
+				t.Fatalf("Resume over a bumped %s: %+v, %v", file.name, rep, err)
+			}
+		})
+	}
+}
+
 // TestBatchHTTPUnknownFieldTolerated pins the documented strictness
 // trade-off of the pooled batch decoder: the single-bid endpoint rejects
 // unknown fields, the batch endpoint tolerates them.

@@ -457,7 +457,8 @@ func FuzzFramedPrefix(f *testing.F) {
 		records []string
 	}
 	decode := func(data []byte, ck *Checkpoint) decoded {
-		d := decoded{tasks: walRecords(data, opts.RunLabel)}
+		var d decoded
+		d.tasks, _ = walRecords(data, opts.RunLabel)
 		_ = framedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC), func(p []byte) error {
 			if err := applyDeltaRecord(ck, p); err != nil {
 				return err

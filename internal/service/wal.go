@@ -41,7 +41,8 @@ import (
 // it stays O(one checkpoint interval); opening it is a rotation with no
 // chunks, recovery's reseed a rotation of the survivors. Replay
 // (RecoverWAL) reads the valid prefix — torn or corrupt tails degrade to
-// the last intact record, never error, matching LoadCheckpoint — and
+// the last intact record, matching LoadCheckpoint; only a journal of
+// another format version is refused (ErrFormatVersion) — and
 // re-holds each surviving bid idempotently: IDs already in the restored
 // decision map and arrivals behind the restored clock are skipped, so
 // nothing is double-offered.
@@ -392,11 +393,11 @@ func (b *Broker) rotateWAL(covered int) {
 
 // walRecords decodes a journal's valid prefix: every intact record up to
 // the first torn or corrupt frame. A foreign or truncated header or a
-// run-label mismatch degrades to "no records" — the journal never makes a
-// restore fail, matching LoadCheckpoint.
-func walRecords(data []byte, label string) []task.Task {
+// run-label mismatch degrades to "no records"; only this run's journal in
+// another format version fails, with ErrFormatVersion.
+func walRecords(data []byte, label string) ([]task.Task, error) {
 	var tasks []task.Task
-	_ = framedPrefix(data, walMagic, walVersion, func(r *binReader) bool {
+	err := framedPrefix(data, walMagic, walVersion, func(r *binReader) bool {
 		_ = r.int() // header slot: informational; staleness is judged per record
 		return r.str() == label
 	}, func(payload []byte) error {
@@ -409,16 +410,21 @@ func walRecords(data []byte, label string) []task.Task {
 		}
 		return r.err
 	})
-	return tasks
+	if errors.Is(err, ErrFormatVersion) {
+		return nil, err
+	}
+	return tasks, nil
 }
 
 // ReadWAL reads the valid prefix of the journal at path for the given
 // run label — the bids acked but not covered by any persisted
-// checkpoint. A missing file holds none. Exported for tooling and the
-// fleet explorer's acked-bid audits; brokers recover through RecoverWAL.
+// checkpoint. A missing file holds none, and so does one RecoverWAL
+// refuses. Exported for tooling and the fleet explorer's acked-bid
+// audits; brokers recover through RecoverWAL.
 func ReadWAL(path, label string) []task.Task {
 	data, _ := os.ReadFile(path)
-	return walRecords(data, label)
+	tasks, _ := walRecords(data, label)
+	return tasks
 }
 
 // RecoverWAL replays the journal at Options.WALPath into the broker:
@@ -442,7 +448,11 @@ func (b *Broker) RecoverWAL() (int, error) {
 	if b.opts.WALPath == "" {
 		return 0, nil
 	}
-	tasks := ReadWAL(b.opts.WALPath, b.opts.RunLabel)
+	data, _ := os.ReadFile(b.opts.WALPath)
+	tasks, err := walRecords(data, b.opts.RunLabel)
+	if err != nil {
+		return 0, fmt.Errorf("service: journal %s: %w", b.opts.WALPath, err)
+	}
 	replayed := 0
 	for i := range tasks {
 		t := tasks[i]
