@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,17 @@ fleet-guard:
 	@if grep -nE '"github.com/pdftsp/pdftsp/internal/(sim|faults|trace)"' $$(ls cmd/pdftspd/*.go | grep -v _test); then \
 		echo "fleet-guard: cmd/pdftspd serves; its self-tests are FuzzFleet in internal/service"; exit 1; fi
 
+# deps-guard is the mechanical form of "the daemon links what it serves":
+# a serving binary runs the auction, so nothing pdftspd or pdftspd-load
+# links, however indirectly, may be the micro-trainer (train, tensor), a
+# comparison baseline (baseline) or the MILP stack under Titan and the
+# offline optimum (lp, milp, offline). The baseline switch lives on the
+# figure side, in internal/experiments; internal/config wires only the
+# pdFTSP family.
+deps-guard:
+	@if $(GO) list -deps ./cmd/pdftspd ./cmd/pdftspd-load | grep -E '/internal/(train|tensor|lp|milp|offline|baseline)$$'; then \
+		echo "deps-guard: a serving binary links the trainer, a baseline or the MILP stack"; exit 1; fi
+
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
 benchmark-selftest:
@@ -198,4 +209,4 @@ load-smoke:
 shard-load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -shards 2 -verify
 
-check: build vet fmt-check round-guard recipe-guard fleet-guard test benchmark-selftest race load-smoke shard-load-smoke
+check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard test benchmark-selftest race load-smoke shard-load-smoke

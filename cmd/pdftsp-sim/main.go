@@ -17,12 +17,14 @@ import (
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/config"
+	"github.com/pdftsp/pdftsp/internal/experiments"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/report"
 	"github.com/pdftsp/pdftsp/internal/sim"
+	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
 )
@@ -42,7 +44,6 @@ func run(args []string, stdout io.Writer) error {
 	c := config.Default()
 	c.StackFlags(fs, 8, "hybrid")
 	fs.StringVar(&c.Algorithm.Name, "algo", c.Algorithm.Name, "scheduler: pdftsp, pdftsp-adaptive, titan, eft, ntm")
-	fs.BoolVar(&c.Execute, "execute", false, "run a scaled-down multi-LoRA training batch for admitted tasks")
 	cfgPath := fs.String("config", "", "JSON config file (replaces the stack flags above)")
 	writeCfg := fs.Bool("writeconfig", false, "print the JSON config the flags describe and exit")
 	workloadPath := fs.String("workload", "", "replay a JSON workload from cmd/tracegen instead of generating one")
@@ -95,13 +96,15 @@ func run(args []string, stdout io.Writer) error {
 	}
 	observer := obs.Multi(observers...)
 
-	var b *config.Built
-	var err error
-	if *workloadPath != "" {
-		b, err = wireReplay(c, *workloadPath)
-	} else {
-		b, err = c.Build()
+	tasks, err := workload(c, *workloadPath)
+	if err != nil {
+		return err
 	}
+	// A baseline comes from the figure side's switch, which no serving
+	// binary links; for any other name sched is nil and config builds it.
+	budget := time.Duration(c.Algorithm.TitanBudgetMS) * time.Millisecond
+	sched, _ := experiments.Baseline(c.Algorithm.Name, c.Seed, budget, 0)
+	b, err := c.WireWith(tasks, sched)
 	if err != nil {
 		return err
 	}
@@ -124,8 +127,11 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// wireReplay wires the configured stack against a saved workload.
-func wireReplay(c config.Config, path string) (*config.Built, error) {
+// workload is the bid stream c generates, or the saved one at path.
+func workload(c config.Config, path string) ([]task.Task, error) {
+	if path == "" {
+		return c.Generate()
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
@@ -135,11 +141,7 @@ func wireReplay(c config.Config, path string) (*config.Built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	stacks, err := c.Wire(tasks, 1)
-	if err != nil {
-		return nil, err
-	}
-	return stacks[0], nil
+	return tasks, nil
 }
 
 // runAndReport executes the simulation and prints the accounting.
@@ -177,10 +179,6 @@ func runAndReport(b *config.Built, stdout io.Writer) error {
 	fmt.Fprint(stdout, report.KV("pdftsp-sim result", keys, vals))
 	if len(res.RejectReasons) > 0 {
 		fmt.Fprintf(stdout, "  rejections: %v\n", res.RejectReasons)
-	}
-	if b.SimConfig.Execute {
-		fmt.Fprintf(stdout, "  micro-training loss: %.4f -> %.4f (multi-LoRA shared base verified)\n",
-			res.TrainLossEarly, res.TrainLossLate)
 	}
 	return nil
 }

@@ -99,21 +99,43 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestBuildEveryAlgorithm: every name Validate accepts either builds and
+// runs (the pdFTSP family) or is refused, never wired with a nil
+// scheduler, unless the figure side hands WireWith one.
 func TestBuildEveryAlgorithm(t *testing.T) {
 	for _, algo := range []string{"pdftsp", "pdftsp-adaptive", "titan", "eft", "ntm"} {
 		c := Default()
 		c.Slots = 12
 		c.Workload.RatePerSlot = 1
 		c.Algorithm.Name = algo
-		c.Algorithm.TitanBudgetMS = 20
 		b, err := c.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+		if strings.HasPrefix(algo, "pdftsp") {
+			if err != nil {
+				t.Fatalf("%s: %v", algo, err)
+			}
+			if _, err := sim.Run(b.Cluster, b.Scheduler, b.Tasks, b.SimConfig); err != nil {
+				t.Fatalf("%s run: %v", algo, err)
+			}
+			continue
 		}
-		if _, err := sim.Run(b.Cluster, b.Scheduler, b.Tasks, b.SimConfig); err != nil {
-			t.Fatalf("%s run: %v", algo, err)
+		if b != nil || !isBaselineRefusal(err) {
+			t.Fatalf("%s: Build gave %+v, %v; want a baseline refusal", algo, b, err)
+		}
+		if stacks, err := c.BuildShards(2); stacks != nil || !isBaselineRefusal(err) {
+			t.Fatalf("%s: BuildShards gave %d stacks, %v; want a baseline refusal", algo, len(stacks), err)
+		}
+		tasks, err := c.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := c.WireWith(tasks, nil); b != nil || !isBaselineRefusal(err) {
+			t.Fatalf("%s: WireWith without a scheduler gave %+v, %v; want a baseline refusal", algo, b, err)
 		}
 	}
+}
+
+func isBaselineRefusal(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "is a baseline")
 }
 
 func TestDefaultsApplied(t *testing.T) {

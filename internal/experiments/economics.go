@@ -147,9 +147,7 @@ func (p Profile) FigRationality() (*RationalityResult, error) {
 		return nil, err
 	}
 	defer releaseCluster(p.Horizon, p.nodes(100), Hybrid, tc.Model, cl)
-	rOpts := core.CalibrateDuals(tasks, tc.Model, cl, mkt)
-	rOpts.ReusePlans = true // sim.Run deep-copies into res.Decisions
-	sched, err := core.New(cl, rOpts)
+	sched, err := p.scheduler("pdFTSP", tasks, tc.Model, cl, mkt)
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
+	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // Profile scales the paper's experiment sizes.
@@ -152,6 +153,35 @@ func buildCluster(h timeslot.Horizon, k int, mix Mix, model lora.ModelConfig) (*
 // Algos is the figure-standard algorithm order.
 var Algos = []string{"pdFTSP", "Titan", "EFT", "NTM"}
 
+// Baseline returns the comparison scheduler "titan", "eft" or "ntm" names
+// in any case (Algos, pdftsp-sim -algo); budget and maxNodes bound Titan's
+// per-slot MILP, 0 keeping its defaults. It is the one name → baseline
+// switch, on the figure side so that no serving binary links a baseline.
+func Baseline(name string, seed int64, budget time.Duration, maxNodes int) (sim.Scheduler, error) {
+	switch strings.ToLower(name) {
+	case "titan":
+		return baseline.NewTitan(baseline.TitanOptions{Seed: seed, SolveBudget: budget, MaxNodes: maxNodes}), nil
+	case "eft":
+		return baseline.NewEFT(), nil
+	case "ntm":
+		return baseline.NewNTM(seed), nil
+	}
+	return nil, fmt.Errorf("experiments: unknown baseline %q", name)
+}
+
+// scheduler builds one of Algos on cl: pdFTSP calibrated on the workload,
+// or a baseline under the profile's seed and Titan bounds.
+func (p Profile) scheduler(name string, tasks []task.Task, model lora.ModelConfig, cl *cluster.Cluster, mkt *vendor.Marketplace) (sim.Scheduler, error) {
+	if name != "pdFTSP" {
+		return Baseline(name, p.Seed, p.TitanBudget, p.TitanNodes)
+	}
+	opts := core.CalibrateDuals(tasks, model, cl, mkt)
+	// The engine never retains a Decision past the next offer
+	// (CollectDecisions deep-copies), so plan buffers recycle.
+	opts.ReusePlans = true
+	return core.New(cl, opts)
+}
+
 // setting is one bar group: a cluster recipe plus a workload.
 type setting struct {
 	label   string
@@ -189,23 +219,9 @@ func (p Profile) runSetting(s setting) (map[string]*sim.Result, error) {
 			return nil, err
 		}
 		defer releaseCluster(p.Horizon, s.nodes, s.mix, model, cl)
-		var sched sim.Scheduler
-		switch name {
-		case "pdFTSP":
-			opts := core.CalibrateDuals(tasks, model, cl, mkt)
-			// The engine never retains a Decision past the next offer
-			// (CollectDecisions deep-copies), so plan buffers recycle.
-			opts.ReusePlans = true
-			sched, err = core.New(cl, opts)
-			if err != nil {
-				return nil, err
-			}
-		case "Titan":
-			sched = baseline.NewTitan(baseline.TitanOptions{Seed: p.Seed, SolveBudget: p.TitanBudget, MaxNodes: p.TitanNodes})
-		case "EFT":
-			sched = baseline.NewEFT()
-		case "NTM":
-			sched = baseline.NewNTM(p.Seed)
+		sched, err := p.scheduler(name, tasks, model, cl, mkt)
+		if err != nil {
+			return nil, err
 		}
 		runLabel := s.run
 		if runLabel == "" {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/config"
-	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/milp"
 	"github.com/pdftsp/pdftsp/internal/offline"
@@ -113,9 +112,7 @@ func (p Profile) FigRatio(opts RatioOptions) (*RatioResult, error) {
 			return ratioCell{}, err
 		}
 		defer releaseCluster(h, opts.Nodes, Hybrid, tc.Model, onCl)
-		onOpts := core.CalibrateDuals(tasks, tc.Model, onCl, mkt)
-		onOpts.ReusePlans = true
-		sched, err := core.New(onCl, onOpts)
+		sched, err := p.scheduler("pdFTSP", tasks, tc.Model, onCl, mkt)
 		if err != nil {
 			return ratioCell{}, err
 		}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/pdftsp/pdftsp/internal/baseline"
-	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/config"
-	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/report"
 	"github.com/pdftsp/pdftsp/internal/runner"
@@ -73,30 +70,18 @@ func (p Profile) FigRuntime() (*RuntimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	collect := func(mk func(cl *cluster.Cluster) (sim.Scheduler, error)) (*sim.Result, error) {
+	branches, err := runner.MapCtx(p.ctx(), p.workers(), 2, func(i int) (*sim.Result, error) {
 		cl, err := acquireCluster(p.Horizon, p.nodes(100), Hybrid, tc.Model)
 		if err != nil {
 			return nil, err
 		}
 		defer releaseCluster(p.Horizon, p.nodes(100), Hybrid, tc.Model, cl)
-		sched, err := mk(cl)
+		sched, err := p.scheduler([]string{"pdFTSP", "Titan"}[i], tasks, tc.Model, cl, mkt)
 		if err != nil {
 			return nil, err
 		}
 		return sim.Run(cl, sched, tasks, sim.Config{Model: tc.Model, Market: mkt,
 			Observer: p.Observer, RunLabel: "fig13"})
-	}
-	branches, err := runner.MapCtx(p.ctx(), p.workers(), 2, func(i int) (*sim.Result, error) {
-		if i == 0 {
-			return collect(func(cl *cluster.Cluster) (sim.Scheduler, error) {
-				opts := core.CalibrateDuals(tasks, tc.Model, cl, mkt)
-				opts.ReusePlans = true
-				return core.New(cl, opts)
-			})
-		}
-		return collect(func(cl *cluster.Cluster) (sim.Scheduler, error) {
-			return baseline.NewTitan(baseline.TitanOptions{Seed: p.Seed, SolveBudget: p.TitanBudget, MaxNodes: p.TitanNodes}), nil
-		})
 	})
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
@@ -16,7 +15,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/train"
 	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
@@ -49,10 +47,6 @@ type Config struct {
 	// Market is the labor-vendor marketplace; nil only if no task needs
 	// pre-processing.
 	Market *vendor.Marketplace
-	// Execute, when set, really trains a scaled-down multi-LoRA batch
-	// for a sample of admitted tasks at the end of the run, exercising
-	// the weight-sharing substrate (internal/train).
-	Execute bool
 	// CollectDecisions keeps every Decision in the result (memory-heavy
 	// for large workloads; required by the pricing figures).
 	CollectDecisions bool
@@ -114,8 +108,6 @@ type Result struct {
 	// Decisions holds per-task outcomes when CollectDecisions is set,
 	// indexed like the input tasks.
 	Decisions []schedule.Decision
-	// TrainLossEarly/Late report the optional micro-training execution.
-	TrainLossEarly, TrainLossLate float64
 	// Failure-injection accounting (zero unless Config.Failures is set).
 	FailuresInjected int
 	RecoveredTasks   int
@@ -205,14 +197,6 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		}
 	}
 	eng.Finish(true)
-
-	if cfg.Execute && res.Admitted > 0 {
-		early, late, err := executeSample(res.Admitted)
-		if err != nil {
-			return nil, err
-		}
-		res.TrainLossEarly, res.TrainLossLate = early, late
-	}
 	return res, nil
 }
 
@@ -243,27 +227,4 @@ func (r *Result) Account(env *schedule.TaskEnv, d *schedule.Decision) {
 		reason = "unspecified"
 	}
 	r.RejectReasons[reason]++
-}
-
-// executeSample runs a scaled-down multi-LoRA training batch standing in
-// for the admitted tasks: up to four co-located adapters sharing one
-// frozen base, a few dozen steps. It returns mean early/late losses.
-func executeSample(admitted int) (early, late float64, err error) {
-	n := admitted
-	if n > 4 {
-		n = 4
-	}
-	mt, err := train.NewMultiTrainer(train.DefaultConfig(), n, rand.New(rand.NewSource(1)))
-	if err != nil {
-		return 0, 0, err
-	}
-	e, l := mt.Train(60, 8)
-	for i := 0; i < n; i++ {
-		early += e[i] / float64(n)
-		late += l[i] / float64(n)
-	}
-	if !mt.W0Frozen() {
-		return 0, 0, fmt.Errorf("sim: execution mutated shared base weights")
-	}
-	return early, late, nil
 }

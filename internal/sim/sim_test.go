@@ -157,22 +157,6 @@ func TestRunAcceptanceRate(t *testing.T) {
 	}
 }
 
-func TestRunWithExecution(t *testing.T) {
-	tasks, tc := smallWorkload(t)
-	cl := simCluster(t, 3, tc.Horizon)
-	mkt, _ := vendor.Standard(3, 2)
-	res, err := Run(cl, baseline.NewEFT(), tasks, Config{Model: tc.Model, Market: mkt, Execute: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TrainLossEarly <= 0 || res.TrainLossLate <= 0 {
-		t.Fatal("execution losses not recorded")
-	}
-	if res.TrainLossLate >= res.TrainLossEarly {
-		t.Fatalf("micro-training did not converge: early %v late %v", res.TrainLossEarly, res.TrainLossLate)
-	}
-}
-
 func TestPdFTSPBeatsGreedyBaselinesUnderLoad(t *testing.T) {
 	// The paper's headline claim at small scale: under contention,
 	// pdFTSP's admission control wins over finish-ASAP greedy.
