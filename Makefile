@@ -39,7 +39,10 @@ fmt-check:
 # neither may a map beside it as its index (29 B a bid where the position
 # table in decisions.go takes 5 to 11), nor an unexported *Schedule field
 # (an admitted bid costs ~125 B with its plan as bytes, ~300 with the
-# plan kept as a pointer). The third keeps "decide" one
+# plan kept as a pointer), nor an intern table of reject reasons: a
+# record holds schedule.RejectReason's one-byte code itself. And
+# sim.Result keeps no per-bid []time.Duration: a run's latency samples go
+# into a fixed-size obs.Histogram, 8 bytes a bid less. The third keeps "decide" one
 # thing: Algorithm 1's write tail (lines 7-9: dual update, ledger commit)
 # exists once in internal/core, in Offer, and neither sim nor service
 # grows a second decide-mode back.
@@ -61,6 +64,10 @@ round-guard:
 		echo "round-guard: the decisionStore finds a bid through its position table, not through a map"; exit 1; fi
 	@if grep -nE '^\s+[a-z][A-Za-z0-9]*\s+\*schedule\.Schedule' $$(ls internal/service/*.go | grep -v _test); then \
 		echo "round-guard: the decisionStore keeps a plan as its encoded bytes (appendSchedule), not as a *Schedule"; exit 1; fi
+	@if grep -nE 'reasons\s+\[\]schedule\.RejectReason|intern\(' $$(ls internal/service/*.go | grep -v _test); then \
+		echo "round-guard: a decision record holds its RejectReason code itself, not a position in an intern table"; exit 1; fi
+	@if awk '/^type Result struct/,/^}/' $$(ls internal/sim/*.go | grep -v _test) | grep -nE '\[\]time\.Duration'; then \
+		echo "round-guard: sim.Result keeps latency in a fixed-size obs.Histogram, not a per-bid []time.Duration"; exit 1; fi
 	@for call in 'updateDuals(' '.cl.Commit('; do \
 		n=$$(cat $$(ls internal/core/*.go | grep -v _test) | grep -v '^func ' | grep -cF "$$call"); \
 		if [ "$$n" != 1 ]; then \

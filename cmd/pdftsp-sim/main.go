@@ -20,7 +20,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/experiments"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
-	"github.com/pdftsp/pdftsp/internal/metrics"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/report"
 	"github.com/pdftsp/pdftsp/internal/sim"
@@ -153,10 +152,6 @@ func runAndReport(b *config.Built, stdout io.Writer) error {
 	}
 	elapsed := time.Since(start)
 
-	lat := make([]float64, len(res.OfferLatency))
-	for i, d := range res.OfferLatency {
-		lat[i] = d.Seconds()
-	}
 	keys := []string{
 		"scheduler", "tasks", "admitted", "acceptance", "social welfare",
 		"revenue", "vendor spend", "energy spend", "utilization",
@@ -172,8 +167,8 @@ func runAndReport(b *config.Built, stdout io.Writer) error {
 		fmt.Sprintf("%.2f", res.VendorSpend),
 		fmt.Sprintf("%.2f", res.EnergySpend),
 		fmt.Sprintf("%.1f%%", 100*res.Utilization),
-		fmt.Sprintf("%.6fs", metrics.Percentile(lat, 50)),
-		fmt.Sprintf("%.6fs", metrics.Percentile(lat, 99)),
+		fmt.Sprintf("%.6fs", res.OfferLatency.Quantile(0.50).Seconds()),
+		fmt.Sprintf("%.6fs", res.OfferLatency.Quantile(0.99).Seconds()),
 		elapsed.String(),
 	}
 	fmt.Fprint(stdout, report.KV("pdftsp-sim result", keys, vals))

@@ -66,7 +66,7 @@ func main() {
 	spotSeed := flag.Int64("spot-seed", 11, "spot price/reclaim trace seed (shards decorrelate from it deterministically)")
 	spotDiscount := flag.Float64("spot-discount", 0, "mean spot quote as a fraction of the on-demand reference cost (0 = default 0.4)")
 	spotLease := flag.Int("spot-lease", 0, "spot lease length in slots (0 = provider default)")
-	spotPredictive := flag.Bool("spot-predictive", false, "admission uses the trace's future quotes and known reclaims instead of the current quote")
+	spotPredictive := flag.Bool("spot-predictive", false, "oracle: admission reads the spot trace's future quotes and reclaims instead of the current quote, knowledge a live market does not give")
 	flag.Parse()
 	if *shards < 1 {
 		fail("-shards must be >= 1")

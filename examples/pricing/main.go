@@ -35,7 +35,7 @@ func main() {
 	const trueValue = 36.0
 	focal := pdftsp.Task{
 		ID: 1_000_000, Arrival: 40, Deadline: 52, DatasetSamples: 30000,
-		Epochs: 1, Work: 30, MemGB: 5, Rank: 8, Batch: 16, TrueValue: trueValue,
+		Epochs: 1, Work: 30, MemGB: 5, Rank: 8, Batch: 16,
 	}
 
 	runFocal := func(bid float64) (bool, float64) {

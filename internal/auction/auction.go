@@ -42,8 +42,12 @@ type Scenario struct {
 	// Background tasks are replayed, in order, before the focal bid.
 	Background []task.Task
 	// Focal is the bid under study; its Bid field is overridden by the
-	// sweep, its TrueValue is held fixed.
+	// sweep.
 	Focal task.Task
+	// TrueValue is the focal bidder's private valuation v_i, held fixed
+	// across the sweep. Only this harness knows it: the mechanism sees
+	// the declared bid alone.
+	TrueValue float64
 	// Model and Market parameterize TaskEnv construction.
 	Model  lora.ModelConfig
 	Market *vendor.Marketplace
@@ -103,7 +107,7 @@ type SweepPoint struct {
 }
 
 // TruthfulnessSweep evaluates the focal task's utility across bids, with
-// the true valuation fixed at Scenario.Focal.TrueValue (Figure 10). The
+// the true valuation fixed at Scenario.TrueValue (Figure 10). The
 // counterfactual branches are embarrassingly parallel — each replays the
 // background workload on its own cluster — and fan out across
 // Scenario.Parallelism workers.
@@ -115,7 +119,7 @@ func TruthfulnessSweep(s *Scenario, bids []float64) ([]SweepPoint, error) {
 		}
 		pt := SweepPoint{Bid: bids[i], Won: d.Admitted, Payment: d.Payment}
 		if d.Admitted {
-			pt.Utility = s.Focal.TrueValue - d.Payment
+			pt.Utility = s.TrueValue - d.Payment
 		}
 		return pt, nil
 	})

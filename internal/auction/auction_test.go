@@ -48,7 +48,7 @@ func testScenario(t *testing.T) *Scenario {
 	opts.MaskFullCells = true
 	focal := task.Task{
 		ID: 100000, Arrival: 20, Deadline: 30, DatasetSamples: 10000, Epochs: 3,
-		Work: 30, MemGB: 5, Rank: 8, Batch: 16, Bid: 60, TrueValue: 60,
+		Work: 30, MemGB: 5, Rank: 8, Batch: 16, Bid: 60,
 	}
 	return &Scenario{
 		MakeCluster: makeCluster,
@@ -57,6 +57,7 @@ func testScenario(t *testing.T) *Scenario {
 		},
 		Background: background,
 		Focal:      focal,
+		TrueValue:  focal.Bid,
 		Model:      model,
 		Market:     mkt,
 	}
@@ -96,15 +97,15 @@ func TestTruthfulnessSweep(t *testing.T) {
 		}
 	}
 	// Truthful utility is maximal.
-	truthful, err := sc.RunFocal(sc.Focal.TrueValue)
+	truthful, err := sc.RunFocal(sc.TrueValue)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tu := 0.0
 	if truthful.Admitted {
-		tu = sc.Focal.TrueValue - truthful.Payment
+		tu = sc.TrueValue - truthful.Payment
 	}
-	if err := VerifyTruthful(points, sc.Focal.TrueValue, tu, 1e-9); err != nil {
+	if err := VerifyTruthful(points, sc.TrueValue, tu, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 }

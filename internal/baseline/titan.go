@@ -306,7 +306,7 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 	})
 	if err != nil || res.X == nil {
 		for i := range decisions {
-			if decisions[i].Reason == "" {
+			if decisions[i].Reason == 0 {
 				decisions[i].Reason = schedule.ReasonNoSchedule
 			}
 		}
@@ -383,7 +383,7 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 		decisions[i].F = welfare
 	}
 	for i := range decisions {
-		if !decisions[i].Admitted && decisions[i].Reason == "" {
+		if !decisions[i].Admitted && decisions[i].Reason == 0 {
 			decisions[i].Reason = schedule.ReasonSurplus
 		}
 	}

@@ -18,7 +18,6 @@ func TestAdaptiveLearnsCoefficients(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		tk := testTask(i)
 		tk.Bid = 40 + rng.Float64()*100
-		tk.TrueValue = tk.Bid
 		ad.Offer(envFor(t, tk, cl, nil))
 	}
 	a1, b1 := ad.Coefficients()
@@ -45,7 +44,6 @@ func TestAdaptiveEstimatesTrackOracle(t *testing.T) {
 		tk := testTask(i)
 		tk.Work = int32(10 + rng.Intn(60))
 		tk.Bid = 30 + rng.Float64()*80
-		tk.TrueValue = tk.Bid
 		env := envFor(t, tk, cl, nil)
 		net := tk.Bid - ad.meanUnitCost*float64(tk.Work)
 		if net > 0 && net/float64(tk.Work) > oracleAlpha {
@@ -79,7 +77,6 @@ func TestAdaptiveIgnoresWelfareNegativeBids(t *testing.T) {
 	a0, b0 := ad.Coefficients()
 	tk := testTask(0)
 	tk.Bid = 0.0001 // far below operational cost
-	tk.TrueValue = tk.Bid
 	ad.Offer(envFor(t, tk, cl, nil))
 	a1, b1 := ad.Coefficients()
 	if a1 != a0 || b1 != b0 {
@@ -103,7 +100,6 @@ func TestAdaptiveStillIndividuallyRational(t *testing.T) {
 		tk.Arrival = int32(rng.Intn(12))
 		tk.Deadline = tk.Arrival + int32(3+rng.Intn(8))
 		tk.Bid = 10 + rng.Float64()*150
-		tk.TrueValue = tk.Bid
 		tk.NeedsPrep = rng.Intn(2) == 0
 		d := ad.Offer(envFor(t, tk, cl, mkt))
 		if d.Admitted && d.Payment > tk.Bid+1e-9 {

@@ -41,7 +41,7 @@ func newScheduler(t *testing.T, cl *cluster.Cluster, opts Options) *Scheduler {
 func testTask(id int) *task.Task {
 	return &task.Task{
 		ID: id, Arrival: 1, Deadline: 12, DatasetSamples: 10000, Epochs: 3,
-		Work: 30, MemGB: 5, Rank: 8, Batch: 16, Bid: 70, TrueValue: 70,
+		Work: 30, MemGB: 5, Rank: 8, Batch: 16, Bid: 70,
 	}
 }
 
@@ -97,7 +97,6 @@ func TestOfferRejectsLowBid(t *testing.T) {
 	s := newScheduler(t, cl, testOptions())
 	tk := testTask(0)
 	tk.Bid = 0.001 // below even the energy cost
-	tk.TrueValue = tk.Bid
 	d := s.Offer(envFor(t, tk, cl, nil))
 	if d.Admitted {
 		t.Fatal("unprofitable task admitted")
@@ -231,7 +230,6 @@ func TestPaymentIndependentOfBid(t *testing.T) {
 		}
 		tk := testTask(99)
 		tk.Bid = bid
-		tk.TrueValue = bid
 		d := s.Offer(envFor(t, tk, cl, nil))
 		return d.Admitted, d.Payment
 	}
@@ -260,7 +258,6 @@ func TestLemma2CapacitySaturation(t *testing.T) {
 		tk.Work = 10
 		tk.MemGB = 5
 		tk.Bid = 200
-		tk.TrueValue = 200
 		d := s.Offer(envFor(t, tk, cl, nil))
 		if d.Admitted {
 			admitted++
@@ -277,7 +274,7 @@ func TestLemma2CapacitySaturation(t *testing.T) {
 		}
 	}
 	tk := testTask(1000)
-	tk.Arrival, tk.Deadline, tk.Work, tk.Bid, tk.TrueValue = 1, 3, 10, 200, 200
+	tk.Arrival, tk.Deadline, tk.Work, tk.Bid = 1, 3, 10, 200
 	d := s.Offer(envFor(t, tk, cl, nil))
 	if d.Admitted {
 		t.Fatal("task admitted into a saturated window")
@@ -352,7 +349,7 @@ func TestTruthfulBidMaximizesUtility(t *testing.T) {
 			s.Offer(envFor(t, testTask(i), cl, nil))
 		}
 		tk := testTask(99)
-		tk.Bid, tk.TrueValue = bid, trueValue
+		tk.Bid = bid
 		d := s.Offer(envFor(t, tk, cl, nil))
 		if !d.Admitted {
 			return 0
@@ -377,7 +374,6 @@ func TestIndividualRationalityOnRandomWorkload(t *testing.T) {
 		tk.Deadline = tk.Arrival + int32(2+rng.Intn(8))
 		tk.Work = int32(5 + rng.Intn(80))
 		tk.Bid = 5 + rng.Float64()*200
-		tk.TrueValue = tk.Bid
 		d := s.Offer(envFor(t, tk, cl, nil))
 		if d.Admitted && d.Payment > tk.Bid+1e-9 {
 			t.Fatalf("task %d pays %v above its bid %v", i, d.Payment, tk.Bid)

@@ -164,7 +164,7 @@ func TestDecisionDualsUpdated(t *testing.T) {
 	cl = testCluster(t, 2)
 	s = newScheduler(t, cl, testOptions())
 	tk := testTask(2)
-	tk.Bid, tk.TrueValue = 0.001, 0.001
+	tk.Bid = 0.001
 	d = s.Offer(envFor(t, tk, cl, nil))
 	if d.Admitted || d.Reason != schedule.ReasonSurplus {
 		t.Fatalf("setup: want surplus rejection, got admitted=%v reason=%q", d.Admitted, d.Reason)

@@ -30,7 +30,6 @@ func TestLedgerNeverExceedsCapacityProperty(t *testing.T) {
 			tk.Work = int32(1 + rng.Intn(120))
 			tk.MemGB = 1 + rng.Float64()*30
 			tk.Bid = rng.Float64() * 250
-			tk.TrueValue = tk.Bid
 			tk.NeedsPrep = rng.Intn(3) == 0
 			tk.Batch = []int16{4, 8, 16, 32}[rng.Intn(4)]
 			s.Offer(envFor(t, tk, cl, mkt))
@@ -103,7 +102,6 @@ func TestPaymentNonNegativeAndBoundedProperty(t *testing.T) {
 			tk.Arrival = int32(rng.Intn(16))
 			tk.Deadline = tk.Arrival + int32(2+rng.Intn(6))
 			tk.Bid = rng.Float64() * 200
-			tk.TrueValue = tk.Bid
 			d := s.Offer(envFor(t, tk, cl, nil))
 			if d.Payment < 0 {
 				return false

@@ -171,7 +171,7 @@ func TestParallelDeterminismRuntime(t *testing.T) {
 	type runtimePayload struct {
 		PdWelfare, TitanWelfare   float64
 		PdAdmitted, TitanAdmitted int
-		PdSamples, TitanSamples   int
+		PdSamples, TitanSamples   uint64
 	}
 	assertSame(t, "FigRuntime", func(p Profile) (runtimePayload, error) {
 		r, err := p.FigRuntime()
@@ -181,7 +181,7 @@ func TestParallelDeterminismRuntime(t *testing.T) {
 		return runtimePayload{
 			PdWelfare: r.PdWelfare, TitanWelfare: r.TitanWelfare,
 			PdAdmitted: r.PdAdmitted, TitanAdmitted: r.TitanAdmitted,
-			PdSamples: len(r.PdFTSP), TitanSamples: len(r.Titan),
+			PdSamples: r.PdSamples, TitanSamples: r.TitanSamples,
 		}, nil
 	})
 }

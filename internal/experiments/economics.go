@@ -65,8 +65,6 @@ func (p Profile) auctionScenario() (*auction.Scenario, error) {
 	opts.ReusePlans = true
 	// The focal bid mirrors the paper's running example: scheduled late
 	// in the day against an already-priced cluster.
-	focal := mkTask(1_000_000, p.Horizon.T/2, p.Horizon.T/2+12, 30, 5, 0)
-	focal.TrueValue = 36 // ≈ value 1.2/unit, inside the generator's range
 	return &auction.Scenario{
 		MakeCluster:    makeCluster,
 		ReleaseCluster: releaseCl,
@@ -74,7 +72,8 @@ func (p Profile) auctionScenario() (*auction.Scenario, error) {
 			return core.New(cl, opts)
 		},
 		Background:  background,
-		Focal:       focal,
+		Focal:       mkTask(1_000_000, p.Horizon.T/2, p.Horizon.T/2+12, 30, 5, 0),
+		TrueValue:   36, // ≈ value 1.2/unit, inside the generator's range
 		Model:       tc.Model,
 		Market:      mkt,
 		Parallelism: p.Parallelism,
@@ -89,22 +88,22 @@ func (p Profile) FigTruthfulness() (*TruthfulnessResult, error) {
 		return nil, err
 	}
 	var bids []float64
-	for b := 0.0; b <= 2*sc.Focal.TrueValue; b += sc.Focal.TrueValue / 10 {
+	for b := 0.0; b <= 2*sc.TrueValue; b += sc.TrueValue / 10 {
 		bids = append(bids, b)
 	}
 	points, err := auction.TruthfulnessSweep(sc, bids)
 	if err != nil {
 		return nil, err
 	}
-	truthful, err := sc.RunFocal(sc.Focal.TrueValue)
+	truthful, err := sc.RunFocal(sc.TrueValue)
 	if err != nil {
 		return nil, err
 	}
-	res := &TruthfulnessResult{TrueValue: sc.Focal.TrueValue, Points: points}
+	res := &TruthfulnessResult{TrueValue: sc.TrueValue, Points: points}
 	if truthful.Admitted {
-		res.TruthfulUtility = sc.Focal.TrueValue - truthful.Payment
+		res.TruthfulUtility = sc.TrueValue - truthful.Payment
 	}
-	if err := auction.VerifyTruthful(points, sc.Focal.TrueValue, res.TruthfulUtility, 1e-9); err != nil {
+	if err := auction.VerifyTruthful(points, sc.TrueValue, res.TruthfulUtility, 1e-9); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/metrics"
@@ -13,11 +12,17 @@ import (
 )
 
 // RuntimeResult is Figure 13: per-task scheduling latency CDFs of pdFTSP
-// versus Titan on the same workload and cluster.
+// versus Titan on the same workload and cluster, read from each run's
+// latency histogram (obs.Histogram: one point per non-empty bucket, at
+// its midpoint).
 type RuntimeResult struct {
 	PdFTSP []metrics.CDFPoint
 	Titan  []metrics.CDFPoint
-	// Percentile summaries in seconds.
+	// The histograms' sample counts: one per bid, so deterministic where
+	// the bucket counts above are not.
+	PdSamples, TitanSamples uint64
+	// Percentile summaries in seconds, nearest-rank, within a bucket's
+	// 1/32 of the true sample.
 	PdP50, PdP99, TitanP50, TitanP99 float64
 	// Welfare and admission counts of the two underlying runs. Latencies
 	// are wall-clock and vary run to run; these fields are the
@@ -86,24 +91,19 @@ func (p Profile) FigRuntime() (*RuntimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pd, ti := branches[0], branches[1]
-	toF := func(ds []time.Duration) []float64 {
-		out := make([]float64, len(ds))
-		for i, d := range ds {
-			out[i] = d.Seconds()
-		}
-		return out
-	}
+	pd, ti := branches[0].OfferLatency, branches[1].OfferLatency
 	return &RuntimeResult{
-		PdFTSP:        metrics.LatencyCDF(pd.OfferLatency),
-		Titan:         metrics.LatencyCDF(ti.OfferLatency),
-		PdP50:         metrics.Percentile(toF(pd.OfferLatency), 50),
-		PdP99:         metrics.Percentile(toF(pd.OfferLatency), 99),
-		TitanP50:      metrics.Percentile(toF(ti.OfferLatency), 50),
-		TitanP99:      metrics.Percentile(toF(ti.OfferLatency), 99),
-		PdWelfare:     pd.Welfare,
-		TitanWelfare:  ti.Welfare,
-		PdAdmitted:    pd.Admitted,
-		TitanAdmitted: ti.Admitted,
+		PdFTSP:        pd.CDF(),
+		Titan:         ti.CDF(),
+		PdSamples:     pd.Count(),
+		TitanSamples:  ti.Count(),
+		PdP50:         pd.Quantile(0.50).Seconds(),
+		PdP99:         pd.Quantile(0.99).Seconds(),
+		TitanP50:      ti.Quantile(0.50).Seconds(),
+		TitanP99:      ti.Quantile(0.99).Seconds(),
+		PdWelfare:     branches[0].Welfare,
+		TitanWelfare:  branches[1].Welfare,
+		PdAdmitted:    branches[0].Admitted,
+		TitanAdmitted: branches[1].Admitted,
 	}, nil
 }

@@ -1,14 +1,13 @@
 // Package metrics provides the statistics used by the evaluation figures:
-// means, percentiles, latency CDFs (Figure 13), max-normalization of
-// welfare matrices (Figures 4–9), and empirical competitive ratios
-// (Figure 12).
+// means, percentiles, the latency CDF's point type (Figure 13; the curve
+// comes from obs.Histogram), max-normalization of welfare matrices
+// (Figures 4–9), and empirical competitive ratios (Figure 12).
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Mean returns the arithmetic mean (0 for an empty slice).
@@ -50,37 +49,6 @@ func Percentile(xs []float64, p float64) float64 {
 type CDFPoint struct {
 	X float64 // value (seconds for latency CDFs)
 	P float64 // cumulative probability in [0,1]
-}
-
-// LatencyCDF converts latency samples to an empirical CDF in seconds
-// (every sample becomes a point, sorted ascending).
-func LatencyCDF(latencies []time.Duration) []CDFPoint {
-	if len(latencies) == 0 {
-		return nil
-	}
-	xs := make([]float64, len(latencies))
-	for i, d := range latencies {
-		xs[i] = d.Seconds()
-	}
-	sort.Float64s(xs)
-	points := make([]CDFPoint, len(xs))
-	for i, x := range xs {
-		points[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(xs))}
-	}
-	return points
-}
-
-// CDFAt evaluates an empirical CDF at x.
-func CDFAt(cdf []CDFPoint, x float64) float64 {
-	p := 0.0
-	for _, pt := range cdf {
-		if pt.X <= x {
-			p = pt.P
-		} else {
-			break
-		}
-	}
-	return p
 }
 
 // NormalizeByMax divides every entry by the global maximum, yielding the

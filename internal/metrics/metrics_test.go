@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestMean(t *testing.T) {
@@ -55,28 +54,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLatencyCDF(t *testing.T) {
-	cdf := LatencyCDF([]time.Duration{300 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond})
-	if len(cdf) != 3 {
-		t.Fatalf("len = %d", len(cdf))
-	}
-	if cdf[0].X != 0.1 || cdf[2].X != 0.3 {
-		t.Fatalf("CDF not sorted: %+v", cdf)
-	}
-	if cdf[2].P != 1 {
-		t.Fatalf("final P = %v", cdf[2].P)
-	}
-	if got := CDFAt(cdf, 0.25); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Fatalf("CDFAt(0.25) = %v", got)
-	}
-	if CDFAt(cdf, 0.01) != 0 {
-		t.Fatal("CDFAt below min should be 0")
-	}
-	if LatencyCDF(nil) != nil {
-		t.Fatal("empty CDF should be nil")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -140,12 +141,8 @@ func ReadTrace(r io.Reader) (*Summary, error) {
 				}
 			} else {
 				rs.Rejected++
-				reason := e.Reason
-				if reason == "" {
-					reason = "unknown"
-				}
-				rs.Reasons[reason]++
-				if reason == schedule.ReasonCapacity {
+				rs.Reasons[e.Reason]++ // the zero code prints as "unknown"
+				if e.Reason == schedule.ReasonCapacity {
 					rs.CapacityRejects++
 					if e.DualsUpdated {
 						rs.DualsMovedOnly++
@@ -277,15 +274,19 @@ func (s *Summary) WriteText(w io.Writer) {
 		}
 		if len(rs.Reasons) > 0 {
 			fmt.Fprintln(w, "rejections:")
-			reasons := make([]string, 0, len(rs.Reasons))
+			reasons := make([]schedule.RejectReason, 0, len(rs.Reasons))
 			for r := range rs.Reasons {
-				reasons = append(reasons, string(r))
+				reasons = append(reasons, r)
 			}
-			sort.Strings(reasons)
+			slices.Sort(reasons) // code order is name order
 			for _, r := range reasons {
-				n := rs.Reasons[schedule.RejectReason(r)]
+				name := r.String()
+				if r == 0 {
+					name = "unknown"
+				}
+				n := rs.Reasons[r]
 				bar := strings.Repeat("#", scaleBar(n, rs.Rejected, 40))
-				fmt.Fprintf(w, "  %-12s %6d %s\n", r, n, bar)
+				fmt.Fprintf(w, "  %-12s %6d %s\n", name, n, bar)
 			}
 			if rs.CapacityRejects > 0 {
 				fmt.Fprintf(w, "  capacity rejections with dual movement (Lemma 1): %d/%d\n",

@@ -137,7 +137,7 @@ func (a *Audit) OnPayment(e *PaymentEvent) {
 // OnOutcome implements Observer.
 func (a *Audit) OnOutcome(e *OutcomeEvent) {
 	if !e.Admitted {
-		if e.Reason == "" {
+		if e.Reason == 0 {
 			a.violate("%s/%s task %d: rejected without a reason", e.Run, e.Sched, e.TaskID)
 		}
 		if e.Payment != 0 {

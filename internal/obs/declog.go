@@ -126,7 +126,7 @@ func (l *DecisionLog) OnOutcome(e *OutcomeEvent) {
 	} else {
 		b = append(b, 0)
 	}
-	b = dlStr(b, string(e.Reason))
+	b = dlStr(b, e.Reason.String())
 	b = dlF64(b, e.Surplus)
 	b = dlF64(b, e.Payment)
 	b = dlF64(b, e.VendorCost)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/pdftsp/pdftsp/internal/schedule"
 )
 
 // declogFixture writes a small run — start frame, n outcomes, end frame —
@@ -24,7 +26,7 @@ func declogFixture(t *testing.T, n int) []byte {
 			Payment:  float64(i) * 1.25,
 		}
 		if !ev.Admitted {
-			ev.Reason = "budget"
+			ev.Reason = schedule.ReasonSurplus
 			ev.Surplus = math.Inf(-1)
 		} else {
 			ev.VendorCost = 2.5
@@ -72,7 +74,7 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 			t.Fatalf("record %d mangled: %+v", i, r)
 		}
 		if i%3 == 0 {
-			if r.Admitted || r.Reason != "budget" || !math.IsInf(r.Surplus, -1) {
+			if r.Admitted || r.Reason != "surplus" || !math.IsInf(r.Surplus, -1) {
 				t.Fatalf("rejected record %d mangled: %+v", i, r)
 			}
 			if len(r.Placements) != 0 {

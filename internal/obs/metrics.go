@@ -116,8 +116,8 @@ func (m *Metrics) OnOutcome(e *OutcomeEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !e.Admitted {
-		reason := string(e.Reason)
-		if reason == "" {
+		reason := e.Reason.String()
+		if e.Reason == 0 {
 			reason = "unknown"
 		}
 		m.Rejected[reason]++

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/pdftsp/pdftsp/internal/schedule"
 )
 
 // recorder counts events and keeps the last of each kind.
@@ -58,7 +60,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		Placements: []Placement{{Node: 0, Slot: 1, Work: 6}, {Node: 1, Slot: 2, Work: 4}},
 	})
 	o.OnBid(&BidEvent{TaskID: 2, Bid: 20})
-	o.OnOutcome(&OutcomeEvent{TaskID: 2, Bid: 20, Reason: "capacity", DualsUpdated: true})
+	o.OnOutcome(&OutcomeEvent{TaskID: 2, Bid: 20, Reason: schedule.ReasonCapacity, DualsUpdated: true})
 	o.OnRunEnd(&RunEndEvent{Welfare: 35, Revenue: 30, Admitted: 1, Rejected: 1})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -153,7 +155,7 @@ func TestAuditCatchesViolations(t *testing.T) {
 			a.OnOutcome(&OutcomeEvent{TaskID: 1, Bid: 10, Admitted: true, Payment: -1})
 		}},
 		{"losing bid charged", func(a *Audit) {
-			a.OnOutcome(&OutcomeEvent{TaskID: 1, Bid: 10, Reason: "surplus", Payment: 3})
+			a.OnOutcome(&OutcomeEvent{TaskID: 1, Bid: 10, Reason: schedule.ReasonSurplus, Payment: 3})
 		}},
 		{"rejection without reason", func(a *Audit) {
 			a.OnOutcome(&OutcomeEvent{TaskID: 1, Bid: 10})
@@ -187,7 +189,7 @@ func TestAuditAcceptsCleanStream(t *testing.T) {
 	a.OnDual(&DualEvent{LambdaBefore: 1, LambdaAfter: 2, PhiBefore: 0.5, PhiAfter: 0.5})
 	a.OnPayment(&PaymentEvent{VendorTerm: 1, ComputeTerm: 2, MemoryTerm: 3, Total: 6})
 	a.OnOutcome(&OutcomeEvent{TaskID: 1, Bid: 10, Admitted: true, Payment: 9})
-	a.OnOutcome(&OutcomeEvent{TaskID: 2, Bid: 10, Reason: "surplus"})
+	a.OnOutcome(&OutcomeEvent{TaskID: 2, Bid: 10, Reason: schedule.ReasonSurplus})
 	if err := a.Err(); err != nil {
 		t.Fatalf("clean stream flagged: %v", err)
 	}
@@ -203,7 +205,7 @@ func TestMetricsAggregates(t *testing.T) {
 	m.OnBid(&BidEvent{})
 	m.OnOutcome(&OutcomeEvent{Bid: 50, Admitted: true, Payment: 30, VendorCost: 5, EnergyCost: 10,
 		Placements: []Placement{{Node: 1, Slot: 0, Work: 20}}})
-	m.OnOutcome(&OutcomeEvent{Bid: 20, Reason: "surplus"})
+	m.OnOutcome(&OutcomeEvent{Bid: 20, Reason: schedule.ReasonSurplus})
 	m.OnDual(&DualEvent{Slot: 3, LambdaAfter: 2.5, PhiAfter: 0.5})
 	m.OnRunEnd(&RunEndEvent{})
 

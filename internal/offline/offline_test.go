@@ -34,7 +34,7 @@ func smallCluster(t *testing.T, nodes, slots int) *cluster.Cluster {
 func oneSlotTask(id, slot int, mem, bid float64) task.Task {
 	return task.Task{
 		ID: id, Arrival: int32(slot), Deadline: int32(slot), DatasetSamples: 9000, Epochs: 3,
-		Work: 10, MemGB: mem, Rank: 8, Batch: 16, Bid: bid, TrueValue: bid,
+		Work: 10, MemGB: mem, Rank: 8, Batch: 16, Bid: bid,
 	}
 }
 
@@ -133,7 +133,7 @@ func TestPrepTaskPaysCheapestWorkableVendor(t *testing.T) {
 	}
 	tk := task.Task{
 		ID: 0, Arrival: 1, Deadline: 10, DatasetSamples: 9000, Epochs: 3,
-		Work: 10, MemGB: 10, Rank: 8, Batch: 16, NeedsPrep: true, Bid: 100, TrueValue: 100,
+		Work: 10, MemGB: 10, Rank: 8, Batch: 16, NeedsPrep: true, Bid: 100,
 	}
 	res, err := Solve(Instance{Cluster: cl, Tasks: []task.Task{tk}, Model: lora.GPT2Small(), Market: mkt}, milp.Options{})
 	if err != nil {
@@ -172,7 +172,6 @@ func TestOfflineBoundDominatesOnline(t *testing.T) {
 			MemGB: 5 + 10*rng.Float64(), Rank: 8, Batch: 16,
 			Bid: 30 + rng.Float64()*120,
 		})
-		tasks[i].TrueValue = tasks[i].Bid
 	}
 	// Online run.
 	onlineCl := cl.Clone()
@@ -213,7 +212,7 @@ func TestBuildOwnsItsQuotes(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = task.Task{
 			ID: i, Arrival: 1, Deadline: 10, DatasetSamples: 9000, Epochs: 3,
-			Work: 10, MemGB: 10, Rank: 8, Batch: 16, NeedsPrep: true, Bid: 100, TrueValue: 100,
+			Work: 10, MemGB: 10, Rank: 8, Batch: 16, NeedsPrep: true, Bid: 100,
 		}
 	}
 	m, err := Build(Instance{Cluster: cl, Tasks: tasks, Model: lora.GPT2Small(), Market: mkt})

@@ -266,10 +266,10 @@ type Decision struct {
 	// F is the price-adjusted surplus F(il) of the best plan, equation
 	// (10); negative or zero for bids rejected by the surplus test.
 	F float64
-	// Reason documents why a bid lost; empty for winners.
+	// Reason documents why a bid lost; zero for winners.
 	Reason RejectReason
-	// Admitted is u_i. The two flags sit together so that they share one
-	// word: 72 bytes a decision, not 80.
+	// Admitted is u_i. The reason and the two flags sit together so that
+	// they share one word: 56 bytes a decision.
 	Admitted bool
 	// DualsUpdated records that the scheduler moved the dual prices for
 	// this bid (F(il) > 0 reached the update step of Algorithm 1). It is
@@ -325,28 +325,66 @@ func (d *Decision) Welfare(bid float64) float64 {
 	return bid - d.VendorCost - d.EnergyCost
 }
 
-// RejectReason is the typed cause of a lost bid. The zero value means the
-// bid won (or the scheduler recorded no reason). Its underlying type is
-// string so reasons render and serialize exactly as before.
-type RejectReason string
+// RejectReason is the typed cause of a lost bid, in one byte. The zero
+// value means the bid won (or the scheduler recorded no reason). It
+// renders — String, JSON values and map keys — as the fixed names below,
+// "" for zero, and UnmarshalText refuses any other string: the set is
+// closed. The codes follow the names' sort order, so a tally ranged or
+// printed in code order reads as it does by name. The checkpoint delta
+// persists the codes, so a new reason takes the next free code.
+type RejectReason uint8
 
 // Rejection reasons.
 const (
+	// ReasonCapacity: the plan would exceed (4f)/(4g) — the Lemma-1
+	// "almost-feasible" case; the duals still moved for this bid.
+	ReasonCapacity RejectReason = iota + 1
+	// ReasonFailedNode: a node outage broke the committed plan and no
+	// recovery plan exists (failure injection only).
+	ReasonFailedNode
 	// ReasonNoSchedule: no plan satisfies (4a)–(4e) — the deadline window
 	// is empty or too tight, every vendor is too slow, or the task's
 	// memory footprint fits on no node.
-	ReasonNoSchedule RejectReason = "no-schedule"
+	ReasonNoSchedule
 	// ReasonSurplus: the best plan has F(il) ≤ 0 (Algorithm 1, line 13).
-	ReasonSurplus RejectReason = "surplus"
-	// ReasonCapacity: the plan would exceed (4f)/(4g) — the Lemma-1
-	// "almost-feasible" case; the duals still moved for this bid.
-	ReasonCapacity RejectReason = "capacity"
-	// ReasonFailedNode: a node outage broke the committed plan and no
-	// recovery plan exists (failure injection only).
-	ReasonFailedNode RejectReason = "failed-node"
+	ReasonSurplus
 	// ReasonVendorDown: the task requires pre-processing (f_i = 1) but the
 	// vendor marketplace stayed unreachable past the retry deadline, so no
 	// quote exists and constraint (4a) is unsatisfiable for this bid. The
 	// duals are untouched, exactly like ReasonNoSchedule.
-	ReasonVendorDown RejectReason = "vendor-down"
+	ReasonVendorDown
 )
+
+var reasonNames = [...]string{"", "capacity", "failed-node", "no-schedule", "surplus", "vendor-down"}
+
+// Valid reports whether r is the zero value or one of the Reason constants.
+func (r RejectReason) Valid() bool { return int(r) < len(reasonNames) }
+
+// String returns the reason's name; a code outside the set (only a
+// corrupt input can hold one) renders as reason(n).
+func (r RejectReason) String() string {
+	if r.Valid() {
+		return reasonNames[r]
+	}
+	return fmt.Sprintf("reason(%d)", uint8(r))
+}
+
+// MarshalText implements encoding.TextMarshaler with String's names.
+func (r RejectReason) MarshalText() ([]byte, error) {
+	if !r.Valid() {
+		return nil, fmt.Errorf("schedule: unknown reject reason code %d", uint8(r))
+	}
+	return []byte(reasonNames[r]), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler: a name outside the
+// set is refused.
+func (r *RejectReason) UnmarshalText(text []byte) error {
+	for code, name := range reasonNames {
+		if string(text) == name {
+			*r = RejectReason(code)
+			return nil
+		}
+	}
+	return fmt.Errorf("schedule: unknown reject reason %q", text)
+}

@@ -114,7 +114,7 @@ func readCheckpoint(path string) (*Checkpoint, []byte, error) {
 		return nil, nil, fmt.Errorf("service: parse checkpoint %s: %w", path, err)
 	}
 	if ck.Decisions == nil {
-		ck.Decisions = newDecisionStore()
+		ck.Decisions = new(decisionStore)
 	}
 	if err := ck.checkShape(); err != nil {
 		return nil, nil, fmt.Errorf("service: checkpoint %s: %w", path, err)
@@ -197,7 +197,7 @@ func (b *Broker) Restore(ck *Checkpoint) error {
 	b.nextID = ck.NextID
 	b.canceled = ck.Canceled
 	// A copy: ck stays whole for its caller to write again.
-	b.decisions = newDecisionStore()
+	b.decisions = new(decisionStore)
 	if ck.Decisions != nil {
 		b.decisions = ck.Decisions.clone()
 	}

@@ -33,11 +33,6 @@ type decisionStore struct {
 	plans  []byte  // appendSchedule's; a restated plan's old bytes stay, unreferenced
 	index  []int32 // len is zero or a power of two, at most 3/4 full
 	shift  uint8   // 64 − log2(len(index)): a hash's top bits are its slot
-	// reasons interns RejectReason strings; a record holds the position.
-	// Seeded with the schedule.Reason* constants, so stores of the same
-	// decisions are identical however they were built; a scheduler's own
-	// reasons follow in order of first appearance.
-	reasons []schedule.RejectReason
 
 	saved int     // recs[:saved] are in the on-disk chain
 	flips []int32 // positions below saved that a refund flipped since
@@ -47,7 +42,7 @@ type decisionRec struct {
 	id     int
 	f      uint64 // Float64bits of Decision.F, so −Inf needs no flag
 	extra  int32  // 1 + position in extras; 0 when every extra field is zero
-	reason uint8  // position in reasons
+	reason schedule.RejectReason
 	flags  uint8
 }
 
@@ -64,13 +59,6 @@ type decisionExtra struct {
 	taskID                          int
 	payment, vendorCost, energyCost float64
 	plan, planLen                   int32 // plans[plan:][:planLen]; no pointer for the GC to scan
-}
-
-func newDecisionStore() *decisionStore {
-	return &decisionStore{reasons: []schedule.RejectReason{
-		"", schedule.ReasonNoSchedule, schedule.ReasonSurplus, schedule.ReasonCapacity,
-		schedule.ReasonFailedNode, schedule.ReasonVendorDown,
-	}}
 }
 
 // Len is the number of decided bids.
@@ -145,7 +133,7 @@ func (s *decisionStore) head(i int) (d schedule.Decision, plan []byte) {
 		TaskID:       r.id,
 		Admitted:     r.flags&flagAdmitted != 0,
 		F:            math.Float64frombits(r.f),
-		Reason:       s.reasons[r.reason],
+		Reason:       r.reason,
 		DualsUpdated: r.flags&flagDualsUpdated != 0,
 	}
 	if r.extra != 0 {
@@ -156,28 +144,14 @@ func (s *decisionStore) head(i int) (d schedule.Decision, plan []byte) {
 	return d, plan
 }
 
-// intern returns reason's code. A record has one byte for it, so the
-// 256th distinct reason is refused.
-func (s *decisionStore) intern(reason schedule.RejectReason) (uint8, error) {
-	for i, r := range s.reasons {
-		if r == reason {
-			return uint8(i), nil
-		}
-	}
-	if len(s.reasons) > math.MaxUint8 {
-		return 0, fmt.Errorf("service: more than %d distinct reject reasons (%q)", math.MaxUint8, reason)
-	}
-	s.reasons = append(s.reasons, reason)
-	return uint8(len(s.reasons) - 1), nil
-}
-
 // put files d under id: appended when id is new, replaced where it stands
 // — its place in the decision order kept — when a checkpoint delta
 // restates a decision a refund flipped. d.Schedule is copied, not kept.
+// A reason outside schedule.RejectReason's set is refused: the record's
+// byte holds the code itself, and nothing could render or restore another.
 func (s *decisionStore) put(id int, d *schedule.Decision) error {
-	code, err := s.intern(d.Reason)
-	if err != nil {
-		return err
+	if !d.Reason.Valid() {
+		return fmt.Errorf("service: decision %d: unknown reject reason code %d", id, d.Reason)
 	}
 	x := decisionExtra{taskID: d.TaskID, payment: d.Payment, vendorCost: d.VendorCost, energyCost: d.EnergyCost}
 	if start := len(s.plans); d.Schedule != nil {
@@ -186,7 +160,7 @@ func (s *decisionStore) put(id int, d *schedule.Decision) error {
 		}
 		x.plan, x.planLen = int32(start), int32(len(s.plans)-start)
 	}
-	r := decisionRec{id: id, f: math.Float64bits(d.F), reason: code}
+	r := decisionRec{id: id, f: math.Float64bits(d.F), reason: d.Reason}
 	if d.Admitted {
 		r.flags |= flagAdmitted
 	}
@@ -227,7 +201,7 @@ func (s *decisionStore) refund(id int) {
 		return
 	}
 	s.recs[i].flags &^= flagAdmitted
-	s.recs[i].reason, _ = s.intern(schedule.ReasonFailedNode) // seeded, cannot fail
+	s.recs[i].reason = schedule.ReasonFailedNode
 	if i < s.saved {
 		s.flips = append(s.flips, int32(i))
 	}
@@ -259,12 +233,11 @@ func (s *decisionStore) markSaved() { s.saved, s.flips = len(s.recs), s.flips[:0
 // clone copies the store with nothing marked saved.
 func (s *decisionStore) clone() *decisionStore {
 	return &decisionStore{
-		recs:    slices.Clone(s.recs),
-		extras:  slices.Clone(s.extras),
-		plans:   slices.Clone(s.plans),
-		index:   slices.Clone(s.index),
-		shift:   s.shift,
-		reasons: slices.Clone(s.reasons),
+		recs:   slices.Clone(s.recs),
+		extras: slices.Clone(s.extras),
+		plans:  slices.Clone(s.plans),
+		index:  slices.Clone(s.index),
+		shift:  s.shift,
 	}
 }
 
@@ -292,10 +265,6 @@ type decisionWire struct {
 // record with no side entry — nearly all of them — is appended by hand
 // with only its non-zero fields.
 func (s *decisionStore) MarshalJSON() ([]byte, error) {
-	reasons := make([][]byte, len(s.reasons))
-	for i, r := range s.reasons {
-		reasons[i], _ = json.Marshal(string(r)) // a string always encodes
-	}
 	var w decisionWire         // json.Marshal moves it to the heap: one serves every record
 	var plan schedule.Schedule // and w.Schedule points at it
 	out := make([]byte, 0, 64*len(s.recs)+2)
@@ -339,8 +308,8 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 		} else if r.f != 0 {
 			out = appendJSONFloat(append(out, `,"F":`...), f)
 		}
-		if r.reason != 0 {
-			out = append(append(out, `,"Reason":`...), reasons[r.reason]...)
+		if r.reason != 0 { // a name needs no JSON escaping
+			out = append(append(append(out, `,"Reason":"`...), r.reason.String()...), '"')
 		}
 		if r.flags&flagDualsUpdated != 0 {
 			out = append(out, `,"DualsUpdated":true`...)
@@ -353,7 +322,7 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON streams the decision section into the store one element
 // at a time; no other collection of the section ever exists.
 func (s *decisionStore) UnmarshalJSON(data []byte) error {
-	*s = *newDecisionStore()
+	*s = decisionStore{}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
 		return fmt.Errorf("service: checkpoint decisions are not a list (written by an older broker?)")

@@ -33,9 +33,9 @@ func TestRecordSizes(t *testing.T) {
 		got, want uintptr
 		exact     bool
 	}{
-		{"task.Task", unsafe.Sizeof(task.Task{}), 72, false},
-		{"schedule.Decision", unsafe.Sizeof(schedule.Decision{}), 72, false},
-		{"heldBid", unsafe.Sizeof(heldBid{}), 104, false},
+		{"task.Task", unsafe.Sizeof(task.Task{}), 64, true},
+		{"schedule.Decision", unsafe.Sizeof(schedule.Decision{}), 56, true},
+		{"heldBid", unsafe.Sizeof(heldBid{}), 96, true},
 		{"decisionRec", unsafe.Sizeof(decisionRec{}), 24, true},
 		{"decisionExtra", unsafe.Sizeof(decisionExtra{}), 40, true},
 	} {
@@ -56,8 +56,9 @@ func TestRecordSizes(t *testing.T) {
 }
 
 // randomDecision draws from every shape the store distinguishes: plain
-// rejections, F = −Inf, reasons outside schedule.Reason*, a retained
-// losing plan, TaskID ≠ id, and admissions with money and a plan.
+// rejections, F = −Inf, a retained losing plan, TaskID ≠ id, and
+// admissions with money and a plan — and one it refuses, a reason code
+// outside schedule.RejectReason's set (see putRandom).
 func randomDecision(rng *rand.Rand, id int) schedule.Decision {
 	plan := func() *schedule.Schedule {
 		s := &schedule.Schedule{TaskID: id, Vendor: rng.Intn(4) - 1, VendorPrice: rng.Float64(), VendorDelay: rng.Intn(3)}
@@ -72,7 +73,7 @@ func randomDecision(rng *rand.Rand, id int) schedule.Decision {
 	case 0:
 		d.F, d.Reason = math.Inf(-1), schedule.ReasonNoSchedule
 	case 1:
-		d.Reason = schedule.RejectReason("custom-\"reason\"\n" + string(rune('a'+rng.Intn(4))))
+		d.Reason = schedule.ReasonVendorDown + 1 + schedule.RejectReason(rng.Intn(250))
 	case 2:
 		d.Schedule = plan() // DropLosingPlans off
 	case 3:
@@ -84,6 +85,25 @@ func randomDecision(rng *rand.Rand, id int) schedule.Decision {
 			TaskID: id, Admitted: true, Schedule: plan(), DualsUpdated: true, F: rng.Float64() * 10,
 			Payment: rng.Float64() * 5, VendorCost: rng.Float64(), EnergyCost: rng.Float64(),
 		}
+	}
+	return d
+}
+
+// putRandom puts a randomDecision under id and returns what the store
+// holds. A draw with an unknown reason must be refused with the store
+// untouched; the same decision with a known reason then goes in.
+func putRandom(t *testing.T, s *decisionStore, rng *rand.Rand, id int) schedule.Decision {
+	t.Helper()
+	d := randomDecision(rng, id)
+	if !d.Reason.Valid() {
+		n, had := s.Len(), s.has(id)
+		if err := s.put(id, &d); err == nil || s.Len() != n || s.has(id) != had {
+			t.Fatalf("put(%d) with reason code %d: err %v, %d decisions (had %d)", id, d.Reason, err, s.Len(), n)
+		}
+		d.Reason = schedule.ReasonSurplus
+	}
+	if err := s.put(id, &d); err != nil {
+		t.Fatal(err)
 	}
 	return d
 }
@@ -134,7 +154,7 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 	for _, ids := range []string{"sequential", "sparse", "assigned", "strided", "runs", "top"} {
 		t.Run(ids, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(ids))))
-			s, replica := newDecisionStore(), newDecisionStore()
+			s, replica := new(decisionStore), new(decisionStore)
 			ref := map[int]schedule.Decision{}
 			var order []int
 			nextID := 0 // the broker's assignment: one past the largest seen
@@ -164,11 +184,7 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 			}
 			put := func() int {
 				id := newID()
-				d := randomDecision(rng, id)
-				if err := s.put(id, &d); err != nil {
-					t.Fatal(err)
-				}
-				ref[id] = d
+				ref[id] = putRandom(t, s, rng, id)
 				order = append(order, id)
 				return id
 			}
@@ -273,11 +289,7 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 			requireStoreEquals(t, "clone, after its original moved on", c, cloneRef, cloneOrder)
 			for n := len(cloneOrder); n > 0; n-- {
 				id := -1 - n // no kind draws a negative ID
-				d := randomDecision(rng, id)
-				if err := c.put(id, &d); err != nil {
-					t.Fatal(err)
-				}
-				cloneRef[id], cloneOrder = d, append(cloneOrder, id)
+				cloneRef[id], cloneOrder = putRandom(t, c, rng, id), append(cloneOrder, id)
 			}
 			c.refund(cloneOrder[1])
 			d := cloneRef[cloneOrder[1]]
@@ -301,20 +313,23 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 	}
 }
 
-// TestDecisionStoreReasonLimit: a record has one byte for its reason, and
-// running out is an error, not a wrong reason.
+// TestDecisionStoreReasonLimit: a record has one byte for its reason, the
+// code itself. Every code in the set comes back as put; every other code
+// is an error, not a wrong reason.
 func TestDecisionStoreReasonLimit(t *testing.T) {
-	s := newDecisionStore()
-	var err error
-	n := 0
-	for ; err == nil && n < 1000; n++ {
-		err = s.put(n, &schedule.Decision{TaskID: n, Reason: schedule.RejectReason(string(rune('A' + n)))})
+	s := new(decisionStore)
+	for code := 0; code <= math.MaxUint8; code++ {
+		reason := schedule.RejectReason(code)
+		err := s.put(code, &schedule.Decision{TaskID: code, Reason: reason})
+		if (err == nil) != reason.Valid() {
+			t.Fatalf("put with reason code %d: err %v", code, err)
+		}
+		if d, ok := s.get(code); ok != reason.Valid() || ok && d.Reason != reason {
+			t.Fatalf("reason code %d came back as %d (stored %v)", code, d.Reason, ok)
+		}
 	}
-	if err == nil || s.Len() != n-1 || s.Len()+len(newDecisionStore().reasons) != math.MaxUint8+1 {
-		t.Fatalf("%d decisions stored, err %v", s.Len(), err)
-	}
-	if d, _ := s.get(n - 2); d.Reason != schedule.RejectReason(string(rune('A'+n-2))) {
-		t.Fatalf("last accepted reason came back as %q", d.Reason)
+	if s.Len() != int(schedule.ReasonVendorDown)+1 {
+		t.Fatalf("%d decisions stored, want the zero code and the five reasons", s.Len())
 	}
 }
 
@@ -339,7 +354,7 @@ func TestDecisionStoreMemoryBudget(t *testing.T) {
 	const budget, admittedBudget = 44, 150
 	perBid := func(n int, id func(i int) int, decision func(i, id int) schedule.Decision) float64 {
 		before := liveHeap()
-		s := newDecisionStore()
+		s := new(decisionStore)
 		for i := 0; i < n; i++ {
 			d := decision(i, id(i))
 			if err := s.put(id(i), &d); err != nil {
@@ -497,8 +512,8 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 	if res.FailedTasks == 0 {
 		t.Fatal("no refund flipped a decision; the flip half of the test is vacuous")
 	}
-	if len(res.OfferLatency) != 0 {
-		t.Fatalf("broker Result holds %d latency samples", len(res.OfferLatency))
+	if res.OfferLatency != nil {
+		t.Fatalf("broker Result holds %d latency samples", res.OfferLatency.Count())
 	}
 }
 
@@ -616,7 +631,7 @@ func TestDeltaDecodeIgnoresClaimedCounts(t *testing.T) {
 	head := record[:len(record)-len(r.b)]
 	nReasons := r.u64()
 	for i := uint64(0); i < nReasons; i++ {
-		r.str()
+		readReason(r)
 		r.int()
 	}
 	if r.err != nil {
@@ -632,11 +647,11 @@ func TestDeltaDecodeIgnoresClaimedCounts(t *testing.T) {
 		name, want string // want: what the decoder says ran out
 		payload    []byte
 	}{
-		{"reasons", "uvarint", append(append([]byte(nil), head...), huge...)},
+		{"reasons", "byte", append(append([]byte(nil), head...), huge...)},
 		{"placements", "placements", append(append([]byte(nil), upToDecisions...), lyingPlan...)},
 	} {
 		ck := *base
-		ck.Decisions = newDecisionStore()
+		ck.Decisions = new(decisionStore)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		err := applyDeltaRecord(&ck, tc.payload)

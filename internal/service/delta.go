@@ -47,8 +47,10 @@ import (
 // provider state block; v3 packed the decision records behind a flags
 // byte, dropped the per-bid offer latencies, and closes its decision and
 // cell lists with an end marker instead of counting them first; v4
-// dropped the two micro-training losses from the accounting scalars.
-const deltaVersion = 4
+// dropped the two micro-training losses from the accounting scalars; v5
+// writes a reject reason as its one-byte code (schedule.RejectReason), in
+// a decision and in the tally, instead of a length-prefixed name.
+const deltaVersion = 5
 
 // deltaMagic opens every sidecar file.
 var deltaMagic = []byte("PDFTSPD\x01")
@@ -120,7 +122,7 @@ func (b *Broker) buildDelta() []byte {
 		p = appendF64(p, *v)
 	}
 
-	// In sorted order, so one state is one byte string (a map ranges in a
+	// In code order, so one state is one byte string (a map ranges in a
 	// different order each time). The array keeps the handful of reasons
 	// on the stack.
 	var reasonBuf [8]schedule.RejectReason
@@ -131,7 +133,7 @@ func (b *Broker) buildDelta() []byte {
 	slices.Sort(reasons)
 	p = appendU64(p, uint64(len(reasons)))
 	for _, reason := range reasons {
-		p = appendStr(p, string(reason))
+		p = append(p, byte(reason))
 		p = appendInt(p, res.RejectReasons[reason])
 	}
 
@@ -190,7 +192,7 @@ func appendDecision(p []byte, id int, d *schedule.Decision) []byte {
 	p = append(p, flags)
 	p = appendInt(p, id)
 	p = appendF64(p, d.F)
-	p = appendStr(p, string(d.Reason))
+	p = append(p, byte(d.Reason))
 	if flags&decTaskID != 0 {
 		p = appendInt(p, d.TaskID)
 	}
@@ -223,7 +225,7 @@ func readDecision(r *binReader, flags byte, plan *schedule.Schedule) (int, sched
 		Admitted:     flags&decAdmitted != 0,
 		DualsUpdated: flags&decDualsUpdated != 0,
 		F:            r.f64(),
-		Reason:       schedule.RejectReason(r.str()),
+		Reason:       readReason(r),
 	}
 	if flags&decTaskID != 0 {
 		d.TaskID = r.int()
@@ -237,6 +239,16 @@ func readDecision(r *binReader, flags byte, plan *schedule.Schedule) (int, sched
 		d.Schedule = readSchedule(r, plan)
 	}
 	return id, d
+}
+
+// readReason reads a one-byte reject reason. A code outside the set is
+// corruption the CRC did not catch, or a newer writer: it fails the record.
+func readReason(r *binReader) schedule.RejectReason {
+	reason := schedule.RejectReason(r.byte())
+	if !reason.Valid() && r.err == nil {
+		r.err = fmt.Errorf("service: decode: unknown reject reason code %d", reason)
+	}
+	return reason
 }
 
 // readSchedule decodes appendSchedule's bytes into s, reusing its placement
@@ -417,7 +429,7 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 	if r.err == nil {
 		res.RejectReasons = map[schedule.RejectReason]int{}
 		for i := uint64(0); i < nReasons && r.err == nil; i++ {
-			reason := schedule.RejectReason(r.str())
+			reason := readReason(r)
 			res.RejectReasons[reason] = r.int()
 		}
 	}

@@ -328,7 +328,7 @@ func TestPersistCrashPoints(t *testing.T) {
 			submit(b, perSlot[s][half:])
 			if s == killAt {
 				b.Supersede()
-				late := task.Task{ID: 1 << 40, Arrival: int32(s), Deadline: slots - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5, TrueValue: 5}
+				late := task.Task{ID: 1 << 40, Arrival: int32(s), Deadline: slots - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
 				if v := submit(b, []task.Task{late}); v[0] == nil {
 					t.Fatal("a superseded broker acked a bid")
 				}

@@ -478,7 +478,7 @@ func (r *fleetRun) after() bool {
 		}
 	case len(fired) > 0 && fired[len(fired)-1] == "zombie":
 		late := task.Task{ID: fleetLateID + len(r.bids), Arrival: int32(r.slot), Deadline: fleetSlots - 1,
-			Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5, TrueValue: 5}
+			Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
 		r.bids[late.ID] = &fleetBid{task: late, refused: true} // a zombie's bid must not reach its successor
 		for _, b := range r.fleet.Brokers() {
 			b.SubmitBatchAck(context.Background(), []task.Task{late}, make([]error, 1))

@@ -47,8 +47,21 @@ func formatGeneration() string { return fmt.Sprintf("delta-v%d", deltaVersion) }
 // a file whose format has moved on since. Every other entry still
 // restores to its recorded digest.
 var formatRefusals = map[string][]string{
-	// v4 dropped two accounting floats from the delta record.
-	"delta-v3": {"shard0 chain", "shard1 chain", "fleet"},
+	// v4 dropped two accounting floats from the delta record; v5 writes
+	// reject reasons as one-byte codes, and its journal (v2) dropped the
+	// task's private value.
+	"delta-v3": {"shard0 chain", "shard1 chain", "shard0 journal", "shard1 journal", "fleet"},
+	"delta-v4": {"shard0 chain", "shard1 chain", "shard0 journal", "shard1 journal", "fleet"},
+}
+
+// formatUnchanged lists, per generation, the files it writes exactly as
+// the generation before it did (the manifest up to the directory it
+// names) and the digests that must therefore carry over.
+var formatUnchanged = map[string]struct{ files, digests []string }{
+	"delta-v5": {
+		files:   []string{"fleet.json", "fleet.json.shard0", "fleet.json.shard1", "decisions.log"},
+		digests: []string{"shard0 snapshot", "shard1 snapshot", "decision log"},
+	},
 }
 
 // openFormatFleet opens the corpus run's fleet over the files at base;
@@ -155,8 +168,14 @@ func restoreFormats(t *testing.T, dir string) map[string]restored {
 			r.digest = stateDigest(t, ck)
 		}
 		out[fmt.Sprintf("shard%d chain", i)] = r
-		wal := ReadWAL(WALPath(shard), fmt.Sprintf("formats/%d", i))
-		out[fmt.Sprintf("shard%d journal", i)] = restored{digest: digest(t, wal)}
+		data, _ := os.ReadFile(WALPath(shard))
+		r = restored{}
+		if wal, err := walRecords(data, fmt.Sprintf("formats/%d", i)); err != nil {
+			r.err = err
+		} else {
+			r.digest = digest(t, wal)
+		}
+		out[fmt.Sprintf("shard%d journal", i)] = r
 	}
 
 	data, err := os.ReadFile(base)
@@ -278,6 +297,47 @@ func TestFormatCorpus(t *testing.T) {
 					}
 				case r.err != nil || r.digest != w:
 					t.Errorf("%s restores to %s (err %v), recorded %s", key, r.digest, r.err, w)
+				}
+			}
+		})
+	}
+
+	for gen, same := range formatUnchanged {
+		t.Run(gen+"/unchanged", func(t *testing.T) {
+			dir := filepath.Join(formatsDir, gen)
+			var v int
+			if _, err := fmt.Sscanf(gen, "delta-v%d", &v); err != nil {
+				t.Fatal(err)
+			}
+			prev := filepath.Join(formatsDir, fmt.Sprintf("delta-v%d", v-1))
+			for _, name := range same.files {
+				got, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := os.ReadFile(filepath.Join(prev, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, bytes.ReplaceAll(want, []byte(prev), []byte(dir))) {
+					t.Errorf("%s differs from %s's", name, filepath.Base(prev))
+				}
+			}
+			digests := func(dir string) map[string]string {
+				data, err := os.ReadFile(filepath.Join(dir, "digests.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var m map[string]string
+				if err := json.Unmarshal(data, &m); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			got, want := digests(dir), digests(prev)
+			for _, key := range same.digests {
+				if got[key] == "" || got[key] != want[key] {
+					t.Errorf("%s digest %s, %s recorded %s", key, got[key], filepath.Base(prev), want[key])
 				}
 			}
 		})

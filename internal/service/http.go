@@ -49,7 +49,6 @@ func (r *BidRequest) task() task.Task {
 		Work:           r.Work,
 		MemGB:          r.MemGB,
 		Bid:            r.Bid,
-		TrueValue:      r.Bid,
 		NeedsPrep:      r.NeedsPrep,
 		Rank:           r.Rank,
 		Batch:          r.Batch,
@@ -249,9 +248,9 @@ func appendDecisionJSON(out []byte, id int, d *schedule.Decision) []byte {
 		out = append(out, `,"vendor":`...)
 		out = strconv.AppendInt(out, int64(d.Schedule.Vendor), 10)
 	}
-	if d.Reason != "" {
+	if d.Reason != 0 {
 		out = append(out, `,"reason":`...)
-		out = strconv.AppendQuote(out, string(d.Reason))
+		out = strconv.AppendQuote(out, d.Reason.String())
 	}
 	if d.Schedule != nil && len(d.Schedule.Placements) > 0 {
 		out = append(out, `,"placements":[`...)

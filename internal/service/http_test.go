@@ -252,7 +252,7 @@ func FuzzDecodeBids(f *testing.F) {
 				int64(tk.Deadline) != w.Deadline || int64(tk.Work) != w.Work ||
 				int64(tk.Rank) != w.Rank || int64(tk.Batch) != w.Batch ||
 				int64(tk.DatasetSamples) != w.DatasetSamples || int64(tk.Epochs) != w.Epochs ||
-				tk.MemGB != w.MemGB || tk.Bid != w.Bid || tk.TrueValue != w.Bid ||
+				tk.MemGB != w.MemGB || tk.Bid != w.Bid ||
 				tk.NeedsPrep != w.NeedsPrep || tk.ModelName != w.ModelName {
 				t.Fatalf("bid %d became %+v, the wire says %+v", i, tk, *w)
 			}

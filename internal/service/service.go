@@ -404,7 +404,7 @@ func New(opts Options) (*Broker, error) {
 		done:      make(chan struct{}),
 		held:      map[int][]heldBid{},
 		heldIDs:   map[int]struct{}{},
-		decisions: newDecisionStore(),
+		decisions: new(decisionStore),
 		ckptSlot:  -1,
 		fsys:      osFS{},
 	}

@@ -58,8 +58,9 @@ var ErrWAL = errors.New("service: write-ahead journal append failed")
 // successor instead of seeing an error.
 var errSuperseded = fmt.Errorf("%w: superseded by a newer generation", ErrClosed)
 
-// walVersion guards the journal record layout.
-const walVersion = 1
+// walVersion guards the journal record layout. v2 dropped the task's
+// private value (8 bytes a record): a bid is what the bidder declared.
+const walVersion = 2
 
 // walMagic opens every journal file (distinct from the delta sidecar's).
 var walMagic = []byte("PDFTSPW\x01")
@@ -179,7 +180,6 @@ func appendWALTask(p []byte, t *task.Task) []byte {
 	p = appendInt(p, int(t.Batch))
 	p = appendBool(p, t.NeedsPrep)
 	p = appendF64(p, t.Bid)
-	p = appendF64(p, t.TrueValue)
 	p = appendStr(p, t.ModelName)
 	return p
 }
@@ -197,7 +197,6 @@ func readWALTask(r *binReader) task.Task {
 	t.Batch = readNarrow[int16](r)
 	t.NeedsPrep = r.bool()
 	t.Bid = r.f64()
-	t.TrueValue = r.f64()
 	t.ModelName = r.str()
 	return t
 }

@@ -339,6 +339,80 @@ func TestWALAppendFailureRefusesUnjournaled(t *testing.T) {
 	b.Kill()
 }
 
+// TestWALBatchedFsyncFailureRewrites: with WALSyncEvery 4 the first three
+// messages are acked on the OS's word, and the fourth's fsync is the one
+// that would make them durable. When it fails, the kernel may have
+// dropped their dirty pages, so the whole file is suspect: the fourth
+// message is refused with ErrWAL, the journal is rewritten at once from
+// the committed chunks, so that the three acked messages are on disk as
+// of an fsync, and the rewrite clears the broken mark, so the next bid is
+// acked again.
+func TestWALBatchedFsyncFailureRewrites(t *testing.T) {
+	s := newStack(t, 8, 2, 3, 5)
+	if len(s.tasks) < 5 {
+		t.Fatalf("workload has %d bids, want at least 5", len(s.tasks))
+	}
+	opts := walOptions(t, s)
+	opts.WALSyncEvery = 4
+	b, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPowerFS(-1, "")
+	b.fsys = brokerFS{p, b}
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Kill()
+	for _, tk := range s.tasks[:3] {
+		ackBatch(t, b, []task.Task{tk})
+	}
+
+	// The fourth message is a write, then the batch's fsync: fail the fsync.
+	p.mu.Lock()
+	at := len(p.ops)
+	p.mu.Unlock()
+	p.arm(1, "fail")
+	verdicts := make([]error, 1)
+	if _, err := b.SubmitBatchAck(context.Background(), s.tasks[3:4], verdicts); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	if ops := p.ops[at:]; len(ops) < 2 || ops[0] != "write" || ops[1] != "sync" || len(p.fired) != 1 {
+		t.Fatalf("operations %v, faults fired %v: the fault missed the batch's fsync", ops, p.fired)
+	}
+	if !errors.Is(verdicts[0], ErrWAL) {
+		t.Fatalf("verdict %v after the failed fsync, want ErrWAL", verdicts[0])
+	}
+
+	// What an fsync has made durable under the journal's synced name.
+	ino := p.synced[filepath.Base(opts.WALPath)]
+	var onDisk []byte
+	if ino != nil {
+		onDisk = bytes.Clone(ino.synced)
+	}
+	p.mu.Unlock()
+	got, err := walRecords(onDisk, opts.RunLabel)
+	if err != nil || len(got) != 3 {
+		t.Fatalf("the journal on disk holds %d bids (err %v), want the 3 acked before the failed fsync", len(got), err)
+	}
+	for i := range got {
+		if got[i] != s.tasks[i] {
+			t.Fatalf("journal record %d is %+v, want %+v", i, got[i], s.tasks[i])
+		}
+	}
+
+	// The rewrite cleared the broken mark: intake acks again.
+	ackBatch(t, b, s.tasks[4:5])
+	st, err := b.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Held != 4 || st.WALFailures != 1 {
+		t.Fatalf("held %d, %d journal failures; want 4 held (the refused bid un-held) and 1 failure", st.Held, st.WALFailures)
+	}
+}
+
 // TestWALRecoverReseedFailureKeepsJournal: recovery stages its reseeded
 // journal as a temp file and renames it into place only once the
 // survivors are durable — so a recovery attempt whose reseed fails

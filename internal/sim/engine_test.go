@@ -205,7 +205,7 @@ func TestEngineCallDiscipline(t *testing.T) {
 			if res.RejectReasons[schedule.ReasonVendorDown] != 1 || res.RejectReasons[schedule.ReasonSurplus] != 2 {
 				t.Fatalf("only a no-schedule rejection may be re-tagged vendor-down: %v", res.RejectReasons)
 			}
-			if res.FailuresInjected != 2 || res.FailedTasks != 1 || eng.Offered() != 4 || sunk != 4 || len(res.OfferLatency) != 0 {
+			if res.FailuresInjected != 2 || res.FailedTasks != 1 || eng.Offered() != 4 || sunk != 4 || res.OfferLatency != nil {
 				t.Fatalf("accounting: %+v, offered %d", res, eng.Offered())
 			}
 

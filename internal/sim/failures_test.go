@@ -132,7 +132,7 @@ func TestFailureRefundReflectedInDecisions(t *testing.T) {
 	_, failedRes := failureRun(t, []Failure{{Node: 0, From: 5, To: 35}, {Node: 1, From: 20, To: 35}})
 	refunds := 0
 	for _, d := range failedRes.Decisions {
-		if d.Reason == "failed-node" {
+		if d.Reason == schedule.ReasonFailedNode {
 			refunds++
 			if d.Admitted {
 				t.Fatal("refunded decision still marked admitted")

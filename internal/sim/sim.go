@@ -98,11 +98,11 @@ type Result struct {
 	Admitted, Rejected int
 	// RejectReasons tallies rejections by Decision.Reason.
 	RejectReasons map[schedule.RejectReason]int
-	// OfferLatency holds the per-task scheduling latency (batch latency
-	// is divided evenly across the batch). Run collects it; the engine
-	// hands each sample to its sink and keeps none, so a serving
-	// broker's Result has none.
-	OfferLatency []time.Duration
+	// OfferLatency is the histogram of per-task scheduling latency (batch
+	// latency is divided evenly across the batch), one sample a bid. Run
+	// collects it; the engine hands each sample to its sink and keeps
+	// none, so a serving broker's Result has nil here.
+	OfferLatency *obs.Histogram
 	// Utilization is the final fraction of cluster compute committed.
 	Utilization float64
 	// Decisions holds per-task outcomes when CollectDecisions is set,
@@ -156,7 +156,7 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		Failures: cfg.Failures, Spot: cfg.Spot,
 		Observer: cfg.Observer, RunLabel: cfg.RunLabel,
 	}, func(idx int, env *schedule.TaskEnv, d *schedule.Decision, lat time.Duration) {
-		res.OfferLatency = append(res.OfferLatency, lat)
+		res.OfferLatency.Record(lat)
 		if cfg.CollectDecisions {
 			// Decisions outlive the offer loop, so the plan is deep-copied:
 			// schedulers running with reused plan buffers (core
@@ -174,7 +174,7 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 		return nil, err
 	}
 	res = eng.Result()
-	res.OfferLatency = make([]time.Duration, 0, len(tasks))
+	res.OfferLatency = new(obs.Histogram)
 	if cfg.CollectDecisions {
 		res.Decisions = make([]schedule.Decision, len(tasks))
 	}
@@ -222,9 +222,5 @@ func (r *Result) Account(env *schedule.TaskEnv, d *schedule.Decision) {
 		return
 	}
 	r.Rejected++
-	reason := d.Reason
-	if reason == "" {
-		reason = "unspecified"
-	}
-	r.RejectReasons[reason]++
+	r.RejectReasons[d.Reason]++ // a rejection without a reason tallies under zero
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -115,8 +116,8 @@ func TestRunAccountingConsistency(t *testing.T) {
 	if diff := sum - res.Welfare; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("welfare %v != decision sum %v", res.Welfare, sum)
 	}
-	if len(res.OfferLatency) != len(tasks) {
-		t.Fatalf("latency samples %d != %d tasks", len(res.OfferLatency), len(tasks))
+	if res.OfferLatency.Count() != uint64(len(tasks)) {
+		t.Fatalf("latency samples %d != %d tasks", res.OfferLatency.Count(), len(tasks))
 	}
 	if res.Utilization <= 0 || res.Utilization > 1 {
 		t.Fatalf("utilization %v out of range", res.Utilization)
@@ -142,7 +143,7 @@ func TestRunBatchSchedulerGetsWholeSlots(t *testing.T) {
 	if res.Admitted == 0 {
 		t.Fatal("Titan admitted nothing")
 	}
-	if len(res.OfferLatency) != len(tasks) {
+	if res.OfferLatency.Count() != uint64(len(tasks)) {
 		t.Fatal("batch latency not amortized per task")
 	}
 }
@@ -154,6 +155,18 @@ func TestRunAcceptanceRate(t *testing.T) {
 	}
 	if (&Result{}).AcceptanceRate() != 0 {
 		t.Fatal("empty result acceptance should be 0")
+	}
+}
+
+// TestResultHoldsNoPerBidSlice: what a run keeps per bid is the opt-in
+// Decisions and nothing else; a per-bid sample belongs in a fixed-size
+// form, as OfferLatency's histogram is.
+func TestResultHoldsNoPerBidSlice(t *testing.T) {
+	res := reflect.TypeOf(Result{})
+	for i := range res.NumField() {
+		if f := res.Field(i); f.Type.Kind() == reflect.Slice && f.Name != "Decisions" {
+			t.Errorf("Result.%s is a %s; only Decisions may grow with the bids", f.Name, f.Type)
+		}
 	}
 }
 

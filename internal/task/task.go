@@ -1,9 +1,11 @@
 // Package task defines the fine-tuning task model of the paper:
 // i = {a_i, d_i, D_i, r_i, M_i, f_i, b_i} (Section 2.1), extended with the
 // LoRA hyperparameters (rank, batch size) from which the resource numbers
-// are derived, and a separate true valuation for the auction experiments.
+// are derived. It carries the declared bid b_i only: the private value v_i
+// lives in the one harness that needs it (auction.Scenario.TrueValue,
+// Figure 10), since a truthful mechanism never sees it.
 //
-// A Task is 72 bytes: ID stays an int (the service accepts IDs up to
+// A Task is 64 bytes: ID stays an int (the service accepts IDs up to
 // 2^53−1), the three floats and the model name are as wide as they must
 // be, and the rest is as wide as it needs — slots, sample and work counts
 // int32; epochs, rank and batch int16. The rule that goes with the widths:
@@ -25,7 +27,7 @@ import (
 
 // Task is one LoRA fine-tuning request submitted as a bid. The fields go
 // widest first so that nothing is padded (TestRecordSizes in
-// internal/service pins the 72 bytes); SaveTasks writes its JSON keys in
+// internal/service pins the 64 bytes); SaveTasks writes its JSON keys in
 // this order.
 type Task struct {
 	// ID identifies the task; IDs are dense indices within a workload.
@@ -35,10 +37,6 @@ type Task struct {
 	MemGB float64
 	// Bid is b_i: the declared willingness to pay.
 	Bid float64
-	// TrueValue is v_i: the private valuation. Truthful bidders have
-	// TrueValue == Bid; the truthfulness experiment sweeps Bid while
-	// holding TrueValue fixed.
-	TrueValue float64
 	// ModelName names the pre-trained model the task fine-tunes. The
 	// paper scopes each problem instance to one shared model and notes
 	// that "different zones within the cloud data center can be set up
@@ -88,8 +86,6 @@ func (t *Task) Validate(h timeslot.Horizon) error {
 		return fmt.Errorf("task %d: memory %v not positive and finite", t.ID, t.MemGB)
 	case !(t.Bid >= 0) || math.IsInf(t.Bid, 1):
 		return fmt.Errorf("task %d: bid %v not non-negative and finite", t.ID, t.Bid)
-	case math.IsNaN(t.TrueValue) || math.IsInf(t.TrueValue, 0):
-		return fmt.Errorf("task %d: non-finite true value %v", t.ID, t.TrueValue)
 	case t.DatasetSamples < 0:
 		return fmt.Errorf("task %d: negative dataset size %d", t.ID, t.DatasetSamples)
 	case t.Epochs < 0:

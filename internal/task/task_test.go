@@ -11,7 +11,7 @@ import (
 func validTask() Task {
 	return Task{
 		ID: 1, Arrival: 2, Deadline: 10, DatasetSamples: 8000, Epochs: 3,
-		Work: 24, MemGB: 4.5, Rank: 8, Batch: 16, Bid: 50, TrueValue: 50,
+		Work: 24, MemGB: 4.5, Rank: 8, Batch: 16, Bid: 50,
 	}
 }
 
@@ -43,9 +43,6 @@ func TestValidateRejects(t *testing.T) {
 		{"infinite bid", func(t *Task) { t.Bid = math.Inf(1) }},
 		{"NaN memory", func(t *Task) { t.MemGB = math.NaN() }},
 		{"infinite memory", func(t *Task) { t.MemGB = math.Inf(1) }},
-		{"NaN true value", func(t *Task) { t.TrueValue = math.NaN() }},
-		{"infinite true value", func(t *Task) { t.TrueValue = math.Inf(1) }},
-		{"negative infinite true value", func(t *Task) { t.TrueValue = math.Inf(-1) }},
 	}
 	for _, m := range mutations {
 		tk := validTask()

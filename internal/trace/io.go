@@ -23,7 +23,9 @@ func SaveTasks(w io.Writer, tasks []task.Task) error {
 
 // LoadTasks reads a JSON workload, validates every task against the
 // horizon, and sorts by arrival (stable on ID) so the result is directly
-// runnable. Unknown fields are rejected to catch format drift.
+// runnable. Unknown fields are rejected to catch format drift: a file
+// saved while Task still carried a TrueValue key is refused, not
+// migrated (drop the key by hand; the generator always set it to Bid).
 func LoadTasks(r io.Reader, h timeslot.Horizon) ([]task.Task, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

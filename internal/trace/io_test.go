@@ -35,8 +35,8 @@ func TestTasksRoundTrip(t *testing.T) {
 
 func TestLoadTasksSortsByArrival(t *testing.T) {
 	in := `[
-	  {"ID":1,"Arrival":9,"Deadline":12,"Work":5,"MemGB":2,"Batch":8,"Bid":10,"TrueValue":10},
-	  {"ID":0,"Arrival":2,"Deadline":12,"Work":5,"MemGB":2,"Batch":8,"Bid":10,"TrueValue":10}
+	  {"ID":1,"Arrival":9,"Deadline":12,"Work":5,"MemGB":2,"Batch":8,"Bid":10},
+	  {"ID":0,"Arrival":2,"Deadline":12,"Work":5,"MemGB":2,"Batch":8,"Bid":10}
 	]`
 	tasks, err := LoadTasks(strings.NewReader(in), timeslot.NewHorizon(20))
 	if err != nil {
@@ -52,6 +52,7 @@ func TestLoadTasksRejectsInvalid(t *testing.T) {
 		`[{"ID":0,"Arrival":99,"Deadline":100,"Work":5,"MemGB":2,"Batch":8,"Bid":1}]`, // outside horizon
 		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":0,"MemGB":2,"Batch":8,"Bid":1}]`,    // zero work
 		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":5,"MemGB":2,"Batch":8,"Bid":1,"Bogus":3}]`,
+		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":5,"MemGB":2,"Batch":8,"Bid":1,"TrueValue":1}]`, // saved before Task lost its private value
 		`not json`,
 	}
 	for i, in := range cases {

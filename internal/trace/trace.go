@@ -453,7 +453,6 @@ func (g *generator) sample(tk *task.Task, id, t int) {
 		Batch:          batchMenu[b],
 		NeedsPrep:      needsPrep,
 		Bid:            bid,
-		TrueValue:      bid,
 		ModelName:      model.name,
 	}
 }

@@ -92,8 +92,8 @@ func TestGenerateTasksValidAndSorted(t *testing.T) {
 		if tk.Epochs < 1 || tk.Epochs > 5 {
 			t.Fatalf("epochs %d outside [1,5]", tk.Epochs)
 		}
-		if tk.Bid <= 0 || tk.TrueValue != tk.Bid {
-			t.Fatalf("bad bid/value: %v/%v", tk.Bid, tk.TrueValue)
+		if tk.Bid <= 0 {
+			t.Fatalf("bad bid: %v", tk.Bid)
 		}
 		if int(tk.Deadline) >= cfg.Horizon.T {
 			t.Fatalf("deadline %d beyond horizon", tk.Deadline)
@@ -348,7 +348,9 @@ func digest(tasks []task.Task) uint64 {
 		for _, v := range []int{t.ID, int(t.Arrival), int(t.Deadline), int(t.DatasetSamples), int(t.Epochs), int(t.Work), int(t.Rank), int(t.Batch)} {
 			u64(uint64(v))
 		}
-		for _, v := range []float64{t.MemGB, t.Bid, t.TrueValue} {
+		// The third word was Task.TrueValue, which the generator always
+		// set to the bid; hashing the bid again keeps the recorded digests.
+		for _, v := range []float64{t.MemGB, t.Bid, t.Bid} {
 			u64(math.Float64bits(v))
 		}
 		if t.NeedsPrep {
