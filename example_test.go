@@ -48,8 +48,7 @@ func ExampleNewScheduler_offer() {
 		pdftsp.WithNodes(pdftsp.A100(), 1), pdftsp.WithPrice(pdftsp.FlatPrice(1)))
 	sch, _ := pdftsp.NewScheduler(cl, pdftsp.SchedulerOptions{Alpha: 2, Beta: 10})
 	bid := pdftsp.Task{
-		ID: 0, Arrival: 1, Deadline: 10, DatasetSamples: 27000, Epochs: 1,
-		Work: 27, MemGB: 5, Rank: 8, Batch: 16, Bid: 50,
+		ID: 0, Arrival: 1, Deadline: 10, Work: 27, MemGB: 5, Batch: 16, Bid: 50,
 	}
 	d := sch.Offer(pdftsp.NewTaskEnv(&bid, cl, model, nil))
 	fmt.Println(d.Admitted, d.Payment, len(d.Schedule.Placements) > 0)
@@ -98,8 +97,7 @@ func ExampleNewBroker() {
 		log.Fatal(err)
 	}
 	bid := pdftsp.Task{
-		ID: 0, Arrival: 0, Deadline: 10, DatasetSamples: 27000, Epochs: 1,
-		Work: 27, MemGB: 5, Rank: 8, Batch: 16, Bid: 50,
+		ID: 0, Arrival: 0, Deadline: 10, Work: 27, MemGB: 5, Batch: 16, Bid: 50,
 	}
 	outcome, err := broker.SubmitAsync(context.Background(), bid)
 	if err != nil {

@@ -34,8 +34,7 @@ func main() {
 	// The focal bid: 30 work units, valuation 36.
 	const trueValue = 36.0
 	focal := pdftsp.Task{
-		ID: 1_000_000, Arrival: 40, Deadline: 52, DatasetSamples: 30000,
-		Epochs: 1, Work: 30, MemGB: 5, Rank: 8, Batch: 16,
+		ID: 1_000_000, Arrival: 40, Deadline: 52, Work: 30, MemGB: 5, Batch: 16,
 	}
 
 	runFocal := func(bid float64) (bool, float64) {

@@ -47,8 +47,7 @@ func testScenario(t *testing.T) *Scenario {
 	// prices (the property under test), not on incidental full cells.
 	opts.MaskFullCells = true
 	focal := task.Task{
-		ID: 100000, Arrival: 20, Deadline: 30, DatasetSamples: 10000, Epochs: 3,
-		Work: 30, MemGB: 5, Rank: 8, Batch: 16, Bid: 60,
+		ID: 100000, Arrival: 20, Deadline: 30, Work: 30, MemGB: 5, Batch: 16, Bid: 60,
 	}
 	return &Scenario{
 		MakeCluster: makeCluster,

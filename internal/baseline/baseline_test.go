@@ -27,8 +27,7 @@ func testCluster(t *testing.T, nodes int) *cluster.Cluster {
 
 func testTask(id int) *task.Task {
 	return &task.Task{
-		ID: id, Arrival: 1, Deadline: 12, DatasetSamples: 10000, Epochs: 3,
-		Work: 30, MemGB: 5, Rank: 8, Batch: 16, Bid: 70,
+		ID: id, Arrival: 1, Deadline: 12, Work: 30, MemGB: 5, Batch: 16, Bid: 70,
 	}
 }
 

@@ -176,14 +176,14 @@ func (c Config) Validate() error {
 }
 
 func (c Config) model() (lora.ModelConfig, error) {
-	switch c.Model {
-	case "", "gpt2-small":
-		return lora.GPT2Small(), nil
-	case "gpt2-medium":
-		return lora.GPT2Medium(), nil
-	default:
-		return lora.ModelConfig{}, fmt.Errorf("config: unknown model %q", c.Model)
+	m, err := lora.ModelNamed(c.Model)
+	if err != nil {
+		return lora.ModelConfig{}, fmt.Errorf("config: %w", err)
 	}
+	if m == 0 {
+		m = lora.ModelGPT2Small
+	}
+	return m.Config(), nil
 }
 
 // arrivalKind and deadlinePolicy add the file format's defaults (an

@@ -157,8 +157,9 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// taskDigest hashes every field of every task, in order (FNV-1a over
-// fixed-width little-endian fields — trace's own pinned-digest function).
+// taskDigest hashes every field of every task, in order, the model by
+// name (FNV-1a over fixed-width little-endian fields — trace's own
+// pinned-digest function).
 func taskDigest(tasks []task.Task) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -168,12 +169,10 @@ func taskDigest(tasks []task.Task) uint64 {
 	}
 	for i := range tasks {
 		t := &tasks[i]
-		for _, v := range []int{t.ID, int(t.Arrival), int(t.Deadline), int(t.DatasetSamples), int(t.Epochs), int(t.Work), int(t.Rank), int(t.Batch)} {
+		for _, v := range []int{t.ID, int(t.Arrival), int(t.Deadline), int(t.Work), int(t.Batch)} {
 			u64(uint64(v))
 		}
-		// The third word was Task.TrueValue, which the generator always
-		// set to the bid; hashing the bid again keeps the recorded digests.
-		for _, v := range []float64{t.MemGB, t.Bid, t.Bid} {
+		for _, v := range []float64{t.MemGB, t.Bid} {
 			u64(math.Float64bits(v))
 		}
 		if t.NeedsPrep {
@@ -181,8 +180,9 @@ func taskDigest(tasks []task.Task) uint64 {
 		} else {
 			u64(0)
 		}
-		u64(uint64(len(t.ModelName)))
-		h.Write([]byte(t.ModelName))
+		name := t.ModelName.String()
+		u64(uint64(len(name)))
+		h.Write([]byte(name))
 	}
 	return h.Sum64()
 }
@@ -219,7 +219,9 @@ const (
 // buildShardStacks, config.Default().Build() for pdftsp-sim (its flags
 // branch printed the same report), cmd/tracegen's JSON output — and must
 // pass unmodified: task count and stream digest, then per shard the
-// calibrated α and β (as float64 bits) and the node order.
+// calibrated α and β (as float64 bits) and the node order. The stream
+// digests were re-recorded over the fields a task kept when it dropped its
+// dataset size, epochs and rank, at the commit before the drop.
 func TestRecipeDigests(t *testing.T) {
 	type shard struct {
 		alpha, beta uint64
@@ -235,27 +237,27 @@ func TestRecipeDigests(t *testing.T) {
 		sum    uint64
 		want   []shard
 	}{
-		{"pdftspd", flagConfig(t, Default(), 8), 1, 578, 0x965b700fa32cf2d0, []shard{
+		{"pdftspd", flagConfig(t, Default(), 8), 1, 578, 0xa4dc45e413d3f05c, []shard{
 			{0x3ff9ff926eb26ded, 0x400a67f9302a343b, strings.Join([]string{a100, a100, a100, a100, a40, a40, a40, a40}, " ")},
 		}},
-		{"pdftspd -shards 2", flagConfig(t, Default(), 8), 2, 578, 0x965b700fa32cf2d0, []shard{
+		{"pdftspd -shards 2", flagConfig(t, Default(), 8), 2, 578, 0xa4dc45e413d3f05c, []shard{
 			{0x3ff9ff926eb26deb, 0x400a67f9302a3438, strings.Join([]string{a100, a100, a40, a40}, " ")},
 			{0x3ff9ff926eb26deb, 0x400a67f9302a3438, strings.Join([]string{a100, a100, a40, a40}, " ")},
 		}},
-		{"pdftspd -shards 4", flagConfig(t, Default(), 8), 4, 578, 0x965b700fa32cf2d0, []shard{
+		{"pdftspd -shards 4", flagConfig(t, Default(), 8), 4, 578, 0xa4dc45e413d3f05c, []shard{
 			{0x3ff9ff926eb26deb, 0x400a67f9302a3438, a100 + " " + a40},
 			{0x3ff9ff926eb26deb, 0x400a67f9302a3438, a100 + " " + a40},
 			{0x3ff9ff926eb26deb, 0x400a67f9302a3438, a100 + " " + a40},
 			{0x3ff9ff926eb26deb, 0x400a67f9302a3438, a100 + " " + a40},
 		}},
-		{"pdftspd-load (make load-smoke)", flagConfig(t, loadDefaults, 4, "-slots", "24", "-rate", "40", "-nodes", "4", "-seed", "1"), 1, 761, 0xade80af0db540ec, []shard{
+		{"pdftspd-load (make load-smoke)", flagConfig(t, loadDefaults, 4, "-slots", "24", "-rate", "40", "-nodes", "4", "-seed", "1"), 1, 761, 0x418a530eb8d1e881, []shard{
 			{0x3ffd73a7177feed8, 0x400de9ec0c0f8199, strings.Join([]string{a100, a100, a40, a40}, " ")},
 		}},
-		{"pdftspd-load -shards 2 (make shard-load-smoke)", flagConfig(t, loadDefaults, 4, "-slots", "24", "-rate", "40", "-nodes", "4", "-seed", "1"), 2, 761, 0xade80af0db540ec, []shard{
+		{"pdftspd-load -shards 2 (make shard-load-smoke)", flagConfig(t, loadDefaults, 4, "-slots", "24", "-rate", "40", "-nodes", "4", "-seed", "1"), 2, 761, 0x418a530eb8d1e881, []shard{
 			{0x3ffd73a7177feed8, 0x400de9ec0c0f8199, a100 + " " + a40},
 			{0x3ffd73a7177feed8, 0x400de9ec0c0f8199, a100 + " " + a40},
 		}},
-		{"pdftsp-sim", flagConfig(t, Default(), 8), 1, 578, 0x965b700fa32cf2d0, []shard{
+		{"pdftsp-sim", flagConfig(t, Default(), 8), 1, 578, 0xa4dc45e413d3f05c, []shard{
 			{0x3ff9ff926eb26ded, 0x400a67f9302a343b, strings.Join([]string{a100, a100, a100, a100, a40, a40, a40, a40}, " ")},
 		}},
 	} {
@@ -290,8 +292,8 @@ func TestRecipeDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := taskDigest(tasks); len(tasks) != 545 || got != 0x8d251ce704b82576 {
-		t.Errorf("tracegen -arrivals helios: %d tasks digest %#x, recorded 545 / 0x8d251ce704b82576", len(tasks), got)
+	if got := taskDigest(tasks); len(tasks) != 545 || got != 0xee5b1d7e674ad6fe {
+		t.Errorf("tracegen -arrivals helios: %d tasks digest %#x, recorded 545 / 0xee5b1d7e674ad6fe", len(tasks), got)
 	}
 }
 

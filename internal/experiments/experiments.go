@@ -374,7 +374,6 @@ func (p Profile) baseTrace() trace.Config {
 // inside the profile's horizon and its work is a small constant.
 func mkTask(id, arrival, deadline, work int, mem, bid float64) task.Task {
 	return task.Task{
-		ID: id, Arrival: int32(arrival), Deadline: int32(deadline), DatasetSamples: int32(work * lora.SamplesPerUnit),
-		Epochs: 1, Work: int32(work), MemGB: mem, Rank: 8, Batch: 16, Bid: bid,
+		ID: id, Arrival: int32(arrival), Deadline: int32(deadline), Work: int32(work), MemGB: mem, Batch: 16, Bid: bid,
 	}
 }

@@ -33,8 +33,7 @@ func smallCluster(t *testing.T, nodes, slots int) *cluster.Cluster {
 // oneSlotTask occupies exactly one A100 slot at batch 16 (speed 10).
 func oneSlotTask(id, slot int, mem, bid float64) task.Task {
 	return task.Task{
-		ID: id, Arrival: int32(slot), Deadline: int32(slot), DatasetSamples: 9000, Epochs: 3,
-		Work: 10, MemGB: mem, Rank: 8, Batch: 16, Bid: bid,
+		ID: id, Arrival: int32(slot), Deadline: int32(slot), Work: 10, MemGB: mem, Batch: 16, Bid: bid,
 	}
 }
 
@@ -132,8 +131,7 @@ func TestPrepTaskPaysCheapestWorkableVendor(t *testing.T) {
 		t.Fatal(err)
 	}
 	tk := task.Task{
-		ID: 0, Arrival: 1, Deadline: 10, DatasetSamples: 9000, Epochs: 3,
-		Work: 10, MemGB: 10, Rank: 8, Batch: 16, NeedsPrep: true, Bid: 100,
+		ID: 0, Arrival: 1, Deadline: 10, Work: 10, MemGB: 10, Batch: 16, NeedsPrep: true, Bid: 100,
 	}
 	res, err := Solve(Instance{Cluster: cl, Tasks: []task.Task{tk}, Model: lora.GPT2Small(), Market: mkt}, milp.Options{})
 	if err != nil {
@@ -167,9 +165,8 @@ func TestOfflineBoundDominatesOnline(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		a := rng.Intn(10)
 		tasks = append(tasks, task.Task{
-			ID: i, Arrival: int32(a), Deadline: int32(a + 2 + rng.Intn(5)),
-			DatasetSamples: 8000, Epochs: 2, Work: int32(15 + rng.Intn(50)),
-			MemGB: 5 + 10*rng.Float64(), Rank: 8, Batch: 16,
+			ID: i, Arrival: int32(a), Deadline: int32(a + 2 + rng.Intn(5)), Work: int32(15 + rng.Intn(50)),
+			MemGB: 5 + 10*rng.Float64(), Batch: 16,
 			Bid: 30 + rng.Float64()*120,
 		})
 	}
@@ -211,8 +208,7 @@ func TestBuildOwnsItsQuotes(t *testing.T) {
 	tasks := make([]task.Task, 3)
 	for i := range tasks {
 		tasks[i] = task.Task{
-			ID: i, Arrival: 1, Deadline: 10, DatasetSamples: 9000, Epochs: 3,
-			Work: 10, MemGB: 10, Rank: 8, Batch: 16, NeedsPrep: true, Bid: 100,
+			ID: i, Arrival: 1, Deadline: 10, Work: 10, MemGB: 10, Batch: 16, NeedsPrep: true, Bid: 100,
 		}
 	}
 	m, err := Build(Instance{Cluster: cl, Tasks: tasks, Model: lora.GPT2Small(), Market: mkt})

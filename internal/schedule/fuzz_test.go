@@ -27,8 +27,7 @@ func FuzzValidate(f *testing.F) {
 			t.Fatal(err)
 		}
 		tk := &task.Task{
-			ID: 0, Arrival: 2, Deadline: 12, DatasetSamples: 9000, Epochs: 3,
-			Work: 30, MemGB: 5, Rank: 8, Batch: 16, Bid: 60,
+			ID: 0, Arrival: 2, Deadline: 12, Work: 30, MemGB: 5, Batch: 16, Bid: 60,
 		}
 		env := NewTaskEnv(tk, cl, lora.GPT2Small(), nil)
 		s := &Schedule{TaskID: 0, Vendor: NoVendor}

@@ -25,8 +25,7 @@ func testEnv(t *testing.T, needsPrep bool) *TaskEnv {
 		t.Fatal(err)
 	}
 	tk := &task.Task{
-		ID: 0, Arrival: 2, Deadline: 15, DatasetSamples: 10000, Epochs: 3,
-		Work: 20, MemGB: 5, Rank: 8, Batch: 16, NeedsPrep: needsPrep,
+		ID: 0, Arrival: 2, Deadline: 15, Work: 20, MemGB: 5, Batch: 16, NeedsPrep: needsPrep,
 		Bid: 70,
 	}
 	var mkt *vendor.Marketplace

@@ -192,7 +192,7 @@ func TestBatchIntakeVerdicts(t *testing.T) {
 	defer b.Kill()
 
 	bid := func(id int) task.Task {
-		return task.Task{ID: id, Arrival: 3, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+		return task.Task{ID: id, Arrival: 3, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	}
 	batch := []task.Task{bid(0), bid(1), bid(0), bid(2), bid(3), bid(4), bid(5)}
 	verdicts := make([]error, len(batch))

@@ -33,9 +33,9 @@ func TestRecordSizes(t *testing.T) {
 		got, want uintptr
 		exact     bool
 	}{
-		{"task.Task", unsafe.Sizeof(task.Task{}), 64, true},
+		{"task.Task", unsafe.Sizeof(task.Task{}), 40, true},
 		{"schedule.Decision", unsafe.Sizeof(schedule.Decision{}), 56, true},
-		{"heldBid", unsafe.Sizeof(heldBid{}), 96, true},
+		{"heldBid", unsafe.Sizeof(heldBid{}), 72, true},
 		{"decisionRec", unsafe.Sizeof(decisionRec{}), 24, true},
 		{"decisionExtra", unsafe.Sizeof(decisionExtra{}), 40, true},
 	} {
@@ -440,7 +440,7 @@ func TestStatusDecisionBytes(t *testing.T) {
 		verdicts := make([]error, perSlot)
 		for slot := 0; slot < slots; slot++ {
 			for i := range batch {
-				batch[i] = task.Task{ID: -1, Arrival: -1, Deadline: int32(slot + 10), Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+				batch[i] = task.Task{ID: -1, Arrival: -1, Deadline: int32(slot + 10), Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 			}
 			if held, err := b.SubmitBatchAck(context.Background(), batch, verdicts); err != nil || held != perSlot {
 				t.Fatalf("%s: slot %d: held %d of %d, err %v", c.name, slot, held, perSlot, err)
@@ -484,7 +484,7 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 	verdicts := make([]error, perSlot)
 	for slot := 0; slot < slots; slot++ {
 		for i := range batch {
-			batch[i] = task.Task{ID: -1, Arrival: -1, Deadline: int32(min(slot+3, slots-1)), Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+			batch[i] = task.Task{ID: -1, Arrival: -1, Deadline: int32(min(slot+3, slots-1)), Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 		}
 		if held, err := b.SubmitBatchAck(context.Background(), batch, verdicts); err != nil || held != perSlot {
 			t.Fatalf("slot %d: held %d of %d, err %v", slot, held, perSlot, err)

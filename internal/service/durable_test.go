@@ -33,6 +33,7 @@ import (
 type powerFS struct {
 	mu    sync.Mutex
 	at    int    // the operation to fault; -1 for none
+	again int    // the operation to fault once at's has gone off; -1 for none
 	mode  string // "fail", "short", "cut" or "zombie"
 	ops   []string
 	fired []string // the modes of the faults that went off
@@ -51,7 +52,7 @@ type inode struct{ data, synced []byte }
 var errPowerCut = errors.New("power cut")
 
 func newPowerFS(at int, mode string) *powerFS {
-	return &powerFS{at: at, mode: mode, names: map[string]*inode{}, synced: map[string]*inode{}}
+	return &powerFS{at: at, again: -1, mode: mode, names: map[string]*inode{}, synced: map[string]*inode{}}
 }
 
 func (p *powerFS) isCut() bool {
@@ -65,10 +66,19 @@ func (p *powerFS) isCut() bool {
 func (p *powerFS) arm(after int, mode string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.at, p.mode = -1, mode
+	p.at, p.again, p.mode = -1, -1, mode
 	if after >= 0 {
 		p.at = len(p.ops) + after
 	}
+}
+
+// armTwice arms arm's fault and a second one in the same mode, then
+// operations after the first.
+func (p *powerFS) armTwice(after, then int, mode string) {
+	p.arm(after, mode)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.again = p.at + then
 }
 
 // restore lays the directory out as the power cut left it and turns the
@@ -88,7 +98,7 @@ func (p *powerFS) restore(dir string) error {
 		p.names[name] = &inode{data: bytes.Clone(data), synced: data}
 		p.synced[name] = p.names[name]
 	}
-	p.cut, p.image, p.at = false, nil, -1
+	p.cut, p.image, p.at, p.again = false, nil, -1, -1
 	return nil
 }
 
@@ -118,7 +128,7 @@ func (fs brokerFS) do(kind string, private func() bool, fn func(short bool) erro
 		p.mode == "short" && kind != "write" || p.mode == "zombie" && kind != "create" {
 		return fn(false)
 	}
-	p.at, p.fired = -1, append(p.fired, p.mode)
+	p.at, p.again, p.fired = p.again, -1, append(p.fired, p.mode)
 	switch p.mode {
 	case "zombie":
 		for _, b := range p.gen {
@@ -328,7 +338,7 @@ func TestPersistCrashPoints(t *testing.T) {
 			submit(b, perSlot[s][half:])
 			if s == killAt {
 				b.Supersede()
-				late := task.Task{ID: 1 << 40, Arrival: int32(s), Deadline: slots - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+				late := task.Task{ID: 1 << 40, Arrival: int32(s), Deadline: slots - 1, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 				if v := submit(b, []task.Task{late}); v[0] == nil {
 					t.Fatal("a superseded broker acked a bid")
 				}

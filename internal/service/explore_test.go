@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/pdftsp/pdftsp/internal/faults"
+	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
@@ -171,7 +172,7 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 	r.ckpt = filepath.Join(r.dir, "fleet.ckpt")
 	r.tasks = shardWorkload(t, fleetSlots, 3, seed)
 	for i := range r.tasks {
-		r.tasks[i].ModelName = "gpt2-small" // the served model: a form that drops the field shows in the journal
+		r.tasks[i].ModelName = lora.ModelGPT2Small // the served model: a form that drops the field shows in the journal
 		r.bids[r.tasks[i].ID] = &fleetBid{task: r.tasks[i]}
 	}
 	r.perSlot = bySlot(t, r.tasks, fleetSlots)
@@ -477,8 +478,7 @@ func (r *fleetRun) after() bool {
 			return false
 		}
 	case len(fired) > 0 && fired[len(fired)-1] == "zombie":
-		late := task.Task{ID: fleetLateID + len(r.bids), Arrival: int32(r.slot), Deadline: fleetSlots - 1,
-			Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+		late := task.Task{ID: fleetLateID + len(r.bids), Arrival: int32(r.slot), Deadline: fleetSlots - 1, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 		r.bids[late.ID] = &fleetBid{task: late, refused: true} // a zombie's bid must not reach its successor
 		for _, b := range r.fleet.Brokers() {
 			b.SubmitBatchAck(context.Background(), []task.Task{late}, make([]error, 1))

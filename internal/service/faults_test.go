@@ -252,7 +252,7 @@ func TestVendorDownRejection(t *testing.T) {
 	defer b.Kill()
 
 	before := s.sched.SnapshotDuals()
-	tk := task.Task{ID: 700, Arrival: 2, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 50, NeedsPrep: true}
+	tk := task.Task{ID: 700, Arrival: 2, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 50, NeedsPrep: true}
 	ch, err := b.SubmitAsync(context.Background(), tk)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestDegradedHealth(t *testing.T) {
 	}
 
 	// Degraded ≠ down: the auction keeps deciding bids.
-	tk := task.Task{ID: 1, Arrival: 4, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+	tk := task.Task{ID: 1, Arrival: 4, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	ch, err := b.SubmitAsync(context.Background(), tk)
 	if err != nil {
 		t.Fatalf("degraded broker refused a bid: %v", err)
@@ -389,7 +389,7 @@ func TestRetryAfterOn429(t *testing.T) {
 	defer srv.Close()
 
 	// Fill the single held slot directly so the HTTP bid below bounces.
-	tk := task.Task{ID: 1, Arrival: 5, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+	tk := task.Task{ID: 1, Arrival: 5, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	if _, err := b.SubmitAsync(context.Background(), tk); err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the current genera
 // The format corpus is what one seeded two-shard run leaves on disk: per
 // shard a JSON snapshot, a delta sidecar holding records and a journal
 // holding acked bids, plus the fleet manifest and shard 0's decision log.
-// It is committed once per generation of the on-disk formats, a
-// generation named after the delta-sidecar version that wrote it
-// (testdata/formats/delta-v<N>), with digests.json beside the files
-// recording what each restores to.
+// It is committed once per generation of the on-disk formats, with
+// digests.json beside the files recording what each restores to. A
+// generation is named after the delta-sidecar and journal versions that
+// wrote it (testdata/formats/delta-v<N>-wal-v<M>); the three written
+// before the journal's version was part of the name keep theirs
+// (delta-v3 to delta-v5, all of them journal v1 or v2).
 const (
 	formatsDir    = "testdata/formats"
 	formatsSlots  = 12
@@ -40,7 +42,9 @@ const (
 	formatsSeed   = 41
 )
 
-func formatGeneration() string { return fmt.Sprintf("delta-v%d", deltaVersion) }
+func formatGeneration() string {
+	return fmt.Sprintf("delta-v%d-wal-v%d", deltaVersion, walVersion)
+}
 
 // formatRefusals lists, per older generation, the entries the current code
 // must refuse with ErrFormatVersion instead of restoring: those that read
@@ -52,15 +56,28 @@ var formatRefusals = map[string][]string{
 	// task's private value.
 	"delta-v3": {"shard0 chain", "shard1 chain", "shard0 journal", "shard1 journal", "fleet"},
 	"delta-v4": {"shard0 chain", "shard1 chain", "shard0 journal", "shard1 journal", "fleet"},
+	// Journal v3 dropped the task's dataset size, epochs and rank, and
+	// writes its model as a one-byte catalog code.
+	"delta-v5": {"shard0 journal", "shard1 journal", "fleet"},
 }
 
-// formatUnchanged lists, per generation, the files it writes exactly as
-// the generation before it did (the manifest up to the directory it
-// names) and the digests that must therefore carry over.
-var formatUnchanged = map[string]struct{ files, digests []string }{
+// formatUnchanged lists, per generation, the generation before it, the
+// files it writes exactly as that one did (the manifest up to the
+// directory it names) and the digests that must therefore carry over.
+var formatUnchanged = map[string]struct {
+	prev           string
+	files, digests []string
+}{
 	"delta-v5": {
+		prev:    "delta-v4",
 		files:   []string{"fleet.json", "fleet.json.shard0", "fleet.json.shard1", "decisions.log"},
 		digests: []string{"shard0 snapshot", "shard1 snapshot", "decision log"},
+	},
+	"delta-v5-wal-v3": {
+		prev: "delta-v5",
+		files: []string{"fleet.json", "fleet.json.shard0", "fleet.json.shard1",
+			"fleet.json.shard0.delta", "fleet.json.shard1.delta", "decisions.log"},
+		digests: []string{"shard0 snapshot", "shard1 snapshot", "shard0 chain", "shard1 chain", "decision log", "fleet"},
 	},
 }
 
@@ -304,12 +321,7 @@ func TestFormatCorpus(t *testing.T) {
 
 	for gen, same := range formatUnchanged {
 		t.Run(gen+"/unchanged", func(t *testing.T) {
-			dir := filepath.Join(formatsDir, gen)
-			var v int
-			if _, err := fmt.Sscanf(gen, "delta-v%d", &v); err != nil {
-				t.Fatal(err)
-			}
-			prev := filepath.Join(formatsDir, fmt.Sprintf("delta-v%d", v-1))
+			dir, prev := filepath.Join(formatsDir, gen), filepath.Join(formatsDir, same.prev)
 			for _, name := range same.files {
 				got, err := os.ReadFile(filepath.Join(dir, name))
 				if err != nil {

@@ -245,7 +245,7 @@ func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 		}
 	}
 	bid := func(id, arrival int) task.Task {
-		return task.Task{ID: id, Arrival: int32(arrival), Deadline: slots - 1, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+		return task.Task{ID: id, Arrival: int32(arrival), Deadline: slots - 1, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	}
 	breakJournal := func(broken bool) {
 		for _, br := range a.Brokers() {

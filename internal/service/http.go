@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 
+	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
@@ -20,21 +21,19 @@ import (
 // fine-tuning bid. Omitted id/arrival default to "assign the next ID" /
 // "the current slot". The numeric fields have task.Task's widths, so
 // encoding/json itself refuses a number the task could not hold (a 400)
-// and the conversion below never narrows. The field order is the wire's
-// key order and stays as it is.
+// and the conversion below never narrows; model is a lora.Model, so a
+// name outside the catalog is refused the same way. The field order is
+// the wire's key order and stays as it is.
 type BidRequest struct {
-	ID             *int    `json:"id,omitempty"`
-	Arrival        *int32  `json:"arrival,omitempty"`
-	Deadline       int32   `json:"deadline"`
-	Work           int32   `json:"work"`
-	MemGB          float64 `json:"mem_gb"`
-	Bid            float64 `json:"bid"`
-	NeedsPrep      bool    `json:"needs_prep,omitempty"`
-	Rank           int16   `json:"rank,omitempty"`
-	Batch          int16   `json:"batch,omitempty"`
-	DatasetSamples int32   `json:"dataset_samples,omitempty"`
-	Epochs         int16   `json:"epochs,omitempty"`
-	ModelName      string  `json:"model,omitempty"`
+	ID        *int       `json:"id,omitempty"`
+	Arrival   *int32     `json:"arrival,omitempty"`
+	Deadline  int32      `json:"deadline"`
+	Work      int32      `json:"work"`
+	MemGB     float64    `json:"mem_gb"`
+	Bid       float64    `json:"bid"`
+	NeedsPrep bool       `json:"needs_prep,omitempty"`
+	Batch     int16      `json:"batch,omitempty"`
+	ModelName lora.Model `json:"model,omitempty"`
 }
 
 // task converts the wire form; unset id/arrival become the broker's
@@ -43,18 +42,15 @@ type BidRequest struct {
 // the bid unschedulable).
 func (r *BidRequest) task() task.Task {
 	t := task.Task{
-		ID:             -1,
-		Arrival:        -1,
-		Deadline:       r.Deadline,
-		Work:           r.Work,
-		MemGB:          r.MemGB,
-		Bid:            r.Bid,
-		NeedsPrep:      r.NeedsPrep,
-		Rank:           r.Rank,
-		Batch:          r.Batch,
-		DatasetSamples: r.DatasetSamples,
-		Epochs:         r.Epochs,
-		ModelName:      r.ModelName,
+		ID:        -1,
+		Arrival:   -1,
+		Deadline:  r.Deadline,
+		Work:      r.Work,
+		MemGB:     r.MemGB,
+		Bid:       r.Bid,
+		NeedsPrep: r.NeedsPrep,
+		Batch:     r.Batch,
+		ModelName: r.ModelName,
 	}
 	if r.ID != nil {
 		t.ID = *r.ID
@@ -64,9 +60,6 @@ func (r *BidRequest) task() task.Task {
 	}
 	if t.Batch == 0 {
 		t.Batch = 8
-	}
-	if t.Rank == 0 {
-		t.Rank = 8
 	}
 	return t
 }
@@ -82,16 +75,13 @@ func (r *BidRequest) Task() task.Task { return r.task() }
 // these; pdftspd-load -bids requires them).
 func BidRequestFor(t task.Task) BidRequest {
 	r := BidRequest{
-		Deadline:       t.Deadline,
-		Work:           t.Work,
-		MemGB:          t.MemGB,
-		Bid:            t.Bid,
-		NeedsPrep:      t.NeedsPrep,
-		Rank:           t.Rank,
-		Batch:          t.Batch,
-		DatasetSamples: t.DatasetSamples,
-		Epochs:         t.Epochs,
-		ModelName:      t.ModelName,
+		Deadline:  t.Deadline,
+		Work:      t.Work,
+		MemGB:     t.MemGB,
+		Bid:       t.Bid,
+		NeedsPrep: t.NeedsPrep,
+		Batch:     t.Batch,
+		ModelName: t.ModelName,
 	}
 	id, arrival := t.ID, t.Arrival
 	r.ID = &id

@@ -196,43 +196,67 @@ func TestHTTPRealClockStep(t *testing.T) {
 
 // wideBid is BidRequest with every integer as wide as JSON allows: the
 // same keys through the same decoder, so whatever encoding/json does with
-// case, duplicates and nulls it does to both.
+// case, duplicates and nulls it does to both. It also reads the keys the
+// wire no longer has, so a strictly decoded body can be checked for one.
 type wideBid struct {
-	ID             *int64  `json:"id"`
-	Arrival        *int64  `json:"arrival"`
-	Deadline       int64   `json:"deadline"`
-	Work           int64   `json:"work"`
-	MemGB          float64 `json:"mem_gb"`
-	Bid            float64 `json:"bid"`
-	NeedsPrep      bool    `json:"needs_prep"`
-	Rank           int64   `json:"rank"`
-	Batch          int64   `json:"batch"`
-	DatasetSamples int64   `json:"dataset_samples"`
-	Epochs         int64   `json:"epochs"`
-	ModelName      string  `json:"model"`
+	ID        *int64  `json:"id"`
+	Arrival   *int64  `json:"arrival"`
+	Deadline  int64   `json:"deadline"`
+	Work      int64   `json:"work"`
+	MemGB     float64 `json:"mem_gb"`
+	Bid       float64 `json:"bid"`
+	NeedsPrep bool    `json:"needs_prep"`
+	Batch     int64   `json:"batch"`
+	ModelName string  `json:"model"`
+
+	Rank           json.RawMessage `json:"rank"`
+	DatasetSamples json.RawMessage `json:"dataset_samples"`
+	Epochs         json.RawMessage `json:"epochs"`
 }
 
-// FuzzDecodeBids: a batch body either fails to decode or becomes tasks
-// whose every field is the number on the wire — never one that wrapped on
-// its way into a narrower field — and a task survives the trip back out
-// through BidRequestFor and in again unchanged.
+// FuzzDecodeBids: a body either fails to decode or becomes tasks whose
+// every field is the value on the wire — never a number that wrapped on
+// its way into a narrower field, nor a model outside the catalog — and a
+// task survives the trip back out through BidRequestFor and in again
+// unchanged. A lone object goes through POST /v1/bids's strict decoder,
+// which must also refuse the keys the wire has dropped; an array goes
+// through the batch decoder, which ignores unknown keys.
 func FuzzDecodeBids(f *testing.F) {
-	f.Add([]byte(`[{"id":7,"arrival":3,"deadline":9,"work":24,"mem_gb":4.5,"bid":50,"needs_prep":true,"rank":16,"batch":32,"dataset_samples":8000,"epochs":3,"model":"gpt2"}]`))
+	f.Add([]byte(`[{"id":7,"arrival":3,"deadline":9,"work":24,"mem_gb":4.5,"bid":50,"needs_prep":true,"batch":32,"model":"gpt2-medium"}]`))
 	f.Add([]byte(`[{"deadline":9,"work":5,"mem_gb":2,"bid":8},{"Deadline":1,"deadline":2,"work":null}]`))
 	f.Add([]byte(`[{"deadline":2147483648,"work":5,"mem_gb":2,"bid":8}]`))
 	f.Add([]byte(`[{"deadline":9,"work":-2147483649,"mem_gb":2,"bid":8}]`))
-	f.Add([]byte(`[{"deadline":9,"work":5,"batch":32768,"epochs":-32769,"rank":65536}]`))
-	f.Add([]byte(`[{"id":9007199254740993,"arrival":4294967296,"dataset_samples":4294967297}]`))
+	f.Add([]byte(`[{"deadline":9,"work":5,"batch":32768}]`))
+	f.Add([]byte(`[{"id":9007199254740993,"arrival":4294967296}]`))
 	f.Add([]byte(`[{"deadline":1e3,"work":5.0,"bid":1e999}]`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"id":7,"deadline":9,"work":5,"mem_gb":2,"bid":8,"model":"gpt2-small"}`))
+	for _, body := range refusedBids {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var reqs []BidRequest
-		if err := decodeBids(data, &reqs); err != nil {
-			return
-		}
 		var wide []wideBid
-		if err := json.Unmarshal(data, &wide); err != nil || len(wide) != len(reqs) {
-			t.Fatalf("%d bids decoded, but the wide reading has %d (err %v)", len(reqs), len(wide), err)
+		if bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")) {
+			var req BidRequest
+			if err := decodeBid(data, &req); err != nil {
+				return
+			}
+			var w wideBid
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+				t.Fatalf("the bid decoded strictly, but the wide reading fails: %v", err)
+			}
+			if w.Rank != nil || w.DatasetSamples != nil || w.Epochs != nil {
+				t.Fatalf("the strict decoder took %s, which carries a key the wire has dropped", data)
+			}
+			reqs, wide = []BidRequest{req}, []wideBid{w}
+		} else {
+			if err := decodeBids(data, &reqs); err != nil {
+				return
+			}
+			if err := json.Unmarshal(data, &wide); err != nil || len(wide) != len(reqs) {
+				t.Fatalf("%d bids decoded, but the wide reading has %d (err %v)", len(reqs), len(wide), err)
+			}
 		}
 		orDefault := func(p *int64, v int64) int64 {
 			if p != nil {
@@ -245,15 +269,10 @@ func FuzzDecodeBids(f *testing.F) {
 			if w.Batch == 0 {
 				w.Batch = 8
 			}
-			if w.Rank == 0 {
-				w.Rank = 8
-			}
 			if int64(tk.ID) != orDefault(w.ID, -1) || int64(tk.Arrival) != orDefault(w.Arrival, -1) ||
-				int64(tk.Deadline) != w.Deadline || int64(tk.Work) != w.Work ||
-				int64(tk.Rank) != w.Rank || int64(tk.Batch) != w.Batch ||
-				int64(tk.DatasetSamples) != w.DatasetSamples || int64(tk.Epochs) != w.Epochs ||
+				int64(tk.Deadline) != w.Deadline || int64(tk.Work) != w.Work || int64(tk.Batch) != w.Batch ||
 				tk.MemGB != w.MemGB || tk.Bid != w.Bid ||
-				tk.NeedsPrep != w.NeedsPrep || tk.ModelName != w.ModelName {
+				tk.NeedsPrep != w.NeedsPrep || !tk.ModelName.Valid() || tk.ModelName.String() != w.ModelName {
 				t.Fatalf("bid %d became %+v, the wire says %+v", i, tk, *w)
 			}
 			again, err := json.Marshal([]BidRequest{BidRequestFor(tk)})
@@ -266,4 +285,50 @@ func FuzzDecodeBids(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refusedBids are POST /v1/bids bodies the wire refuses: one per key it
+// dropped with the task's dataset size, epochs and rank, and one naming a
+// model outside the catalog.
+var refusedBids = []string{
+	`{"deadline":9,"work":5,"mem_gb":2,"bid":8,"rank":8}`,
+	`{"deadline":9,"work":5,"mem_gb":2,"bid":8,"dataset_samples":8000}`,
+	`{"deadline":9,"work":5,"mem_gb":2,"bid":8,"epochs":3}`,
+	`{"deadline":9,"work":5,"mem_gb":2,"bid":8,"model":"llama-7b"}`,
+}
+
+// TestBidWireRefusals: each of refusedBids is a 400, and so is an
+// uncatalogued model in a batch (whose decoder is not strict about keys)
+// and a catalogued model the broker does not serve; the same bid without
+// the offending key is acked.
+func TestBidWireRefusals(t *testing.T) {
+	s := newStack(t, 12, 2, 2, 5)
+	b := startBroker(t, s.brokerOptions())
+	defer b.Kill()
+	srv := httptest.NewServer(b.Handler())
+	defer srv.Close()
+
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		out.ReadFrom(resp.Body)
+		return resp.StatusCode, out.String()
+	}
+	for _, body := range append(refusedBids, `{"deadline":9,"work":5,"mem_gb":2,"bid":8,"model":"gpt2-medium"}`) {
+		if code, out := post("/v1/bids", body); code != http.StatusBadRequest {
+			t.Errorf("POST /v1/bids %s: HTTP %d %s, want 400", body, code, out)
+		}
+	}
+	if code, out := post("/v1/bids/batch?ack=1", "["+refusedBids[len(refusedBids)-1]+"]"); code != http.StatusBadRequest {
+		t.Errorf("a batch naming an uncatalogued model: HTTP %d %s, want 400", code, out)
+	}
+	code, out := post("/v1/bids/batch?ack=1", `[{"deadline":9,"work":5,"mem_gb":2,"bid":8,"model":"gpt2-small"},{"deadline":9,"work":5,"mem_gb":2,"bid":8}]`)
+	if code != http.StatusOK || bytes.Contains([]byte(out), []byte(`"error"`)) {
+		t.Errorf("the served model, named and unnamed: HTTP %d %s, want both acked", code, out)
+	}
 }

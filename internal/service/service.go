@@ -306,6 +306,9 @@ type Broker struct {
 	cl      *cluster.Cluster
 	sched   sim.Scheduler
 	horizon timeslot.Horizon
+	// model is the catalog code of Options.Model: the one model a bid may
+	// name here (a bid that names none fine-tunes it too).
+	model lora.Model
 	// eng is the round engine (sim.Engine): it owns the run accounting,
 	// the fault tracker, the spot provider and the observer stream, and is
 	// the only code that offers a bid to the scheduler.
@@ -393,12 +396,17 @@ func New(opts Options) (*Broker, error) {
 	if opts.WALPath != "" && opts.CheckpointPath == "" {
 		return nil, fmt.Errorf("service: a journal (WALPath) needs a CheckpointPath: only a persisted checkpoint lets it forget a bid")
 	}
+	model, err := opts.Model.Code()
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	opts = opts.withDefaults()
 	b := &Broker{
 		opts:      opts,
 		cl:        opts.Cluster,
 		sched:     opts.Scheduler,
 		horizon:   opts.Cluster.Horizon(),
+		model:     model,
 		intake:    make(chan *submission, opts.QueueSize),
 		ctl:       make(chan func()),
 		done:      make(chan struct{}),
@@ -1104,6 +1112,11 @@ func (b *Broker) hold(t *task.Task, ctx context.Context, sub *submission, idx in
 	}
 	if err := t.Validate(b.horizon); err != nil {
 		return fmt.Errorf("service: %w", err)
+	}
+	if t.ModelName != 0 && t.ModelName != b.model {
+		// Priced with this broker's throughput, the bid would be decided
+		// for a model it never fine-tunes.
+		return fmt.Errorf("%w: %v (this broker serves %v)", ErrUnroutable, t.ModelName, b.model)
 	}
 	if b.decisions.has(t.ID) {
 		return fmt.Errorf("%w: %d already decided", ErrDuplicateID, t.ID)

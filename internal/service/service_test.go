@@ -1,11 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -296,7 +301,7 @@ func TestIntakeVerdicts(t *testing.T) {
 	ctx := context.Background()
 
 	bid := func(id, arrival int) task.Task {
-		return task.Task{ID: id, Arrival: int32(arrival), Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+		return task.Task{ID: id, Arrival: int32(arrival), Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	}
 
 	if _, err := b.SubmitAsync(ctx, bid(0, 3)); err != nil {
@@ -353,7 +358,7 @@ func TestAutoAssign(t *testing.T) {
 	b := startBroker(t, s.brokerOptions())
 	defer b.Kill()
 
-	tk := task.Task{ID: -1, Arrival: -1, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+	tk := task.Task{ID: -1, Arrival: -1, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	ch, err := b.SubmitAsync(context.Background(), tk)
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +387,7 @@ func TestCanceledBidSkipped(t *testing.T) {
 
 	before := s.sched.SnapshotDuals()
 	ctx, cancel := context.WithCancel(context.Background())
-	tk := task.Task{ID: 900, Arrival: 2, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+	tk := task.Task{ID: 900, Arrival: 2, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	ch, err := b.SubmitAsync(ctx, tk)
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +424,7 @@ func TestDrainRefusesHeld(t *testing.T) {
 	opts.CheckpointPath = path
 	b := startBroker(t, opts)
 
-	tk := task.Task{ID: 1, Arrival: 5, Deadline: 10, Work: 5, MemGB: 2, Rank: 8, Batch: 8, Bid: 5}
+	tk := task.Task{ID: 1, Arrival: 5, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	ch, err := b.SubmitAsync(context.Background(), tk)
 	if err != nil {
 		t.Fatal(err)
@@ -567,5 +572,103 @@ func TestClosedSlotReleasesHeldBids(t *testing.T) {
 	}
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBrokerRefusesUnservedModel: a lone broker serves one model, so a
+// bid naming another is refused at intake with ErrUnroutable (HTTP 400),
+// as a fleet refuses it, instead of being priced with the served model's
+// throughput. A bid naming the served model, or none, is held.
+func TestBrokerRefusesUnservedModel(t *testing.T) {
+	s := newStack(t, 8, 2, 3, 5)
+	b := startBroker(t, s.brokerOptions())
+	defer b.Kill()
+	bid := func(id int, m lora.Model) task.Task {
+		return task.Task{ID: id, Arrival: 1, Deadline: 7, Work: 5, MemGB: 2, Batch: 8, Bid: 50, ModelName: m}
+	}
+	batch := []task.Task{bid(1, lora.ModelGPT2Medium), bid(2, lora.ModelGPT2Small), bid(3, 0)}
+	verdicts := make([]error, len(batch))
+	if _, err := b.SubmitBatchAck(context.Background(), batch, verdicts); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(verdicts[0], ErrUnroutable) || httpStatus(verdicts[0]) != 400 {
+		t.Fatalf("a gpt2-medium bid on a gpt2-small broker: verdict %v, want ErrUnroutable (400)", verdicts[0])
+	}
+	if verdicts[1] != nil || verdicts[2] != nil {
+		t.Fatalf("bids for the served model refused: %v, %v", verdicts[1], verdicts[2])
+	}
+	if st, err := b.Status(); err != nil || st.Held != 2 {
+		t.Fatalf("held %d (err %v), want 2", st.Held, err)
+	}
+}
+
+// TestModelRoundTrips: every lora.Model, the zero one included, survives
+// its text form, the wire, the journal and a saved workload unchanged;
+// each of them refuses a name or code outside the catalog.
+func TestModelRoundTrips(t *testing.T) {
+	h := timeslot.NewHorizon(8)
+	bid := func(m lora.Model) task.Task {
+		return task.Task{ID: 3, Arrival: 1, Deadline: 7, Work: 5, MemGB: 2, Batch: 8, Bid: 50, ModelName: m}
+	}
+	for m := lora.Model(0); int(m) < lora.NumModels; m++ {
+		tk := bid(m)
+		text, err := m.MarshalText()
+		var fromText lora.Model
+		if err != nil || string(text) != m.String() || fromText.UnmarshalText(text) != nil || fromText != m {
+			t.Errorf("model %d: text %q (err %v) reads back as %d", m, text, err, fromText)
+		}
+
+		body, err := json.Marshal(BidRequestFor(tk))
+		var req BidRequest
+		if err != nil || decodeBid(body, &req) != nil || req.Task() != tk {
+			t.Errorf("model %d: wire %s (err %v) reads back as %+v", m, body, err, req.Task())
+		}
+		if named := bytes.Contains(body, []byte(`"model"`)); named != (m != 0) {
+			t.Errorf("model %d: wire %s names a model: %v", m, body, named)
+		}
+
+		r := &binReader{b: appendWALTask(nil, &tk)}
+		if got := readWALTask(r); r.err != nil || len(r.b) != 0 || got != tk {
+			t.Errorf("model %d: journal record reads back as %+v (err %v, %d bytes left)", m, got, r.err, len(r.b))
+		}
+
+		var buf bytes.Buffer
+		if err := trace.SaveTasks(&buf, []task.Task{tk}); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf(`"ModelName": %q`, m.String())
+		saved := buf.String()
+		loaded, err := trace.LoadTasks(&buf, h)
+		if err != nil || len(loaded) != 1 || loaded[0] != tk || !strings.Contains(saved, want) {
+			t.Errorf("model %d: saved %s (want %s) loads back as %+v (err %v)", m, saved, want, loaded, err)
+		}
+	}
+
+	unknown := lora.Model(lora.NumModels)
+	var m lora.Model
+	if _, err := unknown.MarshalText(); err == nil {
+		t.Error("an unknown code has a name")
+	}
+	if err := m.UnmarshalText([]byte("llama-7b")); err == nil {
+		t.Error("an unknown name has a code")
+	}
+	var req BidRequest
+	if err := decodeBid([]byte(`{"deadline":7,"work":5,"mem_gb":2,"bid":50,"model":"llama-7b"}`), &req); err == nil {
+		t.Error("the wire took an unknown model name")
+	}
+	if _, err := json.Marshal(BidRequestFor(bid(unknown))); err == nil {
+		t.Error("the wire wrote an unknown model code")
+	}
+	tk := bid(unknown)
+	r := &binReader{b: appendWALTask(nil, &tk)}
+	if readWALTask(r); r.err == nil {
+		t.Error("the journal read back an unknown model code")
+	}
+	if err := trace.SaveTasks(io.Discard, []task.Task{tk}); err == nil {
+		t.Error("a workload with an unknown model code saved")
+	}
+	in := `[{"ID":3,"Arrival":1,"Deadline":7,"Work":5,"MemGB":2,"Batch":8,"Bid":50,"ModelName":"llama-7b"}]`
+	if _, err := trace.LoadTasks(strings.NewReader(in), h); err == nil {
+		t.Error("a workload naming an unknown model loaded")
 	}
 }

@@ -22,7 +22,8 @@ var (
 	// shard assigns its own next-free IDs, so letting two shards stamp
 	// bids would mint duplicates across the fleet (HTTP 400).
 	ErrShardNeedsID = errors.New("service: sharded intake requires an explicit non-negative task id")
-	// ErrUnroutable: no shard serves the bid's model (HTTP 400).
+	// ErrUnroutable: no shard serves the bid's model, or a lone broker
+	// serves another one (HTTP 400).
 	ErrUnroutable = errors.New("service: no shard serves this model")
 )
 
@@ -43,9 +44,7 @@ type Shards struct {
 	manifestPath string
 	brokers      []*Broker
 	keys         []string
-	byModel      map[string][]int
-
-	defaultModel string
+	byModel      zones.ModelIndex
 	virtual      bool
 	slots        int
 
@@ -61,7 +60,8 @@ type Shards struct {
 // derives the per-shard paths and labels); shard i's key is
 // "<model>/<i>". All shards must share the same horizon length and clock
 // mode; models may differ per shard (a zone per model) or repeat (replica
-// shards of one model).
+// shards of one model), and each must be in lora's catalog (New refuses
+// one that is not), since the router places bids by catalog code.
 func newShards(manifestPath string, opts []Options) (*Shards, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("service: no shards")
@@ -70,7 +70,6 @@ func newShards(manifestPath string, opts []Options) (*Shards, error) {
 		manifestPath: manifestPath,
 		brokers:      make([]*Broker, 0, len(opts)),
 		keys:         make([]string, 0, len(opts)),
-		byModel:      make(map[string][]int, len(opts)),
 		base:         make([]*zones.Quote, 0, len(opts)),
 		quotes:       make([]atomic.Pointer[zones.Quote], len(opts)),
 		placed:       make([]atomic.Int64, len(opts)),
@@ -83,7 +82,6 @@ func newShards(manifestPath string, opts []Options) (*Shards, error) {
 		if i == 0 {
 			s.virtual = o.VirtualClock
 			s.slots = b.horizon.T
-			s.defaultModel = o.Model.Name
 		} else {
 			if o.VirtualClock != s.virtual {
 				return nil, fmt.Errorf("service: shard %d clock mode differs from shard 0", i)
@@ -95,7 +93,7 @@ func newShards(manifestPath string, opts []Options) (*Shards, error) {
 		key := fmt.Sprintf("%s/%d", o.Model.Name, i)
 		s.brokers = append(s.brokers, b)
 		s.keys = append(s.keys, key)
-		s.byModel[o.Model.Name] = append(s.byModel[o.Model.Name], i)
+		s.byModel.Add(b.model, i)
 		s.base = append(s.base, zones.NewQuote(key, o.Model, o.Cluster))
 	}
 	return s, nil
@@ -142,11 +140,7 @@ func (s *Shards) loadQuotes(buf []*zones.Quote) []*zones.Quote {
 // place picks the destination shard for t under the given quotes, or -1
 // when no shard serves its model.
 func (s *Shards) place(t *task.Task, quotes []*zones.Quote) int {
-	model := t.ModelName
-	if model == "" {
-		model = s.defaultModel
-	}
-	return zones.Place(t, quotes, s.byModel[model])
+	return zones.Place(t, quotes, s.byModel.Serving(t.ModelName))
 }
 
 // refreshQuotes republishes every shard's quote from its current duals;

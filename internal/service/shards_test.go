@@ -391,6 +391,13 @@ func TestShardRoutingRefusals(t *testing.T) {
 	const slots = 8
 	tasks := shardWorkload(t, slots, 2, 31)
 	st := newShardStack(t, slots, 2, 31, tasks, false)
+	// A shard serving a model outside the catalog has no code to be
+	// routed to: the fleet refuses to form.
+	uncatalogued := st.brokerOptions()
+	uncatalogued.Model.Name = "llama-7b"
+	if _, err := newShards("", []Options{uncatalogued}); err == nil {
+		t.Fatal("a shard serving an uncatalogued model was accepted")
+	}
 	s, err := newShards("", []Options{st.brokerOptions()})
 	if err != nil {
 		t.Fatalf("newShards: %v", err)
@@ -404,7 +411,7 @@ func TestShardRoutingRefusals(t *testing.T) {
 	noID := tasks[1]
 	noID.ID = -1
 	alien := tasks[2]
-	alien.ModelName = "no-such-model"
+	alien.ModelName = lora.ModelGPT2Medium // catalogued, but no shard serves it
 	batch := []task.Task{good, noID, alien}
 	verdicts := make([]error, len(batch))
 	if _, err := s.SubmitBatchAck(context.Background(), batch, verdicts); err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
@@ -59,8 +60,10 @@ var ErrWAL = errors.New("service: write-ahead journal append failed")
 var errSuperseded = fmt.Errorf("%w: superseded by a newer generation", ErrClosed)
 
 // walVersion guards the journal record layout. v2 dropped the task's
-// private value (8 bytes a record): a bid is what the bidder declared.
-const walVersion = 2
+// private value (8 bytes a record): a bid is what the bidder declared. v3
+// dropped the dataset size, epochs and rank, and writes the model as one
+// catalog code byte instead of a length-prefixed name.
+const walVersion = 3
 
 // walMagic opens every journal file (distinct from the delta sidecar's).
 var walMagic = []byte("PDFTSPW\x01")
@@ -172,32 +175,30 @@ func appendWALTask(p []byte, t *task.Task) []byte {
 	p = appendInt(p, t.ID)
 	p = appendInt(p, int(t.Arrival))
 	p = appendInt(p, int(t.Deadline))
-	p = appendInt(p, int(t.DatasetSamples))
-	p = appendInt(p, int(t.Epochs))
 	p = appendInt(p, int(t.Work))
 	p = appendF64(p, t.MemGB)
-	p = appendInt(p, int(t.Rank))
 	p = appendInt(p, int(t.Batch))
 	p = appendBool(p, t.NeedsPrep)
 	p = appendF64(p, t.Bid)
-	p = appendStr(p, t.ModelName)
-	return p
+	return append(p, byte(t.ModelName))
 }
 
+// readWALTask decodes appendWALTask's record. A model code outside the
+// catalog fails the record, as a number too wide for its field does.
 func readWALTask(r *binReader) task.Task {
 	var t task.Task
 	t.ID = r.int()
 	t.Arrival = readNarrow[int32](r)
 	t.Deadline = readNarrow[int32](r)
-	t.DatasetSamples = readNarrow[int32](r)
-	t.Epochs = readNarrow[int16](r)
 	t.Work = readNarrow[int32](r)
 	t.MemGB = r.f64()
-	t.Rank = readNarrow[int16](r)
 	t.Batch = readNarrow[int16](r)
 	t.NeedsPrep = r.bool()
 	t.Bid = r.f64()
-	t.ModelName = r.str()
+	t.ModelName = lora.Model(r.byte())
+	if !t.ModelName.Valid() && r.err == nil {
+		r.err = fmt.Errorf("service: decode: %v is not in the model catalog", t.ModelName)
+	}
 	return t
 }
 

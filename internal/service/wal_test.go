@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -346,7 +347,9 @@ func TestWALAppendFailureRefusesUnjournaled(t *testing.T) {
 // message is refused with ErrWAL, the journal is rewritten at once from
 // the committed chunks, so that the three acked messages are on disk as
 // of an fsync, and the rewrite clears the broken mark, so the next bid is
-// acked again.
+// acked again. When the immediate rewrite fails as well, the journal
+// stays broken: intake refuses every bid with ErrWAL until the next
+// checkpoint's rotation rewrites the file, and only then acks again.
 func TestWALBatchedFsyncFailureRewrites(t *testing.T) {
 	s := newStack(t, 8, 2, 3, 5)
 	if len(s.tasks) < 5 {
@@ -410,6 +413,50 @@ func TestWALBatchedFsyncFailureRewrites(t *testing.T) {
 	}
 	if st.Held != 4 || st.WALFailures != 1 {
 		t.Fatalf("held %d, %d journal failures; want 4 held (the refused bid un-held) and 1 failure", st.Held, st.WALFailures)
+	}
+
+	// Three more messages reach the next batched fsync. Fail it, and two
+	// operations later (past the rollback's truncate) the rewrite's create.
+	late := func(id int) []task.Task {
+		return []task.Task{{ID: id, Arrival: 7, Deadline: 7, Work: 5, MemGB: 2, Batch: 8, Bid: 5}}
+	}
+	ackBatch(t, b, late(100))
+	ackBatch(t, b, late(101))
+	p.mu.Lock()
+	at = len(p.ops)
+	p.mu.Unlock()
+	p.armTwice(1, 2, "fail")
+	for _, id := range []int{102, 103} {
+		if _, err := b.SubmitBatchAck(context.Background(), late(id), verdicts); err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(verdicts[0], ErrWAL) {
+			t.Fatalf("bid %d: verdict %v with the journal unhealed, want ErrWAL", id, verdicts[0])
+		}
+	}
+	p.mu.Lock()
+	ops, fired := slices.Clone(p.ops[at:]), len(p.fired)
+	p.mu.Unlock()
+	if len(ops) < 4 || !slices.Equal(ops[:4], []string{"write", "sync", "truncate", "create"}) || fired != 3 {
+		t.Fatalf("operations %v, %d faults fired: the faults missed the fsync and the rewrite", ops, fired)
+	}
+
+	// The checkpoint at the next slot close rotates the journal, which
+	// heals it: intake acks again, and the journal holds every acked bid
+	// and neither refused one.
+	if _, err := b.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	ackBatch(t, b, late(104))
+	ids := map[int]bool{}
+	for _, tk := range ReadWAL(opts.WALPath, opts.RunLabel) {
+		ids[tk.ID] = true
+	}
+	if !ids[100] || !ids[101] || !ids[104] || ids[102] || ids[103] {
+		t.Fatalf("the healed journal holds IDs %v, want 100, 101 and 104 but not 102 or 103", ids)
+	}
+	if st, err = b.Status(); err != nil || st.WALFailures != 2 {
+		t.Fatalf("%d journal failures (err %v), want 2", st.WALFailures, err)
 	}
 }
 

@@ -1,34 +1,39 @@
 // Package task defines the fine-tuning task model of the paper:
-// i = {a_i, d_i, D_i, r_i, M_i, f_i, b_i} (Section 2.1), extended with the
-// LoRA hyperparameters (rank, batch size) from which the resource numbers
-// are derived. It carries the declared bid b_i only: the private value v_i
-// lives in the one harness that needs it (auction.Scenario.TrueValue,
-// Figure 10), since a truthful mechanism never sees it.
+// i = {a_i, d_i, D_i, r_i, M_i, f_i, b_i} (Section 2.1), plus the batch
+// size that fixes the per-node throughput s_ik. It carries what the
+// mechanism reads and nothing else. The dataset size, epochs and LoRA rank
+// a workload is drawn from exist only to derive the work M_i and the
+// memory r_i (trace.Generate), so they stay there; the declared bid b_i is
+// here, and the private value v_i lives in the one harness that needs it
+// (auction.Scenario.TrueValue, Figure 10), since a truthful mechanism
+// never sees it.
 //
-// A Task is 64 bytes: ID stays an int (the service accepts IDs up to
-// 2^53−1), the three floats and the model name are as wide as they must
-// be, and the rest is as wide as it needs — slots, sample and work counts
-// int32; epochs, rank and batch int16. The rule that goes with the widths:
+// A Task is 40 bytes: ID stays an int (the service accepts IDs up to
+// 2^53−1), the two floats are as wide as they must be, and the rest is as
+// wide as it needs — slots and work int32, batch int16, the model a
+// one-byte catalog code (lora.Model). The rule that goes with the widths:
 // narrow at rest, int in arithmetic. Convert at the read
 // (int(t.Arrival) + delay, (int(t.Work) + s − 1) / s) and never add or
 // multiply two narrow fields as they stand; comparing them is fine.
-// Whatever turns bytes into a Task refuses a number that does not fit
-// instead of wrapping it (service.BidRequest, the journal's reader,
-// trace.LoadTasks), and a horizon is at most math.MaxInt32 slots
-// (cluster.New, trace.Config.Validate).
+// Whatever turns bytes into a Task (service.BidRequest, the journal's
+// reader, trace.LoadTasks) refuses a number that does not fit instead of
+// wrapping it, and a model outside the catalog; a horizon is at most
+// math.MaxInt32 slots (cluster.New, trace.Config.Validate).
 package task
 
 import (
 	"fmt"
 	"math"
 
+	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 )
 
 // Task is one LoRA fine-tuning request submitted as a bid. The fields go
-// widest first so that nothing is padded (TestRecordSizes in
-// internal/service pins the 64 bytes); SaveTasks writes its JSON keys in
-// this order.
+// widest first, with the one-byte model last, so that nothing is padded
+// (TestRecordSizes in internal/service pins the 40 bytes; put the model
+// anywhere else and padding brings the record back to 48); SaveTasks
+// writes its JSON keys in this order.
 type Task struct {
 	// ID identifies the task; IDs are dense indices within a workload.
 	// It stays an int: the service accepts IDs up to 2^53−1.
@@ -37,33 +42,27 @@ type Task struct {
 	MemGB float64
 	// Bid is b_i: the declared willingness to pay.
 	Bid float64
-	// ModelName names the pre-trained model the task fine-tunes. The
-	// paper scopes each problem instance to one shared model and notes
-	// that "different zones within the cloud data center can be set up
-	// for tasks fine-tuning different pre-trained models"; the zones
-	// package routes on this field. Empty means the instance default.
-	ModelName string
 	// Arrival is a_i, the zero-based slot at which the bid arrives.
 	Arrival int32
 	// Deadline is d_i, the last slot (inclusive) at which the task may
 	// still execute.
 	Deadline int32
-	// DatasetSamples is |D_i|: training samples in the user's dataset.
-	DatasetSamples int32
 	// Work is M_i in integer work units (1 unit = 1,000 samples); the
 	// cumulative computation required to sufficiently fine-tune.
 	Work int32
-	// Epochs is the number of passes over the dataset (Section 5.1:
-	// "generated randomly between 1 and 5").
-	Epochs int16
-	// Rank is the LoRA rank of the task's adapters.
-	Rank int16
 	// Batch is the per-device training batch size; it determines the
 	// per-node throughput s_ik.
 	Batch int16
 	// NeedsPrep is f_i: whether the dataset requires outsourced
 	// pre-processing before fine-tuning can start.
 	NeedsPrep bool
+	// ModelName names the pre-trained model the task fine-tunes, as a
+	// catalog code that renders as the model's name. The paper scopes
+	// each problem instance to one shared model and notes that
+	// "different zones within the cloud data center can be set up for
+	// tasks fine-tuning different pre-trained models"; the zones package
+	// routes on this field. Zero means the instance default.
+	ModelName lora.Model
 }
 
 // Validate reports whether the task is internally consistent within the
@@ -86,10 +85,8 @@ func (t *Task) Validate(h timeslot.Horizon) error {
 		return fmt.Errorf("task %d: memory %v not positive and finite", t.ID, t.MemGB)
 	case !(t.Bid >= 0) || math.IsInf(t.Bid, 1):
 		return fmt.Errorf("task %d: bid %v not non-negative and finite", t.ID, t.Bid)
-	case t.DatasetSamples < 0:
-		return fmt.Errorf("task %d: negative dataset size %d", t.ID, t.DatasetSamples)
-	case t.Epochs < 0:
-		return fmt.Errorf("task %d: negative epochs %d", t.ID, t.Epochs)
+	case !t.ModelName.Valid():
+		return fmt.Errorf("task %d: %v is not in the catalog", t.ID, t.ModelName)
 	}
 	return nil
 }

@@ -5,13 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 )
 
 func validTask() Task {
 	return Task{
-		ID: 1, Arrival: 2, Deadline: 10, DatasetSamples: 8000, Epochs: 3,
-		Work: 24, MemGB: 4.5, Rank: 8, Batch: 16, Bid: 50,
+		ID: 1, Arrival: 2, Deadline: 10, Work: 24, MemGB: 4.5, Batch: 16, Bid: 50,
 	}
 }
 
@@ -36,8 +36,7 @@ func TestValidateRejects(t *testing.T) {
 		{"zero work", func(t *Task) { t.Work = 0 }},
 		{"zero memory", func(t *Task) { t.MemGB = 0 }},
 		{"negative bid", func(t *Task) { t.Bid = -1 }},
-		{"negative dataset", func(t *Task) { t.DatasetSamples = -1 }},
-		{"negative epochs", func(t *Task) { t.Epochs = -1 }},
+		{"model outside the catalog", func(t *Task) { t.ModelName = lora.Model(lora.NumModels) }},
 		// None of these is < 0 or <= 0, which is all Validate used to ask.
 		{"NaN bid", func(t *Task) { t.Bid = math.NaN() }},
 		{"infinite bid", func(t *Task) { t.Bid = math.Inf(1) }},

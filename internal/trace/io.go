@@ -25,7 +25,10 @@ func SaveTasks(w io.Writer, tasks []task.Task) error {
 // horizon, and sorts by arrival (stable on ID) so the result is directly
 // runnable. Unknown fields are rejected to catch format drift: a file
 // saved while Task still carried a TrueValue key is refused, not
-// migrated (drop the key by hand; the generator always set it to Bid).
+// migrated (drop the key by hand; the generator always set it to Bid),
+// and so is one saved while it carried DatasetSamples, Epochs and Rank
+// (drop those three too: Work and MemGB already hold what they gave). A
+// ModelName outside lora's catalog is refused as well.
 func LoadTasks(r io.Reader, h timeslot.Horizon) ([]task.Task, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -53,6 +53,10 @@ func TestLoadTasksRejectsInvalid(t *testing.T) {
 		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":0,"MemGB":2,"Batch":8,"Bid":1}]`,    // zero work
 		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":5,"MemGB":2,"Batch":8,"Bid":1,"Bogus":3}]`,
 		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":5,"MemGB":2,"Batch":8,"Bid":1,"TrueValue":1}]`, // saved before Task lost its private value
+		// Saved before Task lost its dataset size, epochs and rank: each key alone is refused.
+		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":5,"MemGB":2,"Batch":8,"Bid":1,"DatasetSamples":5000}]`,
+		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":5,"MemGB":2,"Batch":8,"Bid":1,"Epochs":1}]`,
+		`[{"ID":0,"Arrival":1,"Deadline":5,"Work":5,"MemGB":2,"Batch":8,"Bid":1,"Rank":8}]`,
 		`not json`,
 	}
 	for i, in := range cases {

@@ -128,8 +128,9 @@ type Config struct {
 	// Model is the shared pre-trained model every task fine-tunes.
 	Model lora.ModelConfig
 	// Models optionally generates a multi-model workload for the zones
-	// package: each task picks one model by weight and records it in
-	// Task.ModelName. Empty means the single-model setting of the paper.
+	// package: each task picks one model by weight and records its
+	// catalog code in Task.ModelName, so every model here must be in
+	// lora's catalog. Empty means the single-model setting of the paper.
 	Models []ModelShare
 	// PrepProb is the probability that a task needs data pre-processing.
 	PrepProb float64
@@ -187,6 +188,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("trace: model share %d has non-positive weight %v", i, ms.Weight)
 		}
 		if err := ms.Model.Validate(); err != nil {
+			return fmt.Errorf("trace: model share %d: %w", i, err)
+		}
+		if _, err := ms.Model.Code(); err != nil {
 			return fmt.Errorf("trace: model share %d: %w", i, err)
 		}
 	}
@@ -291,7 +295,7 @@ func ArrivalCounts(cfg Config) ([]int, error) {
 // batch size values").
 var (
 	batchMenu = [4]int16{4, 8, 16, 32}
-	rankMenu  = [5]int16{4, 8, 16, 32, 64}
+	rankMenu  = [5]int{4, 8, 16, 32, 64}
 )
 
 // Generate produces the full workload: tasks sorted by arrival slot with
@@ -326,8 +330,8 @@ func Generate(cfg Config) ([]task.Task, error) {
 // memory and reference speed depend only on (model, rank, batch), and the
 // menus hold five ranks and four batches.
 type modelTable struct {
-	name   string  // Task.ModelName; empty in single-model mode
-	weight float64 // ModelShare.Weight
+	code   lora.Model // Task.ModelName; zero in single-model mode
+	weight float64    // ModelShare.Weight
 	// memGB is r_i by rank and batch menu index.
 	memGB [len(rankMenu)][len(batchMenu)]float64
 	// refSpeed is the A100's units per slot at each menu batch, at least 1.
@@ -376,7 +380,8 @@ func newGenerator(cfg *Config) generator {
 	for i, ms := range cfg.Models {
 		m := &g.multi[i]
 		m.fill(ms.Model, cfg.Horizon)
-		m.name, m.weight = ms.Model.Name, ms.Weight
+		m.code, _ = ms.Model.Code() // Validate refused a model outside the catalog
+		m.weight = ms.Weight
 		g.weightTotal += ms.Weight
 	}
 	return g
@@ -385,7 +390,7 @@ func newGenerator(cfg *Config) generator {
 func (m *modelTable) fill(model lora.ModelConfig, h timeslot.Horizon) {
 	for b, batch := range batchMenu {
 		for r, rank := range rankMenu {
-			m.memGB[r][b] = lora.TaskMemoryGB(model, int(rank), int(batch))
+			m.memGB[r][b] = lora.TaskMemoryGB(model, rank, int(batch))
 		}
 		m.refSpeed[b] = lora.TaskUnitsPerSlot(model, gpu.A100, int(batch), h)
 		if m.refSpeed[b] < 1 {
@@ -440,20 +445,19 @@ func (g *generator) sample(tk *task.Task, id, t int) {
 		bid += 8 // expected pre-processing reimbursement
 	}
 	// Every narrowed value is bounded: slots by the horizon (Validate
-	// holds it to int32), samples by 20k, epochs by 5, work by 100.
+	// holds it to int32), work by 100. The dataset size, epochs and rank
+	// are spent: they gave the work and the memory, and a task carries
+	// only those.
 	*tk = task.Task{
-		ID:             id,
-		Arrival:        int32(t),
-		Deadline:       int32(deadline),
-		DatasetSamples: int32(samples),
-		Epochs:         int16(epochs),
-		Work:           int32(work),
-		MemGB:          model.memGB[r][b],
-		Rank:           rankMenu[r],
-		Batch:          batchMenu[b],
-		NeedsPrep:      needsPrep,
-		Bid:            bid,
-		ModelName:      model.name,
+		ID:        id,
+		Arrival:   int32(t),
+		Deadline:  int32(deadline),
+		Work:      int32(work),
+		MemGB:     model.memGB[r][b],
+		Batch:     batchMenu[b],
+		NeedsPrep: needsPrep,
+		Bid:       bid,
+		ModelName: model.code,
 	}
 }
 

@@ -103,7 +103,7 @@ func TestRunMatchesPerZoneSimRunReplicaShards(t *testing.T) {
 	// Keep only the small-model tasks so both shards serve every bid.
 	var tasks []task.Task
 	for _, tk := range cfgTasks {
-		if tk.ModelName == "gpt2-small" {
+		if tk.ModelName == lora.ModelGPT2Small {
 			tasks = append(tasks, tk)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 func testTask(id int) task.Task {
 	return task.Task{
 		ID: id, Arrival: 0, Deadline: 20, Work: 40,
-		MemGB: 4, Batch: 16, Rank: 8, Bid: 50,
+		MemGB: 4, Batch: 16, Bid: 50,
 	}
 }
 

@@ -34,7 +34,7 @@ type Zone struct {
 	// one model must carry distinct explicit keys.
 	Key string
 	// Model is the pre-trained model every task in this zone fine-tunes;
-	// Model.Name is the routing key.
+	// its catalog code (lora.ModelConfig.Code) is the routing key.
 	Model lora.ModelConfig
 	// Cluster holds the zone's nodes (base model replica accounted).
 	Cluster *cluster.Cluster
@@ -69,31 +69,58 @@ func zoneDuals(s sim.Scheduler) core.DualState {
 	return core.DualState{}
 }
 
+// ModelIndex lists, per catalog model, the zones (or shards) serving it,
+// in registration order. The first model registered is the default: a
+// task that names none goes where that model's does.
+type ModelIndex struct {
+	def    lora.Model
+	byCode [lora.NumModels][]int
+}
+
+// Add registers zone i as serving model m.
+func (x *ModelIndex) Add(m lora.Model, i int) {
+	if x.def == 0 {
+		x.def = m
+	}
+	x.byCode[m] = append(x.byCode[m], i)
+}
+
+// Serving returns the zones that serve m (the default model's for the
+// zero Model): none for a model no zone serves.
+func (x *ModelIndex) Serving(m lora.Model) []int {
+	if m == 0 {
+		m = x.def
+	}
+	if !m.Valid() {
+		return nil
+	}
+	return x.byCode[m]
+}
+
 // Router places bids across zones: by model first, then — among the
 // zones serving that model — by the best price-adjusted surplus under
 // each zone's published Quote.
 type Router struct {
-	zones        []*Zone
-	keys         []string
-	byModel      map[string][]int
-	defaultModel string
-	base         []*Quote // static price books, duals not applied
-	quotes       []*Quote // current published quotes
+	zones   []*Zone
+	keys    []string
+	byModel ModelIndex
+	base    []*Quote // static price books, duals not applied
+	quotes  []*Quote // current published quotes
 }
 
-// NewRouter builds a router over the given zones. The first zone's model
-// is the default for tasks with an empty ModelName. Several zones may
-// serve the same model (replica shards) as long as their keys differ.
+// NewRouter builds a router over the given zones. Every zone's model must
+// be in lora's catalog, and the first zone's model is the default for
+// tasks with a zero ModelName. Several zones may serve the same model
+// (replica shards) as long as their keys differ.
 func NewRouter(zs ...*Zone) (*Router, error) {
 	if len(zs) == 0 {
 		return nil, fmt.Errorf("zones: no zones")
 	}
 	r := &Router{
-		zones:   make([]*Zone, 0, len(zs)),
-		keys:    make([]string, 0, len(zs)),
-		byModel: make(map[string][]int, len(zs)),
-		base:    make([]*Quote, 0, len(zs)),
-		quotes:  make([]*Quote, 0, len(zs)),
+		zones:  make([]*Zone, 0, len(zs)),
+		keys:   make([]string, 0, len(zs)),
+		base:   make([]*Quote, 0, len(zs)),
+		quotes: make([]*Quote, 0, len(zs)),
 	}
 	seen := map[string]bool{}
 	for i, z := range zs {
@@ -101,6 +128,10 @@ func NewRouter(zs ...*Zone) (*Router, error) {
 			return nil, fmt.Errorf("zones: zone %d incomplete", i)
 		}
 		if err := z.Model.Validate(); err != nil {
+			return nil, fmt.Errorf("zones: zone %d: %w", i, err)
+		}
+		code, err := z.Model.Code()
+		if err != nil {
 			return nil, fmt.Errorf("zones: zone %d: %w", i, err)
 		}
 		key := z.key()
@@ -111,23 +142,19 @@ func NewRouter(zs ...*Zone) (*Router, error) {
 		idx := len(r.zones)
 		r.zones = append(r.zones, z)
 		r.keys = append(r.keys, key)
-		r.byModel[z.Model.Name] = append(r.byModel[z.Model.Name], idx)
+		r.byModel.Add(code, idx)
 		q := NewQuote(key, z.Model, z.Cluster)
 		r.base = append(r.base, q)
 		r.quotes = append(r.quotes, q.WithDuals(zoneDuals(z.Scheduler)))
 	}
-	r.defaultModel = zs[0].Model.Name
 	return r, nil
 }
 
-// Zone returns the first zone serving a model name ("" selects the
+// Zone returns the first zone serving a model (the zero Model selects the
 // default model).
-func (r *Router) Zone(modelName string) (*Zone, bool) {
-	if modelName == "" {
-		modelName = r.defaultModel
-	}
-	idxs, ok := r.byModel[modelName]
-	if !ok {
+func (r *Router) Zone(m lora.Model) (*Zone, bool) {
+	idxs := r.byModel.Serving(m)
+	if len(idxs) == 0 {
 		return nil, false
 	}
 	return r.zones[idxs[0]], true
@@ -151,11 +178,7 @@ func (r *Router) RefreshQuotes() {
 // Place picks the destination zone index for t under the current quotes,
 // or -1 when no zone serves its model.
 func (r *Router) Place(t *task.Task) int {
-	model := t.ModelName
-	if model == "" {
-		model = r.defaultModel
-	}
-	return Place(t, r.quotes, r.byModel[model])
+	return Place(t, r.quotes, r.byModel.Serving(t.ModelName))
 }
 
 // Offer routes one bid under the current quotes and returns the chosen

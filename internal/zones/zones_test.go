@@ -62,6 +62,12 @@ func TestNewRouterValidation(t *testing.T) {
 	if _, err := NewRouter(z, makeZone(t, lora.GPT2Small(), 2, mkt)); err == nil {
 		t.Fatal("duplicate model zones accepted")
 	}
+	// A model the catalog does not hold has no code to route a task by.
+	llama := lora.GPT2Medium()
+	llama.Name = "llama-7b"
+	if _, err := NewRouter(z, makeZone(t, llama, 2, mkt)); err == nil {
+		t.Fatal("a zone serving an uncatalogued model accepted")
+	}
 }
 
 func TestRouterRoutesByModel(t *testing.T) {
@@ -72,11 +78,11 @@ func TestRouterRoutesByModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z, ok := r.Zone("gpt2-medium"); !ok || z != medium {
+	if z, ok := r.Zone(lora.ModelGPT2Medium); !ok || z != medium {
 		t.Fatal("medium zone not found")
 	}
-	// Empty model name routes to the default (first) zone.
-	if z, ok := r.Zone(""); !ok || z != small {
+	// The zero model routes to the default (first) zone.
+	if z, ok := r.Zone(0); !ok || z != small {
 		t.Fatal("default zone wrong")
 	}
 	if names := r.ZoneNames(); len(names) != 2 || names[0] != "gpt2-small" {
@@ -90,7 +96,7 @@ func TestRouterRejectsUnknownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk := task.Task{ID: 1, Arrival: 0, Deadline: 10, Work: 10, MemGB: 4, Batch: 16, Bid: 50, ModelName: "llama-7b"}
+	tk := task.Task{ID: 1, Arrival: 0, Deadline: 10, Work: 10, MemGB: 4, Batch: 16, Bid: 50, ModelName: lora.ModelGPT2Medium}
 	d, zone := r.Offer(&tk)
 	if d.Admitted || zone != "" {
 		t.Fatal("unknown model task was routed")

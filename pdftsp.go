@@ -64,6 +64,9 @@ type (
 	PriceCurve = gpu.PriceCurve
 	// ModelConfig describes the shared pre-trained transformer.
 	ModelConfig = lora.ModelConfig
+	// Model names a catalog model in Task.ModelName; zero names none (the
+	// instance default).
+	Model = lora.Model
 	// Schedule is a concrete execution plan for one task.
 	Schedule = schedule.Schedule
 	// Placement is one (node, slot) execution cell of a plan.
@@ -147,6 +150,12 @@ func GPT2Small() ModelConfig { return lora.GPT2Small() }
 
 // GPT2Medium returns the GPT-2 355M configuration.
 func GPT2Medium() ModelConfig { return lora.GPT2Medium() }
+
+// The catalog's models, as a Task names them.
+const (
+	ModelGPT2Small  = lora.ModelGPT2Small
+	ModelGPT2Medium = lora.ModelGPT2Medium
+)
 
 // clusterSpec accumulates the functional options of NewCluster.
 type clusterSpec struct {

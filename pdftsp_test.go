@@ -152,8 +152,8 @@ func TestFacadeBroker(t *testing.T) {
 	if err := broker.Start(); err != nil {
 		t.Fatal(err)
 	}
-	good := Task{ID: 0, Arrival: 1, Deadline: 20, Work: 27, MemGB: 5, Rank: 8, Batch: 16, Bid: 60}
-	doomed := Task{ID: 1, Arrival: 1, Deadline: 1, Work: 9999, MemGB: 5, Rank: 8, Batch: 16, Bid: 60}
+	good := Task{ID: 0, Arrival: 1, Deadline: 20, Work: 27, MemGB: 5, Batch: 16, Bid: 60}
+	doomed := Task{ID: 1, Arrival: 1, Deadline: 1, Work: 9999, MemGB: 5, Batch: 16, Bid: 60}
 	chGood, err := broker.SubmitAsync(context.Background(), good)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +192,7 @@ func TestFacadeSingleOffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tk := Task{
-		ID: 0, Arrival: 3, Deadline: 20, DatasetSamples: 9000, Epochs: 3,
-		Work: 27, MemGB: 5, Rank: 8, Batch: 16, Bid: 60,
+		ID: 0, Arrival: 3, Deadline: 20, Work: 27, MemGB: 5, Batch: 16, Bid: 60,
 	}
 	d := sch.Offer(NewTaskEnv(&tk, cl, model, nil))
 	if !d.Admitted {
