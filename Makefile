@@ -145,7 +145,8 @@ bench-snapshot:
 # host — so the gate stays meaningful on shared CI runners. The alloc
 # budget tests guard the other axis: the failure-free hot path must stay
 # allocation-free with the fault layer compiled in but disabled; the
-# memory budget tests beside them report what a decided bid retains.
+# memory budget tests beside them report what a decided bid retains,
+# in the broker's store and in a collecting sim.Run.
 # The slot-close line carries wider tolerances: those rows do real file
 # I/O (checkpoints to a temp dir) and allocate per admitted plan, both
 # of which swing run-to-run on identical code; the wide band still
@@ -172,7 +173,7 @@ bench-check:
 	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run CheckpointPerSlot/json-full -benchtime 100x -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) run ./cmd/bench -compare $(WAL_BASELINE) -run WALAppend -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) test -run 'AllocBudget|SteadyStateAllocs' -count=1 . ./internal/sim/
-	$(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/service/
+	$(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/service/ ./internal/sim/
 
 # trace-smoke runs one audited, traced figure end to end and verifies the
 # trace reproduces the reported accounting.

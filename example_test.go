@@ -51,8 +51,30 @@ func ExampleNewScheduler_offer() {
 		ID: 0, Arrival: 1, Deadline: 10, Work: 27, MemGB: 5, Batch: 16, Bid: 50,
 	}
 	d := sch.Offer(pdftsp.NewTaskEnv(&bid, cl, model, nil))
-	fmt.Println(d.Admitted, d.Payment, len(d.Schedule.Placements) > 0)
+	fmt.Println(d.Admitted, d.Payment(), len(d.Schedule.Placements) > 0)
 	// Output: true 0 true
+}
+
+// ExampleDecision reads a decision's money through its accessors. A
+// losing bid moves none, so its Decision carries no Terms, and Payment,
+// VendorCost and EnergyCost read 0 on it with no nil check.
+func ExampleDecision() {
+	model := pdftsp.GPT2Small()
+	h := pdftsp.NewHorizon(24)
+	cl, _ := pdftsp.NewCluster(h, model,
+		pdftsp.WithNodes(pdftsp.A100(), 1), pdftsp.WithPrice(pdftsp.FlatPrice(1)))
+	sch, _ := pdftsp.NewScheduler(cl, pdftsp.SchedulerOptions{Alpha: 2, Beta: 10})
+	for _, bid := range []pdftsp.Task{
+		{ID: 0, Arrival: 1, Deadline: 10, Work: 27, MemGB: 5, Batch: 16, Bid: 50},
+		{ID: 1, Arrival: 1, Deadline: 10, Work: 27, MemGB: 5, Batch: 16, Bid: 0.01},
+	} {
+		d := sch.Offer(pdftsp.NewTaskEnv(&bid, cl, model, nil))
+		fmt.Printf("bid %d: admitted=%v terms=%v energy>0=%v payment=%v vendor=%v reason=%q\n",
+			d.TaskID, d.Admitted, d.Terms != nil, d.EnergyCost() > 0, d.Payment(), d.VendorCost(), d.Reason)
+	}
+	// Output:
+	// bid 0: admitted=true terms=true energy>0=true payment=0 vendor=0 reason=""
+	// bid 1: admitted=false terms=false energy>0=false payment=0 vendor=0 reason="surplus"
 }
 
 // ExampleNewCluster shows the functional-option constructor: node groups

@@ -51,7 +51,7 @@ func main() {
 		}
 		admitted++
 		vendorUse[d.Schedule.Vendor]++
-		vendorSpend[d.Schedule.Vendor] += d.VendorCost
+		vendorSpend[d.Schedule.Vendor] += d.VendorCost() // q_in, from the winner's Terms
 		// Execution must start only after the vendor's delay.
 		start := d.Schedule.Placements[0].Slot
 		if start < int(tasks[i].Arrival)+d.Schedule.VendorDelay {

@@ -54,7 +54,8 @@ func main() {
 		f := focal
 		f.Bid = bid
 		d := sch.Offer(pdftsp.NewTaskEnv(&f, cl, model, mkt))
-		return d.Admitted, d.Payment
+		// A losing bid's Decision carries no Terms; Payment reads 0 on it.
+		return d.Admitted, d.Payment()
 	}
 
 	fmt.Printf("true valuation: %.1f\n\n%8s %6s %9s %9s\n", trueValue, "bid", "won", "payment", "utility")

@@ -117,9 +117,9 @@ func TruthfulnessSweep(s *Scenario, bids []float64) ([]SweepPoint, error) {
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		pt := SweepPoint{Bid: bids[i], Won: d.Admitted, Payment: d.Payment}
+		pt := SweepPoint{Bid: bids[i], Won: d.Admitted, Payment: d.Payment()}
 		if d.Admitted {
-			pt.Utility = s.TrueValue - d.Payment
+			pt.Utility = s.TrueValue - d.Payment()
 		}
 		return pt, nil
 	})
@@ -163,7 +163,7 @@ func RationalityAudit(decisions []schedule.Decision, tasks []task.Task, n int, s
 			winners = append(winners, IRPair{
 				TaskID:  tasks[i].ID,
 				Bid:     tasks[i].Bid,
-				Payment: decisions[i].Payment,
+				Payment: decisions[i].Payment(),
 			})
 		}
 	}

@@ -102,7 +102,7 @@ func TestTruthfulnessSweep(t *testing.T) {
 	}
 	tu := 0.0
 	if truthful.Admitted {
-		tu = sc.TrueValue - truthful.Payment
+		tu = sc.TrueValue - truthful.Payment()
 	}
 	if err := VerifyTruthful(points, sc.TrueValue, tu, 1e-9); err != nil {
 		t.Fatal(err)

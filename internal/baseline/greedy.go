@@ -163,8 +163,7 @@ func (g *Greedy) Offer(env *schedule.TaskEnv) schedule.Decision {
 		env.Cluster.Commit(p.Node, p.Slot, env.Speed[p.Node], env.Task.MemGB)
 	}
 	d.Admitted = true
-	d.VendorCost = plan.VendorPrice
-	d.EnergyCost = plan.EnergyCost(env)
+	d.Terms = schedule.NewTerms(0, plan.VendorPrice, plan.EnergyCost(env))
 	return d
 }
 

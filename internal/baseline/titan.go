@@ -378,8 +378,7 @@ func (t *Titan) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision {
 		}
 		decisions[i].Admitted = true
 		decisions[i].Schedule = plan
-		decisions[i].VendorCost = plan.VendorPrice
-		decisions[i].EnergyCost = plan.EnergyCost(env)
+		decisions[i].Terms = schedule.NewTerms(0, plan.VendorPrice, plan.EnergyCost(env))
 		decisions[i].F = welfare
 	}
 	for i := range decisions {

@@ -270,7 +270,7 @@ func DecisionEncodeStdJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp := service.DecisionResponse{
-			TaskID: d.TaskID, Admitted: d.Admitted, Payment: d.Payment,
+			TaskID: d.TaskID, Admitted: d.Admitted, Payment: d.Payment(),
 		}
 		if _, err := json.Marshal(&resp); err != nil {
 			b.Fatal(err)
@@ -294,7 +294,7 @@ func benchDecision() schedule.Decision {
 	return schedule.Decision{
 		TaskID:   42,
 		Admitted: true,
-		Payment:  37.25,
+		Terms:    &schedule.Terms{Payment: 37.25},
 		F:        3.5,
 	}
 }

@@ -102,8 +102,8 @@ func TestAdaptiveStillIndividuallyRational(t *testing.T) {
 		tk.Bid = 10 + rng.Float64()*150
 		tk.NeedsPrep = rng.Intn(2) == 0
 		d := ad.Offer(envFor(t, tk, cl, mkt))
-		if d.Admitted && d.Payment > tk.Bid+1e-9 {
-			t.Fatalf("task %d pays %v above bid %v under adaptive pricing", i, d.Payment, tk.Bid)
+		if d.Admitted && d.Payment() > tk.Bid+1e-9 {
+			t.Fatalf("task %d pays %v above bid %v under adaptive pricing", i, d.Payment(), tk.Bid)
 		}
 	}
 }

@@ -74,11 +74,11 @@ type Options struct {
 	// DualRule selects the dual price update; default PaperRule.
 	DualRule DualRule
 	// ReusePlans, when set, makes Offer return Decisions whose Schedule
-	// (and its Placements) alias scheduler-owned buffers that the next
-	// Offer overwrites. It removes the last per-bid allocations from the
-	// hot loop; callers that retain a Decision past the next Offer must
-	// deep-copy its Schedule first. Off by default: the Decision is then
-	// caller-owned forever.
+	// (and its Placements) and Terms alias scheduler-owned buffers that
+	// the next Offer overwrites. It removes the last per-bid allocations
+	// from the hot loop; callers that retain a Decision past the next
+	// Offer must deep-copy its Schedule and Terms first. Off by default:
+	// the Decision is then caller-owned forever.
 	ReusePlans bool
 }
 
@@ -108,10 +108,15 @@ type Scheduler struct {
 	// scratch backs Offer (the scheduler is single-threaded by the online
 	// model, so reuse is safe).
 	scratch offerScratch
-	// decSched/decPlan back the Decision returned under Options.ReusePlans:
-	// one schedule struct and placement buffer, overwritten per offer.
+	// decSched/decPlan/decTerms back the Decision returned under
+	// Options.ReusePlans: one schedule struct, placement buffer and terms,
+	// overwritten per offer.
 	decSched schedule.Schedule
 	decPlan  []schedule.Placement
+	decTerms schedule.Terms
+	// termSlab hands out the caller-owned Terms of admitted bids; a full
+	// slab is left to its retainers and a fresh one started.
+	termSlab []schedule.Terms
 	// obs receives decision-path events (per-vendor DP outcomes, dual
 	// moves, payment breakdowns); nil keeps the hot path allocation-free.
 	obs obs.Observer
@@ -274,9 +279,7 @@ func (s *Scheduler) Offer(env *schedule.TaskEnv) schedule.Decision {
 		s.cl.Commit(p.Node, p.Slot, env.Speed[p.Node], env.Task.MemGB)
 	}
 	d.Admitted = true
-	d.Payment = payment
-	d.VendorCost = plan.VendorPrice
-	d.EnergyCost = energy
+	d.Terms = s.finishTerms(payment, plan.VendorPrice, energy)
 	if s.obs != nil {
 		energyTerm := 0.0
 		if s.opts.ChargeEnergy {
@@ -295,6 +298,32 @@ func (s *Scheduler) Offer(env *schedule.TaskEnv) schedule.Decision {
 	}
 	return d
 }
+
+// finishTerms is finishPlan for the winner's money, nil when it is all
+// zero: under Options.ReusePlans a scheduler-owned Terms the next Offer
+// overwrites, otherwise a caller-owned one from termSlab. Either way it
+// shares no allocation with the plan, so a retainer that drops the plan
+// does not keep it alive through the terms.
+func (s *Scheduler) finishTerms(payment, vendorCost, energyCost float64) *schedule.Terms {
+	t := schedule.Terms{Payment: payment, VendorCost: vendorCost, EnergyCost: energyCost}
+	switch {
+	case t == (schedule.Terms{}):
+		return nil
+	case s.opts.ReusePlans:
+		s.decTerms = t
+		return &s.decTerms
+	}
+	if len(s.termSlab) == cap(s.termSlab) {
+		s.termSlab = make([]schedule.Terms, 0, termSlabLen)
+	}
+	s.termSlab = append(s.termSlab, t)
+	return &s.termSlab[len(s.termSlab)-1]
+}
+
+// termSlabLen is how many winners' Terms one allocation serves: an
+// admitted bid then costs no allocation beyond its plan's, and a slab is
+// pointer-free, so a retained Terms keeps 1.5 KB alive at most, never a plan.
+const termSlabLen = 64
 
 // finishPlan turns the bestSchedule winner (whose Placements alias
 // scratch) into the Decision's Schedule: scheduler-owned reusable buffers

@@ -77,11 +77,11 @@ func TestOfferAdmitsProfitableTask(t *testing.T) {
 		t.Fatalf("admitted with F = %v", d.F)
 	}
 	// First task sees zero prices: payment = vendor (0) + 0 + 0.
-	if d.Payment != 0 {
-		t.Fatalf("first winner should pay the zero marginal price, got %v", d.Payment)
+	if d.Payment() != 0 {
+		t.Fatalf("first winner should pay the zero marginal price, got %v", d.Payment())
 	}
-	if d.EnergyCost <= 0 {
-		t.Fatalf("energy cost %v not positive", d.EnergyCost)
+	if d.EnergyCost() <= 0 {
+		t.Fatalf("energy cost %v not positive", d.EnergyCost())
 	}
 	// The ledger reflects the plan.
 	for _, p := range d.Schedule.Placements {
@@ -152,8 +152,8 @@ func TestOfferSelectsVendorAndDelaysExecution(t *testing.T) {
 	if d.Schedule.Vendor == schedule.NoVendor {
 		t.Fatal("no vendor selected for prep task")
 	}
-	if d.VendorCost != d.Schedule.VendorPrice || d.VendorCost <= 0 {
-		t.Fatalf("vendor cost %v inconsistent with plan price %v", d.VendorCost, d.Schedule.VendorPrice)
+	if d.VendorCost() != d.Schedule.VendorPrice || d.VendorCost() <= 0 {
+		t.Fatalf("vendor cost %v inconsistent with plan price %v", d.VendorCost(), d.Schedule.VendorPrice)
 	}
 	q := env.Quotes[d.Schedule.Vendor]
 	for _, p := range d.Schedule.Placements {
@@ -162,8 +162,8 @@ func TestOfferSelectsVendorAndDelaysExecution(t *testing.T) {
 		}
 	}
 	// Winning bid pays at least the vendor price through (14).
-	if d.Payment < d.VendorCost {
-		t.Fatalf("payment %v below vendor cost %v", d.Payment, d.VendorCost)
+	if d.Payment() < d.VendorCost() {
+		t.Fatalf("payment %v below vendor cost %v", d.Payment(), d.VendorCost())
 	}
 }
 
@@ -230,7 +230,7 @@ func TestPaymentIndependentOfBid(t *testing.T) {
 		tk := testTask(99)
 		tk.Bid = bid
 		d := s.Offer(envFor(t, tk, cl, nil))
-		return d.Admitted, d.Payment
+		return d.Admitted, d.Payment()
 	}
 	ok1, p1 := run(70)
 	ok2, p2 := run(300)
@@ -333,8 +333,8 @@ func TestChargeEnergyMakesFEqualBidMinusPayment(t *testing.T) {
 	if !d.Admitted {
 		t.Fatal("setup: rejected")
 	}
-	if math.Abs(d.F-(tk.Bid-d.Payment)) > 1e-9 {
-		t.Fatalf("with ChargeEnergy, F (%v) should equal bid − payment (%v)", d.F, tk.Bid-d.Payment)
+	if math.Abs(d.F-(tk.Bid-d.Payment())) > 1e-9 {
+		t.Fatalf("with ChargeEnergy, F (%v) should equal bid − payment (%v)", d.F, tk.Bid-d.Payment())
 	}
 }
 
@@ -353,7 +353,7 @@ func TestTruthfulBidMaximizesUtility(t *testing.T) {
 		if !d.Admitted {
 			return 0
 		}
-		return trueValue - d.Payment
+		return trueValue - d.Payment()
 	}
 	truthful := utility(trueValue)
 	for _, bid := range []float64{1, 10, 30, 50, 69, 71, 100, 200, 500} {
@@ -374,8 +374,8 @@ func TestIndividualRationalityOnRandomWorkload(t *testing.T) {
 		tk.Work = int32(5 + rng.Intn(80))
 		tk.Bid = 5 + rng.Float64()*200
 		d := s.Offer(envFor(t, tk, cl, nil))
-		if d.Admitted && d.Payment > tk.Bid+1e-9 {
-			t.Fatalf("task %d pays %v above its bid %v", i, d.Payment, tk.Bid)
+		if d.Admitted && d.Payment() > tk.Bid+1e-9 {
+			t.Fatalf("task %d pays %v above its bid %v", i, d.Payment(), tk.Bid)
 		}
 	}
 }

@@ -103,13 +103,13 @@ func TestPaymentNonNegativeAndBoundedProperty(t *testing.T) {
 			tk.Deadline = tk.Arrival + int32(2+rng.Intn(6))
 			tk.Bid = rng.Float64() * 200
 			d := s.Offer(envFor(t, tk, cl, nil))
-			if d.Payment < 0 {
+			if d.Payment() < 0 {
 				return false
 			}
-			if d.Admitted && d.Payment > tk.Bid+1e-9 {
+			if d.Admitted && d.Payment() > tk.Bid+1e-9 {
 				return false
 			}
-			if !d.Admitted && d.Payment != 0 {
+			if !d.Admitted && d.Payment() != 0 {
 				return false
 			}
 		}
@@ -166,8 +166,8 @@ func TestSurplusMatchesDefinition(t *testing.T) {
 		wantPay := d.Schedule.VendorPrice +
 			maxL*float64(d.Schedule.TotalWork(env)) +
 			maxP*d.Schedule.TotalMem(env)
-		if diff := d.Payment - wantPay; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("payment = %v, recomputed %v", d.Payment, wantPay)
+		if diff := d.Payment() - wantPay; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("payment = %v, recomputed %v", d.Payment(), wantPay)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func (p Profile) FigTruthfulness() (*TruthfulnessResult, error) {
 	}
 	res := &TruthfulnessResult{TrueValue: sc.TrueValue, Points: points}
 	if truthful.Admitted {
-		res.TruthfulUtility = sc.TrueValue - truthful.Payment
+		res.TruthfulUtility = sc.TrueValue - truthful.Payment()
 	}
 	if err := auction.VerifyTruthful(points, sc.TrueValue, res.TruthfulUtility, 1e-9); err != nil {
 		return nil, err

@@ -255,21 +255,18 @@ type Decision struct {
 	// Schedule is the selected plan; nil when no feasible plan exists.
 	// A rejected bid can still carry its best (losing) plan.
 	Schedule *Schedule
-	// Payment is p_i, the amount charged to a winning bid (0 if losing).
-	Payment float64
-	// VendorCost is what the provider pays the selected labor vendor
-	// (0 if losing or no pre-processing).
-	VendorCost float64
-	// EnergyCost is the provider's operational cost of executing the
-	// plan (0 if losing).
-	EnergyCost float64
+	// Terms holds the money a decision moves; nil exactly when all of it
+	// is zero, as on every losing bid. Read it through Payment,
+	// VendorCost and EnergyCost, and set it through NewTerms, which keeps
+	// that form canonical so Equal and reflect.DeepEqual agree.
+	Terms *Terms
 	// F is the price-adjusted surplus F(il) of the best plan, equation
 	// (10); negative or zero for bids rejected by the surplus test.
 	F float64
 	// Reason documents why a bid lost; zero for winners.
 	Reason RejectReason
 	// Admitted is u_i. The reason and the two flags sit together so that
-	// they share one word: 56 bytes a decision.
+	// they share one word: 40 bytes a decision.
 	Admitted bool
 	// DualsUpdated records that the scheduler moved the dual prices for
 	// this bid (F(il) > 0 reached the update step of Algorithm 1). It is
@@ -278,6 +275,55 @@ type Decision struct {
 	// plan touched despite losing. It stays false for rejections that
 	// never reached the update step.
 	DualsUpdated bool
+}
+
+// Terms is what a winning bid's decision moves under payment rule (14)
+// and objective (4). A losing bid (u_i = 0) pays nothing, buys no vendor
+// and burns no energy, so its Decision carries no Terms at all.
+type Terms struct {
+	// Payment is p_i, the amount charged to the winning bid.
+	Payment float64
+	// VendorCost is what the provider pays the selected labor vendor
+	// (0 without pre-processing).
+	VendorCost float64
+	// EnergyCost is the provider's operational cost of executing the
+	// plan.
+	EnergyCost float64
+}
+
+// NewTerms returns the terms of one decision, or nil when all three are
+// zero: the canonical form every constructor of a Decision uses.
+func NewTerms(payment, vendorCost, energyCost float64) *Terms {
+	if payment == 0 && vendorCost == 0 && energyCost == 0 {
+		return nil
+	}
+	return &Terms{Payment: payment, VendorCost: vendorCost, EnergyCost: energyCost}
+}
+
+// Payment is p_i, the amount charged to a winning bid (0 if losing).
+func (d Decision) Payment() float64 {
+	if d.Terms == nil {
+		return 0
+	}
+	return d.Terms.Payment
+}
+
+// VendorCost is what the provider pays the selected labor vendor (0 if
+// losing or no pre-processing).
+func (d Decision) VendorCost() float64 {
+	if d.Terms == nil {
+		return 0
+	}
+	return d.Terms.VendorCost
+}
+
+// EnergyCost is the provider's operational cost of executing the plan (0
+// if losing).
+func (d Decision) EnergyCost() float64 {
+	if d.Terms == nil {
+		return 0
+	}
+	return d.Terms.EnergyCost
 }
 
 // Equal reports whether two schedules are bit-identical: same task,
@@ -307,9 +353,9 @@ func (s *Schedule) Equal(other *Schedule) bool {
 func (d *Decision) Equal(other *Decision) bool {
 	return d.TaskID == other.TaskID &&
 		d.Admitted == other.Admitted &&
-		d.Payment == other.Payment &&
-		d.VendorCost == other.VendorCost &&
-		d.EnergyCost == other.EnergyCost &&
+		d.Payment() == other.Payment() &&
+		d.VendorCost() == other.VendorCost() &&
+		d.EnergyCost() == other.EnergyCost() &&
 		(d.F == other.F || (math.IsNaN(d.F) && math.IsNaN(other.F))) &&
 		d.Reason == other.Reason &&
 		d.DualsUpdated == other.DualsUpdated &&
@@ -322,7 +368,7 @@ func (d *Decision) Welfare(bid float64) float64 {
 	if !d.Admitted {
 		return 0
 	}
-	return bid - d.VendorCost - d.EnergyCost
+	return bid - d.VendorCost() - d.EnergyCost()
 }
 
 // RejectReason is the typed cause of a lost bid, in one byte. The zero

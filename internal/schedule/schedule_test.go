@@ -204,7 +204,7 @@ func TestValidateRejectsZeroSpeedNode(t *testing.T) {
 }
 
 func TestDecisionWelfare(t *testing.T) {
-	d := &Decision{Admitted: true, VendorCost: 5, EnergyCost: 10}
+	d := &Decision{Admitted: true, Terms: &Terms{VendorCost: 5, EnergyCost: 10}}
 	if got := d.Welfare(70); got != 55 {
 		t.Fatalf("Welfare = %v, want 55", got)
 	}

@@ -85,10 +85,10 @@ func TestBatchConcurrentEquivalence(t *testing.T) {
 				t.Fatalf("task %d: %v", serve.tasks[sp.lo+j].ID, out.Err)
 			}
 			w := want.Decisions[sp.lo+j]
-			if out.Decision.Admitted != w.Admitted || out.Decision.Payment != w.Payment || out.Decision.Reason != w.Reason {
+			if out.Decision.Admitted != w.Admitted || out.Decision.Payment() != w.Payment() || out.Decision.Reason != w.Reason {
 				t.Fatalf("task %d: batch (admitted=%v payment=%v %q) vs replay (admitted=%v payment=%v %q)",
-					serve.tasks[sp.lo+j].ID, out.Decision.Admitted, out.Decision.Payment, out.Decision.Reason,
-					w.Admitted, w.Payment, w.Reason)
+					serve.tasks[sp.lo+j].ID, out.Decision.Admitted, out.Decision.Payment(), out.Decision.Reason,
+					w.Admitted, w.Payment(), w.Reason)
 			}
 		}
 	}
@@ -166,7 +166,7 @@ func TestBatchAckOutlivesContext(t *testing.T) {
 			t.Fatalf("task %d undecided after canceled ctx (ok=%v err=%v)", tk.ID, ok, err)
 		}
 		w := want.Decisions[i]
-		if got.Admitted != w.Admitted || got.Payment != w.Payment || got.Reason != w.Reason {
+		if got.Admitted != w.Admitted || got.Payment() != w.Payment() || got.Reason != w.Reason {
 			t.Fatalf("task %d diverges from replay", tk.ID)
 		}
 	}

@@ -8,16 +8,23 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"github.com/pdftsp/pdftsp/internal/schedule"
 )
 
 // decisionStore is the broker's decided set. Algorithm 1 decides each bid
 // once, on arrival, and never revisits it, so the set is an append-only
-// log: 24-byte records in decision order, a side slice for the few
-// decisions that carry more than an outcome, their plans' bytes in one
-// arena, and the ID → position index that duplicate-ID refusal and
-// DecisionFor need. A refund, the one mutation, flips a record in place.
+// log: 16-byte records in decision order with one byte of outcome each
+// beside them, a side slice for the few decisions that carry more than an
+// outcome, their plans' bytes in one arena, and the ID → position index
+// that duplicate-ID refusal and DecisionFor need. A refund, the one
+// mutation, flips a record in place.
+//
+// A side entry is found through extraAt, the ascending positions of the
+// records that have one (metaExtra set), so a record spends no bytes on
+// pointing at an entry it almost never has: only a record whose byte says
+// it has one pays a binary search.
 //
 // The index holds no IDs of its own: it is an open-addressing table of
 // 1+position (0 is an empty slot) whose probe compares recs[p].id. Nothing
@@ -28,33 +35,37 @@ import (
 // is the suffix past a mark plus the (rare) flips below it. A broker that
 // never persists never moves the mark, so it tracks nothing.
 type decisionStore struct {
-	recs   []decisionRec
-	extras []decisionExtra
-	plans  []byte  // appendSchedule's; a restated plan's old bytes stay, unreferenced
-	index  []int32 // len is zero or a power of two, at most 3/4 full
-	shift  uint8   // 64 − log2(len(index)): a hash's top bits are its slot
+	recs    []decisionRec
+	meta    []uint8 // meta[i] is recs[i]'s reason code and flags
+	extraAt []int32 // extras[k] belongs to recs[extraAt[k]]; ascending
+	extras  []decisionExtra
+	plans   []byte  // appendSchedule's; a restated plan's old bytes stay, unreferenced
+	index   []int32 // len is zero or a power of two, at most 3/4 full
+	shift   uint8   // 64 − log2(len(index)): a hash's top bits are its slot
 
 	saved int     // recs[:saved] are in the on-disk chain
 	flips []int32 // positions below saved that a refund flipped since
 }
 
 type decisionRec struct {
-	id     int
-	f      uint64 // Float64bits of Decision.F, so −Inf needs no flag
-	extra  int32  // 1 + position in extras; 0 when every extra field is zero
-	reason schedule.RejectReason
-	flags  uint8
+	id int
+	f  uint64 // Float64bits of Decision.F, so −Inf needs no flag
 }
 
+// A record's meta byte: the RejectReason code in the low bits (put refuses
+// a code outside the set, and the set's codes stay below metaAdmitted),
+// the decision's two flags, and whether it has a side entry.
 const (
-	flagAdmitted = 1 << iota
-	flagDualsUpdated
+	metaAdmitted uint8 = 1 << (5 + iota)
+	metaDualsUpdated
+	metaExtra
+	metaReason = metaAdmitted - 1
 )
 
 // decisionExtra is what a rejected bid's decision has zero by
 // construction: it exists for admitted bids, refunded bids, losing plans
 // kept because DropLosingPlans is off, and a TaskID other than the ID
-// the decision is filed under.
+// the decision is filed under. Once a record has one it keeps it.
 type decisionExtra struct {
 	taskID                          int
 	payment, vendorCost, energyCost float64
@@ -64,10 +75,14 @@ type decisionExtra struct {
 // Len is the number of decided bids.
 func (s *decisionStore) Len() int { return len(s.recs) }
 
-// size is the bytes the store's slices retain, at the sizes TestRecordSizes pins.
+// size is the bytes the store's slices retain.
 func (s *decisionStore) size() int {
-	return 24*cap(s.recs) + 40*cap(s.extras) + cap(s.plans) + 4*cap(s.index)
+	return sliceBytes(s.recs) + sliceBytes(s.meta) + sliceBytes(s.extraAt) + sliceBytes(s.extras) +
+		sliceBytes(s.plans) + sliceBytes(s.index) + sliceBytes(s.flips)
 }
+
+// sliceBytes is the bytes s's backing array holds, its spare capacity included.
+func sliceBytes[E any](s []E) int { return cap(s) * int(unsafe.Sizeof(*new(E))) }
 
 // Each visits every decision in the order the bids were decided.
 func (s *decisionStore) Each(fn func(id int, d schedule.Decision)) {
@@ -118,30 +133,39 @@ func (s *decisionStore) get(id int) (schedule.Decision, bool) {
 	return s.at(p), true
 }
 
-// at is decision i, its plan decoded afresh; head returns the plan's bytes.
+// at is decision i, its terms and plan its own; head returns the terms by
+// value and the plan's bytes, so a writer allocates neither.
 func (s *decisionStore) at(i int) schedule.Decision {
-	d, plan := s.head(i)
+	d, t, plan := s.head(i)
+	d.Terms = schedule.NewTerms(t.Payment, t.VendorCost, t.EnergyCost)
 	if len(plan) > 0 {
 		d.Schedule = readSchedule(&binReader{b: plan}, new(schedule.Schedule))
 	}
 	return d
 }
 
-func (s *decisionStore) head(i int) (d schedule.Decision, plan []byte) {
-	r := &s.recs[i]
+func (s *decisionStore) head(i int) (d schedule.Decision, t schedule.Terms, plan []byte) {
+	m := s.meta[i]
 	d = schedule.Decision{
-		TaskID:       r.id,
-		Admitted:     r.flags&flagAdmitted != 0,
-		F:            math.Float64frombits(r.f),
-		Reason:       r.reason,
-		DualsUpdated: r.flags&flagDualsUpdated != 0,
+		TaskID:       s.recs[i].id,
+		Admitted:     m&metaAdmitted != 0,
+		F:            math.Float64frombits(s.recs[i].f),
+		Reason:       schedule.RejectReason(m & metaReason),
+		DualsUpdated: m&metaDualsUpdated != 0,
 	}
-	if r.extra != 0 {
-		x := &s.extras[r.extra-1]
+	if m&metaExtra != 0 {
+		x := &s.extras[s.extraOf(i)]
 		d.TaskID, plan = x.taskID, s.plans[x.plan:][:x.planLen]
-		d.Payment, d.VendorCost, d.EnergyCost = x.payment, x.vendorCost, x.energyCost
+		t = schedule.Terms{Payment: x.payment, VendorCost: x.vendorCost, EnergyCost: x.energyCost}
 	}
-	return d, plan
+	return d, t, plan
+}
+
+// extraOf is the position in extras of record i's side entry, or where
+// one goes if it has none.
+func (s *decisionStore) extraOf(i int) int {
+	k, _ := slices.BinarySearch(s.extraAt, int32(i))
+	return k
 }
 
 // put files d under id: appended when id is new, replaced where it stands
@@ -153,42 +177,42 @@ func (s *decisionStore) put(id int, d *schedule.Decision) error {
 	if !d.Reason.Valid() {
 		return fmt.Errorf("service: decision %d: unknown reject reason code %d", id, d.Reason)
 	}
-	x := decisionExtra{taskID: d.TaskID, payment: d.Payment, vendorCost: d.VendorCost, energyCost: d.EnergyCost}
+	x := decisionExtra{taskID: d.TaskID, payment: d.Payment(), vendorCost: d.VendorCost(), energyCost: d.EnergyCost()}
 	if start := len(s.plans); d.Schedule != nil {
 		if s.plans = appendSchedule(s.plans, d.Schedule); len(s.plans) > math.MaxInt32 {
 			return fmt.Errorf("service: decided plans outgrow %d bytes", math.MaxInt32)
 		}
 		x.plan, x.planLen = int32(start), int32(len(s.plans)-start)
 	}
-	r := decisionRec{id: id, f: math.Float64bits(d.F), reason: d.Reason}
+	r, m := decisionRec{id: id, f: math.Float64bits(d.F)}, uint8(d.Reason)
 	if d.Admitted {
-		r.flags |= flagAdmitted
+		m |= metaAdmitted
 	}
 	if d.DualsUpdated {
-		r.flags |= flagDualsUpdated
+		m |= metaDualsUpdated
 	}
 	i, slot := s.find(id)
-	seen := i >= 0
-	if seen {
-		r.extra = s.recs[i].extra
+	k := len(s.extraAt) // a new record's position is the largest yet
+	if i < 0 {
+		if 4*(len(s.recs)+1) > 3*len(s.index) {
+			s.grow()
+			_, slot = s.find(id)
+		}
+		i = len(s.recs)
+		s.recs, s.meta = append(s.recs, r), append(s.meta, 0)
+		s.index[slot] = int32(len(s.recs))
+	} else {
+		k = s.extraOf(i)
 	}
 	switch {
-	case r.extra != 0:
-		s.extras[r.extra-1] = x
+	case s.meta[i]&metaExtra != 0:
+		s.extras[k] = x
+		m |= metaExtra
 	case x != decisionExtra{taskID: id}:
-		s.extras = append(s.extras, x)
-		r.extra = int32(len(s.extras))
+		s.extraAt, s.extras = slices.Insert(s.extraAt, k, int32(i)), slices.Insert(s.extras, k, x)
+		m |= metaExtra
 	}
-	if seen {
-		s.recs[i] = r
-		return nil
-	}
-	if 4*(len(s.recs)+1) > 3*len(s.index) {
-		s.grow()
-		_, slot = s.find(id)
-	}
-	s.recs = append(s.recs, r)
-	s.index[slot] = int32(len(s.recs))
+	s.recs[i], s.meta[i] = r, m
 	return nil
 }
 
@@ -200,8 +224,7 @@ func (s *decisionStore) refund(id int) {
 	if i < 0 {
 		return
 	}
-	s.recs[i].flags &^= flagAdmitted
-	s.recs[i].reason = schedule.ReasonFailedNode
+	s.meta[i] = s.meta[i]&^(metaAdmitted|metaReason) | uint8(schedule.ReasonFailedNode)
 	if i < s.saved {
 		s.flips = append(s.flips, int32(i))
 	}
@@ -212,7 +235,8 @@ func (s *decisionStore) refund(id int) {
 // the ones decided since, in order. markSaved records that a write did.
 func (s *decisionStore) appendUnsaved(p []byte) []byte {
 	record := func(i int) {
-		d, plan := s.head(i)
+		d, t, plan := s.head(i)
+		d.Terms = &t // appendDecision reads all-zero terms as none
 		at := len(p)
 		if p = appendDecision(p, s.recs[i].id, &d); len(plan) > 0 {
 			p[at] |= decSchedule
@@ -233,11 +257,13 @@ func (s *decisionStore) markSaved() { s.saved, s.flips = len(s.recs), s.flips[:0
 // clone copies the store with nothing marked saved.
 func (s *decisionStore) clone() *decisionStore {
 	return &decisionStore{
-		recs:   slices.Clone(s.recs),
-		extras: slices.Clone(s.extras),
-		plans:  slices.Clone(s.plans),
-		index:  slices.Clone(s.index),
-		shift:  s.shift,
+		recs:    slices.Clone(s.recs),
+		meta:    slices.Clone(s.meta),
+		extraAt: slices.Clone(s.extraAt),
+		extras:  slices.Clone(s.extras),
+		plans:   slices.Clone(s.plans),
+		index:   slices.Clone(s.index),
+		shift:   s.shift,
 	}
 }
 
@@ -270,16 +296,16 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 	out := make([]byte, 0, 64*len(s.recs)+2)
 	out = append(out, '[')
 	for i := range s.recs {
-		r := &s.recs[i]
+		r, m := &s.recs[i], s.meta[i]
 		if i > 0 {
 			out = append(out, ',')
 		}
 		f := math.Float64frombits(r.f) // NaN or +Inf fails encoding/json's check of what this returns
-		if r.extra != 0 {
-			d, enc := s.head(i)
+		if m&metaExtra != 0 {
+			d, t, enc := s.head(i)
 			w = decisionWire{
 				TaskID: d.TaskID, Admitted: d.Admitted,
-				Payment: d.Payment, VendorCost: d.VendorCost, EnergyCost: d.EnergyCost,
+				Payment: t.Payment, VendorCost: t.VendorCost, EnergyCost: t.EnergyCost,
 				F: d.F, Reason: d.Reason, DualsUpdated: d.DualsUpdated,
 				FNegInf: math.IsInf(f, -1),
 			}
@@ -300,7 +326,7 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 			continue
 		}
 		out = strconv.AppendInt(append(out, `{"TaskID":`...), int64(r.id), 10)
-		if r.flags&flagAdmitted != 0 {
+		if m&metaAdmitted != 0 {
 			out = append(out, `,"Admitted":true`...)
 		}
 		if math.IsInf(f, -1) {
@@ -308,10 +334,10 @@ func (s *decisionStore) MarshalJSON() ([]byte, error) {
 		} else if r.f != 0 {
 			out = appendJSONFloat(append(out, `,"F":`...), f)
 		}
-		if r.reason != 0 { // a name needs no JSON escaping
-			out = append(append(append(out, `,"Reason":"`...), r.reason.String()...), '"')
+		if reason := schedule.RejectReason(m & metaReason); reason != 0 { // a name needs no JSON escaping
+			out = append(append(append(out, `,"Reason":"`...), reason.String()...), '"')
 		}
-		if r.flags&flagDualsUpdated != 0 {
+		if m&metaDualsUpdated != 0 {
 			out = append(out, `,"DualsUpdated":true`...)
 		}
 		out = append(out, '}')
@@ -334,8 +360,8 @@ func (s *decisionStore) UnmarshalJSON(data []byte) error {
 		}
 		d := schedule.Decision{
 			TaskID: w.TaskID, Admitted: w.Admitted, Schedule: w.Schedule,
-			Payment: w.Payment, VendorCost: w.VendorCost, EnergyCost: w.EnergyCost,
-			F: w.F, Reason: w.Reason, DualsUpdated: w.DualsUpdated,
+			Terms: schedule.NewTerms(w.Payment, w.VendorCost, w.EnergyCost),
+			F:     w.F, Reason: w.Reason, DualsUpdated: w.DualsUpdated,
 		}
 		if w.FNegInf {
 			d.F = math.Inf(-1)

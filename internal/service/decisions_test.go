@@ -34,9 +34,9 @@ func TestRecordSizes(t *testing.T) {
 		exact     bool
 	}{
 		{"task.Task", unsafe.Sizeof(task.Task{}), 40, true},
-		{"schedule.Decision", unsafe.Sizeof(schedule.Decision{}), 56, true},
+		{"schedule.Decision", unsafe.Sizeof(schedule.Decision{}), 40, true},
 		{"heldBid", unsafe.Sizeof(heldBid{}), 72, true},
-		{"decisionRec", unsafe.Sizeof(decisionRec{}), 24, true},
+		{"decisionRec", unsafe.Sizeof(decisionRec{}), 16, true},
 		{"decisionExtra", unsafe.Sizeof(decisionExtra{}), 40, true},
 	} {
 		if r.got > r.want || r.exact && r.got != r.want {
@@ -52,6 +52,32 @@ func TestRecordSizes(t *testing.T) {
 		default:
 			t.Errorf("decisionExtra.%s is a %s; the side entry holds numbers only, no pointer", f.Name, f.Type)
 		}
+	}
+}
+
+// TestDecisionStoreSize: Status.DecisionBytes is Σ cap × element size over
+// every slice the store keeps, found by reflection, so a slice added to
+// the store or a record resized cannot leave the reported figure behind.
+func TestDecisionStoreSize(t *testing.T) {
+	s := new(decisionStore)
+	rng := rand.New(rand.NewSource(3))
+	for id := range 200 {
+		putRandom(t, s, rng, id)
+	}
+	s.markSaved()
+	s.refund(0)
+	want := 0
+	v := reflect.ValueOf(s).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			if f.Cap() == 0 {
+				t.Fatalf("decisionStore.%s is empty; the draw is meant to fill every slice", v.Type().Field(i).Name)
+			}
+			want += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	if got := s.size(); got != want {
+		t.Fatalf("size() = %d, the store's slices hold %d bytes", got, want)
 	}
 }
 
@@ -83,7 +109,7 @@ func randomDecision(rng *rand.Rand, id int) schedule.Decision {
 	case 5, 6:
 		d = schedule.Decision{
 			TaskID: id, Admitted: true, Schedule: plan(), DualsUpdated: true, F: rng.Float64() * 10,
-			Payment: rng.Float64() * 5, VendorCost: rng.Float64(), EnergyCost: rng.Float64(),
+			Terms: &schedule.Terms{Payment: rng.Float64() * 5, VendorCost: rng.Float64(), EnergyCost: rng.Float64()},
 		}
 	}
 	return d
@@ -313,6 +339,35 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 	}
 }
 
+// TestDecisionStoreRestateAddsSideEntry: a restated record that gains a
+// side entry gets it in position order, between its neighbours' entries,
+// and every record still reads back as put.
+func TestDecisionStoreRestateAddsSideEntry(t *testing.T) {
+	s := new(decisionStore)
+	ref := map[int]schedule.Decision{}
+	put := func(d schedule.Decision) {
+		if err := s.put(d.TaskID, &d); err != nil {
+			t.Fatal(err)
+		}
+		ref[d.TaskID] = d
+	}
+	money := func(id int) schedule.Decision {
+		return schedule.Decision{TaskID: id, Admitted: true, F: 1, Terms: &schedule.Terms{Payment: 1 + float64(id)}}
+	}
+	for id := range 6 {
+		d := schedule.Decision{TaskID: id, F: -1, Reason: schedule.ReasonSurplus}
+		if id%5 == 0 {
+			d = money(id)
+		}
+		put(d)
+	}
+	put(money(3)) // restated between the side entries of 0 and 5
+	if !slices.Equal(s.extraAt, []int32{0, 3, 5}) {
+		t.Fatalf("side entries at positions %v, want [0 3 5]", s.extraAt)
+	}
+	requireStoreEquals(t, "restated", s, ref, []int{0, 1, 2, 3, 4, 5})
+}
+
 // TestDecisionStoreReasonLimit: a record has one byte for its reason, the
 // code itself. Every code in the set comes back as put; every other code
 // is an error, not a wrong reason.
@@ -341,17 +396,19 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// TestDecisionStoreMemoryBudget holds the store to 44 B per rejected bid —
-// record plus index, whatever the IDs look like — and to 150 B per
-// admitted bid, its plan included: each 10-placement Schedule is built
+// TestDecisionStoreMemoryBudget holds the store to 34 B per rejected bid —
+// record, meta byte and index, whatever the IDs look like — and to 150 B
+// per admitted bid, its plan included: each 10-placement Schedule is built
 // inside the measured window, as the scheduler hands one over, and is
 // garbage once put returns. At 100,000 bids the index has just doubled,
-// which is its worst case: 24 B of record, about a fifth of that again in
-// append slack, and 10.5 B of table. The map of schedule.Decision this
-// replaced cost 174 B per rejected bid, the map[int]int32 index beside the
-// records 53; keeping the *Schedule itself cost 305 B per admitted bid.
+// which is its worst case: 17 B of record and meta byte, about a fifth of
+// that again in append slack, and 10.5 B of table. The map of
+// schedule.Decision this replaced cost 174 B per rejected bid, the
+// map[int]int32 index beside the records 53, and a 24-byte record with
+// its side-entry index inline 40; keeping the *Schedule itself cost 305 B
+// per admitted bid.
 func TestDecisionStoreMemoryBudget(t *testing.T) {
-	const budget, admittedBudget = 44, 150
+	const budget, admittedBudget = 34, 150
 	perBid := func(n int, id func(i int) int, decision func(i, id int) schedule.Decision) float64 {
 		before := liveHeap()
 		s := new(decisionStore)
@@ -393,7 +450,7 @@ func TestDecisionStoreMemoryBudget(t *testing.T) {
 		for k := range plan.Placements {
 			plan.Placements[k] = schedule.Placement{Node: (i + 13*k) % 128, Slot: (i + k) % 144}
 		}
-		return schedule.Decision{TaskID: id, Admitted: true, Schedule: plan, Payment: 1, EnergyCost: 1, F: 1, DualsUpdated: true}
+		return schedule.Decision{TaskID: id, Admitted: true, Schedule: plan, Terms: &schedule.Terms{Payment: 1, EnergyCost: 1}, F: 1, DualsUpdated: true}
 	})
 	if got > admittedBudget {
 		t.Errorf("%.1f B per admitted bid with a 10-placement plan, budget %d", got, admittedBudget)
@@ -416,19 +473,19 @@ func (f fixedPlans) Offer(env *schedule.TaskEnv) schedule.Decision {
 	for k := range plan.Placements {
 		plan.Placements[k] = schedule.Placement{Node: k % env.Cluster.NumNodes(), Slot: k}
 	}
-	return schedule.Decision{TaskID: env.Task.ID, Admitted: true, Schedule: plan, Payment: 1, EnergyCost: 1, F: 1}
+	return schedule.Decision{TaskID: env.Task.ID, Admitted: true, Schedule: plan, Terms: &schedule.Terms{Payment: 1, EnergyCost: 1}, F: 1}
 }
 
 // TestStatusDecisionBytes: /v1/status reports what the decided set
 // retains, and that is under 160 B per admitted bid with a 10-placement
-// plan and under 44 B per rejected bid, append slack included.
+// plan and under 34 B per rejected bid, append slack included.
 func TestStatusDecisionBytes(t *testing.T) {
 	const slots, perSlot = 10, 1000
 	for _, c := range []struct {
 		name   string
 		sched  fixedPlans
 		budget float64
-	}{{"admitted", fixedPlans{}, 160}, {"rejected", fixedPlans{reject: true}, 44}} {
+	}{{"admitted", fixedPlans{}, 160}, {"rejected", fixedPlans{reject: true}, 34}} {
 		s := newStack(t, slots+10, 4, 1, 5)
 		opts := s.brokerOptions()
 		opts.Scheduler, opts.QueueSize = c.sched, perSlot

@@ -183,7 +183,7 @@ func appendDecision(p []byte, id int, d *schedule.Decision) []byte {
 	if d.TaskID != id {
 		flags |= decTaskID
 	}
-	if d.Payment != 0 || d.VendorCost != 0 || d.EnergyCost != 0 {
+	if d.Payment() != 0 || d.VendorCost() != 0 || d.EnergyCost() != 0 {
 		flags |= decMoney
 	}
 	if d.Schedule != nil {
@@ -197,9 +197,9 @@ func appendDecision(p []byte, id int, d *schedule.Decision) []byte {
 		p = appendInt(p, d.TaskID)
 	}
 	if flags&decMoney != 0 {
-		p = appendF64(p, d.Payment)
-		p = appendF64(p, d.VendorCost)
-		p = appendF64(p, d.EnergyCost)
+		p = appendF64(p, d.Payment())
+		p = appendF64(p, d.VendorCost())
+		p = appendF64(p, d.EnergyCost())
 	}
 	if d.Schedule != nil {
 		p = appendSchedule(p, d.Schedule)
@@ -231,9 +231,7 @@ func readDecision(r *binReader, flags byte, plan *schedule.Schedule) (int, sched
 		d.TaskID = r.int()
 	}
 	if flags&decMoney != 0 {
-		d.Payment = r.f64()
-		d.VendorCost = r.f64()
-		d.EnergyCost = r.f64()
+		d.Terms = schedule.NewTerms(r.f64(), r.f64(), r.f64())
 	}
 	if flags&decSchedule != 0 {
 		d.Schedule = readSchedule(r, plan)

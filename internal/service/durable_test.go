@@ -30,6 +30,12 @@ import (
 // writing, at the first temp-file create from there, as a supervisor
 // swap mid-write does. The model is the durability, so Sync and SyncDir
 // never reach the disk.
+//
+// A failed fsync is fsyncgate's: the kernel drops the file's dirty pages
+// and marks them clean, so the bytes written since the last fsync stay
+// readable but no later fsync on that file persists them. A later
+// successful one persists only what was written after the failure (and
+// the file's length, so the dropped bytes read back from disk as zeros).
 type powerFS struct {
 	mu    sync.Mutex
 	at    int    // the operation to fault; -1 for none
@@ -46,8 +52,25 @@ type powerFS struct {
 	crossed []string
 }
 
-// inode is one file's contents now and as of its last fsync.
-type inode struct{ data, synced []byte }
+// inode is one file's contents now and as of its last fsync, and the
+// byte ranges written since the last fsync, good or failed.
+type inode struct {
+	data, synced []byte
+	dirty        [][2]int
+}
+
+// persist is a successful fsync: the file's length and its dirty bytes
+// reach the disk, nothing else.
+func (ino *inode) persist() {
+	synced := make([]byte, len(ino.data))
+	copy(synced, ino.synced)
+	for _, r := range ino.dirty {
+		if lo, hi := r[0], min(r[1], len(ino.data)); lo < hi {
+			copy(synced[lo:hi], ino.data[lo:hi])
+		}
+	}
+	ino.synced, ino.dirty = synced, nil
+}
 
 var errPowerCut = errors.New("power cut")
 
@@ -223,16 +246,23 @@ func (f *powerFile) WriteAt(b []byte, off int64) (int, error) {
 			f.ino.data = append(f.ino.data, make([]byte, end-len(f.ino.data))...)
 		}
 		copy(f.ino.data[off:], b[:n])
+		f.ino.dirty = append(f.ino.dirty, [2]int{int(off), int(off) + n})
 		return err
 	})
 	return n, err
 }
 
 func (f *powerFile) Sync() error {
-	return f.fs.do("sync", f.private, func(bool) error {
-		f.ino.synced = bytes.Clone(f.ino.data)
+	err := f.fs.do("sync", f.private, func(bool) error {
+		f.ino.persist()
 		return nil
 	})
+	if errors.Is(err, syscall.EIO) { // the dirty pages are dropped
+		f.fs.p.mu.Lock()
+		f.ino.dirty = nil
+		f.fs.p.mu.Unlock()
+	}
+	return err
 }
 
 func (f *powerFile) Truncate(size int64) error {
@@ -253,6 +283,40 @@ func (f *powerFile) Close() error {
 	err := f.fs.do("close", nil, func(bool) error { return nil })
 	f.f.Close() // whatever the fault, the descriptor goes
 	return err
+}
+
+// TestPowerFSFsyncgate pins the model a failed fsync follows: the bytes
+// written since the last good fsync stay readable but never reach the
+// disk, a retried fsync succeeds without them, and what is written after
+// the failure is persisted by the next good one, the dropped range
+// reading back from disk as zeros.
+func TestPowerFSFsyncgate(t *testing.T) {
+	p := newPowerFS(-1, "")
+	df, err := brokerFS{p, new(Broker)}.CreateTemp(t.TempDir(), ".gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer df.Close()
+	f := df.(*powerFile)
+	step := func(write string, fault bool, wantErr error, data, onDisk string) {
+		t.Helper()
+		if _, err := f.Write([]byte(write)); err != nil {
+			t.Fatal(err)
+		}
+		if fault {
+			p.arm(0, "fail")
+		}
+		if err := f.Sync(); !errors.Is(err, wantErr) {
+			t.Fatalf("after writing %q: fsync returned %v, want %v", write, err, wantErr)
+		}
+		if string(f.ino.data) != data || string(f.ino.synced) != onDisk {
+			t.Fatalf("after writing %q: reads %q, disk holds %q; want %q and %q", write, f.ino.data, f.ino.synced, data, onDisk)
+		}
+	}
+	step("aaaa", false, nil, "aaaa", "aaaa")
+	step("bbbb", true, syscall.EIO, "aaaabbbb", "aaaa")
+	step("", false, nil, "aaaabbbb", "aaaa\x00\x00\x00\x00") // the retry
+	step("cccc", false, nil, "aaaabbbbcccc", "aaaa\x00\x00\x00\x00cccc")
 }
 
 // crashOutcome is what one run of the crash scenario left behind.

@@ -99,9 +99,9 @@ func TestBrokerFailureEquivalence(t *testing.T) {
 			t.Fatalf("task %d: no decision (ok=%v err=%v)", tk.ID, ok, err)
 		}
 		w := want.Decisions[i]
-		if got.Admitted != w.Admitted || got.Payment != w.Payment || got.Reason != w.Reason {
+		if got.Admitted != w.Admitted || got.Payment() != w.Payment() || got.Reason != w.Reason {
 			t.Fatalf("task %d: broker (admitted=%v payment=%v reason=%q) vs sim (admitted=%v payment=%v reason=%q)",
-				tk.ID, got.Admitted, got.Payment, got.Reason, w.Admitted, w.Payment, w.Reason)
+				tk.ID, got.Admitted, got.Payment(), got.Reason, w.Admitted, w.Payment(), w.Reason)
 		}
 		if got.Reason == schedule.ReasonVendorDown {
 			vendorDown++

@@ -111,7 +111,7 @@ func decisionResponse(id int, d schedule.Decision) DecisionResponse {
 	resp := DecisionResponse{
 		TaskID:   id,
 		Admitted: d.Admitted,
-		Payment:  d.Payment,
+		Payment:  d.Payment(),
 		Reason:   d.Reason,
 	}
 	if d.Schedule != nil {
@@ -230,9 +230,9 @@ func appendDecisionJSON(out []byte, id int, d *schedule.Decision) []byte {
 	out = strconv.AppendInt(out, int64(id), 10)
 	out = append(out, `,"admitted":`...)
 	out = strconv.AppendBool(out, d.Admitted)
-	if d.Payment != 0 {
+	if d.Payment() != 0 {
 		out = append(out, `,"payment":`...)
-		out = appendJSONFloat(out, d.Payment)
+		out = appendJSONFloat(out, d.Payment())
 	}
 	if d.Schedule != nil && d.Schedule.Vendor != 0 {
 		out = append(out, `,"vendor":`...)

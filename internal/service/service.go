@@ -127,9 +127,10 @@ type Options struct {
 	// DropLosingPlans, when set, discards the (never again consulted)
 	// candidate Schedule attached to rejected decisions instead of
 	// retaining it in the decision store: a rejected bid then costs its
-	// 24-byte record plus its slot in the position table (40 B at most,
-	// append slack included) rather than that plus a plan (a 40 B side
-	// entry and the plan's encoding, ~14 B + ~3.5 B a placement).
+	// 16-byte record, its one meta byte and its slot in the position table
+	// (34 B at most, append slack included) rather than that plus a plan
+	// (a 40 B side entry, its 4 B position, and the plan's encoding, ~14 B
+	// + ~3.5 B a placement).
 	// Admitted plans are always retained (failure recovery re-plans
 	// from them). Checkpoints written with this set
 	// restore with the same accounting, duals, and ledger; only the

@@ -158,9 +158,9 @@ func TestConcurrentEquivalence(t *testing.T) {
 			t.Fatalf("task %d: %v", serve.tasks[i].ID, out.Err)
 		}
 		w := want.Decisions[i]
-		if out.Decision.Admitted != w.Admitted || out.Decision.Payment != w.Payment {
+		if out.Decision.Admitted != w.Admitted || out.Decision.Payment() != w.Payment() {
 			t.Fatalf("task %d: service (admitted=%v payment=%v) vs replay (admitted=%v payment=%v)",
-				serve.tasks[i].ID, out.Decision.Admitted, out.Decision.Payment, w.Admitted, w.Payment)
+				serve.tasks[i].ID, out.Decision.Admitted, out.Decision.Payment(), w.Admitted, w.Payment())
 		}
 		if out.Decision.Reason != w.Reason {
 			t.Fatalf("task %d: reason %q vs %q", serve.tasks[i].ID, out.Decision.Reason, w.Reason)
@@ -285,7 +285,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("decision %d lost across restore (ok=%v err=%v)", id, ok, err)
 		}
-		if got.Admitted != want.Admitted || got.Payment != want.Payment {
+		if got.Admitted != want.Admitted || got.Payment() != want.Payment() {
 			t.Fatalf("decision %d mutated across restore", id)
 		}
 	})

@@ -256,7 +256,7 @@ func TestShardsMatchSimRunTwins(t *testing.T) {
 		for j, tk := range sub {
 			d, _, _ := s.DecisionFor(tk.ID)
 			wd := want.Decisions[j]
-			if d.Admitted != wd.Admitted || d.Payment != wd.Payment || d.Reason != wd.Reason {
+			if d.Admitted != wd.Admitted || d.Payment() != wd.Payment() || d.Reason != wd.Reason {
 				t.Fatalf("shard %d task %d: live %+v, twin %+v", si, tk.ID, d, wd)
 			}
 		}

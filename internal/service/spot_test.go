@@ -100,9 +100,9 @@ func TestBrokerSpotEquivalence(t *testing.T) {
 			t.Fatalf("task %d: no decision (ok=%v err=%v)", tk.ID, ok, err)
 		}
 		w := want.Decisions[i]
-		if got.Admitted != w.Admitted || got.Payment != w.Payment || got.Reason != w.Reason {
+		if got.Admitted != w.Admitted || got.Payment() != w.Payment() || got.Reason != w.Reason {
 			t.Fatalf("task %d: broker (%v %v %q) vs sim (%v %v %q)",
-				tk.ID, got.Admitted, got.Payment, got.Reason, w.Admitted, w.Payment, w.Reason)
+				tk.ID, got.Admitted, got.Payment(), got.Reason, w.Admitted, w.Payment(), w.Reason)
 		}
 	}
 	if !serve.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {

@@ -342,8 +342,9 @@ func TestWALAppendFailureRefusesUnjournaled(t *testing.T) {
 
 // TestWALBatchedFsyncFailureRewrites: with WALSyncEvery 4 the first three
 // messages are acked on the OS's word, and the fourth's fsync is the one
-// that would make them durable. When it fails, the kernel may have
-// dropped their dirty pages, so the whole file is suspect: the fourth
+// that would make them durable. When it fails, the kernel drops their
+// dirty pages (powerFS models this), so the whole file is suspect and a
+// retried fsync would succeed without them: the fourth
 // message is refused with ErrWAL, the journal is rewritten at once from
 // the committed chunks, so that the three acked messages are on disk as
 // of an fsync, and the rewrite clears the broken mark, so the next bid is

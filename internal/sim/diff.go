@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/pdftsp/pdftsp/internal/schedule"
 )
@@ -50,25 +51,27 @@ func DiffResults(got, want *Result) string {
 // when neither side dropped losing plans; without it only the outcome
 // fields (admission, payment, money, surplus, reason, dual movement)
 // are compared, the right check against a broker running
-// Options.DropLosingPlans.
+// Options.DropLosingPlans. The surplus F compares bit for bit, any NaN
+// equal to any other as Decision.Equal has it.
 func DiffDecisions(got, want *schedule.Decision, plans bool) string {
 	if got.TaskID != want.TaskID {
 		return fmt.Sprintf("task id: got %d, want %d", got.TaskID, want.TaskID)
 	}
 	if plans {
 		if !got.Equal(want) {
-			return fmt.Sprintf("task %d: got %+v (plan %+v), want %+v (plan %+v)",
-				got.TaskID, got, got.Schedule, want, want.Schedule)
+			return fmt.Sprintf("task %d: got %+v (plan %+v, terms %+v), want %+v (plan %+v, terms %+v)",
+				got.TaskID, got, got.Schedule, got.Terms, want, want.Schedule, want.Terms)
 		}
 		return ""
 	}
-	if got.Admitted != want.Admitted || got.Payment != want.Payment ||
-		got.VendorCost != want.VendorCost || got.EnergyCost != want.EnergyCost ||
-		got.Reason != want.Reason || got.DualsUpdated != want.DualsUpdated {
-		return fmt.Sprintf("task %d: got admitted=%v payment=%v vendor=%v energy=%v reason=%q duals=%v, want admitted=%v payment=%v vendor=%v energy=%v reason=%q duals=%v",
+	sameF := math.Float64bits(got.F) == math.Float64bits(want.F) || math.IsNaN(got.F) && math.IsNaN(want.F)
+	if got.Admitted != want.Admitted || got.Payment() != want.Payment() ||
+		got.VendorCost() != want.VendorCost() || got.EnergyCost() != want.EnergyCost() ||
+		!sameF || got.Reason != want.Reason || got.DualsUpdated != want.DualsUpdated {
+		return fmt.Sprintf("task %d: got admitted=%v payment=%v vendor=%v energy=%v f=%v reason=%q duals=%v, want admitted=%v payment=%v vendor=%v energy=%v f=%v reason=%q duals=%v",
 			got.TaskID,
-			got.Admitted, got.Payment, got.VendorCost, got.EnergyCost, got.Reason, got.DualsUpdated,
-			want.Admitted, want.Payment, want.VendorCost, want.EnergyCost, want.Reason, want.DualsUpdated)
+			got.Admitted, got.Payment(), got.VendorCost(), got.EnergyCost(), got.F, got.Reason, got.DualsUpdated,
+			want.Admitted, want.Payment(), want.VendorCost(), want.EnergyCost(), want.F, want.Reason, want.DualsUpdated)
 	}
 	return ""
 }

@@ -329,9 +329,9 @@ func (e *Engine) fillOutcome(env *schedule.TaskEnv, d *schedule.Decision) {
 		Bid:          env.Task.Bid,
 		Admitted:     d.Admitted,
 		Reason:       d.Reason,
-		Payment:      d.Payment,
-		VendorCost:   d.VendorCost,
-		EnergyCost:   d.EnergyCost,
+		Payment:      d.Payment(),
+		VendorCost:   d.VendorCost(),
+		EnergyCost:   d.EnergyCost(),
 		DualsUpdated: d.DualsUpdated,
 		Env:          env,
 		Decision:     d,

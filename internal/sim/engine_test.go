@@ -48,7 +48,7 @@ func (s *scriptScheduler) decide(env *schedule.TaskEnv) schedule.Decision {
 	case id == 2:
 		last := s.cl.Horizon().T - 1
 		s.cl.Commit(1, last, env.Speed[1], env.Task.MemGB)
-		d.Admitted, d.Payment = true, 3
+		d.Admitted, d.Terms = true, &schedule.Terms{Payment: 3}
 		d.Schedule = &schedule.Schedule{TaskID: id, Vendor: schedule.NoVendor,
 			Placements: []schedule.Placement{{Node: 1, Slot: last}}}
 	case id == 1 || id >= 1<<30:

@@ -119,7 +119,7 @@ func (fs *FailureTracker) Track(idx int, env *schedule.TaskEnv, d *schedule.Deci
 		task:    *env.Task,
 		env:     env,
 		plan:    append([]schedule.Placement(nil), d.Schedule.Placements...),
-		payment: d.Payment,
+		payment: d.Payment(),
 		index:   idx,
 	}
 }
@@ -222,8 +222,8 @@ func (fs *FailureTracker) breakPlans(f Failure, sched Scheduler, res *Result) {
 		if d.Admitted {
 			res.RecoveredTasks++
 			recovered++
-			res.Welfare -= d.EnergyCost
-			res.EnergySpend += d.EnergyCost
+			res.Welfare -= d.EnergyCost()
+			res.EnergySpend += d.EnergyCost()
 			rec.task = cont
 			rec.env = env
 			rec.plan = append(kept, d.Schedule.Placements...)

@@ -77,7 +77,7 @@ func TestFailureApplyDeterministic(t *testing.T) {
 		}
 		for i := range first.Decisions {
 			if first.Decisions[i].Admitted != again.Decisions[i].Admitted ||
-				first.Decisions[i].Payment != again.Decisions[i].Payment {
+				first.Decisions[i].Payment() != again.Decisions[i].Payment() {
 				t.Fatalf("run %d: decision %d diverged", run, i)
 			}
 		}

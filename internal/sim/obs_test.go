@@ -83,7 +83,7 @@ func (c *crookedScheduler) Name() string { return "crooked" }
 func (c *crookedScheduler) Offer(env *schedule.TaskEnv) schedule.Decision {
 	d := c.inner.Offer(env)
 	if d.Admitted {
-		d.Payment = env.Task.Bid + 5
+		d.Terms = &schedule.Terms{Payment: env.Task.Bid + 5}
 	}
 	return d
 }

@@ -158,15 +158,18 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 	}, func(idx int, env *schedule.TaskEnv, d *schedule.Decision, lat time.Duration) {
 		res.OfferLatency.Record(lat)
 		if cfg.CollectDecisions {
-			// Decisions outlive the offer loop, so the plan is deep-copied:
-			// schedulers running with reused plan buffers (core
-			// Options.ReusePlans) overwrite d.Schedule on the next offer.
+			// Decisions outlive the offer loop, so the plan and the terms
+			// are deep-copied: schedulers running with reused buffers (core
+			// Options.ReusePlans) overwrite d.Schedule and d.Terms on the
+			// next offer. Each gets its own allocation, so a caller that
+			// drops the plan does not keep it alive through the terms.
 			dc := *d
 			if dc.Schedule != nil {
 				sc := *dc.Schedule
 				sc.Placements = append([]schedule.Placement(nil), sc.Placements...)
 				dc.Schedule = &sc
 			}
+			dc.Terms = schedule.NewTerms(d.Payment(), d.VendorCost(), d.EnergyCost())
 			res.Decisions[idx] = dc
 		}
 	})
@@ -215,10 +218,10 @@ func NewResult(scheduler string) *Result {
 func (r *Result) Account(env *schedule.TaskEnv, d *schedule.Decision) {
 	if d.Admitted {
 		r.Admitted++
-		r.Welfare += env.Task.Bid - d.VendorCost - d.EnergyCost
-		r.Revenue += d.Payment
-		r.VendorSpend += d.VendorCost
-		r.EnergySpend += d.EnergyCost
+		r.Welfare += env.Task.Bid - d.VendorCost() - d.EnergyCost()
+		r.Revenue += d.Payment()
+		r.VendorSpend += d.VendorCost()
+		r.EnergySpend += d.EnergyCost()
 		return
 	}
 	r.Rejected++

@@ -109,7 +109,7 @@ func TestSpotRunDeterministic(t *testing.T) {
 		}
 		for i := range first.res.Decisions {
 			a, b := first.res.Decisions[i], again.res.Decisions[i]
-			if a.Admitted != b.Admitted || a.Payment != b.Payment || a.Reason != b.Reason {
+			if a.Admitted != b.Admitted || a.Payment() != b.Payment() || a.Reason != b.Reason {
 				t.Fatalf("run %d: decision %d diverged: %+v vs %+v", run, i, a, b)
 			}
 		}

@@ -73,8 +73,13 @@ type (
 	Placement = schedule.Placement
 	// TaskEnv bundles the per-task inputs a scheduler consumes.
 	TaskEnv = schedule.TaskEnv
-	// Decision is the auction outcome for one bid.
+	// Decision is the auction outcome for one bid. Its money is read
+	// through Payment, VendorCost and EnergyCost, which are 0 on a losing
+	// bid: that Decision carries no Terms.
 	Decision = schedule.Decision
+	// Terms is what a winning bid's Decision moves: payment, vendor cost
+	// and energy cost.
+	Terms = schedule.Terms
 	// Marketplace is the labor-vendor market for data pre-processing.
 	Marketplace = vendor.Marketplace
 	// VendorQuote is one vendor's price/delay offer for one task.
