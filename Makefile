@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -35,9 +35,10 @@ fmt-check:
 # sim.Engine (Start/Round/Finish), so no non-test file there may offer a
 # bid, account or track a decision, surface capacity changes, or emit the
 # engine's observer events itself. Its sibling keeps the decided set one
-# packed store: the 174 B/bid map of Decisions must not come back, and
-# neither may a map beside it as its index (29 B a bid where the position
-# table in decisions.go takes 5 to 11), nor an unexported *Schedule field
+# packed store, in internal/service or internal/decision where it lives:
+# the 174 B/bid map of Decisions must not come back, and neither may a map
+# beside it as its index (29 B a bid where the position table in
+# internal/decision/store.go takes 5 to 11), nor an unexported *Schedule field
 # (an admitted bid costs ~125 B with its plan as bytes, ~300 with the
 # plan kept as a pointer), nor an intern table of reject reasons: a
 # record holds schedule.RejectReason's one-byte code itself. And
@@ -58,13 +59,13 @@ round-guard:
 	@if grep -nE '\.(Offer|BatchOffer|Account|Track|ApplyUpTo|AdvanceTo|OnBid|OnOutcome|OnRunStart|OnRunEnd)\(' \
 		$$(ls internal/service/*.go | grep -v _test); then \
 		echo "round-guard: internal/service must go through sim.Engine for the calls above"; exit 1; fi
-	@if grep -n 'map\[int\]schedule\.Decision' $$(ls internal/service/*.go | grep -v _test); then \
-		echo "round-guard: decided bids live in the decisionStore (decisions.go), not in a map of Decisions"; exit 1; fi
-	@if grep -n 'map\[int\]int32' $$(ls internal/service/*.go | grep -v _test); then \
-		echo "round-guard: the decisionStore finds a bid through its position table, not through a map"; exit 1; fi
-	@if grep -nE '^\s+[a-z][A-Za-z0-9]*\s+\*schedule\.Schedule' $$(ls internal/service/*.go | grep -v _test); then \
-		echo "round-guard: the decisionStore keeps a plan as its encoded bytes (appendSchedule), not as a *Schedule"; exit 1; fi
-	@if grep -nE 'reasons\s+\[\]schedule\.RejectReason|intern\(' $$(ls internal/service/*.go | grep -v _test); then \
+	@if grep -n 'map\[int\]schedule\.Decision' $$(ls internal/service/*.go internal/decision/*.go | grep -v _test); then \
+		echo "round-guard: decided bids live in the decision.Store, not in a map of Decisions"; exit 1; fi
+	@if grep -n 'map\[int\]int32' $$(ls internal/service/*.go internal/decision/*.go | grep -v _test); then \
+		echo "round-guard: the decision.Store finds a bid through its position table, not through a map"; exit 1; fi
+	@if grep -nE '^\s+[a-z][A-Za-z0-9]*\s+\*schedule\.Schedule' $$(ls internal/service/*.go internal/decision/*.go | grep -v _test); then \
+		echo "round-guard: the decision.Store keeps a plan as its encoded bytes (appendSchedule), not as a *Schedule"; exit 1; fi
+	@if grep -nE 'reasons\s+\[\]schedule\.RejectReason|intern\(' $$(ls internal/service/*.go internal/decision/*.go | grep -v _test); then \
 		echo "round-guard: a decision record holds its RejectReason code itself, not a position in an intern table"; exit 1; fi
 	@if awk '/^type Result struct/,/^}/' $$(ls internal/sim/*.go | grep -v _test) | grep -nE '\[\]time\.Duration'; then \
 		echo "round-guard: sim.Result keeps latency in a fixed-size obs.Histogram, not a per-bid []time.Duration"; exit 1; fi
@@ -125,6 +126,23 @@ deps-guard:
 	@if $(GO) list -deps ./cmd/pdftspd ./cmd/pdftspd-load | grep -E '/internal/(train|tensor|lp|milp|offline|baseline)$$'; then \
 		echo "deps-guard: a serving binary links the trainer, a baseline or the MILP stack"; exit 1; fi
 
+# codec-guard is the mechanical form of "a decided bid is kept one way":
+# internal/decision holds the one record encoding, and the broker's store,
+# delta sidecar, snapshot and the twin gate all go through it. So outside
+# it (and benchmark/, its own module) no non-test file may declare a
+# decision or plan codec of its own, a JSON wire form of the decided set,
+# or a MarshalJSON/UnmarshalJSON on a collection of decisions.
+# appendDecisionJSON is exempt: it renders the public HTTP response, not
+# storage.
+codec-guard:
+	@if grep -nE '^(func|type|var)( \([^)]*\))? *(appendDecision|readDecision|appendSchedule|readSchedule|decisionWire|decisionRec)' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/decision/*' ! -path './benchmark/*') | \
+		grep -v 'func appendDecisionJSON('; then \
+		echo "codec-guard: a decided bid is encoded by internal/decision (Append, Store.AppendFrom, Store.ReadList) only"; exit 1; fi
+	@if grep -nE '^func \([a-z]+ \*?[A-Za-z]*([Dd]ecision|Store)[A-Za-z]*\) (Marshal|Unmarshal)JSON\(' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'); then \
+		echo "codec-guard: the decided set goes to disk as decision records, not through encoding/json"; exit 1; fi
+
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
 benchmark-selftest:
@@ -154,10 +172,10 @@ bench-snapshot:
 # The json-full row writes everything decided so far at every slot, so
 # its B/op grows with the iteration count; it runs at the baseline's 100
 # iterations rather than whatever count a 1s budget picks. Its allocs/op
-# still grows too, though 17x more slowly since PR 16 (567 at 100x, 727
-# at 200x; 9,996 at 100x before): rejected bids' records are appended by
-# hand, but each admitted bid's plan goes through encoding/json once per
-# snapshot. Hence still two lines.
+# no longer does (220 at 100x, 223 at 200x; 567 and 727 before snapshot
+# v3, 9,996 at 100x before the packed store): the decided set goes out
+# as decision records in one byte string, and no plan goes through
+# encoding/json. Hence still two lines.
 BASELINE ?= BENCH_pr20.json
 SERVING_BASELINE ?= BENCH_serving_pr6.json
 SHARD_BASELINE ?= BENCH_shard_pr7.json
@@ -173,7 +191,7 @@ bench-check:
 	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run CheckpointPerSlot/json-full -benchtime 100x -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) run ./cmd/bench -compare $(WAL_BASELINE) -run WALAppend -ns-tol 0.5 -bytes-tol 0.3
 	$(GO) test -run 'AllocBudget|SteadyStateAllocs' -count=1 . ./internal/sim/
-	$(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/service/ ./internal/sim/
+	$(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/decision/ ./internal/service/ ./internal/sim/
 
 # trace-smoke runs one audited, traced figure end to end and verifies the
 # trace reproduces the reported accounting.
@@ -217,4 +235,4 @@ load-smoke:
 shard-load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -shards 2 -verify
 
-check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard test benchmark-selftest race load-smoke shard-load-smoke
+check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard test benchmark-selftest race load-smoke shard-load-smoke

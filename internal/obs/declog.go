@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 	"sync"
 )
 
@@ -319,16 +320,29 @@ func dlReadOutcome(br *bufio.Reader) (DecisionRecord, error) {
 	return rec, nil
 }
 
+// dlReadStr reads a length-prefixed string. The length is a claim until
+// its bytes arrive, so nothing is sized by it: a string that fits the
+// reader's buffer is read from there, a longer one grows only as its
+// bytes are copied, and one the input ends inside is io.ErrUnexpectedEOF.
 func dlReadStr(br *bufio.Reader) (string, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
+	var sb strings.Builder
+	if n <= uint64(br.Size()) {
+		var b []byte
+		if b, err = br.Peek(int(n)); err == nil {
+			sb.Write(b)
+			_, err = br.Discard(int(n))
+		}
+	} else {
+		_, err = io.CopyN(&sb, br, int64(min(n, math.MaxInt64)))
 	}
-	return string(buf), nil
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return sb.String(), err
 }
 
 func dlReadF64(br *bufio.Reader) (float64, error) {

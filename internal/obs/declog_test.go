@@ -2,8 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/schedule"
@@ -123,5 +127,27 @@ func TestDecisionLogTruncated(t *testing.T) {
 	bad := append([]byte("NOTALOG!"), data[8:]...)
 	if _, _, err := ReadDecisionLog(bytes.NewReader(bad)); err == nil {
 		t.Fatal("foreign magic accepted")
+	}
+}
+
+// TestDecisionLogClaimedLength: a string's length is a claim until its
+// bytes arrive. A log that is only a run start claiming a 2^40-byte or a
+// 2^62-byte run label must fail as a short read, allocating for the bytes
+// present, not for the claim (once that was an unrecoverable out-of-memory
+// crash, or a makeslice panic).
+func TestDecisionLogClaimedLength(t *testing.T) {
+	for _, claim := range []uint64{1 << 40, 1 << 62, 1<<64 - 1, 4097} {
+		log := append(append([]byte(nil), declogMagic...), declogRunStart)
+		log = append(binary.AppendUvarint(log, claim), "declog-test"...)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, _, err := ReadDecisionLog(bytes.NewReader(log))
+		runtime.ReadMemStats(&m1)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("a %d-byte label with %d bytes behind it: err %v, want a short read", claim, len("declog-test"), err)
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
+			t.Errorf("a %d-byte label claim allocated %d bytes", claim, grew)
+		}
 	}
 }

@@ -11,7 +11,6 @@ package schedule
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
@@ -258,7 +257,7 @@ type Decision struct {
 	// Terms holds the money a decision moves; nil exactly when all of it
 	// is zero, as on every losing bid. Read it through Payment,
 	// VendorCost and EnergyCost, and set it through NewTerms, which keeps
-	// that form canonical so Equal and reflect.DeepEqual agree.
+	// that form canonical so reflect.DeepEqual sees equal money as equal.
 	Terms *Terms
 	// F is the price-adjusted surplus F(il) of the best plan, equation
 	// (10); negative or zero for bids rejected by the surplus test.
@@ -324,42 +323,6 @@ func (d Decision) EnergyCost() float64 {
 		return 0
 	}
 	return d.Terms.EnergyCost
-}
-
-// Equal reports whether two schedules are bit-identical: same task,
-// vendor terms, and placement sequence. Used by the equivalence checks
-// that pin the broker to the sequential auction.
-func (s *Schedule) Equal(other *Schedule) bool {
-	if s == nil || other == nil {
-		return s == other
-	}
-	if s.TaskID != other.TaskID || s.Vendor != other.Vendor ||
-		s.VendorPrice != other.VendorPrice || s.VendorDelay != other.VendorDelay ||
-		len(s.Placements) != len(other.Placements) {
-		return false
-	}
-	for i := range s.Placements {
-		if s.Placements[i] != other.Placements[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether two decisions are bit-identical, including their
-// plans and every money field. NaN/±Inf surpluses compare by bit pattern
-// semantics (-Inf == -Inf), matching the float64 equality the rest of
-// the equivalence tooling relies on.
-func (d *Decision) Equal(other *Decision) bool {
-	return d.TaskID == other.TaskID &&
-		d.Admitted == other.Admitted &&
-		d.Payment() == other.Payment() &&
-		d.VendorCost() == other.VendorCost() &&
-		d.EnergyCost() == other.EnergyCost() &&
-		(d.F == other.F || (math.IsNaN(d.F) && math.IsNaN(other.F))) &&
-		d.Reason == other.Reason &&
-		d.DualsUpdated == other.DualsUpdated &&
-		d.Schedule.Equal(other.Schedule)
 }
 
 // Welfare returns the bid's contribution to social welfare: b_i − vendor −

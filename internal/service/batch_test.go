@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -15,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
@@ -456,7 +456,7 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crcAt := len(deltaMagic) + len(appendU64(nil, deltaVersion))
+	crcAt := len(deltaMagic) + len(decision.AppendU64(nil, deltaVersion))
 
 	for _, tc := range []struct {
 		plane string
@@ -470,12 +470,12 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 		{"leased", func(ck *Checkpoint) { ck.Ledger.Leased = ck.Ledger.Leased[:2] }},
 	} {
 		t.Run(tc.plane, func(t *testing.T) {
-			var ck Checkpoint
-			if err := json.Unmarshal(snapshot, &ck); err != nil {
+			ck, err := parseCheckpoint(snapshot)
+			if err != nil {
 				t.Fatal(err)
 			}
-			tc.cut(&ck)
-			data, err := json.Marshal(&ck)
+			tc.cut(ck)
+			data, err := marshalCheckpoint(ck)
 			if err != nil {
 				t.Fatal(err)
 			}

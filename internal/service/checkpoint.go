@@ -8,13 +8,16 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/sim"
 )
 
 // checkpointVersion guards against restoring a snapshot written by an
-// incompatible broker. v2 made the decision section an ordered list
-// (decisions.go) and stopped carrying per-bid offer latencies.
-const checkpointVersion = 2
+// incompatible broker. v2 made the decision section an ordered list and
+// stopped carrying per-bid offer latencies; v3 writes that list as the
+// delta sidecar's decision records (internal/decision), one JSON byte
+// string.
+const checkpointVersion = 3
 
 // Checkpoint is the broker's full persisted auction state. Every number
 // in it round-trips bit-exactly through encoding/json (Go prints the
@@ -47,9 +50,10 @@ type Checkpoint struct {
 	Ledger cluster.Snapshot `json:"ledger"`
 	// Result is the run accounting so far.
 	Result *sim.Result `json:"result"`
-	// Decisions is every irrevocable outcome, in decision order.
-	Decisions *decisionStore `json:"decisions"`
-	Canceled  int            `json:"canceled"`
+	// Decisions is every irrevocable outcome, in decision order. The file
+	// holds it as the section "decisions" (see checkpointFile).
+	Decisions *decision.Store `json:"-"`
+	Canceled  int             `json:"canceled"`
 	// ProcIdx is the number of bids offered so far — the fault tracker's
 	// offer-order index stream.
 	ProcIdx int `json:"proc_idx,omitempty"`
@@ -87,11 +91,33 @@ func (b *Broker) snapshot() *Checkpoint {
 	return ck
 }
 
+// checkpointFile is a snapshot as its file holds it: the checkpoint's
+// fields, then its decided set as one list of decision records —
+// AppendFrom's, closed by decision.End, as the delta sidecar carries
+// them — in one JSON byte string.
+type checkpointFile struct {
+	*Checkpoint
+	Decisions []byte `json:"decisions"`
+}
+
+// marshalCheckpoint encodes ck as its file holds it.
+func marshalCheckpoint(ck *Checkpoint) ([]byte, error) {
+	var list []byte
+	if ck.Decisions != nil {
+		list = ck.Decisions.AppendFrom(nil, 0)
+	}
+	data, err := json.Marshal(checkpointFile{ck, append(list, decision.End)})
+	if err != nil {
+		return nil, fmt.Errorf("service: marshal checkpoint: %w", err)
+	}
+	return data, nil
+}
+
 // WriteCheckpoint marshals ck and durably replaces path with it.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	data, err := json.Marshal(ck)
+	data, err := marshalCheckpoint(ck)
 	if err != nil {
-		return fmt.Errorf("service: marshal checkpoint: %w", err)
+		return err
 	}
 	return writeFile(osFS{}, path, nil, data)
 }
@@ -109,17 +135,39 @@ func readCheckpoint(path string) (*Checkpoint, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: read checkpoint: %w", err)
 	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, nil, fmt.Errorf("service: parse checkpoint %s: %w", path, err)
-	}
-	if ck.Decisions == nil {
-		ck.Decisions = new(decisionStore)
-	}
-	if err := ck.checkShape(); err != nil {
+	ck, err := parseCheckpoint(data)
+	if err != nil {
 		return nil, nil, fmt.Errorf("service: checkpoint %s: %w", path, err)
 	}
-	return &ck, data, nil
+	return ck, data, nil
+}
+
+// parseCheckpoint decodes marshalCheckpoint's bytes. The version is read
+// first: a snapshot in another format is refused with ErrFormatVersion
+// before its body is decoded.
+func parseCheckpoint(data []byte) (*Checkpoint, error) {
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, err
+	}
+	if head.Version != checkpointVersion {
+		return nil, fmt.Errorf("%w: checkpoint version %d, want %d", ErrFormatVersion, head.Version, checkpointVersion)
+	}
+	ck := new(Checkpoint)
+	f := checkpointFile{Checkpoint: ck}
+	err := json.Unmarshal(data, &f)
+	if err == nil {
+		ck.Decisions, err = decision.ReadStore(f.Decisions)
+	}
+	if err == nil {
+		err = ck.checkShape()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ck, nil
 }
 
 // checkShape refuses a snapshot with a plane that is not Nodes × Slots.
@@ -169,7 +217,7 @@ func (b *Broker) Restore(ck *Checkpoint) error {
 		return ErrStarted
 	}
 	if ck.Version != checkpointVersion {
-		return fmt.Errorf("service: checkpoint version %d, want %d", ck.Version, checkpointVersion)
+		return fmt.Errorf("%w: checkpoint version %d, want %d", ErrFormatVersion, ck.Version, checkpointVersion)
 	}
 	if ck.Scheduler != b.sched.Name() {
 		return fmt.Errorf("service: checkpoint from scheduler %q, broker runs %q", ck.Scheduler, b.sched.Name())
@@ -196,10 +244,11 @@ func (b *Broker) Restore(ck *Checkpoint) error {
 	b.slot = ck.Slot
 	b.nextID = ck.NextID
 	b.canceled = ck.Canceled
-	// A copy: ck stays whole for its caller to write again.
-	b.decisions = new(decisionStore)
+	// A copy: ck stays whole for its caller to write again. The copy is
+	// not on disk until the next (full) checkpoint writes it.
+	b.decisions, b.saved, b.flips = new(decision.Store), 0, nil
 	if ck.Decisions != nil {
-		b.decisions = ck.Decisions.clone()
+		b.decisions = ck.Decisions.Clone()
 	}
 	if err := b.eng.Restore(ck.Result, ck.ProcIdx, ck.Failures, ck.Spot); err != nil {
 		return fmt.Errorf("service: %w", err)

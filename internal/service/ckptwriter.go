@@ -1,9 +1,10 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+
+	"github.com/pdftsp/pdftsp/internal/decision"
 )
 
 // Checkpoint writing. The core goroutine serializes every checkpoint at
@@ -14,10 +15,10 @@ import (
 // second, background writer: measured against this one it won 21 of 44
 // interleaved pairs (EXPERIMENTS.md, "Why there is one writer").
 //
-// Delta shadows and the decision store's saved mark advance when the job
-// is staged, immediately before it runs. If the write fails, what was
-// staged against them never made it into a consistent chain, so the
-// failure marks the chain broken (wroteFull = false): the next
+// Delta shadows and the broker's saved mark on its decisions advance
+// when the job is staged, immediately before it runs. If the write fails,
+// what was staged against them never made it into a consistent chain, so
+// the failure marks the chain broken (wroteFull = false): the next
 // checkpoint is forced full and restates everything the lost records
 // carried. After a failed append the record may be half on disk, so the
 // writer stops extending the chain and fails subsequent delta jobs fast
@@ -118,9 +119,9 @@ func (b *Broker) writeCheckpoint() {
 		b.draining || b.slot >= b.horizon.T
 	job := ckptJob{full: full}
 	if full {
-		data, err := json.Marshal(b.snapshot())
+		data, err := marshalCheckpoint(b.snapshot())
 		if err != nil {
-			b.ckptErr = fmt.Errorf("service: marshal checkpoint: %w", err)
+			b.ckptErr = err
 			b.ckptFails++
 			return
 		}
@@ -135,7 +136,7 @@ func (b *Broker) writeCheckpoint() {
 		job.data = b.buildDelta()
 		b.sinceFull++
 	}
-	b.decisions.markSaved()
+	b.markSaved()
 	if err := b.ckptW.exec(job); err != nil {
 		b.ckptErr = err
 		b.ckptFails++
@@ -152,4 +153,26 @@ func (b *Broker) writeCheckpoint() {
 	// the chain covers. TestPersistCrashPoints holds that order at every
 	// operation of the protocol.
 	b.rotateWAL(b.slot)
+}
+
+// refundDecision flips id's decision. A record below the saved mark is one
+// the on-disk chain holds stale, so the next delta restates it.
+func (b *Broker) refundDecision(id int) {
+	if i := b.decisions.Refund(id); i >= 0 && i < b.saved {
+		b.flips = append(b.flips, id)
+	}
+}
+
+// markSaved records that the checkpoint being staged holds every decision.
+func (b *Broker) markSaved() { b.saved, b.flips = b.decisions.Len(), b.flips[:0] }
+
+// appendUnsavedDecisions appends the decision records the on-disk chain
+// lacks: the flipped ones it holds stale, then the ones decided since, in
+// order.
+func (b *Broker) appendUnsavedDecisions(p []byte) []byte {
+	for _, id := range b.flips {
+		d, _ := b.decisions.Get(id)
+		p = decision.Append(p, id, &d)
+	}
+	return b.decisions.AppendFrom(p, b.saved)
 }

@@ -12,6 +12,7 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/sim"
 )
@@ -78,10 +79,10 @@ type deltaWriter struct {
 // the full snapshot whose serialized bytes hash to baseCRC.
 func sidecarHeader(b *Broker, baseCRC uint32) []byte {
 	hdr := append([]byte(nil), deltaMagic...)
-	hdr = appendU64(hdr, deltaVersion)
+	hdr = decision.AppendU64(hdr, deltaVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, baseCRC)
-	hdr = appendInt(hdr, b.slot)
-	hdr = appendStr(hdr, b.opts.RunLabel)
+	hdr = decision.AppendInt(hdr, b.slot)
+	hdr = decision.AppendStr(hdr, b.opts.RunLabel)
 	return hdr
 }
 
@@ -110,16 +111,16 @@ func (b *Broker) buildDelta() []byte {
 	w := &b.deltas
 	res := b.eng.Result()
 	p := w.buf[:0]
-	p = appendInt(p, b.slot)
-	p = appendInt(p, b.nextID)
-	p = appendInt(p, b.canceled)
-	p = appendInt(p, b.eng.Offered())
+	p = decision.AppendInt(p, b.slot)
+	p = decision.AppendInt(p, b.nextID)
+	p = decision.AppendInt(p, b.canceled)
+	p = decision.AppendInt(p, b.eng.Offered())
 	ints, floats := resultScalars(res)
 	for _, v := range ints {
-		p = appendInt(p, *v)
+		p = decision.AppendInt(p, *v)
 	}
 	for _, v := range floats {
-		p = appendF64(p, *v)
+		p = decision.AppendF64(p, *v)
 	}
 
 	// In code order, so one state is one byte string (a map ranges in a
@@ -131,22 +132,22 @@ func (b *Broker) buildDelta() []byte {
 		reasons = append(reasons, reason)
 	}
 	slices.Sort(reasons)
-	p = appendU64(p, uint64(len(reasons)))
+	p = decision.AppendU64(p, uint64(len(reasons)))
 	for _, reason := range reasons {
 		p = append(p, byte(reason))
-		p = appendInt(p, res.RejectReasons[reason])
+		p = decision.AppendInt(p, res.RejectReasons[reason])
 	}
 
 	// Decisions the chain lacks; replay appends the new ones in this
 	// order and rewrites a flipped one where it stands.
-	p = append(b.decisions.appendUnsaved(p), decEnd)
+	p = append(b.appendUnsavedDecisions(p), decision.End)
 
 	// Dual and ledger cells that moved since the last persist, then the
 	// tracker and spot-provider state (applied outages and live plans;
 	// trace cursor, budget spent, live leases), each only when it moved:
 	// small, but fault-free runs should pay nothing for them.
 	cur := b.shadows()
-	p = appendBool(p, cur.duals != nil)
+	p = decision.AppendBool(p, cur.duals != nil)
 	if cur.duals != nil {
 		p = appendDualDiff(p, w.duals, cur.duals)
 	}
@@ -156,115 +157,6 @@ func (b *Broker) buildDelta() []byte {
 
 	w.frame, w.buf, w.deltaShadows = appendFrame(w.frame[:0], p), p, cur
 	return w.frame
-}
-
-// Flag bits of an encoded decision; the fields a flag guards are zero
-// (nil, or TaskID == id) when it is clear. decEnd in a flags byte's place
-// closes the list.
-const (
-	decAdmitted = 1 << iota
-	decDualsUpdated
-	decTaskID
-	decMoney
-	decSchedule
-	decEnd = 0xff
-)
-
-// appendDecision encodes one decided bid. F rides as raw float bits, so
-// the -Inf no-feasible-plan marker needs no side flag here.
-func appendDecision(p []byte, id int, d *schedule.Decision) []byte {
-	var flags byte
-	if d.Admitted {
-		flags |= decAdmitted
-	}
-	if d.DualsUpdated {
-		flags |= decDualsUpdated
-	}
-	if d.TaskID != id {
-		flags |= decTaskID
-	}
-	if d.Payment() != 0 || d.VendorCost() != 0 || d.EnergyCost() != 0 {
-		flags |= decMoney
-	}
-	if d.Schedule != nil {
-		flags |= decSchedule
-	}
-	p = append(p, flags)
-	p = appendInt(p, id)
-	p = appendF64(p, d.F)
-	p = append(p, byte(d.Reason))
-	if flags&decTaskID != 0 {
-		p = appendInt(p, d.TaskID)
-	}
-	if flags&decMoney != 0 {
-		p = appendF64(p, d.Payment())
-		p = appendF64(p, d.VendorCost())
-		p = appendF64(p, d.EnergyCost())
-	}
-	if d.Schedule != nil {
-		p = appendSchedule(p, d.Schedule)
-	}
-	return p
-}
-
-// appendSchedule encodes a plan: a decision record's tail, and its form in the store.
-func appendSchedule(p []byte, s *schedule.Schedule) []byte {
-	p = appendInt(appendInt(p, s.TaskID), s.Vendor)
-	p = appendInt(appendF64(p, s.VendorPrice), s.VendorDelay)
-	p = appendU64(p, uint64(len(s.Placements)))
-	for _, pl := range s.Placements {
-		p = appendInt(appendInt(p, pl.Node), pl.Slot)
-	}
-	return p
-}
-
-func readDecision(r *binReader, flags byte, plan *schedule.Schedule) (int, schedule.Decision) {
-	id := r.int()
-	d := schedule.Decision{
-		TaskID:       id,
-		Admitted:     flags&decAdmitted != 0,
-		DualsUpdated: flags&decDualsUpdated != 0,
-		F:            r.f64(),
-		Reason:       readReason(r),
-	}
-	if flags&decTaskID != 0 {
-		d.TaskID = r.int()
-	}
-	if flags&decMoney != 0 {
-		d.Terms = schedule.NewTerms(r.f64(), r.f64(), r.f64())
-	}
-	if flags&decSchedule != 0 {
-		d.Schedule = readSchedule(r, plan)
-	}
-	return id, d
-}
-
-// readReason reads a one-byte reject reason. A code outside the set is
-// corruption the CRC did not catch, or a newer writer: it fails the record.
-func readReason(r *binReader) schedule.RejectReason {
-	reason := schedule.RejectReason(r.byte())
-	if !reason.Valid() && r.err == nil {
-		r.err = fmt.Errorf("service: decode: unknown reject reason code %d", reason)
-	}
-	return reason
-}
-
-// readSchedule decodes appendSchedule's bytes into s, reusing its placement
-// array, and returns s; no placements decode as nil, as finishPlan has them.
-func readSchedule(r *binReader, s *schedule.Schedule) *schedule.Schedule {
-	buf := s.Placements
-	*s = schedule.Schedule{TaskID: r.int(), Vendor: r.int(), VendorPrice: r.f64(), VendorDelay: r.int()}
-	// A placement is at least two bytes, so a count the rest of the
-	// record cannot hold is a lie; refuse it before allocating.
-	if n := r.u64(); n > uint64(len(r.b))/2 {
-		r.fail("placements")
-	} else if r.err == nil && n > 0 {
-		s.Placements = slices.Grow(buf[:0], int(n))[:n]
-		for i := range s.Placements {
-			s.Placements[i] = schedule.Placement{Node: r.int(), Slot: r.int()}
-		}
-	}
-	return s
 }
 
 // resultScalars lists the accounting fields a delta restates, in wire
@@ -285,7 +177,7 @@ func appendIfChanged(p, prev, cur []byte) []byte {
 	if string(cur) == string(prev) {
 		return append(p, 0)
 	}
-	p = appendU64(append(p, 1), uint64(len(cur)))
+	p = decision.AppendU64(append(p, 1), uint64(len(cur)))
 	return append(p, cur...)
 }
 
@@ -297,10 +189,10 @@ func appendDualDiff(p []byte, prev, cur *core.DualState) []byte {
 		T := len(cur.Lambda[k])
 		for t := 0; t < T; t++ {
 			if prev == nil || prev.Lambda[k][t] != cur.Lambda[k][t] {
-				p = appendF64(appendU64(p, uint64(k*T+t)*2+1), cur.Lambda[k][t])
+				p = decision.AppendF64(decision.AppendU64(p, uint64(k*T+t)*2+1), cur.Lambda[k][t])
 			}
 			if prev == nil || prev.Phi[k][t] != cur.Phi[k][t] {
-				p = appendF64(appendU64(p, uint64(k*T+t)*2+2), cur.Phi[k][t])
+				p = decision.AppendF64(decision.AppendU64(p, uint64(k*T+t)*2+2), cur.Phi[k][t])
 			}
 		}
 	}
@@ -332,10 +224,10 @@ func appendLedgerDiff(p []byte, prev, cur *cluster.Snapshot) []byte {
 				(marked(prev.Down, k, t) == 2) == (down == 2) && (marked(prev.Leased, k, t) == 2) == (leased == 2) {
 				continue
 			}
-			p = appendU64(p, uint64(k*T+t)+1)
-			p = appendInt(p, cur.UsedWork[k][t])
-			p = appendF64(p, cur.UsedMem[k][t])
-			p = appendInt(p, cur.TasksOn[k][t])
+			p = decision.AppendU64(p, uint64(k*T+t)+1)
+			p = decision.AppendInt(p, cur.UsedWork[k][t])
+			p = decision.AppendF64(p, cur.UsedMem[k][t])
+			p = decision.AppendInt(p, cur.TasksOn[k][t])
 			p = append(p, down, leased)
 		}
 	}
@@ -386,10 +278,10 @@ func replayDeltas(ck *Checkpoint, data []byte, baseCRC uint32) error {
 // keyedTo accepts a sidecar header that extends exactly ck, whose
 // snapshot bytes hash to baseCRC — not a stale chain left behind by
 // another snapshot.
-func keyedTo(ck *Checkpoint, baseCRC uint32) func(*binReader) bool {
-	return func(r *binReader) bool {
-		crc := uint32(r.byte()) | uint32(r.byte())<<8 | uint32(r.byte())<<16 | uint32(r.byte())<<24
-		return crc == baseCRC && r.int() == ck.Slot && r.str() == ck.RunLabel
+func keyedTo(ck *Checkpoint, baseCRC uint32) func(*decision.Reader) bool {
+	return func(r *decision.Reader) bool {
+		crc := uint32(r.Byte()) | uint32(r.Byte())<<8 | uint32(r.Byte())<<16 | uint32(r.Byte())<<24
+		return crc == baseCRC && r.Int() == ck.Slot && r.Str() == ck.RunLabel
 	}
 }
 
@@ -404,54 +296,47 @@ func splitCell(idx uint64, T, rows int) (k, t int, ok bool) {
 
 // applyDeltaRecord folds one decoded delta into ck.
 func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
-	r := &binReader{b: payload}
-	ck.Slot = r.int()
-	ck.NextID = r.int()
-	ck.Canceled = r.int()
-	ck.ProcIdx = r.int()
+	r := &decision.Reader{B: payload}
+	ck.Slot = r.Int()
+	ck.NextID = r.Int()
+	ck.Canceled = r.Int()
+	ck.ProcIdx = r.Int()
 	if ck.Result == nil {
 		ck.Result = sim.NewResult(ck.Scheduler)
 	}
 	res := ck.Result
 	ints, floats := resultScalars(res)
 	for _, v := range ints {
-		*v = r.int()
+		*v = r.Int()
 	}
 	for _, v := range floats {
-		*v = r.f64()
+		*v = r.F64()
 	}
 
 	// Counts are claims until the bytes behind them decode: nothing below
 	// sizes an allocation by one.
-	nReasons := r.u64()
-	if r.err == nil {
+	nReasons := r.U64()
+	if r.Err == nil {
 		res.RejectReasons = map[schedule.RejectReason]int{}
-		for i := uint64(0); i < nReasons && r.err == nil; i++ {
-			reason := readReason(r)
-			res.RejectReasons[reason] = r.int()
+		for i := uint64(0); i < nReasons && r.Err == nil; i++ {
+			reason := decision.ReadReason(r)
+			res.RejectReasons[reason] = r.Int()
 		}
 	}
 
-	var plan schedule.Schedule // put copies each plan, so one decodes them all
-	for flags := r.byte(); flags != decEnd && r.err == nil; flags = r.byte() {
-		id, d := readDecision(r, flags, &plan)
-		if r.err != nil {
-			break
-		}
-		if err := ck.Decisions.put(id, &d); err != nil {
-			return err
-		}
+	if _, err := ck.Decisions.ReadList(r); err != nil {
+		return err
 	}
 
-	if r.bool() { // dual diff present
+	if r.Bool() { // dual diff present
 		if ck.Duals == nil {
 			return fmt.Errorf("service: delta carries duals but snapshot has none")
 		}
-		for key := r.u64(); key != 0 && r.err == nil; key = r.u64() {
-			v := r.f64()
+		for key := r.U64(); key != 0 && r.Err == nil; key = r.U64() {
+			v := r.F64()
 			k, t, ok := splitCell((key-1)/2, ck.Slots, len(ck.Duals.Lambda))
 			switch {
-			case r.err != nil:
+			case r.Err != nil:
 			case !ok:
 				return fmt.Errorf("service: delta dual cell %d outside snapshot shape", (key-1)/2)
 			case key%2 == 1:
@@ -463,10 +348,10 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 	}
 
 	led := &ck.Ledger
-	for key := r.u64(); key != 0 && r.err == nil; key = r.u64() {
-		work, mem, on := r.int(), r.f64(), r.int()
-		down, leased := r.byte(), r.byte()
-		if r.err != nil {
+	for key := r.U64(); key != 0 && r.Err == nil; key = r.U64() {
+		work, mem, on := r.Int(), r.F64(), r.Int()
+		down, leased := r.Byte(), r.Byte()
+		if r.Err != nil {
 			break
 		}
 		k, t, ok := splitCell(key-1, ck.Slots, len(led.UsedWork))
@@ -494,20 +379,17 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 		}
 	}
 
-	if r.bool() { // failure state replaced
+	if r.Bool() { // failure state replaced
 		ck.Failures = new(sim.FailureTrackerState)
-		if err := json.Unmarshal(r.bytes(), ck.Failures); r.err == nil && err != nil {
+		if err := json.Unmarshal(r.Bytes(), ck.Failures); r.Err == nil && err != nil {
 			return fmt.Errorf("service: delta failure state: %w", err)
 		}
 	}
-	if r.bool() { // spot provider state replaced
+	if r.Bool() { // spot provider state replaced
 		ck.Spot = new(sim.SpotState)
-		if err := json.Unmarshal(r.bytes(), ck.Spot); r.err == nil && err != nil {
+		if err := json.Unmarshal(r.Bytes(), ck.Spot); r.Err == nil && err != nil {
 			return fmt.Errorf("service: delta spot state: %w", err)
 		}
 	}
-	if r.err != nil {
-		return r.err
-	}
-	return nil
+	return r.Err
 }

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"github.com/pdftsp/pdftsp/internal/decision"
 )
 
 // One way to make a file durable: the snapshot, the shard manifest, the
@@ -112,19 +114,19 @@ func writeFile(fsys fileSys, path string, guard func() error, data []byte) error
 // appendFrame appends payload to dst as one frame: uvarint length, CRC32
 // (IEEE) of the payload, payload.
 func appendFrame(dst, payload []byte) []byte {
-	dst = appendU64(dst, uint64(len(payload)))
+	dst = decision.AppendU64(dst, uint64(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 	return append(dst, payload...)
 }
 
 // frameNext extracts the next CRC-framed payload, or nil when the tail
 // is truncated or fails its checksum.
-func frameNext(r *binReader) []byte {
-	n, w := binary.Uvarint(r.b)
+func frameNext(r *decision.Reader) []byte {
+	n, w := binary.Uvarint(r.B)
 	if w <= 0 {
 		return nil
 	}
-	rest := r.b[w:]
+	rest := r.B[w:]
 	if len(rest) < 4 || n > uint64(len(rest)-4) { // not n+4: a hostile n wraps
 		return nil
 	}
@@ -133,14 +135,15 @@ func frameNext(r *binReader) []byte {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil
 	}
-	r.b = rest[4+n:]
+	r.B = rest[4+n:]
 	return payload
 }
 
-// ErrFormatVersion refuses a journal or delta sidecar of this run (its
-// magic, and a whole header naming this run and, for a sidecar, this
-// snapshot) written in another version of its format: read as absent, it
-// would silently drop every slot or acked bid it holds.
+// ErrFormatVersion refuses a snapshot in another version of its format,
+// and a journal or delta sidecar of this run (its magic, and a whole
+// header naming this run and, for a sidecar, this snapshot) written in
+// another version of its format: read as absent, it would silently drop
+// every slot or acked bid it holds.
 var ErrFormatVersion = errors.New("service: unsupported file format version")
 
 // framedPrefix reads the valid prefix of a framed file: magic, a uvarint
@@ -151,19 +154,19 @@ var ErrFormatVersion = errors.New("service: unsupported file format version")
 // version is ErrFormatVersion. The prefix ends silently at the first torn
 // or corrupt frame (a crash's half-written tail, or bitrot), or at the
 // first error record returns, which framedPrefix returns.
-func framedPrefix(data, magic []byte, version uint64, header func(*binReader) bool, record func([]byte) error) error {
+func framedPrefix(data, magic []byte, version uint64, header func(*decision.Reader) bool, record func([]byte) error) error {
 	if !bytes.HasPrefix(data, magic) {
 		return nil
 	}
-	r := &binReader{b: data[len(magic):]}
-	v := r.u64()
-	if !header(r) || r.err != nil {
+	r := &decision.Reader{B: data[len(magic):]}
+	v := r.U64()
+	if !header(r) || r.Err != nil {
 		return nil
 	}
 	if v != version {
 		return fmt.Errorf("%w: version %d, want %d", ErrFormatVersion, v, version)
 	}
-	for len(r.b) > 0 {
+	for len(r.B) > 0 {
 		payload := frameNext(r)
 		if payload == nil {
 			return nil

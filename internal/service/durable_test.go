@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -438,7 +437,7 @@ func TestPersistCrashPoints(t *testing.T) {
 		defer fresh.wal.close()
 		known := func(id int) bool {
 			_, held := fresh.heldIDs[id]
-			return held || fresh.decisions.has(id)
+			return held || fresh.decisions.Has(id)
 		}
 		for _, id := range o.acked {
 			if !known(id) {
@@ -521,7 +520,7 @@ func FuzzFramedPrefix(f *testing.F) {
 	}
 	f.Add(journal, uint16(len(journal)/2))
 	f.Add(sidecar, uint16(len(sidecar)-5))
-	baseJSON, err := json.Marshal(base)
+	baseFile, err := marshalCheckpoint(base)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -543,8 +542,8 @@ func FuzzFramedPrefix(f *testing.F) {
 		return d
 	}
 	fresh := func(t *testing.T) *Checkpoint {
-		ck := new(Checkpoint)
-		if err := json.Unmarshal(baseJSON, ck); err != nil {
+		ck, err := parseCheckpoint(baseFile)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return ck

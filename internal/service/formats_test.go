@@ -30,10 +30,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the current genera
 // holding acked bids, plus the fleet manifest and shard 0's decision log.
 // It is committed once per generation of the on-disk formats, with
 // digests.json beside the files recording what each restores to. A
-// generation is named after the delta-sidecar and journal versions that
-// wrote it (testdata/formats/delta-v<N>-wal-v<M>); the three written
-// before the journal's version was part of the name keep theirs
-// (delta-v3 to delta-v5, all of them journal v1 or v2).
+// generation is named after the snapshot, delta-sidecar and journal
+// versions that wrote it (testdata/formats/ckpt-v<C>-delta-v<N>-wal-v<M>);
+// the ones written before a version was part of the name keep theirs
+// (delta-v3 to delta-v5, all of them journal v1 or v2, and
+// delta-v5-wal-v3, all of them snapshot v2).
 const (
 	formatsDir    = "testdata/formats"
 	formatsSlots  = 12
@@ -43,13 +44,18 @@ const (
 )
 
 func formatGeneration() string {
-	return fmt.Sprintf("delta-v%d-wal-v%d", deltaVersion, walVersion)
+	return fmt.Sprintf("ckpt-v%d-delta-v%d-wal-v%d", checkpointVersion, deltaVersion, walVersion)
 }
 
-// formatRefusals lists, per older generation, the entries the current code
-// must refuse with ErrFormatVersion instead of restoring: those that read
-// a file whose format has moved on since. Every other entry still
-// restores to its recorded digest.
+// formatGenerations lists the committed generations, oldest first; the
+// last is the one the code writes.
+var formatGenerations = []string{"delta-v3", "delta-v4", "delta-v5", "delta-v5-wal-v3", "ckpt-v3-delta-v5-wal-v3"}
+
+// formatRefusals lists, per older generation, the entries the code after
+// it must refuse with ErrFormatVersion instead of restoring: those that
+// read a file whose format has moved on since. A format only moves
+// forward, so a generation is also refused what every later one lists.
+// Every other entry still restores to its recorded digest.
 var formatRefusals = map[string][]string{
 	// v4 dropped two accounting floats from the delta record; v5 writes
 	// reject reasons as one-byte codes, and its journal (v2) dropped the
@@ -59,6 +65,9 @@ var formatRefusals = map[string][]string{
 	// Journal v3 dropped the task's dataset size, epochs and rank, and
 	// writes its model as a one-byte catalog code.
 	"delta-v5": {"shard0 journal", "shard1 journal", "fleet"},
+	// Snapshot v3 writes its decided set as the sidecar's decision
+	// records, so every chain and the fleet built on a v2 snapshot go too.
+	"delta-v5-wal-v3": {"shard0 snapshot", "shard1 snapshot", "shard0 chain", "shard1 chain", "fleet"},
 }
 
 // formatUnchanged lists, per generation, the generation before it, the
@@ -78,6 +87,11 @@ var formatUnchanged = map[string]struct {
 		files: []string{"fleet.json", "fleet.json.shard0", "fleet.json.shard1",
 			"fleet.json.shard0.delta", "fleet.json.shard1.delta", "decisions.log"},
 		digests: []string{"shard0 snapshot", "shard1 snapshot", "shard0 chain", "shard1 chain", "decision log", "fleet"},
+	},
+	"ckpt-v3-delta-v5-wal-v3": {
+		prev:    "delta-v5-wal-v3",
+		files:   []string{"fleet.json", "fleet.json.shard0.wal", "fleet.json.shard1.wal", "decisions.log"},
+		digests: []string{"shard0 journal", "shard1 journal", "decision log"},
 	},
 }
 
@@ -154,7 +168,7 @@ func stateDigest(t *testing.T, ck *Checkpoint) string {
 	r := ck.Result
 	return digest(t, []any{
 		ck.Version, ck.RunLabel, ck.Scheduler, ck.Slot, ck.NextID, ck.Nodes, ck.Slots,
-		ck.Duals, ck.Ledger, ck.Decisions, ck.Canceled, ck.ProcIdx, ck.Failures, ck.Spot,
+		ck.Duals, ck.Ledger, ck.Decisions.AppendFrom(nil, 0), ck.Canceled, ck.ProcIdx, ck.Failures, ck.Spot,
 		r.Scheduler, r.Welfare, r.Revenue, r.VendorSpend, r.EnergySpend, r.Admitted, r.Rejected,
 		r.RejectReasons, r.Utilization, r.FailuresInjected, r.RecoveredTasks, r.FailedTasks,
 		r.RefundedValue, r.SpotSpend, r.SpotLeases, r.SpotLeasedSlots, r.SpotRevocations,
@@ -175,12 +189,13 @@ func restoreFormats(t *testing.T, dir string) map[string]restored {
 	base := filepath.Join(dir, "fleet.json")
 	for i := 0; i < formatsShards; i++ {
 		shard := fmt.Sprintf("%s.shard%d", base, i)
-		ck, err := ReadCheckpoint(shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("shard%d snapshot", i)] = restored{digest: stateDigest(t, ck)}
 		r := restored{}
+		ck, err := ReadCheckpoint(shard)
+		if r.err = err; err == nil {
+			r.digest = stateDigest(t, ck)
+		}
+		out[fmt.Sprintf("shard%d snapshot", i)] = r
+		r = restored{}
 		if ck, r.err = LoadCheckpoint(shard); r.err == nil {
 			r.digest = stateDigest(t, ck)
 		}
@@ -286,12 +301,25 @@ func TestFormatCorpus(t *testing.T) {
 	if *updateGolden {
 		regenerateFormats(t)
 	}
-	gens, err := filepath.Glob(filepath.Join(formatsDir, "delta-v*"))
-	if err != nil || !slices.Contains(gens, filepath.Join(formatsDir, formatGeneration())) {
-		t.Fatalf("no corpus generation %s in %v (err %v); run with -update-golden", formatGeneration(), gens, err)
+	entries, err := os.ReadDir(formatsDir)
+	var gens []string
+	for _, e := range entries {
+		gens = append(gens, e.Name())
 	}
-	for _, dir := range gens {
-		t.Run(filepath.Base(dir), func(t *testing.T) {
+	listed := slices.Clone(formatGenerations)
+	slices.Sort(listed) // as ReadDir sorts
+	if err != nil || !slices.Equal(gens, listed) ||
+		formatGenerations[len(formatGenerations)-1] != formatGeneration() {
+		t.Fatalf("corpus generations %v (err %v), listed %v; the code writes %s (run with -update-golden)",
+			gens, err, formatGenerations, formatGeneration())
+	}
+	for i, gen := range formatGenerations {
+		dir := filepath.Join(formatsDir, gen)
+		var refused []string
+		for _, later := range formatGenerations[i:] {
+			refused = append(refused, formatRefusals[later]...)
+		}
+		t.Run(gen, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join(dir, "digests.json"))
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +332,6 @@ func TestFormatCorpus(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("%d entries restored, %d recorded", len(got), len(want))
 			}
-			refused := formatRefusals[filepath.Base(dir)]
 			for key, w := range want {
 				r := got[key]
 				switch {

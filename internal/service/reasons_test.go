@@ -6,14 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 )
 
 // TestRejectReasonRoundTrip: every reason, the zero value included,
 // renders as its name and comes back as itself through each form it
-// leaves the process in — text, the delta record's one-byte code, the
-// JSON snapshot (a decision and the tally's map key) and a JSONL event.
+// leaves the process in — text, the decision record's one-byte code (in
+// the delta sidecar and the snapshot's decision section alike), the JSON
+// snapshot's tally map key and a JSONL event.
 // A name outside the set is refused, never read as some other reason.
 func TestRejectReasonRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
@@ -35,26 +37,19 @@ func TestRejectReasonRoundTrip(t *testing.T) {
 		}
 
 		d := schedule.Decision{TaskID: 7, F: -1, Reason: tc.reason}
-		enc := appendDecision(nil, 7, &d)
-		r := &binReader{b: enc[1:]}
-		if _, got := readDecision(r, enc[0], new(schedule.Schedule)); r.err != nil || len(r.b) != 0 || got.Reason != tc.reason {
-			t.Fatalf("%q: the delta record reads back %d (err %v)", tc.name, got.Reason, r.err)
-		}
-
-		s := new(decisionStore)
-		if err := s.put(7, &d); err != nil {
+		s := new(decision.Store)
+		if err := s.Put(7, &d); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := json.Marshal(s)
-		wantKey := `"Reason":"` + tc.name + `"`
-		if err != nil || strings.Contains(string(snap), wantKey) != (tc.reason != 0) {
-			t.Fatalf("%q: snapshot section %s (err %v)", tc.name, snap, err)
-		}
-		restored := new(decisionStore)
-		if err := json.Unmarshal(snap, restored); err != nil {
+		data, err := marshalCheckpoint(&Checkpoint{Version: checkpointVersion, Decisions: s})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := restored.get(7); got.Reason != tc.reason {
+		ck, err := parseCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := ck.Decisions.Get(7); got.Reason != tc.reason {
 			t.Fatalf("%q: the snapshot reads back %d", tc.name, got.Reason)
 		}
 		tally, err := json.Marshal(map[schedule.RejectReason]int{tc.reason: 3})
@@ -81,15 +76,11 @@ func TestRejectReasonRoundTrip(t *testing.T) {
 	if err := r.UnmarshalText([]byte("custom")); err == nil {
 		t.Fatal("an unknown reason name was accepted")
 	}
-	if err := json.Unmarshal([]byte(`[{"TaskID":1,"Reason":"custom"}]`), new(decisionStore)); err == nil {
-		t.Fatal("a snapshot with an unknown reason name was accepted")
-	}
 	if _, err := (schedule.ReasonVendorDown + 1).MarshalText(); err == nil {
 		t.Fatal("an unknown reason code was rendered")
 	}
-	enc := appendDecision(nil, 7, &schedule.Decision{TaskID: 7, Reason: schedule.ReasonVendorDown + 1})
-	dec := &binReader{b: enc[1:]}
-	if readDecision(dec, enc[0], new(schedule.Schedule)); dec.err == nil {
-		t.Fatal("a delta record with an unknown reason code was accepted")
+	enc := decision.Append(nil, 7, &schedule.Decision{TaskID: 7, Reason: schedule.ReasonVendorDown + 1})
+	if _, err := decision.ReadStore(append(enc, decision.End)); err == nil {
+		t.Fatal("a decision record with an unknown reason code was accepted")
 	}
 }

@@ -38,6 +38,7 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/schedule"
@@ -343,7 +344,7 @@ type Broker struct {
 	// heldFree recycles per-slot held batches (their backing arrays) so
 	// steady-state intake stops allocating as batches churn.
 	heldFree  [][]heldBid
-	decisions *decisionStore
+	decisions *decision.Store
 	canceled  int
 	ckptSlot  int // slot recorded by the last checkpoint write, -1 if none
 	draining  bool
@@ -356,11 +357,13 @@ type Broker struct {
 	// Checkpoint delta machinery: deltas holds what the next delta diffs
 	// against, sinceFull counts delta writes since the last full
 	// snapshot, and wroteFull records that this process has one on disk
-	// with an unbroken chain. Which decisions the chain still lacks is
-	// the store's own mark.
+	// with an unbroken chain. The chain holds decisions[:saved], and flips
+	// names the bids below saved a refund flipped since it was written.
 	deltas    deltaWriter
 	sinceFull int
 	wroteFull bool
+	saved     int
+	flips     []int
 	// live is the round in flight — the slot's uncanceled bids in offer
 	// order — and liveBase the engine's offer index of live[0], so the
 	// engine's sink can find the submitter to answer; bids is the same
@@ -413,7 +416,7 @@ func New(opts Options) (*Broker, error) {
 		done:      make(chan struct{}),
 		held:      map[int][]heldBid{},
 		heldIDs:   map[int]struct{}{},
-		decisions: new(decisionStore),
+		decisions: new(decision.Store),
 		ckptSlot:  -1,
 		fsys:      osFS{},
 	}
@@ -425,7 +428,7 @@ func New(opts Options) (*Broker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	eng.OnRefund(func(id int) { b.decisions.refund(id) }) // Restore swaps the store
+	eng.OnRefund(b.refundDecision)
 	b.eng = eng
 	return b, nil
 }
@@ -652,8 +655,8 @@ func (b *Broker) DecisionFor(id int) (schedule.Decision, bool, error) {
 		d  schedule.Decision
 		ok bool
 	)
-	if err := b.do(func() { d, ok = b.decisions.get(id) }); err != nil {
-		d, ok = b.decisions.get(id)
+	if err := b.do(func() { d, ok = b.decisions.Get(id) }); err != nil {
+		d, ok = b.decisions.Get(id)
 	}
 	return d, ok, nil
 }
@@ -663,7 +666,7 @@ func (b *Broker) owns(ids []int, has []bool) {
 	f := func() {
 		for i, id := range ids {
 			_, held := b.heldIDs[id]
-			has[i] = held || b.decisions.has(id)
+			has[i] = held || b.decisions.Has(id)
 		}
 	}
 	if err := b.do(f); err != nil {
@@ -831,7 +834,7 @@ func (b *Broker) status() Status {
 		ShedChannelFull: b.chanFull429.Load(),
 		ShedHeldFull:    b.heldFull429,
 		Decided:         b.decisions.Len(),
-		DecisionBytes:   b.decisions.size(),
+		DecisionBytes:   b.decisions.Size(),
 		Admitted:        res.Admitted,
 		Rejected:        res.Rejected,
 		Canceled:        b.canceled,
@@ -1119,7 +1122,7 @@ func (b *Broker) hold(t *task.Task, ctx context.Context, sub *submission, idx in
 		// for a model it never fine-tunes.
 		return fmt.Errorf("%w: %v (this broker serves %v)", ErrUnroutable, t.ModelName, b.model)
 	}
-	if b.decisions.has(t.ID) {
+	if b.decisions.Has(t.ID) {
 		return fmt.Errorf("%w: %d already decided", ErrDuplicateID, t.ID)
 	}
 	if _, dup := b.heldIDs[t.ID]; dup {
@@ -1212,7 +1215,7 @@ func (b *Broker) decided(idx int, _ *schedule.TaskEnv, d *schedule.Decision, _ t
 	if b.opts.DropLosingPlans && !dec.Admitted {
 		dec.Schedule = nil
 	}
-	if err := b.decisions.put(hb.task.ID, &dec); err != nil {
+	if err := b.decisions.Put(hb.task.ID, &dec); err != nil {
 		// Only unbounded reject reasons or 2 GiB of plans get here.
 		panic(err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/core"
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/schedule"
@@ -627,9 +628,9 @@ func TestModelRoundTrips(t *testing.T) {
 			t.Errorf("model %d: wire %s names a model: %v", m, body, named)
 		}
 
-		r := &binReader{b: appendWALTask(nil, &tk)}
-		if got := readWALTask(r); r.err != nil || len(r.b) != 0 || got != tk {
-			t.Errorf("model %d: journal record reads back as %+v (err %v, %d bytes left)", m, got, r.err, len(r.b))
+		r := &decision.Reader{B: appendWALTask(nil, &tk)}
+		if got := readWALTask(r); r.Err != nil || len(r.B) != 0 || got != tk {
+			t.Errorf("model %d: journal record reads back as %+v (err %v, %d bytes left)", m, got, r.Err, len(r.B))
 		}
 
 		var buf bytes.Buffer
@@ -660,8 +661,8 @@ func TestModelRoundTrips(t *testing.T) {
 		t.Error("the wire wrote an unknown model code")
 	}
 	tk := bid(unknown)
-	r := &binReader{b: appendWALTask(nil, &tk)}
-	if readWALTask(r); r.err == nil {
+	r := &decision.Reader{B: appendWALTask(nil, &tk)}
+	if readWALTask(r); r.Err == nil {
 		t.Error("the journal read back an unknown model code")
 	}
 	if err := trace.SaveTasks(io.Discard, []task.Task{tk}); err == nil {

@@ -334,8 +334,8 @@ func TestSupervisorResolvesReplayedDuplicate(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("DecisionFor(%d) = %v, %v; want decided", id, ok, err)
 	}
-	if !out.Decision.Equal(&d) {
-		t.Fatalf("resolved decision %+v != recorded decision %+v", out.Decision, d)
+	if msg := sim.DiffDecisions(&out.Decision, &d, true); msg != "" {
+		t.Fatalf("resolved decision differs from the recorded one: %s", msg)
 	}
 	unknown := sup.resolveReplayed(context.Background(), 987654, Outcome{Err: ErrDuplicateID})
 	if !errors.Is(unknown.Err, ErrDuplicateID) {

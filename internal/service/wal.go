@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
@@ -164,40 +165,40 @@ func (b *Broker) openJournal() error {
 // file was (re)opened at, and the run label the replayer must match.
 func walHeader(label string, slot int) []byte {
 	h := append(make([]byte, 0, 32+len(label)), walMagic...) // magic, three varints, label
-	h = appendU64(h, walVersion)
-	h = appendInt(h, slot)
-	h = appendStr(h, label)
+	h = decision.AppendU64(h, walVersion)
+	h = decision.AppendInt(h, slot)
+	h = decision.AppendStr(h, label)
 	return h
 }
 
 // appendWALTask encodes one held bid's full stamped task.
 func appendWALTask(p []byte, t *task.Task) []byte {
-	p = appendInt(p, t.ID)
-	p = appendInt(p, int(t.Arrival))
-	p = appendInt(p, int(t.Deadline))
-	p = appendInt(p, int(t.Work))
-	p = appendF64(p, t.MemGB)
-	p = appendInt(p, int(t.Batch))
-	p = appendBool(p, t.NeedsPrep)
-	p = appendF64(p, t.Bid)
+	p = decision.AppendInt(p, t.ID)
+	p = decision.AppendInt(p, int(t.Arrival))
+	p = decision.AppendInt(p, int(t.Deadline))
+	p = decision.AppendInt(p, int(t.Work))
+	p = decision.AppendF64(p, t.MemGB)
+	p = decision.AppendInt(p, int(t.Batch))
+	p = decision.AppendBool(p, t.NeedsPrep)
+	p = decision.AppendF64(p, t.Bid)
 	return append(p, byte(t.ModelName))
 }
 
 // readWALTask decodes appendWALTask's record. A model code outside the
 // catalog fails the record, as a number too wide for its field does.
-func readWALTask(r *binReader) task.Task {
+func readWALTask(r *decision.Reader) task.Task {
 	var t task.Task
-	t.ID = r.int()
-	t.Arrival = readNarrow[int32](r)
-	t.Deadline = readNarrow[int32](r)
-	t.Work = readNarrow[int32](r)
-	t.MemGB = r.f64()
-	t.Batch = readNarrow[int16](r)
-	t.NeedsPrep = r.bool()
-	t.Bid = r.f64()
-	t.ModelName = lora.Model(r.byte())
-	if !t.ModelName.Valid() && r.err == nil {
-		r.err = fmt.Errorf("service: decode: %v is not in the model catalog", t.ModelName)
+	t.ID = r.Int()
+	t.Arrival = decision.ReadNarrow[int32](r)
+	t.Deadline = decision.ReadNarrow[int32](r)
+	t.Work = decision.ReadNarrow[int32](r)
+	t.MemGB = r.F64()
+	t.Batch = decision.ReadNarrow[int16](r)
+	t.NeedsPrep = r.Bool()
+	t.Bid = r.F64()
+	t.ModelName = lora.Model(r.Byte())
+	if !t.ModelName.Valid() && r.Err == nil {
+		r.Err = fmt.Errorf("service: decode: %v is not in the model catalog", t.ModelName)
 	}
 	return t
 }
@@ -397,18 +398,18 @@ func (b *Broker) rotateWAL(covered int) {
 // another format version fails, with ErrFormatVersion.
 func walRecords(data []byte, label string) ([]task.Task, error) {
 	var tasks []task.Task
-	err := framedPrefix(data, walMagic, walVersion, func(r *binReader) bool {
-		_ = r.int() // header slot: informational; staleness is judged per record
-		return r.str() == label
+	err := framedPrefix(data, walMagic, walVersion, func(r *decision.Reader) bool {
+		_ = r.Int() // header slot: informational; staleness is judged per record
+		return r.Str() == label
 	}, func(payload []byte) error {
 		// A payload whose CRC passed but that does not decode is format
 		// drift from an incompatible writer: the prefix ends here.
-		r := &binReader{b: payload}
+		r := &decision.Reader{B: payload}
 		t := readWALTask(r)
-		if r.err == nil {
+		if r.Err == nil {
 			tasks = append(tasks, t)
 		}
-		return r.err
+		return r.Err
 	})
 	if errors.Is(err, ErrFormatVersion) {
 		return nil, err

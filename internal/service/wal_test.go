@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
@@ -124,7 +125,7 @@ func TestWALValidPrefixProperty(t *testing.T) {
 	// ends the prefix where it stands: neither it (wrapped into some other
 	// bid) nor anything behind it is replayed.
 	frame := func(payload []byte) []byte {
-		f := appendU64(nil, uint64(len(payload)))
+		f := decision.AppendU64(nil, uint64(len(payload)))
 		f = binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(payload))
 		return append(f, payload...)
 	}
@@ -139,9 +140,9 @@ func TestWALValidPrefixProperty(t *testing.T) {
 		t.Fatalf("journal is not a header and %d re-encodable frames", len(want))
 	}
 	k := len(want) / 2
-	wide := appendInt(nil, want[k].ID)
-	wide = appendInt(wide, int(want[k].Arrival))
-	wide = appendInt(wide, math.MaxInt32+1)                      // the deadline
+	wide := decision.AppendInt(nil, want[k].ID)
+	wide = decision.AppendInt(wide, int(want[k].Arrival))
+	wide = decision.AppendInt(wide, math.MaxInt32+1)             // the deadline
 	wide = append(wide, appendWALTask(nil, &task.Task{})[3:]...) // the other fields, all zero
 	mutated := append([]byte(nil), data[:hdr]...)
 	mutated = append(mutated, bytes.Join(frames[:k], nil)...)
@@ -198,7 +199,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 		t.Fatalf("no decided bids before slot %d for this seed", killAt)
 	}
 	payload := appendWALTask(nil, &decided)
-	frame := appendU64(nil, uint64(len(payload)))
+	frame := decision.AppendU64(nil, uint64(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 	frame = append(frame, payload...)
 	data = append(data, data[hdr:]...) // every live record twice

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 )
 
@@ -46,32 +47,23 @@ func DiffResults(got, want *Result) string {
 }
 
 // DiffDecisions compares two decisions for the same bid and returns ""
-// when they match, or a description of the divergence. With plans set
-// the schedules must also be placement-for-placement identical — use it
-// when neither side dropped losing plans; without it only the outcome
-// fields (admission, payment, money, surplus, reason, dual movement)
-// are compared, the right check against a broker running
-// Options.DropLosingPlans. The surplus F compares bit for bit, any NaN
-// equal to any other as Decision.Equal has it.
+// when their records (internal/decision, each filed under its own TaskID)
+// are byte-identical, or a description of the divergence. The record is
+// the one encoding the broker stores and persists, so every field of a
+// decision counts, the surplus F bit for bit, and none can be left out
+// of the comparison. With plans set the schedules count too — use it
+// when neither side dropped losing plans; without it both plans are
+// cleared first, the right check against a broker running
+// Options.DropLosingPlans.
 func DiffDecisions(got, want *schedule.Decision, plans bool) string {
-	if got.TaskID != want.TaskID {
-		return fmt.Sprintf("task id: got %d, want %d", got.TaskID, want.TaskID)
+	g, w := *got, *want
+	if !plans {
+		g.Schedule, w.Schedule = nil, nil
 	}
-	if plans {
-		if !got.Equal(want) {
-			return fmt.Sprintf("task %d: got %+v (plan %+v, terms %+v), want %+v (plan %+v, terms %+v)",
-				got.TaskID, got, got.Schedule, got.Terms, want, want.Schedule, want.Terms)
-		}
+	var gb, wb [64]byte
+	if bytes.Equal(decision.Append(gb[:0], g.TaskID, &g), decision.Append(wb[:0], w.TaskID, &w)) {
 		return ""
 	}
-	sameF := math.Float64bits(got.F) == math.Float64bits(want.F) || math.IsNaN(got.F) && math.IsNaN(want.F)
-	if got.Admitted != want.Admitted || got.Payment() != want.Payment() ||
-		got.VendorCost() != want.VendorCost() || got.EnergyCost() != want.EnergyCost() ||
-		!sameF || got.Reason != want.Reason || got.DualsUpdated != want.DualsUpdated {
-		return fmt.Sprintf("task %d: got admitted=%v payment=%v vendor=%v energy=%v f=%v reason=%q duals=%v, want admitted=%v payment=%v vendor=%v energy=%v f=%v reason=%q duals=%v",
-			got.TaskID,
-			got.Admitted, got.Payment(), got.VendorCost(), got.EnergyCost(), got.F, got.Reason, got.DualsUpdated,
-			want.Admitted, want.Payment(), want.VendorCost(), want.EnergyCost(), want.F, want.Reason, want.DualsUpdated)
-	}
-	return ""
+	return fmt.Sprintf("task %d: got %+v (plan %+v, terms %+v), want %+v (plan %+v, terms %+v)",
+		got.TaskID, *got, got.Schedule, got.Terms, *want, want.Schedule, want.Terms)
 }
