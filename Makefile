@@ -133,7 +133,13 @@ deps-guard:
 # decision or plan codec of its own, a JSON wire form of the decided set,
 # or a MarshalJSON/UnmarshalJSON on a collection of decisions.
 # appendDecisionJSON is exempt: it renders the public HTTP response, not
-# storage.
+# storage. Broker state is kept one way too: a full snapshot is the delta
+# chain's first record (delta.go's encoder and applyDeltaRecord), so the
+# snapshot's code (checkpoint.go) and the writer (ckptwriter.go) may not
+# import encoding/json, and no non-test file may bring back the JSON
+# snapshot's checkpointFile or its plane-by-plane checkShape/checkPlane.
+# delta.go keeps encoding/json for one reason: the fault tracker's and
+# the spot provider's state ride inside a record as JSON byte strings.
 codec-guard:
 	@if grep -nE '^(func|type|var)( \([^)]*\))? *(appendDecision|readDecision|appendSchedule|readSchedule|decisionWire|decisionRec)' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/decision/*' ! -path './benchmark/*') | \
@@ -142,6 +148,11 @@ codec-guard:
 	@if grep -nE '^func \([a-z]+ \*?[A-Za-z]*([Dd]ecision|Store)[A-Za-z]*\) (Marshal|Unmarshal)JSON\(' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'); then \
 		echo "codec-guard: the decided set goes to disk as decision records, not through encoding/json"; exit 1; fi
+	@if grep -n '"encoding/json"' internal/service/checkpoint.go internal/service/ckptwriter.go; then \
+		echo "codec-guard: a snapshot is one delta record in the sidecar's framing, not JSON"; exit 1; fi
+	@if grep -nE '^(func|type)( \([^)]*\))? *(checkpointFile|checkShape|checkPlane)\b' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'); then \
+		echo "codec-guard: planes are allocated from the snapshot header's shape; there is no second snapshot codec"; exit 1; fi
 
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
@@ -169,13 +180,13 @@ bench-snapshot:
 # I/O (checkpoints to a temp dir) and allocate per admitted plan, both
 # of which swing run-to-run on identical code; the wide band still
 # catches order-of-magnitude breakage, and allocs/op stays tight.
-# The json-full row writes everything decided so far at every slot, so
-# its B/op grows with the iteration count; it runs at the baseline's 100
-# iterations rather than whatever count a 1s budget picks. Its allocs/op
-# no longer does (220 at 100x, 223 at 200x; 567 and 727 before snapshot
-# v3, 9,996 at 100x before the packed store): the decided set goes out
-# as decision records in one byte string, and no plan goes through
-# encoding/json. Hence still two lines.
+# The json-full row keeps its name (BENCH_slotclose_pr16.json keys on
+# it) but names the every-write-full cadence (CheckpointFullEvery 1): no
+# snapshot has been JSON since v4, when a full snapshot became the delta
+# encoder's record of everything. It writes everything decided so far at
+# every slot, so its B/op grows with the iteration count; it runs at the
+# baseline's 100 iterations rather than whatever count a 1s budget
+# picks. Hence still two lines.
 BASELINE ?= BENCH_pr20.json
 SERVING_BASELINE ?= BENCH_serving_pr6.json
 SHARD_BASELINE ?= BENCH_shard_pr7.json

@@ -109,7 +109,7 @@ func main() {
 	flag.IntVar(&f.retries, "retries", 8, "closed-mode retry budget per batch before shedding")
 	flag.IntVar(&f.queue, "queue", 0, "broker queue size (0 = auto-size to the largest slot)")
 	flag.StringVar(&f.ckpt, "checkpoint", "", "checkpoint the broker to this path while loading")
-	flag.IntVar(&f.fullEvery, "full-every", 1, "full snapshot every n checkpoint writes (binary deltas between)")
+	flag.IntVar(&f.fullEvery, "full-every", 1, "full snapshot every n checkpoint writes, binary deltas to a .delta sidecar in between (1 = always full, no sidecar)")
 	flag.BoolVar(&f.wal, "wal", false, "journal every acked bid to <checkpoint>.wal before its ack releases (requires -checkpoint); the report adds journal depth and fsync latency rows")
 	flag.IntVar(&f.walSyncEvery, "wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch)")
 	flag.StringVar(&f.decLog, "decision-log", "", "stream the binary decision log to this path")

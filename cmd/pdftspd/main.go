@@ -6,10 +6,10 @@
 //
 //	pdftspd -addr :8080 -nodes 8 -mix hybrid -slots 144
 //	pdftspd -virtual-clock               # slots advance via POST /v1/clock/step
-//	pdftspd -checkpoint state.json       # persist duals+ledger each slot
-//	pdftspd -checkpoint state.json -restore   # resume a crashed broker
-//	pdftspd -checkpoint state.json -wal  # journal acked bids: no acked bid is ever lost
-//	pdftspd -checkpoint state.json -wal -supervise  # in-process watchdog restarts a crashed broker
+//	pdftspd -checkpoint state.ckpt       # persist duals+ledger each slot
+//	pdftspd -checkpoint state.ckpt -restore   # resume a crashed broker
+//	pdftspd -checkpoint state.ckpt -wal  # journal acked bids: no acked bid is ever lost
+//	pdftspd -checkpoint state.ckpt -wal -supervise  # in-process watchdog restarts a crashed broker
 //
 // Endpoints: POST /v1/bids, GET /v1/status, GET /v1/decisions/{id},
 // POST /v1/clock/step (virtual clock only), GET /healthz. SIGTERM drains
@@ -49,9 +49,9 @@ func main() {
 	virtual := flag.Bool("virtual-clock", false, "advance slots only via POST /v1/clock/step")
 	slotDur := flag.Duration("slot", 10*time.Second, "real-clock slot duration")
 	queue := flag.Int("queue", 1024, "bounded intake queue size (429 when full)")
-	ckpt := flag.String("checkpoint", "", "persist auction state to this JSON file as slots close")
+	ckpt := flag.String("checkpoint", "", "persist auction state to this file as slots close")
 	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint every n closed slots")
-	fullEvery := flag.Int("full-every", 1, "write a full JSON snapshot every n checkpoints and binary deltas in between (1 = always full)")
+	fullEvery := flag.Int("full-every", 1, "write a full snapshot every n checkpoints and binary deltas to a .delta sidecar in between (1 = always full, no sidecar)")
 	restore := flag.Bool("restore", false, "resume from -checkpoint (full snapshot + delta sidecar) before serving")
 	wal := flag.Bool("wal", false, "journal every acked bid to <checkpoint>.wal before releasing its ack; -restore replays the journal (requires -checkpoint)")
 	walSyncEvery := flag.Int("wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch; higher trades crash-window for throughput)")

@@ -337,8 +337,8 @@ func DecisionLogBinary(b *testing.B) {
 }
 
 // checkpointPerSlot measures one slot-close round (64 bids) under a
-// checkpoint cadence: none, a full JSON snapshot every slot, or binary
-// per-slot deltas under a distant full boundary.
+// checkpoint cadence: none, a full snapshot every slot ("json-full", named
+// when it was JSON), or binary per-slot deltas under a distant boundary.
 func checkpointPerSlot(b *testing.B, mode string) {
 	path := ""
 	fullEvery := 0
@@ -376,8 +376,8 @@ func checkpointPerSlot(b *testing.B, mode string) {
 // CheckpointPerSlotNone is the no-durability control.
 func CheckpointPerSlotNone(b *testing.B) { checkpointPerSlot(b, "none") }
 
-// CheckpointPerSlotJSONFull snapshots the full JSON checkpoint at every
-// slot close — the pre-delta durability cost.
+// CheckpointPerSlotJSONFull writes the full snapshot at every slot close
+// (CheckpointFullEvery 1) — the durability cost without a delta chain.
 func CheckpointPerSlotJSONFull(b *testing.B) { checkpointPerSlot(b, "json-full") }
 
 // CheckpointPerSlotBinaryDelta appends one binary delta per slot close.

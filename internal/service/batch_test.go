@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
@@ -418,11 +418,15 @@ func TestLoadCheckpointStaleSidecar(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointMisshapenPlane: a snapshot whose plane is not Nodes ×
-// Slots is refused with an error before any delta replays, even with a
-// valid delta behind it that writes the missing cells (the replay used to
-// index them and panic). The run puts outages and a lease on the last
-// node inside the delta window, so every plane the records touch exists.
+// TestLoadCheckpointMisshapenPlane: the reader allocates every plane from
+// the snapshot header's Nodes × Slots, so a plane of another shape cannot
+// be built any more. What is left to refuse is a record that writes a
+// cell outside that shape, the snapshot's own or a delta's, or a lease
+// mark where the header names no lease plane: the load fails with an
+// error, restoring nothing. A JSON snapshot (v3 and before) is refused
+// with ErrFormatVersion, and a snapshot without an intact header and
+// record is an error, never an empty state. The run puts outages and a
+// lease on the last node, so every plane the records touch exists.
 func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 	const slots, killAt = 24, 12 // full snapshot at 9, deltas at 10..12
 	path := filepath.Join(t.TempDir(), "shape.ckpt")
@@ -445,60 +449,98 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Kill()
-	if _, err := LoadCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	snapshot, err := os.ReadFile(path)
+	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sidecar, err := os.ReadFile(DeltaPath(path))
+	if led := ck.Ledger; ck.Duals == nil || led.Down == nil || led.Leased == nil {
+		t.Fatal("the run leaves an optional plane out; its refusal goes untested")
+	}
+
+	// shorter drops the last node from every plane, header and all.
+	shorter := func(ck Checkpoint) *Checkpoint {
+		K := ck.Nodes - 1
+		led := &ck.Ledger
+		led.UsedWork, led.UsedMem, led.TasksOn = led.UsedWork[:K], led.UsedMem[:K], led.TasksOn[:K]
+		led.Down, led.Elastic, led.Leased = led.Down[:K], led.Elastic[:K], led.Leased[:K]
+		if ck.Duals != nil {
+			ck.Duals = &core.DualState{Lambda: ck.Duals.Lambda[:K], Phi: ck.Duals.Phi[:K]}
+		}
+		ck.Nodes = K
+		return &ck
+	}
+	// frames splits a snapshot file into its magic and version, header
+	// frame and record frame.
+	frames := func(data []byte) (head, hdr, rec []byte) {
+		r := &decision.Reader{B: data[len(snapshotMagic):]}
+		r.U64()
+		head = data[:len(data)-len(r.B)]
+		at := len(r.B)
+		frameNext(r)
+		hdr = data[len(data)-at : len(data)-len(r.B)]
+		return head, hdr, r.B
+	}
+	noDuals, noLease := *ck, *ck
+	noDuals.Duals = nil
+	noLease.Ledger.Elastic, noLease.Ledger.Leased = nil, nil
+	// cutNode names one node fewer in the header than the planes hold.
+	cutNode := func(ck Checkpoint) *Checkpoint {
+		ck.Nodes--
+		ck.Ledger.Elastic = ck.Ledger.Elastic[:ck.Nodes]
+		return &ck
+	}
+	snapshot := func(ck *Checkpoint) []byte { data, _ := encodeSnapshot(ck); return data }
+	head, hdr, rec := frames(snapshot(ck))
+	_, noLeaseHdr, _ := frames(snapshot(&noLease))
+	_, _, noDualsRec := frames(snapshot(&noDuals))
+	jsonSnapshot, err := os.ReadFile(filepath.Join(formatsDir, "ckpt-v3-delta-v5-wal-v3", "fleet.json.shard0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	crcAt := len(deltaMagic) + len(decision.AppendU64(nil, deltaVersion))
 
 	for _, tc := range []struct {
-		plane string
-		cut   func(ck *Checkpoint)
+		name     string
+		snapshot []byte
+		delta    *Checkpoint // a delta diffed against nothing, when non-nil
+		want     string
 	}{
-		{"lambda", func(ck *Checkpoint) { ck.Duals.Lambda[0] = ck.Duals.Lambda[0][:killAt] }},
-		{"phi", func(ck *Checkpoint) { ck.Duals.Phi = ck.Duals.Phi[:1] }},
-		{"used_mem", func(ck *Checkpoint) { ck.Ledger.UsedMem = ck.Ledger.UsedMem[:2] }},
-		{"tasks_on", func(ck *Checkpoint) { ck.Ledger.TasksOn = ck.Ledger.TasksOn[:2] }},
-		{"down", func(ck *Checkpoint) { ck.Ledger.Down = ck.Ledger.Down[:2] }},
-		{"leased", func(ck *Checkpoint) { ck.Ledger.Leased = ck.Ledger.Leased[:2] }},
+		{"snapshot-dual-cell", snapshot(cutNode(*ck)), nil, "dual cell"},
+		{"snapshot-ledger-cell", snapshot(cutNode(noDuals)), nil, "ledger cell"},
+		{"leased", bytes.Join([][]byte{head, noLeaseHdr, rec}, nil), nil, "lease state"},
+		{"delta-dual-cell", snapshot(shorter(*ck)), ck, "dual cell"},
+		{"delta-ledger-cell", snapshot(shorter(noDuals)), &noDuals, "ledger cell"},
+		{"json", jsonSnapshot, nil, ErrFormatVersion.Error()},
+		{"no-record", bytes.Join([][]byte{head, hdr}, nil), nil, "claims 3 nodes × 24 slots"},
+		{"torn-record", bytes.Join([][]byte{head, hdr, noDualsRec[:len(noDualsRec)-1]}, nil), nil, "no intact"},
+		{"torn-header", bytes.Join([][]byte{head, hdr[:len(hdr)-1]}, nil), nil, "no intact"},
+		{"foreign", []byte("PDFTSPX\x01"), nil, "not a snapshot"},
 	} {
-		t.Run(tc.plane, func(t *testing.T) {
-			ck, err := parseCheckpoint(snapshot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.cut(ck)
-			data, err := marshalCheckpoint(ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Re-key the valid sidecar to the misshapen snapshot's bytes.
-			side := bytes.Clone(sidecar)
-			binary.LittleEndian.PutUint32(side[crcAt:], crc32.ChecksumIEEE(data))
+		t.Run(tc.name, func(t *testing.T) {
 			cut := filepath.Join(t.TempDir(), "shape.ckpt")
-			if err := os.WriteFile(cut, data, 0o644); err != nil {
+			if err := os.WriteFile(cut, tc.snapshot, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(DeltaPath(cut), side, 0o644); err != nil {
-				t.Fatal(err)
+			if tc.delta != nil {
+				rec, _ := appendRecord(nil, tc.delta, &deltaShadows{}, 0, nil)
+				keyed := &Broker{slot: ck.Slot, opts: Options{RunLabel: ck.RunLabel}}
+				side := appendFrame(sidecarHeader(keyed, crc32.ChecksumIEEE(tc.snapshot)), rec)
+				if err := os.WriteFile(DeltaPath(cut), side, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ReadCheckpoint(cut); err != nil {
+					t.Fatalf("the snapshot the delta extends: %v", err)
+				}
 			}
-			if _, err := LoadCheckpoint(cut); err == nil || !strings.Contains(err.Error(), tc.plane) {
-				t.Fatalf("a snapshot with a cut %s plane loaded (err %v)", tc.plane, err)
+			if got, err := LoadCheckpoint(cut); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("loaded %v (err %v), want an error saying %q", got != nil, err, tc.want)
 			}
 		})
 	}
 }
 
-// TestOtherVersionRefused bumps the version byte of a run's own delta
-// sidecar, then of its journal, and wants ErrFormatVersion from every
-// reader that restores through them. Read as absent, the sidecar restored
+// TestOtherVersionRefused bumps the version byte of a run's snapshot, of
+// its delta sidecar, then of its journal, and wants ErrFormatVersion from
+// every reader that restores through them. Read as absent, the sidecar restored
 // slot 9 with 71 decisions and no error where the intact chain holds slot
 // 12 with 86, and the journal, rotated at each persist, could not give
 // the 15 bids decided in between back; a journal read as absent loses
@@ -541,6 +583,7 @@ func TestOtherVersionRefused(t *testing.T) {
 		name, path string
 		version    int // offset of the version byte
 	}{
+		{"snapshot", path, len(snapshotMagic)},
 		{"sidecar", DeltaPath(path), len(deltaMagic)},
 		{"journal", opts.WALPath, len(walMagic)},
 	} {
@@ -555,9 +598,9 @@ func TestOtherVersionRefused(t *testing.T) {
 			if err := os.WriteFile(file.path, bumped, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if file.name == "sidecar" {
+			if file.name != "journal" {
 				if ck, err := LoadCheckpoint(path); !errors.Is(err, ErrFormatVersion) {
-					t.Errorf("LoadCheckpoint of a bumped sidecar: %v", err)
+					t.Errorf("LoadCheckpoint of a bumped %s: %v", file.name, err)
 					if err == nil {
 						t.Errorf("restored slot %d with %d decisions", ck.Slot, ck.Decisions.Len())
 					}

@@ -1,7 +1,7 @@
 package service
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -14,16 +14,15 @@ import (
 
 // checkpointVersion guards against restoring a snapshot written by an
 // incompatible broker. v2 made the decision section an ordered list and
-// stopped carrying per-bid offer latencies; v3 writes that list as the
-// delta sidecar's decision records (internal/decision), one JSON byte
-// string.
-const checkpointVersion = 3
+// stopped carrying per-bid offer latencies; v3 wrote that list as the
+// delta sidecar's decision records; v4 is no longer JSON but the
+// sidecar's framing around one delta record (encodeSnapshot).
+const checkpointVersion = 4
 
-// Checkpoint is the broker's full persisted auction state. Every number
-// in it round-trips bit-exactly through encoding/json (Go prints the
-// shortest float64 representation that re-parses to the same bits), so a
-// restore resumes with byte-identical duals and ledger — the property
-// the kill/restore tests assert.
+// Checkpoint is the broker's full persisted auction state. Its file
+// carries every float as its raw bits, so a restore resumes with
+// byte-identical duals and ledger — the property the kill/restore tests
+// assert.
 //
 // Held (undecided) bids are not part of the checkpoint: their slots have
 // not closed, so no auction state depends on them, and their submitters'
@@ -34,39 +33,39 @@ const checkpointVersion = 3
 // the pre-WAL contract applies — clients that see ErrDraining/ErrClosed
 // resubmit after restart.
 type Checkpoint struct {
-	Version   int    `json:"version"`
-	RunLabel  string `json:"run"`
-	Scheduler string `json:"scheduler"`
+	Version   int
+	RunLabel  string
+	Scheduler string
 	// Slot is the next slot to accept bids (everything before it has
 	// closed).
-	Slot   int `json:"slot"`
-	NextID int `json:"next_id"`
+	Slot   int
+	NextID int
 	// Nodes and Slots pin the cluster shape the snapshot belongs to.
-	Nodes int `json:"nodes"`
-	Slots int `json:"slots"`
+	Nodes int
+	Slots int
 	// Duals is λ/φ for dual-price schedulers; nil for baselines.
-	Duals *core.DualState `json:"duals,omitempty"`
+	Duals *core.DualState
 	// Ledger is the cluster's committed work/memory state.
-	Ledger cluster.Snapshot `json:"ledger"`
+	Ledger cluster.Snapshot
 	// Result is the run accounting so far.
-	Result *sim.Result `json:"result"`
-	// Decisions is every irrevocable outcome, in decision order. The file
-	// holds it as the section "decisions" (see checkpointFile).
-	Decisions *decision.Store `json:"-"`
-	Canceled  int             `json:"canceled"`
+	Result *sim.Result
+	// Decisions is every irrevocable outcome, in decision order.
+	Decisions *decision.Store
+	Canceled  int
 	// ProcIdx is the number of bids offered so far — the fault tracker's
 	// offer-order index stream.
-	ProcIdx int `json:"proc_idx,omitempty"`
+	ProcIdx int
 	// Failures is the fault tracker's progress (applied outages, live
 	// committed plans); nil when the broker has no fault plan.
-	Failures *sim.FailureTrackerState `json:"failures,omitempty"`
+	Failures *sim.FailureTrackerState
 	// Spot is the spot provider's progress (trace cursor, budget spent,
 	// live leases); nil when no spot tier is attached. The cluster's
 	// lease map itself rides in Ledger.
-	Spot *sim.SpotState `json:"spot,omitempty"`
+	Spot *sim.SpotState
 }
 
-// snapshot captures the broker's state; core-goroutine only.
+// snapshot captures the broker's state, the one capture both a full
+// snapshot and a delta record are encoded from; core-goroutine only.
 func (b *Broker) snapshot() *Checkpoint {
 	ck := &Checkpoint{
 		Version:   checkpointVersion,
@@ -91,34 +90,41 @@ func (b *Broker) snapshot() *Checkpoint {
 	return ck
 }
 
-// checkpointFile is a snapshot as its file holds it: the checkpoint's
-// fields, then its decided set as one list of decision records —
-// AppendFrom's, closed by decision.End, as the delta sidecar carries
-// them — in one JSON byte string.
-type checkpointFile struct {
-	*Checkpoint
-	Decisions []byte `json:"decisions"`
-}
+// snapshotMagic opens every full snapshot file.
+var snapshotMagic = []byte("PDFTSPC\x01")
 
-// marshalCheckpoint encodes ck as its file holds it.
-func marshalCheckpoint(ck *Checkpoint) ([]byte, error) {
-	var list []byte
+// encodeSnapshot encodes ck as a full snapshot in the delta sidecar's
+// framing: magic, version, then two CRC frames — a header naming the run
+// and the shape (RunLabel, Scheduler, Nodes, Slots, whether the duals,
+// Down, Leased and the Elastic marks exist, the marks) and one record, the
+// delta encoder's diff of ck against nothing, which writes every cell. It
+// also returns the shadows the first delta after it diffs against.
+func encodeSnapshot(ck *Checkpoint) ([]byte, deltaShadows) {
+	led := &ck.Ledger
+	hdr := decision.AppendStr(decision.AppendStr(nil, ck.RunLabel), ck.Scheduler)
+	hdr = decision.AppendInt(decision.AppendInt(hdr, ck.Nodes), ck.Slots)
+	for _, has := range []bool{ck.Duals != nil, led.Down != nil, led.Leased != nil, led.Elastic != nil} {
+		hdr = decision.AppendBool(hdr, has)
+	}
+	for _, e := range led.Elastic {
+		hdr = decision.AppendBool(hdr, e)
+	}
+	// One presized buffer (grown into from nil, it would be allocated several
+	// times over): the record goes in behind room for its frame head.
+	size := 64 + len(hdr) + ck.Nodes*ck.Slots*38 // a ledger cell takes ~16 B, its λ and φ ~22
 	if ck.Decisions != nil {
-		list = ck.Decisions.AppendFrom(nil, 0)
+		size += ck.Decisions.Size() // never less than its records take
 	}
-	data, err := json.Marshal(checkpointFile{ck, append(list, decision.End)})
-	if err != nil {
-		return nil, fmt.Errorf("service: marshal checkpoint: %w", err)
-	}
-	return data, nil
+	data := decision.AppendU64(append(make([]byte, 0, size), snapshotMagic...), uint64(ck.Version))
+	data = appendFrame(data, hdr)
+	at := len(data) + 14 // past the longest frame head: a uvarint length and a CRC
+	rec, cur := appendRecord(data[at:at], ck, &deltaShadows{}, 0, nil)
+	return appendFrame(data, rec), cur // in place while rec is still in data's array
 }
 
-// WriteCheckpoint marshals ck and durably replaces path with it.
+// WriteCheckpoint encodes ck and durably replaces path with it.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	data, err := marshalCheckpoint(ck)
-	if err != nil {
-		return err
-	}
+	data, _ := encodeSnapshot(ck)
 	return writeFile(osFS{}, path, nil, data)
 }
 
@@ -135,76 +141,94 @@ func readCheckpoint(path string) (*Checkpoint, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: read checkpoint: %w", err)
 	}
-	ck, err := parseCheckpoint(data)
+	ck, err := readSnapshot(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: checkpoint %s: %w", path, err)
 	}
 	return ck, data, nil
 }
 
-// parseCheckpoint decodes marshalCheckpoint's bytes. The version is read
-// first: a snapshot in another format is refused with ErrFormatVersion
-// before its body is decoded.
-func parseCheckpoint(data []byte) (*Checkpoint, error) {
-	var head struct {
-		Version int `json:"version"`
+// readSnapshot decodes encodeSnapshot's bytes through the sidecar's
+// reader: the header allocates the zero state of its shape, and
+// applyDeltaRecord folds the one record into it. replaceFile wrote the
+// file whole, so anything short of magic, version, header and record,
+// and anything after the record, is an error, never an empty state; a
+// JSON snapshot (v3 and before) is refused with ErrFormatVersion.
+func readSnapshot(data []byte) (*Checkpoint, error) {
+	if v, ok := bytes.CutPrefix(data, []byte(`{"version":`)); ok {
+		v = v[:len(v)-len(bytes.TrimLeft(v, "0123456789"))]
+		return nil, fmt.Errorf("%w: checkpoint version %s (JSON), want %d", ErrFormatVersion, v, checkpointVersion)
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, err
+	var ck *Checkpoint
+	records := 0
+	data = data[:len(data):len(data)] // a payload's spare capacity is then bytes after it
+	err := framedPrefix(data, snapshotMagic, checkpointVersion, func(*decision.Reader) bool { return true },
+		func(payload []byte) (err error) {
+			if ck == nil {
+				ck, err = readSnapshotHeader(payload, len(data))
+				return err
+			}
+			if records++; len(payload) < cap(payload) {
+				return errors.New("bytes after the snapshot's record")
+			}
+			return applyDeltaRecord(ck, payload)
+		})
+	if err == nil && records == 0 {
+		err = errors.New("not a snapshot, or no intact header and record")
 	}
-	if head.Version != checkpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint version %d, want %d", ErrFormatVersion, head.Version, checkpointVersion)
+	return ck, err
+}
+
+// readSnapshotHeader reads a snapshot header and allocates the zero state
+// of its shape, for the base record to fill. Nothing is sized by a claim:
+// the base record writes every cell, so a shape whose cells cannot fit in
+// the file's size bytes is refused before anything is allocated (a row
+// of no cells is counted as one: its header still costs memory).
+func readSnapshotHeader(payload []byte, size int) (*Checkpoint, error) {
+	r := &decision.Reader{B: payload}
+	ck := &Checkpoint{Version: checkpointVersion, RunLabel: r.Str(), Scheduler: r.Str(),
+		Nodes: r.Int(), Slots: r.Int(), Decisions: new(decision.Store)}
+	ck.Result = sim.NewResult(ck.Scheduler)
+	duals, down, leased, elastic := r.Bool(), r.Bool(), r.Bool(), r.Bool()
+	// A ledger cell takes at least 13 bytes (key, work, memory bits, task
+	// count, two marks), its λ and φ each a key and bits more.
+	K, T, cell := ck.Nodes, ck.Slots, 13
+	if duals {
+		cell += 18
 	}
-	ck := new(Checkpoint)
-	f := checkpointFile{Checkpoint: ck}
-	err := json.Unmarshal(data, &f)
-	if err == nil {
-		ck.Decisions, err = decision.ReadStore(f.Decisions)
+	if r.Err != nil || K < 0 || T < 0 || T > size || K > size/(cell*max(T, 1)) {
+		return nil, fmt.Errorf("snapshot header claims %d nodes × %d slots in %d bytes (err %v)", K, T, size, r.Err)
 	}
-	if err == nil {
-		err = ck.checkShape()
+	led := &ck.Ledger
+	led.UsedWork, led.UsedMem, led.TasksOn = plane[int](K, T), plane[float64](K, T), plane[int](K, T)
+	if down {
+		led.Down = plane[bool](K, T)
 	}
-	if err != nil {
-		return nil, err
+	if leased {
+		led.Leased = plane[bool](K, T)
+	}
+	if duals {
+		ck.Duals = &core.DualState{Lambda: plane[float64](K, T), Phi: plane[float64](K, T)}
+	}
+	if elastic {
+		led.Elastic = make([]bool, K)
+		for k := range led.Elastic {
+			led.Elastic[k] = r.Bool()
+		}
+	}
+	if r.Err != nil || len(r.B) != 0 {
+		return nil, fmt.Errorf("snapshot header: %d bytes left (err %v)", len(r.B), r.Err)
 	}
 	return ck, nil
 }
 
-// checkShape refuses a snapshot with a plane that is not Nodes × Slots.
-// A delta record indexes its cells against Slots, so one short row would
-// panic the replay; Down, Leased and the duals may be absent, not misshapen.
-func (ck *Checkpoint) checkShape() error {
-	K, T := ck.Nodes, ck.Slots
-	led := &ck.Ledger
-	err := errors.Join(
-		checkPlane("used_work", led.UsedWork, K, T, false),
-		checkPlane("used_mem", led.UsedMem, K, T, false),
-		checkPlane("tasks_on", led.TasksOn, K, T, false),
-		checkPlane("down", led.Down, K, T, true),
-		checkPlane("leased", led.Leased, K, T, true),
-	)
-	if ck.Duals != nil {
-		err = errors.Join(err,
-			checkPlane("lambda", ck.Duals.Lambda, K, T, false),
-			checkPlane("phi", ck.Duals.Phi, K, T, false))
+// plane allocates a zero K × T plane, its rows cut from one array.
+func plane[E any](K, T int) [][]E {
+	cells, rows := make([]E, K*T), make([][]E, K)
+	for k := range rows {
+		rows[k] = cells[k*T : (k+1)*T : (k+1)*T]
 	}
-	return err
-}
-
-// checkPlane checks one [k][t] plane against a K × T shape.
-func checkPlane[E any](name string, p [][]E, K, T int, optional bool) error {
-	if optional && p == nil {
-		return nil
-	}
-	if len(p) != K {
-		return fmt.Errorf("%s has %d rows, want %d", name, len(p), K)
-	}
-	for k, row := range p {
-		if len(row) != T {
-			return fmt.Errorf("%s row %d has %d slots, want %d", name, k, len(row), T)
-		}
-	}
-	return nil
+	return rows
 }
 
 // Restore loads ck into the broker — duals into the scheduler, ledger

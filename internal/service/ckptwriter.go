@@ -3,8 +3,6 @@ package service
 import (
 	"fmt"
 	"hash/crc32"
-
-	"github.com/pdftsp/pdftsp/internal/decision"
 )
 
 // Checkpoint writing. The core goroutine serializes every checkpoint at
@@ -27,8 +25,8 @@ import (
 // ckptJob is one staged checkpoint write.
 type ckptJob struct {
 	full bool
-	// data is the full JSON snapshot, or the framed delta record
-	// (header + payload).
+	// data is the full snapshot, or the framed delta record (header +
+	// payload).
 	data []byte
 	// Full snapshots only: a non-nil sidecarHdr re-keys the delta chain to
 	// this snapshot, nil removes the sidecar (full-every-write cadence).
@@ -93,7 +91,7 @@ func (w *ckptWriter) exec(j ckptJob) error {
 	return err
 }
 
-// writeCheckpoint persists the broker state: the full JSON snapshot
+// writeCheckpoint persists the broker state: the full snapshot
 // (through replaceFile, so a crash mid-write leaves the previous one
 // intact), or — between full-snapshot boundaries when
 // CheckpointFullEvery > 1 — one appended binary delta (delta.go).
@@ -117,23 +115,23 @@ func (b *Broker) writeCheckpoint() {
 	full := b.opts.CheckpointFullEvery <= 1 || !b.wroteFull ||
 		b.sinceFull >= b.opts.CheckpointFullEvery-1 ||
 		b.draining || b.slot >= b.horizon.T
-	job := ckptJob{full: full}
+	job, ck, w := ckptJob{full: full}, b.snapshot(), &b.deltas
 	if full {
-		data, err := marshalCheckpoint(b.snapshot())
-		if err != nil {
-			b.ckptErr = err
-			b.ckptFails++
-			return
-		}
-		job.data = data
+		// A fresh buffer, not the delta scratch: the broker keeps none of
+		// a full snapshot once it is written.
+		var cur deltaShadows
+		job.data, cur = encodeSnapshot(ck)
 		if b.opts.CheckpointFullEvery > 1 {
-			job.sidecarHdr = sidecarHeader(b, crc32.ChecksumIEEE(data))
-			b.deltas.deltaShadows = b.shadows() // the first delta diffs against this snapshot
+			job.sidecarHdr = sidecarHeader(b, crc32.ChecksumIEEE(job.data))
+			w.deltaShadows = cur // the first delta diffs against this snapshot
 		}
 		b.wroteFull = true
 		b.sinceFull = 0
 	} else {
-		job.data = b.buildDelta()
+		var p []byte
+		p, w.deltaShadows = appendRecord(w.buf[:0], ck, &w.deltaShadows, b.saved, b.flips)
+		w.frame, w.buf = appendFrame(w.frame[:0], p), p
+		job.data = w.frame
 		b.sinceFull++
 	}
 	b.markSaved()
@@ -165,14 +163,3 @@ func (b *Broker) refundDecision(id int) {
 
 // markSaved records that the checkpoint being staged holds every decision.
 func (b *Broker) markSaved() { b.saved, b.flips = b.decisions.Len(), b.flips[:0] }
-
-// appendUnsavedDecisions appends the decision records the on-disk chain
-// lacks: the flipped ones it holds stale, then the ones decided since, in
-// order.
-func (b *Broker) appendUnsavedDecisions(p []byte) []byte {
-	for _, id := range b.flips {
-		d, _ := b.decisions.Get(id)
-		p = decision.Append(p, id, &d)
-	}
-	return b.decisions.AppendFrom(p, b.saved)
-}

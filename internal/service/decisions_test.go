@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"maps"
 	"math"
@@ -190,19 +189,16 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 			}
 			persist := func(full bool) {
 				if full {
-					data, err := marshalCheckpoint(&Checkpoint{Version: checkpointVersion, Decisions: s})
-					if err != nil {
-						t.Fatal(err)
-					}
-					ck, err := parseCheckpoint(data)
+					data, _ := encodeSnapshot(&Checkpoint{Version: checkpointVersion, Decisions: s})
+					ck, err := readSnapshot(data)
 					if err != nil {
 						t.Fatal(err)
 					}
 					replica = ck.Decisions
 				} else {
-					r := &decision.Reader{B: append(b.appendUnsavedDecisions(nil), decision.End)}
-					if _, err := replica.ReadList(r); err != nil || len(r.B) != 0 {
-						t.Fatalf("delta records: %v, %d bytes left", err, len(r.B))
+					rec, _ := appendRecord(nil, &Checkpoint{Decisions: s}, &deltaShadows{}, b.saved, b.flips)
+					if err := applyDeltaRecord(&Checkpoint{Result: new(sim.Result), Decisions: replica}, rec); err != nil {
+						t.Fatalf("delta record: %v", err)
 					}
 				}
 				b.markSaved()
@@ -385,18 +381,14 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 }
 
 // checkpointSeeds serves a small workload under a delta cadence and
-// returns what its files hold: the full snapshot (and the CRC of its
-// bytes, which keys the sidecar), its decision section, and the sidecar's
-// header and record frames.
-func checkpointSeeds(t testing.TB) (ck *Checkpoint, baseCRC uint32, section, header []byte, frames [][]byte) {
+// returns what its files hold: the full snapshot's bytes (whose CRC keys
+// the sidecar) and what they decode to, and the sidecar's header and
+// record frames.
+func checkpointSeeds(t testing.TB) (ck *Checkpoint, snapshot, header []byte, frames [][]byte) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	deltaStack(t, path, 4, 24, 11, 23)
-	ck, data, err := readCheckpoint(path)
+	ck, snapshot, err := readCheckpoint(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var file checkpointFile
-	if err := json.Unmarshal(data, &file); err != nil {
 		t.Fatal(err)
 	}
 	side, err := os.ReadFile(DeltaPath(path))
@@ -419,21 +411,21 @@ func checkpointSeeds(t testing.TB) (ck *Checkpoint, baseCRC uint32, section, hea
 	if r.Err != nil || len(frames) < 2 {
 		t.Fatalf("%d delta frames (err %v), want at least 2", len(frames), r.Err)
 	}
-	return ck, crc32.ChecksumIEEE(data), file.Decisions, header, frames
+	return ck, snapshot, header, frames
 }
 
 // FuzzCheckpointDecisions feeds arbitrary bytes to the decoders that read
-// decisions from outside the process: the full snapshot's decision
-// section, one delta record, and a sidecar whose valid records are
+// a checkpoint from outside the process: a whole snapshot file, one
+// record folded into a snapshot, and a sidecar whose valid records are
 // followed by the bytes. None may panic or allocate for a count the bytes
-// only claim; a section that decodes re-encodes to its own bytes, and the
-// valid prefix of a sidecar must still restore. The seed corpus under
-// testdata/ was cut from a chaos-harness run's checkpoint files (its
-// decision section re-encoded as records when the snapshot took them);
-// the seeds added here track the current format.
+// only claim; a snapshot that decodes re-encodes to its own bytes, and
+// the valid prefix of a sidecar must still restore. The seed corpus under
+// testdata/ was cut from a chaos-harness run's checkpoint files (a JSON
+// snapshot's decision section, and a delta record); the seeds added here
+// track the current format.
 func FuzzCheckpointDecisions(f *testing.F) {
-	base, baseCRC, section, header, frames := checkpointSeeds(f)
-	f.Add(section)
+	base, snapshot, header, frames := checkpointSeeds(f)
+	f.Add(snapshot)
 	for _, fr := range frames {
 		f.Add(fr)
 		_, w := binary.Uvarint(fr)
@@ -447,18 +439,16 @@ func FuzzCheckpointDecisions(f *testing.F) {
 			}
 		}
 	}
-	f.Add(append(s.AppendFrom(nil, 0), decision.End))
-	baseFile, err := marshalCheckpoint(base)
-	if err != nil {
-		f.Fatal(err)
-	}
+	small, _ := encodeSnapshot(&Checkpoint{Version: checkpointVersion, Decisions: s})
+	f.Add(small)
 	fresh := func(t testing.TB) *Checkpoint {
-		ck, err := parseCheckpoint(baseFile)
+		ck, err := readSnapshot(snapshot)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ck
 	}
+	baseCRC := crc32.ChecksumIEEE(snapshot)
 	prefix := append(append([]byte(nil), header...), frames[0]...)
 	want := fresh(f)
 	if err := replayDeltas(want, prefix, baseCRC); err != nil || want.Slot != base.Slot+1 {
@@ -468,19 +458,19 @@ func FuzzCheckpointDecisions(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		s, err := decision.ReadStore(data)
+		ck, err := readSnapshot(data)
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<16+64*uint64(len(data)) {
-			t.Fatalf("decoding a %d-byte section allocated %d bytes", len(data), grew)
+			t.Fatalf("decoding a %d-byte snapshot allocated %d bytes", len(data), grew)
 		}
 		if err == nil {
-			if got := append(s.AppendFrom(nil, 0), decision.End); !bytes.Equal(got, data) {
-				t.Fatalf("the section decodes, then encodes to other bytes:\n%x\n%x", got, data)
+			if got, _ := encodeSnapshot(ck); !bytes.Equal(got, data) {
+				t.Fatalf("the snapshot decodes, then encodes to other bytes:\n%x\n%x", got, data)
 			}
 		}
 		_ = applyDeltaRecord(fresh(t), data)
 
-		ck := fresh(t)
+		ck = fresh(t)
 		if err := replayDeltas(ck, append(prefix[:len(prefix):len(prefix)], data...), baseCRC); err != nil {
 			return // a frame that checks out but does not decode is surfaced
 		}
@@ -495,7 +485,7 @@ func FuzzCheckpointDecisions(f *testing.F) {
 // behind it decode, so a record claiming 2^40 of anything must fail
 // without allocating for them.
 func TestDeltaDecodeIgnoresClaimedCounts(t *testing.T) {
-	base, _, _, _, frames := checkpointSeeds(t)
+	base, _, _, frames := checkpointSeeds(t)
 	_, w := binary.Uvarint(frames[0])
 	record := frames[0][w+4:]
 	huge := decision.AppendU64(nil, 1<<40)
@@ -525,24 +515,41 @@ func TestDeltaDecodeIgnoresClaimedCounts(t *testing.T) {
 	lyingPlan := decision.Append(nil, 7, &admitted)
 	lyingPlan = append(lyingPlan[:len(lyingPlan)-1], huge...) // placement count
 
+	// A snapshot whose header claims 2^20 nodes × 2^20 slots, in front of
+	// a real record.
+	hdr := decision.AppendStr(decision.AppendStr(nil, base.RunLabel), base.Scheduler)
+	hdr = decision.AppendInt(decision.AppendInt(hdr, 1<<20), 1<<20)
+	hdr = append(hdr, 1, 0, 0, 0) // duals; no Down, Leased or Elastic marks
+	lyingShape := decision.AppendU64(append([]byte(nil), snapshotMagic...), checkpointVersion)
+	lyingShape = appendFrame(appendFrame(lyingShape, hdr), record)
+
+	fold := func(payload []byte) func() error {
+		return func() error {
+			ck := *base
+			ck.Decisions = new(decision.Store)
+			return applyDeltaRecord(&ck, payload)
+		}
+	}
 	for _, tc := range []struct {
-		name, want string // want: what the decoder says ran out
-		payload    []byte
+		name, want string // want: what the decoder refuses with
+		decode     func() error
+		size       int
 	}{
-		{"reasons", "byte", append(append([]byte(nil), head...), huge...)},
-		{"placements", "placements", append(append([]byte(nil), upToDecisions...), lyingPlan...)},
+		{"reasons", "truncated byte", fold(append(append([]byte(nil), head...), huge...)), len(head) + len(huge)},
+		{"placements", "truncated placements", fold(append(append([]byte(nil), upToDecisions...), lyingPlan...)),
+			len(upToDecisions) + len(lyingPlan)},
+		{"snapshot shape", "claims 1048576 nodes × 1048576 slots",
+			func() error { _, err := readSnapshot(lyingShape); return err }, len(lyingShape)},
 	} {
-		ck := *base
-		ck.Decisions = new(decision.Store)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		err := applyDeltaRecord(&ck, tc.payload)
+		err := tc.decode()
 		runtime.ReadMemStats(&m1)
-		if err == nil || !strings.Contains(err.Error(), "truncated "+tc.want) {
-			t.Errorf("%s: a record claiming 2^40 entries decoded with err %v", tc.name, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: bytes claiming 2^40 entries decoded with err %v", tc.name, err)
 		}
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: decoding allocated %d bytes for a %d-byte record", tc.name, grew, len(tc.payload))
+			t.Errorf("%s: decoding allocated %d bytes for %d bytes", tc.name, grew, tc.size)
 		}
 	}
 }

@@ -18,13 +18,15 @@ import (
 )
 
 // Incremental checkpointing. With Options.CheckpointFullEvery > 1 the
-// broker writes the full JSON snapshot only at interval boundaries and
+// broker writes the full snapshot only at interval boundaries and
 // appends one binary delta per checkpointed slot in between, to a
 // ".delta" sidecar next to the checkpoint file. A delta carries only
 // what changed since the previous successful persist: new or flipped
 // decisions, touched dual and ledger cells and the accounting scalars —
 // a few hundred bytes against the megabytes a full snapshot of a long
-// horizon re-serializes every slot.
+// horizon re-serializes every slot. A full snapshot is the same kind of
+// record diffed against nothing (checkpoint.go), so one encoder writes
+// both and applyDeltaRecord reads both.
 //
 // Crash safety is structural rather than atomic: the sidecar is
 // append-only, every record is CRC-framed, and LoadCheckpoint replays
@@ -59,7 +61,8 @@ var deltaMagic = []byte("PDFTSPD\x01")
 // DeltaPath returns the delta-sidecar path for a checkpoint path.
 func DeltaPath(path string) string { return path + ".delta" }
 
-// deltaShadows is the persisted state the next delta is diffed against.
+// deltaShadows is the persisted state the next record is diffed against.
+// The zero value is nothing, which a full snapshot's record diffs against.
 type deltaShadows struct {
 	duals    *core.DualState
 	ledger   cluster.Snapshot
@@ -86,35 +89,21 @@ func sidecarHeader(b *Broker, baseCRC uint32) []byte {
 	return hdr
 }
 
-// shadows captures the state a delta diffs: duals (nil for a scheduler
-// without any), ledger, and the engine's tracker and spot-provider state
-// as the sidecar carries them (nil for a part the run does not have).
-func (b *Broker) shadows() deltaShadows {
-	st := deltaShadows{ledger: b.cl.Snapshot()}
-	if dc, ok := b.sched.(DualCheckpointer); ok {
-		ds := dc.SnapshotDuals()
-		st.duals = &ds
+// appendRecord appends ck as one record payload: its clock and
+// accounting, the decision records a chain saved up to lacks (flips
+// restated, then every one from saved on), and every dual and ledger cell
+// and tracker or spot-provider state that differs from prev — all of them
+// against the zero shadows. It returns the shadows of the state it
+// carried.
+func appendRecord(p []byte, ck *Checkpoint, prev *deltaShadows, saved int, flips []int) ([]byte, deltaShadows) {
+	p = decision.AppendInt(p, ck.Slot)
+	p = decision.AppendInt(p, ck.NextID)
+	p = decision.AppendInt(p, ck.Canceled)
+	p = decision.AppendInt(p, ck.ProcIdx)
+	res := ck.Result
+	if res == nil {
+		res = new(sim.Result)
 	}
-	if fs := b.eng.FaultState(); fs != nil {
-		st.failJSON, _ = json.Marshal(fs)
-	}
-	if ss := b.eng.SpotState(); ss != nil {
-		st.spotJSON, _ = json.Marshal(ss)
-	}
-	return st
-}
-
-// buildDelta serializes one CRC-framed delta record (frame header plus
-// payload, in the deltaWriter's reusable scratch) and re-bases the
-// shadows on the state it carried. Core-goroutine only.
-func (b *Broker) buildDelta() []byte {
-	w := &b.deltas
-	res := b.eng.Result()
-	p := w.buf[:0]
-	p = decision.AppendInt(p, b.slot)
-	p = decision.AppendInt(p, b.nextID)
-	p = decision.AppendInt(p, b.canceled)
-	p = decision.AppendInt(p, b.eng.Offered())
 	ints, floats := resultScalars(res)
 	for _, v := range ints {
 		p = decision.AppendInt(p, *v)
@@ -138,25 +127,36 @@ func (b *Broker) buildDelta() []byte {
 		p = decision.AppendInt(p, res.RejectReasons[reason])
 	}
 
-	// Decisions the chain lacks; replay appends the new ones in this
-	// order and rewrites a flipped one where it stands.
-	p = append(b.appendUnsavedDecisions(p), decision.End)
+	// Replay appends the new decisions in this order and rewrites a
+	// flipped one where it stands.
+	if s := ck.Decisions; s != nil {
+		for _, id := range flips {
+			d, _ := s.Get(id)
+			p = decision.Append(p, id, &d)
+		}
+		p = s.AppendFrom(p, saved)
+	}
+	p = append(p, decision.End)
 
-	// Dual and ledger cells that moved since the last persist, then the
-	// tracker and spot-provider state (applied outages and live plans;
-	// trace cursor, budget spent, live leases), each only when it moved:
-	// small, but fault-free runs should pay nothing for them.
-	cur := b.shadows()
+	// Dual and ledger cells that moved, then the tracker and spot-provider
+	// state (applied outages and live plans; trace cursor, budget spent,
+	// live leases), each only when it moved: small, but fault-free runs
+	// should pay nothing for them.
+	cur := deltaShadows{duals: ck.Duals, ledger: ck.Ledger}
+	if ck.Failures != nil {
+		cur.failJSON, _ = json.Marshal(ck.Failures)
+	}
+	if ck.Spot != nil {
+		cur.spotJSON, _ = json.Marshal(ck.Spot)
+	}
 	p = decision.AppendBool(p, cur.duals != nil)
 	if cur.duals != nil {
-		p = appendDualDiff(p, w.duals, cur.duals)
+		p = appendDualDiff(p, prev.duals, cur.duals)
 	}
-	p = appendLedgerDiff(p, &w.ledger, &cur.ledger)
-	p = appendIfChanged(p, w.failJSON, cur.failJSON)
-	p = appendIfChanged(p, w.spotJSON, cur.spotJSON)
-
-	w.frame, w.buf, w.deltaShadows = appendFrame(w.frame[:0], p), p, cur
-	return w.frame
+	p = appendLedgerDiff(p, &prev.ledger, &cur.ledger)
+	p = appendIfChanged(p, prev.failJSON, cur.failJSON)
+	p = appendIfChanged(p, prev.spotJSON, cur.spotJSON)
+	return p, cur
 }
 
 // resultScalars lists the accounting fields a delta restates, in wire
@@ -213,13 +213,14 @@ func marked(plane [][]bool, k, t int) byte {
 }
 
 // appendLedgerDiff emits a full cell record, keyed 1+cell, for every
-// ledger cell with a committed quantity that changed, closed by a zero.
+// ledger cell with a committed quantity that changed — every cell when
+// prev is empty — closed by a zero.
 func appendLedgerDiff(p []byte, prev, cur *cluster.Snapshot) []byte {
 	for k := range cur.UsedWork {
 		T := len(cur.UsedWork[k])
 		for t := 0; t < T; t++ {
 			down, leased := marked(cur.Down, k, t), marked(cur.Leased, k, t)
-			if prev.UsedWork[k][t] == cur.UsedWork[k][t] && prev.UsedMem[k][t] == cur.UsedMem[k][t] &&
+			if prev.UsedWork != nil && prev.UsedWork[k][t] == cur.UsedWork[k][t] && prev.UsedMem[k][t] == cur.UsedMem[k][t] &&
 				prev.TasksOn[k][t] == cur.TasksOn[k][t] &&
 				(marked(prev.Down, k, t) == 2) == (down == 2) && (marked(prev.Leased, k, t) == 2) == (leased == 2) {
 				continue
@@ -241,35 +242,28 @@ func appendLedgerDiff(p []byte, prev, cur *cluster.Snapshot) []byte {
 // header all fall back to the full snapshot alone; a corrupted or
 // truncated record discards itself and everything after it. A sidecar
 // that extends this snapshot in another format version is refused with
-// ErrFormatVersion. Brokers running the default CheckpointFullEvery=1
-// never write deltas, so for them this is ReadCheckpoint with one extra
-// stat.
+// ErrFormatVersion, and a record whose CRC holds but that does not decode
+// is an error too, as is a snapshot ReadCheckpoint refuses. Brokers
+// running the default CheckpointFullEvery=1 never write deltas, so for
+// them this is ReadCheckpoint with one extra stat.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	ck, data, err := readCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := applyDeltas(ck, DeltaPath(path), crc32.ChecksumIEEE(data)); err != nil {
+	side, err := os.ReadFile(DeltaPath(path))
+	if err == nil {
+		err = replayDeltas(ck, side, crc32.ChecksumIEEE(data))
+	}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("service: delta sidecar %s: %w", DeltaPath(path), err)
 	}
 	return ck, nil
 }
 
-// applyDeltas replays the sidecar's valid prefix onto ck in place.
-func applyDeltas(ck *Checkpoint, dpath string, baseCRC uint32) error {
-	data, err := os.ReadFile(dpath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	return replayDeltas(ck, data, baseCRC)
-}
-
-// replayDeltas is applyDeltas on the sidecar's bytes. A record whose CRC
-// passed but whose payload does not decode is format drift, not bitrot,
-// and is surfaced.
+// replayDeltas replays the valid prefix of the sidecar's bytes onto ck in
+// place. A record whose CRC passed but whose payload does not decode is
+// format drift, not bitrot, and is surfaced.
 func replayDeltas(ck *Checkpoint, data []byte, baseCRC uint32) error {
 	return framedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC),
 		func(payload []byte) error { return applyDeltaRecord(ck, payload) })
@@ -301,9 +295,6 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 	ck.NextID = r.Int()
 	ck.Canceled = r.Int()
 	ck.ProcIdx = r.Int()
-	if ck.Result == nil {
-		ck.Result = sim.NewResult(ck.Scheduler)
-	}
 	res := ck.Result
 	ints, floats := resultScalars(res)
 	for _, v := range ints {
@@ -361,10 +352,7 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 		led.UsedWork[k][t], led.UsedMem[k][t], led.TasksOn[k][t] = work, mem, on
 		if down != 0 {
 			if led.Down == nil {
-				led.Down = make([][]bool, len(led.UsedWork))
-				for kk := range led.Down {
-					led.Down[kk] = make([]bool, len(led.UsedWork[kk]))
-				}
+				led.Down = plane[bool](len(led.UsedWork), ck.Slots)
 			}
 			led.Down[k][t] = down == 2
 		}

@@ -26,7 +26,7 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the current generation of testdata/formats from the current code")
 
 // The format corpus is what one seeded two-shard run leaves on disk: per
-// shard a JSON snapshot, a delta sidecar holding records and a journal
+// shard a snapshot, a delta sidecar holding records and a journal
 // holding acked bids, plus the fleet manifest and shard 0's decision log.
 // It is committed once per generation of the on-disk formats, with
 // digests.json beside the files recording what each restores to. A
@@ -49,7 +49,8 @@ func formatGeneration() string {
 
 // formatGenerations lists the committed generations, oldest first; the
 // last is the one the code writes.
-var formatGenerations = []string{"delta-v3", "delta-v4", "delta-v5", "delta-v5-wal-v3", "ckpt-v3-delta-v5-wal-v3"}
+var formatGenerations = []string{"delta-v3", "delta-v4", "delta-v5", "delta-v5-wal-v3", "ckpt-v3-delta-v5-wal-v3",
+	"ckpt-v4-delta-v5-wal-v3"}
 
 // formatRefusals lists, per older generation, the entries the code after
 // it must refuse with ErrFormatVersion instead of restoring: those that
@@ -68,6 +69,9 @@ var formatRefusals = map[string][]string{
 	// Snapshot v3 writes its decided set as the sidecar's decision
 	// records, so every chain and the fleet built on a v2 snapshot go too.
 	"delta-v5-wal-v3": {"shard0 snapshot", "shard1 snapshot", "shard0 chain", "shard1 chain", "fleet"},
+	// Snapshot v4 is no longer JSON: the sidecar's framing around one
+	// delta record.
+	"ckpt-v3-delta-v5-wal-v3": {"shard0 snapshot", "shard1 snapshot", "shard0 chain", "shard1 chain", "fleet"},
 }
 
 // formatUnchanged lists, per generation, the generation before it, the
@@ -90,6 +94,11 @@ var formatUnchanged = map[string]struct {
 	},
 	"ckpt-v3-delta-v5-wal-v3": {
 		prev:    "delta-v5-wal-v3",
+		files:   []string{"fleet.json", "fleet.json.shard0.wal", "fleet.json.shard1.wal", "decisions.log"},
+		digests: []string{"shard0 journal", "shard1 journal", "decision log"},
+	},
+	"ckpt-v4-delta-v5-wal-v3": {
+		prev:    "ckpt-v3-delta-v5-wal-v3",
 		files:   []string{"fleet.json", "fleet.json.shard0.wal", "fleet.json.shard1.wal", "decisions.log"},
 		digests: []string{"shard0 journal", "shard1 journal", "decision log"},
 	},

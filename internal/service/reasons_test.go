@@ -41,11 +41,8 @@ func TestRejectReasonRoundTrip(t *testing.T) {
 		if err := s.Put(7, &d); err != nil {
 			t.Fatal(err)
 		}
-		data, err := marshalCheckpoint(&Checkpoint{Version: checkpointVersion, Decisions: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := parseCheckpoint(data)
+		data, _ := encodeSnapshot(&Checkpoint{Version: checkpointVersion, Decisions: s})
+		ck, err := readSnapshot(data)
 		if err != nil {
 			t.Fatal(err)
 		}

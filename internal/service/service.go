@@ -21,8 +21,8 @@
 // The broker is operable: the intake queue is bounded (ErrQueueFull maps
 // to HTTP 429), every bid honors its caller's context, SIGTERM drains
 // gracefully (cmd/pdftspd), and the full auction state — dual prices,
-// cluster ledger, accounting, decided bids — checkpoints to JSON and
-// restores bit-exactly, so a crashed broker resumes mid-horizon.
+// cluster ledger, accounting, decided bids — checkpoints to a binary
+// file and restores bit-exactly, so a crashed broker resumes mid-horizon.
 package service
 
 import (
@@ -118,9 +118,9 @@ type Options struct {
 	// default 1 (every slot).
 	CheckpointEvery int
 	// CheckpointFullEvery controls the full-snapshot cadence: every n-th
-	// checkpoint write is the full JSON snapshot, the writes in between
-	// append binary per-slot deltas to a ".delta" sidecar (see delta.go).
-	// Default 1 — every write is a full snapshot, the pre-PR6 behavior —
+	// checkpoint write is the full snapshot, the writes in between append
+	// binary per-slot deltas to a ".delta" sidecar (see delta.go).
+	// Default 1 — every write is a full snapshot, and no sidecar is kept —
 	// so ReadCheckpoint alone keeps seeing the latest state unless a
 	// deployment opts into deltas (then LoadCheckpoint replays them).
 	// Drain and horizon end always force a full snapshot.

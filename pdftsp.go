@@ -300,13 +300,13 @@ func NewBroker(opts BrokerOptions) (*Broker, error) { return service.New(opts) }
 // resume a crashed broker bit-exactly.
 func ReadCheckpoint(path string) (*Checkpoint, error) { return service.ReadCheckpoint(path) }
 
-// LoadCheckpoint is ReadCheckpoint plus delta replay: when the broker
-// ran with BrokerOptions.CheckpointFullEvery > 1, it applies the valid
-// prefix of the binary per-slot delta sidecar on top of the full JSON
-// snapshot, returning the most recent consistent state. A missing,
-// stale, or tail-corrupted sidecar degrades to earlier consistent
-// state, never an error. Prefer this for restores; ReadCheckpoint reads
-// the full snapshot alone.
+// LoadCheckpoint is ReadCheckpoint plus delta replay: with
+// BrokerOptions.CheckpointFullEvery > 1 it applies the valid prefix of the
+// per-slot delta sidecar on top of the full snapshot. A missing, stale or
+// tail-corrupted sidecar degrades to earlier consistent state; an
+// unreadable snapshot, a sidecar of it in another format version, or a
+// checksummed record that does not decode is an error. Prefer this for
+// restores; ReadCheckpoint reads the full snapshot alone.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return service.LoadCheckpoint(path) }
 
 // DefaultTitanBudget is a sensible per-slot MILP budget for interactive
