@@ -140,6 +140,12 @@ deps-guard:
 # snapshot's checkpointFile or its plane-by-plane checkShape/checkPlane.
 # delta.go keeps encoding/json for one reason: the fault tracker's and
 # the spot provider's state ride inside a record as JSON byte strings.
+# The frame is kept one way too: only internal/decision declares
+# appendFrame/frameNext/framedPrefix (any case), so the journal, the
+# sidecar, the snapshot and the decision log are checksummed and cut at a
+# torn tail by one reader; and no non-test file in internal/obs imports
+# encoding/binary or hash/crc32, so the decision log cannot grow a private
+# record or frame again (it writes decision.Append records in that frame).
 codec-guard:
 	@if grep -nE '^(func|type|var)( \([^)]*\))? *(appendDecision|readDecision|appendSchedule|readSchedule|decisionWire|decisionRec)' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/decision/*' ! -path './benchmark/*') | \
@@ -153,6 +159,11 @@ codec-guard:
 	@if grep -nE '^(func|type)( \([^)]*\))? *(checkpointFile|checkShape|checkPlane)\b' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'); then \
 		echo "codec-guard: planes are allocated from the snapshot header's shape; there is no second snapshot codec"; exit 1; fi
+	@if grep -niE '^func( \([^)]*\))? *(appendFrame|frameNext|framedPrefix)\(' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/decision/*' ! -path './benchmark/*'); then \
+		echo "codec-guard: every framed file goes through internal/decision's AppendFrame, FrameNext and FramedPrefix"; exit 1; fi
+	@if grep -nE '"(encoding/binary|hash/crc32)"' $$(find internal/obs -name '*.go' ! -name '*_test.go'); then \
+		echo "codec-guard: the decision log writes decision records in decision's frame; internal/obs encodes no bytes of its own"; exit 1; fi
 
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.

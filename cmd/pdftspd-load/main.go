@@ -112,7 +112,7 @@ func main() {
 	flag.IntVar(&f.fullEvery, "full-every", 1, "full snapshot every n checkpoint writes, binary deltas to a .delta sidecar in between (1 = always full, no sidecar)")
 	flag.BoolVar(&f.wal, "wal", false, "journal every acked bid to <checkpoint>.wal before its ack releases (requires -checkpoint); the report adds journal depth and fsync latency rows")
 	flag.IntVar(&f.walSyncEvery, "wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch)")
-	flag.StringVar(&f.decLog, "decision-log", "", "stream the binary decision log to this path")
+	flag.StringVar(&f.decLog, "decision-log", "", "stream the binary decision log to this path: one CRC-framed decision record per bid (read with obs.ReadDecisionLog)")
 	flag.BoolVar(&f.keepPlans, "keep-losing-plans", false, "retain rejected bids' candidate plans (more memory)")
 	flag.StringVar(&f.cpuProfile, "profile", "", "write a CPU profile of the whole run to this path")
 	flag.StringVar(&f.memProfile, "memprofile", "", "write a heap profile at the end of the run to this path")

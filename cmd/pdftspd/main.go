@@ -56,7 +56,7 @@ func main() {
 	wal := flag.Bool("wal", false, "journal every acked bid to <checkpoint>.wal before releasing its ack; -restore replays the journal (requires -checkpoint)")
 	walSyncEvery := flag.Int("wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch; higher trades crash-window for throughput)")
 	supervise := flag.Bool("supervise", false, "run the fleet under an in-process watchdog: a crashed or wedged generation is restored from its checkpoint and journal automatically")
-	decLog := flag.String("decision-log", "", "stream every decision to this binary log (read with obs.ReadDecisionLog)")
+	decLog := flag.String("decision-log", "", "stream every decision to this binary log: one CRC-framed decision record per bid, not synced, flushed at run end (read with obs.ReadDecisionLog)")
 	obsTrace := flag.String("trace", "", "write a JSONL event trace to this file (analyze with cmd/trace)")
 	audit := flag.Bool("audit", false, "validate auction invariants online; non-zero exit on any violation")
 	serveDebug := flag.String("serve", "", "serve live expvar metrics and pprof on this address")

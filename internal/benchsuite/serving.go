@@ -300,13 +300,18 @@ func benchDecision() schedule.Decision {
 }
 
 // benchOutcomeEvent is a representative admitted decision with two
-// placements — the decision-log hot record.
+// placements — the decision-log hot record — and the decision it carries.
 func benchOutcomeEvent() obs.OutcomeEvent {
 	return obs.OutcomeEvent{
 		Run: "bench", Sched: "pdftsp", TaskID: 42, Slot: 7,
 		Bid: 61.5, Admitted: true, Surplus: 24.25, Payment: 37.25,
 		VendorCost: 4.5, EnergyCost: 1.75,
 		Placements: []obs.Placement{{Node: 1, Slot: 7, Work: 12}, {Node: 1, Slot: 8, Work: 12}},
+		Decision: &schedule.Decision{
+			TaskID: 42, Admitted: true, F: 24.25, Terms: schedule.NewTerms(37.25, 4.5, 1.75),
+			Schedule: &schedule.Schedule{TaskID: 42, Vendor: schedule.NoVendor,
+				Placements: []schedule.Placement{{Node: 1, Slot: 7}, {Node: 1, Slot: 8}}},
+		},
 	}
 }
 
@@ -331,7 +336,7 @@ func DecisionLogBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.TaskID = i
+		ev.TaskID, ev.Decision.TaskID, ev.Decision.Schedule.TaskID = i, i, i
 		l.OnOutcome(&ev)
 	}
 }

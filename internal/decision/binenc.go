@@ -7,11 +7,11 @@ import (
 )
 
 // Binary encoding primitives shared by the decision records and the
-// broker's other framed files (the journal and the delta sidecar), and
-// kept deliberately tiny: varints for integers, raw IEEE-754 bits for
-// floats (bit-exact round-trips, −Inf included), length-prefixed strings.
-// Everything appends to a caller-owned buffer so the hot path reuses one
-// allocation across writes.
+// broker's other framed files (the journal, the sidecar, the decision
+// log), and kept deliberately tiny: varints for integers, raw IEEE-754
+// bits for floats (bit-exact round-trips, −Inf included), length-prefixed
+// strings. Everything appends to a caller-owned buffer so the hot path
+// reuses one allocation across writes.
 
 func AppendU64(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 func AppendInt(b []byte, v int) []byte    { return binary.AppendVarint(b, int64(v)) }

@@ -3,8 +3,10 @@
 // append-only log, and one record encoding serves every place it goes:
 // the broker's packed Store, the checkpoint's delta sidecar and full
 // snapshot (both write AppendFrom's records and read them back through
-// ReadList), and the broker ≡ sim.Run twin gate, which compares two
-// decisions by their record bytes.
+// ReadList), the decision log (one Append record per outcome, read back
+// by Read), and the broker ≡ sim.Run twin gate, which compares two
+// decisions by their record bytes. Every framed file shares one frame
+// (frame.go).
 package decision
 
 import (
@@ -85,9 +87,9 @@ func appendSchedule(p []byte, s *schedule.Schedule) []byte {
 }
 
 // read decodes the record whose flags byte has been read, its plan into
-// plan. A record Append would not have written — an unknown flag, a flag
-// whose field is zero — fails, so whatever decodes re-encodes to its own
-// bytes.
+// plan, or into a new one when plan is nil. A record Append would not
+// have written — an unknown flag, a flag whose field is zero — fails, so
+// whatever decodes re-encodes to its own bytes.
 func read(r *Reader, flags byte, plan *schedule.Schedule) (int, schedule.Decision) {
 	if flags&^flagsKnown != 0 {
 		refuse(r, "unknown flags %#x", flags)
@@ -112,9 +114,18 @@ func read(r *Reader, flags byte, plan *schedule.Schedule) (int, schedule.Decisio
 		}
 	}
 	if flags&flagSchedule != 0 {
+		if plan == nil {
+			plan = new(schedule.Schedule)
+		}
 		d.Schedule = readSchedule(r, plan)
 	}
 	return id, d
+}
+
+// Read decodes the one record Append wrote at r, its plan its own; the
+// caller checks r.Err.
+func Read(r *Reader) (int, schedule.Decision) {
+	return read(r, r.Byte(), nil)
 }
 
 // ReadReason reads a one-byte reject reason. A code outside the set is

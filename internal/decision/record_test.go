@@ -79,16 +79,26 @@ func variants(t *testing.T) []variant {
 	return out
 }
 
-// roundTrip files d under id in a one-record list and reads it back.
+// roundTrip files d under id in a one-record list and reads it back. The
+// record read alone (Read) must give the same decision, and the store
+// must know the record's length (EncodedLen).
 func roundTrip(t *testing.T, id int, d *schedule.Decision) schedule.Decision {
 	t.Helper()
-	s, err := decision.ReadStore(append(decision.Append(nil, id, d), decision.End))
+	rec := decision.Append(nil, id, d)
+	s, err := decision.ReadStore(append(rec, decision.End))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.Get(id)
 	if !ok || s.Len() != 1 {
 		t.Fatalf("%d records read back, %d not among them", s.Len(), id)
+	}
+	if n := s.EncodedLen(); n != len(rec) {
+		t.Fatalf("EncodedLen %d, the record is %d bytes", n, len(rec))
+	}
+	r := &decision.Reader{B: rec}
+	if rid, one := decision.Read(r); r.Err != nil || len(r.B) != 0 || rid != id || !reflect.DeepEqual(one, got) {
+		t.Fatalf("Read: id %d, %+v, %d bytes left (err %v); the store reads id %d, %+v", rid, one, len(r.B), r.Err, id, got)
 	}
 	return got
 }

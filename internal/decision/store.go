@@ -70,6 +70,19 @@ func (s *Store) Size() int {
 		sliceBytes(s.plans) + sliceBytes(s.index)
 }
 
+// EncodedLen is the length of AppendFrom(p, 0)'s records, for presizing p:
+// each record's head as appendHead writes it, and its plan's bytes.
+func (s *Store) EncodedLen() int {
+	var b [64]byte // longer than any head: flags, id, F, reason, task ID and terms
+	n := 0
+	for i := range s.recs {
+		d, t, plan := s.head(i)
+		d.Terms = &t
+		n += len(appendHead(b[:0], s.recs[i].id, &d, false)) + len(plan)
+	}
+	return n
+}
+
 // sliceBytes is the bytes s's backing array holds, its spare capacity included.
 func sliceBytes[E any](s []E) int { return cap(s) * int(unsafe.Sizeof(*new(E))) }
 

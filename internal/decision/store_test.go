@@ -52,7 +52,8 @@ func mustPut(t *testing.T, s *Store, id int, d schedule.Decision) {
 
 // TestDecisionStoreSize: Size is Σ cap × element size over every slice the
 // store keeps, found by reflection, so a slice added to the store or a
-// record resized cannot leave the reported figure behind.
+// record resized cannot leave the reported figure behind; EncodedLen is
+// the length of the store's records.
 func TestDecisionStoreSize(t *testing.T) {
 	s := new(Store)
 	for id := range 200 {
@@ -75,6 +76,9 @@ func TestDecisionStoreSize(t *testing.T) {
 	}
 	if got := s.Size(); got != want {
 		t.Fatalf("Size() = %d, the store's slices hold %d bytes", got, want)
+	}
+	if got, want := s.EncodedLen(), len(s.AppendFrom(nil, 0)); got != want {
+		t.Fatalf("EncodedLen() = %d, the records are %d bytes", got, want)
 	}
 }
 

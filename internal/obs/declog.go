@@ -2,43 +2,43 @@ package obs
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strings"
 	"sync"
+	"sync/atomic"
+
+	"github.com/pdftsp/pdftsp/internal/decision"
+	"github.com/pdftsp/pdftsp/internal/schedule"
 )
 
-// DecisionLog is a streamed binary sink for the outcome stream — the
-// fast-path replacement for JSONL when the consumer only needs the
-// per-bid decisions. One outcome is a few dozen varint-packed bytes and
-// zero allocations, against ~300 bytes and an Encoder round trip per
-// JSONL record; on million-bid horizons that is the difference between
-// the sink disappearing into the noise and dominating the broker's
-// core goroutine.
-//
-// The format is length-free and append-ordered: a magic header, then
-// one record per event — run_start, outcome (the bulk), run_end — each
-// a kind byte followed by fixed fields. Integers are varints, floats
-// raw IEEE-754 bits. ReadDecisionLog decodes a complete log; a log cut
-// off mid-record (crash) decodes up to the truncation point.
+// DecisionLog is a binary sink for the outcome stream: an outcome costs one
+// internal/decision record and no allocation. The file is a magic, a
+// uvarint version, then one decision.AppendFrame frame per event in
+// emission order: a kind byte, then a run start's run, scheduler, nodes
+// and slots; an outcome's arrival slot and decision.Append's record; a run
+// end's welfare, revenue, admitted and rejected. It is not synced, only
+// flushed at each run end and on Close.
 type DecisionLog struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
 	c     io.Closer
-	buf   []byte
-	count int64
+	buf   []byte // one event's frame, its payload built behind room for its head
+	count atomic.Int64
 	err   error
 
 	Base
 }
 
-// declogMagic opens every decision log.
+// declogMagic opens every decision log and declogVersion follows it; v1
+// was an unframed varint record per event.
 var declogMagic = []byte("PDFTSPL\x01")
 
-// Record kinds.
+const declogVersion = 2
+
+// Event kinds, a payload's first byte.
 const (
 	declogRunStart = 1
 	declogOutcome  = 2
@@ -48,8 +48,8 @@ const (
 // NewDecisionLog writes the binary decision log to w.
 func NewDecisionLog(w io.Writer) *DecisionLog {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.Write(declogMagic)
-	return &DecisionLog{w: bw}
+	bw.Write(decision.AppendU64(append([]byte(nil), declogMagic...), declogVersion))
+	return &DecisionLog{w: bw, buf: make([]byte, 0, 256)}
 }
 
 // NewDecisionLogFile creates (truncating) a decision log at path.
@@ -64,11 +64,7 @@ func NewDecisionLogFile(path string) (*DecisionLog, error) {
 }
 
 // Count returns the number of outcome records written so far.
-func (l *DecisionLog) Count() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
-}
+func (l *DecisionLog) Count() int64 { return l.count.Load() }
 
 // Err returns the first write error, if any.
 func (l *DecisionLog) Err() error {
@@ -81,22 +77,19 @@ func (l *DecisionLog) Err() error {
 func (l *DecisionLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ferr := l.w.Flush()
-	if l.err == nil {
-		l.err = ferr
-	}
+	l.err = cmp.Or(l.err, l.w.Flush())
 	if l.c != nil {
-		cerr := l.c.Close()
+		l.err = cmp.Or(l.err, l.c.Close())
 		l.c = nil
-		if l.err == nil {
-			l.err = cerr
-		}
 	}
 	return l.err
 }
 
-func (l *DecisionLog) write(p []byte) {
-	if _, err := l.w.Write(p); err != nil && l.err == nil {
+// emit frames p, an event's payload built in buf behind room for its
+// frame head (buf[:decision.MaxFrameHead]), in place and writes the frame.
+func (l *DecisionLog) emit(p []byte) {
+	l.buf = decision.AppendFrame(p[:0], p[decision.MaxFrameHead:])
+	if _, err := l.w.Write(l.buf); err != nil && l.err == nil {
 		l.err = err
 	}
 }
@@ -105,42 +98,20 @@ func (l *DecisionLog) write(p []byte) {
 func (l *DecisionLog) OnRunStart(e *RunStartEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b := append(l.buf[:0], declogRunStart)
-	b = dlStr(b, e.Run)
-	b = dlStr(b, e.Sched)
-	b = binary.AppendVarint(b, int64(e.Nodes))
-	b = binary.AppendVarint(b, int64(e.Slots))
-	l.buf = b
-	l.write(b)
+	p := decision.AppendStr(decision.AppendStr(append(l.buf[:decision.MaxFrameHead], declogRunStart), e.Run), e.Sched)
+	l.emit(decision.AppendInt(decision.AppendInt(p, e.Nodes), e.Slots))
 }
 
-// OnOutcome implements Observer; this is the hot record.
+// OnOutcome implements Observer: the hot record, read from e.Decision.
 func (l *DecisionLog) OnOutcome(e *OutcomeEvent) {
+	d := *e.Decision
+	if !d.Admitted {
+		d.Schedule = nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b := append(l.buf[:0], declogOutcome)
-	b = binary.AppendVarint(b, int64(e.TaskID))
-	b = binary.AppendVarint(b, int64(e.Slot))
-	b = dlF64(b, e.Bid)
-	if e.Admitted {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = dlStr(b, e.Reason.String())
-	b = dlF64(b, e.Surplus)
-	b = dlF64(b, e.Payment)
-	b = dlF64(b, e.VendorCost)
-	b = dlF64(b, e.EnergyCost)
-	b = binary.AppendUvarint(b, uint64(len(e.Placements)))
-	for _, p := range e.Placements {
-		b = binary.AppendVarint(b, int64(p.Node))
-		b = binary.AppendVarint(b, int64(p.Slot))
-		b = binary.AppendVarint(b, int64(p.Work))
-	}
-	l.buf = b
-	l.write(b)
-	l.count++
+	l.emit(decision.Append(decision.AppendInt(append(l.buf[:decision.MaxFrameHead], declogOutcome), e.Slot), e.TaskID, &d))
+	l.count.Add(1)
 }
 
 // OnRunEnd implements Observer and flushes: the log is complete and
@@ -148,39 +119,15 @@ func (l *DecisionLog) OnOutcome(e *OutcomeEvent) {
 func (l *DecisionLog) OnRunEnd(e *RunEndEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b := append(l.buf[:0], declogRunEnd)
-	b = dlF64(b, e.Welfare)
-	b = dlF64(b, e.Revenue)
-	b = binary.AppendVarint(b, int64(e.Admitted))
-	b = binary.AppendVarint(b, int64(e.Rejected))
-	l.buf = b
-	l.write(b)
-	if err := l.w.Flush(); err != nil && l.err == nil {
-		l.err = err
-	}
+	p := decision.AppendF64(decision.AppendF64(append(l.buf[:decision.MaxFrameHead], declogRunEnd), e.Welfare), e.Revenue)
+	l.emit(decision.AppendInt(decision.AppendInt(p, e.Admitted), e.Rejected))
+	l.err = cmp.Or(l.err, l.w.Flush())
 }
 
-func dlStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func dlF64(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// DecisionRecord is one decoded outcome from a DecisionLog.
+// DecisionRecord is one decoded outcome: the bid's arrival slot and decision.
 type DecisionRecord struct {
-	TaskID     int
-	Slot       int
-	Bid        float64
-	Admitted   bool
-	Reason     string
-	Surplus    float64
-	Payment    float64
-	VendorCost float64
-	EnergyCost float64
-	Placements []Placement
+	Slot int
+	schedule.Decision
 }
 
 // DecisionLogSummary is the decoded run frame of a DecisionLog.
@@ -198,157 +145,36 @@ type DecisionLogSummary struct {
 	Ended bool
 }
 
-// ReadDecisionLog decodes a binary decision log. A log truncated
-// mid-record (the writer crashed) yields every complete record plus a
-// non-nil error for the torn tail.
-func ReadDecisionLog(r io.Reader) (DecisionLogSummary, []DecisionRecord, error) {
-	var sum DecisionLogSummary
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(declogMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return sum, nil, fmt.Errorf("obs: decision log header: %w", err)
+// ReadDecisionLog decodes a decision log, one record per outcome in the
+// order written (runs may share a log, so an ID may repeat). A torn or
+// corrupt tail yields every whole record before it and an error; another
+// format version is decision.ErrFormatVersion.
+func ReadDecisionLog(r io.Reader) (sum DecisionLogSummary, recs []DecisionRecord, err error) {
+	data, err := io.ReadAll(r)
+	if err != nil || !bytes.HasPrefix(data, declogMagic) {
+		return sum, nil, fmt.Errorf("obs: not a decision log (err %v)", err)
 	}
-	if string(magic) != string(declogMagic) {
-		return sum, nil, fmt.Errorf("obs: not a decision log")
-	}
-	var recs []DecisionRecord
-	for {
-		kind, err := br.ReadByte()
-		if err == io.EOF {
-			return sum, recs, nil
-		}
-		if err != nil {
-			return sum, recs, err
-		}
-		switch kind {
-		case declogRunStart:
-			if sum.Run, err = dlReadStr(br); err != nil {
-				return sum, recs, err
+	rest, err := decision.FramedPrefix(data, declogMagic, declogVersion, func(*decision.Reader) bool { return true },
+		func(payload []byte) error {
+			r := &decision.Reader{B: payload}
+			switch kind := r.Byte(); kind {
+			case declogRunStart:
+				sum.Run, sum.Sched, sum.Nodes, sum.Slots = r.Str(), r.Str(), r.Int(), r.Int()
+			case declogOutcome:
+				rec := DecisionRecord{Slot: r.Int()}
+				if _, rec.Decision = decision.Read(r); r.Err == nil {
+					recs = append(recs, rec)
+				}
+			case declogRunEnd:
+				sum.Welfare, sum.Revenue, sum.Admitted, sum.Rejected = r.F64(), r.F64(), r.Int(), r.Int()
+				sum.Ended = r.Err == nil
+			default:
+				return fmt.Errorf("obs: decision log: unknown event kind %d", kind)
 			}
-			if sum.Sched, err = dlReadStr(br); err != nil {
-				return sum, recs, err
-			}
-			var n, s int64
-			if n, err = binary.ReadVarint(br); err != nil {
-				return sum, recs, err
-			}
-			if s, err = binary.ReadVarint(br); err != nil {
-				return sum, recs, err
-			}
-			sum.Nodes, sum.Slots = int(n), int(s)
-		case declogOutcome:
-			var rec DecisionRecord
-			if rec, err = dlReadOutcome(br); err != nil {
-				return sum, recs, err
-			}
-			recs = append(recs, rec)
-		case declogRunEnd:
-			if sum.Welfare, err = dlReadF64(br); err != nil {
-				return sum, recs, err
-			}
-			if sum.Revenue, err = dlReadF64(br); err != nil {
-				return sum, recs, err
-			}
-			var a, j int64
-			if a, err = binary.ReadVarint(br); err != nil {
-				return sum, recs, err
-			}
-			if j, err = binary.ReadVarint(br); err != nil {
-				return sum, recs, err
-			}
-			sum.Admitted, sum.Rejected = int(a), int(j)
-			sum.Ended = true
-		default:
-			return sum, recs, fmt.Errorf("obs: decision log: unknown record kind %d", kind)
-		}
+			return r.Err
+		})
+	if err == nil && rest > 0 {
+		err = fmt.Errorf("obs: decision log: a torn or corrupt frame after %d records, %d bytes: %w", len(recs), rest, io.ErrUnexpectedEOF)
 	}
-}
-
-func dlReadOutcome(br *bufio.Reader) (DecisionRecord, error) {
-	var rec DecisionRecord
-	id, err := binary.ReadVarint(br)
-	if err != nil {
-		return rec, err
-	}
-	slot, err := binary.ReadVarint(br)
-	if err != nil {
-		return rec, err
-	}
-	rec.TaskID, rec.Slot = int(id), int(slot)
-	if rec.Bid, err = dlReadF64(br); err != nil {
-		return rec, err
-	}
-	adm, err := br.ReadByte()
-	if err != nil {
-		return rec, err
-	}
-	rec.Admitted = adm != 0
-	if rec.Reason, err = dlReadStr(br); err != nil {
-		return rec, err
-	}
-	if rec.Surplus, err = dlReadF64(br); err != nil {
-		return rec, err
-	}
-	if rec.Payment, err = dlReadF64(br); err != nil {
-		return rec, err
-	}
-	if rec.VendorCost, err = dlReadF64(br); err != nil {
-		return rec, err
-	}
-	if rec.EnergyCost, err = dlReadF64(br); err != nil {
-		return rec, err
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return rec, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var p Placement
-		var node, slot, work int64
-		if node, err = binary.ReadVarint(br); err != nil {
-			return rec, err
-		}
-		if slot, err = binary.ReadVarint(br); err != nil {
-			return rec, err
-		}
-		if work, err = binary.ReadVarint(br); err != nil {
-			return rec, err
-		}
-		p.Node, p.Slot, p.Work = int(node), int(slot), int(work)
-		rec.Placements = append(rec.Placements, p)
-	}
-	return rec, nil
-}
-
-// dlReadStr reads a length-prefixed string. The length is a claim until
-// its bytes arrive, so nothing is sized by it: a string that fits the
-// reader's buffer is read from there, a longer one grows only as its
-// bytes are copied, and one the input ends inside is io.ErrUnexpectedEOF.
-func dlReadStr(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	if n <= uint64(br.Size()) {
-		var b []byte
-		if b, err = br.Peek(int(n)); err == nil {
-			sb.Write(b)
-			_, err = br.Discard(int(n))
-		}
-	} else {
-		_, err = io.CopyN(&sb, br, int64(min(n, math.MaxInt64)))
-	}
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return sb.String(), err
-}
-
-func dlReadF64(br *bufio.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	return sum, recs, err
 }

@@ -476,7 +476,7 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 		r.U64()
 		head = data[:len(data)-len(r.B)]
 		at := len(r.B)
-		frameNext(r)
+		decision.FrameNext(r)
 		hdr = data[len(data)-at : len(data)-len(r.B)]
 		return head, hdr, r.B
 	}
@@ -513,6 +513,8 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 		{"no-record", bytes.Join([][]byte{head, hdr}, nil), nil, "claims 3 nodes × 24 slots"},
 		{"torn-record", bytes.Join([][]byte{head, hdr, noDualsRec[:len(noDualsRec)-1]}, nil), nil, "no intact"},
 		{"torn-header", bytes.Join([][]byte{head, hdr[:len(hdr)-1]}, nil), nil, "no intact"},
+		{"record-twice", bytes.Join([][]byte{head, hdr, rec, rec}, nil), nil, "2 records"},
+		{"trailing-byte", bytes.Join([][]byte{head, hdr, rec, {0}}, nil), nil, "1 bytes after"},
 		{"foreign", []byte("PDFTSPX\x01"), nil, "not a snapshot"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -523,7 +525,7 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 			if tc.delta != nil {
 				rec, _ := appendRecord(nil, tc.delta, &deltaShadows{}, 0, nil)
 				keyed := &Broker{slot: ck.Slot, opts: Options{RunLabel: ck.RunLabel}}
-				side := appendFrame(sidecarHeader(keyed, crc32.ChecksumIEEE(tc.snapshot)), rec)
+				side := decision.AppendFrame(sidecarHeader(keyed, crc32.ChecksumIEEE(tc.snapshot)), rec)
 				if err := os.WriteFile(DeltaPath(cut), side, 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 
@@ -113,17 +112,26 @@ func encodeSnapshot(ck *Checkpoint) ([]byte, deltaShadows) {
 	// times over): the record goes in behind room for its frame head.
 	size := 64 + len(hdr) + ck.Nodes*ck.Slots*38 // a ledger cell takes ~16 B, its λ and φ ~22
 	if ck.Decisions != nil {
-		size += ck.Decisions.Size() // never less than its records take
+		size += ck.Decisions.EncodedLen()
 	}
 	data := decision.AppendU64(append(make([]byte, 0, size), snapshotMagic...), uint64(ck.Version))
-	data = appendFrame(data, hdr)
-	at := len(data) + 14 // past the longest frame head: a uvarint length and a CRC
+	data = decision.AppendFrame(data, hdr)
+	at := len(data) + decision.MaxFrameHead
 	rec, cur := appendRecord(data[at:at], ck, &deltaShadows{}, 0, nil)
-	return appendFrame(data, rec), cur // in place while rec is still in data's array
+	return decision.AppendFrame(data, rec), cur // in place while rec is still in data's array
 }
 
-// WriteCheckpoint encodes ck and durably replaces path with it.
+// WriteCheckpoint encodes ck and durably replaces path with it. A plane
+// that is not Nodes rows of Slots cells (or nil, where it may be) is
+// refused: the record keys a cell by its row's own length, so the file
+// would read back with its cells moved.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
+	led, K, T := &ck.Ledger, ck.Nodes, ck.Slots
+	if !shaped(led.UsedWork, K, T, false) || !shaped(led.UsedMem, K, T, false) || !shaped(led.TasksOn, K, T, false) ||
+		!shaped(led.Down, K, T, true) || !shaped(led.Leased, K, T, true) || led.Elastic != nil && len(led.Elastic) != K ||
+		ck.Duals != nil && (!shaped(ck.Duals.Lambda, K, T, false) || !shaped(ck.Duals.Phi, K, T, false)) {
+		return fmt.Errorf("service: write %s: a plane is not %d nodes × %d slots", path, K, T)
+	}
 	data, _ := encodeSnapshot(ck)
 	return writeFile(osFS{}, path, nil, data)
 }
@@ -153,28 +161,25 @@ func readCheckpoint(path string) (*Checkpoint, []byte, error) {
 // applyDeltaRecord folds the one record into it. replaceFile wrote the
 // file whole, so anything short of magic, version, header and record,
 // and anything after the record, is an error, never an empty state; a
-// JSON snapshot (v3 and before) is refused with ErrFormatVersion.
+// JSON snapshot (v3 and before) is refused with ErrFormatVersion, and a
+// fleet's manifest, JSON too, is named as one.
 func readSnapshot(data []byte) (*Checkpoint, error) {
-	if v, ok := bytes.CutPrefix(data, []byte(`{"version":`)); ok {
-		v = v[:len(v)-len(bytes.TrimLeft(v, "0123456789"))]
-		return nil, fmt.Errorf("%w: checkpoint version %s (JSON), want %d", ErrFormatVersion, v, checkpointVersion)
+	if bytes.HasPrefix(data, []byte(`{"version":`)) {
+		return nil, refuseJSON(data)
 	}
 	var ck *Checkpoint
 	records := 0
-	data = data[:len(data):len(data)] // a payload's spare capacity is then bytes after it
-	err := framedPrefix(data, snapshotMagic, checkpointVersion, func(*decision.Reader) bool { return true },
+	rest, err := decision.FramedPrefix(data, snapshotMagic, checkpointVersion, func(*decision.Reader) bool { return true },
 		func(payload []byte) (err error) {
 			if ck == nil {
 				ck, err = readSnapshotHeader(payload, len(data))
 				return err
 			}
-			if records++; len(payload) < cap(payload) {
-				return errors.New("bytes after the snapshot's record")
-			}
+			records++
 			return applyDeltaRecord(ck, payload)
 		})
-	if err == nil && records == 0 {
-		err = errors.New("not a snapshot, or no intact header and record")
+	if err == nil && (records != 1 || rest != 0) {
+		err = fmt.Errorf("not a snapshot, or no intact header and one record alone: %d records, %d bytes after them", records, rest)
 	}
 	return ck, err
 }
@@ -220,6 +225,15 @@ func readSnapshotHeader(payload []byte, size int) (*Checkpoint, error) {
 		return nil, fmt.Errorf("snapshot header: %d bytes left (err %v)", len(r.B), r.Err)
 	}
 	return ck, nil
+}
+
+// shaped reports whether p is K rows of T cells, or nil where orNil allows.
+func shaped[E any](p [][]E, K, T int, orNil bool) bool {
+	ok := len(p) == K || p == nil && orNil
+	for _, row := range p {
+		ok = ok && len(row) == T
+	}
+	return ok
 }
 
 // plane allocates a zero K × T plane, its rows cut from one array.

@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"hash/crc32"
+
+	"github.com/pdftsp/pdftsp/internal/decision"
 )
 
 // Checkpoint writing. The core goroutine serializes every checkpoint at
@@ -129,9 +131,10 @@ func (b *Broker) writeCheckpoint() {
 		b.sinceFull = 0
 	} else {
 		var p []byte
-		p, w.deltaShadows = appendRecord(w.buf[:0], ck, &w.deltaShadows, b.saved, b.flips)
-		w.frame, w.buf = appendFrame(w.frame[:0], p), p
-		job.data = w.frame
+		head := append(w.buf[:0], make([]byte, decision.MaxFrameHead)...) // room for the frame's head
+		p, w.deltaShadows = appendRecord(head, ck, &w.deltaShadows, b.saved, b.flips)
+		w.buf = decision.AppendFrame(p[:0], p[decision.MaxFrameHead:]) // in place, as encodeSnapshot frames
+		job.data = w.buf
 		b.sinceFull++
 	}
 	b.markSaved()

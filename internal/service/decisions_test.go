@@ -403,7 +403,7 @@ func checkpointSeeds(t testing.TB) (ck *Checkpoint, snapshot, header []byte, fra
 	header = side[:len(side)-len(r.B)]
 	for len(r.B) > 0 {
 		before := r.B
-		if frameNext(r) == nil {
+		if decision.FrameNext(r) == nil {
 			t.Fatal("sidecar has a bad frame")
 		}
 		frames = append(frames, before[:len(before)-len(r.B)])
@@ -521,7 +521,7 @@ func TestDeltaDecodeIgnoresClaimedCounts(t *testing.T) {
 	hdr = decision.AppendInt(decision.AppendInt(hdr, 1<<20), 1<<20)
 	hdr = append(hdr, 1, 0, 0, 0) // duals; no Down, Leased or Elastic marks
 	lyingShape := decision.AppendU64(append([]byte(nil), snapshotMagic...), checkpointVersion)
-	lyingShape = appendFrame(appendFrame(lyingShape, hdr), record)
+	lyingShape = decision.AppendFrame(decision.AppendFrame(lyingShape, hdr), record)
 
 	fold := func(payload []byte) func() error {
 		return func() error {

@@ -74,8 +74,7 @@ type deltaShadows struct {
 // ckptwriter.go), and the scratch a record is built in.
 type deltaWriter struct {
 	deltaShadows
-	buf   []byte // payload scratch, reused across slots
-	frame []byte // the framed record: header, then the payload again
+	buf []byte // the framed record, its payload built behind room for its head; reused across slots
 }
 
 // sidecarHeader builds the delta-sidecar header pinning the chain to
@@ -265,8 +264,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // place. A record whose CRC passed but whose payload does not decode is
 // format drift, not bitrot, and is surfaced.
 func replayDeltas(ck *Checkpoint, data []byte, baseCRC uint32) error {
-	return framedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC),
+	_, err := decision.FramedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC),
 		func(payload []byte) error { return applyDeltaRecord(ck, payload) })
+	return err
 }
 
 // keyedTo accepts a sidecar header that extends exactly ck, whose

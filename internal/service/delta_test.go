@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -252,4 +255,38 @@ func sameCheckpoint(a, b *Checkpoint) bool {
 	a2, b2 := *a, *b
 	a2.Decisions, b2.Decisions = nil, nil
 	return reflect.DeepEqual(a2, b2)
+}
+
+// TestWriteCheckpointShape: WriteCheckpoint refuses, and writes nothing
+// for, a checkpoint whose planes are not Nodes × Slots. The record keys a
+// cell by its row's own length, so such a file once read back with its
+// cells moved and no error; changing Slots alone was enough.
+func TestWriteCheckpointShape(t *testing.T) {
+	dir := t.TempDir()
+	ok := filepath.Join(dir, "ok")
+	if err := WriteCheckpoint(ok, fullCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := ReadCheckpoint(ok); err != nil || !sameCheckpoint(ck, fullCheckpoint()) {
+		t.Fatalf("a consistent checkpoint does not round-trip (err %v)", err)
+	}
+	for name, bend := range map[string]func(*Checkpoint){
+		"slots":        func(ck *Checkpoint) { ck.Slots++ },
+		"nodes":        func(ck *Checkpoint) { ck.Nodes-- },
+		"a short row":  func(ck *Checkpoint) { ck.Ledger.UsedMem[1] = ck.Ledger.UsedMem[1][:2] },
+		"a nil plane":  func(ck *Checkpoint) { ck.Ledger.TasksOn = nil },
+		"down":         func(ck *Checkpoint) { ck.Ledger.Down = ck.Ledger.Down[:1] },
+		"leased":       func(ck *Checkpoint) { ck.Ledger.Leased[0] = append(ck.Ledger.Leased[0], true) },
+		"elastic":      func(ck *Checkpoint) { ck.Ledger.Elastic = ck.Ledger.Elastic[:1] },
+		"a dual plane": func(ck *Checkpoint) { ck.Duals.Phi = ck.Duals.Phi[:1] },
+	} {
+		ck, path := fullCheckpoint(), filepath.Join(dir, name)
+		bend(ck)
+		if err := WriteCheckpoint(path, ck); err == nil {
+			t.Errorf("%s: a checkpoint of %d × %d with other planes is written", name, ck.Nodes, ck.Slots)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: the refused write left a file (stat err %v)", name, err)
+		}
+	}
 }

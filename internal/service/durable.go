@@ -1,11 +1,7 @@
 package service
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -14,8 +10,8 @@ import (
 
 // One way to make a file durable: the snapshot, the shard manifest, the
 // delta sidecar and the journal are all (re)written by replaceFile, and
-// the two framed formats (wal.go, delta.go) share appendFrame and
-// framedPrefix.
+// the framed formats (wal.go, delta.go, checkpoint.go) share
+// internal/decision's frame.
 
 // fileSys is the filesystem seam under every durable write: the os by
 // default (Broker.fsys), one that fails or cuts the power at any
@@ -111,69 +107,7 @@ func writeFile(fsys fileSys, path string, guard func() error, data []byte) error
 	return err
 }
 
-// appendFrame appends payload to dst as one frame: uvarint length, CRC32
-// (IEEE) of the payload, payload.
-func appendFrame(dst, payload []byte) []byte {
-	dst = decision.AppendU64(dst, uint64(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
-
-// frameNext extracts the next CRC-framed payload, or nil when the tail
-// is truncated or fails its checksum.
-func frameNext(r *decision.Reader) []byte {
-	n, w := binary.Uvarint(r.B)
-	if w <= 0 {
-		return nil
-	}
-	rest := r.B[w:]
-	if len(rest) < 4 || n > uint64(len(rest)-4) { // not n+4: a hostile n wraps
-		return nil
-	}
-	crc := binary.LittleEndian.Uint32(rest)
-	payload := rest[4 : 4+n]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil
-	}
-	r.B = rest[4+n:]
-	return payload
-}
-
-// ErrFormatVersion refuses a snapshot in another version of its format,
-// and a journal or delta sidecar of this run (its magic, and a whole
-// header naming this run and, for a sidecar, this snapshot) written in
-// another version of its format: read as absent, it would silently drop
-// every slot or acked bid it holds.
-var ErrFormatVersion = errors.New("service: unsupported file format version")
-
-// framedPrefix reads the valid prefix of a framed file: magic, a uvarint
-// version, the rest of the header — which header reads, then accepts or
-// refuses — and frames, whose payloads go to record in order. A foreign
-// magic, a torn header or a refused one yields no records: the file
-// belongs to something else. A header it accepts that names another
-// version is ErrFormatVersion. The prefix ends silently at the first torn
-// or corrupt frame (a crash's half-written tail, or bitrot), or at the
-// first error record returns, which framedPrefix returns.
-func framedPrefix(data, magic []byte, version uint64, header func(*decision.Reader) bool, record func([]byte) error) error {
-	if !bytes.HasPrefix(data, magic) {
-		return nil
-	}
-	r := &decision.Reader{B: data[len(magic):]}
-	v := r.U64()
-	if !header(r) || r.Err != nil {
-		return nil
-	}
-	if v != version {
-		return fmt.Errorf("%w: version %d, want %d", ErrFormatVersion, v, version)
-	}
-	for len(r.B) > 0 {
-		payload := frameNext(r)
-		if payload == nil {
-			return nil
-		}
-		if err := record(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// ErrFormatVersion refuses a snapshot, a journal or a delta sidecar of
+// this run written in another version of its format; it is the frame's
+// own (decision.FramedPrefix), so errors.Is holds for either name.
+var ErrFormatVersion = decision.ErrFormatVersion

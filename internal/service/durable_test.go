@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"testing"
 
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
@@ -491,10 +492,11 @@ func TestPersistCrashPoints(t *testing.T) {
 }
 
 // FuzzFramedPrefix feeds arbitrary bytes to both framed decoders — the
-// journal's (walRecords) and the delta sidecar's (framedPrefix keyed to a
-// real snapshot, applying each record) — seeded with a real journal and a
-// real sidecar. Neither may panic or allocate by a claimed count, and
-// decoding data[:k] must yield a prefix of what decoding data yields.
+// journal's (walRecords) and the delta sidecar's (decision.FramedPrefix
+// keyed to a real snapshot, applying each record) — seeded with a real
+// journal and a real sidecar. Neither may panic or allocate by a claimed
+// count, and decoding data[:k] must yield a prefix of what decoding data
+// yields.
 func FuzzFramedPrefix(f *testing.F) {
 	s := newStack(f, 8, 2, 3, 5)
 	opts := walOptions(f, s)
@@ -528,7 +530,7 @@ func FuzzFramedPrefix(f *testing.F) {
 	decode := func(data []byte, ck *Checkpoint) decoded {
 		var d decoded
 		d.tasks, _ = walRecords(data, opts.RunLabel)
-		_ = framedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC), func(p []byte) error {
+		_, _ = decision.FramedPrefix(data, deltaMagic, deltaVersion, keyedTo(ck, baseCRC), func(p []byte) error {
 			if err := applyDeltaRecord(ck, p); err != nil {
 				return err
 			}

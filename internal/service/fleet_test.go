@@ -212,7 +212,9 @@ func TestResumeTable(t *testing.T) {
 			if err := os.WriteFile(base, m, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, func(bool) outcome { return outcome{refused: []string{"manifest has 3 shards", "checkpoint version 1"}} }},
+		}, func(bool) outcome {
+			return outcome{refused: []string{"manifest has 3 shards", "a fleet manifest for 3 shards"}}
+		}},
 	}
 	for _, cell := range cells {
 		for _, journal := range []bool{false, true} {

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
@@ -30,11 +31,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the current genera
 // holding acked bids, plus the fleet manifest and shard 0's decision log.
 // It is committed once per generation of the on-disk formats, with
 // digests.json beside the files recording what each restores to. A
-// generation is named after the snapshot, delta-sidecar and journal
-// versions that wrote it (testdata/formats/ckpt-v<C>-delta-v<N>-wal-v<M>);
-// the ones written before a version was part of the name keep theirs
-// (delta-v3 to delta-v5, all of them journal v1 or v2, and
-// delta-v5-wal-v3, all of them snapshot v2).
+// generation is named after the snapshot, delta-sidecar, journal and
+// decision-log versions that wrote it
+// (testdata/formats/ckpt-v<C>-delta-v<N>-wal-v<M>-log-v<L>); the ones
+// written before a version was part of the name keep theirs (delta-v3 to
+// delta-v5, all of them journal v1 or v2, delta-v5-wal-v3, all of them
+// snapshot v2, and every generation before log v2).
 const (
 	formatsDir    = "testdata/formats"
 	formatsSlots  = 12
@@ -43,14 +45,16 @@ const (
 	formatsSeed   = 41
 )
 
+// formatGeneration names the generation the code writes. The decision
+// log's version is obs's own; "written" below fails if it moves.
 func formatGeneration() string {
-	return fmt.Sprintf("ckpt-v%d-delta-v%d-wal-v%d", checkpointVersion, deltaVersion, walVersion)
+	return fmt.Sprintf("ckpt-v%d-delta-v%d-wal-v%d-log-v2", checkpointVersion, deltaVersion, walVersion)
 }
 
 // formatGenerations lists the committed generations, oldest first; the
 // last is the one the code writes.
 var formatGenerations = []string{"delta-v3", "delta-v4", "delta-v5", "delta-v5-wal-v3", "ckpt-v3-delta-v5-wal-v3",
-	"ckpt-v4-delta-v5-wal-v3"}
+	"ckpt-v4-delta-v5-wal-v3", "ckpt-v4-delta-v5-wal-v3-log-v2"}
 
 // formatRefusals lists, per older generation, the entries the code after
 // it must refuse with ErrFormatVersion instead of restoring: those that
@@ -72,6 +76,9 @@ var formatRefusals = map[string][]string{
 	// Snapshot v4 is no longer JSON: the sidecar's framing around one
 	// delta record.
 	"ckpt-v3-delta-v5-wal-v3": {"shard0 snapshot", "shard1 snapshot", "shard0 chain", "shard1 chain", "fleet"},
+	// Decision log v2 frames each event in the shared CRC frame and writes
+	// an outcome as an internal/decision record.
+	"ckpt-v4-delta-v5-wal-v3": {"decision log"},
 }
 
 // formatUnchanged lists, per generation, the generation before it, the
@@ -101,6 +108,13 @@ var formatUnchanged = map[string]struct {
 		prev:    "ckpt-v3-delta-v5-wal-v3",
 		files:   []string{"fleet.json", "fleet.json.shard0.wal", "fleet.json.shard1.wal", "decisions.log"},
 		digests: []string{"shard0 journal", "shard1 journal", "decision log"},
+	},
+	"ckpt-v4-delta-v5-wal-v3-log-v2": {
+		prev: "ckpt-v4-delta-v5-wal-v3",
+		files: []string{"fleet.json", "fleet.json.shard0", "fleet.json.shard1", "fleet.json.shard0.delta",
+			"fleet.json.shard1.delta", "fleet.json.shard0.wal", "fleet.json.shard1.wal"},
+		digests: []string{"shard0 snapshot", "shard1 snapshot", "shard0 chain", "shard1 chain",
+			"shard0 journal", "shard1 journal", "fleet"},
 	},
 }
 
@@ -234,8 +248,13 @@ func restoreFormats(t *testing.T, dir string) map[string]restored {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	// Records go into the digest as their bytes: JSON cannot carry a −Inf F.
 	sum, recs, err := obs.ReadDecisionLog(f)
-	out["decision log"] = restored{digest: digest(t, []any{sum, recs}), err: err}
+	var enc []byte
+	for _, r := range recs {
+		enc = decision.Append(decision.AppendInt(enc, r.Slot), r.TaskID, &r.Decision)
+	}
+	out["decision log"] = restored{digest: digest(t, []any{sum, enc}), err: err}
 
 	// The whole fleet through Resume: manifest check, chains, journals.
 	a := openFormatFleet(t, base, shardWorkload(t, formatsSlots, 4, formatsSeed), nil)

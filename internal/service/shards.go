@@ -606,6 +606,17 @@ type shardManifest struct {
 	Paths []string `json:"paths"`
 }
 
+// refuseJSON refuses a JSON file where a snapshot belongs: a fleet's
+// manifest, said to be one, or a snapshot of v3 or before, with
+// ErrFormatVersion (it shares only its version key with a manifest).
+func refuseJSON(data []byte) error {
+	var m shardManifest
+	if json.Unmarshal(data, &m) == nil && m.Keys != nil {
+		return fmt.Errorf("a fleet manifest for %d shards, not one broker's snapshot", m.Shards)
+	}
+	return fmt.Errorf("%w: checkpoint version %d (JSON), want %d", ErrFormatVersion, m.Version, checkpointVersion)
+}
+
 // writeManifest durably replaces this fleet's manifest.
 func (s *Shards) writeManifest() error {
 	m := shardManifest{

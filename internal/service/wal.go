@@ -207,7 +207,7 @@ func readWALTask(r *decision.Reader) task.Task {
 // frames land (and the acks release) at commit.
 func (w *walWriter) stage(t *task.Task) {
 	w.buf = appendWALTask(w.buf[:0], t)
-	w.msg = appendFrame(w.msg, w.buf)
+	w.msg = decision.AppendFrame(w.msg, w.buf)
 	arrival := int(t.Arrival)
 	w.refs = append(w.refs, walRef{arrival: arrival, id: t.ID})
 	if arrival > w.maxArrival {
@@ -398,7 +398,7 @@ func (b *Broker) rotateWAL(covered int) {
 // another format version fails, with ErrFormatVersion.
 func walRecords(data []byte, label string) ([]task.Task, error) {
 	var tasks []task.Task
-	err := framedPrefix(data, walMagic, walVersion, func(r *decision.Reader) bool {
+	_, err := decision.FramedPrefix(data, walMagic, walVersion, func(r *decision.Reader) bool {
 		_ = r.Int() // header slot: informational; staleness is judged per record
 		return r.Str() == label
 	}, func(payload []byte) error {
