@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard flag-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -165,6 +165,31 @@ codec-guard:
 	@if grep -nE '"(encoding/binary|hash/crc32)"' $$(find internal/obs -name '*.go' ! -name '*_test.go'); then \
 		echo "codec-guard: the decision log writes decision records in decision's frame; internal/obs encodes no bytes of its own"; exit 1; fi
 
+# flag-guard is the mechanical form of "a knob stays only if two callers
+# need different values": a serving-binary flag exists because a Makefile
+# target, a test, a README or EXPERIMENTS recipe, benchmark/ or a
+# benchsuite row sets it to something other than its default, or because
+# it names a deployment setting (an address, a path), a safety check or an
+# observability sink. Every other knob is the constant it defaulted to.
+# So `pdftspd -h` may list at most 25 flags and `pdftspd-load -h` at most
+# 22; a new flag has to take an old one's place. And every
+# `go run ./cmd/pdftspd...` recipe in the README may pass only flags its
+# binary defines, so a flag that goes takes its recipes with it.
+FLAG_CAPS = pdftspd:25 pdftspd-load:22
+flag-guard:
+	@for b in $(FLAG_CAPS); do \
+		name=$${b%%:*}; cap=$${b##*:}; \
+		flags=$$($(GO) run ./cmd/$$name -h 2>&1 | sed -n 's/^  -\([A-Za-z0-9_-]*\).*/\1/p'); \
+		n=$$(echo "$$flags" | grep -c .); \
+		if [ "$$n" -eq 0 ] || [ "$$n" -gt "$$cap" ]; then \
+			echo "flag-guard: $$name -h lists $$n flags, want 1 to $$cap: a knob nobody sets is a constant"; exit 1; fi; \
+		for f in $$(grep -E "go run \./cmd/$$name( |$$)" README.md | sed -e 's/#.*//' -e "s|.*go run \./cmd/$$name||" | \
+			grep -oE '(^|[[:space:]])-[A-Za-z][A-Za-z0-9-]*' | tr -d ' \t' | sort -u); do \
+			if ! echo "$$flags" | grep -qx -- "$${f#-}"; then \
+				echo "flag-guard: a README recipe runs $$name with $$f, which $$name does not define"; exit 1; fi; \
+		done; \
+	done
+
 # benchmark/ is its own module, so build, vet and test above never compile
 # it; this catches a signature change here that breaks the yardstick.
 benchmark-selftest:
@@ -198,6 +223,9 @@ bench-snapshot:
 # every slot, so its B/op grows with the iteration count; it runs at the
 # baseline's 100 iterations rather than whatever count a 1s budget
 # picks. Hence still two lines.
+# Every line runs even when an earlier one fails, so one noisy ns/op row
+# cannot hide the B/op and allocs/op rows or the budget tests behind it;
+# the target then exits non-zero and names each line that failed.
 BASELINE ?= BENCH_pr20.json
 SERVING_BASELINE ?= BENCH_serving_pr6.json
 SHARD_BASELINE ?= BENCH_shard_pr7.json
@@ -205,15 +233,18 @@ SPOT_BASELINE ?= BENCH_spot_pr8.json
 SLOTCLOSE_BASELINE ?= BENCH_slotclose_pr16.json
 WAL_BASELINE ?= BENCH_wal_pr10.json
 bench-check:
-	$(GO) run ./cmd/bench -compare $(BASELINE) -run OfferPdFTSP,CalibrateDuals,TraceGenerate,VendorQuotes
-	$(GO) run ./cmd/bench -compare $(SERVING_BASELINE) -run HTTPDecodeBid,DecisionEncode,DecisionLog
-	$(GO) run ./cmd/bench -compare $(SHARD_BASELINE) -run ShardRoute
-	$(GO) run ./cmd/bench -compare $(SPOT_BASELINE) -run SpotAdvance,SpotTraceGen
-	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run ServeBid,SlotClose,CheckpointPerSlot/none,CheckpointPerSlot/binary-delta -ns-tol 0.5 -bytes-tol 0.3
-	$(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run CheckpointPerSlot/json-full -benchtime 100x -ns-tol 0.5 -bytes-tol 0.3
-	$(GO) run ./cmd/bench -compare $(WAL_BASELINE) -run WALAppend -ns-tol 0.5 -bytes-tol 0.3
-	$(GO) test -run 'AllocBudget|SteadyStateAllocs' -count=1 . ./internal/sim/
-	$(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/decision/ ./internal/service/ ./internal/sim/
+	@failed=""; \
+	check() { echo "$$*"; "$$@" || failed="$$failed\n  $$*"; }; \
+	check $(GO) run ./cmd/bench -compare $(BASELINE) -run OfferPdFTSP,CalibrateDuals,TraceGenerate,VendorQuotes; \
+	check $(GO) run ./cmd/bench -compare $(SERVING_BASELINE) -run HTTPDecodeBid,DecisionEncode,DecisionLog; \
+	check $(GO) run ./cmd/bench -compare $(SHARD_BASELINE) -run ShardRoute; \
+	check $(GO) run ./cmd/bench -compare $(SPOT_BASELINE) -run SpotAdvance,SpotTraceGen; \
+	check $(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run ServeBid,SlotClose,CheckpointPerSlot/none,CheckpointPerSlot/binary-delta -ns-tol 0.5 -bytes-tol 0.3; \
+	check $(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run CheckpointPerSlot/json-full -benchtime 100x -ns-tol 0.5 -bytes-tol 0.3; \
+	check $(GO) run ./cmd/bench -compare $(WAL_BASELINE) -run WALAppend -ns-tol 0.5 -bytes-tol 0.3; \
+	check $(GO) test -run 'AllocBudget|SteadyStateAllocs' -count=1 . ./internal/sim/; \
+	check $(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/decision/ ./internal/service/ ./internal/sim/; \
+	if [ -n "$$failed" ]; then printf '%b\n' "bench-check: these lines failed:$$failed"; exit 1; fi
 
 # trace-smoke runs one audited, traced figure end to end and verifies the
 # trace reproduces the reported accounting.
@@ -257,4 +288,4 @@ load-smoke:
 shard-load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -shards 2 -verify
 
-check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard test benchmark-selftest race load-smoke shard-load-smoke
+check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard flag-guard test benchmark-selftest race load-smoke shard-load-smoke

@@ -9,17 +9,12 @@
 // are in — so the measured path is wire decode → intake → slot-close
 // auction → decision, not a shortcut around it.
 //
-// Two load modes:
-//
-//	-mode closed   (default) -conns workers keep exactly one batch in
-//	               flight each; 429s honor Retry-After and retry, so
-//	               nothing is shed and the run stays replay-equivalent
-//	               to sim.Run (checked with -verify).
-//	-mode open     batches fire on a fixed schedule derived from
-//	               -target bids/sec regardless of broker progress;
-//	               429s shed the batch (counted, not retried) — the
-//	               overload regime, where the queue-depth gauges and
-//	               shed tallies are the interesting output.
+// The loop is closed: -conns workers keep exactly one batch in flight
+// each, and a 429 is retried with backoff up to maxRetries times, so
+// nothing is shed and the run stays replay-equivalent to sim.Run
+// (checked with -verify). The broker's queue is sized to the largest
+// slot plus every batch in flight, and rejected bids' candidate plans
+// are dropped (service.Options.DropLosingPlans).
 //
 // A million-bid horizon fits in one run: -rate scales the Poisson
 // arrival process (e.g. -slots 144 -rate 7000 ≈ 1M bids) and -repeat
@@ -70,19 +65,13 @@ type flags struct {
 	repeat   int
 	bidsFile string
 
-	mode    string
-	target  float64
-	conns   int
-	batch   int
-	retries int
+	conns int
+	batch int
 
-	queue        int
-	ckpt         string
-	fullEvery    int
-	wal          bool
-	walSyncEvery int
-	decLog       string
-	keepPlans    bool
+	ckpt      string
+	fullEvery int
+	wal       bool
+	decLog    string
 
 	cpuProfile string
 	memProfile string
@@ -91,9 +80,12 @@ type flags struct {
 	scale  string
 
 	verify  bool
-	minRate float64
 	jsonOut bool
 }
+
+// maxRetries is the retry budget per batch: a batch still refused with
+// 429 after that many backoffs is shed.
+const maxRetries = 8
 
 func main() {
 	f := flags{stack: config.Default()}
@@ -102,30 +94,20 @@ func main() {
 	f.stack.StackFlags(flag.CommandLine, 4, "hybrid")
 	flag.IntVar(&f.repeat, "repeat", 1, "replicate the generated workload n× with fresh IDs")
 	flag.StringVar(&f.bidsFile, "bids", "", "replay broker-ready bid JSON (tracegen -bids) instead of generating")
-	flag.StringVar(&f.mode, "mode", "closed", "load mode: closed (retry on 429) or open (shed on 429)")
-	flag.Float64Var(&f.target, "target", 0, "open-loop submission target in bids/sec (0 = unpaced)")
 	flag.IntVar(&f.conns, "conns", 8, "concurrent submitter connections")
 	flag.IntVar(&f.batch, "batch", 64, "bids per POST /v1/bids/batch")
-	flag.IntVar(&f.retries, "retries", 8, "closed-mode retry budget per batch before shedding")
-	flag.IntVar(&f.queue, "queue", 0, "broker queue size (0 = auto-size to the largest slot)")
 	flag.StringVar(&f.ckpt, "checkpoint", "", "checkpoint the broker to this path while loading")
 	flag.IntVar(&f.fullEvery, "full-every", 1, "full snapshot every n checkpoint writes, binary deltas to a .delta sidecar in between (1 = always full, no sidecar)")
 	flag.BoolVar(&f.wal, "wal", false, "journal every acked bid to <checkpoint>.wal before its ack releases (requires -checkpoint); the report adds journal depth and fsync latency rows")
-	flag.IntVar(&f.walSyncEvery, "wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch)")
 	flag.StringVar(&f.decLog, "decision-log", "", "stream the binary decision log to this path: one CRC-framed decision record per bid (read with obs.ReadDecisionLog)")
-	flag.BoolVar(&f.keepPlans, "keep-losing-plans", false, "retain rejected bids' candidate plans (more memory)")
 	flag.StringVar(&f.cpuProfile, "profile", "", "write a CPU profile of the whole run to this path")
 	flag.StringVar(&f.memProfile, "memprofile", "", "write a heap profile at the end of the run to this path")
 	flag.IntVar(&f.shards, "shards", 1, "partition the cluster into this many shard brokers behind the dual-price router")
 	flag.StringVar(&f.scale, "scale", "", "comma-separated shard counts (e.g. 1,2,4): run the same workload per count and print a scaling table")
 	flag.BoolVar(&f.verify, "verify", false, "diff the broker's decisions and accounting against sim.Run (per shard when -shards > 1)")
-	flag.Float64Var(&f.minRate, "min-rate", 0, "exit non-zero if sustained bids/sec falls below this")
 	flag.BoolVar(&f.jsonOut, "json", false, "emit the report as JSON on stdout")
 	flag.Parse()
 
-	if f.mode != "closed" && f.mode != "open" {
-		fail("unknown -mode %q", f.mode)
-	}
 	if f.batch < 1 {
 		f.batch = 1
 	}
@@ -185,9 +167,6 @@ func execute(f flags) error {
 		return err
 	}
 	rep.print(os.Stdout, f.jsonOut)
-	if f.minRate > 0 && rep.SustainedBidsPerSec < f.minRate {
-		return fmt.Errorf("sustained %.0f bids/s below -min-rate %.0f", rep.SustainedBidsPerSec, f.minRate)
-	}
 	if f.verify && !rep.Verified {
 		return fmt.Errorf("verification failed: %s", rep.VerifyNote)
 	}
@@ -228,8 +207,8 @@ func runScale(f flags) error {
 		return enc.Encode(reps)
 	}
 	ref := reps[0]
-	fmt.Printf("pdftspd-load scaling: %d bids over %d slots, %d nodes (%s loop, batch %d, %d conns)\n",
-		ref.Bids, ref.Slots, ref.Nodes, ref.Mode, ref.Batch, ref.Conns)
+	fmt.Printf("pdftspd-load scaling: %d bids over %d slots, %d nodes (batch %d, %d conns)\n",
+		ref.Bids, ref.Slots, ref.Nodes, ref.Batch, ref.Conns)
 	fmt.Printf("  %7s  %12s  %8s  %12s  %12s  %9s\n", "shards", "bids/s", "speedup", "welfare", "admitted", "gap")
 	for i, rep := range reps {
 		gap := 0.0
@@ -244,10 +223,6 @@ func runScale(f flags) error {
 			counts[i], rep.SustainedBidsPerSec,
 			rep.SustainedBidsPerSec/ref.SustainedBidsPerSec,
 			rep.Welfare, rep.Admitted, gap, verified)
-	}
-	if f.minRate > 0 && reps[len(reps)-1].SustainedBidsPerSec < f.minRate {
-		return fmt.Errorf("sustained %.0f bids/s below -min-rate %.0f at %d shards",
-			reps[len(reps)-1].SustainedBidsPerSec, f.minRate, counts[len(counts)-1])
 	}
 	return nil
 }
@@ -332,17 +307,16 @@ func (l *latObserver) OnOutcome(e *obs.OutcomeEvent) {
 
 // report is the run's measured outcome.
 type report struct {
-	Bids      int    `json:"bids"`
-	Slots     int    `json:"slots"`
-	Nodes     int    `json:"nodes"`
-	Shards    int    `json:"shards"`
-	Mode      string `json:"mode"`
-	Batch     int    `json:"batch"`
-	Conns     int    `json:"conns"`
-	Submitted int    `json:"submitted"`
-	Decided   int    `json:"decided"`
-	Shed      int    `json:"shed"`
-	Retries   int    `json:"retries"`
+	Bids      int `json:"bids"`
+	Slots     int `json:"slots"`
+	Nodes     int `json:"nodes"`
+	Shards    int `json:"shards"`
+	Batch     int `json:"batch"`
+	Conns     int `json:"conns"`
+	Submitted int `json:"submitted"`
+	Decided   int `json:"decided"`
+	Shed      int `json:"shed"`
+	Retries   int `json:"retries"`
 
 	WallSeconds         float64 `json:"wall_seconds"`
 	SustainedBidsPerSec float64 `json:"sustained_bids_per_sec"`
@@ -386,8 +360,8 @@ func (r *report) print(w io.Writer, asJSON bool) {
 	if r.Shards > 1 {
 		shards = fmt.Sprintf(", %d shards", r.Shards)
 	}
-	fmt.Fprintf(w, "pdftspd-load: %d bids over %d slots, %d nodes%s (%s loop, batch %d, %d conns)\n",
-		r.Bids, r.Slots, r.Nodes, shards, r.Mode, r.Batch, r.Conns)
+	fmt.Fprintf(w, "pdftspd-load: %d bids over %d slots, %d nodes%s (batch %d, %d conns)\n",
+		r.Bids, r.Slots, r.Nodes, shards, r.Batch, r.Conns)
 	fmt.Fprintf(w, "  submitted %d  decided %d  shed %d  retries %d\n", r.Submitted, r.Decided, r.Shed, r.Retries)
 	fmt.Fprintf(w, "  wall %.2fs  sustained %.0f bids/s\n", r.WallSeconds, r.SustainedBidsPerSec)
 	fmt.Fprintf(w, "  intake RTT    p50 %.2fms  p90 %.2fms  p99 %.2fms  max %.1fms\n",
@@ -438,10 +412,7 @@ func run(f flags) (*report, error) {
 			maxSlot = len(s)
 		}
 	}
-	queue := f.queue
-	if queue <= 0 {
-		queue = maxSlot + f.conns*f.batch + 16
-	}
+	queue := maxSlot + f.conns*f.batch + 16
 
 	lat := &latObserver{epoch: time.Now(), dec: make([]int64, maxID+1)}
 	observers := []obs.Observer{lat}
@@ -473,11 +444,10 @@ func run(f flags) (*report, error) {
 			CheckpointFullEvery: f.fullEvery,
 			Observer:            obs.Multi(observers...),
 			RunLabel:            "pdftspd-load",
-			DropLosingPlans:     !f.keepPlans,
+			DropLosingPlans:     true,
 		}
 		if f.wal {
 			opts[i].WALPath = service.WALPath(f.ckpt)
-			opts[i].WALSyncEvery = f.walSyncEvery
 		}
 	}
 	a, err := service.Open(opts...)
@@ -516,7 +486,7 @@ func run(f flags) (*report, error) {
 		go func() {
 			body := &bytes.Buffer{}
 			for chunk := range jobs {
-				rtt, retries, jshed, err := postBatch(client, base, chunk, f, body, lat.epoch, submitNs)
+				rtt, retries, jshed, err := postBatch(client, base, chunk, body, lat.epoch, submitNs)
 				mu.Lock()
 				intakeRTT = append(intakeRTT, rtt)
 				retried += retries
@@ -531,16 +501,6 @@ func run(f flags) (*report, error) {
 		}()
 	}
 
-	var pace <-chan time.Time
-	if f.mode == "open" && f.target > 0 {
-		interval := time.Duration(float64(f.batch) / f.target * float64(time.Second))
-		if interval > 0 {
-			t := time.NewTicker(interval)
-			pace = t.C
-			defer t.Stop()
-		}
-	}
-
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
@@ -550,9 +510,6 @@ func run(f flags) (*report, error) {
 			n := f.batch
 			if n > len(chunk) {
 				n = len(chunk)
-			}
-			if pace != nil {
-				<-pace
 			}
 			wg.Add(1)
 			jobs <- chunk[:n]
@@ -603,7 +560,7 @@ func run(f flags) (*report, error) {
 	}
 
 	rep := &report{
-		Bids: len(tasks), Slots: slots, Nodes: f.stack.NumNodes(), Shards: f.shards, Mode: f.mode,
+		Bids: len(tasks), Slots: slots, Nodes: f.stack.NumNodes(), Shards: f.shards,
 		Batch: f.batch, Conns: f.conns,
 		Submitted: submitted, Decided: decided, Shed: shed, Retries: retried,
 		WallSeconds:         wall.Seconds(),
@@ -635,10 +592,10 @@ func run(f flags) (*report, error) {
 	return rep, nil
 }
 
-// postBatch submits one chunk via POST /v1/bids/batch?ack=1, honoring
-// Retry-After in closed mode and shedding in open mode. It returns the
+// postBatch submits one chunk via POST /v1/bids/batch?ack=1, retrying a
+// 429 up to maxRetries times before shedding the chunk. It returns the
 // final attempt's ack round trip.
-func postBatch(client *http.Client, base string, chunk []task.Task, f flags, body *bytes.Buffer, epoch time.Time, submitNs []int64) (rtt time.Duration, retries, shed int, err error) {
+func postBatch(client *http.Client, base string, chunk []task.Task, body *bytes.Buffer, epoch time.Time, submitNs []int64) (rtt time.Duration, retries, shed int, err error) {
 	reqs := make([]service.BidRequest, len(chunk))
 	for i := range chunk {
 		reqs[i] = service.BidRequestFor(chunk[i])
@@ -665,7 +622,7 @@ func postBatch(client *http.Client, base string, chunk []task.Task, f flags, bod
 			ra := resp.Header.Get("Retry-After")
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if f.mode == "open" || attempt >= f.retries {
+			if attempt >= maxRetries {
 				return rtt, retries, len(chunk), nil
 			}
 			retries++
@@ -696,7 +653,7 @@ func postBatch(client *http.Client, base string, chunk []task.Task, f flags, bod
 	}
 }
 
-// retryDelay picks the closed-mode backoff after a 429. The broker
+// retryDelay picks the backoff after a 429. The broker
 // quantizes Retry-After to whole seconds, which is a sane floor for a
 // real-clock deployment but absurd against a loopback virtual-clock
 // broker whose queue drains at the next slot close — sleeping the full

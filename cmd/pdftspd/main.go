@@ -49,32 +49,24 @@ func main() {
 	virtual := flag.Bool("virtual-clock", false, "advance slots only via POST /v1/clock/step")
 	slotDur := flag.Duration("slot", 10*time.Second, "real-clock slot duration")
 	queue := flag.Int("queue", 1024, "bounded intake queue size (429 when full)")
-	ckpt := flag.String("checkpoint", "", "persist auction state to this file as slots close")
-	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint every n closed slots")
+	ckpt := flag.String("checkpoint", "", "persist auction state to this file at every slot close")
 	fullEvery := flag.Int("full-every", 1, "write a full snapshot every n checkpoints and binary deltas to a .delta sidecar in between (1 = always full, no sidecar)")
 	restore := flag.Bool("restore", false, "resume from -checkpoint (full snapshot + delta sidecar) before serving")
-	wal := flag.Bool("wal", false, "journal every acked bid to <checkpoint>.wal before releasing its ack; -restore replays the journal (requires -checkpoint)")
-	walSyncEvery := flag.Int("wal-sync-every", 1, "fsync the journal every n intake messages (1 = every ack batch; higher trades crash-window for throughput)")
+	wal := flag.Bool("wal", false, "journal every acked bid to <checkpoint>.wal, fsynced before its ack releases; -restore replays the journal (requires -checkpoint)")
 	supervise := flag.Bool("supervise", false, "run the fleet under an in-process watchdog: a crashed or wedged generation is restored from its checkpoint and journal automatically")
 	decLog := flag.String("decision-log", "", "stream every decision to this binary log: one CRC-framed decision record per bid, not synced, flushed at run end (read with obs.ReadDecisionLog)")
 	obsTrace := flag.String("trace", "", "write a JSONL event trace to this file (analyze with cmd/trace)")
 	audit := flag.Bool("audit", false, "validate auction invariants online; non-zero exit on any violation")
 	serveDebug := flag.String("serve", "", "serve live expvar metrics and pprof on this address")
 	shards := flag.Int("shards", 1, "partition the cluster into this many shard brokers behind a dual-price router")
-	spotNodes := flag.Int("spot-nodes", 0, "rent this many revocable spot-market nodes per broker (the cluster's tail indices); 0 disables the elastic tier")
-	spotBudget := flag.Float64("spot-budget", 0, "cap each broker's cumulative spot rent (0 auto-sizes to base price x horizon x nodes)")
-	spotSeed := flag.Int64("spot-seed", 11, "spot price/reclaim trace seed (shards decorrelate from it deterministically)")
+	spotNodes := flag.Int("spot-nodes", 0, "rent this many revocable spot-market nodes per broker (the cluster's tail indices; market seed 11, 6-slot leases, rent capped at base price x horizon x nodes); 0 disables the elastic tier")
 	spotDiscount := flag.Float64("spot-discount", 0, "mean spot quote as a fraction of the on-demand reference cost (0 = default 0.4)")
-	spotLease := flag.Int("spot-lease", 0, "spot lease length in slots (0 = provider default)")
 	spotPredictive := flag.Bool("spot-predictive", false, "oracle: admission reads the spot trace's future quotes and reclaims instead of the current quote, knowledge a live market does not give")
 	flag.Parse()
 	if *shards < 1 {
 		fail("-shards must be >= 1")
 	}
-	sc := spotConfig{
-		nodes: *spotNodes, budget: *spotBudget, seed: *spotSeed,
-		discount: *spotDiscount, leaseLen: *spotLease, predictive: *spotPredictive,
-	}
+	sc := spotConfig{nodes: *spotNodes, discount: *spotDiscount, predictive: *spotPredictive}
 
 	var observers []obs.Observer
 	var jsonlSink *obs.JSONL
@@ -114,9 +106,9 @@ func main() {
 
 	so := serveOpts{
 		addr: *addr, virtual: *virtual, slotDur: *slotDur, queue: *queue,
-		ckpt: *ckpt, ckptEvery: *ckptEvery, fullEvery: *fullEvery,
+		ckpt: *ckpt, fullEvery: *fullEvery,
 		restore: *restore, serveDebug: *serveDebug, observer: observer,
-		wal: *wal, walSyncEvery: *walSyncEvery, supervise: *supervise,
+		wal: *wal, supervise: *supervise,
 	}
 	a, err := buildAuctioneer(cfg, *shards, sc, so)
 	if err != nil {

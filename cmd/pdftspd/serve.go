@@ -17,19 +17,17 @@ import (
 
 // serveOpts carries the serving flags into the unified serve path.
 type serveOpts struct {
-	addr         string
-	virtual      bool
-	slotDur      time.Duration
-	queue        int
-	ckpt         string
-	ckptEvery    int
-	fullEvery    int
-	restore      bool
-	serveDebug   string
-	observer     obs.Observer
-	wal          bool
-	walSyncEvery int
-	supervise    bool
+	addr       string
+	virtual    bool
+	slotDur    time.Duration
+	queue      int
+	ckpt       string
+	fullEvery  int
+	restore    bool
+	serveDebug string
+	observer   obs.Observer
+	wal        bool
+	supervise  bool
 }
 
 // brokerOptions wires broker i of n's options from the common serving
@@ -46,12 +44,10 @@ func brokerOptions(st *config.Built, i, n int, sc spotConfig, o serveOpts) (serv
 	opts.VirtualClock = o.virtual
 	opts.SlotDuration = o.slotDur
 	opts.CheckpointPath = o.ckpt
-	opts.CheckpointEvery = o.ckptEvery
 	opts.CheckpointFullEvery = o.fullEvery
 	opts.Observer = o.observer
 	if o.wal {
 		opts.WALPath = service.WALPath(o.ckpt)
-		opts.WALSyncEvery = o.walSyncEvery
 	}
 	prov, err := sc.provider(st.Cluster, st.Cluster.Horizon().T, i)
 	if err != nil {

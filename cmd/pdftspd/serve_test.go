@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/config"
@@ -37,7 +38,7 @@ func TestSupervisedSlotZeroCrash(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
 			so := serveOpts{
-				virtual: true, queue: 64, ckptEvery: 1, fullEvery: 1, supervise: true,
+				virtual: true, queue: 64, fullEvery: 1, supervise: true,
 				ckpt: filepath.Join(t.TempDir(), "state.json"),
 			}
 			a, err := buildAuctioneer(smallStack(t, n), n, spotConfig{}, so)
@@ -65,14 +66,29 @@ func TestSupervisedSlotZeroCrash(t *testing.T) {
 // TestRestoreFlag drives main()'s build path through a drain and a
 // -restore: the run resumes at the drained slot for either shape, and
 // -restore with nothing on disk is refused unless a journal could have
-// been all the run left behind.
+// been all the run left behind. -wal and -restore without -checkpoint
+// are refused before anything is opened.
 func TestRestoreFlag(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		so   serveOpts
+	}{
+		{"wal-without-checkpoint", serveOpts{virtual: true, wal: true}},
+		{"restore-without-checkpoint", serveOpts{virtual: true, restore: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := buildAuctioneer(smallStack(t, 1), 1, spotConfig{}, c.so)
+			if err == nil || !strings.Contains(err.Error(), "requires -checkpoint") {
+				t.Fatalf("err %v, want a refusal naming -checkpoint", err)
+			}
+		})
+	}
 	for _, n := range []int{1, 2} {
 		for _, wal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards-%d-wal-%v", n, wal), func(t *testing.T) {
 				cfg := smallStack(t, n)
 				so := serveOpts{
-					virtual: true, queue: 64, ckptEvery: 1, fullEvery: 2, wal: wal, walSyncEvery: 1,
+					virtual: true, queue: 64, fullEvery: 2, wal: wal,
 					ckpt: filepath.Join(t.TempDir(), "state.json"),
 				}
 				restore := so

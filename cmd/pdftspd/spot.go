@@ -13,21 +13,22 @@ import (
 // so `-nodes 8 -spot-nodes 2` sells nodes 6 and 7 on the spot market.
 // With -shards > 1 every shard gets its own tail, provider, and
 // decorrelated price trace, exactly as each shard gets its own
-// marketplace and scheduler.
+// marketplace and scheduler. The market's trace seed is spotSeed, its
+// leases run the provider's default length, and each broker's rent is
+// capped at base price × horizon × elastic nodes (enough to hold the
+// whole tail at the mean quote).
 type spotConfig struct {
 	// nodes is the elastic node count per broker; 0 disables the tier.
 	nodes int
-	// budget caps each broker's cumulative rent; <= 0 auto-sizes to
-	// base price × horizon × elastic nodes (enough to hold the whole
-	// tail at the mean quote).
-	budget float64
-	seed   int64
 	// discount prices the spot market's mean quote as a fraction of the
 	// cluster's on-demand reference cost (default 0.4).
 	discount   float64
-	leaseLen   int
 	predictive bool
 }
+
+// spotSeed seeds broker 0's spot price and reclaim trace; shard i's is
+// decorrelated from it as spotSeed + 7919·i.
+const spotSeed = 11
 
 // enabled reports whether the flags ask for a spot tier at all.
 func (sc spotConfig) enabled() bool { return sc.nodes > 0 }
@@ -54,7 +55,7 @@ func (sc spotConfig) provider(cl *cluster.Cluster, slots, shard int) (*spot.Prov
 	}
 	base := spot.ReferencePrice(cl) * discount
 	tr, err := spot.GenerateTrace(spot.TraceConfig{
-		Seed:      sc.seed + int64(shard)*7919,
+		Seed:      spotSeed + int64(shard)*7919,
 		Slots:     slots,
 		Nodes:     elastic,
 		BasePrice: base,
@@ -62,15 +63,10 @@ func (sc spotConfig) provider(cl *cluster.Cluster, slots, shard int) (*spot.Prov
 	if err != nil {
 		return nil, err
 	}
-	budget := sc.budget
-	if budget <= 0 {
-		budget = base * float64(slots*sc.nodes)
-	}
 	return spot.New(spot.Options{
 		Trace:      tr,
 		Nodes:      elastic,
-		Budget:     budget,
-		LeaseLen:   sc.leaseLen,
+		Budget:     base * float64(slots*sc.nodes),
 		Predictive: sc.predictive,
 	})
 }

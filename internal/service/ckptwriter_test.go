@@ -23,7 +23,6 @@ func TestAsyncCheckpointBackpressure(t *testing.T) {
 		sub := filepath.Join(dir, "not-yet")
 		opts := serve.brokerOptions()
 		opts.CheckpointPath = filepath.Join(sub, "b.ckpt")
-		opts.CheckpointEvery = 1
 		opts.CheckpointFullEvery = 4
 
 		b := startBroker(t, opts)

@@ -111,12 +111,9 @@ type Options struct {
 	// granularity.)
 	SlotDuration time.Duration
 	// CheckpointPath, when non-empty, persists the auction state to this
-	// file (atomically, via rename) as slots close; Restore resumes from
-	// it after a crash.
+	// file (atomically, via rename) at every slot close; Restore resumes
+	// from it after a crash.
 	CheckpointPath string
-	// CheckpointEvery writes the checkpoint every n closed slots;
-	// default 1 (every slot).
-	CheckpointEvery int
 	// CheckpointFullEvery controls the full-snapshot cadence: every n-th
 	// checkpoint write is the full snapshot, the writes in between append
 	// binary per-slot deltas to a ".delta" sidecar (see delta.go).
@@ -198,9 +195,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SlotDuration <= 0 {
 		o.SlotDuration = 10 * time.Second
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
 	}
 	if o.CheckpointFullEvery <= 0 {
 		o.CheckpointFullEvery = 1
@@ -1202,9 +1196,7 @@ func (b *Broker) closeSlot() {
 	if b.slot >= b.horizon.T {
 		b.eng.Finish(true)
 	}
-	if b.slot%b.opts.CheckpointEvery == 0 || b.slot >= b.horizon.T {
-		b.writeCheckpoint()
-	}
+	b.writeCheckpoint()
 }
 
 // decided is the engine's sink: it stores the irrevocable decision and

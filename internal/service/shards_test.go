@@ -283,7 +283,6 @@ func TestShardManifestKillRestore(t *testing.T) {
 			opts[i] = newShardStack(t, slots, 2, 23+int64(i), tasks, false).brokerOptions()
 			if ckpt {
 				opts[i].CheckpointPath = base
-				opts[i].CheckpointEvery = 1
 				opts[i].CheckpointFullEvery = 4
 			}
 		}

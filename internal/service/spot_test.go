@@ -146,7 +146,6 @@ func TestCheckpointKillRestoreMidLease(t *testing.T) {
 
 	optsA := serve.brokerOptions()
 	optsA.CheckpointPath = path
-	optsA.CheckpointEvery = 1
 	optsA.CheckpointFullEvery = 4 // force the kill onto a delta record
 	optsA.Failures = failures
 	optsA.Spot = spotProviderFor(t, serve, spotSeed, reclaim)
@@ -179,7 +178,6 @@ func TestCheckpointKillRestoreMidLease(t *testing.T) {
 	restored := newFaultStack(t, slots, nodes, rate, 37)
 	optsB := restored.brokerOptions()
 	optsB.CheckpointPath = path
-	optsB.CheckpointEvery = 1
 	optsB.CheckpointFullEvery = 4
 	optsB.Failures = failures
 	optsB.Spot = spotProviderFor(t, restored, spotSeed, reclaim)

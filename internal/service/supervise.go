@@ -52,9 +52,6 @@ type SupervisorOptions struct {
 	// unanswered before the generation is declared wedged (default 2s).
 	ProbeInterval time.Duration
 	WedgeTimeout  time.Duration
-	// MaxRestarts bounds how many times the supervisor will rebuild
-	// (0 = unlimited); exceeding it stops the supervisor.
-	MaxRestarts int
 	// RestartWait bounds how long API calls wait for the next
 	// generation mid-swap (default 10s).
 	RestartWait time.Duration
@@ -88,7 +85,7 @@ type Supervisor struct {
 	gen      int
 	restarts int
 	stopping bool
-	failErr  error         // sticky: Build failure or restart budget exhausted
+	failErr  error         // sticky: the Build failure that stopped it
 	swapped  chan struct{} // closed (and replaced) on every generation change
 
 	stopOnce sync.Once
@@ -128,7 +125,7 @@ func (s *Supervisor) Start() error {
 }
 
 // Done is closed when the supervisor has stopped for good (Drain, Kill,
-// a Build failure, or the restart budget running out).
+// or a Build failure).
 func (s *Supervisor) Done() <-chan struct{} { return s.done }
 
 // Restarts reports how many generations have been rebuilt so far.
@@ -229,11 +226,6 @@ func (s *Supervisor) restart(gen int, old Auctioneer, reason string) {
 	s.mu.Lock()
 	if s.stopping || gen != s.gen {
 		s.mu.Unlock()
-		return
-	}
-	if s.opts.MaxRestarts > 0 && s.restarts >= s.opts.MaxRestarts {
-		s.mu.Unlock()
-		s.fail(fmt.Errorf("service: supervisor: restart budget (%d) exhausted; last reason: %s", s.opts.MaxRestarts, reason))
 		return
 	}
 	s.cur = nil // calls now wait for the next generation
@@ -544,8 +536,8 @@ func (s *Supervisor) PendingFor(id int) (bool, error) {
 func (s *Supervisor) Status() (Status, error) { return inGen(s, Auctioneer.Status) }
 
 // Health reports the current generation's health; a supervisor that has
-// given up (Build failure, restart budget) reports degraded with the
-// sticky reason, and a swap in progress reports degraded-but-restarting.
+// given up (a Build failure) reports degraded with the sticky reason,
+// and a swap in progress reports degraded-but-restarting.
 func (s *Supervisor) Health() Health {
 	s.mu.Lock()
 	stopping, failErr, cur := s.stopping, s.failErr, s.cur

@@ -29,7 +29,7 @@ func walSupervisor(t *testing.T, slots int, seed int64) (*Supervisor, chan int, 
 	build := func() (Auctioneer, error) {
 		s := newStack(t, slots, 2, 3, seed)
 		opts := s.brokerOptions()
-		opts.CheckpointPath, opts.CheckpointEvery, opts.WALPath = ckpt, 1, WALPath(ckpt)
+		opts.CheckpointPath, opts.WALPath = ckpt, WALPath(ckpt)
 		b, err := New(opts)
 		if err == nil {
 			_, err = b.Resume()
@@ -149,7 +149,6 @@ func TestSupersededBrokerRefusesPersist(t *testing.T) {
 	s := newStack(t, 8, 2, 3, 5)
 	opts := s.brokerOptions()
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "zombie.ckpt")
-	opts.CheckpointEvery = 1
 	opts.WALPath = WALPath(opts.CheckpointPath)
 	opts.RunLabel = "zombie-test"
 	b := startBroker(t, opts)
@@ -233,7 +232,6 @@ func TestSupersededAsyncCheckpointDropped(t *testing.T) {
 	s := newStack(t, 8, 2, 3, 5)
 	opts := s.brokerOptions()
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "zombie.ckpt")
-	opts.CheckpointEvery = 1
 	opts.WALPath = WALPath(opts.CheckpointPath)
 	opts.RunLabel = "zombie-test"
 	b, err := New(opts)

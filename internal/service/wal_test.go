@@ -27,7 +27,6 @@ func walOptions(t testing.TB, s *testStack) Options {
 	t.Helper()
 	opts := s.brokerOptions()
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "wal-test.ckpt")
-	opts.CheckpointEvery = 1
 	opts.WALPath = WALPath(opts.CheckpointPath)
 	opts.RunLabel = "wal-test" // New defaults it; pin so ReadWAL's label matches
 	return opts
