@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard flag-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -165,6 +165,17 @@ codec-guard:
 	@if grep -nE '"(encoding/binary|hash/crc32)"' $$(find internal/obs -name '*.go' ! -name '*_test.go'); then \
 		echo "codec-guard: the decision log writes decision records in decision's frame; internal/obs encodes no bytes of its own"; exit 1; fi
 
+# api-guard is the mechanical form of "production code has a caller": every
+# exported name a non-test file of the root package, internal/ or cmd/
+# declares must be named by some non-test file — the module's own,
+# examples/ or benchmark/. Code that only tests drive is deleted, not kept
+# for its tests; what stays anyway (the root package's public API, the
+# trainer until ROADMAP item 17, the shared fault-plan fixture) is
+# allowlisted in apiguard_test.go, one reason an entry. The check is a
+# stdlib go/ast scan (TestAPIGuard), so it also runs under `make test`.
+api-guard:
+	$(GO) test -run '^TestAPIGuard$$' -count=1 .
+
 # flag-guard is the mechanical form of "a knob stays only if two callers
 # need different values": a serving-binary flag exists because a Makefile
 # target, a test, a README or EXPERIMENTS recipe, benchmark/ or a
@@ -288,4 +299,4 @@ load-smoke:
 shard-load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -shards 2 -verify
 
-check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard flag-guard test benchmark-selftest race load-smoke shard-load-smoke
+check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard test benchmark-selftest race load-smoke shard-load-smoke

@@ -159,7 +159,7 @@ func BenchmarkSimplexScheduleLP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := lp.Solve(prob, lp.Options{})
+		sol, err := new(lp.Solver).Solve(prob, lp.Options{})
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("status %v err %v", sol.Status, err)
 		}

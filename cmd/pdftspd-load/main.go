@@ -619,16 +619,13 @@ func postBatch(client *http.Client, base string, chunk []task.Task, body *bytes.
 			return rtt, retries, 0, err
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
-			ra := resp.Header.Get("Retry-After")
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if attempt >= maxRetries {
 				return rtt, retries, len(chunk), nil
 			}
 			retries++
-			// The harness always drives a loopback virtual-clock broker,
-			// whose queue drains at the next slot close — milliseconds away.
-			time.Sleep(retryDelay(ra, attempt, true))
+			time.Sleep(retryDelay(attempt))
 			continue
 		}
 		var results []struct {
@@ -653,28 +650,19 @@ func postBatch(client *http.Client, base string, chunk []task.Task, body *bytes.
 	}
 }
 
-// retryDelay picks the backoff after a 429. The broker
-// quantizes Retry-After to whole seconds, which is a sane floor for a
-// real-clock deployment but absurd against a loopback virtual-clock
-// broker whose queue drains at the next slot close — sleeping the full
-// advertised second there serializes the generator on the retry path.
-// So: exponential jittered millisecond backoff (4ms base, capped at
-// 64ms, jitter in [base/2, 3·base/2)), with the Retry-After header
-// enforced as a floor only on real-clock runs.
-func retryDelay(retryAfter string, attempt int, virtual bool) time.Duration {
+// retryDelay picks the backoff after a 429: exponential jittered
+// millisecond backoff (4ms base, capped at 64ms, jitter in
+// [base/2, 3·base/2)). The generator always drives a loopback
+// virtual-clock broker, whose queue drains at the next slot close —
+// milliseconds away — so the broker's Retry-After, quantized to whole
+// seconds for real-clock clients, is ignored: sleeping the full second
+// would serialize the generator on the retry path.
+func retryDelay(attempt int) time.Duration {
 	if attempt > 4 {
 		attempt = 4
 	}
 	base := 4 * time.Millisecond << uint(attempt)
-	d := base/2 + time.Duration(rand.Int63n(int64(base)))
-	if !virtual {
-		if secs, err := strconv.Atoi(retryAfter); err == nil && secs > 0 {
-			if floor := time.Duration(secs) * time.Second; d < floor {
-				d = floor
-			}
-		}
-	}
-	return d
+	return base/2 + time.Duration(rand.Int63n(int64(base)))
 }
 
 func step(client *http.Client, base string) error {

@@ -66,7 +66,7 @@ func main() {
 		}
 		return
 	}
-	if err := enc.Encode(tasks); err != nil {
+	if err := trace.SaveTasks(os.Stdout, tasks); err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		os.Exit(1)
 	}

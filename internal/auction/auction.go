@@ -112,7 +112,7 @@ type SweepPoint struct {
 // background workload on its own cluster — and fan out across
 // Scenario.Parallelism workers.
 func TruthfulnessSweep(s *Scenario, bids []float64) ([]SweepPoint, error) {
-	return runner.MapCtx(s.ctx(), runner.Parallelism(s.Parallelism), len(bids), func(i int) (SweepPoint, error) {
+	return runner.Map(s.ctx(), runner.Parallelism(s.Parallelism), len(bids), func(i int) (SweepPoint, error) {
 		d, err := s.RunFocal(bids[i])
 		if err != nil {
 			return SweepPoint{}, err

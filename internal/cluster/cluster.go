@@ -496,9 +496,8 @@ func (c *Cluster) TotalCapacityWork() int {
 
 // Utilization returns the fraction of total compute capacity committed.
 func (c *Cluster) Utilization() float64 {
-	total, used := 0, 0
-	for k, n := range c.nodes {
-		total += n.CapWork * c.horizon.T
+	total, used := c.TotalCapacityWork(), 0
+	for k := range c.nodes {
 		for t := 0; t < c.horizon.T; t++ {
 			used += c.usedWork[k][t]
 		}

@@ -69,15 +69,6 @@ func NewAdaptive(cl *cluster.Cluster, opts Options, safety float64) (*Adaptive, 
 // Name identifies the scheduler in experiment output.
 func (a *Adaptive) Name() string { return "pdFTSP-adaptive" }
 
-// Coefficients returns the current α, β estimates.
-func (a *Adaptive) Coefficients() (alpha, beta float64) { return a.alpha, a.beta }
-
-// Seen returns how many bids have informed the estimates.
-func (a *Adaptive) Seen() int { return a.seen }
-
-// Inner exposes the wrapped scheduler (for dual-price inspection).
-func (a *Adaptive) Inner() *Scheduler { return a.inner }
-
 // Offer updates the coefficient estimates from the arriving bid, then
 // delegates to the inner pdFTSP scheduler.
 //

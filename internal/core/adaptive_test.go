@@ -13,19 +13,19 @@ func TestAdaptiveLearnsCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a0, b0 := ad.Coefficients()
+	a0, b0 := ad.alpha, ad.beta
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 30; i++ {
 		tk := testTask(i)
 		tk.Bid = 40 + rng.Float64()*100
 		ad.Offer(envFor(t, tk, cl, nil))
 	}
-	a1, b1 := ad.Coefficients()
+	a1, b1 := ad.alpha, ad.beta
 	if a1 <= a0 || b1 <= b0 {
 		t.Fatalf("coefficients did not grow: α %v→%v, β %v→%v", a0, a1, b0, b1)
 	}
-	if ad.Seen() != 30 {
-		t.Fatalf("seen %d, want 30", ad.Seen())
+	if ad.seen != 30 {
+		t.Fatalf("seen %d, want 30", ad.seen)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestAdaptiveEstimatesTrackOracle(t *testing.T) {
 		}
 		ad.Offer(env)
 	}
-	a, _ := ad.Coefficients()
+	a := ad.alpha
 	if a < oracleAlpha || a > safety*oracleAlpha+1e-9 {
 		t.Fatalf("adaptive α %v outside [oracle %v, safety·oracle %v]", a, oracleAlpha, safety*oracleAlpha)
 	}
@@ -74,11 +74,11 @@ func TestAdaptiveIgnoresWelfareNegativeBids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a0, b0 := ad.Coefficients()
+	a0, b0 := ad.alpha, ad.beta
 	tk := testTask(0)
 	tk.Bid = 0.0001 // far below operational cost
 	ad.Offer(envFor(t, tk, cl, nil))
-	a1, b1 := ad.Coefficients()
+	a1, b1 := ad.alpha, ad.beta
 	if a1 != a0 || b1 != b0 {
 		t.Fatal("negative-net bid moved the estimates")
 	}

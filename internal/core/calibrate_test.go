@@ -289,7 +289,7 @@ func TestSchedulerAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ad.Name() != "pdFTSP-adaptive" || ad.Inner() == nil {
+	if ad.Name() != "pdFTSP-adaptive" || ad.inner == nil {
 		t.Fatal("adaptive accessors wrong")
 	}
 }

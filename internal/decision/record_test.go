@@ -2,6 +2,7 @@ package decision_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func variants(t *testing.T) []variant {
 			case reflect.Bool:
 				add("!", inPlan, func(v reflect.Value) { v.SetBool(!v.Bool()) })
 			case reflect.Uint8: // RejectReason: another code of the set
-				add("'", inPlan, func(v reflect.Value) { v.SetUint(v.Uint()%uint64(schedule.ReasonVendorDown) + 1) })
+				add("'", inPlan, func(v reflect.Value) { v.SetUint(v.Uint()%uint64(schedule.ReasonSurplus) + 1) })
 			default:
 				t.Fatalf("%s: no way to change a %s", path, f.Type)
 			}
@@ -85,7 +86,7 @@ func variants(t *testing.T) []variant {
 func roundTrip(t *testing.T, id int, d *schedule.Decision) schedule.Decision {
 	t.Helper()
 	rec := decision.Append(nil, id, d)
-	s, err := decision.ReadStore(append(rec, decision.End))
+	s, err := readStore(append(rec, decision.End))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +138,22 @@ func TestRecordCoversEveryField(t *testing.T) {
 	}
 }
 
+// readStore decodes a whole decided set: one list and nothing after it,
+// each ID once, so that AppendFrom(nil, 0) and End give back exactly b.
+func readStore(b []byte) (*decision.Store, error) {
+	s, r := new(decision.Store), &decision.Reader{B: b}
+	n, err := s.ReadList(r)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(r.B) != 0:
+		return nil, fmt.Errorf("decision: %d bytes after the list's end", len(r.B))
+	case n != s.Len():
+		return nil, fmt.Errorf("decision: %d records for %d bids: an ID is filed twice", n, s.Len())
+	}
+	return s, nil
+}
+
 // TestReadStoreRefusesOtherEncodings: a record is refused unless it is the
 // one encoding Append gives its decision, and a list unless it is closed
 // by End, ends there and files each ID once. So a list that decodes
@@ -158,11 +175,11 @@ func TestReadStoreRefusesOtherEncodings(t *testing.T) {
 		{"zero money", "all zero", list([]byte{rec[0] | 1<<3}, rec[1:], make([]byte, 24))},
 		{"an unknown reason", "reject reason", list(rec[:len(rec)-1], []byte{200})},
 	} {
-		if _, err := decision.ReadStore(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := readStore(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %x decodes with err %v, want %q", tc.name, tc.b, err, tc.want)
 		}
 	}
-	if s, err := decision.ReadStore(list(rec)); err != nil || s.Len() != 1 {
+	if s, err := readStore(list(rec)); err != nil || s.Len() != 1 {
 		t.Fatalf("the well-formed list: %v", err)
 	}
 }

@@ -86,13 +86,6 @@ func (s *Store) EncodedLen() int {
 // sliceBytes is the bytes s's backing array holds, its spare capacity included.
 func sliceBytes[E any](s []E) int { return cap(s) * int(unsafe.Sizeof(*new(E))) }
 
-// Each visits every decision in the order the bids were decided.
-func (s *Store) Each(fn func(id int, d schedule.Decision)) {
-	for i := range s.recs {
-		fn(s.recs[i].id, s.at(i))
-	}
-}
-
 // find probes for id. It returns id's position in recs, or −1 and the
 // empty slot the probe ended on — where id goes if it is appended next.
 // The hash is multiplicative (Fibonacci): the top bits of id·φ⁻¹·2⁶⁴
@@ -262,22 +255,6 @@ func (s *Store) ReadList(r *Reader) (int, error) {
 		n++
 	}
 	return n, r.Err
-}
-
-// ReadStore decodes a whole decided set: one list and nothing after it,
-// each ID once, so that AppendFrom(nil, 0) and End give back exactly b.
-func ReadStore(b []byte) (*Store, error) {
-	s, r := new(Store), &Reader{B: b}
-	n, err := s.ReadList(r)
-	switch {
-	case err != nil:
-		return nil, err
-	case len(r.B) != 0:
-		return nil, fmt.Errorf("decision: %d bytes after the list's end", len(r.B))
-	case n != s.Len():
-		return nil, fmt.Errorf("decision: %d records for %d bids: an ID is filed twice", n, s.Len())
-	}
-	return s, nil
 }
 
 // Clone copies the store.

@@ -183,13 +183,11 @@ func TestDecisionStoreRestateAddsSideEntry(t *testing.T) {
 	if !slices.Equal(s.extraAt, []int32{0, 3, 5}) {
 		t.Fatalf("side entries at positions %v, want [0 3 5]", s.extraAt)
 	}
-	i := 0
-	s.Each(func(id int, d schedule.Decision) {
-		if w := ref[id]; id != i || !reflect.DeepEqual(d, w) {
-			t.Fatalf("position %d holds %d: %+v, want %+v", i, id, d, w)
+	for i := range s.recs {
+		if id, d := s.recs[i].id, s.at(i); id != i || !reflect.DeepEqual(d, ref[id]) {
+			t.Fatalf("position %d holds %d: %+v, want %+v", i, id, d, ref[id])
 		}
-		i++
-	})
+	}
 }
 
 // TestDecisionStoreReasonLimit: a record has one byte for its reason, the
@@ -207,8 +205,8 @@ func TestDecisionStoreReasonLimit(t *testing.T) {
 			t.Fatalf("reason code %d came back as %d (stored %v)", code, d.Reason, ok)
 		}
 	}
-	if s.Len() != int(schedule.ReasonVendorDown)+1 {
-		t.Fatalf("%d decisions stored, want the zero code and the five reasons", s.Len())
+	if s.Len() != int(schedule.ReasonSurplus)+1 {
+		t.Fatalf("%d decisions stored, want the zero code and the four reasons", s.Len())
 	}
 }
 

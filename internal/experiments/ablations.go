@@ -49,7 +49,7 @@ func (p Profile) runVariants(id, title string, names []string,
 	if err != nil {
 		return nil, err
 	}
-	welfare, err := runner.MapCtx(p.ctx(), p.workers(), len(factories), func(i int) (float64, error) {
+	welfare, err := runner.Map(p.ctx(), p.workers(), len(factories), func(i int) (float64, error) {
 		cl, err := acquireCluster(p.Horizon, p.nodes(100), Hybrid, tc.Model)
 		if err != nil {
 			return 0, err

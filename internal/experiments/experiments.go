@@ -212,7 +212,7 @@ func (p Profile) runSetting(s setting) (map[string]*sim.Result, error) {
 		return nil, err
 	}
 	model := s.traceC.Model
-	results, err := runner.MapCtx(p.ctx(), p.workers(), len(Algos), func(i int) (*sim.Result, error) {
+	results, err := runner.Map(p.ctx(), p.workers(), len(Algos), func(i int) (*sim.Result, error) {
 		name := Algos[i]
 		cl, err := acquireCluster(p.Horizon, s.nodes, s.mix, model)
 		if err != nil {
@@ -269,7 +269,7 @@ func (p Profile) runBarFigure(id, title string, settings []setting) (*BarFigure,
 	if seeds < 1 {
 		seeds = 1
 	}
-	jobs, err := runner.MapCtx(p.ctx(), p.workers(), len(settings)*seeds, func(i int) (map[string]*sim.Result, error) {
+	jobs, err := runner.Map(p.ctx(), p.workers(), len(settings)*seeds, func(i int) (map[string]*sim.Result, error) {
 		run := settings[i/seeds]
 		run.traceC.Seed = p.Seed + int64(i%seeds)*1000
 		run.run = fmt.Sprintf("%s/%s/seed%d", id, run.label, run.traceC.Seed)

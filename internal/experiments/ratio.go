@@ -89,7 +89,7 @@ func (p Profile) FigRatio(opts RatioOptions) (*RatioResult, error) {
 		res.Workloads = res.Workloads[:len(opts.Rates)]
 	}
 	nRates := len(opts.Rates)
-	cells, err := runner.MapCtx(p.ctx(), p.workers(), len(opts.Horizons)*nRates, func(i int) (ratioCell, error) {
+	cells, err := runner.Map(p.ctx(), p.workers(), len(opts.Horizons)*nRates, func(i int) (ratioCell, error) {
 		T := opts.Horizons[i/nRates]
 		wi := i % nRates
 		h := timeslot.NewHorizon(T)

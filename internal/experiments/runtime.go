@@ -75,7 +75,7 @@ func (p Profile) FigRuntime() (*RuntimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	branches, err := runner.MapCtx(p.ctx(), p.workers(), 2, func(i int) (*sim.Result, error) {
+	branches, err := runner.Map(p.ctx(), p.workers(), 2, func(i int) (*sim.Result, error) {
 		cl, err := acquireCluster(p.Horizon, p.nodes(100), Hybrid, tc.Model)
 		if err != nil {
 			return nil, err

@@ -56,7 +56,7 @@ func (p Profile) FigSpot() (*SpotResult, error) {
 		{label: "spot d=0.5 predictive", spotNodes: 1, discount: 0.5, predictive: true},
 	}
 	tc := p.baseTrace()
-	rows, err := runner.MapCtx(p.ctx(), p.workers(), len(settings), func(i int) ([]float64, error) {
+	rows, err := runner.Map(p.ctx(), p.workers(), len(settings), func(i int) ([]float64, error) {
 		s := settings[i]
 		tasks, err := trace.Generate(tc)
 		if err != nil {

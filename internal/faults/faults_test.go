@@ -9,51 +9,32 @@ import (
 // the same (seed, shape) yields byte-identical plans, and different
 // seeds yield different ones.
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(7, 4, 24, 5)
-	b := Generate(7, 4, 24, 5)
+	a := Generate(7, 4, 24)
+	b := Generate(7, 4, 24)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different plans:\n%+v\n%+v", a, b)
 	}
-	c := Generate(8, 4, 24, 5)
+	c := Generate(8, 4, 24)
 	if reflect.DeepEqual(a, c) {
 		t.Fatalf("seeds 7 and 8 drew identical plans")
 	}
 }
 
 // TestGenerateShape checks the structural guarantees Generate documents:
-// at least one outage with a kill inside (or nudged just past) its
-// window, transient and hard marketplace windows, a checkpoint window
-// long enough to trip the degraded threshold, and validity against the
-// shape it was drawn for.
+// at least one outage, a checkpoint window long enough to trip the
+// degraded threshold, and validity against the shape it was drawn for.
 func TestGenerateShape(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		p := Generate(seed, 4, 24, 5)
-		if err := p.Validate(4, 24, 5); err != nil {
+		p := Generate(seed, 4, 24)
+		if err := p.Validate(4, 24); err != nil {
 			t.Fatalf("seed %d: generated plan invalid: %v", seed, err)
 		}
-		if len(p.Outages) == 0 || len(p.Kills) == 0 || len(p.Stalls) == 0 {
-			t.Fatalf("seed %d: plan missing outages/kills/stalls: %+v", seed, p)
-		}
-		var transient, hard bool
-		for _, v := range p.Vendor {
-			if v.Vendor == -1 && v.FailAttempts > 0 {
-				transient = true
-			}
-			if v.Vendor == -1 && v.FailAttempts < 0 {
-				hard = true
-			}
-		}
-		if !transient || !hard {
-			t.Fatalf("seed %d: want transient and hard marketplace windows, got %+v", seed, p.Vendor)
+		if len(p.Outages) == 0 || len(p.Checkpoint) != 1 {
+			t.Fatalf("seed %d: plan missing outages or its checkpoint window: %+v", seed, p)
 		}
 		for _, c := range p.Checkpoint {
 			if c.To-c.From < 3 {
 				t.Fatalf("seed %d: checkpoint window [%d,%d] too short to trip degraded mode", seed, c.From, c.To)
-			}
-		}
-		for _, k := range p.Kills {
-			if k < 2 {
-				t.Fatalf("seed %d: kill at slot %d before any checkpoint can exist", seed, k)
 			}
 		}
 	}
@@ -64,7 +45,7 @@ func TestGenerateShape(t *testing.T) {
 // rejected, while genuinely bad ranges still error.
 func TestValidateClampsOutageTail(t *testing.T) {
 	p := Plan{Outages: []Outage{{Node: 0, From: 20, To: 99}}}
-	if err := p.Validate(2, 24, 3); err != nil {
+	if err := p.Validate(2, 24); err != nil {
 		t.Fatalf("tail past horizon should clamp, got %v", err)
 	}
 	if p.Outages[0].To != 23 {
@@ -74,13 +55,10 @@ func TestValidateClampsOutageTail(t *testing.T) {
 		{Outages: []Outage{{Node: 5, From: 0, To: 1}}},
 		{Outages: []Outage{{Node: 0, From: 24, To: 30}}},
 		{Outages: []Outage{{Node: 0, From: 3, To: 1}}},
-		{Vendor: []VendorFault{{Vendor: 3, From: 0, To: 1}}},
-		{Vendor: []VendorFault{{Vendor: -2, From: 0, To: 1}}},
-		{Kills: []int{24}},
-		{Stalls: []int{-1}},
+		{Checkpoint: []CheckpointFault{{From: 4, To: 3}}},
 	}
 	for i, b := range bad {
-		if err := b.Validate(2, 24, 3); err == nil {
+		if err := b.Validate(2, 24); err == nil {
 			t.Fatalf("bad plan %d validated: %+v", i, b)
 		}
 	}

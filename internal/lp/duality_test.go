@@ -44,7 +44,7 @@ func TestStrongDuality(t *testing.T) {
 			}
 			primal.AddConstraint(LE, b[i], terms...)
 		}
-		ps, err := Solve(primal, Options{})
+		ps, err := new(Solver).Solve(primal, Options{})
 		if err != nil || ps.Status != Optimal {
 			t.Fatalf("trial %d: primal %v %v", trial, ps.Status, err)
 		}
@@ -62,7 +62,7 @@ func TestStrongDuality(t *testing.T) {
 			}
 			dual.AddConstraint(LE, -c[j], terms...)
 		}
-		ds, err := Solve(dual, Options{})
+		ds, err := new(Solver).Solve(dual, Options{})
 		if err != nil || ds.Status != Optimal {
 			t.Fatalf("trial %d: dual %v %v", trial, ds.Status, err)
 		}
@@ -84,18 +84,18 @@ func TestComplementarySlackness(t *testing.T) {
 		p.AddConstraint(LE, 18, Term{0, 3}, Term{1, 2})
 		return p
 	}
-	s1, err := Solve(build(4), Options{})
+	s1, err := new(Solver).Solve(build(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Solve(build(5), Options{}) // relax the slack constraint
+	s2, err := new(Solver).Solve(build(5), Options{}) // relax the slack constraint
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s1.Objective-s2.Objective) > 1e-9 {
 		t.Fatalf("slack constraint had marginal value: %v vs %v", s1.Objective, s2.Objective)
 	}
-	s3, err := Solve(build(1), Options{}) // tighten until binding
+	s3, err := new(Solver).Solve(build(1), Options{}) // tighten until binding
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func FuzzSolveSmallLP(f *testing.F) {
 			sense := Sense(int(math.Abs(next())) % 3)
 			p.AddConstraint(sense, next(), terms...)
 		}
-		sol, err := Solve(p, Options{MaxIters: 2000})
+		sol, err := new(Solver).Solve(p, Options{MaxIters: 2000})
 		if err != nil {
 			t.Fatalf("Solve errored on structurally valid input: %v", err)
 		}

@@ -116,14 +116,6 @@ type Options struct {
 
 const defaultEps = 1e-9
 
-// Solve runs two-phase primal simplex with fresh scratch. The returned
-// Solution is caller-owned. Repeated solves (one LP per branch-and-bound
-// node) should use a Solver, which reuses the tableau across calls.
-func Solve(p *Problem, opts Options) (*Solution, error) {
-	var s Solver
-	return s.Solve(p, opts)
-}
-
 // Solver holds the simplex scratch — the dense tableau, basis, objective
 // and reduced-cost rows — so repeated Solve calls stop allocating a fresh
 // tableau per call. The zero value is ready to use. Not safe for
@@ -164,8 +156,8 @@ func (s *Solver) takeObj(n int) []float64 {
 }
 
 // Solve runs two-phase primal simplex, reusing the solver's scratch. The
-// algorithm and its arithmetic order are identical to the package-level
-// Solve, so results are bit-exact regardless of scratch reuse.
+// algorithm and its arithmetic order do not depend on what the scratch
+// held before, so results are bit-exact regardless of scratch reuse.
 func (s *Solver) Solve(p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

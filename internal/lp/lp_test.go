@@ -8,7 +8,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	s, err := Solve(p, Options{})
+	s, err := new(Solver).Solve(p, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -22,7 +22,7 @@ func TestValidate(t *testing.T) {
 		{NumVars: 1, Objective: []float64{1}, Constraints: []Constraint{{Terms: []Term{{Var: 5, Coef: 1}}}}},
 	}
 	for i, p := range bad {
-		if _, err := Solve(p, Options{}); err == nil {
+		if _, err := new(Solver).Solve(p, Options{}); err == nil {
 			t.Errorf("bad problem %d accepted", i)
 		}
 	}

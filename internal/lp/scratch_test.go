@@ -47,7 +47,7 @@ func cloneSolution(s *Solution) *Solution {
 // TestSolverReuseBitIdenticalToFresh drives one Solver through a
 // sequence of structurally different problems and requires every answer
 // to be bit-identical (status, objective, and every coordinate of X) to
-// a fresh package-level Solve of the same problem. Any stale scratch
+// a fresh Solver's Solve of the same problem. Any stale scratch
 // surviving a grow/shrink/clear transition shows up as a diverging
 // pivot and fails this exactly.
 func TestSolverReuseBitIdenticalToFresh(t *testing.T) {
@@ -57,7 +57,7 @@ func TestSolverReuseBitIdenticalToFresh(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p := randomProblem(r, i)
 		reused, errReused := shared.Solve(p, opts)
-		fresh, errFresh := Solve(p, opts)
+		fresh, errFresh := new(Solver).Solve(p, opts)
 		if (errReused == nil) != (errFresh == nil) {
 			t.Fatalf("problem %d: error mismatch: reused=%v fresh=%v", i, errReused, errFresh)
 		}

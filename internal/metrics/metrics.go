@@ -1,49 +1,13 @@
 // Package metrics provides the statistics used by the evaluation figures:
-// means, percentiles, the latency CDF's point type (Figure 13; the curve
-// comes from obs.Histogram), max-normalization of welfare matrices
-// (Figures 4–9), and empirical competitive ratios (Figure 12).
+// the latency CDF's point type (Figure 13; the curve comes from
+// obs.Histogram), max-normalization of welfare matrices (Figures 4–9),
+// improvement percentages, and empirical competitive ratios (Figure 12).
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) with linear
-// interpolation. It sorts a copy of xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
 
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {

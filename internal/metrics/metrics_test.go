@@ -3,59 +3,7 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 4 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, aRaw, bRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		a := float64(aRaw) / 255 * 100
-		b := float64(bRaw) / 255 * 100
-		if a > b {
-			a, b = b, a
-		}
-		return Percentile(raw, a) <= Percentile(raw, b)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestNormalizeByMax(t *testing.T) {
 	data := [][]float64{{2, 4}, {8, 6}}

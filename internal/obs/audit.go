@@ -61,13 +61,6 @@ func (a *Audit) Count() int64 {
 	return a.count
 }
 
-// Violations returns the recorded violation messages (first MaxRecorded).
-func (a *Audit) Violations() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]string(nil), a.violations...)
-}
-
 // Err returns nil when no invariant was violated, otherwise an error
 // summarizing the count and listing the first few recorded violations.
 func (a *Audit) Err() error {

@@ -39,17 +39,14 @@ func Parallelism(n int) int {
 //
 // On error, Map cancels jobs that have not started and returns the error
 // of the lowest-indexed failed job along with a nil slice.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is done, no new
-// job starts and MapCtx returns ctx.Err() after in-flight jobs finish.
-// Jobs that should abort mid-flight must observe ctx themselves (the
-// simulation engine does via sim.Config.Context) — MapCtx only stops the
-// fan-out between jobs. This is the one cancellation path shared by the
-// parallel experiment engine and the auction service.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
+//
+// Cancellation is cooperative: once ctx is done, no new job starts and
+// Map returns ctx.Err() after in-flight jobs finish. Jobs that should
+// abort mid-flight must observe ctx themselves (the simulation engine
+// does via sim.Config.Context) — Map only stops the fan-out between jobs.
+// This is the one cancellation path shared by the parallel experiment
+// engine and the auction service.
+func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}

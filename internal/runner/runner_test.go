@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -23,7 +24,7 @@ func TestParallelismResolution(t *testing.T) {
 
 func TestMapOrdersResultsByJob(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		got, err := Map(workers, 50, func(i int) (int, error) { return i * i, nil })
+		got, err := Map(context.Background(), workers, 50, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +40,11 @@ func TestMapOrdersResultsByJob(t *testing.T) {
 }
 
 func TestMapEmptyAndSingle(t *testing.T) {
-	got, err := Map[int](8, 0, func(int) (int, error) { t.Fatal("fn called"); return 0, nil })
+	got, err := Map[int](context.Background(), 8, 0, func(int) (int, error) { t.Fatal("fn called"); return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("n=0: got %v, %v", got, err)
 	}
-	got, err = Map(8, 1, func(i int) (int, error) { return 41 + i, nil })
+	got, err = Map(context.Background(), 8, 1, func(i int) (int, error) { return 41 + i, nil })
 	if err != nil || len(got) != 1 || got[0] != 41 {
 		t.Fatalf("n=1: got %v, %v", got, err)
 	}
@@ -51,7 +52,7 @@ func TestMapEmptyAndSingle(t *testing.T) {
 
 func TestMapReturnsLowestIndexedError(t *testing.T) {
 	sentinel := errors.New("job 3 failed")
-	_, err := Map(4, 20, func(i int) (int, error) {
+	_, err := Map(context.Background(), 4, 20, func(i int) (int, error) {
 		switch i {
 		case 3:
 			return 0, sentinel
@@ -73,7 +74,7 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 
 func TestMapSequentialErrorStopsImmediately(t *testing.T) {
 	var calls atomic.Int64
-	_, err := Map(1, 10, func(i int) (int, error) {
+	_, err := Map(context.Background(), 1, 10, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 2 {
 			return 0, errors.New("boom")
@@ -88,7 +89,7 @@ func TestMapSequentialErrorStopsImmediately(t *testing.T) {
 func TestMapConcurrencyBounded(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
-	_, err := Map(workers, 40, func(i int) (int, error) {
+	_, err := Map(context.Background(), workers, 40, func(i int) (int, error) {
 		cur := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {

@@ -348,8 +348,9 @@ const (
 	// ReasonCapacity: the plan would exceed (4f)/(4g) — the Lemma-1
 	// "almost-feasible" case; the duals still moved for this bid.
 	ReasonCapacity RejectReason = iota + 1
-	// ReasonFailedNode: a node outage broke the committed plan and no
-	// recovery plan exists (failure injection only).
+	// ReasonFailedNode: a capacity loss — a scripted node outage in a
+	// replay, a spot revocation anywhere — broke the committed plan and
+	// no recovery plan exists.
 	ReasonFailedNode
 	// ReasonNoSchedule: no plan satisfies (4a)–(4e) — the deadline window
 	// is empty or too tight, every vendor is too slow, or the task's
@@ -357,14 +358,9 @@ const (
 	ReasonNoSchedule
 	// ReasonSurplus: the best plan has F(il) ≤ 0 (Algorithm 1, line 13).
 	ReasonSurplus
-	// ReasonVendorDown: the task requires pre-processing (f_i = 1) but the
-	// vendor marketplace stayed unreachable past the retry deadline, so no
-	// quote exists and constraint (4a) is unsatisfiable for this bid. The
-	// duals are untouched, exactly like ReasonNoSchedule.
-	ReasonVendorDown
 )
 
-var reasonNames = [...]string{"", "capacity", "failed-node", "no-schedule", "surplus", "vendor-down"}
+var reasonNames = [...]string{"", "capacity", "failed-node", "no-schedule", "surplus"}
 
 // Valid reports whether r is the zero value or one of the Reason constants.
 func (r RejectReason) Valid() bool { return int(r) < len(reasonNames) }

@@ -214,8 +214,8 @@ func (b *Broker) statusPayload() (any, error) { return b.Status() }
 // DiffTwins compares a stopped fleet, broker by broker, with sequential
 // sim.Run twins. tasks is everything the fleet was offered, in offer
 // order; a bid belongs to the broker that decided it, and twin runs broker
-// i's twin (with CollectDecisions, and whatever failures, quote chain or
-// spot tier the broker ran under) over that broker's subsequence. It
+// i's twin (with CollectDecisions, and whatever outages or spot tier the
+// broker ran under) over that broker's subsequence. It
 // returns nil when every decision and every broker's accounting are
 // bit-identical to its twin's. Plans are not compared (see
 // sim.DiffDecisions), so it holds under DropLosingPlans; duals and ledgers

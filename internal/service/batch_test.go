@@ -433,9 +433,8 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 	s := newFaultStack(t, slots, 3, 6, 37)
 	opts := s.brokerOptions()
 	opts.CheckpointPath, opts.CheckpointFullEvery = path, 4
-	opts.Failures = []sim.Failure{{Node: 2, From: 4, To: 6}, {Node: 2, From: 10, To: 14}}
 	opts.Spot = spotProviderFor(t, s, 5, 0.25)
-	b := startBroker(t, opts)
+	b := startBroker(t, opts, sim.Failure{Node: 2, From: 4, To: 6}, sim.Failure{Node: 2, From: 10, To: 14})
 	var early []task.Task
 	for _, tk := range s.tasks {
 		if int(tk.Arrival) < killAt {
@@ -550,17 +549,17 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 func TestOtherVersionRefused(t *testing.T) {
 	const slots, killAt = 24, 12 // full snapshot at 9, deltas at 10..12
 	path := filepath.Join(t.TempDir(), "version.ckpt")
+	outages := []sim.Failure{{Node: 2, From: 4, To: 6}, {Node: 2, From: 10, To: 14}}
 	options := func() Options {
 		s := newFaultStack(t, slots, 3, 6, 37)
 		opts := s.brokerOptions()
 		opts.CheckpointPath, opts.CheckpointFullEvery, opts.WALPath = path, 4, WALPath(path)
 		opts.RunLabel = "version"
-		opts.Failures = []sim.Failure{{Node: 2, From: 4, To: 6}, {Node: 2, From: 10, To: 14}}
 		opts.Spot = spotProviderFor(t, s, 5, 0.25)
 		return opts
 	}
 	opts := options()
-	b := startBroker(t, opts)
+	b := startBroker(t, opts, outages...)
 	perSlot := bySlot(t, newFaultStack(t, slots, 3, 6, 37).tasks, slots)
 	for s := 0; s <= killAt; s++ {
 		if _, err := b.SubmitBatchAck(context.Background(), perSlot[s], make([]error, len(perSlot[s]))); err != nil {
@@ -608,10 +607,7 @@ func TestOtherVersionRefused(t *testing.T) {
 					}
 				}
 			}
-			nb, err := New(options())
-			if err != nil {
-				t.Fatal(err)
-			}
+			nb := newBroker(t, options(), outages...)
 			if rep, err := nb.Resume(); !errors.Is(err, ErrFormatVersion) {
 				t.Fatalf("Resume over a bumped %s: %+v, %v", file.name, rep, err)
 			}

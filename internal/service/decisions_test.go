@@ -61,7 +61,7 @@ func randomDecision(rng *rand.Rand, id int) schedule.Decision {
 	case 0:
 		d.F, d.Reason = math.Inf(-1), schedule.ReasonNoSchedule
 	case 1:
-		d.Reason = schedule.ReasonVendorDown + 1 + schedule.RejectReason(rng.Intn(250))
+		d.Reason = schedule.ReasonSurplus + 1 + schedule.RejectReason(rng.Intn(250))
 	case 2:
 		d.Schedule = plan() // DropLosingPlans off
 	case 3:
@@ -105,19 +105,17 @@ func requireStoreEquals(t *testing.T, label string, s *decision.Store, ref map[i
 	if s.Len() != len(order) {
 		t.Fatalf("%s: %d decisions, want %d", label, s.Len(), len(order))
 	}
-	i := 0
+	// The records come back in decision order, so the bytes below also
+	// hold every position to order.
 	var enc []byte
-	s.Each(func(id int, d schedule.Decision) {
-		if id != order[i] {
-			t.Fatalf("%s: position %d holds id %d, want %d", label, i, id, order[i])
-		}
+	for _, id := range order {
+		d, _ := s.Get(id)
 		if want := ref[id]; !reflect.DeepEqual(d, want) {
 			t.Fatalf("%s: id %d: %+v (plan %+v, terms %+v), want %+v (plan %+v, terms %+v)",
 				label, id, d, d.Schedule, d.Terms, want, want.Schedule, want.Terms)
 		}
 		enc = decision.Append(enc, id, &d)
-		i++
-	})
+	}
 	if got := s.AppendFrom(nil, 0); !bytes.Equal(got, enc) {
 		t.Fatalf("%s: the store's records differ from decision.Append's:\n%x\n%x", label, got, enc)
 	}
@@ -341,8 +339,7 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 	opts := s.brokerOptions()
 	opts.QueueSize = perSlot
 	opts.DropLosingPlans = true
-	opts.Failures = []sim.Failure{{Node: 0, From: 4, To: slots}, {Node: 1, From: 9, To: slots}}
-	b := startBroker(t, opts)
+	b := startBroker(t, opts, sim.Failure{Node: 0, From: 4, To: slots}, sim.Failure{Node: 1, From: 9, To: slots})
 	batch := make([]task.Task, perSlot)
 	verdicts := make([]error, perSlot)
 	for slot := 0; slot < slots; slot++ {

@@ -31,7 +31,7 @@ import (
 // may come back, no superseded broker may publish through the seam, and
 // a degraded /healthz must carry a reason Status agrees with. At the end
 // DiffTwins holds every drained broker to a sim.Run twin under the same
-// outages, vendor chain and spot trace, duals, ledgers and welfare
+// outages and spot trace, duals, ledgers and welfare
 // bit-equal, and one obs.Audit across every generation is clean.
 func FuzzFleet(f *testing.F) {
 	for _, e := range fleetCorpus {
@@ -51,7 +51,7 @@ const (
 	fleetSupervised = 1 << 3
 	fleetSpot       = 1 << 4 // the last node of each broker is a spot node
 	fleetDeltas     = 1 << 5 // CheckpointFullEvery 4 instead of 1
-	fleetFaults     = 1 << 6 // a faults.Generate plan: outages, vendor faults, checkpoint-fault windows
+	fleetFaults     = 1 << 6 // a faults.Generate plan: outages and a checkpoint-fault window
 )
 
 // fleetOps are the script's operations:
@@ -177,8 +177,8 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 	}
 	r.perSlot = bySlot(t, r.tasks, fleetSlots)
 	if r.faulty {
-		r.plan = faults.Generate(seed, r.n*r.nodes, fleetSlots, 4)
-		if err := r.plan.Validate(r.n*r.nodes, fleetSlots, 4); err != nil {
+		r.plan = faults.Generate(seed, r.n*r.nodes, fleetSlots)
+		if err := r.plan.Validate(r.n*r.nodes, fleetSlots); err != nil {
 			t.Fatal(err)
 		}
 		// Global node g is node g/n of broker g%n.
@@ -259,7 +259,6 @@ func (r *fleetRun) twinConfig(i int, st *testStack) sim.Config {
 	cfg := sim.Config{Model: st.model, Market: st.mkt, CollectDecisions: true}
 	if r.faulty {
 		cfg.Failures = r.failures[i]
-		cfg.Quotes = faultQuotes(st, r.plan.Vendor)
 	}
 	if r.spot {
 		cfg.Spot = spotProviderFor(r.t, st, r.seed+int64(i)*7919, 0, r.reclaims...)
@@ -279,8 +278,7 @@ func (r *fleetRun) open() (Auctioneer, error) {
 		if r.journal {
 			o.WALPath = WALPath(r.ckpt)
 		}
-		cfg := r.twinConfig(i, stacks[i])
-		o.Failures, o.Quotes, o.Spot = cfg.Failures, cfg.Quotes, cfg.Spot
+		o.Spot = r.twinConfig(i, stacks[i]).Spot
 		if r.faulty {
 			o.CheckpointFault = func(slot int) error {
 				if r.plan.CheckpointFaultAt(slot) {
@@ -296,8 +294,13 @@ func (r *fleetRun) open() (Auctioneer, error) {
 		return nil, err
 	}
 	brokers := a.Brokers()
-	for _, b := range brokers {
+	for i, b := range brokers {
 		b.fsys = brokerFS{r.fs, b}
+		if r.faulty {
+			if err := withOutages(b, r.failures[i]); err != nil {
+				return nil, err
+			}
+		}
 	}
 	r.fs.mu.Lock()
 	r.fs.gen = brokers

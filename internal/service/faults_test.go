@@ -10,13 +10,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/pdftsp/pdftsp/internal/faults"
-	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // newFaultStack builds a stack whose scheduler masks downed/full cells —
@@ -27,21 +23,42 @@ func newFaultStack(t testing.TB, slots, nodes int, rate float64, seed int64) *te
 	return newShardStack(t, slots, nodes, seed, shardWorkload(t, slots, rate, seed), true)
 }
 
-// faultQuotes wraps a stack's marketplace in the chaos vendor chain:
-// seeded fault windows under a retry policy, with sleeps stubbed out.
-func faultQuotes(s *testStack, plan []faults.VendorFault) vendor.Caller {
-	noop := func(time.Duration) {}
-	return vendor.NewRetrier(
-		vendor.NewFlaky(s.mkt, plan, noop),
-		vendor.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Budget: time.Second, Seed: 99, Sleep: noop},
-	)
+// withOutages gives b the scripted outage schedule fs: the broker-side
+// twin of sim.Config.Failures. A serving broker cannot know its outages in
+// advance, so Options has no such field, and a broker loses capacity only
+// through its spot tier; the tests reach the failure tracker's outage path
+// by rebuilding the engine New made with fs added. Call it before Restore,
+// Resume or Start.
+func withOutages(b *Broker, fs []sim.Failure) error {
+	o := b.opts
+	eng, err := sim.NewEngine(b.cl, b.sched, sim.EngineConfig{
+		Model: o.Model, Market: o.Market, Failures: fs, Spot: o.Spot,
+		Observer: o.Observer, RunLabel: o.RunLabel,
+	}, b.decided)
+	if err != nil {
+		return err
+	}
+	eng.OnRefund(b.refundDecision)
+	b.eng = eng
+	return nil
 }
 
-// TestBrokerFailureEquivalence is the tentpole's acceptance test: a
-// broker given a fault plan (node outages + vendor fault windows behind
-// a retrier) must stay bit-identical to sim.Run with the same Failures
-// and Quotes — refund flips, welfare, revenue, duals, and ledger. Run
-// under -race.
+// newBroker is New, then withOutages when outages are given.
+func newBroker(t testing.TB, opts Options, outages ...sim.Failure) *Broker {
+	t.Helper()
+	b, err := New(opts)
+	if err == nil && len(outages) > 0 {
+		err = withOutages(b, outages)
+	}
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return b
+}
+
+// TestBrokerFailureEquivalence: a broker given scripted node outages must
+// stay bit-identical to sim.Run with the same Failures — refund flips,
+// welfare, revenue, duals, and ledger. Run under -race.
 func TestBrokerFailureEquivalence(t *testing.T) {
 	const slots, nodes, workers = 24, 3, 6
 	const rate = 8.0
@@ -49,19 +66,11 @@ func TestBrokerFailureEquivalence(t *testing.T) {
 		{Node: 0, From: 8, To: 14},
 		{Node: 1, From: 15, To: 40}, // tail clamped to the horizon
 	}
-	vendorPlan := []faults.VendorFault{
-		{Vendor: -1, From: 3, To: 6, FailAttempts: 1},    // transient: retrier rides it out
-		{Vendor: -1, From: 12, To: 14, FailAttempts: -1}, // hard: prep bids bounce
-		{Vendor: 2, From: 0, To: 23},                     // one vendor dark all run
-	}
 
 	serve := newFaultStack(t, slots, nodes, rate, 31)
 	twin := newFaultStack(t, slots, nodes, rate, 31)
 
-	opts := serve.brokerOptions()
-	opts.Failures = failures
-	opts.Quotes = faultQuotes(serve, vendorPlan)
-	b := startBroker(t, opts)
+	b := startBroker(t, serve.brokerOptions(), failures...)
 	chans := submitAll(t, b, serve.tasks, workers)
 	if _, err := b.Step(slots); err != nil {
 		t.Fatal(err)
@@ -76,9 +85,7 @@ func TestBrokerFailureEquivalence(t *testing.T) {
 	}
 
 	want, err := sim.Run(twin.cl, twin.sched, twin.tasks, sim.Config{
-		Model: twin.model, Market: twin.mkt,
-		Failures: failures, Quotes: faultQuotes(twin, vendorPlan),
-		CollectDecisions: true,
+		Model: twin.model, Market: twin.mkt, Failures: failures, CollectDecisions: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +99,6 @@ func TestBrokerFailureEquivalence(t *testing.T) {
 
 	// Decisions are compared post-refund: DecisionFor reflects the flip
 	// the tracker applied, exactly like want.Decisions[i].
-	vendorDown := 0
 	for i, tk := range serve.tasks {
 		got, ok, err := b.DecisionFor(tk.ID)
 		if err != nil || !ok {
@@ -103,12 +109,6 @@ func TestBrokerFailureEquivalence(t *testing.T) {
 			t.Fatalf("task %d: broker (admitted=%v payment=%v reason=%q) vs sim (admitted=%v payment=%v reason=%q)",
 				tk.ID, got.Admitted, got.Payment(), got.Reason, w.Admitted, w.Payment(), w.Reason)
 		}
-		if got.Reason == schedule.ReasonVendorDown {
-			vendorDown++
-		}
-	}
-	if vendorDown == 0 {
-		t.Log("note: no bid landed in the hard vendor window")
 	}
 
 	res := b.Result()
@@ -158,8 +158,7 @@ func TestCheckpointKillRestoreMidOutage(t *testing.T) {
 
 	optsA := serve.brokerOptions()
 	optsA.CheckpointPath = path
-	optsA.Failures = failures
-	a := startBroker(t, optsA)
+	a := startBroker(t, optsA, failures...)
 	earlyChans := submitAll(t, a, early, 4)
 	if _, err := a.Step(killAt); err != nil {
 		t.Fatal(err)
@@ -181,11 +180,7 @@ func TestCheckpointKillRestoreMidOutage(t *testing.T) {
 	}
 	optsB := restored.brokerOptions()
 	optsB.CheckpointPath = path
-	optsB.Failures = failures
-	b, err := New(optsB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBroker(t, optsB, failures...)
 	if err := b.Restore(ck); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -235,61 +230,6 @@ func TestCheckpointKillRestoreMidOutage(t *testing.T) {
 			t.Fatalf("task %d: resumed (admitted=%v %q) vs replay (admitted=%v %q)",
 				tk.ID, got.Admitted, got.Reason, w.Admitted, w.Reason)
 		}
-	}
-}
-
-// TestVendorDownRejection: a prep-requiring bid whose vendor calls stay
-// down past the retry deadline is rejected with ReasonVendorDown, and
-// the duals stay exactly where they were (the rejection is dual-neutral,
-// like ReasonNoSchedule).
-func TestVendorDownRejection(t *testing.T) {
-	s := newStack(t, 12, 2, 2, 5)
-	opts := s.brokerOptions()
-	opts.Quotes = faultQuotes(s, []faults.VendorFault{
-		{Vendor: -1, From: 0, To: 11, FailAttempts: -1}, // marketplace dark all run
-	})
-	b := startBroker(t, opts)
-	defer b.Kill()
-
-	before := s.sched.SnapshotDuals()
-	tk := task.Task{ID: 700, Arrival: 2, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 50, NeedsPrep: true}
-	ch, err := b.SubmitAsync(context.Background(), tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Step(3); err != nil {
-		t.Fatal(err)
-	}
-	out := <-ch
-	if out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if out.Decision.Admitted {
-		t.Fatal("bid admitted with no vendor quote")
-	}
-	if out.Decision.Reason != schedule.ReasonVendorDown {
-		t.Fatalf("reason %q, want %q", out.Decision.Reason, schedule.ReasonVendorDown)
-	}
-	if !s.sched.SnapshotDuals().Equal(before) {
-		t.Fatal("vendor-down rejection moved the dual prices")
-	}
-
-	// The same bid without prep sails through: only f_i = 1 bids depend
-	// on the marketplace.
-	tk2 := tk
-	tk2.ID = 701
-	tk2.Arrival = 4
-	tk2.NeedsPrep = false
-	ch2, err := b.SubmitAsync(context.Background(), tk2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Step(2); err != nil {
-		t.Fatal(err)
-	}
-	if out := <-ch2; out.Err != nil || !out.Decision.Admitted {
-		t.Fatalf("prep-free bid should be unaffected by the vendor outage: err=%v admitted=%v",
-			out.Err, out.Decision.Admitted)
 	}
 }
 

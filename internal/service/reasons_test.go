@@ -27,7 +27,6 @@ func TestRejectReasonRoundTrip(t *testing.T) {
 		{schedule.ReasonFailedNode, "failed-node"},
 		{schedule.ReasonNoSchedule, "no-schedule"},
 		{schedule.ReasonSurplus, "surplus"},
-		{schedule.ReasonVendorDown, "vendor-down"},
 	} {
 		text, err := tc.reason.MarshalText()
 		var back schedule.RejectReason
@@ -73,11 +72,11 @@ func TestRejectReasonRoundTrip(t *testing.T) {
 	if err := r.UnmarshalText([]byte("custom")); err == nil {
 		t.Fatal("an unknown reason name was accepted")
 	}
-	if _, err := (schedule.ReasonVendorDown + 1).MarshalText(); err == nil {
+	if _, err := (schedule.ReasonSurplus + 1).MarshalText(); err == nil {
 		t.Fatal("an unknown reason code was rendered")
 	}
-	enc := decision.Append(nil, 7, &schedule.Decision{TaskID: 7, Reason: schedule.ReasonVendorDown + 1})
-	if _, err := decision.ReadStore(append(enc, decision.End)); err == nil {
+	enc := decision.Append(nil, 7, &schedule.Decision{TaskID: 7, Reason: schedule.ReasonSurplus + 1})
+	if _, err := new(decision.Store).ReadList(&decision.Reader{B: append(enc, decision.End)}); err == nil {
 		t.Fatal("a decision record with an unknown reason code was accepted")
 	}
 }

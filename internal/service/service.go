@@ -142,20 +142,6 @@ type Options struct {
 	// RunLabel names this broker's run in emitted events and in the
 	// checkpoint; default "pdftspd".
 	RunLabel string
-	// Failures injects node outages with the simulator's semantics: each
-	// surfaces at the close of a bid-bearing slot at or after its From,
-	// masks the node's remaining cells in the ledger, re-plans broken
-	// commitments through the scheduler, and refunds tasks that cannot
-	// recover (their decided outcome flips to ReasonFailedNode). Given
-	// the same bids and failures, the broker's accounting stays
-	// bit-identical to sim.Run with Config.Failures.
-	Failures []sim.Failure
-	// Quotes, when non-nil, replaces direct Market lookups for
-	// pre-processing bids with a fallible vendor client (vendor.Retrier
-	// over vendor.Flaky); a purchase that stays down past the retry
-	// deadline rejects the bid with schedule.ReasonVendorDown. Nil keeps
-	// the infallible Market path.
-	Quotes vendor.Caller
 	// CheckpointFault, when set, is consulted before each checkpoint
 	// write with the slot being persisted; a non-nil return fails the
 	// write (fault injection for the degraded-mode path).
@@ -177,10 +163,13 @@ type Options struct {
 	// (internal/spot.Provider): the provider's nodes become unavailable
 	// until leased, leases are rented and released against the published
 	// duals, and market reclaims revoke capacity with the failure
-	// tracker's re-plan/refund semantics. The broker's sim.Engine drives
-	// the provider, so a spot-enabled broker stays bit-identical to sim.Run
-	// with Config.Spot. The provider must be dedicated to this broker (its
-	// state binds to the cluster).
+	// tracker's re-plan/refund semantics (a refunded bid's decided outcome
+	// flips to ReasonFailedNode). It is the broker's only source of
+	// capacity loss: outages are not known in advance, so unlike
+	// sim.Config there is no scripted list of them. The broker's
+	// sim.Engine drives the provider, so a spot-enabled broker stays
+	// bit-identical to sim.Run with Config.Spot. The provider must be
+	// dedicated to this broker (its state binds to the cluster).
 	Spot sim.SpotProvider
 }
 
@@ -415,8 +404,7 @@ func New(opts Options) (*Broker, error) {
 		fsys:      osFS{},
 	}
 	eng, err := sim.NewEngine(opts.Cluster, opts.Scheduler, sim.EngineConfig{
-		Model: opts.Model, Market: opts.Market, Quotes: opts.Quotes,
-		Failures: opts.Failures, Spot: opts.Spot,
+		Model: opts.Model, Market: opts.Market, Spot: opts.Spot,
 		Observer: opts.Observer, RunLabel: opts.RunLabel,
 	}, b.decided)
 	if err != nil {
@@ -711,6 +699,8 @@ type Status struct {
 	HorizonOver bool   `json:"horizon_over"`
 	Held        int    `json:"held_bids"`
 	QueueCap    int    `json:"queue_cap"`
+	// Supervisor is set when a Supervisor serves this status.
+	Supervisor *Supervision `json:"supervisor,omitempty"`
 	// Intake-path observability: the channel between submitters and the
 	// core goroutine (depth now / deepest ever) and the held-bid high
 	// water mark, plus separate shed tallies for the two 429 causes —
@@ -749,11 +739,11 @@ type Status struct {
 	// durability guarantee is broken (checkpoint writes keep failing).
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	// Failure-injection accounting (zero unless Options.Failures is set).
-	FailuresInjected int     `json:"failures_injected,omitempty"`
-	RecoveredTasks   int     `json:"recovered_tasks,omitempty"`
-	FailedTasks      int     `json:"failed_tasks,omitempty"`
-	RefundedValue    float64 `json:"refunded_value,omitempty"`
+	// Capacity-loss accounting (zero unless Options.Spot is set): plans a
+	// revocation broke that were re-planned, or refunded.
+	RecoveredTasks int     `json:"recovered_tasks,omitempty"`
+	FailedTasks    int     `json:"failed_tasks,omitempty"`
+	RefundedValue  float64 `json:"refunded_value,omitempty"`
 	// Spot-market accounting (zero unless Options.Spot is set).
 	SpotSpend       float64 `json:"spot_spend,omitempty"`
 	SpotLeases      int     `json:"spot_leases,omitempty"`
@@ -852,7 +842,6 @@ func (b *Broker) status() Status {
 		st.Degraded = true
 		st.DegradedReason = h.Reason
 	}
-	st.FailuresInjected = res.FailuresInjected
 	st.RecoveredTasks = res.RecoveredTasks
 	st.FailedTasks = res.FailedTasks
 	st.RefundedValue = res.RefundedValue

@@ -20,7 +20,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
-	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
@@ -78,12 +77,9 @@ func (s *testStack) brokerOptions() Options {
 	}
 }
 
-func startBroker(t testing.TB, opts Options) *Broker {
+func startBroker(t testing.TB, opts Options, outages ...sim.Failure) *Broker {
 	t.Helper()
-	b, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	b := newBroker(t, opts, outages...)
 	if err := b.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -281,15 +277,19 @@ func TestCheckpointKillRestore(t *testing.T) {
 	if ck.Decisions.Len() == 0 {
 		t.Fatal("checkpoint carries no decisions")
 	}
-	ck.Decisions.Each(func(id int, want schedule.Decision) {
-		got, ok, err := b.DecisionFor(id)
+	for _, tk := range serve.tasks {
+		want, ok := ck.Decisions.Get(tk.ID)
+		if !ok {
+			continue // decided after the checkpoint
+		}
+		got, ok, err := b.DecisionFor(tk.ID)
 		if err != nil || !ok {
-			t.Fatalf("decision %d lost across restore (ok=%v err=%v)", id, ok, err)
+			t.Fatalf("decision %d lost across restore (ok=%v err=%v)", tk.ID, ok, err)
 		}
 		if got.Admitted != want.Admitted || got.Payment() != want.Payment() {
-			t.Fatalf("decision %d mutated across restore", id)
+			t.Fatalf("decision %d mutated across restore", tk.ID)
 		}
-	})
+	}
 }
 
 // TestIntakeVerdicts covers the synchronous refusals of SubmitAsync.

@@ -426,6 +426,8 @@ type ShardsStatus struct {
 	Welfare     float64 `json:"welfare"`
 	Revenue     float64 `json:"revenue"`
 	Unroutable  int64   `json:"unroutable"`
+	// Supervisor is set when a Supervisor serves this status.
+	Supervisor *Supervision `json:"supervisor,omitempty"`
 	// Placed counts bids routed to each shard, keyed like PerShard.
 	Placed   map[string]int64  `json:"placed"`
 	PerShard map[string]Status `json:"per_shard"`
@@ -494,7 +496,6 @@ func (s *Shards) Status() (Status, error) {
 		agg.Canceled += bs.Canceled
 		agg.Welfare += bs.Welfare
 		agg.Revenue += bs.Revenue
-		agg.FailuresInjected += bs.FailuresInjected
 		agg.RecoveredTasks += bs.RecoveredTasks
 		agg.FailedTasks += bs.FailedTasks
 		agg.RefundedValue += bs.RefundedValue

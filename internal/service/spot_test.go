@@ -51,9 +51,8 @@ func TestBrokerSpotEquivalence(t *testing.T) {
 	twin := newFaultStack(t, slots, nodes, rate, 31)
 
 	opts := serve.brokerOptions()
-	opts.Failures = failures
 	opts.Spot = spotProviderFor(t, serve, spotSeed, reclaim)
-	b := startBroker(t, opts)
+	b := startBroker(t, opts, failures...)
 	chans := submitAll(t, b, serve.tasks, workers)
 	if _, err := b.Step(slots); err != nil {
 		t.Fatal(err)
@@ -147,9 +146,8 @@ func TestCheckpointKillRestoreMidLease(t *testing.T) {
 	optsA := serve.brokerOptions()
 	optsA.CheckpointPath = path
 	optsA.CheckpointFullEvery = 4 // force the kill onto a delta record
-	optsA.Failures = failures
 	optsA.Spot = spotProviderFor(t, serve, spotSeed, reclaim)
-	a := startBroker(t, optsA)
+	a := startBroker(t, optsA, failures...)
 	earlyChans := submitAll(t, a, early, 4)
 	if _, err := a.Step(killAt); err != nil {
 		t.Fatal(err)
@@ -179,12 +177,8 @@ func TestCheckpointKillRestoreMidLease(t *testing.T) {
 	optsB := restored.brokerOptions()
 	optsB.CheckpointPath = path
 	optsB.CheckpointFullEvery = 4
-	optsB.Failures = failures
 	optsB.Spot = spotProviderFor(t, restored, spotSeed, reclaim)
-	b, err := New(optsB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBroker(t, optsB, failures...)
 	if err := b.Restore(ck); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // TestEventStreamThreeWay checks what the benchmark's span builder depends
@@ -25,7 +24,7 @@ import (
 // (same two workloads; keep the parameters in step with it). The
 // adversarial one packs ~30 bids per slot onto 2 nodes, so nearly every
 // bid prices against duals the previous one just moved; the chaos one
-// routes outages, vendor fault windows and refunds through the round.
+// routes outages and refunds through the round.
 // Each pair is also held to DiffTwins, final duals and final ledger.
 func TestEventStreamThreeWay(t *testing.T) {
 	for _, w := range []struct {
@@ -41,36 +40,31 @@ func TestEventStreamThreeWay(t *testing.T) {
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			var failures []sim.Failure
-			var plan faults.Plan
 			if w.faulted {
-				plan = faults.Generate(w.seed, w.nodes, w.slots, 4)
-				for _, o := range plan.Outages {
+				for _, o := range faults.Generate(w.seed, w.nodes, w.slots).Outages {
 					failures = append(failures, sim.Failure{Node: o.Node, From: o.From, To: o.To})
 				}
 			}
 			// record runs one engine over a fresh stack and returns the
 			// stack and its stream.
-			record := func(drive func(st *testStack, quotes vendor.Caller, o obs.Observer)) (*testStack, []byte) {
+			record := func(drive func(st *testStack, o obs.Observer)) (*testStack, []byte) {
 				st := newStack(t, w.slots, w.nodes, w.rate, w.seed)
-				var quotes vendor.Caller
 				if w.faulted {
 					st = newFaultStack(t, w.slots, w.nodes, w.rate, w.seed)
-					quotes = faultQuotes(st, plan.Vendor)
 				}
 				var buf bytes.Buffer
 				jsonl := obs.NewJSONL(&buf)
-				drive(st, quotes, jsonl)
+				drive(st, jsonl)
 				if err := jsonl.Close(); err != nil {
 					t.Fatal(err)
 				}
 				return st, buf.Bytes()
 			}
 			var b *Broker
-			serve, got := record(func(st *testStack, quotes vendor.Caller, o obs.Observer) {
+			serve, got := record(func(st *testStack, o obs.Observer) {
 				opts := st.brokerOptions()
-				opts.Failures, opts.Quotes = failures, quotes
 				opts.Observer, opts.RunLabel = o, "stream"
-				b = startBroker(t, opts)
+				b = startBroker(t, opts, failures...)
 				chans := submitAll(t, b, st.tasks, 6)
 				if _, err := b.Step(w.slots); err != nil {
 					t.Fatal(err)
@@ -85,10 +79,10 @@ func TestEventStreamThreeWay(t *testing.T) {
 				}
 			})
 			var res *sim.Result
-			twin, want := record(func(st *testStack, quotes vendor.Caller, o obs.Observer) {
+			twin, want := record(func(st *testStack, o obs.Observer) {
 				var err error
 				res, err = sim.Run(st.cl, st.sched, st.tasks, sim.Config{
-					Model: st.model, Market: st.mkt, Failures: failures, Quotes: quotes,
+					Model: st.model, Market: st.mkt, Failures: failures,
 					Observer: o, RunLabel: "stream", CollectDecisions: true,
 				})
 				if err != nil {
@@ -99,7 +93,7 @@ func TestEventStreamThreeWay(t *testing.T) {
 				t.Fatalf("sim.Run stream has only %d events; the comparison is vacuous", bytes.Count(want, []byte("\n")))
 			}
 			if msg := firstLineDiff(want, readGzip(t, filepath.Join("..", "sim", "testdata", w.golden))); msg != "" {
-				t.Fatalf("sim.Run stream diverges from the pre-engine golden at %s", msg)
+				t.Fatalf("sim.Run stream diverges from the golden at %s", msg)
 			}
 			if msg := firstLineDiff(got, want); msg != "" {
 				t.Fatalf("broker stream diverges from sim.Run at %s", msg)

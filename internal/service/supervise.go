@@ -128,18 +128,19 @@ func (s *Supervisor) Start() error {
 // or a Build failure).
 func (s *Supervisor) Done() <-chan struct{} { return s.done }
 
-// Restarts reports how many generations have been rebuilt so far.
-func (s *Supervisor) Restarts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restarts
+// Supervision is what a Supervisor adds to its generation's Status and
+// /v1/status body: the serving generation (0 = the first) and how many
+// generations it has rebuilt after a crash or a wedge.
+type Supervision struct {
+	Generation int `json:"generation"`
+	Restarts   int `json:"restarts"`
 }
 
-// Generation reports the current generation number (0 = the first).
-func (s *Supervisor) Generation() int {
+// supervision reads the generation and the restart count together.
+func (s *Supervisor) supervision() *Supervision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	return &Supervision{Generation: s.gen, Restarts: s.restarts}
 }
 
 // swap installs a new generation and wakes every waiter.
@@ -532,8 +533,13 @@ func (s *Supervisor) PendingFor(id int) (bool, error) {
 	return inGen(s, func(a Auctioneer) (bool, error) { return a.PendingFor(id) })
 }
 
-// Status reports the current generation's status.
-func (s *Supervisor) Status() (Status, error) { return inGen(s, Auctioneer.Status) }
+// Status reports the current generation's status, with the supervisor's
+// generation and restart count.
+func (s *Supervisor) Status() (Status, error) {
+	st, err := inGen(s, Auctioneer.Status)
+	st.Supervisor = s.supervision()
+	return st, err
+}
 
 // Health reports the current generation's health; a supervisor that has
 // given up (a Build failure) reports degraded with the sticky reason,
@@ -619,5 +625,17 @@ func (s *Supervisor) retryAfter() string {
 }
 
 // statusPayload serves the generation's own payload (a fleet's
-// ShardsStatus, a broker's Status) on /v1/status.
-func (s *Supervisor) statusPayload() (any, error) { return inGen(s, Auctioneer.statusPayload) }
+// ShardsStatus, a broker's Status) on /v1/status, with the supervisor's
+// generation and restart count.
+func (s *Supervisor) statusPayload() (any, error) {
+	p, err := inGen(s, Auctioneer.statusPayload)
+	switch st := p.(type) {
+	case Status:
+		st.Supervisor = s.supervision()
+		return st, err
+	case ShardsStatus:
+		st.Supervisor = s.supervision()
+		return st, err
+	}
+	return p, err
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -112,8 +113,8 @@ func TestSupervisorAckBoundaryKill(t *testing.T) {
 			t.Fatalf("step at slot %d: %v", slot, err)
 		}
 	}
-	if got := sup.Restarts(); got != 2 {
-		t.Fatalf("Restarts() = %d, want 2", got)
+	if st, err := sup.Status(); err != nil || *st.Supervisor != (Supervision{Generation: 2, Restarts: 2}) {
+		t.Fatalf("Status().Supervisor = %+v (err %v), want generation 2 after 2 restarts", st.Supervisor, err)
 	}
 	brokers := sup.Brokers()
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -449,11 +450,47 @@ func TestSupervisorWedgeDetection(t *testing.T) {
 	go b0.do(func() { <-gate })
 
 	awaitRestart(t, restarted)
-	if got := sup.Restarts(); got != 1 {
-		t.Fatalf("Restarts() = %d, want 1", got)
+	if st, err := sup.Status(); err != nil || st.Supervisor.Restarts != 1 {
+		t.Fatalf("Status().Supervisor = %+v after a wedge (err %v), want 1 restart", st.Supervisor, err)
 	}
 	if _, err := sup.Slot(); err != nil {
 		t.Fatalf("Slot after wedge recovery: %v", err)
+	}
+}
+
+// TestSupervisedStatusReportsRestarts: an operator with curl reads the
+// supervisor's generation and restart count on /v1/status — generation 0
+// with no restart before a crash, generation 1 after one restart — next
+// to the generation's own status.
+func TestSupervisedStatusReportsRestarts(t *testing.T) {
+	sup, restarted, _ := walSupervisor(t, 8, 5)
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Kill()
+	srv := httptest.NewServer(sup.Handler())
+	defer srv.Close()
+
+	var status struct {
+		Slot       int          `json:"slot"`
+		Supervisor *Supervision `json:"supervisor"`
+	}
+	httpJSON(t, srv, "GET", "/v1/status", nil, http.StatusOK, &status)
+	if status.Supervisor == nil || *status.Supervisor != (Supervision{}) {
+		t.Fatalf("/v1/status before a crash: supervisor %+v, want generation 0, 0 restarts", status.Supervisor)
+	}
+	if _, err := sup.Step(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range sup.Brokers() {
+		b.Kill()
+	}
+	awaitRestart(t, restarted)
+	status.Supervisor = nil
+	httpJSON(t, srv, "GET", "/v1/status", nil, http.StatusOK, &status)
+	if status.Supervisor == nil || *status.Supervisor != (Supervision{Generation: 1, Restarts: 1}) || status.Slot != 2 {
+		t.Fatalf("/v1/status after one crash: slot %d, supervisor %+v; want slot 2, generation 1, 1 restart",
+			status.Slot, status.Supervisor)
 	}
 }
 

@@ -36,13 +36,12 @@ import (
 //     slot Spot.AdvanceTo runs first, then FailureTracker.ApplyUpTo, so a
 //     slot's spot reclaims re-plan against the ledger before its static
 //     outages do. The order decides who is refunded.
-//   - Each bid then goes, in the order given: refill env → fallible quote
-//     purchase (when Quotes is set; a failed purchase leaves env.Quotes nil
-//     and the resulting no-schedule rejection is re-tagged vendor-down) →
-//     OnBid → decide → OnOutcome → Account → Track → sink.
+//   - Each bid then goes, in the order given: refill env (its quotes
+//     read from Market) → OnBid → decide → OnOutcome → Account → Track →
+//     sink.
 //   - "decide" has two forms, chosen by the scheduler's type and nothing
 //     else. A BatchScheduler gets the whole slot in one BatchOffer (every
-//     env and quote prepared first, every OnBid before it, every OnOutcome
+//     env prepared first, every OnBid before it, every OnOutcome
 //     after, latency amortised over the batch — the paper's Figure 13
 //     methodology). Any other scheduler gets one Offer per bid.
 //   - Finish(true) applies AdvanceTo/ApplyUpTo once more at the horizon's
@@ -79,7 +78,6 @@ type Engine struct {
 	// so it forces a fresh env per bid instead of the pool.
 	pool    []*schedule.TaskEnv
 	envs    []*schedule.TaskEnv
-	qErrs   []error
 	bidEv   obs.BidEvent
 	outEv   obs.OutcomeEvent
 	placBuf []obs.Placement
@@ -93,7 +91,6 @@ type Engine struct {
 type EngineConfig struct {
 	Model    lora.ModelConfig
 	Market   *vendor.Marketplace
-	Quotes   vendor.Caller
 	Failures []Failure
 	Spot     SpotProvider
 	Observer obs.Observer
@@ -122,11 +119,6 @@ func NewEngine(cl *cluster.Cluster, sched Scheduler, cfg EngineConfig, sink Sink
 		if err := cfg.Spot.Bind(cl, faults); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Quotes != nil {
-		// Quotes come from the fallible client, so faults and retries
-		// apply; envs derive none from the marketplace.
-		cfg.Market = nil
 	}
 	e := &Engine{
 		cl: cl, sched: sched, cfg: cfg, sink: sink,
@@ -226,11 +218,10 @@ func (e *Engine) Round(ctx context.Context, slot int, bids []*task.Task) error {
 	e.faults.ApplyUpTo(slot, e.sched, e.res)
 
 	if e.batch != nil {
-		// The batch plans over the whole round: every env and quote up front.
-		e.envs, e.qErrs = e.envs[:0], e.qErrs[:0]
+		// The batch plans over the whole round: every env up front.
+		e.envs = e.envs[:0]
 		for i, tk := range bids {
-			env, qErr := e.prepare(i, slot, tk)
-			e.envs, e.qErrs = append(e.envs, env), append(e.qErrs, qErr)
+			e.envs = append(e.envs, e.prepare(i, tk))
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -242,7 +233,7 @@ func (e *Engine) Round(ctx context.Context, slot int, bids []*task.Task) error {
 		ds := e.batch.BatchOffer(e.envs)
 		per := time.Since(start) / time.Duration(len(ds))
 		for i := range ds {
-			e.settle(e.envs[i], &ds[i], e.qErrs[i], per)
+			e.settle(e.envs[i], &ds[i], per)
 		}
 		return nil
 	}
@@ -250,39 +241,27 @@ func (e *Engine) Round(ctx context.Context, slot int, bids []*task.Task) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		env, qErr := e.prepare(0, slot, tk)
+		env := e.prepare(0, tk)
 		e.onBid(env)
 		start := time.Now()
 		e.d = e.sched.Offer(env)
-		e.settle(env, &e.d, qErr, time.Since(start))
+		e.settle(env, &e.d, time.Since(start))
 	}
 	return nil
 }
 
-// prepare derives bid tk's env — pool entry pos, or a fresh one when the
-// tracker will retain it — and buys its quotes from the fallible client
-// when one is configured. A failed purchase is returned, not fatal: the
-// env keeps no quotes and the scheduler's (4a) rejection follows.
-func (e *Engine) prepare(pos, slot int, tk *task.Task) (*schedule.TaskEnv, error) {
-	var env *schedule.TaskEnv
+// prepare derives bid tk's env: pool entry pos, or a fresh one when the
+// tracker will retain it.
+func (e *Engine) prepare(pos int, tk *task.Task) *schedule.TaskEnv {
 	if e.faults != nil {
-		env = schedule.NewTaskEnv(tk, e.cl, e.cfg.Model, e.cfg.Market)
-	} else {
-		for pos >= len(e.pool) {
-			e.pool = append(e.pool, new(schedule.TaskEnv))
-		}
-		env = e.pool[pos]
-		env.Refill(tk, e.cl, e.cfg.Model, e.cfg.Market)
+		return schedule.NewTaskEnv(tk, e.cl, e.cfg.Model, e.cfg.Market)
 	}
-	if e.cfg.Quotes == nil || !tk.NeedsPrep {
-		return env, nil
+	for pos >= len(e.pool) {
+		e.pool = append(e.pool, new(schedule.TaskEnv))
 	}
-	q, err := e.cfg.Quotes.Call(tk.ID, slot)
-	if err != nil {
-		return env, err
-	}
-	env.Quotes = q
-	return env, nil
+	env := e.pool[pos]
+	env.Refill(tk, e.cl, e.cfg.Model, e.cfg.Market)
+	return env
 }
 
 func (e *Engine) onBid(env *schedule.TaskEnv) {
@@ -302,12 +281,7 @@ func (e *Engine) onBid(env *schedule.TaskEnv) {
 }
 
 // settle is everything that follows a decision, in its fixed order.
-func (e *Engine) settle(env *schedule.TaskEnv, d *schedule.Decision, vendorErr error, lat time.Duration) {
-	// A marketplace outage, not a genuinely unschedulable task. Admissions
-	// and other rejection reasons are never rewritten.
-	if vendorErr != nil && !d.Admitted && d.Reason == schedule.ReasonNoSchedule {
-		d.Reason = schedule.ReasonVendorDown
-	}
+func (e *Engine) settle(env *schedule.TaskEnv, d *schedule.Decision, lat time.Duration) {
 	if e.o != nil {
 		e.fillOutcome(env, d)
 		e.o.OnOutcome(&e.outEv)

@@ -15,7 +15,6 @@ import (
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
-	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
 // callLog is the one ordered record every fake in this file appends to,
@@ -27,22 +26,16 @@ func (l *callLog) add(format string, args ...any) { *l = append(*l, fmt.Sprintf(
 // scriptScheduler decides by task ID: task 2 is admitted onto node 1's
 // last slot (and committed, so a later outage can release it), task 1 and
 // recovery continuations find no schedule, everything else loses on
-// surplus. It records what it saw of each env's quotes.
+// surplus.
 type scriptScheduler struct {
-	log    *callLog
-	cl     *cluster.Cluster
-	quotes map[int]int // task ID → len(env.Quotes), -1 for nil
+	log *callLog
+	cl  *cluster.Cluster
 }
 
 func (s *scriptScheduler) Name() string { return "script" }
 
 func (s *scriptScheduler) decide(env *schedule.TaskEnv) schedule.Decision {
 	id := env.Task.ID
-	if env.Quotes == nil {
-		s.quotes[id] = -1
-	} else {
-		s.quotes[id] = len(env.Quotes)
-	}
 	d := schedule.Decision{TaskID: id}
 	switch {
 	case id == 2:
@@ -96,17 +89,6 @@ func (r *recordingSpot) RestoreState(st *SpotState) error {
 	return nil
 }
 
-// failingQuotes sells one quote, except to tasks 1 and 3.
-type failingQuotes struct{ log *callLog }
-
-func (f failingQuotes) Call(taskID, slot int) ([]vendor.Quote, error) {
-	f.log.add("quote %d@%d", taskID, slot)
-	if taskID == 1 || taskID == 3 {
-		return nil, errors.New("marketplace down")
-	}
-	return []vendor.Quote{{Vendor: 0, Price: 1}}, nil
-}
-
 // recordingObserver logs the engine's own events; ApplyUpTo shows up as
 // the failure event it emits.
 type recordingObserver struct {
@@ -127,13 +109,12 @@ func (r recordingObserver) OnRunEnd(*obs.RunEndEvent)     { r.log.add("run_end")
 // comment promises.
 func TestEngineCallDiscipline(t *testing.T) {
 	const T = 8
-	// Slot 2 carries three bids (0 and 1 need pre-processing; 1's purchase
-	// fails), slot 5 one (its purchase fails too, but it loses on surplus).
+	// Slot 2 carries three bids, slot 5 one.
 	tasks := []task.Task{
-		{ID: 0, Arrival: 2, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5, NeedsPrep: true},
-		{ID: 1, Arrival: 2, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5, NeedsPrep: true},
+		{ID: 0, Arrival: 2, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5},
+		{ID: 1, Arrival: 2, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5},
 		{ID: 2, Arrival: 2, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5},
-		{ID: 3, Arrival: 5, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5, NeedsPrep: true},
+		{ID: 3, Arrival: 5, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5},
 	}
 	// One outage is already due when slot 1 closes empty; one only surfaces
 	// from Finish, where it breaks task 2's plan.
@@ -143,33 +124,33 @@ func TestEngineCallDiscipline(t *testing.T) {
 	tail := []string{
 		"advance 7", "reoffer", "refund 2", "apply node1", "run_end",
 	}
-	slot5 := []string{"advance 5", "quote 3@5", "bid 3", "offer 3", "outcome 3 surplus", "sink 3=3"}
+	slot5 := []string{"advance 5", "bid 3", "offer 3", "outcome 3 surplus", "sink 3=3"}
 	for _, tc := range []struct {
 		mode string
 		want []string
 	}{
 		{"offer", slices.Concat(head, []string{
-			"quote 0@2", "bid 0", "offer 0", "outcome 0 surplus", "sink 0=0",
-			"quote 1@2", "bid 1", "offer 1", "outcome 1 vendor-down", "sink 1=1",
+			"bid 0", "offer 0", "outcome 0 surplus", "sink 0=0",
+			"bid 1", "offer 1", "outcome 1 no-schedule", "sink 1=1",
 			"bid 2", "offer 2", "outcome 2 ", "sink 2=2",
 		}, slot5, tail)},
 		{"batch", slices.Concat(head, []string{
-			"quote 0@2", "quote 1@2", "bid 0", "bid 1", "bid 2", "batch 3",
-			"outcome 0 surplus", "sink 0=0", "outcome 1 vendor-down", "sink 1=1", "outcome 2 ", "sink 2=2",
-			"advance 5", "quote 3@5", "bid 3", "batch 1", "outcome 3 surplus", "sink 3=3",
+			"bid 0", "bid 1", "bid 2", "batch 3",
+			"outcome 0 surplus", "sink 0=0", "outcome 1 no-schedule", "sink 1=1", "outcome 2 ", "sink 2=2",
+			"advance 5", "bid 3", "batch 1", "outcome 3 surplus", "sink 3=3",
 		}, tail)},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
 			var log callLog
 			cl := simCluster(t, 2, timeslot.NewHorizon(T))
-			script := &scriptScheduler{log: &log, cl: cl, quotes: map[int]int{}}
+			script := &scriptScheduler{log: &log, cl: cl}
 			var sched Scheduler = script
 			if tc.mode == "batch" {
 				sched = scriptBatcher{script}
 			}
 			spot := &recordingSpot{log: &log}
 			cfg := EngineConfig{
-				Model: lora.GPT2Small(), Quotes: failingQuotes{&log}, Failures: failures,
+				Model: lora.GPT2Small(), Failures: failures,
 				Spot: spot, Observer: recordingObserver{log: &log},
 			}
 			sunk := 0 // the engine hands latencies over; it keeps none
@@ -197,13 +178,9 @@ func TestEngineCallDiscipline(t *testing.T) {
 			if !reflect.DeepEqual([]string(log), tc.want) {
 				t.Fatalf("call sequence\n got  %q\n want %q", []string(log), tc.want)
 			}
-			// A sold quote reaches the scheduler; a failed purchase leaves nil.
-			if want := map[int]int{0: 1, 1: -1, 2: -1, 3: -1, 1 << 30: -1}; !reflect.DeepEqual(script.quotes, want) {
-				t.Fatalf("quotes seen by the scheduler: %v, want %v", script.quotes, want)
-			}
 			res := eng.Result()
-			if res.RejectReasons[schedule.ReasonVendorDown] != 1 || res.RejectReasons[schedule.ReasonSurplus] != 2 {
-				t.Fatalf("only a no-schedule rejection may be re-tagged vendor-down: %v", res.RejectReasons)
+			if res.RejectReasons[schedule.ReasonNoSchedule] != 1 || res.RejectReasons[schedule.ReasonSurplus] != 2 {
+				t.Fatalf("reject reasons: %v", res.RejectReasons)
 			}
 			if res.FailuresInjected != 2 || res.FailedTasks != 1 || eng.Offered() != 4 || sunk != 4 || res.OfferLatency != nil {
 				t.Fatalf("accounting: %+v, offered %d", res, eng.Offered())
@@ -240,7 +217,7 @@ func TestEngineRoundObservesCancellation(t *testing.T) {
 	var log callLog
 	cl := simCluster(t, 2, timeslot.NewHorizon(8))
 	ctx, cancel := context.WithCancel(context.Background())
-	eng, err := NewEngine(cl, &scriptScheduler{log: &log, cl: cl, quotes: map[int]int{}},
+	eng, err := NewEngine(cl, &scriptScheduler{log: &log, cl: cl},
 		EngineConfig{Model: lora.GPT2Small()},
 		func(int, *schedule.TaskEnv, *schedule.Decision, time.Duration) { cancel() })
 	if err != nil {

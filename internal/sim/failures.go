@@ -82,9 +82,7 @@ func NewFailureTracker(fs []Failure, cl *cluster.Cluster) (*FailureTracker, erro
 		}
 		// Clamp tails past the horizon (see the Failure doc) so fault
 		// plans can never index past the ledger.
-		if f.To >= horizon {
-			f.To = horizon - 1
-		}
+		f.To = cl.Horizon().Clamp(f.To)
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].From < sorted[j].From })
 	return &FailureTracker{

@@ -54,6 +54,10 @@ type Config struct {
 	// beginning of its From slot and triggers recovery re-planning for
 	// the committed plans it breaks. pdFTSP recovers best with
 	// Options.MaskFullCells set, so its DP routes around downed nodes.
+	// The schedule is known in advance, so only a replay takes one
+	// (examples/failures, the tests' broker twins); a serving broker
+	// loses capacity through Spot's revocations, which reach the same
+	// recovery path.
 	Failures []Failure
 	// Spot, when non-nil, drives the elastic spot-capacity tier: the
 	// provider is bound to the run's cluster and failure tracker before
@@ -61,15 +65,6 @@ type Config struct {
 	// renting and revoking leases on the cluster's elastic nodes. See
 	// SpotProvider and internal/spot.
 	Spot SpotProvider
-	// Quotes, when non-nil, replaces direct Market lookups for
-	// pre-processing bids with a fallible vendor client (vendor.Retrier
-	// over vendor.Flaky injects transient faults and backoff). A purchase
-	// that still fails leaves the bid with no quotes, and the scheduler's
-	// constraint-(4a) rejection is re-tagged schedule.ReasonVendorDown —
-	// the paper-consistent refusal for an f_i = 1 task whose marketplace
-	// stayed down. The service broker accepts the same Caller, so a
-	// broker-versus-sim differential sees identical vendor behavior.
-	Quotes vendor.Caller
 	// Observer, when non-nil, receives the run's full decision-path
 	// event stream: RunStart/Bid/Outcome/RunEnd from the engine plus
 	// Vendor/Dual/Payment from schedulers implementing obs.Observable.
@@ -152,7 +147,7 @@ func Run(cl *cluster.Cluster, sched Scheduler, tasks []task.Task, cfg Config) (*
 
 	var res *Result
 	eng, err := NewEngine(cl, sched, EngineConfig{
-		Model: cfg.Model, Market: cfg.Market, Quotes: cfg.Quotes,
+		Model: cfg.Model, Market: cfg.Market,
 		Failures: cfg.Failures, Spot: cfg.Spot,
 		Observer: cfg.Observer, RunLabel: cfg.RunLabel,
 	}, func(idx int, env *schedule.TaskEnv, d *schedule.Decision, lat time.Duration) {

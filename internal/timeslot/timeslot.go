@@ -85,11 +85,6 @@ type Window struct {
 	Start, End int
 }
 
-// NewWindow builds the window and reports whether it is non-empty.
-func NewWindow(start, end int) (Window, bool) {
-	return Window{Start: start, End: end}, start <= end
-}
-
 // Len returns the number of slots in the window (0 if empty).
 func (w Window) Len() int {
 	if w.End < w.Start {

@@ -150,16 +150,6 @@ func NewRouter(zs ...*Zone) (*Router, error) {
 	return r, nil
 }
 
-// Zone returns the first zone serving a model (the zero Model selects the
-// default model).
-func (r *Router) Zone(m lora.Model) (*Zone, bool) {
-	idxs := r.byModel.Serving(m)
-	if len(idxs) == 0 {
-		return nil, false
-	}
-	return r.zones[idxs[0]], true
-}
-
 // ZoneNames returns the zone keys in registration order.
 func (r *Router) ZoneNames() []string {
 	return append([]string(nil), r.keys...)

@@ -78,11 +78,13 @@ func TestRouterRoutesByModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z, ok := r.Zone(lora.ModelGPT2Medium); !ok || z != medium {
+	tk := task.Task{ID: 1, Arrival: 0, Deadline: 10, Work: 10, MemGB: 4, Batch: 16, Bid: 50, ModelName: lora.ModelGPT2Medium}
+	if zi := r.Place(&tk); zi < 0 || r.zones[zi] != medium {
 		t.Fatal("medium zone not found")
 	}
 	// The zero model routes to the default (first) zone.
-	if z, ok := r.Zone(0); !ok || z != small {
+	tk.ModelName = 0
+	if zi := r.Place(&tk); zi < 0 || r.zones[zi] != small {
 		t.Fatal("default zone wrong")
 	}
 	if names := r.ZoneNames(); len(names) != 2 || names[0] != "gpt2-small" {
