@@ -121,10 +121,14 @@ fleet-guard:
 # comparison baseline (baseline) or the MILP stack under Titan and the
 # offline optimum (lp, milp, offline). The baseline switch lives on the
 # figure side, in internal/experiments; internal/config wires only the
-# pdFTSP family.
+# pdFTSP family. The workload and the marketplace draw one seeded stream,
+# math/rand's, reproduced once in internal/lfg: no non-test file in
+# internal/trace or internal/vendor may import math/rand itself.
 deps-guard:
 	@if $(GO) list -deps ./cmd/pdftspd ./cmd/pdftspd-load | grep -E '/internal/(train|tensor|lp|milp|offline|baseline)$$'; then \
 		echo "deps-guard: a serving binary links the trainer, a baseline or the MILP stack"; exit 1; fi
+	@if $(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./internal/trace ./internal/vendor | grep -E ' math/rand( |/|$$)'; then \
+		echo "deps-guard: trace or vendor draws from math/rand instead of internal/lfg"; exit 1; fi
 
 # codec-guard is the mechanical form of "a decided bid is kept one way":
 # internal/decision holds the one record encoding, and the broker's store,

@@ -104,10 +104,10 @@ func TestCalibrateDualsAllocBudget(t *testing.T) {
 
 // TestTraceGenerateAllocBudget asserts workload generation allocates what
 // it returns and little else: at the reject-flood rate (625/slot, ~76k
-// tasks) at most 6 allocations — arrival counts, two seeded streams, the
-// tasks — within 2% of the returned slice's own bytes, which is sized
-// exactly. Grouping it by slot afterwards is one more allocation, not a
-// second copy of the workload.
+// tasks) 2 allocations — arrival counts and the tasks; both seeded streams
+// are lfg.Sources on Generate's stack — within 2% of the returned slice's
+// own bytes, which is sized exactly. Grouping it by slot afterwards is one
+// more allocation, not a second copy of the workload.
 func TestTraceGenerateAllocBudget(t *testing.T) {
 	cfg := trace.DefaultConfig()
 	cfg.RatePerSlot = 625
@@ -123,8 +123,8 @@ func TestTraceGenerateAllocBudget(t *testing.T) {
 	// A 40-byte Task no longer crosses the first heap goal in
 	// AllocsPerRun's warm-up call, so run a cycle before measuring.
 	runtime.GC()
-	if allocs := testing.AllocsPerRun(3, generate); allocs > 6 {
-		t.Fatalf("Generate averaged %.1f allocs, budget is 6", allocs)
+	if allocs := testing.AllocsPerRun(3, generate); allocs > 2 {
+		t.Fatalf("Generate averaged %.1f allocs, budget is 2", allocs)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

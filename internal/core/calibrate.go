@@ -47,30 +47,20 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 		meanUnit /= float64(cells)
 	}
 
-	// Fastest per-batch speed across the cluster's node types, cached.
-	// Workloads use a handful of distinct batch sizes, so a linear scan
-	// over parallel slices beats a map and stays allocation-free after
-	// the first few batches.
-	var cachedBatches, cachedSpeeds [8]int
-	nCached := 0
-	fastest := func(batch int) int {
-		for i := 0; i < nCached; i++ {
-			if cachedBatches[i] == batch {
-				return cachedSpeeds[i]
-			}
-		}
+	// Speeds by batch: workloads draw a few small batch sizes, so a table
+	// indexed by batch, filled on first use, costs a task one load and a
+	// branch that goes the same way every time; a batch outside it is
+	// computed per task. A speed is capped at MaxInt32, which no Work
+	// exceeds, so ⌈Work/speed⌉ is unchanged and divides in 32 bits.
+	var speeds [64]uint32
+	fastest := func(batch int) uint32 {
 		best := 1
 		for k := 0; k < cl.NumNodes(); k++ {
 			if s := lora.TaskUnitsPerSlot(model, cl.Node(k).Spec, batch, h); s > best {
 				best = s
 			}
 		}
-		if nCached < len(cachedBatches) {
-			cachedBatches[nCached] = batch
-			cachedSpeeds[nCached] = best
-			nCached++
-		}
-		return best
+		return uint32(min(best, 1<<31-1))
 	}
 
 	// A vendor quote only lowers a task's net value, and both maxima move
@@ -90,8 +80,16 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 		if net <= 0 {
 			continue
 		}
-		speed := fastest(int(t.Batch))
-		minSlots := (int(t.Work) + speed - 1) / speed // ≥ 1: Work ≥ 1
+		var speed uint32
+		if b := int(t.Batch); uint(b) < uint(len(speeds)) {
+			if speeds[b] == 0 {
+				speeds[b] = fastest(b)
+			}
+			speed = speeds[b]
+		} else {
+			speed = fastest(b)
+		}
+		minSlots := (uint32(t.Work) + speed - 1) / speed // ≥ 1: Work ≥ 1
 		footprint := t.MemGB * float64(minSlots)
 		if net/float64(t.Work) <= alpha && net/footprint <= beta {
 			continue

@@ -207,6 +207,26 @@ func TestCalibrateDualsMatchesReference(t *testing.T) {
 	sunk := base
 	sunk.ID, sunk.NeedsPrep, sunk.Work, sunk.Bid = 1, true, 1, 2
 	workloads["quote-sinks-net"] = []task.Task{base, sunk, base}
+	// Speeds by batch: more distinct batches than the menu's four (and
+	// than the eight the speed cache once held), and batches outside the
+	// speed table (64 and up, zero, negative) on its per-task path, each
+	// seen twice. Density grows with the index, so later tasks keep
+	// setting new maxima and the last of them, batch 4096, sets β through
+	// its speed. Alone, a task whose Work is MaxInt32 sets both.
+	var batches []task.Task
+	sizes := []int16{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 32, 63, 0, -3, 64, 100, 4096}
+	for i := 0; i < 2*len(sizes); i++ {
+		tk := base
+		tk.ID, tk.Batch = i, sizes[i%len(sizes)]
+		tk.Work = int32(20 + 37*i%400)
+		tk.Bid = float64(tk.Work) * (1.1 + 0.1*float64(i))
+		tk.NeedsPrep = i%3 == 0
+		batches = append(batches, tk)
+	}
+	workloads["batch-sizes"] = batches
+	huge := base
+	huge.Work, huge.Bid = math.MaxInt32, 1e10
+	workloads["work-maxint32"] = []task.Task{huge}
 
 	mkt, err := vendor.Standard(5, 1)
 	if err != nil {

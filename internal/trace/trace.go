@@ -15,9 +15,9 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/pdftsp/pdftsp/internal/gpu"
+	"github.com/pdftsp/pdftsp/internal/lfg"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
@@ -223,7 +223,7 @@ func (c Config) cutoff() int {
 // inside float64 range (Poisson variates are additive in lambda). Rates
 // at or below the chunk size draw exactly as before, preserving every
 // existing seed's workload.
-func poisson(rng *rand.Rand, lambda float64) int {
+func poisson(rng *lfg.Source, lambda float64) int {
 	const chunk = 512 // exp(-512) ≈ 4e-223, comfortably normal
 	k := 0
 	for lambda > chunk {
@@ -246,7 +246,7 @@ func poisson(rng *rand.Rand, lambda float64) int {
 
 // rateAt returns the instantaneous arrival rate for slot t under the
 // configured arrival kind.
-func (c Config) rateAt(rng *rand.Rand, t int) float64 {
+func (c Config) rateAt(rng *lfg.Source, t int) float64 {
 	f := c.Horizon.FractionOfDay(t)
 	switch c.Arrivals {
 	case MLaaSLike:
@@ -282,11 +282,12 @@ func ArrivalCounts(cfg Config) ([]int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	var rng lfg.Source
+	rng.Seed(cfg.Seed)
 	counts := make([]int, cfg.Horizon.T)
 	cut := cfg.cutoff()
 	for t := 0; t <= cut; t++ {
-		counts[t] = poisson(rng, cfg.rateAt(rng, t))
+		counts[t] = poisson(&rng, cfg.rateAt(&rng, t))
 	}
 	return counts, nil
 }
@@ -349,7 +350,7 @@ type modelTable struct {
 // that order is the workload format: adding, dropping or reordering a
 // draw changes every later task of every seed.
 type generator struct {
-	rng *rand.Rand
+	rng lfg.Source
 	// single is the one model of the paper's setting; multi, when
 	// non-empty, replaces it with a weighted menu (Config.Models).
 	single      modelTable
@@ -366,12 +367,12 @@ type generator struct {
 func newGenerator(cfg *Config) generator {
 	lo, hi := cfg.Deadlines.slackRange()
 	g := generator{
-		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d)),
 		slackLo: lo, slackSpan: hi - lo,
 		valueLo: cfg.ValuePerUnitMin, valueSpan: cfg.ValuePerUnitMax - cfg.ValuePerUnitMin,
 		prepProb: cfg.PrepProb,
 		horizon:  cfg.Horizon.T,
 	}
+	g.rng.Seed(cfg.Seed ^ 0x5deece66d)
 	if len(cfg.Models) == 0 {
 		g.single.fill(cfg.Model, cfg.Horizon)
 		return g
@@ -399,12 +400,9 @@ func (m *modelTable) fill(model lora.ModelConfig, h timeslot.Horizon) {
 	}
 }
 
-// pickModel selects the task's model: the single configured model (no
-// draw), or a weighted draw from Models.
+// pickModel draws a task's model by weight from Models; a single-model
+// workload takes no draw and does not call it.
 func (g *generator) pickModel() *modelTable {
-	if len(g.multi) == 0 {
-		return &g.single
-	}
 	r := g.rng.Float64() * g.weightTotal
 	for i := range g.multi {
 		if r < g.multi[i].weight {
@@ -417,8 +415,11 @@ func (g *generator) pickModel() *modelTable {
 
 // sample draws one task arriving at slot t into tk.
 func (g *generator) sample(tk *task.Task, id, t int) {
-	rng := g.rng
-	model := g.pickModel()
+	rng := &g.rng
+	model := &g.single
+	if len(g.multi) != 0 {
+		model = g.pickModel()
+	}
 	samples := 5000 + rng.Intn(15001) // U[5k, 20k] (Section 5.1)
 	epochs := 1 + rng.Intn(5)         // U{1..5}   (Section 5.1)
 	work := (samples*epochs + lora.SamplesPerUnit - 1) / lora.SamplesPerUnit
@@ -429,7 +430,7 @@ func (g *generator) sample(tk *task.Task, id, t int) {
 	// Deadline: minimum completion slots on the fastest GPU at the
 	// task's own batch size, stretched by the policy's slack factor,
 	// plus room for pre-processing when required.
-	minSlots := (work + model.refSpeed[b] - 1) / model.refSpeed[b]
+	minSlots := int(uint32(work+model.refSpeed[b]-1) / uint32(model.refSpeed[b]))
 	factor := g.slackLo + rng.Float64()*g.slackSpan
 	deadline := t + int(math.Ceil(float64(minSlots)*factor))
 	if needsPrep {
