@@ -4,7 +4,7 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard examples-smoke benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -174,9 +174,9 @@ codec-guard:
 # declares must be named by some non-test file — the module's own,
 # examples/ or benchmark/. Code that only tests drive is deleted, not kept
 # for its tests; what stays anyway (the root package's public API, the
-# trainer until ROADMAP item 17, the shared fault-plan fixture) is
-# allowlisted in apiguard_test.go, one reason an entry. The check is a
-# stdlib go/ast scan (TestAPIGuard), so it also runs under `make test`.
+# shared fault-plan fixture) is allowlisted in apiguard_test.go, one
+# reason an entry. The check is a stdlib go/ast scan (TestAPIGuard), so
+# it also runs under `make test`.
 api-guard:
 	$(GO) test -run '^TestAPIGuard$$' -count=1 .
 
@@ -203,6 +203,20 @@ flag-guard:
 			if ! echo "$$flags" | grep -qx -- "$${f#-}"; then \
 				echo "flag-guard: a README recipe runs $$name with $$f, which $$name does not define"; exit 1; fi; \
 		done; \
+	done
+
+# examples-smoke runs every program under examples/ and fails on a
+# non-zero exit: `go build` proves an example compiles, not that it runs,
+# and microtrain exits non-zero if training moved the shared base or a
+# backward pass disagrees with finite differences. heterogeneous is left
+# out: its Titan comparison solves per-slot MILPs for about 30 s, where
+# the others take well under a second each.
+EXAMPLES_SKIP = heterogeneous
+examples-smoke:
+	@for d in examples/*/; do \
+		e=$$(basename $$d); \
+		case " $(EXAMPLES_SKIP) " in *" $$e "*) continue;; esac; \
+		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: examples/$$e exited non-zero"; exit 1; }; \
 	done
 
 # benchmark/ is its own module, so build, vet and test above never compile
@@ -303,4 +317,4 @@ load-smoke:
 shard-load-smoke:
 	$(GO) run ./cmd/pdftspd-load -slots 24 -rate 40 -nodes 4 -seed 1 -shards 2 -verify
 
-check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard test benchmark-selftest race load-smoke shard-load-smoke
+check: build vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard examples-smoke test benchmark-selftest race load-smoke shard-load-smoke

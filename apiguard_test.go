@@ -63,25 +63,7 @@ var apiAllowed = map[string]string{
 	"internal/core.Scheduler.Options":        "the calibrated α/β a built stack runs with; internal/config's recipe digests read them back",
 	"internal/faults.Generate":               allowFixture,
 	"internal/faults.Plan.CheckpointFaultAt": allowFixture,
-	"internal/lora.QuantizationGain":         allowVariants,
-	"internal/lora.TaskMemoryGBKind":         allowVariants,
 	"internal/service.Broker.SubmitAsync":    "the asynchronous intake of pdftsp.Broker, the root package's broker; ExampleNewBroker shows it",
-	"internal/tensor.FromSlice":              allowTrainer,
-	"internal/tensor.Matrix.At":              allowTrainer,
-	"internal/tensor.Matrix.Frobenius":       allowTrainer,
-	"internal/tensor.Matrix.Transpose":       allowTrainer,
-	"internal/train.AttentionTrainer.Frozen": allowTrainer,
-	"internal/train.AttentionTrainer.Train":  allowTrainer,
-	"internal/train.DefaultAttentionConfig":  allowTrainer,
-	"internal/train.DefaultConfig":           allowTrainer,
-	"internal/train.DefaultMLPConfig":        allowTrainer,
-	"internal/train.MLPTrainer.Frozen":       allowTrainer,
-	"internal/train.MLPTrainer.Train":        allowTrainer,
-	"internal/train.MultiTrainer.Adapter":    allowTrainer,
-	"internal/train.MultiTrainer.Train":      allowTrainer,
-	"internal/train.NewAttentionTrainer":     allowTrainer,
-	"internal/train.NewMLPTrainer":           allowTrainer,
-	"internal/train.UseSGD":                  allowTrainer,
 	"pdftsp.BrokerStatus":                    allowFacade,
 	"pdftsp.Decision":                        allowFacade,
 	"pdftsp.DefaultTitanBudget":              allowFacade,
@@ -116,10 +98,8 @@ var apiAllowed = map[string]string{
 
 // The reasons several apiAllowed entries share.
 const (
-	allowFacade   = "the root package's public API, for importers outside this module"
-	allowFixture  = "the fault-plan fixture sim's and service's tests share: a _test.go file is not importable across packages"
-	allowTrainer  = "Figure 2's micro-trainer, which only examples/microtrain drives; ROADMAP item 17 keeps it as a check of lora's memory model or deletes it"
-	allowVariants = "the DoRA/AdaLoRA/QLoRA memory variants, which no figure reads; ROADMAP item 17 decides them with the trainer"
+	allowFacade  = "the root package's public API, for importers outside this module"
+	allowFixture = "the fault-plan fixture sim's and service's tests share: a _test.go file is not importable across packages"
 )
 
 // stdlibMethods are the method names fmt and encoding/json call through

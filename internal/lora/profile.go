@@ -13,14 +13,12 @@ import (
 // samples) within a time slot that the GPU can process under different
 // batch size values", Section 5.1).
 type ProfileRow struct {
-	GPU            string
-	Batch          int
-	SamplesPerSec  float64
-	UnitsPerSlot   int
-	TaskMemGB      float64
-	NodeCapUnits   int
-	BaseModelGB    float64
-	TaskMemPerRank map[int]float64
+	GPU           string
+	Batch         int
+	SamplesPerSec float64
+	UnitsPerSlot  int
+	TaskMemGB     float64
+	NodeCapUnits  int
 }
 
 // Profile generates the calibration table for a model across GPUs and
@@ -36,7 +34,6 @@ func Profile(m ModelConfig, gpus []gpu.Spec, batches []int, h timeslot.Horizon) 
 				UnitsPerSlot:  TaskUnitsPerSlot(m, g, b, h),
 				TaskMemGB:     TaskMemoryGB(m, 8, b),
 				NodeCapUnits:  NodeCapUnits(m, g, h),
-				BaseModelGB:   BaseMemoryGB(m),
 			})
 		}
 	}

@@ -1,19 +1,12 @@
-// Package tensor provides the minimal dense float64 matrix kernels needed
-// by the multi-LoRA trainer (internal/train): allocation, matrix multiply
-// (serial and parallel), transpose products, element-wise updates, and
-// random initialization.
-//
-// It is deliberately small — just enough linear algebra, written against
-// the standard library only, to execute LoRA forward/backward passes and
-// validate the memory model by construction.
+// Package tensor provides the dense float64 matrix kernels the LoRA
+// attention trainer (internal/train) calls: allocation, matrix multiply
+// and its transposed-operand forms, element-wise updates, and random
+// initialization. It holds nothing a trainer does not call.
 package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -29,20 +22,6 @@ func New(rows, cols int) *Matrix {
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
-
-// FromSlice wraps data (length rows*cols) without copying.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns the (i,j) element.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the (i,j) element.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
@@ -66,29 +45,7 @@ func (m *Matrix) Randn(rng *rand.Rand, std float64) *Matrix {
 	return m
 }
 
-// Equalish reports whether two matrices match within tol element-wise.
-func (m *Matrix) Equalish(o *Matrix, tol float64) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Abs(m.Data[i]-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Frobenius returns the Frobenius norm.
-func (m *Matrix) Frobenius() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// AddScaled computes m += alpha*o in place (the SGD update kernel).
+// AddScaled computes m += alpha*o in place.
 func (m *Matrix) AddScaled(o *Matrix, alpha float64) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
@@ -105,62 +62,17 @@ func (m *Matrix) Scale(alpha float64) {
 	}
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
 // MatMul computes dst = a·b. dst must be pre-shaped (a.Rows × b.Cols) and
-// must not alias a or b. The kernel is cache-friendly (ikj order) and
-// parallelizes across row blocks when the problem is large enough.
+// must not alias a or b. The loop order is ikj, so the inner loop streams
+// rows of b.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	dst.Zero()
-	// Below this many multiply-adds, goroutine overhead dominates.
-	const parallelThreshold = 1 << 16
-	work := a.Rows * a.Cols * b.Cols
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || workers <= 1 || a.Rows == 1 {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRows(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// matMulRows computes the [lo,hi) row stripe of dst = a·b using the ikj
-// loop order so the inner loop streams rows of b.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
 	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*n : (i+1)*n]
 		drow := dst.Data[i*p : (i+1)*p]
 		for k := 0; k < n; k++ {

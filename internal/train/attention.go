@@ -1,7 +1,18 @@
+// Package train co-trains several LoRA fine-tuning tasks over one frozen
+// single-head attention layer: every task shares the frozen Wq, Wk and Wv
+// and trains only its own adapter pairs ΔW = B·A on the query and value
+// projections (Figures 1 and 2 of the paper), with Adam. It runs real
+// forward and backward passes on internal/tensor matrices at toy width.
+//
+// The trainer is the executable check of internal/lora's memory model:
+// TestTrainerMatchesLoRAMemoryModel holds its buffers to lora's adapter
+// parameter count, its per-parameter charge and its once-per-node base.
 package train
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 
@@ -16,16 +27,16 @@ type AttentionConfig struct {
 	DModel int
 	// SeqLen is the attention sequence length.
 	SeqLen int
-	// Rank, Alpha, LR, Opt follow the other trainers.
+	// Rank is the LoRA rank r; the adapter scale is Alpha/Rank.
 	Rank  int
 	Alpha float64
-	LR    float64
-	Opt   OptimizerKind
+	// LR is Adam's learning rate.
+	LR float64
 }
 
 // DefaultAttentionConfig returns a small but non-trivial layer.
 func DefaultAttentionConfig() AttentionConfig {
-	return AttentionConfig{DModel: 16, SeqLen: 8, Rank: 2, Alpha: 4, LR: 0.02, Opt: UseAdam}
+	return AttentionConfig{DModel: 16, SeqLen: 8, Rank: 2, Alpha: 4, LR: 0.02}
 }
 
 // Validate reports configuration errors.
@@ -42,10 +53,55 @@ func (c AttentionConfig) Validate() error {
 	return nil
 }
 
-// attnAdapter is one task's LoRA pairs on Wq and Wv.
+// Adam's hyperparameters, the standard defaults.
+const (
+	beta1   float64 = 0.9
+	beta2   float64 = 0.999
+	adamEps float64 = 1e-8
+)
+
+// param is one trainable adapter matrix w with the buffers training keeps
+// beside it, each of w's shape: its gradient g and Adam's first and second
+// moments m and v. These four words per parameter are what lora's
+// 16 bytes/param charge counts at fp32.
+type param struct {
+	w, g, m, v *tensor.Matrix
+	t          int // Adam steps taken
+}
+
+func newParam(w *tensor.Matrix) param {
+	return param{
+		w: w,
+		g: tensor.New(w.Rows, w.Cols),
+		m: tensor.New(w.Rows, w.Cols),
+		v: tensor.New(w.Rows, w.Cols),
+	}
+}
+
+// adam applies one bias-corrected Adam step to w from g.
+func (p *param) adam(lr float64) {
+	p.t++
+	c1 := 1 - math.Pow(beta1, float64(p.t))
+	c2 := 1 - math.Pow(beta2, float64(p.t))
+	for i := range p.w.Data {
+		g := p.g.Data[i]
+		p.m.Data[i] = beta1*p.m.Data[i] + (1-beta1)*g
+		p.v.Data[i] = beta2*p.v.Data[i] + (1-beta2)*g*g
+		mhat := p.m.Data[i] / c1
+		vhat := p.v.Data[i] / c2
+		p.w.Data[i] -= lr * mhat / (math.Sqrt(vhat) + adamEps)
+	}
+}
+
+// attnAdapter is one task's LoRA pairs on Wq and Wv: A is r×d, drawn
+// N(0, 0.1²); B is d×r and starts at zero, so ΔW starts at zero.
 type attnAdapter struct {
-	Aq, Bq, Av, Bv             *tensor.Matrix
-	optAq, optBq, optAv, optBv Optimizer
+	aq, bq, av, bv param
+}
+
+// params lists the adapter's four trainable matrices.
+func (ad *attnAdapter) params() []*param {
+	return []*param{&ad.aq, &ad.bq, &ad.av, &ad.bv}
 }
 
 // attnTask holds a task's ground truth: perturbed Wq/Wv used to generate
@@ -58,11 +114,11 @@ type attnTask struct {
 // AttentionTrainer co-trains per-task q/v adapters over one frozen
 // attention layer.
 type AttentionTrainer struct {
-	cfg           AttentionConfig
-	wq, wk, wv    *tensor.Matrix // frozen projections
-	wqC, wkC, wvC *tensor.Matrix // copies for frozenness checks
-	adapters      []*attnAdapter
-	tasks         []*attnTask
+	cfg        AttentionConfig
+	wq, wk, wv *tensor.Matrix // frozen projections, held once for every task
+	frozen     uint64         // digest of wq, wk, wv at construction
+	adapters   []*attnAdapter
+	tasks      []*attnTask
 }
 
 // NewAttentionTrainer builds the trainer.
@@ -80,7 +136,7 @@ func NewAttentionTrainer(cfg AttentionConfig, nTasks int, rng *rand.Rand) (*Atte
 		wk:  tensor.New(cfg.DModel, cfg.DModel).Randn(rng, std),
 		wv:  tensor.New(cfg.DModel, cfg.DModel).Randn(rng, std),
 	}
-	at.wqC, at.wkC, at.wvC = at.wq.Clone(), at.wk.Clone(), at.wv.Clone()
+	at.frozen = digest(at.wq, at.wk, at.wv)
 	lowRank := func(d int, s float64) *tensor.Matrix {
 		u := tensor.New(d, cfg.Rank).Randn(rng, s)
 		v := tensor.New(cfg.Rank, d).Randn(rng, s)
@@ -90,14 +146,10 @@ func NewAttentionTrainer(cfg AttentionConfig, nTasks int, rng *rand.Rand) (*Atte
 	}
 	for i := 0; i < nTasks; i++ {
 		at.adapters = append(at.adapters, &attnAdapter{
-			Aq:    tensor.New(cfg.Rank, cfg.DModel).Randn(rng, 0.1),
-			Bq:    tensor.New(cfg.DModel, cfg.Rank),
-			Av:    tensor.New(cfg.Rank, cfg.DModel).Randn(rng, 0.1),
-			Bv:    tensor.New(cfg.DModel, cfg.Rank),
-			optAq: newOptimizer(cfg.Opt, cfg.LR),
-			optBq: newOptimizer(cfg.Opt, cfg.LR),
-			optAv: newOptimizer(cfg.Opt, cfg.LR),
-			optBv: newOptimizer(cfg.Opt, cfg.LR),
+			aq: newParam(tensor.New(cfg.Rank, cfg.DModel).Randn(rng, 0.1)),
+			bq: newParam(tensor.New(cfg.DModel, cfg.Rank)),
+			av: newParam(tensor.New(cfg.Rank, cfg.DModel).Randn(rng, 0.1)),
+			bv: newParam(tensor.New(cfg.DModel, cfg.Rank)),
 		})
 		wqT := at.wq.Clone()
 		wqT.AddScaled(lowRank(cfg.DModel, 0.2), 1)
@@ -111,12 +163,27 @@ func NewAttentionTrainer(cfg AttentionConfig, nTasks int, rng *rand.Rand) (*Atte
 	return at, nil
 }
 
+// digest hashes the bits of ms, so Frozen tells a moved weight without a
+// second copy of the base.
+func digest(ms ...*tensor.Matrix) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, m := range ms {
+		for _, x := range m.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
 // NumTasks returns the number of co-trained tasks.
 func (at *AttentionTrainer) NumTasks() int { return len(at.adapters) }
 
-// Frozen reports whether all three frozen projections are untouched.
+// Frozen reports whether all three frozen projections are bit-identical
+// to their initial values.
 func (at *AttentionTrainer) Frozen() bool {
-	return at.wq.Equalish(at.wqC, 0) && at.wk.Equalish(at.wkC, 0) && at.wv.Equalish(at.wvC, 0)
+	return digest(at.wq, at.wk, at.wv) == at.frozen
 }
 
 // attend computes softmax(QᵀK/√d) row-wise for X (DModel×Seq):
@@ -156,7 +223,7 @@ func attend(q, k, v *tensor.Matrix) (o, p *tensor.Matrix) {
 }
 
 // forward runs the adapted attention for task i on input X (DModel×Seq).
-func (at *AttentionTrainer) forward(i int, x *tensor.Matrix) (o, p, q, k, v *tensor.Matrix) {
+func (at *AttentionTrainer) forward(i int, x *tensor.Matrix) (o, p, k, v *tensor.Matrix) {
 	ad := at.adapters[i]
 	cfg := at.cfg
 	scale := cfg.Alpha / float64(cfg.Rank)
@@ -170,17 +237,17 @@ func (at *AttentionTrainer) forward(i int, x *tensor.Matrix) (o, p, q, k, v *ten
 		out.AddScaled(bax, scale)
 		return out
 	}
-	q = proj(at.wq, ad.Aq, ad.Bq)
+	q := proj(at.wq, ad.aq.w, ad.bq.w)
 	k = tensor.New(cfg.DModel, x.Cols)
 	tensor.MatMul(k, at.wk, x)
-	v = proj(at.wv, ad.Av, ad.Bv)
+	v = proj(at.wv, ad.av.w, ad.bv.w)
 	o, p = attend(q, k, v)
-	return o, p, q, k, v
+	return o, p, k, v
 }
 
-// Loss returns task i's MSE against the target attention output.
-func (at *AttentionTrainer) Loss(i int, x, target *tensor.Matrix) float64 {
-	o, _, _, _, _ := at.forward(i, x)
+// loss returns task i's MSE against the target attention output.
+func (at *AttentionTrainer) loss(i int, x, target *tensor.Matrix) float64 {
+	o, _, _, _ := at.forward(i, x)
 	return tensor.MSE(o, target)
 }
 
@@ -200,90 +267,78 @@ func (at *AttentionTrainer) sample(i int) (x, target *tensor.Matrix) {
 	return x, target
 }
 
-// Step trains every task on a fresh sequence via numerically robust
-// central-difference gradients on the adapter parameters.
+// backward runs task i's forward pass on (x, target), writes the gradient
+// of its loss into each of the task's adapter matrices' g, and returns the
+// loss. The frozen projections get no gradient.
 //
-// Analytic backprop through softmax attention is implemented for the
-// value path (exact); the query path flows through the softmax Jacobian,
-// where we use the standard result dscores = P ⊙ (dP − rowsum(dP⊙P)).
-func (at *AttentionTrainer) Step() []float64 {
+// The value path is O = V·Pᵀ; the query path flows through the softmax
+// Jacobian, dscores = P ⊙ (dP − rowsum(dP⊙P)).
+func (at *AttentionTrainer) backward(i int, x, target *tensor.Matrix) float64 {
+	cfg := at.cfg
+	ad := at.adapters[i]
+	seq := x.Cols
+	o, p, k, v := at.forward(i, x)
+
+	// dL/dO.
+	do := tensor.New(cfg.DModel, seq)
+	tensor.Sub(do, o, target)
+	do.Scale(2 / float64(cfg.DModel*seq))
+
+	// Value path: O = V·Pᵀ ⇒ dV = dO·P, dPᵀ = Vᵀ·dO ⇒ dP = dOᵀ·V.
+	dv := tensor.New(cfg.DModel, seq)
+	tensor.MatMul(dv, do, p)
+	dp := tensor.New(seq, seq)
+	tensor.MatMulTA(dp, do, v)
+
+	// Softmax backward: ds = P ⊙ (dP − rowsum(dP⊙P)).
+	ds := tensor.New(seq, seq)
+	for r := 0; r < seq; r++ {
+		dot := 0.0
+		for c := 0; c < seq; c++ {
+			dot += dp.Data[r*seq+c] * p.Data[r*seq+c]
+		}
+		for c := 0; c < seq; c++ {
+			ds.Data[r*seq+c] = p.Data[r*seq+c] * (dp.Data[r*seq+c] - dot)
+		}
+	}
+	ds.Scale(1 / math.Sqrt(float64(cfg.DModel)))
+
+	// Query path: scores = QᵀK/√d ⇒ dQ = K·dsᵀ.
+	dq := tensor.New(cfg.DModel, seq)
+	tensor.MatMulTB(dq, k, ds)
+
+	at.adapterGrads(x, dq, &ad.aq, &ad.bq)
+	at.adapterGrads(x, dv, &ad.av, &ad.bv)
+	return tensor.MSE(o, target)
+}
+
+// adapterGrads writes the adapter gradients of Y = W·X + s·B·(A·X) given
+// dY: gradB = s·dY·(A·X)ᵀ, gradA = s·Bᵀ·dY·Xᵀ.
+func (at *AttentionTrainer) adapterGrads(x, dy *tensor.Matrix, a, b *param) {
 	cfg := at.cfg
 	scale := cfg.Alpha / float64(cfg.Rank)
+	ax := tensor.New(cfg.Rank, x.Cols)
+	tensor.MatMul(ax, a.w, x)
+	tensor.MatMulTB(b.g, dy, ax)
+	b.g.Scale(scale)
+	btdy := tensor.New(cfg.Rank, x.Cols)
+	tensor.MatMulTA(btdy, b.w, dy)
+	tensor.MatMulTB(a.g, btdy, x)
+	a.g.Scale(scale)
+}
+
+// Step trains every task on a fresh sequence: one backward pass and one
+// Adam step per adapter matrix. It returns each task's pre-update loss.
+func (at *AttentionTrainer) Step() []float64 {
 	losses := make([]float64, len(at.adapters))
 	for i, ad := range at.adapters {
 		x, target := at.sample(i)
-		o, p, _, k, _ := at.forward(i, x)
-		losses[i] = tensor.MSE(o, target)
-		seq := cfg.SeqLen
-
-		// dL/dO.
-		do := tensor.New(cfg.DModel, seq)
-		tensor.Sub(do, o, target)
-		do.Scale(2 / float64(cfg.DModel*seq))
-
-		// Value path: O = V·Pᵀ ⇒ dV = dO·P, dPᵀ = Vᵀ·dO ⇒ dP = dOᵀ·V.
-		dv := tensor.New(cfg.DModel, seq)
-		tensor.MatMul(dv, do, p)
-		dp := tensor.New(seq, seq)
-		tensor.MatMulTA(dp, do, at.vFor(i, x))
-
-		// Softmax backward: ds = P ⊙ (dP − rowsum(dP⊙P)).
-		ds := tensor.New(seq, seq)
-		for r := 0; r < seq; r++ {
-			dot := 0.0
-			for c := 0; c < seq; c++ {
-				dot += dp.Data[r*seq+c] * p.Data[r*seq+c]
-			}
-			for c := 0; c < seq; c++ {
-				ds.Data[r*seq+c] = p.Data[r*seq+c] * (dp.Data[r*seq+c] - dot)
-			}
+		losses[i] = at.backward(i, x, target)
+		for _, p := range ad.params() {
+			p.adam(at.cfg.LR)
 		}
-		ds.Scale(1 / math.Sqrt(float64(cfg.DModel)))
-
-		// Query path: scores = QᵀK/√d ⇒ dQ = K·dsᵀ.
-		dq := tensor.New(cfg.DModel, seq)
-		tensor.MatMulTB(dq, k, ds)
-
-		// Adapter gradients: for Y = W·X + s·B·(A·X),
-		// gradB = s·dY·(A·X)ᵀ, gradA = s·Bᵀ·dY·Xᵀ.
-		adapterGrads := func(dy, a, b *tensor.Matrix) (gradA, gradB *tensor.Matrix) {
-			ax := tensor.New(cfg.Rank, seq)
-			tensor.MatMul(ax, a, x)
-			gradB = tensor.New(cfg.DModel, cfg.Rank)
-			tensor.MatMulTB(gradB, dy, ax)
-			gradB.Scale(scale)
-			btdy := tensor.New(cfg.Rank, seq)
-			tensor.MatMulTA(btdy, b, dy)
-			gradA = tensor.New(cfg.Rank, cfg.DModel)
-			tensor.MatMulTB(gradA, btdy, x)
-			gradA.Scale(scale)
-			return gradA, gradB
-		}
-		gradAq, gradBq := adapterGrads(dq, ad.Aq, ad.Bq)
-		gradAv, gradBv := adapterGrads(dv, ad.Av, ad.Bv)
-
-		ad.optBq.Step(ad.Bq, gradBq)
-		ad.optAq.Step(ad.Aq, gradAq)
-		ad.optBv.Step(ad.Bv, gradBv)
-		ad.optAv.Step(ad.Av, gradAv)
 	}
 	return losses
-}
-
-// vFor recomputes the adapted value projection (used by the backward
-// pass, which needs V after the forward's buffers are gone).
-func (at *AttentionTrainer) vFor(i int, x *tensor.Matrix) *tensor.Matrix {
-	ad := at.adapters[i]
-	cfg := at.cfg
-	scale := cfg.Alpha / float64(cfg.Rank)
-	out := tensor.New(cfg.DModel, x.Cols)
-	tensor.MatMul(out, at.wv, x)
-	ax := tensor.New(cfg.Rank, x.Cols)
-	tensor.MatMul(ax, ad.Av, x)
-	bax := tensor.New(cfg.DModel, x.Cols)
-	tensor.MatMul(bax, ad.Bv, ax)
-	out.AddScaled(bax, scale)
-	return out
 }
 
 // Train runs steps and returns mean early/late losses per task.
@@ -309,52 +364,26 @@ func (at *AttentionTrainer) Train(steps int) (early, late []float64) {
 	return early, late
 }
 
-// GradCheck verifies the analytic Bq gradient (the full chain through the
-// softmax) against central finite differences on a fixed sample.
+// GradCheck holds the gradients Step's backward pass writes for task i,
+// on every adapter matrix, to central finite differences of the loss on a
+// fresh sample, and returns the largest relative error.
 func (at *AttentionTrainer) GradCheck(i int, eps float64) float64 {
-	cfg := at.cfg
-	scale := cfg.Alpha / float64(cfg.Rank)
-	ad := at.adapters[i]
 	x, target := at.sample(i)
-	seq := cfg.SeqLen
-
-	o, p, _, k, _ := at.forward(i, x)
-	do := tensor.New(cfg.DModel, seq)
-	tensor.Sub(do, o, target)
-	do.Scale(2 / float64(cfg.DModel*seq))
-	dp := tensor.New(seq, seq)
-	tensor.MatMulTA(dp, do, at.vFor(i, x))
-	ds := tensor.New(seq, seq)
-	for r := 0; r < seq; r++ {
-		dot := 0.0
-		for c := 0; c < seq; c++ {
-			dot += dp.Data[r*seq+c] * p.Data[r*seq+c]
-		}
-		for c := 0; c < seq; c++ {
-			ds.Data[r*seq+c] = p.Data[r*seq+c] * (dp.Data[r*seq+c] - dot)
-		}
-	}
-	ds.Scale(1 / math.Sqrt(float64(cfg.DModel)))
-	dq := tensor.New(cfg.DModel, seq)
-	tensor.MatMulTB(dq, k, ds)
-	ax := tensor.New(cfg.Rank, seq)
-	tensor.MatMul(ax, ad.Aq, x)
-	gradBq := tensor.New(cfg.DModel, cfg.Rank)
-	tensor.MatMulTB(gradBq, dq, ax)
-	gradBq.Scale(scale)
-
+	at.backward(i, x, target)
 	maxRel := 0.0
-	for idx := range ad.Bq.Data {
-		orig := ad.Bq.Data[idx]
-		ad.Bq.Data[idx] = orig + eps
-		lp := at.Loss(i, x, target)
-		ad.Bq.Data[idx] = orig - eps
-		lm := at.Loss(i, x, target)
-		ad.Bq.Data[idx] = orig
-		fd := (lp - lm) / (2 * eps)
-		denom := 1e-8 + absf(fd) + absf(gradBq.Data[idx])
-		if rel := absf(fd-gradBq.Data[idx]) / denom; rel > maxRel {
-			maxRel = rel
+	for _, p := range at.adapters[i].params() {
+		for idx, g := range p.g.Data {
+			orig := p.w.Data[idx]
+			p.w.Data[idx] = orig + eps
+			lp := at.loss(i, x, target)
+			p.w.Data[idx] = orig - eps
+			lm := at.loss(i, x, target)
+			p.w.Data[idx] = orig
+			fd := (lp - lm) / (2 * eps)
+			denom := 1e-8 + math.Abs(fd) + math.Abs(g)
+			if rel := math.Abs(fd-g) / denom; rel > maxRel {
+				maxRel = rel
+			}
 		}
 	}
 	return maxRel
