@@ -2,9 +2,8 @@
 # so every target needs nothing but a Go toolchain.
 
 GO ?= go
-LABEL ?= dev
 
-.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard examples-smoke benchmark-selftest bench bench-snapshot bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
+.PHONY: build test test-short race vet fmt-check round-guard recipe-guard fleet-guard deps-guard codec-guard api-guard flag-guard examples-smoke benchmark-selftest bench bench-check check fuzz-fleet fuzz-dp trace-smoke load-smoke shard-load-smoke
 
 build:
 	$(GO) build ./...
@@ -224,53 +223,31 @@ examples-smoke:
 benchmark-selftest:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# bench prints the tracked suite without recording it.
+# bench runs the hot-path rows under go test, for profiling.
 bench:
 	$(GO) test -bench 'OfferPdFTSP|CalibrateDuals|TraceGenerate|VendorQuotes' -benchmem -run '^$$' .
 
-# bench-snapshot records BENCH_$(LABEL).json for cross-commit comparison:
-#   make bench-snapshot LABEL=pr2
-bench-snapshot:
-	$(GO) run ./cmd/bench -label $(LABEL)
-
-# bench-check gates the micro-benchmarks against the committed baseline:
-# ns/op, bytes/op, or allocs/op regressions beyond the tolerances fail.
-# Figure-scale benchmarks are excluded — their wall-clock depends on the
-# host — so the gate stays meaningful on shared CI runners. The alloc
-# budget tests guard the other axis: the failure-free hot path must stay
-# allocation-free with the fault layer compiled in but disabled; the
-# memory budget tests beside them report what a decided bid retains,
+# bench-check times every micro-benchmark row of internal/benchsuite
+# against BASE (the parent commit by default) on this host: cmd/bench
+# builds BASE's suite from its git tree, runs each row as 5 interleaved
+# base/change pairs (GOMAXPROCS NumCPU, and 1 too for the multi-core
+# serving rows) and fails a row that is slower than its tolerance in a
+# majority of them, so the host drifting over time cannot fail it.
+# B/op and allocs/op do not depend on the host and are held to the
+# committed BENCH_allocs.json; a change that moves them edits its entry.
+# Each row's benchtime and tolerances are its entry in benchsuite.Suite().
+# The alloc budget tests guard the other axis: the failure-free hot path
+# must stay allocation-free with the fault layer compiled in but disabled;
+# the memory budget tests beside them report what a decided bid retains,
 # in the broker's store and in a collecting sim.Run.
-# The slot-close line carries wider tolerances: those rows do real file
-# I/O (checkpoints to a temp dir) and allocate per admitted plan, both
-# of which swing run-to-run on identical code; the wide band still
-# catches order-of-magnitude breakage, and allocs/op stays tight.
-# The json-full row keeps its name (BENCH_slotclose_pr16.json keys on
-# it) but names the every-write-full cadence (CheckpointFullEvery 1): no
-# snapshot has been JSON since v4, when a full snapshot became the delta
-# encoder's record of everything. It writes everything decided so far at
-# every slot, so its B/op grows with the iteration count; it runs at the
-# baseline's 100 iterations rather than whatever count a 1s budget
-# picks. Hence still two lines.
-# Every line runs even when an earlier one fails, so one noisy ns/op row
-# cannot hide the B/op and allocs/op rows or the budget tests behind it;
-# the target then exits non-zero and names each line that failed.
-BASELINE ?= BENCH_pr20.json
-SERVING_BASELINE ?= BENCH_serving_pr6.json
-SHARD_BASELINE ?= BENCH_shard_pr7.json
-SPOT_BASELINE ?= BENCH_spot_pr8.json
-SLOTCLOSE_BASELINE ?= BENCH_slotclose_pr16.json
-WAL_BASELINE ?= BENCH_wal_pr10.json
+# Every line runs even when an earlier one fails, so a slow row cannot
+# hide the budget tests behind it; the target then exits non-zero and
+# names each line that failed.
+BASE ?= HEAD^
 bench-check:
 	@failed=""; \
 	check() { echo "$$*"; "$$@" || failed="$$failed\n  $$*"; }; \
-	check $(GO) run ./cmd/bench -compare $(BASELINE) -run OfferPdFTSP,CalibrateDuals,TraceGenerate,VendorQuotes; \
-	check $(GO) run ./cmd/bench -compare $(SERVING_BASELINE) -run HTTPDecodeBid,DecisionEncode,DecisionLog; \
-	check $(GO) run ./cmd/bench -compare $(SHARD_BASELINE) -run ShardRoute; \
-	check $(GO) run ./cmd/bench -compare $(SPOT_BASELINE) -run SpotAdvance,SpotTraceGen; \
-	check $(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run ServeBid,SlotClose,CheckpointPerSlot/none,CheckpointPerSlot/binary-delta -ns-tol 0.5 -bytes-tol 0.3; \
-	check $(GO) run ./cmd/bench -compare $(SLOTCLOSE_BASELINE) -run CheckpointPerSlot/json-full -benchtime 100x -ns-tol 0.5 -bytes-tol 0.3; \
-	check $(GO) run ./cmd/bench -compare $(WAL_BASELINE) -run WALAppend -ns-tol 0.5 -bytes-tol 0.3; \
+	check $(GO) run ./cmd/bench -base $(BASE); \
 	check $(GO) test -run 'AllocBudget|SteadyStateAllocs' -count=1 . ./internal/sim/; \
 	check $(GO) test -run 'MemoryBudget|RecordSizes' -count=1 -v ./internal/decision/ ./internal/service/ ./internal/sim/; \
 	if [ -n "$$failed" ]; then printf '%b\n' "bench-check: these lines failed:$$failed"; exit 1; fi

@@ -1,278 +1,217 @@
-// Command bench runs the tracked benchmark suite (internal/benchsuite)
-// outside the test harness and records a machine-readable snapshot, so
-// performance changes can be compared across commits:
+// Command bench gates internal/benchsuite. Each row runs pairs times a
+// side, a process a run: with -base, the base revision's suite and this
+// tree's, alternating which goes first. A row fails when its ns/op exceeds
+// the base's by more than its tolerance in a majority of pairs, so host
+// drift over time cannot fail it. B/op and allocs/op barely depend
+// on the host: they are held to the committed BENCH_allocs.json.
 //
-//	go run ./cmd/bench -label seed          # writes BENCH_seed.json
-//	go run ./cmd/bench -label pr1 -benchtime 2s
-//	go run ./cmd/bench -run Offer           # only matching benchmarks
-//	go run ./cmd/bench -compare BENCH_pr20.json -run Offer,Calibrate
-//
-// The snapshot captures ns/op, B/op and allocs/op for every benchmark
-// plus the host shape (CPU count, GOMAXPROCS) needed to interpret the
-// wall-clock numbers of the parallel-engine benchmarks. The `/parallel`
-// variants run under -cpu (default: all cores), and each result records
-// the GOMAXPROCS it ran with — a snapshot whose parallel rows say
-// gomaxprocs 1 is measuring the sequential engine twice.
-//
-// With -compare, the suite runs against a baseline snapshot instead of
-// recording one: any benchmark whose ns/op, B/op, or allocs/op regresses
-// beyond the tolerance flags fails the run (exit 1), which is how `make
-// bench-check` gates performance in CI.
+//	go run ./cmd/bench -base HEAD^ [-run 'OfferPdFTSP|DecisionLog']
 package main
 
 import (
+	"bytes"
+	"cmp"
+	_ "embed"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
-	"testing"
-	"time"
 
 	"github.com/pdftsp/pdftsp/internal/benchsuite"
 )
 
-// Result is one benchmark's measurement in the snapshot.
-type Result struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// GOMAXPROCS records the worker ceiling this benchmark ran with;
-	// multi-core rows appear once per core count.
-	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
-	// Metrics carries custom b.ReportMetric values (e.g. the WALAppend
-	// rows' fsync-ns).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
+// rowMain is written into the base tree: each side runs it over its suite.
+//
+//go:embed row/main.go
+var rowMain []byte
 
-// Snapshot is the BENCH_<label>.json schema.
-type Snapshot struct {
-	Label      string `json:"label"`
-	Created    string `json:"created"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	Benchtime  string `json:"benchtime"`
-	// CPUList records the GOMAXPROCS values benchmarks ran with (base,
-	// then the -cpu value applied to `/parallel` variants).
-	CPUList    []int    `json:"cpu_list,omitempty"`
-	Benchmarks []Result `json:"benchmarks"`
-}
+const (
+	rowPkg     = "github.com/pdftsp/pdftsp/cmd/bench/row"
+	allocsFile = "BENCH_allocs.json"
+	pairs      = 5 // runs a side; odd, so a majority exists
+)
 
-// matches reports whether name matches the -run filter: empty matches
-// everything, otherwise a comma-separated list of substrings, any of
-// which may match.
-func matches(name, run string) bool {
-	if run == "" {
-		return true
-	}
-	for _, part := range strings.Split(run, ",") {
-		if part != "" && strings.Contains(name, part) {
-			return true
-		}
-	}
-	return false
+var errAbsent = errors.New("no such row") // in the base revision's suite
+
+type sample [3]float64 // one run: ns/op, B/op, allocs/op
+
+type allocRow struct {
+	Bytes  float64 `json:"bytes_per_op"`
+	Allocs float64 `json:"allocs_per_op"`
 }
 
 func main() {
-	label := flag.String("label", "dev", "snapshot label; output file is BENCH_<label>.json")
-	out := flag.String("out", ".", "directory the snapshot is written to")
-	benchtime := flag.String("benchtime", "1s", "per-benchmark measurement time (testing -benchtime syntax)")
-	run := flag.String("run", "", "only run benchmarks whose name contains one of these comma-separated substrings")
-	cpu := flag.Int("cpu", 0, "GOMAXPROCS for the /parallel benchmark variants (0 = all cores)")
-	compare := flag.String("compare", "", "baseline BENCH_<label>.json to compare against instead of recording a snapshot")
-	nsTol := flag.Float64("ns-tol", 0.25, "tolerated ns/op regression fraction in -compare mode")
-	bytesTol := flag.Float64("bytes-tol", 0.10, "tolerated bytes/op regression fraction in -compare mode")
-	allocsTol := flag.Float64("allocs-tol", 0.10, "tolerated allocs/op regression fraction in -compare mode")
+	run := flag.String("run", "", "only rows whose name matches this regular expression")
+	base := flag.String("base", "", "git revision to time every row against, in interleaved pairs")
 	flag.Parse()
+	failed, err := gate(*run, *base)
+	if err != nil {
+		failed = append(failed, err.Error())
+	}
+	if len(failed) > 0 {
+		fmt.Printf("bench: %d failed:\n  %s\n", len(failed), strings.Join(failed, "\n  "))
+		os.Exit(1)
+	}
+}
 
-	// testing.Benchmark honours the -test.benchtime flag, which only
-	// exists after testing.Init registers it.
-	testing.Init()
-	if err := flag.CommandLine.Set("test.benchtime", *benchtime); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: bad -benchtime %q: %v\n", *benchtime, err)
-		os.Exit(2)
+// gate runs the rows whose names match run and returns every regression.
+func gate(run, base string) ([]string, error) {
+	re, err := regexp.Compile(run)
+	if err != nil {
+		return nil, err
+	}
+	var committed map[string]allocRow
+	data, err := os.ReadFile(allocsFile)
+	if err == nil {
+		err = json.Unmarshal(data, &committed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", allocsFile, err)
+	}
+	dir, err := os.MkdirTemp("", "bench-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	bins, err := build(base, dir)
+	if err != nil {
+		return nil, err
 	}
 
-	baseProcs := runtime.GOMAXPROCS(0)
-	parallelProcs := *cpu
-	if parallelProcs <= 0 {
-		parallelProcs = runtime.NumCPU()
-	}
-
-	snap := Snapshot{
-		Label:      *label,
-		Created:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: baseProcs,
-		NumCPU:     runtime.NumCPU(),
-		Benchtime:  *benchtime,
-		CPUList:    []int{baseProcs, parallelProcs},
-	}
-
-	// Multi-core serving rows run once per GOMAXPROCS so the snapshot
-	// records the scaling curve; its num_cpu says how to read it.
-	multiProcs := []int{1, 4}
-
-	fmt.Printf("%-38s %12s %14s %12s %12s %6s\n", "benchmark", "iterations", "ns/op", "B/op", "allocs/op", "procs")
+	var failed []string
+	fmt.Printf("%-34s %11s %11s %7s %6s %10s %9s\n", "row", "base ns/op", "ns/op", "Δ", "slower", "B/op", "allocs/op")
 	for _, bm := range benchsuite.Suite() {
-		if !matches(bm.Name, *run) {
+		for i, p := range []int{1, runtime.NumCPU()} { // a MultiCore row also at one, as name@1
+			if !re.MatchString(bm.Name) || i == 0 && (!bm.MultiCore || p == runtime.NumCPU()) {
+				continue
+			}
+			label := bm.Name
+			if i == 0 {
+				label += "@1"
+			}
+			runs, err := runPairs(bm, p, bins)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", label, err)
+			}
+			bs, cs := runs[0], runs[1]
+			ns, got := median(cs, 0), allocRow{median(cs, 1), median(cs, 2)}
+			bns, tol := math.NaN(), cmp.Or(bm.NsTol, benchsuite.NsTol) // NaN: no base
+			if bs != nil {
+				bns = median(bs, 0)
+			}
+			slower, regressed := slowerPairs(bs, cs, tol)
+			fmt.Printf("%-34s %11.0f %11.0f %+6.1f%% %4d/%d %10.0f %9.0f\n",
+				label, bns, ns, 100*(ns-bns)/bns, slower, len(bs), got.Bytes, got.Allocs)
+			if regressed {
+				failed = append(failed, fmt.Sprintf("%s ns/op: slower than the base by more than %.0f%% in %d of %d pairs",
+					label, 100*tol, slower, len(bs)))
+			}
+			if want, ok := committed[label]; ok {
+				failed = append(failed, checkAllocs(label, got, want, cmp.Or(bm.BytesTol, benchsuite.BytesTol))...)
+			} else {
+				failed = append(failed, label+": no entry in "+allocsFile)
+			}
+		}
+	}
+	return failed, nil
+}
+
+// build builds this tree's runner and, given a base revision, the base's
+// from that revision's tree with this runner's source written in, under
+// dir: bins[0] is the base's ("" without one), bins[1] this tree's.
+func build(base, dir string) (bins [2]string, err error) {
+	bins[1] = filepath.Join(dir, "change")
+	script := `go build -trimpath -o "$2" ` + rowPkg
+	if base != "" {
+		bins[0] = filepath.Join(dir, "base.bin")
+		script += ` && mkdir -p "$1/base/cmd/bench/row" && git archive "$0" | tar -x -C "$1/base" &&
+			cat >"$1/base/cmd/bench/row/main.go" && cd "$1/base" && go build -trimpath -o "$3" ` + rowPkg
+	}
+	cmd := exec.Command("sh", "-c", script, base, dir, bins[1], bins[0])
+	cmd.Stdin, cmd.Stdout, cmd.Stderr = bytes.NewReader(rowMain), os.Stderr, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return bins, fmt.Errorf("building the runners: %w", err)
+	}
+	return bins, nil
+}
+
+// runPairs runs bm at GOMAXPROCS procs pairs times a side, the base first
+// in even pairs; runs[0] is nil without a base or when it lacks the row.
+func runPairs(bm benchsuite.Bench, procs int, bins [2]string) (runs [2][]sample, err error) {
+	for i := range 2 * pairs {
+		side := (i + i/2) % 2 // base, change; change, base; ...
+		if bins[side] == "" {
 			continue
 		}
-		procsList := []int{baseProcs}
-		switch {
-		case strings.Contains(bm.Name, "/parallel"):
-			procsList = []int{parallelProcs}
-		case bm.MultiCore:
-			procsList = multiProcs
-		}
-		for _, procs := range procsList {
-			prev := runtime.GOMAXPROCS(procs)
-			r := testing.Benchmark(bm.Func)
-			runtime.GOMAXPROCS(prev)
-			res := Result{
-				Name:        bm.Name,
-				Iterations:  r.N,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				GOMAXPROCS:  procs,
-			}
-			if len(r.Extra) > 0 {
-				res.Metrics = make(map[string]float64, len(r.Extra))
-				for k, v := range r.Extra {
-					res.Metrics[k] = v
-				}
-			}
-			snap.Benchmarks = append(snap.Benchmarks, res)
-			fmt.Printf("%-38s %12d %14.0f %12d %12d %6d%s\n",
-				res.Name, res.Iterations, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.GOMAXPROCS,
-				metricsSuffix(res.Metrics))
-		}
-	}
-	if len(snap.Benchmarks) == 0 {
-		fmt.Fprintf(os.Stderr, "bench: no benchmarks matched -run %q\n", *run)
-		os.Exit(1)
-	}
-
-	if *compare != "" {
-		if err := compareAgainst(*compare, snap.Benchmarks, *nsTol, *bytesTol, *allocsTol); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	path := filepath.Join(*out, "BENCH_"+*label+".json")
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %s (gomaxprocs=%d, cpus=%d)\n", path, snap.GOMAXPROCS, snap.NumCPU)
-}
-
-// metricsSuffix renders custom metrics for the console table, keys
-// sorted so runs diff cleanly.
-func metricsSuffix(m map[string]float64) string {
-	if len(m) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "  %s=%.3f", k, m[k])
-	}
-	return sb.String()
-}
-
-// compareAgainst checks fresh measurements against a recorded baseline
-// and returns an error naming every metric that regressed beyond its
-// tolerance. Rows are matched by (name, gomaxprocs) so a multi-core
-// benchmark compares against the baseline row at the same core count;
-// baselines recorded before rows carried distinct core counts fall back
-// to a bare-name match. Benchmarks absent from the baseline are
-// reported but do not fail the run, so the suite can grow without
-// invalidating old snapshots.
-func compareAgainst(path string, fresh []Result, nsTol, bytesTol, allocsTol float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Snapshot
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	key := func(r Result) string { return fmt.Sprintf("%s@%d", r.Name, r.GOMAXPROCS) }
-	baseline := make(map[string]Result, 2*len(base.Benchmarks))
-	for _, r := range base.Benchmarks {
-		baseline[key(r)] = r
-		if _, dup := baseline[r.Name]; !dup {
-			baseline[r.Name] = r
-		}
-	}
-
-	var regressions []string
-	pct := func(now, then float64) string {
-		if then == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.1f%%", 100*(now-then)/then)
-	}
-	fmt.Printf("\ncompare vs %s (label %q):\n", path, base.Label)
-	fmt.Printf("%-38s %14s %12s %12s\n", "benchmark", "ns/op", "B/op", "allocs/op")
-	for _, r := range fresh {
-		b, ok := baseline[key(r)]
-		if !ok {
-			b, ok = baseline[r.Name]
-		}
-		if !ok {
-			fmt.Printf("%-38s %s\n", rowLabel(r), "(not in baseline)")
+		s, err := measure(bins[side], bm, procs)
+		if side == 0 && errors.Is(err, errAbsent) {
+			bins[0] = ""
 			continue
 		}
-		fmt.Printf("%-38s %14s %12s %12s\n", rowLabel(r),
-			pct(r.NsPerOp, b.NsPerOp),
-			pct(float64(r.BytesPerOp), float64(b.BytesPerOp)),
-			pct(float64(r.AllocsPerOp), float64(b.AllocsPerOp)))
-		if b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*(1+nsTol) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s ns/op %.0f > baseline %.0f (+%.0f%% tolerance)", rowLabel(r), r.NsPerOp, b.NsPerOp, 100*nsTol))
+		if err != nil {
+			return runs, err
 		}
-		if r.BytesPerOp > int64(float64(b.BytesPerOp)*(1+bytesTol)) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s bytes/op %d > baseline %d (+%.0f%% tolerance)", rowLabel(r), r.BytesPerOp, b.BytesPerOp, 100*bytesTol))
-		}
-		if r.AllocsPerOp > int64(float64(b.AllocsPerOp)*(1+allocsTol)) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s allocs/op %d > baseline %d (+%.0f%% tolerance)", rowLabel(r), r.AllocsPerOp, b.AllocsPerOp, 100*allocsTol))
-		}
+		runs[side] = append(runs[side], s)
 	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("performance regressions:\n  %s", strings.Join(regressions, "\n  "))
-	}
-	fmt.Println("no regressions")
-	return nil
+	return runs, nil
 }
 
-// rowLabel is the human-readable row identity in compare output —
-// name plus core count, since multi-core rows repeat the name.
-func rowLabel(r Result) string {
-	return fmt.Sprintf("%s@%d", r.Name, r.GOMAXPROCS)
+// measure runs bm once through the runner bin. A row asked to run at more
+// GOMAXPROCS than the host has CPUs is refused: it would time contention.
+func measure(bin string, bm benchsuite.Bench, procs int) (s sample, err error) {
+	if procs > runtime.NumCPU() {
+		return s, fmt.Errorf("GOMAXPROCS %d is above this host's %d CPUs", procs, runtime.NumCPU())
+	}
+	cmd := exec.Command(bin, bm.Name, strconv.Itoa(procs), cmp.Or(bm.Benchtime, benchsuite.Benchtime))
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if ee := (*exec.ExitError)(nil); errors.As(err, &ee) && ee.ExitCode() == 3 {
+		return s, errAbsent
+	}
+	if err == nil {
+		_, err = fmt.Sscan(string(out), &s[0], &s[1], &s[2])
+	}
+	return s, err
+}
+
+// slowerPairs counts the pairs in which the change's ns/op exceeds the
+// base's by more than tol, and reports whether they are a majority.
+func slowerPairs(base, change []sample, tol float64) (n int, majority bool) {
+	for i := range base {
+		if change[i][0] > base[i][0]*(1+tol) {
+			n++
+		}
+	}
+	return n, 2*n > len(base)
+}
+
+// checkAllocs holds a row's B/op to its committed value within bytesTol
+// and its allocs/op within benchsuite.AllocsTol.
+func checkAllocs(label string, got, want allocRow, bytesTol float64) (failed []string) {
+	if got.Bytes > want.Bytes*(1+bytesTol) {
+		failed = append(failed, fmt.Sprintf("%s B/op %.0f > %.0f (+%.0f%% tolerance)", label, got.Bytes, want.Bytes, 100*bytesTol))
+	}
+	if got.Allocs > want.Allocs*(1+benchsuite.AllocsTol) {
+		failed = append(failed, fmt.Sprintf("%s allocs/op %.0f > %.0f (+%.0f%% tolerance)", label, got.Allocs, want.Allocs, 100*benchsuite.AllocsTol))
+	}
+	return failed
+}
+
+// median is the middle of the samples' k-th measure.
+func median(ss []sample, k int) float64 {
+	xs := make([]float64, len(ss))
+	for i, s := range ss {
+		xs[i] = s[k]
+	}
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }

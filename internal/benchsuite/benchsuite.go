@@ -1,20 +1,15 @@
-// Package benchsuite defines the named benchmark suite tracked across
-// PRs: the algorithmic hot paths (one Algorithm-1 offer, dual
-// calibration, workload generation) and one full evaluation figure at
-// both parallelism extremes. The root bench_test.go wraps these for
-// `go test -bench`, and cmd/bench runs them standalone to emit a
-// BENCH_<label>.json snapshot, so the same code path produces both the
-// interactive and the recorded numbers.
+// Package benchsuite is the micro-benchmark suite cmd/bench gates: hot
+// paths, serving and persistence. One op is a call, a served bid
+// (ServeBid) or a 64-bid slot-close round (SlotClose, CheckpointPerSlot,
+// WALAppend).
 package benchsuite
 
 import (
 	"testing"
-	"time"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
 	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/experiments"
 	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/task"
@@ -23,88 +18,97 @@ import (
 	"github.com/pdftsp/pdftsp/internal/vendor"
 )
 
-// Bench is one named benchmark of the tracked suite. MultiCore marks
-// serving-path rows that cmd/bench runs at GOMAXPROCS 1 and 4 so the
-// snapshot records the scaling, not just one arbitrary core count.
+// The gate of a row that sets none: one run's budget (-benchtime syntax),
+// and how far its ns/op may exceed the base's in a pair and its B/op and
+// allocs/op the committed values.
+const (
+	Benchtime = "200ms"
+	NsTol     = 0.25
+	BytesTol  = 0.10
+	AllocsTol = 0.10
+
+	servingSlots       = 4096 // a broker's horizon, rebuilt off the clock once spent
+	servingBidsPerSlot = 64
+	benchShards        = 4
+)
+
+// Bench is one row and its gate, zero fields the defaults above; a base
+// revision's suite is read for Name and Func only. Every row runs at
+// GOMAXPROCS NumCPU, a MultiCore one at 1 too.
 type Bench struct {
-	Name      string
-	Func      func(b *testing.B)
-	MultiCore bool
+	Name            string
+	Func            func(b *testing.B)
+	MultiCore       bool
+	Benchtime       string
+	NsTol, BytesTol float64
 }
 
-// Suite returns the tracked benchmarks in reporting order.
+// Suite returns the tracked rows in reporting order.
 func Suite() []Bench {
+	// A serving row runs a broker, whose file I/O and per-plan allocation
+	// swing run to run on identical code: wider ns/op and B/op bands,
+	// allocs/op as tight. The per-op share of a broker's warm-up
+	// allocations falls with the count, so it runs a fixed one.
+	serving := func(name, count string, f func(*testing.B)) Bench {
+		return Bench{Name: name, Func: f, MultiCore: true, Benchtime: count, NsTol: 0.5, BytesTol: 0.3}
+	}
 	return []Bench{
 		{Name: "OfferPdFTSP", Func: OfferPdFTSP},
 		{Name: "CalibrateDuals", Func: CalibrateDuals},
 		{Name: "TraceGenerate", Func: TraceGenerate},
 		{Name: "VendorQuotes", Func: VendorQuotes},
 		{Name: "VendorQuotes/append", Func: VendorQuotesAppend},
-		{Name: "FigWorkload/sequential", Func: FigWorkloadSequential},
-		{Name: "FigWorkload/parallel", Func: FigWorkloadParallel},
-		{Name: "FigTruthfulness/sequential", Func: FigTruthfulnessSequential},
-		{Name: "FigTruthfulness/parallel", Func: FigTruthfulnessParallel},
-		{Name: "ServeBid/batched-1", Func: ServeBidBatched1, MultiCore: true},
-		{Name: "ServeBid/batched-16", Func: ServeBidBatched16, MultiCore: true},
-		{Name: "ServeBid/batched-256", Func: ServeBidBatched256, MultiCore: true},
-		{Name: "ServeBid/sharded", Func: ServeBidSharded, MultiCore: true},
-		{Name: "SlotClose/seq", Func: SlotCloseSequential, MultiCore: true},
-		{Name: "ShardRoute", Func: ShardRoute},
-		{Name: "HTTPDecodeBid/stdjson", Func: HTTPDecodeBidStdJSON},
-		{Name: "HTTPDecodeBid/pooled", Func: HTTPDecodeBidPooled},
-		{Name: "DecisionEncode/stdjson", Func: DecisionEncodeStdJSON},
-		{Name: "DecisionEncode/pooled", Func: DecisionEncodePooled},
-		{Name: "DecisionLog/jsonl", Func: DecisionLogJSONL},
-		{Name: "DecisionLog/binary", Func: DecisionLogBinary},
-		{Name: "CheckpointPerSlot/none", Func: CheckpointPerSlotNone, MultiCore: true},
-		{Name: "CheckpointPerSlot/json-full", Func: CheckpointPerSlotJSONFull, MultiCore: true},
-		{Name: "CheckpointPerSlot/binary-delta", Func: CheckpointPerSlotBinaryDelta, MultiCore: true},
-		{Name: "WALAppend/sync-1", Func: WALAppendSync1, MultiCore: true},
-		{Name: "WALAppend/sync-64", Func: WALAppendSync64, MultiCore: true},
-		{Name: "SpotAdvance", Func: SpotAdvance},
-		{Name: "SpotTraceGen", Func: SpotTraceGen},
+		serving("ServeBid/batched-1", "2000x", func(b *testing.B) { serveBids(b, 1, 1) }),
+		serving("ServeBid/batched-16", "2000x", func(b *testing.B) { serveBids(b, 16, 1) }),
+		serving("ServeBid/batched-256", "2000x", func(b *testing.B) { serveBids(b, 256, 1) }),
+		serving("ServeBid/sharded", "2000x", func(b *testing.B) { serveBids(b, servingBidsPerSlot, benchShards) }),
+		serving("SlotClose/seq", "100x", func(b *testing.B) { slotRounds(b, 128, nil) }),
+		{Name: "ShardRoute", Func: shardRoute},
+		{Name: "HTTPDecodeBid/pooled", Func: decodeBids},
+		{Name: "DecisionEncode/pooled", Func: encodeDecision},
+		{Name: "DecisionLog/binary", Func: decisionLog},
+		serving("CheckpointPerSlot/none", "100x", func(b *testing.B) { slotRounds(b, 0, nil) }),
+		serving("CheckpointPerSlot/full", "100x", func(b *testing.B) { checkpointed(b, 1, 0) }),
+		serving("CheckpointPerSlot/binary-delta", "100x", func(b *testing.B) { checkpointed(b, 1<<30, 0) }),
+		serving("WALAppend/sync-1", "100x", func(b *testing.B) { checkpointed(b, 1<<30, 1) }),
+		serving("WALAppend/sync-64", "100x", func(b *testing.B) { checkpointed(b, 1<<30, 64) }),
+		{Name: "SpotAdvance", Func: spotAdvance},
+		{Name: "SpotTraceGen", Func: spotTraceGen},
 	}
 }
 
-// tenNodes builds the ten-node one-day cluster the micro-benchmarks run
-// on.
-func tenNodes(b *testing.B, mix string, model lora.ModelConfig) *cluster.Cluster {
-	b.Helper()
+func must(b *testing.B, err error) {
+	if err != nil {
+		b.Helper()
+		b.Fatal(err)
+	}
+}
+
+// hotPath sets up ten nodes of mix, a day of bids at rate and 5 vendors.
+func hotPath(b *testing.B, mix string, rate float64) (lora.ModelConfig, *cluster.Cluster, []task.Task, *vendor.Marketplace) {
+	model := lora.GPT2Small()
 	groups, err := config.Mix(mix, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
+	must(b, err)
 	cl, err := config.NewCluster(timeslot.Day(), model, groups)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cl
+	must(b, err)
+	cfg := trace.DefaultConfig()
+	cfg.RatePerSlot = rate
+	tasks, err := trace.Generate(cfg)
+	must(b, err)
+	mkt, err := vendor.Standard(5, 1)
+	must(b, err)
+	return model, cl, tasks, mkt
 }
 
 // OfferPdFTSP measures one Algorithm-1 iteration (DP + duals + pricing)
-// on a warm ten-node hybrid cluster — the per-task latency of Figure
-// 13's fast curve and the repository's primary hot-path benchmark.
+// on a warm ten-node hybrid cluster: Figure 13's per-task latency.
 func OfferPdFTSP(b *testing.B) {
-	model := lora.GPT2Small()
-	cl := tenNodes(b, "hybrid", model)
-	mkt, err := vendor.Standard(5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := trace.DefaultConfig()
-	cfg.RatePerSlot = 3
-	tasks, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model, cl, tasks, mkt := hotPath(b, "hybrid", 3)
 	opts := core.CalibrateDuals(tasks, model, cl, mkt)
 	opts.ReusePlans = true // decisions are dropped between offers
 	sch, err := core.New(cl, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the prices with a slice of the workload. The env is refilled
-	// per bid, mirroring the engine's run-scoped scratch.
+	must(b, err)
+	// Warm the prices on half the workload, refilling one env per bid.
 	var env schedule.TaskEnv
 	for i := 0; i < len(tasks)/2; i++ {
 		env.Refill(&tasks[i], cl, model, mkt)
@@ -112,7 +116,6 @@ func OfferPdFTSP(b *testing.B) {
 	}
 	rest := tasks[len(tasks)/2:]
 	var tk task.Task
-	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk = rest[i%len(rest)]
@@ -122,125 +125,43 @@ func OfferPdFTSP(b *testing.B) {
 	}
 }
 
-// CalibrateDuals measures the Lemma-2 coefficient derivation, quote
-// derivation for every f_i = 1 task included: what a caller pays once per
-// start.
+// CalibrateDuals measures the Lemma-2 α/β derivation a caller runs once.
 func CalibrateDuals(b *testing.B) {
-	model := lora.GPT2Small()
-	cl := tenNodes(b, "a100", model)
-	cfg := trace.DefaultConfig()
-	cfg.RatePerSlot = 10
-	tasks, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mkt, err := vendor.Standard(5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
+	model, cl, tasks, mkt := hotPath(b, "a100", 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.CalibrateDuals(tasks, model, cl, mkt)
 	}
 }
 
-// TraceGenerate measures workload generation for a paper-scale day
-// (rate 50).
+// TraceGenerate measures generating a paper-scale day at rate 50.
 func TraceGenerate(b *testing.B) {
 	cfg := trace.DefaultConfig()
 	cfg.RatePerSlot = 50
-	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.Generate(cfg); err != nil {
-			b.Fatal(err)
-		}
+		_, err := trace.Generate(cfg)
+		must(b, err)
 	}
 }
 
-// VendorQuotes measures deriving one task's quotes from a ten-vendor
-// marketplace through the allocating QuotesFor.
+// VendorQuotes measures one task's quotes from ten vendors via QuotesFor.
 func VendorQuotes(b *testing.B) {
 	mkt, err := vendor.Standard(10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
+	must(b, err)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mkt.QuotesFor(i)
 	}
 }
 
-// VendorQuotesAppend is VendorQuotes into a caller-owned buffer, the form
-// TaskEnv.Refill and CalibrateDuals use.
+// VendorQuotesAppend is VendorQuotes into a buffer, as TaskEnv.Refill does.
 func VendorQuotesAppend(b *testing.B) {
 	mkt, err := vendor.Standard(10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	must(b, err)
 	buf := make([]vendor.Quote, 0, mkt.NumVendors())
-	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = mkt.AppendQuotes(buf[:0], i)
 	}
 }
-
-// BenchFigureProfile is the bench-sized experiment profile, shared with
-// the root figure benchmarks: a full figure regenerates in roughly a
-// second.
-func BenchFigureProfile(parallelism int) experiments.Profile {
-	return experiments.Profile{
-		Name:        "bench",
-		Scale:       0.04,
-		Seed:        1,
-		TitanBudget: 20 * time.Millisecond,
-		Horizon:     timeslot.NewHorizon(48),
-		Parallelism: parallelism,
-	}
-}
-
-// figWorkload regenerates Figure 8 (12 independent scheduler runs: three
-// workloads × four algorithms) at the given parallelism.
-func figWorkload(b *testing.B, parallelism int) {
-	p := BenchFigureProfile(parallelism)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.FigWorkload(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// FigWorkloadSequential is the Figure-8 regeneration on the sequential
-// engine (Parallelism=1).
-func FigWorkloadSequential(b *testing.B) { figWorkload(b, 1) }
-
-// FigWorkloadParallel is the same figure on one worker per CPU; the
-// ratio to FigWorkloadSequential is the experiment engine's wall-clock
-// speedup on this machine.
-func FigWorkloadParallel(b *testing.B) { figWorkload(b, 0) }
-
-// figTruthfulness regenerates Figure 10 (21 counterfactual replays of
-// the background workload) at the given parallelism.
-func figTruthfulness(b *testing.B, parallelism int) {
-	p := BenchFigureProfile(parallelism)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.FigTruthfulness(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// FigTruthfulnessSequential is the Figure-10 sweep on the sequential
-// engine.
-func FigTruthfulnessSequential(b *testing.B) { figTruthfulness(b, 1) }
-
-// FigTruthfulnessParallel is the same sweep with its per-bid branches
-// fanned out across one worker per CPU.
-func FigTruthfulnessParallel(b *testing.B) { figTruthfulness(b, 0) }

@@ -63,12 +63,18 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 		return uint32(min(best, 1<<31-1))
 	}
 
-	// A vendor quote only lowers a task's net value, and both maxima move
-	// on strict >, so a task whose quote-free net value already fails to
-	// raise either one cannot matter: it is skipped before its quotes are
-	// derived. Only the few tasks that set a new running maximum pay for
-	// quotes. Tasks that Task.Validate would refuse (no work, no memory)
-	// have no density to price and are skipped rather than divided by.
+	// A vendor quote only lowers a task's net value, by at least the
+	// lowest price any vendor can quote, and both maxima move on strict >,
+	// so a task whose quote-free net value already fails to raise either
+	// one cannot matter, nor can a prep task whose net value less that
+	// floor fails to: each is skipped before its quotes are derived. Only
+	// the few tasks that may set a new running maximum pay for quotes.
+	// Tasks that Task.Validate would refuse (no work, no memory) have no
+	// density to price and are skipped rather than divided by.
+	minQuote := 0.0
+	if mkt != nil {
+		minQuote = mkt.MinPrice()
+	}
 	alpha, beta := floor, floor
 	var quoteBuf [16]vendor.Quote // spills to the heap only past 16 vendors
 	for i := range tasks {
@@ -95,6 +101,10 @@ func CalibrateDuals(tasks []task.Task, model lora.ModelConfig, cl *cluster.Clust
 			continue
 		}
 		if t.NeedsPrep && mkt != nil {
+			// net - minQuote ≥ net - cheapest, rounding being monotone.
+			if low := net - minQuote; minQuote > 0 && low/float64(t.Work) <= alpha && low/footprint <= beta {
+				continue
+			}
 			cheapest := -1.0
 			for _, q := range mkt.AppendQuotes(quoteBuf[:0], t.ID) {
 				if cheapest < 0 || q.Price < cheapest {

@@ -172,6 +172,7 @@ func TestCalibrateDualsMatchesReference(t *testing.T) {
 		}
 	}
 	gen("rate625", func(c *trace.Config) { c.RatePerSlot = 625 })
+	gen("rate625/prep1", func(c *trace.Config) { c.RatePerSlot, c.PrepProb, c.Seed = 625, 1, 42 })
 	gen("multi-model", func(c *trace.Config) {
 		c.Seed = 7
 		c.Models = []trace.ModelShare{{Model: lora.GPT2Small(), Weight: 3}, {Model: lora.GPT2Medium(), Weight: 1}}
@@ -207,6 +208,30 @@ func TestCalibrateDualsMatchesReference(t *testing.T) {
 	sunk := base
 	sunk.ID, sunk.NeedsPrep, sunk.Work, sunk.Bid = 1, true, 1, 2
 	workloads["quote-sinks-net"] = []task.Task{base, sunk, base}
+	// Prep tasks whose cheapest quote lies within 0.0002 of
+	// vendor.Standard(5, 1)'s floor, 3, bid just enough that this quote
+	// leaves them a hair above the leader: a floor set any higher than
+	// their quote skips one that leads.
+	mkt, err := vendor.Standard(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floorTasks := []task.Task{base}
+	for id := 1; id < 200_000; id++ {
+		cheapest := math.Inf(1)
+		for _, q := range mkt.QuotesFor(id) {
+			cheapest = min(cheapest, q.Price)
+		}
+		if cheapest < 3.0002 {
+			tk := base
+			tk.ID, tk.NeedsPrep, tk.Bid = id, true, base.Bid+cheapest+1e-9
+			floorTasks = append(floorTasks, tk)
+		}
+	}
+	if len(floorTasks) < 5 {
+		t.Fatalf("%d tasks quoted near the floor", len(floorTasks)-1)
+	}
+	workloads["quote-floor"] = floorTasks
 	// Speeds by batch: more distinct batches than the menu's four (and
 	// than the eight the speed cache once held), and batches outside the
 	// speed table (64 and up, zero, negative) on its per-task path, each
@@ -228,10 +253,6 @@ func TestCalibrateDualsMatchesReference(t *testing.T) {
 	huge.Work, huge.Bid = math.MaxInt32, 1e10
 	workloads["work-maxint32"] = []task.Task{huge}
 
-	mkt, err := vendor.Standard(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clusters := map[string]*cluster.Cluster{
 		"hybrid-4":   hybridCluster(t, 2, 2),
 		"hybrid-128": hybridCluster(t, 64, 64),

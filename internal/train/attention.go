@@ -251,12 +251,12 @@ func (at *AttentionTrainer) loss(i int, x, target *tensor.Matrix) float64 {
 	return tensor.MSE(o, target)
 }
 
-// sample draws (x, target) where the target runs the task's perturbed
-// q/v projections through the same attention.
-func (at *AttentionTrainer) sample(i int) (x, target *tensor.Matrix) {
+// sample draws x from rng and runs it through task i's perturbed q/v
+// projections and the same attention for the target.
+func (at *AttentionTrainer) sample(i int, rng *rand.Rand) (x, target *tensor.Matrix) {
 	cfg := at.cfg
 	tk := at.tasks[i]
-	x = tensor.New(cfg.DModel, cfg.SeqLen).Randn(tk.rng, 1)
+	x = tensor.New(cfg.DModel, cfg.SeqLen).Randn(rng, 1)
 	q := tensor.New(cfg.DModel, cfg.SeqLen)
 	tensor.MatMul(q, tk.wqT, x)
 	k := tensor.New(cfg.DModel, cfg.SeqLen)
@@ -332,7 +332,7 @@ func (at *AttentionTrainer) adapterGrads(x, dy *tensor.Matrix, a, b *param) {
 func (at *AttentionTrainer) Step() []float64 {
 	losses := make([]float64, len(at.adapters))
 	for i, ad := range at.adapters {
-		x, target := at.sample(i)
+		x, target := at.sample(i, at.tasks[i].rng)
 		losses[i] = at.backward(i, x, target)
 		for _, p := range ad.params() {
 			p.adam(at.cfg.LR)
@@ -366,9 +366,11 @@ func (at *AttentionTrainer) Train(steps int) (early, late []float64) {
 
 // GradCheck holds the gradients Step's backward pass writes for task i,
 // on every adapter matrix, to central finite differences of the loss on a
-// fresh sample, and returns the largest relative error.
+// sample of its own, and returns the largest relative error. The sample
+// comes from a stream seeded by i, not the task's training stream, so a
+// check leaves every later batch where it was.
 func (at *AttentionTrainer) GradCheck(i int, eps float64) float64 {
-	x, target := at.sample(i)
+	x, target := at.sample(i, rand.New(rand.NewSource(int64(i))))
 	at.backward(i, x, target)
 	maxRel := 0.0
 	for _, p := range at.adapters[i].params() {

@@ -176,11 +176,32 @@ func TestAttentionLossesPinned(t *testing.T) {
 	}
 }
 
+// TestGradCheckLeavesTrainingAlone: a gradient check in the middle of
+// training, after step 10, moves none of steps 11–30's pinned losses.
+func TestGradCheckLeavesTrainingAlone(t *testing.T) {
+	at := newAttn(t, 2)
+	for s, want := range pinnedLosses {
+		if s == 10 {
+			for i := 0; i < at.NumTasks(); i++ {
+				if rel := at.GradCheck(i, 1e-5); rel > 1e-3 {
+					t.Errorf("task %d adapter gradients off by rel %v", i, rel)
+				}
+			}
+		}
+		for i, l := range at.Step() {
+			if got := math.Float64bits(l); got != want[i] {
+				t.Fatalf("step %d task %d: loss %v (%#016x), pinned %v (%#016x)",
+					s+1, i, l, got, math.Float64frombits(want[i]), want[i])
+			}
+		}
+	}
+}
+
 func TestZeroInitBGivesBaseForward(t *testing.T) {
 	// With Bq = Bv = 0 the adapters contribute nothing: the output is the
 	// frozen layer's attention, whatever A holds.
 	at := newAttn(t, 1)
-	x, _ := at.sample(0)
+	x, _ := at.sample(0, at.tasks[0].rng)
 	d, seq := at.cfg.DModel, at.cfg.SeqLen
 	q, k, v := tensor.New(d, seq), tensor.New(d, seq), tensor.New(d, seq)
 	tensor.MatMul(q, at.wq, x)
