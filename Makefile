@@ -106,13 +106,17 @@ recipe-guard:
 # its Auctioneer back to a *service.Shards. And the daemon carries no
 # harness: the fleet's self-tests are FuzzFleet's corpus in
 # internal/service, so no non-test file in cmd/pdftspd imports the
-# simulator, the fault plans or the workload generator.
+# simulator, the fault plans or the workload generator. And a fleet comes
+# back from a crash one way, a process restart that runs Open + Resume:
+# no second, in-process generation, and so no fence against one.
 fleet-guard:
 	@if grep -nE 'service\.NewShards\(|ReadShardManifest\(|\.RestoreFromManifest\(|\.RecoverWAL\(|\.\(\*service\.Shards\)' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/service/*' ! -path './benchmark/*'); then \
 		echo "fleet-guard: open a fleet with service.Open and resume it with Resume, whatever its shape"; exit 1; fi
 	@if grep -nE '"github.com/pdftsp/pdftsp/internal/(sim|faults|trace)"' $$(ls cmd/pdftspd/*.go | grep -v _test); then \
 		echo "fleet-guard: cmd/pdftspd serves; its self-tests are FuzzFleet in internal/service"; exit 1; fi
+	@if grep -nE 'Supersede|superseded|NewSupervisor|resubmitBatch' $$(find internal/service cmd -name '*.go' ! -name '*_test.go'); then \
+		echo "fleet-guard: recovery is a process restart (Open + Resume), not an in-process generation"; exit 1; fi
 
 # deps-guard is the mechanical form of "the daemon links what it serves":
 # a serving binary runs the auction, so nothing pdftspd or pdftspd-load
@@ -185,11 +189,11 @@ api-guard:
 # benchsuite row sets it to something other than its default, or because
 # it names a deployment setting (an address, a path), a safety check or an
 # observability sink. Every other knob is the constant it defaulted to.
-# So `pdftspd -h` may list at most 25 flags and `pdftspd-load -h` at most
+# So `pdftspd -h` may list at most 24 flags and `pdftspd-load -h` at most
 # 22; a new flag has to take an old one's place. And every
 # `go run ./cmd/pdftspd...` recipe in the README may pass only flags its
 # binary defines, so a flag that goes takes its recipes with it.
-FLAG_CAPS = pdftspd:25 pdftspd-load:22
+FLAG_CAPS = pdftspd:24 pdftspd-load:22
 flag-guard:
 	@for b in $(FLAG_CAPS); do \
 		name=$${b%%:*}; cap=$${b##*:}; \
@@ -263,8 +267,8 @@ trace-smoke:
 # testdata/fuzz/<target> and replays with
 # `go test -run '<target>/<name>' ./<package>/`.
 #
-# fuzz-fleet: seeded scripts of intake, steps, kills, supervised crashes,
-# torn journals, seam faults, zombie writes, fault plans and spot reclaims,
+# fuzz-fleet: seeded scripts of intake, steps, whole-fleet kills and
+# restarts, torn journals, seam faults, fault plans and spot reclaims,
 # each diffed against sim.Run twins.
 #
 # fuzz-dp: random DP instances (seed, tie-forcing mode bits, dual bytes),

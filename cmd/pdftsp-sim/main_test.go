@@ -49,7 +49,7 @@ func flagsAndFile(t *testing.T, args ...string) (reports, traces [2]string) {
 // TestFlagsAndFileAgree: the default flags and their own -writeconfig
 // output fed back through -config are the same run — same report, same
 // decision trace. -config used to be a second copy of the wiring, one
-// that dropped the decision sink; both routes now reach one Build, and
+// that dropped the decision sink; both routes now reach one WireWith, and
 // both honour -trace down to the no-schedule (F = -Inf) reject that used
 // to abort the run.
 func TestFlagsAndFileAgree(t *testing.T) {

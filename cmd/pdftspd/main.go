@@ -9,7 +9,7 @@
 //	pdftspd -checkpoint state.ckpt       # persist duals+ledger each slot
 //	pdftspd -checkpoint state.ckpt -restore   # resume a crashed broker
 //	pdftspd -checkpoint state.ckpt -wal  # journal acked bids: no acked bid is ever lost
-//	pdftspd -checkpoint state.ckpt -wal -supervise  # in-process watchdog restarts a crashed broker
+//	pdftspd -checkpoint state.ckpt -wal -restore  # what a process supervisor restarts: resumes checkpoint + journal
 //
 // Endpoints: POST /v1/bids, GET /v1/status, GET /v1/decisions/{id},
 // POST /v1/clock/step (virtual clock only), GET /healthz. SIGTERM drains
@@ -53,7 +53,6 @@ func main() {
 	fullEvery := flag.Int("full-every", 1, "write a full snapshot every n checkpoints and binary deltas to a .delta sidecar in between (1 = always full, no sidecar)")
 	restore := flag.Bool("restore", false, "resume from -checkpoint (full snapshot + delta sidecar) before serving")
 	wal := flag.Bool("wal", false, "journal every acked bid to <checkpoint>.wal, fsynced before its ack releases; -restore replays the journal (requires -checkpoint)")
-	supervise := flag.Bool("supervise", false, "run the fleet under an in-process watchdog: a crashed or wedged generation is restored from its checkpoint and journal automatically")
 	decLog := flag.String("decision-log", "", "stream every decision to this binary log: one CRC-framed decision record per bid, not synced, flushed at run end (read with obs.ReadDecisionLog)")
 	obsTrace := flag.String("trace", "", "write a JSONL event trace to this file (analyze with cmd/trace)")
 	audit := flag.Bool("audit", false, "validate auction invariants online; non-zero exit on any violation")
@@ -108,7 +107,7 @@ func main() {
 		addr: *addr, virtual: *virtual, slotDur: *slotDur, queue: *queue,
 		ckpt: *ckpt, fullEvery: *fullEvery,
 		restore: *restore, serveDebug: *serveDebug, observer: observer,
-		wal: *wal, supervise: *supervise,
+		wal: *wal,
 	}
 	a, err := buildAuctioneer(cfg, *shards, sc, so)
 	if err != nil {

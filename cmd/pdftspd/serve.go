@@ -27,7 +27,6 @@ type serveOpts struct {
 	serveDebug string
 	observer   obs.Observer
 	wal        bool
-	supervise  bool
 }
 
 // brokerOptions wires broker i of n's options from the common serving
@@ -59,12 +58,12 @@ func brokerOptions(st *config.Built, i, n int, sc spotConfig, o serveOpts) (serv
 	return opts, nil
 }
 
-// openFleet opens the flag set's fleet on fresh stacks and, when resume is
-// set, loads whatever its checkpoint chain and journals hold. -restore
-// with nothing to restore from is an error, except that a journaled run
-// which died before its first checkpoint persist restarts from the
-// journal alone.
-func openFleet(cfg config.Config, n int, sc spotConfig, o serveOpts, resume bool) (service.Auctioneer, error) {
+// openFleet opens the flag set's fleet on fresh stacks and, under
+// -restore, loads whatever its checkpoint chain and journals hold.
+// -restore with nothing to restore from is an error, except that a
+// journaled run which died before its first checkpoint persist restarts
+// from the journal alone.
+func openFleet(cfg config.Config, n int, sc spotConfig, o serveOpts) (service.Auctioneer, error) {
 	stacks, err := cfg.BuildShards(n)
 	if err != nil {
 		return nil, err
@@ -76,7 +75,7 @@ func openFleet(cfg config.Config, n int, sc spotConfig, o serveOpts, resume bool
 		}
 	}
 	a, err := service.Open(opts...)
-	if err != nil || !resume {
+	if err != nil || !o.restore {
 		return a, err
 	}
 	rep, err := a.Resume()
@@ -85,7 +84,7 @@ func openFleet(cfg config.Config, n int, sc spotConfig, o serveOpts, resume bool
 		return nil, err
 	case rep.FromCheckpoint:
 		fmt.Fprintf(os.Stderr, "restored checkpoint: slot %d, %d decided bids\n", rep.Slot, rep.Decided)
-	case o.restore && !o.wal:
+	case !o.wal:
 		return nil, fmt.Errorf("-restore: no checkpoint at %s", o.ckpt)
 	case o.wal:
 		fmt.Fprintln(os.Stderr, "no checkpoint on disk; recovering from the journal alone")
@@ -98,11 +97,8 @@ func openFleet(cfg config.Config, n int, sc spotConfig, o serveOpts, resume bool
 
 // buildAuctioneer returns the flag set's fleet behind the one
 // service.Auctioneer surface the serve loop drives: opened and, under
-// -restore, resumed; or, under -supervise, a service.Supervisor whose every
-// generation is opened, resumed from whatever the previous one persisted
-// (so the first honors -restore and each later one picks up the crashed
-// run) and started — the watchdog turns any in-process crash or wedge
-// into a bounded restart instead of an outage.
+// -restore, resumed. Coming back from a crash or a wedge is a process
+// restart with -restore, so no two generations ever share a process.
 func buildAuctioneer(cfg config.Config, n int, sc spotConfig, o serveOpts) (service.Auctioneer, error) {
 	if o.wal && o.ckpt == "" {
 		return nil, fmt.Errorf("-wal requires -checkpoint (the journal lives next to the checkpoint chain)")
@@ -110,34 +106,17 @@ func buildAuctioneer(cfg config.Config, n int, sc spotConfig, o serveOpts) (serv
 	if o.restore && o.ckpt == "" {
 		return nil, fmt.Errorf("-restore requires -checkpoint")
 	}
-	if !o.supervise {
-		return openFleet(cfg, n, sc, o, o.restore)
-	}
-	return service.NewSupervisor(service.SupervisorOptions{
-		Build: func() (service.Auctioneer, error) {
-			a, err := openFleet(cfg, n, sc, o, true)
-			if err != nil {
-				return nil, err
-			}
-			return a, a.Start()
-		},
-		OnRestart: func(gen int, reason string) {
-			fmt.Fprintf(os.Stderr, "pdftspd: supervisor restored generation %d (%s)\n", gen, reason)
-		},
-	})
+	return openFleet(cfg, n, sc, o)
 }
 
 // serveAuctioneer is the one serve loop: Start, expvar exposure, the
 // HTTP listener, and the signal-driven graceful drain — identical for a
-// fleet of one and a fleet of many (supervised or not).
+// fleet of one and a fleet of many.
 func serveAuctioneer(a service.Auctioneer, cfg config.Config, n int, sc spotConfig, o serveOpts) {
 	if err := a.Start(); err != nil {
 		fail("start: %v", err)
 	}
 	if o.serveDebug != "" {
-		// After Start so a supervisor has a generation to expose; across
-		// restarts the expvar bindings keep reporting generation 0's
-		// final (race-free) state — live metrics flow through /v1/status.
 		brokers := a.Brokers()
 		for i, b := range brokers {
 			name := "pdftspd_broker"
@@ -168,9 +147,6 @@ func serveAuctioneer(a service.Auctioneer, cfg config.Config, n int, sc spotConf
 	}
 	if o.wal {
 		tier += ", journaled intake"
-	}
-	if o.supervise {
-		tier += ", supervised"
 	}
 	fmt.Fprintf(os.Stderr, "pdftspd serving on http://%s (%s, %s, %d slots%s)\n",
 		ln.Addr(), clock, shape, cfg.Slots, tier)

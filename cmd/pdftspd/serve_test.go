@@ -29,45 +29,11 @@ func smallStack(t *testing.T, n int) config.Config {
 	return cfg
 }
 
-// TestSupervisedSlotZeroCrash: a supervised run without a journal whose
-// first generation dies before its first slot close has nothing on disk
-// worth restoring (a fleet's Start has already written its manifest) and
-// must restart fresh, whatever its shape. The auctioneer is built the way
-// main() builds it.
-func TestSupervisedSlotZeroCrash(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
-			so := serveOpts{
-				virtual: true, queue: 64, fullEvery: 1, supervise: true,
-				ckpt: filepath.Join(t.TempDir(), "state.json"),
-			}
-			a, err := buildAuctioneer(smallStack(t, n), n, spotConfig{}, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer a.Kill()
-			for _, b := range a.Brokers() {
-				b.Kill()
-			}
-			// Slot waits out the swap (bounded by the supervisor's RestartWait).
-			if slot, err := a.Slot(); err != nil || slot != 0 {
-				t.Fatalf("after the crash: slot %d, err %v; want a fresh generation at slot 0", slot, err)
-			}
-			if h := a.Health(); h.Status != "ok" {
-				t.Fatalf("after the crash: %s: %s", h.Status, h.Reason)
-			}
-		})
-	}
-}
-
 // TestRestoreFlag drives main()'s build path through a drain and a
 // -restore: the run resumes at the drained slot for either shape, and
 // -restore with nothing on disk is refused unless a journal could have
-// been all the run left behind. -wal and -restore without -checkpoint
-// are refused before anything is opened.
+// been all the run left behind. -wal and -restore without -checkpoint are
+// refused before anything is opened.
 func TestRestoreFlag(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -122,5 +88,53 @@ func TestRestoreFlag(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSupervisedSlotZeroCrash: a run killed before its first slot close,
+// then restarted by a process supervisor with -restore, through main()'s
+// build path. With -wal it resumes at slot 0; without it -restore is
+// refused the same way for either shape (a fleet's Start wrote its
+// manifest, which is not a checkpoint).
+func TestSupervisedSlotZeroCrash(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards-%d", n), func(t *testing.T) {
+			cfg := smallStack(t, n)
+			for _, wal := range []bool{false, true} {
+				so := serveOpts{
+					virtual: true, queue: 64, fullEvery: 1, wal: wal,
+					ckpt: filepath.Join(t.TempDir(), "state.json"),
+				}
+				a, err := buildAuctioneer(cfg, n, spotConfig{}, so)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Start(); err != nil {
+					t.Fatal(err)
+				}
+				a.Kill()
+				restore := so
+				restore.restore = true
+				b, err := buildAuctioneer(cfg, n, spotConfig{}, restore)
+				if !wal {
+					if want := "-restore: no checkpoint at " + so.ckpt; err == nil || err.Error() != want {
+						t.Fatalf("-restore after a slot-0 kill without -wal: err %v, want %q", err, want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("-wal -restore after a slot-0 kill: %v", err)
+				}
+				if err := b.Start(); err != nil {
+					t.Fatal(err)
+				}
+				slot, err := b.Slot()
+				h := b.Health()
+				b.Kill()
+				if err != nil || slot != 0 || h.Status != "ok" {
+					t.Fatalf("-wal -restore after a slot-0 kill: slot %d (err %v), health %+v; want slot 0, ok", slot, err, h)
+				}
+			}
+		})
 	}
 }

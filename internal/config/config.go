@@ -358,16 +358,8 @@ type Built struct {
 	SimConfig sim.Config
 }
 
-// Build generates the workload and wires the whole cluster against it.
-func (c Config) Build() (*Built, error) {
-	stacks, err := c.BuildShards(1)
-	if err != nil {
-		return nil, err
-	}
-	return stacks[0], nil
-}
-
-// BuildShards is Build for a fleet of n: see Wire.
+// BuildShards generates the workload and wires a fleet of n against it:
+// see Wire.
 func (c Config) BuildShards(n int) ([]*Built, error) {
 	tasks, err := c.Generate()
 	if err != nil {

@@ -18,6 +18,15 @@ import (
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
+// build wires c as one stack.
+func build(c Config) (*Built, error) {
+	stacks, err := c.BuildShards(1)
+	if err != nil {
+		return nil, err
+	}
+	return stacks[0], nil
+}
+
 func TestDefaultValidatesAndBuilds(t *testing.T) {
 	c := Default()
 	if err := c.Validate(); err != nil {
@@ -25,7 +34,7 @@ func TestDefaultValidatesAndBuilds(t *testing.T) {
 	}
 	c.Slots = 24
 	c.Workload.RatePerSlot = 2
-	b, err := c.Build()
+	b, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestBuildEveryAlgorithm(t *testing.T) {
 		c.Slots = 12
 		c.Workload.RatePerSlot = 1
 		c.Algorithm.Name = algo
-		b, err := c.Build()
+		b, err := build(c)
 		if strings.HasPrefix(algo, "pdftsp") {
 			if err != nil {
 				t.Fatalf("%s: %v", algo, err)
@@ -119,7 +128,7 @@ func TestBuildEveryAlgorithm(t *testing.T) {
 			continue
 		}
 		if b != nil || !isBaselineRefusal(err) {
-			t.Fatalf("%s: Build gave %+v, %v; want a baseline refusal", algo, b, err)
+			t.Fatalf("%s: BuildShards gave %+v, %v; want a baseline refusal", algo, b, err)
 		}
 		if stacks, err := c.BuildShards(2); stacks != nil || !isBaselineRefusal(err) {
 			t.Fatalf("%s: BuildShards gave %d stacks, %v; want a baseline refusal", algo, len(stacks), err)
@@ -145,7 +154,7 @@ func TestDefaultsApplied(t *testing.T) {
 	c.Model = ""  // default gpt2-small
 	c.Workload.Arrivals = ""
 	c.Workload.Deadlines = ""
-	b, err := c.Build()
+	b, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +323,11 @@ func TestFlagsAndFileAgree(t *testing.T) {
 	if !reflect.DeepEqual(fromFlags, fromFile) || !reflect.DeepEqual(fromFlags, Default()) {
 		t.Fatalf("configs differ:\nflags   %+v\nfile    %+v\ndefault %+v", fromFlags, fromFile, Default())
 	}
-	a, err := fromFlags.Build()
+	a, err := build(fromFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fromFile.Build()
+	b, err := build(fromFile)
 	if err != nil {
 		t.Fatal(err)
 	}

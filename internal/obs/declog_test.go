@@ -102,7 +102,7 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 }
 
 // TestDecisionLogSharedIDs: one log handed to two runs (shards, or a
-// supervised generation re-deciding journaled bids) holds both runs'
+// resumed broker re-deciding journaled bids) holds both runs'
 // records for a repeated ID, in emission order.
 func TestDecisionLogSharedIDs(t *testing.T) {
 	var buf bytes.Buffer

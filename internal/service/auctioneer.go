@@ -80,7 +80,6 @@ type Auctioneer interface {
 var (
 	_ Auctioneer = (*Broker)(nil)
 	_ Auctioneer = (*Shards)(nil)
-	_ Auctioneer = (*Supervisor)(nil)
 )
 
 // Open builds the fleet described by one Options per broker; it is the
@@ -195,17 +194,6 @@ func resume(brokers []*Broker) (Resumed, error) {
 		rep.Replayed += n
 	}
 	return rep, nil
-}
-
-// submitOne is Submit for the Auctioneers that route or retry: the one bid
-// goes through SubmitBatch, which already carries their routing refusals
-// and replay resolution.
-func submitOne(ctx context.Context, a Auctioneer, t task.Task) (schedule.Decision, error) {
-	outs, err := a.SubmitBatch(ctx, []task.Task{t})
-	if err != nil {
-		return schedule.Decision{}, err
-	}
-	return outs[0].Decision, outs[0].Err
 }
 
 // statusPayload serves the monolithic broker's Status on /v1/status.

@@ -133,7 +133,7 @@ func WriteCheckpoint(path string, ck *Checkpoint) error {
 		return fmt.Errorf("service: write %s: a plane is not %d nodes × %d slots", path, K, T)
 	}
 	data, _ := encodeSnapshot(ck)
-	return writeFile(osFS{}, path, nil, data)
+	return writeFile(osFS{}, path, data)
 }
 
 // ReadCheckpoint loads a checkpoint file.

@@ -41,10 +41,6 @@ type ckptWriter struct {
 	fsys    fileSys
 	path    string // the checkpoint file; the sidecar is DeltaPath(path)
 	sidecar durableFile
-	// guard is the owning broker's supersession fence: a write that
-	// stalled across a supervisor swap (the wedge scenario) must fail
-	// instead of renaming a stale snapshot or sidecar over the successor's.
-	guard func() error
 }
 
 func (w *ckptWriter) closeSidecar() {
@@ -76,7 +72,7 @@ func (w *ckptWriter) exec(j ckptJob) error {
 	// Whatever happens, the old chain ends here: it extends the previous
 	// snapshot, not this one.
 	w.closeSidecar()
-	if err := writeFile(w.fsys, w.path, w.guard, j.data); err != nil {
+	if err := writeFile(w.fsys, w.path, j.data); err != nil {
 		return err
 	}
 	if j.sidecarHdr == nil {
@@ -86,7 +82,7 @@ func (w *ckptWriter) exec(j ckptJob) error {
 	// A fresh sidecar holding only the header; each delta record is
 	// appended to the handle and fsynced.
 	var err error
-	w.sidecar, err = replaceFile(w.fsys, DeltaPath(w.path), w.guard, j.sidecarHdr)
+	w.sidecar, err = replaceFile(w.fsys, DeltaPath(w.path), j.sidecarHdr)
 	if err != nil {
 		w.closeSidecar()
 	}
@@ -102,9 +98,7 @@ func (w *ckptWriter) exec(j ckptJob) error {
 // cleanly. Failures are recorded in Status rather than stopping the
 // auction; core-goroutine only.
 func (b *Broker) writeCheckpoint() {
-	// Once superseded, a newer generation owns the checkpoint chain; a
-	// zombie must not rename its stale snapshot over that one's progress.
-	if b.opts.CheckpointPath == "" || b.superseded.Load() {
+	if b.opts.CheckpointPath == "" {
 		return
 	}
 	if f := b.opts.CheckpointFault; f != nil {

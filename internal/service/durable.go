@@ -61,13 +61,11 @@ func (osFS) SyncDir(dir string) error {
 // temp file in path's directory is written, fsynced, renamed over path,
 // and the directory fsynced, so a crash or power cut at any point leaves
 // the old file or the new one, whole — and once it returns nil, the new
-// one survives power loss. guard, when non-nil, runs at the last gate
-// before the rename: the supersession fence, so a write that stalled
-// across a generation swap never publishes. The open handle comes back
-// positioned after the parts. If only the directory fsync fails, the file
+// one survives power loss. The open handle comes back positioned after
+// the parts. If only the directory fsync fails, the file
 // is in place but its name may not survive a power cut: the handle comes
 // back with the error, and the caller decides.
-func replaceFile(fsys fileSys, path string, guard func() error, parts ...[]byte) (durableFile, error) {
+func replaceFile(fsys fileSys, path string, parts ...[]byte) (durableFile, error) {
 	dir := filepath.Dir(path)
 	f, err := fsys.CreateTemp(dir, "."+filepath.Base(path)+"-*")
 	if err != nil {
@@ -78,9 +76,6 @@ func replaceFile(fsys fileSys, path string, guard func() error, parts ...[]byte)
 	}
 	if err == nil {
 		err = f.Sync()
-	}
-	if err == nil && guard != nil {
-		err = guard()
 	}
 	if err == nil {
 		err = fsys.Rename(f.Name(), path)
@@ -97,8 +92,8 @@ func replaceFile(fsys fileSys, path string, guard func() error, parts ...[]byte)
 }
 
 // writeFile is replaceFile for a file nothing appends to.
-func writeFile(fsys fileSys, path string, guard func() error, data []byte) error {
-	f, err := replaceFile(fsys, path, guard, data)
+func writeFile(fsys fileSys, path string, data []byte) error {
+	f, err := replaceFile(fsys, path, data)
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -26,10 +25,8 @@ import (
 // that operation and every later one fail without touching the disk, and
 // image is the directory as a strict POSIX reading of power loss leaves
 // it: each file at its last-fsynced contents, the directory at its
-// entries as of its last fsync. "zombie" supersedes gen, the generation
-// writing, at the first temp-file create from there, as a supervisor
-// swap mid-write does. The model is the durability, so Sync and SyncDir
-// never reach the disk.
+// entries as of its last fsync. The model is the durability, so Sync and
+// SyncDir never reach the disk.
 //
 // A failed fsync is fsyncgate's: the kernel drops the file's dirty pages
 // and marks them clean, so the bytes written since the last fsync stay
@@ -40,16 +37,13 @@ type powerFS struct {
 	mu    sync.Mutex
 	at    int    // the operation to fault; -1 for none
 	again int    // the operation to fault once at's has gone off; -1 for none
-	mode  string // "fail", "short", "cut" or "zombie"
+	mode  string // "fail", "short" or "cut"
 	ops   []string
 	fired []string // the modes of the faults that went off
 	cut   bool
 	image map[string][]byte
-	gen   []*Broker
 	// names are the directory's entries now, synced as of its last fsync.
 	names, synced map[string]*inode
-	// crossed lists what a superseded broker attempted past the fence.
-	crossed []string
 }
 
 // inode is one file's contents now and as of its last fsync, and the
@@ -125,39 +119,20 @@ func (p *powerFS) restore(dir string) error {
 	return nil
 }
 
-// brokerFS is one broker's view of a powerFS: it knows whose operations
-// it carries, so one from a superseded generation is caught.
-type brokerFS struct {
-	p     *powerFS
-	owner *Broker
-}
-
 // do numbers one operation and runs fn (short: land half a write) unless
-// the operation is faulted or the power is out. private, when non-nil,
-// reports an operation on a temp file no other name reaches yet: a
-// superseded broker may finish or discard one, never publish it.
-func (fs brokerFS) do(kind string, private func() bool, fn func(short bool) error) error {
-	p := fs.p
+// the operation is faulted or the power is out.
+func (p *powerFS) do(kind string, fn func(short bool) error) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if kind != "close" && fs.owner.superseded.Load() && (private == nil || !private()) {
-		p.crossed = append(p.crossed, kind)
-	}
 	if p.cut {
 		return errPowerCut
 	}
 	p.ops = append(p.ops, kind)
-	if n := len(p.ops) - 1; p.at < 0 || n < p.at ||
-		p.mode == "short" && kind != "write" || p.mode == "zombie" && kind != "create" {
+	if n := len(p.ops) - 1; p.at < 0 || n < p.at || p.mode == "short" && kind != "write" {
 		return fn(false)
 	}
 	p.at, p.again, p.fired = p.again, -1, append(p.fired, p.mode)
 	switch p.mode {
-	case "zombie":
-		for _, b := range p.gen {
-			b.Supersede()
-		}
-		return fn(false)
 	case "cut":
 		p.cut = true
 		p.image = map[string][]byte{}
@@ -172,15 +147,13 @@ func (fs brokerFS) do(kind string, private func() bool, fn func(short bool) erro
 	return syscall.EIO
 }
 
-func isTemp(name string) bool { return strings.HasPrefix(filepath.Base(name), ".") }
-
-func (fs brokerFS) CreateTemp(dir, pattern string) (durableFile, error) {
+func (p *powerFS) CreateTemp(dir, pattern string) (durableFile, error) {
 	var pf *powerFile
-	err := fs.do("create", func() bool { return true }, func(bool) error {
+	err := p.do("create", func(bool) error {
 		f, err := os.CreateTemp(dir, pattern)
 		if err == nil {
-			pf = &powerFile{fs: fs, f: f, ino: &inode{}}
-			fs.p.names[filepath.Base(f.Name())] = pf.ino
+			pf = &powerFile{fs: p, f: f, ino: &inode{}}
+			p.names[filepath.Base(f.Name())] = pf.ino
 		}
 		return err
 	})
@@ -190,43 +163,40 @@ func (fs brokerFS) CreateTemp(dir, pattern string) (durableFile, error) {
 	return pf, nil
 }
 
-func (fs brokerFS) Rename(oldpath, newpath string) error {
-	return fs.do("rename", nil, func(bool) error {
+func (p *powerFS) Rename(oldpath, newpath string) error {
+	return p.do("rename", func(bool) error {
 		if err := os.Rename(oldpath, newpath); err != nil {
 			return err
 		}
-		fs.p.names[filepath.Base(newpath)] = fs.p.names[filepath.Base(oldpath)]
-		delete(fs.p.names, filepath.Base(oldpath))
+		p.names[filepath.Base(newpath)] = p.names[filepath.Base(oldpath)]
+		delete(p.names, filepath.Base(oldpath))
 		return nil
 	})
 }
 
-func (fs brokerFS) Remove(name string) error {
-	return fs.do("remove", func() bool { return isTemp(name) }, func(bool) error {
-		delete(fs.p.names, filepath.Base(name))
+func (p *powerFS) Remove(name string) error {
+	return p.do("remove", func(bool) error {
+		delete(p.names, filepath.Base(name))
 		return os.Remove(name)
 	})
 }
 
-func (fs brokerFS) SyncDir(string) error {
-	return fs.do("syncdir", nil, func(bool) error {
-		fs.p.synced = maps.Clone(fs.p.names)
+func (p *powerFS) SyncDir(string) error {
+	return p.do("syncdir", func(bool) error {
+		p.synced = maps.Clone(p.names)
 		return nil
 	})
 }
 
 // powerFile is a real file whose contents the powerFS mirrors.
 type powerFile struct {
-	fs  brokerFS
+	fs  *powerFS
 	f   *os.File
 	ino *inode
 	off int64
 }
 
 func (f *powerFile) Name() string { return f.f.Name() }
-
-// private reports whether the file is still reachable only by its temp name.
-func (f *powerFile) private() bool { return f.fs.p.names[filepath.Base(f.f.Name())] == f.ino }
 
 func (f *powerFile) Write(b []byte) (int, error) {
 	n, err := f.WriteAt(b, f.off)
@@ -236,7 +206,7 @@ func (f *powerFile) Write(b []byte) (int, error) {
 
 func (f *powerFile) WriteAt(b []byte, off int64) (int, error) {
 	n := 0
-	err := f.fs.do("write", f.private, func(short bool) error {
+	err := f.fs.do("write", func(short bool) error {
 		if short {
 			b = b[:len(b)/2]
 		}
@@ -253,20 +223,20 @@ func (f *powerFile) WriteAt(b []byte, off int64) (int, error) {
 }
 
 func (f *powerFile) Sync() error {
-	err := f.fs.do("sync", f.private, func(bool) error {
+	err := f.fs.do("sync", func(bool) error {
 		f.ino.persist()
 		return nil
 	})
 	if errors.Is(err, syscall.EIO) { // the dirty pages are dropped
-		f.fs.p.mu.Lock()
+		f.fs.mu.Lock()
 		f.ino.dirty = nil
-		f.fs.p.mu.Unlock()
+		f.fs.mu.Unlock()
 	}
 	return err
 }
 
 func (f *powerFile) Truncate(size int64) error {
-	return f.fs.do("truncate", f.private, func(bool) error {
+	return f.fs.do("truncate", func(bool) error {
 		if err := f.f.Truncate(size); err != nil {
 			return err
 		}
@@ -280,7 +250,7 @@ func (f *powerFile) Truncate(size int64) error {
 }
 
 func (f *powerFile) Close() error {
-	err := f.fs.do("close", nil, func(bool) error { return nil })
+	err := f.fs.do("close", func(bool) error { return nil })
 	f.f.Close() // whatever the fault, the descriptor goes
 	return err
 }
@@ -292,7 +262,7 @@ func (f *powerFile) Close() error {
 // reading back from disk as zeros.
 func TestPowerFSFsyncgate(t *testing.T) {
 	p := newPowerFS(-1, "")
-	df, err := brokerFS{p, new(Broker)}.CreateTemp(t.TempDir(), ".gate")
+	df, err := p.CreateTemp(t.TempDir(), ".gate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,15 +301,13 @@ type crashOutcome struct {
 
 // TestPersistCrashPoints enumerates every filesystem operation of the
 // persistence protocol — journal open, commits and their fsyncs, full
-// snapshots, sidecar replacements and delta appends, rotations, a
-// superseded generation's refused writes, a kill and a Resume that
-// reseeds the journal — and at each operation N runs the scenario three
-// ways: N fails (EIO), N is a write that lands short (ENOSPC after half
+// snapshots, sidecar replacements and delta appends, rotations, a kill
+// with bids held and a Resume that reseeds the journal — and at each
+// operation N runs the scenario three ways: N fails (EIO), N is a write that lands short (ENOSPC after half
 // its bytes, the truncate succeeding), and the power is cut at N. After
 // each, a fresh broker must Resume on what survived, every bid whose ack
 // was released before N must be decided in the chain or replayed from the
-// journal, no bid refused with ErrWAL may come back, and no superseded
-// generation may write past its fence. It generalizes
+// journal, and no bid refused with ErrWAL may come back. It generalizes
 // TestWALValidPrefixProperty from every byte of one file to every
 // operation of the protocol.
 func TestPersistCrashPoints(t *testing.T) {
@@ -353,7 +321,7 @@ func TestPersistCrashPoints(t *testing.T) {
 
 	// run drives one journaled broker (deltas between full snapshots every
 	// fourth write) slot by slot, each slot's bids in two intake messages;
-	// at killAt it is superseded, tries to write, is killed and a successor
+	// at killAt it is killed with that slot's bids held and a successor
 	// resumes. The last slot's bids stay acked and undecided.
 	run := func(t *testing.T, at int, mode string) *crashOutcome {
 		o := &crashOutcome{fs: newPowerFS(at, mode), dir: t.TempDir(), label: "crash"}
@@ -371,7 +339,7 @@ func TestPersistCrashPoints(t *testing.T) {
 		}
 		open := func() (*Broker, error) {
 			b := newBroker()
-			b.fsys = brokerFS{o.fs, b}
+			b.fsys = o.fs
 			if _, err := b.Resume(); err != nil {
 				b.wal.close()
 				return nil, err
@@ -401,14 +369,6 @@ func TestPersistCrashPoints(t *testing.T) {
 			submit(b, perSlot[s][:half])
 			submit(b, perSlot[s][half:])
 			if s == killAt {
-				b.Supersede()
-				late := task.Task{ID: 1 << 40, Arrival: int32(s), Deadline: slots - 1, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
-				if v := submit(b, []task.Task{late}); v[0] == nil {
-					t.Fatal("a superseded broker acked a bid")
-				}
-				if _, err := b.Step(1); err != nil { // would persist a checkpoint and rotate
-					t.Fatal(err)
-				}
 				b.Kill()
 				if b, err = open(); err != nil {
 					break
@@ -462,9 +422,6 @@ func TestPersistCrashPoints(t *testing.T) {
 		}
 		if len(o.resurrect) > 0 {
 			t.Errorf("bids refused with ErrWAL came back: %v", o.resurrect)
-		}
-		if len(o.fs.crossed) > 0 {
-			t.Errorf("a superseded broker wrote past its fence: %v", o.fs.crossed)
 		}
 	}
 

@@ -22,14 +22,14 @@ import (
 
 // FuzzFleet is the one seeded explorer of the fleet's promises: an input
 // expands into a fleet from Open over a 24-slot workload drawn from seed
-// (shape bits 0-1 pick 1, 2 or 4 brokers, 3 reading as 4; the others are
-// the fleet* bits below) and a script of fleetOps run against it. Between
-// operations it waits for quiescence and brokers close slots one after
-// another, so the seam numbers its operations the same on every replay.
-// After every operation every acked bid must be decided or held (and,
-// with a journal, in ReadWAL field for field), no bid refused with ErrWAL
-// may come back, no superseded broker may publish through the seam, and
-// a degraded /healthz must carry a reason Status agrees with. At the end
+// (shape bits 0-1 pick 1, 2 or 4 brokers, the value 3 reading as 4; bit 3
+// is unused; the others are the fleet* bits below) and a script of
+// fleetOps run against it. Between operations it waits for quiescence and
+// brokers close slots one after another, so the seam numbers its
+// operations the same on every replay. After every operation every acked
+// bid must be decided or held (and, with a journal, in ReadWAL field for
+// field), no bid refused with ErrWAL may come back, and a degraded
+// /healthz must carry a reason Status agrees with. At the end
 // DiffTwins holds every drained broker to a sim.Run twin under the same
 // outages and spot trace, duals, ledgers and welfare
 // bit-equal, and one obs.Audit across every generation is clean.
@@ -47,11 +47,10 @@ func FuzzFleet(f *testing.F) {
 
 // Shape bits of a FuzzFleet input.
 const (
-	fleetJournal    = 1 << 2
-	fleetSupervised = 1 << 3
-	fleetSpot       = 1 << 4 // the last node of each broker is a spot node
-	fleetDeltas     = 1 << 5 // CheckpointFullEvery 4 instead of 1
-	fleetFaults     = 1 << 6 // a faults.Generate plan: outages and a checkpoint-fault window
+	fleetJournal = 1 << 2
+	fleetSpot    = 1 << 4 // the last node of each broker is a spot node
+	fleetDeltas  = 1 << 5 // CheckpointFullEvery 4 instead of 1
+	fleetFaults  = 1 << 6 // a faults.Generate plan: outages and a checkpoint-fault window
 )
 
 // fleetOps are the script's operations:
@@ -59,16 +58,15 @@ const (
 //	a-g      the current slot's unsent bids through intakeForms[0..6]
 //	s        the rest through SubmitBatchAck, then close the slot
 //	z        a clock stall: /v1/status keeps answering with the slot
-//	k        the whole fleet dies (its supervisor too) and resumes on fresh stacks
-//	x        a crash the supervisor absorbs (k without one)
+//	k        the whole fleet dies and resumes on fresh stacks, as a restarted
+//	         process does
 //	t        tear every journal's tail before the next resume
-//	F W P Z  fail or power-cut seam operation now+(next byte % 32), short the
-//	         first write from there, or supersede the generation at the first
-//	         temp-file create from there
+//	F W P    fail or power-cut seam operation now+(next byte % 32), or short
+//	         the first write from there
 //	r        the spot market reclaims every elastic node at the next slot
-const fleetOps = "abcdefgszkxtFWPZr"
+const fleetOps = "abcdefgszktFWPr"
 
-var fleetSeamModes = map[byte]string{'F': "fail", 'W': "short", 'P': "cut", 'Z': "zombie"}
+var fleetSeamModes = map[byte]string{'F': "fail", 'W': "short", 'P': "cut"}
 
 // fleetCorpus is FuzzFleet's seed corpus, seed#0 onward in this order:
 // the nine rows of the retired pdftspd self-tests, then one input aimed at
@@ -87,25 +85,18 @@ var fleetCorpus = []struct {
 	{"chaos-1-shards-2", 1, 1 | fleetDeltas | fleetFaults, "ssescssssszssssk"},
 	{"chaos-7-shards-4", 7, 2 | fleetDeltas | fleetFaults, "ssgsfsszsssssssk"},
 	{"spot-smoke", 11, 1 | fleetSpot | fleetDeltas | fleetFaults, "sssrsssksssrssssssrssssssskz"},
-	{"wal-chaos-1", 1, fleetJournal | fleetSupervised | fleetDeltas, "dxsssssaxssssssexxssssssgtxs"},
-	{"wal-chaos-7-shards-2", 7, 1 | fleetJournal | fleetSupervised | fleetDeltas, "dxsssssaxssssssfxxssssssdtxs"},
-	{"seam-1", 1, fleetJournal | fleetDeltas, "sssW\x00dkssdP\x00ssdF\x00sksdZ\x00ssstkss"},
-	// A supervised sharded fleet whose checkpoint writes failed resumes
-	// behind its clock, and the supervisor retries a blocking bid that a
-	// shard's journal already replayed: it must go back to that shard.
-	{"retry-owner-shard", 7, 207, "dWsssssaxssssssfLxsssssssd\x92(s"},
+	{"wal-chaos-1", 1, fleetJournal | fleetDeltas, "dksssssakssssssekkssssssgtks"},
+	{"wal-chaos-7-shards-2", 7, 1 | fleetJournal | fleetDeltas, "dksssssakssssssfkkssssssdtks"},
+	{"seam-1", 1, fleetJournal | fleetDeltas, "sssW\x00dkssdP\x00ssdF\x00sksdssstkss"},
 }
 
-const (
-	fleetSlots  = 24      // every explored fleet's horizon; bids arrive at three a slot
-	fleetLateID = 1 << 40 // where a zombie's late bids are numbered from
-)
+const fleetSlots = 24 // every explored fleet's horizon; bids arrive at three a slot
 
 // fleetBid is one workload bid's fate so far.
 type fleetBid struct {
 	task    task.Task
 	acked   bool           // held by the fleet (its ack released)
-	refused bool           // refused with ErrWAL, or a zombie's: it must never come back
+	refused bool           // refused with ErrWAL: it must never come back
 	reply   chan formReply // a blocking form's answer, in flight
 }
 
@@ -119,33 +110,29 @@ type fleetStats struct {
 
 // fleetRun is one input's run: its configuration, then its state.
 type fleetRun struct {
-	t                                 *testing.T
-	seed                              int64
-	n, nodes, fullEvery               int
-	journal, supervised, spot, faulty bool
-	dir, ckpt                         string
-	tasks                             []task.Task
-	perSlot                           [][]task.Task
-	bids                              map[int]*fleetBid
-	plan                              faults.Plan
-	failures                          [][]sim.Failure
-	reclaims                          []int
-	fs                                *powerFS
-	auditor                           *obs.Audit
-	a                                 Auctioneer // what the script drives: the fleet or its supervisor
-	sup                               *Supervisor
-	srv                               *httptest.Server
-	// The serving generation — its fleet, the stacks under it, and what its
-	// Resume found — as open left them (a supervisor's Build runs open on
-	// its own goroutine; the explorer reads these only after the restart
-	// is signalled).
-	fleet     Auctioneer
-	stacks    []*testStack
-	rep       Resumed
-	restarted chan int
-	slot      int
-	tear      bool
-	stats     fleetStats
+	t                     *testing.T
+	seed                  int64
+	n, nodes, fullEvery   int
+	journal, spot, faulty bool
+	dir, ckpt             string
+	tasks                 []task.Task
+	perSlot               [][]task.Task
+	bids                  map[int]*fleetBid
+	plan                  faults.Plan
+	failures              [][]sim.Failure
+	reclaims              []int
+	fs                    *powerFS
+	auditor               *obs.Audit
+	// The serving generation — its fleet, the stacks under it, what its
+	// Resume found — and the HTTP server in front of it. After a resume
+	// refusal a is the dead generation.
+	a      Auctioneer
+	stacks []*testStack
+	rep    Resumed
+	srv    *httptest.Server
+	slot   int
+	tear   bool
+	stats  fleetStats
 }
 
 // fleetStep is one script operation and its argument.
@@ -157,8 +144,7 @@ type fleetStep struct {
 func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetStats {
 	r := &fleetRun{
 		t: t, seed: seed, n: []int{1, 2, 4, 4}[shape&3], nodes: 2, fullEvery: 1,
-		journal: shape&fleetJournal != 0, supervised: shape&fleetSupervised != 0,
-		spot: shape&fleetSpot != 0, faulty: shape&fleetFaults != 0,
+		journal: shape&fleetJournal != 0, spot: shape&fleetSpot != 0, faulty: shape&fleetFaults != 0,
 		dir: t.TempDir(), fs: newPowerFS(-1, ""), auditor: obs.NewAudit(),
 		bids:  map[int]*fleetBid{},
 		stats: fleetStats{fired: map[string]int{}},
@@ -232,16 +218,15 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 					t.Fatalf("the clock moved during a stall: slot %d, want %d", status.Slot, r.slot)
 				}
 			}
-		case 'k', 'x':
-			crash := st.op == 'x' && r.supervised
-			r.stats.fired[map[bool]string{false: "kill", true: "crash"}[crash]]++
-			if !r.die(crash) {
+		case 'k':
+			r.stats.fired["kill"]++
+			if !r.die() {
 				return r.stats
 			}
 		case 't':
 			r.tear = r.journal
 		case 'r':
-		case 'F', 'W', 'P', 'Z':
+		case 'F', 'W', 'P':
 			r.fs.arm(st.arg, fleetSeamModes[st.op])
 		default:
 			r.offer(intakeForms[st.op-'a'])
@@ -295,16 +280,13 @@ func (r *fleetRun) open() (Auctioneer, error) {
 	}
 	brokers := a.Brokers()
 	for i, b := range brokers {
-		b.fsys = brokerFS{r.fs, b}
+		b.fsys = r.fs
 		if r.faulty {
 			if err := withOutages(b, r.failures[i]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	r.fs.mu.Lock()
-	r.fs.gen = brokers
-	r.fs.mu.Unlock()
 	rep, err := a.Resume()
 	if err == nil {
 		err = a.Start()
@@ -319,37 +301,17 @@ func (r *fleetRun) open() (Auctioneer, error) {
 		}
 		return nil, err
 	}
-	r.fleet, r.stacks, r.rep = a, stacks, rep
+	r.stacks, r.rep = stacks, rep
 	return a, nil
 }
 
-// serve opens a generation — the first of a new supervisor's, when the
-// shape is supervised — with an HTTP server in front.
+// serve opens a generation with an HTTP server in front.
 func (r *fleetRun) serve() error {
-	r.a, r.sup = nil, nil
-	if r.supervised {
-		r.restarted = make(chan int, 1) // one restart at a time: each crash waits for its own
-		sup, err := NewSupervisor(SupervisorOptions{
-			Build:         r.open,
-			ProbeInterval: -1, // a wedge is a wall-clock property; the explorer replays exactly
-			PreRestore:    func(int, string) { r.tearJournals() },
-			OnRestart:     func(gen int, _ string) { r.restarted <- gen },
-		})
-		if err == nil {
-			err = sup.Start()
-		}
-		if err != nil {
-			return err
-		}
-		r.a, r.sup = sup, sup
-	} else {
-		a, err := r.open()
-		if err != nil {
-			return err
-		}
-		r.a = a
+	a, err := r.open()
+	if err != nil {
+		return err
 	}
-	r.srv = httptest.NewServer(r.a.Handler())
+	r.a, r.srv = a, httptest.NewServer(a.Handler())
 	return nil
 }
 
@@ -465,30 +427,17 @@ func (r *fleetRun) step() {
 }
 
 // after handles what the operation set off in the seam — a power cut is
-// the whole fleet's death; a generation superseded mid-write tries a late
-// write and is replaced — then checks the invariants. False ends the run.
+// the whole fleet's death — then checks the invariants. False ends the
+// run.
 func (r *fleetRun) after() bool {
 	r.fs.mu.Lock()
-	fired := r.fs.fired
-	r.fs.fired = nil
-	r.fs.mu.Unlock()
-	for _, mode := range fired {
+	for _, mode := range r.fs.fired {
 		r.stats.fired[mode]++
 	}
-	switch {
-	case r.fs.isCut():
-		if !r.die(false) {
-			return false
-		}
-	case len(fired) > 0 && fired[len(fired)-1] == "zombie":
-		late := task.Task{ID: fleetLateID + len(r.bids), Arrival: int32(r.slot), Deadline: fleetSlots - 1, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
-		r.bids[late.ID] = &fleetBid{task: late, refused: true} // a zombie's bid must not reach its successor
-		for _, b := range r.fleet.Brokers() {
-			b.SubmitBatchAck(context.Background(), []task.Task{late}, make([]error, 1))
-		}
-		if !r.die(r.supervised) {
-			return false
-		}
+	r.fs.fired = nil
+	r.fs.mu.Unlock()
+	if r.fs.isCut() && !r.die() {
+		return false
 	}
 	r.check()
 	return true
@@ -496,9 +445,6 @@ func (r *fleetRun) after() bool {
 
 // check holds the steady-state invariants.
 func (r *fleetRun) check() {
-	if len(r.fs.crossed) > 0 {
-		r.t.Fatalf("a superseded broker wrote past its fence: %v", r.fs.crossed)
-	}
 	brokers := r.a.Brokers()
 	journals := make([]map[int]task.Task, len(brokers))
 	for i, b := range brokers {
@@ -550,12 +496,12 @@ func (r *fleetRun) fate(id int) (decided bool, holder int) {
 	return decided, holder
 }
 
-// die ends the serving generation — a crash the supervisor absorbs, or
-// the whole fleet's death, after a power cut with the disk as the cut
-// left it — and checks what its successor resumed: at a slot no older
-// than every broker's last durable checkpoint, every acked bid decided or
-// held again with a journal, and without one resubmitted by its client.
-func (r *fleetRun) die(crash bool) bool {
+// die kills the whole serving fleet (after a power cut, with the disk as
+// the cut left it), opens its successor on fresh stacks and checks what
+// it resumed: at a slot no older than every broker's last durable
+// checkpoint, every acked bid decided or held again with a journal, and
+// without one resubmitted by its client.
+func (r *fleetRun) die() bool {
 	r.fs.arm(-1, "") // faults go off while the fleet serves, not while it resumes
 	durable, inFlight := fleetSlots, 0
 	for _, b := range r.a.Brokers() {
@@ -566,35 +512,21 @@ func (r *fleetRun) die(crash bool) bool {
 	if inFlight > 0 {
 		r.stats.diedOnAcked++
 	}
-	if crash {
-		for _, b := range r.sup.Brokers() {
-			b.Kill()
+	r.a.Kill()
+	r.srv.Close()
+	for _, b := range r.bids {
+		if b.reply != nil && r.await(b).refusal == "" {
+			r.t.Fatalf("bid %d held by a dead fleet was decided", b.task.ID)
 		}
-		select {
-		case <-r.restarted:
-		case <-r.sup.Done():
-			_, err := r.sup.Slot()
-			return r.refused(err)
-		case <-time.After(5 * time.Second):
-			r.t.Fatal("no supervised restart within 5s")
+	}
+	if r.fs.isCut() {
+		if err := r.fs.restore(r.dir); err != nil {
+			r.t.Fatal(err)
 		}
-	} else {
-		r.a.Kill()
-		r.srv.Close()
-		for _, b := range r.bids {
-			if b.reply != nil && r.await(b).refusal == "" {
-				r.t.Fatalf("bid %d held by a dead fleet was decided", b.task.ID)
-			}
-		}
-		if r.fs.isCut() {
-			if err := r.fs.restore(r.dir); err != nil {
-				r.t.Fatal(err)
-			}
-		}
-		r.tearJournals()
-		if err := r.serve(); err != nil {
-			return r.refused(err)
-		}
+	}
+	r.tearJournals()
+	if err := r.serve(); err != nil {
+		return r.refused(err)
 	}
 	rep := r.rep
 	if rep.Slot > r.slot || durable >= 0 && (!rep.FromCheckpoint || rep.Slot < durable) {
@@ -604,11 +536,8 @@ func (r *fleetRun) die(crash bool) bool {
 	r.stats.replayed += rep.Replayed
 	want := 0
 	for _, b := range r.bids {
-		switch {
-		case r.journal && b.acked && int(b.task.Arrival) >= r.slot:
+		if r.journal && b.acked && int(b.task.Arrival) >= r.slot {
 			want++
-		case !r.journal && b.reply != nil:
-			want++ // a blocking form the supervisor re-submits
 		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); r.held() != want; time.Sleep(time.Millisecond) {
@@ -635,7 +564,7 @@ func (r *fleetRun) die(crash bool) bool {
 // (see resume), and ends the run.
 func (r *fleetRun) refused(err error) bool {
 	slots := map[int]bool{}
-	for _, b := range r.fleet.Brokers() {
+	for _, b := range r.a.Brokers() {
 		slot := -1
 		if ck, err := LoadCheckpoint(b.opts.CheckpointPath); err == nil {
 			slot = ck.Slot
@@ -681,7 +610,7 @@ func (r *fleetRun) finish() {
 	}
 	twins := make([]*testStack, r.n)
 	var liveW, twinW float64
-	err := DiffTwins(r.fleet, acked, func(i int, sub []task.Task) (*sim.Result, error) {
+	err := DiffTwins(r.a, acked, func(i int, sub []task.Task) (*sim.Result, error) {
 		twins[i] = newShardStack(r.t, fleetSlots, r.nodes, r.seed+int64(i), r.tasks, true)
 		want, err := sim.Run(twins[i].cl, twins[i].sched, sub, r.twinConfig(i, twins[i]))
 		if err == nil {
@@ -692,7 +621,7 @@ func (r *fleetRun) finish() {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	for i, b := range r.fleet.Brokers() {
+	for i, b := range r.a.Brokers() {
 		res := b.Result()
 		liveW += res.Welfare
 		r.stats.leases += res.SpotLeases
@@ -752,7 +681,7 @@ func recordCorpusRun(t *testing.T, st fleetStats) {
 			t.Errorf("%s: %d deaths on acked bids replayed no journaled bid", e.name, st.diedOnAcked)
 		}
 	}
-	kinds := []string{"step", "stall", "kill", "crash", "torn", "fail", "short", "cut", "zombie", "fault-plan", "reclaim"}
+	kinds := []string{"step", "stall", "kill", "torn", "fail", "short", "cut", "fault-plan", "reclaim"}
 	for _, f := range intakeForms {
 		kinds = append(kinds, f.name)
 	}

@@ -132,7 +132,7 @@ func (f intakeForm) offer(a Auctioneer, srv *httptest.Server, t task.Task) formR
 
 // TestIntakeFormsAgree drives one script of bids — every intake refusal
 // and five held bids — through each submission form on a fresh, identical
-// Broker, 1-shard Shards and Supervisor, and requires the forms to agree
+// Broker and 1-shard Shards, and requires the forms to agree
 // to the byte: the same refusal message for the same reason, the same
 // decision JSON for the same bid. The "id-*" steps are the regression for
 // chosen IDs that wrap nextID or use up what is left above it (MaxInt was
@@ -140,7 +140,7 @@ func (f intakeForm) offer(a Auctioneer, srv *httptest.Server, t task.Task) formR
 // refused for the rest of the horizon): none above maxBidID is held, and
 // the largest allowed one leaves "auto-id" an ID to be assigned.
 func TestIntakeFormsAgree(t *testing.T) {
-	for _, kind := range []string{"broker", "shards-1", "supervisor"} {
+	for _, kind := range []string{"broker", "shards-1"} {
 		t.Run(kind, func(t *testing.T) {
 			var first []string
 			for _, f := range intakeForms {
@@ -168,25 +168,16 @@ func TestIntakeFormsAgree(t *testing.T) {
 func runIntakeScript(t *testing.T, kind string, f intakeForm) []string {
 	t.Helper()
 	const slots = 8
-	build := func() (Auctioneer, error) {
-		opts := newStack(t, slots, 2, 2, 5).brokerOptions()
-		opts.QueueSize = 3
-		opts.CheckpointPath = filepath.Join(t.TempDir(), "forms.ckpt")
-		opts.WALPath = WALPath(opts.CheckpointPath)
-		if kind == "shards-1" {
-			return newShards("", []Options{opts})
-		}
-		return New(opts)
-	}
-	a, err := build()
-	if kind == "supervisor" {
-		a, err = NewSupervisor(SupervisorOptions{Build: func() (Auctioneer, error) {
-			a, err := build()
-			if err == nil {
-				err = a.Start()
-			}
-			return a, err
-		}})
+	opts := newStack(t, slots, 2, 2, 5).brokerOptions()
+	opts.QueueSize = 3
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "forms.ckpt")
+	opts.WALPath = WALPath(opts.CheckpointPath)
+	var a Auctioneer
+	var err error
+	if kind == "shards-1" {
+		a, err = newShards("", []Options{opts})
+	} else {
+		a, err = New(opts)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -309,14 +309,6 @@ type Broker struct {
 	// itself was full; bumped by submitters (any goroutine), hence atomic.
 	chanFull429 atomic.Int64
 
-	// superseded is set by the supervisor when a newer generation takes
-	// over this broker's on-disk state (checkpoint chain + journal). The
-	// core goroutine checks it before any persistent write, so a wedged
-	// goroutine that un-wedges after the swap cannot clobber its
-	// successor's files. Written by the supervisor, read by the core
-	// goroutine, hence atomic.
-	superseded atomic.Bool
-
 	// Everything below is owned by the core goroutine (and, before
 	// Start, by the caller — Restore runs pre-Start).
 	slot      int
@@ -430,7 +422,7 @@ func (b *Broker) Start() error {
 	}
 	b.started = true
 	b.eng.Start()
-	b.ckptW = &ckptWriter{fsys: b.fsys, path: b.opts.CheckpointPath, guard: b.fence}
+	b.ckptW = &ckptWriter{fsys: b.fsys, path: b.opts.CheckpointPath}
 	go b.loop()
 	return nil
 }
@@ -643,19 +635,6 @@ func (b *Broker) DecisionFor(id int) (schedule.Decision, bool, error) {
 	return d, ok, nil
 }
 
-// owns sets has[i] when the broker holds or has decided ids[i].
-func (b *Broker) owns(ids []int, has []bool) {
-	f := func() {
-		for i, id := range ids {
-			_, held := b.heldIDs[id]
-			has[i] = held || b.decisions.Has(id)
-		}
-	}
-	if err := b.do(f); err != nil {
-		f() // stopped: the maps are race-free to read (see PendingFor)
-	}
-}
-
 // PendingFor reports whether a task ID is held awaiting its slot's
 // auction round — acked but undecided. With it, GET /v1/decisions/{id}
 // can distinguish "acked, pending slot close" from "never seen".
@@ -699,8 +678,6 @@ type Status struct {
 	HorizonOver bool   `json:"horizon_over"`
 	Held        int    `json:"held_bids"`
 	QueueCap    int    `json:"queue_cap"`
-	// Supervisor is set when a Supervisor serves this status.
-	Supervisor *Supervision `json:"supervisor,omitempty"`
 	// Intake-path observability: the channel between submitters and the
 	// core goroutine (depth now / deepest ever) and the held-bid high
 	// water mark, plus separate shed tallies for the two 429 causes —
@@ -936,24 +913,6 @@ func (b *Broker) Kill() {
 	<-b.done
 }
 
-// Supersede marks this broker as replaced by a newer generation that
-// now owns its on-disk state. From this point the broker writes neither
-// checkpoint nor journal: a wedged core goroutine that un-wedges after
-// the supervisor swapped in a successor finishes any in-flight write on
-// its own (orphaned, rename-detached) descriptors but refuses every new
-// persist — in particular it can no longer rename a stale journal or
-// checkpoint over the successor's live files. The supervisor calls it
-// before rebuilding; it is irreversible and safe from any goroutine.
-func (b *Broker) Supersede() { b.superseded.Store(true) }
-
-// fence is the supersession gate every persistent write passes last.
-func (b *Broker) fence() error {
-	if b.superseded.Load() {
-		return errSuperseded
-	}
-	return nil
-}
-
 // loop is the core goroutine: the only owner of the auction state.
 func (b *Broker) loop() {
 	defer close(b.done)
@@ -1052,9 +1011,10 @@ func (b *Broker) intakeRecv(sub *submission) {
 		t := &sub.tasks[i]
 		var err error
 		if t.ID > maxBidID && t.ID >= b.nextID {
-			// Above the bound and not one the broker assigned (a supervised
-			// retry presents those again). Checked here rather than in hold,
-			// because a journal replay re-holds assigned IDs too.
+			// Above the bound and not one the broker assigned (a client
+			// re-sending its bid after a restart presents one again, and
+			// hold refuses it as a duplicate). Checked here rather than in
+			// hold, because a journal replay re-holds assigned IDs too.
 			err = fmt.Errorf("service: task %d: ID too large", t.ID)
 		} else if err = b.hold(t, hctx, collector, i); err == nil {
 			held++

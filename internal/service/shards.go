@@ -161,28 +161,15 @@ type shardBatch struct {
 
 // routeBatch partitions tasks across shards by the published quotes,
 // writing refusal outcomes for unroutable or ID-less bids via refuse.
-// With byOwner (a supervised retry, see resubmitBatch), a bid some shard
-// already holds or has decided goes to that shard, whatever the quotes
-// say now, so the duplicate is refused where the bid lives.
-func (s *Shards) routeBatch(tasks []task.Task, byOwner bool, refuse func(i int, err error)) []shardBatch {
+func (s *Shards) routeBatch(tasks []task.Task, refuse func(i int, err error)) []shardBatch {
 	quotes := s.loadQuotes(make([]*zones.Quote, 0, len(s.brokers)))
 	groups := make([]shardBatch, len(s.brokers))
-	var owner []int
-	if byOwner {
-		owner = s.owners(tasks)
-	}
 	for i := range tasks {
 		if tasks[i].ID < 0 {
 			refuse(i, ErrShardNeedsID)
 			continue
 		}
-		si := -1
-		if owner != nil {
-			si = owner[i]
-		}
-		if si < 0 {
-			si = s.place(&tasks[i], quotes)
-		}
+		si := s.place(&tasks[i], quotes)
 		if si < 0 {
 			s.unroutable.Add(1)
 			refuse(i, ErrUnroutable)
@@ -194,50 +181,17 @@ func (s *Shards) routeBatch(tasks []task.Task, byOwner bool, refuse func(i int, 
 	return groups
 }
 
-// owners returns, per task, the shard that already holds or has decided
-// its ID, or -1. It asks every shard's core goroutine in turn.
-func (s *Shards) owners(tasks []task.Task) []int {
-	ids := make([]int, len(tasks))
-	owner := make([]int, len(tasks))
-	for i := range tasks {
-		ids[i], owner[i] = tasks[i].ID, -1
-	}
-	has := make([]bool, len(tasks))
-	for si, b := range s.brokers {
-		b.owns(ids, has)
-		for i, h := range has {
-			if h && owner[i] < 0 {
-				owner[i] = si
-			}
-		}
-	}
-	return owner
-}
-
 // SubmitBatch routes a batch across shards, fans the per-shard slices
 // out concurrently, and merges the outcomes positionally — the sharded
 // counterpart of Broker.SubmitBatch. Routing refusals (no model, no
 // explicit ID) ride in the bid's Outcome.Err; a whole-batch error means
 // some shard shut down or ctx expired mid-flight.
 func (s *Shards) SubmitBatch(ctx context.Context, tasks []task.Task) ([]Outcome, error) {
-	return s.submitBatch(ctx, tasks, false)
-}
-
-// resubmitBatch is SubmitBatch for a batch the Supervisor retries on a new
-// generation. The journal may have replayed some of its bids onto a shard
-// the resumed quotes no longer pick; routed there by owner, each is refused
-// as a duplicate and resolved to its real outcome (resolveReplayed)
-// instead of being held on a second shard.
-func (s *Shards) resubmitBatch(ctx context.Context, tasks []task.Task) ([]Outcome, error) {
-	return s.submitBatch(ctx, tasks, true)
-}
-
-func (s *Shards) submitBatch(ctx context.Context, tasks []task.Task, byOwner bool) ([]Outcome, error) {
 	if len(tasks) == 0 {
 		return nil, nil
 	}
 	outs := make([]Outcome, len(tasks))
-	groups := s.routeBatch(tasks, byOwner, func(i int, err error) { outs[i] = Outcome{Err: err} })
+	groups := s.routeBatch(tasks, func(i int, err error) { outs[i] = Outcome{Err: err} })
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -279,23 +233,13 @@ func (s *Shards) submitBatch(ctx context.Context, tasks []task.Task, byOwner boo
 // the other shards' bids stay held. Stamped arrivals are copied back
 // into tasks. Returns the number of bids held across all shards.
 func (s *Shards) SubmitBatchAck(ctx context.Context, tasks []task.Task, verdicts []error) (int, error) {
-	return s.submitBatchAck(ctx, tasks, verdicts, false)
-}
-
-// resubmitBatchAck is SubmitBatchAck for a retried batch, routed like
-// resubmitBatch.
-func (s *Shards) resubmitBatchAck(ctx context.Context, tasks []task.Task, verdicts []error) (int, error) {
-	return s.submitBatchAck(ctx, tasks, verdicts, true)
-}
-
-func (s *Shards) submitBatchAck(ctx context.Context, tasks []task.Task, verdicts []error, byOwner bool) (int, error) {
 	if len(tasks) == 0 {
 		return 0, nil
 	}
 	if len(verdicts) != len(tasks) {
 		return 0, fmt.Errorf("service: verdicts len %d, want %d", len(verdicts), len(tasks))
 	}
-	groups := s.routeBatch(tasks, byOwner, func(i int, err error) { verdicts[i] = err })
+	groups := s.routeBatch(tasks, func(i int, err error) { verdicts[i] = err })
 	var wg sync.WaitGroup
 	held := make([]int, len(groups))
 	shardVerdicts := make([][]error, len(groups))
@@ -332,7 +276,11 @@ func (s *Shards) submitBatchAck(ctx context.Context, tasks []task.Task, verdicts
 
 // Submit routes one bid and blocks for its decision: a SubmitBatch of one.
 func (s *Shards) Submit(ctx context.Context, t task.Task) (schedule.Decision, error) {
-	return submitOne(ctx, s, t)
+	outs, err := s.SubmitBatch(ctx, []task.Task{t})
+	if err != nil {
+		return schedule.Decision{}, err
+	}
+	return outs[0].Decision, outs[0].Err
 }
 
 // Step closes n slots on every shard (concurrently — each shard's round
@@ -426,8 +374,6 @@ type ShardsStatus struct {
 	Welfare     float64 `json:"welfare"`
 	Revenue     float64 `json:"revenue"`
 	Unroutable  int64   `json:"unroutable"`
-	// Supervisor is set when a Supervisor serves this status.
-	Supervisor *Supervision `json:"supervisor,omitempty"`
 	// Placed counts bids routed to each shard, keyed like PerShard.
 	Placed   map[string]int64  `json:"placed"`
 	PerShard map[string]Status `json:"per_shard"`
@@ -634,7 +580,7 @@ func (s *Shards) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("service: marshal shard manifest: %w", err)
 	}
-	return writeFile(osFS{}, s.manifestPath, nil, data)
+	return writeFile(osFS{}, s.manifestPath, data)
 }
 
 // checkManifest refuses a manifest on disk whose shape diverges from this

@@ -17,8 +17,8 @@ import (
 // intake ack, so an acked bid survives a process death between ack and
 // slot close — the gap the checkpoint chain deliberately leaves open
 // (decisions persist at slot close; held bids used to die with the
-// process). The contract the supervisor keeps and FuzzFleet checks:
-// every acked bid is either decided in the persisted checkpoint chain or
+// process). The contract a restart (Open + Resume) keeps and FuzzFleet
+// checks: every acked bid is either decided in the persisted checkpoint chain or
 // replayable from the journal's valid prefix.
 //
 // The journal and the delta sidecar both use durable.go: a header pinning
@@ -52,13 +52,6 @@ import (
 // ErrWAL: the write-ahead journal could not record an acked bid; the
 // bid was refused rather than acked undurably (HTTP 503, retryable).
 var ErrWAL = errors.New("service: write-ahead journal append failed")
-
-// errSuperseded refuses journal I/O on a broker the supervisor has
-// replaced: the successor owns the on-disk journal now, and a wedged
-// old generation that un-wedges must not write past this point. It
-// wraps ErrClosed so a supervised submitter retries against the
-// successor instead of seeing an error.
-var errSuperseded = fmt.Errorf("%w: superseded by a newer generation", ErrClosed)
 
 // walVersion guards the journal record layout. v2 dropped the task's
 // private value (8 bytes a record): a bid is what the bidder declared. v3
@@ -97,9 +90,6 @@ type walWriter struct {
 	label string
 	f     durableFile
 	size  int64 // committed file size: where the next message lands
-	// guard is the owning broker's supersession fence: a wedged old
-	// generation must not write to or rename over its successor's journal.
-	guard func() error
 	// lastCovered is the slot the most recent rotation was keyed to — the
 	// rewrite point for healing a failed fsync.
 	lastCovered int
@@ -143,7 +133,6 @@ func (b *Broker) openJournal() error {
 		fsys:       b.fsys,
 		path:       b.opts.WALPath,
 		label:      b.opts.RunLabel,
-		guard:      b.fence,
 		syncEvery:  max(b.opts.WALSyncEvery, 1),
 		maxArrival: -1,
 	}
@@ -259,9 +248,6 @@ func (w *walWriter) commit() error {
 	if len(w.refs) == 0 {
 		return nil // hold stages nothing while the journal is broken
 	}
-	if err := w.guard(); err != nil {
-		return err
-	}
 	if _, err := w.f.WriteAt(w.msg, w.size); err != nil {
 		// Roll the partial/unacked tail back off the disk; if even that
 		// fails, the file may replay bids whose submitters were refused —
@@ -300,9 +286,6 @@ func (w *walWriter) commit() error {
 // pruned first — safe even if the rewrite then fails, because the
 // persisted checkpoint already carries their decisions.
 func (w *walWriter) rotate(covered int) error {
-	if err := w.guard(); err != nil {
-		return err
-	}
 	w.lastCovered = covered
 	keep := w.chunks[:0]
 	for _, c := range w.chunks {
@@ -319,7 +302,7 @@ func (w *walWriter) rotate(covered int) error {
 		size += int64(len(c.data))
 		depth += c.records
 	}
-	f, err := replaceFile(w.fsys, w.path, w.guard, parts...)
+	f, err := replaceFile(w.fsys, w.path, parts...)
 	if f == nil {
 		return err
 	}
@@ -364,11 +347,6 @@ func (b *Broker) walCommit() error {
 		}
 	}
 	w.resetMsg()
-	if errors.Is(err, ErrClosed) {
-		// Superseded, not a journal fault: the successor owns intake now,
-		// and the ErrClosed verdict sends supervised submitters there.
-		return err
-	}
 	b.walErr = err
 	b.walFails++
 	return fmt.Errorf("%w: %v", ErrWAL, err)
@@ -384,9 +362,6 @@ func (b *Broker) rotateWAL(covered int) {
 		return
 	}
 	if err := b.wal.rotate(covered); err != nil {
-		if errors.Is(err, ErrClosed) {
-			return // superseded: the successor owns the journal now
-		}
 		b.walErr = err
 		b.walFails++
 	}
@@ -437,8 +412,8 @@ func ReadWAL(path, label string) []task.Task {
 // clock (covered by the checkpoint that rotation keyed the journal to).
 // It then rotates the surviving held set, staged as one chunk, into a
 // fresh journal: the old one is replaced only once the survivors are
-// durable, so a second crash anywhere during recovery (the scenario
-// -supervise exists for) still finds a journal to replay.
+// durable, so a second crash anywhere during recovery (a restart that
+// dies before it serves) still finds a journal to replay.
 //
 // Call after Restore and before Start. Runs with no journal configured
 // are a no-op. The returned count is how many bids were re-held.

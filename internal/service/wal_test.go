@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"syscall"
 	"testing"
 	"time"
 
@@ -363,7 +364,7 @@ func TestWALBatchedFsyncFailureRewrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newPowerFS(-1, "")
-	b.fsys = brokerFS{p, b}
+	b.fsys = p
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +465,8 @@ func TestWALBatchedFsyncFailureRewrites(t *testing.T) {
 // TestWALRecoverReseedFailureKeepsJournal: recovery stages its reseeded
 // journal as a temp file and renames it into place only once the
 // survivors are durable — so a recovery attempt whose reseed fails
-// (here: the broker superseded at the reseed's fence) leaves the
-// old journal byte-identical on disk, and the next attempt still
+// (here: the reseed's rename) leaves the old journal byte-identical on
+// disk, and the next attempt still
 // replays every acked bid. A truncate-in-place reseed would destroy
 // them all at the first failed attempt.
 func TestWALRecoverReseedFailureKeepsJournal(t *testing.T) {
@@ -487,7 +488,7 @@ func TestWALRecoverReseedFailureKeepsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2.Supersede() // the reseed's commit refuses, as if recovery died mid-way
+	b2.fsys = failRenameFS{} // the reseed never lands, as if recovery died mid-way
 	if _, err := b2.RecoverWAL(); err == nil {
 		t.Fatal("RecoverWAL with a refused reseed returned nil error")
 	}
@@ -516,11 +517,16 @@ func TestWALRecoverReseedFailureKeepsJournal(t *testing.T) {
 	}
 }
 
+// failRenameFS is the os filesystem, except that every rename fails.
+type failRenameFS struct{ osFS }
+
+func (failRenameFS) Rename(string, string) error { return syscall.EIO }
+
 // TestWALRecoverWithoutCheckpoint: a crash before the first checkpoint
 // persist leaves only the journal on disk; recovery onto a fresh broker
 // (slot 0, empty decision map) replays every acked bid and the resumed
 // run decides them all, bit-identical to a sequential sim.Run — the
-// contract buildSupervised's journal-only restore path relies on.
+// contract `pdftspd -wal -restore`'s journal-only path relies on.
 func TestWALRecoverWithoutCheckpoint(t *testing.T) {
 	const slots = 8
 	s := newStack(t, slots, 2, 3, 5)
@@ -613,7 +619,7 @@ func TestWALDrainRetainsHeld(t *testing.T) {
 // TestWALReplaysAssignedIDAboveBound: a submitter may choose an ID up to
 // maxBidID, after which the broker assigns IDs above it. Those are as
 // durable as any: replay re-holds them, and presenting one again (what a
-// supervised retry does) is a duplicate, not an oversized ID — while a
+// client re-sending its bid after a restart does) is a duplicate, not an oversized ID — while a
 // chosen ID above the bound stays refused.
 func TestWALReplaysAssignedIDAboveBound(t *testing.T) {
 	s := newStack(t, 8, 2, 3, 5)
