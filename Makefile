@@ -124,12 +124,16 @@ fleet-guard:
 # comparison baseline (baseline) or the MILP stack under Titan and the
 # offline optimum (lp, milp, offline). The baseline switch lives on the
 # figure side, in internal/experiments; internal/config wires only the
-# pdFTSP family. The workload and the marketplace draw one seeded stream,
+# pdFTSP family. A served broker's capacity is fixed, so neither binary
+# links the scripted spot market (spot), which only replays and -fig spot
+# drive. The workload and the marketplace draw one seeded stream,
 # math/rand's, reproduced once in internal/lfg: no non-test file in
 # internal/trace or internal/vendor may import math/rand itself.
 deps-guard:
 	@if $(GO) list -deps ./cmd/pdftspd ./cmd/pdftspd-load | grep -E '/internal/(train|tensor|lp|milp|offline|baseline)$$'; then \
 		echo "deps-guard: a serving binary links the trainer, a baseline or the MILP stack"; exit 1; fi
+	@if $(GO) list -deps ./cmd/pdftspd ./cmd/pdftspd-load | grep -E '/internal/spot$$'; then \
+		echo "deps-guard: a serving binary links the scripted spot market; a served broker's capacity is fixed"; exit 1; fi
 	@if $(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./internal/trace ./internal/vendor | grep -E ' math/rand( |/|$$)'; then \
 		echo "deps-guard: trace or vendor draws from math/rand instead of internal/lfg"; exit 1; fi
 
@@ -142,11 +146,10 @@ deps-guard:
 # appendDecisionJSON is exempt: it renders the public HTTP response, not
 # storage. Broker state is kept one way too: a full snapshot is the delta
 # chain's first record (delta.go's encoder and applyDeltaRecord), so the
-# snapshot's code (checkpoint.go) and the writer (ckptwriter.go) may not
-# import encoding/json, and no non-test file may bring back the JSON
-# snapshot's checkpointFile or its plane-by-plane checkShape/checkPlane.
-# delta.go keeps encoding/json for one reason: the fault tracker's and
-# the spot provider's state ride inside a record as JSON byte strings.
+# snapshot's code (checkpoint.go), the record's (delta.go) and the writer
+# (ckptwriter.go) may not import encoding/json, and no non-test file may
+# bring back the JSON snapshot's checkpointFile or its plane-by-plane
+# checkShape/checkPlane.
 # The frame is kept one way too: only internal/decision declares
 # appendFrame/frameNext/framedPrefix (any case), so the journal, the
 # sidecar, the snapshot and the decision log are checksummed and cut at a
@@ -161,8 +164,8 @@ codec-guard:
 	@if grep -nE '^func \([a-z]+ \*?[A-Za-z]*([Dd]ecision|Store)[A-Za-z]*\) (Marshal|Unmarshal)JSON\(' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'); then \
 		echo "codec-guard: the decided set goes to disk as decision records, not through encoding/json"; exit 1; fi
-	@if grep -n '"encoding/json"' internal/service/checkpoint.go internal/service/ckptwriter.go; then \
-		echo "codec-guard: a snapshot is one delta record in the sidecar's framing, not JSON"; exit 1; fi
+	@if grep -n '"encoding/json"' internal/service/checkpoint.go internal/service/delta.go internal/service/ckptwriter.go; then \
+		echo "codec-guard: a snapshot is one delta record in the sidecar's framing, and no record carries JSON"; exit 1; fi
 	@if grep -nE '^(func|type)( \([^)]*\))? *(checkpointFile|checkShape|checkPlane)\b' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'); then \
 		echo "codec-guard: planes are allocated from the snapshot header's shape; there is no second snapshot codec"; exit 1; fi
@@ -189,11 +192,11 @@ api-guard:
 # benchsuite row sets it to something other than its default, or because
 # it names a deployment setting (an address, a path), a safety check or an
 # observability sink. Every other knob is the constant it defaulted to.
-# So `pdftspd -h` may list at most 24 flags and `pdftspd-load -h` at most
+# So `pdftspd -h` may list at most 21 flags and `pdftspd-load -h` at most
 # 22; a new flag has to take an old one's place. And every
 # `go run ./cmd/pdftspd...` recipe in the README may pass only flags its
 # binary defines, so a flag that goes takes its recipes with it.
-FLAG_CAPS = pdftspd:24 pdftspd-load:22
+FLAG_CAPS = pdftspd:21 pdftspd-load:22
 flag-guard:
 	@for b in $(FLAG_CAPS); do \
 		name=$${b%%:*}; cap=$${b##*:}; \
@@ -268,8 +271,8 @@ trace-smoke:
 # `go test -run '<target>/<name>' ./<package>/`.
 #
 # fuzz-fleet: seeded scripts of intake, steps, whole-fleet kills and
-# restarts, torn journals, seam faults, fault plans and spot reclaims,
-# each diffed against sim.Run twins.
+# restarts, torn journals, seam faults and checkpoint-fault windows, each
+# diffed against sim.Run twins.
 #
 # fuzz-dp: random DP instances (seed, tie-forcing mode bits, dual bytes),
 # each plan held to the per-node reference DP: same placements, vendor

@@ -53,28 +53,22 @@ func main() {
 	fullEvery := flag.Int("full-every", 1, "write a full snapshot every n checkpoints and binary deltas to a .delta sidecar in between (1 = always full, no sidecar)")
 	restore := flag.Bool("restore", false, "resume from -checkpoint (full snapshot + delta sidecar) before serving")
 	wal := flag.Bool("wal", false, "journal every acked bid to <checkpoint>.wal, fsynced before its ack releases; -restore replays the journal (requires -checkpoint)")
-	decLog := flag.String("decision-log", "", "stream every decision to this binary log: one CRC-framed decision record per bid, not synced, flushed at run end (read with obs.ReadDecisionLog)")
-	obsTrace := flag.String("trace", "", "write a JSONL event trace to this file (analyze with cmd/trace)")
+	decLog := flag.String("decision-log", "", "stream every decision to this binary log: one CRC-framed decision record per bid, not synced, flushed at run end (read with obs.ReadDecisionLog); -restore appends to it")
+	obsTrace := flag.String("trace", "", "write a JSONL event trace to this file (analyze with cmd/trace); -restore appends to it")
 	audit := flag.Bool("audit", false, "validate auction invariants online; non-zero exit on any violation")
 	serveDebug := flag.String("serve", "", "serve live expvar metrics and pprof on this address")
 	shards := flag.Int("shards", 1, "partition the cluster into this many shard brokers behind a dual-price router")
-	spotNodes := flag.Int("spot-nodes", 0, "rent this many revocable spot-market nodes per broker (the cluster's tail indices; market seed 11, 6-slot leases, rent capped at base price x horizon x nodes); 0 disables the elastic tier")
-	spotDiscount := flag.Float64("spot-discount", 0, "mean spot quote as a fraction of the on-demand reference cost (0 = default 0.4)")
-	spotPredictive := flag.Bool("spot-predictive", false, "oracle: admission reads the spot trace's future quotes and reclaims instead of the current quote, knowledge a live market does not give")
 	flag.Parse()
 	if *shards < 1 {
 		fail("-shards must be >= 1")
 	}
-	sc := spotConfig{nodes: *spotNodes, discount: *spotDiscount, predictive: *spotPredictive}
 
+	jsonlSink, decSink, err := openSinks(*obsTrace, *decLog, *restore)
+	if err != nil {
+		fail("%v", err)
+	}
 	var observers []obs.Observer
-	var jsonlSink *obs.JSONL
-	if *obsTrace != "" {
-		var err error
-		jsonlSink, err = obs.NewJSONLFile(*obsTrace)
-		if err != nil {
-			fail("trace: %v", err)
-		}
+	if jsonlSink != nil {
 		observers = append(observers, jsonlSink)
 	}
 	var auditor *obs.Audit
@@ -82,13 +76,7 @@ func main() {
 		auditor = obs.NewAudit()
 		observers = append(observers, auditor)
 	}
-	var decSink *obs.DecisionLog
-	if *decLog != "" {
-		var err error
-		decSink, err = obs.NewDecisionLogFile(*decLog)
-		if err != nil {
-			fail("decision-log: %v", err)
-		}
+	if decSink != nil {
 		observers = append(observers, decSink)
 	}
 	if *serveDebug != "" {
@@ -109,12 +97,42 @@ func main() {
 		restore: *restore, serveDebug: *serveDebug, observer: observer,
 		wal: *wal,
 	}
-	a, err := buildAuctioneer(cfg, *shards, sc, so)
+	a, err := buildAuctioneer(cfg, *shards, so)
 	if err != nil {
 		fail("%v", err)
 	}
-	serveAuctioneer(a, cfg, *shards, sc, so)
+	serveAuctioneer(a, cfg, *shards, so)
 	finishObs(jsonlSink, auditor, decSink)
+}
+
+// openSinks opens the -trace and -decision-log files. A -restore restart
+// extends what the crashed or drained process wrote, cut behind its last
+// whole line or frame (obs.AppendJSONLFile, obs.AppendDecisionLogFile); a
+// fresh run truncates them.
+func openSinks(trace, decLog string, restore bool) (*obs.JSONL, *obs.DecisionLog, error) {
+	openTrace, openLog := obs.NewJSONLFile, obs.NewDecisionLogFile
+	if restore {
+		openTrace, openLog = obs.AppendJSONLFile, obs.AppendDecisionLogFile
+	}
+	var (
+		j   *obs.JSONL
+		d   *obs.DecisionLog
+		err error
+	)
+	if trace != "" {
+		if j, err = openTrace(trace); err != nil {
+			return nil, nil, fmt.Errorf("trace: %w", err)
+		}
+	}
+	if decLog != "" {
+		if d, err = openLog(decLog); err != nil {
+			if j != nil {
+				j.Close()
+			}
+			return nil, nil, fmt.Errorf("decision-log: %w", err)
+		}
+	}
+	return j, d, nil
 }
 
 // finishObs flushes the JSONL trace and decision log and reports the

@@ -29,12 +29,11 @@ type serveOpts struct {
 	wal        bool
 }
 
-// brokerOptions wires broker i of n's options from the common serving
-// flags; service.Open derives a fleet's per-broker paths and labels from
+// brokerOptions wires the options of one of n brokers from the common
+// serving flags; service.Open derives a fleet's per-broker paths and labels from
 // them. A fleet splits the intake queue evenly so its total admission
-// capacity matches the monolithic broker's. Each broker gets its own spot
-// provider over its own cluster's elastic tail when the tier is on.
-func brokerOptions(st *config.Built, i, n int, sc spotConfig, o serveOpts) (service.Options, error) {
+// capacity matches the monolithic broker's.
+func brokerOptions(st *config.Built, n int, o serveOpts) service.Options {
 	opts := stackOptions(st)
 	opts.QueueSize = o.queue
 	if n > 1 {
@@ -48,14 +47,7 @@ func brokerOptions(st *config.Built, i, n int, sc spotConfig, o serveOpts) (serv
 	if o.wal {
 		opts.WALPath = service.WALPath(o.ckpt)
 	}
-	prov, err := sc.provider(st.Cluster, st.Cluster.Horizon().T, i)
-	if err != nil {
-		return opts, err
-	}
-	if prov != nil {
-		opts.Spot = prov
-	}
-	return opts, nil
+	return opts
 }
 
 // openFleet opens the flag set's fleet on fresh stacks and, under
@@ -63,16 +55,14 @@ func brokerOptions(st *config.Built, i, n int, sc spotConfig, o serveOpts) (serv
 // -restore with nothing to restore from is an error, except that a
 // journaled run which died before its first checkpoint persist restarts
 // from the journal alone.
-func openFleet(cfg config.Config, n int, sc spotConfig, o serveOpts) (service.Auctioneer, error) {
+func openFleet(cfg config.Config, n int, o serveOpts) (service.Auctioneer, error) {
 	stacks, err := cfg.BuildShards(n)
 	if err != nil {
 		return nil, err
 	}
 	opts := make([]service.Options, n)
 	for i, st := range stacks {
-		if opts[i], err = brokerOptions(st, i, n, sc, o); err != nil {
-			return nil, fmt.Errorf("broker %d: %w", i, err)
-		}
+		opts[i] = brokerOptions(st, n, o)
 	}
 	a, err := service.Open(opts...)
 	if err != nil || !o.restore {
@@ -99,20 +89,20 @@ func openFleet(cfg config.Config, n int, sc spotConfig, o serveOpts) (service.Au
 // service.Auctioneer surface the serve loop drives: opened and, under
 // -restore, resumed. Coming back from a crash or a wedge is a process
 // restart with -restore, so no two generations ever share a process.
-func buildAuctioneer(cfg config.Config, n int, sc spotConfig, o serveOpts) (service.Auctioneer, error) {
+func buildAuctioneer(cfg config.Config, n int, o serveOpts) (service.Auctioneer, error) {
 	if o.wal && o.ckpt == "" {
 		return nil, fmt.Errorf("-wal requires -checkpoint (the journal lives next to the checkpoint chain)")
 	}
 	if o.restore && o.ckpt == "" {
 		return nil, fmt.Errorf("-restore requires -checkpoint")
 	}
-	return openFleet(cfg, n, sc, o)
+	return openFleet(cfg, n, o)
 }
 
 // serveAuctioneer is the one serve loop: Start, expvar exposure, the
 // HTTP listener, and the signal-driven graceful drain — identical for a
 // fleet of one and a fleet of many.
-func serveAuctioneer(a service.Auctioneer, cfg config.Config, n int, sc spotConfig, o serveOpts) {
+func serveAuctioneer(a service.Auctioneer, cfg config.Config, n int, o serveOpts) {
 	if err := a.Start(); err != nil {
 		fail("start: %v", err)
 	}
@@ -141,15 +131,12 @@ func serveAuctioneer(a service.Auctioneer, cfg config.Config, n int, sc spotConf
 	if n > 1 {
 		shape = fmt.Sprintf("%d shards × ~%d nodes = %d", n, nodes/n, nodes)
 	}
-	tier := ""
-	if sc.enabled() {
-		tier = fmt.Sprintf(", spot tier %d node(s)/broker", sc.nodes)
-	}
+	intake := ""
 	if o.wal {
-		tier += ", journaled intake"
+		intake = ", journaled intake"
 	}
 	fmt.Fprintf(os.Stderr, "pdftspd serving on http://%s (%s, %s, %d slots%s)\n",
-		ln.Addr(), clock, shape, cfg.Slots, tier)
+		ln.Addr(), clock, shape, cfg.Slots, intake)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

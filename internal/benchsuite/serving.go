@@ -238,21 +238,27 @@ func spotTrace(b *testing.B) (*cluster.Cluster, spot.TraceConfig) {
 
 // spotAdvance times the market step sim.Engine runs at each slot close
 // (quote, reclaim, release, rent, charge), the budget too large to bind;
-// the provider rewinds each time the trace is spent.
+// each time the trace is spent, a fresh provider binds a fresh clone of
+// the cluster, outside the timer.
 func spotAdvance(b *testing.B) {
-	cl, cfg := spotTrace(b)
+	base, cfg := spotTrace(b)
 	tr, err := spot.GenerateTrace(cfg)
 	must(b, err)
-	p, err := spot.New(spot.Options{Trace: tr, Nodes: cfg.Nodes, Budget: 1e12})
-	must(b, err)
-	must(b, p.Bind(cl, sim.NewEmptyFailureTracker(cl)))
 	res := sim.NewResult("bench")
+	fresh := func() *spot.Provider {
+		p, err := spot.New(spot.Options{Trace: tr, Nodes: cfg.Nodes, Budget: 1e12})
+		must(b, err)
+		cl := base.Clone()
+		must(b, p.Bind(cl, sim.NewEmptyFailureTracker(cl)))
+		return p
+	}
+	p := fresh()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := i % servingSlots
 		if s == 0 && i > 0 {
 			b.StopTimer()
-			must(b, p.RestoreState(nil))
+			p = fresh()
 			b.StartTimer()
 		}
 		p.AdvanceTo(s, spotDuals{}, res)

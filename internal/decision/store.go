@@ -14,8 +14,8 @@ import (
 // in decision order with one byte of outcome each beside them, a side
 // slice for the few decisions that carry more than an outcome, their
 // plans' bytes in one arena, and the ID → position index that
-// duplicate-ID refusal and lookups need. A refund, the one mutation,
-// flips a record in place.
+// duplicate-ID refusal and lookups need. A Put under a known ID, the one
+// mutation, restates a record in place.
 //
 // A side entry is found through extraAt, the ascending positions of the
 // records that have one (metaExtra set), so a record spends no bytes on
@@ -52,7 +52,7 @@ const (
 )
 
 // extra is what a rejected bid's decision has zero by construction: it
-// exists for admitted bids, refunded bids, losing plans kept because
+// exists for admitted bids, losing plans kept because
 // DropLosingPlans is off, and a TaskID other than the ID the decision is
 // filed under. Once a record has one it keeps it.
 type extra struct {
@@ -166,8 +166,8 @@ func (s *Store) extraOf(i int) int {
 }
 
 // Put files d under id: appended when id is new, replaced where it stands
-// — its place in the decision order kept — when a checkpoint delta
-// restates a decision a refund flipped. d.Schedule is copied, not kept.
+// — its place in the decision order kept — when a record restates it.
+// d.Schedule is copied, not kept.
 // A reason outside schedule.RejectReason's set is refused: the record's
 // byte holds the code itself, and nothing could render or restore another.
 func (s *Store) Put(id int, d *schedule.Decision) error {
@@ -211,18 +211,6 @@ func (s *Store) Put(id int, d *schedule.Decision) error {
 	}
 	s.recs[i], s.meta[i] = r, m
 	return nil
-}
-
-// Refund flips a decided bid as a batch replay flips Result.Decisions: the
-// admission is reversed, the payment record stands (it was charged and
-// refunded). It returns the flipped record's position, or −1 when no
-// decision is filed under id.
-func (s *Store) Refund(id int) int {
-	i, _ := s.find(id)
-	if i >= 0 {
-		s.meta[i] = s.meta[i]&^(metaAdmitted|metaReason) | uint8(schedule.ReasonFailedNode)
-	}
-	return i
 }
 
 // AppendFrom appends, in decision order, the records of the decisions from

@@ -63,7 +63,7 @@ func TestDecisionStoreSize(t *testing.T) {
 		}
 		mustPut(t, s, id, d)
 	}
-	s.Refund(0)
+	mustPut(t, s, 0, schedule.Decision{TaskID: 0, F: -1, Reason: schedule.ReasonFailedNode}) // restated in place
 	want := 0
 	v := reflect.ValueOf(s).Elem()
 	for i := range v.NumField() {
@@ -124,7 +124,7 @@ func TestStoreIDShapes(t *testing.T) {
 // TestStoreCloneSharesNothing: a clone and its original share no backing
 // array. With spare room in the original's plan arena, a shared one would
 // put the original's next plan and the clone's on the same bytes; the
-// original then doubles (its index rebuilds) and flips its oldest
+// original then doubles (its index rebuilds) and restates its oldest
 // decision, the clone does the same with other bids, and each still
 // answers for its own.
 func TestStoreCloneSharesNothing(t *testing.T) {
@@ -139,8 +139,8 @@ func TestStoreCloneSharesNothing(t *testing.T) {
 	for id := 101; id < 300; id++ {
 		mustPut(t, s, id, schedule.Decision{TaskID: id, F: -1, Reason: schedule.ReasonSurplus})
 	}
-	s.Refund(0)
-	c.Refund(1)
+	mustPut(t, s, 0, schedule.Decision{TaskID: 0, F: 1, Reason: schedule.ReasonFailedNode, Schedule: planFor(0, 2)})
+	mustPut(t, c, 1, schedule.Decision{TaskID: 1, F: 1, Reason: schedule.ReasonFailedNode, Schedule: planFor(1, 2)})
 	if c.Len() != 101 || s.Len() != 300 {
 		t.Fatalf("the clone holds %d decisions, the original %d; want 101 and 300", c.Len(), s.Len())
 	}

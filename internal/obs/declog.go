@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -61,6 +63,49 @@ func NewDecisionLogFile(path string) (*DecisionLog, error) {
 	l := NewDecisionLog(f)
 	l.c = f
 	return l, nil
+}
+
+// AppendDecisionLogFile reopens the decision log at path to extend it, as a
+// restarted broker does: the file is cut to its valid prefix (the frames
+// ReadDecisionLog reads, so a frame a crash tore goes) and new events
+// follow it, behind no second header. A missing or empty file starts a
+// fresh log; a file that is not a decision log of this version is refused
+// and left as it is.
+func AppendDecisionLogFile(path string) (*DecisionLog, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) || err == nil && len(data) == 0 {
+		return NewDecisionLogFile(path)
+	}
+	rest := len(data)
+	if err == nil {
+		rest, err = decision.FramedPrefix(data, declogMagic, declogVersion,
+			func(*decision.Reader) bool { return true }, func([]byte) error { return nil })
+	}
+	if err == nil && rest == len(data) {
+		err = fmt.Errorf("%s is not a decision log", path)
+	}
+	var f *os.File
+	if err == nil {
+		f, err = reopen(path, len(data)-rest)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("obs: decision log: %w", err)
+	}
+	return &DecisionLog{w: bufio.NewWriterSize(f, 1<<16), c: f, buf: make([]byte, 0, 256)}, nil
+}
+
+// reopen opens path to append behind its first size bytes, cutting the
+// rest.
+func reopen(path string, size int) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Truncate(int64(size)); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // Count returns the number of outcome records written so far.

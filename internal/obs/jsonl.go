@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 )
@@ -55,6 +58,30 @@ func NewJSONLFile(path string) (*JSONL, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: create trace file: %w", err)
+	}
+	j := NewJSONL(f)
+	j.c = f
+	return j, nil
+}
+
+// AppendJSONLFile reopens the trace at path to extend it, as a restarted
+// broker does: the file is cut behind its last whole line (a line a crash
+// tore goes) and new events follow. A missing file starts a fresh trace;
+// a file that does not start as one is refused and left as it is.
+func AppendJSONLFile(path string) (*JSONL, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return NewJSONLFile(path)
+	}
+	if err == nil && len(data) > 0 && !bytes.HasPrefix(data, []byte(`{"ev":`)) {
+		err = fmt.Errorf("%s is not a JSONL trace", path)
+	}
+	var f *os.File
+	if err == nil {
+		f, err = reopen(path, bytes.LastIndexByte(data, '\n')+1)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("obs: trace file: %w", err)
 	}
 	j := NewJSONL(f)
 	j.c = f

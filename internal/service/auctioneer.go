@@ -15,7 +15,7 @@ import (
 // Auctioneer is the serving API — the one surface a monolithic Broker
 // and a sharded fleet (Shards) both implement. Everything above the
 // service layer (cmd/pdftspd, the load generator and its verify twins,
-// the spot tier's operators, the FuzzFleet explorer) programs against
+// the FuzzFleet explorer) programs against
 // this interface and never branches on the fleet shape: a fleet of one
 // and a fleet of many are opened (Open), resumed (Resume), checked
 // against their twins (DiffTwins), and submit, step, drain, checkpoint,
@@ -202,8 +202,7 @@ func (b *Broker) statusPayload() (any, error) { return b.Status() }
 // DiffTwins compares a stopped fleet, broker by broker, with sequential
 // sim.Run twins. tasks is everything the fleet was offered, in offer
 // order; a bid belongs to the broker that decided it, and twin runs broker
-// i's twin (with CollectDecisions, and whatever outages or spot tier the
-// broker ran under) over that broker's subsequence. It
+// i's twin (with CollectDecisions) over that broker's subsequence. It
 // returns nil when every decision and every broker's accounting are
 // bit-identical to its twin's. Plans are not compared (see
 // sim.DiffDecisions), so it holds under DropLosingPlans; duals and ledgers

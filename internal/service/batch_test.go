@@ -15,7 +15,6 @@ import (
 
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/decision"
-	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
@@ -421,20 +420,18 @@ func TestLoadCheckpointStaleSidecar(t *testing.T) {
 // TestLoadCheckpointMisshapenPlane: the reader allocates every plane from
 // the snapshot header's Nodes × Slots, so a plane of another shape cannot
 // be built any more. What is left to refuse is a record that writes a
-// cell outside that shape, the snapshot's own or a delta's, or a lease
-// mark where the header names no lease plane: the load fails with an
-// error, restoring nothing. A JSON snapshot (v3 and before) is refused
-// with ErrFormatVersion, and a snapshot without an intact header and
-// record is an error, never an empty state. The run puts outages and a
-// lease on the last node, so every plane the records touch exists.
+// cell outside that shape, the snapshot's own or a delta's, or a header
+// that still names a lease plane, which snapshot v5 has no place for: the
+// load fails with an error, restoring nothing. A JSON snapshot (v3 and before)
+// is refused with ErrFormatVersion, and a snapshot without an intact
+// header and record is an error, never an empty state.
 func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 	const slots, killAt = 24, 12 // full snapshot at 9, deltas at 10..12
 	path := filepath.Join(t.TempDir(), "shape.ckpt")
-	s := newFaultStack(t, slots, 3, 6, 37)
+	s := newStack(t, slots, 3, 6, 37)
 	opts := s.brokerOptions()
 	opts.CheckpointPath, opts.CheckpointFullEvery = path, 4
-	opts.Spot = spotProviderFor(t, s, 5, 0.25)
-	b := startBroker(t, opts, sim.Failure{Node: 2, From: 4, To: 6}, sim.Failure{Node: 2, From: 10, To: 14})
+	b := startBroker(t, opts)
 	var early []task.Task
 	for _, tk := range s.tasks {
 		if int(tk.Arrival) < killAt {
@@ -452,8 +449,8 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if led := ck.Ledger; ck.Duals == nil || led.Down == nil || led.Leased == nil {
-		t.Fatal("the run leaves an optional plane out; its refusal goes untested")
+	if ck.Duals == nil {
+		t.Fatal("the run leaves the dual planes out; their refusal goes untested")
 	}
 
 	// shorter drops the last node from every plane, header and all.
@@ -461,7 +458,6 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 		K := ck.Nodes - 1
 		led := &ck.Ledger
 		led.UsedWork, led.UsedMem, led.TasksOn = led.UsedWork[:K], led.UsedMem[:K], led.TasksOn[:K]
-		led.Down, led.Elastic, led.Leased = led.Down[:K], led.Elastic[:K], led.Leased[:K]
 		if ck.Duals != nil {
 			ck.Duals = &core.DualState{Lambda: ck.Duals.Lambda[:K], Phi: ck.Duals.Phi[:K]}
 		}
@@ -479,19 +475,20 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 		hdr = data[len(data)-at : len(data)-len(r.B)]
 		return head, hdr, r.B
 	}
-	noDuals, noLease := *ck, *ck
+	noDuals := *ck
 	noDuals.Duals = nil
-	noLease.Ledger.Elastic, noLease.Ledger.Leased = nil, nil
 	// cutNode names one node fewer in the header than the planes hold.
 	cutNode := func(ck Checkpoint) *Checkpoint {
 		ck.Nodes--
-		ck.Ledger.Elastic = ck.Ledger.Elastic[:ck.Nodes]
 		return &ck
 	}
 	snapshot := func(ck *Checkpoint) []byte { data, _ := encodeSnapshot(ck); return data }
 	head, hdr, rec := frames(snapshot(ck))
-	_, noLeaseHdr, _ := frames(snapshot(&noLease))
 	_, _, noDualsRec := frames(snapshot(&noDuals))
+	// leasedHdr is the header as v4 wrote it for a run with a lease plane:
+	// the duals flag, then no down plane and a lease plane.
+	r := &decision.Reader{B: hdr}
+	leasedHdr := decision.AppendFrame(nil, append(bytes.Clone(decision.FrameNext(r)), 0, 1))
 	jsonSnapshot, err := os.ReadFile(filepath.Join(formatsDir, "ckpt-v3-delta-v5-wal-v3", "fleet.json.shard0"))
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +502,7 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 	}{
 		{"snapshot-dual-cell", snapshot(cutNode(*ck)), nil, "dual cell"},
 		{"snapshot-ledger-cell", snapshot(cutNode(noDuals)), nil, "ledger cell"},
-		{"leased", bytes.Join([][]byte{head, noLeaseHdr, rec}, nil), nil, "lease state"},
+		{"leased", bytes.Join([][]byte{head, leasedHdr, rec}, nil), nil, "2 bytes left"},
 		{"delta-dual-cell", snapshot(shorter(*ck)), ck, "dual cell"},
 		{"delta-ledger-cell", snapshot(shorter(noDuals)), &noDuals, "ledger cell"},
 		{"json", jsonSnapshot, nil, ErrFormatVersion.Error()},
@@ -522,7 +519,7 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.delta != nil {
-				rec, _ := appendRecord(nil, tc.delta, &deltaShadows{}, 0, nil)
+				rec, _ := appendRecord(nil, tc.delta, &deltaShadows{}, 0)
 				keyed := &Broker{slot: ck.Slot, opts: Options{RunLabel: ck.RunLabel}}
 				side := decision.AppendFrame(sidecarHeader(keyed, crc32.ChecksumIEEE(tc.snapshot)), rec)
 				if err := os.WriteFile(DeltaPath(cut), side, 0o644); err != nil {
@@ -549,18 +546,15 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 func TestOtherVersionRefused(t *testing.T) {
 	const slots, killAt = 24, 12 // full snapshot at 9, deltas at 10..12
 	path := filepath.Join(t.TempDir(), "version.ckpt")
-	outages := []sim.Failure{{Node: 2, From: 4, To: 6}, {Node: 2, From: 10, To: 14}}
 	options := func() Options {
-		s := newFaultStack(t, slots, 3, 6, 37)
-		opts := s.brokerOptions()
+		opts := newStack(t, slots, 3, 6, 37).brokerOptions()
 		opts.CheckpointPath, opts.CheckpointFullEvery, opts.WALPath = path, 4, WALPath(path)
 		opts.RunLabel = "version"
-		opts.Spot = spotProviderFor(t, s, 5, 0.25)
 		return opts
 	}
 	opts := options()
-	b := startBroker(t, opts, outages...)
-	perSlot := bySlot(t, newFaultStack(t, slots, 3, 6, 37).tasks, slots)
+	b := startBroker(t, opts)
+	perSlot := bySlot(t, newStack(t, slots, 3, 6, 37).tasks, slots)
 	for s := 0; s <= killAt; s++ {
 		if _, err := b.SubmitBatchAck(context.Background(), perSlot[s], make([]error, len(perSlot[s]))); err != nil {
 			t.Fatal(err)
@@ -607,7 +601,7 @@ func TestOtherVersionRefused(t *testing.T) {
 					}
 				}
 			}
-			nb := newBroker(t, options(), outages...)
+			nb := newBroker(t, options())
 			if rep, err := nb.Resume(); !errors.Is(err, ErrFormatVersion) {
 				t.Fatalf("Resume over a bumped %s: %+v, %v", file.name, rep, err)
 			}

@@ -15,8 +15,11 @@ import (
 // incompatible broker. v2 made the decision section an ordered list and
 // stopped carrying per-bid offer latencies; v3 wrote that list as the
 // delta sidecar's decision records; v4 is no longer JSON but the
-// sidecar's framing around one delta record (encodeSnapshot).
-const checkpointVersion = 4
+// sidecar's framing around one delta record (encodeSnapshot); v5 dropped
+// what a served broker's fixed capacity never has: the header's Down,
+// Leased and Elastic planes and marks, and the record's tracker and spot
+// state (delta v6).
+const checkpointVersion = 5
 
 // Checkpoint is the broker's full persisted auction state. Its file
 // carries every float as its raw bits, so a restore resumes with
@@ -51,16 +54,9 @@ type Checkpoint struct {
 	// Decisions is every irrevocable outcome, in decision order.
 	Decisions *decision.Store
 	Canceled  int
-	// ProcIdx is the number of bids offered so far — the fault tracker's
+	// ProcIdx is the number of bids offered so far — the engine's
 	// offer-order index stream.
 	ProcIdx int
-	// Failures is the fault tracker's progress (applied outages, live
-	// committed plans); nil when the broker has no fault plan.
-	Failures *sim.FailureTrackerState
-	// Spot is the spot provider's progress (trace cursor, budget spent,
-	// live leases); nil when no spot tier is attached. The cluster's
-	// lease map itself rides in Ledger.
-	Spot *sim.SpotState
 }
 
 // snapshot captures the broker's state, the one capture both a full
@@ -79,8 +75,6 @@ func (b *Broker) snapshot() *Checkpoint {
 		Decisions: b.decisions,
 		Canceled:  b.canceled,
 		ProcIdx:   b.eng.Offered(),
-		Failures:  b.eng.FaultState(),
-		Spot:      b.eng.SpotState(),
 	}
 	if dc, ok := b.sched.(DualCheckpointer); ok {
 		ds := dc.SnapshotDuals()
@@ -94,42 +88,39 @@ var snapshotMagic = []byte("PDFTSPC\x01")
 
 // encodeSnapshot encodes ck as a full snapshot in the delta sidecar's
 // framing: magic, version, then two CRC frames — a header naming the run
-// and the shape (RunLabel, Scheduler, Nodes, Slots, whether the duals,
-// Down, Leased and the Elastic marks exist, the marks) and one record, the
-// delta encoder's diff of ck against nothing, which writes every cell. It
-// also returns the shadows the first delta after it diffs against.
+// and the shape (RunLabel, Scheduler, Nodes, Slots, whether the duals
+// exist) and one record, the delta encoder's diff of ck against nothing,
+// which writes every cell. It also returns the shadows the first delta
+// after it diffs against.
 func encodeSnapshot(ck *Checkpoint) ([]byte, deltaShadows) {
-	led := &ck.Ledger
 	hdr := decision.AppendStr(decision.AppendStr(nil, ck.RunLabel), ck.Scheduler)
 	hdr = decision.AppendInt(decision.AppendInt(hdr, ck.Nodes), ck.Slots)
-	for _, has := range []bool{ck.Duals != nil, led.Down != nil, led.Leased != nil, led.Elastic != nil} {
-		hdr = decision.AppendBool(hdr, has)
-	}
-	for _, e := range led.Elastic {
-		hdr = decision.AppendBool(hdr, e)
-	}
+	hdr = decision.AppendBool(hdr, ck.Duals != nil)
 	// One presized buffer (grown into from nil, it would be allocated several
 	// times over): the record goes in behind room for its frame head.
-	size := 64 + len(hdr) + ck.Nodes*ck.Slots*38 // a ledger cell takes ~16 B, its λ and φ ~22
+	size := 64 + len(hdr) + ck.Nodes*ck.Slots*36 // a ledger cell takes ~14 B, its λ and φ ~22
 	if ck.Decisions != nil {
 		size += ck.Decisions.EncodedLen()
 	}
 	data := decision.AppendU64(append(make([]byte, 0, size), snapshotMagic...), uint64(ck.Version))
 	data = decision.AppendFrame(data, hdr)
 	at := len(data) + decision.MaxFrameHead
-	rec, cur := appendRecord(data[at:at], ck, &deltaShadows{}, 0, nil)
+	rec, cur := appendRecord(data[at:at], ck, &deltaShadows{}, 0)
 	return decision.AppendFrame(data, rec), cur // in place while rec is still in data's array
 }
 
 // WriteCheckpoint encodes ck and durably replaces path with it. A plane
-// that is not Nodes rows of Slots cells (or nil, where it may be) is
-// refused: the record keys a cell by its row's own length, so the file
-// would read back with its cells moved.
+// that is not Nodes rows of Slots cells is refused: the record keys a cell
+// by its row's own length, so the file would read back with its cells
+// moved. So is a ledger with Down, Leased or Elastic marks, which a
+// served broker's fixed capacity never has and the file cannot carry.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
 	led, K, T := &ck.Ledger, ck.Nodes, ck.Slots
-	if !shaped(led.UsedWork, K, T, false) || !shaped(led.UsedMem, K, T, false) || !shaped(led.TasksOn, K, T, false) ||
-		!shaped(led.Down, K, T, true) || !shaped(led.Leased, K, T, true) || led.Elastic != nil && len(led.Elastic) != K ||
-		ck.Duals != nil && (!shaped(ck.Duals.Lambda, K, T, false) || !shaped(ck.Duals.Phi, K, T, false)) {
+	if led.Down != nil || led.Leased != nil || led.Elastic != nil {
+		return fmt.Errorf("service: write %s: a checkpoint carries no down, leased or elastic marks", path)
+	}
+	if !shaped(led.UsedWork, K, T) || !shaped(led.UsedMem, K, T) || !shaped(led.TasksOn, K, T) ||
+		ck.Duals != nil && (!shaped(ck.Duals.Lambda, K, T) || !shaped(ck.Duals.Phi, K, T)) {
 		return fmt.Errorf("service: write %s: a plane is not %d nodes × %d slots", path, K, T)
 	}
 	data, _ := encodeSnapshot(ck)
@@ -194,10 +185,10 @@ func readSnapshotHeader(payload []byte, size int) (*Checkpoint, error) {
 	ck := &Checkpoint{Version: checkpointVersion, RunLabel: r.Str(), Scheduler: r.Str(),
 		Nodes: r.Int(), Slots: r.Int(), Decisions: new(decision.Store)}
 	ck.Result = sim.NewResult(ck.Scheduler)
-	duals, down, leased, elastic := r.Bool(), r.Bool(), r.Bool(), r.Bool()
-	// A ledger cell takes at least 13 bytes (key, work, memory bits, task
-	// count, two marks), its λ and φ each a key and bits more.
-	K, T, cell := ck.Nodes, ck.Slots, 13
+	duals := r.Bool()
+	// A ledger cell takes at least 11 bytes (key, work, memory bits, task
+	// count), its λ and φ each a key and bits more.
+	K, T, cell := ck.Nodes, ck.Slots, 11
 	if duals {
 		cell += 18
 	}
@@ -206,20 +197,8 @@ func readSnapshotHeader(payload []byte, size int) (*Checkpoint, error) {
 	}
 	led := &ck.Ledger
 	led.UsedWork, led.UsedMem, led.TasksOn = plane[int](K, T), plane[float64](K, T), plane[int](K, T)
-	if down {
-		led.Down = plane[bool](K, T)
-	}
-	if leased {
-		led.Leased = plane[bool](K, T)
-	}
 	if duals {
 		ck.Duals = &core.DualState{Lambda: plane[float64](K, T), Phi: plane[float64](K, T)}
-	}
-	if elastic {
-		led.Elastic = make([]bool, K)
-		for k := range led.Elastic {
-			led.Elastic[k] = r.Bool()
-		}
 	}
 	if r.Err != nil || len(r.B) != 0 {
 		return nil, fmt.Errorf("snapshot header: %d bytes left (err %v)", len(r.B), r.Err)
@@ -227,9 +206,9 @@ func readSnapshotHeader(payload []byte, size int) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// shaped reports whether p is K rows of T cells, or nil where orNil allows.
-func shaped[E any](p [][]E, K, T int, orNil bool) bool {
-	ok := len(p) == K || p == nil && orNil
+// shaped reports whether p is K rows of T cells.
+func shaped[E any](p [][]E, K, T int) bool {
+	ok := len(p) == K
 	for _, row := range p {
 		ok = ok && len(row) == T
 	}
@@ -284,13 +263,11 @@ func (b *Broker) Restore(ck *Checkpoint) error {
 	b.canceled = ck.Canceled
 	// A copy: ck stays whole for its caller to write again. The copy is
 	// not on disk until the next (full) checkpoint writes it.
-	b.decisions, b.saved, b.flips = new(decision.Store), 0, nil
+	b.decisions, b.saved = new(decision.Store), 0
 	if ck.Decisions != nil {
 		b.decisions = ck.Decisions.Clone()
 	}
-	if err := b.eng.Restore(ck.Result, ck.ProcIdx, ck.Failures, ck.Spot); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
+	b.eng.Restore(ck.Result, ck.ProcIdx)
 	b.ckptSlot = ck.Slot
 	return nil
 }

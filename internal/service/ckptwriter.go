@@ -126,7 +126,7 @@ func (b *Broker) writeCheckpoint() {
 	} else {
 		var p []byte
 		head := append(w.buf[:0], make([]byte, decision.MaxFrameHead)...) // room for the frame's head
-		p, w.deltaShadows = appendRecord(head, ck, &w.deltaShadows, b.saved, b.flips)
+		p, w.deltaShadows = appendRecord(head, ck, &w.deltaShadows, b.saved)
 		w.buf = decision.AppendFrame(p[:0], p[decision.MaxFrameHead:]) // in place, as encodeSnapshot frames
 		job.data = w.buf
 		b.sinceFull++
@@ -150,13 +150,5 @@ func (b *Broker) writeCheckpoint() {
 	b.rotateWAL(b.slot)
 }
 
-// refundDecision flips id's decision. A record below the saved mark is one
-// the on-disk chain holds stale, so the next delta restates it.
-func (b *Broker) refundDecision(id int) {
-	if i := b.decisions.Refund(id); i >= 0 && i < b.saved {
-		b.flips = append(b.flips, id)
-	}
-}
-
 // markSaved records that the checkpoint being staged holds every decision.
-func (b *Broker) markSaved() { b.saved, b.flips = b.decisions.Len(), b.flips[:0] }
+func (b *Broker) markSaved() { b.saved = b.decisions.Len() }

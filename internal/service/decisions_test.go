@@ -128,7 +128,7 @@ func requireStoreEquals(t *testing.T, label string, s *decision.Store, ref map[i
 	}
 }
 
-// TestDecisionStoreMatchesMap drives random put / refund / get / has
+// TestDecisionStoreMatchesMap drives random put / get / has
 // interleavings on a broker's decided set against a reference map,
 // persisting at random points either as a full snapshot (the snapshot
 // file's bytes, parsed back) or as a delta (the records the chain lacks,
@@ -170,20 +170,10 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 				}
 				return id
 			}
-			put := func() int {
+			put := func() {
 				id := newID()
 				ref[id] = putRandom(t, s, rng, id)
 				order = append(order, id)
-				return id
-			}
-			flip := func(ref map[int]schedule.Decision, id int) {
-				d := ref[id]
-				d.Admitted, d.Reason = false, schedule.ReasonFailedNode
-				ref[id] = d
-			}
-			refund := func(id int) {
-				b.refundDecision(id)
-				flip(ref, id)
 			}
 			persist := func(full bool) {
 				if full {
@@ -194,7 +184,7 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 					}
 					replica = ck.Decisions
 				} else {
-					rec, _ := appendRecord(nil, &Checkpoint{Decisions: s}, &deltaShadows{}, b.saved, b.flips)
+					rec, _ := appendRecord(nil, &Checkpoint{Decisions: s}, &deltaShadows{}, b.saved)
 					if err := applyDeltaRecord(&Checkpoint{Result: new(sim.Result), Decisions: replica}, rec); err != nil {
 						t.Fatalf("delta record: %v", err)
 					}
@@ -206,12 +196,8 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 			persist(true) // an empty store round-trips too
 			for step := 0; step < 4000; step++ {
 				switch op := rng.Intn(20); {
-				case op < 12 || len(order) == 0:
+				case op < 15 || len(order) == 0:
 					put()
-				case op < 14:
-					refund(order[rng.Intn(len(order))]) // any age: saved or not
-				case op == 14:
-					refund(put()) // decided and flipped within one interval
 				case op < 18:
 					id := order[rng.Intn(len(order))]
 					if rng.Intn(2) == 0 {
@@ -231,20 +217,17 @@ func TestDecisionStoreMatchesMap(t *testing.T) {
 
 			// A restored broker resumes from a clone, which shares nothing
 			// with the store it was taken from: each side moves on with
-			// puts and refunds of its own and still answers for itself.
+			// puts of its own and still answers for itself.
 			c := s.Clone()
 			cloneRef, cloneOrder := maps.Clone(ref), slices.Clone(order)
 			for n := len(order); n > 0; n-- {
 				put()
 			}
-			refund(order[0])
 			requireStoreEquals(t, "clone, after its original moved on", c, cloneRef, cloneOrder)
 			for n := len(cloneOrder); n > 0; n-- {
 				id := -1 - n // no kind draws a negative ID
 				cloneRef[id], cloneOrder = putRandom(t, c, rng, id), append(cloneOrder, id)
 			}
-			c.Refund(cloneOrder[1])
-			flip(cloneRef, cloneOrder[1])
 			requireStoreEquals(t, "clone, after moving on itself", c, cloneRef, cloneOrder)
 			persist(false)
 			requireStoreEquals(t, "live store, after its clone moved on", s, ref, order)
@@ -339,7 +322,7 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 	opts := s.brokerOptions()
 	opts.QueueSize = perSlot
 	opts.DropLosingPlans = true
-	b := startBroker(t, opts, sim.Failure{Node: 0, From: 4, To: slots}, sim.Failure{Node: 1, From: 9, To: slots})
+	b := startBroker(t, opts)
 	batch := make([]task.Task, perSlot)
 	verdicts := make([]error, perSlot)
 	for slot := 0; slot < slots; slot++ {
@@ -354,8 +337,8 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 		}
 		if (slot+1)%10 == 0 {
 			if err := b.do(func() {
-				if b.saved != 0 || cap(b.flips) != 0 {
-					t.Errorf("after %d bids: saved mark %d, %d flips tracked", b.decisions.Len(), b.saved, cap(b.flips))
+				if b.saved != 0 {
+					t.Errorf("after %d bids: saved mark %d", b.decisions.Len(), b.saved)
 				}
 			}); err != nil {
 				t.Fatal(err)
@@ -368,9 +351,6 @@ func TestNoPersistenceTracksNothing(t *testing.T) {
 	res := b.Result()
 	if res.Admitted+res.Rejected != slots*perSlot || b.decisions.Len() != slots*perSlot {
 		t.Fatalf("decided %d+%d, stored %d, want %d", res.Admitted, res.Rejected, b.decisions.Len(), slots*perSlot)
-	}
-	if res.FailedTasks == 0 {
-		t.Fatal("no refund flipped a decision; the flip half of the test is vacuous")
 	}
 	if res.OfferLatency != nil {
 		t.Fatalf("broker Result holds %d latency samples", res.OfferLatency.Count())
@@ -516,7 +496,7 @@ func TestDeltaDecodeIgnoresClaimedCounts(t *testing.T) {
 	// a real record.
 	hdr := decision.AppendStr(decision.AppendStr(nil, base.RunLabel), base.Scheduler)
 	hdr = decision.AppendInt(decision.AppendInt(hdr, 1<<20), 1<<20)
-	hdr = append(hdr, 1, 0, 0, 0) // duals; no Down, Leased or Elastic marks
+	hdr = append(hdr, 1) // duals
 	lyingShape := decision.AppendU64(append([]byte(nil), snapshotMagic...), checkpointVersion)
 	lyingShape = decision.AppendFrame(decision.AppendFrame(lyingShape, hdr), record)
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -21,8 +20,8 @@ import (
 // broker writes the full snapshot only at interval boundaries and
 // appends one binary delta per checkpointed slot in between, to a
 // ".delta" sidecar next to the checkpoint file. A delta carries only
-// what changed since the previous successful persist: new or flipped
-// decisions, touched dual and ledger cells and the accounting scalars —
+// what changed since the previous successful persist: new decisions,
+// touched dual and ledger cells and the accounting scalars —
 // a few hundred bytes against the megabytes a full snapshot of a long
 // horizon re-serializes every slot. A full snapshot is the same kind of
 // record diffed against nothing (checkpoint.go), so one encoder writes
@@ -52,8 +51,11 @@ import (
 // cell lists with an end marker instead of counting them first; v4
 // dropped the two micro-training losses from the accounting scalars; v5
 // writes a reject reason as its one-byte code (schedule.RejectReason), in
-// a decision and in the tally, instead of a length-prefixed name.
-const deltaVersion = 5
+// a decision and in the tally, instead of a length-prefixed name; v6
+// dropped the down and lease marks of a ledger cell and the tracker and
+// spot state behind the cells, which a served broker's fixed capacity
+// never has.
+const deltaVersion = 6
 
 // deltaMagic opens every sidecar file.
 var deltaMagic = []byte("PDFTSPD\x01")
@@ -64,10 +66,8 @@ func DeltaPath(path string) string { return path + ".delta" }
 // deltaShadows is the persisted state the next record is diffed against.
 // The zero value is nothing, which a full snapshot's record diffs against.
 type deltaShadows struct {
-	duals    *core.DualState
-	ledger   cluster.Snapshot
-	failJSON []byte
-	spotJSON []byte
+	duals  *core.DualState
+	ledger cluster.Snapshot
 }
 
 // deltaWriter holds the shadows, advanced as records are staged (see
@@ -89,12 +89,11 @@ func sidecarHeader(b *Broker, baseCRC uint32) []byte {
 }
 
 // appendRecord appends ck as one record payload: its clock and
-// accounting, the decision records a chain saved up to lacks (flips
-// restated, then every one from saved on), and every dual and ledger cell
-// and tracker or spot-provider state that differs from prev — all of them
-// against the zero shadows. It returns the shadows of the state it
-// carried.
-func appendRecord(p []byte, ck *Checkpoint, prev *deltaShadows, saved int, flips []int) ([]byte, deltaShadows) {
+// accounting, the decision records a chain saved up to lacks (every one
+// from saved on), and every dual and ledger cell that differs from prev —
+// all of them against the zero shadows. It returns the shadows of the
+// state it carried.
+func appendRecord(p []byte, ck *Checkpoint, prev *deltaShadows, saved int) ([]byte, deltaShadows) {
 	p = decision.AppendInt(p, ck.Slot)
 	p = decision.AppendInt(p, ck.NextID)
 	p = decision.AppendInt(p, ck.Canceled)
@@ -126,40 +125,24 @@ func appendRecord(p []byte, ck *Checkpoint, prev *deltaShadows, saved int, flips
 		p = decision.AppendInt(p, res.RejectReasons[reason])
 	}
 
-	// Replay appends the new decisions in this order and rewrites a
-	// flipped one where it stands.
+	// Replay appends the new decisions in this order.
 	if s := ck.Decisions; s != nil {
-		for _, id := range flips {
-			d, _ := s.Get(id)
-			p = decision.Append(p, id, &d)
-		}
 		p = s.AppendFrom(p, saved)
 	}
 	p = append(p, decision.End)
 
-	// Dual and ledger cells that moved, then the tracker and spot-provider
-	// state (applied outages and live plans; trace cursor, budget spent,
-	// live leases), each only when it moved: small, but fault-free runs
-	// should pay nothing for them.
+	// Dual and ledger cells that moved.
 	cur := deltaShadows{duals: ck.Duals, ledger: ck.Ledger}
-	if ck.Failures != nil {
-		cur.failJSON, _ = json.Marshal(ck.Failures)
-	}
-	if ck.Spot != nil {
-		cur.spotJSON, _ = json.Marshal(ck.Spot)
-	}
 	p = decision.AppendBool(p, cur.duals != nil)
 	if cur.duals != nil {
 		p = appendDualDiff(p, prev.duals, cur.duals)
 	}
-	p = appendLedgerDiff(p, &prev.ledger, &cur.ledger)
-	p = appendIfChanged(p, prev.failJSON, cur.failJSON)
-	p = appendIfChanged(p, prev.spotJSON, cur.spotJSON)
-	return p, cur
+	return appendLedgerDiff(p, &prev.ledger, &cur.ledger), cur
 }
 
 // resultScalars lists the accounting fields a delta restates, in wire
-// order.
+// order. The capacity-loss and spot fields are zero on a served broker
+// and cost a byte each; sim.Result has them for sim.Run.
 func resultScalars(r *sim.Result) ([]*int, []*float64) {
 	return []*int{
 			&r.Admitted, &r.Rejected, &r.FailuresInjected, &r.RecoveredTasks, &r.FailedTasks,
@@ -168,16 +151,6 @@ func resultScalars(r *sim.Result) ([]*int, []*float64) {
 			&r.Welfare, &r.Revenue, &r.VendorSpend, &r.EnergySpend, &r.Utilization,
 			&r.RefundedValue, &r.SpotSpend,
 		}
-}
-
-// appendIfChanged emits cur behind a presence byte when it differs from
-// prev.
-func appendIfChanged(p, prev, cur []byte) []byte {
-	if string(cur) == string(prev) {
-		return append(p, 0)
-	}
-	p = decision.AppendU64(append(p, 1), uint64(len(cur)))
-	return append(p, cur...)
 }
 
 // appendDualDiff emits (1+cell, value) pairs for every λ/φ entry that
@@ -198,19 +171,6 @@ func appendDualDiff(p []byte, prev, cur *core.DualState) []byte {
 	return append(p, 0)
 }
 
-// marked reads an optional plane of the ledger (Down, Leased): 0 when
-// the run has none, else 1 (clear) / 2 (set), so replay knows whether to
-// materialize the plane.
-func marked(plane [][]bool, k, t int) byte {
-	switch {
-	case plane == nil:
-		return 0
-	case plane[k][t]:
-		return 2
-	}
-	return 1
-}
-
 // appendLedgerDiff emits a full cell record, keyed 1+cell, for every
 // ledger cell with a committed quantity that changed — every cell when
 // prev is empty — closed by a zero.
@@ -218,17 +178,14 @@ func appendLedgerDiff(p []byte, prev, cur *cluster.Snapshot) []byte {
 	for k := range cur.UsedWork {
 		T := len(cur.UsedWork[k])
 		for t := 0; t < T; t++ {
-			down, leased := marked(cur.Down, k, t), marked(cur.Leased, k, t)
 			if prev.UsedWork != nil && prev.UsedWork[k][t] == cur.UsedWork[k][t] && prev.UsedMem[k][t] == cur.UsedMem[k][t] &&
-				prev.TasksOn[k][t] == cur.TasksOn[k][t] &&
-				(marked(prev.Down, k, t) == 2) == (down == 2) && (marked(prev.Leased, k, t) == 2) == (leased == 2) {
+				prev.TasksOn[k][t] == cur.TasksOn[k][t] {
 				continue
 			}
 			p = decision.AppendU64(p, uint64(k*T+t)+1)
 			p = decision.AppendInt(p, cur.UsedWork[k][t])
 			p = decision.AppendF64(p, cur.UsedMem[k][t])
 			p = decision.AppendInt(p, cur.TasksOn[k][t])
-			p = append(p, down, leased)
 		}
 	}
 	return append(p, 0)
@@ -341,7 +298,6 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 	led := &ck.Ledger
 	for key := r.U64(); key != 0 && r.Err == nil; key = r.U64() {
 		work, mem, on := r.Int(), r.F64(), r.Int()
-		down, leased := r.Byte(), r.Byte()
 		if r.Err != nil {
 			break
 		}
@@ -350,34 +306,9 @@ func applyDeltaRecord(ck *Checkpoint, payload []byte) error {
 			return fmt.Errorf("service: delta ledger cell %d outside snapshot shape", key-1)
 		}
 		led.UsedWork[k][t], led.UsedMem[k][t], led.TasksOn[k][t] = work, mem, on
-		if down != 0 {
-			if led.Down == nil {
-				led.Down = plane[bool](len(led.UsedWork), ck.Slots)
-			}
-			led.Down[k][t] = down == 2
-		}
-		if leased != 0 {
-			if led.Leased == nil {
-				// The lease plane only exists alongside elastic marks, and
-				// those are static from construction: a full snapshot missing
-				// them cannot be extended by a lease-bearing delta.
-				return fmt.Errorf("service: delta carries lease state but snapshot has none")
-			}
-			led.Leased[k][t] = leased == 2
-		}
 	}
-
-	if r.Bool() { // failure state replaced
-		ck.Failures = new(sim.FailureTrackerState)
-		if err := json.Unmarshal(r.Bytes(), ck.Failures); r.Err == nil && err != nil {
-			return fmt.Errorf("service: delta failure state: %w", err)
-		}
-	}
-	if r.Bool() { // spot provider state replaced
-		ck.Spot = new(sim.SpotState)
-		if err := json.Unmarshal(r.Bytes(), ck.Spot); r.Err == nil && err != nil {
-			return fmt.Errorf("service: delta spot state: %w", err)
-		}
+	if r.Err == nil && len(r.B) != 0 {
+		return fmt.Errorf("service: delta record: %d bytes after its ledger cells", len(r.B))
 	}
 	return r.Err
 }

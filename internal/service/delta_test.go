@@ -42,7 +42,7 @@ func TestDeltaRecordDeterministic(t *testing.T) {
 	}
 	var want []byte
 	for i := 0; i < 64; i++ {
-		got, _ := appendRecord(nil, b.snapshot(), &deltaShadows{}, b.saved, b.flips)
+		got, _ := appendRecord(nil, b.snapshot(), &deltaShadows{}, b.saved)
 		if want == nil {
 			want = bytes.Clone(got)
 		} else if !bytes.Equal(got, want) {
@@ -54,7 +54,9 @@ func TestDeltaRecordDeterministic(t *testing.T) {
 // fullCheckpoint builds a small checkpoint in which every field, and every
 // field of its duals, ledger and accounting, holds something other than
 // its zero value — all but the accounting's two sim.Run outputs, which a
-// broker leaves nil — so a change to any one of them can show.
+// broker leaves nil, and the ledger's down, leased and elastic marks,
+// which its fixed capacity never has — so a change to any one of them can
+// show.
 func fullCheckpoint() *Checkpoint {
 	const K, T = 2, 3
 	n := 0
@@ -63,7 +65,6 @@ func fullCheckpoint() *Checkpoint {
 	floats := func() [][]float64 {
 		return [][]float64{{float64(next()) / 4, float64(next()) / 4, float64(next()) / 4}, {float64(next()) / 4, 0.5, 0.75}}
 	}
-	marks := func() [][]bool { return [][]bool{{true, false, true}, {false, true, false}} }
 	res := sim.NewResult("pdFTSP")
 	rv := reflect.ValueOf(res).Elem()
 	for i := range rv.NumField() {
@@ -85,12 +86,9 @@ func fullCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Version: checkpointVersion, RunLabel: "every-field", Scheduler: "pdFTSP",
 		Slot: next(), NextID: next(), Nodes: K, Slots: T,
-		Duals: &core.DualState{Lambda: floats(), Phi: floats()},
-		Ledger: cluster.Snapshot{UsedWork: ints(), UsedMem: floats(), TasksOn: ints(),
-			Down: marks(), Elastic: []bool{false, true}, Leased: marks()},
+		Duals:  &core.DualState{Lambda: floats(), Phi: floats()},
+		Ledger: cluster.Snapshot{UsedWork: ints(), UsedMem: floats(), TasksOn: ints()},
 		Result: res, Decisions: s, Canceled: next(), ProcIdx: next(),
-		Failures: &sim.FailureTrackerState{Next: next(), ContID: next()},
-		Spot:     &sim.SpotState{Next: next(), Spent: 0.5},
 	}
 }
 
@@ -128,9 +126,10 @@ func grow(ck *Checkpoint, node bool) {
 	for _, v := range []reflect.Value{reflect.ValueOf(&ck.Ledger).Elem(), reflect.ValueOf(ck.Duals).Elem()} {
 		for i := range v.NumField() {
 			switch f := v.Field(i); {
+			case f.IsNil(): // the marks a checkpoint carries none of
 			case node:
 				f.Set(reflect.Append(f, f.Index(0)))
-			case f.Type().Elem().Kind() == reflect.Slice: // a plane, not the Elastic marks
+			default:
 				for k := range f.Len() {
 					f.Index(k).Set(reflect.Append(f.Index(k), f.Index(k).Index(0)))
 				}
@@ -150,10 +149,13 @@ func grow(ck *Checkpoint, node bool) {
 // the same way. Every field of Checkpoint, cluster.Snapshot,
 // core.DualState and sim.Result is changed on its own, and each optional
 // part dropped on its own: the checkpoint must encode to other bytes and
-// read back exactly; Nodes and Slots change with the planes' shape, and
-// a changed Version is refused instead. The exceptions are Result.OfferLatency and Result.Decisions, sim.Run
-// outputs a serving broker holds nil, and Result.Scheduler, which is the
-// broker's Scheduler and goes to disk once, as that.
+// read back exactly; Nodes and Slots change with the planes' shape, a
+// changed Version is refused instead, and so are the ledger's Down, Leased
+// and Elastic marks, which a served broker's fixed capacity never sets and
+// the file has no place for: WriteCheckpoint refuses a checkpoint with
+// them. The exceptions are Result.OfferLatency and Result.Decisions,
+// sim.Run outputs a serving broker holds nil, and Result.Scheduler, which
+// is the broker's Scheduler and goes to disk once, as that.
 func TestSnapshotCoversEveryField(t *testing.T) {
 	s := newStack(t, 8, 2, 4, 5)
 	b := startBroker(t, s.brokerOptions())
@@ -214,6 +216,18 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				ck := fullCheckpoint()
 				switch name {
+				case "Snapshot.Down", "Snapshot.Leased", "Snapshot.Elastic":
+					// Not carried, so refused rather than dropped.
+					f := part.of(ck).Field(i)
+					if f.Type().Elem().Kind() == reflect.Slice {
+						f.Set(reflect.ValueOf(plane[bool](ck.Nodes, ck.Slots)))
+					} else {
+						f.Set(reflect.ValueOf(make([]bool, ck.Nodes)))
+					}
+					if err := WriteCheckpoint(filepath.Join(t.TempDir(), "ck"), ck); err == nil {
+						t.Fatal("a checkpoint with the marks is written, and would read back without them")
+					}
+					return
 				case "Checkpoint.Decisions":
 					d := schedule.Decision{TaskID: 9, Admitted: true, F: 1}
 					if err := ck.Decisions.Put(9, &d); err != nil {
@@ -231,10 +245,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	}
 	for name, drop := range map[string]func(*Checkpoint){
 		"no-duals":     func(ck *Checkpoint) { ck.Duals = nil },
-		"no-down":      func(ck *Checkpoint) { ck.Ledger.Down = nil },
-		"no-elastic":   func(ck *Checkpoint) { ck.Ledger.Elastic, ck.Ledger.Leased = nil, nil },
-		"no-failures":  func(ck *Checkpoint) { ck.Failures = nil },
-		"no-spot":      func(ck *Checkpoint) { ck.Spot = nil },
 		"no-reasons":   func(ck *Checkpoint) { clear(ck.Result.RejectReasons) },
 		"no-decisions": func(ck *Checkpoint) { ck.Decisions = new(decision.Store) },
 	} {
@@ -260,7 +270,9 @@ func sameCheckpoint(a, b *Checkpoint) bool {
 // TestWriteCheckpointShape: WriteCheckpoint refuses, and writes nothing
 // for, a checkpoint whose planes are not Nodes × Slots. The record keys a
 // cell by its row's own length, so such a file once read back with its
-// cells moved and no error; changing Slots alone was enough.
+// cells moved and no error; changing Slots alone was enough. It refuses a
+// ledger with down, leased or elastic marks too, however well shaped:
+// the file has no place for them, and would read back without them.
 func TestWriteCheckpointShape(t *testing.T) {
 	dir := t.TempDir()
 	ok := filepath.Join(dir, "ok")
@@ -275,15 +287,15 @@ func TestWriteCheckpointShape(t *testing.T) {
 		"nodes":        func(ck *Checkpoint) { ck.Nodes-- },
 		"a short row":  func(ck *Checkpoint) { ck.Ledger.UsedMem[1] = ck.Ledger.UsedMem[1][:2] },
 		"a nil plane":  func(ck *Checkpoint) { ck.Ledger.TasksOn = nil },
-		"down":         func(ck *Checkpoint) { ck.Ledger.Down = ck.Ledger.Down[:1] },
-		"leased":       func(ck *Checkpoint) { ck.Ledger.Leased[0] = append(ck.Ledger.Leased[0], true) },
-		"elastic":      func(ck *Checkpoint) { ck.Ledger.Elastic = ck.Ledger.Elastic[:1] },
+		"down":         func(ck *Checkpoint) { ck.Ledger.Down = plane[bool](ck.Nodes, ck.Slots) },
+		"leased":       func(ck *Checkpoint) { ck.Ledger.Leased = plane[bool](ck.Nodes, ck.Slots) },
+		"elastic":      func(ck *Checkpoint) { ck.Ledger.Elastic = make([]bool, ck.Nodes) },
 		"a dual plane": func(ck *Checkpoint) { ck.Duals.Phi = ck.Duals.Phi[:1] },
 	} {
 		ck, path := fullCheckpoint(), filepath.Join(dir, name)
 		bend(ck)
 		if err := WriteCheckpoint(path, ck); err == nil {
-			t.Errorf("%s: a checkpoint of %d × %d with other planes is written", name, ck.Nodes, ck.Slots)
+			t.Errorf("%s: a checkpoint of %d × %d it cannot carry is written", name, ck.Nodes, ck.Slots)
 		}
 		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("%s: the refused write left a file (stat err %v)", name, err)

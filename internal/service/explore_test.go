@@ -22,17 +22,17 @@ import (
 
 // FuzzFleet is the one seeded explorer of the fleet's promises: an input
 // expands into a fleet from Open over a 24-slot workload drawn from seed
-// (shape bits 0-1 pick 1, 2 or 4 brokers, the value 3 reading as 4; bit 3
-// is unused; the others are the fleet* bits below) and a script of
+// (shape bits 0-1 pick 1, 2 or 4 brokers, the value 3 reading as 4; bits 3
+// and 4 are unused; the others are the fleet* bits below) and a script of
 // fleetOps run against it. Between operations it waits for quiescence and
 // brokers close slots one after another, so the seam numbers its
 // operations the same on every replay. After every operation every acked
 // bid must be decided or held (and, with a journal, in ReadWAL field for
 // field), no bid refused with ErrWAL may come back, and a degraded
 // /healthz must carry a reason Status agrees with. At the end
-// DiffTwins holds every drained broker to a sim.Run twin under the same
-// outages and spot trace, duals, ledgers and welfare
-// bit-equal, and one obs.Audit across every generation is clean.
+// DiffTwins holds every drained broker to a sim.Run twin, duals, ledgers
+// and welfare bit-equal, and one obs.Audit across every generation is
+// clean.
 func FuzzFleet(f *testing.F) {
 	for _, e := range fleetCorpus {
 		f.Add(e.seed, e.shape, e.script)
@@ -48,9 +48,8 @@ func FuzzFleet(f *testing.F) {
 // Shape bits of a FuzzFleet input.
 const (
 	fleetJournal = 1 << 2
-	fleetSpot    = 1 << 4 // the last node of each broker is a spot node
 	fleetDeltas  = 1 << 5 // CheckpointFullEvery 4 instead of 1
-	fleetFaults  = 1 << 6 // a faults.Generate plan: outages and a checkpoint-fault window
+	fleetFaults  = 1 << 6 // a faults.Generate plan's checkpoint-fault window
 )
 
 // fleetOps are the script's operations:
@@ -63,15 +62,16 @@ const (
 //	t        tear every journal's tail before the next resume
 //	F W P    fail or power-cut seam operation now+(next byte % 32), or short
 //	         the first write from there
-//	r        the spot market reclaims every elastic node at the next slot
-const fleetOps = "abcdefgszktFWPr"
+const fleetOps = "abcdefgszktFWP"
 
 var fleetSeamModes = map[byte]string{'F': "fail", 'W': "short", 'P': "cut"}
 
 // fleetCorpus is FuzzFleet's seed corpus, seed#0 onward in this order:
-// the nine rows of the retired pdftspd self-tests, then one input aimed at
-// each journal and checkpoint fix that has a seam-level form, then inputs
-// the fuzzer found.
+// the nine rows of the retired pdftspd self-tests (#6 was the spot smoke:
+// a served broker's capacity is fixed now, so it keeps its index as a
+// two-shard chaos row, its reclaims read as steps), then one input aimed
+// at each journal and checkpoint fix that has a seam-level form, then
+// inputs the fuzzer found.
 var fleetCorpus = []struct {
 	name   string
 	seed   int64
@@ -84,7 +84,7 @@ var fleetCorpus = []struct {
 	{"chaos-42", 42, fleetDeltas | fleetFaults, "ssgsessssssksz"},
 	{"chaos-1-shards-2", 1, 1 | fleetDeltas | fleetFaults, "ssescssssszssssk"},
 	{"chaos-7-shards-4", 7, 2 | fleetDeltas | fleetFaults, "ssgsfsszsssssssk"},
-	{"spot-smoke", 11, 1 | fleetSpot | fleetDeltas | fleetFaults, "sssrsssksssrssssssrssssssskz"},
+	{"chaos-11-shards-2", 11, 1 | fleetDeltas | fleetFaults, "sssssssksssssssssssssssssskz"},
 	{"wal-chaos-1", 1, fleetJournal | fleetDeltas, "dksssssakssssssekkssssssgtks"},
 	{"wal-chaos-7-shards-2", 7, 1 | fleetJournal | fleetDeltas, "dksssssakssssssfkkssssssdtks"},
 	{"seam-1", 1, fleetJournal | fleetDeltas, "sssW\x00dkssdP\x00ssdF\x00sksdssstkss"},
@@ -102,27 +102,25 @@ type fleetBid struct {
 
 // fleetStats is what one run saw, for the corpus checks.
 type fleetStats struct {
-	fired                         map[string]int
-	leases, revocations, degraded int
-	diedOnAcked, replayed         int
-	torn                          bool
+	fired                 map[string]int
+	degraded              int
+	diedOnAcked, replayed int
+	torn                  bool
 }
 
 // fleetRun is one input's run: its configuration, then its state.
 type fleetRun struct {
-	t                     *testing.T
-	seed                  int64
-	n, nodes, fullEvery   int
-	journal, spot, faulty bool
-	dir, ckpt             string
-	tasks                 []task.Task
-	perSlot               [][]task.Task
-	bids                  map[int]*fleetBid
-	plan                  faults.Plan
-	failures              [][]sim.Failure
-	reclaims              []int
-	fs                    *powerFS
-	auditor               *obs.Audit
+	t                   *testing.T
+	seed                int64
+	n, nodes, fullEvery int
+	journal, faulty     bool
+	dir, ckpt           string
+	tasks               []task.Task
+	perSlot             [][]task.Task
+	bids                map[int]*fleetBid
+	plan                faults.Plan
+	fs                  *powerFS
+	auditor             *obs.Audit
 	// The serving generation — its fleet, the stacks under it, what its
 	// Resume found — and the HTTP server in front of it. After a resume
 	// refusal a is the dead generation.
@@ -144,7 +142,7 @@ type fleetStep struct {
 func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetStats {
 	r := &fleetRun{
 		t: t, seed: seed, n: []int{1, 2, 4, 4}[shape&3], nodes: 2, fullEvery: 1,
-		journal: shape&fleetJournal != 0, spot: shape&fleetSpot != 0, faulty: shape&fleetFaults != 0,
+		journal: shape&fleetJournal != 0, faulty: shape&fleetFaults != 0,
 		dir: t.TempDir(), fs: newPowerFS(-1, ""), auditor: obs.NewAudit(),
 		bids:  map[int]*fleetBid{},
 		stats: fleetStats{fired: map[string]int{}},
@@ -163,18 +161,16 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 	}
 	r.perSlot = bySlot(t, r.tasks, fleetSlots)
 	if r.faulty {
+		// Only the plan's checkpoint-fault windows are used: a served
+		// broker's capacity is fixed. Generate draws the outages first, so
+		// the windows fall where they did when the brokers took outages.
 		r.plan = faults.Generate(seed, r.n*r.nodes, fleetSlots)
 		if err := r.plan.Validate(r.n*r.nodes, fleetSlots); err != nil {
 			t.Fatal(err)
 		}
-		// Global node g is node g/n of broker g%n.
-		r.failures = make([][]sim.Failure, r.n)
-		for _, o := range r.plan.Outages {
-			r.failures[o.Node%r.n] = append(r.failures[o.Node%r.n], sim.Failure{Node: o.Node / r.n, From: o.From, To: o.To})
-		}
 	}
 	var steps []fleetStep
-	for i, slot := 0, 0; i < len(script); i++ {
+	for i := 0; i < len(script); i++ {
 		st := fleetStep{op: script[i]}
 		if strings.IndexByte(fleetOps, st.op) < 0 {
 			st.op = fleetOps[int(st.op)%len(fleetOps)]
@@ -182,11 +178,6 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 		if fleetSeamModes[st.op] != "" && i+1 < len(script) {
 			i++
 			st.arg = int(script[i]) % 32
-		}
-		if st.op == 's' {
-			slot++
-		} else if st.op == 'r' && r.spot && slot+1 < fleetSlots {
-			r.reclaims = append(r.reclaims, slot+1) // the trace is configuration, fixed up front
 		}
 		steps = append(steps, st)
 	}
@@ -225,7 +216,6 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 			}
 		case 't':
 			r.tear = r.journal
-		case 'r':
 		case 'F', 'W', 'P':
 			r.fs.arm(st.arg, fleetSeamModes[st.op])
 		default:
@@ -239,31 +229,18 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 	return r.stats
 }
 
-// twinConfig is broker i's fault and spot configuration, as sim.Run takes it.
-func (r *fleetRun) twinConfig(i int, st *testStack) sim.Config {
-	cfg := sim.Config{Model: st.model, Market: st.mkt, CollectDecisions: true}
-	if r.faulty {
-		cfg.Failures = r.failures[i]
-	}
-	if r.spot {
-		cfg.Spot = spotProviderFor(r.t, st, r.seed+int64(i)*7919, 0, r.reclaims...)
-	}
-	return cfg
-}
-
 // open wires a generation on fresh stacks over the run's directory and
 // seam, resumes whatever the last one left there, and starts it.
 func (r *fleetRun) open() (Auctioneer, error) {
 	stacks := make([]*testStack, r.n)
 	opts := make([]Options, r.n)
 	for i := range opts {
-		stacks[i] = newShardStack(r.t, fleetSlots, r.nodes, r.seed+int64(i), r.tasks, true)
+		stacks[i] = newShardStack(r.t, fleetSlots, r.nodes, r.seed+int64(i), r.tasks)
 		o := stacks[i].brokerOptions()
 		o.CheckpointPath, o.CheckpointFullEvery, o.RunLabel, o.Observer = r.ckpt, r.fullEvery, "fleet", r.auditor
 		if r.journal {
 			o.WALPath = WALPath(r.ckpt)
 		}
-		o.Spot = r.twinConfig(i, stacks[i]).Spot
 		if r.faulty {
 			o.CheckpointFault = func(slot int) error {
 				if r.plan.CheckpointFaultAt(slot) {
@@ -279,13 +256,8 @@ func (r *fleetRun) open() (Auctioneer, error) {
 		return nil, err
 	}
 	brokers := a.Brokers()
-	for i, b := range brokers {
+	for _, b := range brokers {
 		b.fsys = r.fs
-		if r.faulty {
-			if err := withOutages(b, r.failures[i]); err != nil {
-				return nil, err
-			}
-		}
 	}
 	rep, err := a.Resume()
 	if err == nil {
@@ -611,8 +583,10 @@ func (r *fleetRun) finish() {
 	twins := make([]*testStack, r.n)
 	var liveW, twinW float64
 	err := DiffTwins(r.a, acked, func(i int, sub []task.Task) (*sim.Result, error) {
-		twins[i] = newShardStack(r.t, fleetSlots, r.nodes, r.seed+int64(i), r.tasks, true)
-		want, err := sim.Run(twins[i].cl, twins[i].sched, sub, r.twinConfig(i, twins[i]))
+		twins[i] = newShardStack(r.t, fleetSlots, r.nodes, r.seed+int64(i), r.tasks)
+		want, err := sim.Run(twins[i].cl, twins[i].sched, sub, sim.Config{
+			Model: twins[i].model, Market: twins[i].mkt, CollectDecisions: true,
+		})
 		if err == nil {
 			twinW += want.Welfare
 		}
@@ -624,14 +598,6 @@ func (r *fleetRun) finish() {
 	for i, b := range r.a.Brokers() {
 		res := b.Result()
 		liveW += res.Welfare
-		r.stats.leases += res.SpotLeases
-		r.stats.revocations += res.SpotRevocations
-		if res.FailuresInjected > 0 {
-			r.stats.fired["fault-plan"]++
-		}
-		if res.SpotRevocations > 0 && len(r.reclaims) > 0 {
-			r.stats.fired["reclaim"]++
-		}
 		if !r.stacks[i].sched.SnapshotDuals().Equal(twins[i].sched.SnapshotDuals()) {
 			r.t.Fatalf("broker %d: final duals diverge from sim.Run", i)
 		}
@@ -673,15 +639,13 @@ func recordCorpusRun(t *testing.T, st fleetStats) {
 		switch {
 		case st.torn:
 			t.Errorf("%s: ended on a torn fleet", e.name)
-		case e.shape&fleetSpot != 0 && (st.leases == 0 || st.revocations == 0):
-			t.Errorf("%s: %d spot leases, %d revocations; want both", e.name, st.leases, st.revocations)
 		case e.shape&fleetFaults != 0 && st.degraded == 0:
 			t.Errorf("%s: checkpoint-fault windows never degraded /healthz", e.name)
 		case e.shape&fleetJournal != 0 && st.diedOnAcked > 0 && st.replayed == 0:
 			t.Errorf("%s: %d deaths on acked bids replayed no journaled bid", e.name, st.diedOnAcked)
 		}
 	}
-	kinds := []string{"step", "stall", "kill", "torn", "fail", "short", "cut", "fault-plan", "reclaim"}
+	kinds := []string{"step", "stall", "kill", "torn", "fail", "short", "cut"}
 	for _, f := range intakeForms {
 		kinds = append(kinds, f.name)
 	}

@@ -7,230 +7,20 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 )
 
-// newFaultStack builds a stack whose scheduler masks downed/full cells —
-// outage recovery re-plans through the DP, so it must route around the
-// downed node — with a workload that exercises the vendor path.
-func newFaultStack(t testing.TB, slots, nodes int, rate float64, seed int64) *testStack {
-	t.Helper()
-	return newShardStack(t, slots, nodes, seed, shardWorkload(t, slots, rate, seed), true)
-}
-
-// withOutages gives b the scripted outage schedule fs: the broker-side
-// twin of sim.Config.Failures. A serving broker cannot know its outages in
-// advance, so Options has no such field, and a broker loses capacity only
-// through its spot tier; the tests reach the failure tracker's outage path
-// by rebuilding the engine New made with fs added. Call it before Restore,
-// Resume or Start.
-func withOutages(b *Broker, fs []sim.Failure) error {
-	o := b.opts
-	eng, err := sim.NewEngine(b.cl, b.sched, sim.EngineConfig{
-		Model: o.Model, Market: o.Market, Failures: fs, Spot: o.Spot,
-		Observer: o.Observer, RunLabel: o.RunLabel,
-	}, b.decided)
-	if err != nil {
-		return err
-	}
-	eng.OnRefund(b.refundDecision)
-	b.eng = eng
-	return nil
-}
-
-// newBroker is New, then withOutages when outages are given.
-func newBroker(t testing.TB, opts Options, outages ...sim.Failure) *Broker {
+// newBroker is New, failing the test on an error.
+func newBroker(t testing.TB, opts Options) *Broker {
 	t.Helper()
 	b, err := New(opts)
-	if err == nil && len(outages) > 0 {
-		err = withOutages(b, outages)
-	}
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return b
-}
-
-// TestBrokerFailureEquivalence: a broker given scripted node outages must
-// stay bit-identical to sim.Run with the same Failures — refund flips,
-// welfare, revenue, duals, and ledger. Run under -race.
-func TestBrokerFailureEquivalence(t *testing.T) {
-	const slots, nodes, workers = 24, 3, 6
-	const rate = 8.0
-	failures := []sim.Failure{
-		{Node: 0, From: 8, To: 14},
-		{Node: 1, From: 15, To: 40}, // tail clamped to the horizon
-	}
-
-	serve := newFaultStack(t, slots, nodes, rate, 31)
-	twin := newFaultStack(t, slots, nodes, rate, 31)
-
-	b := startBroker(t, serve.brokerOptions(), failures...)
-	chans := submitAll(t, b, serve.tasks, workers)
-	if _, err := b.Step(slots); err != nil {
-		t.Fatal(err)
-	}
-	for i := range serve.tasks {
-		if out := <-chans[i]; out.Err != nil {
-			t.Fatalf("task %d: %v", serve.tasks[i].ID, out.Err)
-		}
-	}
-	if err := b.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := sim.Run(twin.cl, twin.sched, twin.tasks, sim.Config{
-		Model: twin.model, Market: twin.mkt, Failures: failures, CollectDecisions: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.FailuresInjected != len(failures) {
-		t.Fatalf("replay injected %d failures, want %d", want.FailuresInjected, len(failures))
-	}
-	if want.FailedTasks == 0 && want.RecoveredTasks == 0 {
-		t.Fatal("fault plan disturbed nothing; the test is vacuous")
-	}
-
-	// Decisions are compared post-refund: DecisionFor reflects the flip
-	// the tracker applied, exactly like want.Decisions[i].
-	for i, tk := range serve.tasks {
-		got, ok, err := b.DecisionFor(tk.ID)
-		if err != nil || !ok {
-			t.Fatalf("task %d: no decision (ok=%v err=%v)", tk.ID, ok, err)
-		}
-		w := want.Decisions[i]
-		if got.Admitted != w.Admitted || got.Payment() != w.Payment() || got.Reason != w.Reason {
-			t.Fatalf("task %d: broker (admitted=%v payment=%v reason=%q) vs sim (admitted=%v payment=%v reason=%q)",
-				tk.ID, got.Admitted, got.Payment(), got.Reason, w.Admitted, w.Payment(), w.Reason)
-		}
-	}
-
-	res := b.Result()
-	if res.Welfare != want.Welfare || res.Revenue != want.Revenue ||
-		res.Admitted != want.Admitted || res.Rejected != want.Rejected ||
-		res.FailuresInjected != want.FailuresInjected ||
-		res.RecoveredTasks != want.RecoveredTasks ||
-		res.FailedTasks != want.FailedTasks ||
-		res.RefundedValue != want.RefundedValue {
-		t.Fatalf("accounting diverged:\nbroker %+v\nsim    %+v", res, want)
-	}
-	if !serve.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
-		t.Fatal("final duals diverge from sim.Run")
-	}
-	if !reflect.DeepEqual(serve.cl.Snapshot(), twin.cl.Snapshot()) {
-		t.Fatal("final ledgers diverge from sim.Run")
-	}
-}
-
-// TestCheckpointKillRestoreMidOutage kills the broker while an outage is
-// live (applied, with recovered continuations tracked and a second
-// outage still pending) and restores a fresh one: the completed run must
-// match an uninterrupted sim.Run with the same fault plan exactly.
-func TestCheckpointKillRestoreMidOutage(t *testing.T) {
-	const slots, nodes, killAt = 24, 3, 12
-	const rate = 6.0
-	failures := []sim.Failure{
-		{Node: 0, From: 8, To: 16},  // live at the kill
-		{Node: 2, From: 18, To: 22}, // still pending at the kill
-	}
-	path := filepath.Join(t.TempDir(), "outage.ckpt")
-
-	serve := newFaultStack(t, slots, nodes, rate, 37)
-	twin := newFaultStack(t, slots, nodes, rate, 37)
-
-	var early, late []task.Task
-	for _, tk := range serve.tasks {
-		if tk.Arrival < killAt {
-			early = append(early, tk)
-		} else {
-			late = append(late, tk)
-		}
-	}
-	if len(early) == 0 || len(late) == 0 {
-		t.Fatalf("degenerate split: %d early, %d late", len(early), len(late))
-	}
-
-	optsA := serve.brokerOptions()
-	optsA.CheckpointPath = path
-	a := startBroker(t, optsA, failures...)
-	earlyChans := submitAll(t, a, early, 4)
-	if _, err := a.Step(killAt); err != nil {
-		t.Fatal(err)
-	}
-	for i := range early {
-		if out := <-earlyChans[i]; out.Err != nil {
-			t.Fatalf("early task %d: %v", early[i].ID, out.Err)
-		}
-	}
-	a.Kill()
-
-	restored := newFaultStack(t, slots, nodes, rate, 37)
-	ck, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Failures == nil || ck.Failures.Next != 1 {
-		t.Fatalf("checkpoint should carry one applied outage, got %+v", ck.Failures)
-	}
-	optsB := restored.brokerOptions()
-	optsB.CheckpointPath = path
-	b := newBroker(t, optsB, failures...)
-	if err := b.Restore(ck); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	// The ledger restore must keep the outage mask: nothing may be
-	// committed on node 0 inside the live outage window after resume.
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	lateChans := submitAll(t, b, late, 4)
-	if _, err := b.Step(slots - killAt); err != nil {
-		t.Fatal(err)
-	}
-	for i := range late {
-		if out := <-lateChans[i]; out.Err != nil {
-			t.Fatalf("late task %d: %v", late[i].ID, out.Err)
-		}
-	}
-	if err := b.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := sim.Run(twin.cl, twin.sched, twin.tasks, sim.Config{
-		Model: twin.model, Market: twin.mkt, Failures: failures, CollectDecisions: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := b.Result()
-	if res.Welfare != want.Welfare || res.Revenue != want.Revenue ||
-		res.FailedTasks != want.FailedTasks || res.RecoveredTasks != want.RecoveredTasks ||
-		res.RefundedValue != want.RefundedValue {
-		t.Fatalf("resumed run diverged:\nbroker %+v\nsim    %+v", res, want)
-	}
-	if !restored.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
-		t.Fatal("final duals after mid-outage restore diverge from the uninterrupted replay")
-	}
-	if !reflect.DeepEqual(restored.cl.Snapshot(), twin.cl.Snapshot()) {
-		t.Fatal("final ledger after mid-outage restore diverges from the uninterrupted replay")
-	}
-	for i, tk := range serve.tasks {
-		got, ok, err := b.DecisionFor(tk.ID)
-		if err != nil || !ok {
-			t.Fatalf("task %d: decision lost across restore (ok=%v err=%v)", tk.ID, ok, err)
-		}
-		w := want.Decisions[i]
-		if got.Admitted != w.Admitted || got.Reason != w.Reason {
-			t.Fatalf("task %d: resumed (admitted=%v %q) vs replay (admitted=%v %q)",
-				tk.ID, got.Admitted, got.Reason, w.Admitted, w.Reason)
-		}
-	}
 }
 
 // TestDegradedHealth: repeated checkpoint-write failures flip /healthz

@@ -106,7 +106,7 @@ func TestResumeTable(t *testing.T) {
 		t.Helper()
 		opts := make([]Options, n)
 		for i := range opts {
-			opts[i] = newShardStack(t, slots, 2, 29+int64(i), tasks, false).brokerOptions()
+			opts[i] = newShardStack(t, slots, 2, 29+int64(i), tasks).brokerOptions()
 			opts[i].CheckpointPath, opts[i].CheckpointFullEvery = base, fullEvery
 			if journal {
 				opts[i].WALPath = WALPath(base)

@@ -159,18 +159,6 @@ type Options struct {
 	// every n-th intake message, accepting an OS-buffer-deep loss window
 	// in exchange for amortizing the sync.
 	WALSyncEvery int
-	// Spot, when non-nil, attaches an elastic spot-capacity tier
-	// (internal/spot.Provider): the provider's nodes become unavailable
-	// until leased, leases are rented and released against the published
-	// duals, and market reclaims revoke capacity with the failure
-	// tracker's re-plan/refund semantics (a refunded bid's decided outcome
-	// flips to ReasonFailedNode). It is the broker's only source of
-	// capacity loss: outages are not known in advance, so unlike
-	// sim.Config there is no scripted list of them. The broker's
-	// sim.Engine drives the provider, so a spot-enabled broker stays
-	// bit-identical to sim.Run with Config.Spot. The provider must be
-	// dedicated to this broker (its state binds to the cluster).
-	Spot sim.SpotProvider
 }
 
 // degradeAfter is the number of consecutive checkpoint-write failures
@@ -294,9 +282,11 @@ type Broker struct {
 	// model is the catalog code of Options.Model: the one model a bid may
 	// name here (a bid that names none fine-tunes it too).
 	model lora.Model
-	// eng is the round engine (sim.Engine): it owns the run accounting,
-	// the fault tracker, the spot provider and the observer stream, and is
-	// the only code that offers a bid to the scheduler.
+	// eng is the round engine (sim.Engine): it owns the run accounting and
+	// the observer stream, and is the only code that offers a bid to the
+	// scheduler. Its capacity is the cluster's, fixed for the run: a
+	// serving broker knows no outage or spot reclaim in advance, so it
+	// has neither.
 	eng *sim.Engine
 
 	intake chan *submission
@@ -332,13 +322,11 @@ type Broker struct {
 	// Checkpoint delta machinery: deltas holds what the next delta diffs
 	// against, sinceFull counts delta writes since the last full
 	// snapshot, and wroteFull records that this process has one on disk
-	// with an unbroken chain. The chain holds decisions[:saved], and flips
-	// names the bids below saved a refund flipped since it was written.
+	// with an unbroken chain. The chain holds decisions[:saved].
 	deltas    deltaWriter
 	sinceFull int
 	wroteFull bool
 	saved     int
-	flips     []int
 	// live is the round in flight — the slot's uncanceled bids in offer
 	// order — and liveBase the engine's offer index of live[0], so the
 	// engine's sink can find the submitter to answer; bids is the same
@@ -396,13 +384,12 @@ func New(opts Options) (*Broker, error) {
 		fsys:      osFS{},
 	}
 	eng, err := sim.NewEngine(opts.Cluster, opts.Scheduler, sim.EngineConfig{
-		Model: opts.Model, Market: opts.Market, Spot: opts.Spot,
+		Model: opts.Model, Market: opts.Market,
 		Observer: opts.Observer, RunLabel: opts.RunLabel,
 	}, b.decided)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	eng.OnRefund(b.refundDecision)
 	b.eng = eng
 	return b, nil
 }
@@ -716,16 +703,6 @@ type Status struct {
 	// durability guarantee is broken (checkpoint writes keep failing).
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	// Capacity-loss accounting (zero unless Options.Spot is set): plans a
-	// revocation broke that were re-planned, or refunded.
-	RecoveredTasks int     `json:"recovered_tasks,omitempty"`
-	FailedTasks    int     `json:"failed_tasks,omitempty"`
-	RefundedValue  float64 `json:"refunded_value,omitempty"`
-	// Spot-market accounting (zero unless Options.Spot is set).
-	SpotSpend       float64 `json:"spot_spend,omitempty"`
-	SpotLeases      int     `json:"spot_leases,omitempty"`
-	SpotLeasedSlots int     `json:"spot_leased_slots,omitempty"`
-	SpotRevocations int     `json:"spot_revocations,omitempty"`
 	// Write-ahead journal gauges (zero unless Options.WALPath is set):
 	// records appended over the run, records live in the journal file
 	// (its depth — one checkpoint interval of acked bids), bytes
@@ -819,13 +796,6 @@ func (b *Broker) status() Status {
 		st.Degraded = true
 		st.DegradedReason = h.Reason
 	}
-	st.RecoveredTasks = res.RecoveredTasks
-	st.FailedTasks = res.FailedTasks
-	st.RefundedValue = res.RefundedValue
-	st.SpotSpend = res.SpotSpend
-	st.SpotLeases = res.SpotLeases
-	st.SpotLeasedSlots = res.SpotLeasedSlots
-	st.SpotRevocations = res.SpotRevocations
 	if b.wal != nil {
 		st.WALRecords = b.wal.records
 		st.WALDepth = b.wal.depth

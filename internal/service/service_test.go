@@ -77,9 +77,9 @@ func (s *testStack) brokerOptions() Options {
 	}
 }
 
-func startBroker(t testing.TB, opts Options, outages ...sim.Failure) *Broker {
+func startBroker(t testing.TB, opts Options) *Broker {
 	t.Helper()
-	b := newBroker(t, opts, outages...)
+	b := newBroker(t, opts)
 	if err := b.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}

@@ -412,8 +412,8 @@ func (s *Shards) FleetStatus() (ShardsStatus, error) {
 }
 
 // Status aggregates the fleet into the Auctioneer's shape-blind Status:
-// counts, welfare, revenue, shed tallies, and failure/spot accounting
-// sum across shards; high-water marks and dual prices take the fleet
+// counts, welfare, revenue, shed tallies and journal gauges sum across
+// shards; high-water marks and dual prices take the fleet
 // maximum; clock fields come from shard 0 (all shards share a clock).
 // Degradation is sticky: the first degraded shard's reason surfaces.
 // Per-shard detail remains available from FleetStatus.
@@ -442,13 +442,6 @@ func (s *Shards) Status() (Status, error) {
 		agg.Canceled += bs.Canceled
 		agg.Welfare += bs.Welfare
 		agg.Revenue += bs.Revenue
-		agg.RecoveredTasks += bs.RecoveredTasks
-		agg.FailedTasks += bs.FailedTasks
-		agg.RefundedValue += bs.RefundedValue
-		agg.SpotSpend += bs.SpotSpend
-		agg.SpotLeases += bs.SpotLeases
-		agg.SpotLeasedSlots += bs.SpotLeasedSlots
-		agg.SpotRevocations += bs.SpotRevocations
 		agg.WALRecords += bs.WALRecords
 		agg.WALDepth += bs.WALDepth
 		agg.WALBytes += bs.WALBytes

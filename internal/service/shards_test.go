@@ -44,11 +44,9 @@ func bySlot(t testing.TB, tasks []task.Task, slots int) [][]task.Task {
 }
 
 // newShardStack wires one shard: its own cluster slice, marketplace, and
-// scheduler calibrated against the full workload; mask sets the
-// scheduler's MaskFullCells, which outage recovery needs to plan around a
-// downed node. Building it twice with the same arguments yields a
-// deterministic twin.
-func newShardStack(t testing.TB, slots, nodes int, seed int64, tasks []task.Task, mask bool) *testStack {
+// scheduler calibrated against the full workload. Building it twice with
+// the same arguments yields a deterministic twin.
+func newShardStack(t testing.TB, slots, nodes int, seed int64, tasks []task.Task) *testStack {
 	t.Helper()
 	h := timeslot.NewHorizon(slots)
 	model := lora.GPT2Small()
@@ -61,9 +59,7 @@ func newShardStack(t testing.TB, slots, nodes int, seed int64, tasks []task.Task
 	if err != nil {
 		t.Fatalf("marketplace: %v", err)
 	}
-	opts := core.CalibrateDuals(tasks, model, cl, mkt)
-	opts.MaskFullCells = mask
-	sched, err := core.New(cl, opts)
+	sched, err := core.New(cl, core.CalibrateDuals(tasks, model, cl, mkt))
 	if err != nil {
 		t.Fatalf("scheduler: %v", err)
 	}
@@ -120,7 +116,7 @@ func TestShardCountInvariance(t *testing.T) {
 	const slots, nodes = 24, 4
 	tasks := shardWorkload(t, slots, 3, 11)
 
-	mono := newShardStack(t, slots, nodes, 11, tasks, false)
+	mono := newShardStack(t, slots, nodes, 11, tasks)
 	b := startBroker(t, mono.brokerOptions())
 	perSlot := bySlot(t, tasks, slots)
 	for slot := 0; slot < slots; slot++ {
@@ -143,7 +139,7 @@ func TestShardCountInvariance(t *testing.T) {
 		t.Fatalf("mono Drain: %v", err)
 	}
 
-	routed := newShardStack(t, slots, nodes, 11, tasks, false)
+	routed := newShardStack(t, slots, nodes, 11, tasks)
 	s, err := newShards("", []Options{routed.brokerOptions()})
 	if err != nil {
 		t.Fatalf("newShards: %v", err)
@@ -195,7 +191,7 @@ func TestShardsMatchSimRunTwins(t *testing.T) {
 	mk := func() []*testStack {
 		out := make([]*testStack, shards)
 		for i := range out {
-			out[i] = newShardStack(t, slots, nodesPerShard, 17+int64(i), tasks, false)
+			out[i] = newShardStack(t, slots, nodesPerShard, 17+int64(i), tasks)
 		}
 		return out
 	}
@@ -280,7 +276,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 	mkFleet := func(ckpt bool) Auctioneer {
 		opts := make([]Options, shards)
 		for i := range opts {
-			opts[i] = newShardStack(t, slots, 2, 23+int64(i), tasks, false).brokerOptions()
+			opts[i] = newShardStack(t, slots, 2, 23+int64(i), tasks).brokerOptions()
 			if ckpt {
 				opts[i].CheckpointPath = base
 				opts[i].CheckpointFullEvery = 4
@@ -389,7 +385,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 func TestShardRoutingRefusals(t *testing.T) {
 	const slots = 8
 	tasks := shardWorkload(t, slots, 2, 31)
-	st := newShardStack(t, slots, 2, 31, tasks, false)
+	st := newShardStack(t, slots, 2, 31, tasks)
 	// A shard serving a model outside the catalog has no code to be
 	// routed to: the fleet refuses to form.
 	uncatalogued := st.brokerOptions()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -28,9 +27,7 @@ import (
 //
 //   - NewEngine binds the spot provider to the cluster and tracker (a
 //     spot run always carries a live, possibly outage-free tracker:
-//     revocations reuse its plan-breaking machinery). It happens here, not
-//     in Start, because a checkpoint Restore precedes Start and needs the
-//     provider bound.
+//     revocations reuse its plan-breaking machinery).
 //   - Round does nothing for an empty slot. Capacity changes surface
 //     lazily, when an arrival forces the clock forward: on a bid-bearing
 //     slot Spot.AdvanceTo runs first, then FailureTracker.ApplyUpTo, so a
@@ -135,36 +132,10 @@ func (e *Engine) Result() *Result { return e.res }
 // Offered is the number of bids decided so far — the next offer index.
 func (e *Engine) Offered() int { return e.next }
 
-// OnRefund registers f to receive the original task ID of every task a
-// capacity loss refunds (see FailureTracker.OnRefund).
-func (e *Engine) OnRefund(f func(origID int)) {
-	if e.faults != nil {
-		e.faults.OnRefund = f
-	}
-}
-
-// FaultState snapshots the tracker for a checkpoint; nil without one.
-func (e *Engine) FaultState() *FailureTrackerState {
-	if e.faults == nil {
-		return nil
-	}
-	st := e.faults.State()
-	return &st
-}
-
-// SpotState snapshots the spot provider for a checkpoint; nil without one.
-func (e *Engine) SpotState() *SpotState {
-	if e.cfg.Spot == nil {
-		return nil
-	}
-	st := e.cfg.Spot.State()
-	return &st
-}
-
 // Restore resumes a checkpointed run before Start: the accounting (nil
-// keeps the fresh one), the offer index, and the tracker and spot state.
-// State the engine has no tracker or provider to hold is an error.
-func (e *Engine) Restore(res *Result, offered int, faults *FailureTrackerState, spot *SpotState) error {
+// keeps the fresh one) and the offer index. Only a served broker restores,
+// and its engine has no tracker or spot provider to resume.
+func (e *Engine) Restore(res *Result, offered int) {
 	if res != nil {
 		e.res = res
 		if e.res.RejectReasons == nil {
@@ -172,16 +143,6 @@ func (e *Engine) Restore(res *Result, offered int, faults *FailureTrackerState, 
 		}
 	}
 	e.next = offered
-	if err := e.faults.RestoreState(faults, e.cfg.Model); err != nil {
-		return err
-	}
-	if e.cfg.Spot != nil {
-		return e.cfg.Spot.RestoreState(spot)
-	}
-	if spot != nil && (spot.Next > 0 || len(spot.Leases) > 0) {
-		return fmt.Errorf("sim: checkpoint carries spot state but no spot provider is configured")
-	}
-	return nil
 }
 
 // Start attaches the stamped observer — to an observable scheduler and

@@ -72,21 +72,12 @@ func (s scriptBatcher) BatchOffer(envs []*schedule.TaskEnv) []schedule.Decision 
 	return ds
 }
 
-// recordingSpot logs AdvanceTo; its state is the last slot it advanced to.
-type recordingSpot struct {
-	log  *callLog
-	next int
-}
+// recordingSpot logs AdvanceTo.
+type recordingSpot struct{ log *callLog }
 
 func (r *recordingSpot) Bind(*cluster.Cluster, *FailureTracker) error { return nil }
 func (r *recordingSpot) AdvanceTo(now int, _ Scheduler, _ *Result) {
 	r.log.add("advance %d", now)
-	r.next = now + 1
-}
-func (r *recordingSpot) State() SpotState { return SpotState{Next: r.next} }
-func (r *recordingSpot) RestoreState(st *SpotState) error {
-	r.next = st.Next
-	return nil
 }
 
 // recordingObserver logs the engine's own events; ApplyUpTo shows up as
@@ -122,7 +113,7 @@ func TestEngineCallDiscipline(t *testing.T) {
 
 	head := []string{"run_start", "advance 2", "apply node0"}
 	tail := []string{
-		"advance 7", "reoffer", "refund 2", "apply node1", "run_end",
+		"advance 7", "reoffer", "apply node1", "run_end",
 	}
 	slot5 := []string{"advance 5", "bid 3", "offer 3", "outcome 3 surplus", "sink 3=3"}
 	for _, tc := range []struct {
@@ -162,7 +153,6 @@ func TestEngineCallDiscipline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.OnRefund(func(id int) { log.add("refund %d", id) })
 			eng.Start()
 			ctx := context.Background()
 			rounds := map[int][]*task.Task{1: nil, 2: {&tasks[0], &tasks[1], &tasks[2]}, 5: {&tasks[3]}}
@@ -186,18 +176,17 @@ func TestEngineCallDiscipline(t *testing.T) {
 				t.Fatalf("accounting: %+v, offered %d", res, eng.Offered())
 			}
 
-			// A restored engine continues the offer index stream.
+			// A restored engine — a served broker's, with no outages or
+			// spot tier — continues the offer index stream.
 			log = nil
 			cl2 := simCluster(t, 2, timeslot.NewHorizon(T))
 			script.cl = cl2
-			cfg.Spot = &recordingSpot{log: &log}
+			cfg.Failures, cfg.Spot = nil, nil
 			eng2, err := NewEngine(cl2, sched, cfg, sink)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng2.Restore(res, eng.Offered(), eng.FaultState(), eng.SpotState()); err != nil {
-				t.Fatal(err)
-			}
+			eng2.Restore(res, eng.Offered())
 			next := task.Task{ID: 9, Arrival: 7, Deadline: 7, Work: 1, MemGB: 1, Batch: 8, Bid: 5}
 			if err := eng2.Round(ctx, 7, []*task.Task{&next}); err != nil {
 				t.Fatal(err)
@@ -205,8 +194,8 @@ func TestEngineCallDiscipline(t *testing.T) {
 			if got := log[len(log)-1]; got != "sink 4=9" {
 				t.Fatalf("first sink call after restore: %q, want offer index 4", got)
 			}
-			if eng2.Result() != res || eng2.SpotState().Next != 8 {
-				t.Fatalf("restore did not adopt the result / spot state (next %d)", eng2.SpotState().Next)
+			if eng2.Result() != res {
+				t.Fatal("restore did not adopt the result")
 			}
 		})
 	}

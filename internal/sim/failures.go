@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/pdftsp/pdftsp/internal/cluster"
-	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/obs"
 	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/task"
@@ -29,9 +28,8 @@ type Failure struct {
 // admitted plans are tracked, outages surface lazily at the beginning of
 // their From slot, broken plans release their future placements and are
 // re-planned through the same Algorithm-2 scheduler, and unrecoverable
-// tasks are refunded. The Engine owns the run's tracker, so a broker
-// given a fault plan and sim.Run with the same Config.Failures run the
-// same code.
+// tasks are refunded. The Engine owns the run's tracker; only a replay
+// has one, since a served broker's capacity is fixed.
 //
 // A nil *FailureTracker is valid and inert: every method is a no-op, so
 // the failure-free hot path pays only a nil check.
@@ -44,12 +42,6 @@ type FailureTracker struct {
 	// contID allocates fresh IDs for continuation bids so vendor quotes
 	// and dual bookkeeping never collide with real tasks.
 	contID int
-
-	// OnRefund, when set, is called with the ORIGINAL task ID of every
-	// refunded task (a recovered task's continuation keeps its original
-	// identity here). The broker uses it (Engine.OnRefund) to flip its
-	// decided-outcome map as apply flips Result.Decisions.
-	OnRefund func(origID int)
 	// Obs, when non-nil, receives one FailureEvent per applied outage.
 	Obs obs.Observer
 }
@@ -239,9 +231,6 @@ func (fs *FailureTracker) breakPlans(f Failure, sched Scheduler, res *Result) {
 			res.Decisions[rec.index].Admitted = false
 			res.Decisions[rec.index].Reason = schedule.ReasonFailedNode
 		}
-		if fs.OnRefund != nil {
-			fs.OnRefund(rec.origID)
-		}
 		delete(fs.records, rec.origID)
 	}
 	if fs.Obs != nil {
@@ -261,86 +250,4 @@ func (fs *FailureTracker) hit(rec *commitRecord, f Failure) bool {
 		}
 	}
 	return false
-}
-
-// FailureTrackerState is the JSON persistence form of a FailureTracker:
-// how far the outage schedule has been applied, the continuation-ID
-// cursor, and every live committed plan. The broker embeds it in its
-// checkpoint so a restore resumes recovery bit-identically; the fault
-// plan itself is configuration and is not persisted.
-type FailureTrackerState struct {
-	Next    int             `json:"next"`
-	ContID  int             `json:"cont_id"`
-	Records []FailureRecord `json:"records,omitempty"`
-}
-
-// FailureRecord is one tracked commitment on the checkpoint wire.
-type FailureRecord struct {
-	OrigID  int                  `json:"orig_id"`
-	Task    task.Task            `json:"task"`
-	Plan    []schedule.Placement `json:"plan,omitempty"`
-	Payment float64              `json:"payment"`
-	Index   int                  `json:"index"`
-}
-
-// State snapshots the tracker for a checkpoint; records are ordered by
-// offer index so the snapshot is deterministic.
-func (fs *FailureTracker) State() FailureTrackerState {
-	if fs == nil {
-		return FailureTrackerState{}
-	}
-	st := FailureTrackerState{Next: fs.next, ContID: fs.contID}
-	for _, rec := range fs.records {
-		st.Records = append(st.Records, FailureRecord{
-			OrigID:  rec.origID,
-			Task:    rec.task,
-			Plan:    append([]schedule.Placement(nil), rec.plan...),
-			Payment: rec.payment,
-			Index:   rec.index,
-		})
-	}
-	sort.Slice(st.Records, func(i, j int) bool { return st.Records[i].Index < st.Records[j].Index })
-	return st
-}
-
-// RestoreState rebuilds the tracker from a checkpoint snapshot. The
-// per-record environments are re-derived from the cluster and model
-// (node speeds are a pure function of both), matching what Track saw
-// when the plan was admitted; recovery never reads quotes, so no
-// marketplace is needed. A nil st resets the tracker to its initial
-// state.
-func (fs *FailureTracker) RestoreState(st *FailureTrackerState, model lora.ModelConfig) error {
-	if fs == nil {
-		if st == nil || (st.Next == 0 && len(st.Records) == 0) {
-			return nil
-		}
-		return fmt.Errorf("sim: checkpoint carries failure state but no failures are configured")
-	}
-	fs.records = map[int]*commitRecord{}
-	if st == nil {
-		fs.next = 0
-		fs.contID = 1 << 30
-		return nil
-	}
-	if st.Next < 0 || st.Next > len(fs.pending) {
-		return fmt.Errorf("sim: failure state applied %d of %d outages", st.Next, len(fs.pending))
-	}
-	fs.next = st.Next
-	fs.contID = st.ContID
-	if fs.contID < 1<<30 {
-		fs.contID = 1 << 30
-	}
-	for i := range st.Records {
-		rec := &st.Records[i]
-		t := rec.Task
-		fs.records[rec.OrigID] = &commitRecord{
-			origID:  rec.OrigID,
-			task:    t,
-			env:     schedule.NewTaskEnv(&t, fs.cl, model, nil),
-			plan:    append([]schedule.Placement(nil), rec.Plan...),
-			payment: rec.Payment,
-			index:   rec.Index,
-		}
-	}
-	return nil
 }

@@ -1,15 +1,12 @@
 package sim
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/baseline"
 	"github.com/pdftsp/pdftsp/internal/core"
-	"github.com/pdftsp/pdftsp/internal/lora"
 	"github.com/pdftsp/pdftsp/internal/schedule"
-	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
 	"github.com/pdftsp/pdftsp/internal/trace"
 	"github.com/pdftsp/pdftsp/internal/vendor"
@@ -269,22 +266,5 @@ func TestFailureTrackerEnvsKeepTheirQuotes(t *testing.T) {
 		if want := mkt.QuotesFor(env.Task.ID); !reflect.DeepEqual(rec.quotes[i], want) {
 			t.Fatalf("offer %d (task %d): offered quotes %+v, want %+v", i, env.Task.ID, rec.quotes[i], want)
 		}
-	}
-}
-
-// TestFailureRecordReadsOldTasks: a tracked task written into a
-// checkpoint while Task still had a dataset size, epochs and rank reads
-// back: the snapshot and sidecar decode it without DisallowUnknownFields,
-// so the three keys are skipped and every kept field lands.
-func TestFailureRecordReadsOldTasks(t *testing.T) {
-	old := `{"orig_id":4,"task":{"ID":4,"MemGB":2,"Bid":50,"ModelName":"gpt2-small","Arrival":1,"Deadline":7,` +
-		`"DatasetSamples":9000,"Work":27,"Epochs":3,"Rank":8,"Batch":16,"NeedsPrep":true},"payment":12.5,"index":2}`
-	var rec FailureRecord
-	if err := json.Unmarshal([]byte(old), &rec); err != nil {
-		t.Fatal(err)
-	}
-	want := task.Task{ID: 4, MemGB: 2, Bid: 50, Arrival: 1, Deadline: 7, Work: 27, Batch: 16, NeedsPrep: true, ModelName: lora.ModelGPT2Small}
-	if rec.Task != want || rec.OrigID != 4 || rec.Payment != 12.5 || rec.Index != 2 {
-		t.Fatalf("read back %+v, want task %+v", rec, want)
 	}
 }

@@ -55,15 +55,14 @@ type Config struct {
 	// the committed plans it breaks. pdFTSP recovers best with
 	// Options.MaskFullCells set, so its DP routes around downed nodes.
 	// The schedule is known in advance, so only a replay takes one
-	// (examples/failures, the tests' broker twins); a serving broker
-	// loses capacity through Spot's revocations, which reach the same
-	// recovery path.
+	// (examples/failures); a serving broker's capacity is fixed.
 	Failures []Failure
 	// Spot, when non-nil, drives the elastic spot-capacity tier: the
 	// provider is bound to the run's cluster and failure tracker before
 	// the first bid and advanced at exactly the failure trigger points,
 	// renting and revoking leases on the cluster's elastic nodes. See
-	// SpotProvider and internal/spot.
+	// SpotProvider and internal/spot. A replay's input, like Failures: the
+	// trace is the whole horizon's market, known in advance.
 	Spot SpotProvider
 	// Observer, when non-nil, receives the run's full decision-path
 	// event stream: RunStart/Bid/Outcome/RunEnd from the engine plus

@@ -20,7 +20,6 @@ type spotRun struct {
 	res   *sim.Result
 	duals core.DualState
 	snap  cluster.Snapshot
-	state sim.SpotState
 }
 
 // runSpotSim wires a 3-node fleet whose last node is spot capacity and
@@ -76,12 +75,11 @@ func runSpotSim(t *testing.T, spotSeed int64, reclaimProb float64) spotRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return spotRun{res: res, duals: sched.SnapshotDuals(), snap: cl.Snapshot(), state: prov.State()}
+	return spotRun{res: res, duals: sched.SnapshotDuals(), snap: cl.Snapshot()}
 }
 
 // TestSpotRunDeterministic: same workload seed + same spot trace seed ⇒
-// bit-identical results — accounting, decisions, duals, ledger, and the
-// provider's own cursor/lease state.
+// bit-identical results — accounting, decisions, duals and ledger.
 func TestSpotRunDeterministic(t *testing.T) {
 	first := runSpotSim(t, 11, 0.15)
 	if first.res.SpotLeases == 0 || first.res.SpotLeasedSlots == 0 {
@@ -119,9 +117,6 @@ func TestSpotRunDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(again.snap, first.snap) {
 			t.Fatalf("run %d: cluster ledger diverged", run)
 		}
-		if !reflect.DeepEqual(again.state, first.state) {
-			t.Fatalf("run %d: provider state diverged", run)
-		}
 	}
 }
 
@@ -130,7 +125,7 @@ func TestSpotRunDeterministic(t *testing.T) {
 func TestSpotSeedMatters(t *testing.T) {
 	a := runSpotSim(t, 11, 0.15)
 	b := runSpotSim(t, 12, 0.15)
-	if a.res.SpotSpend == b.res.SpotSpend && reflect.DeepEqual(a.state, b.state) {
+	if a.res.SpotSpend == b.res.SpotSpend {
 		t.Fatal("two market seeds produced identical spot behaviour")
 	}
 }

@@ -323,44 +323,3 @@ func (p *Provider) keysInOrder() []int {
 	sort.Ints(out)
 	return out
 }
-
-// Spent returns the cumulative rent paid.
-func (p *Provider) Spent() float64 { return p.spent }
-
-// State snapshots the provider for a checkpoint (sim.SpotProvider).
-func (p *Provider) State() sim.SpotState {
-	st := sim.SpotState{Next: p.next, Spent: p.spent}
-	for _, l := range p.leases {
-		st.Leases = append(st.Leases, sim.SpotLease{Node: l.node, From: l.from, To: l.to, Rate: l.rate})
-	}
-	sort.Slice(st.Leases, func(i, j int) bool {
-		if st.Leases[i].Node != st.Leases[j].Node {
-			return st.Leases[i].Node < st.Leases[j].Node
-		}
-		return st.Leases[i].From < st.Leases[j].From
-	})
-	return st
-}
-
-// RestoreState rebuilds the provider from a checkpoint (the cluster's
-// lease map is restored separately via its ledger snapshot).
-func (p *Provider) RestoreState(st *sim.SpotState) error {
-	if st == nil {
-		p.next, p.spent = 0, 0
-		p.leases = nil
-		p.onLease = map[int]int{}
-		return nil
-	}
-	if st.Next < 0 || st.Next > len(p.opts.Trace.Prices) {
-		return fmt.Errorf("spot: state consumed %d of %d trace slots", st.Next, len(p.opts.Trace.Prices))
-	}
-	p.next = st.Next
-	p.spent = st.Spent
-	p.leases = p.leases[:0]
-	p.onLease = map[int]int{}
-	for _, l := range st.Leases {
-		p.leases = append(p.leases, lease{node: l.Node, from: l.From, to: l.To, rate: l.Rate})
-		p.onLease[l.Node] = len(p.leases) - 1
-	}
-	return nil
-}

@@ -185,8 +185,8 @@ func TestProviderRentsAndCharges(t *testing.T) {
 	if res.SpotSpend != 2 || res.Welfare != -2 || res.SpotLeasedSlots != 4 {
 		t.Fatalf("after slot 3: slots=%d spend=%v welfare=%v", res.SpotLeasedSlots, res.SpotSpend, res.Welfare)
 	}
-	if p.Spent() != res.SpotSpend {
-		t.Fatalf("provider spent %v, result says %v", p.Spent(), res.SpotSpend)
+	if p.spent != res.SpotSpend {
+		t.Fatalf("provider spent %v, result says %v", p.spent, res.SpotSpend)
 	}
 }
 
@@ -276,37 +276,5 @@ func TestProviderPredictiveAvoidsReclaim(t *testing.T) {
 	}
 	if res := run(true); res.SpotRevocations != 0 {
 		t.Fatalf("predictive provider ate %d revocations it knew about", res.SpotRevocations)
-	}
-}
-
-// TestProviderStateRoundTrip: State → RestoreState on a fresh provider
-// reproduces the original, including live leases.
-func TestProviderStateRoundTrip(t *testing.T) {
-	cl := spotCluster(t, 3, 16)
-	opts := Options{Trace: flatTrace(16, 0.5, nil), Nodes: []int{1, 2}, Budget: 100, LeaseLen: 5}
-	p, _ := boundProvider(t, cl, opts)
-	res := sim.NewResult("spot-test")
-	p.AdvanceTo(6, stubSched{lambda: 10}, res)
-	st := p.State()
-	if len(st.Leases) == 0 || st.Next != 7 || st.Spent == 0 {
-		t.Fatalf("state did not capture live progress: %+v", st)
-	}
-
-	cl2 := spotCluster(t, 3, 16)
-	q, _ := boundProvider(t, cl2, opts)
-	if err := q.RestoreState(&st); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.State(); !reflect.DeepEqual(got, st) {
-		t.Fatalf("round trip diverged:\nsaved    %+v\nrestored %+v", st, got)
-	}
-	if err := q.RestoreState(&sim.SpotState{Next: 99}); err == nil {
-		t.Fatal("cursor past the trace accepted")
-	}
-	if err := q.RestoreState(nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.State(); got.Next != 0 || got.Spent != 0 || len(got.Leases) != 0 {
-		t.Fatalf("nil restore should zero the provider, got %+v", got)
 	}
 }
