@@ -175,14 +175,22 @@ codec-guard:
 	@if grep -nE '"(encoding/binary|hash/crc32)"' $$(find internal/obs -name '*.go' ! -name '*_test.go'); then \
 		echo "codec-guard: the decision log writes decision records in decision's frame; internal/obs encodes no bytes of its own"; exit 1; fi
 
-# api-guard is the mechanical form of "production code has a caller": every
-# exported name a non-test file of the root package, internal/ or cmd/
-# declares must be named by some non-test file — the module's own,
-# examples/ or benchmark/. Code that only tests drive is deleted, not kept
-# for its tests; what stays anyway (the root package's public API, the
-# shared fault-plan fixture) is allowlisted in apiguard_test.go, one
-# reason an entry. The check is a stdlib go/ast scan (TestAPIGuard), so
-# it also runs under `make test`.
+# api-guard is the mechanical form of "production code has a caller". Its
+# roots are every main (cmd/, examples/, the benchmark/ module), every init
+# and package-level initializer, and the root package's exported API with
+# every method of every type it aliases or returns. In a non-test file of
+# the root package, internal/ or cmd/, every function, exported or not,
+# must be reached from a root by a call or a reference (a call through an
+# interface reaches every method of its name; a method that completes a
+# standard-library interface is reached), and every struct field non-test
+# code writes must be read somewhere (a struct tag, ==, a map key or an
+# interface argument reads the whole value), and every package-level type,
+# variable and constant must be used. Code that only tests drive is
+# deleted, not kept for its tests; what stays anyway (the shared fault-plan
+# fixture) is allowlisted in apiguard_test.go, one reason an entry. The
+# check type-checks the tree from source with stdlib go/types
+# (TestAPIGuard, ~5 s), so it also runs under `make test`;
+# TestAPIGuardPlanted holds it to testdata/apiguard's planted cases.
 api-guard:
 	$(GO) test -run '^TestAPIGuard$$' -count=1 .
 
@@ -284,8 +292,8 @@ fuzz-fleet:
 fuzz-dp:
 	$(GO) test -run '^$$' -fuzz FuzzFindSchedule -fuzztime $(FUZZTIME) ./internal/core/
 
-# load-smoke and shard-load-smoke drive cmd/pdftspd-load, which no test
-# covers, and are gated.
+# load-smoke and shard-load-smoke drive cmd/pdftspd-load end to end, a
+# path no test covers, and are gated.
 #
 # load-smoke replays a short fixed-seed workload through the trace-driven
 # load generator over loopback HTTP — batched intake, binary incremental

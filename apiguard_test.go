@@ -2,286 +2,752 @@ package pdftsp
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestAPIGuard is `make api-guard`: every exported name declared in a
-// non-test file of the root package, internal/ or cmd/ must be named by
-// some non-test file — the module's own, examples/ or the benchmark/
-// module. Production code that only tests drive is deleted, not kept for
-// its tests; apiAllowed lists what stays anyway, each with its reason.
+// TestAPIGuard is `make api-guard`: production code is what a root
+// reaches, and code that only tests drive is deleted, not kept for its
+// tests. The roots are every main (cmd/, examples/ and the benchmark/
+// module), every init and package-level initializer, and the root
+// package's exported API with every method of every type it aliases or
+// returns. In a non-test file of the root package, internal/ or cmd/:
 //
-// A package-level name counts as named when another package selects it
-// through its import (pkg.Name) or a file of its own package uses it
-// bare. A method counts when any selector names it, when an interface
-// declares it, or when the standard library calls it through one of its
-// interfaces (stdlibMethods). Matching methods by name alone under-counts:
-// a shared method name hides a dead one.
+//   - a function or method, exported or not, must be reached from a root
+//     by a call or by a reference to it as a value. A call through an
+//     interface reaches every method of that name; a call on a concrete
+//     type reaches only that method; a method that completes a standard
+//     library interface is reached, since the standard library calls it.
+//   - a struct field that non-test code writes must be read somewhere. A
+//     test's read counts: the field is then an output a test checks,
+//     written by code that production runs. A struct tag counts as a
+//     read, and so does using the whole value with ==, as a map key or as
+//     an interface value (fmt, encoding/json, reflect).
+//   - a package-level type, variable or constant must be used by some
+//     non-test file, unless the root package exports it.
+//
+// apiAllowed lists what stays anyway, each with its reason. The check
+// type-checks every package from source with go/types (about 5 s), so it
+// also runs under `make test`.
 func TestAPIGuard(t *testing.T) {
-	decls, used, methods := scanAPI(t, ".")
-	var unnamed []string
-	for _, d := range decls {
-		if d.method != "" {
-			if methods[d.method] {
-				continue
-			}
-		} else if used[d.key] {
-			continue
-		}
-		if _, ok := apiAllowed[d.key]; !ok {
-			unnamed = append(unnamed, d.pos+": "+d.key)
-		}
-	}
-	declared := map[string]bool{}
-	for _, d := range decls {
-		declared[d.key] = true
-	}
-	for key := range apiAllowed {
-		if !declared[key] {
-			unnamed = append(unnamed, "allowlisted but not declared: "+key)
-		}
-	}
-	sort.Strings(unnamed)
-	for _, u := range unnamed {
-		t.Errorf("api-guard: %s is named by no non-test file; give it a caller, delete it, or allowlist it with a reason", u)
-	}
-	t.Logf("api-guard: %d exported names, %d allowlisted", len(decls), len(apiAllowed))
-}
-
-// apiAllowed holds the exported names that no non-test file names, keyed
-// as the scan prints them (module-relative directory, then the name;
-// Type.Method for a method), each with the reason it stays.
-var apiAllowed = map[string]string{
-	"internal/core.Scheduler.Options":        "the calibrated α/β a built stack runs with; internal/config's recipe digests read them back",
-	"internal/faults.Generate":               allowFixture,
-	"internal/faults.Plan.CheckpointFaultAt": allowFixture,
-	"internal/service.Broker.SubmitAsync":    "the asynchronous intake of pdftsp.Broker, the root package's broker; ExampleNewBroker shows it",
-	"pdftsp.BrokerStatus":                    allowFacade,
-	"pdftsp.Decision":                        allowFacade,
-	"pdftsp.DefaultTitanBudget":              allowFacade,
-	"pdftsp.DiurnalPrice":                    allowFacade,
-	"pdftsp.DualState":                       allowFacade,
-	"pdftsp.Failure":                         allowFacade,
-	"pdftsp.FlatPrice":                       allowFacade,
-	"pdftsp.GPT2Medium":                      allowFacade,
-	"pdftsp.LoadCheckpoint":                  allowFacade,
-	"pdftsp.Model":                           allowFacade,
-	"pdftsp.ModelGPT2Medium":                 allowFacade,
-	"pdftsp.ModelGPT2Small":                  allowFacade,
-	"pdftsp.NewBroker":                       allowFacade,
-	"pdftsp.Observer":                        allowFacade,
-	"pdftsp.Outcome":                         allowFacade,
-	"pdftsp.Placement":                       allowFacade,
-	"pdftsp.ReadCheckpoint":                  allowFacade,
-	"pdftsp.ReasonCapacity":                  allowFacade,
-	"pdftsp.ReasonFailedNode":                allowFacade,
-	"pdftsp.ReasonNoSchedule":                allowFacade,
-	"pdftsp.ReasonSurplus":                   allowFacade,
-	"pdftsp.RejectReason":                    allowFacade,
-	"pdftsp.RunCtx":                          allowFacade,
-	"pdftsp.Schedule":                        allowFacade,
-	"pdftsp.Terms":                           allowFacade,
-	"pdftsp.TraceModelShare":                 allowFacade,
-	"pdftsp.V100":                            allowFacade,
-	"pdftsp.VendorQuote":                     allowFacade,
-	"pdftsp.Window":                          allowFacade,
-	"pdftsp.WithPrice":                       allowFacade,
-}
-
-// The reasons several apiAllowed entries share.
-const (
-	allowFacade  = "the root package's public API, for importers outside this module"
-	allowFixture = "the fault-plan fixture sim's and service's tests share: a _test.go file is not importable across packages"
-)
-
-// stdlibMethods are the method names fmt and encoding/json call through
-// their own interfaces (fmt.Stringer, error, encoding.TextMarshaler,
-// json.Marshaler), so a method by one of these names needs no caller in
-// this module.
-var stdlibMethods = map[string]bool{
-	"String": true, "Error": true,
-	"MarshalText": true, "UnmarshalText": true, "MarshalJSON": true, "UnmarshalJSON": true,
-}
-
-// apiDecl is one exported name a checked package declares.
-type apiDecl struct {
-	key    string // dir.Name or dir.Type.Method
-	method string // the method's name; "" for a package-level name
-	pos    string
-}
-
-// scanAPI parses every Go file under root. It returns the exported names
-// the checked directories declare in non-test files, the dir.Name keys
-// non-test files use, and the method names they name.
-func scanAPI(t *testing.T, root string) ([]apiDecl, map[string]bool, map[string]bool) {
-	const module = "github.com/pdftsp/pdftsp"
-	fset := token.NewFileSet()
-	var decls []apiDecl
-	used, methods := map[string]bool{}, map[string]bool{}
-	for m := range stdlibMethods {
-		methods[m] = true
-	}
-	err := filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := e.Name()
-		if e.IsDir() {
-			if p != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		checked := dir == "." || strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
-		if dir == "." {
-			dir = "pdftsp"
-		}
-		if checked {
-			decls = append(decls, exportedDecls(fset, f, dir)...)
-		}
-		// Import name → the module-relative directory it selects from.
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			ip, _ := strconv.Unquote(im.Path.Value)
-			rel, ok := strings.CutPrefix(ip, module)
-			if !ok {
-				continue
-			}
-			rel = strings.TrimPrefix(rel, "/")
-			if rel == "" {
-				rel = "pdftsp"
-			}
-			local := path.Base(ip)
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = rel
-		}
-		collectUses(f, dir, imports, used, methods)
-		return nil
-	})
+	r, err := guardReach(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls, used, methods
-}
-
-// exportedDecls lists f's exported top-level names and methods.
-func exportedDecls(fset *token.FileSet, f *ast.File, dir string) []apiDecl {
-	var out []apiDecl
-	add := func(id *ast.Ident, key, method string) {
-		if id.IsExported() {
-			out = append(out, apiDecl{key: key, method: method, pos: fset.Position(id.Pos()).String()})
+	found := map[string]bool{}
+	for _, f := range r.findings {
+		found[f.key] = true
+		if _, ok := apiAllowed[f.key]; !ok {
+			t.Errorf("api-guard: %s: %s %s; give it a caller, delete it, or allowlist it with a reason", f.pos, f.key, f.what)
 		}
 	}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				add(d.Name, dir+"."+d.Name.Name, "")
+	for key := range apiAllowed {
+		if !found[key] {
+			t.Errorf("api-guard: %s is allowlisted but the guard does not flag it", key)
+		}
+	}
+	t.Logf("api-guard: %d of %d functions reached, %d fields checked, %d allowlisted; "+
+		"%d functions (%d lines) outside the root package are reached only through its API: %s",
+		r.reached, r.funcs, r.fields, len(apiAllowed), len(r.facade), r.facadeLines, strings.Join(r.facade, ", "))
+}
+
+// TestAPIGuardPlanted runs the guard on testdata/apiguard, a small module
+// that plants what the guard must refuse next to live code of the same
+// shape: an unexported function only a test reaches, a dead method named
+// like a live one called on a concrete type, a field written and never
+// read, and an unused constant.
+func TestAPIGuardPlanted(t *testing.T) {
+	r, err := guardReach(filepath.Join("testdata", "apiguard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range r.findings {
+		got = append(got, f.key+" "+f.what)
+	}
+	want := []string{
+		"internal/lib.Counter.hits is written but never read",
+		"internal/lib.Dead.Run is reached from no root",
+		"internal/lib.limit is used by no non-test file",
+		"internal/lib.onlyTested is reached from no root",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("planted findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// apiAllowed holds what the guard flags but stays, keyed as the guard
+// prints it (module-relative directory, then Func, Type.Method or
+// Type.field), each with the reason it stays.
+var apiAllowed = map[string]string{
+	"internal/faults.Generate":               allowFixture,
+	"internal/faults.Plan.CheckpointFaultAt": allowFixture,
+}
+
+// allowFixture is the reason the fault-plan fixture stays.
+const allowFixture = "the fault-plan fixture sim's and service's tests share: a _test.go file is not importable across packages"
+
+// guardFinding is one function no root reaches, one field nobody reads or
+// one package-level name nobody uses.
+type guardFinding struct {
+	key, what, pos string
+}
+
+// guardResult is the guard's verdict on one source tree.
+type guardResult struct {
+	findings               []guardFinding // sorted by key
+	funcs, reached, fields int
+	// The functions outside the root package that only its API reaches,
+	// and their lines.
+	facade      []string
+	facadeLines int
+}
+
+// guardPkg is one package of the tree.
+type guardPkg struct {
+	path    string // import path
+	dir     string // module-relative directory; the module's base name for its root
+	checked bool   // the root package, internal/ or cmd/
+	files   []*ast.File
+	tests   []*ast.File // _test.go files of the package itself
+	xtests  []*ast.File // _test.go files of its external test package
+	types   *types.Package
+	info    *types.Info
+}
+
+// guardLoader type-checks the tree's packages from source on demand and
+// hands every other import to the standard library's source importer.
+type guardLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*guardPkg
+}
+
+func (l *guardLoader) Import(p string) (*types.Package, error) {
+	g, ok := l.pkgs[p]
+	if !ok {
+		return l.std.Import(p)
+	}
+	if g.types == nil {
+		pkg, info, err := l.check(p, g.files)
+		if err != nil {
+			return nil, err
+		}
+		g.types, g.info = pkg, info
+	}
+	return g.types, nil
+}
+
+func (l *guardLoader) check(p string, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(p, l.fset, files, info)
+	return pkg, info, err
+}
+
+// guardLoad parses every Go file under root that the default build
+// context selects and type-checks the non-test packages. A package's
+// import path is root's module path joined with its directory, which
+// holds for the nested benchmark/ module too. Cgo is off, so that the
+// standard library's source importer runs no cgo.
+func guardLoad(root string) (*guardLoader, string, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, "", err
+	}
+	modPath := ""
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if mp, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			modPath = strings.TrimSpace(mp)
+		}
+	}
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	l := &guardLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*guardPkg{}}
+	err = filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		if name := e.Name(); p != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
+			return filepath.SkipDir
+		}
+		ents, err := os.ReadDir(p)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		g := &guardPkg{path: modPath, dir: path.Base(modPath),
+			checked: rel == "." || strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")}
+		if rel != "." {
+			g.path, g.dir = modPath+"/"+rel, rel
+		}
+		for _, f := range ents {
+			name := f.Name()
+			if f.IsDir() || !strings.HasSuffix(name, ".go") {
 				continue
 			}
-			recv := d.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
+			if ok, err := build.Default.MatchFile(p, name); err != nil || !ok {
+				continue
 			}
-			if typ, ok := recv.(*ast.Ident); ok && typ.IsExported() {
-				add(d.Name, dir+"."+typ.Name+"."+d.Name.Name, d.Name.Name)
+			af, err := parser.ParseFile(fset, filepath.Join(p, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
-		case *ast.GenDecl:
-			for _, s := range d.Specs {
-				switch s := s.(type) {
-				case *ast.TypeSpec:
-					add(s.Name, dir+"."+s.Name.Name, "")
-				case *ast.ValueSpec:
-					for _, id := range s.Names {
-						add(id, dir+"."+id.Name, "")
-					}
-				}
+			switch {
+			case !strings.HasSuffix(name, "_test.go"):
+				g.files = append(g.files, af)
+			case strings.HasSuffix(af.Name.Name, "_test"):
+				g.xtests = append(g.xtests, af)
+			default:
+				g.tests = append(g.tests, af)
 			}
 		}
+		if len(g.files) > 0 {
+			l.pkgs[g.path] = g
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, "", err
 	}
-	return out
+	for p := range l.pkgs {
+		if _, err := l.Import(p); err != nil {
+			return nil, "", err
+		}
+	}
+	return l, modPath, nil
 }
 
-// collectUses records what f names: pkg.Name through an import of this
-// module, bare names of its own package (dir), and method names through
-// selectors and interface declarations. Declaring a name, a struct
-// field's name and a method's receiver do not count as naming it.
-func collectUses(f *ast.File, dir string, imports map[string]string, used, methods map[string]bool) {
-	declIdents := map[*ast.Ident]bool{}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			declIdents[d.Name] = true
-		case *ast.GenDecl:
-			for _, s := range d.Specs {
-				switch s := s.(type) {
-				case *ast.TypeSpec:
-					declIdents[s.Name] = true
-				case *ast.ValueSpec:
-					for _, id := range s.Names {
-						declIdents[id] = true
+// guardReach runs the guard's checks on the tree under root.
+func guardReach(root string) (*guardResult, error) {
+	l, modPath, err := guardLoad(root)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([]string, 0, len(l.pkgs))
+	for p := range l.pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+
+	// Every function the tree declares, with its body and package.
+	type funcDecl struct {
+		decl *ast.FuncDecl
+		pkg  *guardPkg
+	}
+	decls := map[*types.Func]funcDecl{}
+	byName := map[string][]*types.Func{} // concrete methods by name
+	var named []*types.Named             // the tree's package-level defined types
+	for _, p := range paths {
+		g := l.pkgs[p]
+		for _, f := range g.files {
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.FuncDecl); ok {
+					fn := g.info.Defs[d.Name].(*types.Func)
+					decls[fn] = funcDecl{d, g}
+					if d.Recv != nil {
+						byName[fn.Name()] = append(byName[fn.Name()], fn)
+					}
+				}
+			}
+		}
+		scope := g.types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+
+	reached := map[*types.Func]bool{}
+	called := map[string]bool{} // method names called through an interface
+	var queue []*types.Func
+	var mark func(fn *types.Func)
+	mark = func(fn *types.Func) {
+		fn = fn.Origin()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			if !called[fn.Name()] {
+				called[fn.Name()] = true
+				for _, m := range byName[fn.Name()] {
+					mark(m)
+				}
+			}
+			return
+		}
+		if _, ok := decls[fn]; ok && !reached[fn] {
+			reached[fn] = true
+			queue = append(queue, fn)
+		}
+	}
+	refs := func(n ast.Node, info *types.Info) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := info.Uses[id].(*types.Func); ok {
+					mark(fn)
+				}
+			}
+			return true
+		})
+	}
+	drain := func() {
+		for len(queue) > 0 {
+			fn := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			if d := decls[fn]; d.decl.Body != nil {
+				refs(d.decl.Body, d.pkg.info)
+			}
+		}
+	}
+
+	// Roots: main, init and package-level initializers.
+	for fn, d := range decls {
+		if d.decl.Recv == nil && (fn.Name() == "init" || fn.Name() == "main" && d.pkg.types.Name() == "main") {
+			mark(fn)
+		}
+	}
+	for _, p := range paths {
+		for _, f := range l.pkgs[p].files {
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.VAR {
+					refs(d, l.pkgs[p].info)
+				}
+			}
+		}
+	}
+
+	// Roots: methods that complete an interface the standard library
+	// declares, which it calls through that interface.
+	var stdIfaces []*types.Interface
+	stdSeen := map[*types.Package]bool{}
+	var walkStd func(p *types.Package)
+	walkStd = func(p *types.Package) {
+		if stdSeen[p] {
+			return
+		}
+		stdSeen[p] = true
+		if l.pkgs[p.Path()] == nil {
+			scope := p.Scope()
+			for _, name := range scope.Names() {
+				if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+					if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && tn.Type().(*types.Named).TypeParams().Len() == 0 {
+						stdIfaces = append(stdIfaces, it)
+					}
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			walkStd(q)
+		}
+	}
+	for _, p := range paths {
+		walkStd(l.pkgs[p].types)
+	}
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		for _, it := range stdIfaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, n.Obj().Pkg(), it.Method(i).Name())
+				mark(obj.(*types.Func))
+			}
+		}
+	}
+	drain()
+	withoutFacade := maps.Clone(reached)
+
+	// Roots: the root package's exported API and every method of every
+	// type it aliases or returns, transitively.
+	seen := map[types.Type]bool{}
+	var expose func(t types.Type)
+	expose = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Pointer:
+			expose(t.Elem())
+		case *types.Slice:
+			expose(t.Elem())
+		case *types.Array:
+			expose(t.Elem())
+		case *types.Chan:
+			expose(t.Elem())
+		case *types.Map:
+			expose(t.Key())
+			expose(t.Elem())
+		case *types.Signature:
+			for i := 0; i < t.Results().Len(); i++ {
+				expose(t.Results().At(i).Type())
+			}
+		case *types.Named:
+			if seen[t.Origin()] {
+				return
+			}
+			seen[t.Origin()] = true
+			ms := types.NewMethodSet(types.NewPointer(t))
+			if types.IsInterface(t) {
+				ms = types.NewMethodSet(t)
+			}
+			for i := 0; i < ms.Len(); i++ {
+				if fn := ms.At(i).Obj().(*types.Func); fn.Exported() {
+					mark(fn)
+					expose(fn.Type())
+				}
+			}
+			if st, ok := t.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						expose(f.Type())
 					}
 				}
 			}
 		}
 	}
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if rel, ok := imports[x.Name]; ok {
-					used[rel+"."+n.Sel.Name] = true
-					return false
+	if g := l.pkgs[modPath]; g != nil && g.types.Name() != "main" {
+		scope := g.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					mark(obj)
+					expose(obj.Type())
 				}
-			}
-			methods[n.Sel.Name] = true
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.InterfaceType:
-			for _, m := range n.Methods.List {
-				for _, id := range m.Names {
-					methods[id.Name] = true
+			case *types.TypeName, *types.Var:
+				if obj.Exported() {
+					expose(obj.Type())
 				}
-				ast.Inspect(m.Type, visit)
-			}
-			return false
-		case *ast.Field:
-			ast.Inspect(n.Type, visit)
-			return false
-		case *ast.FuncDecl:
-			// A method's receiver does not name its type.
-			ast.Inspect(n.Type, visit)
-			if n.Body != nil {
-				ast.Inspect(n.Body, visit)
-			}
-			return false
-		case *ast.Ident:
-			if !declIdents[n] {
-				used[dir+"."+n.Name] = true
 			}
 		}
-		return true
 	}
-	for _, d := range f.Decls {
-		ast.Inspect(d, visit)
+	drain()
+
+	r := &guardResult{}
+	for fn, d := range decls {
+		if !d.pkg.checked || d.decl.Recv == nil && (fn.Name() == "init" || fn.Name() == "main") {
+			continue
+		}
+		r.funcs++
+		if reached[fn] {
+			r.reached++
+			continue
+		}
+		r.findings = append(r.findings, guardFinding{guardKey(fn, d.pkg), "is reached from no root", l.fset.Position(d.decl.Name.Pos()).String()})
 	}
+	for fn := range reached {
+		if d := decls[fn]; !withoutFacade[fn] && d.pkg.path != modPath {
+			r.facade = append(r.facade, guardKey(fn, d.pkg))
+			r.facadeLines += l.fset.Position(d.decl.End()).Line - l.fset.Position(d.decl.Pos()).Line + 1
+		}
+	}
+	sort.Strings(r.facade)
+
+	// A package-level type, variable or constant of a checked package
+	// must be used by some non-test file, unless the root package
+	// exports it.
+	used := map[types.Object]bool{}
+	for _, p := range paths {
+		for _, obj := range l.pkgs[p].info.Uses {
+			used[obj] = true
+		}
+	}
+	for _, p := range paths {
+		g := l.pkgs[p]
+		if !g.checked {
+			continue
+		}
+		scope := g.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if _, ok := obj.(*types.Func); ok || used[obj] || name == "_" || g.path == modPath && obj.Exported() {
+				continue
+			}
+			r.findings = append(r.findings, guardFinding{g.dir + "." + name, "is used by no non-test file", l.fset.Position(obj.Pos()).String()})
+		}
+	}
+
+	fields, err := guardFields(l, paths)
+	if err != nil {
+		return nil, err
+	}
+	r.fields = len(fields)
+	for _, f := range fields {
+		if f.write && !f.read {
+			r.findings = append(r.findings, guardFinding{f.key, "is written but never read", f.pos})
+		}
+	}
+	sort.Slice(r.findings, func(i, j int) bool { return r.findings[i].key < r.findings[j].key })
+	return r, nil
+}
+
+// guardKey names a function as the guard prints it: dir.Func or
+// dir.Type.Method.
+func guardKey(fn *types.Func, g *guardPkg) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return g.dir + "." + fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return g.dir + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
+}
+
+// guardField is one struct field a checked package declares.
+type guardField struct {
+	key, pos    string
+	write, read bool
+}
+
+// guardFields finds the fields of the checked packages' named struct
+// types and which of them non-test code writes and any code reads. A
+// test's read counts: the field is then an output a test checks, written
+// by code that production runs.
+func guardFields(l *guardLoader, paths []string) (map[token.Pos]*guardField, error) {
+	fields := map[token.Pos]*guardField{}
+	for _, p := range paths {
+		g := l.pkgs[p]
+		if !g.checked {
+			continue
+		}
+		for _, f := range g.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							fields[id.Pos()] = &guardField{
+								key:  g.dir + "." + ts.Name.Name + "." + id.Name,
+								pos:  l.fset.Position(id.Pos()).String(),
+								read: fl.Tag != nil,
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	seen := map[types.Type]bool{}
+	var readAll func(t types.Type) // every field a value of type t holds
+	readAll = func(t types.Type) {
+		t = types.Unalias(t)
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Named:
+			readAll(t.Underlying())
+		case *types.Pointer:
+			readAll(t.Elem())
+		case *types.Slice:
+			readAll(t.Elem())
+		case *types.Array:
+			readAll(t.Elem())
+		case *types.Map:
+			readAll(t.Key())
+			readAll(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if f := fields[t.Field(i).Pos()]; f != nil {
+					f.read = true
+				}
+				readAll(t.Field(i).Type())
+			}
+		}
+	}
+	// readCompared reads the fields == compares: a struct's or an
+	// array's, not a pointer's target.
+	readCompared := func(t types.Type) {
+		switch types.Unalias(t).Underlying().(type) {
+		case *types.Struct, *types.Array:
+			readAll(t)
+		}
+	}
+
+	// walk records what files do to fields; writes count only from
+	// non-test code.
+	walk := func(info *types.Info, files []*ast.File, writes bool) {
+		typeOf := func(e ast.Expr) types.Type { return info.Types[e].Type }
+		fieldOf := func(e ast.Expr) *guardField {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					return fields[s.Obj().Pos()]
+				}
+			}
+			return nil
+		}
+		write := func(f *guardField) {
+			if f != nil && writes {
+				f.write = true
+			}
+		}
+		// boxed reads every field of e's value when it is converted to
+		// an interface, where fmt, encoding/json or reflect may read it.
+		boxed := func(to types.Type, e ast.Expr) {
+			if to != nil && types.IsInterface(to) && !types.IsInterface(typeOf(e)) {
+				readAll(typeOf(e))
+			}
+		}
+		written := map[ast.Expr]bool{} // selectors that only write
+		var results []*types.Tuple     // the enclosing functions' results
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					results = append(results, info.Defs[n.Name].Type().(*types.Signature).Results())
+					ast.Inspect(n.Body, visit)
+					results = results[:len(results)-1]
+				}
+				return false
+			case *ast.FuncLit:
+				results = append(results, typeOf(n).(*types.Signature).Results())
+				ast.Inspect(n.Body, visit)
+				results = results[:len(results)-1]
+				return false
+			case *ast.ReturnStmt:
+				if res := results[len(results)-1]; res.Len() == len(n.Results) {
+					for i, e := range n.Results {
+						boxed(res.At(i).Type(), e)
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if f := fieldOf(lhs); f != nil {
+						write(f)
+						written[ast.Unparen(lhs)] = true
+					}
+					if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+						boxed(typeOf(lhs), n.Rhs[i])
+					}
+				}
+			case *ast.IncDecStmt:
+				if f := fieldOf(n.X); f != nil {
+					write(f)
+					written[ast.Unparen(n.X)] = true
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil && len(n.Values) == len(n.Names) {
+					for _, e := range n.Values {
+						boxed(typeOf(n.Type), e)
+					}
+				}
+			case *ast.SendStmt:
+				if ch, ok := types.Unalias(typeOf(n.Chan)).Underlying().(*types.Chan); ok {
+					boxed(ch.Elem(), n.Value)
+				}
+			case *ast.CompositeLit:
+				switch t := types.Unalias(typeOf(n)).Underlying().(type) {
+				case *types.Struct:
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							v := info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+							write(fields[v.Pos()])
+							boxed(v.Type(), kv.Value)
+						} else {
+							write(fields[t.Field(i).Pos()])
+							boxed(t.Field(i).Type(), e)
+						}
+					}
+				case *types.Map:
+					readCompared(t.Key())
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							boxed(t.Key(), kv.Key)
+							boxed(t.Elem(), kv.Value)
+						}
+					}
+				case interface{ Elem() types.Type }: // a slice or an array
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							e = kv.Value
+						}
+						boxed(t.Elem(), e)
+					}
+				}
+			case *ast.SelectorExpr:
+				if f := fieldOf(n); f != nil && !written[n] {
+					f.read = true
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					readCompared(typeOf(n.X))
+				}
+			case *ast.IndexExpr:
+				if m, ok := types.Unalias(typeOf(n.X)).Underlying().(*types.Map); ok {
+					readCompared(m.Key())
+				}
+			case *ast.CallExpr:
+				tv := info.Types[n.Fun]
+				if tv.IsType() {
+					boxed(tv.Type, n.Args[0])
+					return true
+				}
+				sig, ok := types.Unalias(tv.Type).Underlying().(*types.Signature)
+				if !ok || tv.IsBuiltin() {
+					return true
+				}
+				params := sig.Params()
+				for i, arg := range n.Args {
+					switch {
+					case sig.Variadic() && i >= params.Len()-1:
+						pt := params.At(params.Len() - 1).Type()
+						if n.Ellipsis == token.NoPos {
+							pt = pt.(*types.Slice).Elem()
+						}
+						boxed(pt, arg)
+					case i < params.Len():
+						boxed(params.At(i).Type(), arg)
+					}
+				}
+			}
+			return true
+		}
+		for _, f := range files {
+			ast.Inspect(f, visit)
+		}
+	}
+	for _, p := range paths {
+		g := l.pkgs[p]
+		walk(g.info, g.files, true)
+		if len(g.tests) > 0 {
+			_, info, err := l.check(g.path, append(append([]*ast.File{}, g.files...), g.tests...))
+			if err != nil {
+				return nil, err
+			}
+			walk(info, g.tests, false)
+		}
+		if len(g.xtests) > 0 {
+			_, info, err := l.check(g.path+"_test", g.xtests)
+			if err != nil {
+				return nil, err
+			}
+			walk(info, g.xtests, false)
+		}
+	}
+	return fields, nil
 }

@@ -91,7 +91,7 @@ func TestRestoreFlag(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer b.Kill()
-				if slot, err := b.Slot(); err != nil || slot != 3 {
+				if slot, err := b.Brokers()[0].Slot(); err != nil || slot != 3 {
 					t.Fatalf("restored at slot %d, err %v; want 3", slot, err)
 				}
 			})
@@ -136,7 +136,7 @@ func TestSupervisedSlotZeroCrash(t *testing.T) {
 				if err := b.Start(); err != nil {
 					t.Fatal(err)
 				}
-				slot, err := b.Slot()
+				slot, err := b.Brokers()[0].Slot()
 				h := b.Health()
 				b.Kill()
 				if err != nil || slot != 0 || h.Status != "ok" {

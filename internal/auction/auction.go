@@ -99,9 +99,8 @@ func (s *Scenario) RunFocal(bid float64) (schedule.Decision, error) {
 
 // SweepPoint is one counterfactual outcome of the truthfulness sweep.
 type SweepPoint struct {
-	Bid     float64
-	Won     bool
-	Payment float64
+	Bid float64
+	Won bool
 	// Utility is v_i − p_i if the bid won, else 0 (Definition 1).
 	Utility float64
 }
@@ -117,7 +116,7 @@ func TruthfulnessSweep(s *Scenario, bids []float64) ([]SweepPoint, error) {
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		pt := SweepPoint{Bid: bids[i], Won: d.Admitted, Payment: d.Payment()}
+		pt := SweepPoint{Bid: bids[i], Won: d.Admitted}
 		if d.Admitted {
 			pt.Utility = s.TrueValue - d.Payment()
 		}

@@ -32,7 +32,9 @@ type TitanOptions struct {
 	// node class (cluster.Class: same GPU spec and capacities, hence the
 	// same speed and unit energy cost) inside the MILP, then maps
 	// placements back to concrete nodes first-fit. Keeps the MILP size
-	// independent of the cluster size. Default true.
+	// independent of the cluster size. Off by default (the zero value):
+	// only its own test sets it, so every Titan figure solves one
+	// capacity pool per node.
 	GroupByType bool
 	// MaxBatch splits oversized arrival bursts into sequential MILPs of
 	// at most this many tasks (each chunk sees the previous chunks'

@@ -210,7 +210,7 @@ func shardRoute(b *testing.B) {
 	quotes := make([]*zones.Quote, benchShards)
 	cand := make([]int, benchShards)
 	for i, st := range stacks {
-		quotes[i] = zones.NewQuote("bench", st.Model, st.Cluster).WithDuals(st.Scheduler.(*core.Scheduler).SnapshotDuals())
+		quotes[i] = zones.NewQuote(st.Model, st.Cluster).WithDuals(st.Scheduler.(*core.Scheduler).SnapshotDuals())
 		cand[i] = i
 	}
 	tasks := stacks[0].Tasks

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/pdftsp/pdftsp/internal/gpu"
@@ -104,53 +103,5 @@ func TestElasticClone(t *testing.T) {
 	cp.EndLease(1, 2, 4)
 	if !cl.Available(1, 3) {
 		t.Fatal("clone shares the leased plane with its source")
-	}
-}
-
-// TestElasticSnapshotRestore: Snapshot carries the Elastic/Leased planes
-// and Restore reproduces them; restoring an elastic snapshot into a
-// matching fleet round-trips exactly.
-func TestElasticSnapshotRestore(t *testing.T) {
-	cl := leaseCluster(t, 3, 10)
-	cl.MarkElastic(2)
-	cl.Lease(2, 1, 6)
-	cl.Commit(2, 3, 2, 1.5)
-	snap := cl.Snapshot()
-	if snap.Elastic == nil || snap.Leased == nil {
-		t.Fatal("snapshot dropped the spot planes")
-	}
-
-	// Mutate, then restore: the lease map and ledger must match again.
-	cl.EndLease(2, 1, 6)
-	cl.Lease(2, 8, 9)
-	cl.Release(2, 3, 2, 1.5)
-	if err := cl.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !cl.Available(2, 1) || !cl.Available(2, 6) || cl.Available(2, 8) {
-		t.Fatal("restore did not reproduce the lease map")
-	}
-	if cl.UsedWork(2, 3) != 2 {
-		t.Fatal("restore did not reproduce the ledger")
-	}
-	if !reflect.DeepEqual(cl.Snapshot(), snap) {
-		t.Fatal("snapshot/restore round trip diverged")
-	}
-
-	// A snapshot without spot planes restores onto an elastic fleet by
-	// clearing its leases (the snapshot was taken before any MarkElastic).
-	plain := leaseCluster(t, 3, 10)
-	plainSnap := plain.Snapshot()
-	if plainSnap.Elastic != nil {
-		t.Fatal("plain snapshot grew spot planes")
-	}
-	if err := cl.Restore(plainSnap); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Available(2, 1) {
-		t.Fatal("restoring a pre-elastic snapshot must clear leases")
-	}
-	if !cl.IsElastic(2) {
-		t.Fatal("restoring a pre-elastic snapshot must keep the structural mark")
 	}
 }

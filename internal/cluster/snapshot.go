@@ -4,7 +4,9 @@ import "fmt"
 
 // Snapshot is a serializable copy of the committed resource ledger — the
 // primal state of Algorithm 1. Together with core.DualState it is the
-// whole auction state a broker must persist to resume mid-horizon.
+// whole auction state a broker must persist to resume mid-horizon. It
+// carries no node marks (down, elastic, leased): a served broker's
+// capacity is fixed.
 type Snapshot struct {
 	// UsedWork[k][t] mirrors the committed work units per cell.
 	UsedWork [][]int `json:"used_work"`
@@ -12,14 +14,6 @@ type Snapshot struct {
 	UsedMem [][]float64 `json:"used_mem"`
 	// TasksOn[k][t] mirrors the committed task-slot count per cell.
 	TasksOn [][]int `json:"tasks_on"`
-	// Down[k][t] mirrors injected failures; nil when none were injected.
-	Down [][]bool `json:"down,omitempty"`
-	// Elastic mirrors the spot-market node marks; nil on all-on-demand
-	// fleets.
-	Elastic []bool `json:"elastic,omitempty"`
-	// Leased[k][t] mirrors the live capacity leases; nil whenever Elastic
-	// is nil.
-	Leased [][]bool `json:"leased,omitempty"`
 }
 
 // Snapshot deep-copies the ledger.
@@ -35,48 +29,22 @@ func (c *Cluster) Snapshot() Snapshot {
 		s.UsedMem[k] = append([]float64(nil), c.usedMem[k]...)
 		s.TasksOn[k] = append([]int(nil), c.tasksOn[k]...)
 	}
-	if c.down != nil {
-		s.Down = make([][]bool, K)
-		for k := 0; k < K; k++ {
-			s.Down[k] = append([]bool(nil), c.down[k]...)
-		}
-	}
-	if c.elastic != nil {
-		s.Elastic = append([]bool(nil), c.elastic...)
-		s.Leased = make([][]bool, K)
-		for k := 0; k < K; k++ {
-			s.Leased[k] = append([]bool(nil), c.leased[k]...)
-		}
-	}
 	return s
 }
 
 // Restore overwrites the ledger with a snapshot taken from a cluster of
-// identical shape. Dimensions are checked so a checkpoint cannot be
-// replayed into a differently sized deployment.
+// identical shape; node marks are left as they are. Dimensions are
+// checked so a checkpoint cannot be replayed into a differently sized
+// deployment.
 func (c *Cluster) Restore(s Snapshot) error {
 	K, T := len(c.nodes), c.horizon.T
 	if len(s.UsedWork) != K || len(s.UsedMem) != K || len(s.TasksOn) != K {
 		return fmt.Errorf("cluster: snapshot covers %d nodes, cluster has %d", len(s.UsedWork), K)
 	}
-	if s.Down != nil && len(s.Down) != K {
-		return fmt.Errorf("cluster: snapshot down-map covers %d nodes, cluster has %d", len(s.Down), K)
-	}
-	if s.Elastic != nil && (len(s.Elastic) != K || len(s.Leased) != K) {
-		return fmt.Errorf("cluster: snapshot lease-map covers %d nodes, cluster has %d", len(s.Elastic), K)
-	}
 	for k := 0; k < K; k++ {
 		if len(s.UsedWork[k]) != T || len(s.UsedMem[k]) != T || len(s.TasksOn[k]) != T {
 			return fmt.Errorf("cluster: snapshot node %d covers %d slots, horizon has %d",
 				k, len(s.UsedWork[k]), T)
-		}
-		if s.Down != nil && len(s.Down[k]) != T {
-			return fmt.Errorf("cluster: snapshot down-map node %d covers %d slots, horizon has %d",
-				k, len(s.Down[k]), T)
-		}
-		if s.Elastic != nil && len(s.Leased[k]) != T {
-			return fmt.Errorf("cluster: snapshot lease-map node %d covers %d slots, horizon has %d",
-				k, len(s.Leased[k]), T)
 		}
 	}
 	for k := 0; k < K; k++ {
@@ -86,33 +54,5 @@ func (c *Cluster) Restore(s Snapshot) error {
 	}
 	// Restoring can re-open previously saturated cells.
 	c.gen++
-	if s.Elastic != nil {
-		for k := 0; k < K; k++ {
-			if s.Elastic[k] {
-				c.MarkElastic(k)
-			}
-		}
-		for k := 0; k < K; k++ {
-			copy(c.leased[k], s.Leased[k])
-		}
-	} else if c.leased != nil {
-		for k := range c.leased {
-			clear(c.leased[k])
-		}
-	}
-	if s.Down == nil {
-		c.down = nil
-		return nil
-	}
-	if c.down == nil {
-		c.down = make([][]bool, K)
-		back := make([]bool, K*T)
-		for k := range c.down {
-			c.down[k], back = back[:T:T], back[T:]
-		}
-	}
-	for k := 0; k < K; k++ {
-		copy(c.down[k], s.Down[k])
-	}
 	return nil
 }

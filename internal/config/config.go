@@ -349,7 +349,6 @@ func (c Config) Generate() ([]task.Task, error) {
 // Built is one wired auction stack: the runnable realization of a Config
 // — or of one shard of it — against a bid stream.
 type Built struct {
-	Horizon   timeslot.Horizon
 	Model     lora.ModelConfig
 	Cluster   *cluster.Cluster
 	Market    *vendor.Marketplace
@@ -465,7 +464,6 @@ func (c Config) wire(h timeslot.Horizon, model lora.ModelConfig, nodes []cluster
 	}
 
 	return &Built{
-		Horizon:   h,
 		Model:     model,
 		Cluster:   cl,
 		Market:    mkt,

@@ -331,7 +331,7 @@ func TestFlagsAndFileAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Tasks, b.Tasks) || a.Horizon != b.Horizon || a.Model != b.Model ||
+	if !reflect.DeepEqual(a.Tasks, b.Tasks) || a.Cluster.Horizon() != b.Cluster.Horizon() || a.Model != b.Model ||
 		nodeNames(a.Cluster) != nodeNames(b.Cluster) || a.Market.NumVendors() != b.Market.NumVendors() ||
 		a.Scheduler.(*core.Scheduler).Options() != b.Scheduler.(*core.Scheduler).Options() {
 		t.Fatal("the flags route and the file route built different stacks")

@@ -19,7 +19,7 @@ import (
 // AblationResult is a variant-versus-welfare table for the design-choice
 // studies of DESIGN.md Section 6 (extensions beyond the paper).
 type AblationResult struct {
-	ID, Title  string
+	Title      string
 	Variants   []string
 	Welfare    []float64
 	Normalized []float64
@@ -69,7 +69,7 @@ func (p Profile) runVariants(id, title string, names []string,
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{ID: id, Title: title, Variants: names, Welfare: welfare}
+	res := &AblationResult{Title: title, Variants: names, Welfare: welfare}
 	norm := metrics.NormalizeByMax([][]float64{res.Welfare})
 	res.Normalized = norm[0]
 	return res, nil

@@ -7,13 +7,10 @@
 // interprets the same schedule without import cycles, and the same seed
 // reproduces the same faults on both sides of a broker-versus-simulator
 // differential. A plan is a test fixture: a serving broker cannot know its
-// outages in advance, and loses capacity only through its spot tier.
+// outages in advance, and its capacity is fixed.
 package faults
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Outage takes one node down for the inclusive slot range [From, To].
 // It mirrors sim.Failure: the outage becomes known online at the
@@ -38,34 +35,6 @@ type CheckpointFault struct {
 type Plan struct {
 	Outages    []Outage          `json:"outages,omitempty"`
 	Checkpoint []CheckpointFault `json:"checkpoint,omitempty"`
-}
-
-// Validate checks the plan against a deployment shape. Outage tails that
-// run past the horizon are clamped to horizon-1 (the ledger has no cells
-// beyond it; an outage outliving the horizon is indistinguishable from
-// one ending there), matching the simulator's own clamp.
-func (p *Plan) Validate(nodes, horizon int) error {
-	if nodes <= 0 || horizon <= 0 {
-		return fmt.Errorf("faults: bad shape %d nodes × %d slots", nodes, horizon)
-	}
-	for i := range p.Outages {
-		o := &p.Outages[i]
-		if o.Node < 0 || o.Node >= nodes {
-			return fmt.Errorf("faults: outage %d on unknown node %d", i, o.Node)
-		}
-		if o.From < 0 || o.To < o.From || o.From >= horizon {
-			return fmt.Errorf("faults: outage %d has bad range [%d,%d]", i, o.From, o.To)
-		}
-		if o.To >= horizon {
-			o.To = horizon - 1
-		}
-	}
-	for i, c := range p.Checkpoint {
-		if c.From < 0 || c.To < c.From {
-			return fmt.Errorf("faults: checkpoint fault %d has bad range [%d,%d]", i, c.From, c.To)
-		}
-	}
-	return nil
 }
 
 // CheckpointFaultAt reports whether a checkpoint write at slot t must

@@ -54,13 +54,6 @@ func (a *Audit) violate(format string, args ...any) {
 	}
 }
 
-// Count returns the total number of invariant violations observed.
-func (a *Audit) Count() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.count
-}
-
 // Err returns nil when no invariant was violated, otherwise an error
 // summarizing the count and listing the first few recorded violations.
 func (a *Audit) Err() error {

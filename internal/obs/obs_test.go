@@ -193,8 +193,8 @@ func TestAuditAcceptsCleanStream(t *testing.T) {
 	if err := a.Err(); err != nil {
 		t.Fatalf("clean stream flagged: %v", err)
 	}
-	if a.Count() != 0 {
-		t.Fatalf("count %d", a.Count())
+	if a.count != 0 {
+		t.Fatalf("count %d", a.count)
 	}
 }
 

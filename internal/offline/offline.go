@@ -228,8 +228,6 @@ type Result struct {
 	Bound float64
 	// Admitted[i] reports u_i in the incumbent.
 	Admitted []bool
-	// Nodes is the branch-and-bound effort.
-	Nodes int
 }
 
 // greedyWarmStart packs tasks in bid order with an EFT-style heuristic
@@ -332,7 +330,7 @@ func Solve(inst Instance, opts milp.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Status: res.Status, Welfare: res.Objective, Bound: res.Bound, Nodes: res.Nodes}
+	out := &Result{Status: res.Status, Welfare: res.Objective, Bound: res.Bound}
 	if res.X != nil {
 		out.Admitted = make([]bool, len(inst.Tasks))
 		for i := range inst.Tasks {

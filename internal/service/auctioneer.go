@@ -36,17 +36,15 @@ type Auctioneer interface {
 	Drain(ctx context.Context) error
 	Kill()
 
-	// Submit hands over one bid and blocks for its slot's decision.
-	// SubmitBatch coalesces many bids into one intake message;
-	// SubmitBatchAck is its fire-and-forget half (intake verdicts only).
-	Submit(ctx context.Context, t task.Task) (schedule.Decision, error)
+	// SubmitBatch coalesces many bids into one intake message and blocks
+	// for their slots' decisions; SubmitBatchAck is its fire-and-forget
+	// half (intake verdicts only).
 	SubmitBatch(ctx context.Context, tasks []task.Task) ([]Outcome, error)
 	SubmitBatchAck(ctx context.Context, tasks []task.Task, verdicts []error) (int, error)
 
-	// Step closes n slots of a virtual-clock fleet; Slot is the current
-	// (bid-accepting) slot.
+	// Step closes n slots of a virtual-clock fleet and returns the
+	// current (bid-accepting) slot.
 	Step(n int) (int, error)
-	Slot() (int, error)
 
 	// DecisionFor returns a decided bid's irrevocable outcome, its plan a
 	// fresh copy the caller owns (compare with Equal, not ==); PendingFor

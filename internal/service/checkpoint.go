@@ -112,13 +112,9 @@ func encodeSnapshot(ck *Checkpoint) ([]byte, deltaShadows) {
 // WriteCheckpoint encodes ck and durably replaces path with it. A plane
 // that is not Nodes rows of Slots cells is refused: the record keys a cell
 // by its row's own length, so the file would read back with its cells
-// moved. So is a ledger with Down, Leased or Elastic marks, which a
-// served broker's fixed capacity never has and the file cannot carry.
+// moved.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
 	led, K, T := &ck.Ledger, ck.Nodes, ck.Slots
-	if led.Down != nil || led.Leased != nil || led.Elastic != nil {
-		return fmt.Errorf("service: write %s: a checkpoint carries no down, leased or elastic marks", path)
-	}
 	if !shaped(led.UsedWork, K, T) || !shaped(led.UsedMem, K, T) || !shaped(led.TasksOn, K, T) ||
 		ck.Duals != nil && (!shaped(ck.Duals.Lambda, K, T) || !shaped(ck.Duals.Phi, K, T)) {
 		return fmt.Errorf("service: write %s: a plane is not %d nodes × %d slots", path, K, T)

@@ -101,13 +101,6 @@ func (b *Broker) writeCheckpoint() {
 	if b.opts.CheckpointPath == "" {
 		return
 	}
-	if f := b.opts.CheckpointFault; f != nil {
-		if err := f(b.slot); err != nil {
-			b.ckptErr = err
-			b.ckptFails++
-			return
-		}
-	}
 	full := b.opts.CheckpointFullEvery <= 1 || !b.wroteFull ||
 		b.sinceFull >= b.opts.CheckpointFullEvery-1 ||
 		b.draining || b.slot >= b.horizon.T

@@ -39,10 +39,8 @@ import (
 // snapshot.
 //
 // The broker diffs against in-memory shadow copies that advance as records
-// are staged. An injected fault (Options.CheckpointFault) stages nothing,
-// so the next delta carries that slot's changes too; a write that fails
-// after staging breaks the chain and the next checkpoint restates
-// everything as a full snapshot (ckptwriter.go).
+// are staged; a write that fails after staging breaks the chain and the
+// next checkpoint restates everything as a full snapshot (ckptwriter.go).
 
 // deltaVersion guards the sidecar record layout. v2 added the spot-tier
 // accounting scalars, the lease plane of ledger cells, and the spot

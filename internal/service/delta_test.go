@@ -216,18 +216,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				ck := fullCheckpoint()
 				switch name {
-				case "Snapshot.Down", "Snapshot.Leased", "Snapshot.Elastic":
-					// Not carried, so refused rather than dropped.
-					f := part.of(ck).Field(i)
-					if f.Type().Elem().Kind() == reflect.Slice {
-						f.Set(reflect.ValueOf(plane[bool](ck.Nodes, ck.Slots)))
-					} else {
-						f.Set(reflect.ValueOf(make([]bool, ck.Nodes)))
-					}
-					if err := WriteCheckpoint(filepath.Join(t.TempDir(), "ck"), ck); err == nil {
-						t.Fatal("a checkpoint with the marks is written, and would read back without them")
-					}
-					return
 				case "Checkpoint.Decisions":
 					d := schedule.Decision{TaskID: 9, Admitted: true, F: 1}
 					if err := ck.Decisions.Put(9, &d); err != nil {
@@ -270,9 +258,7 @@ func sameCheckpoint(a, b *Checkpoint) bool {
 // TestWriteCheckpointShape: WriteCheckpoint refuses, and writes nothing
 // for, a checkpoint whose planes are not Nodes × Slots. The record keys a
 // cell by its row's own length, so such a file once read back with its
-// cells moved and no error; changing Slots alone was enough. It refuses a
-// ledger with down, leased or elastic marks too, however well shaped:
-// the file has no place for them, and would read back without them.
+// cells moved and no error; changing Slots alone was enough.
 func TestWriteCheckpointShape(t *testing.T) {
 	dir := t.TempDir()
 	ok := filepath.Join(dir, "ok")
@@ -287,9 +273,6 @@ func TestWriteCheckpointShape(t *testing.T) {
 		"nodes":        func(ck *Checkpoint) { ck.Nodes-- },
 		"a short row":  func(ck *Checkpoint) { ck.Ledger.UsedMem[1] = ck.Ledger.UsedMem[1][:2] },
 		"a nil plane":  func(ck *Checkpoint) { ck.Ledger.TasksOn = nil },
-		"down":         func(ck *Checkpoint) { ck.Ledger.Down = plane[bool](ck.Nodes, ck.Slots) },
-		"leased":       func(ck *Checkpoint) { ck.Ledger.Leased = plane[bool](ck.Nodes, ck.Slots) },
-		"elastic":      func(ck *Checkpoint) { ck.Ledger.Elastic = make([]bool, ck.Nodes) },
 		"a dual plane": func(ck *Checkpoint) { ck.Duals.Phi = ck.Duals.Phi[:1] },
 	} {
 		ck, path := fullCheckpoint(), filepath.Join(dir, name)

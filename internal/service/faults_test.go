@@ -23,6 +23,8 @@ func newBroker(t testing.TB, opts Options) *Broker {
 	return b
 }
 
+var errDiskFull = errors.New("injected: disk full")
+
 // TestDegradedHealth: repeated checkpoint-write failures flip /healthz
 // to 503 while bids keep flowing, and a recovered disk flips it back.
 func TestDegradedHealth(t *testing.T) {
@@ -31,13 +33,16 @@ func TestDegradedHealth(t *testing.T) {
 	opts := s.brokerOptions()
 	opts.CheckpointPath = path
 	failing := true
-	opts.CheckpointFault = func(slot int) error {
+	b := newBroker(t, opts)
+	b.fsys = hookFS{osFS{}, ckptPrefix(path), func(string) error {
 		if failing {
-			return errors.New("injected: disk full")
+			return errDiskFull
 		}
 		return nil
+	}}
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
 	}
-	b := startBroker(t, opts)
 	defer b.Kill()
 	srv := httptest.NewServer(b.Handler())
 	defer srv.Close()

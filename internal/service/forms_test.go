@@ -73,7 +73,7 @@ func postBids(srv *httptest.Server, path string, body any, array bool) formReply
 // an HTTP endpoint (path).
 type intakeForm struct {
 	name       string
-	brokerOnly bool   // SubmitAsync is not on the Auctioneer surface
+	brokerOnly bool   // Submit and SubmitAsync are not on the Auctioneer surface
 	path       string // HTTP forms: the endpoint
 	array      bool   // HTTP forms: body and reply are one-element arrays
 	ackOnly    bool   // returns at the ack; the decision is looked up later
@@ -81,8 +81,8 @@ type intakeForm struct {
 }
 
 var intakeForms = []intakeForm{
-	{name: "Submit", send: func(a Auctioneer, t task.Task) formReply {
-		d, err := a.Submit(context.Background(), t)
+	{name: "Submit", brokerOnly: true, send: func(a Auctioneer, t task.Task) formReply {
+		d, err := a.(*Broker).Submit(context.Background(), t)
 		return inProcessReply(d.TaskID, &Outcome{Decision: d, Err: err})
 	}},
 	{name: "SubmitAsync", brokerOnly: true, send: func(a Auctioneer, t task.Task) formReply {
@@ -143,18 +143,19 @@ func TestIntakeFormsAgree(t *testing.T) {
 	for _, kind := range []string{"broker", "shards-1"} {
 		t.Run(kind, func(t *testing.T) {
 			var first []string
+			var firstName string
 			for _, f := range intakeForms {
 				if f.brokerOnly && kind != "broker" {
 					continue
 				}
 				got := runIntakeScript(t, kind, f)
 				if first == nil {
-					first = got
+					first, firstName = got, f.name
 					continue
 				}
 				for i := range first {
 					if got[i] != first[i] {
-						t.Errorf("%s, step %d:\n  %s\nbut %s:\n  %s", f.name, i, got[i], intakeForms[0].name, first[i])
+						t.Errorf("%s, step %d:\n  %s\nbut %s:\n  %s", f.name, i, got[i], firstName, first[i])
 					}
 				}
 			}

@@ -150,7 +150,7 @@ func TestSupervisorRetriesHeldBidAcrossKill(t *testing.T) {
 	later.ID, later.Arrival = bid0.ID+1000, 2
 	forms := intakeForms[:0:0]
 	for _, f := range intakeForms {
-		if !f.brokerOnly && !f.ackOnly {
+		if !f.ackOnly {
 			forms = append(forms, f)
 		}
 	}
@@ -237,20 +237,27 @@ func TestSupervisorRetriesHeldBidAcrossKill(t *testing.T) {
 	}
 }
 
-// stallFS is the os filesystem, except that creating a temp file whose
-// pattern starts with prefix first calls stall.
-type stallFS struct {
-	osFS
+// hookFS is a filesystem whose CreateTemp of a file whose pattern starts
+// with prefix first calls hook, and fails with hook's error. A checkpoint
+// file's prefix is "." + its base name + "-" (replaceFile), which no other
+// file's shares: a stall, or a full disk for that file alone.
+type hookFS struct {
+	fileSys
 	prefix string
-	stall  func(pattern string)
+	hook   func(pattern string) error
 }
 
-func (s stallFS) CreateTemp(dir, pattern string) (durableFile, error) {
-	if strings.HasPrefix(pattern, s.prefix) {
-		s.stall(pattern)
+func (h hookFS) CreateTemp(dir, pattern string) (durableFile, error) {
+	if strings.HasPrefix(pattern, h.prefix) {
+		if err := h.hook(pattern); err != nil {
+			return nil, err
+		}
 	}
-	return s.osFS.CreateTemp(dir, pattern)
+	return h.fileSys.CreateTemp(dir, pattern)
 }
+
+// ckptPrefix is the temp-file prefix of the checkpoint file at path.
+func ckptPrefix(path string) string { return "." + filepath.Base(path) + "-" }
 
 // TestSupervisorWedgeDetection holds the liveness contract a process
 // supervisor's probe relies on to restart a wedged broker: while the core
@@ -265,7 +272,7 @@ func TestSupervisorWedgeDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate, stalled := make(chan struct{}), make(chan string, 1)
-	b.fsys = stallFS{osFS{}, "." + filepath.Base(opts.CheckpointPath) + "-", func(pattern string) { stalled <- pattern; <-gate }}
+	b.fsys = hookFS{osFS{}, ckptPrefix(opts.CheckpointPath), func(pattern string) error { stalled <- pattern; <-gate; return nil }}
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}

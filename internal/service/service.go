@@ -142,10 +142,6 @@ type Options struct {
 	// RunLabel names this broker's run in emitted events and in the
 	// checkpoint; default "pdftspd".
 	RunLabel string
-	// CheckpointFault, when set, is consulted before each checkpoint
-	// write with the slot being persisted; a non-nil return fails the
-	// write (fault injection for the degraded-mode path).
-	CheckpointFault func(slot int) error
 	// WALPath, when non-empty, journals every held bid to a CRC-framed
 	// write-ahead log before its intake ack releases, closing the
 	// ack-to-slot-close durability gap: an acked bid survives a crash and

@@ -94,7 +94,7 @@ func newShards(manifestPath string, opts []Options) (*Shards, error) {
 		s.brokers = append(s.brokers, b)
 		s.keys = append(s.keys, key)
 		s.byModel.Add(b.model, i)
-		s.base = append(s.base, zones.NewQuote(key, o.Model, o.Cluster))
+		s.base = append(s.base, zones.NewQuote(o.Model, o.Cluster))
 	}
 	return s, nil
 }
@@ -274,15 +274,6 @@ func (s *Shards) SubmitBatchAck(ctx context.Context, tasks []task.Task, verdicts
 	return total, nil
 }
 
-// Submit routes one bid and blocks for its decision: a SubmitBatch of one.
-func (s *Shards) Submit(ctx context.Context, t task.Task) (schedule.Decision, error) {
-	outs, err := s.SubmitBatch(ctx, []task.Task{t})
-	if err != nil {
-		return schedule.Decision{}, err
-	}
-	return outs[0].Decision, outs[0].Err
-}
-
 // Step closes n slots on every shard (concurrently — each shard's round
 // is its own core goroutine) and republishes the quotes from the
 // post-round duals, so the next slot's bids route against fresh prices.
@@ -314,9 +305,6 @@ func (s *Shards) Step(n int) (int, error) {
 	s.refreshQuotes()
 	return slots[0], nil
 }
-
-// Slot returns the common current slot.
-func (s *Shards) Slot() (int, error) { return s.brokers[0].Slot() }
 
 // DecisionFor finds a decided bid across the fleet — same signature as
 // Broker.DecisionFor, so the Auctioneer surface is shape-blind. Callers

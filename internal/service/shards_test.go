@@ -341,7 +341,7 @@ func TestShardManifestKillRestore(t *testing.T) {
 	if err := s2.Start(); err != nil {
 		t.Fatalf("restored Start: %v", err)
 	}
-	if slot, err := s2.Slot(); err != nil || slot != killAt {
+	if slot, err := s2.Brokers()[0].Slot(); err != nil || slot != killAt {
 		t.Fatalf("restored at slot %d (err %v), want %d", slot, err, killAt)
 	}
 	// Every pre-kill decision survived the restore.

@@ -26,7 +26,6 @@ import (
 // auction (Algorithm 1) still makes the admission decision against the
 // live ledger; the Quote only decides which zone gets to run it.
 type Quote struct {
-	key   string
 	model lora.ModelConfig
 	h     timeslot.Horizon
 
@@ -45,11 +44,10 @@ type Quote struct {
 // NewQuote captures the static half of a zone's price book from its
 // cluster. Call it before the zone starts serving — it reads the cluster
 // directly — and publish dual refreshes with WithDuals afterwards.
-func NewQuote(key string, model lora.ModelConfig, cl *cluster.Cluster) *Quote {
+func NewQuote(model lora.ModelConfig, cl *cluster.Cluster) *Quote {
 	h := cl.Horizon()
 	K := cl.NumNodes()
 	q := &Quote{
-		key:    key,
 		model:  model,
 		h:      h,
 		specs:  make([]gpu.Spec, K),
@@ -67,9 +65,6 @@ func NewQuote(key string, model lora.ModelConfig, cl *cluster.Cluster) *Quote {
 	}
 	return q
 }
-
-// Key returns the zone key the quote was built for.
-func (q *Quote) Key() string { return q.key }
 
 // WithDuals returns a new Quote carrying prefix sums of ds; the static
 // cluster facts are shared with the receiver. A zero-value ds (no dual

@@ -143,7 +143,7 @@ func NewRouter(zs ...*Zone) (*Router, error) {
 		r.zones = append(r.zones, z)
 		r.keys = append(r.keys, key)
 		r.byModel.Add(code, idx)
-		q := NewQuote(key, z.Model, z.Cluster)
+		q := NewQuote(z.Model, z.Cluster)
 		r.base = append(r.base, q)
 		r.quotes = append(r.quotes, q.WithDuals(zoneDuals(z.Scheduler)))
 	}
