@@ -87,14 +87,13 @@ round-guard:
 # recipe-guard is the mechanical form of "there is one §5.1": an auction
 # stack — node groups → cluster, the marketplace that goes with a seed,
 # arrival/deadline names → trace kinds, calibration, scheduler — is wired
-# in internal/config and nowhere else. So outside it (and outside the
-# public facade pdftsp.go, the examples, and benchmark/, whose copy waits
-# for its own PR) no non-test file may lay nodes out with cluster.Uniform,
-# add the marketplace's +7 to a seed, or switch on an arrival-process name.
+# in internal/config and nowhere else. So outside it (and benchmark/,
+# whose copy waits for its own change) no non-test file, the examples
+# included, may lay nodes out with cluster.Uniform, add the marketplace's
+# +7 to a seed, or switch on an arrival-process name.
 recipe-guard:
 	@if grep -nE 'cluster\.Uniform\(|vendor\.Standard\(.*\+ ?7|case "philly"' \
-		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/config/*' ! -path './pdftsp.go' \
-			! -path './examples/*' ! -path './benchmark/*'); then \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/config/*' ! -path './benchmark/*'); then \
 		echo "recipe-guard: build the stack through internal/config (Mix/NewCluster, Market, Generate/Wire, trace.ParseArrivalKind)"; exit 1; fi
 
 # fleet-guard is the mechanical form of "there is one way to open, resume
@@ -176,11 +175,11 @@ codec-guard:
 		echo "codec-guard: the decision log writes decision records in decision's frame; internal/obs encodes no bytes of its own"; exit 1; fi
 
 # api-guard is the mechanical form of "production code has a caller". Its
-# roots are every main (cmd/, examples/, the benchmark/ module), every init
-# and package-level initializer, and the root package's exported API with
-# every method of every type it aliases or returns. In a non-test file of
-# the root package, internal/ or cmd/, every function, exported or not,
-# must be reached from a root by a call or a reference (a call through an
+# roots are every main (cmd/, examples/, the benchmark/ module) and every
+# init and package-level initializer; an exported name, in the root
+# package or elsewhere, is no root. In a non-test file of the root
+# package, internal/ or cmd/, every function, exported or not, must be
+# reached from a root by a call or a reference (a call through an
 # interface reaches every method of its name; a method that completes a
 # standard-library interface is reached), and every struct field non-test
 # code writes must be read somewhere (a struct tag, ==, a map key or an

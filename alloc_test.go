@@ -148,15 +148,15 @@ func TestTraceGenerateAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSubmitAllocBudget pins what one in-process Broker.Submit costs in
-// steady state, slot close included: the submission comes from a pool
-// with its one-bid arrays embedded, so the whole round trip — enqueue,
-// intake checks, hold, Step, a rejected offer, the answer — stays at the
-// 7 allocations measured before the single-bid path became a batch of
-// one (all of them Step's control message and the slot close; a fresh
-// submission with its two channels would make it 10). The bid is priced
-// to lose, so no plan is retained and the count does not drift as the
-// cluster fills.
+// TestSubmitAllocBudget pins what one bid through an in-process
+// SubmitBatch of one costs in steady state, slot close included: the
+// whole round trip — enqueue, intake checks, hold, Step, a rejected
+// offer, the answer — stays at the 13 allocations measured when the
+// broker still had a pooled one-bid Submit: 7 are Step's control message
+// and the slot close, 6 the submission, its outcome slice and its two
+// buffered channels (a channel of errors allocates its buffer apart).
+// The bid is priced to lose, so no plan is retained and the count does
+// not drift as the cluster fills.
 func TestSubmitAllocBudget(t *testing.T) {
 	const runs = 200
 	model := lora.GPT2Small()
@@ -192,16 +192,20 @@ func TestSubmitAllocBudget(t *testing.T) {
 	work := make(chan struct{})
 	results := make(chan error)
 	go func() {
+		tasks := make([]task.Task, 1)
 		for range work {
-			d, err := b.Submit(context.Background(), bid)
-			if err == nil && d.Admitted {
-				t.Error("the losing bid was admitted; the budget assumes a rejection")
+			tasks[0] = bid // intake stamps the assigned ID and slot into it
+			outs, err := b.SubmitBatch(context.Background(), tasks)
+			if err == nil {
+				if err = outs[0].Err; err == nil && outs[0].Decision.Admitted {
+					t.Error("the losing bid was admitted; the budget assumes a rejection")
+				}
 			}
 			results <- err
 		}
 	}()
 	defer close(work)
-	// Submit blocks until its slot closes, so the submitter is a second
+	// SubmitBatch blocks until its slot closes, so the submitter is a second
 	// goroutine; stepping until its result is in keeps the loop correct
 	// however the two interleave (AllocsPerRun pins GOMAXPROCS to 1, where
 	// it is one Step per bid).
@@ -222,7 +226,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 7 {
-		t.Fatalf("Submit round trip averaged %.0f allocs, budget is 7", allocs)
+	if allocs > 13 {
+		t.Fatalf("one-bid SubmitBatch round trip averaged %.0f allocs, budget is 13", allocs)
 	}
 }

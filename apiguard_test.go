@@ -8,7 +8,6 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
-	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -20,9 +19,9 @@ import (
 // TestAPIGuard is `make api-guard`: production code is what a root
 // reaches, and code that only tests drive is deleted, not kept for its
 // tests. The roots are every main (cmd/, examples/ and the benchmark/
-// module), every init and package-level initializer, and the root
-// package's exported API with every method of every type it aliases or
-// returns. In a non-test file of the root package, internal/ or cmd/:
+// module) and every init and package-level initializer; an exported name
+// earns no reach of its own, in the root package or anywhere else. In a
+// non-test file of the root package, internal/ or cmd/:
 //
 //   - a function or method, exported or not, must be reached from a root
 //     by a call or by a reference to it as a value. A call through an
@@ -35,7 +34,7 @@ import (
 //     read, and so does using the whole value with ==, as a map key or as
 //     an interface value (fmt, encoding/json, reflect).
 //   - a package-level type, variable or constant must be used by some
-//     non-test file, unless the root package exports it.
+//     non-test file.
 //
 // apiAllowed lists what stays anyway, each with its reason. The check
 // type-checks every package from source with go/types (about 5 s), so it
@@ -57,16 +56,16 @@ func TestAPIGuard(t *testing.T) {
 			t.Errorf("api-guard: %s is allowlisted but the guard does not flag it", key)
 		}
 	}
-	t.Logf("api-guard: %d of %d functions reached, %d fields checked, %d allowlisted; "+
-		"%d functions (%d lines) outside the root package are reached only through its API: %s",
-		r.reached, r.funcs, r.fields, len(apiAllowed), len(r.facade), r.facadeLines, strings.Join(r.facade, ", "))
+	t.Logf("api-guard: %d of %d functions reached, %d fields checked, %d allowlisted",
+		r.reached, r.funcs, r.fields, len(apiAllowed))
 }
 
 // TestAPIGuardPlanted runs the guard on testdata/apiguard, a small module
 // that plants what the guard must refuse next to live code of the same
 // shape: an unexported function only a test reaches, a dead method named
 // like a live one called on a concrete type, a field written and never
-// read, and an unused constant.
+// read, an unused constant, and an exported function of the root package
+// that no main calls.
 func TestAPIGuardPlanted(t *testing.T) {
 	r, err := guardReach(filepath.Join("testdata", "apiguard"))
 	if err != nil {
@@ -81,6 +80,7 @@ func TestAPIGuardPlanted(t *testing.T) {
 		"internal/lib.Dead.Run is reached from no root",
 		"internal/lib.limit is used by no non-test file",
 		"internal/lib.onlyTested is reached from no root",
+		"planted.Version is reached from no root",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("planted findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -108,10 +108,6 @@ type guardFinding struct {
 type guardResult struct {
 	findings               []guardFinding // sorted by key
 	funcs, reached, fields int
-	// The functions outside the root package that only its API reaches,
-	// and their lines.
-	facade      []string
-	facadeLines int
 }
 
 // guardPkg is one package of the tree.
@@ -166,10 +162,10 @@ func (l *guardLoader) check(p string, files []*ast.File) (*types.Package, *types
 // import path is root's module path joined with its directory, which
 // holds for the nested benchmark/ module too. Cgo is off, so that the
 // standard library's source importer runs no cgo.
-func guardLoad(root string) (*guardLoader, string, error) {
+func guardLoad(root string) (*guardLoader, error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	modPath := ""
 	for _, line := range strings.Split(string(gomod), "\n") {
@@ -225,19 +221,19 @@ func guardLoad(root string) (*guardLoader, string, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	for p := range l.pkgs {
 		if _, err := l.Import(p); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
-	return l, modPath, nil
+	return l, nil
 }
 
 // guardReach runs the guard's checks on the tree under root.
 func guardReach(root string) (*guardResult, error) {
-	l, modPath, err := guardLoad(root)
+	l, err := guardLoad(root)
 	if err != nil {
 		return nil, err
 	}
@@ -374,70 +370,6 @@ func guardReach(root string) (*guardResult, error) {
 		}
 	}
 	drain()
-	withoutFacade := maps.Clone(reached)
-
-	// Roots: the root package's exported API and every method of every
-	// type it aliases or returns, transitively.
-	seen := map[types.Type]bool{}
-	var expose func(t types.Type)
-	expose = func(t types.Type) {
-		switch t := types.Unalias(t).(type) {
-		case *types.Pointer:
-			expose(t.Elem())
-		case *types.Slice:
-			expose(t.Elem())
-		case *types.Array:
-			expose(t.Elem())
-		case *types.Chan:
-			expose(t.Elem())
-		case *types.Map:
-			expose(t.Key())
-			expose(t.Elem())
-		case *types.Signature:
-			for i := 0; i < t.Results().Len(); i++ {
-				expose(t.Results().At(i).Type())
-			}
-		case *types.Named:
-			if seen[t.Origin()] {
-				return
-			}
-			seen[t.Origin()] = true
-			ms := types.NewMethodSet(types.NewPointer(t))
-			if types.IsInterface(t) {
-				ms = types.NewMethodSet(t)
-			}
-			for i := 0; i < ms.Len(); i++ {
-				if fn := ms.At(i).Obj().(*types.Func); fn.Exported() {
-					mark(fn)
-					expose(fn.Type())
-				}
-			}
-			if st, ok := t.Underlying().(*types.Struct); ok {
-				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); f.Exported() {
-						expose(f.Type())
-					}
-				}
-			}
-		}
-	}
-	if g := l.pkgs[modPath]; g != nil && g.types.Name() != "main" {
-		scope := g.types.Scope()
-		for _, name := range scope.Names() {
-			switch obj := scope.Lookup(name).(type) {
-			case *types.Func:
-				if obj.Exported() {
-					mark(obj)
-					expose(obj.Type())
-				}
-			case *types.TypeName, *types.Var:
-				if obj.Exported() {
-					expose(obj.Type())
-				}
-			}
-		}
-	}
-	drain()
 
 	r := &guardResult{}
 	for fn, d := range decls {
@@ -451,17 +383,8 @@ func guardReach(root string) (*guardResult, error) {
 		}
 		r.findings = append(r.findings, guardFinding{guardKey(fn, d.pkg), "is reached from no root", l.fset.Position(d.decl.Name.Pos()).String()})
 	}
-	for fn := range reached {
-		if d := decls[fn]; !withoutFacade[fn] && d.pkg.path != modPath {
-			r.facade = append(r.facade, guardKey(fn, d.pkg))
-			r.facadeLines += l.fset.Position(d.decl.End()).Line - l.fset.Position(d.decl.Pos()).Line + 1
-		}
-	}
-	sort.Strings(r.facade)
-
 	// A package-level type, variable or constant of a checked package
-	// must be used by some non-test file, unless the root package
-	// exports it.
+	// must be used by some non-test file.
 	used := map[types.Object]bool{}
 	for _, p := range paths {
 		for _, obj := range l.pkgs[p].info.Uses {
@@ -476,7 +399,7 @@ func guardReach(root string) (*guardResult, error) {
 		scope := g.types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if _, ok := obj.(*types.Func); ok || used[obj] || name == "_" || g.path == modPath && obj.Exported() {
+			if _, ok := obj.(*types.Func); ok || used[obj] || name == "_" {
 				continue
 			}
 			r.findings = append(r.findings, guardFinding{g.dir + "." + name, "is used by no non-test file", l.fset.Position(obj.Pos()).String()})

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
@@ -34,10 +34,7 @@ func run(failures []sim.Failure) *sim.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.Config{
-		Horizon:     h,
-		BaseModelGB: lora.BaseMemoryGB(model),
-	}, cluster.Uniform(6, gpu.A100, lora.NodeCapUnits(model, gpu.A100, h), gpu.A100.MemGB))
+	cl, err := config.NewCluster(h, model, []config.NodeGroup{{GPU: gpu.A100.Name, Count: 6}})
 	if err != nil {
 		log.Fatal(err)
 	}

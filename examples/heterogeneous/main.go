@@ -1,5 +1,5 @@
 // Heterogeneous: compare how the four schedulers use a mixed A100/A40
-// data center under a bursty Philly-like workload — the setting behind
+// data center under the paper's Poisson workload — the setting behind
 // Figures 6 and 7 of the paper.
 //
 //	go run ./examples/heterogeneous
@@ -10,56 +10,37 @@ import (
 	"log"
 	"time"
 
-	"github.com/pdftsp/pdftsp"
+	"github.com/pdftsp/pdftsp/internal/baseline"
+	"github.com/pdftsp/pdftsp/internal/config"
+	"github.com/pdftsp/pdftsp/internal/sim"
 )
 
 func main() {
-	model := pdftsp.GPT2Small()
-	h := pdftsp.Day()
-
-	cfg := pdftsp.DefaultWorkload()
-	cfg.RatePerSlot = 5
+	// The default stack: four A100 and four A40 nodes, five vendors.
+	cfg := config.Default()
 	cfg.Seed = 7
-	tasks, err := pdftsp.GenerateWorkload(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mkt, err := pdftsp.NewMarketplace(5, 7)
+	tasks, err := cfg.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	mixed := []pdftsp.ClusterOption{
-		pdftsp.WithNodes(pdftsp.A100(), 4),
-		pdftsp.WithNodes(pdftsp.A40(), 4),
-	}
-
-	type algo struct {
-		name string
-		make func(cl *pdftsp.Cluster) (pdftsp.Scheduler, error)
-	}
-	algos := []algo{
-		{"pdFTSP", func(cl *pdftsp.Cluster) (pdftsp.Scheduler, error) {
-			return pdftsp.NewScheduler(cl, pdftsp.Calibrate(tasks, model, cl, mkt))
-		}},
-		{"Titan", func(*pdftsp.Cluster) (pdftsp.Scheduler, error) {
-			return pdftsp.NewTitan(pdftsp.TitanOptions{Seed: 7, SolveBudget: 100 * time.Millisecond}), nil
-		}},
-		{"EFT", func(*pdftsp.Cluster) (pdftsp.Scheduler, error) { return pdftsp.NewEFT(), nil }},
-		{"NTM", func(*pdftsp.Cluster) (pdftsp.Scheduler, error) { return pdftsp.NewNTM(7), nil }},
+	algos := []struct {
+		name  string
+		sched sim.Scheduler // nil: the pdFTSP scheduler the config names
+	}{
+		{"pdFTSP", nil},
+		{"Titan", baseline.NewTitan(baseline.TitanOptions{Seed: 7, SolveBudget: 100 * time.Millisecond})},
+		{"EFT", baseline.NewEFT()},
+		{"NTM", baseline.NewNTM(7)},
 	}
 
 	fmt.Printf("%-8s %10s %9s %11s %12s\n", "algo", "welfare", "admitted", "utilization", "energy spend")
 	for _, a := range algos {
-		cl, err := pdftsp.NewCluster(h, model, mixed...)
+		s, err := cfg.WireWith(tasks, a.sched)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sch, err := a.make(cl)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := pdftsp.Run(cl, sch, tasks, pdftsp.RunConfig{Model: model, Market: mkt})
+		res, err := sim.Run(s.Cluster, s.Scheduler, s.Tasks, s.SimConfig)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,42 +10,35 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/pdftsp/pdftsp"
+	"github.com/pdftsp/pdftsp/internal/config"
+	"github.com/pdftsp/pdftsp/internal/gpu"
+	"github.com/pdftsp/pdftsp/internal/schedule"
 )
 
 func main() {
-	model := pdftsp.GPT2Small()
-	h := pdftsp.NewHorizon(96)
-	mkt, err := pdftsp.NewMarketplace(5, 23)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// An all-prep workload: every task needs a vendor before it can run.
-	cfg := pdftsp.DefaultWorkload()
-	cfg.Horizon = h
-	cfg.RatePerSlot = 3
-	cfg.PrepProb = 1.0
+	allPrep := 1.0
+	cfg := config.Default()
+	cfg.Slots = 96
 	cfg.Seed = 23
-	tasks, err := pdftsp.GenerateWorkload(cfg)
+	cfg.Nodes = []config.NodeGroup{{GPU: gpu.A100.Name, Count: 4}}
+	cfg.Workload.RatePerSlot = 3
+	cfg.Workload.PrepProb = &allPrep
+	tasks, err := cfg.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	cl, err := pdftsp.NewCluster(h, model, pdftsp.NodeGroup{Spec: pdftsp.A100(), Count: 4})
+	stacks, err := cfg.Wire(tasks, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sch, err := pdftsp.NewScheduler(cl, pdftsp.Calibrate(tasks, model, cl, mkt))
-	if err != nil {
-		log.Fatal(err)
-	}
+	s := stacks[0]
 
 	vendorUse := map[int]int{}
 	vendorSpend := map[int]float64{}
 	admitted := 0
 	for i := range tasks {
-		d := sch.Offer(pdftsp.NewTaskEnv(&tasks[i], cl, model, mkt))
+		d := s.Scheduler.Offer(schedule.NewTaskEnv(&tasks[i], s.Cluster, s.Model, s.Market))
 		if !d.Admitted {
 			continue
 		}
@@ -61,7 +54,7 @@ func main() {
 
 	fmt.Printf("admitted %d/%d all-prep tasks\n\n", admitted, len(tasks))
 	fmt.Printf("%8s %6s %10s   %s\n", "vendor", "tasks", "spend", "profile")
-	for n, p := range mkt.Profiles() {
+	for n, p := range s.Market.Profiles() {
 		fmt.Printf("%8d %6d %10.1f   ~%.0f money, ~%d slots delay\n",
 			n, vendorUse[n], vendorSpend[n], p.BasePrice, p.BaseDelay)
 	}

@@ -8,42 +8,34 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/pdftsp/pdftsp"
+	"github.com/pdftsp/pdftsp/internal/config"
+	"github.com/pdftsp/pdftsp/internal/gpu"
+	"github.com/pdftsp/pdftsp/internal/sim"
 )
 
 func main() {
-	model := pdftsp.GPT2Small()
-	h := pdftsp.Day()
-
-	// Six A100 nodes; capacities come from the LoRA throughput model.
-	cl, err := pdftsp.NewCluster(h, model, pdftsp.NodeGroup{Spec: pdftsp.A100(), Count: 6})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Five labor vendors quote data pre-processing per task.
-	mkt, err := pdftsp.NewMarketplace(5, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// A medium Poisson workload with the paper's dataset/epoch ranges.
-	cfg := pdftsp.DefaultWorkload()
-	cfg.RatePerSlot = 4
+	// A day of 144 ten-minute slots on six A100 nodes, five labor vendors
+	// quoting data pre-processing, and a medium Poisson workload with the
+	// paper's dataset/epoch ranges.
+	cfg := config.Default()
 	cfg.Seed = 42
-	tasks, err := pdftsp.GenerateWorkload(cfg)
+	cfg.Nodes = []config.NodeGroup{{GPU: gpu.A100.Name, Count: 6}}
+	cfg.Workload.RatePerSlot = 4
+	tasks, err := cfg.Generate()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generated %d fine-tuning bids over %d slots\n", len(tasks), h.T)
+	fmt.Printf("generated %d fine-tuning bids over %d slots\n", len(tasks), cfg.Slots)
 
-	// The online primal-dual scheduler with Lemma-2 calibrated prices.
-	sch, err := pdftsp.NewScheduler(cl, pdftsp.Calibrate(tasks, model, cl, mkt))
+	// Wire builds the cluster (capacities from the LoRA throughput model),
+	// the marketplace and the online primal-dual scheduler with Lemma-2
+	// calibrated prices.
+	stacks, err := cfg.Wire(tasks, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	res, err := pdftsp.Run(cl, sch, tasks, pdftsp.RunConfig{Model: model, Market: mkt})
+	s := stacks[0]
+	res, err := sim.Run(s.Cluster, s.Scheduler, s.Tasks, s.SimConfig)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/pdftsp/pdftsp/internal/cluster"
+	"github.com/pdftsp/pdftsp/internal/config"
 	"github.com/pdftsp/pdftsp/internal/core"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
@@ -20,10 +20,7 @@ import (
 )
 
 func makeZone(model lora.ModelConfig, nodes int, h timeslot.Horizon, mkt *vendor.Marketplace) *zones.Zone {
-	cl, err := cluster.New(cluster.Config{
-		Horizon:     h,
-		BaseModelGB: lora.BaseMemoryGB(model),
-	}, cluster.Uniform(nodes, gpu.A100, lora.NodeCapUnits(model, gpu.A100, h), gpu.A100.MemGB))
+	cl, err := config.NewCluster(h, model, []config.NodeGroup{{GPU: gpu.A100.Name, Count: nodes}})
 	if err != nil {
 		log.Fatal(err)
 	}

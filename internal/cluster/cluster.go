@@ -203,16 +203,6 @@ func (c *Cluster) Horizon() timeslot.Horizon { return c.horizon }
 // Node returns node k by value.
 func (c *Cluster) Node(k int) Node { return c.nodes[k] }
 
-// Nodes returns a copy of the node list.
-func (c *Cluster) Nodes() []Node {
-	out := make([]Node, len(c.nodes))
-	copy(out, c.nodes)
-	return out
-}
-
-// BaseModelGB returns r_b.
-func (c *Cluster) BaseModelGB() float64 { return c.baseGB }
-
 // TaskMemCap returns the memory available to tasks on node k, i.e.
 // C_km − r_b per constraint (4g).
 func (c *Cluster) TaskMemCap(k int) float64 { return c.nodes[k].CapMemGB - c.baseGB }

@@ -196,10 +196,26 @@ func taskDigest(tasks []task.Task) uint64 {
 	return h.Sum64()
 }
 
+// nodesOf lists a cluster's nodes in order.
+func nodesOf(cl *cluster.Cluster) []cluster.Node {
+	nodes := make([]cluster.Node, cl.NumNodes())
+	for k := range nodes {
+		nodes[k] = cl.Node(k)
+	}
+	return nodes
+}
+
+// wiredOptions is the Options value a wired *core.Scheduler was built
+// with. core exports no accessor for it; reflection may read an
+// unexported field's value, only not hand it out as an interface.
+func wiredOptions(s sim.Scheduler) reflect.Value {
+	return reflect.ValueOf(s.(*core.Scheduler)).Elem().FieldByName("opts")
+}
+
 // nodeNames spells a cluster's node order as "GPU/CapWork" words.
 func nodeNames(cl *cluster.Cluster) string {
 	var names []string
-	for _, n := range cl.Nodes() {
+	for _, n := range nodesOf(cl) {
 		names = append(names, fmt.Sprintf("%s/%d", n.Spec.Name, n.CapWork))
 	}
 	return strings.Join(names, " ")
@@ -281,8 +297,8 @@ func TestRecipeDigests(t *testing.T) {
 			if got := taskDigest(st.Tasks); len(st.Tasks) != tc.n || got != tc.sum {
 				t.Errorf("%s shard %d: %d tasks digest %#x, recorded %d / %#x", tc.name, i, len(st.Tasks), got, tc.n, tc.sum)
 			}
-			o := st.Scheduler.(*core.Scheduler).Options()
-			got := shard{math.Float64bits(o.Alpha), math.Float64bits(o.Beta), nodeNames(st.Cluster)}
+			o := wiredOptions(st.Scheduler)
+			got := shard{math.Float64bits(o.FieldByName("Alpha").Float()), math.Float64bits(o.FieldByName("Beta").Float()), nodeNames(st.Cluster)}
 			if got != tc.want[i] {
 				t.Errorf("%s shard %d: α %#x β %#x nodes %q, recorded α %#x β %#x nodes %q", tc.name, i,
 					got.alpha, got.beta, got.nodes, tc.want[i].alpha, tc.want[i].beta, tc.want[i].nodes)
@@ -333,7 +349,7 @@ func TestFlagsAndFileAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Tasks, b.Tasks) || a.Cluster.Horizon() != b.Cluster.Horizon() || a.Model != b.Model ||
 		nodeNames(a.Cluster) != nodeNames(b.Cluster) || a.Market.NumVendors() != b.Market.NumVendors() ||
-		a.Scheduler.(*core.Scheduler).Options() != b.Scheduler.(*core.Scheduler).Options() {
+		fmt.Sprintf("%+v", wiredOptions(a.Scheduler)) != fmt.Sprintf("%+v", wiredOptions(b.Scheduler)) {
 		t.Fatal("the flags route and the file route built different stacks")
 	}
 
@@ -382,7 +398,7 @@ func TestShardPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := whole[0].Cluster.Nodes()
+			full := nodesOf(whole[0].Cluster)
 			for n := 1; n <= k; n++ {
 				shards, err := c.Wire(tasks, n)
 				if err != nil {
@@ -390,7 +406,7 @@ func TestShardPartition(t *testing.T) {
 				}
 				seen := 0
 				for i, st := range shards {
-					got := st.Cluster.Nodes()
+					got := nodesOf(st.Cluster)
 					for j, node := range got {
 						g := i + j*n
 						if g >= k || node.Spec != full[g].Spec || node.CapWork != full[g].CapWork || node.CapMemGB != full[g].CapMemGB {

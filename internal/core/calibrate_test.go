@@ -273,7 +273,7 @@ func TestCalibrateDualsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCalibrateDualsRefusesUnpriceable: pdftsp.Calibrate is public and
+// TestCalibrateDualsRefusesUnpriceable: CalibrateDuals is exported and
 // takes caller-built tasks, so a task with no work or no memory (which
 // Task.Validate refuses) must not turn α or β into +Inf, and options that
 // are non-finite by any other route must not validate.
@@ -320,11 +320,11 @@ func TestSchedulerAccessors(t *testing.T) {
 	if s.Name() != "pdFTSP" {
 		t.Fatalf("Name = %q", s.Name())
 	}
-	if s.Options().Alpha != testOptions().Alpha {
-		t.Fatal("Options accessor wrong")
+	if s.opts.Alpha != testOptions().Alpha {
+		t.Fatal("New dropped the options")
 	}
-	if s.Cluster() != cl {
-		t.Fatal("Cluster accessor wrong")
+	if s.cl != cl {
+		t.Fatal("New dropped the cluster")
 	}
 	ad, err := NewAdaptive(cl, Options{}, 1.2)
 	if err != nil {

@@ -199,17 +199,8 @@ func New(cl *cluster.Cluster, opts Options) (*Scheduler, error) {
 // Name identifies the scheduler in experiment output.
 func (s *Scheduler) Name() string { return "pdFTSP" }
 
-// Options returns the scheduler's configuration.
-func (s *Scheduler) Options() Options { return s.opts }
-
 // Lambda returns λ_kt after the bids processed so far.
 func (s *Scheduler) Lambda(k, t int) float64 { return s.lambda[k][t] }
-
-// Phi returns φ_kt after the bids processed so far.
-func (s *Scheduler) Phi(k, t int) float64 { return s.phi[k][t] }
-
-// Cluster returns the cluster the scheduler commits into.
-func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
 
 // SetObserver attaches an event observer (obs.Observable). A nil observer
 // disables emission entirely; every emission site is nil-guarded so the

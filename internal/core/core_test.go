@@ -106,7 +106,7 @@ func TestOfferRejectsLowBid(t *testing.T) {
 	// Rejection without dual update (Algorithm 1, line 13).
 	for k := 0; k < cl.NumNodes(); k++ {
 		for tt := 0; tt < cl.Horizon().T; tt++ {
-			if s.Lambda(k, tt) != 0 || s.Phi(k, tt) != 0 {
+			if s.Lambda(k, tt) != 0 || s.phi[k][tt] != 0 {
 				t.Fatal("surplus rejection moved dual prices")
 			}
 		}
@@ -183,10 +183,10 @@ func TestDualsMonotoneNonDecreasing(t *testing.T) {
 		idx := 0
 		for k := 0; k < cl.NumNodes(); k++ {
 			for tt := 0; tt < cl.Horizon().T; tt++ {
-				if s.Lambda(k, tt) < prevL[idx] || s.Phi(k, tt) < prevP[idx] {
+				if s.Lambda(k, tt) < prevL[idx] || s.phi[k][tt] < prevP[idx] {
 					t.Fatalf("dual price decreased at (%d,%d) after task %d", k, tt, i)
 				}
-				prevL[idx], prevP[idx] = s.Lambda(k, tt), s.Phi(k, tt)
+				prevL[idx], prevP[idx] = s.Lambda(k, tt), s.phi[k][tt]
 				idx++
 			}
 		}
@@ -204,13 +204,13 @@ func TestDualsRiseOnlyOnTouchedCells(t *testing.T) {
 	touched := map[[2]int]bool{}
 	for _, p := range d.Schedule.Placements {
 		touched[[2]int{p.Node, p.Slot}] = true
-		if s.Lambda(p.Node, p.Slot) <= 0 || s.Phi(p.Node, p.Slot) <= 0 {
+		if s.Lambda(p.Node, p.Slot) <= 0 || s.phi[p.Node][p.Slot] <= 0 {
 			t.Fatal("touched cell has zero dual price")
 		}
 	}
 	for k := 0; k < cl.NumNodes(); k++ {
 		for tt := 0; tt < cl.Horizon().T; tt++ {
-			if !touched[[2]int{k, tt}] && (s.Lambda(k, tt) != 0 || s.Phi(k, tt) != 0) {
+			if !touched[[2]int{k, tt}] && (s.Lambda(k, tt) != 0 || s.phi[k][tt] != 0) {
 				t.Fatalf("untouched cell (%d,%d) has non-zero price", k, tt)
 			}
 		}
@@ -404,7 +404,7 @@ func bruteForceBest(env *schedule.TaskEnv, s *Scheduler, window timeslot.Window)
 			slot := window.Start + i
 			sk := env.Speed[choice]
 			cost += float64(sk)*s.Lambda(choice, slot) +
-				env.Task.MemGB*s.Phi(choice, slot) +
+				env.Task.MemGB*s.phi[choice][slot] +
 				env.Cluster.EnergyCost(choice, slot, sk)
 			work += sk
 		}
@@ -460,7 +460,7 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 		for _, p := range plan.Placements {
 			sk := env.Speed[p.Node]
 			cost += float64(sk)*s.Lambda(p.Node, p.Slot) +
-				tk.MemGB*s.Phi(p.Node, p.Slot) +
+				tk.MemGB*s.phi[p.Node][p.Slot] +
 				cl.EnergyCost(p.Node, p.Slot, sk)
 		}
 		if !bfFound {

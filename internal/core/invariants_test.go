@@ -139,7 +139,7 @@ func TestSurplusMatchesDefinition(t *testing.T) {
 		lam[k] = make([]float64, T)
 		phi[k] = make([]float64, T)
 		for tt := 0; tt < T; tt++ {
-			lam[k][tt], phi[k][tt] = s.Lambda(k, tt), s.Phi(k, tt)
+			lam[k][tt], phi[k][tt] = s.Lambda(k, tt), s.phi[k][tt]
 		}
 	}
 	d := s.Offer(env)

@@ -29,26 +29,6 @@ func (s *Scheduler) SnapshotDuals() DualState {
 	return ds
 }
 
-// Equal reports whether two snapshots carry bit-identical prices — the
-// equivalence the service tests assert between a concurrent broker run
-// and its sequential replay.
-func (ds DualState) Equal(other DualState) bool {
-	if len(ds.Lambda) != len(other.Lambda) || len(ds.Phi) != len(other.Phi) {
-		return false
-	}
-	for k := range ds.Lambda {
-		if len(ds.Lambda[k]) != len(other.Lambda[k]) || len(ds.Phi[k]) != len(other.Phi[k]) {
-			return false
-		}
-		for t := range ds.Lambda[k] {
-			if ds.Lambda[k][t] != other.Lambda[k][t] || ds.Phi[k][t] != other.Phi[k][t] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // RestoreDuals overwrites the scheduler's dual prices with a snapshot
 // taken from a scheduler of identical cluster shape. It rejects
 // mismatched dimensions so a checkpoint cannot be replayed into the

@@ -15,15 +15,14 @@ const (
 	ModelGPT2Medium
 )
 
-// catalog is every model this package can size, by code; entry 0 is the
-// unnamed default.
+// catalog is every model this package can size, keyed by code; entry 0,
+// left zero, is the unnamed default.
 var catalog = [...]struct {
 	name   string
 	config func() ModelConfig
 }{
-	{},
-	{"gpt2-small", GPT2Small},
-	{"gpt2-medium", GPT2Medium},
+	ModelGPT2Small:  {"gpt2-small", GPT2Small},
+	ModelGPT2Medium: {"gpt2-medium", GPT2Medium},
 }
 
 // NumModels bounds the codes: an array indexed by Model has this length.

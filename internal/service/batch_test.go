@@ -102,7 +102,7 @@ func TestBatchConcurrentEquivalence(t *testing.T) {
 			res.Welfare, res.Revenue, res.Admitted, res.Rejected,
 			want.Welfare, want.Revenue, want.Admitted, want.Rejected)
 	}
-	if !serve.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(serve.sched.SnapshotDuals(), twin.sched.SnapshotDuals()) {
 		t.Fatal("final dual prices diverge from the sequential replay")
 	}
 	if !reflect.DeepEqual(serve.cl.Snapshot(), twin.cl.Snapshot()) {
@@ -266,7 +266,7 @@ func deltaStack(t testing.TB, path string, fullEvery, slots, killAt int, seed in
 // per-slot-full broker and a binary-delta broker (full snapshot every 4
 // slots) and asserts LoadCheckpoint reconstructs, from full + deltas,
 // the exact state the full-snapshot twin persisted — and that the old
-// ReadCheckpoint path still reads the delta run's base snapshot.
+// full-snapshot reader still reads the delta run's base snapshot.
 func TestLoadCheckpointDeltaEquivalence(t *testing.T) {
 	const slots, killAt = 24, 11 // 11 is mid-interval: full at 9, deltas at 10..11
 	dir := t.TempDir()
@@ -278,7 +278,7 @@ func TestLoadCheckpointDeltaEquivalence(t *testing.T) {
 	if _, err := os.Stat(DeltaPath(deltaPath)); err != nil {
 		t.Fatalf("no delta sidecar written: %v", err)
 	}
-	want, err := ReadCheckpoint(fullPath)
+	want, _, err := readCheckpoint(fullPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +294,8 @@ func TestLoadCheckpointDeltaEquivalence(t *testing.T) {
 	}
 
 	// The base snapshot alone (what a pre-delta reader sees) must still
-	// parse and restore: ReadCheckpoint ignores the sidecar by design.
-	base, err := ReadCheckpoint(deltaPath)
+	// parse and restore: readCheckpoint ignores the sidecar by design.
+	base, _, err := readCheckpoint(deltaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestLoadCheckpointDeltaEquivalence(t *testing.T) {
 	if err := nb.Restore(got); err != nil {
 		t.Fatalf("Restore of delta-reconstructed checkpoint: %v", err)
 	}
-	if !restored.sched.SnapshotDuals().Equal(s.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(restored.sched.SnapshotDuals(), s.sched.SnapshotDuals()) {
 		t.Fatal("restored duals differ from the killed delta broker's")
 	}
 	if !reflect.DeepEqual(restored.cl.Snapshot(), s.cl.Snapshot()) {
@@ -372,17 +372,17 @@ func TestLoadCheckpointCorruptTail(t *testing.T) {
 		t.Fatalf("bad magic: slot %d, want 9 (full snapshot alone)", ck.Slot)
 	}
 
-	// No sidecar at all: LoadCheckpoint degenerates to ReadCheckpoint.
+	// No sidecar at all: LoadCheckpoint degenerates to readCheckpoint.
 	if err := os.Remove(side); err != nil {
 		t.Fatal(err)
 	}
 	ck := load("no sidecar")
-	want, err := ReadCheckpoint(path)
+	want, _, err := readCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ck, want) {
-		t.Fatal("sidecar-less LoadCheckpoint differs from ReadCheckpoint")
+		t.Fatal("sidecar-less LoadCheckpoint differs from readCheckpoint")
 	}
 }
 
@@ -408,7 +408,7 @@ func TestLoadCheckpointStaleSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ReadCheckpoint(path)
+	base, _, err := readCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestLoadCheckpointMisshapenPlane(t *testing.T) {
 				if err := os.WriteFile(DeltaPath(cut), side, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := ReadCheckpoint(cut); err != nil {
+				if _, _, err := readCheckpoint(cut); err != nil {
 					t.Fatalf("the snapshot the delta extends: %v", err)
 				}
 			}

@@ -123,14 +123,8 @@ func WriteCheckpoint(path string, ck *Checkpoint) error {
 	return writeFile(osFS{}, path, data)
 }
 
-// ReadCheckpoint loads a checkpoint file.
-func ReadCheckpoint(path string) (*Checkpoint, error) {
-	ck, _, err := readCheckpoint(path)
-	return ck, err
-}
-
-// readCheckpoint also returns the file's bytes, which a delta sidecar is
-// keyed to.
+// readCheckpoint loads a full snapshot file and also returns its bytes,
+// which a delta sidecar is keyed to.
 func readCheckpoint(path string) (*Checkpoint, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

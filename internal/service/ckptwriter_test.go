@@ -80,7 +80,7 @@ func TestAsyncCheckpointBackpressure(t *testing.T) {
 		}
 		// Drain forces one last full write at whatever slot the clock
 		// reached; it must be current on disk.
-		ck, err := ReadCheckpoint(opts.CheckpointPath)
+		ck, _, err := readCheckpoint(opts.CheckpointPath)
 		if err != nil {
 			t.Fatal(err)
 		}

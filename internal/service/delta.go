@@ -197,9 +197,9 @@ func appendLedgerDiff(p []byte, prev, cur *cluster.Snapshot) []byte {
 // truncated record discards itself and everything after it. A sidecar
 // that extends this snapshot in another format version is refused with
 // ErrFormatVersion, and a record whose CRC holds but that does not decode
-// is an error too, as is a snapshot ReadCheckpoint refuses. Brokers
+// is an error too, as is a snapshot readCheckpoint refuses. Brokers
 // running the default CheckpointFullEvery=1 never write deltas, so for
-// them this is ReadCheckpoint with one extra stat.
+// them this is readCheckpoint with one extra stat.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	ck, data, err := readCheckpoint(path)
 	if err != nil {

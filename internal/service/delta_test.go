@@ -26,12 +26,9 @@ import (
 func TestDeltaRecordDeterministic(t *testing.T) {
 	s := newStack(t, 24, 2, 8, 5)
 	b := startBroker(t, s.brokerOptions())
-	chans := submitAll(t, b, s.tasks, 4)
+	ackAll(t, b, s.tasks, 4)
 	if _, err := b.Step(24); err != nil {
 		t.Fatal(err)
-	}
-	for _, ch := range chans {
-		<-ch
 	}
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -159,9 +156,7 @@ func grow(ck *Checkpoint, node bool) {
 func TestSnapshotCoversEveryField(t *testing.T) {
 	s := newStack(t, 8, 2, 4, 5)
 	b := startBroker(t, s.brokerOptions())
-	for _, ch := range submitAll(t, b, s.tasks, 2) {
-		defer func() { <-ch }()
-	}
+	ackAll(t, b, s.tasks, 2)
 	if _, err := b.Step(8); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +260,7 @@ func TestWriteCheckpointShape(t *testing.T) {
 	if err := WriteCheckpoint(ok, fullCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
-	if ck, err := ReadCheckpoint(ok); err != nil || !sameCheckpoint(ck, fullCheckpoint()) {
+	if ck, _, err := readCheckpoint(ok); err != nil || !sameCheckpoint(ck, fullCheckpoint()) {
 		t.Fatalf("a consistent checkpoint does not round-trip (err %v)", err)
 	}
 	for name, bend := range map[string]func(*Checkpoint){

@@ -54,7 +54,9 @@ const (
 
 // fleetOps are the script's operations:
 //
-//	a-g      the current slot's unsent bids through intakeForms[0..6]
+//	a-g      the current slot's unsent bids through the form fleetForms
+//	         names; a, b and c are all SubmitBatch, so that the committed
+//	         corpus keeps its letters
 //	s        the rest through SubmitBatchAck, then close the slot
 //	z        a clock stall: /v1/status keeps answering with the slot
 //	k        the whole fleet dies and resumes on fresh stacks, as a restarted
@@ -65,6 +67,11 @@ const (
 const fleetOps = "abcdefgszktFWP"
 
 var fleetSeamModes = map[byte]string{'F': "fail", 'W': "short", 'P': "cut"}
+
+var fleetForms = map[byte]string{
+	'a': "SubmitBatch", 'b': "SubmitBatch", 'c': "SubmitBatch", 'd': "SubmitBatchAck",
+	'e': "POST /v1/bids", 'f': "POST /v1/bids/batch", 'g': "POST /v1/bids/batch?ack=1",
+}
 
 // fleetCorpus is FuzzFleet's seed corpus, seed#0 onward in this order:
 // the nine rows of the retired pdftspd self-tests (#6 was the spot smoke:
@@ -216,7 +223,7 @@ func exploreFleet(t *testing.T, seed int64, shape uint8, script string) fleetSta
 		case 'F', 'W', 'P':
 			r.fs.arm(st.arg, fleetSeamModes[st.op])
 		default:
-			r.offer(intakeForms[st.op-'a'])
+			r.offer(formNamed(fleetForms[st.op]))
 		}
 		if !r.after() {
 			return r.stats
@@ -308,9 +315,6 @@ func (r *fleetRun) await(b *fleetBid) formReply {
 // each, and waits for each verdict: a reply, or — for a blocking form,
 // which answers when the slot closes — the fleet's held count moving.
 func (r *fleetRun) offer(f intakeForm) {
-	if _, ok := r.a.(*Broker); f.brokerOnly && !ok {
-		f = intakeForms[2] // SubmitBatch: Submit is a SubmitBatch of one
-	}
 	for _, tk := range r.perSlot[r.slot] {
 		b := r.bids[tk.ID]
 		if b.acked || b.refused {
@@ -351,7 +355,7 @@ func (r *fleetRun) offer(f intakeForm) {
 // SubmitBatchAck; one held bid answers 202 pending before the close and
 // 200 after; every acked bid is decided, as its blocking form answered.
 func (r *fleetRun) step() {
-	r.offer(intakeForms[3])
+	r.offer(formNamed("SubmitBatchAck"))
 	r.stats.fired["step"]++
 	probe := ""
 	for _, tk := range r.perSlot[r.slot] {
@@ -597,7 +601,7 @@ func (r *fleetRun) finish() {
 	for i, b := range r.a.Brokers() {
 		res := b.Result()
 		liveW += res.Welfare
-		if !r.stacks[i].sched.SnapshotDuals().Equal(twins[i].sched.SnapshotDuals()) {
+		if !reflect.DeepEqual(r.stacks[i].sched.SnapshotDuals(), twins[i].sched.SnapshotDuals()) {
 			r.t.Fatalf("broker %d: final duals diverge from sim.Run", i)
 		}
 		if !reflect.DeepEqual(r.stacks[i].cl.Snapshot(), twins[i].cl.Snapshot()) {

@@ -87,17 +87,14 @@ func TestDegradedHealth(t *testing.T) {
 
 	// Degraded ≠ down: the auction keeps deciding bids.
 	tk := task.Task{ID: 1, Arrival: 4, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
-	ch, err := b.SubmitAsync(context.Background(), tk)
-	if err != nil {
+	if err := ackOne(context.Background(), b, tk); err != nil {
 		t.Fatalf("degraded broker refused a bid: %v", err)
 	}
 	failing = false // disk recovers
 	if _, err := b.Step(2); err != nil {
 		t.Fatal(err)
 	}
-	if out := <-ch; out.Err != nil {
-		t.Fatal(out.Err)
-	}
+	decided(t, b, tk.ID)
 	if code, h := healthz(); code != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("after recovery: code=%d health=%+v", code, h)
 	}
@@ -108,7 +105,7 @@ func TestDegradedHealth(t *testing.T) {
 	if st.CheckpointFailures != 0 || st.Degraded || st.SlotsSinceCheckpoint != 0 {
 		t.Fatalf("post-recovery status: %+v", st)
 	}
-	if _, err := ReadCheckpoint(path); err != nil {
+	if _, _, err := readCheckpoint(path); err != nil {
 		t.Fatalf("recovered disk never got a checkpoint: %v", err)
 	}
 }
@@ -125,7 +122,7 @@ func TestRetryAfterOn429(t *testing.T) {
 
 	// Fill the single held slot directly so the HTTP bid below bounces.
 	tk := task.Task{ID: 1, Arrival: 5, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
-	if _, err := b.SubmitAsync(context.Background(), tk); err != nil {
+	if err := ackOne(context.Background(), b, tk); err != nil {
 		t.Fatal(err)
 	}
 	body := `{"id": 2, "arrival": 5, "deadline": 10, "work": 5, "mem_gb": 2, "bid": 5}`

@@ -225,7 +225,7 @@ func restoreFormats(t *testing.T, dir string) map[string]restored {
 	for i := 0; i < formatsShards; i++ {
 		shard := fmt.Sprintf("%s.shard%d", base, i)
 		r := restored{}
-		ck, err := ReadCheckpoint(shard)
+		ck, _, err := readCheckpoint(shard)
 		if r.err = err; err == nil {
 			r.digest = stateDigest(t, ck)
 		}

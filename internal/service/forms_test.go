@@ -72,27 +72,14 @@ func postBids(srv *httptest.Server, path string, body any, array bool) formReply
 // intakeForm is one way a bid reaches hold: an in-process call (send) or
 // an HTTP endpoint (path).
 type intakeForm struct {
-	name       string
-	brokerOnly bool   // Submit and SubmitAsync are not on the Auctioneer surface
-	path       string // HTTP forms: the endpoint
-	array      bool   // HTTP forms: body and reply are one-element arrays
-	ackOnly    bool   // returns at the ack; the decision is looked up later
-	send       func(a Auctioneer, t task.Task) formReply
+	name    string
+	path    string // HTTP forms: the endpoint
+	array   bool   // HTTP forms: body and reply are one-element arrays
+	ackOnly bool   // returns at the ack; the decision is looked up later
+	send    func(a Auctioneer, t task.Task) formReply
 }
 
 var intakeForms = []intakeForm{
-	{name: "Submit", brokerOnly: true, send: func(a Auctioneer, t task.Task) formReply {
-		d, err := a.(*Broker).Submit(context.Background(), t)
-		return inProcessReply(d.TaskID, &Outcome{Decision: d, Err: err})
-	}},
-	{name: "SubmitAsync", brokerOnly: true, send: func(a Auctioneer, t task.Task) formReply {
-		ch, err := a.(*Broker).SubmitAsync(context.Background(), t)
-		if err != nil {
-			return formReply{err: err, refusal: err.Error()}
-		}
-		out := <-ch
-		return inProcessReply(out.Decision.TaskID, &out)
-	}},
 	{name: "SubmitBatch", send: func(a Auctioneer, t task.Task) formReply {
 		outs, err := a.SubmitBatch(context.Background(), []task.Task{t})
 		if err != nil {
@@ -113,6 +100,16 @@ var intakeForms = []intakeForm{
 	{name: "POST /v1/bids", path: "/v1/bids"},
 	{name: "POST /v1/bids/batch", path: "/v1/bids/batch", array: true},
 	{name: "POST /v1/bids/batch?ack=1", path: "/v1/bids/batch?ack=1", array: true, ackOnly: true},
+}
+
+// formNamed is the intake form called name.
+func formNamed(name string) intakeForm {
+	for _, f := range intakeForms {
+		if f.name == name {
+			return f
+		}
+	}
+	panic("no intake form " + name)
 }
 
 // post sends one wire bid — anything that marshals to one — to an HTTP form.
@@ -145,9 +142,6 @@ func TestIntakeFormsAgree(t *testing.T) {
 			var first []string
 			var firstName string
 			for _, f := range intakeForms {
-				if f.brokerOnly && kind != "broker" {
-					continue
-				}
 				got := runIntakeScript(t, kind, f)
 				if first == nil {
 					first, firstName = got, f.name

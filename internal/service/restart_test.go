@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -89,7 +90,7 @@ func TestSupervisorAckBoundaryKill(t *testing.T) {
 	if msg := sim.DiffResults(b.Result(), want); msg != "" {
 		t.Fatalf("restarted run diverged from sim.Run: %s\nbroker %+v\nsim    %+v", msg, b.Result(), want)
 	}
-	if !s.sched.SnapshotDuals().Equal(tw.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(s.sched.SnapshotDuals(), tw.sched.SnapshotDuals()) {
 		t.Fatal("restarted run's final duals diverge from sim.Run")
 	}
 }
@@ -116,7 +117,7 @@ func TestSupervisorResolvesReplayedDuplicate(t *testing.T) {
 	srv := httptest.NewServer(b.Handler())
 	defer srv.Close()
 	id := batch[0].ID
-	if r := intakeForms[4].offer(b, srv, batch[0]); r.status != http.StatusConflict {
+	if r := formNamed("POST /v1/bids").offer(b, srv, batch[0]); r.status != http.StatusConflict {
 		t.Fatalf("re-sent journaled bid %d: HTTP %d %q, want 409", id, r.status, r.refusal)
 	}
 	probe := fmt.Sprintf("/v1/decisions/%d", id)
@@ -218,7 +219,7 @@ func TestSupervisorRetriesHeldBidAcrossKill(t *testing.T) {
 				}
 				resend := f
 				if len(bids) > 1 {
-					resend = intakeForms[2] // SubmitBatch
+					resend = formNamed("SubmitBatch")
 				}
 				again := resend.offer(b, srv, bids[i])
 				if !strings.Contains(again.refusal, ErrDuplicateID.Error()) {

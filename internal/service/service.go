@@ -1,6 +1,6 @@
 // Package service turns the batch pdFTSP core into a long-lived auction
-// broker: bids arrive concurrently (in-process Submit or the HTTP facade
-// in http.go), are serialized through a single core goroutine — the
+// broker: bids arrive concurrently (in-process SubmitBatch or the HTTP
+// facade in http.go), are serialized through a single core goroutine — the
 // paper's dual updates are inherently sequential (Lemma 1), so one
 // goroutine owning λ/φ and the ledger is the correctness boundary, not a
 // bottleneck worked around with locks — and each caller receives the
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -118,8 +117,8 @@ type Options struct {
 	// checkpoint write is the full snapshot, the writes in between append
 	// binary per-slot deltas to a ".delta" sidecar (see delta.go).
 	// Default 1 — every write is a full snapshot, and no sidecar is kept —
-	// so ReadCheckpoint alone keeps seeing the latest state unless a
-	// deployment opts into deltas (then LoadCheckpoint replays them).
+	// so the snapshot alone holds the latest state unless a deployment
+	// opts into deltas (then LoadCheckpoint replays them).
 	// Drain and horizon end always force a full snapshot.
 	CheckpointFullEvery int
 	// DropLosingPlans, when set, discards the (never again consulted)
@@ -185,17 +184,17 @@ type Outcome struct {
 	Err      error
 }
 
-// submission is one intake message: the bids of one Submit, SubmitAsync,
-// SubmitBatch or SubmitBatchAck call, handed to the core goroutine in one
-// channel send. The core goroutine writes intake verdicts (and, for the
-// collecting forms, decisions) into the submission's slices; the ack and
-// completion channels provide the happens-before edges that make those
-// writes visible without locks.
+// submission is one intake message: the bids of one SubmitBatch or
+// SubmitBatchAck call, handed to the core goroutine in one channel send.
+// The core goroutine writes intake verdicts (and, for SubmitBatch,
+// decisions) into the submission's slices; the ack and completion
+// channels provide the happens-before edges that make those writes
+// visible without locks.
 type submission struct {
 	tasks []task.Task
 	ctx   context.Context
-	// outcomes collects per-bid results for the collecting forms; nil in
-	// ack-only mode, where verdicts receives the intake verdicts instead.
+	// outcomes collects per-bid results for SubmitBatch; nil in ack-only
+	// mode, where verdicts receives the intake verdicts instead.
 	outcomes []Outcome
 	verdicts []error
 	// ack fires once intake verdicts are recorded (a non-nil value is a
@@ -204,24 +203,11 @@ type submission struct {
 	ack chan error
 	// held is how many bids intake held, fixed before the ack; remaining
 	// counts a collecting submission's unanswered bids down on the core
-	// goroutine, and the last answer signals done (always nil) — or, for
-	// SubmitAsync, delivers the one outcome on resp. Both are buffered
+	// goroutine, and the last answer signals done (always nil), buffered
 	// for the same reason ack is.
 	held      int
 	remaining int
 	done      chan error
-	resp      chan Outcome
-	// The one-bid forms point tasks/outcomes at these, so a single bid
-	// costs no slice allocations.
-	task1 [1]task.Task
-	out1  [1]Outcome
-}
-
-// one returns sub as a collecting submission of the single bid t.
-func (sub *submission) one(t task.Task) *submission {
-	sub.task1[0], sub.out1[0] = t, Outcome{}
-	sub.tasks, sub.outcomes = sub.task1[:], sub.out1[:]
-	return sub
 }
 
 // verdict is where bid i's intake verdict is reported.
@@ -231,23 +217,6 @@ func (sub *submission) verdict(i int) *error {
 	}
 	return &sub.verdicts[i]
 }
-
-// complete signals that every bid of a collecting submission is answered.
-func (sub *submission) complete() {
-	if sub.resp != nil {
-		sub.resp <- sub.outcomes[0]
-		return
-	}
-	sub.done <- nil
-}
-
-// submissionPool recycles Submit's submissions (channels included): a
-// completed synchronous call has consumed the ack and the completion, so
-// a recycled submission is always empty. The other forms hand slices or a
-// channel to their caller and allocate fresh.
-var submissionPool = sync.Pool{New: func() any {
-	return &submission{ack: make(chan error, 1), done: make(chan error, 1)}
-}}
 
 // maxBidID bounds the IDs a submitter may choose (2^53-1 on 64-bit
 // platforms, every integer a JSON client's float64 holds exactly). The
@@ -415,48 +384,6 @@ func (b *Broker) Start() error {
 // scheduler and cluster are safe to inspect from any goroutine.
 func (b *Broker) Done() <-chan struct{} { return b.done }
 
-// SubmitAsync hands one bid to the broker and returns a channel that will
-// deliver the decision when the bid's arrival slot closes. The error
-// return reports intake verdicts synchronously: a full queue, a closed
-// arrival slot, a duplicate ID, or an invalid task. A task with negative
-// Arrival is stamped with the current slot ("bid now"); a negative ID is
-// assigned the next free one (readable from the returned outcome).
-func (b *Broker) SubmitAsync(ctx context.Context, t task.Task) (<-chan Outcome, error) {
-	sub := (&submission{ack: make(chan error, 1), resp: make(chan Outcome, 1)}).one(t)
-	if err := b.submit(ctx, sub); err != nil {
-		return nil, err
-	}
-	if sub.held == 0 {
-		// Refused at intake: the verdict is final, nothing will answer it.
-		return nil, sub.out1[0].Err
-	}
-	return sub.resp, nil
-}
-
-// Submit is the one-bid submission plus the wait: it blocks until the
-// bid's slot closes and returns the irrevocable decision. ctx bounds the
-// whole round trip — a canceled bid is skipped if its round has not run
-// yet (decisions already made are irrevocable and remain queryable via
-// DecisionFor). Its submission comes from a pool with the one-element
-// task and outcome arrays embedded, so steady-state Submit traffic
-// allocates nothing on the intake path.
-func (b *Broker) Submit(ctx context.Context, t task.Task) (schedule.Decision, error) {
-	sub := submissionPool.Get().(*submission).one(t)
-	err := b.submit(ctx, sub)
-	if err == nil {
-		err = b.wait(sub, sub.done)
-	}
-	if err != nil {
-		// The core loop may still own sub (it answers at round time or
-		// shutdown); the object retires instead of recycling.
-		return schedule.Decision{}, err
-	}
-	out := sub.out1[0]
-	sub.one(task.Task{}).ctx = nil // a pooled submission pins nothing
-	submissionPool.Put(sub)
-	return out.Decision, out.Err
-}
-
 // SubmitBatch hands a whole slice of bids to the broker in one intake
 // message — the coalesced fast path the load generator and the batch
 // HTTP endpoint use — and blocks until every accepted bid's slot has
@@ -467,8 +394,8 @@ func (b *Broker) Submit(ctx context.Context, t task.Task) (schedule.Decision, er
 // down or ctx expires before the results are complete; the outcome
 // slice is invalid in that case.
 //
-// Compared with n Submit calls, a batch costs one channel send and one
-// ack wait regardless of n.
+// A batch costs one channel send and one ack wait regardless of its
+// size.
 func (b *Broker) SubmitBatch(ctx context.Context, tasks []task.Task) ([]Outcome, error) {
 	if len(tasks) == 0 {
 		return nil, nil
@@ -930,7 +857,7 @@ func (b *Broker) answer(hb *heldBid, out Outcome) {
 	sub.outcomes[hb.idx] = out
 	sub.remaining--
 	if sub.remaining == 0 {
-		sub.complete()
+		sub.done <- nil
 	}
 }
 
@@ -1002,7 +929,7 @@ func (b *Broker) intakeRecv(sub *submission) {
 	// edge; after it only answer touches remaining.
 	sub.held, sub.remaining = held, held
 	if collector != nil && held == 0 {
-		sub.complete()
+		sub.done <- nil
 	}
 	sub.ack <- nil
 }

@@ -20,6 +20,7 @@ import (
 	"github.com/pdftsp/pdftsp/internal/decision"
 	"github.com/pdftsp/pdftsp/internal/gpu"
 	"github.com/pdftsp/pdftsp/internal/lora"
+	"github.com/pdftsp/pdftsp/internal/schedule"
 	"github.com/pdftsp/pdftsp/internal/sim"
 	"github.com/pdftsp/pdftsp/internal/task"
 	"github.com/pdftsp/pdftsp/internal/timeslot"
@@ -86,12 +87,21 @@ func startBroker(t testing.TB, opts Options) *Broker {
 	return b
 }
 
-// submitAll fans the workload in from `workers` goroutines via
-// SubmitAsync and returns one outcome channel per task, indexed like the
-// task slice.
-func submitAll(t *testing.T, b *Broker, tasks []task.Task, workers int) []<-chan Outcome {
+// ackOne hands one bid to b as a SubmitBatchAck of one, the form the
+// HTTP ack endpoint sends, and returns its intake verdict.
+func ackOne(ctx context.Context, b *Broker, tk task.Task) error {
+	verdicts := make([]error, 1)
+	if _, err := b.SubmitBatchAck(ctx, []task.Task{tk}, verdicts); err != nil {
+		return err
+	}
+	return verdicts[0]
+}
+
+// ackAll fans the workload in from `workers` goroutines, one ackOne per
+// bid, and fails the test on any refusal. A bid's decision is read with
+// DecisionFor once its slot has closed.
+func ackAll(t *testing.T, b *Broker, tasks []task.Task, workers int) {
 	t.Helper()
-	chans := make([]<-chan Outcome, len(tasks))
 	var wg sync.WaitGroup
 	errs := make(chan error, len(tasks))
 	for w := 0; w < workers; w++ {
@@ -99,21 +109,65 @@ func submitAll(t *testing.T, b *Broker, tasks []task.Task, workers int) []<-chan
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(tasks); i += workers {
-				ch, err := b.SubmitAsync(context.Background(), tasks[i])
-				if err != nil {
+				if err := ackOne(context.Background(), b, tasks[i]); err != nil {
 					errs <- err
 					return
 				}
-				chans[i] = ch
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("SubmitAsync: %v", err)
+		t.Fatalf("SubmitBatchAck: %v", err)
 	}
-	return chans
+}
+
+// decided is DecisionFor, failing the test when id has no decision.
+func decided(t *testing.T, b *Broker, id int) schedule.Decision {
+	t.Helper()
+	d, ok, err := b.DecisionFor(id)
+	if err != nil || !ok {
+		t.Fatalf("task %d: no decision (ok=%v err=%v)", id, ok, err)
+	}
+	return d
+}
+
+// submitHeld hands one bid to b as a SubmitBatch of one from a goroutine,
+// since the call blocks until the bid's slot closes, and returns once the
+// broker holds the bid. The outcome arrives on the returned channel: the
+// decision, or the error of a drain, a kill or an ended ctx.
+func submitHeld(t *testing.T, ctx context.Context, b *Broker, tk task.Task) <-chan Outcome {
+	t.Helper()
+	before, err := b.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan Outcome, 1)
+	go func() {
+		outs, err := b.SubmitBatch(ctx, []task.Task{tk})
+		if err != nil {
+			outs = []Outcome{{Err: err}}
+		}
+		ch <- outs[0]
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		st, err := b.Status()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Held > before.Held {
+			return ch
+		}
+		select {
+		case out := <-ch:
+			t.Fatalf("bid %d refused at intake: %v", tk.ID, out.Err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("bid %d: no intake verdict in 5s", tk.ID)
+		}
+	}
 }
 
 // replay runs the same workload sequentially through a twin stack.
@@ -142,25 +196,21 @@ func TestConcurrentEquivalence(t *testing.T) {
 	t.Logf("%d bids from %d goroutines", len(serve.tasks), workers)
 
 	b := startBroker(t, serve.brokerOptions())
-	chans := submitAll(t, b, serve.tasks, workers)
+	ackAll(t, b, serve.tasks, workers)
 	if slot, err := b.Step(slots); err != nil || slot != slots {
 		t.Fatalf("Step: slot %d, err %v", slot, err)
 	}
 
 	want := replay(t, twin)
 
-	for i := range serve.tasks {
-		out := <-chans[i]
-		if out.Err != nil {
-			t.Fatalf("task %d: %v", serve.tasks[i].ID, out.Err)
-		}
-		w := want.Decisions[i]
-		if out.Decision.Admitted != w.Admitted || out.Decision.Payment() != w.Payment() {
+	for i, tk := range serve.tasks {
+		d, w := decided(t, b, tk.ID), want.Decisions[i]
+		if d.Admitted != w.Admitted || d.Payment() != w.Payment() {
 			t.Fatalf("task %d: service (admitted=%v payment=%v) vs replay (admitted=%v payment=%v)",
-				serve.tasks[i].ID, out.Decision.Admitted, out.Decision.Payment(), w.Admitted, w.Payment())
+				tk.ID, d.Admitted, d.Payment(), w.Admitted, w.Payment())
 		}
-		if out.Decision.Reason != w.Reason {
-			t.Fatalf("task %d: reason %q vs %q", serve.tasks[i].ID, out.Decision.Reason, w.Reason)
+		if d.Reason != w.Reason {
+			t.Fatalf("task %d: reason %q vs %q", tk.ID, d.Reason, w.Reason)
 		}
 	}
 
@@ -174,7 +224,7 @@ func TestConcurrentEquivalence(t *testing.T) {
 			res.Welfare, res.Revenue, res.Admitted, res.Rejected,
 			want.Welfare, want.Revenue, want.Admitted, want.Rejected)
 	}
-	if !serve.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(serve.sched.SnapshotDuals(), twin.sched.SnapshotDuals()) {
 		t.Fatal("final dual prices diverge from the sequential replay")
 	}
 	if !reflect.DeepEqual(serve.cl.Snapshot(), twin.cl.Snapshot()) {
@@ -209,21 +259,19 @@ func TestCheckpointKillRestore(t *testing.T) {
 	optsA := serve.brokerOptions()
 	optsA.CheckpointPath = path
 	a := startBroker(t, optsA)
-	earlyChans := submitAll(t, a, early, 4)
+	ackAll(t, a, early, 4)
 	if _, err := a.Step(killAt); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
-	for i := range early {
-		if out := <-earlyChans[i]; out.Err != nil {
-			t.Fatalf("early task %d: %v", early[i].ID, out.Err)
-		}
+	for _, tk := range early {
+		decided(t, a, tk.ID)
 	}
 	a.Kill()
 
 	// A fresh stack (fresh duals, fresh ledger) restored from the file
 	// must carry bit-identical state to the killed broker.
 	restored := newStack(t, slots, nodes, rate, 23)
-	ck, err := ReadCheckpoint(path)
+	ck, _, err := readCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +287,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 	if err := b.Restore(ck); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if !restored.sched.SnapshotDuals().Equal(serve.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(restored.sched.SnapshotDuals(), serve.sched.SnapshotDuals()) {
 		t.Fatal("restored duals differ from the killed broker's")
 	}
 	if !reflect.DeepEqual(restored.cl.Snapshot(), serve.cl.Snapshot()) {
@@ -249,14 +297,12 @@ func TestCheckpointKillRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lateChans := submitAll(t, b, late, 4)
+	ackAll(t, b, late, 4)
 	if _, err := b.Step(slots - killAt); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
-	for i := range late {
-		if out := <-lateChans[i]; out.Err != nil {
-			t.Fatalf("late task %d: %v", late[i].ID, out.Err)
-		}
+	for _, tk := range late {
+		decided(t, b, tk.ID)
 	}
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -268,7 +314,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 		t.Fatalf("restored run: welfare=%v admitted=%d revenue=%v, uninterrupted replay: welfare=%v admitted=%d revenue=%v",
 			res.Welfare, res.Admitted, res.Revenue, want.Welfare, want.Admitted, want.Revenue)
 	}
-	if !restored.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(restored.sched.SnapshotDuals(), twin.sched.SnapshotDuals()) {
 		t.Fatal("final duals after restore diverge from the uninterrupted replay")
 	}
 	if !reflect.DeepEqual(restored.cl.Snapshot(), twin.cl.Snapshot()) {
@@ -292,7 +338,7 @@ func TestCheckpointKillRestore(t *testing.T) {
 	}
 }
 
-// TestIntakeVerdicts covers the synchronous refusals of SubmitAsync.
+// TestIntakeVerdicts covers the refusals intake answers at the ack.
 func TestIntakeVerdicts(t *testing.T) {
 	s := newStack(t, 12, 2, 2, 5)
 	opts := s.brokerOptions()
@@ -305,49 +351,50 @@ func TestIntakeVerdicts(t *testing.T) {
 		return task.Task{ID: id, Arrival: int32(arrival), Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
 	}
 
-	if _, err := b.SubmitAsync(ctx, bid(0, 3)); err != nil {
+	if err := ackOne(ctx, b, bid(0, 3)); err != nil {
 		t.Fatalf("first bid: %v", err)
 	}
-	if _, err := b.SubmitAsync(ctx, bid(0, 4)); !errors.Is(err, ErrDuplicateID) {
+	if err := ackOne(ctx, b, bid(0, 4)); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate ID: got %v", err)
 	}
-	if _, err := b.SubmitAsync(ctx, bid(1, 3)); err != nil {
+	if err := ackOne(ctx, b, bid(1, 3)); err != nil {
 		t.Fatalf("second bid: %v", err)
 	}
-	if _, err := b.SubmitAsync(ctx, bid(2, 3)); !errors.Is(err, ErrQueueFull) {
+	if err := ackOne(ctx, b, bid(2, 3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("held-queue overflow: got %v", err)
 	}
 	if _, err := b.Step(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SubmitAsync(ctx, bid(3, 2)); !errors.Is(err, ErrPastSlot) {
+	if err := ackOne(ctx, b, bid(3, 2)); !errors.Is(err, ErrPastSlot) {
 		t.Fatalf("past slot: got %v", err)
 	}
 	invalid := bid(4, 6)
 	invalid.Work = -1
-	if _, err := b.SubmitAsync(ctx, invalid); err == nil {
+	if err := ackOne(ctx, b, invalid); err == nil {
 		t.Fatal("invalid task accepted")
 	}
-	// JSON cannot carry a non-finite bid, but Submit can. Admitted, it
-	// would win at surplus +Inf and leave λ = +Inf on its plan's cells.
+	// JSON cannot carry a non-finite bid, but an in-process call can.
+	// Admitted, it would win at surplus +Inf and leave λ = +Inf on its
+	// plan's cells.
 	before, _ := b.Duals()
 	for _, v := range []float64{math.Inf(1), math.NaN()} {
 		nonFinite := bid(4, 6)
 		nonFinite.Bid = v
-		if _, err := b.Submit(ctx, nonFinite); err == nil {
+		if err := ackOne(ctx, b, nonFinite); err == nil {
 			t.Fatalf("bid %v accepted", v)
 		}
 	}
 	if _, err := b.Step(1); err != nil {
 		t.Fatal(err)
 	}
-	if after, _ := b.Duals(); !after.Equal(before) {
+	if after, _ := b.Duals(); !reflect.DeepEqual(after, before) {
 		t.Fatal("a refused non-finite bid moved the duals")
 	}
 	if _, err := b.Step(12); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SubmitAsync(ctx, bid(5, 11)); !errors.Is(err, ErrHorizonOver) {
+	if err := ackOne(ctx, b, bid(5, 11)); !errors.Is(err, ErrHorizonOver) {
 		t.Fatalf("horizon over: got %v", err)
 	}
 }
@@ -360,10 +407,7 @@ func TestAutoAssign(t *testing.T) {
 	defer b.Kill()
 
 	tk := task.Task{ID: -1, Arrival: -1, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
-	ch, err := b.SubmitAsync(context.Background(), tk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := submitHeld(t, context.Background(), b, tk)
 	if _, err := b.Step(1); err != nil {
 		t.Fatal(err)
 	}
@@ -389,10 +433,7 @@ func TestCanceledBidSkipped(t *testing.T) {
 	before := s.sched.SnapshotDuals()
 	ctx, cancel := context.WithCancel(context.Background())
 	tk := task.Task{ID: 900, Arrival: 2, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
-	ch, err := b.SubmitAsync(ctx, tk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := submitHeld(t, ctx, b, tk)
 	cancel()
 	if _, err := b.Step(3); err != nil {
 		t.Fatal(err)
@@ -404,7 +445,7 @@ func TestCanceledBidSkipped(t *testing.T) {
 	if _, ok, _ := b.DecisionFor(900); ok {
 		t.Fatal("canceled bid has a decision")
 	}
-	if !s.sched.SnapshotDuals().Equal(before) {
+	if !reflect.DeepEqual(s.sched.SnapshotDuals(), before) {
 		t.Fatal("canceled bid moved the dual prices")
 	}
 	st, err := b.Status()
@@ -426,10 +467,7 @@ func TestDrainRefusesHeld(t *testing.T) {
 	b := startBroker(t, opts)
 
 	tk := task.Task{ID: 1, Arrival: 5, Deadline: 10, Work: 5, MemGB: 2, Batch: 8, Bid: 5}
-	ch, err := b.SubmitAsync(context.Background(), tk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := submitHeld(t, context.Background(), b, tk)
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -446,10 +484,10 @@ func TestDrainRefusesHeld(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Done not closed after drain")
 	}
-	if _, err := ReadCheckpoint(path); err != nil {
+	if _, _, err := readCheckpoint(path); err != nil {
 		t.Fatalf("no final checkpoint: %v", err)
 	}
-	if _, err := b.SubmitAsync(context.Background(), tk); !errors.Is(err, ErrDraining) {
+	if err := ackOne(context.Background(), b, tk); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit: got %v", err)
 	}
 }
@@ -517,13 +555,13 @@ func TestClosedSlotReleasesHeldBids(t *testing.T) {
 	opts := st.brokerOptions()
 	opts.QueueSize = n + 8
 	b := startBroker(t, opts)
-	// Half through one batch submission, half as one-bid submissions.
+	// Half through one collecting batch, half as ack-only bids of one.
 	batchDone := make(chan error, 1)
 	go func() {
 		_, err := b.SubmitBatch(context.Background(), flood[:n/2])
 		batchDone <- err
 	}()
-	chans := submitAll(t, b, flood[n/2:], 4)
+	ackAll(t, b, flood[n/2:], 4)
 	for {
 		s, err := b.Status()
 		if err != nil {
@@ -540,10 +578,8 @@ func TestClosedSlotReleasesHeldBids(t *testing.T) {
 	if err := <-batchDone; err != nil {
 		t.Fatal(err)
 	}
-	for _, ch := range chans {
-		if out := <-ch; out.Err != nil {
-			t.Fatal(out.Err)
-		}
+	for _, tk := range flood[n/2:] {
+		decided(t, b, tk.ID)
 	}
 	arrays := 0
 	if err := b.do(func() {

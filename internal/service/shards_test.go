@@ -168,7 +168,7 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Fatalf("task %d: routed decision %+v, monolithic %+v", tk.ID, got, want)
 		}
 	}
-	if !mono.sched.SnapshotDuals().Equal(routed.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(mono.sched.SnapshotDuals(), routed.sched.SnapshotDuals()) {
 		t.Fatal("duals diverged between monolithic and 1-shard routed runs")
 	}
 	if !reflect.DeepEqual(mono.cl.Snapshot(), routed.cl.Snapshot()) {
@@ -256,7 +256,7 @@ func TestShardsMatchSimRunTwins(t *testing.T) {
 				t.Fatalf("shard %d task %d: live %+v, twin %+v", si, tk.ID, d, wd)
 			}
 		}
-		if !live[si].sched.SnapshotDuals().Equal(tw.sched.SnapshotDuals()) {
+		if !reflect.DeepEqual(live[si].sched.SnapshotDuals(), tw.sched.SnapshotDuals()) {
 			t.Fatalf("shard %d duals diverged from twin", si)
 		}
 		if !reflect.DeepEqual(live[si].cl.Snapshot(), tw.cl.Snapshot()) {

@@ -54,14 +54,12 @@ func TestEventStreamThreeWay(t *testing.T) {
 				opts := st.brokerOptions()
 				opts.Observer, opts.RunLabel = o, "stream"
 				b = startBroker(t, opts)
-				chans := submitAll(t, b, st.tasks, 6)
+				ackAll(t, b, st.tasks, 6)
 				if _, err := b.Step(w.slots); err != nil {
 					t.Fatal(err)
 				}
-				for i := range st.tasks {
-					if out := <-chans[i]; out.Err != nil {
-						t.Fatalf("task %d: %v", st.tasks[i].ID, out.Err)
-					}
+				for _, tk := range st.tasks {
+					decided(t, b, tk.ID)
 				}
 				if err := b.Drain(context.Background()); err != nil {
 					t.Fatal(err)
@@ -90,7 +88,7 @@ func TestEventStreamThreeWay(t *testing.T) {
 			if err := DiffTwins(b, serve.tasks, func(int, []task.Task) (*sim.Result, error) { return res, nil }); err != nil {
 				t.Fatalf("broker vs sim.Run: %v", err)
 			}
-			if !serve.sched.SnapshotDuals().Equal(twin.sched.SnapshotDuals()) {
+			if !reflect.DeepEqual(serve.sched.SnapshotDuals(), twin.sched.SnapshotDuals()) {
 				t.Fatal("final dual prices diverge from the sequential replay")
 			}
 			if !reflect.DeepEqual(serve.cl.Snapshot(), twin.cl.Snapshot()) {

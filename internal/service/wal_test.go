@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"syscall"
 	"testing"
@@ -267,7 +268,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 	}
 	tw := newStack(t, slots, 2, 3, 9)
 	replay(t, tw)
-	if !s2.sched.SnapshotDuals().Equal(tw.sched.SnapshotDuals()) {
+	if !reflect.DeepEqual(s2.sched.SnapshotDuals(), tw.sched.SnapshotDuals()) {
 		t.Fatal("recovered run's final duals diverge from sim.Run")
 	}
 }
@@ -317,8 +318,8 @@ func TestWALAppendFailureRefusesUnjournaled(t *testing.T) {
 	one := perSlot[1][0]
 	one.Arrival = 0
 	one.ID = 90001
-	if _, err := b.Submit(contextWithTimeout(t), one); !errors.Is(err, ErrWAL) {
-		t.Fatalf("Submit on a broken journal = %v, want ErrWAL", err)
+	if err := ackOne(contextWithTimeout(t), b, one); !errors.Is(err, ErrWAL) {
+		t.Fatalf("a bid on a broken journal = %v, want ErrWAL", err)
 	}
 	// Closing the slot persists a checkpoint; its rotation rewrites the
 	// journal onto a fresh descriptor and clears the broken state.

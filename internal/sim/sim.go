@@ -212,7 +212,7 @@ func NewResult(scheduler string) *Result {
 func (r *Result) Account(env *schedule.TaskEnv, d *schedule.Decision) {
 	if d.Admitted {
 		r.Admitted++
-		r.Welfare += env.Task.Bid - d.VendorCost() - d.EnergyCost()
+		r.Welfare += d.Welfare(env.Task.Bid)
 		r.Revenue += d.Payment()
 		r.VendorSpend += d.VendorCost()
 		r.EnergySpend += d.EnergyCost()

@@ -111,7 +111,7 @@ func TestSpotRunDeterministic(t *testing.T) {
 				t.Fatalf("run %d: decision %d diverged: %+v vs %+v", run, i, a, b)
 			}
 		}
-		if !again.duals.Equal(first.duals) {
+		if !reflect.DeepEqual(again.duals, first.duals) {
 			t.Fatalf("run %d: dual state diverged", run)
 		}
 		if !reflect.DeepEqual(again.snap, first.snap) {
